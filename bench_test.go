@@ -9,6 +9,7 @@
 package choir_test
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"strings"
@@ -50,8 +51,11 @@ func BenchmarkFig7OffsetCDF(b *testing.B) {
 
 func BenchmarkFig7OffsetStability(b *testing.B) {
 	var fig *choir.Figure
+	var err error
 	for i := 0; i < b.N; i++ {
-		fig = choir.Fig7Stability(2, 5, 0)
+		if fig, err = choir.Fig7Stability(context.Background(), 2, 5, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 	logFigure(b, fig)
 	s := fig.SeriesAt("stdev CFO+TO (Hz)")
@@ -63,7 +67,7 @@ func BenchmarkFig8SNR(b *testing.B) {
 	var fig *choir.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
-		fig, err = choir.Fig8SNR(cfg, choir.MetricThroughput)
+		fig, err = choir.Fig8SNR(context.Background(), cfg, choir.MetricThroughput)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +83,7 @@ func BenchmarkFig8Users(b *testing.B) {
 			var fig *choir.Figure
 			for i := 0; i < b.N; i++ {
 				var err error
-				fig, err = choir.Fig8Users(cfg, metric)
+				fig, err = choir.Fig8Users(context.Background(), cfg, metric)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -121,8 +125,11 @@ func BenchmarkFig9Range(b *testing.B) {
 func BenchmarkFig10Resolution(b *testing.B) {
 	dists := []float64{200, 600, 1000, 1400, 1800, 2200, 2600, 3000}
 	var fig *choir.Figure
+	var err error
 	for i := 0; i < b.N; i++ {
-		fig = choir.Fig10Resolution(dists, 3, 1, 0)
+		if fig, err = choir.Fig10Resolution(context.Background(), dists, 3, 1, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 	logFigure(b, fig)
 	tmp := fig.SeriesAt("temperature")
@@ -131,8 +138,11 @@ func BenchmarkFig10Resolution(b *testing.B) {
 
 func BenchmarkFig11Grouping(b *testing.B) {
 	var fig *choir.Figure
+	var err error
 	for i := 0; i < b.N; i++ {
-		fig = choir.Fig11Grouping(6, 10, 2, 0)
+		if fig, err = choir.Fig11Grouping(context.Background(), 6, 10, 2, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 	logFigure(b, fig)
 	t := fig.SeriesAt("temperature")
@@ -144,7 +154,7 @@ func BenchmarkFig11Throughput(b *testing.B) {
 	var fig *choir.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
-		fig, err = choir.Fig11Throughput(cfg, 10, 4, 5)
+		fig, err = choir.Fig11Throughput(context.Background(), cfg, 10, 4, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +171,7 @@ func BenchmarkFig12MUMIMO(b *testing.B) {
 	var fig *choir.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
-		fig, err = choir.Fig12MUMIMO(cfg)
+		fig, err = choir.Fig12MUMIMO(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +187,7 @@ func BenchmarkHeadline(b *testing.B) {
 	var h *choir.HeadlineResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		h, err = choir.ComputeHeadline(cfg)
+		h, err = choir.ComputeHeadline(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +215,7 @@ func decodeRate(cfg ichoir.Config, users, trials int, snr float64, seed uint64) 
 		sc := sim.Scenario{Params: cfg.LoRa, PayloadLen: 8, SNRsDB: snrs, Seed: s}
 		sig, payloads := sc.Synthesize()
 		dec := ichoir.MustNew(cfg)
-		res, err := dec.Decode(sig, 8)
+		res, err := dec.Decode(context.Background(), sig, 8)
 		total += len(payloads)
 		if err != nil {
 			continue
@@ -275,7 +285,7 @@ func BenchmarkAblationPhasedSIC(b *testing.B) {
 func decodeScenario(cfg ichoir.Config, sc sim.Scenario) (int, int) {
 	sig, payloads := sc.Synthesize()
 	dec := ichoir.MustNew(cfg)
-	res, err := dec.Decode(sig, sc.PayloadLen)
+	res, err := dec.Decode(context.Background(), sig, sc.PayloadLen)
 	if err != nil {
 		return 0, len(payloads)
 	}
@@ -401,7 +411,7 @@ func adcNearFarTrial(bits int, seed uint64) (recovered, total int) {
 	}
 	channel.Quantize(scaled, bits, 1)
 	dec := ichoir.MustNew(ichoir.DefaultConfig(p))
-	res, err := dec.Decode(scaled, 8)
+	res, err := dec.Decode(context.Background(), scaled, 8)
 	if err != nil {
 		return 0, len(payloads)
 	}
@@ -434,7 +444,7 @@ func BenchmarkMultiSFParallelDecode(b *testing.B) {
 	var decoded int
 	for i := 0; i < b.N; i++ {
 		decoded = 0
-		for _, sr := range msf.Decode(sig, lens) {
+		for _, sr := range msf.Decode(context.Background(), sig, lens) {
 			if sr.Result != nil {
 				decoded += len(sr.Result.DecodedPayloads())
 			}
@@ -484,7 +494,7 @@ func BenchmarkEndToEndDeployment(b *testing.B) {
 	var rep *choir.E2EReport
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = choir.EndToEnd(choir.DefaultE2E())
+		rep, err = choir.EndToEnd(context.Background(), choir.DefaultE2E())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -502,7 +512,7 @@ func BenchmarkDecodeTwoUserCollision(b *testing.B) {
 	dec := ichoir.MustNew(ichoir.DefaultConfig(sc.Params))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dec.Decode(sig, 8); err != nil {
+		if _, err := dec.Decode(context.Background(), sig, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -518,7 +528,7 @@ func BenchmarkDecodeEightUserCollision(b *testing.B) {
 	dec := ichoir.MustNew(ichoir.DefaultConfig(sc.Params))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dec.Decode(sig, 8); err != nil {
+		if _, err := dec.Decode(context.Background(), sig, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -548,7 +558,7 @@ func BenchmarkDecodeMetricsOnVsOff(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dec.Decode(sig, 8); err != nil {
+				if _, err := dec.Decode(context.Background(), sig, 8); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -562,7 +572,7 @@ func BenchmarkTeamDecode(b *testing.B) {
 	dec := ichoir.MustNew(ichoir.DefaultConfig(sc.Params))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dec.DecodeTeam(sig, 8); err != nil {
+		if _, err := dec.DecodeTeam(context.Background(), sig, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -582,8 +592,11 @@ func benchSuccessTable(b *testing.B, workers int) {
 	cfg.Workers = workers
 	b.ResetTimer()
 	var table []float64
+	var err error
 	for i := 0; i < b.N; i++ {
-		table = sim.SuccessTableUncached(cfg)
+		if table, err = sim.SuccessTableUncached(context.Background(), cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(table[0], "success@1user")
 }

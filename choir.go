@@ -6,22 +6,27 @@
 // low-cost LP-WAN clients, and that extends range by pooling teams of
 // co-located sensors transmitting correlated data.
 //
-// The package re-exports the stable surface of the internal packages:
+// The package re-exports the part of the internal packages that the
+// commands under cmd/, the programs under examples/ and the root tests use:
 //
-//   - the collision decoder (Decoder, Decode, DecodeTeam) and its
-//     configuration;
-//   - the LoRa PHY substrate (PHYParams, Modem) used to build transmitters
-//     and baseline receivers;
+//   - the collision decoder (NewDecoder, Decode, DecodeTeam), the backend
+//     registry behind it, and their configuration;
+//   - the LoRa PHY substrate (PHYParams, NewModem) used to build
+//     transmitters and baseline receivers;
 //   - the client hardware and channel models used to simulate deployments;
 //   - the experiment harness that regenerates every figure of the paper's
-//     evaluation (Fig7Offsets .. Fig12MUMIMO, ComputeHeadline).
+//     evaluation (Fig7Offsets .. Fig12MUMIMO, ComputeHeadline) and the
+//     city-scale and interference sweeps.
+//
+// Every blocking entry point takes a context.Context first; a context that
+// cannot fire never changes a result (DESIGN.md §7).
 //
 // # Quick start
 //
 //	p := choir.DefaultPHY()
 //	dec, err := choir.NewDecoder(choir.DefaultDecoderConfig(p))
 //	...
-//	res, err := dec.Decode(iqSamples, payloadLen)
+//	res, err := dec.Decode(ctx, iqSamples, payloadLen)
 //	for _, u := range res.Users {
 //	    fmt.Printf("user offset=%.2f bins payload=%x\n", u.Offset, u.Payload)
 //	}
@@ -36,8 +41,6 @@ import (
 	ichoir "choir/internal/choir"
 	"choir/internal/exec"
 	"choir/internal/fault"
-	"choir/internal/gateway"
-	"choir/internal/gateway/journal"
 	"choir/internal/lora"
 	"choir/internal/mac"
 	"choir/internal/obs"
@@ -45,99 +48,39 @@ import (
 	"choir/internal/sim"
 	"choir/internal/sim/engine"
 	"choir/internal/sim/interfere"
-	"choir/internal/trace"
 )
 
 // PHY layer (package internal/lora).
-type (
-	// PHYParams is one LoRa PHY configuration (spreading factor,
-	// bandwidth, code rate, preamble).
-	PHYParams = lora.Params
-	// SpreadingFactor is the LoRa spreading factor (SF7-SF12).
-	SpreadingFactor = lora.SpreadingFactor
-	// CodeRate is the LoRa FEC rate (4/5-4/8).
-	CodeRate = lora.CodeRate
-	// Modem modulates and demodulates single-user LoRa frames — the
-	// standard (non-Choir) transceiver.
-	Modem = lora.Modem
-)
 
-// Re-exported PHY constructors and constants.
+// PHYParams is one LoRa PHY configuration (spreading factor, bandwidth,
+// code rate, preamble).
+type PHYParams = lora.Params
+
 var (
 	// DefaultPHY returns the evaluation's PHY configuration (SF8, 125 kHz,
 	// 4/8 coding, 8-symbol preamble).
 	DefaultPHY = lora.DefaultParams
-	// NewModem builds a standard LoRa modem for a PHY configuration.
+	// NewModem builds a standard (non-Choir) LoRa modem for a PHY
+	// configuration.
 	NewModem = lora.NewModem
 )
 
-// Spreading factors and code rates.
-const (
-	SF7  = lora.SF7
-	SF8  = lora.SF8
-	SF9  = lora.SF9
-	SF10 = lora.SF10
-	SF11 = lora.SF11
-	SF12 = lora.SF12
-
-	CR45 = lora.CR45
-	CR46 = lora.CR46
-	CR47 = lora.CR47
-	CR48 = lora.CR48
-)
+// SF7 is the fastest LoRa spreading factor.
+const SF7 = lora.SF7
 
 // Collision decoding (package internal/choir — the paper's contribution).
-type (
-	// Decoder disentangles LoRa collisions using hardware offsets.
-	Decoder = ichoir.Decoder
-	// DecoderConfig tunes the decoder (padding, SIC phases, fine search).
-	DecoderConfig = ichoir.Config
-	// DecodeResult is the outcome of decoding one collision.
-	DecodeResult = ichoir.Result
-	// DecodedUser is one transmitter separated from a collision.
-	DecodedUser = ichoir.User
-	// TeamResult is the outcome of decoding a below-noise team
-	// transmission (Sec. 7).
-	TeamResult = ichoir.TeamResult
-	// MultiSFDecoder disentangles collisions independently per spreading
-	// factor on one stream (Sec. 5.2, concluding note 4).
-	MultiSFDecoder = ichoir.MultiSFDecoder
-	// SFResult is one spreading factor's slice of a multi-SF collision.
-	SFResult = ichoir.SFResult
-	// OffsetSplit resolves a transmitter's aggregate offset into CFO and
-	// timing components using the down-chirp SFD (extension beyond the
-	// paper; requires PHYParams.SFDLen > 0).
-	OffsetSplit = ichoir.OffsetSplit
-)
-
-// Decoder constructors and sentinel errors. The Err* sentinels form the
-// decoder's error taxonomy: classify outcomes with errors.Is.
+// The Err* sentinels classify outcomes with errors.Is.
 var (
 	// NewDecoder validates the configuration and builds a decoder.
 	NewDecoder = ichoir.New
 	// DefaultDecoderConfig returns the evaluation's decoder settings.
 	DefaultDecoderConfig = ichoir.DefaultConfig
-	// ErrNoUsers reports that no transmitter was detected in a signal.
-	ErrNoUsers = ichoir.ErrNoUsers
-	// ErrNotDetected reports that no team transmission was found.
-	ErrNotDetected = ichoir.ErrNotDetected
-	// ErrNoSFD reports that the PHY carries no down-chirp SFD.
-	ErrNoSFD = ichoir.ErrNoSFD
-	// ErrBadIQ reports non-finite (NaN/Inf) samples in the input.
-	ErrBadIQ = ichoir.ErrBadIQ
-	// ErrSaturated reports a severely clipped (ADC-railed) capture.
-	ErrSaturated = ichoir.ErrSaturated
-	// ErrTrackingLost marks a user whose offset fingerprint vanished from
-	// most data windows (recorded per user in DecodedUser.Err).
-	ErrTrackingLost = ichoir.ErrTrackingLost
 	// ErrDecodeCanceled reports a decode abandoned at a stage boundary
-	// because its context was canceled (Decoder.DecodeCtx).
+	// because its context was canceled.
 	ErrDecodeCanceled = ichoir.ErrCanceled
 	// ErrDecodeDeadline reports a decode abandoned because its context's
 	// deadline expired mid-decode.
 	ErrDecodeDeadline = ichoir.ErrDeadline
-	// NewMultiSFDecoder builds one Choir decoder per spreading factor.
-	NewMultiSFDecoder = ichoir.NewMultiSF
 	// AntennaDiversityGain is the selection-diversity success model used by
 	// the Fig. 12 sweep.
 	AntennaDiversityGain = ichoir.AntennaDiversityGain
@@ -147,20 +90,12 @@ var (
 // strategy behind one interface, selected by registered name. The "choir"
 // backend is the reference decoder; alternatives trade fidelity for reach
 // (see DESIGN.md §13).
-type (
-	// Backend is one collision-resolution strategy: Name, Params, Reseed,
-	// and DecodeCtxInto against the shared decode-error taxonomy.
-	Backend = backend.Backend
-	// BackendPool lends out per-goroutine instances of one backend,
-	// reseeded on checkout so pooled reuse is deterministic.
-	BackendPool = backend.Pool
-)
 
-// Backend registry accessors and constructors.
+// BackendPool lends out per-goroutine instances of one backend, reseeded on
+// checkout so pooled reuse is deterministic.
+type BackendPool = backend.Pool
+
 var (
-	// NewBackend builds a registered backend by name for a PHY
-	// configuration.
-	NewBackend = backend.New
 	// NewBackendPool validates the (name, PHY) pair and builds a pool.
 	NewBackendPool = backend.NewPool
 	// BackendNames returns every registered backend name, sorted.
@@ -169,26 +104,19 @@ var (
 	BackendRegistered = backend.Registered
 	// BackendDecode runs one backend over a capture with a fresh result.
 	BackendDecode = backend.Decode
-	// BackendDecodeCtx is BackendDecode bounded by a context.
-	BackendDecodeCtx = backend.DecodeCtx
+	// BackendDecoder exposes the reference decoder behind a Choir-pipeline
+	// backend (team decoding, config introspection); nil for the others.
+	BackendDecoder = backend.Decoder
 )
 
 // Hardware and channel models (packages internal/radio, internal/channel).
 type (
-	// Transmitter models one LP-WAN client radio with hardware offsets.
-	Transmitter = radio.Transmitter
-	// PopulationConfig controls the offset statistics of a board
-	// population.
-	PopulationConfig = radio.PopulationConfig
-	// PathLossModel is the log-distance urban propagation model.
-	PathLossModel = channel.PathLossModel
 	// Emission is one transmitter's contribution to the shared medium.
 	Emission = channel.Emission
 	// ChannelConfig is the receiver front-end model (noise floor, ADC).
 	ChannelConfig = channel.Config
 )
 
-// Model constructors.
 var (
 	// NewPopulation draws a population of client radios.
 	NewPopulation = radio.NewPopulation
@@ -196,79 +124,34 @@ var (
 	DefaultPopulation = radio.DefaultPopulation
 	// Combine superimposes emissions plus noise and quantization.
 	Combine = channel.Combine
-	// UrbanPathLoss is the campus-calibrated propagation model.
-	UrbanPathLoss = sim.UrbanChannel
 )
 
 // MAC simulation (package internal/mac).
 type (
 	// MACConfig parameterizes a cell simulation.
 	MACConfig = mac.Config
-	// MACMetrics aggregates throughput/latency/retransmission results.
-	MACMetrics = mac.Metrics
-	// MACScheme selects ALOHA, Oracle TDMA, or Choir.
-	MACScheme = mac.Scheme
 	// NodeID identifies a client in a MAC simulation.
 	NodeID = mac.NodeID
-	// Receiver abstracts the PHY in the MAC simulation; implement it to
-	// plug in a custom decode model.
-	Receiver = mac.Receiver
-	// EnergyModel converts MAC activity into client battery drain.
-	EnergyModel = mac.EnergyModel
-	// EnergyReport summarizes per-node energy use and battery life.
-	EnergyReport = mac.EnergyReport
 )
 
-// MAC schemes and runner.
-var (
-	RunMAC = mac.Run
-	// RunMACCtx is RunMAC bounded by a context (checked between slots).
-	RunMACCtx = mac.RunCtx
-	// RunMACMany executes a batch of independent MAC simulations across a
-	// worker pool; results are identical to calling RunMAC per job.
-	RunMACMany = mac.RunMany
-	// RunMACManyCtx is RunMACMany bounded by a context: once ctx fires no
-	// new job starts and the context's error is returned.
-	RunMACManyCtx = mac.RunManyCtx
-	// DefaultEnergyModel returns SX1276-class power figures.
-	DefaultEnergyModel = mac.DefaultEnergyModel
+// RunMAC simulates one cell under ctx (checked between slots).
+var RunMAC = mac.Run
+
+// MAC schemes.
+const (
+	SchemeOracle = mac.SchemeOracle
+	SchemeChoir  = mac.SchemeChoir
 )
 
 // Parallel trial execution (package internal/exec): the engine behind every
-// experiment's Workers knob, exported so external harnesses can fan out
-// their own trials with the same determinism contract.
-type (
-	// WorkerPool runs independent tasks across a bounded set of
-	// goroutines (1 worker = inline serial execution).
-	WorkerPool = exec.Pool
-	// DecoderPool lends out per-goroutine Choir decoders built from one
-	// configuration; decoders are reseeded on checkout so pooled reuse is
-	// deterministic.
-	DecoderPool = exec.DecoderPool
-	// MACJob pairs one MAC configuration with its receiver for RunMACMany.
-	MACJob = mac.Job
-)
-
-// Parallel-execution constructors.
+// experiment's Workers knob.
 var (
-	// NewWorkerPool builds a pool of the given width (<= 0 = all CPUs).
+	// NewWorkerPool builds a pool of the given width (<= 0 = all CPUs,
+	// 1 = inline serial execution).
 	NewWorkerPool = exec.NewPool
-	// NewDecoderPool validates a decoder configuration and builds a pool.
-	NewDecoderPool = exec.NewDecoderPool
 	// DeriveSeed deterministically mixes a base seed with trial
 	// coordinates, giving every parallel trial an independent stream.
 	DeriveSeed = exec.DeriveSeed
-	// SeedStart/SeedMix are DeriveSeed's incremental form: precompute a
-	// chain head once, then mix one coordinate per draw site.
-	SeedStart = exec.Start
-	SeedMix   = exec.Mix
-)
-
-// The three MAC schemes of the evaluation.
-const (
-	SchemeAloha  = mac.SchemeAloha
-	SchemeOracle = mac.SchemeOracle
-	SchemeChoir  = mac.SchemeChoir
 )
 
 // City-scale engine (package internal/sim/engine): an event-driven MAC/sim
@@ -280,26 +163,14 @@ type (
 	// CityConfig parameterizes one city run (scheme, nodes, gateways,
 	// traffic, receiver model, driver, shards).
 	CityConfig = engine.Config
-	// CityMetrics is a run's aggregate outcome: arrivals, deliveries,
-	// per-SF splits, latency histogram, and event-driver work counters.
-	CityMetrics = engine.Metrics
-	// CityDriver selects the event engine or the slot-walk reference.
-	CityDriver = engine.Driver
-	// CitySweepPoint is one density in a sweep with its metrics.
-	CitySweepPoint = engine.SweepPoint
-	// SlotSuccess maps a slot's concurrent-transmitter count to a
-	// per-transmission decode probability; it is the receiver model the
-	// city engine (and mac.Run) evaluates in bulk per slot.
-	SlotSuccess = mac.SlotSuccess
-	// CityModelReceiver is a SlotSuccess backed by a success-probability
+	// CityModelReceiver is a receiver model backed by a success-probability
 	// table with an optional per-slot capacity cap.
 	CityModelReceiver = mac.ModelReceiver
-	// CityAlohaReceiver is the pure-ALOHA baseline: one transmitter
-	// decodes, two or more always collide.
-	CityAlohaReceiver = mac.AlohaReceiver
+	// CityForeignConfig describes one co-channel foreign network: node
+	// population, per-node offered load, and its ADR policy.
+	CityForeignConfig = engine.ForeignConfig
 )
 
-// City-scale engine entry points.
 var (
 	// RunCity executes one city under ctx and returns its metrics (nil
 	// metrics and the context's error if canceled mid-drain).
@@ -307,86 +178,44 @@ var (
 	// CityDensitySweep reruns the city across node counts; each point's
 	// seed derives from its index, so points are independent.
 	CityDensitySweep = engine.DensitySweep
-	// CitySweepFigure renders a sweep as a plot-ready figure.
-	CitySweepFigure = engine.SweepFigure
 	// FprintCitySweep writes a sweep as an aligned text table.
 	FprintCitySweep = engine.FprintSweep
-	// ParseCityDriver maps "event"/"slot" to a CityDriver.
+	// ParseCityDriver maps "event"/"slot" to a city driver.
 	ParseCityDriver = engine.ParseDriver
 	// AnalyticChoirTable builds the calibrated Choir success table used
 	// as the default city receiver model.
 	AnalyticChoirTable = sim.AnalyticChoirTable
 )
 
-// The two city drivers: the production event engine and the serial
-// reference it is equivalence-pinned against.
 const (
+	// CityDriverEvent is the production event engine.
 	CityDriverEvent = engine.DriverEvent
-	CityDriverSlot  = engine.DriverSlot
+	// CityADRFastestSNR is the engine's original rate adaptation: the
+	// fastest rate the measured SNR supports.
+	CityADRFastestSNR = engine.ADRFastestSNR
 )
 
-// Multi-network interference & ADR (the engine's foreign-network model plus
-// package internal/sim/interfere): co-channel foreign LP-WANs as Poisson
-// offered load, a capture-effect receiver with per-SF imperfect
-// orthogonality, per-node rate-adaptation policies mirroring LoRaSim's
-// experiments 0–5, and the paired goodput-vs-density sweep comparing Choir
-// decoding against ADR alone. See DESIGN.md §17.
-type (
-	// CityADRPolicy selects how nodes pick SF/TX power (snr, sf12,
-	// distance, power); the zero value is the engine's original
-	// fastest-rate-for-measured-SNR behavior.
-	CityADRPolicy = engine.ADRPolicy
-	// CityForeignConfig describes one co-channel foreign network: node
-	// population, per-node offered load, and its ADR policy.
-	CityForeignConfig = engine.ForeignConfig
-	// CityForeignSlotSuccess is the receiver hook consulted with per-SF
-	// foreign transmitter counts on interfered slots.
-	CityForeignSlotSuccess = engine.ForeignSlotSuccess
-	// CaptureModel wraps a SlotSuccess with the capture effect and the
-	// cross-SF rejection matrix; build with NewCaptureModel.
-	CaptureModel = interfere.CaptureModel
-	// InterfereSweepConfig parameterizes the interference comparison
-	// sweep (base city, densities, capture margin).
-	InterfereSweepConfig = interfere.SweepConfig
-	// InterfereVariant is one MAC-plus-ADR column of the comparison.
-	InterfereVariant = interfere.Variant
-	// InterfereSweep is a completed variants × densities matrix.
-	InterfereSweep = interfere.Sweep
-)
+// Multi-network interference (package internal/sim/interfere): a
+// capture-effect receiver with per-SF imperfect orthogonality and the paired
+// goodput-vs-density sweep comparing Choir decoding against ADR alone. See
+// DESIGN.md §17.
 
-// Interference-suite entry points.
+// InterfereSweepConfig parameterizes the interference comparison sweep (base
+// city, densities, capture margin).
+type InterfereSweepConfig = interfere.SweepConfig
+
 var (
-	// ParseCityADRPolicy maps "snr"/"sf12"/"distance"/"power" to a policy.
-	ParseCityADRPolicy = engine.ParseADRPolicy
-	// CityADRPolicies lists every policy in declaration order.
-	CityADRPolicies = engine.ADRPolicies
 	// NewCaptureModel wraps a receiver with the capture effect at a margin
-	// (dB) under the urban shadowing spread and default SIR matrix;
-	// NewCaptureModelWithSIR exposes both knobs.
-	NewCaptureModel        = interfere.New
-	NewCaptureModelWithSIR = interfere.NewWithSIR
+	// (dB) under the urban shadowing spread and default SIR matrix.
+	NewCaptureModel = interfere.New
 	// RunInterfereSweep runs the paired Choir-vs-ADR density sweep.
 	RunInterfereSweep = interfere.RunSweep
 	// FprintInterfereSweep writes the sweep as an aligned text table.
 	FprintInterfereSweep = interfere.Fprint
-	// InterfereSweepFigure renders one goodput series per variant.
-	InterfereSweepFigure = interfere.Figure
-	// InterfereVariants lists the comparison matrix columns.
-	InterfereVariants = interfere.Variants
-)
-
-// The four rate-adaptation policies (LoRaSim experiments 0–5 mapped onto
-// the slotted engine).
-const (
-	CityADRFastestSNR = engine.ADRFastestSNR
-	CityADRFixedSF12  = engine.ADRFixedSF12
-	CityADRDistance   = engine.ADRDistance
-	CityADRTxPower    = engine.ADRTxPower
 )
 
 // Fault injection (package internal/fault): deterministic, seeded IQ
-// corruption at the channel boundary, for robustness experiments and
-// regression tests of the decoder's graceful degradation.
+// corruption at the channel boundary.
 type (
 	// FaultInjector corrupts IQ sample streams with one fault class at a
 	// fixed intensity; all randomness comes from the seed passed to Apply.
@@ -394,37 +223,20 @@ type (
 	// FaultClass identifies one fault family (clip, drop, interferer,
 	// drift, truncate).
 	FaultClass = fault.Class
-	// FaultChain composes injectors, deriving a distinct sub-seed per
-	// element.
-	FaultChain = fault.Chain
 )
 
-// Fault constructors and helpers.
 var (
 	// NewFault builds an injector for a class at an intensity in [0, 1];
 	// intensity 0 is an exact no-op.
 	NewFault = fault.New
 	// ParseFaultClass parses a class name as printed by FaultClass.String.
 	ParseFaultClass = fault.ParseClass
-	// FaultClasses returns every fault class.
-	FaultClasses = fault.Classes
-)
-
-// The injectable fault classes.
-const (
-	FaultClip       = fault.Clip
-	FaultDropBurst  = fault.DropBurst
-	FaultInterferer = fault.Interferer
-	FaultDriftStep  = fault.DriftStep
-	FaultTruncate   = fault.Truncate
 )
 
 // Experiments (package internal/sim): every figure of Sec. 9.
 type (
 	// Figure is a reproduced paper figure (series over an x axis).
 	Figure = sim.Figure
-	// Series is one line of a figure.
-	Series = sim.Series
 	// Scenario renders synthetic collisions at IQ level.
 	Scenario = sim.Scenario
 	// ExperimentConfig parameterizes the density experiments.
@@ -433,39 +245,27 @@ type (
 	ExperimentMetric = sim.Metric
 	// HeadlineResult aggregates the paper's headline gains.
 	HeadlineResult = sim.Headline
-	// E2EConfig parameterizes the end-to-end deployment experiment.
-	E2EConfig = sim.E2EConfig
 	// E2EReport summarizes an end-to-end deployment run.
 	E2EReport = sim.E2EReport
-	// FaultSweepConfig parameterizes the decode-robustness sweep.
-	FaultSweepConfig = sim.FaultSweepConfig
-	// CompareConfig parameterizes the head-to-head backend comparison.
-	CompareConfig = sim.CompareConfig
-	// CompareResult is the comparison output: one report per backend.
-	CompareResult = sim.CompareResult
-	// CompareFixture is one pre-rendered capture fed to every backend.
-	CompareFixture = sim.CompareFixture
-	// BackendReport aggregates one backend's goodput, error taxonomy, and
-	// latency over the comparison grid.
-	BackendReport = sim.BackendReport
 )
 
-// Experiment entry points, one per paper figure.
+// Experiment entry points, one per paper figure. Those that run Monte-Carlo
+// trials or MAC simulations take a context: results are identical when it
+// never fires, and once it does they return its error and no partial figure.
 var (
-	Fig7Offsets      = sim.Fig7Offsets
-	Fig7Stability    = sim.Fig7Stability
-	Fig8SNR          = sim.Fig8SNR
-	Fig8Users        = sim.Fig8Users
-	Fig9Throughput   = sim.Fig9Throughput
-	Fig9Range        = sim.Fig9Range
-	Fig10Resolution  = sim.Fig10Resolution
-	Fig11Grouping    = sim.Fig11Grouping
-	Fig11Throughput  = sim.Fig11Throughput
-	Fig12MUMIMO      = sim.Fig12MUMIMO
-	ComputeHeadline  = sim.ComputeHeadline
-	DefaultFig8      = sim.DefaultFig8
-	DefaultFig12     = sim.DefaultFig12
-	DefaultWorkbench = sim.DefaultCalibration
+	Fig7Offsets     = sim.Fig7Offsets
+	Fig7Stability   = sim.Fig7Stability
+	Fig8SNR         = sim.Fig8SNR
+	Fig8Users       = sim.Fig8Users
+	Fig9Throughput  = sim.Fig9Throughput
+	Fig9Range       = sim.Fig9Range
+	Fig10Resolution = sim.Fig10Resolution
+	Fig11Grouping   = sim.Fig11Grouping
+	Fig11Throughput = sim.Fig11Throughput
+	Fig12MUMIMO     = sim.Fig12MUMIMO
+	ComputeHeadline = sim.ComputeHeadline
+	DefaultFig8     = sim.DefaultFig8
+	DefaultFig12    = sim.DefaultFig12
 	// EndToEnd runs the full deployment pipeline (geometry, scheduling,
 	// IQ-level collision and team decoding) in one experiment.
 	EndToEnd   = sim.EndToEnd
@@ -482,24 +282,6 @@ var (
 	LoadCompareFixtures = sim.LoadCompareFixtures
 )
 
-// Context-bounded experiment variants: identical results when the context
-// never fires, the context's error (and no partial figure) once it does.
-// Cancellation is cooperative — it propagates through the trial-execution
-// fan-out, the IQ-level calibration, and the MAC slot loops.
-var (
-	Fig7StabilityCtx   = sim.Fig7StabilityCtx
-	Fig8SNRCtx         = sim.Fig8SNRCtx
-	Fig8UsersCtx       = sim.Fig8UsersCtx
-	Fig10ResolutionCtx = sim.Fig10ResolutionCtx
-	Fig11GroupingCtx   = sim.Fig11GroupingCtx
-	Fig11ThroughputCtx = sim.Fig11ThroughputCtx
-	Fig12MUMIMOCtx     = sim.Fig12MUMIMOCtx
-	ComputeHeadlineCtx = sim.ComputeHeadlineCtx
-	EndToEndCtx        = sim.EndToEndCtx
-	FaultSweepCtx      = sim.FaultSweepCtx
-	CompareBackendsCtx = sim.CompareCtx
-)
-
 // Metrics selectors for Fig8* experiments.
 const (
 	MetricThroughput = sim.Throughput
@@ -507,146 +289,14 @@ const (
 	MetricTxCount    = sim.TxCount
 )
 
-// Gateway service (package internal/gateway): a resilient long-running
-// decode pipeline — bounded ingest queue with explicit shedding policies, a
-// decode-recovery ladder with per-stage circuit breakers, panic isolation,
-// and drain-then-stop shutdown. See DESIGN.md §11 for the resilience model.
-type (
-	// Gateway is the long-running decode service.
-	Gateway = gateway.Gateway
-	// GatewayConfig sizes the queue, worker pool, recovery ladder, and
-	// circuit breakers.
-	GatewayConfig = gateway.Config
-	// GatewayOutcome is the single terminal result of one accepted frame.
-	GatewayOutcome = gateway.Outcome
-	// GatewayOutcomeKind classifies an outcome (decoded, failed, shed).
-	GatewayOutcomeKind = gateway.OutcomeKind
-	// GatewayStats is the always-on frame accounting (independent of the
-	// obs metrics switch).
-	GatewayStats = gateway.Stats
-	// GatewayFrame is one queued IQ capture.
-	GatewayFrame = gateway.Frame
-	// ShedPolicy selects the backpressure behavior of a full queue.
-	ShedPolicy = gateway.ShedPolicy
-	// LadderStage is one rung of the decode-recovery ladder.
-	LadderStage = gateway.Stage
-	// TraceHeader is the metadata header of an IQ trace file or streamed
-	// frame (PHY params, payload length).
-	TraceHeader = trace.Header
-	// GatewayRecovery is what a restart finds in a write-ahead journal
-	// directory: frames admitted but never finished (replayed ahead of new
-	// ingest) and frame IDs whose completion outlived the crash.
-	GatewayRecovery = journal.Recovery
-	// JournalEntry is one journaled frame: its gateway-assigned ID plus the
-	// trace header and IQ samples needed to decode it again.
-	JournalEntry = journal.Entry
-)
-
-// Gateway constructors, ingest helpers, and typed errors.
-var (
-	// NewGateway validates the configuration and starts the workers.
-	NewGateway = gateway.New
-	// ParseShedPolicy parses a policy name as printed by ShedPolicy.String.
-	ParseShedPolicy = gateway.ParseShedPolicy
-	// GatewayIngestFiles submits trace files (or directories of *.iq) to a
-	// gateway.
-	GatewayIngestFiles = gateway.IngestFiles
-	// GatewayServeTCP accepts one EOF-delimited trace per TCP connection.
-	GatewayServeTCP = gateway.ServeTCP
-	// GatewayServeTCPStream accepts length-prefixed streaming frames
-	// (trace.WriteFramed): each frame is admitted as soon as its header
-	// arrives and decoding overlaps sample delivery.
-	GatewayServeTCPStream = gateway.ServeTCPStream
-	// WriteTrace writes one IQ capture in the *.iq trace-file format.
-	WriteTrace = trace.Write
-	// ReadTrace parses one IQ capture from the *.iq trace-file format.
-	ReadTrace = trace.Read
-	// WriteFramedTrace writes one frame in the streaming wire format
-	// GatewayServeTCPStream accepts (length-prefixed header + sample count
-	// + raw little-endian I/Q pairs).
-	WriteFramedTrace = trace.WriteFramed
-	// DefaultGatewayLadder returns the default decode-recovery ladder as an
-	// ordered list of registered backend names.
-	DefaultGatewayLadder = gateway.DefaultLadder
-	// GatewayRecover inspects a write-ahead journal directory without
-	// opening a gateway on it: what a gateway configured with that
-	// JournalDir would replay at startup.
-	GatewayRecover = gateway.Recover
-
-	// ErrGatewayStopped reports a submit to a draining or stopped gateway.
-	ErrGatewayStopped = gateway.ErrStopped
-	// ErrGatewayQueueFull reports a submit refused (or a blocking wait cut
-	// short) by a full queue.
-	ErrGatewayQueueFull = gateway.ErrQueueFull
-	// ErrGatewayShed marks the outcome of an accepted frame dropped by
-	// load-shedding or shutdown instead of being decoded.
-	ErrGatewayShed = gateway.ErrShed
-	// ErrGatewayLadderExhausted marks a frame that failed every rung of the
-	// recovery ladder; it wraps the last rung's error.
-	ErrGatewayLadderExhausted = gateway.ErrLadderExhausted
-	// ErrGatewayDecodePanic marks a frame whose decode panicked; the panic
-	// is isolated to that frame.
-	ErrGatewayDecodePanic = gateway.ErrDecodePanic
-	// ErrGatewayStreamAborted marks a streamed frame whose connection died
-	// before the last sample arrived; the frame fails without retries.
-	ErrGatewayStreamAborted = gateway.ErrStreamAborted
-	// ErrGatewayNoTraces reports an ingest directory that exists but holds
-	// no *.iq traces.
-	ErrGatewayNoTraces = gateway.ErrNoTraces
-	// ErrGatewayJournal reports a write-ahead journal append failure during
-	// admission: the frame was refused rather than accepted undurably.
-	ErrGatewayJournal = gateway.ErrJournal
-)
-
-// Shedding policies and ladder stages.
-const (
-	ShedBlock      = gateway.ShedBlock
-	ShedDropOldest = gateway.ShedDropOldest
-	ShedReject     = gateway.ShedReject
-
-	LadderStageFull      = gateway.StageFull
-	LadderStageRelaxed   = gateway.StageRelaxed
-	LadderStageStrongest = gateway.StageStrongest
-)
-
 // Observability (package internal/obs): process-wide counters and latency
-// histograms threaded through the decoder, trial engine, MAC and fault
-// layers. Recording is off by default and allocation-free when disabled;
+// histograms. Recording is off by default and allocation-free when disabled;
 // enabling it never changes decode results or seed derivation (DESIGN.md
 // §10).
-type (
-	// MetricsSnapshot is a point-in-time copy of every registered counter
-	// and histogram.
-	MetricsSnapshot = obs.Snapshot
-)
-
-// Observability controls.
 var (
 	// EnableMetrics turns on metric recording process-wide.
 	EnableMetrics = obs.Enable
 	// DisableMetrics turns recording back off (already-recorded values
 	// remain readable).
 	DisableMetrics = obs.Disable
-	// MetricsEnabled reports whether recording is on.
-	MetricsEnabled = obs.Enabled
-	// TakeMetricsSnapshot copies every registered metric's current state.
-	TakeMetricsSnapshot = obs.TakeSnapshot
-	// WriteMetricsJSON writes the snapshot as indented JSON.
-	WriteMetricsJSON = obs.WriteJSON
-	// ResetMetrics zeroes every registered metric (for test isolation).
-	ResetMetrics = obs.Reset
-	// ServeDebug starts an expvar + pprof HTTP server on the given address
-	// and returns the bound address plus a shutdown function that stops the
-	// server cleanly (graceful drain bounded by the shutdown context).
-	ServeDebug = obs.ServeDebug
-	// RegisterHealthCheck adds (or, with a nil check, removes) a named
-	// liveness check served at /healthz by ServeDebug.
-	RegisterHealthCheck = obs.RegisterHealthCheck
-	// RegisterReadyCheck adds (or, with a nil check, removes) a named
-	// readiness check served at /readyz by ServeDebug.
-	RegisterReadyCheck = obs.RegisterReadyCheck
-	// Healthz evaluates every registered liveness check without HTTP.
-	Healthz = obs.Healthz
-	// Readyz evaluates every registered readiness check without HTTP.
-	Readyz = obs.Readyz
 )

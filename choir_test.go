@@ -2,6 +2,7 @@ package choir_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestPublicAPICollisionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dec.Decode(sig, 8)
+	res, err := dec.Decode(context.Background(), sig, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,16 +64,17 @@ func TestPublicAPIExperiments(t *testing.T) {
 	cfg.Slots = 400
 	cfg.Calibration.Trials = 0
 
+	ctx := context.Background()
 	figs := []*choir.Figure{
 		choir.Fig7Offsets(10, 1),
 		choir.Fig9Throughput(-22, 10),
 		choir.Fig9Range(10),
-		choir.Fig10Resolution([]float64{500, 2000}, 2, 1, 0),
-		choir.Fig11Grouping(6, 3, 1, 0),
 	}
 	for _, mk := range []func() (*choir.Figure, error){
-		func() (*choir.Figure, error) { return choir.Fig8Users(cfg, choir.MetricThroughput) },
-		func() (*choir.Figure, error) { return choir.Fig11Throughput(cfg, 6, 2, 4) },
+		func() (*choir.Figure, error) { return choir.Fig10Resolution(ctx, []float64{500, 2000}, 2, 1, 0) },
+		func() (*choir.Figure, error) { return choir.Fig11Grouping(ctx, 6, 3, 1, 0) },
+		func() (*choir.Figure, error) { return choir.Fig8Users(ctx, cfg, choir.MetricThroughput) },
+		func() (*choir.Figure, error) { return choir.Fig11Throughput(ctx, cfg, 6, 2, 4) },
 	} {
 		fig, err := mk()
 		if err != nil {
@@ -94,7 +96,7 @@ func TestPublicAPIExperiments(t *testing.T) {
 
 // TestPublicAPIMAC drives the exported MAC simulation directly.
 func TestPublicAPIMAC(t *testing.T) {
-	m, err := choir.RunMAC(choir.MACConfig{
+	m, err := choir.RunMAC(context.Background(), choir.MACConfig{
 		Scheme:         choir.SchemeOracle,
 		Nodes:          4,
 		Slots:          500,

@@ -9,8 +9,9 @@
 //
 //	choir-bench -compare old.json new.json [-threshold 0.15]
 //	    Compare two reports benchstat-style. Exits non-zero when a pinned
-//	    benchmark's ns/op regresses beyond the threshold, or when an
-//	    alloc-pinned benchmark's allocs/op increases at all.
+//	    benchmark's ns/op regresses beyond the threshold, when an
+//	    alloc-pinned benchmark's allocs/op increases at all, or when a
+//	    benchmark pinned in the old report is missing from the new one.
 //
 // The suite deliberately re-declares the hot-path benchmarks (rather than
 // shelling out to `go test -bench`) so the binary is hermetic: fixed seeds,
@@ -21,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -161,7 +163,7 @@ func runSuite(filter *regexp.Regexp) *Report {
 
 // compareReports prints a benchstat-style delta table and returns the number
 // of gate failures.
-func compareReports(w *os.File, old, cur *Report, threshold float64) int {
+func compareReports(w io.Writer, old, cur *Report, threshold float64) int {
 	oldByName := map[string]Result{}
 	for _, b := range old.Benchmarks {
 		oldByName[b.Name] = b
@@ -208,7 +210,14 @@ func compareReports(w *os.File, old, cur *Report, threshold float64) int {
 	}
 	for _, b := range old.Benchmarks {
 		if _, ok := curByName[b.Name]; !ok {
-			fmt.Fprintf(w, "%-40s %14.0f %14s %8s %s\n", b.Name, b.NsPerOp, "-", "-", "removed")
+			// A pinned benchmark that vanished is a gate nobody is
+			// watching any more, not a pass.
+			gate := "removed"
+			if b.PinNs || b.PinAllocs {
+				gate = "FAIL pinned benchmark removed"
+				failures++
+			}
+			fmt.Fprintf(w, "%-40s %14.0f %14s %8s %s\n", b.Name, b.NsPerOp, "-", "-", gate)
 		}
 	}
 	return failures

@@ -248,7 +248,7 @@ func benchDecodeTwoUser(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dec.Decode(sig, 8); err != nil {
+		if _, err := dec.Decode(context.Background(), sig, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,7 +264,7 @@ func benchDecodeEightUser(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dec.Decode(sig, 8); err != nil {
+		if _, err := dec.Decode(context.Background(), sig, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -353,7 +353,7 @@ func benchHeadline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := choir.ComputeHeadline(cfg); err != nil {
+		if _, err := choir.ComputeHeadline(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

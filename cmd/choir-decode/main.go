@@ -122,8 +122,9 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 
 	// One pool per PHY configuration seen in the batch; traces recorded at
 	// different spreading factors each get their own. Collision decodes go
-	// through the selected backend; team decodes need the full reference
-	// decoder (team decoding is not part of the backend interface).
+	// through the selected backend; team decodes reach the reference decoder
+	// behind the "choir" backend (team decoding is not part of the backend
+	// interface).
 	var mu sync.Mutex
 	pools := map[choir.PHYParams]*choir.BackendPool{}
 	poolFor := func(p choir.PHYParams) (*choir.BackendPool, error) {
@@ -139,20 +140,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		pools[p] = pool
 		return pool, nil
 	}
-	teamPools := map[choir.PHYParams]*choir.DecoderPool{}
-	teamPoolFor := func(p choir.PHYParams) (*choir.DecoderPool, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if pool, ok := teamPools[p]; ok {
-			return pool, nil
-		}
-		pool, err := choir.NewDecoderPool(choir.DefaultDecoderConfig(p))
-		if err != nil {
-			return nil, err
-		}
-		teamPools[p] = pool
-		return pool, nil
-	}
 
 	// Workers write only into their own indexed slots; all printing happens
 	// afterwards on this goroutine, so report and error lines come out in
@@ -162,8 +149,8 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	reports := make([]string, len(files))
 	errs := make([]error, len(files))
 	done := make([]bool, len(files))
-	fanErr := choir.NewWorkerPool(*workers).ForEachCtx(ctx, len(files), func(i int) {
-		reports[i], errs[i] = decodeTrace(ctx, files[i], uint64(i), *team, inj, poolFor, teamPoolFor)
+	fanErr := choir.NewWorkerPool(*workers).ForEach(ctx, len(files), func(i int) {
+		reports[i], errs[i] = decodeTrace(ctx, files[i], uint64(i), *team, inj, poolFor)
 		done[i] = true
 	})
 	exit := exitOK
@@ -197,7 +184,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 // the full report as a string so batch output stays ordered. A canceled
 // context surfaces as an error (the trace was not decoded), unlike an
 // ordinary failed decode which is a report.
-func decodeTrace(ctx context.Context, name string, index uint64, team bool, inj choir.FaultInjector, poolFor func(choir.PHYParams) (*choir.BackendPool, error), teamPoolFor func(choir.PHYParams) (*choir.DecoderPool, error)) (string, error) {
+func decodeTrace(ctx context.Context, name string, index uint64, team bool, inj choir.FaultInjector, poolFor func(choir.PHYParams) (*choir.BackendPool, error)) (string, error) {
 	f, err := os.Open(name)
 	if err != nil {
 		return "", err
@@ -222,14 +209,15 @@ func decodeTrace(ctx context.Context, name string, index uint64, team bool, inj 
 		truth[u] = true
 	}
 
+	pool, err := poolFor(h.Params)
+	if err != nil {
+		return "", err
+	}
+	b := pool.Get(choir.DeriveSeed(uint64(h.Params.SF), index))
+	defer pool.Put(b)
+
 	if team {
-		pool, err := teamPoolFor(h.Params)
-		if err != nil {
-			return "", err
-		}
-		dec := pool.Get(choir.DeriveSeed(uint64(h.Params.SF), index))
-		defer pool.Put(dec)
-		res, err := dec.DecodeTeamCtx(ctx, samples, h.PayloadLen)
+		res, err := choir.BackendDecoder(b).DecodeTeam(ctx, samples, h.PayloadLen)
 		if err != nil {
 			if errors.Is(err, choir.ErrDecodeCanceled) || errors.Is(err, choir.ErrDecodeDeadline) {
 				return "", err
@@ -251,16 +239,10 @@ func decodeTrace(ctx context.Context, name string, index uint64, team bool, inj 
 		return out.String(), nil
 	}
 
-	pool, err := poolFor(h.Params)
-	if err != nil {
-		return "", err
-	}
-	b := pool.Get(choir.DeriveSeed(uint64(h.Params.SF), index))
-	defer pool.Put(b)
 	if b.Name() != "choir" {
 		fmt.Fprintf(&out, "backend: %s\n", b.Name())
 	}
-	res, err := choir.BackendDecodeCtx(ctx, b, samples, h.PayloadLen)
+	res, err := choir.BackendDecode(ctx, b, samples, h.PayloadLen)
 	if err != nil {
 		if errors.Is(err, choir.ErrDecodeCanceled) || errors.Is(err, choir.ErrDecodeDeadline) {
 			return "", err

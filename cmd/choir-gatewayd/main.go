@@ -9,14 +9,12 @@
 // exactly one terminal outcome line on stdout: decoded (naming the
 // backend that succeeded), failed with a typed error, or shed.
 //
-// TCP ingest comes in two modes. -listen carries one EOF-delimited trace
-// per connection: the sender writes the trace, half-closes its write side,
-// and reads a one-line status reply ("accepted <id>" or "error:
-// <reason>"). -listen-stream speaks the length-prefixed streaming framing
-// (trace.WriteFramed): the frame is admitted as soon as its header
-// arrives, the "accepted <id>" reply comes back immediately, and decoding
-// overlaps the remaining samples still being delivered. Either way
-// connections are capped at -max-conns and bounded by -conn-timeout.
+// TCP ingest (-listen) speaks the length-prefixed streaming framing
+// (trace.WriteFramed), one frame per connection: the frame is admitted as
+// soon as its header arrives, a one-line status reply ("accepted <id>" or
+// "error: <reason>") comes back immediately, and decoding overlaps the
+// remaining samples still being delivered. Connections are capped at
+// -max-conns and bounded by -conn-timeout.
 //
 // -journal-dir enables the write-ahead frame journal: every admitted frame
 // is persisted before it may decode, and on restart with the same
@@ -43,7 +41,7 @@
 //
 //	choir-gatewayd night/*.iq
 //	choir-gatewayd -listen :7373
-//	choir-gatewayd -listen-stream :7374 -conn-timeout 10s -batch 8
+//	choir-gatewayd -listen :7373 -conn-timeout 10s -batch 8
 //	choir-gatewayd -listen :7373 -queue 128 -shed-policy drop-oldest
 //	choir-gatewayd -decode-timeout 2s -max-retries 2 captures/
 //	choir-gatewayd -ladder superposed,strongest night/*.iq
@@ -51,7 +49,7 @@
 //	choir-gatewayd -metrics -debug-addr localhost:6060 -listen :7373
 //	choir-gatewayd -journal-dir /var/lib/choir/journal -listen :7373
 //	choir-gatewayd -journal-dir /var/lib/choir/journal        # replay and exit
-//	choir-gatewayd -admission-target 250ms -listen-stream :7374
+//	choir-gatewayd -admission-target 250ms -listen :7373
 //
 // SIGINT/SIGTERM stop ingest and drain the queue gracefully (bounded by
 // -drain-timeout, then a hard stop that sheds the remainder); the metrics
@@ -97,9 +95,8 @@ func main() {
 func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("choir-gatewayd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	listen := fs.String("listen", "", "TCP ingest address (e.g. :7373); one EOF-delimited trace per connection")
-	listenStream := fs.String("listen-stream", "", "framed streaming TCP ingest address; decode starts before the last sample arrives")
-	connTimeout := fs.Duration("conn-timeout", 30*time.Second, "per-connection I/O deadline on the TCP ingest sockets (0 = none)")
+	listen := fs.String("listen", "", "framed streaming TCP ingest address (e.g. :7373); decode starts before the last sample arrives")
+	connTimeout := fs.Duration("conn-timeout", 30*time.Second, "per-connection I/O deadline on the TCP ingest socket (0 = none)")
 	maxConns := fs.Int("max-conns", 64, "concurrent TCP ingest connections before new ones are shed")
 	batch := fs.Int("batch", 1, "frames a worker decodes per wakeup through the batched first rung (1 = off)")
 	queue := fs.Int("queue", 64, "bounded ingest queue depth")
@@ -125,12 +122,8 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	}
 	// A journal-dir-only invocation is valid: it replays whatever backlog
 	// the previous life left behind, drains it, and exits.
-	if *listen == "" && *listenStream == "" && fs.NArg() == 0 && *journalDir == "" {
-		fmt.Fprintln(stderr, "usage: choir-gatewayd [-listen addr | -listen-stream addr] [-journal-dir dir] [-queue n -shed-policy p] [trace.iq | dir ...]")
-		return exitUsage
-	}
-	if *listen != "" && *listenStream != "" {
-		fmt.Fprintln(stderr, "choir-gatewayd: -listen and -listen-stream are mutually exclusive")
+	if *listen == "" && fs.NArg() == 0 && *journalDir == "" {
+		fmt.Fprintln(stderr, "usage: choir-gatewayd [-listen addr] [-journal-dir dir] [-queue n -shed-policy p] [trace.iq | dir ...]")
 		return exitUsage
 	}
 	policy, err := gateway.ParseShedPolicy(*shedPolicy)
@@ -242,20 +235,16 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	}
 
 	serveOK := true
-	if *listen != "" || *listenStream != "" {
-		addr, serve, mode := *listen, gateway.ServeTCP, "EOF-delimited"
-		if *listenStream != "" {
-			addr, serve, mode = *listenStream, gateway.ServeTCPStream, "framed streaming"
-		}
-		ln, err := net.Listen("tcp", addr)
+	if *listen != "" {
+		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
 			fmt.Fprintln(stderr, "choir-gatewayd:", err)
 			drain(g, *drainTimeout, stderr)
 			<-printerDone
 			return exitFailed
 		}
-		fmt.Fprintf(stderr, "choir-gatewayd: listening on %s (%s)\n", ln.Addr(), mode)
-		if err := serve(ctx, g, ln); err != nil {
+		fmt.Fprintf(stderr, "choir-gatewayd: listening on %s\n", ln.Addr())
+		if err := gateway.ServeTCPStream(ctx, g, ln); err != nil {
 			fmt.Fprintln(stderr, "choir-gatewayd:", err)
 			serveOK = false
 		}

@@ -101,9 +101,10 @@ func TestRunInterruptedExits130(t *testing.T) {
 	}
 }
 
-// TestRunTCPMode drives the daemon end to end over TCP: submit one trace,
-// read the accept reply, watch its outcome print, then shut down via the
-// signal context and expect exit 130 with balanced accounting.
+// TestRunTCPMode drives the daemon end to end over TCP with default flags:
+// submit one framed trace in a single write, read the accept reply, watch
+// its outcome print, then shut down via the signal context and expect exit
+// 130 with balanced accounting.
 func TestRunTCPMode(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -120,10 +121,6 @@ func TestRunTCPMode(t *testing.T) {
 		for _, line := range strings.Split(stderr.String(), "\n") {
 			if rest, ok := strings.CutPrefix(line, "choir-gatewayd: listening on "); ok {
 				addr = strings.TrimSpace(rest)
-				// Drop the "(mode)" suffix after the address.
-				if i := strings.IndexByte(addr, ' '); i >= 0 {
-					addr = addr[:i]
-				}
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -140,10 +137,7 @@ func TestRunTCPMode(t *testing.T) {
 	p.SF = lora.SF7
 	sc := sim.Scenario{Params: p, PayloadLen: 4, SNRsDB: []float64{15, 12}, Seed: 1}
 	sig, _ := sc.Synthesize()
-	if err := trace.Write(conn, trace.Header{Params: p, PayloadLen: 4}, sig); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+	if err := trace.WriteFramed(conn, trace.Header{Params: p, PayloadLen: 4}, sig); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := bufio.NewReader(conn).ReadString('\n')
@@ -179,7 +173,7 @@ func TestRunTCPStreamMode(t *testing.T) {
 	var stdout, stderr syncBuffer
 	exit := make(chan int, 1)
 	go func() {
-		exit <- run(ctx, []string{"-listen-stream", "127.0.0.1:0", "-batch", "4", "-conn-timeout", "5s", "-backoff", "1us"}, &stdout, &stderr)
+		exit <- run(ctx, []string{"-listen", "127.0.0.1:0", "-batch", "4", "-conn-timeout", "5s", "-backoff", "1us"}, &stdout, &stderr)
 	}()
 
 	var addr string
@@ -188,9 +182,6 @@ func TestRunTCPStreamMode(t *testing.T) {
 		for _, line := range strings.Split(stderr.String(), "\n") {
 			if rest, ok := strings.CutPrefix(line, "choir-gatewayd: listening on "); ok {
 				addr = strings.TrimSpace(rest)
-				if i := strings.IndexByte(addr, ' '); i >= 0 {
-					addr = addr[:i]
-				}
 			}
 		}
 		time.Sleep(5 * time.Millisecond)

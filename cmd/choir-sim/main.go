@@ -133,7 +133,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			}
 			ccfg.Fixtures = fixtures
 		}
-		res, err := choir.CompareBackendsCtx(ctx, ccfg)
+		res, err := choir.CompareBackends(ctx, ccfg)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				fmt.Fprintf(stderr, "choir-sim: comparison interrupted: %v\n", err)
@@ -157,7 +157,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	runners := map[string]func(context.Context) error{
 		"fig7ab": func(context.Context) error { choir.Fig7Offsets(30, *seed).Fprint(stdout); return nil },
 		"fig7cd": func(ctx context.Context) error {
-			fig, err := choir.Fig7StabilityCtx(ctx, 4, *seed, *workers)
+			fig, err := choir.Fig7Stability(ctx, 4, *seed, *workers)
 			if err != nil {
 				return err
 			}
@@ -166,7 +166,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		},
 		"fig8abc": func(ctx context.Context) error {
 			for _, m := range []choir.ExperimentMetric{choir.MetricThroughput, choir.MetricLatency, choir.MetricTxCount} {
-				fig, err := choir.Fig8SNRCtx(ctx, cfg, m)
+				fig, err := choir.Fig8SNR(ctx, cfg, m)
 				if err != nil {
 					return err
 				}
@@ -181,7 +181,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		"fig9a": func(context.Context) error { choir.Fig9Throughput(-22, 30).Fprint(stdout); return nil },
 		"fig9b": func(context.Context) error { choir.Fig9Range(30).Fprint(stdout); return nil },
 		"fig10": func(ctx context.Context) error {
-			fig, err := choir.Fig10ResolutionCtx(ctx, []float64{200, 600, 1000, 1400, 1800, 2200, 2600, 3000}, 5, *seed, *workers)
+			fig, err := choir.Fig10Resolution(ctx, []float64{200, 600, 1000, 1400, 1800, 2200, 2600, 3000}, 5, *seed, *workers)
 			if err != nil {
 				return err
 			}
@@ -189,7 +189,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			return nil
 		},
 		"fig11a": func(ctx context.Context) error {
-			fig, err := choir.Fig11GroupingCtx(ctx, 6, 20, *seed, *workers)
+			fig, err := choir.Fig11Grouping(ctx, 6, 20, *seed, *workers)
 			if err != nil {
 				return err
 			}
@@ -197,7 +197,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			return nil
 		},
 		"fig11b": func(ctx context.Context) error {
-			fig, err := choir.Fig11ThroughputCtx(ctx, cfg, 10, 4, 5)
+			fig, err := choir.Fig11Throughput(ctx, cfg, 10, 4, 5)
 			if err != nil {
 				return err
 			}
@@ -207,7 +207,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		"fig12": func(ctx context.Context) error {
 			f12 := choir.DefaultFig12()
 			f12.Fig8 = cfg
-			fig, err := choir.Fig12MUMIMOCtx(ctx, f12)
+			fig, err := choir.Fig12MUMIMO(ctx, f12)
 			if err != nil {
 				return err
 			}
@@ -217,7 +217,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		"e2e": func(ctx context.Context) error {
 			e2eCfg := choir.DefaultE2E()
 			e2eCfg.Workers = *workers
-			rep, err := choir.EndToEndCtx(ctx, e2eCfg)
+			rep, err := choir.EndToEnd(ctx, e2eCfg)
 			if err != nil {
 				return err
 			}
@@ -240,7 +240,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 				// anchor so the unfaulted baseline prints alongside it.
 				fsw.Intensities = []float64{0, *faultRate}
 			}
-			fig, err := choir.FaultSweepCtx(ctx, fsw)
+			fig, err := choir.FaultSweep(ctx, fsw)
 			if err != nil {
 				return err
 			}
@@ -315,7 +315,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			return nil
 		},
 		"headline": func(ctx context.Context) error {
-			h, err := choir.ComputeHeadlineCtx(ctx, cfg)
+			h, err := choir.ComputeHeadline(ctx, cfg)
 			if err != nil {
 				return err
 			}
@@ -380,7 +380,7 @@ func parseNodeList(s string) ([]int, error) {
 
 func figUsers(cfg choir.ExperimentConfig, m choir.ExperimentMetric, stdout io.Writer) func(context.Context) error {
 	return func(ctx context.Context) error {
-		fig, err := choir.Fig8UsersCtx(ctx, cfg, m)
+		fig, err := choir.Fig8Users(ctx, cfg, m)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package choir_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -27,7 +28,7 @@ func ExampleDecoder_Decode() {
 		choir.ChannelConfig{NoiseFloorDBm: -60}, rng)
 
 	dec, _ := choir.NewDecoder(choir.DefaultDecoderConfig(phy))
-	res, err := dec.Decode(collided, 9)
+	res, err := dec.Decode(context.Background(), collided, 9)
 	if err != nil {
 		fmt.Println("decode failed:", err)
 		return
@@ -54,7 +55,7 @@ func ExampleModem_Demodulate() {
 
 // ExampleRunMAC simulates a small cell under the oracle TDMA scheduler.
 func ExampleRunMAC() {
-	metrics, _ := choir.RunMAC(choir.MACConfig{
+	metrics, err := choir.RunMAC(context.Background(), choir.MACConfig{
 		Scheme:         choir.SchemeOracle,
 		Nodes:          4,
 		Slots:          100,
@@ -63,6 +64,10 @@ func ExampleRunMAC() {
 		PacketBits:     64,
 		Seed:           1,
 	}, alohaRx{})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Println(metrics.Delivered, "packets,", metrics.TxPerDelivered(), "tx/packet")
 	// Output: 100 packets, 1 tx/packet
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -31,15 +32,9 @@ func main() {
 		fmt.Println("calibrating against the IQ-level decoder (this runs the full DSP pipeline)...")
 	}
 
-	for _, metric := range []struct {
-		which interface{ String() string }
-		m     func() (*choir.Figure, error)
-	}{
-		{choir.MetricThroughput, func() (*choir.Figure, error) { return choir.Fig8Users(cfg, choir.MetricThroughput) }},
-		{choir.MetricLatency, func() (*choir.Figure, error) { return choir.Fig8Users(cfg, choir.MetricLatency) }},
-		{choir.MetricTxCount, func() (*choir.Figure, error) { return choir.Fig8Users(cfg, choir.MetricTxCount) }},
-	} {
-		fig, err := metric.m()
+	ctx := context.Background()
+	for _, metric := range []choir.ExperimentMetric{choir.MetricThroughput, choir.MetricLatency, choir.MetricTxCount} {
+		fig, err := choir.Fig8Users(ctx, cfg, metric)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -47,7 +42,7 @@ func main() {
 		fmt.Println()
 	}
 
-	head, err := choir.ComputeHeadline(cfg)
+	head, err := choir.ComputeHeadline(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

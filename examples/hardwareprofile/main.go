@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -58,7 +59,11 @@ func main() {
 	}
 
 	// Fig. 7(c,d): stability of the tracked offsets across SNR regimes.
+	stability, err := choir.Fig7Stability(context.Background(), 3, 7, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println()
-	choir.Fig7Stability(3, 7, 0).Fprint(os.Stdout)
+	stability.Fprint(os.Stdout)
 
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -54,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := dec.Decode(collided, len(payloads[0]))
+	res, err := dec.Decode(context.Background(), collided, len(payloads[0]))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -40,7 +41,7 @@ func main() {
 		}
 		iq, payloads := sc.Synthesize()
 
-		res, err := dec.DecodeTeam(iq, payloadLen)
+		res, err := dec.DecodeTeam(context.Background(), iq, payloadLen)
 		switch {
 		case err != nil:
 			fmt.Printf("team of %2d @ %.0f dB: not detected (%v)\n", team, perMemberSNR, err)

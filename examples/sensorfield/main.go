@@ -8,7 +8,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"math/rand/v2"
 	"os"
 
@@ -44,8 +46,17 @@ func main() {
 			strat, sumBits/float64(n), 100*sumErr/float64(n))
 	}
 
+	ctx := context.Background()
+	grouping, err := choir.Fig11Grouping(ctx, 6, 20, 11, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println()
-	choir.Fig11Grouping(6, 20, 11, 0).Fprint(os.Stdout)
+	grouping.Fprint(os.Stdout)
+	resolution, err := choir.Fig10Resolution(ctx, []float64{200, 600, 1000, 1400, 1800, 2200, 2600, 3000}, 5, 11, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println()
-	choir.Fig10Resolution([]float64{200, 600, 1000, 1400, 1800, 2200, 2600, 3000}, 5, 11, 0).Fprint(os.Stdout)
+	resolution.Fprint(os.Stdout)
 }

@@ -1,0 +1,105 @@
+package choir_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// parseSources parses every non-test Go file of the module outside
+// benchmark/ (which measures the repository from outside and is frozen
+// between benchmark PRs) and hands each to visit with its directory.
+func parseSources(t *testing.T, mode parser.Mode, visit func(dir string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, mode)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(filepath.Dir(path)), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOneCallFormPerOperation enforces DESIGN.md §7: a blocking operation
+// has one exported form, taking its context first. A package that exports
+// both X and XCtx (functions, or methods of one type) has grown the
+// context-less twin back.
+func TestOneCallFormPerOperation(t *testing.T) {
+	exported := map[string]bool{} // "dir.Recv.Name"
+	parseSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			recv := ""
+			if fn.Recv != nil && len(fn.Recv.List) == 1 {
+				typ := fn.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				if idx, ok := typ.(*ast.IndexExpr); ok {
+					typ = idx.X
+				}
+				if id, ok := typ.(*ast.Ident); ok {
+					recv = id.Name
+				}
+			}
+			exported[dir+"."+recv+"."+fn.Name.Name] = true
+		}
+	})
+	for key := range exported {
+		if exported[key+"Ctx"] {
+			t.Errorf("%s and %sCtx are both exported: keep the context-taking form under the plain name", key, key)
+		}
+	}
+}
+
+// TestNoOrphanInternalPackages fails when a package under internal/ is
+// imported by no non-test file outside its own directory: code only its own
+// tests reach is dead weight.
+func TestNoOrphanInternalPackages(t *testing.T) {
+	const module = "choir/"
+	imported := map[string]bool{} // package dir -> some other dir imports it
+	internal := map[string]bool{} // package dirs under internal/
+	parseSources(t, parser.ImportsOnly, func(dir string, f *ast.File) {
+		if strings.HasPrefix(dir, "internal/") {
+			internal[dir] = true
+		}
+		for _, im := range f.Imports {
+			if p, _ := strconv.Unquote(im.Path.Value); strings.HasPrefix(p, module) && p != module+dir {
+				imported[strings.TrimPrefix(p, module)] = true
+			}
+		}
+	})
+	if len(internal) == 0 {
+		t.Fatal("found no packages under internal/")
+	}
+	for dir := range internal {
+		if !imported[dir] {
+			t.Errorf("%s is imported by no non-test file outside itself", dir)
+		}
+	}
+}

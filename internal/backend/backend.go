@@ -46,14 +46,9 @@ type Backend interface {
 	DecodeCtxInto(ctx context.Context, res *choir.Result, samples []complex128, payloadLen int) error
 }
 
-// Decode runs b on samples with a fresh Result and no deadline — the
-// convenience shape for tests and one-shot callers.
-func Decode(b Backend, samples []complex128, payloadLen int) (*choir.Result, error) {
-	return DecodeCtx(context.Background(), b, samples, payloadLen)
-}
-
-// DecodeCtx is Decode bounded by a context.
-func DecodeCtx(ctx context.Context, b Backend, samples []complex128, payloadLen int) (*choir.Result, error) {
+// Decode runs b on samples with a fresh Result — the convenience shape for
+// tests and one-shot callers.
+func Decode(ctx context.Context, b Backend, samples []complex128, payloadLen int) (*choir.Result, error) {
 	res := &choir.Result{}
 	if err := b.DecodeCtxInto(ctx, res, samples, payloadLen); err != nil {
 		return nil, err

@@ -17,27 +17,6 @@ type BatchItem struct {
 	Err        error
 }
 
-// BatchDecoder is the optional capability a Backend implements when it can
-// decode a whole queue of frames per call — amortizing scratch reuse,
-// keeping its kernels' tables hot across items, and (for the Choir pipeline)
-// feeding the batched spectral grid back-to-back. The contract is strict
-// outcome equivalence: item i's Res and Err must be exactly what
-// Reseed(items[i].Seed) followed by DecodeCtxInto on items[i] would produce,
-// in item order, so callers may switch between the serial loop and the batch
-// call freely. The backend's own randomness is reseeded per item; its state
-// after the call is as if the last item had been decoded serially.
-type BatchDecoder interface {
-	Backend
-	// DecodeBatchCtxInto decodes every item, filling Res/Err in place. The
-	// returned error is reserved for batch-level failures (a fired ctx);
-	// per-item decode failures land in items[i].Err and do not stop the
-	// batch. On a batch-level error, items not yet decoded keep whatever
-	// Err the caller passed in (nil unless pre-marked) and their Res
-	// untouched — callers that must locate the stop point pre-mark every
-	// item's Err with a sentinel and look for it afterwards.
-	DecodeBatchCtxInto(ctx context.Context, items []BatchItem) error
-}
-
 // StreamDecoder is the optional capability a Backend implements when it can
 // decode a frame whose samples are still arriving: buf is the frame's full
 // backing array and avail blocks until a prefix is complete (the
@@ -48,14 +27,17 @@ type StreamDecoder interface {
 	DecodeStreamCtxInto(ctx context.Context, res *choir.Result, buf []complex128, payloadLen int, avail choir.AvailFunc) error
 }
 
-// DecodeBatch drives a batch through b's BatchDecoder capability when it has
-// one and through the equivalent serial Reseed+DecodeCtxInto loop otherwise,
-// so callers get batching where the algorithm supports it without forking
-// their control flow. The outcome contract is the same either way.
+// DecodeBatch decodes every item in order, filling Res/Err in place: item i
+// gets exactly Reseed(items[i].Seed) followed by DecodeCtxInto, so b keeps
+// its plans, tables and scratch hot across the run and its state afterwards
+// is as if the last item had been decoded alone. The returned error is
+// reserved for a fired ctx, checked between items (the in-progress item
+// observes it through the backend's own stage-boundary polls and records its
+// typed error); per-item decode failures land in items[i].Err and do not
+// stop the batch. Items not reached keep whatever Err the caller passed in
+// and their Res untouched — callers that must locate the stop point pre-mark
+// every item's Err with a sentinel and look for it afterwards.
 func DecodeBatch(ctx context.Context, b Backend, items []BatchItem) error {
-	if bd, ok := b.(BatchDecoder); ok {
-		return bd.DecodeBatchCtxInto(ctx, items)
-	}
 	for i := range items {
 		it := &items[i]
 		if err := ctx.Err(); err != nil {
@@ -67,29 +49,7 @@ func DecodeBatch(ctx context.Context, b Backend, items []BatchItem) error {
 	return nil
 }
 
-var (
-	_ BatchDecoder  = (*decoderBackend)(nil)
-	_ StreamDecoder = (*decoderBackend)(nil)
-)
-
-// DecodeBatchCtxInto implements BatchDecoder for the Choir-pipeline
-// backends. Each item is reseeded and decoded exactly as the serial loop
-// would — outcome equivalence is by construction — while the shared decoder
-// keeps its FFT plans, chirp tables and batched spectral grid hot across the
-// whole run. A fired ctx stops the batch between items (the in-progress item
-// still observes it through the decoder's own stage-boundary polls and
-// records its typed error).
-func (b *decoderBackend) DecodeBatchCtxInto(ctx context.Context, items []BatchItem) error {
-	for i := range items {
-		it := &items[i]
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		b.dec.Reseed(it.Seed)
-		it.Err = b.dec.DecodeCtxInto(ctx, it.Res, it.Samples, it.PayloadLen)
-	}
-	return nil
-}
+var _ StreamDecoder = (*decoderBackend)(nil)
 
 // DecodeStreamCtxInto implements StreamDecoder by forwarding to the
 // decoder's incremental entry point.

@@ -1,7 +1,7 @@
 package backend_test
 
 // Pins the batched tentpole's core guarantee end to end: decoding the six
-// golden fixtures through the BatchDecoder capability produces bit-identical
+// golden fixtures through backend.DecodeBatch produces bit-identical
 // results to the serial Reseed+DecodeCtxInto loop — offsets compared at the
 // Float64bits level — and the guarantee holds with metrics recording both
 // off and on (composing DESIGN.md §10's determinism guarantee with §14's
@@ -54,9 +54,6 @@ func TestDecodeBatchGoldenFixturesBitIdentical(t *testing.T) {
 			}
 			b := backend.MustNew("choir", h0.Params)
 			if batched {
-				if _, ok := b.(backend.BatchDecoder); !ok {
-					t.Fatal("choir backend lost its BatchDecoder capability")
-				}
 				if err := backend.DecodeBatch(context.Background(), b, items); err != nil {
 					t.Fatalf("DecodeBatch: %v", err)
 				}

@@ -54,11 +54,10 @@ func sameErr(t *testing.T, label string, got, want error) {
 	}
 }
 
-// TestDecodeBatchMatchesSerialForEveryBackend pins the BatchDecoder
-// capability contract registry-wide: for every registered backend, a batch
-// of frames (including a malformed one that fails per-item) produces exactly
-// the Res/Err sequence the serial Reseed+DecodeCtxInto loop produces —
-// whether the backend implements the capability or takes the fallback path.
+// TestDecodeBatchMatchesSerialForEveryBackend pins DecodeBatch's contract
+// registry-wide: for every registered backend, a batch of frames produces
+// exactly the Res/Err sequence a caller's own Reseed+DecodeCtxInto calls
+// produce, and a malformed frame fails per-item without stopping the batch.
 func TestDecodeBatchMatchesSerialForEveryBackend(t *testing.T) {
 	h, samples := loadFixture(t, "collide2_sf7")
 	short := samples[:10]
@@ -113,14 +112,11 @@ func TestDecodeBatchCanceledContextStopsBetweenItems(t *testing.T) {
 }
 
 // TestChoirBackendImplementsCapabilities: the Choir-pipeline backends
-// advertise both optional capabilities, and the streaming one is
-// bit-identical to the serial decode of the completed frame.
+// advertise the streaming capability, and it is bit-identical to the serial
+// decode of the completed frame.
 func TestChoirBackendImplementsCapabilities(t *testing.T) {
 	h, samples := loadFixture(t, "collide2_sf7")
 	b := backend.MustNew("choir", h.Params)
-	if _, ok := b.(backend.BatchDecoder); !ok {
-		t.Fatal("choir backend does not implement BatchDecoder")
-	}
 	sd, ok := b.(backend.StreamDecoder)
 	if !ok {
 		t.Fatal("choir backend does not implement StreamDecoder")

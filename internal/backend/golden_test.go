@@ -1,6 +1,7 @@
 package backend_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -49,7 +50,7 @@ func TestChoirBackendMatchesGoldenReports(t *testing.T) {
 				truth[u] = true
 			}
 			b := backend.MustNew("choir", h.Params)
-			res, err := backend.Decode(b, samples, h.PayloadLen)
+			res, err := backend.Decode(context.Background(), b, samples, h.PayloadLen)
 			if err != nil {
 				fmt.Fprintf(&out, "decode failed: %v\n", err)
 			} else {

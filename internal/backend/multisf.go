@@ -10,7 +10,7 @@ import (
 
 // NewMultiSF builds a multi-SF decoder whose per-SF decode is the named
 // backend: one backend instance per spreading factor (each owning its own
-// scratch, so the concurrent DecodeCtx grid is race-free), adapted into the
+// scratch, so the concurrent Decode grid is race-free), adapted into the
 // choir.SFDecoder contract. Any registered backend slots in — the multi-SF
 // fan-out machinery is algorithm-agnostic.
 func NewMultiSF(name string, base lora.Params, sfs []lora.SpreadingFactor) (*choir.MultiSFDecoder, error) {
@@ -42,7 +42,7 @@ type SFAdapter struct {
 
 var _ choir.SFDecoder = SFAdapter{}
 
-// DecodeCtx implements choir.SFDecoder.
-func (a SFAdapter) DecodeCtx(ctx context.Context, samples []complex128, payloadLen int) (*choir.Result, error) {
-	return DecodeCtx(ctx, a.B, samples, payloadLen)
+// Decode implements choir.SFDecoder.
+func (a SFAdapter) Decode(ctx context.Context, samples []complex128, payloadLen int) (*choir.Result, error) {
+	return Decode(ctx, a.B, samples, payloadLen)
 }

@@ -50,7 +50,7 @@ func multiSFCollision(t *testing.T, payloads map[lora.SpreadingFactor][]byte, se
 }
 
 // TestMultiSFConcurrentDecodeThroughBackends drives the concurrent
-// multi-SF grid (internal/choir/multisf.go DecodeCtx, one goroutine per
+// multi-SF grid (internal/choir/multisf.go Decode, one goroutine per
 // SF) entirely through the Backend interface: any registered backend must
 // slot into the per-SF fan-out and recover its SF's payload. Run with
 // -race this also pins that per-SF backend instances share no scratch.
@@ -68,7 +68,7 @@ func TestMultiSFConcurrentDecodeThroughBackends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			results := m.DecodeCtx(context.Background(), sig, lens)
+			results := m.Decode(context.Background(), sig, lens)
 			if len(results) != 2 {
 				t.Fatalf("%d SF results, want 2", len(results))
 			}
@@ -104,12 +104,12 @@ type gatedSFDecoder struct {
 	cancel   context.CancelFunc
 }
 
-func (g *gatedSFDecoder) DecodeCtx(ctx context.Context, samples []complex128, payloadLen int) (*choir.Result, error) {
+func (g *gatedSFDecoder) Decode(ctx context.Context, samples []complex128, payloadLen int) (*choir.Result, error) {
 	if g.cancel != nil {
 		<-g.release
 		g.cancel()
 	}
-	res, err := g.delegate.DecodeCtx(ctx, samples, payloadLen)
+	res, err := g.delegate.Decode(ctx, samples, payloadLen)
 	if g.cancel == nil {
 		close(g.release)
 	}
@@ -142,7 +142,7 @@ func TestMultiSFCancellationMidGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results := m.DecodeCtx(ctx, sig, map[lora.SpreadingFactor]int{lora.SF7: 8, lora.SF8: 8})
+	results := m.Decode(ctx, sig, map[lora.SpreadingFactor]int{lora.SF7: 8, lora.SF8: 8})
 	if len(results) != 2 {
 		t.Fatalf("%d SF results, want 2", len(results))
 	}

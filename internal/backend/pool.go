@@ -4,14 +4,23 @@ import (
 	"sync"
 
 	"choir/internal/lora"
+	"choir/internal/obs"
+)
+
+// Instance reuse across checkouts; recording is gated on obs.Enable.
+var (
+	mPoolGets   = obs.NewCounter("backend.pool.gets")
+	mPoolHits   = obs.NewCounter("backend.pool.hits")
+	mPoolMisses = obs.NewCounter("backend.pool.misses")
 )
 
 // Pool amortizes backend construction (FFT plans, chirp tables, scratch)
-// across the trials of a parallel sweep, mirroring exec.DecoderPool: a
-// Backend is not safe for concurrent use, so the pool hands each goroutine
-// exclusive ownership of one instance between Get and Put, and Get reseeds
-// so results depend only on the caller's derived seed — never on which
-// goroutine previously used the instance.
+// across the trials of a parallel sweep: a Backend is not safe for
+// concurrent use, so the pool hands each goroutine exclusive ownership of
+// one instance between Get and Put, and Get reseeds so results depend only
+// on the caller's derived seed — never on which goroutine previously used
+// the instance. That is the decoder-ownership half of the trial engine's
+// determinism contract (the seed half is exec.DeriveSeed).
 type Pool struct {
 	name string
 	p    lora.Params
@@ -29,15 +38,6 @@ func NewPool(name string, p lora.Params) (*Pool, error) {
 	return &Pool{name: name, p: p, free: []Backend{b}}, nil
 }
 
-// MustNewPool is NewPool that panics on error.
-func MustNewPool(name string, p lora.Params) *Pool {
-	pl, err := NewPool(name, p)
-	if err != nil {
-		panic(err)
-	}
-	return pl
-}
-
 // Name returns the pool's backend name.
 func (pl *Pool) Name() string { return pl.name }
 
@@ -53,9 +53,13 @@ func (pl *Pool) Get(seed uint64) Backend {
 		b, pl.free = pl.free[n-1], pl.free[:n-1]
 	}
 	pl.mu.Unlock()
+	mPoolGets.Inc()
 	if b == nil {
+		mPoolMisses.Inc()
 		// (name, p) was validated by NewPool; construction cannot fail.
 		b = MustNew(pl.name, pl.p)
+	} else {
+		mPoolHits.Inc()
 	}
 	b.Reseed(seed)
 	return b
@@ -69,12 +73,4 @@ func (pl *Pool) Put(b Backend) {
 	pl.mu.Lock()
 	pl.free = append(pl.free, b)
 	pl.mu.Unlock()
-}
-
-// With checks a backend out for the duration of fn — the common trial-body
-// shape.
-func (pl *Pool) With(seed uint64, fn func(b Backend)) {
-	b := pl.Get(seed)
-	defer pl.Put(b)
-	fn(b)
 }

@@ -1,6 +1,7 @@
 package backend_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -71,7 +72,7 @@ func TestBackendsRoundTripCleanCollision(t *testing.T) {
 				t.Errorf("Params() = %+v, want %+v", got, h.Params)
 			}
 			b.Reseed(1)
-			res, err := backend.Decode(b, samples, h.PayloadLen)
+			res, err := backend.Decode(context.Background(), b, samples, h.PayloadLen)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}

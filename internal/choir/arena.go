@@ -11,7 +11,7 @@ package choir
 //
 //   - One arena per Decoder, and a Decoder is single-goroutine by contract,
 //     so slab access needs no synchronization. Pooled decoders
-//     (internal/exec.DecoderPool) carry their warmed arenas across checkouts
+//     (internal/backend.Pool) carry their warmed arenas across checkouts
 //     — reuse never changes results because every slab allocation is zeroed
 //     or fully overwritten before use.
 //   - Arena-backed slices live at most until the END of the current decode
@@ -46,7 +46,7 @@ func (s *slab[T]) takeCap(n int) []T {
 		s.spill += n
 		return make([]T, 0, n)
 	}
-	out := s.buf[s.off:s.off : s.off+n]
+	out := s.buf[s.off : s.off : s.off+n]
 	s.off += n
 	return out
 }

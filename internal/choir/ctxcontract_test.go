@@ -16,8 +16,8 @@ func (neverFiresCtx) Err() error            { return nil }
 
 // TestNeverFiringContextsBitIdentical pins the normalized nil-context
 // contract: a nil context, context.Background(), context.TODO() and a custom
-// context with a nil Done channel all decode bit-identically to the plain
-// no-context entry point — none of them may arm the cancellation machinery.
+// context with a nil Done channel all decode bit-identically — none of them
+// may arm the cancellation machinery.
 func TestNeverFiringContextsBitIdentical(t *testing.T) {
 	spec := defaultSpec(2, 9)
 	sig := synthesize(t, spec)
@@ -25,7 +25,7 @@ func TestNeverFiringContextsBitIdentical(t *testing.T) {
 	cfg := DefaultConfig(spec.params)
 	d := MustNew(cfg)
 
-	want, err := d.Decode(sig, plen)
+	want, err := d.Decode(context.Background(), sig, plen)
 	if err != nil {
 		t.Fatalf("baseline decode: %v", err)
 	}
@@ -42,9 +42,9 @@ func TestNeverFiringContextsBitIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d.Reseed(cfg.Seed)
-			got, err := d.DecodeCtx(tc.ctx, sig, plen)
+			got, err := d.Decode(tc.ctx, sig, plen)
 			if err != nil {
-				t.Fatalf("DecodeCtx(%s): %v", tc.name, err)
+				t.Fatalf("Decode(%s): %v", tc.name, err)
 			}
 			assertSameResult(t, got, want)
 		})

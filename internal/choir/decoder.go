@@ -114,9 +114,9 @@ func DefaultConfig(p lora.Params) Config {
 // Decoder decodes LoRa collisions. Create one with New; it precomputes FFT
 // plans and chirp tables and may be reused across packets. A Decoder is not
 // safe for concurrent use (it owns scratch buffers); create one per
-// goroutine, or borrow per-goroutine instances from an exec.DecoderPool
-// (package internal/exec), which reseeds on checkout via Reseed so pooled
-// reuse never changes results.
+// goroutine, or borrow per-goroutine instances from a backend.Pool (package
+// internal/backend), which reseeds on checkout via Reseed so pooled reuse
+// never changes results.
 type Decoder struct {
 	cfg    Config
 	modem  *lora.Modem
@@ -187,7 +187,7 @@ type Decoder struct {
 	estAccum    []userEstimate
 	allPeaksBuf [][]peakObs
 
-	// ctx/ctxErr hold the active DecodeCtx context during a decode. ctxErr
+	// ctx/ctxErr hold the active context during a decode. ctxErr
 	// latches the first observed cancellation (mapped to ErrCanceled /
 	// ErrDeadline) so every later stage-boundary poll short-circuits. Both
 	// are cleared when the decode returns, so a pooled decoder carries no
@@ -344,94 +344,106 @@ var ErrNoUsers = errors.New("choir: no users detected")
 // boundary (all transmitters begin within a sub-symbol timing offset of
 // sample zero) and contain the full frame; payloadLen is the expected
 // payload length in bytes, as fixed by the network's schedule.
-func (d *Decoder) Decode(samples []complex128, payloadLen int) (*Result, error) {
-	return d.DecodeCtx(context.Background(), samples, payloadLen)
+//
+// Cancellation is cooperative: the decoder polls ctx between pipeline stages
+// (preamble windows, SIC phases, data windows, IC sweeps) and returns a
+// typed ErrCanceled or ErrDeadline — wrapping ctx.Err() — within one stage
+// boundary of the context firing. A context that cannot fire does not
+// perturb the decode. The decoder remains valid for reuse after a canceled
+// decode (scratch state is rebuilt per call and the RNG is untouched by the
+// polls), so pooled decoders need no special handling.
+func (d *Decoder) Decode(ctx context.Context, samples []complex128, payloadLen int) (*Result, error) {
+	res := &Result{}
+	if err := d.decode(ctx, res, samples, payloadLen, nil); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// DecodeInto is Decode recycling the caller's Result: the Users slice, the
-// User structs and their Symbols/WindowOffsets/Payload storage are reused
-// instead of reallocated, so a warmed-up decoder decoding same-shaped
-// collisions performs zero heap allocations per call. res may be the Result
-// of any previous decode (its contents are fully overwritten) or an empty
-// &Result{}; it must not be nil and must not be in use by another goroutine.
-// Decode results are bit-identical to Decode's.
+// DecodeInto is DecodeCtxInto under a context that never fires, returning
+// res for chaining; a nil res allocates a fresh one.
 func (d *Decoder) DecodeInto(res *Result, samples []complex128, payloadLen int) (*Result, error) {
 	if res == nil {
-		res = &Result{}
+		return d.Decode(context.Background(), samples, payloadLen)
 	}
-	if err := d.decodeCtxInto(context.Background(), res, samples, payloadLen); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, d.decode(context.Background(), res, samples, payloadLen, nil)
 }
 
-// DecodeCtx is Decode bounded by a context. Cancellation is cooperative:
-// the decoder polls ctx between pipeline stages (preamble windows, SIC
-// phases, data windows, IC sweeps) and returns a typed ErrCanceled or
-// ErrDeadline — wrapping ctx.Err() — within one stage boundary of the
-// context firing. A context that never fires does not perturb the decode:
-// results are bit-identical to Decode. The decoder remains valid for reuse
-// after a canceled decode (scratch state is rebuilt per call and the RNG is
-// untouched by the polls), so pooled decoders need no special handling.
-func (d *Decoder) DecodeCtx(ctx context.Context, samples []complex128, payloadLen int) (*Result, error) {
-	res := &Result{}
-	if err := d.decodeCtxInto(ctx, res, samples, payloadLen); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// DecodeCtxInto combines DecodeCtx's cooperative cancellation with
-// DecodeInto's storage recycling: res is fully overwritten on success and
-// left untouched by the caller's next reuse on failure. It is the
-// lowest-level decode entry point — backends that pool decoders and Results
-// together call it to keep the steady state allocation-free.
+// DecodeCtxInto is Decode recycling the caller's Result: the Users slice,
+// the User structs and their Symbols/WindowOffsets/Payload storage are
+// reused instead of reallocated, so a warmed-up decoder decoding same-shaped
+// collisions performs zero heap allocations per call. res may be the Result
+// of any previous decode or an empty &Result{}; it must not be nil and must
+// not be in use by another goroutine. It is fully overwritten on success and
+// its contents are unspecified on failure. Results are bit-identical to
+// Decode's. Backends that pool decoders and Results together call it to
+// keep the steady state allocation-free.
 func (d *Decoder) DecodeCtxInto(ctx context.Context, res *Result, samples []complex128, payloadLen int) error {
-	if res == nil {
-		return fmt.Errorf("choir: DecodeCtxInto with nil Result")
-	}
-	return d.decodeCtxInto(ctx, res, samples, payloadLen)
+	return d.decode(ctx, res, samples, payloadLen, nil)
 }
 
-// decodeCtxInto runs the decode pipeline, filling res (whose storage it
-// recycles when present).
-func (d *Decoder) decodeCtxInto(ctx context.Context, res *Result, samples []complex128, payloadLen int) error {
+// decode is the decode pipeline, filling res (whose storage it recycles
+// when present). A nil avail means every sample of buf is present;
+// otherwise buf is a streaming frame's full backing array that avail
+// certifies prefix by prefix (DecodeIncrementalCtxInto). Either way the
+// stages run in one order — preamble scan, whole-frame IQ validation, data
+// symbols — so a result, error cases included, never depends on how the
+// samples arrived:
+//
+//   - The preamble scan reads only buf[:PreambleLen·N], and is skipped when
+//     that prefix contains non-finite samples (the decode is doomed to
+//     ErrBadIQ, and the scan's arithmetic is only defined on finite input).
+//   - IQ validation (ErrBadIQ, ErrSaturated) is a whole-frame property, so
+//     it runs once the full buffer is present and before the scan's
+//     estimates are consumed. It mutates nothing, so the stages after it
+//     see the scratch and arena state the scan left.
+func (d *Decoder) decode(ctx context.Context, res *Result, buf []complex128, payloadLen int, avail AvailFunc) (err error) {
+	if res == nil {
+		return fmt.Errorf("choir: decode into nil Result")
+	}
 	d.armCtx(ctx)
 	defer d.disarmCtx()
 	d.ar.reset()
 	sp := mDecodeTimer.Start()
 	defer sp.Stop()
 	mDecodes.Inc()
+	defer func() { countDecodeErr(err) }()
 	p := d.cfg.LoRa
 	need := p.FrameSamples(payloadLen)
-	if len(samples) < need {
-		err := fmt.Errorf("%w: have %d samples, need %d", lora.ErrShortSignal, len(samples), need)
-		countDecodeErr(err)
+	if len(buf) < need {
+		return fmt.Errorf("%w: have %d samples, need %d", lora.ErrShortSignal, len(buf), need)
+	}
+	if avail == nil {
+		avail = func(context.Context, int) error { return nil }
+	}
+	prefix := d.PreambleSamples()
+	if err := avail(ctx, prefix); err != nil {
 		return err
 	}
-	if err := validateIQ(samples); err != nil {
-		countDecodeErr(err)
+	var ests []userEstimate
+	if finiteIQ(buf[:prefix]) {
+		ests = d.estimatePreamble(buf)
+		if d.canceled() {
+			return d.ctxErr
+		}
+	}
+	if err := avail(ctx, len(buf)); err != nil {
 		return err
 	}
-	ests := d.estimatePreamble(samples)
-	if d.canceled() {
-		countDecodeErr(d.ctxErr)
-		return d.ctxErr
+	if err := validateIQ(buf); err != nil {
+		return err
 	}
 	if len(ests) == 0 {
-		countDecodeErr(ErrNoUsers)
 		return ErrNoUsers
 	}
 	mUsersDetected.Add(int64(len(ests)))
-	users := d.decodeData(res, samples, ests, payloadLen)
+	users := d.decodeData(res, buf, ests, payloadLen)
 	if d.canceled() {
-		countDecodeErr(d.ctxErr)
 		return d.ctxErr
 	}
 	for _, u := range users {
 		countUserOutcome(u)
 	}
-	countDecodeErr(nil)
 	res.Users = users
 	return nil
 }

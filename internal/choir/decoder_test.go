@@ -2,6 +2,7 @@ package choir
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -111,7 +112,7 @@ func TestDecodeSingleUser(t *testing.T) {
 	spec := defaultSpec(1, 1)
 	sig := synthesize(t, spec)
 	d := MustNew(DefaultConfig(spec.params))
-	res, err := d.Decode(sig, len(spec.payloads[0]))
+	res, err := d.Decode(context.Background(), sig, len(spec.payloads[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestDecodeTwoUserCollision(t *testing.T) {
 		spec := defaultSpec(2, seed)
 		sig := synthesize(t, spec)
 		d := MustNew(DefaultConfig(spec.params))
-		res, err := d.Decode(sig, len(spec.payloads[0]))
+		res, err := d.Decode(context.Background(), sig, len(spec.payloads[0]))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -141,7 +142,7 @@ func TestDecodeIdenticalPayloadCollision(t *testing.T) {
 	spec.payloads[1] = append([]byte(nil), spec.payloads[0]...)
 	sig := synthesize(t, spec)
 	d := MustNew(DefaultConfig(spec.params))
-	res, err := d.Decode(sig, len(spec.payloads[0]))
+	res, err := d.Decode(context.Background(), sig, len(spec.payloads[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestDecodeFourUserCollision(t *testing.T) {
 	spec := defaultSpec(4, 11)
 	sig := synthesize(t, spec)
 	d := MustNew(DefaultConfig(spec.params))
-	res, err := d.Decode(sig, len(spec.payloads[0]))
+	res, err := d.Decode(context.Background(), sig, len(spec.payloads[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestDecodeNearFarCollision(t *testing.T) {
 		spec.noiseDBm = -60
 		sig := synthesize(t, spec)
 		d := MustNew(DefaultConfig(spec.params))
-		res, err := d.Decode(sig, len(spec.payloads[0]))
+		res, err := d.Decode(context.Background(), sig, len(spec.payloads[0]))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -192,7 +193,7 @@ func TestDecodeNearFarDetectionAt25dB(t *testing.T) {
 	spec.noiseDBm = -60
 	sig := synthesize(t, spec)
 	d := MustNew(DefaultConfig(spec.params))
-	res, err := d.Decode(sig, len(spec.payloads[0]))
+	res, err := d.Decode(context.Background(), sig, len(spec.payloads[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestDecodeWithoutSICMissesWeakUser(t *testing.T) {
 	cfg := DefaultConfig(spec.params)
 	cfg.SICPhases = 0
 	d := MustNew(cfg)
-	res, err := d.Decode(sig, len(spec.payloads[0]))
+	res, err := d.Decode(context.Background(), sig, len(spec.payloads[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestDecodeOffsetEstimatesMatchGroundTruth(t *testing.T) {
 	spec.timings = []float64{3.4 / spec.params.Bandwidth, -7.8 / spec.params.Bandwidth}
 	sig := synthesize(t, spec)
 	d := MustNew(DefaultConfig(spec.params))
-	res, err := d.Decode(sig, len(spec.payloads[0]))
+	res, err := d.Decode(context.Background(), sig, len(spec.payloads[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestDecodeOffsetEstimatesMatchGroundTruth(t *testing.T) {
 
 func TestDecodeShortSignal(t *testing.T) {
 	d := MustNew(DefaultConfig(lora.DefaultParams()))
-	if _, err := d.Decode(make([]complex128, 100), 8); !errors.Is(err, lora.ErrShortSignal) {
+	if _, err := d.Decode(context.Background(), make([]complex128, 100), 8); !errors.Is(err, lora.ErrShortSignal) {
 		t.Errorf("err = %v, want ErrShortSignal", err)
 	}
 }
@@ -281,7 +282,7 @@ func TestDecodeNoUsersInNoise(t *testing.T) {
 		sig[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	d := MustNew(DefaultConfig(p))
-	if _, err := d.Decode(sig, 8); !errors.Is(err, ErrNoUsers) {
+	if _, err := d.Decode(context.Background(), sig, 8); !errors.Is(err, ErrNoUsers) {
 		t.Errorf("err = %v, want ErrNoUsers", err)
 	}
 }
@@ -310,7 +311,7 @@ func TestDecodeWithClusteringMapping(t *testing.T) {
 	cfg := DefaultConfig(spec.params)
 	cfg.UseClustering = true
 	d := MustNew(cfg)
-	res, err := d.Decode(sig, len(spec.payloads[0]))
+	res, err := d.Decode(context.Background(), sig, len(spec.payloads[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,7 @@ func TestDecoderIsDeterministic(t *testing.T) {
 	sig := synthesize(t, spec)
 	run := func() []string {
 		d := MustNew(DefaultConfig(spec.params))
-		res, err := d.Decode(sig, len(spec.payloads[0]))
+		res, err := d.Decode(context.Background(), sig, len(spec.payloads[0]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +361,7 @@ func TestWindowOffsetsAreStable(t *testing.T) {
 	spec := defaultSpec(2, 13)
 	sig := synthesize(t, spec)
 	d := MustNew(DefaultConfig(spec.params))
-	res, err := d.Decode(sig, len(spec.payloads[0]))
+	res, err := d.Decode(context.Background(), sig, len(spec.payloads[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestDecodeRobustToResolvableEcho(t *testing.T) {
 		{DelaySamples: 1, Gain: complex(0.05, 0.05)},
 	})
 	d := MustNew(DefaultConfig(spec.params))
-	res, err := d.Decode(echoed, len(spec.payloads[0]))
+	res, err := d.Decode(context.Background(), echoed, len(spec.payloads[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +416,7 @@ func TestDecodeUnderStrongResolvableEcho(t *testing.T) {
 		{DelaySamples: 1, Gain: complex(0.25, 0.25)},
 	})
 	d := MustNew(DefaultConfig(spec.params))
-	res, err := d.Decode(echoed, len(spec.payloads[0]))
+	res, err := d.Decode(context.Background(), echoed, len(spec.payloads[0]))
 	if err != nil {
 		t.Fatalf("decoder gave up entirely under multipath: %v", err)
 	}

@@ -25,13 +25,13 @@ var (
 	// fingerprint could not be matched in most data windows, so no payload
 	// decode was attempted.
 	ErrTrackingLost = errors.New("choir: lost track of user")
-	// ErrCanceled reports that a DecodeCtx context was canceled before the
+	// ErrCanceled reports that a decode's context was canceled before the
 	// decode finished. Cancellation is cooperative: the decoder polls the
 	// context between pipeline stages (dechirp, FFT, SIC phases, data
 	// windows), so the error surfaces within one stage boundary of the
 	// cancel and no partial Result is returned.
 	ErrCanceled = errors.New("choir: decode canceled")
-	// ErrDeadline reports that a DecodeCtx context's deadline expired
+	// ErrDeadline reports that a decode's context's deadline expired
 	// mid-decode. Like ErrCanceled it is checked cooperatively at stage
 	// boundaries; a deadline that never fires leaves results bit-identical
 	// to a deadline-free decode.

@@ -1,6 +1,7 @@
 package choir
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -16,7 +17,7 @@ func TestDecodeRejectsNaNPoisonedFrame(t *testing.T) {
 	sig := synthesize(t, spec)
 	sig[len(sig)/3] = complex(math.NaN(), 0)
 	d := MustNew(DefaultConfig(spec.params))
-	res, err := d.Decode(sig, len(spec.payloads[0]))
+	res, err := d.Decode(context.Background(), sig, len(spec.payloads[0]))
 	if !errors.Is(err, ErrBadIQ) {
 		t.Fatalf("Decode(NaN frame) = %v, %v; want ErrBadIQ", res, err)
 	}
@@ -27,7 +28,7 @@ func TestDecodeRejectsInfPoisonedFrame(t *testing.T) {
 	sig := synthesize(t, spec)
 	sig[0] = complex(0, math.Inf(-1))
 	d := MustNew(DefaultConfig(spec.params))
-	if _, err := d.Decode(sig, len(spec.payloads[0])); !errors.Is(err, ErrBadIQ) {
+	if _, err := d.Decode(context.Background(), sig, len(spec.payloads[0])); !errors.Is(err, ErrBadIQ) {
 		t.Fatalf("Decode(Inf frame) err = %v, want ErrBadIQ", err)
 	}
 }
@@ -40,7 +41,7 @@ func TestDetectTeamRejectsNaNPoisonedFrame(t *testing.T) {
 	if _, err := d.DetectTeam(sig); !errors.Is(err, ErrBadIQ) {
 		t.Fatalf("DetectTeam(NaN frame) err = %v, want ErrBadIQ", err)
 	}
-	if _, err := d.DecodeTeam(sig, len(spec.payloads[0])); !errors.Is(err, ErrBadIQ) {
+	if _, err := d.DecodeTeam(context.Background(), sig, len(spec.payloads[0])); !errors.Is(err, ErrBadIQ) {
 		t.Fatalf("DecodeTeam(NaN frame) err = %v, want ErrBadIQ", err)
 	}
 }
@@ -60,7 +61,7 @@ func TestDecodeRejectsSaturatedFrame(t *testing.T) {
 		sig[i] = complex(lim(real(v)), lim(imag(v)))
 	}
 	d := MustNew(DefaultConfig(spec.params))
-	if _, err := d.Decode(sig, len(spec.payloads[0])); !errors.Is(err, ErrSaturated) {
+	if _, err := d.Decode(context.Background(), sig, len(spec.payloads[0])); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("Decode(saturated frame) err = %v, want ErrSaturated", err)
 	}
 }
@@ -72,7 +73,7 @@ func TestDecodeAcceptsCleanAndMildlyClippedFrames(t *testing.T) {
 	spec := defaultSpec(2, 1)
 	sig := synthesize(t, spec)
 	d := MustNew(DefaultConfig(spec.params))
-	if _, err := d.Decode(sig, len(spec.payloads[0])); err != nil {
+	if _, err := d.Decode(context.Background(), sig, len(spec.payloads[0])); err != nil {
 		t.Fatalf("clean frame rejected: %v", err)
 	}
 
@@ -86,7 +87,7 @@ func TestDecodeAcceptsCleanAndMildlyClippedFrames(t *testing.T) {
 	for i, v := range sig {
 		sig[i] = complex(lim(real(v)), lim(imag(v)))
 	}
-	if _, err := d.Decode(sig, len(spec.payloads[0])); err != nil {
+	if _, err := d.Decode(context.Background(), sig, len(spec.payloads[0])); err != nil {
 		t.Fatalf("mildly clipped frame rejected: %v", err)
 	}
 }

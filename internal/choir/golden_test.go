@@ -18,6 +18,7 @@ package choir_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -112,7 +113,7 @@ func decodeReport(h trace.Header, samples []complex128, team bool) string {
 	dec := choir.MustNew(choir.DefaultConfig(h.Params))
 
 	if team {
-		res, err := dec.DecodeTeam(samples, h.PayloadLen)
+		res, err := dec.DecodeTeam(context.Background(), samples, h.PayloadLen)
 		if err != nil {
 			fmt.Fprintf(&out, "decode failed: %v\n", err)
 			return out.String()
@@ -129,7 +130,7 @@ func decodeReport(h trace.Header, samples []complex128, team bool) string {
 		return out.String()
 	}
 
-	res, err := dec.Decode(samples, h.PayloadLen)
+	res, err := dec.Decode(context.Background(), samples, h.PayloadLen)
 	if err != nil {
 		fmt.Fprintf(&out, "decode failed: %v\n", err)
 		return out.String()

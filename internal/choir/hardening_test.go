@@ -106,11 +106,11 @@ func TestSaturationBoundaryExactlyHalf(t *testing.T) {
 	}
 
 	d := MustNew(DefaultConfig(spec.params))
-	if _, err := d.Decode(sig, len(spec.payloads[0])); errors.Is(err, ErrSaturated) {
+	if _, err := d.Decode(context.Background(), sig, len(spec.payloads[0])); errors.Is(err, ErrSaturated) {
 		t.Fatalf("exactly 50%% rail-pinned misclassified as saturated: %v", err)
 	}
 	sig[half] = complex(peak, peak)
-	if _, err := d.Decode(sig, len(spec.payloads[0])); !errors.Is(err, ErrSaturated) {
+	if _, err := d.Decode(context.Background(), sig, len(spec.payloads[0])); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("more than 50%% rail-pinned not rejected, err = %v", err)
 	}
 }
@@ -127,7 +127,7 @@ func TestCancelMidDecodeLeavesDecoderReusable(t *testing.T) {
 	n := len(spec.payloads[0])
 	cfg := DefaultConfig(spec.params)
 
-	want, err := MustNew(cfg).Decode(sig, n)
+	want, err := MustNew(cfg).Decode(context.Background(), sig, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestCancelMidDecodeLeavesDecoderReusable(t *testing.T) {
 	// how many stage boundaries the decode crosses.
 	d := MustNew(cfg)
 	pc := newPollCount()
-	got, err := d.DecodeCtx(pc, sig, n)
+	got, err := d.Decode(pc, sig, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCancelMidDecodeLeavesDecoderReusable(t *testing.T) {
 
 	// Fire halfway through those boundaries: typed error, no result.
 	d.Reseed(cfg.Seed)
-	res, err := d.DecodeCtx(newCountdown(pc.polls/2), sig, n)
+	res, err := d.Decode(newCountdown(pc.polls/2), sig, n)
 	if res != nil {
 		t.Fatalf("canceled decode returned a partial result: %+v", res)
 	}
@@ -157,7 +157,7 @@ func TestCancelMidDecodeLeavesDecoderReusable(t *testing.T) {
 
 	// Reuse after the cancellation.
 	d.Reseed(cfg.Seed)
-	got2, err := d.Decode(sig, n)
+	got2, err := d.Decode(context.Background(), sig, n)
 	if err != nil {
 		t.Fatalf("decoder unusable after canceled decode: %v", err)
 	}
@@ -165,7 +165,7 @@ func TestCancelMidDecodeLeavesDecoderReusable(t *testing.T) {
 }
 
 // TestDeadlineNeverFiresIsDeterministic pins that merely having a deadline
-// changes nothing: a DecodeCtx under a far-future deadline is bit-identical
+// changes nothing: a Decode under a far-future deadline is bit-identical
 // to a plain Decode.
 func TestDeadlineNeverFiresIsDeterministic(t *testing.T) {
 	spec := defaultSpec(2, 5)
@@ -173,13 +173,13 @@ func TestDeadlineNeverFiresIsDeterministic(t *testing.T) {
 	n := len(spec.payloads[0])
 	cfg := DefaultConfig(spec.params)
 
-	want, err := MustNew(cfg).Decode(sig, n)
+	want, err := MustNew(cfg).Decode(context.Background(), sig, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	got, err := MustNew(cfg).DecodeCtx(ctx, sig, n)
+	got, err := MustNew(cfg).Decode(ctx, sig, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package choir
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -21,7 +22,7 @@ import (
 // channels differ). The merged Result contains one entry per distinct
 // user, carrying the payload of the first antenna that decoded it and the
 // strongest observed channel.
-func (d *Decoder) DecodeMultiAntenna(antennas [][]complex128, payloadLen int) (*Result, error) {
+func (d *Decoder) DecodeMultiAntenna(ctx context.Context, antennas [][]complex128, payloadLen int) (*Result, error) {
 	if len(antennas) == 0 {
 		return nil, errors.New("choir: no antenna streams")
 	}
@@ -33,7 +34,7 @@ func (d *Decoder) DecodeMultiAntenna(antennas [][]complex128, payloadLen int) (*
 	var firstErr error
 	decodedAny := false
 	for a, samples := range antennas {
-		res, err := d.Decode(samples, payloadLen)
+		res, err := d.Decode(ctx, samples, payloadLen)
 		if err != nil {
 			if firstErr == nil && !errors.Is(err, ErrNoUsers) {
 				firstErr = fmt.Errorf("antenna %d: %w", a, err)

@@ -2,6 +2,7 @@ package choir
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -67,7 +68,7 @@ func TestMultiAntennaSelectionDiversity(t *testing.T) {
 	d := MustNew(DefaultConfig(lora.DefaultParams()))
 
 	for a := range antennas {
-		res, err := d.Decode(antennas[a], len(payloads[0]))
+		res, err := d.Decode(context.Background(), antennas[a], len(payloads[0]))
 		if err != nil {
 			t.Fatalf("antenna %d: %v", a, err)
 		}
@@ -76,7 +77,7 @@ func TestMultiAntennaSelectionDiversity(t *testing.T) {
 		}
 	}
 
-	res, err := d.DecodeMultiAntenna(antennas, len(payloads[0]))
+	res, err := d.DecodeMultiAntenna(context.Background(), antennas, len(payloads[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestMultiAntennaMergesDuplicates(t *testing.T) {
 	gains := [][]float64{{1, 1}, {1, 1}, {1, 1}}
 	antennas := antennaCollision(t, gains, payloads, 4)
 	d := MustNew(DefaultConfig(lora.DefaultParams()))
-	res, err := d.DecodeMultiAntenna(antennas, len(payloads[0]))
+	res, err := d.DecodeMultiAntenna(context.Background(), antennas, len(payloads[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestMultiAntennaMergesDuplicates(t *testing.T) {
 
 func TestMultiAntennaErrors(t *testing.T) {
 	d := MustNew(DefaultConfig(lora.DefaultParams()))
-	if _, err := d.DecodeMultiAntenna(nil, 8); err == nil {
+	if _, err := d.DecodeMultiAntenna(context.Background(), nil, 8); err == nil {
 		t.Error("no antennas accepted")
 	}
 	// All-noise streams: ErrNoUsers.
@@ -131,11 +132,11 @@ func TestMultiAntennaErrors(t *testing.T) {
 		}
 		return s
 	}
-	if _, err := d.DecodeMultiAntenna([][]complex128{mk(), mk()}, 8); !errors.Is(err, ErrNoUsers) {
+	if _, err := d.DecodeMultiAntenna(context.Background(), [][]complex128{mk(), mk()}, 8); !errors.Is(err, ErrNoUsers) {
 		t.Errorf("err = %v, want ErrNoUsers", err)
 	}
 	// Short stream surfaces the underlying error.
-	if _, err := d.DecodeMultiAntenna([][]complex128{make([]complex128, 5)}, 8); err == nil {
+	if _, err := d.DecodeMultiAntenna(context.Background(), [][]complex128{make([]complex128, 5)}, 8); err == nil {
 		t.Error("short stream accepted")
 	}
 }

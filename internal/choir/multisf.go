@@ -14,12 +14,12 @@ import (
 // wrapped to fix its payload-length argument, which is how the backend
 // registry reuses the multi-SF machinery for every algorithm.
 type SFDecoder interface {
-	// DecodeCtx decodes one SF's sub-stream from the shared capture,
-	// honoring ctx between pipeline stages. It must be safe for the
-	// MultiSFDecoder to call from its own goroutine (one per SF), which is
-	// the usual single-owner discipline: each SFDecoder instance belongs to
-	// exactly one MultiSFDecoder.
-	DecodeCtx(ctx context.Context, samples []complex128, payloadLen int) (*Result, error)
+	// Decode decodes one SF's sub-stream from the shared capture, honoring
+	// ctx between pipeline stages. It must be safe for the MultiSFDecoder to
+	// call from its own goroutine (one per SF), which is the usual
+	// single-owner discipline: each SFDecoder instance belongs to exactly
+	// one MultiSFDecoder.
+	Decode(ctx context.Context, samples []complex128, payloadLen int) (*Result, error)
 }
 
 // MultiSFDecoder runs Choir independently per spreading factor on the same
@@ -82,32 +82,14 @@ type SFResult struct {
 // Decode demodulates the stream with every configured spreading factor's
 // chirp and runs Choir on each resulting sub-stream. payloadLen maps each
 // SF to its expected payload length (SFs absent from the map are skipped).
-// Results are returned in ascending SF order.
-func (m *MultiSFDecoder) Decode(samples []complex128, payloadLen map[lora.SpreadingFactor]int) []SFResult {
-	var out []SFResult
-	for sf := lora.SF7; sf <= lora.SF12; sf++ {
-		d, ok := m.decoders[sf]
-		if !ok {
-			continue
-		}
-		plen, ok := payloadLen[sf]
-		if !ok {
-			continue
-		}
-		res, err := d.DecodeCtx(context.Background(), samples, plen)
-		out = append(out, sfResult(sf, res, err))
-	}
-	return out
-}
-
-// DecodeCtx is Decode with the per-SF decodes running concurrently — one
-// goroutine per configured spreading factor, which is safe because each SF
-// owns its own decoder and the shared sample slice is only read. ctx bounds
-// the whole grid: when it fires mid-decode each still-running SF returns its
-// decoder's typed cancellation error (ErrCanceled/ErrDeadline) in its
-// SFResult, while SFs that already finished keep their results. Results are
-// returned in ascending SF order regardless of completion order.
-func (m *MultiSFDecoder) DecodeCtx(ctx context.Context, samples []complex128, payloadLen map[lora.SpreadingFactor]int) []SFResult {
+// The per-SF decodes run concurrently — one goroutine per configured
+// spreading factor, which is safe because each SF owns its own decoder and
+// the shared sample slice is only read. ctx bounds the whole grid: when it
+// fires mid-decode each still-running SF returns its decoder's typed
+// cancellation error (ErrCanceled/ErrDeadline) in its SFResult, while SFs
+// that already finished keep their results. Results are returned in
+// ascending SF order regardless of completion order.
+func (m *MultiSFDecoder) Decode(ctx context.Context, samples []complex128, payloadLen map[lora.SpreadingFactor]int) []SFResult {
 	type slot struct {
 		sf   lora.SpreadingFactor
 		plen int
@@ -129,7 +111,7 @@ func (m *MultiSFDecoder) DecodeCtx(ctx context.Context, samples []complex128, pa
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := m.decoders[s.sf].DecodeCtx(ctx, samples, s.plen)
+			res, err := m.decoders[s.sf].Decode(ctx, samples, s.plen)
 			out[i] = sfResult(s.sf, res, err)
 		}()
 	}

@@ -2,6 +2,7 @@ package choir
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -88,7 +89,7 @@ func TestMultiSFDecodesParallelCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 	lens := map[lora.SpreadingFactor]int{lora.SF7: 8, lora.SF8: 8, lora.SF9: 8}
-	results := m.Decode(sig, lens)
+	results := m.Decode(context.Background(), sig, lens)
 	if len(results) != 3 {
 		t.Fatalf("%d SF results", len(results))
 	}
@@ -153,7 +154,7 @@ func TestMultiSFWithIntraSFCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := m.Decode(mixed, map[lora.SpreadingFactor]int{lora.SF8: 8, lora.SF9: 8})
+	results := m.Decode(context.Background(), mixed, map[lora.SpreadingFactor]int{lora.SF8: 8, lora.SF9: 8})
 
 	bysf := map[lora.SpreadingFactor]*Result{}
 	for _, sr := range results {
@@ -205,7 +206,7 @@ func TestMultiSFSkipsUnrequestedLengths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := m.Decode(sig, map[lora.SpreadingFactor]int{lora.SF8: 8})
+	results := m.Decode(context.Background(), sig, map[lora.SpreadingFactor]int{lora.SF8: 8})
 	if len(results) != 1 || results[0].SF != lora.SF8 {
 		t.Fatalf("results = %+v", results)
 	}

@@ -1,6 +1,7 @@
 package choir
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -56,9 +57,9 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	sigB := synthesize(t, specB)
 
 	fresh := MustNew(DefaultConfig(specA.params))
-	wantA, errA := fresh.Decode(sigA, len(specA.payloads[0]))
+	wantA, errA := fresh.Decode(context.Background(), sigA, len(specA.payloads[0]))
 	fresh.Reseed(DefaultConfig(specA.params).Seed)
-	wantB, errB := fresh.Decode(sigB, len(specB.payloads[0]))
+	wantB, errB := fresh.Decode(context.Background(), sigB, len(specB.payloads[0]))
 	if errA != nil || errB != nil {
 		t.Fatalf("reference decodes failed: %v / %v", errA, errB)
 	}

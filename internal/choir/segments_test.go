@@ -1,6 +1,7 @@
 package choir
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -123,7 +124,7 @@ func TestEstimateBoundariesFindsTimingOffset(t *testing.T) {
 		}
 		start := p.HeaderSymbols() * d.n
 		// Initialize symbols via the standard path.
-		res, err := d.Decode(sig, 8)
+		res, err := d.Decode(context.Background(), sig, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func TestICSymbolPassFixesInjectedError(t *testing.T) {
 	spec := defaultSpec(2, 1)
 	sig := synthesize(t, spec)
 	d := MustNew(DefaultConfig(spec.params))
-	res, err := d.Decode(sig, 8)
+	res, err := d.Decode(context.Background(), sig, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package choir
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -70,7 +71,7 @@ func TestSFDFrameStillDecodes(t *testing.T) {
 
 	sig2, _ := renderSFD(t, []float64{6, -9}, []float64{4.3, -11.7}, 2)
 	d := MustNew(DefaultConfig(p))
-	res, err := d.Decode(sig2, 8)
+	res, err := d.Decode(context.Background(), sig2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

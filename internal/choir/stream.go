@@ -2,10 +2,7 @@ package choir
 
 import (
 	"context"
-	"fmt"
 	"math"
-
-	"choir/internal/lora"
 )
 
 // AvailFunc blocks until at least need samples of a streaming frame are
@@ -25,90 +22,11 @@ type AvailFunc func(ctx context.Context, need int) error
 // buf is the frame's full backing array (len(buf) = the frame's declared
 // sample count); the writer fills it front to back while the decode runs and
 // signals progress through avail. The result — including every error case —
-// is bit-identical to DecodeCtxInto on the completed buffer:
-//
-//   - The early preamble scan reads only buf[:PreambleLen·N], which avail
-//     has certified complete, and is skipped when that prefix contains
-//     non-finite samples (the decode is doomed to ErrBadIQ).
-//   - IQ validation (ErrBadIQ, ErrSaturated) is a whole-frame property, so
-//     the authoritative validateIQ runs on the full buffer once it arrives
-//     — before the early scan's results are consumed — producing the exact
-//     serial error and precedence.
-//   - The pipeline stages after validation enter with the same estimates,
-//     scratch and arena state the serial order would have produced, because
-//     validateIQ mutates nothing and estimatePreamble depends only on the
-//     (complete) prefix.
-//
-// A nil avail means every sample is already present; the call then forwards
-// to the serial path directly.
+// is bit-identical to DecodeCtxInto on the completed buffer, because both run
+// the one pipeline (see decode). A nil avail means every sample is already
+// present.
 func (d *Decoder) DecodeIncrementalCtxInto(ctx context.Context, res *Result, buf []complex128, payloadLen int, avail AvailFunc) error {
-	if res == nil {
-		return fmt.Errorf("choir: DecodeIncrementalCtxInto with nil Result")
-	}
-	if avail == nil {
-		return d.decodeCtxInto(ctx, res, buf, payloadLen)
-	}
-	d.armCtx(ctx)
-	defer d.disarmCtx()
-	d.ar.reset()
-	sp := mDecodeTimer.Start()
-	defer sp.Stop()
-	mDecodes.Inc()
-	p := d.cfg.LoRa
-	need := p.FrameSamples(payloadLen)
-	if len(buf) < need {
-		err := fmt.Errorf("%w: have %d samples, need %d", lora.ErrShortSignal, len(buf), need)
-		countDecodeErr(err)
-		return err
-	}
-	prefix := p.PreambleLen * d.n
-	if err := avail(ctx, prefix); err != nil {
-		countDecodeErr(err)
-		return err
-	}
-	var ests []userEstimate
-	preOK := finiteIQ(buf[:prefix])
-	if preOK {
-		ests = d.estimatePreamble(buf)
-		if d.canceled() {
-			countDecodeErr(d.ctxErr)
-			return d.ctxErr
-		}
-	}
-	if err := avail(ctx, len(buf)); err != nil {
-		countDecodeErr(err)
-		return err
-	}
-	if err := validateIQ(buf); err != nil {
-		countDecodeErr(err)
-		return err
-	}
-	if !preOK {
-		// Unreachable in practice — a non-finite prefix fails validateIQ
-		// above — but if a custom validator ever loosens that, fall back to
-		// the serial order rather than decode with no estimates.
-		ests = d.estimatePreamble(buf)
-		if d.canceled() {
-			countDecodeErr(d.ctxErr)
-			return d.ctxErr
-		}
-	}
-	if len(ests) == 0 {
-		countDecodeErr(ErrNoUsers)
-		return ErrNoUsers
-	}
-	mUsersDetected.Add(int64(len(ests)))
-	users := d.decodeData(res, buf, ests, payloadLen)
-	if d.canceled() {
-		countDecodeErr(d.ctxErr)
-		return d.ctxErr
-	}
-	for _, u := range users {
-		countUserOutcome(u)
-	}
-	countDecodeErr(nil)
-	res.Users = users
-	return nil
+	return d.decode(ctx, res, buf, payloadLen, avail)
 }
 
 // PreambleSamples returns how many leading samples of a frame the decoder
@@ -119,8 +37,8 @@ func (d *Decoder) PreambleSamples() int {
 }
 
 // finiteIQ reports whether every sample is finite in both quadratures. It is
-// the cheap gate for the speculative preamble scan — full validation
-// (including the whole-frame saturation test) stays with validateIQ.
+// the cheap gate for the preamble scan — full validation (including the
+// whole-frame saturation test) stays with validateIQ.
 func finiteIQ(samples []complex128) bool {
 	for _, v := range samples {
 		re, im := real(v), imag(v)

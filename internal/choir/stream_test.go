@@ -99,7 +99,7 @@ func TestIncrementalBitIdenticalToSerial(t *testing.T) {
 	plen := len(spec.payloads[0])
 	cfg := DefaultConfig(spec.params)
 	d := MustNew(cfg)
-	want, err := d.Decode(sig, plen)
+	want, err := d.Decode(context.Background(), sig, plen)
 	if err != nil {
 		t.Fatalf("serial decode: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestIncrementalTailErrorMatchesSerial(t *testing.T) {
 	idx := d.PreambleSamples() + 100
 	bad[idx] = complex(math.NaN(), 0)
 
-	_, serialErr := d.Decode(bad, plen)
+	_, serialErr := d.Decode(context.Background(), bad, plen)
 	if !errors.Is(serialErr, ErrBadIQ) {
 		t.Fatalf("serial error = %v, want ErrBadIQ", serialErr)
 	}
@@ -146,7 +146,7 @@ func TestIncrementalTailErrorMatchesSerial(t *testing.T) {
 	}
 	// The decoder stays reusable: a clean decode afterwards matches serial.
 	d.Reseed(cfg.Seed)
-	want, err := d.Decode(sig, plen)
+	want, err := d.Decode(context.Background(), sig, plen)
 	if err != nil {
 		t.Fatalf("clean decode after error: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestIncrementalStreamFailurePropagates(t *testing.T) {
 		t.Fatalf("err = %v, want the stream's own error", err)
 	}
 
-	if _, err := d.Decode(sig, plen); err != nil {
+	if _, err := d.Decode(context.Background(), sig, plen); err != nil {
 		t.Fatalf("decoder not reusable after stream failure: %v", err)
 	}
 }

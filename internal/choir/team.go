@@ -109,14 +109,9 @@ func (d *Decoder) DetectTeam(samples []complex128) ([]float64, error) {
 // rule of Eqn. 6: the candidate symbol whose multi-tone reconstruction best
 // matches the received window wins. Because the decision statistic sums
 // energy over all members, decoding succeeds even when every individual
-// member is below the noise floor.
-func (d *Decoder) DecodeTeam(samples []complex128, payloadLen int) (*TeamResult, error) {
-	return d.DecodeTeamCtx(context.Background(), samples, payloadLen)
-}
-
-// DecodeTeamCtx is DecodeTeam bounded by a context, with the same
-// cooperative stage-boundary cancellation contract as DecodeCtx.
-func (d *Decoder) DecodeTeamCtx(ctx context.Context, samples []complex128, payloadLen int) (*TeamResult, error) {
+// member is below the noise floor. ctx bounds the decode under the same
+// cooperative stage-boundary cancellation contract as Decode.
+func (d *Decoder) DecodeTeam(ctx context.Context, samples []complex128, payloadLen int) (*TeamResult, error) {
 	d.armCtx(ctx)
 	defer d.disarmCtx()
 	sp := mTeamDecodeTimer.Start()

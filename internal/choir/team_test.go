@@ -2,6 +2,7 @@ package choir
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand/v2"
 	"testing"
@@ -87,7 +88,7 @@ func TestDecodeTeamAtModerateSNR(t *testing.T) {
 	spec := teamSpec(4, -20, -40, 4)
 	sig := synthesize(t, spec)
 	d := MustNew(DefaultConfig(spec.params))
-	res, err := d.DecodeTeam(sig, len(spec.payloads[0]))
+	res, err := d.DecodeTeam(context.Background(), sig, len(spec.payloads[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestDecodeTeamBelowNoiseFloor(t *testing.T) {
 	spec := teamSpec(10, -32, -20, 5)
 	sig := synthesize(t, spec)
 	d := MustNew(DefaultConfig(spec.params))
-	res, err := d.DecodeTeam(sig, len(spec.payloads[0]))
+	res, err := d.DecodeTeam(context.Background(), sig, len(spec.payloads[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +131,12 @@ func TestDecodeTeamLargerTeamsTolerateLowerSNR(t *testing.T) {
 		specS := teamSpec(2, perMember, noise, seed)
 		sigS := synthesize(t, specS)
 		d := MustNew(DefaultConfig(specS.params))
-		if res, err := d.DecodeTeam(sigS, 8); err == nil && res.Err == nil && bytes.Equal(res.Payload, specS.payloads[0]) {
+		if res, err := d.DecodeTeam(context.Background(), sigS, 8); err == nil && res.Err == nil && bytes.Equal(res.Payload, specS.payloads[0]) {
 			small++
 		}
 		specL := teamSpec(16, perMember, noise, seed)
 		sigL := synthesize(t, specL)
-		if res, err := d.DecodeTeam(sigL, 8); err == nil && res.Err == nil && bytes.Equal(res.Payload, specL.payloads[0]) {
+		if res, err := d.DecodeTeam(context.Background(), sigL, 8); err == nil && res.Err == nil && bytes.Equal(res.Payload, specL.payloads[0]) {
 			large++
 		}
 	}
@@ -165,7 +166,7 @@ func TestSubtractDecodedUsersUnmasksTeam(t *testing.T) {
 	}
 
 	d := MustNew(DefaultConfig(teamPart.params))
-	res, err := d.Decode(mixed, 8)
+	res, err := d.Decode(context.Background(), mixed, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestSubtractDecodedUsersUnmasksTeam(t *testing.T) {
 		t.Fatal("strong user not decoded from the mix")
 	}
 	cleaned := d.SubtractDecodedUsers(mixed, res, 8)
-	teamRes, err := d.DecodeTeam(cleaned, 8)
+	teamRes, err := d.DecodeTeam(context.Background(), cleaned, 8)
 	if err != nil {
 		t.Fatalf("team not detected after subtraction: %v", err)
 	}

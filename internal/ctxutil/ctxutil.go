@@ -1,15 +1,15 @@
-// Package ctxutil is the single home of the repository's nil-context
-// contract. Several layers accept an optional context.Context — the choir
-// decoder (DecodeCtx), the exec fan-out engine (ForEachCtx), the MAC
-// simulator (RunCtx) and the gateway (Submit, Drain, the ingest helpers) —
-// and each used to re-implement the same two checks: "nil means never
-// cancels" and "a context whose Done channel is nil can never fire, so skip
-// the polling machinery for it". Those checks now live here so the contract
-// is stated (and tested) once:
+// Package ctxutil is the single home of the repository's context contract.
+// Every blocking entry point takes a context.Context first — the choir
+// decoder (Decode), the exec fan-out engine (ForEach), the MAC simulator
+// (Run), the city engine and the gateway (Submit, Drain, the ingest helpers)
+// — and each needs the same two checks: "nil means never cancels" and "a
+// context whose Done channel is nil can never fire, so skip the polling
+// machinery for it". Those checks live here so the contract is stated (and
+// tested) once:
 //
 //   - A nil context, context.Background() and context.TODO() are all
 //     legitimate "never cancels" values. Callers may not panic on them and
-//     must produce results bit-identical to the no-context entry point.
+//     must produce results bit-identical to each other.
 //   - Whether a context can fire is decided by its Done channel being
 //     non-nil, per the context.Context documentation ("Done may return nil
 //     if this context can never be canceled"). Err() alone is not a signal:

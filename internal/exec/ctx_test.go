@@ -7,12 +7,15 @@ import (
 	"testing"
 )
 
-// TestForEachCtxCompletesWithLiveContext pins that an unfired context is
-// free: every index runs exactly once and the error is nil.
+// TestForEachCtxCompletesWithLiveContext pins that a cancelable context
+// that never fires is free: the polled path runs every index exactly once
+// and the error is nil.
 func TestForEachCtxCompletesWithLiveContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, workers := range []int{1, 4} {
 		var ran [64]atomic.Int32
-		err := NewPool(workers).ForEachCtx(context.Background(), len(ran), func(i int) {
+		err := NewPool(workers).ForEach(ctx, len(ran), func(i int) {
 			ran[i].Add(1)
 		})
 		if err != nil {
@@ -35,7 +38,7 @@ func TestForEachCtxCancelCutsFanOutShort(t *testing.T) {
 		const n = 1000
 		var started atomic.Int32
 		done := make([]atomic.Bool, n)
-		err := NewPool(workers).ForEachCtx(ctx, n, func(i int) {
+		err := NewPool(workers).ForEach(ctx, n, func(i int) {
 			if started.Add(1) == 5 {
 				cancel()
 			}
@@ -63,23 +66,23 @@ func TestForEachCtxCancelCutsFanOutShort(t *testing.T) {
 	}
 }
 
-// TestMapCtxCanceledReturnsNoResults pins MapCtx's all-or-nothing result
+// TestMapCtxCanceledReturnsNoResults pins Map's all-or-nothing result
 // contract under cancellation.
 func TestMapCtxCanceledReturnsNoResults(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := MapCtx(ctx, NewPool(2), 100, func(i int) int { return i })
+	res, err := Map(ctx, NewPool(2), 100, func(i int) int { return i })
 	if res != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("MapCtx = %v, %v; want nil results and a wrapped context.Canceled", res, err)
+		t.Fatalf("Map = %v, %v; want nil results and a wrapped context.Canceled", res, err)
 	}
 
-	// With a live context MapCtx matches the direct computation for any
+	// With a live context Map matches the direct computation for any
 	// worker count.
-	want, err := MapCtx(context.Background(), NewPool(1), 32, func(i int) int { return i * i })
+	want, err := Map(context.Background(), NewPool(1), 32, func(i int) int { return i * i })
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MapCtx(context.Background(), NewPool(8), 32, func(i int) int { return i * i })
+	got, err := Map(context.Background(), NewPool(8), 32, func(i int) int { return i * i })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,11 @@
 // Package exec is the shared parallel trial-execution engine: a bounded
-// worker pool with deterministic fan-out, a pool of per-goroutine Choir
-// decoders, and a seed-derivation scheme that gives every Monte-Carlo trial
-// its own independent random stream.
+// worker pool with deterministic fan-out and a seed-derivation scheme that
+// gives every Monte-Carlo trial its own independent random stream.
 //
 // The engine's contract is that the worker count never changes results:
 // every trial derives its randomness from its logical coordinates
 // (DeriveSeed), writes into its own result slot (Pool.ForEach), and borrows
-// a decoder that is reseeded on checkout (DecoderPool.Get), so a sweep run
+// a decoder that is reseeded on checkout (backend.Pool.Get), so a sweep run
 // with Workers=8 is byte-identical to the same sweep run with Workers=1.
 // Callers reduce the indexed results in trial order, which keeps even
 // floating-point accumulation order fixed.
@@ -49,30 +48,19 @@ func (p *Pool) Workers() int { return p.workers }
 // write its result into slot i of a preallocated slice and leave shared
 // state alone. A panic in any task is re-raised on the calling goroutine
 // after the remaining workers drain.
-func (p *Pool) ForEach(n int, fn func(i int)) {
-	// A nil ctx never cancels, so the error is structurally nil.
-	_ = p.forEach(nil, n, fn)
-}
-
-// ForEachCtx is ForEach bounded by a context. Cancellation is cooperative
-// and preserves the determinism contract: once ctx fires no NEW index is
-// handed out, but every task already started runs to completion — a slot is
-// either fully written or never touched, never half-done. The returned
-// error is ctx.Err() (wrapped) when the fan-out was cut short, nil when all
-// n tasks ran.
-func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(i int)) error {
-	return p.forEach(ctxutil.Background(ctx), n, fn)
-}
-
-// forEach is the shared fan-out core. ctx == nil means "never cancels" and
-// skips the per-index poll entirely, keeping the unbounded path identical
-// to the pre-context engine.
-func (p *Pool) forEach(ctx context.Context, n int, fn func(i int)) error {
+//
+// Cancellation is cooperative and preserves the determinism contract: once
+// ctx fires no NEW index is handed out, but every task already started runs
+// to completion — a slot is either fully written or never touched, never
+// half-done. The returned error is ctx.Err() (wrapped) when the fan-out was
+// cut short, nil when all n tasks ran. A context that cannot fire (nil,
+// Background — see ctxutil) is never polled.
+func (p *Pool) ForEach(ctx context.Context, n int, fn func(i int)) error {
 	if n <= 0 {
 		return nil
 	}
 	stopped := func() bool { return false }
-	if ctx != nil {
+	if ctxutil.CanFire(ctx) {
 		stopped = func() bool { return ctx.Err() != nil }
 	}
 	w := p.workers
@@ -153,18 +141,11 @@ func (p *Pool) forEach(ctx context.Context, n int, fn func(i int)) error {
 }
 
 // Map runs fn over [0, n) and collects the results in index order — the
-// submit/collect idiom most trial loops need.
-func Map[T any](p *Pool, n int, fn func(i int) T) []T {
+// submit/collect idiom most trial loops need. On cancellation the partial
+// results are discarded and the fan-out error is returned.
+func Map[T any](ctx context.Context, p *Pool, n int, fn func(i int) T) ([]T, error) {
 	out := make([]T, n)
-	p.ForEach(n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapCtx is Map bounded by a context: on cancellation the partial results
-// are discarded and the fan-out error is returned.
-func MapCtx[T any](ctx context.Context, p *Pool, n int, fn func(i int) T) ([]T, error) {
-	out := make([]T, n)
-	if err := p.ForEachCtx(ctx, n, func(i int) { out[i] = fn(i) }); err != nil {
+	if err := p.ForEach(ctx, n, func(i int) { out[i] = fn(i) }); err != nil {
 		return nil, err
 	}
 	return out, nil

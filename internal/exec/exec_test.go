@@ -1,11 +1,12 @@
 package exec_test
 
 import (
+	"context"
 	"strings"
 	"sync/atomic"
 	"testing"
 
-	"choir/internal/choir"
+	"choir/internal/backend"
 	"choir/internal/exec"
 	"choir/internal/lora"
 	"choir/internal/sim"
@@ -27,7 +28,9 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		const n = 57
 		counts := make([]atomic.Int32, n)
-		exec.NewPool(workers).ForEach(n, func(i int) { counts[i].Add(1) })
+		if err := exec.NewPool(workers).ForEach(context.Background(), n, func(i int) { counts[i].Add(1) }); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Errorf("workers=%d: index %d ran %d times", workers, i, c)
@@ -39,9 +42,9 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 func TestForEachEmptyAndNegative(t *testing.T) {
 	ran := false
 	p := exec.NewPool(4)
-	p.ForEach(0, func(int) { ran = true })
-	p.ForEach(-3, func(int) { ran = true })
-	if ran {
+	err0 := p.ForEach(context.Background(), 0, func(int) { ran = true })
+	errNeg := p.ForEach(context.Background(), -3, func(int) { ran = true })
+	if ran || err0 != nil || errNeg != nil {
 		t.Error("task ran for empty fan-out")
 	}
 }
@@ -56,7 +59,7 @@ func TestForEachPanicPropagates(t *testing.T) {
 			t.Errorf("panic payload %v lost the cause", r)
 		}
 	}()
-	exec.NewPool(4).ForEach(16, func(i int) {
+	_ = exec.NewPool(4).ForEach(context.Background(), 16, func(i int) { // panics before returning
 		if i == 7 {
 			panic("boom")
 		}
@@ -64,7 +67,10 @@ func TestForEachPanicPropagates(t *testing.T) {
 }
 
 func TestMapCollectsInOrder(t *testing.T) {
-	out := exec.Map(exec.NewPool(8), 64, func(i int) int { return i * i })
+	out, err := exec.Map(context.Background(), exec.NewPool(8), 64, func(i int) int { return i * i })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d", i, v)
@@ -117,16 +123,33 @@ func TestSeedChainEquivalence(t *testing.T) {
 	}
 }
 
+// The TestDecoderPool* tests pin the decoder-ownership half of the trial
+// engine's determinism contract (the seed half is DeriveSeed, above). The
+// pool itself is backend.Pool — the one decoder pool, which this package's
+// fan-out is always paired with.
+
+func mustDecoderPool(t *testing.T, p lora.Params) *backend.Pool {
+	t.Helper()
+	pool, err := backend.NewPool("choir", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool
+}
+
 func TestDecoderPoolRejectsBadConfig(t *testing.T) {
-	cfg := choir.DefaultConfig(lora.DefaultParams())
-	cfg.Pad = 1
-	if _, err := exec.NewDecoderPool(cfg); err == nil {
-		t.Error("invalid config accepted")
+	p := lora.DefaultParams()
+	p.SF = 3
+	if _, err := backend.NewPool("choir", p); err == nil {
+		t.Error("invalid PHY accepted")
+	}
+	if _, err := backend.NewPool("no-such-backend", lora.DefaultParams()); err == nil {
+		t.Error("unregistered backend accepted")
 	}
 }
 
 func TestDecoderPoolReusesInstances(t *testing.T) {
-	p := exec.MustNewDecoderPool(choir.DefaultConfig(lora.DefaultParams()))
+	p := mustDecoderPool(t, lora.DefaultParams())
 	d1 := p.Get(1)
 	p.Put(d1)
 	if d2 := p.Get(2); d2 != d1 {
@@ -137,33 +160,34 @@ func TestDecoderPoolReusesInstances(t *testing.T) {
 // TestDecoderPoolReseedDeterminism checks the ownership half of the
 // determinism contract: a pooled decoder that already served other trials
 // must decode exactly like a freshly built one, because Get reseeds it.
-// Clustering mode exercises the decoder's internal rng.
 func TestDecoderPoolReseedDeterminism(t *testing.T) {
-	cfg := choir.DefaultConfig(lora.DefaultParams())
-	cfg.UseClustering = true
-	cfg.Seed = 42
-
-	sc := sim.Scenario{Params: cfg.LoRa, PayloadLen: 8, SNRsDB: []float64{20, 16}, Seed: 9}
+	ctx := context.Background()
+	params := lora.DefaultParams()
+	sc := sim.Scenario{Params: params, PayloadLen: 8, SNRsDB: []float64{20, 16}, Seed: 9}
 	sig, _ := sc.Synthesize()
 
-	fresh := choir.MustNew(cfg)
-	want, err := fresh.Decode(sig, 8)
+	fresh := backend.MustNew("choir", params)
+	fresh.Reseed(42)
+	want, err := backend.Decode(ctx, fresh, sig, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	p := exec.MustNewDecoderPool(cfg)
-	// Burn rng state on an unrelated trial, then return the instance.
+	p := mustDecoderPool(t, params)
+	// Burn state on an unrelated trial, then return the instance.
 	d := p.Get(7)
-	other := sim.Scenario{Params: cfg.LoRa, PayloadLen: 8, SNRsDB: []float64{18}, Seed: 3}
+	other := sim.Scenario{Params: params, PayloadLen: 8, SNRsDB: []float64{18}, Seed: 3}
 	osig, _ := other.Synthesize()
-	if _, err := d.Decode(osig, 8); err != nil {
+	if _, err := backend.Decode(ctx, d, osig, 8); err != nil {
 		t.Fatal(err)
 	}
 	p.Put(d)
 
-	d = p.Get(cfg.Seed) // reseeded to the fresh decoder's state
-	got, err := d.Decode(sig, 8)
+	d = p.Get(42) // reseeded to the fresh decoder's state
+	if seed := backend.Decoder(d).Config().Seed; seed != 42 {
+		t.Fatalf("checkout left seed %d, want 42", seed)
+	}
+	got, err := backend.Decode(ctx, d, sig, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,17 +211,20 @@ func TestDecoderPoolReseedDeterminism(t *testing.T) {
 // scenario correctly regardless of interleaving.
 func TestDecoderPoolConcurrent(t *testing.T) {
 	params := lora.DefaultParams()
-	p := exec.MustNewDecoderPool(choir.DefaultConfig(params))
+	p := mustDecoderPool(t, params)
 	var failures atomic.Int32
-	exec.NewPool(8).ForEach(16, func(i int) {
+	err := exec.NewPool(8).ForEach(context.Background(), 16, func(i int) {
 		seed := exec.DeriveSeed(77, uint64(i))
 		sc := sim.Scenario{Params: params, PayloadLen: 8, SNRsDB: []float64{22, 18}, Seed: seed}
-		dec := p.Get(seed)
-		defer p.Put(dec)
-		if r, n := sc.DecodeWith(dec); n != 2 || r == 0 {
+		b := p.Get(seed)
+		defer p.Put(b)
+		if r, n := sc.DecodeWith(backend.Decoder(b)); n != 2 || r == 0 {
 			failures.Add(1)
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if f := failures.Load(); f > 2 {
 		t.Errorf("%d/16 concurrent trials failed to recover anything", f)
 	}

@@ -16,8 +16,4 @@ var (
 	mPoolTaskNS     = obs.NewTimer("exec.pool.task_ns")
 	mPoolQueueWait  = obs.NewHistogram("exec.pool.queue_wait_ns")
 	mPoolCanceled   = obs.NewCounter("exec.pool.canceled")
-
-	mDecGets   = obs.NewCounter("exec.decoderpool.gets")
-	mDecHits   = obs.NewCounter("exec.decoderpool.hits")
-	mDecMisses = obs.NewCounter("exec.decoderpool.misses")
 )

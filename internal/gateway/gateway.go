@@ -705,7 +705,7 @@ func (g *Gateway) Drain(ctx context.Context) error {
 		}
 		// Stop the workers. In the graceful case the queue is already
 		// empty; in the hard case cancellation both unblocks in-flight
-		// decodes (DecodeCtx) and routes workers into flushQueue.
+		// decodes (through their context) and routes workers into flushQueue.
 		g.cancel()
 		g.wg.Wait()
 		// Workers are gone; anything still queued (frames that raced in

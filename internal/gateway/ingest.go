@@ -92,24 +92,10 @@ func readTrace(path string) (trace.Header, []complex128, error) {
 	return trace.Read(f)
 }
 
-// ServeTCP accepts connections on ln until ctx fires, reading one trace
-// per connection and submitting it to the gateway. The trace format is
-// EOF-delimited, so the sender must half-close its write side after the
-// last sample. The peer then gets a one-line status reply
-// ("accepted <id>\n" or "error: <reason>\n") before the connection closes,
-// so backpressure under ShedBlock is visible to the sender as a delayed
-// reply. Concurrent connections are capped at Config.MaxConns (overflow is
-// shed with an error reply and counted on gateway.conn.shed) and each
-// connection's reads and replies are bounded by Config.ConnTimeout, so a
-// stalled or half-open peer cannot pin a handler goroutine forever.
-// Returns nil on ctx-triggered shutdown.
-func ServeTCP(ctx context.Context, g *Gateway, ln net.Listener) error {
-	return g.serveConns(ctx, ln, g.handleEOFConn)
-}
-
-// serveConns is the accept loop shared by the EOF-delimited and streaming
-// TCP servers: listener shutdown via ctx, a MaxConns semaphore with shed
-// accounting, and a WaitGroup so no handler outlives the server.
+// serveConns is the TCP server's accept loop: listener shutdown via ctx, a
+// MaxConns semaphore with shed accounting (overflow gets an error reply and
+// counts on gateway.conn.shed), and a WaitGroup so no handler outlives the
+// server.
 func (g *Gateway) serveConns(ctx context.Context, ln net.Listener, handle func(ctx context.Context, conn net.Conn)) error {
 	ctx = ctxutil.Background(ctx)
 	// Closing the listener is the only portable way to unblock Accept.
@@ -163,22 +149,4 @@ func (g *Gateway) reply(conn net.Conn, format string, args ...any) {
 	if _, err := fmt.Fprintf(conn, format, args...); err != nil {
 		mReplyErrors.Inc()
 	}
-}
-
-// handleEOFConn reads one EOF-delimited trace and submits it.
-func (g *Gateway) handleEOFConn(ctx context.Context, conn net.Conn) {
-	if g.cfg.ConnTimeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(g.cfg.ConnTimeout))
-	}
-	h, samples, err := trace.Read(conn)
-	if err != nil {
-		g.reply(conn, "error: %v\n", err)
-		return
-	}
-	id, err := g.Submit(ctx, conn.RemoteAddr().String(), h, samples)
-	if err != nil {
-		g.reply(conn, "error: %v\n", err)
-		return
-	}
-	g.reply(conn, "accepted %d\n", id)
 }

@@ -58,7 +58,7 @@ func TestIngestFilesDirectory(t *testing.T) {
 	<-done
 }
 
-// TestServeTCPAcceptsTrace pins the wire protocol: one trace per
+// TestServeTCPAcceptsTrace pins the wire protocol: one framed trace per
 // connection, an "accepted <id>" reply, and a clean ctx-triggered return.
 func TestServeTCPAcceptsTrace(t *testing.T) {
 	g, err := build(Config{Queue: 8})
@@ -71,19 +71,14 @@ func TestServeTCPAcceptsTrace(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
-	go func() { served <- ServeTCP(ctx, g, ln) }()
+	go func() { served <- ServeTCPStream(ctx, g, ln) }()
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	h, sig, _ := synthFrame(1)
-	if err := trace.Write(conn, h, sig); err != nil {
-		t.Fatal(err)
-	}
-	// The trace format is EOF-delimited: half-close to mark end of frame,
-	// then read the status reply.
-	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+	if err := trace.WriteFramed(conn, h, sig); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := bufio.NewReader(conn).ReadString('\n')
@@ -114,10 +109,10 @@ func TestServeTCPAcceptsTrace(t *testing.T) {
 	select {
 	case err := <-served:
 		if err != nil {
-			t.Fatalf("ServeTCP returned %v on ctx shutdown, want nil", err)
+			t.Fatalf("ServeTCPStream returned %v on ctx shutdown, want nil", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("ServeTCP did not return after ctx cancel")
+		t.Fatal("ServeTCPStream did not return after ctx cancel")
 	}
 	if st := g.Stats(); st.Accepted != 1 {
 		t.Errorf("accepted = %d, want 1", st.Accepted)

@@ -350,7 +350,7 @@ func collectPayloads(res *choir.Result) ([][]byte, int) {
 // is bit-identical to decoding the completed capture.
 func (g *Gateway) decodeFrame(ctx context.Context, b backend.Backend, f *Frame) (*choir.Result, error) {
 	if f.stream == nil {
-		return backend.DecodeCtx(ctx, b, f.Samples, f.Header.PayloadLen)
+		return backend.Decode(ctx, b, f.Samples, f.Header.PayloadLen)
 	}
 	if sd, ok := b.(backend.StreamDecoder); ok {
 		res := &choir.Result{}
@@ -362,5 +362,5 @@ func (g *Gateway) decodeFrame(ctx context.Context, b backend.Backend, f *Frame) 
 	if err := f.stream.Avail(ctx, len(f.Samples)); err != nil {
 		return nil, err
 	}
-	return backend.DecodeCtx(ctx, b, f.Samples, f.Header.PayloadLen)
+	return backend.Decode(ctx, b, f.Samples, f.Header.PayloadLen)
 }

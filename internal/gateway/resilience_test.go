@@ -51,7 +51,7 @@ func TestServeTCPConnFloodSheds(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
-	go func() { served <- ServeTCP(ctx, g, ln) }()
+	go func() { served <- ServeTCPStream(ctx, g, ln) }()
 
 	// Pin both slots: peers that connect, send one byte, and stall.
 	var held []net.Conn
@@ -100,10 +100,10 @@ func TestServeTCPConnFloodSheds(t *testing.T) {
 	select {
 	case err := <-served:
 		if err != nil {
-			t.Fatalf("ServeTCP returned %v, want nil", err)
+			t.Fatalf("ServeTCPStream returned %v, want nil", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("ServeTCP did not return")
+		t.Fatal("ServeTCPStream did not return")
 	}
 	done := collectOutcomes(g)
 	_ = g.Drain(canceledCtx())
@@ -127,7 +127,7 @@ func TestServeTCPStalledPeerTimesOut(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
-	go func() { served <- ServeTCP(ctx, g, ln) }()
+	go func() { served <- ServeTCPStream(ctx, g, ln) }()
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -148,10 +148,10 @@ func TestServeTCPStalledPeerTimesOut(t *testing.T) {
 	select {
 	case err := <-served:
 		if err != nil {
-			t.Fatalf("ServeTCP returned %v, want nil", err)
+			t.Fatalf("ServeTCPStream returned %v, want nil", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("ServeTCP did not return")
+		t.Fatal("ServeTCPStream did not return")
 	}
 	done := collectOutcomes(g)
 	_ = g.Drain(canceledCtx())

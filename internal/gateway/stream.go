@@ -119,8 +119,10 @@ func (s *streamBuffer) Avail(ctx context.Context, need int) error {
 // after admission (or "error: <reason>\n"), then keeps streaming samples; a
 // connection that dies or stalls past Config.ConnTimeout mid-frame aborts
 // the in-flight decode with ErrStreamAborted, which still yields the
-// frame's single terminal outcome. Connection caps and shedding follow
-// ServeTCP. Returns nil on ctx-triggered shutdown.
+// frame's single terminal outcome. Concurrent connections are capped at
+// Config.MaxConns and every read and reply is bounded by Config.ConnTimeout,
+// so a stalled or half-open peer cannot pin a handler goroutine forever.
+// Returns nil on ctx-triggered shutdown.
 //
 // Streaming deployments should set ConnTimeout (and/or DecodeTimeout):
 // without either, a graceful Drain waits on a peer that goes silent

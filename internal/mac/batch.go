@@ -27,15 +27,10 @@ type Job struct {
 // jobs are validated up front: if any fails, the first error in job order is
 // returned before any simulation starts — a sweep of hundreds of cells must
 // not burn minutes of work only to discard everything over a typo in job 0.
-func RunMany(jobs []Job, workers int) ([]*Metrics, error) {
-	return RunManyCtx(context.Background(), jobs, workers)
-}
-
-// RunManyCtx is RunMany bounded by a context: the fan-out stops handing out
-// jobs once ctx fires, each in-flight simulation abandons its slot loop at
-// the next poll, and the context's error is returned in place of partial
-// results.
-func RunManyCtx(ctx context.Context, jobs []Job, workers int) ([]*Metrics, error) {
+// Once ctx fires the fan-out stops handing out jobs, each in-flight
+// simulation abandons its slot loop at the next poll, and the context's
+// error is returned in place of partial results.
+func RunMany(ctx context.Context, jobs []Job, workers int) ([]*Metrics, error) {
 	for i, job := range jobs {
 		if err := job.Config.Validate(); err != nil {
 			return nil, fmt.Errorf("job %d: %w", i, err)
@@ -46,8 +41,8 @@ func RunManyCtx(ctx context.Context, jobs []Job, workers int) ([]*Metrics, error
 	}
 	out := make([]*Metrics, len(jobs))
 	errs := make([]error, len(jobs))
-	if err := exec.NewPool(workers).ForEachCtx(ctx, len(jobs), func(i int) {
-		out[i], errs[i] = RunCtx(ctx, jobs[i].Config, jobs[i].Receiver)
+	if err := exec.NewPool(workers).ForEach(ctx, len(jobs), func(i int) {
+		out[i], errs[i] = Run(ctx, jobs[i].Config, jobs[i].Receiver)
 	}); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"context"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -31,7 +32,7 @@ func TestRunManyMatchesRunInOrder(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 8} {
-		got, err := RunMany(jobs, workers)
+		got, err := RunMany(context.Background(), jobs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +40,7 @@ func TestRunManyMatchesRunInOrder(t *testing.T) {
 			t.Fatalf("workers=%d: %d results for %d jobs", workers, len(got), len(jobs))
 		}
 		for i, j := range jobs {
-			want, err := Run(j.Config, j.Receiver)
+			want, err := Run(context.Background(), j.Config, j.Receiver)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +56,7 @@ func TestRunManyPropagatesFirstError(t *testing.T) {
 		{Config: batchTestConfig(1, SchemeAloha), Receiver: AlohaReceiver{}},
 		{Config: Config{}, Receiver: AlohaReceiver{}}, // invalid
 	}
-	if _, err := RunMany(jobs, 4); err == nil {
+	if _, err := RunMany(context.Background(), jobs, 4); err == nil {
 		t.Error("invalid job config not reported")
 	}
 }
@@ -82,7 +83,7 @@ func TestRunManyFailsFastBeforeAnyWork(t *testing.T) {
 		{Config: batchTestConfig(2, SchemeChoir), Receiver: rx},
 		{Config: Config{}, Receiver: rx}, // invalid: caught up front
 	}
-	_, err := RunMany(jobs, 4)
+	_, err := RunMany(context.Background(), jobs, 4)
 	if err == nil {
 		t.Fatal("invalid job config not reported")
 	}
@@ -96,7 +97,7 @@ func TestRunManyFailsFastBeforeAnyWork(t *testing.T) {
 
 func TestRunManyRejectsNilReceiver(t *testing.T) {
 	jobs := []Job{{Config: batchTestConfig(1, SchemeAloha)}}
-	if _, err := RunMany(jobs, 1); err == nil {
+	if _, err := RunMany(context.Background(), jobs, 1); err == nil {
 		t.Error("nil receiver not reported")
 	}
 }
@@ -116,8 +117,8 @@ func TestValidateRejectsUnknownSchemeAndNegativeKnobs(t *testing.T) {
 }
 
 func TestRunManyEmpty(t *testing.T) {
-	out, err := RunMany(nil, 4)
+	out, err := RunMany(context.Background(), nil, 4)
 	if err != nil || len(out) != 0 {
-		t.Errorf("RunMany(nil) = %v, %v", out, err)
+		t.Errorf("RunMany(context.Background(), nil) = %v, %v", out, err)
 	}
 }

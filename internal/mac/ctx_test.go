@@ -7,32 +7,14 @@ import (
 	"testing"
 )
 
-// TestRunCtxBackgroundMatchesRun pins that the context plumbing is free
-// when unused: RunCtx under a background context is identical to Run.
-func TestRunCtxBackgroundMatchesRun(t *testing.T) {
-	cfg := baseConfig(SchemeChoir, 20)
-	rx := ModelReceiver{Success: []float64{1, 0.9, 0.7, 0.4}, MaxConcurrent: 4}
-	want, err := Run(cfg, rx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunCtx(context.Background(), cfg, rx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("RunCtx diverged from Run:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 // TestRunCtxCanceledAbandonsSimulation pins the slot-boundary cancel: a
 // dead context yields the context's error and no partial metrics.
 func TestRunCtxCanceledAbandonsSimulation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m, err := RunCtx(ctx, baseConfig(SchemeAloha, 20), AlohaReceiver{})
+	m, err := Run(ctx, baseConfig(SchemeAloha, 20), AlohaReceiver{})
 	if m != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx = %v, %v; want nil, context.Canceled", m, err)
+		t.Fatalf("Run = %v, %v; want nil, context.Canceled", m, err)
 	}
 }
 
@@ -45,20 +27,20 @@ func TestRunManyCtxCanceledStopsFanOut(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunManyCtx(ctx, jobs, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunManyCtx err = %v, want context.Canceled", err)
+	if _, err := RunMany(ctx, jobs, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunMany err = %v, want context.Canceled", err)
 	}
 
 	// And with a live context the batch matches the serial runner.
-	want, err := RunManyCtx(context.Background(), jobs, 1)
+	want, err := RunMany(context.Background(), jobs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunManyCtx(context.Background(), jobs, 4)
+	got, err := RunMany(context.Background(), jobs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("RunManyCtx results depend on worker count")
+		t.Error("RunMany results depend on worker count")
 	}
 }

@@ -288,26 +288,21 @@ type node struct {
 }
 
 // appendReceiver is an optional Receiver extension: DecodeAppend appends the
-// decoded subset to dst, letting RunCtx reuse one buffer across slots. The
+// decoded subset to dst, letting Run reuse one buffer across slots. The
 // RNG draws and decoded set must match Decode's exactly.
 type appendReceiver interface {
 	DecodeAppend(dst []NodeID, tx []NodeID, rng *rand.Rand) []NodeID
 }
 
-// Run simulates the cell and returns aggregate metrics.
-func Run(cfg Config, rx Receiver) (*Metrics, error) {
-	return RunCtx(context.Background(), cfg, rx)
-}
-
-// ctxCheckInterval is how many simulated slots RunCtx advances between
+// ctxCheckInterval is how many simulated slots Run advances between
 // context polls — frequent enough that cancellation lands within
 // milliseconds, rare enough that the poll never shows up in profiles.
 const ctxCheckInterval = 256
 
-// RunCtx is Run bounded by a context: the slot loop polls ctx every
-// ctxCheckInterval slots and abandons the simulation (returning the
-// context's error, no partial metrics) once it fires.
-func RunCtx(ctx context.Context, cfg Config, rx Receiver) (*Metrics, error) {
+// Run simulates the cell and returns aggregate metrics. The slot loop polls
+// ctx every ctxCheckInterval slots and abandons the simulation (returning
+// the context's error, no partial metrics) once it fires.
+func Run(ctx context.Context, cfg Config, rx Receiver) (*Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -66,7 +67,7 @@ func TestModelReceiverCapacityCap(t *testing.T) {
 
 func TestOracleSaturatedDeliversEverySlot(t *testing.T) {
 	cfg := baseConfig(SchemeOracle, 10)
-	m, err := Run(cfg, AlohaReceiver{})
+	m, err := Run(context.Background(), cfg, AlohaReceiver{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestOracleSaturatedDeliversEverySlot(t *testing.T) {
 
 func TestAlohaSaturatedIsLossy(t *testing.T) {
 	cfg := baseConfig(SchemeAloha, 10)
-	m, err := Run(cfg, AlohaReceiver{})
+	m, err := Run(context.Background(), cfg, AlohaReceiver{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestChoirScalesWithConcurrency(t *testing.T) {
 		success[i] = 1
 	}
 	cfg := baseConfig(SchemeChoir, 8)
-	m, err := Run(cfg, ModelReceiver{Success: success})
+	m, err := Run(context.Background(), cfg, ModelReceiver{Success: success})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +121,11 @@ func TestChoirBeatsAlohaUnderRealisticModel(t *testing.T) {
 	// Success probabilities decaying with concurrency, as calibrated Choir
 	// behaves: still far better than ALOHA.
 	success := []float64{0.99, 0.97, 0.95, 0.9, 0.85, 0.8, 0.7, 0.6, 0.5, 0.4}
-	choir, err := Run(baseConfig(SchemeChoir, 10), ModelReceiver{Success: success})
+	choir, err := Run(context.Background(), baseConfig(SchemeChoir, 10), ModelReceiver{Success: success})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aloha, err := Run(baseConfig(SchemeAloha, 10), AlohaReceiver{})
+	aloha, err := Run(context.Background(), baseConfig(SchemeAloha, 10), AlohaReceiver{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestLightLoadAllSchemesDeliver(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeAloha, SchemeOracle, SchemeChoir} {
 		cfg := baseConfig(scheme, 5)
 		cfg.ArrivalPerSlot = 0.01
-		m, err := Run(cfg, ModelReceiver{Success: []float64{1, 0.9, 0.8}})
+		m, err := Run(context.Background(), cfg, ModelReceiver{Success: []float64{1, 0.9, 0.8}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +165,7 @@ func TestRunValidation(t *testing.T) {
 		{Nodes: 1, Slots: 10, ArrivalPerSlot: 1.5, SlotSeconds: 1, PacketBits: 8},
 	}
 	for i, cfg := range bad {
-		if _, err := Run(cfg, AlohaReceiver{}); err == nil {
+		if _, err := Run(context.Background(), cfg, AlohaReceiver{}); err == nil {
 			t.Errorf("case %d accepted: %+v", i, cfg)
 		}
 	}
@@ -172,11 +173,11 @@ func TestRunValidation(t *testing.T) {
 
 func TestRunIsDeterministic(t *testing.T) {
 	cfg := baseConfig(SchemeAloha, 7)
-	a, err := Run(cfg, AlohaReceiver{})
+	a, err := Run(context.Background(), cfg, AlohaReceiver{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, AlohaReceiver{})
+	b, err := Run(context.Background(), cfg, AlohaReceiver{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestMetricsAccountingProperty(t *testing.T) {
 			PacketBits:     64,
 			Seed:           seed,
 		}
-		m, err := Run(cfg, ModelReceiver{Success: []float64{1, 0.8, 0.5, 0.2}})
+		m, err := Run(context.Background(), cfg, ModelReceiver{Success: []float64{1, 0.8, 0.5, 0.2}})
 		if err != nil {
 			return false
 		}

@@ -1,7 +1,7 @@
 package mac
 
 // This file holds the per-node backlog queue shared by every MAC engine
-// driver in the tree: the paper-figure slot loop below (RunCtx) and the
+// driver in the tree: the paper-figure slot loop below (Run) and the
 // city-scale drivers in internal/sim/engine. It used to be a private detail
 // of the slot loop; the event-driven engine needs the identical structure so
 // both engines provably run the same node model.

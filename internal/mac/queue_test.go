@@ -126,15 +126,15 @@ func TestRunCtxCancelAccountsExactlyOnce(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunCtx(ctx, cfg, rx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled RunCtx err = %v", err)
+	if _, err := Run(ctx, cfg, rx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Run err = %v", err)
 	}
 	if runs.Value() != r0 || delivered.Value() != d0 {
 		t.Fatalf("canceled run leaked accounting: runs %d->%d delivered %d->%d",
 			r0, runs.Value(), d0, delivered.Value())
 	}
 
-	m, err := RunCtx(context.Background(), cfg, rx)
+	m, err := Run(context.Background(), cfg, rx)
 	if err != nil {
 		t.Fatal(err)
 	}

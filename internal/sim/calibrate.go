@@ -6,7 +6,7 @@ import (
 	"math/rand/v2"
 	"sync"
 
-	"choir/internal/choir"
+	"choir/internal/backend"
 	"choir/internal/exec"
 	"choir/internal/lora"
 )
@@ -56,21 +56,15 @@ func DefaultCalibration() CalibrationConfig {
 // collision sizes 1..MaxUsers and returns per-size per-user decode rates:
 // table[k-1] is the probability that one specific packet out of k
 // concurrent ones is recovered. Results are memoized per configuration
-// (ignoring Workers, which cannot affect them).
-func SuccessTable(cfg CalibrationConfig) []float64 {
-	table, _ := SuccessTableCtx(context.Background(), cfg)
-	return table
-}
-
-// SuccessTableCtx is SuccessTable bounded by a context. A canceled
-// calibration returns the context's error and stores nothing in the memo
-// cache — a partial table must never masquerade as the real one.
-func SuccessTableCtx(ctx context.Context, cfg CalibrationConfig) ([]float64, error) {
+// (ignoring Workers, which cannot affect them). A canceled calibration
+// returns the context's error and stores nothing in the memo cache — a
+// partial table must never masquerade as the real one.
+func SuccessTable(ctx context.Context, cfg CalibrationConfig) ([]float64, error) {
 	key := cfg.digest()
 	if v, ok := calibCache.Load(key); ok {
 		return v.([]float64), nil
 	}
-	table, err := SuccessTableUncachedCtx(ctx, cfg)
+	table, err := SuccessTableUncached(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -84,23 +78,19 @@ func SuccessTableCtx(ctx context.Context, cfg CalibrationConfig) ([]float64, err
 // across cfg.Workers goroutines; each trial owns a derived seed, a pooled
 // decoder reseeded on checkout, and a private result slot, and the
 // reduction runs in trial order, so the table is byte-identical for any
-// worker count.
-func SuccessTableUncached(cfg CalibrationConfig) []float64 {
-	table, _ := SuccessTableUncachedCtx(context.Background(), cfg)
-	return table
-}
-
-// SuccessTableUncachedCtx is SuccessTableUncached bounded by a context:
-// once ctx fires no further trials start and the context's error is
-// returned instead of a partial table.
-func SuccessTableUncachedCtx(ctx context.Context, cfg CalibrationConfig) ([]float64, error) {
+// worker count. Once ctx fires no further trials start and the context's
+// error is returned instead of a partial table.
+func SuccessTableUncached(ctx context.Context, cfg CalibrationConfig) ([]float64, error) {
 	table := make([]float64, cfg.MaxUsers)
 	if cfg.MaxUsers <= 0 || cfg.Trials <= 0 {
 		return table, nil
 	}
-	dpool := exec.MustNewDecoderPool(choir.DefaultConfig(cfg.Params))
+	dpool, err := backend.NewPool("choir", cfg.Params)
+	if err != nil {
+		return nil, err
+	}
 	type cell struct{ recovered, total int }
-	cells, err := exec.MapCtx(ctx, exec.NewPool(cfg.Workers), cfg.MaxUsers*cfg.Trials, func(i int) cell {
+	cells, err := exec.Map(ctx, exec.NewPool(cfg.Workers), cfg.MaxUsers*cfg.Trials, func(i int) cell {
 		k := i/cfg.Trials + 1
 		trial := i % cfg.Trials
 		seed := exec.DeriveSeed(cfg.Seed, uint64(k), uint64(trial))
@@ -115,9 +105,9 @@ func SuccessTableUncachedCtx(ctx context.Context, cfg CalibrationConfig) ([]floa
 			SNRsDB:     snrs,
 			Seed:       seed,
 		}
-		dec := dpool.Get(exec.DeriveSeed(seed, 0xDEC0DE))
-		defer dpool.Put(dec)
-		r, n := sc.DecodeWith(dec)
+		b := dpool.Get(exec.DeriveSeed(seed, 0xDEC0DE))
+		defer dpool.Put(b)
+		r, n := sc.DecodeWith(backend.Decoder(b))
 		return cell{recovered: r, total: n}
 	})
 	if err != nil {

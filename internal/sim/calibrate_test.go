@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -18,8 +19,8 @@ func fastCal(seed uint64) CalibrationConfig {
 
 func TestCalibCacheHitsOnIdenticalConfigs(t *testing.T) {
 	cfg := fastCal(101)
-	first := SuccessTable(cfg)
-	again := SuccessTable(cfg) // fresh but identical struct
+	first := must(SuccessTable(context.Background(), cfg))
+	again := must(SuccessTable(context.Background(), cfg)) // fresh but identical struct
 	if &again[0] != &first[0] {
 		t.Error("identical configs did not share the cached table")
 	}
@@ -27,7 +28,7 @@ func TestCalibCacheHitsOnIdenticalConfigs(t *testing.T) {
 	// serial run's cache entry.
 	par := cfg
 	par.Workers = 8
-	if cached := SuccessTable(par); &cached[0] != &first[0] {
+	if cached := must(SuccessTable(context.Background(), par)); &cached[0] != &first[0] {
 		t.Error("Workers leaked into the cache key")
 	}
 }
@@ -35,8 +36,8 @@ func TestCalibCacheHitsOnIdenticalConfigs(t *testing.T) {
 func TestCalibCacheMissesOnDifferingSeeds(t *testing.T) {
 	a := fastCal(102)
 	b := fastCal(103)
-	ta := SuccessTable(a)
-	tb := SuccessTable(b)
+	ta := must(SuccessTable(context.Background(), a))
+	tb := must(SuccessTable(context.Background(), b))
 	if &ta[0] == &tb[0] {
 		t.Error("different seeds shared one cache entry")
 	}
@@ -72,9 +73,9 @@ func TestCalibDigestCoversResultFields(t *testing.T) {
 func TestSuccessTableDeterministicAcrossWorkers(t *testing.T) {
 	cfg := fastCal(104)
 	cfg.Workers = 1
-	serial := SuccessTableUncached(cfg)
+	serial := must(SuccessTableUncached(context.Background(), cfg))
 	cfg.Workers = 8
-	parallel := SuccessTableUncached(cfg)
+	parallel := must(SuccessTableUncached(context.Background(), cfg))
 	if s, p := fmt.Sprintf("%v", serial), fmt.Sprintf("%v", parallel); s != p {
 		t.Errorf("Workers=1 table %s != Workers=8 table %s", s, p)
 	}
@@ -90,7 +91,7 @@ func TestFig8DeterministicAcrossWorkers(t *testing.T) {
 		cfg.Slots = 300
 		cfg.Calibration = fastCal(105)
 		cfg.Workers = workers
-		fig, err := Fig8Users(cfg, Throughput)
+		fig, err := Fig8Users(context.Background(), cfg, Throughput)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,12 +107,12 @@ func TestFig8DeterministicAcrossWorkers(t *testing.T) {
 func TestSuccessTableEmptyConfigs(t *testing.T) {
 	cfg := fastCal(106)
 	cfg.Trials = 0
-	if table := SuccessTableUncached(cfg); len(table) != cfg.MaxUsers {
+	if table := must(SuccessTableUncached(context.Background(), cfg)); len(table) != cfg.MaxUsers {
 		t.Errorf("zero-trial table length %d", len(table))
 	}
 	cfg = fastCal(107)
 	cfg.MaxUsers = 0
-	if table := SuccessTableUncached(cfg); len(table) != 0 {
+	if table := must(SuccessTableUncached(context.Background(), cfg)); len(table) != 0 {
 		t.Errorf("zero-user table length %d", len(table))
 	}
 }

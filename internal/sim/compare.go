@@ -216,11 +216,6 @@ func (c *CompareResult) Fprint(w io.Writer) {
 	}
 }
 
-// Compare runs the head-to-head comparison.
-func Compare(cfg CompareConfig) (*CompareResult, error) {
-	return CompareCtx(context.Background(), cfg)
-}
-
 // compareCell is one (backend, capture) decode outcome.
 type compareCell struct {
 	recovered, expected int
@@ -228,9 +223,9 @@ type compareCell struct {
 	ns                  int64
 }
 
-// CompareCtx is Compare bounded by a context: once ctx fires no new decode
+// Compare runs the head-to-head comparison. Once ctx fires no new decode
 // starts and the context's error is returned instead of a partial result.
-func CompareCtx(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
+func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 	if cfg.Params.SF == 0 {
 		cfg.Params = lora.DefaultParams()
 	}
@@ -290,7 +285,7 @@ func CompareCtx(ctx context.Context, cfg CompareConfig) (*CompareResult, error) 
 	}
 
 	pool := exec.NewPool(cfg.Workers)
-	cells, err := exec.MapCtx(ctx, pool, len(backends)*nCaptures, func(k int) compareCell {
+	cells, err := exec.Map(ctx, pool, len(backends)*nCaptures, func(k int) compareCell {
 		bi, capIdx := k/nCaptures, k%nCaptures
 		name := backends[bi]
 		switch {
@@ -362,7 +357,7 @@ func decodeCapture(ctx context.Context, pl *backend.Pool, seed uint64, samples [
 	defer pl.Put(b)
 	cell := compareCell{expected: len(truth)}
 	t0 := time.Now()
-	res, err := backend.DecodeCtx(ctx, b, samples, payloadLen)
+	res, err := backend.Decode(ctx, b, samples, payloadLen)
 	cell.ns = time.Since(t0).Nanoseconds()
 	if err != nil {
 		cell.errClasses = append(cell.errClasses, taxonomyClass(err))

@@ -39,12 +39,12 @@ func TestCompareDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	cfg.Workers = 1
-	serial, err := Compare(cfg)
+	serial, err := Compare(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 8
-	parallel, err := Compare(cfg)
+	parallel, err := Compare(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestCompareGoldenFixtures(t *testing.T) {
 	if len(clean) < 3 {
 		t.Fatalf("expected at least 3 clean fixtures, got %d", len(clean))
 	}
-	res, err := CompareCtx(context.Background(), CompareConfig{
+	res, err := Compare(context.Background(), CompareConfig{
 		Fixtures: clean,
 		Seed:     1,
 	})
@@ -138,7 +138,7 @@ func TestCompareConfigErrors(t *testing.T) {
 	} {
 		cfg := base
 		mutate(&cfg)
-		if _, err := Compare(cfg); err == nil {
+		if _, err := Compare(context.Background(), cfg); err == nil {
 			t.Errorf("%s: expected configuration error", name)
 		}
 	}

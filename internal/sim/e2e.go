@@ -6,7 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 
-	"choir/internal/choir"
+	"choir/internal/backend"
 	"choir/internal/exec"
 	"choir/internal/geo"
 	"choir/internal/lora"
@@ -74,15 +74,10 @@ func (r *E2EReport) String() string {
 		r.TeamsDelivered, r.TeamsExpected, r.BeaconSlots, r.MaxServedDistance)
 }
 
-// EndToEnd runs the deployment experiment.
-func EndToEnd(cfg E2EConfig) (*E2EReport, error) {
-	return EndToEndCtx(context.Background(), cfg)
-}
-
-// EndToEndCtx is EndToEnd bounded by a context: cancellation stops the
-// IQ-level beacon rounds between fan-out tasks and returns the context's
-// error instead of a partial report.
-func EndToEndCtx(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
+// EndToEnd runs the deployment experiment. Cancellation stops the IQ-level
+// beacon rounds between fan-out tasks and returns the context's error
+// instead of a partial report.
+func EndToEnd(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 	if cfg.Sensors < 1 || cfg.PayloadLen < 1 || cfg.ConcurrentIndividuals < 1 {
 		return nil, fmt.Errorf("sim: invalid e2e config %+v", cfg)
 	}
@@ -136,7 +131,10 @@ func EndToEndCtx(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 	}
 
 	rep := &E2EReport{Sensors: cfg.Sensors, Unreachable: len(unreachable)}
-	dpool := exec.MustNewDecoderPool(choir.DefaultConfig(p))
+	dpool, err := backend.NewPool("choir", p)
+	if err != nil {
+		return nil, err
+	}
 	pool := exec.NewPool(cfg.Workers)
 
 	// Partition schedule entries; individual slots are merged into
@@ -173,7 +171,7 @@ func EndToEndCtx(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 		batches = append(batches, individuals[start:end])
 	}
 	type roundResult struct{ recovered, total int }
-	indResults, err := exec.MapCtx(ctx, pool, len(batches), func(bi int) roundResult {
+	indResults, err := exec.Map(ctx, pool, len(batches), func(bi int) roundResult {
 		batch := batches[bi]
 		snrs := make([]float64, len(batch))
 		for i, id := range batch {
@@ -181,9 +179,9 @@ func EndToEndCtx(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 		}
 		seed := exec.DeriveSeed(cfg.Seed, 1, uint64(bi))
 		sc := Scenario{Params: p, PayloadLen: cfg.PayloadLen, SNRsDB: snrs, Seed: seed}
-		dec := dpool.Get(exec.DeriveSeed(seed, 0xDEC0DE))
-		defer dpool.Put(dec)
-		recovered, total := sc.DecodeWith(dec)
+		b := dpool.Get(exec.DeriveSeed(seed, 0xDEC0DE))
+		defer dpool.Put(b)
+		recovered, total := sc.DecodeWith(backend.Decoder(b))
 		return roundResult{recovered: recovered, total: total}
 	})
 	if err != nil {
@@ -208,7 +206,7 @@ func EndToEndCtx(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 
 	// Team rounds: identical payloads, below-noise joint decoding, fanned
 	// out the same way.
-	delivered, err := exec.MapCtx(ctx, pool, len(teams), func(ti int) bool {
+	delivered, err := exec.Map(ctx, pool, len(teams), func(ti int) bool {
 		e := teams[ti]
 		snrs := make([]float64, len(e.Team))
 		for i, id := range e.Team {
@@ -217,9 +215,9 @@ func EndToEndCtx(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 		seed := exec.DeriveSeed(cfg.Seed, 2, uint64(e.Team[0]))
 		sc := Scenario{Params: p, PayloadLen: cfg.PayloadLen, SNRsDB: snrs, Identical: true, Seed: seed}
 		sig, payloads := sc.Synthesize()
-		dec := dpool.Get(exec.DeriveSeed(seed, 0xDEC0DE))
-		defer dpool.Put(dec)
-		res, err := dec.DecodeTeam(sig, cfg.PayloadLen)
+		b := dpool.Get(exec.DeriveSeed(seed, 0xDEC0DE))
+		defer dpool.Put(b)
+		res, err := backend.Decoder(b).DecodeTeam(trialCtx, sig, cfg.PayloadLen)
 		return err == nil && res.Err == nil && string(res.Payload) == string(payloads[0])
 	})
 	if err != nil {

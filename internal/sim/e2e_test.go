@@ -1,13 +1,14 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestEndToEndDeployment(t *testing.T) {
 	cfg := DefaultE2E()
-	rep, err := EndToEnd(cfg)
+	rep, err := EndToEnd(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestEndToEndTeamsExtendCoverage(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		cfg := DefaultE2E()
 		cfg.Seed = seed
-		rep, err := EndToEnd(cfg)
+		rep, err := EndToEnd(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func TestEndToEndTeamsExtendCoverage(t *testing.T) {
 }
 
 func TestEndToEndValidation(t *testing.T) {
-	if _, err := EndToEnd(E2EConfig{}); err == nil {
+	if _, err := EndToEnd(context.Background(), E2EConfig{}); err == nil {
 		t.Error("zero config accepted")
 	}
 }
@@ -73,7 +74,7 @@ func TestEndToEndMoreBasesImproveCoverage(t *testing.T) {
 			cfg := DefaultE2E()
 			cfg.Seed = seed
 			cfg.Bases = bases
-			rep, err := EndToEnd(cfg)
+			rep, err := EndToEnd(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -715,7 +715,7 @@ func (c *core) decodeDraw(i int32, s int64) float64 {
 }
 
 // vetoed applies the unslotted-ALOHA adjacent-slot overlap model to a
-// decoded transmission, mirroring mac.RunCtx: each of the previous slot's
+// decoded transmission, mirroring mac.Run: each of the previous slot's
 // prevK same-group transmissions (standing in for both neighbours, hence
 // 2×) overlaps and destroys the packet with probability 1/2.
 func (c *core) vetoed(i int32, s int64, prevK int32) bool {

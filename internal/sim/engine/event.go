@@ -47,8 +47,16 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 	nodes := c.cfg.Nodes
 	pool := exec.NewPool(c.cfg.Workers)
 
+	// Every phase below fans out under the run's ctx. A fan-out cut short
+	// leaves its slot half-applied, so its error abandons the run: the
+	// caller gets the cancellation and no metrics.
+	activeSlots := int64(0)
+	canceled := func(err error) (*Metrics, error) {
+		return nil, fmt.Errorf("engine: run canceled mid-drain after %d active slots: %w", activeSlots, err)
+	}
+
 	shards := make([]shardState, nShards)
-	pool.ForEach(nShards, func(si int) {
+	err := pool.ForEach(ctx, nShards, func(si int) {
 		sh := &shards[si]
 		sh.base = int32(si * nodes / nShards)
 		end := int32((si + 1) * nodes / nShards)
@@ -64,22 +72,18 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 			}
 		}
 	})
+	if err != nil {
+		return canceled(err)
+	}
 
 	var (
-		totalK      = map[uint32]int32{}
-		lastCounts  = map[uint32]int32{}
-		probs       = map[uint32]float64{}
-		lastSlot    = int64(-2)
-		activeSlots = int64(0)
-		fsl         foreignSlot
+		totalK     = map[uint32]int32{}
+		lastCounts = map[uint32]int32{}
+		probs      = map[uint32]float64{}
+		lastSlot   = int64(-2)
+		fsl        foreignSlot
 	)
 	for {
-		// One iteration processes an entire active slot — thousands of
-		// events at city scale — so unlike the per-slot drivers there is
-		// no need to amortize the context poll.
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("engine: run canceled mid-drain after %d active slots: %w", activeSlots, ctx.Err())
-		}
 		// The top of the loop is a serial point — every phase of the
 		// previous slot has joined — so partial shard totals are safe to
 		// fold and stream for live progress.
@@ -105,7 +109,7 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 		// Phase A (parallel): drain this slot's wakes. Arrivals are
 		// applied, transmitters collected in ascending node order, and
 		// per-(gateway, SF) transmitter counts tallied per shard.
-		pool.ForEach(nShards, func(si int) {
+		err := pool.ForEach(ctx, nShards, func(si int) {
 			sh := &shards[si]
 			sh.tx = sh.tx[:0]
 			clear(sh.count)
@@ -122,6 +126,9 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 				}
 			}
 		})
+		if err != nil {
+			return canceled(err)
+		}
 
 		// Serial merge: global per-group transmitter counts, hence each
 		// group's per-transmission decode probability.
@@ -148,7 +155,7 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 			// Fast path: no group can exceed the receiver's per-slot
 			// capacity, so every Bernoulli success is kept and the
 			// tentative/grant round-trip collapses into one phase.
-			pool.ForEach(nShards, func(si int) {
+			err = pool.ForEach(ctx, nShards, func(si int) {
 				sh := &shards[si]
 				for _, i := range sh.tx {
 					ns := &c.nodes[i]
@@ -165,7 +172,7 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 		} else {
 			// Phase B (parallel): tentative Bernoulli outcomes and
 			// per-shard success counts per group.
-			pool.ForEach(nShards, func(si int) {
+			err = pool.ForEach(ctx, nShards, func(si int) {
 				sh := &shards[si]
 				sh.bern = sh.bern[:0]
 				clear(sh.tent)
@@ -178,6 +185,9 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 					}
 				}
 			})
+			if err != nil {
+				return canceled(err)
+			}
 			// Serial grant: the capacity cap keeps the first Capacity()
 			// successes in GLOBAL ascending node order. Shards are
 			// ascending ID ranges, so walking them in index order and
@@ -197,7 +207,7 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 			}
 			// Phase C (parallel): settle outcomes within each shard's
 			// grant, in ascending node order.
-			pool.ForEach(nShards, func(si int) {
+			err = pool.ForEach(ctx, nShards, func(si int) {
 				sh := &shards[si]
 				clear(sh.taken)
 				for idx, i := range sh.tx {
@@ -216,6 +226,9 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 					sh.reschedule(c, i)
 				}
 			})
+		}
+		if err != nil {
+			return canceled(err)
 		}
 
 		lastSlot = s

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"choir/internal/choir"
+	"choir/internal/backend"
 	"choir/internal/exec"
 	"choir/internal/fault"
 	"choir/internal/lora"
@@ -54,15 +54,9 @@ func DefaultFaultSweep() FaultSweepConfig {
 // FaultSweep measures decode success versus fault intensity, one series per
 // fault class. Trials fan out across the worker pool; results are identical
 // for any worker count, and the zero-intensity points of every class decode
-// the literal unfaulted trials.
-func FaultSweep(cfg FaultSweepConfig) (*Figure, error) {
-	return FaultSweepCtx(context.Background(), cfg)
-}
-
-// FaultSweepCtx is FaultSweep bounded by a context: once ctx fires no new
-// trial starts and the context's error is returned instead of a partial
-// figure.
-func FaultSweepCtx(ctx context.Context, cfg FaultSweepConfig) (*Figure, error) {
+// the literal unfaulted trials. Once ctx fires no new trial starts and the
+// context's error is returned instead of a partial figure.
+func FaultSweep(ctx context.Context, cfg FaultSweepConfig) (*Figure, error) {
 	if cfg.Params.SF == 0 {
 		cfg.Params = lora.DefaultParams()
 	}
@@ -88,7 +82,7 @@ func FaultSweepCtx(ctx context.Context, cfg FaultSweepConfig) (*Figure, error) {
 		}
 	}
 
-	dpool, err := exec.NewDecoderPool(choir.DefaultConfig(cfg.Params))
+	dpool, err := backend.NewPool("choir", cfg.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +91,7 @@ func FaultSweepCtx(ctx context.Context, cfg FaultSweepConfig) (*Figure, error) {
 	// Flatten (grid cell × trial) so narrow sweeps still saturate workers.
 	type cell struct{ recovered, total int }
 	nCells := len(injs)
-	results, err := exec.MapCtx(ctx, pool, nCells*cfg.Trials, func(k int) cell {
+	results, err := exec.Map(ctx, pool, nCells*cfg.Trials, func(k int) cell {
 		ci, trial := k/cfg.Trials, k%cfg.Trials
 		// The scenario seed depends ONLY on the trial index: every grid
 		// point corrupts the same collision set, and zero intensity
@@ -110,10 +104,10 @@ func FaultSweepCtx(ctx context.Context, cfg FaultSweepConfig) (*Figure, error) {
 			SNRsDB:     repeat(cfg.SNRDB, cfg.Users),
 			Seed:       scSeed,
 		}
-		dec := dpool.Get(exec.DeriveSeed(scSeed, 0xDEC0DE))
-		defer dpool.Put(dec)
+		b := dpool.Get(exec.DeriveSeed(scSeed, 0xDEC0DE))
+		defer dpool.Put(b)
 		faultSeed := exec.DeriveSeed(cfg.Seed, 0xFA017, uint64(ci), uint64(trial))
-		rec, tot := sc.DecodeFaultedWith(dec, injs[ci], faultSeed)
+		rec, tot := sc.DecodeFaultedWith(backend.Decoder(b), injs[ci], faultSeed)
 		return cell{recovered: rec, total: tot}
 	})
 	if err != nil {

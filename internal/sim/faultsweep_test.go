@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -25,12 +26,12 @@ func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 	cfg := faultSweepTestConfig()
 	cfg.Workers = 1
-	serial, err := FaultSweep(cfg)
+	serial, err := FaultSweep(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 8
-	parallel, err := FaultSweep(cfg)
+	parallel, err := FaultSweep(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +49,14 @@ func TestFaultSweepZeroIntensityMatchesUnfaulted(t *testing.T) {
 		t.Skip("IQ-level fault sweep skipped in -short mode")
 	}
 	cfg := faultSweepTestConfig()
-	fig, err := FaultSweep(cfg)
+	fig, err := FaultSweep(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Recompute the unfaulted recovery rate through the ordinary
 	// (injector-free) decode path with the sweep's seed derivation.
-	dpool := exec.MustNewDecoderPool(choir.DefaultConfig(cfg.Params))
+	dec := choir.MustNew(choir.DefaultConfig(cfg.Params))
 	rec, tot := 0, 0
 	for trial := 0; trial < cfg.Trials; trial++ {
 		scSeed := exec.DeriveSeed(cfg.Seed, uint64(trial))
@@ -65,9 +66,8 @@ func TestFaultSweepZeroIntensityMatchesUnfaulted(t *testing.T) {
 			SNRsDB:     repeat(cfg.SNRDB, cfg.Users),
 			Seed:       scSeed,
 		}
-		dec := dpool.Get(exec.DeriveSeed(scSeed, 0xDEC0DE))
+		dec.Reseed(exec.DeriveSeed(scSeed, 0xDEC0DE))
 		r, n := sc.DecodeWith(dec)
-		dpool.Put(dec)
 		rec, tot = rec+r, tot+n
 	}
 	want := float64(rec) / float64(tot)
@@ -92,7 +92,7 @@ func TestFaultSweepSevereTruncationFails(t *testing.T) {
 	cfg := faultSweepTestConfig()
 	cfg.Classes = []fault.Class{fault.Truncate}
 	cfg.Intensities = []float64{0, 1}
-	fig, err := FaultSweep(cfg)
+	fig, err := FaultSweep(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,17 +108,17 @@ func TestFaultSweepSevereTruncationFails(t *testing.T) {
 func TestFaultSweepValidation(t *testing.T) {
 	bad := faultSweepTestConfig()
 	bad.Trials = 0
-	if _, err := FaultSweep(bad); err == nil {
+	if _, err := FaultSweep(context.Background(), bad); err == nil {
 		t.Error("Trials=0 accepted")
 	}
 	bad = faultSweepTestConfig()
 	bad.Intensities = nil
-	if _, err := FaultSweep(bad); err == nil {
+	if _, err := FaultSweep(context.Background(), bad); err == nil {
 		t.Error("empty intensity grid accepted")
 	}
 	bad = faultSweepTestConfig()
 	bad.Intensities = []float64{2}
-	if _, err := FaultSweep(bad); err == nil {
+	if _, err := FaultSweep(context.Background(), bad); err == nil {
 		t.Error("out-of-range intensity accepted")
 	}
 }
@@ -131,7 +131,7 @@ func TestFaultSweepDefaultsPHY(t *testing.T) {
 	cfg.Classes = []fault.Class{fault.Clip}
 	cfg.Intensities = []float64{0}
 	cfg.Trials = 1
-	if _, err := FaultSweep(cfg); err != nil {
+	if _, err := FaultSweep(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -38,16 +38,10 @@ func RequiredTeamSize(d float64, maxTeam int) int {
 // bits, so resolution degrades gracefully with distance. The (distance ×
 // trial) grid fans out across workers goroutines (<= 0 uses every CPU);
 // both sensor kinds reuse each trial's random stream so the comparison
-// stays paired, and results are identical for any worker count.
-func Fig10Resolution(distances []float64, trials int, seed uint64, workers int) *Figure {
-	fig, _ := Fig10ResolutionCtx(context.Background(), distances, trials, seed, workers)
-	return fig
-}
-
-// Fig10ResolutionCtx is Fig10Resolution bounded by a context: once ctx
+// stays paired, and results are identical for any worker count. Once ctx
 // fires no new trial starts and the context's error is returned instead of
 // a partial figure.
-func Fig10ResolutionCtx(ctx context.Context, distances []float64, trials int, seed uint64, workers int) (*Figure, error) {
+func Fig10Resolution(ctx context.Context, distances []float64, trials int, seed uint64, workers int) (*Figure, error) {
 	fig := &Figure{
 		ID:     "Fig 10",
 		Title:  "sensor-data resolution vs distance",
@@ -59,7 +53,7 @@ func Fig10ResolutionCtx(ctx context.Context, distances []float64, trials int, se
 	fields := []sensor.Field{sensor.HumidityField(), sensor.TemperatureField()}
 	// One task per (distance, trial); each returns the per-team errors of
 	// every kind, drawn from identical per-kind random streams.
-	perTrial, err := exec.MapCtx(ctx, exec.NewPool(workers), len(distances)*trials, func(i int) [][]float64 {
+	perTrial, err := exec.Map(ctx, exec.NewPool(workers), len(distances)*trials, func(i int) [][]float64 {
 		di := i / trials
 		trial := i % trials
 		team := RequiredTeamSize(distances[di], 30)
@@ -106,15 +100,8 @@ func Fig10ResolutionCtx(ctx context.Context, distances []float64, trials int, se
 // transmissions under the three grouping strategies, for temperature and
 // humidity. The (strategy × trial) grid fans out across workers
 // goroutines (<= 0 uses every CPU) with the same paired-stream and
-// order-fixed reduction contract as Fig10Resolution.
-func Fig11Grouping(teamSize, trials int, seed uint64, workers int) *Figure {
-	fig, _ := Fig11GroupingCtx(context.Background(), teamSize, trials, seed, workers)
-	return fig
-}
-
-// Fig11GroupingCtx is Fig11Grouping bounded by a context, with the same
-// cancellation contract as Fig10ResolutionCtx.
-func Fig11GroupingCtx(ctx context.Context, teamSize, trials int, seed uint64, workers int) (*Figure, error) {
+// order-fixed reduction and cancellation contract as Fig10Resolution.
+func Fig11Grouping(ctx context.Context, teamSize, trials int, seed uint64, workers int) (*Figure, error) {
 	fig := &Figure{
 		ID:     "Fig 11(a)",
 		Title:  "sensor-data error by grouping strategy",
@@ -125,7 +112,7 @@ func Fig11GroupingCtx(ctx context.Context, teamSize, trials int, seed uint64, wo
 	kinds := []sensor.Kind{sensor.Humidity, sensor.Temperature}
 	fields := []sensor.Field{sensor.HumidityField(), sensor.TemperatureField()}
 	strategies := []sensor.GroupStrategy{sensor.GroupRandom, sensor.GroupByFloor, sensor.GroupByCenterDistance}
-	perTrial, err := exec.MapCtx(ctx, exec.NewPool(workers), len(strategies)*trials, func(i int) [][]float64 {
+	perTrial, err := exec.Map(ctx, exec.NewPool(workers), len(strategies)*trials, func(i int) [][]float64 {
 		si := i / trials
 		trial := i % trials
 		out := make([][]float64, len(kinds))
@@ -166,14 +153,9 @@ func Fig11GroupingCtx(ctx context.Context, teamSize, trials int, seed uint64, wo
 // teamSize sensors each beyond it. Under the baselines the far sensors
 // contribute nothing (their packets never decode); Choir both disentangles
 // the near collisions and schedules beacon slots in which each far team's
-// shared MSB chunk is recovered.
-func Fig11Throughput(cfg Fig8Config, nearNodes, farTeams, teamSize int) (*Figure, error) {
-	return Fig11ThroughputCtx(context.Background(), cfg, nearNodes, farTeams, teamSize)
-}
-
-// Fig11ThroughputCtx is Fig11Throughput bounded by a context: cancellation
-// propagates into the calibration and the MAC cell simulations.
-func Fig11ThroughputCtx(ctx context.Context, cfg Fig8Config, nearNodes, farTeams, teamSize int) (*Figure, error) {
+// shared MSB chunk is recovered. Cancellation propagates into the
+// calibration and the MAC cell simulations.
+func Fig11Throughput(ctx context.Context, cfg Fig8Config, nearNodes, farTeams, teamSize int) (*Figure, error) {
 	p := cfg.Calibration.Params
 	payloadLen := cfg.Calibration.PayloadLen
 	slotSeconds := p.AirTime(payloadLen) * 1.1
@@ -198,7 +180,7 @@ func Fig11ThroughputCtx(ctx context.Context, cfg Fig8Config, nearNodes, farTeams
 		}
 		jobs = append(jobs, mac.Job{Config: cfg.macConfig(scheme, nearNodes, p, payloadLen), Receiver: rx})
 	}
-	metrics, err := mac.RunManyCtx(ctx, jobs, cfg.Workers)
+	metrics, err := mac.RunMany(ctx, jobs, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

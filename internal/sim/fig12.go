@@ -20,17 +20,12 @@ func DefaultFig12() Fig12Config {
 
 // Fig12MUMIMO reproduces Fig. 12: network throughput of five concurrent
 // sensors under (1) single-antenna ALOHA, (2) single-antenna Oracle TDMA,
-// (3) 3-antenna scheduled uplink MU-MIMO (zero-forcing separates at most
-// as many streams as antennas — the rank cap package mumimo demonstrates),
-// (4) single-antenna Choir, and (5) Choir run on all three antennas with
-// per-user selection diversity.
-func Fig12MUMIMO(cfg Fig12Config) (*Figure, error) {
-	return Fig12MUMIMOCtx(context.Background(), cfg)
-}
-
-// Fig12MUMIMOCtx is Fig12MUMIMO bounded by a context: cancellation
-// propagates into the calibration and the MAC cell simulations.
-func Fig12MUMIMOCtx(ctx context.Context, cfg Fig12Config) (*Figure, error) {
+// (3) 3-antenna scheduled uplink MU-MIMO (zero-forcing inverts an
+// antennas × users channel matrix, whose rank caps the separable streams at
+// the antenna count), (4) single-antenna Choir, and (5) Choir run on all
+// three antennas with per-user selection diversity. Cancellation propagates
+// into the calibration and the MAC cell simulations.
+func Fig12MUMIMO(ctx context.Context, cfg Fig12Config) (*Figure, error) {
 	f8 := cfg.Fig8
 	p := f8.Calibration.Params
 	payloadLen := f8.Calibration.PayloadLen
@@ -77,7 +72,7 @@ func Fig12MUMIMOCtx(ctx context.Context, cfg Fig12Config) (*Figure, error) {
 	for si, sys := range systems {
 		jobs[si] = mac.Job{Config: f8.macConfig(sys.scheme, cfg.Users, p, payloadLen), Receiver: sys.rx}
 	}
-	metrics, err := mac.RunManyCtx(ctx, jobs, f8.Workers)
+	metrics, err := mac.RunMany(ctx, jobs, f8.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -117,21 +112,16 @@ type Headline struct {
 }
 
 // ComputeHeadline runs the sweeps and extracts the headline ratios.
-func ComputeHeadline(cfg Fig8Config) (*Headline, error) {
-	return ComputeHeadlineCtx(context.Background(), cfg)
-}
-
-// ComputeHeadlineCtx is ComputeHeadline bounded by a context.
-func ComputeHeadlineCtx(ctx context.Context, cfg Fig8Config) (*Headline, error) {
-	tput, err := Fig8UsersCtx(ctx, cfg, Throughput)
+func ComputeHeadline(ctx context.Context, cfg Fig8Config) (*Headline, error) {
+	tput, err := Fig8Users(ctx, cfg, Throughput)
 	if err != nil {
 		return nil, err
 	}
-	lat, err := Fig8UsersCtx(ctx, cfg, Latency)
+	lat, err := Fig8Users(ctx, cfg, Latency)
 	if err != nil {
 		return nil, err
 	}
-	tx, err := Fig8UsersCtx(ctx, cfg, TxCount)
+	tx, err := Fig8Users(ctx, cfg, TxCount)
 	if err != nil {
 		return nil, err
 	}

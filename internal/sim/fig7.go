@@ -5,7 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 
-	"choir/internal/choir"
+	"choir/internal/backend"
 	"choir/internal/dsp"
 	"choir/internal/exec"
 	"choir/internal/lora"
@@ -69,15 +69,9 @@ func fracPart(v float64) float64 {
 // track whose RMS deviation (relative to the packet-level estimate) is the
 // reported instability. The (regime × pair) trials fan out across workers
 // goroutines (<= 0 uses every CPU); results are identical for any count.
-func Fig7Stability(pairsPerRegime int, seed uint64, workers int) *Figure {
-	fig, _ := Fig7StabilityCtx(context.Background(), pairsPerRegime, seed, workers)
-	return fig
-}
-
-// Fig7StabilityCtx is Fig7Stability bounded by a context: once ctx fires no
-// new pair starts and the context's error is returned instead of a partial
-// figure.
-func Fig7StabilityCtx(ctx context.Context, pairsPerRegime int, seed uint64, workers int) (*Figure, error) {
+// Once ctx fires no new pair starts and the context's error is returned
+// instead of a partial figure.
+func Fig7Stability(ctx context.Context, pairsPerRegime int, seed uint64, workers int) (*Figure, error) {
 	p := lora.DefaultParams()
 	binHz := p.Bandwidth / float64(p.N())
 	fig := &Figure{
@@ -87,10 +81,13 @@ func Fig7StabilityCtx(ctx context.Context, pairsPerRegime int, seed uint64, work
 		YLabel: "stdev of offset (Hz) / timing (us)",
 	}
 	regimes := []SNRRegime{LowSNR, MediumSNR, HighSNR}
-	dpool := exec.MustNewDecoderPool(choir.DefaultConfig(p))
+	dpool, err := backend.NewPool("choir", p)
+	if err != nil {
+		return nil, err
+	}
 	// One trial per (regime, pair); each returns the per-user RMS offset
 	// deviations of one decoded collision.
-	perTrial, err := exec.MapCtx(ctx, exec.NewPool(workers), len(regimes)*pairsPerRegime, func(i int) []float64 {
+	perTrial, err := exec.Map(ctx, exec.NewPool(workers), len(regimes)*pairsPerRegime, func(i int) []float64 {
 		ri := i / pairsPerRegime
 		trial := i % pairsPerRegime
 		s := exec.DeriveSeed(seed, uint64(ri), uint64(trial))
@@ -102,9 +99,9 @@ func Fig7StabilityCtx(ctx context.Context, pairsPerRegime int, seed uint64, work
 			Seed:       s,
 		}
 		sig, _ := sc.Synthesize()
-		dec := dpool.Get(exec.DeriveSeed(s, 0xDEC0DE))
-		defer dpool.Put(dec)
-		res, err := dec.Decode(sig, 8)
+		b := dpool.Get(exec.DeriveSeed(s, 0xDEC0DE))
+		defer dpool.Put(b)
+		res, err := backend.Decode(trialCtx, b, sig, 8)
 		if err != nil {
 			return nil
 		}

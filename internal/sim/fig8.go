@@ -37,7 +37,7 @@ func (c Fig8Config) choirTable(ctx context.Context, regime SNRRegime) ([]float64
 	cal := c.Calibration
 	cal.Regime = regime
 	cal.Workers = c.Workers
-	return SuccessTableCtx(ctx, cal)
+	return SuccessTable(ctx, cal)
 }
 
 // macConfig assembles the cell simulation for a scheme.
@@ -98,14 +98,9 @@ func metricOf(m *mac.Metrics, which Metric) float64 {
 // Fig8SNR reproduces Fig. 8(a)-(c): two concurrent users across the three
 // SNR regimes under ALOHA, Oracle and Choir, for the selected metric. Rate
 // adaptation picks the PHY per regime, so absolute throughput differs
-// across regimes as in the paper.
-func Fig8SNR(cfg Fig8Config, which Metric) (*Figure, error) {
-	return Fig8SNRCtx(context.Background(), cfg, which)
-}
-
-// Fig8SNRCtx is Fig8SNR bounded by a context: cancellation propagates into
-// both the IQ-level calibration and the MAC cell simulations.
-func Fig8SNRCtx(ctx context.Context, cfg Fig8Config, which Metric) (*Figure, error) {
+// across regimes as in the paper. Cancellation propagates into both the
+// IQ-level calibration and the MAC cell simulations.
+func Fig8SNR(ctx context.Context, cfg Fig8Config, which Metric) (*Figure, error) {
 	fig := &Figure{
 		ID:     "Fig 8(a-c)",
 		Title:  "two users vs SNR regime: " + which.String(),
@@ -138,7 +133,7 @@ func Fig8SNRCtx(ctx context.Context, cfg Fig8Config, which Metric) (*Figure, err
 			jobs = append(jobs, mac.Job{Config: cfg.macConfig(scheme, 2, p, payloadLen), Receiver: rx})
 		}
 	}
-	metrics, err := mac.RunManyCtx(ctx, jobs, cfg.Workers)
+	metrics, err := mac.RunMany(ctx, jobs, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -155,14 +150,9 @@ func Fig8SNRCtx(ctx context.Context, cfg Fig8Config, which Metric) (*Figure, err
 
 // Fig8Users reproduces Fig. 8(d)-(f): the selected metric as concurrent
 // users grow from 2 to 10, with an additional "Ideal" series for the
-// throughput panel (k packets per slot, as plotted in the paper).
-func Fig8Users(cfg Fig8Config, which Metric) (*Figure, error) {
-	return Fig8UsersCtx(context.Background(), cfg, which)
-}
-
-// Fig8UsersCtx is Fig8Users bounded by a context, with the same
-// cancellation contract as Fig8SNRCtx.
-func Fig8UsersCtx(ctx context.Context, cfg Fig8Config, which Metric) (*Figure, error) {
+// throughput panel (k packets per slot, as plotted in the paper), with the
+// same cancellation contract as Fig8SNR.
+func Fig8Users(ctx context.Context, cfg Fig8Config, which Metric) (*Figure, error) {
 	fig := &Figure{
 		ID:     "Fig 8(d-f)",
 		Title:  "scaling with concurrent users: " + which.String(),
@@ -196,7 +186,7 @@ func Fig8UsersCtx(ctx context.Context, cfg Fig8Config, which Metric) (*Figure, e
 			jobs = append(jobs, mac.Job{Config: cfg.macConfig(scheme, users, p, payloadLen), Receiver: rx})
 		}
 	}
-	metrics, err := mac.RunManyCtx(ctx, jobs, cfg.Workers)
+	metrics, err := mac.RunMany(ctx, jobs, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

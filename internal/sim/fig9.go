@@ -86,7 +86,7 @@ func ValidateTeamDecode(teamSize int, perMemberSNR float64, seed uint64) bool {
 	sc := Scenario{Params: p, PayloadLen: 8, SNRsDB: snrs, Identical: true, Seed: seed}
 	sig, payloads := sc.Synthesize()
 	dec := choir.MustNew(choir.DefaultConfig(p))
-	res, err := dec.DecodeTeam(sig, 8)
+	res, err := dec.DecodeTeam(trialCtx, sig, 8)
 	if err != nil || res.Err != nil {
 		return false
 	}

@@ -7,6 +7,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -176,17 +177,24 @@ func (s Scenario) Synthesize() ([]complex128, [][]byte) {
 	return channel.Combine(maxLen, emissions, cfg, rng), payloads
 }
 
+// trialCtx is the context of every decode inside a Monte-Carlo trial body.
+// The fan-out's contract (exec.Pool.ForEach) is that a started trial runs to
+// completion — a result slot is fully written or never touched — so a sweep's
+// cancellation stops new trials but must not cut a running decode short and
+// leave a failed cell in a sweep that then reports success.
+var trialCtx = context.Background()
+
 // DecodeWithChoir runs the Choir decoder on the scenario and reports how
 // many of the transmitted payloads were recovered. It builds a throwaway
-// decoder; trial loops should use DecodeWith with an exec.DecoderPool
-// instance instead, which amortizes FFT-plan construction across trials.
+// decoder; trial loops should use DecodeWith with a backend.Pool instance
+// instead, which amortizes FFT-plan construction across trials.
 func (s Scenario) DecodeWithChoir() (recovered int, total int) {
 	return s.DecodeWith(choir.MustNew(choir.DefaultConfig(s.Params)))
 }
 
-// DecodeWith runs the supplied Choir decoder — typically checked out of an
-// exec.DecoderPool for the trial — on the scenario and reports how many of
-// the transmitted payloads were recovered. The decoder must be built for
+// DecodeWith runs the supplied Choir decoder — typically checked out of a
+// backend.Pool for the trial — on the scenario and reports how many of the
+// transmitted payloads were recovered. The decoder must be built for
 // s.Params.
 func (s Scenario) DecodeWith(dec *choir.Decoder) (recovered int, total int) {
 	return s.DecodeFaultedWith(dec, nil, 0)
@@ -204,7 +212,7 @@ func (s Scenario) DecodeFaultedWith(dec *choir.Decoder, inj fault.Injector, faul
 	}
 	mTrials.Inc()
 	mPayloadsExpected.Add(int64(len(payloads)))
-	res, err := dec.Decode(sig, s.PayloadLen)
+	res, err := dec.Decode(trialCtx, sig, s.PayloadLen)
 	if err != nil {
 		mTrialDecodeErrs.Inc()
 		return 0, len(payloads)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"strings"
@@ -8,6 +9,15 @@ import (
 
 	"choir/internal/lora"
 )
+
+// must unwraps a (value, error) pair from an experiment entry point whose
+// error can only be a fired context — the tests pass Background.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 func TestRateForSNRMonotone(t *testing.T) {
 	prev := 0.0
@@ -68,7 +78,7 @@ func TestSuccessTableReasonable(t *testing.T) {
 	cfg := DefaultCalibration()
 	cfg.MaxUsers = 3
 	cfg.Trials = 3
-	table := SuccessTable(cfg)
+	table := must(SuccessTable(context.Background(), cfg))
 	if len(table) != 3 {
 		t.Fatalf("table len %d", len(table))
 	}
@@ -81,7 +91,7 @@ func TestSuccessTableReasonable(t *testing.T) {
 		}
 	}
 	// Memoized: second call must return the identical slice.
-	again := SuccessTable(cfg)
+	again := must(SuccessTable(context.Background(), cfg))
 	if &again[0] != &table[0] {
 		t.Error("success table not memoized")
 	}
@@ -131,7 +141,7 @@ func TestFig7OffsetsCDF(t *testing.T) {
 }
 
 func TestFig7StabilityImprovesWithSNR(t *testing.T) {
-	fig := Fig7Stability(2, 5, 0)
+	fig := must(Fig7Stability(context.Background(), 2, 5, 0))
 	fs := fig.SeriesAt("stdev CFO+TO (Hz)")
 	if fs == nil || len(fs.Y) != 3 {
 		t.Fatalf("bad stability series: %+v", fig)
@@ -155,7 +165,7 @@ func fastFig8() Fig8Config {
 
 func TestFig8UsersShape(t *testing.T) {
 	cfg := fastFig8()
-	fig, err := Fig8Users(cfg, Throughput)
+	fig, err := Fig8Users(context.Background(), cfg, Throughput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +196,11 @@ func TestFig8UsersShape(t *testing.T) {
 
 func TestFig8LatencyAndTxShape(t *testing.T) {
 	cfg := fastFig8()
-	lat, err := Fig8Users(cfg, Latency)
+	lat, err := Fig8Users(context.Background(), cfg, Latency)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, err := Fig8Users(cfg, TxCount)
+	tx, err := Fig8Users(context.Background(), cfg, TxCount)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +219,7 @@ func TestFig8LatencyAndTxShape(t *testing.T) {
 
 func TestFig8SNRRuns(t *testing.T) {
 	cfg := fastFig8()
-	fig, err := Fig8SNR(cfg, Throughput)
+	fig, err := Fig8SNR(context.Background(), cfg, Throughput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +278,7 @@ func TestValidateTeamDecodeAtOperatingPoint(t *testing.T) {
 }
 
 func TestFig10ResolutionDegradesWithDistance(t *testing.T) {
-	fig := Fig10Resolution([]float64{200, 800, 1600, 2400}, 3, 1, 0)
+	fig := must(Fig10Resolution(context.Background(), []float64{200, 800, 1600, 2400}, 3, 1, 0))
 	for _, s := range fig.Series {
 		if s.Y[len(s.Y)-1] <= s.Y[0] {
 			t.Errorf("%s: error at 2.4 km (%.4f) not above error at 200 m (%.4f)", s.Name, s.Y[len(s.Y)-1], s.Y[0])
@@ -282,7 +292,7 @@ func TestFig10ResolutionDegradesWithDistance(t *testing.T) {
 }
 
 func TestFig11GroupingOrder(t *testing.T) {
-	fig := Fig11Grouping(6, 10, 2, 0)
+	fig := must(Fig11Grouping(context.Background(), 6, 10, 2, 0))
 	for _, s := range fig.Series {
 		random, center := s.Y[0], s.Y[2]
 		if center >= random {
@@ -301,7 +311,7 @@ func TestFig11GroupingOrder(t *testing.T) {
 
 func TestFig11ThroughputOrder(t *testing.T) {
 	cfg := fastFig8()
-	fig, err := Fig11Throughput(cfg, 10, 4, 5)
+	fig, err := Fig11Throughput(context.Background(), cfg, 10, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +325,7 @@ func TestFig11ThroughputOrder(t *testing.T) {
 func TestFig12Order(t *testing.T) {
 	cfg := DefaultFig12()
 	cfg.Fig8 = fastFig8()
-	fig, err := Fig12MUMIMO(cfg)
+	fig, err := Fig12MUMIMO(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +346,7 @@ func TestFig12Order(t *testing.T) {
 }
 
 func TestComputeHeadline(t *testing.T) {
-	h, err := ComputeHeadline(fastFig8())
+	h, err := ComputeHeadline(context.Background(), fastFig8())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -27,7 +28,7 @@ func TestDebugWeakTruth(t *testing.T) {
 	}
 	sig, _ := sc.Synthesize()
 	dec := choir.MustNew(choir.DefaultConfig(sc.Params))
-	res, err := dec.Decode(sig, 8)
+	res, err := dec.Decode(context.Background(), sig, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
