@@ -126,18 +126,7 @@ var (
 	Combine = channel.Combine
 )
 
-// MAC simulation (package internal/mac).
-type (
-	// MACConfig parameterizes a cell simulation.
-	MACConfig = mac.Config
-	// NodeID identifies a client in a MAC simulation.
-	NodeID = mac.NodeID
-)
-
-// RunMAC simulates one cell under ctx (checked between slots).
-var RunMAC = mac.Run
-
-// MAC schemes.
+// MAC schemes (package internal/mac), run by the city engine below.
 const (
 	SchemeOracle = mac.SchemeOracle
 	SchemeChoir  = mac.SchemeChoir
@@ -233,18 +222,19 @@ var (
 	ParseFaultClass = fault.ParseClass
 )
 
-// Experiments (package internal/sim): every figure of Sec. 9.
+// Experiments (packages internal/sim and, for the MAC cell figures,
+// internal/sim/engine): every figure of Sec. 9.
 type (
 	// Figure is a reproduced paper figure (series over an x axis).
 	Figure = sim.Figure
 	// Scenario renders synthetic collisions at IQ level.
 	Scenario = sim.Scenario
 	// ExperimentConfig parameterizes the density experiments.
-	ExperimentConfig = sim.Fig8Config
+	ExperimentConfig = engine.Fig8Config
 	// ExperimentMetric selects throughput, latency, or transmission count.
-	ExperimentMetric = sim.Metric
+	ExperimentMetric = engine.Metric
 	// HeadlineResult aggregates the paper's headline gains.
-	HeadlineResult = sim.Headline
+	HeadlineResult = engine.Headline
 	// E2EReport summarizes an end-to-end deployment run.
 	E2EReport = sim.E2EReport
 )
@@ -255,17 +245,17 @@ type (
 var (
 	Fig7Offsets     = sim.Fig7Offsets
 	Fig7Stability   = sim.Fig7Stability
-	Fig8SNR         = sim.Fig8SNR
-	Fig8Users       = sim.Fig8Users
+	Fig8SNR         = engine.Fig8SNR
+	Fig8Users       = engine.Fig8Users
 	Fig9Throughput  = sim.Fig9Throughput
 	Fig9Range       = sim.Fig9Range
 	Fig10Resolution = sim.Fig10Resolution
 	Fig11Grouping   = sim.Fig11Grouping
-	Fig11Throughput = sim.Fig11Throughput
-	Fig12MUMIMO     = sim.Fig12MUMIMO
-	ComputeHeadline = sim.ComputeHeadline
-	DefaultFig8     = sim.DefaultFig8
-	DefaultFig12    = sim.DefaultFig12
+	Fig11Throughput = engine.Fig11Throughput
+	Fig12MUMIMO     = engine.Fig12MUMIMO
+	ComputeHeadline = engine.ComputeHeadline
+	DefaultFig8     = engine.DefaultFig8
+	DefaultFig12    = engine.DefaultFig12
 	// EndToEnd runs the full deployment pipeline (geometry, scheduling,
 	// IQ-level collision and team decoding) in one experiment.
 	EndToEnd   = sim.EndToEnd
@@ -284,9 +274,9 @@ var (
 
 // Metrics selectors for Fig8* experiments.
 const (
-	MetricThroughput = sim.Throughput
-	MetricLatency    = sim.Latency
-	MetricTxCount    = sim.TxCount
+	MetricThroughput = engine.Throughput
+	MetricLatency    = engine.Latency
+	MetricTxCount    = engine.TxCount
 )
 
 // Observability (package internal/obs): process-wide counters and latency

@@ -94,33 +94,43 @@ func TestPublicAPIExperiments(t *testing.T) {
 	}
 }
 
-// TestPublicAPIMAC drives the exported MAC simulation directly.
+// TestPublicAPIMAC drives the exported MAC simulation directly: a
+// single-gateway city under the oracle TDMA scheduler.
 func TestPublicAPIMAC(t *testing.T) {
-	m, err := choir.RunMAC(context.Background(), choir.MACConfig{
-		Scheme:         choir.SchemeOracle,
-		Nodes:          4,
-		Slots:          500,
-		ArrivalPerSlot: 1,
-		SlotSeconds:    0.1,
-		PacketBits:     64,
-		Seed:           2,
-	}, alohaRx{})
+	m, err := choir.RunCity(context.Background(), oracleCell(500, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Delivered != 500 {
-		t.Errorf("oracle delivered %d of 500 slots", m.Delivered)
+	if m.Unreachable != 0 || m.Delivered != 500 {
+		t.Errorf("oracle delivered %d of 500 slots (%d nodes unreachable)", m.Delivered, m.Unreachable)
 	}
 }
 
-// alohaRx is a minimal Receiver proving the interface is implementable from
-// outside the internal packages.
+// oracleCell is four saturated clients in one building under the genie
+// scheduler and the standard one-packet-per-slot receiver.
+func oracleCell(slots int, seed uint64) choir.CityConfig {
+	return choir.CityConfig{
+		Scheme:         choir.SchemeOracle,
+		Nodes:          4,
+		Gateways:       1,
+		Slots:          slots,
+		ArrivalPerSlot: 1,
+		SideM:          10,
+		PayloadLen:     8,
+		SlotSeconds:    0.1,
+		Receiver:       alohaRx{},
+		Seed:           seed,
+	}
+}
+
+// alohaRx is a minimal receiver model proving the interface is
+// implementable from outside the internal packages.
 type alohaRx struct{}
 
-func (alohaRx) Decode(tx []choir.NodeID, _ *rand.Rand) []choir.NodeID {
-	if len(tx) == 1 {
-		return tx
+func (alohaRx) PerTxProb(k int) float64 {
+	if k == 1 {
+		return 1
 	}
-	return nil
+	return 0
 }
 func (alohaRx) Capacity() int { return 1 }

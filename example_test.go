@@ -53,17 +53,9 @@ func ExampleModem_Demodulate() {
 	// Output: hello <nil>
 }
 
-// ExampleRunMAC simulates a small cell under the oracle TDMA scheduler.
-func ExampleRunMAC() {
-	metrics, err := choir.RunMAC(context.Background(), choir.MACConfig{
-		Scheme:         choir.SchemeOracle,
-		Nodes:          4,
-		Slots:          100,
-		ArrivalPerSlot: 1,
-		SlotSeconds:    0.1,
-		PacketBits:     64,
-		Seed:           1,
-	}, alohaRx{})
+// ExampleRunCity simulates a small cell under the oracle TDMA scheduler.
+func ExampleRunCity() {
+	metrics, err := choir.RunCity(context.Background(), oracleCell(100, 1))
 	if err != nil {
 		fmt.Println(err)
 		return

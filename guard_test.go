@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"choir"
 )
 
 // parseSources parses every non-test Go file of the module outside
@@ -101,5 +103,41 @@ func TestNoOrphanInternalPackages(t *testing.T) {
 		if !imported[dir] {
 			t.Errorf("%s is imported by no non-test file outside itself", dir)
 		}
+	}
+}
+
+// TestOneMACModel enforces DESIGN.md §15: internal/sim/engine is the only
+// simulator of the MAC schemes. internal/mac keeps the vocabulary (schemes,
+// receiver models, queue, team scheduler) and must not grow a second slot
+// loop back, and the engine must run all three schemes.
+func TestOneMACModel(t *testing.T) {
+	banned := map[string]bool{"Run": true, "RunMany": true, "Job": true, "Config": true, "Metrics": true, "Receiver": true}
+	sawMAC := false
+	parseSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
+		if dir != "internal/mac" {
+			return
+		}
+		sawMAC = true
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && banned[d.Name.Name] {
+					t.Errorf("internal/mac exports func %s: the engine is the one MAC simulator", d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && banned[ts.Name.Name] {
+						t.Errorf("internal/mac exports type %s: the engine is the one MAC simulator", ts.Name.Name)
+					}
+				}
+			}
+		}
+	})
+	if !sawMAC {
+		t.Fatal("found no sources under internal/mac")
+	}
+	oracle := choir.CityConfig{Scheme: choir.SchemeOracle, Nodes: 4, Slots: 10, Receiver: choir.CityModelReceiver{Success: []float64{1}}}
+	if err := oracle.Validate(); err != nil {
+		t.Errorf("engine rejects SchemeOracle: %v", err)
 	}
 }

@@ -21,11 +21,11 @@ var errBatchUnprocessed = errors.New("gateway: batch item not processed")
 // blocks on sample arrival; holding the rest of the batch behind that wait
 // would forfeit the batching win). The rest replay the serial ladder's
 // first-rung step — breaker gate, attempt accounting, per-frame seeds — but
-// run the decodes as one BatchDecoder call per PHY configuration, keeping
-// the backend's FFT plans and spectral grid hot across frames. Frames the
-// first rung fails resume the ordinary ladder at rung 1 with one attempt
-// consumed, so every frame's outcome, seed sequence and backoff schedule
-// are exactly what the serial path would have produced.
+// run the decodes as one backend.DecodeBatch call per PHY configuration, so
+// one pooled backend's FFT plans and scratch stay hot across frames. Frames
+// the first rung fails resume the ordinary ladder at rung 1 with one
+// attempt consumed, so every frame's outcome, seed sequence and backoff
+// schedule are exactly what the serial path would have produced.
 func (g *Gateway) processBatch(frames []*Frame) {
 	r0 := g.rungs[0]
 	last := len(g.rungs) - 1
@@ -126,8 +126,8 @@ func (g *Gateway) decodeGroup(p lora.Params, frames []*Frame, r0 *rung) {
 }
 
 // runBatch is the panic-isolated batched decode: one pooled backend decodes
-// every item via its BatchDecoder capability (or the serial fallback), timed
-// as a single span on gateway.batch_decode_ns.
+// every item in order through backend.DecodeBatch, timed as a single span on
+// gateway.batch_decode_ns.
 func (g *Gateway) runBatch(ctx context.Context, pool *backend.Pool, items []backend.BatchItem, name string) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {

@@ -67,11 +67,12 @@ type Config struct {
 	// worker count.
 	Seed uint64
 	// Batch is the most frames one worker drains from the queue and decodes
-	// per wakeup (default 1: no batching). Above 1, queued frames are decoded
-	// through the first rung's BatchDecoder capability when the backend has
-	// one, keeping FFT plans and the spectral grid hot across frames; each
-	// frame's outcome is exactly what the serial ladder would have produced
-	// (same seeds, same rung walk on failure). Two caveats: DecodeTimeout
+	// per wakeup (default 1: no batching). Above 1, queued frames sharing a
+	// PHY configuration are decoded back to back on one pooled first-rung
+	// backend (backend.DecodeBatch: Reseed + DecodeCtxInto per frame), so its
+	// FFT plans and scratch stay hot across frames; each frame's outcome is
+	// exactly what the serial ladder would have produced (same seeds, same
+	// rung walk on failure). Two caveats: DecodeTimeout
 	// bounds the whole first-rung batch rather than each frame's attempt,
 	// and breaker bookkeeping is batched — a batch checks the first rung's
 	// breaker for all of its frames before any of their results are
@@ -659,12 +660,16 @@ func (g *Gateway) emit(f *Frame, o Outcome) {
 		g.shed.Add(1)
 	}
 	g.outcomes <- o
+	// Decrement before pulsing: a ShedBlock submitter woken by the pulse
+	// re-checks pending against the admission limit, and one that reads the
+	// old count parks again with nobody left to wake it.
+	left := g.pending.Add(-1)
 	if g.admission != nil {
 		// Under admission control, capacity frees at the terminal outcome
 		// (pending), not at dequeue — wake a ShedBlock waiter here too.
 		g.signalSpace()
 	}
-	if g.pending.Add(-1) == 0 {
+	if left == 0 {
 		select {
 		case g.idle <- struct{}{}:
 		default:

@@ -1,10 +1,7 @@
 package mac
 
-// This file holds the per-node backlog queue shared by every MAC engine
-// driver in the tree: the paper-figure slot loop below (Run) and the
-// city-scale drivers in internal/sim/engine. It used to be a private detail
-// of the slot loop; the event-driven engine needs the identical structure so
-// both engines provably run the same node model.
+// This file holds the per-node backlog queue the engine's drivers
+// (internal/sim/engine) keep for every client.
 
 // Packet is one queued MAC payload, identified by the slot it arrived in so
 // delivery latency can be accounted without any per-packet allocation.
@@ -16,9 +13,8 @@ type Packet struct {
 // Queue is a head-indexed FIFO of packets: pops advance head instead of
 // re-slicing, so the backing array's front capacity is reclaimed (by
 // compaction on push, or wholesale when the queue drains) rather than
-// leaked — with queue[1:] pops every node reallocated its queue every
-// QueueCap deliveries, which dominated the old slot loop's profile. The
-// zero value is an empty queue ready for use.
+// leaked — with queue[1:] pops every node would reallocate its queue every
+// QueueCap deliveries. The zero value is an empty queue ready for use.
 type Queue struct {
 	buf  []Packet
 	head int

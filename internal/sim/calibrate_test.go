@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -78,29 +77,6 @@ func TestSuccessTableDeterministicAcrossWorkers(t *testing.T) {
 	parallel := must(SuccessTableUncached(context.Background(), cfg))
 	if s, p := fmt.Sprintf("%v", serial), fmt.Sprintf("%v", parallel); s != p {
 		t.Errorf("Workers=1 table %s != Workers=8 table %s", s, p)
-	}
-}
-
-// TestFig8DeterministicAcrossWorkers is the sweep half: a Fig. 8 users
-// sweep (IQ-calibrated Choir receiver plus the batched MAC runs) must be
-// byte-identical at Workers=1 and Workers=8.
-func TestFig8DeterministicAcrossWorkers(t *testing.T) {
-	mk := func(workers int) string {
-		calibCache = new(sync.Map) // force both runs to recalibrate
-		cfg := DefaultFig8()
-		cfg.Slots = 300
-		cfg.Calibration = fastCal(105)
-		cfg.Workers = workers
-		fig, err := Fig8Users(context.Background(), cfg, Throughput)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%+v", fig)
-	}
-	serial := mk(1)
-	parallel := mk(8)
-	if serial != parallel {
-		t.Errorf("Fig8Users diverged across worker counts:\nserial:   %s\nparallel: %s", serial, parallel)
 	}
 }
 

@@ -1,10 +1,13 @@
-// Package engine is the city-scale network simulator: the same slotted MAC
-// model as internal/mac, driven event-style over millions of nodes spread
-// across a multi-gateway urban grid. Where internal/mac walks every node
-// every slot (right for the paper's 2-30 node cells), this engine keeps a
-// priority queue of node wake events per spatial shard and only touches
-// nodes with work, so a sparse-traffic million-node city costs O(events),
-// not O(nodes × slots).
+// Package engine is the repository's one MAC simulator. It runs the three
+// schemes of internal/mac — ALOHA with binary exponential backoff, the
+// oracle TDMA genie, Choir — over slot-level receiver models, and it is the
+// only place where arrivals, backoff, the unslotted veto, the genie's
+// grants, queue drops and latency are defined. The same model serves the
+// paper's two-to-ten-client cells (figures.go: one gateway, one building)
+// and a multi-gateway urban grid of millions of nodes: the event driver
+// keeps a priority queue of node wake events per spatial shard and only
+// touches nodes with work, so a sparse-traffic million-node city costs
+// O(events), not O(nodes × slots).
 //
 // The load-bearing property is determinism by construction: every random
 // decision — arrival times, placement, shadowing, per-transmission decode
@@ -41,9 +44,10 @@ const (
 	// production driver.
 	DriverEvent Driver = iota
 	// DriverSlot is the serial reference driver: it walks every slot and
-	// scans every node, exactly like internal/mac's loop. It exists so the
-	// event driver has an independently-simple implementation of the same
-	// model to be equivalence-tested against.
+	// scans every node. It exists so the event driver has an
+	// independently-simple implementation of the same model to be
+	// equivalence-tested against, and it is the cheaper driver for the
+	// figure cells, where every node is busy nearly every slot.
 	DriverSlot
 )
 
@@ -191,10 +195,11 @@ type ForeignSlotSuccess interface {
 
 // Config parameterizes a city simulation.
 type Config struct {
-	// Scheme is the MAC under test: SchemeAloha or SchemeChoir.
-	// SchemeOracle is rejected — the genie scheduler needs a global view of
-	// every queue each slot, which is exactly what a sharded event engine
-	// does not have; the paper-figure oracle lives in internal/mac.
+	// Scheme is the MAC under test. SchemeAloha backs off after a failed
+	// transmission; SchemeChoir has every backlogged node answer every
+	// beacon; SchemeOracle is the genie TDMA baseline — each slot the first
+	// Receiver.Capacity() backlogged nodes of every (gateway, SF) group, in
+	// round-robin order, transmit and the rest wait (grantOracle).
 	Scheme mac.Scheme
 	// Driver selects the time-advance strategy (default DriverEvent).
 	Driver Driver
@@ -210,13 +215,15 @@ type Config struct {
 	// (geometric inter-arrival). 0 disables traffic; 1 saturates.
 	ArrivalPerSlot float64
 	// QueueCap bounds each node's backlog; arrivals beyond it are dropped
-	// (counted). 0 means 64, as in internal/mac.
+	// (counted). 0 means 64.
 	QueueCap int
 	// MaxBackoffExp caps ALOHA binary exponential backoff at
 	// 2^MaxBackoffExp slots (default 8).
 	MaxBackoffExp int
-	// Unslotted models pure ALOHA's adjacent-slot vulnerability, as in
-	// mac.Config.Unslotted. Only meaningful for SchemeAloha.
+	// Unslotted models pure (unslotted) ALOHA, the LoRaWAN default: each
+	// transmission starts at a random phase within its slot, so it is also
+	// vulnerable to transmissions in the adjacent slots (see vetoed). Only
+	// meaningful for SchemeAloha.
 	Unslotted bool
 	// SideM is the city square's side in meters. 0 derives a default that
 	// gives every gateway a ~1.6 km cell (the paper's urban single-client
@@ -255,9 +262,7 @@ type Config struct {
 // Validate reports the first configuration error.
 func (c Config) Validate() error {
 	switch {
-	case c.Scheme == mac.SchemeOracle:
-		return fmt.Errorf("engine: SchemeOracle needs a global genie view and is not supported by the sharded engine; use internal/mac")
-	case c.Scheme != mac.SchemeAloha && c.Scheme != mac.SchemeChoir:
+	case c.Scheme < mac.SchemeAloha || c.Scheme > mac.SchemeChoir:
 		return fmt.Errorf("engine: unknown scheme %d", int(c.Scheme))
 	case c.Driver != DriverEvent && c.Driver != DriverSlot:
 		return fmt.Errorf("engine: unknown driver %d", int(c.Driver))
@@ -527,9 +532,10 @@ func (c *core) initForeign(hFP, hFS uint64) {
 	}
 }
 
-// ctxCheckInterval is how many driver iterations (slots for the reference
-// driver, active slots for the event driver) pass between context polls,
-// mirroring internal/mac's cadence.
+// ctxCheckInterval is how many slots the reference driver advances between
+// context polls — frequent enough that cancellation lands within
+// milliseconds, rare enough that the poll never shows up in profiles. (The
+// event driver's fan-outs observe the context themselves.)
 const ctxCheckInterval = 256
 
 // newMetrics returns a Metrics with the configuration echoes filled in
@@ -708,6 +714,50 @@ func (c *core) wakeNode(ns *nodeState, i int32, s int64, m *Metrics) bool {
 	return ns.nextTx == s && ns.queue.Len() > 0
 }
 
+// grantOracle is the genie TDMA scheduler (mac.SchemeOracle): the one
+// serial step both drivers run between collecting a slot's would-be
+// transmitters and resolving its contention. Per (gateway, SF) group the
+// first Capacity() backlogged nodes in round-robin order from node
+// s mod Nodes keep the slot; the rest move their attempt to s+1 without
+// spending a transmission, so a group never offers the receiver more than
+// it can resolve. tx holds the candidates as ascending runs of node IDs
+// (one per shard, in shard order) and is trimmed in place to the granted
+// nodes; granted is reset to the per-group grant counts, which are the
+// slot's contention counts; deferred, when non-nil, is told each deferred
+// node and its run so the event driver can re-queue it.
+func (c *core) grantOracle(s int64, tx []*[]int32, granted map[uint32]int32, deferred func(run int, i int32)) {
+	clear(granted)
+	start := int32(s % int64(c.cfg.Nodes))
+	// Round-robin order over ascending runs is the IDs from start up, then
+	// the wrap-around below it.
+	for pass := 0; pass < 2; pass++ {
+		for _, run := range tx {
+			for _, i := range *run {
+				if (i < start) != (pass == 1) {
+					continue
+				}
+				ns := &c.nodes[i]
+				if g := c.groupOf(ns); granted[g] < int32(c.capacity) {
+					granted[g]++
+				} else {
+					ns.nextTx = s + 1
+				}
+			}
+		}
+	}
+	for ri, run := range tx {
+		kept := (*run)[:0]
+		for _, i := range *run {
+			if c.nodes[i].nextTx == s {
+				kept = append(kept, i)
+			} else if deferred != nil {
+				deferred(ri, i)
+			}
+		}
+		*run = kept
+	}
+}
+
 // decodeDraw is the per-transmission Bernoulli draw: with k concurrent
 // same-group transmissions each decodes with probability PerTxProb(k).
 func (c *core) decodeDraw(i int32, s int64) float64 {
@@ -715,9 +765,10 @@ func (c *core) decodeDraw(i int32, s int64) float64 {
 }
 
 // vetoed applies the unslotted-ALOHA adjacent-slot overlap model to a
-// decoded transmission, mirroring mac.Run: each of the previous slot's
-// prevK same-group transmissions (standing in for both neighbours, hence
-// 2×) overlaps and destroys the packet with probability 1/2.
+// decoded transmission: each neighbouring-slot transmission overlaps and
+// destroys the packet with probability 1/2, and the previous slot's prevK
+// same-group transmissions stand in for both neighbours (hence 2×; the
+// unknown next slot is symmetric to the previous one in steady state).
 func (c *core) vetoed(i int32, s int64, prevK int32) bool {
 	if !c.unslotted || prevK <= 0 {
 		return false
@@ -764,7 +815,7 @@ func (c *core) finishTx(ns *nodeState, i int32, s int64, delivered bool, m *Metr
 		off := exec.Mix(exec.Mix(c.hBackoff, uint64(i)), uint64(s)) & (w - 1)
 		ns.nextTx = s + 1 + int64(off)
 	} else {
-		// Choir: every backlogged node answers the next beacon.
+		// Choir answers the next beacon; Oracle asks the genie again.
 		ns.nextTx = s + 1
 	}
 }

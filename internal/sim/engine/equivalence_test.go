@@ -13,7 +13,7 @@ import (
 )
 
 // randomConfig draws one small scenario from the equivalence property's
-// search space: both schemes, slotted and unslotted, empty through
+// search space: all three schemes, slotted and unslotted, empty through
 // saturated traffic, single and multi gateway, tight and loose queues,
 // and receivers whose capacity cap does and does not bind.
 func randomConfig(rng *rand.Rand) Config {
@@ -27,10 +27,15 @@ func randomConfig(rng *rand.Rand) Config {
 		PayloadLen:     12,
 		Seed:           rng.Uint64(),
 	}
-	if rng.IntN(2) == 0 {
+	switch rng.IntN(3) {
+	case 0:
 		cfg.Scheme = mac.SchemeAloha
 		cfg.Unslotted = rng.IntN(2) == 0
 		cfg.MaxBackoffExp = 1 + rng.IntN(6)
+	case 1:
+		// The genie's grant step: deferred nodes cross shard boundaries
+		// whenever the round-robin start falls inside a group.
+		cfg.Scheme = mac.SchemeOracle
 	}
 	switch rng.IntN(3) {
 	case 0:
@@ -107,8 +112,14 @@ func TestEventSlotEquivalence(t *testing.T) {
 // node ranges; it runs under -race in CI, so it also shakes out data
 // races between phase fan-outs.
 func TestShardCountDeterminism(t *testing.T) {
+	for _, scheme := range []mac.Scheme{mac.SchemeChoir, mac.SchemeOracle} {
+		shardCountDeterminism(t, scheme)
+	}
+}
+
+func shardCountDeterminism(t *testing.T, scheme mac.Scheme) {
 	cfg := Config{
-		Scheme:         mac.SchemeChoir,
+		Scheme:         scheme,
 		Driver:         DriverEvent,
 		Nodes:          300,
 		Gateways:       4,
@@ -126,12 +137,12 @@ func TestShardCountDeterminism(t *testing.T) {
 			cfg.Shards = shards
 			cfg.Workers = workers
 			if got := mustRun(t, cfg); !reflect.DeepEqual(got, want) {
-				t.Fatalf("S=%d W=%d diverged from S=1 W=1:\nwant %+v\ngot  %+v", shards, workers, want, got)
+				t.Fatalf("%v: S=%d W=%d diverged from S=1 W=1:\nwant %+v\ngot  %+v", scheme, shards, workers, want, got)
 			}
 		}
 	}
 	if want.Delivered == 0 || want.CollidedTx == 0 {
-		t.Fatalf("degenerate scenario (delivered=%d collided=%d) pins nothing", want.Delivered, want.CollidedTx)
+		t.Fatalf("%v: degenerate scenario (delivered=%d collided=%d) pins nothing", scheme, want.Delivered, want.CollidedTx)
 	}
 }
 
@@ -217,9 +228,39 @@ func TestSweepSeedDerivation(t *testing.T) {
 	}
 }
 
-// TestValidateRejects pins the config gate, including the descriptive
-// Oracle rejection (the genie scheduler needs the global view the sharded
-// engine gives up).
+// TestOracleNeverCollides pins the genie scheduler's defining property:
+// whenever the receiver resolves every collision up to its capacity with
+// certainty, an Oracle run spends exactly one transmission per delivered
+// packet — on either driver, across gateways and shards — and a saturated
+// capacity-c cell delivers c packets every slot.
+func TestOracleNeverCollides(t *testing.T) {
+	receivers := []mac.SlotSuccess{
+		mac.AlohaReceiver{},
+		mac.ModelReceiver{Success: []float64{1, 1, 1, 0, 0}, MaxConcurrent: 3},
+	}
+	for _, rx := range receivers {
+		for _, driver := range []Driver{DriverSlot, DriverEvent} {
+			m := mustRun(t, Config{
+				Scheme: mac.SchemeOracle, Driver: driver, Nodes: 200, Gateways: 3,
+				Slots: 300, ArrivalPerSlot: 0.4, PayloadLen: 12, Receiver: rx, Seed: 8, Shards: 4,
+			})
+			if m.Delivered == 0 || m.Transmissions != m.Delivered || m.CollidedTx != 0 {
+				t.Errorf("%T %v: %d transmissions, %d delivered, %d collided", rx, driver, m.Transmissions, m.Delivered, m.CollidedTx)
+			}
+		}
+		// One saturated building: every node in one group, so the genie
+		// fills the receiver's capacity every slot.
+		m := mustRun(t, Config{
+			Scheme: mac.SchemeOracle, Nodes: 7, Gateways: 1, Slots: 400,
+			ArrivalPerSlot: 1, SideM: 10, PayloadLen: 12, Receiver: rx, Seed: 8,
+		})
+		if want := int64(400 * rx.Capacity()); m.Unreachable != 0 || m.Delivered != want {
+			t.Errorf("%T: saturated cell delivered %d, want %d (%d unreachable)", rx, m.Delivered, want, m.Unreachable)
+		}
+	}
+}
+
+// TestValidateRejects pins the config gate.
 func TestValidateRejects(t *testing.T) {
 	good := Config{
 		Scheme:   mac.SchemeChoir,
@@ -236,7 +277,7 @@ func TestValidateRejects(t *testing.T) {
 		mutate func(*Config)
 		want   string
 	}{
-		{"oracle", func(c *Config) { c.Scheme = mac.SchemeOracle }, "genie"},
+		{"scheme", func(c *Config) { c.Scheme = mac.Scheme(7) }, "scheme"},
 		{"nodes", func(c *Config) { c.Nodes = 0 }, "Nodes"},
 		{"slots", func(c *Config) { c.Slots = -1 }, "Slots"},
 		{"arrival", func(c *Config) { c.ArrivalPerSlot = 1.5 }, "ArrivalPerSlot"},

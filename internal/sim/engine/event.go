@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"choir/internal/exec"
+	"choir/internal/mac"
 	"choir/internal/obs"
 )
 
@@ -76,6 +77,20 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 		return canceled(err)
 	}
 
+	// Oracle only: every shard's transmitter list as grantOracle's runs, and
+	// the re-queue of a node the genie deferred.
+	oracle := c.cfg.Scheme == mac.SchemeOracle
+	var (
+		txRuns  []*[]int32
+		requeue func(si int, i int32)
+	)
+	if oracle {
+		for si := range shards {
+			txRuns = append(txRuns, &shards[si].tx)
+		}
+		requeue = func(si int, i int32) { shards[si].reschedule(c, i) }
+	}
+
 	var (
 		totalK     = map[uint32]int32{}
 		lastCounts = map[uint32]int32{}
@@ -130,12 +145,17 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 			return canceled(err)
 		}
 
-		// Serial merge: global per-group transmitter counts, hence each
-		// group's per-transmission decode probability.
-		clear(totalK)
-		for si := range shards {
-			for g, k := range shards[si].count {
-				totalK[g] += k
+		// Serial merge: global per-group transmitter counts (under Oracle,
+		// the genie's grants), hence each group's per-transmission decode
+		// probability.
+		if oracle {
+			c.grantOracle(s, txRuns, totalK, requeue)
+		} else {
+			clear(totalK)
+			for si := range shards {
+				for g, k := range shards[si].count {
+					totalK[g] += k
+				}
 			}
 		}
 		maxK := int32(0)

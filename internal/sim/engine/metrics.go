@@ -100,6 +100,16 @@ func (m *Metrics) MeanLatencySeconds() float64 {
 	return float64(m.TotalLatencySlots) / float64(m.Delivered) * m.SlotSeconds
 }
 
+// TxPerDelivered returns the mean number of transmissions spent per
+// delivered packet — the paper's battery-drain proxy. With nothing
+// delivered it is the transmission count itself.
+func (m *Metrics) TxPerDelivered() float64 {
+	if m.Delivered == 0 {
+		return float64(m.Transmissions)
+	}
+	return float64(m.Transmissions) / float64(m.Delivered)
+}
+
 // AirtimeSeconds returns the total on-air time spent by every
 // transmission, from the per-SF transmission counts and the rate-adapted
 // PHY parameters at PayloadLen. Summed in SF order, so it is as

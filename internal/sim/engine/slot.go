@@ -3,14 +3,16 @@ package engine
 import (
 	"context"
 	"fmt"
+
+	"choir/internal/mac"
 )
 
 // runSlot is the serial reference driver: it walks every slot in order and
-// scans every node for due work, the way internal/mac's loop does. It is
-// deliberately the simplest possible execution of the model in engine.go —
-// no event queue, no shards, no phases — so the equivalence property tests
-// can hold the event driver to it bit for bit. O(Nodes × Slots): use it
-// for small cities and for validation, not for the million-node sweeps.
+// scans every node for due work. It is deliberately the simplest possible
+// execution of the model in engine.go — no event queue, no shards, no
+// phases — so the equivalence property tests can hold the event driver to
+// it bit for bit. O(Nodes × Slots): use it for figure cells, small cities
+// and validation, not for the million-node sweeps.
 func runSlot(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
 	m := c.newMetrics()
 	for i := range c.nodes {
@@ -24,6 +26,7 @@ func runSlot(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
 		taken      = map[uint32]int32{}
 		lastSlot   = int64(-2)
 		fsl        foreignSlot
+		txRuns     = []*[]int32{&txNodes} // the whole city is grantOracle's one run
 	)
 	for s := int64(0); s < c.slots; s++ {
 		if s%ctxCheckInterval == 0 && ctx.Err() != nil {
@@ -51,6 +54,9 @@ func runSlot(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
 			continue
 		}
 		m.ActiveSlots++
+		if c.cfg.Scheme == mac.SchemeOracle {
+			c.grantOracle(s, txRuns, counts, nil)
+		}
 
 		clear(probs)
 		clear(taken)

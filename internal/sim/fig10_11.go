@@ -9,7 +9,6 @@ import (
 	"choir/internal/exec"
 	"choir/internal/geo"
 	"choir/internal/lora"
-	"choir/internal/mac"
 	"choir/internal/sensor"
 )
 
@@ -145,60 +144,6 @@ func Fig11Grouping(ctx context.Context, teamSize, trials int, seed uint64, worke
 		}
 		fig.Series = append(fig.Series, s)
 	}
-	return fig, nil
-}
-
-// Fig11Throughput reproduces Fig. 11(b): end-to-end network throughput for
-// a mixed population — nearNodes within decode range plus farTeams teams of
-// teamSize sensors each beyond it. Under the baselines the far sensors
-// contribute nothing (their packets never decode); Choir both disentangles
-// the near collisions and schedules beacon slots in which each far team's
-// shared MSB chunk is recovered. Cancellation propagates into the
-// calibration and the MAC cell simulations.
-func Fig11Throughput(ctx context.Context, cfg Fig8Config, nearNodes, farTeams, teamSize int) (*Figure, error) {
-	p := cfg.Calibration.Params
-	payloadLen := cfg.Calibration.PayloadLen
-	slotSeconds := p.AirTime(payloadLen) * 1.1
-	fig := &Figure{
-		ID:     "Fig 11(b)",
-		Title:  "end-to-end throughput with near and far sensors",
-		XLabel: "scheme(0=ALOHA,1=Oracle,2=Choir)",
-		YLabel: "throughput (bits/s)",
-	}
-	var s Series
-	s.Name = "network"
-	schemes := []mac.Scheme{mac.SchemeAloha, mac.SchemeOracle, mac.SchemeChoir}
-	var jobs []mac.Job
-	for _, scheme := range schemes {
-		var rx mac.Receiver = mac.AlohaReceiver{}
-		if scheme == mac.SchemeChoir {
-			table, err := cfg.choirTable(ctx, cfg.Calibration.Regime)
-			if err != nil {
-				return nil, err
-			}
-			rx = mac.ModelReceiver{Success: table}
-		}
-		jobs = append(jobs, mac.Job{Config: cfg.macConfig(scheme, nearNodes, p, payloadLen), Receiver: rx})
-	}
-	metrics, err := mac.RunMany(ctx, jobs, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	for si, scheme := range schemes {
-		tput := metrics[si].ThroughputBps()
-		if scheme == mac.SchemeChoir {
-			// One beacon slot in beaconPeriod is spent collecting each far
-			// team's reading; the recovered shared-MSB chunk carries
-			// sensor.Bits-worth of coarse data per member reading cycle.
-			const beaconPeriod = 16
-			perTeamBits := float64(sensor.Bits * teamSize) // readings conveyed per team slot
-			tput = tput*(1-float64(farTeams)/beaconPeriod) +
-				perTeamBits*float64(farTeams)/(beaconPeriod*slotSeconds)
-		}
-		s.X = append(s.X, float64(si))
-		s.Y = append(s.Y, tput)
-	}
-	fig.Series = []Series{s}
 	return fig, nil
 }
 
