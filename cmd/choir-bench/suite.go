@@ -54,6 +54,8 @@ func suite() []benchmark {
 		{Name: "BenchmarkFFTPruned", PinNs: true, PinAllocs: true, Fn: benchFFTPruned},
 		{Name: "BenchmarkSpectrumInto", PinNs: true, PinAllocs: true, Fn: benchSpectrumInto},
 		{Name: "BenchmarkNoiseFloor", PinNs: true, PinAllocs: true, Fn: benchNoiseFloor},
+		{Name: "BenchmarkToneKernel", PinNs: true, PinAllocs: true, Fn: benchToneKernel},
+		{Name: "BenchmarkSegmentFit", PinNs: true, PinAllocs: true, Fn: benchSegmentFit},
 		{Name: "BenchmarkDecodeSteadyState", PinNs: true, PinAllocs: true, Fn: benchDecodeSteadyState},
 		{Name: "BenchmarkBackendDispatch", PinNs: true, PinAllocs: true, Fn: benchBackendDispatch},
 		{Name: "BenchmarkDecodeTwoUserCollision", PinNs: true, Fn: benchDecodeTwoUser},
@@ -199,6 +201,32 @@ func benchNoiseFloor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dsp.NoiseFloorScratch(mags, scratch)
+	}
+}
+
+// benchToneKernel is one SF10-window tone from the doubling kernel: every
+// per-sample tone of a decode is one of these.
+func benchToneKernel(b *testing.B) {
+	dst := make([]complex128, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dsp.Tone(dst, len(dst), 0.1337, 0)
+	}
+}
+
+// benchSegmentFit is the decoder's hottest routine on its own: one
+// two-segment fit of an SF8 window against a ready tone.
+func benchSegmentFit(b *testing.B) {
+	p := lora.DefaultParams()
+	p.SF = lora.SF8
+	dec := ichoir.MustNew(ichoir.DefaultConfig(p))
+	x := dechirpedWindow(p.N())
+	tone := dsp.Tone(nil, p.N(), 37.3/float64(p.N()), 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec.SegmentFit(x, tone)
 	}
 }
 

@@ -93,7 +93,7 @@ func (d *Decoder) decodeData(res *Result, samples []complex128, ests []userEstim
 			if d.canceled() {
 				return users
 			}
-			allPeaks[w] = d.extractWindowPeaks(samples, start+w*d.n, w, ests,
+			allPeaks[w] = d.extractWindowPeaks(w, ests,
 				wins[w], d.grid.Spec(w-base), d.grid.Mags(w-base))
 		}
 	}
@@ -116,15 +116,11 @@ func (d *Decoder) decodeData(res *Result, samples []complex128, ests []userEstim
 	for i := range missing {
 		missing[i] = 0
 	}
-	for w := 0; w < nsym; w++ {
+	for w, win := range wins {
 		if d.canceled() {
 			return users
 		}
-		off := start + w*d.n
-		if off+d.n > len(samples) {
-			break
-		}
-		d.mlSymbolPass(samples, off, w, allPeaks[w], users)
+		d.mlSymbolPass(win, w, allPeaks[w], users)
 	}
 	// Iterative interference cancellation: with full tentative symbol
 	// streams in hand, each user's contribution to every window can be
@@ -133,18 +129,14 @@ func (d *Decoder) decodeData(res *Result, samples []complex128, ests []userEstim
 	// the data itself — and subtracted for the others, sharpening decisions
 	// the peak machinery got wrong (Gauss-Seidel sweeps, strongest user
 	// first since users arrive sorted by power).
-	bounds := d.estimateBoundaries(samples, start, nsym, users)
+	bounds := d.estimateBoundaries(wins, nsym, users)
 	for iter := 0; iter < 2; iter++ {
 		changed := 0
-		for w := 0; w < nsym; w++ {
+		for w, win := range wins {
 			if d.canceled() {
 				return users
 			}
-			off := start + w*d.n
-			if off+d.n > len(samples) {
-				break
-			}
-			changed += d.icSymbolPass(samples, off, w, users, bounds)
+			changed += d.icSymbolPass(win, w, users, bounds)
 		}
 		if changed == 0 {
 			break
@@ -172,10 +164,8 @@ func (d *Decoder) decodeData(res *Result, samples []complex128, ests []userEstim
 
 // mlSymbolPass re-decides every user's symbol for one window by matched
 // filtering at (candidate + user offset) on the window with all other
-// attributed peaks removed.
-func (d *Decoder) mlSymbolPass(samples []complex128, off, w int, peaks []peakObs, users []*User) {
-	dech := c128Buf(&d.dechCopy, d.n)
-	copy(dech, d.dechirpWindow(samples, off))
+// attributed peaks removed. win is the window's dechirped lane, left intact.
+func (d *Decoder) mlSymbolPass(win []complex128, w int, peaks []peakObs, users []*User) {
 	if len(peaks) == 0 {
 		return
 	}
@@ -183,64 +173,34 @@ func (d *Decoder) mlSymbolPass(samples []complex128, off, w int, peaks []peakObs
 	for i, pk := range peaks {
 		offs[i] = pk.bin
 	}
-	joint := d.fitChannels(dech, offs)
+	joint := d.fitChannels(win, offs)
 	// Remove only the tones attributed to SOME user: an unassigned peak is
 	// either noise (harmless to leave — the matched filter integrates past
 	// it) or a misattributed fragment of a real user's signal (catastrophic
 	// to subtract).
-	resid := dech
+	resid := c128Buf(&d.dechCopy, d.n)
+	copy(resid, win)
 	for i, pk := range peaks {
 		if pk.user >= 0 {
-			subtractTone(resid, offs[i]/float64(d.n), joint[i])
+			subtractTone(resid, d.tone(offs[i]), joint[i])
 		}
 	}
-	// Build every user's matched-filter input as its own lane — the shared
-	// residual plus that user's re-added peak — and take the whole tile's
-	// spectra in one batched grid; the residual is fixed during the user
-	// loop, so the lanes are independent and the batch decides the same
-	// symbols the one-user-at-a-time pass did.
-	if cap(d.ownTones) < len(users) {
-		d.ownTones = append(d.ownTones[:cap(d.ownTones)], make([][]complex128, len(users)-cap(d.ownTones))...)
-	}
-	tones := d.ownTones[:len(users)]
-	for ui := range users {
-		tones[ui] = c128Buf(&tones[ui], d.n)
-		copy(tones[ui], resid)
+	// Each user's matched-filter input is the shared residual plus that
+	// user's re-added peak; the residual is fixed during the user loop, so
+	// the decisions are independent of the order users are visited in.
+	own := c128Buf(&d.workBuf, d.n)
+	for ui, u := range users {
+		copy(own, resid)
 		for i, pk := range peaks {
 			if pk.user == ui {
-				addTone(tones[ui], offs[i]/float64(d.n), joint[i])
+				subtractTone(own, d.tone(offs[i]), -joint[i])
 			}
 		}
-	}
-	for base := 0; base < len(users); base += specTile {
-		end := min(base+specTile, len(users))
-		d.gridCompute(tones[base:end])
-		for ui := base; ui < end; ui++ {
-			u := users[ui]
-			spec := d.grid.Spec(ui - base)
-			best, bestMag := -1, 0.0
-			for s := 0; s < d.n; s++ {
-				bin := math.Mod(float64(s)+u.Offset, float64(d.n))
-				v := specAt(spec, bin, d.pad, d.n)
-				if m := real(v)*real(v) + imag(v)*imag(v); m > bestMag {
-					best, bestMag = s, m
-				}
-			}
-			if best >= 0 {
-				// Keep the assignment-derived value only when ML has no peak
-				// assigned at all AND the user had one (shouldn't happen); the
-				// ML value is authoritative.
-				u.Symbols[w] = best
-			}
+		// The matched-filter decision is authoritative over the
+		// assignment-derived symbol; only an all-zero window leaves it.
+		if best := d.combDecide(own, u.Offset); best >= 0 {
+			u.Symbols[w] = best
 		}
-	}
-}
-
-// addTone adds h·e^{j2πfn} to x in place (f in cycles/sample).
-func addTone(x []complex128, f float64, h complex128) {
-	for i := range x {
-		s, c := math.Sincos(2 * math.Pi * f * float64(i))
-		x[i] += h * complex(c, s)
 	}
 }
 
@@ -310,38 +270,27 @@ func (d *Decoder) fitSegments(dech []complex128, regs []segReg) []complex128 {
 	}
 	e := d.lsWS.DesignMatrix(d.n, k)
 	for j, r := range regs {
-		cyc := r.f / float64(d.n)
+		tone := d.tone(r.f)
 		for i := r.lo; i < r.hi; i++ {
-			s, c := math.Sincos(2 * math.Pi * cyc * float64(i))
-			e.Set(i, j, complex(c, s))
+			e.Data[i*k+j] = tone[i]
 		}
 	}
 	hs, err := d.lsWS.LeastSquaresInto(e, dech)
 	if err != nil {
 		hs = c128Buf(&d.hsFallback, k)
-		for j := range hs {
-			hs[j] = 0
-		}
 		for j, r := range regs {
-			var sum complex128
-			for i := r.lo; i < r.hi; i++ {
-				s, c := math.Sincos(-2 * math.Pi * r.f / float64(d.n) * float64(i))
-				sum += dech[i] * complex(c, s)
-			}
-			if n := r.hi - r.lo; n > 0 {
-				hs[j] = sum / complex(float64(n), 0)
+			hs[j] = 0
+			if r.hi > r.lo {
+				hs[j] = matchedFilter(dech[r.lo:r.hi], d.tone(r.f)[r.lo:r.hi])
 			}
 		}
 	}
 	return hs
 }
 
-func subtractSeg(x []complex128, r segReg, h complex128, n int) {
-	cyc := r.f / float64(n)
-	for i := r.lo; i < r.hi; i++ {
-		s, c := math.Sincos(2 * math.Pi * cyc * float64(i))
-		x[i] -= h * complex(c, s)
-	}
+// subtractSeg removes h times the masked regressor r from x.
+func (d *Decoder) subtractSeg(x []complex128, r segReg, h complex128) {
+	subtractTone(x[r.lo:r.hi], d.tone(r.f)[r.lo:], h)
 }
 
 // estimateBoundaries locates each user's symbol edge within the windows by
@@ -349,8 +298,8 @@ func subtractSeg(x []complex128, r segReg, h complex128, n int) {
 // other users' tones crudely removed first. The edge position b (= the
 // user's total delay modulo a symbol) is a per-transmitter constant, so a
 // median over windows is robust even when individual symbol guesses are
-// still wrong.
-func (d *Decoder) estimateBoundaries(samples []complex128, start, nsym int, users []*User) []int {
+// still wrong. wins are the dechirped data windows.
+func (d *Decoder) estimateBoundaries(wins [][]complex128, nsym int, users []*User) []int {
 	period := float64(d.n)
 	sync := d.cfg.LoRa.SyncSymbols()
 	bounds := intBuf(&d.boundsBuf, len(users))
@@ -369,13 +318,8 @@ func (d *Decoder) estimateBoundaries(samples []complex128, start, nsym int, user
 			scores[i] = 0
 		}
 		probes := 0
-		for w := 1; w < nsym-1 && probes < maxProbe; w += 3 {
-			off := start + w*d.n
-			if off+d.n > len(samples) {
-				break
-			}
-			dech := d.dechirpWindow(samples, off)
-			copy(work, dech)
+		for w := 1; w < nsym-1 && w < len(wins) && probes < maxProbe; w += 3 {
+			copy(work, wins[w])
 			// Crude cleanup: subtract other users' window tones.
 			offs := f64Buf(&d.offsBuf, len(users))[:0]
 			for uj, v := range users {
@@ -390,7 +334,7 @@ func (d *Decoder) estimateBoundaries(samples []complex128, start, nsym int, user
 			}
 			hs := d.fitChannels(work, offs)
 			for j, f := range offs {
-				subtractTone(work, f/period, hs[j])
+				subtractTone(work, d.tone(f), hs[j])
 			}
 			symPrev, symCur, symNext := 0, u.Symbols[w], 0
 			if w > 0 {
@@ -429,20 +373,13 @@ func (d *Decoder) estimateBoundaries(samples []complex128, start, nsym int, user
 // b < N/2 and (cur|next) otherwise; prefix sums make the scan O(N).
 func (d *Decoder) accumulateBoundaryScan(work []complex128, offset float64, symPrev, symCur, symNext, step int, scores []float64) {
 	period := float64(d.n)
-	tone := func(sym int) float64 {
-		return math.Mod(float64(sym)+offset+period, period) / period
+	prefInto := func(buf *[]complex128, sym int) []complex128 {
+		tone := d.tone(math.Mod(float64(sym)+offset+period, period))
+		return tonePrefix(c128Buf(buf, d.n+1), work, tone)
 	}
-	prefInto := func(dst []complex128, f float64) []complex128 {
-		dst[0] = 0
-		for i := 0; i < d.n; i++ {
-			s, c := math.Sincos(-2 * math.Pi * f * float64(i))
-			dst[i+1] = dst[i] + work[i]*complex(c, s)
-		}
-		return dst
-	}
-	pPrev := prefInto(c128Buf(&d.prefPrev, d.n+1), tone(symPrev))
-	pCur := prefInto(c128Buf(&d.prefCur, d.n+1), tone(symCur))
-	pNext := prefInto(c128Buf(&d.prefNext, d.n+1), tone(symNext))
+	pPrev := prefInto(&d.prefPrev, symPrev)
+	pCur := prefInto(&d.prefCur, symCur)
+	pNext := prefInto(&d.prefNext, symNext)
 	energy := func(p []complex128, lo, hi int) float64 {
 		if hi <= lo {
 			return 0
@@ -469,11 +406,9 @@ func (d *Decoder) accumulateBoundaryScan(work []complex128, offset float64, symP
 // every user's full two-segment contribution is reconstructed from its
 // current symbol stream and boundary, the joint channels are least-squares
 // fitted, and each user's symbol is re-decided by matched filtering over
-// its main segment with everything else subtracted. It returns how many
-// symbol decisions changed.
-func (d *Decoder) icSymbolPass(samples []complex128, off, w int, users []*User, bounds []int) int {
-	dech := c128Buf(&d.dechCopy, d.n)
-	copy(dech, d.dechirpWindow(samples, off))
+// its main segment with everything else subtracted. dech is the window's
+// dechirped lane, left intact. It returns how many symbol decisions changed.
+func (d *Decoder) icSymbolPass(dech []complex128, w int, users []*User, bounds []int) int {
 	nsym := 0
 	for _, u := range users {
 		if len(u.Symbols) > nsym {
@@ -505,7 +440,7 @@ func (d *Decoder) icSymbolPass(samples []complex128, off, w int, users []*User, 
 		copy(work, dech)
 		for j, r := range regs {
 			if owner[j] != ui {
-				subtractSeg(work, r, hs[j], d.n)
+				d.subtractSeg(work, r, hs[j])
 			}
 		}
 		// Decide over the user's main segment only.
@@ -517,15 +452,7 @@ func (d *Decoder) icSymbolPass(samples []complex128, off, w int, users []*User, 
 				masked[i] = 0
 			}
 		}
-		spec := d.paddedSpectrum(masked)
-		best, bestMag := 0, 0.0
-		for s := 0; s < d.n; s++ {
-			bin := math.Mod(float64(s)+u.Offset, float64(d.n))
-			v := specAt(spec, bin, d.pad, d.n)
-			if m := real(v)*real(v) + imag(v)*imag(v); m > bestMag {
-				best, bestMag = s, m
-			}
-		}
+		best := max(d.combDecide(masked, u.Offset), 0)
 		if best != u.Symbols[w] {
 			u.Symbols[w] = best
 			regs, owner = build()
@@ -547,7 +474,7 @@ func (d *Decoder) icSymbolPass(samples []complex128, off, w int, users []*User, 
 // serially, because the residual depends on this window's own round-0
 // peaks. The returned peak list is arena-backed: valid until the end of the
 // current decode.
-func (d *Decoder) extractWindowPeaks(samples []complex128, off, w int, ests []userEstimate, win, spec0 []complex128, mags0 []float64) []peakObs {
+func (d *Decoder) extractWindowPeaks(w int, ests []userEstimate, win, spec0 []complex128, mags0 []float64) []peakObs {
 	dech := c128Buf(&d.dechCopy, d.n)
 	copy(dech, win)
 
@@ -589,13 +516,14 @@ func (d *Decoder) extractWindowPeaks(samples []complex128, off, w int, ests []us
 		// and look underneath.
 		sicSp := mStageSIC.Start()
 		for _, pk := range out {
-			h1, h2, i0 := d.segmentFit(dech, pk.bin/float64(d.n))
-			d.subtractSegments(dech, pk.bin, h1, h2, i0)
+			tone := d.tone(pk.bin)
+			h1, h2, i0 := d.SegmentFit(dech, tone)
+			subtractSegments(dech, tone, h1, h2, i0)
 		}
 		sicSp.Stop()
 	}
 	if d.cfg.FineSearch && len(out) > 1 {
-		out = d.refinePeakPositions(samples, off, out)
+		out = d.refinePeakPositions(win, out)
 	}
 	return out
 }
@@ -607,9 +535,9 @@ func (d *Decoder) extractWindowPeaks(samples []complex128, off, w int, ests []us
 // bin, enough to break the fractional-offset fingerprint match.
 // It returns the surviving peaks: entries whose magnitude collapses once the
 // other peaks are removed were never users — they were side lobes or
-// reconstruction residue — and are dropped, as are near-duplicates.
-func (d *Decoder) refinePeakPositions(samples []complex128, off int, out []peakObs) []peakObs {
-	dech := d.dechirpWindow(samples, off)
+// reconstruction residue — and are dropped, as are near-duplicates. dech is
+// the window's dechirped lane, left intact.
+func (d *Decoder) refinePeakPositions(dech []complex128, out []peakObs) []peakObs {
 	// Joint least-squares fit over all peak frequencies (Eqn. 2) seeds an
 	// alternating two-segment refinement (the same scheme subtractUsers
 	// applies to the preamble): fitting the tones together apportions
@@ -629,7 +557,7 @@ func (d *Decoder) refinePeakPositions(samples []complex128, off int, out []peakO
 	copy(residual, dech)
 	for i := range out {
 		models[i] = segModel{h1: joint[i], h2: joint[i], i0: 0}
-		d.subtractSegments(residual, offs[i], joint[i], joint[i], 0)
+		subtractTone(residual, d.tone(offs[i]), joint[i])
 	}
 	origMag := f64Buf(&d.origMagBuf, len(out))
 	for i, pk := range out {
@@ -637,15 +565,14 @@ func (d *Decoder) refinePeakPositions(samples []complex128, off int, out []peakO
 	}
 	for sweep := 0; sweep < 2; sweep++ {
 		for i := range out {
-			d.addSegments(residual, offs[i], models[i].h1, models[i].h2, models[i].i0)
+			addSegments(residual, d.tone(offs[i]), models[i].h1, models[i].h2, models[i].i0)
 			// Golden-refine this peak's frequency on its cleaned signal:
 			// the two-segment fit gates out the adjacent symbol's segment,
 			// so the refined position is free of both other-user leakage
 			// and the peak's own timing-offset bias.
-			f, h1, h2, i0 := d.segmentFitRefined(residual, offs[i])
-			offs[i] = f
-			models[i] = segModel{h1: h1, h2: h2, i0: i0}
-			d.subtractSegments(residual, f, h1, h2, i0)
+			m, tone := d.segmentFitRefined(residual, offs[i])
+			offs[i], models[i] = m.f, m
+			subtractSegments(residual, tone, m.h1, m.h2, m.i0)
 		}
 	}
 	for i := range out {

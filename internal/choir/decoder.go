@@ -132,14 +132,19 @@ type Decoder struct {
 	scratchSpec []complex128
 	scratchMags []float64
 
-	// grid batches same-plan padded spectra across a tile of windows (or of
-	// per-user matched-filter inputs) into contiguous slabs — the hot loops
-	// compute whole grids per call instead of one spectrum at a time. Like
-	// every other scratch field it grows to a high-water mark on the first
-	// decode of a shape and is allocation-free afterwards.
-	grid     *dsp.BatchSpectrum
-	dataWins [][]complex128 // dechirped data windows feeding the round-0 grid
-	ownTones [][]complex128 // per-user ML matched-filter inputs (one lane each)
+	// grid batches same-plan padded spectra across a tile of windows into
+	// contiguous slabs — the hot loops compute whole grids per call instead
+	// of one spectrum at a time. Like every other scratch field it grows to a
+	// high-water mark on the first decode of a shape and is allocation-free
+	// afterwards.
+	grid *dsp.BatchSpectrum
+	// dataWins keeps every dechirped data window of the current decode,
+	// pristine: the peak, ML and IC passes all read these lanes (into copies
+	// where they mutate) instead of dechirping the same samples again.
+	dataWins [][]complex128
+
+	toneBuf []complex128 // the one tone scratch, filled by tone (n)
+	recip   [][2]float64 // recip[i] = {1/i, 1/(n−i)}, 0 where that divides by zero (n+1): SegmentFit's boundary scores
 
 	// Per-decode scratch arena plus dedicated reusable buffers for the
 	// pipeline's per-window temporaries. Together they make steady-state
@@ -156,7 +161,7 @@ type Decoder struct {
 	residBuf  []complex128   // residual workspace for segment-model sweeps
 	workBuf   []complex128   // cleaned-window workspace
 	maskedBuf []complex128   // masked / re-added tone workspace
-	prefixBuf []complex128   // segmentFit prefix sums (n+1)
+	prefixBuf []complex128   // SegmentFit prefix sums (n+1)
 	prefPrev  []complex128   // accumulateBoundaryScan prefix sums (n+1)
 	prefCur   []complex128
 	prefNext  []complex128
@@ -248,6 +253,11 @@ func New(cfg Config) (*Decoder, error) {
 	padN := dsp.NextPow2(cfg.Pad * n)
 	fft := dsp.NewFFT(padN)
 	pcg := rand.NewPCG(cfg.Seed, cfg.Seed^0xC0FFEE)
+	recip := make([][2]float64, n+1)
+	for i := 1; i <= n; i++ {
+		recip[i][0] = 1 / float64(i)
+		recip[n-i][1] = 1 / float64(i)
+	}
 	return &Decoder{
 		cfg:         cfg,
 		modem:       modem,
@@ -262,6 +272,8 @@ func New(cfg Config) (*Decoder, error) {
 		scratchDech: make([]complex128, n),
 		scratchSpec: make([]complex128, padN),
 		scratchMags: make([]float64, padN),
+		toneBuf:     make([]complex128, n),
+		recip:       recip,
 	}, nil
 }
 
@@ -507,6 +519,50 @@ func (d *Decoder) paddedSpectrum(dech []complex128) []complex128 {
 	return out
 }
 
+// tone fills the decoder's tone scratch with e^{j2πk·fBins/N}, k < N — the
+// dechirped signature of a transmitter at fBins — and returns it, valid
+// until the next tone call. Every per-sample tone of the pipeline comes from
+// here: a handful of math.Sincos calls per tone instead of N (see dsp.Tone).
+func (d *Decoder) tone(fBins float64) []complex128 {
+	return dsp.Tone(d.toneBuf, d.n, fBins/float64(d.n), 0)
+}
+
+// combDecide returns the symbol s whose matched filter at s+offset bins is
+// strongest over the dechirped window x, or -1 when x is all zero. x is
+// consumed (overwritten with the comb spectrum).
+//
+// The filter bank reads the pad-times zero-padded spectrum X of x at the N
+// bins (s·pad + R) mod padN, R = round(offset·pad) = q·pad + r. Those bins
+// are a comb: X[j·pad + r] = Σ_k x[k]·e^{−j2πrk/padN}·e^{−j2πjk/N}, the
+// N-point DFT of x detuned by r padded bins. One tone multiply and one
+// N-point transform therefore stand in for the padN-point transform, 15/16
+// of which the decision never reads. The transform runs under the FFT stage
+// timer, so fft_calls keeps counting transforms per frame.
+func (d *Decoder) combDecide(x []complex128, offset float64) int {
+	R := specIndex(math.Mod(offset, float64(d.n)), d.pad, d.n)
+	q, r := R/d.pad, R%d.pad
+	sp := mStageFFT.Start()
+	spec := d.combSpectrum(x, r)
+	sp.Stop()
+	best, bestMag := -1, 0.0
+	for s := range spec {
+		v := spec[(s+q)&(d.n-1)]
+		if m := real(v)*real(v) + imag(v)*imag(v); m > bestMag {
+			best, bestMag = s, m
+		}
+	}
+	return best
+}
+
+// combSpectrum overwrites x (N samples) with {X[j·pad + r]}, j < N, of its
+// zero-padded spectrum X, and returns it.
+func (d *Decoder) combSpectrum(x []complex128, r int) []complex128 {
+	for k, t := range d.tone(-float64(r) / float64(d.pad)) {
+		x[k] *= t
+	}
+	return d.symFFT.Transform(x, x)
+}
+
 // specTile bounds how many windows one spectral grid holds at a time: tiles
 // keep the slab (padN complex + padN float64 per lane) within cache-friendly
 // bounds at high spreading factors while still amortizing the per-call
@@ -581,9 +637,15 @@ func boolBuf(buf *[]bool, n int) []bool {
 // specAt samples a complex padded spectrum at a fractional natural-bin
 // position by nearest-padded-bin lookup.
 func specAt(spec []complex128, bin float64, pad, n int) complex128 {
+	return spec[specIndex(bin, pad, n)]
+}
+
+// specIndex is the padded-spectrum index nearest to a fractional natural-bin
+// position.
+func specIndex(bin float64, pad, n int) int {
 	idx := int(math.Round(bin*float64(pad))) % (n * pad)
 	if idx < 0 {
 		idx += n * pad
 	}
-	return spec[idx]
+	return idx
 }

@@ -376,11 +376,11 @@ func (d *Decoder) validateCandidates(wins [][]complex128, coarse []float64) []fl
 			// The coarse peak position is biased by the candidate's own
 			// segment structure; refine it so the subtraction is complete
 			// enough (< -25 dB residue) for ghosts to collapse.
-			fRef, h1, h2, i0 := d.segmentFitRefined(resid, f)
-			p1 := real(h1)*real(h1) + imag(h1)*imag(h1)
-			p2 := real(h2)*real(h2) + imag(h2)*imag(h2)
-			power[i] += (p1*float64(i0) + p2*float64(d.n-i0)) / float64(d.n)
-			d.subtractSegments(resid, fRef, h1, h2, i0)
+			m, tone := d.segmentFitRefined(resid, f)
+			p1 := real(m.h1)*real(m.h1) + imag(m.h1)*imag(m.h1)
+			p2 := real(m.h2)*real(m.h2) + imag(m.h2)*imag(m.h2)
+			power[i] += (p1*float64(m.i0) + p2*float64(d.n-m.i0)) / float64(d.n)
+			subtractSegments(resid, tone, m.h1, m.h2, m.i0)
 		}
 	}
 	floor := power[0] * math.Pow(10, -d.cfg.TotalDynamicRangeDB/10)
@@ -425,17 +425,18 @@ func (d *Decoder) subtractUsers(wins [][]complex128, users []userEstimate) {
 		residual := c128Buf(&d.residBuf, len(dech))
 		copy(residual, dech)
 		for i := range models {
-			d.subtractSegments(residual, models[i].f, models[i].h1, models[i].h2, models[i].i0)
+			subtractSegments(residual, d.tone(models[i].f), models[i].h1, models[i].h2, models[i].i0)
 		}
 		// Two refinement sweeps: re-fit each user against the signal with
-		// all other users removed.
+		// all other users removed. The user's frequency is fixed here, so
+		// one tone serves the add, the fit and the subtract.
 		for sweep := 0; sweep < 2; sweep++ {
 			for i := range models {
-				// Add this user's current model back.
-				d.addSegments(residual, models[i].f, models[i].h1, models[i].h2, models[i].i0)
-				h1, h2, i0 := d.segmentFit(residual, models[i].f/float64(d.n))
+				tone := d.tone(models[i].f)
+				addSegments(residual, tone, models[i].h1, models[i].h2, models[i].i0)
+				h1, h2, i0 := d.SegmentFit(residual, tone)
 				models[i].h1, models[i].h2, models[i].i0 = h1, h2, i0
-				d.subtractSegments(residual, models[i].f, h1, h2, i0)
+				subtractSegments(residual, tone, h1, h2, i0)
 			}
 		}
 		copy(dech, residual)
@@ -444,12 +445,14 @@ func (d *Decoder) subtractUsers(wins [][]complex128, users []userEstimate) {
 
 // segmentFitRefined golden-searches the tone frequency within ±0.5 bin of
 // fBins for the two-segment fit that explains the most energy, returning the
-// refined frequency and its fit.
-func (d *Decoder) segmentFitRefined(x []complex128, fBins float64) (float64, complex128, complex128, int) {
+// fit at the refined frequency and the tone at that frequency (the decoder's
+// tone scratch, valid until the next tone call) for the caller to subtract
+// the fit with.
+func (d *Decoder) segmentFitRefined(x []complex128, fBins float64) (segModel, []complex128) {
 	sp := mStageResidual.Start()
 	defer sp.Stop()
 	explained := func(f float64) float64 {
-		h1, h2, i0 := d.segmentFit(x, f/float64(d.n))
+		h1, h2, i0 := d.SegmentFit(x, d.tone(f))
 		p1 := real(h1)*real(h1) + imag(h1)*imag(h1)
 		p2 := real(h2)*real(h2) + imag(h2)*imag(h2)
 		return p1*float64(i0) + p2*float64(d.n-i0)
@@ -471,37 +474,32 @@ func (d *Decoder) segmentFitRefined(x []complex128, fBins float64) (float64, com
 		}
 	}
 	best := (a + b) / 2
-	h1, h2, i0 := d.segmentFit(x, best/float64(d.n))
-	return best, h1, h2, i0
+	tone := d.tone(best)
+	h1, h2, i0 := d.SegmentFit(x, tone)
+	return segModel{f: best, h1: h1, h2: h2, i0: i0}, tone
 }
 
-// segmentFit fits the two-segment tone model h₁·e^{j2πfn} (n < i0) plus
-// h₂·e^{j2πfn} (n >= i0) to x, choosing the boundary i0 that maximizes the
+// SegmentFit fits the two-segment tone model h₁·tone[k] (k < i0) plus
+// h₂·tone[k] (k >= i0) to x, choosing the boundary i0 that maximizes the
 // explained energy. Thanks to prefix sums the search over all boundaries is
-// O(len(x)). f is in cycles per sample. The prefix-sum buffer persists on
-// the decoder — this is the single hottest routine of a decode.
-func (d *Decoder) segmentFit(x []complex128, f float64) (h1, h2 complex128, i0 int) {
-	n := len(x)
-	// prefix[i] = Σ_{k<i} x[k]·e^{-j2πfk}
-	prefix := c128Buf(&d.prefixBuf, n+1)
-	prefix[0] = 0
-	for k := 0; k < n; k++ {
-		s, c := math.Sincos(-2 * math.Pi * f * float64(k))
-		prefix[k+1] = prefix[k] + x[k]*complex(c, s)
-	}
-	total := prefix[n]
+// O(N), and it scores each boundary with the decoder's reciprocal table
+// instead of dividing twice. x and tone are both N = 2^SF samples (it panics
+// otherwise). This is the single hottest routine of a decode, exported so
+// cmd/choir-bench can pin it on its own.
+func (d *Decoder) SegmentFit(x, tone []complex128) (h1, h2 complex128, i0 int) {
+	n := d.n
+	prefix := tonePrefix(c128Buf(&d.prefixBuf, n+1), x[:n], tone)
+	tr, ti := real(prefix[n]), imag(prefix[n])
+	// score(i) = |prefix[i]|²/i + |total − prefix[i]|²/(n−i), total = (tr, ti);
+	// at either end the empty segment's sum is zero and so is its table
+	// entry.
+	recip := d.recip[:len(prefix)]
 	best, bestScore := 0, math.Inf(-1)
-	for i := 0; i <= n; i++ {
-		var score float64
-		if i > 0 {
-			p := prefix[i]
-			score += (real(p)*real(p) + imag(p)*imag(p)) / float64(i)
-		}
-		if i < n {
-			s := total - prefix[i]
-			score += (real(s)*real(s) + imag(s)*imag(s)) / float64(n-i)
-		}
-		if score > bestScore {
+	for i, p := range prefix {
+		pr, pi := real(p), imag(p)
+		qr, qi := tr-pr, ti-pi
+		w := recip[i]
+		if score := (pr*pr+pi*pi)*w[0] + (qr*qr+qi*qi)*w[1]; score > bestScore {
 			best, bestScore = i, score
 		}
 	}
@@ -510,46 +508,46 @@ func (d *Decoder) segmentFit(x []complex128, f float64) (h1, h2 complex128, i0 i
 		h1 = prefix[i0] / complex(float64(i0), 0)
 	}
 	if i0 < n {
-		h2 = (total - prefix[i0]) / complex(float64(n-i0), 0)
+		h2 = (prefix[n] - prefix[i0]) / complex(float64(n-i0), 0)
 	}
 	return h1, h2, i0
 }
 
-// subtractSegments removes the two-segment tone model from x in place.
-// f is in bins; the boundary index splits the h1 and h2 regions.
-func (d *Decoder) subtractSegments(x []complex128, fBins float64, h1, h2 complex128, i0 int) {
-	f := fBins / float64(d.n)
-	for i := range x {
-		s, c := math.Sincos(2 * math.Pi * f * float64(i))
-		tone := complex(c, s)
-		if i < i0 {
-			x[i] -= h1 * tone
-		} else {
-			x[i] -= h2 * tone
-		}
+// tonePrefix fills dst (len(x)+1) with the running correlation of x against
+// a tone, dst[i] = Σ_{k<i} x[k]·conj(tone[k]), and returns it: any segment's
+// matched-filter sum is then a difference of two entries.
+func tonePrefix(dst, x, tone []complex128) []complex128 {
+	dst, tone = dst[:len(x)+1], tone[:len(x)]
+	dst[0] = 0
+	var sr, si float64
+	for k, v := range x {
+		tr, ti := real(tone[k]), imag(tone[k])
+		sr += real(v)*tr + imag(v)*ti
+		si += imag(v)*tr - real(v)*ti
+		dst[k+1] = complex(sr, si)
 	}
+	return dst
+}
+
+// subtractTone removes h·tone[k] from x[k] in place; tone is at least as long
+// as x. Negating h adds the tone instead.
+func subtractTone(x, tone []complex128, h complex128) {
+	tone = tone[:len(x)]
+	for k := range x {
+		x[k] -= h * tone[k]
+	}
+}
+
+// subtractSegments removes the two-segment tone model — h1 before the
+// boundary index i0, h2 from it on — from x in place.
+func subtractSegments(x, tone []complex128, h1, h2 complex128, i0 int) {
+	subtractTone(x[:i0], tone, h1)
+	subtractTone(x[i0:], tone[i0:], h2)
 }
 
 // addSegments re-adds a previously subtracted two-segment model.
-func (d *Decoder) addSegments(x []complex128, fBins float64, h1, h2 complex128, i0 int) {
-	f := fBins / float64(d.n)
-	for i := range x {
-		s, c := math.Sincos(2 * math.Pi * f * float64(i))
-		tone := complex(c, s)
-		if i < i0 {
-			x[i] += h1 * tone
-		} else {
-			x[i] += h2 * tone
-		}
-	}
-}
-
-// subtractTone removes h·e^{j2πfn} from x in place (f in cycles/sample).
-func subtractTone(x []complex128, f float64, h complex128) {
-	for i := range x {
-		s, c := math.Sincos(2 * math.Pi * f * float64(i))
-		x[i] -= h * complex(c, s)
-	}
+func addSegments(x, tone []complex128, h1, h2 complex128, i0 int) {
+	subtractSegments(x, tone, -h1, -h2, i0)
 }
 
 // fitChannels solves the least-squares channel fit of Eqn. 2 for the given
@@ -563,10 +561,8 @@ func (d *Decoder) fitChannels(dech []complex128, offsets []float64) []complex128
 	}
 	e := d.lsWS.DesignMatrix(d.n, k)
 	for j, f := range offsets {
-		cyc := f / float64(d.n)
-		for i := 0; i < d.n; i++ {
-			s, c := math.Sincos(2 * math.Pi * cyc * float64(i))
-			e.Set(i, j, complex(c, s))
+		for i, t := range d.tone(f) {
+			e.Data[i*k+j] = t
 		}
 	}
 	hs, err := d.lsWS.LeastSquaresInto(e, dech)
@@ -575,37 +571,19 @@ func (d *Decoder) fitChannels(dech []complex128, offsets []float64) []complex128
 		// filters; leakage stays, but decoding can proceed.
 		hs = c128Buf(&d.hsFallback, k)
 		for j, f := range offsets {
-			hs[j] = matchedFilter(dech, f/float64(d.n))
+			hs[j] = matchedFilter(dech, d.tone(f))
 		}
 	}
 	return hs
 }
 
-// matchedFilter correlates x with a unit tone at f cycles/sample.
-func matchedFilter(x []complex128, f float64) complex128 {
+// matchedFilter correlates x with a unit tone: the mean of x[k]·conj(tone[k]).
+func matchedFilter(x, tone []complex128) complex128 {
 	var sum complex128
-	for i, v := range x {
-		s, c := math.Sincos(-2 * math.Pi * f * float64(i))
-		sum += v * complex(c, s)
+	for k, v := range x {
+		sum += v * complex(real(tone[k]), -imag(tone[k]))
 	}
 	return sum / complex(float64(len(x)), 0)
-}
-
-// residual computes R(f₁..f_k) of Eqn. 3: the energy left after subtracting
-// the least-squares reconstruction at the hypothesized offsets.
-func (d *Decoder) residual(dech []complex128, offsets []float64) float64 {
-	hs := d.fitChannels(dech, offsets)
-	var res float64
-	for i, v := range dech {
-		var model complex128
-		for j, f := range offsets {
-			s, c := math.Sincos(2 * math.Pi * f / float64(d.n) * float64(i))
-			model += hs[j] * complex(c, s)
-		}
-		diff := v - model
-		res += real(diff)*real(diff) + imag(diff)*imag(diff)
-	}
-	return res
 }
 
 // refineOffsets refines each user's offset to a small fraction of a bin by
@@ -630,16 +608,15 @@ func (d *Decoder) refineOffsets(dech []complex128, coarse []float64) ([]float64,
 	copy(residual, dech)
 	for i := 0; i < k; i++ {
 		models[i] = segModel{h1: joint[i], h2: joint[i], i0: 0}
-		d.subtractSegments(residual, offs[i], joint[i], joint[i], 0)
+		subtractTone(residual, d.tone(offs[i]), joint[i])
 	}
 	const sweeps = 2
 	for s := 0; s < sweeps; s++ {
 		for i := 0; i < k; i++ {
-			d.addSegments(residual, offs[i], models[i].h1, models[i].h2, models[i].i0)
-			f, h1, h2, i0 := d.segmentFitRefined(residual, offs[i])
-			offs[i] = f
-			models[i] = segModel{h1: h1, h2: h2, i0: i0}
-			d.subtractSegments(residual, f, h1, h2, i0)
+			addSegments(residual, d.tone(offs[i]), models[i].h1, models[i].h2, models[i].i0)
+			m, tone := d.segmentFitRefined(residual, offs[i])
+			offs[i], models[i] = m.f, m
+			subtractSegments(residual, tone, m.h1, m.h2, m.i0)
 		}
 	}
 	hs := c128Buf(&d.hsBuf, k)
@@ -655,35 +632,6 @@ func (d *Decoder) refineOffsets(dech []complex128, coarse []float64) ([]float64,
 		i0s[i] = models[i].i0
 	}
 	return offs, hs, i0s
-}
-
-// goldenSection minimizes the residual as a function of offsets[j] over
-// [lo, hi] with the other offsets fixed.
-func (d *Decoder) goldenSection(dech []complex128, offsets []float64, j int, lo, hi float64) float64 {
-	const phi = 0.6180339887498949
-	eval := func(f float64) float64 {
-		old := offsets[j]
-		offsets[j] = f
-		r := d.residual(dech, offsets)
-		offsets[j] = old
-		return r
-	}
-	a, b := lo, hi
-	x1 := b - phi*(b-a)
-	x2 := a + phi*(b-a)
-	f1, f2 := eval(x1), eval(x2)
-	for i := 0; i < d.cfg.FineIters; i++ {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - phi*(b-a)
-			f1 = eval(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + phi*(b-a)
-			f2 = eval(x2)
-		}
-	}
-	return (a + b) / 2
 }
 
 // circularMean averages angles expressed as bin positions on a circle of the

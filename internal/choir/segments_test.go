@@ -87,7 +87,7 @@ func TestFitSegmentsRecoversTwoSegmentSignal(t *testing.T) {
 	}
 	// Subtracting both reconstructions must zero the signal.
 	for j, r := range regs {
-		subtractSeg(x, r, hs[j], n)
+		d.subtractSeg(x, r, hs[j])
 	}
 	var e float64
 	for _, v := range x {
@@ -122,14 +122,14 @@ func TestEstimateBoundariesFindsTimingOffset(t *testing.T) {
 		for i := range users[0].Symbols {
 			users[0].Symbols[i] = -1
 		}
-		start := p.HeaderSymbols() * d.n
-		// Initialize symbols via the standard path.
+		// Initialize symbols via the standard path; the decode leaves the
+		// frame's dechirped data windows on the decoder.
 		res, err := d.Decode(context.Background(), sig, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		copy(users[0].Symbols, res.Users[0].Symbols)
-		bounds := d.estimateBoundaries(sig, start, 24, users)
+		bounds := d.estimateBoundaries(d.dataWins, 24, users)
 		want := math.Mod(delay+float64(p.N()), float64(p.N()))
 		got := float64(bounds[0])
 		// Circular distance, tolerance a few samples (scan step 2 plus
@@ -172,9 +172,8 @@ func TestICSymbolPassFixesInjectedError(t *testing.T) {
 	users := res.Users
 	truth := append([]int(nil), users[0].Symbols...)
 	users[0].Symbols[5] = (truth[5] + 37) % spec.params.N()
-	start := spec.params.HeaderSymbols() * d.n
-	bounds := d.estimateBoundaries(sig, start, len(truth), users)
-	d.icSymbolPass(sig, start+5*d.n, 5, users, bounds)
+	bounds := d.estimateBoundaries(d.dataWins, len(truth), users)
+	d.icSymbolPass(d.dataWins[5], 5, users, bounds)
 	if users[0].Symbols[5] != truth[5] {
 		t.Errorf("IC did not repair injected error: %d vs %d", users[0].Symbols[5], truth[5])
 	}

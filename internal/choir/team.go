@@ -141,10 +141,11 @@ func (d *Decoder) DecodeTeam(ctx context.Context, samples []complex128, payloadL
 			return nil, d.ctxErr
 		}
 		frac := f - math.Floor(f)
+		tone := d.tone(f)
 		var sum complex128
 		for w := 0; w < p.PreambleLen; w++ {
 			dech := d.dechirpWindow(samples, w*d.n)
-			mf := matchedFilter(dech, f/float64(d.n))
+			mf := matchedFilter(dech, tone)
 			theta := -2 * math.Pi * frac * float64(w)
 			s, c := math.Sincos(theta)
 			sum += mf * complex(c, s)
@@ -273,20 +274,18 @@ func (d *Decoder) SubtractDecodedUsers(samples []complex128, res *Result, payloa
 			}
 			ha, hb, i0, fHead, fTail := d.splitTwoToneFit(dech,
 				toneOf(symbolAt(u, w-1)), toneOf(cur), toneOf(symbolAt(u, w+1)))
-			for i := 0; i < d.n; i++ {
-				var h complex128
-				var f float64
-				if i < i0 {
-					h, f = ha, fHead
-				} else {
-					h, f = hb, fTail
-				}
+			// Re-chirp each fitted segment (a negative tone means none).
+			subtractChirped := func(lo, hi int, f float64, h complex128) {
 				if f < 0 {
-					continue
+					return
 				}
-				s, c := math.Sincos(2 * math.Pi * f / float64(d.n) * float64(i))
-				win[i] -= h * complex(c, s) * up[i]
+				tone := d.tone(f)
+				for i := lo; i < hi; i++ {
+					win[i] -= h * tone[i] * up[i]
+				}
 			}
+			subtractChirped(0, i0, fHead, ha)
+			subtractChirped(i0, d.n, fTail, hb)
 		}
 	}
 	return out
@@ -298,8 +297,8 @@ func (d *Decoder) SubtractDecodedUsers(samples []complex128, res *Result, payloa
 // frequencies (in bins; negative means "no tone", e.g. outside the frame)
 // of the better-scoring orientation.
 func (d *Decoder) splitTwoToneFit(dech []complex128, prevTone, curTone, nextTone float64) (ha, hb complex128, i0 int, fHead, fTail float64) {
-	scoreA, haA, hbA, i0A := d.splitScore(dech, prevTone/float64(d.n), curTone/float64(d.n))
-	scoreB, haB, hbB, i0B := d.splitScore(dech, curTone/float64(d.n), nextTone/float64(d.n))
+	scoreA, haA, hbA, i0A := d.splitScore(dech, prevTone, curTone)
+	scoreB, haB, hbB, i0B := d.splitScore(dech, curTone, nextTone)
 	if prevTone < 0 {
 		scoreA = math.Inf(-1)
 	}
@@ -313,19 +312,12 @@ func (d *Decoder) splitTwoToneFit(dech []complex128, prevTone, curTone, nextTone
 }
 
 // splitScore finds the boundary i0 maximizing the energy explained by a
-// head tone at fa and a tail tone at fb (cycles/sample) via prefix sums
-// held in decoder scratch.
+// head tone at fa and a tail tone at fb (bins) via prefix sums held in
+// decoder scratch.
 func (d *Decoder) splitScore(x []complex128, fa, fb float64) (score float64, ha, hb complex128, i0 int) {
 	n := len(x)
-	prefA := c128Buf(&d.prefA, n+1)
-	prefB := c128Buf(&d.prefB, n+1)
-	prefA[0], prefB[0] = 0, 0
-	for k := 0; k < n; k++ {
-		sa, ca := math.Sincos(-2 * math.Pi * fa * float64(k))
-		sb, cb := math.Sincos(-2 * math.Pi * fb * float64(k))
-		prefA[k+1] = prefA[k] + x[k]*complex(ca, sa)
-		prefB[k+1] = prefB[k] + x[k]*complex(cb, sb)
-	}
+	prefA := tonePrefix(c128Buf(&d.prefA, n+1), x, d.tone(fa))
+	prefB := tonePrefix(c128Buf(&d.prefB, n+1), x, d.tone(fb))
 	score = math.Inf(-1)
 	for i := 0; i <= n; i++ {
 		var s float64

@@ -7,9 +7,8 @@ import (
 
 // This file implements the batched spectral layer: N same-plan forward
 // transforms computed back-to-back from one contiguous slab. The decoder's
-// hot loops (preamble scan, data-window peak extraction, per-user ML symbol
-// passes, team accumulation) all take the spectra of a whole grid of
-// windows; computing the grid through one batched call keeps every lane's
+// hot loops (preamble scan, data-window peak extraction, team accumulation)
+// all take the spectra of a whole grid of windows; computing the grid through one batched call keeps every lane's
 // output (and magnitude row) in a single cache-friendly allocation, runs
 // the pruned radix-2 kernel lane after lane while its twiddle and
 // bit-reversal tables are hot, and collapses per-window bookkeeping
