@@ -144,13 +144,12 @@ var (
 )
 
 // City-scale engine (package internal/sim/engine): an event-driven MAC/sim
-// driver that skips idle node-slots entirely, resolves each node's channel
-// lazily at first wake, and fans spatially sharded partitions across a
-// worker pool — while staying bit-identical to a serial slot-walk
-// reference for every shard and worker count. See DESIGN.md §15.
+// driver that skips idle node-slots entirely and resolves each node's
+// channel lazily at first wake, on one goroutine per run — while staying
+// bit-identical to a serial slot-walk reference. See DESIGN.md §15.
 type (
 	// CityConfig parameterizes one city run (scheme, nodes, gateways,
-	// traffic, receiver model, driver, shards).
+	// traffic, receiver model, driver).
 	CityConfig = engine.Config
 	// CityModelReceiver is a receiver model backed by a success-probability
 	// table with an optional per-slot capacity cap.

@@ -316,7 +316,6 @@ func benchCityScale(b *testing.B) {
 		PayloadLen:     12,
 		Receiver:       choir.CityModelReceiver{Success: choir.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 30},
 		Seed:           2026,
-		Shards:         8,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -355,7 +354,6 @@ func benchCityScaleInterfere(b *testing.B) {
 			choir.CityModelReceiver{Success: choir.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 30}, 6),
 		Foreign: []choir.CityForeignConfig{{Nodes: 20_000, ArrivalPerSlot: 2e-5}},
 		Seed:    2026,
-		Shards:  8,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -20,13 +20,13 @@
 // -exp city runs the event-driven city-scale engine (DESIGN.md §15) as a
 // density sweep over -nodes, with -engine selecting the event driver or the
 // slot-walk reference (bit-identical metrics, different wall clock), and
-// -gateways/-shards/-arrival shaping the deployment.
+// -gateways/-arrival shaping the deployment.
 //
 // -exp interfere runs the multi-network interference suite (DESIGN.md §17):
 // a paired goodput-vs-density sweep comparing Choir's collision decoding
 // against the four ADR policies, under -foreign-networks co-channel foreign
 // networks of -foreign-nodes nodes each and a -capture-margin dB capture
-// model. The table is bit-identical for any -workers/-shards value.
+// model. The table is bit-identical on either -engine.
 //
 // SIGINT/SIGTERM cancel the in-flight experiment cooperatively: no new
 // trial starts, the metrics snapshot still flushes, and the process exits
@@ -76,10 +76,9 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	slots := fs.Int("slots", 4000, "MAC simulation length in slots")
 	seed := fs.Uint64("seed", 7, "simulation seed")
 	workers := fs.Int("workers", 0, "trial-execution workers (0 = all CPUs, 1 = serial); results are identical for any value")
-	engineName := fs.String("engine", "event", "city driver for -exp city: event (sharded event queue) or slot (serial reference)")
+	engineName := fs.String("engine", "event", "city driver for -exp city: event (event queue) or slot (serial reference)")
 	nodesList := fs.String("nodes", "1000,10000,100000", "comma-separated node counts for the -exp city density sweep")
 	gateways := fs.Int("gateways", 1, "gateway count for -exp city")
-	shards := fs.Int("shards", 0, "spatial shards for -exp city (0 = 1; metrics are identical for any value)")
 	arrival := fs.Float64("arrival", 2e-5, "per-node per-slot arrival probability for -exp city")
 	foreignNets := fs.Int("foreign-networks", 1, "co-channel foreign network count for -exp interfere")
 	foreignNodes := fs.Int("foreign-nodes", 1000, "nodes per foreign network for -exp interfere")
@@ -264,8 +263,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 				ArrivalPerSlot: *arrival,
 				Receiver:       choir.CityModelReceiver{Success: choir.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 30},
 				Seed:           *seed,
-				Shards:         *shards,
-				Workers:        *workers,
 			}
 			points, err := choir.CityDensitySweep(ctx, base, densities)
 			if err != nil {
@@ -294,8 +291,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 					Slots:          *slots,
 					ArrivalPerSlot: *arrival,
 					Seed:           *seed,
-					Shards:         *shards,
-					Workers:        *workers,
 				},
 				Densities: densities,
 				MarginDB:  *captureMargin,

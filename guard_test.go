@@ -141,3 +141,45 @@ func TestOneMACModel(t *testing.T) {
 		t.Errorf("engine rejects SchemeOracle: %v", err)
 	}
 }
+
+// TestEngineRunIsOneGoroutine enforces DESIGN.md §15: one city run is one
+// goroutine. Non-test internal/sim/engine code starts no goroutine and uses
+// no pool, fan-out or wait group, and nothing reads Config.Shards or
+// Config.Workers (declared only for benchmark/). The one exemption is the
+// methods of Fig8Config, whose own Workers knob fans whole runs out across
+// figure cells — parallelism across runs, never inside one.
+func TestEngineRunIsOneGoroutine(t *testing.T) {
+	sawEngine := false
+	parseSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
+		if dir != "internal/sim/engine" {
+			return
+		}
+		sawEngine = true
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil {
+					if id, ok := n.Recv.List[0].Type.(*ast.Ident); ok && id.Name == "Fig8Config" {
+						return false
+					}
+				}
+			case *ast.GoStmt:
+				t.Error("internal/sim/engine has a go statement: a run stays on the calling goroutine")
+			case *ast.SelectorExpr:
+				x, _ := n.X.(*ast.Ident)
+				switch sel := n.Sel.Name; {
+				case sel == "ForEach",
+					x != nil && x.Name == "exec" && (sel == "NewPool" || sel == "Map"),
+					x != nil && x.Name == "sync" && sel == "WaitGroup":
+					t.Errorf("internal/sim/engine uses %s: a run stays on the calling goroutine", sel)
+				case sel == "Shards" || sel == "Workers":
+					t.Errorf("internal/sim/engine reads .%s: Config.Shards and Config.Workers are accepted and ignored", sel)
+				}
+			}
+			return true
+		})
+	})
+	if !sawEngine {
+		t.Fatal("found no sources under internal/sim/engine")
+	}
+}

@@ -22,6 +22,11 @@ func TestShutdownDuringBackoffNoLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	retries0 := mRetries.Value()
 
+	// The library default is no backoff sleep at all, so the test has to
+	// ask for one.
+	if d := (Config{}).withDefaults().BackoffBase; d != 0 {
+		t.Fatalf("default BackoffBase = %v, want 0 (no backoff sleeps)", d)
+	}
 	g, err := New(Config{
 		Queue: 4, Workers: 1, Seed: 7,
 		MaxAttempts: 3,

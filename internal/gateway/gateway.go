@@ -47,8 +47,9 @@ type Config struct {
 	// ladder (default 3: one per rung). Breaker-skipped rungs don't count.
 	MaxAttempts int
 	// BackoffBase is the first retry's base delay; retry k waits
-	// BackoffBase << (k-2) with ±50% seeded jitter, capped at 1s
-	// (default 2ms; 0 disables backoff sleeps).
+	// BackoffBase << (k-2) with ±50% seeded jitter, capped at 1s. The
+	// default, 0, disables backoff sleeps (negative values mean 0);
+	// choir-gatewayd's -backoff flag defaults to 10ms.
 	BackoffBase time.Duration
 	// BreakerThreshold is the consecutive-failure count that trips a
 	// stage's circuit breaker (default 8; negative disables breakers).

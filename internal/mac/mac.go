@@ -16,7 +16,7 @@ import "fmt"
 // drives: the probability that any one of k concurrent same-channel
 // transmissions decodes. The engine draws one Bernoulli(PerTxProb(k)) per
 // transmitter from a hash of (seed, node, slot), so the outcome does not
-// depend on which driver, shard or worker evaluates it.
+// depend on which driver evaluates it.
 type SlotSuccess interface {
 	// PerTxProb returns the probability that an individual transmission
 	// among k concurrent ones decodes. k >= 1.

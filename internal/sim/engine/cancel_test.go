@@ -38,14 +38,12 @@ func busyCity(driver Driver) Config {
 		PayloadLen:     12,
 		Receiver:       mac.ModelReceiver{Success: sim.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 30},
 		Seed:           17,
-		Shards:         4,
-		Workers:        4,
 	}
 }
 
 // TestRunCancelMidDrain pins the cancellation contract for both drivers:
 // a canceled run returns the context's error with nil metrics, leaves no
-// worker goroutines behind, and records NOTHING in obs — terminal
+// goroutines behind, and records NOTHING in obs — terminal
 // accounting happens exactly once, at successful completion, so a retry
 // after cancellation can never double-count.
 func TestRunCancelMidDrain(t *testing.T) {

@@ -25,7 +25,6 @@ func cityScaleConfig(nodes int) Config {
 		PayloadLen:     12,
 		Receiver:       mac.ModelReceiver{Success: sim.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 30},
 		Seed:           2026,
-		Shards:         8,
 	}
 }
 

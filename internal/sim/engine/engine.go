@@ -5,20 +5,21 @@
 // grants, queue drops and latency are defined. The same model serves the
 // paper's two-to-ten-client cells (figures.go: one gateway, one building)
 // and a multi-gateway urban grid of millions of nodes: the event driver
-// keeps a priority queue of node wake events per spatial shard and only
-// touches nodes with work, so a sparse-traffic million-node city costs
-// O(events), not O(nodes × slots).
+// keeps one priority queue of node wake events and only touches nodes with
+// work, so a sparse-traffic million-node city costs O(events), not
+// O(nodes × slots). One run is one goroutine; cores are spent across runs
+// (figures.go's cells, the trial loops in internal/sim).
 //
 // The load-bearing property is determinism by construction: every random
 // decision — arrival times, placement, shadowing, per-transmission decode
 // success, unslotted-ALOHA overlap, backoff — is a pure function of the run
 // seed and the decision's logical coordinates (node ID, slot, draw index)
-// via exec.DeriveSeed. No decision reads a shared RNG stream, so the slot
-// count of workers, the shard partition, and the driver (serial slot walk
-// vs sharded event queue) cannot reorder draws. DriverSlot and DriverEvent
-// therefore produce bit-identical Metrics; the equivalence property tests
-// pin that, which is what lets the fast driver claim to be the same model
-// rather than a lookalike.
+// via exec.DeriveSeed. No decision reads a shared RNG stream, so the
+// driver (slot walk vs event queue) and the order runs are fanned out in
+// cannot reorder draws. DriverSlot and DriverEvent therefore produce
+// bit-identical Metrics; the equivalence property tests pin that, which is
+// what lets the fast driver claim to be the same model rather than a
+// lookalike.
 package engine
 
 import (
@@ -39,9 +40,9 @@ import (
 type Driver int
 
 const (
-	// DriverEvent is the sharded event-queue driver: per-shard priority
-	// queues of node wakes, phases fanned out through exec.Pool. The
-	// production driver.
+	// DriverEvent is the event-queue driver: one priority queue of node
+	// wakes, so only slots and nodes with work are touched. The production
+	// driver.
 	DriverEvent Driver = iota
 	// DriverSlot is the serial reference driver: it walks every slot and
 	// scans every node. It exists so the event driver has an
@@ -250,12 +251,11 @@ type Config struct {
 	Foreign []ForeignConfig
 	// Seed drives all randomness through exec.DeriveSeed.
 	Seed uint64
-	// Shards is the number of spatial node partitions (contiguous ID
-	// ranges = horizontal city bands). 0 means 1. Results are identical
-	// for every shard count.
-	Shards int
-	// Workers bounds fan-out concurrency (<=0 uses every CPU). Results are
-	// identical for every worker count.
+	// Shards and Workers are accepted and ignored: a run is one goroutine.
+	// Nothing reads them; they stay declared only because benchmark/
+	// (frozen outside benchmark PRs) still assigns them, and go once it
+	// stops (ROADMAP item 2).
+	Shards  int
 	Workers int
 }
 
@@ -288,8 +288,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: nil Receiver")
 	case c.ADR < ADRFastestSNR || c.ADR >= numADRPolicies:
 		return fmt.Errorf("engine: unknown ADR policy %d", int(c.ADR))
-	case c.Shards < 0:
-		return fmt.Errorf("engine: Shards %d < 0", c.Shards)
 	}
 	for fi, fn := range c.Foreign {
 		switch {
@@ -331,7 +329,7 @@ const (
 func unitOf(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // nodeState is one client's compact MAC state, ~64 bytes: the engine's
-// memory is this flat array plus O(scheduled events + shards) — no
+// memory is this flat array plus O(scheduled events) — no
 // per-node metrics, maps, or pointers (queues allocate only once a node
 // actually backlogs).
 type nodeState struct {
@@ -389,9 +387,8 @@ type core struct {
 	pl         channel.PathLossModel
 
 	// energyNJ[sfIdx][pwrIdx] is one transmission's radiated energy in
-	// integer nanojoules (airtime × linear milliwatts). Integer so the
-	// shard-fold order of Metrics.add can never change the total — float
-	// accumulation would break the S=1≡S=8 bit-identity pins.
+	// integer nanojoules (airtime × linear milliwatts), rounded once so the
+	// run total is an exact integer sum.
 	energyNJ [6][5]int64
 
 	// Per-dimension chain heads: hX = Mix(Start(seed), dimX), so one draw
@@ -426,12 +423,6 @@ func newCore(cfg Config) *core {
 	}
 	if cfg.PayloadLen == 0 {
 		cfg.PayloadLen = 12
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
-	if cfg.Shards > cfg.Nodes {
-		cfg.Shards = cfg.Nodes
 	}
 	gwCols := int(math.Ceil(math.Sqrt(float64(cfg.Gateways))))
 	gwRows := (cfg.Gateways + gwCols - 1) / gwCols
@@ -535,7 +526,8 @@ func (c *core) initForeign(hFP, hFS uint64) {
 // ctxCheckInterval is how many slots the reference driver advances between
 // context polls — frequent enough that cancellation lands within
 // milliseconds, rare enough that the poll never shows up in profiles. (The
-// event driver's fan-outs observe the context themselves.)
+// event driver polls at every active slot, which costs it nothing beside
+// the slot's wakes.)
 const ctxCheckInterval = 256
 
 // newMetrics returns a Metrics with the configuration echoes filled in
@@ -579,8 +571,7 @@ func (c *core) initArrivals(i int32) {
 // deterministic log-normal shadowing, then the configured ADR policy's
 // SF/TX-power choice. It returns false — and parks the node forever — when
 // the policy's choice cannot reach the gateway. The evaluation is pure in
-// (Seed, i), so it never matters which driver, shard, or worker performs
-// it.
+// (Seed, i), so it never matters which driver performs it, or when.
 func (c *core) resolveChannel(ns *nodeState, i int32) bool {
 	hp := exec.Mix(c.hPos, uint64(i))
 	col, row := int(i)%c.grid, int(i)/c.grid
@@ -632,8 +623,8 @@ func shadowZ(hs uint64) float64 {
 // adrSelect applies a rate-adaptation policy to a link of distance d with
 // shadowing realization z and returns the chosen spreading factor, the
 // transmit-power rung, and whether the link closes at that choice. Pure in
-// its arguments, so it never matters which driver, shard, or worker (or
-// home vs foreign init) evaluates it. The ADRFastestSNR arm reproduces the
+// its arguments, so it never matters which driver (or home vs foreign
+// init) evaluates it. The ADRFastestSNR arm reproduces the
 // original resolveChannel float operations exactly — the zero-value policy
 // is bit-identical to the pre-ADR engine.
 func (c *core) adrSelect(policy ADRPolicy, d, z float64) (sf int8, pwr uint8, ok bool) {
@@ -714,48 +705,43 @@ func (c *core) wakeNode(ns *nodeState, i int32, s int64, m *Metrics) bool {
 	return ns.nextTx == s && ns.queue.Len() > 0
 }
 
-// grantOracle is the genie TDMA scheduler (mac.SchemeOracle): the one
-// serial step both drivers run between collecting a slot's would-be
-// transmitters and resolving its contention. Per (gateway, SF) group the
-// first Capacity() backlogged nodes in round-robin order from node
-// s mod Nodes keep the slot; the rest move their attempt to s+1 without
-// spending a transmission, so a group never offers the receiver more than
-// it can resolve. tx holds the candidates as ascending runs of node IDs
-// (one per shard, in shard order) and is trimmed in place to the granted
-// nodes; granted is reset to the per-group grant counts, which are the
-// slot's contention counts; deferred, when non-nil, is told each deferred
-// node and its run so the event driver can re-queue it.
-func (c *core) grantOracle(s int64, tx []*[]int32, granted map[uint32]int32, deferred func(run int, i int32)) {
+// grantOracle is the genie TDMA scheduler (mac.SchemeOracle): the step
+// both drivers run between collecting a slot's would-be transmitters and
+// resolving its contention. Per (gateway, SF) group the first Capacity()
+// backlogged nodes in round-robin order from node s mod Nodes keep the
+// slot; the rest move their attempt to s+1 without spending a
+// transmission, so a group never offers the receiver more than it can
+// resolve. tx holds the candidates in ascending node order and is trimmed
+// in place to the granted nodes; granted is reset to the per-group grant
+// counts, which are the slot's contention counts; deferred, when non-nil,
+// is told each deferred node so the event driver can re-queue it.
+func (c *core) grantOracle(s int64, tx *[]int32, granted map[uint32]int32, deferred func(i int32)) {
 	clear(granted)
 	start := int32(s % int64(c.cfg.Nodes))
-	// Round-robin order over ascending runs is the IDs from start up, then
-	// the wrap-around below it.
+	// Round-robin order over an ascending list is the IDs from start up,
+	// then the wrap-around below it.
 	for pass := 0; pass < 2; pass++ {
-		for _, run := range tx {
-			for _, i := range *run {
-				if (i < start) != (pass == 1) {
-					continue
-				}
-				ns := &c.nodes[i]
-				if g := c.groupOf(ns); granted[g] < int32(c.capacity) {
-					granted[g]++
-				} else {
-					ns.nextTx = s + 1
-				}
+		for _, i := range *tx {
+			if (i < start) != (pass == 1) {
+				continue
+			}
+			ns := &c.nodes[i]
+			if g := c.groupOf(ns); granted[g] < int32(c.capacity) {
+				granted[g]++
+			} else {
+				ns.nextTx = s + 1
 			}
 		}
 	}
-	for ri, run := range tx {
-		kept := (*run)[:0]
-		for _, i := range *run {
-			if c.nodes[i].nextTx == s {
-				kept = append(kept, i)
-			} else if deferred != nil {
-				deferred(ri, i)
-			}
+	kept := (*tx)[:0]
+	for _, i := range *tx {
+		if c.nodes[i].nextTx == s {
+			kept = append(kept, i)
+		} else if deferred != nil {
+			deferred(i)
 		}
-		*run = kept
 	}
+	*tx = kept
 }
 
 // decodeDraw is the per-transmission Bernoulli draw: with k concurrent
@@ -844,10 +830,9 @@ func sfParams(sfIdx int) lora.Params {
 	return p
 }
 
-// Run simulates the configured city and returns its metrics. Results are
-// a pure function of Config minus {Driver, Shards, Workers}: the
-// equivalence tests pin that both drivers at any shard/worker split return
-// bit-identical Metrics.
+// Run simulates the configured city on the calling goroutine and returns
+// its metrics. Results are a pure function of Config minus Driver: the
+// equivalence tests pin that both drivers return bit-identical Metrics.
 func Run(ctx context.Context, cfg Config) (*Metrics, error) {
 	if cfg.Gateways == 0 {
 		cfg.Gateways = 1

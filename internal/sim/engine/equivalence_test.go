@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -33,19 +34,19 @@ func randomConfig(rng *rand.Rand) Config {
 		cfg.Unslotted = rng.IntN(2) == 0
 		cfg.MaxBackoffExp = 1 + rng.IntN(6)
 	case 1:
-		// The genie's grant step: deferred nodes cross shard boundaries
-		// whenever the round-robin start falls inside a group.
+		// The genie's grant step: the event driver has to re-queue every
+		// node the round-robin defers.
 		cfg.Scheme = mac.SchemeOracle
 	}
 	switch rng.IntN(3) {
 	case 0:
 		cfg.Receiver = mac.AlohaReceiver{}
 	case 1:
-		// Generous table: the capacity cap never binds (fast path).
+		// Generous table: the capacity cap never binds.
 		cfg.Receiver = mac.ModelReceiver{Success: sim.AnalyticChoirTable(64, 0.95, 14)}
 	default:
 		// Tiny capacity: with saturated Choir traffic the per-group cap
-		// binds hard, exercising the cross-shard grant prefix.
+		// binds hard, exercising the ascending-node-order prefix rule.
 		cfg.Receiver = mac.ModelReceiver{Success: []float64{1, 0.9, 0.7, 0.5}, MaxConcurrent: 2}
 	}
 	// Every ADR policy and the foreign-network interference path (via the
@@ -74,75 +75,72 @@ func mustRun(t *testing.T, cfg Config) *Metrics {
 	return m
 }
 
+// eventMatchesSlot runs cfg on both drivers, fails the test unless the
+// event driver's Metrics are bit-identical to the slot reference's, and
+// returns them. A single differing field means the fast driver is a
+// different model, so the full structs are printed on failure.
+func eventMatchesSlot(t *testing.T, name string, cfg Config) *Metrics {
+	t.Helper()
+	cfg.Driver = DriverSlot
+	want := mustRun(t, cfg)
+	cfg.Driver = DriverEvent
+	if got := mustRun(t, cfg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: event driver diverged from slot reference\ncfg:   %+v\nslot:  %+v\nevent: %+v", name, cfg, want, got)
+	}
+	return want
+}
+
 // TestEventSlotEquivalence is the load-bearing property of the engine:
-// across randomized scenarios, the sharded parallel event driver must
-// produce METRICS BIT-IDENTICAL to the serial slot-walk reference, for
-// every shard count and worker count tried. A single differing field
-// means the fast driver is a different model, so the test prints the full
-// structs on failure.
+// across randomized scenarios, and on the benchmark's sparse city shape,
+// the event driver must produce METRICS BIT-IDENTICAL to the slot-walk
+// reference. (The benchmark's dense shape needs the capture model, which
+// imports this package: interfere's TestCaptureEventSlotEquivalence.)
 func TestEventSlotEquivalence(t *testing.T) {
 	trials := 60
 	if testing.Short() {
 		trials = 15
 	}
 	rng := rand.New(rand.NewPCG(0xC17E, 0x5CA1E))
-	splits := []struct{ shards, workers int }{
-		{1, 1}, {2, 1}, {3, 2}, {8, 4},
-	}
 	for trial := 0; trial < trials; trial++ {
-		cfg := randomConfig(rng)
-		cfg.Driver = DriverSlot
-		want := mustRun(t, cfg)
-		for _, sw := range splits {
-			got := cfg
-			got.Driver = DriverEvent
-			got.Shards = sw.shards
-			got.Workers = sw.workers
-			m := mustRun(t, got)
-			if !reflect.DeepEqual(m, want) {
-				t.Fatalf("trial %d: event driver (S=%d W=%d) diverged from slot reference\ncfg:   %+v\nslot:  %+v\nevent: %+v",
-					trial, sw.shards, sw.workers, cfg, want, m)
-			}
-		}
+		eventMatchesSlot(t, fmt.Sprintf("trial %d", trial), randomConfig(rng))
+	}
+
+	// benchmark/'s city_sparse at 1/50 scale, with the Shards and Workers it
+	// still assigns: accepted and ignored.
+	m := eventMatchesSlot(t, "city_sparse/50", Config{
+		Scheme:         mac.SchemeChoir,
+		Nodes:          20_000,
+		Gateways:       16,
+		Slots:          1000,
+		ArrivalPerSlot: 2e-5,
+		Receiver:       mac.ModelReceiver{Success: sim.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 30},
+		Seed:           1,
+		Shards:         8,
+		Workers:        2,
+	})
+	if m.Delivered == 0 || m.Events*20 > int64(m.Nodes)*int64(m.Slots) {
+		t.Fatalf("city_sparse/50 is not a sparse city (delivered=%d events=%d): it pins nothing", m.Delivered, m.Events)
 	}
 }
 
-// TestShardCountDeterminism pins S=1 ≡ S=8 (and W=1 ≡ W=4) directly on
-// the event driver at a size where shard boundaries cut through active
-// node ranges; it runs under -race in CI, so it also shakes out data
-// races between phase fan-outs.
-func TestShardCountDeterminism(t *testing.T) {
+// TestDriverInvariance pins event ≡ slot at a size where the capacity cap
+// binds in several (gateway, SF) groups every slot, under Choir and under
+// the genie's grants.
+func TestDriverInvariance(t *testing.T) {
 	for _, scheme := range []mac.Scheme{mac.SchemeChoir, mac.SchemeOracle} {
-		shardCountDeterminism(t, scheme)
-	}
-}
-
-func shardCountDeterminism(t *testing.T, scheme mac.Scheme) {
-	cfg := Config{
-		Scheme:         scheme,
-		Driver:         DriverEvent,
-		Nodes:          300,
-		Gateways:       4,
-		Slots:          200,
-		ArrivalPerSlot: 0.3,
-		PayloadLen:     12,
-		Receiver:       mac.ModelReceiver{Success: []float64{1, 0.9, 0.7, 0.5, 0.3}, MaxConcurrent: 3},
-		Seed:           99,
-		Shards:         1,
-		Workers:        1,
-	}
-	want := mustRun(t, cfg)
-	for _, shards := range []int{2, 8} {
-		for _, workers := range []int{1, 4} {
-			cfg.Shards = shards
-			cfg.Workers = workers
-			if got := mustRun(t, cfg); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: S=%d W=%d diverged from S=1 W=1:\nwant %+v\ngot  %+v", scheme, shards, workers, want, got)
-			}
+		m := eventMatchesSlot(t, scheme.String(), Config{
+			Scheme:         scheme,
+			Nodes:          300,
+			Gateways:       4,
+			Slots:          200,
+			ArrivalPerSlot: 0.3,
+			PayloadLen:     12,
+			Receiver:       mac.ModelReceiver{Success: []float64{1, 0.9, 0.7, 0.5, 0.3}, MaxConcurrent: 3},
+			Seed:           99,
+		})
+		if m.Delivered == 0 || m.CollidedTx == 0 {
+			t.Fatalf("%v: degenerate scenario (delivered=%d collided=%d) pins nothing", scheme, m.Delivered, m.CollidedTx)
 		}
-	}
-	if want.Delivered == 0 || want.CollidedTx == 0 {
-		t.Fatalf("%v: degenerate scenario (delivered=%d collided=%d) pins nothing", scheme, want.Delivered, want.CollidedTx)
 	}
 }
 
@@ -162,7 +160,6 @@ func TestRunConservation(t *testing.T) {
 		PayloadLen:     12,
 		Receiver:       mac.AlohaReceiver{},
 		Seed:           5,
-		Shards:         4,
 	})
 	if m.Delivered+m.Dropped > m.Arrivals {
 		t.Errorf("delivered %d + dropped %d > arrivals %d", m.Delivered, m.Dropped, m.Arrivals)
@@ -231,7 +228,7 @@ func TestSweepSeedDerivation(t *testing.T) {
 // TestOracleNeverCollides pins the genie scheduler's defining property:
 // whenever the receiver resolves every collision up to its capacity with
 // certainty, an Oracle run spends exactly one transmission per delivered
-// packet — on either driver, across gateways and shards — and a saturated
+// packet — on either driver, across gateways — and a saturated
 // capacity-c cell delivers c packets every slot.
 func TestOracleNeverCollides(t *testing.T) {
 	receivers := []mac.SlotSuccess{
@@ -242,7 +239,7 @@ func TestOracleNeverCollides(t *testing.T) {
 		for _, driver := range []Driver{DriverSlot, DriverEvent} {
 			m := mustRun(t, Config{
 				Scheme: mac.SchemeOracle, Driver: driver, Nodes: 200, Gateways: 3,
-				Slots: 300, ArrivalPerSlot: 0.4, PayloadLen: 12, Receiver: rx, Seed: 8, Shards: 4,
+				Slots: 300, ArrivalPerSlot: 0.4, PayloadLen: 12, Receiver: rx, Seed: 8,
 			})
 			if m.Delivered == 0 || m.Transmissions != m.Delivered || m.CollidedTx != 0 {
 				t.Errorf("%T %v: %d transmissions, %d delivered, %d collided", rx, driver, m.Transmissions, m.Delivered, m.CollidedTx)
@@ -283,7 +280,6 @@ func TestValidateRejects(t *testing.T) {
 		{"arrival", func(c *Config) { c.ArrivalPerSlot = 1.5 }, "ArrivalPerSlot"},
 		{"receiver", func(c *Config) { c.Receiver = nil }, "Receiver"},
 		{"driver", func(c *Config) { c.Driver = Driver(7) }, "driver"},
-		{"shards", func(c *Config) { c.Shards = -2 }, "Shards"},
 		{"adr", func(c *Config) { c.ADR = ADRPolicy(9) }, "ADR"},
 		{"foreign-nodes", func(c *Config) { c.Foreign = []ForeignConfig{{Nodes: -1}} }, "Foreign[0]"},
 		{"foreign-arrival", func(c *Config) { c.Foreign = []ForeignConfig{{Nodes: 1, ArrivalPerSlot: 2}} }, "Foreign[0]"},

@@ -19,7 +19,7 @@ const poissonChunkLambda = 500
 
 // poisson draws Poisson(lam) by chunked Knuth inversion with uniforms from
 // the hash chain h — pure in (h, lam), so the draw is identical no matter
-// which driver, shard, or worker asks for it. A Poisson(λ) is the sum of
+// which driver asks for it. A Poisson(λ) is the sum of
 // independent Poisson(λ/n) chunks, which sidesteps exp underflow at large λ.
 func poisson(h uint64, lam float64) int32 {
 	var n int32
@@ -50,8 +50,7 @@ func poisson(h uint64, lam float64) int32 {
 // foreignSlot memoizes one slot's foreign transmitter draws per gateway, so
 // the several (gateway, SF) home groups a busy gateway hosts share a single
 // draw, and tallies the run's total foreign transmissions heard. Drivers
-// reset it at each contended slot's serial merge point and fold total into
-// Metrics.ForeignTx.
+// reset it at each contended slot and copy total into Metrics.ForeignTx.
 type foreignSlot struct {
 	counts map[int32][6]int32
 	total  int64

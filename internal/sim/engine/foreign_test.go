@@ -50,9 +50,9 @@ func TestZeroForeignTransparency(t *testing.T) {
 // TestForeignDeterminism is the bugfix-satellite regression pin: foreign
 // networks multiply the per-slot draw count (one Poisson inversion per
 // contended gateway per SF), and every one of those draws must come from
-// position-keyed hash chains, never a stream shared across workers. The
-// event driver at W=1 ≡ W=8 and S=1 ≡ S=8, and both must equal the serial
-// slot reference, with interference actually flowing (ForeignTx > 0).
+// position-keyed hash chains, never a stream whose state depends on who
+// drew before. The event driver must equal the slot reference, with
+// interference actually flowing (ForeignTx > 0).
 func TestForeignDeterminism(t *testing.T) {
 	cfg := Config{
 		Scheme:         mac.SchemeChoir,
@@ -75,15 +75,8 @@ func TestForeignDeterminism(t *testing.T) {
 		t.Fatal("no foreign transmissions heard; the scenario pins nothing")
 	}
 	cfg.Driver = DriverEvent
-	for _, shards := range []int{1, 8} {
-		for _, workers := range []int{1, 8} {
-			cfg.Shards = shards
-			cfg.Workers = workers
-			if got := mustRun(t, cfg); !reflect.DeepEqual(got, want) {
-				t.Fatalf("S=%d W=%d diverged from slot reference under foreign load:\nwant %+v\ngot  %+v",
-					shards, workers, want, got)
-			}
-		}
+	if got := mustRun(t, cfg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("event driver diverged from slot reference under foreign load:\nwant %+v\ngot  %+v", want, got)
 	}
 }
 
@@ -133,7 +126,6 @@ func TestForeignDegradesDelivery(t *testing.T) {
 		PayloadLen:     12,
 		Receiver:       mac.AlohaReceiver{},
 		Seed:           13,
-		Shards:         4,
 	}
 	clean := mustRun(t, base)
 	base.Foreign = []ForeignConfig{{Nodes: 2000, ArrivalPerSlot: 0.05}}

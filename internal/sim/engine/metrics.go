@@ -3,12 +3,11 @@ package engine
 import "choir/internal/obs"
 
 // Metrics is a city run's aggregate result. Every field is a plain
-// integer total or a fixed-size histogram, accumulated per shard and
-// folded in shard order, so two runs of the same model are comparable
-// with reflect.DeepEqual — the equivalence harness does exactly that.
-// The struct deliberately echoes the result-affecting configuration
-// (Nodes .. SlotSeconds) and excludes Driver/Shards/Workers, which must
-// not affect results.
+// integer total or a fixed-size histogram, so two runs of the same model
+// are comparable with reflect.DeepEqual — the equivalence harness does
+// exactly that. The struct deliberately echoes the result-affecting
+// configuration (Nodes .. SlotSeconds) and excludes Driver, which must not
+// affect results.
 type Metrics struct {
 	// Configuration echoes.
 	Nodes       int
@@ -36,7 +35,7 @@ type Metrics struct {
 	PerSFDelivered [6]int64
 	// TxEnergyNJ is the total radiated transmit energy in nanojoules:
 	// each transmission's per-SF airtime × its ADR-chosen power rung,
-	// accumulated as integers so the shard-fold order cannot change it.
+	// accumulated as integers.
 	TxEnergyNJ int64
 	// ForeignTx counts foreign-network transmissions heard during the
 	// home network's contended slots (the interference actually faced;
@@ -53,29 +52,6 @@ type Metrics struct {
 	// any — the event driver's cost is O(Events), not O(Nodes × Slots).
 	Events      int64
 	ActiveSlots int64
-}
-
-// add folds another shard's totals in (configuration echoes are left
-// alone; integer addition keeps the fold order-independent).
-func (m *Metrics) add(o *Metrics) {
-	m.Arrivals += o.Arrivals
-	m.Delivered += o.Delivered
-	m.Dropped += o.Dropped
-	m.Unreachable += o.Unreachable
-	m.Transmissions += o.Transmissions
-	m.CollidedTx += o.CollidedTx
-	for i := range m.PerSFTx {
-		m.PerSFTx[i] += o.PerSFTx[i]
-		m.PerSFDelivered[i] += o.PerSFDelivered[i]
-	}
-	m.TxEnergyNJ += o.TxEnergyNJ
-	m.ForeignTx += o.ForeignTx
-	m.TotalLatencySlots += o.TotalLatencySlots
-	for i := range m.LatencyHist {
-		m.LatencyHist[i] += o.LatencyHist[i]
-	}
-	m.Events += o.Events
-	m.ActiveSlots += o.ActiveSlots
 }
 
 // GoodputBps returns delivered payload bits per second across the city.
@@ -148,8 +124,7 @@ var (
 
 // liveFlushInterval is how many work units (slots for the reference
 // driver, active slots for the event driver) pass between streaming
-// flushes. Flushes happen at the drivers' serial points, where no worker
-// holds a shard, so reading partial totals is race-free.
+// flushes.
 const liveFlushInterval = 256
 
 // liveProgress streams one run's partial totals into the city.* counters.
@@ -163,8 +138,8 @@ type liveProgress struct {
 }
 
 // flush streams the delta between the run's current totals and what has
-// already been streamed. cur must be a race-free snapshot (the drivers
-// call this only between phases).
+// already been streamed. The drivers call it between slots, on the run's
+// own goroutine.
 func (lp *liveProgress) flush(cur *Metrics) {
 	if !obs.Enabled() {
 		return

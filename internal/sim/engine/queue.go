@@ -8,10 +8,10 @@ package engine
 //
 // The node tie-break is load-bearing, not cosmetic: popping all events of
 // one slot yields strictly ascending node IDs, which is what lets the
-// sharded event driver apply the receiver's per-slot capacity cap to "the
-// first k transmitters in global node order" — the same order the serial
-// reference driver scans — and stay bit-identical to it. FuzzEventQueue
-// pins this ordering against a sort-based model.
+// event driver apply the receiver's per-slot capacity cap to "the first k
+// transmitters in node order" — the same order the reference driver scans
+// — and stay bit-identical to it. FuzzEventQueue pins this ordering
+// against a sort-based model.
 type EventQueue struct {
 	heap []int32 // node IDs, heap-ordered by (slot[id], id)
 	pos  []int32 // node ID -> index in heap, -1 when not scheduled

@@ -9,10 +9,10 @@ import (
 
 // runSlot is the serial reference driver: it walks every slot in order and
 // scans every node for due work. It is deliberately the simplest possible
-// execution of the model in engine.go — no event queue, no shards, no
-// phases — so the equivalence property tests can hold the event driver to
-// it bit for bit. O(Nodes × Slots): use it for figure cells, small cities
-// and validation, not for the million-node sweeps.
+// execution of the model in engine.go — no event queue — so the
+// equivalence property tests can hold the event driver to it bit for bit.
+// O(Nodes × Slots): use it for figure cells, small cities and validation,
+// not for the million-node sweeps.
 func runSlot(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
 	m := c.newMetrics()
 	for i := range c.nodes {
@@ -26,7 +26,6 @@ func runSlot(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
 		taken      = map[uint32]int32{}
 		lastSlot   = int64(-2)
 		fsl        foreignSlot
-		txRuns     = []*[]int32{&txNodes} // the whole city is grantOracle's one run
 	)
 	for s := int64(0); s < c.slots; s++ {
 		if s%ctxCheckInterval == 0 && ctx.Err() != nil {
@@ -55,7 +54,7 @@ func runSlot(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
 		}
 		m.ActiveSlots++
 		if c.cfg.Scheme == mac.SchemeOracle {
-			c.grantOracle(s, txRuns, counts, nil)
+			c.grantOracle(s, &txNodes, counts, nil)
 		}
 
 		clear(probs)

@@ -20,8 +20,7 @@ type SweepPoint struct {
 // rest of base fixed. Every point derives its own seed from its logical
 // coordinates — exec.DeriveSeed(base.Seed, dimSweep, point index) — not
 // from any loop-carried RNG state, so adding, removing, or reordering
-// densities, or re-sharding the runs themselves, never changes another
-// point's draws.
+// densities never changes another point's draws.
 func DensitySweep(ctx context.Context, base Config, densities []int) ([]SweepPoint, error) {
 	if len(densities) == 0 {
 		return nil, fmt.Errorf("engine: density sweep with no node counts")

@@ -120,6 +120,58 @@ func TestEngineTransparencyWithCapture(t *testing.T) {
 	}
 }
 
+// maxKReceiver records the largest home contention count the engine asked
+// the capture model about.
+type maxKReceiver struct {
+	*CaptureModel
+	maxK *int
+}
+
+func (r maxKReceiver) PerTxProbForeign(k, sfIdx int, foreign *[6]int32) float64 {
+	*r.maxK = max(*r.maxK, k)
+	return r.CaptureModel.PerTxProbForeign(k, sfIdx, foreign)
+}
+
+// TestCaptureEventSlotEquivalence is engine.TestEventSlotEquivalence on
+// benchmark/'s city_dense shape at 1/50 scale — a foreign network and the
+// capture model at margin 6 — with the receiver's capacity cut to 2 and the
+// arrival rate raised so that groups exceed it: the event driver must keep
+// the same first-Capacity() successes in node order as the slot reference.
+func TestCaptureEventSlotEquivalence(t *testing.T) {
+	var maxK int
+	rx := maxKReceiver{
+		CaptureModel: New(mac.ModelReceiver{Success: sim.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 2}, 6),
+		maxK:         &maxK,
+	}
+	cfg := engine.Config{
+		Scheme:         mac.SchemeChoir,
+		Driver:         engine.DriverSlot,
+		Nodes:          1000,
+		Gateways:       4,
+		Slots:          800,
+		ArrivalPerSlot: 2e-2,
+		Foreign:        []engine.ForeignConfig{{Nodes: 400, ArrivalPerSlot: 1e-3}},
+		Receiver:       rx,
+		Seed:           1,
+	}
+	want, err := engine.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Driver = engine.DriverEvent
+	got, err := engine.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("event driver diverged from slot reference:\nslot:  %+v\nevent: %+v", want, got)
+	}
+	if want.ForeignTx == 0 || want.Delivered == 0 || maxK <= rx.Capacity() {
+		t.Fatalf("scenario pins nothing: foreign_tx=%d delivered=%d max group %d vs capacity %d",
+			want.ForeignTx, want.Delivered, maxK, rx.Capacity())
+	}
+}
+
 // goldenSweepConfig is the exact configuration the CI sweep job runs via
 // `choir-sim -exp interfere -nodes 200,500 -slots 300 -arrival 0.01
 // -foreign-networks 1 -foreign-nodes 200 -foreign-arrival 0.01
@@ -167,15 +219,14 @@ func TestSweepGolden(t *testing.T) {
 	}
 }
 
-// TestSweepDriverAndShardInvariance pins the acceptance criterion directly:
-// the interfere sweep table is identical for workers 1 vs 8, shards 1 vs 8,
-// and the event vs slot drivers.
-func TestSweepDriverAndShardInvariance(t *testing.T) {
+// TestSweepDriverInvariance pins the acceptance criterion directly: the
+// interfere sweep table is identical on the event and slot drivers.
+func TestSweepDriverInvariance(t *testing.T) {
 	cfg := goldenSweepConfig()
 	cfg.Densities = []int{150}
-	render := func(mut func(*SweepConfig)) string {
+	render := func(driver engine.Driver) string {
 		c := cfg
-		mut(&c)
+		c.Base.Driver = driver
 		s, err := RunSweep(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
@@ -184,15 +235,8 @@ func TestSweepDriverAndShardInvariance(t *testing.T) {
 		Fprint(&buf, s)
 		return buf.String()
 	}
-	want := render(func(c *SweepConfig) { c.Base.Shards = 1; c.Base.Workers = 1 })
-	for name, mut := range map[string]func(*SweepConfig){
-		"w8":   func(c *SweepConfig) { c.Base.Shards = 1; c.Base.Workers = 8 },
-		"s8":   func(c *SweepConfig) { c.Base.Shards = 8; c.Base.Workers = 8 },
-		"slot": func(c *SweepConfig) { c.Base.Driver = engine.DriverSlot },
-	} {
-		if got := render(mut); got != want {
-			t.Errorf("%s: sweep table diverged:\n%s\nvs\n%s", name, got, want)
-		}
+	if event, slot := render(engine.DriverEvent), render(engine.DriverSlot); event != slot {
+		t.Errorf("sweep table diverged between drivers:\n%s\nvs\n%s", event, slot)
 	}
 }
 

@@ -85,8 +85,8 @@ type Sweep struct {
 // dimSweep, point index) — so the five variants face identical foreign
 // placements and traffic realizations and differ only in MAC and
 // adaptation: a paired comparison, not five independent experiments. The
-// result is a pure function of (SweepConfig minus Driver/Shards/Workers),
-// which is what lets CI diff the rendered table against a committed golden.
+// result is a pure function of SweepConfig minus Driver, which is what lets
+// CI diff the rendered table against a committed golden.
 func RunSweep(ctx context.Context, cfg SweepConfig) (*Sweep, error) {
 	if len(cfg.Densities) == 0 {
 		return nil, fmt.Errorf("interfere: sweep with no densities")
