@@ -33,3 +33,29 @@ func TestCompareFailsOnRemovedPinnedBenchmark(t *testing.T) {
 		}
 	}
 }
+
+// TestCommittedBaselineCoversSuite keeps BENCH_choir.json, the report CI
+// falls back to when the merge base predates the suite, in step with it:
+// every pinned benchmark has a row carrying the same pins, so -compare
+// never meets a gated name only one side knows.
+func TestCommittedBaselineCoversSuite(t *testing.T) {
+	rep, err := readReport("../../BENCH_choir.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]Result{}
+	for _, r := range rep.Benchmarks {
+		rows[r.Name] = r
+	}
+	for _, bm := range suite() {
+		r, ok := rows[bm.Name]
+		if !ok {
+			t.Errorf("%s: no row in BENCH_choir.json", bm.Name)
+			continue
+		}
+		if r.PinNs != bm.PinNs || r.PinAllocs != bm.PinAllocs {
+			t.Errorf("%s: committed pins ns=%v allocs=%v, suite has ns=%v allocs=%v",
+				bm.Name, r.PinNs, r.PinAllocs, bm.PinNs, bm.PinAllocs)
+		}
+	}
+}

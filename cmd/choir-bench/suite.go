@@ -15,6 +15,7 @@ import (
 	"choir/internal/lora"
 	"choir/internal/obs"
 	"choir/internal/sim"
+	"choir/internal/sim/engine"
 	"choir/internal/trace"
 )
 
@@ -65,6 +66,7 @@ func suite() []benchmark {
 		{Name: "BenchmarkHeadline", PinNs: true, Fn: benchHeadline},
 		{Name: "BenchmarkCityScale", PinNs: true, Fn: benchCityScale},
 		{Name: "BenchmarkCityScaleInterfere", PinNs: true, Fn: benchCityScaleInterfere},
+		{Name: "BenchmarkEventQueue", PinNs: true, PinAllocs: true, Fn: benchEventQueue},
 	}
 }
 
@@ -370,6 +372,25 @@ func benchCityScaleInterfere(b *testing.B) {
 	runtime.ReadMemStats(&ms)
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 	b.ReportMetric(float64(ms.HeapInuse), "peak-rss-bytes")
+}
+
+// benchEventQueue is the city engine's steady state on its event queue
+// alone, at the million-node size where the queue's arrays leave the cache:
+// pop the earliest wake, reschedule that node up to 65 536 slots on — the
+// shape benchmark/'s engine.queue_ns_per_op probe times.
+func benchEventQueue(b *testing.B) {
+	const n = 1_000_000
+	rng := rand.New(rand.NewPCG(2026, 0xE0))
+	q := engine.NewEventQueue(n)
+	for i := int32(0); i < n; i++ {
+		q.Set(i, rng.Int64N(1<<20))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, slot := q.PopMin()
+		q.Set(id, slot+1+rng.Int64N(1<<16))
+	}
 }
 
 func benchHeadline(b *testing.B) {

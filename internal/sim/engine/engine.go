@@ -268,6 +268,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: unknown driver %d", int(c.Driver))
 	case c.Nodes <= 0:
 		return fmt.Errorf("engine: Nodes %d <= 0", c.Nodes)
+	case c.Nodes > math.MaxInt32:
+		// Node IDs are int32 throughout the engine and its event queue.
+		return fmt.Errorf("engine: Nodes %d exceeds the int32 node ID limit %d", c.Nodes, math.MaxInt32)
 	case c.Gateways < 0:
 		return fmt.Errorf("engine: Gateways %d < 0", c.Gateways)
 	case c.Slots <= 0:

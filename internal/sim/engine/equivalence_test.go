@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -276,6 +277,7 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"scheme", func(c *Config) { c.Scheme = mac.Scheme(7) }, "scheme"},
 		{"nodes", func(c *Config) { c.Nodes = 0 }, "Nodes"},
+		{"nodes-beyond-int32", func(c *Config) { c.Nodes = math.MaxInt32; c.Nodes++ }, "int32 node ID limit"},
 		{"slots", func(c *Config) { c.Slots = -1 }, "Slots"},
 		{"arrival", func(c *Config) { c.ArrivalPerSlot = 1.5 }, "ArrivalPerSlot"},
 		{"receiver", func(c *Config) { c.Receiver = nil }, "Receiver"},

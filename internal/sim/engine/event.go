@@ -31,15 +31,26 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 		c.initArrivals(int32(i))
 		reschedule(int32(i))
 	}
+	// The per-slot tables runSlot keeps in maps are slices indexed by
+	// groupOf here, and only the groups a slot touches are cleared and
+	// visited. The visit order differs from a map's, which is random to
+	// begin with: groupProb is a pure function of (group, k, slot) — the
+	// foreign draws are keyed on (gateway, slot, SF) and their total is an
+	// integer sum — so no result depends on it.
+	groups := c.cfg.Gateways << 3
 	var (
 		txNodes    []int32
-		counts     = map[uint32]int32{}
-		lastCounts = map[uint32]int32{}
-		probs      = map[uint32]float64{}
-		taken      = map[uint32]int32{}
+		counts     = newGroupCounts(groups)
+		lastCounts = newGroupCounts(groups)
+		probs      = make([]float64, groups)
+		taken      = make([]int32, groups)
+		granted    map[uint32]int32 // grantOracle's tally, SchemeOracle only
 		lastSlot   = int64(-2)
 		fsl        foreignSlot
 	)
+	if c.cfg.Scheme == mac.SchemeOracle {
+		granted = map[uint32]int32{}
+	}
 	for s := q.MinSlot(); s >= 0; s = q.MinSlot() {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("engine: run canceled mid-drain after %d active slots: %w", m.ActiveSlots, err)
@@ -49,29 +60,32 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 		}
 		m.ActiveSlots++
 		txNodes = txNodes[:0]
-		clear(counts)
+		counts.reset()
 		for q.MinSlot() == s {
 			i, _ := q.PopMin()
 			ns := &c.nodes[i]
 			m.Events++
 			if c.wakeNode(ns, i, s, m) {
 				txNodes = append(txNodes, i)
-				counts[c.groupOf(ns)]++
+				counts.add(c.groupOf(ns))
 			} else {
 				reschedule(i)
 			}
 		}
-		if c.cfg.Scheme == mac.SchemeOracle {
-			c.grantOracle(s, &txNodes, counts, reschedule)
+		if granted != nil {
+			c.grantOracle(s, &txNodes, granted, reschedule)
+			counts.reset()
+			for _, i := range txNodes {
+				counts.add(c.groupOf(&c.nodes[i]))
+			}
 		}
 
-		clear(probs)
-		clear(taken)
 		if c.foreignOn {
 			fsl.beginSlot()
 		}
-		for g, k := range counts {
-			probs[g] = c.groupProb(&fsl, g, k, s)
+		for _, g := range counts.groups {
+			probs[g] = c.groupProb(&fsl, g, counts.k[g], s)
+			taken[g] = 0
 		}
 		m.ForeignTx = fsl.total
 		prevContig := lastSlot == s-1
@@ -88,7 +102,7 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 			}
 			var prevK int32
 			if prevContig {
-				prevK = lastCounts[g]
+				prevK = lastCounts.k[g]
 			}
 			c.finishTx(ns, i, s, kept && !c.vetoed(i, s, prevK), m)
 			reschedule(i)
@@ -97,4 +111,30 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 		lastCounts, counts = counts, lastCounts
 	}
 	return m, nil
+}
+
+// groupCounts is one slot's transmitter count per collision group, with
+// the list of groups that have any: resetting and visiting a slot costs
+// its handful of live groups, not the gateways × 8 table.
+type groupCounts struct {
+	k      []int32
+	groups []uint32
+}
+
+func newGroupCounts(groups int) *groupCounts {
+	return &groupCounts{k: make([]int32, groups)}
+}
+
+func (gc *groupCounts) reset() {
+	for _, g := range gc.groups {
+		gc.k[g] = 0
+	}
+	gc.groups = gc.groups[:0]
+}
+
+func (gc *groupCounts) add(g uint32) {
+	if gc.k[g] == 0 {
+		gc.groups = append(gc.groups, g)
+	}
+	gc.k[g]++
 }
