@@ -11,7 +11,8 @@
 //	    Compare two reports benchstat-style. Exits non-zero when a pinned
 //	    benchmark's ns/op regresses beyond the threshold, when an
 //	    alloc-pinned benchmark's allocs/op increases at all, or when a
-//	    benchmark pinned in the old report is missing from the new one.
+//	    benchmark pinned in the old report is missing from the new one
+//	    and not on this binary's retired list (suite.go).
 //
 // The suite deliberately re-declares the hot-path benchmarks (rather than
 // shelling out to `go test -bench`) so the binary is hermetic: fixed seeds,
@@ -57,7 +58,7 @@ func main() {
 		if err != nil {
 			fatalf("read new report: %v", err)
 		}
-		if failures := compareReports(os.Stdout, old, cur, *threshold); failures > 0 {
+		if failures := compareReports(os.Stdout, old, cur, retired, *threshold); failures > 0 {
 			fatalf("%d benchmark regression(s) beyond gate", failures)
 		}
 		fmt.Println("bench gate: OK")
@@ -162,8 +163,9 @@ func runSuite(filter *regexp.Regexp) *Report {
 }
 
 // compareReports prints a benchstat-style delta table and returns the number
-// of gate failures.
-func compareReports(w io.Writer, old, cur *Report, threshold float64) int {
+// of gate failures. retired maps the names of benchmarks deleted on purpose
+// to the reason: those may be missing from cur.
+func compareReports(w io.Writer, old, cur *Report, retired map[string]string, threshold float64) int {
 	oldByName := map[string]Result{}
 	for _, b := range old.Benchmarks {
 		oldByName[b.Name] = b
@@ -213,7 +215,9 @@ func compareReports(w io.Writer, old, cur *Report, threshold float64) int {
 			// A pinned benchmark that vanished is a gate nobody is
 			// watching any more, not a pass.
 			gate := "removed"
-			if b.PinNs || b.PinAllocs {
+			if reason, ok := retired[b.Name]; ok {
+				gate = "retired: " + reason
+			} else if b.PinNs || b.PinAllocs {
 				gate = "FAIL pinned benchmark removed"
 				failures++
 			}

@@ -34,14 +34,14 @@
 // shrinks (or additively regrows) how many frames may be in flight, so
 // sustained overload sheds early at the controller instead of deep in the
 // queue. /healthz and /readyz on -debug-addr report liveness and
-// readiness (ready = accepting, queue below capacity, no breaker
-// hard-tripped).
+// readiness (ready = accepting, queue and admission window below capacity,
+// no breaker hard-tripped).
 //
 // Usage:
 //
 //	choir-gatewayd night/*.iq
 //	choir-gatewayd -listen :7373
-//	choir-gatewayd -listen :7373 -conn-timeout 10s -batch 8
+//	choir-gatewayd -listen :7373 -conn-timeout 10s
 //	choir-gatewayd -listen :7373 -queue 128 -shed-policy drop-oldest
 //	choir-gatewayd -decode-timeout 2s -max-retries 2 captures/
 //	choir-gatewayd -ladder superposed,strongest night/*.iq
@@ -98,7 +98,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	listen := fs.String("listen", "", "framed streaming TCP ingest address (e.g. :7373); decode starts before the last sample arrives")
 	connTimeout := fs.Duration("conn-timeout", 30*time.Second, "per-connection I/O deadline on the TCP ingest socket (0 = none)")
 	maxConns := fs.Int("max-conns", 64, "concurrent TCP ingest connections before new ones are shed")
-	batch := fs.Int("batch", 1, "frames a worker decodes per wakeup through the batched first rung (1 = off)")
 	queue := fs.Int("queue", 64, "bounded ingest queue depth")
 	shedPolicy := fs.String("shed-policy", "block", "full-queue policy: block, drop-oldest, or reject")
 	workers := fs.Int("workers", 0, "decode workers (0 = all CPUs)")
@@ -146,6 +145,11 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	case *ladder != "":
 		rungs = strings.Split(*ladder, ",")
 	}
+	if *breakerThreshold <= 0 {
+		// The library's zero value means "default 8"; only a negative
+		// threshold disables breakers.
+		*breakerThreshold = -1
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -173,7 +177,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		BreakerCooldown:  *breakerCooldown,
 		Seed:             *seed,
 		Ladder:           rungs,
-		Batch:            *batch,
 		MaxConns:         *maxConns,
 		ConnTimeout:      *connTimeout,
 		JournalDir:       *journalDir,
@@ -195,7 +198,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	})
 	obs.RegisterReadyCheck("gateway", func() error {
 		if !g.Ready() {
-			return errors.New("draining, queue at capacity, or breaker tripped")
+			return errors.New("draining, queue or admission window full, or breaker tripped")
 		}
 		return nil
 	})
@@ -209,7 +212,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	for _, id := range g.CompletedBeforeRestart() {
 		fmt.Fprintf(stdout, "frame %d: completed before restart\n", id)
 	}
-	if n := g.ReplayedOutcomes(); n > 0 {
+	if n := g.Stats().Replayed; n > 0 {
 		fmt.Fprintf(stderr, "choir-gatewayd: replaying %d journaled frame(s) from %s\n", n, *journalDir)
 	}
 

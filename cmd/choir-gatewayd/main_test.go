@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -35,26 +36,37 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
+// sf7 is the PHY every trace in these tests is recorded at.
+func sf7() lora.Params {
+	p := lora.DefaultParams()
+	p.SF = lora.SF7
+	return p
+}
+
 // writeTrace renders one SF7 collision trace into dir.
 func writeTrace(t *testing.T, dir, name string, scSeed uint64) string {
 	t.Helper()
-	p := lora.DefaultParams()
-	p.SF = lora.SF7
-	sc := sim.Scenario{Params: p, PayloadLen: 4, SNRsDB: []float64{15, 12}, Seed: scSeed}
+	sc := sim.Scenario{Params: sf7(), PayloadLen: 4, SNRsDB: []float64{15, 12}, Seed: scSeed}
 	sig, _ := sc.Synthesize()
+	return writeSamples(t, dir, name, sig)
+}
+
+// writeSamples writes sig into dir as an SF7 trace file.
+func writeSamples(t *testing.T, dir, name string, sig []complex128) string {
+	t.Helper()
 	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := trace.Write(f, trace.Header{Params: p, PayloadLen: 4}, sig); err != nil {
+	if err := trace.Write(f, trace.Header{Params: sf7(), PayloadLen: 4}, sig); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-// TestRunFileMode pins the batch path: ingest a directory, decode
+// TestRunFileMode pins file mode: ingest a directory, decode
 // everything, print one terminal outcome per frame, exit 0.
 func TestRunFileMode(t *testing.T) {
 	dir := t.TempDir()
@@ -70,6 +82,30 @@ func TestRunFileMode(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "accepted 2, decoded 2") {
 		t.Errorf("summary missing from stderr: %s", stderr.String())
+	}
+}
+
+// TestRunBreakerThresholdZeroDisables pins the flag's help text ("<= 0
+// disables"): a dozen undecodable frames through a one-rung ladder would
+// trip a threshold-8 breaker at the ninth, after which frames fail with "all
+// rungs circuit-broken" instead of the decoder's own error.
+func TestRunBreakerThresholdZeroDisables(t *testing.T) {
+	dir := t.TempDir()
+	const n = 12
+	for i := 0; i < n; i++ {
+		writeSamples(t, dir, fmt.Sprintf("short%02d.iq", i), make([]complex128, 8))
+	}
+	var stdout, stderr bytes.Buffer
+	argv := []string{"-backend", "strongest", "-max-retries", "0", "-workers", "1", "-breaker-threshold", "0", dir}
+	if code := run(context.Background(), argv, &stdout, &stderr); code != exitOK {
+		t.Fatalf("exit = %d, want 0\nstderr: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	if got := strings.Count(out, "failed after 1 attempt(s)"); got != n {
+		t.Errorf("%d frames failed on their own attempt, want %d\nstdout: %s", got, n, out)
+	}
+	if strings.Contains(out, "circuit-broken") {
+		t.Errorf("-breaker-threshold 0 ran with breakers on\nstdout: %s", out)
 	}
 }
 
@@ -173,7 +209,7 @@ func TestRunTCPStreamMode(t *testing.T) {
 	var stdout, stderr syncBuffer
 	exit := make(chan int, 1)
 	go func() {
-		exit <- run(ctx, []string{"-listen", "127.0.0.1:0", "-batch", "4", "-conn-timeout", "5s", "-backoff", "1us"}, &stdout, &stderr)
+		exit <- run(ctx, []string{"-listen", "127.0.0.1:0", "-conn-timeout", "5s", "-backoff", "1us"}, &stdout, &stderr)
 	}()
 
 	var addr string

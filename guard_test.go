@@ -183,3 +183,39 @@ func TestEngineRunIsOneGoroutine(t *testing.T) {
 		t.Fatal("found no sources under internal/sim/engine")
 	}
 }
+
+// TestGatewayDecodesOneWay enforces DESIGN.md §14: a frame has one route
+// through the gateway — dequeue, ladder, outcome. The batched first rung and
+// its backend entry point stay deleted, and gateway.Config.Batch (declared
+// only for benchmark/) is neither read nor set by the gateway or the CLIs.
+// dsp's BatchSpectrum, NewBatchSpectrum and TransformPrunedBatch are the
+// decoder's window grids, a different thing, and none of the exact names
+// below.
+func TestGatewayDecodesOneWay(t *testing.T) {
+	banned := map[string]bool{"DecodeBatch": true, "BatchItem": true, "processBatch": true, "runBatch": true}
+	sawGateway := false
+	parseSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
+		sawGateway = sawGateway || dir == "internal/gateway"
+		fieldScope := dir == "internal/gateway" || strings.HasPrefix(dir, "cmd/")
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if banned[n.Name] {
+					t.Errorf("%s names %s: the batched decode path is deleted", dir, n.Name)
+				}
+			case *ast.SelectorExpr:
+				if fieldScope && n.Sel.Name == "Batch" {
+					t.Errorf("%s reads .Batch: gateway.Config.Batch is accepted and ignored", dir)
+				}
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok && fieldScope && key.Name == "Batch" {
+					t.Errorf("%s sets Batch: in a composite literal: gateway.Config.Batch is accepted and ignored", dir)
+				}
+			}
+			return true
+		})
+	})
+	if !sawGateway {
+		t.Fatal("found no sources under internal/gateway")
+	}
+}

@@ -1,0 +1,112 @@
+package backend_test
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"choir/internal/backend"
+	"choir/internal/choir"
+	"choir/internal/obs"
+	"choir/internal/trace"
+)
+
+func loadFixture(t *testing.T, name string) (trace.Header, []complex128) {
+	t.Helper()
+	f, err := os.Open(filepath.Join("..", "choir", "testdata", "golden", name+".iq"))
+	if err != nil {
+		t.Fatalf("missing fixture: %v", err)
+	}
+	defer f.Close()
+	h, samples, err := trace.Read(f)
+	if err != nil {
+		t.Fatalf("reading fixture: %v", err)
+	}
+	return h, samples
+}
+
+func sameResult(t *testing.T, label string, got, want *choir.Result) {
+	t.Helper()
+	if len(got.Users) != len(want.Users) {
+		t.Fatalf("%s: %d users, want %d", label, len(got.Users), len(want.Users))
+	}
+	for i := range want.Users {
+		g, w := got.Users[i], want.Users[i]
+		if math.Float64bits(g.Offset) != math.Float64bits(w.Offset) {
+			t.Errorf("%s user %d: offset %v != %v", label, i, g.Offset, w.Offset)
+		}
+		if string(g.Payload) != string(w.Payload) {
+			t.Errorf("%s user %d: payload %x != %x", label, i, g.Payload, w.Payload)
+		}
+		if (g.Err == nil) != (w.Err == nil) || (g.Err != nil && g.Err.Error() != w.Err.Error()) {
+			t.Errorf("%s user %d: err %v != %v", label, i, g.Err, w.Err)
+		}
+	}
+}
+
+func sameErr(t *testing.T, label string, got, want error) {
+	t.Helper()
+	if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+		t.Errorf("%s: err %v, want %v", label, got, want)
+	}
+}
+
+// TestPooledInstanceMatchesFreshForEveryBackend pins the determinism contract
+// the gateway's pooled decode path and journal replay both rest on: a
+// replayed frame decodes on a cold instance in a new process and must match
+// what the dead process's warm one would have produced. For every registered
+// backend, a good frame, a malformed one and a good one again through one
+// pooled instance equal each frame on a fresh instance reseeded alike —
+// errors by text, offsets by bit pattern — with metrics recording off and on.
+func TestPooledInstanceMatchesFreshForEveryBackend(t *testing.T) {
+	if obs.Enabled() {
+		t.Fatal("metrics unexpectedly enabled at test start")
+	}
+	h, samples := loadFixture(t, "collide2_sf7")
+	frames := [][]complex128{samples, samples[:10], samples}
+	ctx := context.Background()
+	for _, name := range backend.Names() {
+		t.Run(name, func(t *testing.T) {
+			check := func(metrics string) {
+				pool, err := backend.NewPool(name, h.Params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var first backend.Backend
+				for i, frame := range frames {
+					label := fmt.Sprintf("%s frame %d", metrics, i)
+					seed := uint64(101 + i)
+					warm := pool.Get(seed)
+					if first == nil {
+						first = warm
+					} else if warm != first {
+						t.Fatalf("%s: pool handed out a second instance", label)
+					}
+					got := &choir.Result{}
+					gotErr := warm.DecodeCtxInto(ctx, got, frame, h.PayloadLen)
+					pool.Put(warm)
+
+					cold := backend.MustNew(name, h.Params)
+					cold.Reseed(seed)
+					want := &choir.Result{}
+					wantErr := cold.DecodeCtxInto(ctx, want, frame, h.PayloadLen)
+
+					sameErr(t, label, gotErr, wantErr)
+					if malformed := i == 1; malformed != (wantErr != nil) {
+						t.Errorf("%s: err %v on a frame with malformed=%v", label, wantErr, malformed)
+					}
+					if wantErr == nil {
+						sameResult(t, label, got, want)
+					}
+				}
+			}
+			check("metrics-off")
+			obs.Enable()
+			defer obs.Disable()
+			check("metrics-on")
+		})
+	}
+}

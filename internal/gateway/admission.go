@@ -7,6 +7,10 @@ import (
 	"time"
 )
 
+// admissionMin is the floor the admission window can shrink to: overload
+// never chokes admissions off entirely.
+const admissionMin = 1
+
 // admissionController is the gateway's AIMD overload governor. It layers on
 // top of the existing shed policies rather than replacing them: the
 // controller maintains an effective admission window — the most accepted
@@ -27,7 +31,6 @@ import (
 type admissionController struct {
 	target int64 // p99 target, nanoseconds
 	every  int   // outcomes per evaluation window
-	min    int64 // window floor
 	max    int64 // window ceiling (the queue capacity)
 
 	limit atomic.Int64 // current admission window
@@ -38,16 +41,12 @@ type admissionController struct {
 
 // newAdmissionController starts with the window wide open (max): the
 // controller only narrows on evidence of overload.
-func newAdmissionController(target time.Duration, every, min, max int) *admissionController {
+func newAdmissionController(target time.Duration, every, max int) *admissionController {
 	a := &admissionController{
 		target: target.Nanoseconds(),
 		every:  every,
-		min:    int64(min),
 		max:    int64(max),
 		lat:    make([]int64, 0, every),
-	}
-	if a.min > a.max {
-		a.min = a.max
 	}
 	a.limit.Store(a.max)
 	mAdmissionLimit.Add(a.max) // gauge-by-delta: value tracks the window
@@ -77,8 +76,8 @@ func (a *admissionController) observe(latNs int64) {
 	next := old
 	if p99 > a.target {
 		next = old / 2
-		if next < a.min {
-			next = a.min
+		if next < admissionMin {
+			next = admissionMin
 		}
 		if next != old {
 			mAdmissionShrinks.Inc()

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"testing"
 	"time"
@@ -10,11 +11,11 @@ import (
 )
 
 // TestAdmissionControllerTrajectory pins the AIMD arithmetic with a fixed
-// latency feed: p99 over target halves the window (floored at min), under
+// latency feed: p99 over target halves the window (floored at admissionMin), under
 // target grows it by one (capped at max). Same feed, same trajectory —
 // the controller is deterministic given its inputs.
 func TestAdmissionControllerTrajectory(t *testing.T) {
-	a := newAdmissionController(time.Millisecond, 4, 1, 8)
+	a := newAdmissionController(time.Millisecond, 4, 8)
 	if got := a.Limit(); got != 8 {
 		t.Fatalf("initial limit %d, want 8 (wide open)", got)
 	}
@@ -124,7 +125,7 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 func TestAdmissionBlockPolicyNoDeadlock(t *testing.T) {
 	g, err := New(Config{
 		Queue: 4, Workers: 1, Policy: ShedBlock, Seed: 42,
-		AdmissionTarget: time.Nanosecond, AdmissionEvery: 2, AdmissionMin: 1,
+		AdmissionTarget: time.Nanosecond, AdmissionEvery: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +233,42 @@ func TestReadyFullQueueNotReady(t *testing.T) {
 	}
 	if !g.Healthy() {
 		t.Error("full queue reported unhealthy")
+	}
+	done := collectOutcomes(g)
+	_ = g.Drain(canceledCtx())
+	<-done
+}
+
+// TestReadyShrunkAdmissionWindowNotReady pins that Ready applies the test
+// submitFrame does: with the AIMD window shrunk to one frame and that frame
+// pending, the queue has room but the next submit sheds, so the gateway is
+// not ready.
+func TestReadyShrunkAdmissionWindowNotReady(t *testing.T) {
+	g, err := build(Config{ // no workers
+		Queue: 8, Policy: ShedReject,
+		AdmissionTarget: time.Millisecond, AdmissionEvery: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g.AdmissionLimit() > 1 {
+		g.admission.observe(int64(2 * time.Millisecond))
+	}
+	if !g.Ready() {
+		t.Error("shrunk window with nothing pending reported not ready")
+	}
+	h, sig, _ := synthFrame(3)
+	if _, err := g.Submit(nil, "a", h, sig); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Submit(nil, "b", h, sig); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submit beyond the window: err = %v, want ErrQueueFull", err)
+	}
+	if g.Ready() {
+		t.Error("gateway that sheds every offer reported ready")
+	}
+	if !g.Healthy() {
+		t.Error("full admission window reported unhealthy")
 	}
 	done := collectOutcomes(g)
 	_ = g.Drain(canceledCtx())

@@ -67,18 +67,8 @@ type Config struct {
 	// depend only on (Seed, frame ID, rung index) — never on timing or
 	// worker count.
 	Seed uint64
-	// Batch is the most frames one worker drains from the queue and decodes
-	// per wakeup (default 1: no batching). Above 1, queued frames sharing a
-	// PHY configuration are decoded back to back on one pooled first-rung
-	// backend (backend.DecodeBatch: Reseed + DecodeCtxInto per frame), so its
-	// FFT plans and scratch stay hot across frames; each frame's outcome is
-	// exactly what the serial ladder would have produced (same seeds, same
-	// rung walk on failure). Two caveats: DecodeTimeout
-	// bounds the whole first-rung batch rather than each frame's attempt,
-	// and breaker bookkeeping is batched — a batch checks the first rung's
-	// breaker for all of its frames before any of their results are
-	// recorded, so a trip can land a few frames later than it would have in
-	// strict serial order.
+	// Batch is accepted and ignored: every frame walks the ladder alone. It
+	// stays declared only because benchmark/ still sets it (ROADMAP item 1).
 	Batch int
 	// MaxConns caps concurrent TCP ingest connections (default 64). Accepts
 	// beyond the cap are shed: counted on gateway.conn.shed, told
@@ -111,9 +101,6 @@ type Config struct {
 	// AdmissionEvery is how many terminal outcomes form one latency window
 	// between AIMD adjustments (default 32).
 	AdmissionEvery int
-	// AdmissionMin is the floor the admission window can shrink to
-	// (default 1 — overload never chokes admissions off entirely).
-	AdmissionMin int
 }
 
 // withDefaults fills zero fields.
@@ -139,17 +126,11 @@ func (c Config) withDefaults() Config {
 	if len(c.Ladder) == 0 {
 		c.Ladder = DefaultLadder()
 	}
-	if c.Batch <= 0 {
-		c.Batch = 1
-	}
 	if c.MaxConns <= 0 {
 		c.MaxConns = 64
 	}
 	if c.AdmissionEvery <= 0 {
 		c.AdmissionEvery = 32
-	}
-	if c.AdmissionMin <= 0 {
-		c.AdmissionMin = 1
 	}
 	return c
 }
@@ -369,7 +350,7 @@ func build(cfg Config) (*Gateway, error) {
 		priorCompleted: rec.Completed,
 	}
 	if cfg.AdmissionTarget > 0 {
-		g.admission = newAdmissionController(cfg.AdmissionTarget, cfg.AdmissionEvery, cfg.AdmissionMin, queueCap)
+		g.admission = newAdmissionController(cfg.AdmissionTarget, cfg.AdmissionEvery, queueCap)
 	}
 	for _, name := range cfg.Ladder {
 		g.rungs = append(g.rungs, newRung(name, cfg.BreakerThreshold, cfg.BreakerCooldown))
@@ -420,10 +401,6 @@ func (g *Gateway) Stats() Stats {
 		Replayed:  g.replayed.Load(),
 	}
 }
-
-// ReplayedOutcomes reports how many journal-replayed frames this gateway
-// re-enqueued at startup (Stats().Replayed as an int for convenience).
-func (g *Gateway) ReplayedOutcomes() int { return int(g.replayed.Load()) }
 
 // CompletedBeforeRestart returns the IDs of frames a previous process life
 // admitted AND completed: their single terminal outcome is durably recorded
@@ -485,7 +462,7 @@ func (g *Gateway) submitFrame(ctx context.Context, f *Frame) (uint64, error) {
 		// the current window sheds exactly as a full queue would. The check
 		// is advisory under racing submitters (the window can overshoot by
 		// the race width); the controller's feedback loop absorbs that.
-		if g.admission == nil || g.pending.Load() < g.admission.Limit() {
+		if g.windowOpen() {
 			select {
 			case g.queue <- f:
 				g.pending.Add(1)
@@ -538,6 +515,12 @@ func (g *Gateway) submitFrame(ctx context.Context, f *Frame) (uint64, error) {
 	}
 }
 
+// windowOpen reports whether the AIMD admission window, when enabled, has
+// room for one more in-flight frame.
+func (g *Gateway) windowOpen() bool {
+	return g.admission == nil || g.pending.Load() < g.admission.Limit()
+}
+
 // journalAbandon settles the journal pair of a frame whose admission failed
 // after its admit record was written: the completion marks it terminal so a
 // restart never replays a frame the caller was told was rejected.
@@ -550,15 +533,11 @@ func (g *Gateway) journalAbandon(f *Frame) {
 }
 
 // worker is one decode goroutine: dequeue, run the recovery ladder, emit
-// the terminal outcome. With Config.Batch > 1 it drains up to Batch queued
-// frames per wakeup (never blocking for more) and decodes them as one
-// first-rung batch, falling back to the per-frame ladder for whatever the
-// batch path cannot take. On shutdown it first helps flush still-queued
+// the terminal outcome. On shutdown it first helps flush still-queued
 // frames as shed outcomes so the exactly-one-outcome invariant holds
 // through a hard stop.
 func (g *Gateway) worker() {
 	defer g.wg.Done()
-	var batch []*Frame // worker-local; reused across wakeups
 	for {
 		select {
 		case <-g.ctx.Done():
@@ -567,23 +546,7 @@ func (g *Gateway) worker() {
 		case f := <-g.queue:
 			g.signalSpace()
 			tQueueWait.Hist().Observe(time.Since(f.enqueued).Nanoseconds())
-			if g.cfg.Batch <= 1 {
-				g.finish(f, g.decodeLadder(f))
-				continue
-			}
-			batch = append(batch[:0], f)
-			for len(batch) < g.cfg.Batch {
-				select {
-				case more := <-g.queue:
-					g.signalSpace()
-					tQueueWait.Hist().Observe(time.Since(more.enqueued).Nanoseconds())
-					batch = append(batch, more)
-					continue
-				default:
-				}
-				break
-			}
-			g.processBatch(batch)
+			g.finish(f, g.decodeLadder(f))
 		}
 	}
 }
@@ -767,8 +730,10 @@ func (g *Gateway) Healthy() bool { return g.ctx.Err() == nil }
 
 // Ready reports whether the gateway should receive traffic: it is accepting
 // (recovery, if any, completed inside New before this gateway existed), the
-// queue is below the shed threshold, and no ladder rung's circuit breaker is
-// hard-tripped. Wire it to a /readyz check (obs.RegisterReadyCheck).
+// queue and the admission window are below the shed threshold (the test
+// submitFrame applies to an offered frame), and no ladder rung's circuit
+// breaker is hard-tripped. Wire it to a /readyz check
+// (obs.RegisterReadyCheck).
 func (g *Gateway) Ready() bool {
 	g.mu.Lock()
 	accepting := g.accepting
@@ -776,7 +741,7 @@ func (g *Gateway) Ready() bool {
 	if !accepting {
 		return false
 	}
-	if len(g.queue) >= cap(g.queue) {
+	if len(g.queue) >= cap(g.queue) || !g.windowOpen() {
 		return false
 	}
 	for _, r := range g.rungs {

@@ -52,11 +52,9 @@ var (
 	mReplyErrors = obs.NewCounter("gateway.conn.reply_errors")
 
 	// Latency surfaces: time a frame waited in the queue, time one decode
-	// attempt took, time one first-rung mini-batch took, and a frame's
-	// end-to-end enqueue-to-outcome latency (the p99 the sustained
-	// throughput benchmark reports).
+	// attempt took, and a frame's end-to-end enqueue-to-outcome latency
+	// (the p99 the sustained throughput benchmark reports).
 	tQueueWait    = obs.NewTimer("gateway.queue_wait_ns")
 	tDecode       = obs.NewTimer("gateway.decode_attempt_ns")
-	tBatchDecode  = obs.NewTimer("gateway.batch_decode_ns")
 	tFrameLatency = obs.NewTimer("gateway.frame_latency_ns")
 )

@@ -2,20 +2,17 @@ package gateway
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"choir/internal/choir"
 	"choir/internal/obs"
-	"choir/internal/trace"
 )
 
 // waitNoLeaks waits for the goroutine count to fall back to baseline.
@@ -181,75 +178,39 @@ func TestIngestFilesEmptyDirErrNoTraces(t *testing.T) {
 	<-done
 }
 
-// TestBatchedOutcomesMatchSerial pins the batched tentpole's outcome
-// contract: the same frame sequence through a Batch=8 gateway and a serial
-// one (same seed, breakers disabled so bookkeeping order can't shift
-// trips) yields identical per-frame outcomes — kind, stage, backend,
-// attempt counts, users, payload bytes, and error text.
-func TestBatchedOutcomesMatchSerial(t *testing.T) {
-	type input struct {
-		src string
-		h   trace.Header
-		sig []complex128
+// TestDecodeTimeoutBoundsEachAttempt pins DecodeTimeout's semantics: the
+// budget belongs to one attempt of one frame. With a budget nothing can meet
+// and six frames queued before the lone worker starts, every frame still
+// walks all three rungs and every attempt dies on its own deadline — no
+// frame inherits a neighbour's expired budget as a cancellation.
+func TestDecodeTimeoutBoundsEachAttempt(t *testing.T) {
+	g, err := build(Config{
+		Queue: 8, Workers: 1, Seed: 77,
+		DecodeTimeout: time.Nanosecond, BreakerThreshold: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var inputs []input
-	for i := 0; i < 6; i++ {
+	const n = 6
+	for i := 0; i < n; i++ {
 		h, sig, _ := synthFrame(uint64(i + 1))
-		inputs = append(inputs, input{fmt.Sprintf("frame-%d", i), h, sig})
+		if _, err := g.Submit(nil, fmt.Sprintf("frame-%d", i), h, sig); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
 	}
-	// A malformed short frame and a non-finite one ride along so the batch
-	// path's per-item error propagation is exercised too.
-	inputs[2].sig = inputs[2].sig[:10]
-	bad := append([]complex128(nil), inputs[4].sig...)
-	bad[len(bad)/2] = complex(math.NaN(), 0)
-	inputs[4].sig = bad
-
-	run := func(batch int) []Outcome {
-		g, err := New(Config{
-			Queue: 16, Workers: 1, Seed: 77, Batch: batch,
-			MaxAttempts: 3, BackoffBase: time.Microsecond,
-			BreakerThreshold: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := collectOutcomes(g)
-		for _, in := range inputs {
-			if _, err := g.Submit(nil, in.src, in.h, in.sig); err != nil {
-				t.Fatalf("submit %s: %v", in.src, err)
-			}
-		}
-		if err := g.Drain(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		outs := <-done
-		sort.Slice(outs, func(i, j int) bool { return outs[i].FrameID < outs[j].FrameID })
-		return outs
+	done := collectOutcomes(g)
+	g.start()
+	if err := g.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-
-	serial := run(1)
-	batched := run(8)
-	if len(serial) != len(inputs) || len(batched) != len(inputs) {
-		t.Fatalf("outcome counts: serial %d, batched %d, want %d", len(serial), len(batched), len(inputs))
+	outs := <-done
+	if len(outs) != n {
+		t.Fatalf("%d outcomes, want %d", len(outs), n)
 	}
-	for i := range serial {
-		s, b := serial[i], batched[i]
-		if s.FrameID != b.FrameID || s.Kind != b.Kind || s.Stage != b.Stage ||
-			s.Backend != b.Backend || s.Attempts != b.Attempts || s.Users != b.Users {
-			t.Errorf("frame %d: batched %+v != serial %+v", s.FrameID, b, s)
-			continue
-		}
-		if (s.Err == nil) != (b.Err == nil) || (s.Err != nil && s.Err.Error() != b.Err.Error()) {
-			t.Errorf("frame %d: batched err %v != serial err %v", s.FrameID, b.Err, s.Err)
-		}
-		if len(s.Payloads) != len(b.Payloads) {
-			t.Errorf("frame %d: payload counts %d != %d", s.FrameID, len(b.Payloads), len(s.Payloads))
-			continue
-		}
-		for j := range s.Payloads {
-			if !bytes.Equal(s.Payloads[j], b.Payloads[j]) {
-				t.Errorf("frame %d payload %d: %x != %x", s.FrameID, j, b.Payloads[j], s.Payloads[j])
-			}
+	for _, o := range outs {
+		if o.Kind != OutcomeFailed || o.Attempts != 3 || !errors.Is(o.Err, choir.ErrDeadline) {
+			t.Errorf("frame %d: kind %v after %d attempt(s), err %v; want failed after 3 on choir.ErrDeadline",
+				o.FrameID, o.Kind, o.Attempts, o.Err)
 		}
 	}
 }

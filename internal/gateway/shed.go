@@ -18,7 +18,7 @@ const (
 	// capture feeds where a stale collision is worthless.
 	ShedDropOldest
 	// ShedReject refuses the new frame with ErrQueueFull, leaving the
-	// queue untouched. Oldest-data-wins, for replay/batch ingestion where
+	// queue untouched. Oldest-data-wins, for replay/file ingestion where
 	// every accepted frame must eventually be processed.
 	ShedReject
 )
