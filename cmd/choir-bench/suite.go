@@ -57,6 +57,8 @@ func suite() []benchmark {
 		{Name: "BenchmarkNoiseFloor", PinNs: true, PinAllocs: true, Fn: benchNoiseFloor},
 		{Name: "BenchmarkToneKernel", PinNs: true, PinAllocs: true, Fn: benchToneKernel},
 		{Name: "BenchmarkSegmentFit", PinNs: true, PinAllocs: true, Fn: benchSegmentFit},
+		{Name: "BenchmarkFitChannels", PinNs: true, PinAllocs: true, Fn: benchFitChannels},
+		{Name: "BenchmarkFindPeaks", PinNs: true, PinAllocs: true, Fn: benchFindPeaks},
 		{Name: "BenchmarkDecodeSteadyState", PinNs: true, PinAllocs: true, Fn: benchDecodeSteadyState},
 		{Name: "BenchmarkBackendDispatch", PinNs: true, PinAllocs: true, Fn: benchBackendDispatch},
 		{Name: "BenchmarkDecodeTwoUserCollision", PinNs: true, Fn: benchDecodeTwoUser},
@@ -231,6 +233,46 @@ func benchSegmentFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dec.SegmentFit(x, tone)
+	}
+}
+
+// benchFitChannels is the joint channel fit of Eqn. 2 at the benchmark's
+// highest collision order: six tones at least 0.9 bin apart against one SF8
+// window — six tones and correlations plus a 6×6 closed-form system.
+func benchFitChannels(b *testing.B) {
+	p := lora.DefaultParams()
+	p.SF = lora.SF8
+	dec := ichoir.MustNew(ichoir.DefaultConfig(p))
+	x := dechirpedWindow(p.N())
+	offsets := []float64{12.2, 13.15, 37.3, 90.75, 91.9, 201.4}
+	dec.FitChannels(x, offsets)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec.FitChannels(x, offsets)
+	}
+}
+
+// benchFindPeaks is one peak search over an SF9 window's 16×-padded
+// magnitude spectrum (8192 bins) holding six tones in noise, with the
+// decoder's separation and a 5× noise-floor threshold: almost every bin
+// fails the threshold, which is the case the search is written for.
+func benchFindPeaks(b *testing.B) {
+	const n, padN = 512, 8192
+	x := dechirpedWindow(n)
+	for _, f := range []float64{12.2, 13.15, 37.3, 190.75, 191.9, 401.4} {
+		dsp.Add(x, dsp.Scale(dsp.Tone(nil, n, f/n, 0), 8))
+	}
+	mags := dsp.NewFFT(padN).SpectrumInto(nil, nil, x)
+	cfg := dsp.PeakConfig{Pad: padN / n, MinSeparation: 0.9, Threshold: 5 * dsp.NoiseFloor(mags), Max: 16}
+	var scratch dsp.PeakScratch
+	if got := len(dsp.FindPeaksScratch(&scratch, mags, cfg)); got < 6 {
+		b.Fatalf("found %d peaks of six tones", got)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dsp.FindPeaksScratch(&scratch, mags, cfg)
 	}
 }
 

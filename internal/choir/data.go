@@ -173,7 +173,7 @@ func (d *Decoder) mlSymbolPass(win []complex128, w int, peaks []peakObs, users [
 	for i, pk := range peaks {
 		offs[i] = pk.bin
 	}
-	joint := d.fitChannels(win, offs)
+	joint := d.FitChannels(win, offs)
 	// Remove only the tones attributed to SOME user: an unassigned peak is
 	// either noise (harmless to leave — the matched filter integrates past
 	// it) or a misattributed fragment of a real user's signal (catastrophic
@@ -260,30 +260,36 @@ func (d *Decoder) mainSeg(b int) (lo, hi int) {
 	return 0, b
 }
 
-// fitSegments solves the least-squares channel fit over masked tone
-// regressors. The returned slice aliases decoder-owned workspace storage,
-// valid until the next fitSegments / fitChannels call.
+// fitSegments solves the least-squares channel fit (Eqn. 2) over masked tone
+// regressors from its normal equations (AᴴA)h = Aᴴx written down directly:
+// Aᴴx is one tone correlation per regressor over its own range, and AᴴA is
+// the closed-form Gram matrix of toneGram — two masked tones overlap on the
+// intersection of their ranges — so a fit costs O(N·k + k³) and no N×k design
+// matrix exists. The returned slice aliases decoder-owned workspace storage,
+// valid until the next fitSegments / FitChannels call.
 func (d *Decoder) fitSegments(dech []complex128, regs []segReg) []complex128 {
 	k := len(regs)
 	if k == 0 {
 		return nil
 	}
-	e := d.lsWS.DesignMatrix(d.n, k)
-	for j, r := range regs {
-		tone := d.tone(r.f)
-		for i := r.lo; i < r.hi; i++ {
-			e.Data[i*k+j] = tone[i]
+	ata, atb := d.lsWS.NormalSystem(k)
+	for a, ra := range regs {
+		atb[a] = toneCorrelate(dech[ra.lo:ra.hi], d.tone(ra.f)[ra.lo:])
+		ata.Data[a*k+a] = complex(float64(ra.hi-ra.lo), 0)
+		for b := a + 1; b < k; b++ {
+			rb := regs[b]
+			g := toneGram(rb.f-ra.f, max(ra.lo, rb.lo), min(ra.hi, rb.hi), d.n)
+			ata.Data[a*k+b] = g
+			ata.Data[b*k+a] = complex(real(g), -imag(g))
 		}
 	}
-	hs, err := d.lsWS.LeastSquaresInto(e, dech)
+	hs, err := d.lsWS.SolveJittered()
 	if err != nil {
-		hs = c128Buf(&d.hsFallback, k)
-		for j, r := range regs {
-			hs[j] = 0
-			if r.hi > r.lo {
-				hs[j] = matchedFilter(dech[r.lo:r.hi], d.tone(r.f)[r.lo:r.hi])
-			}
-		}
+		// The jitter is 1e-12 of the mean diagonal — a sample count, at
+		// least 1 for the non-empty ranges every caller passes — which keeps
+		// each pivot orders of magnitude above the solver's 1e-14 floor even
+		// for identical regressors (TestFitChannelsDuplicateOffsets).
+		panic(fmt.Sprintf("choir: %d-regressor channel fit: %v", k, err))
 	}
 	return hs
 }
@@ -332,7 +338,7 @@ func (d *Decoder) estimateBoundaries(wins [][]complex128, nsym int, users []*Use
 				}
 				offs = append(offs, math.Mod(float64(s)+v.Offset+period, period))
 			}
-			hs := d.fitChannels(work, offs)
+			hs := d.FitChannels(work, offs)
 			for j, f := range offs {
 				subtractTone(work, d.tone(f), hs[j])
 			}
@@ -548,7 +554,7 @@ func (d *Decoder) refinePeakPositions(dech []complex128, out []peakObs) []peakOb
 	for i, pk := range out {
 		offs[i] = pk.bin
 	}
-	joint := d.fitChannels(dech, offs)
+	joint := d.FitChannels(dech, offs)
 	if cap(d.segModels) < len(out) {
 		d.segModels = make([]segModel, len(out))
 	}

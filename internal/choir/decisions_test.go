@@ -13,10 +13,22 @@ package choir_test
 // Regenerate only after an intentional change of decoder behaviour:
 //
 //	go test ./internal/choir -run TestDecisionGolden -update
+//
+// The golden pins two renderings per cell. A kernel change is also held to a
+// wider diff against its parent commit, which needs no golden: write the
+// reports of N renderings per cell from each tree and compare the files —
+//
+//	go test ./internal/choir -run TestDecisionGolden -decision-variants 12 -decisions-out /tmp/parent.txt   # in the parent's tree
+//	go test ./internal/choir -run TestDecisionGolden -decision-variants 12 -decisions-out /tmp/change.txt   # in the change's
+//	diff /tmp/parent.txt /tmp/change.txt
+//
+// (this file builds unmodified against any commit that has the golden: copy
+// it over the parent's).
 
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,9 +44,14 @@ var decisionCells = []struct{ sf, users int }{
 	{7, 1}, {7, 2}, {7, 3}, {8, 2}, {8, 3}, {8, 4}, {8, 6}, {9, 1}, {9, 2}, {9, 4}, {10, 1}, {10, 2},
 }
 
-// decisionVariants is how many seeded renderings of each cell are pinned;
+// goldenVariants is how many seeded renderings of each cell the golden pins;
 // -short checks the first only.
-const decisionVariants = 2
+const goldenVariants = 2
+
+var (
+	decisionVariants = flag.Int("decision-variants", goldenVariants, "seeded renderings decoded per decision cell; more than the golden's need -decisions-out")
+	decisionsOut     = flag.String("decisions-out", "", "write the concatenated decision reports to this file instead of comparing them with the golden")
+)
 
 func errorClass(u *choir.User) string {
 	switch {
@@ -87,15 +104,27 @@ func decisionReport(sf, users, variant int) string {
 
 func TestDecisionGolden(t *testing.T) {
 	path := filepath.Join("testdata", "golden", "decisions.golden")
-	variants := decisionVariants
-	if testing.Short() && !*update {
-		variants = 1
+	variants := *decisionVariants
+	if *decisionsOut == "" {
+		if variants != goldenVariants {
+			t.Fatalf("-decision-variants %d: the golden pins %d per cell; other counts need -decisions-out", variants, goldenVariants)
+		}
+		if testing.Short() && !*update {
+			variants = 1
+		}
 	}
 	var reports []string
 	for _, c := range decisionCells {
 		for v := 0; v < variants; v++ {
 			reports = append(reports, decisionReport(c.sf, c.users, v))
 		}
+	}
+	if *decisionsOut != "" {
+		if err := os.WriteFile(*decisionsOut, []byte(strings.Join(reports, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d decision reports to %s", len(reports), *decisionsOut)
+		return
 	}
 	if *update {
 		if err := os.WriteFile(path, []byte(strings.Join(reports, "")), 0o644); err != nil {

@@ -144,7 +144,7 @@ type Decoder struct {
 	dataWins [][]complex128
 
 	toneBuf []complex128 // the one tone scratch, filled by tone (n)
-	recip   [][2]float64 // recip[i] = {1/i, 1/(n−i)}, 0 where that divides by zero (n+1): SegmentFit's boundary scores
+	cusum   [][2]float64 // cusum[i] = {i/n, n/(i(n−i))}, the second 0 at both ends (n+1): segmentScan's boundary weights
 
 	// Per-decode scratch arena plus dedicated reusable buffers for the
 	// pipeline's per-window temporaries. Together they make steady-state
@@ -174,13 +174,13 @@ type Decoder struct {
 	origMagBuf  []float64
 	accBuf      []float64 // DetectTeam accumulated power spectrum
 	hsBuf       []complex128
-	hsFallback  []complex128
 	i0sBuf      []int
 	intTmp      []int
 	boundsBuf   []int
 	missingBuf  []int
 	segModels   []segModel
 	regsBuf     []segReg
+	chanRegs    []segReg // FitChannels' whole-window regressors
 	ownerBuf    []int
 	candBuf     []matchCand
 	usedPeakBuf []bool
@@ -253,10 +253,12 @@ func New(cfg Config) (*Decoder, error) {
 	padN := dsp.NextPow2(cfg.Pad * n)
 	fft := dsp.NewFFT(padN)
 	pcg := rand.NewPCG(cfg.Seed, cfg.Seed^0xC0FFEE)
-	recip := make([][2]float64, n+1)
-	for i := 1; i <= n; i++ {
-		recip[i][0] = 1 / float64(i)
-		recip[n-i][1] = 1 / float64(i)
+	cusum := make([][2]float64, n+1)
+	for i := range cusum {
+		cusum[i][0] = float64(i) / float64(n)
+		if i > 0 && i < n {
+			cusum[i][1] = float64(n) / (float64(i) * float64(n-i))
+		}
 	}
 	return &Decoder{
 		cfg:         cfg,
@@ -273,7 +275,7 @@ func New(cfg Config) (*Decoder, error) {
 		scratchSpec: make([]complex128, padN),
 		scratchMags: make([]float64, padN),
 		toneBuf:     make([]complex128, n),
-		recip:       recip,
+		cusum:       cusum,
 	}, nil
 }
 

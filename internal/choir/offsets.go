@@ -250,7 +250,7 @@ func (d *Decoder) findPreambleUsers(wins [][]complex128, known []userEstimate) [
 			offs, hs, i0s = d.refineOffsets(dech, coarse)
 		} else {
 			offs = coarse
-			hs = d.fitChannels(dech, offs)
+			hs = d.FitChannels(dech, offs)
 			i0s = intBuf(&d.i0sBuf, len(offs))
 			for i := range i0s {
 				i0s[i] = 0
@@ -418,7 +418,7 @@ func (d *Decoder) subtractUsers(wins [][]complex128, users []userEstimate) {
 		for i, u := range users {
 			offs[i] = u.offset
 		}
-		hs := d.fitChannels(dech, offs)
+		hs := d.FitChannels(dech, offs)
 		for i := range models {
 			models[i] = segModel{f: offs[i], h1: hs[i], h2: hs[i], i0: 0}
 		}
@@ -451,11 +451,11 @@ func (d *Decoder) subtractUsers(wins [][]complex128, users []userEstimate) {
 func (d *Decoder) segmentFitRefined(x []complex128, fBins float64) (segModel, []complex128) {
 	sp := mStageResidual.Start()
 	defer sp.Stop()
+	// A candidate frequency is judged by the scan's explained energy alone;
+	// only the refined frequency's fit forms the gains.
 	explained := func(f float64) float64 {
-		h1, h2, i0 := d.SegmentFit(x, d.tone(f))
-		p1 := real(h1)*real(h1) + imag(h1)*imag(h1)
-		p2 := real(h2)*real(h2) + imag(h2)*imag(h2)
-		return p1*float64(i0) + p2*float64(d.n-i0)
+		_, _, energy := d.segmentScan(x, d.tone(f))
+		return energy
 	}
 	const phi = 0.6180339887498949
 	a, b := fBins-0.5, fBins+0.5
@@ -481,29 +481,13 @@ func (d *Decoder) segmentFitRefined(x []complex128, fBins float64) (segModel, []
 
 // SegmentFit fits the two-segment tone model h₁·tone[k] (k < i0) plus
 // h₂·tone[k] (k >= i0) to x, choosing the boundary i0 that maximizes the
-// explained energy. Thanks to prefix sums the search over all boundaries is
-// O(N), and it scores each boundary with the decoder's reciprocal table
-// instead of dividing twice. x and tone are both N = 2^SF samples (it panics
-// otherwise). This is the single hottest routine of a decode, exported so
-// cmd/choir-bench can pin it on its own.
+// explained energy (segmentScan) and forming the two least-squares gains
+// there. x and tone are both N = 2^SF samples (it panics otherwise). This is
+// the single hottest routine of a decode, exported so cmd/choir-bench can pin
+// it on its own.
 func (d *Decoder) SegmentFit(x, tone []complex128) (h1, h2 complex128, i0 int) {
 	n := d.n
-	prefix := tonePrefix(c128Buf(&d.prefixBuf, n+1), x[:n], tone)
-	tr, ti := real(prefix[n]), imag(prefix[n])
-	// score(i) = |prefix[i]|²/i + |total − prefix[i]|²/(n−i), total = (tr, ti);
-	// at either end the empty segment's sum is zero and so is its table
-	// entry.
-	recip := d.recip[:len(prefix)]
-	best, bestScore := 0, math.Inf(-1)
-	for i, p := range prefix {
-		pr, pi := real(p), imag(p)
-		qr, qi := tr-pr, ti-pi
-		w := recip[i]
-		if score := (pr*pr+pi*pi)*w[0] + (qr*qr+qi*qi)*w[1]; score > bestScore {
-			best, bestScore = i, score
-		}
-	}
-	i0 = best
+	prefix, i0, _ := d.segmentScan(x, tone)
 	if i0 > 0 {
 		h1 = prefix[i0] / complex(float64(i0), 0)
 	}
@@ -513,18 +497,67 @@ func (d *Decoder) SegmentFit(x, tone []complex128) (h1, h2 complex128, i0 int) {
 	return h1, h2, i0
 }
 
+// segmentScan correlates x with tone into prefix sums P_i (decoder scratch,
+// valid until the next scan) and searches every boundary of the two-segment
+// model in O(N). It returns the sums, the boundary i0 that explains the most
+// energy, and that energy — |h₁|²·i0 + |h₂|²·(N−i0) for the least-squares
+// gains h₁ = P_i0/i0, h₂ = (T−P_i0)/(N−i0), T = P_N — without forming them.
+//
+// The scan is a CUSUM statistic. With D_i = P_i − (i/N)·T,
+//
+//	|P_i|²/i + |T−P_i|²/(N−i) = |T|²/N + |D_i|²·N/(i(N−i)):
+//
+// the energy one tone over the whole window explains, plus what splitting it
+// at i adds. Only the second term depends on i, it needs no T − P_i, and its
+// two weights come from the decoder's table, read in place (a copy of the
+// row would round-trip through the stack, 16 bytes on an 8-byte-aligned
+// frame). At both ends D is zero and so is the table's second entry.
+func (d *Decoder) segmentScan(x, tone []complex128) (prefix []complex128, i0 int, energy float64) {
+	n := d.n
+	prefix = tonePrefix(c128Buf(&d.prefixBuf, n+1), x[:n], tone)
+	tr, ti := real(prefix[n]), imag(prefix[n])
+	cusum := d.cusum[:len(prefix)]
+	gain := func(p complex128, w *[2]float64) float64 {
+		dr, di := real(p)-w[0]*tr, imag(p)-w[0]*ti
+		return (dr*dr + di*di) * w[1]
+	}
+	// Four boundaries a step: the running maximum rises a handful of times a
+	// scan, so one test clears a whole step and the first-strict-maximum
+	// bookkeeping runs only for the steps that raise it.
+	best, bestGain := 0, math.Inf(-1)
+	i := 0
+	for ; i+4 <= len(cusum); i += 4 {
+		p, w := prefix[i:i+4], cusum[i:i+4]
+		g := [4]float64{gain(p[0], &w[0]), gain(p[1], &w[1]), gain(p[2], &w[2]), gain(p[3], &w[3])}
+		if g[0] > bestGain || g[1] > bestGain || g[2] > bestGain || g[3] > bestGain {
+			for j, gj := range g {
+				if gj > bestGain {
+					best, bestGain = i+j, gj
+				}
+			}
+		}
+	}
+	for ; i < len(cusum); i++ {
+		if g := gain(prefix[i], &cusum[i]); g > bestGain {
+			best, bestGain = i, g
+		}
+	}
+	return prefix, best, (tr*tr+ti*ti)/float64(n) + bestGain
+}
+
 // tonePrefix fills dst (len(x)+1) with the running correlation of x against
 // a tone, dst[i] = Σ_{k<i} x[k]·conj(tone[k]), and returns it: any segment's
 // matched-filter sum is then a difference of two entries.
 func tonePrefix(dst, x, tone []complex128) []complex128 {
 	dst, tone = dst[:len(x)+1], tone[:len(x)]
 	dst[0] = 0
+	sums := dst[1:][:len(x)] // sums[k] = dst[k+1], its length known to the loop
 	var sr, si float64
 	for k, v := range x {
 		tr, ti := real(tone[k]), imag(tone[k])
 		sr += real(v)*tr + imag(v)*ti
 		si += imag(v)*tr - real(v)*ti
-		dst[k+1] = complex(sr, si)
+		sums[k] = complex(sr, si)
 	}
 	return dst
 }
@@ -550,40 +583,65 @@ func addSegments(x, tone []complex128, h1, h2 complex128, i0 int) {
 	subtractSegments(x, tone, -h1, -h2, i0)
 }
 
-// fitChannels solves the least-squares channel fit of Eqn. 2 for the given
-// offsets (in bins) against one dechirped window. The returned slice aliases
-// decoder-owned workspace storage and is valid until the next fitChannels /
+// FitChannels solves the least-squares channel fit of Eqn. 2 for the given
+// offsets (in bins) against one dechirped window: fitSegments with every
+// regressor spanning the whole window. The returned slice aliases
+// decoder-owned workspace storage and is valid until the next FitChannels /
 // fitSegments call; every call site consumes or copies the gains before then.
-func (d *Decoder) fitChannels(dech []complex128, offsets []float64) []complex128 {
-	k := len(offsets)
-	if k == 0 {
-		return nil
+// It is the part of a decode that grows with the square of the collision
+// order, exported so cmd/choir-bench can pin it on its own.
+func (d *Decoder) FitChannels(dech []complex128, offsets []float64) []complex128 {
+	regs := d.chanRegs[:0]
+	for _, f := range offsets {
+		regs = append(regs, segReg{f: f, lo: 0, hi: d.n})
 	}
-	e := d.lsWS.DesignMatrix(d.n, k)
-	for j, f := range offsets {
-		for i, t := range d.tone(f) {
-			e.Data[i*k+j] = t
-		}
+	d.chanRegs = regs
+	return d.fitSegments(dech, regs)
+}
+
+// toneCorrelate returns Σ x[k]·conj(tone[k]) over x's length; tone is at
+// least as long as x.
+func toneCorrelate(x, tone []complex128) complex128 {
+	tone = tone[:len(x)]
+	var sr, si float64
+	for k, v := range x {
+		tr, ti := real(tone[k]), imag(tone[k])
+		sr += real(v)*tr + imag(v)*ti
+		si += imag(v)*tr - real(v)*ti
 	}
-	hs, err := d.lsWS.LeastSquaresInto(e, dech)
-	if err != nil {
-		// Nearly identical offsets: fall back to independent matched
-		// filters; leakage stays, but decoding can proceed.
-		hs = c128Buf(&d.hsFallback, k)
-		for j, f := range offsets {
-			hs[j] = matchedFilter(dech, d.tone(f))
-		}
-	}
-	return hs
+	return complex(sr, si)
 }
 
 // matchedFilter correlates x with a unit tone: the mean of x[k]·conj(tone[k]).
 func matchedFilter(x, tone []complex128) complex128 {
-	var sum complex128
-	for k, v := range x {
-		sum += v * complex(real(tone[k]), -imag(tone[k]))
+	return toneCorrelate(x, tone) / complex(float64(len(x)), 0)
+}
+
+// toneGram returns Σ_{i∈[lo,hi)} e^{j2π·df·i/n}: the inner product of two
+// unit tones df bins apart over the sample range both cover — one entry of
+// the Gram matrix AᴴA of tone regressors, in closed form. With θ = 2π·df/n
+// and m = hi − lo the geometric sum is
+//
+//	e^{jθ(lo+hi−1)/2} · sin(mθ/2)/sin(θ/2),
+//
+// the Dirichlet kernel (the paper's sinc leakage between two offsets) at the
+// phase of the range's midpoint; it is m where sin(θ/2) vanishes. The sum has
+// period n in df, so df is first reduced (exactly) to [−n/2, n/2]: that keeps
+// θ/2 inside [−π/2, π/2], where sin is zero only at zero and relatively
+// exact near it. An empty range sums to zero.
+func toneGram(df float64, lo, hi, n int) complex128 {
+	m := hi - lo
+	if m <= 0 {
+		return 0
 	}
-	return sum / complex(float64(len(x)), 0)
+	half := math.Pi * math.Remainder(df, float64(n)) / float64(n) // θ/2
+	den := math.Sin(half)
+	if den == 0 {
+		return complex(float64(m), 0)
+	}
+	mag := math.Sin(float64(m)*half) / den
+	s, c := math.Sincos(half * float64(lo+hi-1))
+	return complex(mag*c, mag*s)
 }
 
 // refineOffsets refines each user's offset to a small fraction of a bin by
@@ -603,7 +661,7 @@ func (d *Decoder) refineOffsets(dech []complex128, coarse []float64) ([]float64,
 		d.segModels = make([]segModel, k)
 	}
 	models := d.segModels[:k]
-	joint := d.fitChannels(dech, offs)
+	joint := d.FitChannels(dech, offs)
 	residual := c128Buf(&d.residBuf, len(dech))
 	copy(residual, dech)
 	for i := 0; i < k; i++ {

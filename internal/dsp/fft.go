@@ -111,18 +111,48 @@ func (f *FFT) transform(dst, src, tw []complex128) []complex128 {
 }
 
 // stages runs the radix-2 butterfly passes from size fromSize up to the full
-// transform length over an already bit-reverse-permuted buffer.
+// transform length over an already bit-reverse-permuted buffer, two stages
+// per pass over the buffer while two remain. A fused pass takes the four
+// quarter-block elements that stage `size` and stage `2·size` connect, runs
+// the first stage's two butterflies and then the second's two on them, and
+// writes four: every butterfly sees the operands, twiddle and operation
+// order it has in a one-stage-per-pass loop, so the result is bit-identical
+// (TestFusedStagesBitIdentical) and half the walks over a buffer that does
+// not fit the L1 cache disappear.
 func (f *FFT) stages(dst, tw []complex128, fromSize int) {
-	for size := fromSize; size <= f.n; size <<= 1 {
-		half := size >> 1
+	dst = dst[:f.n]
+	twq := tw[f.n/4:] // twq[k] = tw[k+n/4]: the second stage's twiddles for its upper quarter
+	size := fromSize
+	for ; size<<1 <= f.n; size <<= 2 {
+		h := size >> 1
+		step := f.n / (size << 1) // twiddle stride of stage 2·size; stage size strides twice that
+		for start := 0; start < f.n; start += size << 1 {
+			q0 := dst[start:][:h]
+			q1 := dst[start+h:][:len(q0)]
+			q2 := dst[start+2*h:][:len(q0)]
+			q3 := dst[start+3*h:][:len(q0)]
+			k := 0
+			for j := range q0 {
+				w := tw[2*k]
+				b1, b3 := q1[j]*w, q3[j]*w
+				a0, a1 := q0[j]+b1, q0[j]-b1
+				a2, a3 := q2[j]+b3, q2[j]-b3
+				c2, c3 := a2*tw[k], a3*twq[k]
+				q0[j], q2[j] = a0+c2, a0-c2
+				q1[j], q3[j] = a1+c3, a1-c3
+				k += step
+			}
+		}
+	}
+	if size <= f.n { // an odd stage count leaves the last stage on its own
+		h := size >> 1
 		step := f.n / size
 		for start := 0; start < f.n; start += size {
-			k := 0
-			for i := start; i < start+half; i++ {
-				w := tw[k]
-				a, b := dst[i], dst[i+half]*w
-				dst[i], dst[i+half] = a+b, a-b
-				k += step
+			lo := dst[start:][:h]
+			hi := dst[start+h:][:len(lo)]
+			for j := range lo {
+				a, b := lo[j], hi[j]*tw[j*step]
+				lo[j], hi[j] = a+b, a-b
 			}
 		}
 	}

@@ -211,3 +211,50 @@ func TestEnergyAndPower(t *testing.T) {
 		t.Errorf("Power(nil) = %g, want 0", p)
 	}
 }
+
+// stagesOnePerPass is the loop the fused (*FFT).stages replaced: one radix-2
+// stage per walk over the buffer.
+func stagesOnePerPass(n int, dst, tw []complex128, fromSize int) {
+	for size := fromSize; size <= n; size <<= 1 {
+		half := size >> 1
+		step := n / size
+		for start := 0; start < n; start += size {
+			k := 0
+			for i := start; i < start+half; i++ {
+				w := tw[k]
+				a, b := dst[i], dst[i+half]*w
+				dst[i], dst[i+half] = a+b, a-b
+				k += step
+			}
+		}
+	}
+}
+
+// TestFusedStagesBitIdentical holds the two-stages-per-pass loop to the
+// exact-order contract: for every plan size, both twiddle tables and
+// starting stages that leave odd and even stage counts, the buffer comes
+// out Float64bits-equal to the one-stage loop's.
+func TestFusedStagesBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 0xF05E))
+	for n := 2; n <= 1<<14; n <<= 1 {
+		f := NewFFT(n)
+		x := randSignal(rng, n)
+		for _, tw := range [][]complex128{f.forward, f.inverse} {
+			for _, fromSize := range []int{2, 4, 32, n} {
+				if fromSize > n {
+					continue
+				}
+				want := append([]complex128(nil), x...)
+				stagesOnePerPass(n, want, tw, fromSize)
+				got := append([]complex128(nil), x...)
+				f.stages(got, tw, fromSize)
+				for k := range want {
+					if math.Float64bits(real(got[k])) != math.Float64bits(real(want[k])) ||
+						math.Float64bits(imag(got[k])) != math.Float64bits(imag(want[k])) {
+						t.Fatalf("n=%d fromSize=%d: element %d = %v, one-stage loop %v", n, fromSize, k, got[k], want[k])
+					}
+				}
+			}
+		}
+	}
+}

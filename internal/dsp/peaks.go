@@ -80,11 +80,20 @@ func FindPeaksScratch(s *PeakScratch, spectrum []float64, cfg PeakConfig) []Peak
 	}
 	period := float64(n) / float64(cfg.Pad)
 	cands := s.cands[:0]
-	for i := 0; i < n; i++ {
-		prev := spectrum[(i-1+n)%n]
-		next := spectrum[(i+1)%n]
-		v := spectrum[i]
-		if v < cfg.Threshold || v < prev || v <= next {
+	for i, v := range spectrum {
+		// Almost no bin clears the threshold, so it is tested before the
+		// neighbours are fetched; only the two end bins wrap.
+		if v < cfg.Threshold {
+			continue
+		}
+		prev, next := spectrum[n-1], spectrum[0]
+		if i > 0 {
+			prev = spectrum[i-1]
+		}
+		if i < n-1 {
+			next = spectrum[i+1]
+		}
+		if v < prev || v <= next {
 			continue
 		}
 		// Quadratic (parabolic) interpolation around the padded-grid maximum.

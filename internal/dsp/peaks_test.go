@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -135,5 +136,115 @@ func TestNoiseFloorRobustToPeaks(t *testing.T) {
 	after := NoiseFloor(spec)
 	if math.Abs(after-base) > 0.05*base+1e-9 {
 		t.Errorf("noise floor moved from %g to %g after injecting peaks", base, after)
+	}
+}
+
+// findPeaksModulo is FindPeaksScratch as it was before the candidate loop
+// stopped wrapping every index: both neighbours fetched through a modulo,
+// then the three comparisons.
+func findPeaksModulo(spectrum []float64, cfg PeakConfig) []Peak {
+	n := len(spectrum)
+	period := float64(n) / float64(cfg.Pad)
+	var cands []Peak
+	for i := 0; i < n; i++ {
+		prev := spectrum[(i-1+n)%n]
+		next := spectrum[(i+1)%n]
+		v := spectrum[i]
+		if v < cfg.Threshold || v < prev || v <= next {
+			continue
+		}
+		delta := 0.0
+		den := prev - 2*v + next
+		if den != 0 {
+			delta = 0.5 * (prev - next) / den
+			if delta > 0.5 {
+				delta = 0.5
+			} else if delta < -0.5 {
+				delta = -0.5
+			}
+		}
+		interpMag := v - 0.25*(prev-next)*delta
+		bin := (float64(i) + delta) / float64(cfg.Pad)
+		if bin < 0 {
+			bin += period
+		}
+		cands = append(cands, Peak{Bin: bin, Mag: interpMag})
+	}
+	slices.SortFunc(cands, func(a, b Peak) int {
+		if a.Mag > b.Mag {
+			return -1
+		}
+		if a.Mag < b.Mag {
+			return 1
+		}
+		return 0
+	})
+	var out []Peak
+	for _, c := range cands {
+		ok := true
+		for _, kept := range out {
+			if circularDist(c.Bin, kept.Bin, period) < cfg.MinSeparation {
+				ok = false
+				break
+			}
+		}
+		if !ok {
+			continue
+		}
+		out = append(out, c)
+		if cfg.Max > 0 && len(out) >= cfg.Max {
+			break
+		}
+	}
+	return out
+}
+
+// TestFindPeaksWrapMatchesReference holds the modulo-free candidate loop to
+// the modulo form on the inputs where wrapping matters: peaks on the first
+// and last bin, a plateau across the wrap, a NaN bin (which every comparison
+// lets through), the one- and two-bin spectra, and Max binding.
+func TestFindPeaksWrapMatchesReference(t *testing.T) {
+	nan := math.NaN()
+	noisy := make([]float64, 8192)
+	rng := rand.New(rand.NewPCG(29, 0xABCD))
+	for i := range noisy {
+		noisy[i] = rng.ExpFloat64()
+	}
+	noisy[0], noisy[8191], noisy[4000], noisy[4100] = 60, 55, 50, 45
+	cases := []struct {
+		name string
+		spec []float64
+		cfg  PeakConfig
+	}{
+		{"peak at 0", []float64{9, 3, 1, 1, 1, 1, 1, 4}, PeakConfig{Pad: 1, Threshold: 2}},
+		{"peak at n-1", []float64{4, 1, 1, 1, 1, 1, 3, 9}, PeakConfig{Pad: 2, Threshold: 2}},
+		{"plateau across the wrap", []float64{7, 1, 1, 1, 1, 1, 1, 7}, PeakConfig{Pad: 1, Threshold: 2}},
+		{"flat", []float64{5, 5, 5, 5}, PeakConfig{Pad: 1, Threshold: 2}},
+		{"NaN bin", []float64{1, 8, 1, nan, 1, 6, 1, 1}, PeakConfig{Pad: 1, Threshold: 2}},
+		{"NaN at the wrap", []float64{nan, 1, 8, 1, 1, 1, 6, 1}, PeakConfig{Pad: 2, Threshold: 2}},
+		{"NaN threshold", []float64{1, 8, 1, 1, 6, 1}, PeakConfig{Pad: 1, Threshold: nan}},
+		{"n=1", []float64{3}, PeakConfig{Pad: 1, Threshold: 2}},
+		{"n=1 below threshold", []float64{1}, PeakConfig{Pad: 1, Threshold: 2}},
+		{"n=2", []float64{3, 5}, PeakConfig{Pad: 1, Threshold: 2}},
+		{"n=2 equal", []float64{5, 5}, PeakConfig{Pad: 2, Threshold: 2}},
+		{"Max binds", noisy, PeakConfig{Pad: 16, MinSeparation: 0.9, Threshold: 5, Max: 3}},
+		{"padded, ends and middle", noisy, PeakConfig{Pad: 16, MinSeparation: 0.9, Threshold: 5}},
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, c := range cases {
+		want := findPeaksModulo(c.spec, c.cfg)
+		got := FindPeaks(c.spec, c.cfg)
+		if len(got) != len(want) {
+			t.Errorf("%s: %d peaks %v, modulo form %d %v", c.name, len(got), got, len(want), want)
+			continue
+		}
+		for i := range want {
+			if !same(got[i].Bin, want[i].Bin) || !same(got[i].Mag, want[i].Mag) {
+				t.Errorf("%s: peak %d = %+v, modulo form %+v", c.name, i, got[i], want[i])
+			}
+		}
+	}
+	if got := findPeaksModulo(noisy, cases[len(cases)-2].cfg); len(got) != 3 {
+		t.Errorf("Max: reference kept %d peaks, want the case to bind at 3", len(got))
 	}
 }

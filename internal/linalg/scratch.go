@@ -5,22 +5,21 @@ import (
 	"math/cmplx"
 )
 
-// Workspace holds reusable storage for the allocation-free solver variants.
-// A Workspace is owned by exactly one goroutine (in the decoder, one per
-// pooled Decoder); its buffers grow to the largest problem seen and are then
-// reused verbatim. Results returned by *Into methods alias the workspace and
-// stay valid only until the next call on the same workspace.
+// Workspace holds reusable storage for the allocation-free normal-equation
+// solve. A Workspace is owned by exactly one goroutine (in the decoder, one
+// per pooled Decoder); its buffers grow to the largest problem seen and are
+// then reused verbatim. The system NormalSystem hands out and the solution
+// SolveJittered returns alias the workspace and stay valid only until the
+// next call of the same method.
 //
-// The *Into variants perform bit-for-bit the same floating-point operations
-// in the same order as their allocating counterparts — the golden-trace
-// fixtures depend on this — so any change here must preserve operation order
-// exactly.
+// SolveJittered performs bit-for-bit the floating-point operations
+// LeastSquares applies to AᴴA and Aᴴb once it has formed them — the same
+// jitter, then Solve's elimination — so a caller that fills the system with
+// the values LeastSquares would have computed gets LeastSquares' answer.
 type Workspace struct {
-	design Matrix // caller-built design matrix (DesignMatrix)
-	ah     Matrix // Aᴴ
-	ata    Matrix // AᴴA, then its LU factors (eliminated in place)
-	atb    []complex128
-	x      []complex128
+	ata Matrix       // AᴴA as filled by the caller, then its LU factors (eliminated in place)
+	atb []complex128 // Aᴴb as filled by the caller
+	x   []complex128
 }
 
 // reuse shapes m to rows×cols backed by its (grown) existing storage.
@@ -42,68 +41,33 @@ func reuseVec(v []complex128, n int) []complex128 {
 	return v[:n]
 }
 
-// DesignMatrix returns a zeroed rows×cols matrix backed by the workspace for
-// callers to fill before LeastSquaresInto. It stays valid through the solve
-// (the solver uses separate storage) but is clobbered by the next
-// DesignMatrix call.
-func (w *Workspace) DesignMatrix(rows, cols int) *Matrix {
-	m := reuse(&w.design, rows, cols)
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-	return m
+// NormalSystem returns a zeroed k×k matrix and a zeroed length-k vector
+// backed by the workspace, for a caller that can write the normal equations
+// (AᴴA)x = Aᴴb down directly — the decoder's tone regressors have a
+// closed-form Gram matrix — instead of forming them from an explicit A.
+// SolveJittered then solves what the caller filled in.
+func (w *Workspace) NormalSystem(k int) (ata *Matrix, atb []complex128) {
+	ata = reuse(&w.ata, k, k)
+	clear(ata.Data)
+	w.atb = reuseVec(w.atb, k)
+	clear(w.atb)
+	return ata, w.atb
 }
 
-// LeastSquaresInto is LeastSquares using workspace storage: it solves
-// min_x ||A·x − b||₂ via the normal equations with Tikhonov jitter,
-// allocating nothing once the workspace has grown. The returned solution
-// aliases the workspace and is valid until the next call.
-func (w *Workspace) LeastSquaresInto(a *Matrix, b []complex128) ([]complex128, error) {
-	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("linalg: LeastSquares requires rows >= cols, got %dx%d", a.Rows, a.Cols)
-	}
-	if a.Rows != len(b) {
-		return nil, fmt.Errorf("linalg: matrix is %dx%d but rhs has length %d", a.Rows, a.Cols, len(b))
-	}
-	// Aᴴ — same element order as Matrix.ConjTranspose.
-	ah := reuse(&w.ah, a.Cols, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			ah.Set(j, i, cmplx.Conj(a.At(i, j)))
-		}
-	}
-	// AᴴA — same accumulation order as Matrix.Mul.
-	ata := reuse(&w.ata, ah.Rows, a.Cols)
-	for i := range ata.Data {
-		ata.Data[i] = 0
-	}
-	for i := 0; i < ah.Rows; i++ {
-		for k := 0; k < ah.Cols; k++ {
-			v := ah.At(i, k)
-			if v == 0 {
-				continue
-			}
-			for j := 0; j < a.Cols; j++ {
-				ata.Data[i*ata.Cols+j] += v * a.At(k, j)
-			}
-		}
-	}
+// SolveJittered solves the system last handed out by NormalSystem the way
+// LeastSquares solves its normal equations: Tikhonov jitter of 1e-12 times
+// the mean diagonal magnitude on the diagonal (nearly collinear regressors
+// must not blow up the solve), then Gaussian elimination with partial
+// pivoting. It destroys the matrix, leaves the right-hand side intact and
+// allocates nothing once the workspace has grown. The returned solution
+// aliases the workspace and is valid until the next SolveJittered.
+func (w *Workspace) SolveJittered() ([]complex128, error) {
+	ata := &w.ata
 	eps := complex(1e-12*matrixScale(ata), 0)
 	for i := 0; i < ata.Rows; i++ {
 		ata.Data[i*ata.Cols+i] += eps
 	}
-	// Aᴴb — same loop as Matrix.MulVec.
-	atb := reuseVec(w.atb, ah.Rows)
-	w.atb = atb
-	for i := 0; i < ah.Rows; i++ {
-		var s complex128
-		row := ah.Data[i*ah.Cols : (i+1)*ah.Cols]
-		for j, v := range row {
-			s += v * b[j]
-		}
-		atb[i] = s
-	}
-	return w.solveInPlace(ata, atb)
+	return w.solveInPlace(ata, w.atb)
 }
 
 // solveInPlace runs the same Gaussian elimination as Solve but destroys m
