@@ -5,10 +5,14 @@
 // grants, queue drops and latency are defined. The same model serves the
 // paper's two-to-ten-client cells (figures.go: one gateway, one building)
 // and a multi-gateway urban grid of millions of nodes: the event driver
-// keeps one priority queue of node wake events and only touches nodes with
-// work, so a sparse-traffic million-node city costs O(events), not
-// O(nodes × slots). One run is one goroutine; cores are spent across runs
-// (figures.go's cells, the trial loops in internal/sim).
+// keeps one calendar of node wake events, takes it a slot at a time and
+// only touches nodes with work, so a sparse-traffic million-node city
+// costs O(events), not O(nodes × slots). What a run keeps is three flat,
+// pointer-free arrays — 48 bytes of state per node, the calendar's chunks
+// of scheduled IDs, one pool of backlogged packets — so an event costs
+// about one cache miss and no allocation. One run is one goroutine; cores
+// are spent across runs (figures.go's cells, the trial loops in
+// internal/sim).
 //
 // The load-bearing property is determinism by construction: every random
 // decision — arrival times, placement, shadowing, per-transmission decode
@@ -279,6 +283,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: ArrivalPerSlot %g outside [0,1]", c.ArrivalPerSlot)
 	case c.QueueCap < 0:
 		return fmt.Errorf("engine: QueueCap %d < 0", c.QueueCap)
+	case c.QueueCap > math.MaxInt32:
+		// A node's backlog length is an int32 in its 48-byte record.
+		return fmt.Errorf("engine: QueueCap %d exceeds the int32 backlog length limit %d", c.QueueCap, math.MaxInt32)
 	case c.MaxBackoffExp < 0 || c.MaxBackoffExp > 30:
 		return fmt.Errorf("engine: MaxBackoffExp %d outside [0,30]", c.MaxBackoffExp)
 	case c.SideM < 0 || math.IsNaN(c.SideM):
@@ -331,18 +338,21 @@ const (
 // 53-bit construction math/rand/v2 uses.
 func unitOf(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
-// nodeState is one client's compact MAC state, ~64 bytes: the engine's
-// memory is this flat array plus O(scheduled events) — no
-// per-node metrics, maps, or pointers (queues allocate only once a node
-// actually backlogs).
+// nodeState is one client's compact MAC state: 48 bytes and no pointers,
+// so the node array is one allocation the garbage collector never scans
+// (TestNodeStateLayout pins both). The engine's memory is this flat array
+// plus O(scheduled events) plus one run-wide pool of backlog cells — no
+// per-node metrics, maps or slices.
 type nodeState struct {
-	queue mac.Queue
 	// nextArrival is the slot of the node's next traffic arrival, -1 none.
 	nextArrival int64
 	// nextTx is the slot of the node's next transmission attempt, -1 idle.
 	nextTx int64
 	// arrivalIdx counts arrivals drawn so far (the geometric draw index).
 	arrivalIdx uint64
+	// The backlog is a FIFO list through core.cells: qHead is the oldest
+	// packet's cell, qTail the newest's, both meaningless while qLen is 0.
+	qHead, qTail, qLen int32
 	// gw is the attached gateway, valid once sf != 0.
 	gw int32
 	// sf is the node's rate-adapted spreading factor: 0 = channel state
@@ -410,6 +420,55 @@ type core struct {
 	frx         ForeignSlotSuccess
 
 	nodes []nodeState
+	// touched is where runEvent's gather pass leaves what it read.
+	touched int64
+
+	// cells is every node's backlog: one pool of packet cells, each node's
+	// queue a list through it (nodeState.qHead) and freeCell the list of
+	// released ones, so a backlog costs no allocation of its own. Index 0
+	// is never used: 0 ends a list.
+	cells    []packetCell
+	freeCell int32
+}
+
+// packetCell is one queued packet, identified by the slot it arrived in so
+// delivery latency needs nothing else.
+type packetCell struct {
+	arrival int64
+	next    int32
+}
+
+// pushPacket appends a packet that arrived at slot s to the node's backlog.
+func (c *core) pushPacket(ns *nodeState, s int64) {
+	i := c.freeCell
+	if i != 0 {
+		c.freeCell = c.cells[i].next
+	} else {
+		if len(c.cells) > math.MaxInt32 {
+			panic("engine: backlog pool exceeds the int32 cell index")
+		}
+		i = int32(len(c.cells))
+		c.cells = append(c.cells, packetCell{})
+	}
+	c.cells[i] = packetCell{arrival: s}
+	if ns.qLen == 0 {
+		ns.qHead = i
+	} else {
+		c.cells[ns.qTail].next = i
+	}
+	ns.qTail = i
+	ns.qLen++
+}
+
+// popPacket removes the node's oldest packet and returns its arrival slot.
+// The backlog must not be empty.
+func (c *core) popPacket(ns *nodeState) int64 {
+	i := ns.qHead
+	cell := &c.cells[i]
+	ns.qHead = cell.next
+	ns.qLen--
+	cell.next, c.freeCell = c.freeCell, i
+	return cell.arrival
 }
 
 // newCore applies defaults, precomputes the topology, and allocates the
@@ -452,6 +511,7 @@ func newCore(cfg Config) *core {
 		gwCols:    gwCols,
 		gwRows:    gwRows,
 		nodes:     make([]nodeState, cfg.Nodes),
+		cells:     make([]packetCell, 1),
 	}
 	if c.capacity < 1 {
 		c.capacity = 1
@@ -693,8 +753,8 @@ func (c *core) wakeNode(ns *nodeState, i int32, s int64, m *Metrics) bool {
 	}
 	if ns.nextArrival == s {
 		m.Arrivals++
-		if ns.queue.Len() < c.queueCap {
-			ns.queue.Push(mac.Packet{ArrivalSlot: int(s)})
+		if int(ns.qLen) < c.queueCap {
+			c.pushPacket(ns, s)
 			if ns.nextTx < 0 {
 				// An idle node answers a fresh arrival in the same slot.
 				ns.nextTx = s
@@ -705,7 +765,7 @@ func (c *core) wakeNode(ns *nodeState, i int32, s int64, m *Metrics) bool {
 		ns.arrivalIdx++
 		ns.nextArrival = s + 1 + c.arrivalGap(i, ns.arrivalIdx)
 	}
-	return ns.nextTx == s && ns.queue.Len() > 0
+	return ns.nextTx == s && ns.qLen > 0
 }
 
 // grantOracle is the genie TDMA scheduler (mac.SchemeOracle): the step
@@ -779,14 +839,13 @@ func (c *core) finishTx(ns *nodeState, i int32, s int64, delivered bool, m *Metr
 	m.PerSFTx[sfIdx]++
 	m.TxEnergyNJ += c.energyNJ[sfIdx][ns.pwr]
 	if delivered {
-		p := ns.queue.Pop()
-		lat := s - int64(p.ArrivalSlot) + 1
+		lat := s - c.popPacket(ns) + 1
 		m.Delivered++
 		m.PerSFDelivered[sfIdx]++
 		m.TotalLatencySlots += lat
 		m.LatencyHist[latencyBucket(lat)]++
 		ns.backoffExp = 0
-		if ns.queue.Len() > 0 {
+		if ns.qLen > 0 {
 			ns.nextTx = s + 1
 		} else {
 			ns.nextTx = -1

@@ -279,6 +279,7 @@ func TestValidateRejects(t *testing.T) {
 		{"nodes", func(c *Config) { c.Nodes = 0 }, "Nodes"},
 		{"nodes-beyond-int32", func(c *Config) { c.Nodes = math.MaxInt32; c.Nodes++ }, "int32 node ID limit"},
 		{"slots", func(c *Config) { c.Slots = -1 }, "Slots"},
+		{"queuecap-beyond-int32", func(c *Config) { c.QueueCap = math.MaxInt32; c.QueueCap++ }, "int32 backlog length limit"},
 		{"arrival", func(c *Config) { c.ArrivalPerSlot = 1.5 }, "ArrivalPerSlot"},
 		{"receiver", func(c *Config) { c.Receiver = nil }, "Receiver"},
 		{"driver", func(c *Config) { c.Driver = Driver(7) }, "driver"},

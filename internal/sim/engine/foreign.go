@@ -51,33 +51,40 @@ func poisson(h uint64, lam float64) int32 {
 // the several (gateway, SF) home groups a busy gateway hosts share a single
 // draw, and tallies the run's total foreign transmissions heard. Drivers
 // reset it at each contended slot and copy total into Metrics.ForeignTx.
+// The memo is a per-gateway array handed out by pointer, so a receiver
+// model sees the counts without a copy escaping to the heap per group.
 type foreignSlot struct {
-	counts map[int32][6]int32
+	// counts[gw] is gateway gw's draw for the current slot when drawn[gw]
+	// equals epoch, and stale otherwise; beginSlot, which both drivers
+	// call before a slot's first draw, starts epochs at 1.
+	counts [][6]int32
+	drawn  []uint64
+	epoch  uint64
 	total  int64
 }
 
-// beginSlot clears the per-slot memo (the run total survives).
-func (fs *foreignSlot) beginSlot() {
-	if fs.counts == nil {
-		fs.counts = map[int32][6]int32{}
-		return
-	}
-	clear(fs.counts)
-}
+// beginSlot invalidates the per-slot memo (the run total survives).
+func (fs *foreignSlot) beginSlot() { fs.epoch++ }
 
 // foreignFor returns gateway gw's foreign transmitter counts by SF for slot
 // s, drawing them on first request. Each count is keyed purely on
 // (Seed, dimForeignTx, gw, s, sfIdx), so the set of gateways asked about —
 // identical across drivers, since it is exactly the gateways with home
 // transmitters that slot — is the only thing callers control; the values
-// never depend on evaluation order.
-func (c *core) foreignFor(fs *foreignSlot, gw int32, s int64) [6]int32 {
-	if nf, ok := fs.counts[gw]; ok {
+// never depend on evaluation order. The result is valid until the next
+// beginSlot and must not be written to.
+func (c *core) foreignFor(fs *foreignSlot, gw int32, s int64) *[6]int32 {
+	if fs.counts == nil {
+		fs.counts = make([][6]int32, len(c.foreignRate))
+		fs.drawn = make([]uint64, len(c.foreignRate))
+	}
+	nf := &fs.counts[gw]
+	if fs.drawn[gw] == fs.epoch {
 		return nf
 	}
-	var nf [6]int32
 	hg := exec.Mix(exec.Mix(c.hForeignTx, uint64(gw)), uint64(s))
 	for si, lam := range &c.foreignRate[gw] {
+		nf[si] = 0
 		if lam <= 0 {
 			continue
 		}
@@ -85,7 +92,7 @@ func (c *core) foreignFor(fs *foreignSlot, gw int32, s int64) [6]int32 {
 		nf[si] = n
 		fs.total += int64(n)
 	}
-	fs.counts[gw] = nf
+	fs.drawn[gw] = fs.epoch
 	return nf
 }
 
@@ -104,7 +111,7 @@ func (c *core) groupProb(fs *foreignSlot, g uint32, k int32, s int64) float64 {
 	sfIdx := int(g & 7)
 	nf := c.foreignFor(fs, gw, s)
 	if c.frx != nil {
-		return c.frx.PerTxProbForeign(int(k), sfIdx, &nf)
+		return c.frx.PerTxProbForeign(int(k), sfIdx, nf)
 	}
 	return c.cfg.Receiver.PerTxProb(int(k) + int(nf[sfIdx]))
 }

@@ -1,56 +1,92 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"slices"
 )
 
 // EventQueue is the engine's priority queue of node wake events: a
-// calendar queue over node IDs 0..n-1 ordered by (slot, node). Each node
-// has at most one scheduled wake — rescheduling moves it — so the queue is
-// bounded by the node count, and scheduling, moving and cancelling a wake
-// are O(1) with no allocation.
+// push-only calendar queue over node IDs ordered by (slot, node). The
+// engine never moves or cancels a scheduled wake — a node is scheduled
+// only after its previous wake popped, and always at a later slot — so
+// the queue keeps no per-node state at all: a wake is one int32 in the
+// bucket of its slot, and the contract is exactly that narrow. Set(id,
+// slot) schedules a node that has no pending wake, at a slot later than
+// the last one popped (any slot >= 0 before the first pop); the queue
+// cannot see a node scheduled twice, so that is the caller's to uphold.
 //
 // Wake slots are small integers that only move forward, so the queue keeps
-// one bucket per slot over a window of len(bucket) consecutive slots, each
-// bucket an intrusive doubly-linked list threaded through wakes, and a
-// cursor that walks the window. Wakes beyond the window wait in one
-// overflow list; when the window runs dry it is re-based on the earliest
-// of them and the ones it now covers are bucketed (turn). Memory is
-// therefore the node count plus the window, whatever the slot values.
+// one bucket per slot over a window of len(bucket) consecutive slots and a
+// cursor that walks the window. A bucket is a count and a short list of
+// fixed 64-byte chunks of IDs drawn from one pool with a free list: a
+// slot's wakes sit in a few contiguous cache lines instead of one linked
+// record per node, and scheduling one reads the bucket head and writes one
+// ID, with no load from the chunk to wait for.
+// Wakes beyond the window wait in one overflow slice; when the window runs
+// dry it is re-based on the earliest of them and the ones it now covers
+// are bucketed (turn). Memory is therefore the window plus the live wakes,
+// whatever the slot values.
 //
-// The node tie-break is load-bearing, not cosmetic: popping all events of
-// one slot yields strictly ascending node IDs, which is what lets the
-// event driver apply the receiver's per-slot capacity cap to "the first k
+// The node tie-break is load-bearing, not cosmetic: a slot's wakes come
+// out in strictly ascending node order, which is what lets the event
+// driver apply the receiver's per-slot capacity cap to "the first k
 // transmitters in node order" — the same order the reference driver scans
 // — and stay bit-identical to it. A bucket collects its wakes in arrival
-// order; the cursor sorts it by node when it gets there. FuzzEventQueue
-// pins this ordering against a sort-based model.
+// order; when the cursor reaches it the whole bucket is gathered, sorted
+// once and handed out as one batch (NextSlot), or one ID at a time from
+// that batch (PopMin). FuzzEventQueue pins the order against a sort-based
+// model.
 type EventQueue struct {
-	// wakes[id+1] is node id's wake; links hold such indices, and index 0
-	// is a sentinel that stands for "none" and absorbs the writes a list
-	// end would otherwise need a branch for.
-	wakes []wake
-	// bucket[s&mask] heads the list of wakes at slot s, for s in
-	// [base, base+len(bucket)); the length is a power of two.
-	bucket []int32
-	mask   int64
-	over   int32   // head of the overflow list: wakes at base+len(bucket) and later
-	base   int64   // first slot of the window, a multiple of len(bucket)
-	cur    int64   // no bucketed wake is earlier; base <= cur < base+len(bucket)
-	sorted bool    // the bucket at cur is in ascending node order
-	n      int     // scheduled wakes
-	near   int     // of those, the ones in buckets
-	ids    []int32 // seek's sort buffer
+	// pool holds every chunk; index 0 is never used, so 0 means "none" in
+	// bucket heads and chunk links. free heads the list of released chunks.
+	pool []chunk
+	free int32
+	// bucket[s&mask] is slot s, for s in [base, base+len(bucket)); the
+	// length is a power of two.
+	bucket  []slotHead
+	mask    int64
+	over    []farWake // wakes at base+len(bucket) and later
+	overMin int64     // the earliest of them, math.MaxInt64 when none
+	base    int64     // first slot of the window, a multiple of len(bucket)
+	cur     int64     // no bucketed wake is earlier
+	last    int64     // the slot last drawn, -1 before the first
+	n       int       // scheduled wakes
+	near    int       // of those, the ones in buckets
+	// batch is the slot last drawn, in ascending node order; batch[next:]
+	// is still to be handed out.
+	batch []int32
+	next  int
 }
 
-type wake struct {
-	slot       int64 // -1 when not scheduled
-	next, prev int32
+// chunkIDs is how many wakes one chunk holds: with its link a chunk is one
+// 64-byte cache line. A measured constant, not a knob: 32-byte chunks of 7
+// read 5 % slower on the sparse city (19 wakes a slot over three lines'
+// worth of chunks instead of two) and 128-byte chunks of 31 no faster on
+// either city (EXPERIMENTS.md, "Engine ledger, round two").
+const chunkIDs = 15
+
+type chunk struct {
+	ids  [chunkIDs]int32
+	next int32
+}
+
+// slotHead is one bucket: how many wakes the slot holds and the newest
+// chunk of its list. Every chunk behind the head is full, so the count
+// alone says where the next ID goes and how many the head chunk holds.
+type slotHead struct {
+	head int32
+	n    int32
+}
+
+// farWake is a wake beyond the window.
+type farWake struct {
+	slot int64
+	id   int32
 }
 
 // minWindow is the narrowest window NewEventQueue builds. A turn costs a
-// pass over the overflow list, and traffic whose gaps exceed the window
+// pass over the overflow slice, and traffic whose gaps exceed the window
 // turns it every few wakes; 16 384 slots — 64 KB of bucket heads — covers
 // the gap of a node that reports once a day at LoRaWAN slot lengths.
 const minWindow = 1 << 14
@@ -64,21 +100,19 @@ func NewEventQueue(n int) *EventQueue {
 	for window < n {
 		window <<= 1
 	}
-	return newEventQueue(n, window)
+	return newEventQueue(window)
 }
 
 // newEventQueue builds a queue with a window of the given power-of-two
 // length; tests use narrow ones to turn it often.
-func newEventQueue(n, window int) *EventQueue {
-	q := &EventQueue{
-		wakes:  make([]wake, n+1),
-		bucket: make([]int32, window),
-		mask:   int64(window - 1),
+func newEventQueue(window int) *EventQueue {
+	return &EventQueue{
+		pool:    make([]chunk, 1),
+		bucket:  make([]slotHead, window),
+		mask:    int64(window - 1),
+		overMin: math.MaxInt64,
+		last:    -1,
 	}
-	for i := range q.wakes {
-		q.wakes[i].slot = -1
-	}
-	return q
 }
 
 // Len returns the number of scheduled events.
@@ -86,146 +120,130 @@ func (q *EventQueue) Len() int { return q.n }
 
 // MinSlot returns the earliest scheduled slot, -1 when empty.
 func (q *EventQueue) MinSlot() int64 {
-	if q.n == 0 {
+	switch {
+	case q.next < len(q.batch):
+		return q.last
+	case q.n == 0:
 		return -1
+	case q.near == 0:
+		return q.overMin
 	}
-	if !q.sorted || q.bucket[q.cur&q.mask] == 0 {
-		q.seek()
+	for q.bucket[q.cur&q.mask].n == 0 {
+		q.cur++
 	}
 	return q.cur
 }
 
-// Set schedules node id's wake at slot, replacing any existing wake.
-// slot < 0 cancels the node's wake.
+// Set schedules node id's wake at slot. The node must have no pending
+// wake, and slot must be later than the last slot popped: scheduling into
+// the past is a caller bug and panics.
 func (q *EventQueue) Set(id int32, slot int64) {
-	i := id + 1
-	w := &q.wakes[i]
-	if w.slot >= 0 {
-		q.n--
-		if w.slot-q.base > q.mask {
-			q.unlink(&q.over, i)
-		} else {
-			q.near--
-			q.unlink(&q.bucket[w.slot&q.mask], i)
-		}
+	if slot <= q.last {
+		panic(fmt.Sprintf("engine: EventQueue.Set(%d, %d) is not later than slot %d, already popped", id, slot, q.last))
 	}
-	if slot < 0 {
-		w.slot = -1
-		return
-	}
-	w.slot = slot
 	q.n++
-	if slot < q.base {
-		q.rewind(slot)
-	}
 	if slot-q.base > q.mask {
-		q.link(&q.over, i)
+		q.over = append(q.over, farWake{slot, id})
+		q.overMin = min(q.overMin, slot)
 		return
 	}
-	if slot <= q.cur {
-		// Earlier than the cursor, or into the bucket it is draining:
-		// either way that bucket is to be sorted (again) before it pops.
-		q.cur, q.sorted = slot, false
+	if slot < q.cur {
+		// MinSlot walked the cursor to a later bucket.
+		q.cur = slot
 	}
+	q.push(slot, id)
+}
+
+// push adds id to the bucket of slot, which the window covers.
+func (q *EventQueue) push(slot int64, id int32) {
 	q.near++
-	q.link(&q.bucket[slot&q.mask], i)
+	b := &q.bucket[slot&q.mask]
+	k := b.n % chunkIDs
+	if k == 0 {
+		c := q.free
+		if c != 0 {
+			q.free = q.pool[c].next
+		} else {
+			c = int32(len(q.pool))
+			q.pool = append(q.pool, chunk{})
+		}
+		q.pool[c].next = b.head
+		b.head = c
+	}
+	q.pool[b.head].ids[k] = id
+	b.n++
+}
+
+// NextSlot removes the earliest scheduled slot and returns it with every
+// node waking in it, in ascending node order. The slice is the queue's and
+// is valid until the next NextSlot or PopMin; Set does not disturb it. It
+// panics on an empty queue: callers gate on Len/MinSlot.
+func (q *EventQueue) NextSlot() (slot int64, ids []int32) {
+	if q.next == len(q.batch) {
+		q.draw()
+	}
+	ids = q.batch[q.next:]
+	q.next = len(q.batch)
+	q.n -= len(ids)
+	return q.last, ids
 }
 
 // PopMin removes and returns the earliest event; ties pop in ascending
 // node order. It panics on an empty queue: callers gate on Len/MinSlot.
 func (q *EventQueue) PopMin() (id int32, slot int64) {
-	slot = q.MinSlot()
-	if slot < 0 {
-		panic("engine: PopMin on an empty EventQueue")
+	if q.next == len(q.batch) {
+		q.draw()
 	}
-	head := &q.bucket[slot&q.mask]
-	i := *head
-	w := &q.wakes[i]
-	*head = w.next
-	q.wakes[w.next].prev = 0
-	w.slot = -1
+	id = q.batch[q.next]
+	q.next++
 	q.n--
-	q.near--
-	return i - 1, slot
+	return id, q.last
 }
 
-// link pushes wake i on the front of the list at head.
-func (q *EventQueue) link(head *int32, i int32) {
-	w := &q.wakes[i]
-	w.next, w.prev = *head, 0
-	q.wakes[*head].prev = i
-	*head = i
-}
-
-// unlink removes wake i from the list at head.
-func (q *EventQueue) unlink(head *int32, i int32) {
-	w := &q.wakes[i]
-	q.wakes[w.next].prev = w.prev
-	if w.prev != 0 {
-		q.wakes[w.prev].next = w.next
-	} else {
-		*head = w.next
+// draw moves the cursor to the earliest scheduled slot, empties that
+// bucket into batch in ascending node order and releases its chunks.
+func (q *EventQueue) draw() {
+	if q.n == 0 {
+		panic("engine: pop from an empty EventQueue")
 	}
-}
-
-// seek moves the cursor to the earliest scheduled slot and puts that
-// bucket in ascending node order. The queue must not be empty.
-func (q *EventQueue) seek() {
 	if q.near == 0 {
 		q.turn()
 	}
-	for q.bucket[q.cur&q.mask] == 0 {
+	for q.bucket[q.cur&q.mask].n == 0 {
 		q.cur++
 	}
-	q.sorted = true
-	head := &q.bucket[q.cur&q.mask]
-	ids := q.ids[:0]
-	for i := *head; i != 0; i = q.wakes[i].next {
-		ids = append(ids, i)
+	b := &q.bucket[q.cur&q.mask]
+	ids := q.batch[:0]
+	k := (b.n-1)%chunkIDs + 1
+	for c := b.head; c != 0; {
+		ch := &q.pool[c]
+		ids = append(ids, ch.ids[:k]...)
+		k = chunkIDs
+		next := ch.next
+		ch.next, q.free = q.free, c
+		c = next
 	}
-	q.ids = ids
-	if len(ids) == 1 {
-		return
-	}
+	*b = slotHead{}
 	slices.Sort(ids)
-	*head = 0
-	for k := len(ids) - 1; k >= 0; k-- {
-		q.link(head, ids[k])
-	}
+	q.near -= len(ids)
+	q.batch, q.next, q.last = ids, 0, q.cur
 }
 
 // turn re-bases an empty window on the earliest overflow wake and buckets
-// every overflow wake the new window covers.
+// every overflow wake the new window covers. Only draw turns the window,
+// and it pops the slot the window was re-based on at once, so last never
+// falls behind base and Set never sees a slot before the window.
 func (q *EventQueue) turn() {
-	first := int64(math.MaxInt64)
-	for i := q.over; i != 0; i = q.wakes[i].next {
-		first = min(first, q.wakes[i].slot)
-	}
-	q.base, q.cur = first&^q.mask, first
-	for i := q.over; i != 0; {
-		w := &q.wakes[i]
-		next := w.next
-		if w.slot-q.base <= q.mask {
-			q.unlink(&q.over, i)
-			q.link(&q.bucket[w.slot&q.mask], i)
-			q.near++
+	q.base, q.cur = q.overMin&^q.mask, q.overMin
+	q.overMin = math.MaxInt64
+	keep := q.over[:0]
+	for _, w := range q.over {
+		if w.slot-q.base > q.mask {
+			keep = append(keep, w)
+			q.overMin = min(q.overMin, w.slot)
+		} else {
+			q.push(w.slot, w.id)
 		}
-		i = next
 	}
-}
-
-// rewind moves the window back to cover slot, which lies before it: every
-// bucketed wake is then beyond the new window and joins the overflow list.
-// The engine never schedules into the past; this keeps Set total.
-func (q *EventQueue) rewind(slot int64) {
-	for b := range q.bucket {
-		for i := q.bucket[b]; i != 0; {
-			next := q.wakes[i].next
-			q.link(&q.over, i)
-			i = next
-		}
-		q.bucket[b] = 0
-	}
-	q.near = 0
-	q.base, q.cur, q.sorted = slot&^q.mask, slot, false
+	q.over = keep
 }

@@ -3,7 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -20,6 +20,21 @@ func (m modelQueue) minEntry() (int32, int64, bool) {
 		}
 	}
 	return best, bestSlot, found
+}
+
+// popSlot removes the model's earliest slot and returns it with its nodes
+// in ascending order.
+func (m modelQueue) popSlot() (int64, []int32) {
+	_, slot, _ := m.minEntry()
+	var ids []int32
+	for id, s := range m {
+		if s == slot {
+			ids = append(ids, id)
+			delete(m, id)
+		}
+	}
+	slices.Sort(ids)
+	return slot, ids
 }
 
 // checkAgainstModel drains both queues side by side and fails on the
@@ -45,26 +60,51 @@ func checkAgainstModel(t *testing.T, q *EventQueue, model modelQueue) {
 	}
 }
 
-func TestEventQueueOrdering(t *testing.T) {
-	q := NewEventQueue(16)
-	model := modelQueue{}
-	// Equal slots with interleaved insert order: pops must come back in
-	// ascending node order regardless.
-	for _, id := range []int32{9, 3, 12, 0, 7} {
-		q.Set(id, 5)
-		model[id] = 5
+// checkNextSlot pops one whole slot from both and compares them.
+func checkNextSlot(t *testing.T, q *EventQueue, model modelQueue) int64 {
+	t.Helper()
+	wantSlot, wantIDs := model.popSlot()
+	slot, ids := q.NextSlot()
+	if slot != wantSlot || !slices.Equal(ids, wantIDs) {
+		t.Fatalf("NextSlot = (%d, %v), want (%d, %v)", slot, ids, wantSlot, wantIDs)
 	}
-	q.Set(4, 2)
-	model[4] = 2
-	// Reschedule one equal-slot entry forward and one backward.
-	q.Set(12, 1)
-	model[12] = 1
-	q.Set(3, 9)
-	model[3] = 9
-	// Cancel an entry outright, and cancel a missing one (no-op).
-	q.Set(7, -1)
-	delete(model, 7)
-	q.Set(15, -1)
+	return slot
+}
+
+func TestEventQueueOrdering(t *testing.T) {
+	q := NewEventQueue(64)
+	model := modelQueue{}
+	set := func(id int32, s int64) {
+		q.Set(id, s)
+		model[id] = s
+	}
+	// Equal slots with interleaved insert order, more of them than one
+	// chunk holds: they must come back in ascending node order regardless.
+	for _, id := range []int32{9, 3, 12, 0, 7, 40, 33, 21, 5, 18, 61, 2, 27, 14, 50, 11, 8} {
+		set(id, 5)
+	}
+	set(4, 2)
+	set(1, 9)
+	checkInvariants(t, q, model)
+	if id, s := q.PopMin(); id != 4 || s != 2 {
+		t.Fatalf("PopMin = (%d,%d), want (4,2)", id, s)
+	}
+	delete(model, 4)
+	// A slot drained partly one ID at a time and then as a batch: the
+	// batch is the rest of it, and wakes scheduled meanwhile do not join.
+	for _, want := range []int32{0, 2, 3} {
+		if id, s := q.PopMin(); id != want || s != 5 {
+			t.Fatalf("PopMin = (%d,%d), want (%d,5)", id, s, want)
+		}
+		delete(model, want)
+		set(want, 6+int64(want))
+		checkInvariants(t, q, model)
+	}
+	if q.MinSlot() != 5 {
+		t.Fatalf("MinSlot = %d mid-slot, want 5", q.MinSlot())
+	}
+	checkNextSlot(t, q, model)
+	checkInvariants(t, q, model)
 	checkAgainstModel(t, q, model)
 }
 
@@ -74,17 +114,18 @@ func TestEventQueueRandomized(t *testing.T) {
 		n := 1 + rng.IntN(32)
 		q := NewEventQueue(n)
 		model := modelQueue{}
+		last := int64(-1)
 		for op := 0; op < 200; op++ {
-			id := int32(rng.IntN(n))
 			switch rng.IntN(4) {
-			case 0, 1: // schedule / reschedule
-				s := int64(rng.IntN(50))
+			case 0, 1: // schedule a node that has no wake, later than the last pop
+				id := int32(rng.IntN(n))
+				if _, scheduled := model[id]; scheduled {
+					continue
+				}
+				s := last + 1 + int64(rng.IntN(50))
 				q.Set(id, s)
 				model[id] = s
-			case 2: // cancel
-				q.Set(id, -1)
-				delete(model, id)
-			default: // pop
+			case 2: // pop one
 				if len(model) == 0 {
 					continue
 				}
@@ -95,74 +136,157 @@ func TestEventQueueRandomized(t *testing.T) {
 						round, op, gotID, gotSlot, wantID, wantSlot)
 				}
 				delete(model, wantID)
+				last = gotSlot
+			default: // pop a whole slot
+				if len(model) == 0 {
+					continue
+				}
+				last = checkNextSlot(t, q, model)
 			}
 			if q.Len() != len(model) {
 				t.Fatalf("round %d op %d: Len = %d, model %d", round, op, q.Len(), len(model))
 			}
 		}
+		checkInvariants(t, q, model)
 		checkAgainstModel(t, q, model)
 	}
 }
 
-// checkInvariants walks every list of the queue and fails on a broken
-// link, a wake in the wrong bucket or on the wrong side of the window, a
-// bucketed wake before the cursor, or counters that disagree with the lists.
-func checkInvariants(t *testing.T, q *EventQueue) {
+// checkInvariants walks every chunk of the queue against the model of what
+// is scheduled and fails on an ID held twice or not scheduled at all — the
+// queue keeps no per-node state, so this walk is where a double-scheduled
+// node is caught — on an ID in the wrong bucket or on the wrong side of
+// the window, a bucketed wake before the cursor, a bucket whose count and
+// chunk list disagree, a chunk that is neither in a bucket nor free, or
+// counters that disagree with the lists.
+func checkInvariants(t *testing.T, q *EventQueue, model modelQueue) {
 	t.Helper()
-	walk := func(head int32, visit func(w *wake)) (count int) {
-		prev := int32(0)
-		for i := head; i != 0; i = q.wakes[i].next {
-			w := &q.wakes[i]
-			if w.prev != prev {
-				t.Fatalf("wake %d: prev = %d, want %d", i-1, w.prev, prev)
+	seen := map[int32]bool{}
+	see := func(id int32, slot int64, where string) {
+		if seen[id] {
+			t.Fatalf("node %d is held twice (second time in %s)", id, where)
+		}
+		seen[id] = true
+		if want, ok := model[id]; !ok || want != slot {
+			t.Fatalf("%s holds node %d at slot %d, model says %d (scheduled: %v)", where, id, slot, want, ok)
+		}
+	}
+	live, near := 0, 0
+	for b, sh := range q.bucket {
+		if (sh.head == 0) != (sh.n == 0) {
+			t.Fatalf("bucket %d: head chunk %d with %d wakes", b, sh.head, sh.n)
+		}
+		// The head chunk holds what the full chunks behind it leave over.
+		left := int(sh.n)
+		for c, k := sh.head, (int(sh.n)-1)%chunkIDs+1; c != 0; c, k = q.pool[c].next, chunkIDs {
+			if live++; live >= len(q.pool) {
+				t.Fatalf("bucket %d: chunk list cycles", b)
 			}
-			visit(w)
-			prev = i
-			if count++; count > len(q.wakes) {
-				t.Fatalf("list at %d cycles", head)
+			if left -= k; left < 0 {
+				t.Fatalf("bucket %d: more chunks than its %d wakes fill", b, sh.n)
+			}
+			for _, id := range q.pool[c].ids[:k] {
+				s := model[id]
+				if s < q.cur || s < q.base || s-q.base > q.mask || s&q.mask != int64(b) {
+					t.Fatalf("bucket %d holds node %d of slot %d (base %d, cur %d)", b, id, s, q.base, q.cur)
+				}
+				see(id, s, "a bucket")
+				near++
 			}
 		}
-		return count
+		if left != 0 {
+			t.Fatalf("bucket %d: %d of its %d wakes are in no chunk", b, left, sh.n)
+		}
 	}
-	near := 0
-	for b, head := range q.bucket {
-		near += walk(head, func(w *wake) {
-			if w.slot < q.cur || w.slot-q.base > q.mask || w.slot&q.mask != int64(b) {
-				t.Fatalf("bucket %d holds slot %d (base %d, cur %d)", b, w.slot, q.base, q.cur)
-			}
-		})
-	}
-	far := walk(q.over, func(w *wake) {
+	overMin := int64(math.MaxInt64)
+	for _, w := range q.over {
 		if w.slot-q.base <= q.mask {
 			t.Fatalf("overflow holds slot %d inside the window at %d", w.slot, q.base)
 		}
-	})
-	if near != q.near || near+far != q.n {
-		t.Fatalf("lists hold %d near + %d far, counters say near %d of %d", near, far, q.near, q.n)
+		see(w.id, w.slot, "overflow")
+		overMin = min(overMin, w.slot)
 	}
-	if q.base&q.mask != 0 || q.cur < q.base || q.cur-q.base > q.mask {
-		t.Fatalf("window base %d, cursor %d, mask %#x", q.base, q.cur, q.mask)
+	if overMin != q.overMin {
+		t.Fatalf("overMin = %d, overflow's earliest is %d", q.overMin, overMin)
+	}
+	rest := q.batch[q.next:]
+	for _, id := range rest {
+		see(id, q.last, "the drawn batch")
+	}
+	if near != q.near || near+len(q.over)+len(rest) != q.n || q.n != len(model) {
+		t.Fatalf("%d near + %d far + %d drawn, counters say near %d of %d, model has %d",
+			near, len(q.over), len(rest), q.near, q.n, len(model))
+	}
+	free := 0
+	for c := q.free; c != 0; c = q.pool[c].next {
+		if free++; free >= len(q.pool) {
+			t.Fatal("free list cycles")
+		}
+	}
+	if live+free != len(q.pool)-1 {
+		t.Fatalf("%d live + %d free chunks, pool holds %d", live, free, len(q.pool)-1)
+	}
+	if q.base&q.mask != 0 || q.cur < q.base || q.cur-q.base > q.mask || q.last > q.cur {
+		t.Fatalf("window base %d, cursor %d, last %d, mask %#x", q.base, q.cur, q.last, q.mask)
 	}
 }
 
 // TestEventQueuePopEmptyPanics pins the documented contract: callers gate
-// PopMin on Len/MinSlot, and a pop that does not is a bug reported at once,
+// pops on Len/MinSlot, and a pop that does not is a bug reported at once,
 // not a corrupted queue.
 func TestEventQueuePopEmptyPanics(t *testing.T) {
 	q := NewEventQueue(4)
 	q.Set(2, 6)
 	q.PopMin()
-	defer func() {
-		if recover() == nil {
-			t.Error("PopMin on an empty queue did not panic")
-		}
-	}()
-	q.PopMin()
+	for name, pop := range map[string]func(){
+		"PopMin":   func() { q.PopMin() },
+		"NextSlot": func() { q.NextSlot() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an empty queue did not panic", name)
+				}
+			}()
+			pop()
+		}()
+	}
 }
 
-// TestEventQueueFarSlots pins that memory follows the node count and never
-// a slot value: wakes at 1<<40 and at the int64 ceiling cost no allocation
-// and no bucket, and still pop in (slot, node) order behind the near ones.
+// TestEventQueueSetIntoThePastPanics pins the other edge of the contract:
+// a wake at or before the slot last popped can never come out in order, so
+// it is refused at once. Before the first pop every slot >= 0 is the future.
+func TestEventQueueSetIntoThePastPanics(t *testing.T) {
+	q := NewEventQueue(4)
+	q.Set(2, 6)
+	q.Set(1, 0)
+	q.Set(0, 3)
+	for want := int64(0); want <= 6; want += 3 {
+		if _, s := q.PopMin(); s != want {
+			t.Fatalf("popped slot %d, want %d", s, want)
+		}
+	}
+	for _, slot := range []int64{6, 5, 0, -1, math.MinInt64} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Set at slot %d after popping slot 6 did not panic", slot)
+				}
+			}()
+			q.Set(3, slot)
+		}()
+	}
+	q.Set(3, 7)
+	checkAgainstModel(t, q, modelQueue{3: 7})
+}
+
+// TestEventQueueFarSlots pins that memory follows the live wakes and the
+// window and never a slot value: 4 bytes per window slot of bucket heads,
+// fixed; one 64-byte chunk per non-empty bucket and per chunkIDs wakes in
+// it, so never more chunks than live wakes, and a released chunk is reused
+// before the pool grows; 16 bytes per overflow wake at the overflow
+// slice's amortised capacity. Wakes at 1<<40 and at the int64 ceiling cost
+// no bucket, and still pop in (slot, node) order behind the near ones.
 func TestEventQueueFarSlots(t *testing.T) {
 	const n = 8
 	q := NewEventQueue(n)
@@ -170,87 +294,55 @@ func TestEventQueueFarSlots(t *testing.T) {
 	if big := NewEventQueue(minWindow + 1); window != minWindow || len(big.bucket) != 2*minWindow {
 		t.Fatalf("window sizing: %d buckets for %d nodes, %d for %d", window, n, len(big.bucket), minWindow+1)
 	}
+
+	// One node hopping 1<<40 slots at a time: every hop goes through the
+	// overflow slice and turns the window, on one chunk and no allocation.
+	var at int64
+	hop := func() {
+		at += 1 << 40
+		q.Set(3, at)
+		if id, s := q.PopMin(); id != 3 || s != at {
+			t.Fatalf("PopMin = (%d,%d), want (3,%d)", id, s, at)
+		}
+	}
+	hop()
+	if allocs := testing.AllocsPerRun(100, hop); allocs != 0 {
+		t.Errorf("a far Set and its pop allocate %v times", allocs)
+	}
+	if len(q.pool)-1 != 1 || cap(q.over) > 4 {
+		t.Errorf("after %d far hops of one node: %d chunks, overflow capacity %d", at>>40, len(q.pool)-1, cap(q.over))
+	}
+
 	model := modelQueue{}
 	set := func(id int32, s int64) {
 		q.Set(id, s)
 		model[id] = s
 	}
-	set(0, 3)
+	set(0, at+3)
 	set(5, math.MaxInt64)
-	set(4, 1<<40)
-	set(2, 1<<40)
+	set(4, at+1<<40)
+	set(2, at+1<<40)
 	set(1, math.MaxInt64)
-	set(7, int64(window))   // first slot beyond the window
-	set(6, int64(window)-1) // last slot inside it
-	if allocs := testing.AllocsPerRun(100, func() {
-		q.Set(3, 1<<40)
-		q.Set(3, math.MaxInt64)
-		q.Set(3, -1)
-	}); allocs != 0 {
-		t.Errorf("far Set allocates %v times", allocs)
+	set(7, at+int64(window))   // first slot beyond the window
+	set(6, at+int64(window)-1) // last slot inside it
+	checkInvariants(t, q, model)
+	if len(q.over) != 5 {
+		t.Errorf("%d overflow wakes, want 5", len(q.over))
 	}
-	checkInvariants(t, q)
 	checkAgainstModel(t, q, model)
-	if len(q.bucket) != window || cap(q.ids) > n {
-		t.Errorf("after far slots: %d buckets (was %d), sort buffer cap %d", len(q.bucket), window, cap(q.ids))
+	if len(q.bucket) != window || len(q.pool)-1 > n || cap(q.over) > 8 || cap(q.batch) > n {
+		t.Errorf("after far slots: %d buckets (was %d), %d chunks, overflow capacity %d, batch capacity %d",
+			len(q.bucket), window, len(q.pool)-1, cap(q.over), cap(q.batch))
 	}
-	// The window now sits at the int64 ceiling; the queue still takes an
-	// early wake.
-	q.Set(2, 9)
-	q.Set(1, math.MaxInt64)
-	checkInvariants(t, q)
-	checkAgainstModel(t, q, modelQueue{2: 9, 1: math.MaxInt64})
-}
-
-// TestEventQueueMidDrain changes the slot that is being popped: the queue
-// has already put it in node order, and every kind of Set must keep the
-// rest of it — and whatever joins it — popping in node order.
-func TestEventQueueMidDrain(t *testing.T) {
-	q := NewEventQueue(16)
-	model := modelQueue{}
-	set := func(id int32, s int64) {
-		q.Set(id, s)
-		if s < 0 {
-			delete(model, id)
-		} else {
-			model[id] = s
-		}
-	}
-	pop := func() {
-		t.Helper()
-		wantID, wantSlot, _ := model.minEntry()
-		if id, s := q.PopMin(); id != wantID || s != wantSlot {
-			t.Fatalf("PopMin = (%d,%d), want (%d,%d)", id, s, wantID, wantSlot)
-		}
-		delete(model, wantID)
-		checkInvariants(t, q)
-	}
-	for _, id := range []int32{11, 2, 8, 5, 14, 9} {
-		set(id, 7)
-	}
-	set(3, 12)
-	pop()      // 2: slot 7 is now being drained
-	set(8, -1) // cancel a node waiting in it
-	set(9, 20) // move one out of it
-	set(12, 7) // join it above the remainder's lowest ...
-	set(1, 7)  // ... and below it, below even the node already popped
-	pop()      // 1
-	set(14, 7) // re-Set to the same slot is a no-op in effect
-	set(6, 4)  // earlier than the slot being drained
-	set(0, 4)
-	pop() // 0 at slot 4
-	pop() // 6 at slot 4
-	pop() // back in slot 7: 5
-	checkAgainstModel(t, q, model)
 }
 
 // TestEventQueueWindowTurns runs few nodes over a horizon of many windows:
 // reschedule gaps from one slot to three windows keep wakes crossing the
-// window edge and the overflow list, through hundreds of turns.
+// window edge and the overflow slice, through hundreds of turns.
 func TestEventQueueWindowTurns(t *testing.T) {
 	const n, window = 12, 64
 	rng := rand.New(rand.NewPCG(5, 17))
-	q := newEventQueue(n, window)
+	q := newEventQueue(window)
 	model := modelQueue{}
 	for id := int32(0); id < n; id++ {
 		s := rng.Int64N(2 * window)
@@ -275,17 +367,20 @@ func TestEventQueueWindowTurns(t *testing.T) {
 		}
 		q.Set(id, s)
 		model[id] = s
-		checkInvariants(t, q)
+		checkInvariants(t, q, model)
 	}
 	if q.base < 399*window {
 		t.Fatalf("window base %d after reaching slot %d: it did not turn", q.base, last)
+	}
+	if len(q.pool)-1 > n {
+		t.Fatalf("%d chunks for %d nodes: released chunks are not reused", len(q.pool)-1, n)
 	}
 	checkAgainstModel(t, q, model)
 }
 
 // TestEventQueueSteadyStateZeroAllocs pins the engine's steady state — pop
 // the earliest wake, reschedule that node — at zero allocations once the
-// sort buffer has grown to the fullest slot.
+// chunk pool and the batch buffer have grown to the fullest the run gets.
 func TestEventQueueSteadyStateZeroAllocs(t *testing.T) {
 	const n = 100_000
 	rng := rand.New(rand.NewPCG(3, 9))
@@ -333,50 +428,68 @@ func fuzzSlot(lo, hi byte, last int64) int64 {
 	}
 }
 
-// FuzzEventQueue feeds arbitrary push/reschedule/cancel/pop programs to
-// the queue and cross-checks every observable against the sort-based
-// model. The property under fuzz is total: ordering by (slot, node),
-// equal-slot tie-break stability, reschedule correctness in both
-// directions and across the window edge, and Len/MinSlot consistency after
-// every operation.
+// FuzzEventQueue feeds arbitrary push/pop-one/pop-a-slot programs to the
+// queue and cross-checks every observable against the sort-based model.
+// The property under fuzz is everything the narrowed contract promises:
+// ordering by (slot, node) whether a slot is popped one ID at a time, as a
+// batch, or part one way and the rest the other; pushes inside, at the
+// edge of and far beyond the window; the chunk and free-list structure;
+// and Len/MinSlot consistency after every operation.
 func FuzzEventQueue(f *testing.F) {
-	// One operation is four bytes: op, node, slot operand (fuzzSlot).
-	f.Add([]byte{0, 1, 5, 0, 0, 2, 5, 0, 3, 0, 0, 0, 3, 0, 0, 0})
-	f.Add([]byte{0, 7, 200, 0, 1, 7, 3, 0, 2, 7, 0, 0, 3, 0, 0, 0})
+	// One operation is four bytes: op (0, 1 push; 2 pop one; 3 pop a
+	// slot), node, slot operand (fuzzSlot).
+	f.Add([]byte{0, 1, 5, 0, 0, 2, 5, 0, 2, 0, 0, 0, 2, 0, 0, 0})
+	f.Add([]byte{0, 7, 200, 0, 1, 3, 3, 0, 3, 0, 0, 0, 3, 0, 0, 0})
 	// Window edge: slots 63 and 64, then a pop on either side of the turn.
-	f.Add([]byte{0, 3, 63, 0, 0, 4, 64, 0, 3, 0, 0, 0, 3, 0, 0, 0})
-	// Overflow only: 1<<40 and the int64 ceiling, popped in order.
-	f.Add([]byte{0, 1, 0, 0xa0, 0, 2, 0, 0xc0, 0, 3, 9, 0xa0, 3, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0})
-	// Two overflow wakes; the older one, deeper in the list, moves near.
-	f.Add([]byte{0, 1, 0, 0xa0, 0, 2, 1, 0xa0, 0, 1, 5, 0, 3, 0, 0, 0, 3, 0, 0, 0})
-	// Turn to a far window, then rewind: a wake before the window's base.
-	f.Add([]byte{0, 1, 0, 0xa0, 3, 0, 0, 0, 0, 2, 1, 0xa0, 0, 5, 7, 0, 3, 0, 0, 0, 3, 0, 0, 0})
+	f.Add([]byte{0, 3, 63, 0, 0, 4, 64, 0, 2, 0, 0, 0, 2, 0, 0, 0})
+	// Overflow only: 1<<40 twice and the int64 ceiling, popped in order.
+	f.Add([]byte{0, 1, 0, 0xa0, 0, 2, 0, 0xc0, 0, 3, 0, 0xa0, 3, 0, 0, 0, 3, 0, 0, 0})
+	// A near wake scheduled while only far ones wait: MinSlot must not
+	// have moved the window under it.
+	f.Add([]byte{0, 1, 0, 0xa0, 0, 2, 1, 0xa0, 0, 5, 7, 0, 2, 0, 0, 0, 2, 0, 0, 0})
+	// Turn to a far window, then schedule just past the popped slot and at
+	// the ceiling.
+	f.Add([]byte{0, 1, 0, 0xa0, 2, 0, 0, 0, 0, 2, 1, 0x40, 0, 5, 0, 0xc0, 3, 0, 0, 0, 3, 0, 0, 0})
 	// Engine-shaped: pop, reschedule past the popped slot by up to 256 windows.
-	f.Add([]byte{0, 1, 1, 0, 0, 2, 1, 0, 3, 0, 0, 0, 0, 1, 0xff, 0x7f, 3, 0, 0, 0, 0, 2, 0, 0x44, 3, 0, 0, 0, 3, 0, 0, 0})
-	// Mid-drain: three nodes in one slot, pop one, cancel one, add one below.
-	f.Add([]byte{0, 5, 9, 0, 0, 7, 9, 0, 0, 9, 9, 0, 3, 0, 0, 0, 2, 7, 0, 0, 0, 1, 9, 0, 3, 0, 0, 0, 3, 0, 0, 0})
+	f.Add([]byte{0, 1, 1, 0, 0, 2, 1, 0, 2, 0, 0, 0, 0, 1, 0xff, 0x7f, 2, 0, 0, 0, 0, 2, 0, 0x44, 3, 0, 0, 0, 3, 0, 0, 0})
+	// One slot drained both ways: four nodes in it, pop one, schedule that
+	// node again later, pop the rest as a batch.
+	f.Add([]byte{0, 5, 9, 0, 0, 7, 9, 0, 0, 9, 9, 0, 0, 1, 9, 0, 2, 0, 0, 0, 0, 1, 3, 0x40, 3, 0, 0, 0, 3, 0, 0, 0})
+	// More wakes in one slot than a chunk holds, pushed descending.
+	f.Add([]byte{
+		0, 23, 9, 0, 0, 22, 9, 0, 0, 21, 9, 0, 0, 20, 9, 0, 0, 19, 9, 0, 0, 18, 9, 0, 0, 17, 9, 0, 0, 16, 9, 0,
+		0, 15, 9, 0, 0, 14, 9, 0, 0, 13, 9, 0, 0, 12, 9, 0, 0, 11, 9, 0, 0, 10, 9, 0, 0, 9, 9, 0, 0, 8, 9, 0,
+		2, 0, 0, 0, 3, 0, 0, 0,
+	})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		const n = 24
-		q := newEventQueue(n, fuzzWindow)
+		q := newEventQueue(fuzzWindow)
 		model := modelQueue{}
-		var last int64
+		last := int64(-1)
 		for i := 0; i+3 < len(program); i += 4 {
 			op, id := program[i]%4, int32(program[i+1]%n)
-			switch op {
-			case 0, 1:
-				slot := fuzzSlot(program[i+2], program[i+3], last)
-				q.Set(id, slot)
-				model[id] = slot
-			case 2:
-				q.Set(id, -1)
-				delete(model, id)
-			default:
-				if len(model) == 0 {
-					if q.Len() != 0 {
-						t.Fatalf("model empty, queue has %d", q.Len())
+			switch {
+			case op <= 1:
+				// The next node the model says has no wake, at a slot
+				// clamped to later than the last pop.
+				scheduled := true
+				for k := 0; k < n && scheduled; k++ {
+					if _, scheduled = model[id]; scheduled {
+						id = (id + 1) % n
 					}
+				}
+				if scheduled || last == math.MaxInt64 {
 					continue
 				}
+				slot := max(fuzzSlot(program[i+2], program[i+3], last), last+1)
+				q.Set(id, slot)
+				model[id] = slot
+			case len(model) == 0:
+				if q.Len() != 0 {
+					t.Fatalf("model empty, queue has %d", q.Len())
+				}
+				continue
+			case op == 2:
 				wantID, wantSlot, _ := model.minEntry()
 				gotID, gotSlot := q.PopMin()
 				if gotID != wantID || gotSlot != wantSlot {
@@ -384,8 +497,10 @@ func FuzzEventQueue(f *testing.F) {
 				}
 				delete(model, wantID)
 				last = gotSlot
+			default:
+				last = checkNextSlot(t, q, model)
 			}
-			checkInvariants(t, q)
+			checkInvariants(t, q, model)
 			if q.Len() != len(model) {
 				t.Fatalf("Len = %d, model %d", q.Len(), len(model))
 			}
@@ -396,25 +511,10 @@ func FuzzEventQueue(f *testing.F) {
 			if got := q.MinSlot(); got != wantMin {
 				t.Fatalf("MinSlot = %d, want %d", got, wantMin)
 			}
+			// MinSlot walks the cursor: the structure must hold after it too.
+			checkInvariants(t, q, model)
 		}
 		// Drain: the survivors must come out in exact (slot, id) order.
-		type entry struct {
-			id   int32
-			slot int64
-		}
-		var want []entry
-		for id, s := range model {
-			want = append(want, entry{id, s})
-		}
-		sort.Slice(want, func(a, b int) bool {
-			return want[a].slot < want[b].slot ||
-				(want[a].slot == want[b].slot && want[a].id < want[b].id)
-		})
-		for _, w := range want {
-			id, slot := q.PopMin()
-			if id != w.id || slot != w.slot {
-				t.Fatalf("drain: got (%d,%d), want (%d,%d)", id, slot, w.id, w.slot)
-			}
-		}
+		checkAgainstModel(t, q, model)
 	})
 }
