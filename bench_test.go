@@ -19,7 +19,6 @@ import (
 	"choir/internal/channel"
 	ichoir "choir/internal/choir"
 	"choir/internal/lora"
-	"choir/internal/radio"
 	"choir/internal/sim"
 )
 
@@ -429,57 +428,6 @@ func adcNearFarTrial(bits int, seed uint64) (recovered, total int) {
 	return recovered, len(payloads)
 }
 
-func BenchmarkMultiSFParallelDecode(b *testing.B) {
-	// Sec. 5.2 note 4: collisions spread across orthogonal spreading
-	// factors decode in parallel.
-	msf, err := ichoir.NewMultiSF(ichoir.DefaultConfig(lora.DefaultParams()),
-		[]lora.SpreadingFactor{lora.SF7, lora.SF8, lora.SF9})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// One transmitter per SF plus an intra-SF pair at SF8.
-	sig := buildMultiSFBenchSignal(b)
-	lens := map[lora.SpreadingFactor]int{lora.SF7: 8, lora.SF8: 8, lora.SF9: 8}
-	b.ResetTimer()
-	var decoded int
-	for i := 0; i < b.N; i++ {
-		decoded = 0
-		for _, sr := range msf.Decode(context.Background(), sig, lens) {
-			if sr.Result != nil {
-				decoded += len(sr.Result.DecodedPayloads())
-			}
-		}
-	}
-	b.ReportMetric(float64(decoded), "payloads-decoded")
-}
-
-func buildMultiSFBenchSignal(b *testing.B) []complex128 {
-	b.Helper()
-	rng := rand.New(rand.NewPCG(77, 0xB51F))
-	pop := radio.DefaultPopulation()
-	var emissions []channel.Emission
-	maxLen := 0
-	id := 0
-	for _, sf := range []lora.SpreadingFactor{lora.SF7, lora.SF8, lora.SF8, lora.SF9} {
-		p := lora.DefaultParams()
-		p.SF = sf
-		m := lora.MustModem(p)
-		payload := make([]byte, 8)
-		for i := range payload {
-			payload[i] = byte(rng.IntN(256))
-		}
-		tx := &radio.Transmitter{ID: id, Osc: radio.Oscillator{PPM: (rng.Float64()*2 - 1) * 15},
-			TimingOffset: rng.NormFloat64() * 40e-6, Phase: rng.Float64() * 2 * math.Pi}
-		id++
-		sig, whole := tx.Transmit(m, payload, pop.CarrierHz)
-		emissions = append(emissions, channel.Emission{Samples: sig, StartSample: whole, Gain: 1})
-		if l := whole + len(sig); l > maxLen {
-			maxLen = l
-		}
-	}
-	return channel.Combine(maxLen+64, emissions, channel.Config{NoiseFloorDBm: -45}, rng)
-}
-
 func teamSNRs(n int, snr float64) []float64 {
 	out := make([]float64, n)
 	for i := range out {
@@ -505,34 +453,6 @@ func BenchmarkEndToEndDeployment(b *testing.B) {
 }
 
 // --- Micro-benchmarks of the decoder hot path ---
-
-func BenchmarkDecodeTwoUserCollision(b *testing.B) {
-	sc := sim.Scenario{Params: lora.DefaultParams(), PayloadLen: 8, SNRsDB: []float64{20, 15}, Seed: 9}
-	sig, _ := sc.Synthesize()
-	dec := ichoir.MustNew(ichoir.DefaultConfig(sc.Params))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dec.Decode(context.Background(), sig, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeEightUserCollision(b *testing.B) {
-	snrs := make([]float64, 8)
-	for i := range snrs {
-		snrs[i] = 15 + float64(i)
-	}
-	sc := sim.Scenario{Params: lora.DefaultParams(), PayloadLen: 8, SNRsDB: snrs, Seed: 10}
-	sig, _ := sc.Synthesize()
-	dec := ichoir.MustNew(ichoir.DefaultConfig(sc.Params))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dec.Decode(context.Background(), sig, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkDecodeMetricsOnVsOff pins the observability layer's cost on the
 // decoder hot path. The "off" run must report 0 allocs/op beyond the

@@ -81,9 +81,6 @@ var (
 	// ErrDecodeDeadline reports a decode abandoned because its context's
 	// deadline expired mid-decode.
 	ErrDecodeDeadline = ichoir.ErrDeadline
-	// AntennaDiversityGain is the selection-diversity success model used by
-	// the Fig. 12 sweep.
-	AntennaDiversityGain = ichoir.AntennaDiversityGain
 )
 
 // Collision-resolution backends (package internal/backend): every decoding

@@ -110,17 +110,6 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	// FramesPerSec and P99LatencyNs are set only by the gateway
-	// sustained-throughput benchmarks (via testing's ReportMetric).
-	// FramesPerSec is additionally gated on -compare: a pinned benchmark
-	// whose sustained throughput drops beyond the threshold fails.
-	FramesPerSec float64 `json:"frames_per_sec,omitempty"`
-	P99LatencyNs float64 `json:"p99_latency_ns,omitempty"`
-	// EventsPerSec and PeakRSSBytes are set only by the city-scale engine
-	// benchmark. EventsPerSec is gated on -compare like FramesPerSec;
-	// PeakRSSBytes is informational (heap footprint after the runs).
-	EventsPerSec float64 `json:"events_per_sec,omitempty"`
-	PeakRSSBytes float64 `json:"peak_rss_bytes,omitempty"`
 	// PinNs marks the benchmark as gated on ns/op regressions.
 	PinNs bool `json:"pin_ns"`
 	// PinAllocs marks the benchmark as gated on any allocs/op increase
@@ -198,14 +187,6 @@ func compareReports(w io.Writer, old, cur *Report, retired map[string]string, th
 		}
 		if nb.PinAllocs && nb.AllocsPerOp > ob.AllocsPerOp {
 			gate = fmt.Sprintf("FAIL allocs/op %d -> %d", ob.AllocsPerOp, nb.AllocsPerOp)
-			failures++
-		}
-		if nb.PinNs && ob.FramesPerSec > 0 && nb.FramesPerSec < ob.FramesPerSec*(1-threshold) {
-			gate = fmt.Sprintf("FAIL frames/sec %.0f -> %.0f", ob.FramesPerSec, nb.FramesPerSec)
-			failures++
-		}
-		if nb.PinNs && ob.EventsPerSec > 0 && nb.EventsPerSec < ob.EventsPerSec*(1-threshold) {
-			gate = fmt.Sprintf("FAIL events/sec %.0f -> %.0f", ob.EventsPerSec, nb.EventsPerSec)
 			failures++
 		}
 		fmt.Fprintf(w, "%-40s %14.0f %14.0f %+7.1f%% %s\n", name, ob.NsPerOp, nb.NsPerOp, delta*100, gate)

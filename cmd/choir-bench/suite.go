@@ -3,20 +3,14 @@ package main
 import (
 	"context"
 	"math/rand/v2"
-	"runtime"
 	"testing"
-	"time"
 
-	"choir"
 	"choir/internal/backend"
 	ichoir "choir/internal/choir"
 	"choir/internal/dsp"
-	"choir/internal/gateway"
 	"choir/internal/lora"
-	"choir/internal/obs"
 	"choir/internal/sim"
 	"choir/internal/sim/engine"
-	"choir/internal/trace"
 )
 
 // benchmark is one named, seeded measurement in the suite.
@@ -35,20 +29,15 @@ func (bm benchmark) run() Result {
 		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
-		// Custom metrics reported via b.ReportMetric; zero when the
-		// benchmark doesn't emit them.
-		FramesPerSec: r.Extra["frames/sec"],
-		P99LatencyNs: r.Extra["p99-ns"],
-		EventsPerSec: r.Extra["events/sec"],
-		PeakRSSBytes: r.Extra["peak-rss-bytes"],
-		PinNs:        bm.PinNs,
-		PinAllocs:    bm.PinAllocs,
+		PinNs:       bm.PinNs,
+		PinAllocs:   bm.PinAllocs,
 	}
 }
 
-// suite returns the pinned benchmark set. Every benchmark uses fixed seeds
-// and fixed shapes so runs are comparable across commits; the decode
-// benchmarks mirror the `go test -bench` definitions in bench_test.go.
+// suite returns the pinned benchmark set: kernels and single decodes, fixed
+// seeds and fixed shapes so runs are comparable across commits. What a
+// gateway or a city run costs end to end is benchmark/'s job (gw_* and
+// city_* workloads), not this suite's.
 func suite() []benchmark {
 	return []benchmark{
 		{Name: "BenchmarkFFTFullPadded", PinNs: true, PinAllocs: true, Fn: benchFFTFullPadded},
@@ -63,10 +52,6 @@ func suite() []benchmark {
 		{Name: "BenchmarkBackendDispatch", PinNs: true, PinAllocs: true, Fn: benchBackendDispatch},
 		{Name: "BenchmarkDecodeTwoUserCollision", PinNs: true, Fn: benchDecodeTwoUser},
 		{Name: "BenchmarkDecodeEightUserCollision", PinNs: true, Fn: benchDecodeEightUser},
-		{Name: "BenchmarkGatewaySerial", PinNs: true, Fn: benchGatewayFrames},
-		{Name: "BenchmarkHeadline", PinNs: true, Fn: benchHeadline},
-		{Name: "BenchmarkCityScale", PinNs: true, Fn: benchCityScale},
-		{Name: "BenchmarkCityScaleInterfere", PinNs: true, Fn: benchCityScaleInterfere},
 		{Name: "BenchmarkEventQueue", PinNs: true, PinAllocs: true, Fn: benchEventQueue},
 	}
 }
@@ -76,64 +61,15 @@ func suite() []benchmark {
 // it reports the names here as retired instead. A name is never both here
 // and in suite() (TestCommittedBaselineCoversSuite).
 var retired = map[string]string{
-	"BenchmarkGatewaySustained": "the gateway's batched first rung is deleted; BenchmarkGatewaySerial measures the one path left",
+	"BenchmarkGatewaySustained":   "the gateway's batched first rung is deleted",
+	"BenchmarkGatewaySerial":      "its p99 was the depth of a pre-filled queue; benchmark/'s gw_light_* and gw_heavy_closed measure the path",
+	"BenchmarkCityScale":          "benchmark/'s city_sparse measures the engine",
+	"BenchmarkCityScaleInterfere": "benchmark/'s city_dense measures the engine with a foreign network and the capture model",
+	"BenchmarkHeadline":           "the root BenchmarkHeadline prints the paper's rows; nothing gated on its wall time",
 }
 
-// benchGatewayFrames is the sustained-throughput measurement behind the
-// gateway benchmark: push b.N identical two-user collision frames through a
-// full gateway (queue, workers, ladder) and drain it, with metrics recording
-// on so the gateway.frame_latency_ns histogram captures enqueue-to-outcome
-// latency. Reports frames/sec and the p99 latency alongside ns/op so
-// -compare can gate sustained throughput, not just per-op cost.
-func benchGatewayFrames(b *testing.B) {
-	p := lora.DefaultParams()
-	p.SF = lora.SF7
-	sc := sim.Scenario{Params: p, PayloadLen: 4, SNRsDB: []float64{15, 12}, Seed: 3}
-	sig, _ := sc.Synthesize()
-	h := trace.Header{Params: p, PayloadLen: 4}
-
-	obs.Reset()
-	obs.Enable()
-	defer obs.Disable()
-	g, err := gateway.New(gateway.Config{
-		Queue: 256, Seed: 11, BackoffBase: time.Microsecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	decoded := make(chan int, 1)
-	go func() {
-		n := 0
-		for o := range g.Outcomes() {
-			if o.Kind == gateway.OutcomeDecoded {
-				n++
-			}
-		}
-		decoded <- n
-	}()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Submit(context.Background(), "bench", h, sig); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := g.Drain(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	if n := <-decoded; n != b.N {
-		b.Fatalf("decoded %d of %d frames", n, b.N)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/sec")
-	if hist := obs.NewTimer("gateway.frame_latency_ns").Hist(); hist.Count() > 0 {
-		b.ReportMetric(hist.Quantile(0.99), "p99-ns")
-	}
-}
-
-// benchSignal synthesizes the fixed two-user near-far collision shared by
-// the decode benchmarks (same scenario as bench_test.go's
-// BenchmarkDecodeTwoUserCollision).
+// benchSignal synthesizes the fixed near-far collision shared by the decode
+// benchmarks.
 func benchSignal(b *testing.B, snrs []float64, seed uint64) ([]complex128, lora.Params) {
 	b.Helper()
 	sc := sim.Scenario{Params: lora.DefaultParams(), PayloadLen: 8, SNRsDB: snrs, Seed: seed}
@@ -344,80 +280,6 @@ func benchDecodeEightUser(b *testing.B) {
 	}
 }
 
-// benchCityScale drives the event-driven city engine on a fixed 100k-node
-// single-gateway sparse-traffic city (the cmd twin of the engine package's
-// BenchmarkCityScale). Beyond ns/op it reports sustained events/sec — the
-// engine's real currency, since an event is the unit of useful work — and
-// the post-run heap footprint, so -compare catches both throughput
-// regressions and city-state bloat.
-func benchCityScale(b *testing.B) {
-	cfg := choir.CityConfig{
-		Scheme:         choir.SchemeChoir,
-		Driver:         choir.CityDriverEvent,
-		Nodes:          100_000,
-		Gateways:       1,
-		Slots:          2000,
-		ArrivalPerSlot: 2e-5,
-		SideM:          1200,
-		PayloadLen:     12,
-		Receiver:       choir.CityModelReceiver{Success: choir.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 30},
-		Seed:           2026,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var events int64
-	for i := 0; i < b.N; i++ {
-		m, err := choir.RunCity(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += m.Events
-	}
-	b.StopTimer()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-	b.ReportMetric(float64(ms.HeapInuse), "peak-rss-bytes")
-}
-
-// benchCityScaleInterfere is benchCityScale with the interference suite
-// switched on: one co-channel foreign network and the capture-effect
-// receiver wrapping the same Choir decode table. It pins the cost of the
-// new hot path — per-contended-slot foreign Poisson draws plus the
-// capture/orthogonality math in every group's probability — on top of the
-// baseline engine, in sustained events/sec.
-func benchCityScaleInterfere(b *testing.B) {
-	cfg := choir.CityConfig{
-		Scheme:         choir.SchemeChoir,
-		Driver:         choir.CityDriverEvent,
-		Nodes:          100_000,
-		Gateways:       1,
-		Slots:          2000,
-		ArrivalPerSlot: 2e-5,
-		SideM:          1200,
-		PayloadLen:     12,
-		Receiver: choir.NewCaptureModel(
-			choir.CityModelReceiver{Success: choir.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 30}, 6),
-		Foreign: []choir.CityForeignConfig{{Nodes: 20_000, ArrivalPerSlot: 2e-5}},
-		Seed:    2026,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var events int64
-	for i := 0; i < b.N; i++ {
-		m, err := choir.RunCity(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += m.Events
-	}
-	b.StopTimer()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-	b.ReportMetric(float64(ms.HeapInuse), "peak-rss-bytes")
-}
-
 // benchEventQueue is the city engine's steady state on its event queue
 // alone, at the million-node size where the queue's arrays leave the cache:
 // pop the earliest wake, reschedule that node up to 65 536 slots on — the
@@ -434,18 +296,5 @@ func benchEventQueue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		id, slot := q.PopMin()
 		q.Set(id, slot+1+rng.Int64N(1<<16))
-	}
-}
-
-func benchHeadline(b *testing.B) {
-	cfg := choir.DefaultFig8()
-	cfg.Slots = 1500
-	cfg.Calibration.Trials = 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := choir.ComputeHeadline(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -72,10 +72,3 @@ func ExampleFig9Range() {
 		s.Y[0], s.Y[29], s.Y[29]/s.Y[0])
 	// Output: 1 node: 936 m; 30 nodes: 2474 m (gain 2.64x)
 }
-
-// ExampleAntennaDiversityGain shows the selection-diversity model behind
-// the Choir+MU-MIMO configuration of Fig. 12.
-func ExampleAntennaDiversityGain() {
-	fmt.Printf("%.3f\n", choir.AntennaDiversityGain(0.6, 3))
-	// Output: 0.936
-}

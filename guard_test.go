@@ -18,13 +18,23 @@ import (
 // between benchmark PRs) and hands each to visit with its directory.
 func parseSources(t *testing.T, mode parser.Mode, visit func(dir string, f *ast.File)) {
 	t.Helper()
+	walkSources(t, mode, func(dir string, f *ast.File) {
+		if dir != "benchmark" {
+			visit(dir, f)
+		}
+	})
+}
+
+// walkSources is parseSources with benchmark/ included.
+func walkSources(t *testing.T, mode parser.Mode, visit func(dir string, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path == "benchmark" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -108,8 +118,8 @@ func TestNoOrphanInternalPackages(t *testing.T) {
 
 // TestOneMACModel enforces DESIGN.md §15: internal/sim/engine is the only
 // simulator of the MAC schemes. internal/mac keeps the vocabulary (schemes,
-// receiver models, queue, team scheduler) and must not grow a second slot
-// loop back, and the engine must run all three schemes.
+// receiver models, team scheduler) and must not grow a second slot loop
+// back, and the engine must run all three schemes.
 func TestOneMACModel(t *testing.T) {
 	banned := map[string]bool{"Run": true, "RunMany": true, "Job": true, "Config": true, "Metrics": true, "Receiver": true}
 	sawMAC := false
@@ -217,5 +227,90 @@ func TestGatewayDecodesOneWay(t *testing.T) {
 	})
 	if !sawGateway {
 		t.Fatal("found no sources under internal/gateway")
+	}
+}
+
+// TestNoTestOnlyFunctions enforces the deletion rule of PR 21: a function
+// outside benchmark/ stays only while something that runs mentions it. Every
+// top-level func or method declared in a non-test file must be named by some
+// non-test file (commands, examples and benchmark/ count as callers) outside
+// its own declaration, or appear in carried with the reason it stays:
+//
+//	reference: <test>      a test compares live code against it
+//	probe/fixture: <test>  a test of other, live code measures or builds with it
+//	ROADMAP item N         an open item names it as its input
+//	interface: <which>     called through an interface the name cannot show
+//
+// A carried entry that is no longer declared, or that has gained a non-test
+// mention, fails too, so the map cannot rot. Matching is by bare name, which
+// makes this a floor and not a proof: a dead method named Decode hides
+// behind every live Decode, and a name a struct field shares counts as
+// mentioned. A go/types reachability scan finds those; this keeps the
+// obvious ones from coming back.
+func TestNoTestOnlyFunctions(t *testing.T) {
+	carried := map[string]string{
+		"LeastSquares":         "reference: TestFitsMatchExplicitLeastSquares, TestSolveJitteredBitIdentical (linalg.Solve and the Matrix algebra under it)",
+		"Median":               "reference: TestMedianInPlaceMatchesMedian",
+		"ApplyMultipath":       "probe/fixture: TestDecodeRobustToResolvableEcho, TestDecodeUnderStrongResolvableEcho",
+		"AmplitudeFromDBm":     "probe/fixture: internal/choir/decoder_test.go synthesize",
+		"PaddedSpectrum":       "probe/fixture: TestCFOShiftsDemodulatedPeakFractionally, TestSpreadingFactorQuasiOrthogonality",
+		"FindPeaks":            "probe/fixture: TestCFOShiftsDemodulatedPeakFractionally",
+		"Power":                "probe/fixture: TestCombineAddsCalibratedNoise",
+		"Percentile":           "probe/fixture: TestPopulationDiversity",
+		"OpenFaultFile":        "probe/fixture: TestJournalFaultWriteError, TestJournalFaultShortWrite, TestJournalFaultSyncError",
+		"FaultPoint":           "probe/fixture: TestJournalFaultShortWrite",
+		"Recover":              "probe/fixture: internal/gateway/recovery_test.go, TestCrashRestartExactlyOnce",
+		"AdmissionLimit":       "probe/fixture: TestAdmissionShedsUnderOverload, TestReadyShrunkAdmissionWindowNotReady",
+		"breakerTripped":       "probe/fixture: TestBreakerSkippedFrameFailsInsideTaxonomy",
+		"MinSlot":              "probe/fixture: FuzzEventQueue, TestEventQueueOrdering",
+		"Fingerprint":          "probe/fixture: TestCompareDeterministicAcrossWorkers",
+		"SubtractDecodedUsers": "ROADMAP item 5 (Sec. 7.2, teams under collision)",
+		"ServeHTTP":            "interface: http.Handler (obs check sets on the debug mux)",
+	}
+	for name, reason := range carried {
+		ok := false
+		for _, kind := range []string{"reference: ", "probe/fixture: ", "ROADMAP item ", "interface: "} {
+			ok = ok || strings.HasPrefix(reason, kind)
+		}
+		if !ok {
+			t.Errorf("carried[%q] = %q: not one of the four kinds of reason", name, reason)
+		}
+	}
+
+	declared := map[string]string{} // name -> a directory declaring it, outside benchmark/
+	mentions := map[string]int{}    // name -> identifiers outside a declaration of that name
+	walkSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
+		for _, d := range f.Decls {
+			self := ""
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				self = fn.Name.Name
+				if dir != "benchmark" && self != "main" && self != "init" {
+					declared[self] = dir
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id.Name != self {
+					mentions[id.Name]++
+				}
+				return true
+			})
+		}
+	})
+	if len(declared) == 0 {
+		t.Fatal("found no function declarations")
+	}
+	for name, dir := range declared {
+		_, kept := carried[name]
+		switch {
+		case mentions[name] == 0 && !kept:
+			t.Errorf("%s: %s is mentioned by no non-test file outside its declaration: delete it with its tests, or carry it with a reason", dir, name)
+		case mentions[name] > 0 && kept:
+			t.Errorf("%s: %s is carried but now has a non-test mention: drop it from carried", dir, name)
+		}
+	}
+	for name := range carried {
+		if _, ok := declared[name]; !ok {
+			t.Errorf("carried[%q] names a function that is no longer declared", name)
+		}
 	}
 }

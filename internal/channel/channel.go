@@ -1,17 +1,15 @@
 // Package channel simulates the urban wireless channel between LP-WAN
 // clients and a base station: log-distance path loss with log-normal
-// shadowing, quasi-static complex block fading, additive white Gaussian
-// noise, superposition of many transmitters at arbitrary sample offsets, and
-// an ADC quantization floor (which bounds how weak a transmitter can be and
-// still register — the paper's Sec. 5.2 caveat).
+// shadowing, additive white Gaussian noise, superposition of many
+// transmitters at arbitrary sample offsets, and an ADC quantization floor
+// (which bounds how weak a transmitter can be and still register — the
+// paper's Sec. 5.2 caveat).
 package channel
 
 import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-
-	"choir/internal/dsp"
 )
 
 // PathLossModel is the log-distance urban propagation model:
@@ -27,12 +25,6 @@ type PathLossModel struct {
 	Exponent float64
 	// ShadowSigmaDB is the standard deviation of log-normal shadowing.
 	ShadowSigmaDB float64
-}
-
-// DefaultPathLoss returns an urban 900 MHz model consistent with the paper's
-// observed ~1 km single-client range at 14 dBm.
-func DefaultPathLoss() PathLossModel {
-	return PathLossModel{RefLossDB: 31.5, RefDistance: 1, Exponent: 3.2, ShadowSigmaDB: 6}
 }
 
 // LossDB returns the path loss in dB at distance d metres, with a shadowing
@@ -61,14 +53,9 @@ type Config struct {
 	ADCFullScale float64
 }
 
-// DefaultConfig returns the receiver model used across the evaluation.
-func DefaultConfig() Config {
-	return Config{NoiseFloorDBm: -117, ADCBits: 12, ADCFullScale: 4}
-}
-
 // Emission is one transmitter's contribution to the medium.
 type Emission struct {
-	// Samples is the impaired baseband signal (see radio.Transmitter.Impair).
+	// Samples is the impaired baseband signal (see radio.Transmitter.Transmit).
 	Samples []complex128
 	// StartSample is where the emission begins on the shared timeline.
 	StartSample int
@@ -164,36 +151,6 @@ func ApplyMultipath(x []complex128, taps []Tap) []complex128 {
 		}
 	}
 	return out
-}
-
-// Gain computes the complex channel coefficient for a link: transmit power,
-// median path loss at distance d plus shadowing, and a uniformly random
-// fading phase (block fading: constant within a packet). The optional
-// fadeSigmaDB adds Rician-like amplitude variation.
-func Gain(powerDBm float64, pl PathLossModel, d float64, fadeSigmaDB float64, rng *rand.Rand) complex128 {
-	lossDB := pl.LossDB(d, rng)
-	ampDB := powerDBm - lossDB
-	if fadeSigmaDB > 0 && rng != nil {
-		ampDB += rng.NormFloat64() * fadeSigmaDB
-	}
-	amp := math.Pow(10, ampDB/20)
-	phase := 0.0
-	if rng != nil {
-		phase = rng.Float64() * 2 * math.Pi
-	}
-	s, c := math.Sincos(phase)
-	return complex(amp*c, amp*s)
-}
-
-// SNRdB returns the per-sample SNR in dB of a received amplitude |g| against
-// the configured noise floor.
-func SNRdB(gain complex128, cfg Config) float64 {
-	p := real(gain)*real(gain) + imag(gain)*imag(gain)
-	noise := math.Pow(10, cfg.NoiseFloorDBm/10)
-	if noise == 0 {
-		return math.Inf(1)
-	}
-	return dsp.DB(p / noise)
 }
 
 // RangeForSNR inverts the median path-loss model: it returns the distance at

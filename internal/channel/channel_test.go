@@ -10,8 +10,15 @@ import (
 	"choir/internal/dsp"
 )
 
+// Fixtures: an urban 900 MHz path-loss model consistent with the paper's
+// ~1 km single-client range at 14 dBm, and a 125 kHz receiver front end.
+var (
+	urbanPathLoss = PathLossModel{RefLossDB: 31.5, RefDistance: 1, Exponent: 3.2, ShadowSigmaDB: 6}
+	receiver      = Config{NoiseFloorDBm: -117, ADCBits: 12, ADCFullScale: 4}
+)
+
 func TestPathLossMonotone(t *testing.T) {
-	m := DefaultPathLoss()
+	m := urbanPathLoss
 	prev := -math.Inf(1)
 	for _, d := range []float64{1, 10, 100, 1000, 3000} {
 		loss := m.LossDB(d, nil)
@@ -23,7 +30,7 @@ func TestPathLossMonotone(t *testing.T) {
 }
 
 func TestPathLossReferencePoint(t *testing.T) {
-	m := DefaultPathLoss()
+	m := urbanPathLoss
 	if got := m.LossDB(1, nil); math.Abs(got-m.RefLossDB) > 1e-12 {
 		t.Errorf("loss at d0 = %g, want %g", got, m.RefLossDB)
 	}
@@ -38,7 +45,7 @@ func TestPathLossReferencePoint(t *testing.T) {
 }
 
 func TestShadowingIsRandomButSeeded(t *testing.T) {
-	m := DefaultPathLoss()
+	m := urbanPathLoss
 	a := m.LossDB(100, rand.New(rand.NewPCG(1, 1)))
 	b := m.LossDB(100, rand.New(rand.NewPCG(1, 1)))
 	c := m.LossDB(100, rand.New(rand.NewPCG(2, 2)))
@@ -120,35 +127,22 @@ func TestQuantizePanicsOnBadArgs(t *testing.T) {
 	Quantize([]complex128{1}, 0, 1)
 }
 
-func TestGainAmplitudeFollowsPathLoss(t *testing.T) {
-	pl := DefaultPathLoss()
-	pl.ShadowSigmaDB = 0
-	g100 := Gain(14, pl, 100, 0, nil)
-	g1000 := Gain(14, pl, 1000, 0, nil)
-	ratioDB := 20 * math.Log10(cmplx.Abs(g100)/cmplx.Abs(g1000))
-	if math.Abs(ratioDB-10*pl.Exponent) > 1e-9 {
-		t.Errorf("gain decade ratio %g dB, want %g", ratioDB, 10*pl.Exponent)
-	}
-}
-
 func TestSNRdBAndRangeForSNRConsistent(t *testing.T) {
-	pl := DefaultPathLoss()
+	pl := urbanPathLoss
 	pl.ShadowSigmaDB = 0
-	cfg := DefaultConfig()
 	const target = -5.0
-	d := RangeForSNR(target, 14, pl, cfg)
+	d := RangeForSNR(target, 14, pl, receiver)
 	if d <= 0 {
 		t.Fatalf("range %g", d)
 	}
-	g := Gain(14, pl, d, 0, nil)
-	if got := SNRdB(g, cfg); math.Abs(got-target) > 1e-6 {
+	if got := 14 - pl.LossDB(d, nil) - receiver.NoiseFloorDBm; math.Abs(got-target) > 1e-6 {
 		t.Errorf("SNR at computed range = %g dB, want %g", got, target)
 	}
 }
 
 func TestRangeMonotoneInPowerProperty(t *testing.T) {
-	pl := DefaultPathLoss()
-	cfg := DefaultConfig()
+	pl := urbanPathLoss
+	cfg := receiver
 	check := func(p1, p2 float64) bool {
 		p1 = math.Mod(math.Abs(p1), 30)
 		p2 = math.Mod(math.Abs(p2), 30)

@@ -71,7 +71,7 @@ func defaultSpec(nUsers int, seed uint64) collisionSpec {
 		noiseDBm: -40, // ~40 dB below 0 dBm users: comfortable SNR
 		seed:     seed,
 	}
-	symbolT := p.SymbolDuration()
+	symbolT := float64(p.N()) / p.Bandwidth
 	for i := 0; i < nUsers; i++ {
 		payload := make([]byte, 8)
 		for b := range payload {
@@ -423,5 +423,35 @@ func TestDecodeUnderStrongResolvableEcho(t *testing.T) {
 	// The two real users' offsets must be among the detected set.
 	if len(res.Users) < 2 {
 		t.Fatalf("detected %d users", len(res.Users))
+	}
+}
+
+// TestSpreadingFactorQuasiOrthogonality pins Sec. 5.2 note 4, the reason a
+// gateway may key its decoder pools on a frame's SF: a transmission at one
+// SF dechirped with another SF's down-chirp spreads its energy instead of
+// forming a peak.
+func TestSpreadingFactorQuasiOrthogonality(t *testing.T) {
+	p8 := lora.DefaultParams()
+	m8 := lora.MustModem(p8)
+	p9 := p8
+	p9.SF = lora.SF9
+	m9 := lora.MustModem(p9)
+
+	// An SF9 frame observed through the SF8 receiver.
+	sig := m9.Modulate([]byte{0xAA, 0x55})
+	n8 := p8.N()
+	dech := lora.Dechirp(nil, sig[:n8], m8.Down())
+	spec := dsp.PaddedSpectrum(dech, 8)
+	peakiness := 0.0
+	floor := dsp.NoiseFloor(spec)
+	for _, v := range spec {
+		if v/floor > peakiness {
+			peakiness = v / floor
+		}
+	}
+	// A matched SF8 chirp would peak at ~n8/floor (hundreds). Cross-SF
+	// energy must remain spread out.
+	if peakiness > 20 {
+		t.Errorf("cross-SF peakiness %.1f — SF9 signal concentrates under SF8 dechirp", peakiness)
 	}
 }

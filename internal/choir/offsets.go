@@ -3,7 +3,6 @@ package choir
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"choir/internal/dsp"
 )
@@ -275,17 +274,8 @@ func (d *Decoder) findPreambleUsers(wins [][]complex128, known []userEstimate) [
 	return ests
 }
 
-// medianInt returns the median of xs (0 for empty input).
-func medianInt(xs []int) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	tmp := append([]int(nil), xs...)
-	sort.Ints(tmp)
-	return tmp[len(tmp)/2]
-}
-
-// medianIntScratch is medianInt on a reusable scratch copy.
+// medianIntScratch returns the median of xs (0 for empty input), sorting a
+// reusable scratch copy.
 func (d *Decoder) medianIntScratch(xs []int) int {
 	if len(xs) == 0 {
 		return 0

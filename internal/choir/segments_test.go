@@ -145,14 +145,16 @@ func TestEstimateBoundariesFindsTimingOffset(t *testing.T) {
 }
 
 func TestMedianInt(t *testing.T) {
-	if medianInt(nil) != 0 {
+	var d Decoder
+	if d.medianIntScratch(nil) != 0 {
 		t.Error("empty median")
 	}
-	if medianInt([]int{5}) != 5 {
+	if d.medianIntScratch([]int{5}) != 5 {
 		t.Error("single median")
 	}
-	if m := medianInt([]int{9, 1, 5}); m != 5 {
-		t.Errorf("median = %d", m)
+	xs := []int{9, 1, 5}
+	if m := d.medianIntScratch(xs); m != 5 || xs[0] != 9 {
+		t.Errorf("median = %d, input now %v", m, xs)
 	}
 }
 

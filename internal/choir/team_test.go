@@ -21,7 +21,7 @@ func teamSpec(n int, perMemberDBm, noiseDBm float64, seed uint64) collisionSpec 
 		payload[i] = byte(rng.IntN(256))
 	}
 	spec := collisionSpec{params: p, noiseDBm: noiseDBm, seed: seed}
-	symbolT := p.SymbolDuration()
+	symbolT := float64(p.N()) / p.Bandwidth
 	for i := 0; i < n; i++ {
 		spec.payloads = append(spec.payloads, payload)
 		spec.ppms = append(spec.ppms, (rng.Float64()*2-1)*15)

@@ -78,9 +78,6 @@ func (b *BatchSpectrum) Compute(srcs [][]complex128) {
 	}
 }
 
-// Lanes returns how many lanes the last Compute filled.
-func (b *BatchSpectrum) Lanes() int { return b.lanes }
-
 // Spec returns lane i's complex spectrum (valid until the next Compute).
 func (b *BatchSpectrum) Spec(i int) []complex128 {
 	b.check(i)

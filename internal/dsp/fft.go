@@ -1,7 +1,7 @@
 // Package dsp provides the complex digital-signal-processing substrate used
-// by the LoRa PHY and the Choir collision decoder: fast Fourier transforms,
-// zero-padded spectra, window functions, peak detection and interpolation,
-// fractional delays and frequency shifts.
+// by the LoRa PHY and the Choir collision decoder: forward fast Fourier
+// transforms, zero-padded spectra, peak detection and interpolation, tone
+// synthesis and frequency shifts.
 //
 // Everything operates on []complex128 baseband IQ samples, critically sampled
 // (sample rate == signal bandwidth) unless stated otherwise. The package is
@@ -34,16 +34,14 @@ func NextPow2(n int) int {
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// twiddleCache memoizes per-size twiddle-factor tables for the radix-2
-// transform. FFT sizes used by the decoder are few (one per spreading factor
-// and padding level), so the cache stays tiny. The cache is not safe for
-// concurrent mutation; callers that share an FFT across goroutines should use
-// NewFFT once and call Transform, which is read-only after construction.
+// FFT is a forward radix-2 transform plan of one length: the twiddle table
+// and the bit-reversal permutation. The decoder builds few of them (one per
+// spreading factor and padding level). A plan is read-only after NewFFT, so
+// goroutines may share one and call its transforms concurrently.
 type FFT struct {
 	n       int
 	logn    int
 	forward []complex128 // e^{-2πi k/n} for k in [0, n/2)
-	inverse []complex128 // e^{+2πi k/n}
 	rev     []int        // bit-reversal permutation
 }
 
@@ -57,13 +55,11 @@ func NewFFT(n int) *FFT {
 		n:       n,
 		logn:    bits.TrailingZeros(uint(n)),
 		forward: make([]complex128, n/2),
-		inverse: make([]complex128, n/2),
 		rev:     make([]int, n),
 	}
 	for k := 0; k < n/2; k++ {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
 		f.forward[k] = complex(c, s)
-		f.inverse[k] = complex(c, -s)
 	}
 	for i := 0; i < n; i++ {
 		f.rev[i] = int(bits.Reverse(uint(i)) >> (bits.UintSize - f.logn))
@@ -75,19 +71,8 @@ func NewFFT(n int) *FFT {
 func (f *FFT) Len() int { return f.n }
 
 // Transform computes the DFT of src into dst (allocated if nil or wrong
-// length) and returns dst. src is not modified. The transform is unscaled:
-// Transform followed by InverseTransform multiplies by Len().
+// length) and returns dst. src is not modified. The transform is unscaled.
 func (f *FFT) Transform(dst, src []complex128) []complex128 {
-	return f.transform(dst, src, f.forward)
-}
-
-// InverseTransform computes the unscaled inverse DFT of src into dst.
-// Divide by Len() to invert Transform exactly.
-func (f *FFT) InverseTransform(dst, src []complex128) []complex128 {
-	return f.transform(dst, src, f.inverse)
-}
-
-func (f *FFT) transform(dst, src, tw []complex128) []complex128 {
 	if len(src) != f.n {
 		panic(fmt.Sprintf("dsp: FFT input length %d != size %d", len(src), f.n))
 	}
@@ -106,7 +91,7 @@ func (f *FFT) transform(dst, src, tw []complex128) []complex128 {
 			dst[i] = src[j]
 		}
 	}
-	f.stages(dst, tw, 2)
+	f.stages(dst, f.forward, 2)
 	return dst
 }
 
@@ -222,31 +207,6 @@ func (f *FFT) SpectrumInto(dst []float64, spec, src []complex128) []float64 {
 		dst[i] = cmplx.Abs(v)
 	}
 	return dst
-}
-
-// Forward computes the DFT of x, padding with zeros to the next power of two
-// when len(x) is not one. It is a convenience wrapper; hot paths should hold
-// an *FFT and reuse buffers.
-func Forward(x []complex128) []complex128 {
-	n := NextPow2(len(x))
-	in := x
-	if n != len(x) {
-		in = make([]complex128, n)
-		copy(in, x)
-	}
-	return NewFFT(n).Transform(nil, in)
-}
-
-// Inverse computes the scaled inverse DFT of x (len(x) must be a power of
-// two), so that Inverse(Forward(x)) == x up to rounding.
-func Inverse(x []complex128) []complex128 {
-	f := NewFFT(len(x))
-	out := f.InverseTransform(nil, x)
-	scale := complex(1/float64(len(x)), 0)
-	for i := range out {
-		out[i] *= scale
-	}
-	return out
 }
 
 // PaddedSpectrum returns the magnitude spectrum of x zero-padded to

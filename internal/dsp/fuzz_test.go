@@ -45,9 +45,6 @@ func FuzzFindPeaks(f *testing.F) {
 			if math.IsNaN(p.Mag) || math.IsInf(p.Mag, 0) {
 				t.Fatalf("peak %d has non-finite magnitude %g", i, p.Mag)
 			}
-			if fb := p.FracBin(); fb < 0 || fb >= 1 {
-				t.Fatalf("peak %d FracBin %g outside [0,1)", i, fb)
-			}
 			if i > 0 && p.Mag > peaks[i-1].Mag {
 				t.Fatalf("peaks not sorted strongest-first at %d", i)
 			}

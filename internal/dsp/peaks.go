@@ -17,15 +17,6 @@ type Peak struct {
 	Mag float64
 }
 
-// FracBin returns the fractional part of the peak location in [0, 1).
-func (p Peak) FracBin() float64 {
-	f := p.Bin - math.Floor(p.Bin)
-	if f < 0 {
-		f += 1
-	}
-	return f
-}
-
 // String implements fmt.Stringer.
 func (p Peak) String() string { return fmt.Sprintf("peak(bin=%.3f, mag=%.3g)", p.Bin, p.Mag) }
 

@@ -75,18 +75,6 @@ func TestFindPeaksEmptyAndThreshold(t *testing.T) {
 	}
 }
 
-func TestPeakFracBin(t *testing.T) {
-	cases := []struct{ bin, want float64 }{
-		{10.25, 0.25}, {10.0, 0.0}, {0.99, 0.99}, {127.5, 0.5},
-	}
-	for _, c := range cases {
-		p := Peak{Bin: c.bin}
-		if got := p.FracBin(); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("FracBin(%g) = %g, want %g", c.bin, got, c.want)
-		}
-	}
-}
-
 func TestFracDiffWraps(t *testing.T) {
 	cases := []struct{ a, b, want float64 }{
 		{0.1, 0.9, 0.2},  // wraps: 0.1 - 0.9 = -0.8 -> +0.2

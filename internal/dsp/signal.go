@@ -96,27 +96,6 @@ func Add(dst, src []complex128) {
 	}
 }
 
-// Sub subtracts src from dst element-wise in place.
-func Sub(dst, src []complex128) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("dsp: Sub length mismatch %d != %d", len(dst), len(src)))
-	}
-	for i, v := range src {
-		dst[i] -= v
-	}
-}
-
-// Mul multiplies dst by src element-wise in place (e.g. dechirping a received
-// symbol with a down-chirp).
-func Mul(dst, src []complex128) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("dsp: Mul length mismatch %d != %d", len(dst), len(src)))
-	}
-	for i, v := range src {
-		dst[i] *= v
-	}
-}
-
 // Conj returns the element-wise complex conjugate of x as a new slice.
 func Conj(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
@@ -124,86 +103,4 @@ func Conj(x []complex128) []complex128 {
 		out[i] = complex(real(v), -imag(v))
 	}
 	return out
-}
-
-// FractionalDelay delays x by d samples (d may be fractional and/or
-// negative) using the frequency-domain phase-ramp method, returning a new
-// slice of the same length. The operation is circular; callers that need a
-// linear delay should pad first. Sub-sample timing offsets between LP-WAN
-// transmitters are modelled this way.
-func FractionalDelay(x []complex128, d float64) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	pn := NextPow2(n)
-	in := make([]complex128, pn)
-	copy(in, x)
-	f := NewFFT(pn)
-	spec := f.Transform(nil, in)
-	for k := 0; k < pn; k++ {
-		// Signed frequency index for a conjugate-symmetric phase ramp.
-		kk := k
-		if k > pn/2 {
-			kk = k - pn
-		}
-		theta := -2 * math.Pi * float64(kk) * d / float64(pn)
-		s, c := math.Sincos(theta)
-		spec[k] *= complex(c, s)
-	}
-	out := f.InverseTransform(nil, spec)
-	scale := complex(1/float64(pn), 0)
-	res := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		res[i] = out[i] * scale
-	}
-	return res
-}
-
-// Hann returns an n-point Hann window.
-func Hann(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
-	}
-	return w
-}
-
-// ApplyWindow multiplies x by window w in place; lengths must match.
-func ApplyWindow(x []complex128, w []float64) {
-	if len(x) != len(w) {
-		panic(fmt.Sprintf("dsp: window length %d != signal length %d", len(w), len(x)))
-	}
-	for i := range x {
-		x[i] *= complex(w[i], 0)
-	}
-}
-
-// Sinc returns the normalized sinc function sin(πx)/(πx).
-func Sinc(x float64) float64 {
-	if x == 0 {
-		return 1
-	}
-	px := math.Pi * x
-	return math.Sin(px) / px
-}
-
-// DirichletMag returns the magnitude of the Dirichlet (periodic sinc) kernel
-// of length n evaluated at a bin offset x: |sin(πx) / (n·sin(πx/n))|·n.
-// This is the exact leakage shape of a rectangular-windowed tone across FFT
-// bins, which the fine-offset estimator models.
-func DirichletMag(x float64, n int) float64 {
-	if math.Abs(math.Mod(x, float64(n))) < 1e-12 {
-		return float64(n)
-	}
-	num := math.Sin(math.Pi * x)
-	den := math.Sin(math.Pi * x / float64(n))
-	if den == 0 {
-		return float64(n)
-	}
-	return math.Abs(num / den)
 }

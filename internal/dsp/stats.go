@@ -17,20 +17,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // RMS returns the root-mean-square of xs.
 func RMS(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -166,9 +152,3 @@ func EmpiricalCDF(xs []float64) []CDFPoint {
 	}
 	return out
 }
-
-// DB converts a linear power ratio to decibels.
-func DB(ratio float64) float64 { return 10 * math.Log10(ratio) }
-
-// FromDB converts decibels to a linear power ratio.
-func FromDB(db float64) float64 { return math.Pow(10, db/10) }

@@ -39,9 +39,6 @@ func NewPool(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Workers returns the pool's width.
-func (p *Pool) Workers() int { return p.workers }
-
 // ForEach runs fn(i) for every i in [0, n) across the pool's workers and
 // returns once all calls have finished. Tasks are handed out dynamically,
 // so callers must not depend on which worker runs which index: fn should

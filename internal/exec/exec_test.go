@@ -12,18 +12,6 @@ import (
 	"choir/internal/sim"
 )
 
-func TestPoolWorkers(t *testing.T) {
-	if w := exec.NewPool(3).Workers(); w != 3 {
-		t.Errorf("Workers() = %d, want 3", w)
-	}
-	if w := exec.NewPool(0).Workers(); w < 1 {
-		t.Errorf("auto pool width %d < 1", w)
-	}
-	if w := exec.NewPool(-5).Workers(); w < 1 {
-		t.Errorf("negative-request pool width %d < 1", w)
-	}
-}
-
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		const n = 57

@@ -204,6 +204,7 @@ func typedCause(err error) bool {
 		ErrNoPayloads,
 		ErrDecodePanic,
 		ErrStreamAborted,
+		ErrBreakersOpen,
 	} {
 		if errors.Is(err, sentinel) {
 			return true

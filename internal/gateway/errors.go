@@ -36,6 +36,11 @@ var (
 	// attempt's error.
 	ErrLadderExhausted = errors.New("gateway: recovery ladder exhausted")
 
+	// ErrBreakersOpen is the cause wrapped by ErrLadderExhausted when every
+	// rung's circuit breaker skipped the frame: no decode attempt ran, so
+	// there is no decoder error to report.
+	ErrBreakersOpen = errors.New("gateway: all rungs circuit-broken")
+
 	// ErrStreamAborted reports a streaming frame whose connection died
 	// before the full capture arrived. The ladder stops immediately — the
 	// samples will never complete — and the failure does not count against

@@ -124,9 +124,6 @@ func (ff *FaultFile) Sync() error {
 // Close implements File; it always closes the underlying file.
 func (ff *FaultFile) Close() error { return ff.f.Close() }
 
-// Tripped reports whether the fault has fired.
-func (ff *FaultFile) Tripped() bool { return ff.tripped }
-
 func (ff *FaultFile) note(n int64) {
 	ff.written += n
 	if ff.onWrite != nil {

@@ -249,7 +249,7 @@ func (g *Gateway) decodeLadder(f *Frame) Outcome {
 // was breaker-skipped before a single attempt ran.
 func (g *Gateway) failedOutcome(f *Frame, attempt int, lastErr error) Outcome {
 	if lastErr == nil {
-		lastErr = errors.New("all rungs circuit-broken")
+		lastErr = ErrBreakersOpen
 	}
 	return Outcome{
 		FrameID: f.ID, Source: f.Source, Kind: OutcomeFailed,

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"choir/internal/choir"
+	"choir/internal/lora"
 	"choir/internal/obs"
 )
 
@@ -212,5 +213,51 @@ func TestDecodeTimeoutBoundsEachAttempt(t *testing.T) {
 			t.Errorf("frame %d: kind %v after %d attempt(s), err %v; want failed after 3 on choir.ErrDeadline",
 				o.FrameID, o.Kind, o.Attempts, o.Err)
 		}
+	}
+}
+
+// TestBreakerSkippedFrameFailsInsideTaxonomy pins the one OutcomeFailed that
+// no decode attempt stands behind. With a threshold of one failure and a
+// cooldown longer than the test, an undecodable first frame trips every
+// rung's breaker on its way down the ladder, and the next frame — decodable,
+// but never tried — is skipped by all three: it must fail after zero
+// attempts with a cause errors.Is can name.
+func TestBreakerSkippedFrameFailsInsideTaxonomy(t *testing.T) {
+	g, err := build(Config{
+		Queue: 4, Workers: 1, Seed: 78,
+		BreakerThreshold: 1, BreakerCooldown: 1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, sig, _ := synthFrame(1)
+	if _, err := g.Submit(nil, "undecodable", h, make([]complex128, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Submit(nil, "skipped", h, sig); err != nil {
+		t.Fatal(err)
+	}
+	done := collectOutcomes(g)
+	g.start()
+	if err := g.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	outs := <-done
+	if len(outs) != 2 {
+		t.Fatalf("%d outcomes, want 2", len(outs))
+	}
+	if o := outs[0]; o.Kind != OutcomeFailed || o.Attempts != 3 || !errors.Is(o.Err, lora.ErrShortSignal) {
+		t.Errorf("first frame: kind %v after %d attempt(s), err %v; want failed after 3 on lora.ErrShortSignal",
+			o.Kind, o.Attempts, o.Err)
+	}
+	for stage := range g.Ladder() {
+		if !g.breakerTripped(Stage(stage)) {
+			t.Errorf("rung %d's breaker did not trip", stage)
+		}
+	}
+	if o := outs[1]; o.Kind != OutcomeFailed || o.Attempts != 0 ||
+		!errors.Is(o.Err, ErrLadderExhausted) || !errors.Is(o.Err, ErrBreakersOpen) {
+		t.Errorf("second frame: kind %v after %d attempt(s), err %v; want failed after 0 on ErrLadderExhausted and ErrBreakersOpen",
+			o.Kind, o.Attempts, o.Err)
 	}
 }

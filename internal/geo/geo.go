@@ -52,12 +52,6 @@ type Config struct {
 	ClientHeight  float64 // nominal client height, metres
 }
 
-// DefaultConfig matches the paper's deployment: a 3.4 × 3.2 km area, three
-// rooftop base stations, 100 client locations.
-func DefaultConfig() Config {
-	return Config{Width: 3400, Height: 3200, NumBases: 3, NumSites: 100, BaseHeight: 30, ClientHeight: 1.5}
-}
-
 // NewTestbed places base stations near the centre (the campus) and client
 // sites uniformly over the area, reproducibly from rng.
 func NewTestbed(cfg Config, rng *rand.Rand) *Testbed {
@@ -78,32 +72,6 @@ func NewTestbed(cfg Config, rng *rand.Rand) *Testbed {
 		})
 	}
 	return tb
-}
-
-// NearestBase returns the index of and distance to the base station closest
-// to p. It panics if the testbed has no base stations.
-func (tb *Testbed) NearestBase(p Point) (int, float64) {
-	if len(tb.BaseStations) == 0 {
-		panic("geo: testbed has no base stations")
-	}
-	best, bestD := 0, math.Inf(1)
-	for i, b := range tb.BaseStations {
-		if d := p.Distance(b); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best, bestD
-}
-
-// SitesWithin returns the indices of client sites within radius metres of p.
-func (tb *Testbed) SitesWithin(p Point, radius float64) []int {
-	var out []int
-	for i, s := range tb.ClientSites {
-		if p.Distance(s) <= radius {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Building is a multi-floor structure instrumented with sensors, matching

@@ -39,9 +39,13 @@ func TestDistanceSymmetryProperty(t *testing.T) {
 	}
 }
 
+// paperTestbed is the paper's deployment: a 3.4 × 3.2 km area, three rooftop
+// base stations, 100 client locations.
+var paperTestbed = Config{Width: 3400, Height: 3200, NumBases: 3, NumSites: 100, BaseHeight: 30, ClientHeight: 1.5}
+
 func TestNewTestbedPlacement(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
-	cfg := DefaultConfig()
+	cfg := paperTestbed
 	tb := NewTestbed(cfg, rng)
 	if len(tb.BaseStations) != cfg.NumBases {
 		t.Fatalf("bases %d, want %d", len(tb.BaseStations), cfg.NumBases)
@@ -65,39 +69,12 @@ func TestNewTestbedPlacement(t *testing.T) {
 }
 
 func TestTestbedIsReproducible(t *testing.T) {
-	a := NewTestbed(DefaultConfig(), rand.New(rand.NewPCG(7, 7)))
-	b := NewTestbed(DefaultConfig(), rand.New(rand.NewPCG(7, 7)))
+	a := NewTestbed(paperTestbed, rand.New(rand.NewPCG(7, 7)))
+	b := NewTestbed(paperTestbed, rand.New(rand.NewPCG(7, 7)))
 	for i := range a.ClientSites {
 		if a.ClientSites[i] != b.ClientSites[i] {
 			t.Fatalf("site %d differs between identical seeds", i)
 		}
-	}
-}
-
-func TestNearestBase(t *testing.T) {
-	tb := &Testbed{
-		BaseStations: []Point{{0, 0, 0}, {100, 0, 0}, {0, 100, 0}},
-	}
-	idx, d := tb.NearestBase(Point{90, 0, 0})
-	if idx != 1 || math.Abs(d-10) > 1e-12 {
-		t.Errorf("NearestBase = %d @ %g", idx, d)
-	}
-}
-
-func TestNearestBasePanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NearestBase with no bases did not panic")
-		}
-	}()
-	(&Testbed{}).NearestBase(Point{})
-}
-
-func TestSitesWithin(t *testing.T) {
-	tb := &Testbed{ClientSites: []Point{{0, 0, 0}, {5, 0, 0}, {50, 0, 0}}}
-	got := tb.SitesWithin(Point{0, 0, 0}, 10)
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("SitesWithin = %v", got)
 	}
 }
 

@@ -1,18 +1,17 @@
-// Package linalg implements the small amount of dense complex linear algebra
-// the Choir decoder and the MU-MIMO baseline need: matrix-vector products,
-// Gaussian elimination with partial pivoting, least-squares solves via the
-// normal equations (Eqn. 2 of the paper), and Moore-Penrose pseudo-inverses
-// for zero-forcing receivers.
+// Package linalg holds the decoder's one linear solve and the reference it
+// is pinned to. Workspace (scratch.go) solves the jittered normal equations
+// of the paper's Eqn. 2 in place, without allocating; the Matrix algebra in
+// this file — Gaussian elimination with partial pivoting under LeastSquares —
+// is the allocating textbook form the tests hold them to: SolveJittered bit
+// for bit, the decoder's closed-form Gram to rounding error.
 //
-// Matrices are dense, row-major, and small (tens of rows at most per solve in
-// the decoder hot path), so simplicity and numerical robustness win over
-// asymptotic tricks.
+// Matrices are dense, row-major, and small (tens of rows at most per solve),
+// so simplicity and numerical robustness win over asymptotic tricks.
 package linalg
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/cmplx"
 )
 
@@ -32,21 +31,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: invalid shape %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]complex128, rows*cols)}
-}
-
-// FromRows builds a matrix from row slices, which must be equal length.
-func FromRows(rows [][]complex128) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("linalg: FromRows requires at least one non-empty row")
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("linalg: row %d has %d cols, want %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
 }
 
 // At returns element (i, j).
@@ -197,57 +181,4 @@ func matrixScale(m *Matrix) float64 {
 		return 1
 	}
 	return s / float64(n)
-}
-
-// PseudoInverse returns the left Moore-Penrose pseudo-inverse
-// (AᴴA)⁻¹Aᴴ of a tall (or square) full-column-rank matrix. This is the
-// zero-forcing receive filter of the MU-MIMO baseline.
-func PseudoInverse(a *Matrix) (*Matrix, error) {
-	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("linalg: PseudoInverse requires rows >= cols, got %dx%d", a.Rows, a.Cols)
-	}
-	ah := a.ConjTranspose()
-	ata := ah.Mul(a)
-	inv, err := Invert(ata)
-	if err != nil {
-		return nil, err
-	}
-	return inv.Mul(ah), nil
-}
-
-// Invert returns the inverse of a square matrix.
-func Invert(a *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: Invert requires a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	out := NewMatrix(n, n)
-	// Solve A·x = e_i for each basis vector. Column count is <= the antenna
-	// count in practice, so repeated elimination is fine.
-	e := make([]complex128, n)
-	for c := 0; c < n; c++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[c] = 1
-		x, err := Solve(a, e)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < n; r++ {
-			out.Set(r, c, x[r])
-		}
-	}
-	return out, nil
-}
-
-// ResidualNorm returns ||A·x − b||₂.
-func ResidualNorm(a *Matrix, x, b []complex128) float64 {
-	ax := a.MulVec(x)
-	var s float64
-	for i := range ax {
-		d := ax[i] - b[i]
-		s += real(d)*real(d) + imag(d)*imag(d)
-	}
-	return math.Sqrt(s)
 }

@@ -182,9 +182,6 @@ func (m *Modem) Up() []complex128 { return m.up }
 // Down returns the base down-chirp (shared; callers must not modify it).
 func (m *Modem) Down() []complex128 { return m.down }
 
-// FFT returns the symbol-sized FFT plan.
-func (m *Modem) FFT() *dsp.FFT { return m.fft }
-
 // Symbol modulates one symbol value into a fresh sample slice.
 func (m *Modem) Symbol(sym int) []complex128 { return ModulateSymbol(m.up, sym) }
 

@@ -139,90 +139,3 @@ func (m *Modem) DemodulateSymbolAt(samples []complex128, off int) (int, complex1
 	}
 	return m.DemodulateChirp(samples[off : off+n])
 }
-
-// DetectPreamble searches the beginning of a sample stream for the repeated
-// base up-chirp preamble of this modem's configuration and returns the
-// estimated start offset in samples and true on success. It slides a
-// dechirp-and-argmax detector over candidate offsets; a run of
-// PreambleLen−1 consistent symbol-0 detections constitutes a preamble.
-// The search examines offsets in [0, maxOffset].
-func (m *Modem) DetectPreamble(samples []complex128, maxOffset int) (int, bool) {
-	p := m.Params
-	n := p.N()
-	if maxOffset+p.PreambleLen*n > len(samples) {
-		if len(samples) < p.PreambleLen*n {
-			return 0, false
-		}
-		maxOffset = len(samples) - p.PreambleLen*n
-	}
-	for off := 0; off <= maxOffset; off += n / 4 {
-		consistent := true
-		for s := 0; s < p.PreambleLen-1; s++ {
-			win := samples[off+s*n : off+(s+1)*n]
-			sym, peak := m.DemodulateChirp(win)
-			// With a timing error of e samples the detected symbol is ~e;
-			// accept only exact symbol-0 hits here (coarse search). Require
-			// the peak to carry most of the window's energy (coherence ≈ 1
-			// for a clean chirp, ≪ 1 for noise or silence) so that flat or
-			// empty windows, whose argmax defaults to bin 0, do not match.
-			mag2 := real(peak)*real(peak) + imag(peak)*imag(peak)
-			energy := dspEnergy(win)
-			if sym != 0 || energy == 0 || mag2 < 0.5*float64(n)*energy {
-				consistent = false
-				break
-			}
-		}
-		if consistent {
-			return off, true
-		}
-	}
-	return 0, false
-}
-
-// dspEnergy returns the total energy of x. Local copy to keep package lora
-// free of a dsp dependency in its framing layer.
-func dspEnergy(x []complex128) float64 {
-	var e float64
-	for _, v := range x {
-		e += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return e
-}
-
-// MeasureSNR estimates the per-symbol SNR (linear) of a frame-aligned
-// single-user signal by comparing peak power to the off-peak spectrum of the
-// first preamble symbol.
-func (m *Modem) MeasureSNR(samples []complex128) float64 {
-	n := m.Params.N()
-	if len(samples) < n {
-		return 0
-	}
-	d := Dechirp(nil, samples[:n], m.down)
-	spec := m.fft.Transform(nil, d)
-	mags := make([]float64, n)
-	best, bestIdx := 0.0, 0
-	for k, v := range spec {
-		mags[k] = real(v)*real(v) + imag(v)*imag(v)
-		if mags[k] > best {
-			best, bestIdx = mags[k], k
-		}
-	}
-	var noise float64
-	cnt := 0
-	for k, v := range mags {
-		if k == bestIdx || k == (bestIdx+1)%n || k == (bestIdx-1+n)%n {
-			continue
-		}
-		noise += v
-		cnt++
-	}
-	if cnt == 0 || noise == 0 {
-		return 0
-	}
-	noiseMean := noise / float64(cnt)
-	if noiseMean == 0 {
-		return 0
-	}
-	// The peak accumulates coherent gain n over the noise per bin.
-	return best / (noiseMean * float64(n))
-}

@@ -114,55 +114,6 @@ func TestDemodulateShortSignal(t *testing.T) {
 	}
 }
 
-func TestDetectPreamble(t *testing.T) {
-	m := MustModem(DefaultParams())
-	n := m.Params.N()
-	payload := []byte("hello")
-	frame := m.Modulate(payload)
-	// Prepend silence; detector must find the frame start at a coarse grid
-	// point (search stride is N/4).
-	lead := 3 * n
-	sig := make([]complex128, lead+len(frame))
-	copy(sig[lead:], frame)
-	off, ok := m.DetectPreamble(sig, 8*n)
-	if !ok {
-		t.Fatal("preamble not detected")
-	}
-	if off != lead {
-		t.Errorf("preamble at %d, want %d", off, lead)
-	}
-	// Pure noise must not detect.
-	rng := rand.New(rand.NewPCG(5, 5))
-	noise := make([]complex128, len(sig))
-	for i := range noise {
-		noise[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	if _, ok := m.DetectPreamble(noise, 8*n); ok {
-		t.Error("preamble detected in pure noise")
-	}
-}
-
-func TestMeasureSNRMonotoneInNoise(t *testing.T) {
-	rng := rand.New(rand.NewPCG(6, 6))
-	m := MustModem(DefaultParams())
-	sig := m.Modulate([]byte("x"))
-	addNoise := func(scale float64) []complex128 {
-		out := append([]complex128(nil), sig...)
-		for i := range out {
-			out[i] += complex(rng.NormFloat64(), rng.NormFloat64()) * complex(scale, 0)
-		}
-		return out
-	}
-	low := m.MeasureSNR(addNoise(1.0))
-	high := m.MeasureSNR(addNoise(0.1))
-	if high <= low {
-		t.Errorf("SNR estimate not monotone: low-noise %g <= high-noise %g", high, low)
-	}
-	if s := m.MeasureSNR(make([]complex128, 10)); s != 0 {
-		t.Errorf("SNR of short signal = %g, want 0", s)
-	}
-}
-
 func TestAirTimeAndFrameSamplesConsistent(t *testing.T) {
 	p := DefaultParams()
 	if at := p.AirTime(10); at <= 0 {

@@ -32,9 +32,9 @@ func FuzzCodingRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzFrameCodecRoundTrip exercises the full frame codec — explicit header
-// block plus payload coding (Hamming blocks, interleaving, whitening,
-// CRC-16) — as the identity at symbol level for every SF × CR combination.
+// FuzzFrameCodecRoundTrip exercises the payload codec — Hamming blocks,
+// interleaving, whitening, CRC-16 — as the identity at symbol level for
+// every SF × CR combination.
 func FuzzFrameCodecRoundTrip(f *testing.F) {
 	f.Add([]byte("frame"), uint8(8), uint8(4))
 	f.Add([]byte{0xAA}, uint8(12), uint8(1))
@@ -47,20 +47,7 @@ func FuzzFrameCodecRoundTrip(f *testing.F) {
 		p.SF = SpreadingFactor(7 + int(sfRaw)%6)
 		p.CR = CodeRate(1 + int(crRaw)%4)
 
-		hdrSyms, err := EncodeHeaderSymbols(Header{PayloadLen: len(payload), CR: p.CR}, p.SF)
-		if err != nil {
-			t.Fatalf("header encode: %v", err)
-		}
-		frame := append(hdrSyms, EncodeSymbols(payload, p)...)
-
-		h, err := DecodeHeaderSymbols(frame[:len(hdrSyms)], p.SF)
-		if err != nil {
-			t.Fatalf("header decode: %v", err)
-		}
-		if h.PayloadLen != len(payload) || h.CR != p.CR {
-			t.Fatalf("header roundtrip: got %+v, want len=%d cr=%d", h, len(payload), p.CR)
-		}
-		got, bad, err := DecodeSymbols(frame[len(hdrSyms):], h.PayloadLen, p)
+		got, bad, err := DecodeSymbols(EncodeSymbols(payload, p), len(payload), p)
 		if err != nil {
 			t.Fatalf("payload decode: %v", err)
 		}
@@ -103,21 +90,5 @@ func FuzzWhitenInvolution(f *testing.F) {
 		if !bytes.Equal(data, orig) {
 			t.Fatal("whitening not an involution")
 		}
-	})
-}
-
-// FuzzHeaderSymbols asserts explicit-header decoding never panics on
-// arbitrary symbol blocks.
-func FuzzHeaderSymbols(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		if len(raw) < 8 {
-			return
-		}
-		syms := make([]int, 8)
-		for i := range syms {
-			syms[i] = int(raw[i]) % SF8.SymbolSize()
-		}
-		_, _ = DecodeHeaderSymbols(syms, SF8)
 	})
 }

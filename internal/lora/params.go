@@ -112,9 +112,6 @@ func (p Params) Validate() error {
 // N returns the symbol size in samples, 2^SF.
 func (p Params) N() int { return p.SF.SymbolSize() }
 
-// SymbolDuration returns the duration of one chirp in seconds.
-func (p Params) SymbolDuration() float64 { return float64(p.N()) / p.Bandwidth }
-
 // SymbolRate returns symbols per second.
 func (p Params) SymbolRate() float64 { return p.Bandwidth / float64(p.N()) }
 

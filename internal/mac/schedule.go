@@ -120,29 +120,3 @@ func BuildSchedule(sensors []SensorLink, cfg ScheduleConfig) (schedule []Schedul
 	}
 	return schedule, unreachable, nil
 }
-
-// ScheduleStats summarizes a schedule.
-type ScheduleStats struct {
-	Slots          int
-	Individual     int
-	Teams          int
-	LargestTeam    int
-	SensorsCovered int
-}
-
-// Stats computes summary statistics for a schedule.
-func Stats(schedule []ScheduleEntry) ScheduleStats {
-	st := ScheduleStats{Slots: len(schedule)}
-	for _, e := range schedule {
-		st.SensorsCovered += len(e.Team)
-		if len(e.Team) == 1 {
-			st.Individual++
-		} else {
-			st.Teams++
-			if len(e.Team) > st.LargestTeam {
-				st.LargestTeam = len(e.Team)
-			}
-		}
-	}
-	return st
-}

@@ -20,9 +20,13 @@ func TestBuildScheduleNearSensorsIndividual(t *testing.T) {
 	if len(unreachable) != 0 {
 		t.Errorf("unreachable: %v", unreachable)
 	}
-	st := Stats(sched)
-	if st.Individual != 3 || st.Teams != 0 {
-		t.Errorf("stats %+v, want 3 individual slots", st)
+	if len(sched) != 3 {
+		t.Fatalf("%d slots, want 3 individual slots: %+v", len(sched), sched)
+	}
+	for _, e := range sched {
+		if len(e.Team) != 1 {
+			t.Errorf("slot %+v is not an individual slot", e)
+		}
 	}
 }
 
@@ -43,9 +47,8 @@ func TestBuildScheduleFormsMinimalTeams(t *testing.T) {
 	if len(unreachable) != 0 {
 		t.Fatalf("unreachable: %v", unreachable)
 	}
-	st := Stats(sched)
-	if st.Teams != 1 || st.LargestTeam != 4 {
-		t.Errorf("stats %+v, want one 4-member team", st)
+	if len(sched) != 1 || len(sched[0].Team) != 4 {
+		t.Fatalf("schedule %+v, want one 4-member team", sched)
 	}
 	if got := sched[0].PooledSNRdB; math.Abs(got-(-24+10*math.Log10(4))) > 1e-9 {
 		t.Errorf("pooled SNR %.2f", got)
@@ -161,12 +164,5 @@ func TestBuildScheduleCoverageProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStatsEmpty(t *testing.T) {
-	st := Stats(nil)
-	if st.Slots != 0 || st.SensorsCovered != 0 {
-		t.Errorf("empty stats %+v", st)
 	}
 }

@@ -104,10 +104,3 @@ func RegisterReadyCheck(name string, check func() error) {
 	}
 	readyChecks.register(name, check)
 }
-
-// Healthz reports the current liveness verdict without HTTP: whether every
-// registered health check passes, plus the report body.
-func Healthz() (bool, string) { return healthChecks.run() }
-
-// Readyz reports the current readiness verdict without HTTP.
-func Readyz() (bool, string) { return readyChecks.run() }

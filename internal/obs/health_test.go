@@ -82,7 +82,7 @@ func TestHealthzDirect(t *testing.T) {
 	defer RegisterHealthCheck("b", nil)
 	RegisterHealthCheck("b", func() error { return errors.New("down") })
 	RegisterHealthCheck("a", func() error { return nil })
-	ok, body := Healthz()
+	ok, body := healthChecks.run()
 	if ok {
 		t.Error("failing check reported healthy")
 	}
@@ -91,7 +91,7 @@ func TestHealthzDirect(t *testing.T) {
 		t.Errorf("report = %q", body)
 	}
 	RegisterHealthCheck("b", func() error { return nil })
-	if ok, _ := Healthz(); !ok {
+	if ok, _ := healthChecks.run(); !ok {
 		t.Error("all-passing checks reported unhealthy")
 	}
 }

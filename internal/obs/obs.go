@@ -30,7 +30,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -397,19 +396,3 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // WriteJSON writes the process-wide registry snapshot as indented JSON.
 func WriteJSON(w io.Writer) error { return std.WriteJSON(w) }
-
-// Names returns every registered metric name, sorted, counters first — a
-// stable inventory for docs and tests.
-func (r *Registry) Names() (counters, histograms []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name := range r.counters {
-		counters = append(counters, name)
-	}
-	for name := range r.hists {
-		histograms = append(histograms, name)
-	}
-	sort.Strings(counters)
-	sort.Strings(histograms)
-	return counters, histograms
-}

@@ -226,17 +226,3 @@ func TestWriteJSONDeterministic(t *testing.T) {
 		t.Errorf("round-tripped counter = %d, want 2", snap.Counters["a.first"])
 	}
 }
-
-func TestNames(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b")
-	r.Counter("a")
-	r.Timer("t_ns")
-	counters, hists := r.Names()
-	if len(counters) != 2 || counters[0] != "a" || counters[1] != "b" {
-		t.Errorf("counters = %v, want [a b]", counters)
-	}
-	if len(hists) != 1 || hists[0] != "t_ns" {
-		t.Errorf("histograms = %v, want [t_ns]", hists)
-	}
-}

@@ -19,11 +19,9 @@ import (
 type Oscillator struct {
 	// PPM is the frequency error of the crystal in parts per million.
 	// Cheap LP-WAN crystals are ±10-20 ppm; at a 902 MHz carrier, 1 ppm is
-	// 902 Hz of carrier-frequency offset.
+	// 902 Hz of carrier-frequency offset. Within a packet the offset is
+	// modelled constant, which Fig. 7(c,d) validates.
 	PPM float64
-	// DriftPPMPerPacket is the random walk of PPM between packets. Within a
-	// packet the offset is modelled constant, which Fig. 7(c,d) validates.
-	DriftPPMPerPacket float64
 }
 
 // CFO returns the carrier-frequency offset in Hz at the given carrier
@@ -66,8 +64,6 @@ type PopulationConfig struct {
 	TimingJitter float64
 	// PowerDBm is the nominal client transmit power.
 	PowerDBm float64
-	// DriftPPM is the per-packet oscillator drift standard deviation.
-	DriftPPM float64
 }
 
 // DefaultPopulation mirrors the paper's SX1276 testbed: 902 MHz carrier,
@@ -78,7 +74,6 @@ func DefaultPopulation() PopulationConfig {
 		MaxPPM:       15,
 		TimingJitter: 200e-6,
 		PowerDBm:     14,
-		DriftPPM:     0.05,
 	}
 }
 
@@ -88,51 +83,14 @@ func NewPopulation(n int, cfg PopulationConfig, rng *rand.Rand) []*Transmitter {
 	txs := make([]*Transmitter, n)
 	for i := range txs {
 		txs[i] = &Transmitter{
-			ID: i,
-			Osc: Oscillator{
-				PPM:               (rng.Float64()*2 - 1) * cfg.MaxPPM,
-				DriftPPMPerPacket: cfg.DriftPPM,
-			},
+			ID:           i,
+			Osc:          Oscillator{PPM: (rng.Float64()*2 - 1) * cfg.MaxPPM},
 			TimingOffset: rng.NormFloat64() * cfg.TimingJitter,
 			PowerDBm:     cfg.PowerDBm,
 			Phase:        rng.Float64() * 2 * math.Pi,
 		}
 	}
 	return txs
-}
-
-// NewPacketState re-rolls the per-packet random quantities (initial phase,
-// oscillator drift, timing jitter around the board's bias) in place. Call it
-// before each transmission of the same board.
-func (t *Transmitter) NewPacketState(cfg PopulationConfig, rng *rand.Rand) {
-	t.Phase = rng.Float64() * 2 * math.Pi
-	t.Osc.PPM += rng.NormFloat64() * t.Osc.DriftPPMPerPacket
-	if t.Osc.PPM > cfg.MaxPPM {
-		t.Osc.PPM = cfg.MaxPPM
-	}
-	if t.Osc.PPM < -cfg.MaxPPM {
-		t.Osc.PPM = -cfg.MaxPPM
-	}
-	t.TimingOffset = rng.NormFloat64() * cfg.TimingJitter
-}
-
-// Impair applies this transmitter's hardware impairments to clean baseband
-// samples: the CFO phase ramp (at the given carrier and sample rate), the
-// initial phase, and the *fractional-sample* part of the timing offset.
-// It returns a new slice plus the whole-sample delay the caller (the channel
-// combiner) must apply when placing the signal on the shared medium.
-func (t *Transmitter) Impair(clean []complex128, carrierHz, sampleRate float64) (sig []complex128, wholeSampleDelay int) {
-	cfoCycles := t.Osc.CFO(carrierHz) / sampleRate // cycles per sample
-	delaySamples := t.TimingOffset * sampleRate
-	whole := int(math.Floor(delaySamples))
-	frac := delaySamples - float64(whole)
-
-	sig = dsp.FreqShift(clean, cfoCycles)
-	dsp.Rotate(sig, t.Phase)
-	if frac != 0 {
-		sig = dsp.FractionalDelay(sig, frac)
-	}
-	return sig, whole
 }
 
 // Transmit renders a complete frame through the modem with this

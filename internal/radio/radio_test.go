@@ -2,13 +2,10 @@ package radio
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 
 	"choir/internal/dsp"
-	"choir/internal/lora"
 )
 
 func TestOscillatorCFO(t *testing.T) {
@@ -44,91 +41,6 @@ func TestPopulationDiversity(t *testing.T) {
 	// Offsets must be diverse — spread over a good fraction of the range.
 	if spread := dsp.Percentile(ppms, 95) - dsp.Percentile(ppms, 5); spread < cfg.MaxPPM {
 		t.Errorf("ppm spread %g too narrow for MaxPPM %g", spread, cfg.MaxPPM)
-	}
-}
-
-func TestNewPacketStateKeepsPPMBounded(t *testing.T) {
-	rng := rand.New(rand.NewPCG(2, 2))
-	cfg := DefaultPopulation()
-	tx := NewPopulation(1, cfg, rng)[0]
-	for i := 0; i < 1000; i++ {
-		tx.NewPacketState(cfg, rng)
-		if math.Abs(tx.Osc.PPM) > cfg.MaxPPM {
-			t.Fatalf("iteration %d: ppm %g exceeded bound", i, tx.Osc.PPM)
-		}
-	}
-}
-
-func TestImpairAppliesCFO(t *testing.T) {
-	// Impairing a pure chirp with a known CFO must shift its dechirped peak
-	// by exactly CFO·N/BW bins.
-	p := lora.DefaultParams()
-	m := lora.MustModem(p)
-	n := p.N()
-	tx := &Transmitter{ID: 0, Osc: Oscillator{PPM: 5}, PowerDBm: 0}
-	carrier := 902e6
-	cfoHz := tx.Osc.CFO(carrier)
-	wantBins := cfoHz * float64(n) / p.Bandwidth
-
-	sig, whole := tx.Impair(m.Symbol(0), carrier, p.Bandwidth)
-	if whole != 0 {
-		t.Fatalf("whole-sample delay %d, want 0", whole)
-	}
-	d := lora.Dechirp(nil, sig, m.Down())
-	spec := dsp.PaddedSpectrum(d, 16)
-	peaks := dsp.FindPeaks(spec, dsp.PeakConfig{Pad: 16, MinSeparation: 0.9, Threshold: float64(n) / 2, Max: 1})
-	if len(peaks) != 1 {
-		t.Fatalf("found %d peaks", len(peaks))
-	}
-	if math.Abs(peaks[0].Bin-wantBins) > 0.05 {
-		t.Errorf("peak at %.3f bins, want %.3f", peaks[0].Bin, wantBins)
-	}
-}
-
-func TestImpairSplitsTimingOffset(t *testing.T) {
-	p := lora.DefaultParams()
-	sampleRate := p.Bandwidth
-	tx := &Transmitter{ID: 0, TimingOffset: 10.6 / sampleRate}
-	sig := make([]complex128, 64)
-	sig[0] = 1
-	_, whole := tx.Impair(sig, 902e6, sampleRate)
-	if whole != 10 {
-		t.Errorf("whole delay %d, want 10", whole)
-	}
-	txNeg := &Transmitter{ID: 1, TimingOffset: -3.2 / sampleRate}
-	_, whole = txNeg.Impair(sig, 902e6, sampleRate)
-	if whole != -4 {
-		t.Errorf("negative whole delay %d, want -4 (floor of -3.2)", whole)
-	}
-}
-
-func TestImpairPreservesEnergyProperty(t *testing.T) {
-	check := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 3))
-		tx := NewPopulation(1, DefaultPopulation(), rng)[0]
-		sig := make([]complex128, 128)
-		for i := range sig {
-			sig[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		before := dsp.Energy(sig)
-		out, _ := tx.Impair(sig, 902e6, 125e3)
-		after := dsp.Energy(out)
-		return math.Abs(before-after) < 1e-6*before
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestImpairPhaseRotation(t *testing.T) {
-	tx := &Transmitter{ID: 0, Phase: math.Pi / 2}
-	sig := []complex128{1, 1, 1, 1}
-	out, _ := tx.Impair(sig, 902e6, 125e3)
-	// With zero CFO and timing offset the only effect is ×e^{jπ/2} = j.
-	for i, v := range out {
-		if cmplx.Abs(v-1i) > 1e-9 {
-			t.Fatalf("sample %d = %v, want i", i, v)
-		}
 	}
 }
 

@@ -87,7 +87,7 @@ func TestCompareGoldenFixtures(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Clean fixtures only: the fault_* captures are adversarial by design
-	// and team_sf8 needs the multi-antenna path, so they gate nothing here
+	// and team_sf8 needs the team decoder, so they gate nothing here
 	// beyond "no panic, typed errors" — which the deterministic test above
 	// already covers by running the full set.
 	var clean []CompareFixture

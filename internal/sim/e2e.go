@@ -260,12 +260,3 @@ func sortByDist(ids []int, nodes []e2eNode) {
 		}
 	}
 }
-
-// CoverageGain compares the farthest served sensor against the given
-// single-client range — the end-to-end expression of Fig. 9(b).
-func (r *E2EReport) CoverageGain(singleRange float64) float64 {
-	if singleRange <= 0 {
-		return 0
-	}
-	return r.MaxServedDistance / singleRange
-}

@@ -4,6 +4,9 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"choir/internal/channel"
+	"choir/internal/lora"
 )
 
 func TestEndToEndDeployment(t *testing.T) {
@@ -40,7 +43,8 @@ func TestEndToEndDeployment(t *testing.T) {
 func TestEndToEndTeamsExtendCoverage(t *testing.T) {
 	// Find a seed where teams form and deliver; coverage must then exceed
 	// the farthest individually-served sensor's plausible ceiling.
-	single := SingleClientRange()
+	// One client at the minimum rate: the paper's ~1 km baseline.
+	single := channel.RangeForSNR(DemodThresholdDB(lora.SF12), ClientPowerDBm, UrbanChannel(), ReceiverConfig())
 	for seed := uint64(1); seed <= 8; seed++ {
 		cfg := DefaultE2E()
 		cfg.Seed = seed
@@ -86,15 +90,5 @@ func TestEndToEndMoreBasesImproveCoverage(t *testing.T) {
 	three := totalUnreach(3)
 	if three >= one {
 		t.Errorf("3 bases left %d sensors unreachable vs %d with 1 base", three, one)
-	}
-}
-
-func TestCoverageGain(t *testing.T) {
-	r := &E2EReport{MaxServedDistance: 1000}
-	if g := r.CoverageGain(400); g != 2.5 {
-		t.Errorf("gain = %g", g)
-	}
-	if g := r.CoverageGain(0); g != 0 {
-		t.Errorf("zero-range gain = %g", g)
 	}
 }

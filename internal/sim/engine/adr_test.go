@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"choir/internal/mac"
@@ -103,18 +104,18 @@ func TestADRFastestSNRMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestADRPolicyStrings pins the flag round-trip.
+// TestADRPolicyStrings pins one distinct name per policy: the interference
+// sweep's variant columns are built from them.
 func TestADRPolicyStrings(t *testing.T) {
 	if got := len(ADRPolicies()); got != int(numADRPolicies) {
 		t.Fatalf("ADRPolicies() has %d entries, want %d", got, int(numADRPolicies))
 	}
+	seen := map[string]bool{}
 	for _, p := range ADRPolicies() {
-		got, err := ParseADRPolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParseADRPolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
+		name := p.String()
+		if strings.HasPrefix(name, "ADRPolicy(") || seen[name] {
+			t.Errorf("policy %d has no name of its own: %q", int(p), name)
 		}
-	}
-	if _, err := ParseADRPolicy("warp"); err == nil {
-		t.Error("ParseADRPolicy accepted garbage")
+		seen[name] = true
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"choir/internal/mac"
@@ -63,24 +62,4 @@ func TestCityScaleSmoke(t *testing.T) {
 		t.Logf("%d nodes: arrivals=%d delivered=%d (ratio %.3f) events=%d activeSlots=%d unreachable=%d",
 			p.Nodes, m.Arrivals, m.Delivered, m.DeliveryRatio(), m.Events, m.ActiveSlots, m.Unreachable)
 	}
-}
-
-// BenchmarkCityScale measures the event driver's sustained event
-// throughput and peak memory on a 100k-node city — the package-level twin
-// of cmd/choir-bench's pinned BenchmarkCityScale.
-func BenchmarkCityScale(b *testing.B) {
-	cfg := cityScaleConfig(100_000)
-	b.ReportAllocs()
-	var events int64
-	for i := 0; i < b.N; i++ {
-		m, err := Run(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += m.Events
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-	b.ReportMetric(float64(ms.HeapInuse), "peak-rss-bytes")
 }

@@ -112,8 +112,7 @@ const (
 	numADRPolicies
 )
 
-// String implements fmt.Stringer; the names round-trip through
-// ParseADRPolicy.
+// String implements fmt.Stringer.
 func (p ADRPolicy) String() string {
 	switch p {
 	case ADRFastestSNR:
@@ -127,16 +126,6 @@ func (p ADRPolicy) String() string {
 	default:
 		return fmt.Sprintf("ADRPolicy(%d)", int(p))
 	}
-}
-
-// ParseADRPolicy inverts ADRPolicy.String.
-func ParseADRPolicy(s string) (ADRPolicy, error) {
-	for p := ADRFastestSNR; p < numADRPolicies; p++ {
-		if s == p.String() {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("engine: unknown ADR policy %q (want snr, sf12, distance, or power)", s)
 }
 
 // ADRPolicies returns every policy, in declaration order.

@@ -215,10 +215,6 @@ func TestSweepSeedDerivation(t *testing.T) {
 			t.Fatalf("sweep point %d != standalone run at derived seed", pi)
 		}
 	}
-	fig := SweepFigure(full)
-	if len(fig.Series) != 2 || len(fig.Series[0].X) != 3 {
-		t.Fatalf("sweep figure shape: %+v", fig)
-	}
 	var buf strings.Builder
 	FprintSweep(&buf, full)
 	if !strings.Contains(buf.String(), "goodput") {

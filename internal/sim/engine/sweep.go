@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"choir/internal/exec"
-	"choir/internal/sim"
 )
 
 // SweepPoint is one density in a sweep: the node count it simulated and
@@ -37,28 +36,6 @@ func DensitySweep(ctx context.Context, base Config, densities []int) ([]SweepPoi
 		points = append(points, SweepPoint{Nodes: n, Metrics: m})
 	}
 	return points, nil
-}
-
-// SweepFigure renders a density sweep as a plot-ready figure: goodput and
-// delivery ratio versus node count.
-func SweepFigure(points []SweepPoint) *sim.Figure {
-	fig := &sim.Figure{
-		ID:     "city-density",
-		Title:  "city-scale density sweep",
-		XLabel: "# nodes",
-		YLabel: "goodput (bits/s) / delivery ratio",
-	}
-	goodput := sim.Series{Name: "goodput (bits/s)"}
-	ratio := sim.Series{Name: "delivery ratio"}
-	for _, p := range points {
-		x := float64(p.Nodes)
-		goodput.X = append(goodput.X, x)
-		goodput.Y = append(goodput.Y, p.Metrics.GoodputBps())
-		ratio.X = append(ratio.X, x)
-		ratio.Y = append(ratio.Y, p.Metrics.DeliveryRatio())
-	}
-	fig.Series = []sim.Series{goodput, ratio}
-	return fig
 }
 
 // FprintSweep writes the sweep as an aligned text table.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand/v2"
 
-	"choir/internal/channel"
 	"choir/internal/exec"
 	"choir/internal/geo"
 	"choir/internal/lora"
@@ -145,15 +144,4 @@ func Fig11Grouping(ctx context.Context, teamSize, trials int, seed uint64, worke
 		fig.Series = append(fig.Series, s)
 	}
 	return fig, nil
-}
-
-// MaxSensorDistanceWithTeams returns how far the building's sensor teams
-// can sit while still delivering data, given the team-size cap — the
-// end-to-end range statement of Sec. 9.4 (2.65 km with 30-sensor teams,
-// ~13 % resolution loss).
-func MaxSensorDistanceWithTeams(maxTeam int) float64 {
-	pl := UrbanChannel()
-	rx := ReceiverConfig()
-	thr := DemodThresholdDB(lora.SF12)
-	return channel.RangeForSNR(thr-TeamGainDB(maxTeam), ClientPowerDBm, pl, rx)
 }

@@ -2,10 +2,8 @@ package sim
 
 import (
 	"math"
-	"math/rand/v2"
 
 	"choir/internal/channel"
-	"choir/internal/choir"
 	"choir/internal/lora"
 )
 
@@ -70,31 +68,4 @@ func Fig9Range(maxTeam int) *Figure {
 	}
 	fig.Series = []Series{s}
 	return fig
-}
-
-// ValidateTeamDecode verifies a Fig. 9 operating point at IQ level: it
-// synthesizes a team collision of the given size and per-member SNR with
-// identical payloads and runs the real below-noise team decoder, returning
-// whether the payload was recovered.
-func ValidateTeamDecode(teamSize int, perMemberSNR float64, seed uint64) bool {
-	p := lora.DefaultParams()
-	rng := rand.New(rand.NewPCG(seed, 0xF19))
-	snrs := make([]float64, teamSize)
-	for i := range snrs {
-		snrs[i] = perMemberSNR + rng.NormFloat64()*0.5
-	}
-	sc := Scenario{Params: p, PayloadLen: 8, SNRsDB: snrs, Identical: true, Seed: seed}
-	sig, payloads := sc.Synthesize()
-	dec := choir.MustNew(choir.DefaultConfig(p))
-	res, err := dec.DecodeTeam(trialCtx, sig, 8)
-	if err != nil || res.Err != nil {
-		return false
-	}
-	return string(res.Payload) == string(payloads[0])
-}
-
-// SingleClientRange returns the maximum decode distance of one client at
-// the minimum rate — the paper's ~1 km baseline.
-func SingleClientRange() float64 {
-	return channel.RangeForSNR(DemodThresholdDB(lora.SF12), ClientPowerDBm, UrbanChannel(), ReceiverConfig())
 }

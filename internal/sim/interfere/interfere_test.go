@@ -241,7 +241,7 @@ func TestSweepDriverInvariance(t *testing.T) {
 }
 
 // TestSweepVariantsAndFigure pins the matrix shape: one Choir column plus
-// one per ADR policy, and a figure series per variant.
+// one per ADR policy, and a metrics cell per variant at every density.
 func TestSweepVariantsAndFigure(t *testing.T) {
 	vs := Variants()
 	if len(vs) != 1+len(engine.ADRPolicies()) {
@@ -269,9 +269,8 @@ func TestSweepVariantsAndFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig := Figure(s)
-	if len(fig.Series) != len(vs) || len(fig.Series[0].X) != 1 {
-		t.Fatalf("figure shape: %+v", fig)
+	if len(s.Points) != 1 || len(s.Points[0].Metrics) != len(vs) {
+		t.Fatalf("sweep shape: %+v", s)
 	}
 	if _, err := RunSweep(context.Background(), SweepConfig{}); err == nil {
 		t.Error("empty sweep accepted")

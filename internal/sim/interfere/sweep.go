@@ -129,23 +129,3 @@ func Fprint(w io.Writer, s *Sweep) {
 		}
 	}
 }
-
-// Figure renders the sweep plot-ready: one goodput-vs-density series per
-// variant.
-func Figure(s *Sweep) *sim.Figure {
-	fig := &sim.Figure{
-		ID:     "interfere-density",
-		Title:  "goodput vs density under co-channel interference",
-		XLabel: "# home nodes",
-		YLabel: "goodput (bits/s)",
-	}
-	for vi, v := range s.Variants {
-		sr := sim.Series{Name: v.Name}
-		for _, p := range s.Points {
-			sr.X = append(sr.X, float64(p.Nodes))
-			sr.Y = append(sr.Y, p.Metrics[vi].GoodputBps())
-		}
-		fig.Series = append(fig.Series, sr)
-	}
-	return fig
-}

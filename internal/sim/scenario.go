@@ -184,14 +184,6 @@ func (s Scenario) Synthesize() ([]complex128, [][]byte) {
 // leave a failed cell in a sweep that then reports success.
 var trialCtx = context.Background()
 
-// DecodeWithChoir runs the Choir decoder on the scenario and reports how
-// many of the transmitted payloads were recovered. It builds a throwaway
-// decoder; trial loops should use DecodeWith with a backend.Pool instance
-// instead, which amortizes FFT-plan construction across trials.
-func (s Scenario) DecodeWithChoir() (recovered int, total int) {
-	return s.DecodeWith(choir.MustNew(choir.DefaultConfig(s.Params)))
-}
-
 // DecodeWith runs the supplied Choir decoder — typically checked out of a
 // backend.Pool for the trial — on the scenario and reports how many of the
 // transmitted payloads were recovered. The decoder must be built for

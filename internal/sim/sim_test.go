@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"choir/internal/choir"
 	"choir/internal/lora"
 )
 
@@ -68,7 +69,7 @@ func TestScenarioSynthesizeShape(t *testing.T) {
 
 func TestDecodeWithChoirRecoversHighSNRPair(t *testing.T) {
 	sc := Scenario{Params: lora.DefaultParams(), PayloadLen: 8, SNRsDB: []float64{25, 22}, Seed: 3}
-	r, n := sc.DecodeWithChoir()
+	r, n := sc.DecodeWith(choir.MustNew(choir.DefaultConfig(sc.Params)))
 	if n != 2 || r != 2 {
 		t.Errorf("recovered %d/%d", r, n)
 	}
@@ -190,8 +191,21 @@ func TestFig9RangeMatchesPaperShape(t *testing.T) {
 func TestValidateTeamDecodeAtOperatingPoint(t *testing.T) {
 	// A 12-member team whose members sit below the single-user preamble
 	// detection point must decode at IQ level.
-	if !ValidateTeamDecode(12, -17, 3) {
-		t.Error("12-member team at -17 dB failed IQ-level decode")
+	const teamSize, perMemberSNR, seed = 12, -17.0, 3
+	p := lora.DefaultParams()
+	rng := rand.New(rand.NewPCG(seed, 0xF19))
+	snrs := make([]float64, teamSize)
+	for i := range snrs {
+		snrs[i] = perMemberSNR + rng.NormFloat64()*0.5
+	}
+	sc := Scenario{Params: p, PayloadLen: 8, SNRsDB: snrs, Identical: true, Seed: seed}
+	sig, payloads := sc.Synthesize()
+	res, err := choir.MustNew(choir.DefaultConfig(p)).DecodeTeam(context.Background(), sig, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Err != nil || string(res.Payload) != string(payloads[0]) {
+		t.Errorf("12-member team at -17 dB failed IQ-level decode: %v", res.Err)
 	}
 }
 
