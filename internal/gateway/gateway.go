@@ -68,7 +68,8 @@ type Config struct {
 	// worker count.
 	Seed uint64
 	// Batch is accepted and ignored: every frame walks the ladder alone. It
-	// stays declared only because benchmark/ still sets it (ROADMAP item 1).
+	// stays declared only because benchmark/ still sets it (ROADMAP items 7
+	// and 8).
 	Batch int
 	// MaxConns caps concurrent TCP ingest connections (default 64). Accepts
 	// beyond the cap are shed: counted on gateway.conn.shed, told

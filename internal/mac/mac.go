@@ -2,8 +2,8 @@
 // three schemes of the paper's evaluation (LoRaWAN ALOHA with binary
 // exponential backoff, the oracle TDMA upper bound, and the Choir base
 // station that decodes concurrent transmissions), the slot-level receiver
-// models that say how many of k colliding packets decode, the per-node
-// backlog queue, and the beacon-round team scheduler of Sec. 7.1.
+// models that say how many of k colliding packets decode, and the
+// beacon-round team scheduler of Sec. 7.1.
 //
 // It runs nothing itself. The one simulator that executes these schemes —
 // arrivals, backoff, the unslotted veto, queue drops, latency — is

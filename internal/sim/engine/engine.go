@@ -247,7 +247,7 @@ type Config struct {
 	// Shards and Workers are accepted and ignored: a run is one goroutine.
 	// Nothing reads them; they stay declared only because benchmark/
 	// (frozen outside benchmark PRs) still assigns them, and go once it
-	// stops (ROADMAP item 2).
+	// stops (ROADMAP items 7 and 8).
 	Shards  int
 	Workers int
 }
@@ -367,11 +367,15 @@ func (ns *nodeState) wakeOf() int64 {
 // defaulting, the precomputed topology, the per-dimension hash-chain heads,
 // and the flat node-state array.
 type core struct {
-	cfg       Config
-	slots     int64
-	queueCap  int
-	maxBoExp  uint8
-	capacity  int
+	cfg      Config
+	slots    int64
+	queueCap int
+	maxBoExp uint8
+	// capacity is Receiver.Capacity() clamped to [1, MaxInt32]: the per-group
+	// tallies it is compared with are int32, and no group can hold more
+	// than Nodes <= MaxInt32 transmitters, so the clamp changes no result —
+	// it only keeps "uncapped" (math.MaxInt) from wrapping negative.
+	capacity  int32
 	unslotted bool
 	logq      float64 // ln(1 - ArrivalPerSlot), for geometric gaps
 
@@ -398,15 +402,17 @@ type core struct {
 	hPos, hShadow, hArrival, hDecode, hVeto, hBackoff uint64
 
 	// Foreign-network offered load, resolved once at init: foreignRate[gw]
-	// holds the summed per-slot transmission rate of every reachable
-	// foreign node attached to gw, by SF index. foreignOn gates the whole
-	// interference path so zero-foreign configs skip it entirely; frx is
-	// the Receiver's ForeignSlotSuccess view, nil when it only implements
-	// mac.SlotSuccess.
-	hForeignTx  uint64
-	foreignRate [][6]float64
-	foreignOn   bool
-	frx         ForeignSlotSuccess
+	// holds the summed per-slot transmission rate λ of every reachable
+	// foreign node attached to gw, by SF index, and foreignFloor[gw] the
+	// exp(-λ) a Poisson draw at that rate stops at, which does not change
+	// during a run. foreignOn gates the whole interference path so
+	// zero-foreign configs skip it entirely; frx is the Receiver's
+	// ForeignSlotSuccess view, nil when it only implements mac.SlotSuccess.
+	hForeignTx   uint64
+	foreignRate  [][6]float64
+	foreignFloor [][6]float64
+	foreignOn    bool
+	frx          ForeignSlotSuccess
 
 	nodes []nodeState
 	// touched is where runEvent's gather pass leaves what it read.
@@ -493,7 +499,7 @@ func newCore(cfg Config) *core {
 		slots:     int64(cfg.Slots),
 		queueCap:  cfg.QueueCap,
 		maxBoExp:  uint8(cfg.MaxBackoffExp),
-		capacity:  cfg.Receiver.Capacity(),
+		capacity:  int32(min(max(cfg.Receiver.Capacity(), 1), math.MaxInt32)),
 		unslotted: cfg.Unslotted && cfg.Scheme == mac.SchemeAloha,
 		grid:      int(math.Ceil(math.Sqrt(float64(cfg.Nodes)))),
 		sideM:     cfg.SideM,
@@ -501,9 +507,6 @@ func newCore(cfg Config) *core {
 		gwRows:    gwRows,
 		nodes:     make([]nodeState, cfg.Nodes),
 		cells:     make([]packetCell, 1),
-	}
-	if c.capacity < 1 {
-		c.capacity = 1
 	}
 	if p := cfg.ArrivalPerSlot; p > 0 && p < 1 {
 		c.logq = math.Log1p(-p)
@@ -540,9 +543,10 @@ func newCore(cfg Config) *core {
 
 // initForeign resolves every foreign node's channel once — placement,
 // shadowing, and its network's ADR choice — and folds the reachable ones
-// into per-(gateway, SF) Poisson rates. Foreign nodes keep no queues: their
-// slot-level transmitter counts are drawn from these rates on demand, so a
-// foreign network adds O(gateways) state, not O(nodes).
+// into per-(gateway, SF) Poisson rates, each with its exp(-λ). Foreign
+// nodes keep no queues: their slot-level transmitter counts are drawn from
+// these rates on demand, so a foreign network adds O(gateways) state, not
+// O(nodes).
 func (c *core) initForeign(hFP, hFS uint64) {
 	for _, fn := range c.cfg.Foreign {
 		if fn.Nodes > 0 && fn.ArrivalPerSlot > 0 {
@@ -571,6 +575,12 @@ func (c *core) initForeign(hFP, hFS uint64) {
 				continue
 			}
 			c.foreignRate[gw][int(sf)-7] += fn.ArrivalPerSlot
+		}
+	}
+	c.foreignFloor = make([][6]float64, len(c.foreignRate))
+	for gw := range c.foreignRate {
+		for si, lam := range &c.foreignRate[gw] {
+			c.foreignFloor[gw][si] = math.Exp(-lam)
 		}
 	}
 }
@@ -778,7 +788,7 @@ func (c *core) grantOracle(s int64, tx *[]int32, granted map[uint32]int32, defer
 				continue
 			}
 			ns := &c.nodes[i]
-			if g := c.groupOf(ns); granted[g] < int32(c.capacity) {
+			if g := c.groupOf(ns); granted[g] < c.capacity {
 				granted[g]++
 			} else {
 				ns.nextTx = s + 1

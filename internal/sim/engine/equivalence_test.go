@@ -91,19 +91,56 @@ func eventMatchesSlot(t *testing.T, name string, cfg Config) *Metrics {
 	return want
 }
 
+// maxKReceiver records the largest contention count the engine asked a
+// trial's receiver about. With foreign traffic on that count includes the
+// same-SF foreign frames, so it bounds the home count from above only.
+type maxKReceiver struct {
+	mac.SlotSuccess
+	maxK *int
+}
+
+func (r maxKReceiver) PerTxProb(k int) float64 {
+	*r.maxK = max(*r.maxK, k)
+	return r.SlotSuccess.PerTxProb(k)
+}
+
 // TestEventSlotEquivalence is the load-bearing property of the engine:
 // across randomized scenarios, and on the benchmark's sparse city shape,
 // the event driver must produce METRICS BIT-IDENTICAL to the slot-walk
 // reference. (The benchmark's dense shape needs the capture model, which
 // imports this package: interfere's TestCaptureEventSlotEquivalence.)
+//
+// The event driver takes a slot's wakes in no particular order and sorts
+// the transmitters only of a rationed slot, so the property is only worth
+// its name if both arms ran: the full 60 trials must include a Choir or
+// ALOHA trial with a group above the receiver's capacity (sorted), one with
+// contention that stays within it (unsorted), and an Oracle trial (always
+// sorted) with foreign traffic on.
 func TestEventSlotEquivalence(t *testing.T) {
 	trials := 60
 	if testing.Short() {
 		trials = 15
 	}
+	var overCap, withinCap, oracleForeign bool
 	rng := rand.New(rand.NewPCG(0xC17E, 0x5CA1E))
 	for trial := 0; trial < trials; trial++ {
-		eventMatchesSlot(t, fmt.Sprintf("trial %d", trial), randomConfig(rng))
+		cfg := randomConfig(rng)
+		var maxK int
+		cfg.Receiver = maxKReceiver{cfg.Receiver, &maxK}
+		m := eventMatchesSlot(t, fmt.Sprintf("trial %d", trial), cfg)
+		capacity := cfg.Receiver.Capacity()
+		switch {
+		case cfg.Scheme == mac.SchemeOracle:
+			oracleForeign = oracleForeign || m.ForeignTx > 0
+		case maxK > capacity && m.ForeignTx == 0:
+			overCap = true
+		case maxK >= 2 && maxK <= capacity:
+			withinCap = true
+		}
+	}
+	if !testing.Short() && !(overCap && withinCap && oracleForeign) {
+		t.Fatalf("the %d trials did not run both arms: group above capacity %v, contention within capacity %v, Oracle under foreign traffic %v",
+			trials, overCap, withinCap, oracleForeign)
 	}
 
 	// benchmark/'s city_sparse at 1/50 scale, with the Shards and Workers it
@@ -141,6 +178,37 @@ func TestDriverInvariance(t *testing.T) {
 		})
 		if m.Delivered == 0 || m.CollidedTx == 0 {
 			t.Fatalf("%v: degenerate scenario (delivered=%d collided=%d) pins nothing", scheme, m.Delivered, m.CollidedTx)
+		}
+	}
+}
+
+// TestHugeCapacityIsNoCap pins that a receiver with no cap — a Capacity()
+// beyond what the engine's int32 tallies hold, math.MaxInt being the
+// natural spelling — behaves as one whose cap can never bind, on both
+// drivers and under the genie's grants, instead of wrapping negative and
+// refusing every transmission.
+func TestHugeCapacityIsNoCap(t *testing.T) {
+	for _, scheme := range []mac.Scheme{mac.SchemeChoir, mac.SchemeOracle} {
+		for _, driver := range []Driver{DriverSlot, DriverEvent} {
+			cfg := Config{
+				Scheme: scheme, Driver: driver, Nodes: 20, Gateways: 1, Slots: 200,
+				ArrivalPerSlot: 0.2, PayloadLen: 12, Seed: 3,
+			}
+			run := func(maxConcurrent int) *Metrics {
+				cfg.Receiver = mac.ModelReceiver{Success: sim.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: maxConcurrent}
+				return mustRun(t, cfg)
+			}
+			want := run(cfg.Nodes)
+			if want.Delivered == 0 {
+				t.Fatalf("%v %v: nothing delivered at MaxConcurrent = Nodes; the scenario pins nothing", scheme, driver)
+			}
+			beyond := math.MaxInt32
+			beyond++ // at run time: the constant does not fit a 32-bit int
+			for _, maxConcurrent := range []int{math.MaxInt32, beyond, math.MaxInt} {
+				if got := run(maxConcurrent); !reflect.DeepEqual(got, want) {
+					t.Errorf("%v %v: MaxConcurrent %d is not MaxConcurrent %d\nwant %+v\ngot  %+v", scheme, driver, maxConcurrent, cfg.Nodes, want, got)
+				}
+			}
 		}
 	}
 }

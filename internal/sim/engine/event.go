@@ -3,19 +3,20 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"choir/internal/mac"
 )
 
 // runEvent is the production driver: one event queue over every node
 // jumps straight to the next slot with a scheduled wake, and that slot
-// then runs exactly as runSlot runs it — the queue hands over the slot's
-// wakes as one batch in ascending node order, the order runSlot scans them
-// in, so the capacity prefix rule keeps the same transmissions and the two
-// drivers return bit-identical Metrics. The whole run stays on the calling
-// goroutine: a slot holds tens of wakes, far too few to repay a fan-out and
-// a barrier (DESIGN.md §15 has the measurement), so cores are spent across
-// runs.
+// then runs as runSlot runs it, except that the queue hands over the
+// slot's wakes as one batch in no particular order where runSlot scans
+// nodes ascending. Only a rationed slot can tell the difference, and there
+// the transmitters are sorted first (below), so the two drivers return
+// bit-identical Metrics. The whole run stays on the calling goroutine: a
+// slot holds tens of wakes, far too few to repay a fan-out and a barrier
+// (DESIGN.md §15 has the measurement), so cores are spent across runs.
 func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
 	m := c.newMetrics()
 	q := NewEventQueue(len(c.nodes))
@@ -90,6 +91,25 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 				reschedule(i)
 			}
 		}
+		// Order only what is rationed. The wakes came in no particular
+		// order, and nothing above or below reads it: wakeNode, decodeDraw,
+		// vetoed and finishTx draw from hashes of (node, slot) and touch one
+		// node's record; every Metrics field is an integer sum; groupProb is
+		// pure in (group, k, slot), whatever order groups are first seen in;
+		// and which cell of the backlog pool or the calendar a packet or a
+		// wake takes is never observable. Node order reaches a result in
+		// exactly two places, both rations: the genie grants round-robin
+		// over an ascending list, and a group with more transmitters than
+		// the receiver's capacity keeps its first Capacity() successes in
+		// ascending node order — a group within capacity never finds
+		// taken[g] at the cap. So an Oracle slot and a slot with a group
+		// above capacity sort their transmitters (not their wakes), and the
+		// rest — every slot of a city that stays under MaxConcurrent — sort
+		// nothing. runSlot scans ascending throughout;
+		// TestEventSlotEquivalence holds this to it on both arms.
+		if granted != nil || counts.anyAbove(c.capacity) {
+			slices.Sort(txNodes)
+		}
 		if granted != nil {
 			c.grantOracle(s, &txNodes, granted, reschedule)
 			counts.reset()
@@ -112,9 +132,10 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 			g := c.groupOf(ns)
 			// Same rule as runSlot: the decode draw succeeds and the
 			// transmission is among the group's first Capacity() successes
-			// in ascending node order.
+			// in ascending node order — txNodes is sorted whenever a group
+			// has more than Capacity() to choose from.
 			kept := false
-			if c.decodeDraw(i, s) < probs[g] && taken[g] < int32(c.capacity) {
+			if c.decodeDraw(i, s) < probs[g] && taken[g] < c.capacity {
 				taken[g]++
 				kept = true
 			}
@@ -148,6 +169,16 @@ func (gc *groupCounts) reset() {
 		gc.k[g] = 0
 	}
 	gc.groups = gc.groups[:0]
+}
+
+// anyAbove reports whether some group holds more than limit transmitters.
+func (gc *groupCounts) anyAbove(limit int32) bool {
+	for _, g := range gc.groups {
+		if gc.k[g] > limit {
+			return true
+		}
+	}
+	return false
 }
 
 func (gc *groupCounts) add(g uint32) {

@@ -21,16 +21,20 @@ const poissonChunkLambda = 500
 // the hash chain h — pure in (h, lam), so the draw is identical no matter
 // which driver asks for it. A Poisson(λ) is the sum of
 // independent Poisson(λ/n) chunks, which sidesteps exp underflow at large λ.
-func poisson(h uint64, lam float64) int32 {
+// floor is exp(-lam), which the caller keeps per rate (core.foreignFloor):
+// a draw that fits one chunk — every rate a city offers — stops at it, and
+// only the chunks of a larger λ compute their own.
+func poisson(h uint64, lam, floor float64) int32 {
 	var n int32
 	t := uint64(0)
+	chunked := lam > poissonChunkLambda
 	for lam > 0 {
-		l := lam
-		if l > poissonChunkLambda {
-			l = poissonChunkLambda
+		l, L := lam, floor
+		if chunked {
+			l = min(lam, poissonChunkLambda)
+			L = math.Exp(-l)
 		}
 		lam -= l
-		L := math.Exp(-l)
 		p := 1.0
 		for {
 			p *= unitOf(exec.Mix(h, t))
@@ -88,7 +92,7 @@ func (c *core) foreignFor(fs *foreignSlot, gw int32, s int64) *[6]int32 {
 		if lam <= 0 {
 			continue
 		}
-		n := poisson(exec.Mix(hg, uint64(si)), lam)
+		n := poisson(exec.Mix(hg, uint64(si)), lam, c.foreignFloor[gw][si])
 		nf[si] = n
 		fs.total += int64(n)
 	}

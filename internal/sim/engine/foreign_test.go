@@ -80,23 +80,62 @@ func TestForeignDeterminism(t *testing.T) {
 	}
 }
 
-// TestPoissonDraw pins the inversion sampler: determinism in (h, λ), the
-// λ=0 and cap edge cases, and a coarse mean check across many independent
-// chains (a wrong inversion is off in the first moment long before the
-// tails matter).
+// poissonReference is the sampler as it stood before the floor became an
+// argument — exp(-λ) computed per chunk, per draw — kept as the reference
+// poisson is held equal to.
+func poissonReference(h uint64, lam float64) int32 {
+	var n int32
+	t := uint64(0)
+	for lam > 0 {
+		l := lam
+		if l > poissonChunkLambda {
+			l = poissonChunkLambda
+		}
+		lam -= l
+		L := math.Exp(-l)
+		p := 1.0
+		for {
+			p *= unitOf(exec.Mix(h, t))
+			t++
+			if p <= L {
+				break
+			}
+			n++
+			if n >= maxForeignDraw {
+				return maxForeignDraw
+			}
+		}
+	}
+	return n
+}
+
+// TestPoissonDraw pins the inversion sampler: equal to the reference that
+// computes its own floors, draw for draw, below, at and above the chunk
+// edge; determinism in (h, λ); the λ=0 and cap edge cases; and a coarse
+// mean check across many independent chains (a wrong inversion is off in
+// the first moment long before the tails matter).
 func TestPoissonDraw(t *testing.T) {
 	h0 := exec.Start(123)
-	if n := poisson(h0, 0); n != 0 {
+	draw := func(h uint64, lam float64) int32 { return poisson(h, lam, math.Exp(-lam)) }
+	for _, lam := range []float64{1e-3, 0.83, 3.5, 499.5, 500, 500.5, 1200, 1e9} {
+		for i := uint64(0); i < 1000; i++ {
+			h := exec.Mix(h0, i)
+			if got, want := draw(h, lam), poissonReference(h, lam); got != want {
+				t.Fatalf("poisson(head %d, λ=%g) = %d, reference %d", i, lam, got, want)
+			}
+		}
+	}
+	if n := draw(h0, 0); n != 0 {
 		t.Fatalf("poisson(h, 0) = %d, want 0", n)
 	}
-	if a, b := poisson(h0, 3.5), poisson(h0, 3.5); a != b {
+	if a, b := draw(h0, 3.5), draw(h0, 3.5); a != b {
 		t.Fatalf("poisson not deterministic: %d vs %d", a, b)
 	}
 	for _, lam := range []float64{0.3, 2, 40, 1200} {
 		const trials = 4000
 		var sum float64
 		for i := uint64(0); i < trials; i++ {
-			sum += float64(poisson(exec.Mix(h0, i), lam))
+			sum += float64(draw(exec.Mix(h0, i), lam))
 		}
 		mean := sum / trials
 		// Standard error is sqrt(λ/trials); 6σ keeps the test deterministic
@@ -108,8 +147,58 @@ func TestPoissonDraw(t *testing.T) {
 	}
 	// A pathological offered load saturates at the cap instead of walking
 	// millions of hash draws.
-	if n := poisson(h0, 1e9); n != maxForeignDraw {
+	if n := draw(h0, 1e9); n != maxForeignDraw {
 		t.Fatalf("poisson(h, 1e9) = %d, want cap %d", n, maxForeignDraw)
+	}
+}
+
+// TestForeignForMatchesReference holds the engine's use of the stored
+// floors to the reference: over a run of slots every gateway's counts are
+// what poissonReference draws from the same rates and hash heads, and the
+// running total is their sum. One network is loud enough that a gateway's
+// SF12 rate needs several chunks.
+func TestForeignForMatchesReference(t *testing.T) {
+	c := newCore(Config{
+		Scheme: mac.SchemeChoir, Nodes: 10, Gateways: 4, Slots: 10,
+		Receiver: mac.AlohaReceiver{},
+		Foreign: []ForeignConfig{
+			{Nodes: 400, ArrivalPerSlot: 1e-3},
+			{Nodes: 9000, ArrivalPerSlot: 0.3, ADR: ADRFixedSF12},
+		},
+		Seed: 5,
+	})
+	var single, chunked int
+	for _, rates := range c.foreignRate {
+		for _, lam := range rates {
+			if lam > poissonChunkLambda {
+				chunked++
+			} else if lam > 0 {
+				single++
+			}
+		}
+	}
+	if single == 0 || chunked == 0 {
+		t.Fatalf("rates %v cover %d single-chunk and %d multi-chunk draws: the scenario pins too little", c.foreignRate, single, chunked)
+	}
+	var fs foreignSlot
+	var total int64
+	for s := int64(0); s < 300; s++ {
+		fs.beginSlot()
+		for gw := range c.foreignRate {
+			got := *c.foreignFor(&fs, int32(gw), s)
+			hg := exec.Mix(exec.Mix(c.hForeignTx, uint64(gw)), uint64(s))
+			var want [6]int32
+			for si, lam := range c.foreignRate[gw] {
+				want[si] = poissonReference(exec.Mix(hg, uint64(si)), lam)
+				total += int64(want[si])
+			}
+			if got != want {
+				t.Fatalf("slot %d gateway %d: foreignFor = %v, reference %v", s, gw, got, want)
+			}
+		}
+	}
+	if fs.total != total || total == 0 {
+		t.Fatalf("foreignSlot.total = %d, reference draws sum to %d", fs.total, total)
 	}
 }
 

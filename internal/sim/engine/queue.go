@@ -7,7 +7,7 @@ import (
 )
 
 // EventQueue is the engine's priority queue of node wake events: a
-// push-only calendar queue over node IDs ordered by (slot, node). The
+// push-only calendar queue over node IDs ordered by slot. The
 // engine never moves or cancels a scheduled wake — a node is scheduled
 // only after its previous wake popped, and always at a later slot — so
 // the queue keeps no per-node state at all: a wake is one int32 in the
@@ -28,15 +28,14 @@ import (
 // are bucketed (turn). Memory is therefore the window plus the live wakes,
 // whatever the slot values.
 //
-// The node tie-break is load-bearing, not cosmetic: a slot's wakes come
-// out in strictly ascending node order, which is what lets the event
-// driver apply the receiver's per-slot capacity cap to "the first k
-// transmitters in node order" — the same order the reference driver scans
-// — and stay bit-identical to it. A bucket collects its wakes in arrival
-// order; when the cursor reaches it the whole bucket is gathered, sorted
-// once and handed out as one batch (NextSlot), or one ID at a time from
-// that batch (PopMin). FuzzEventQueue pins the order against a sort-based
-// model.
+// Only the slot order is the queue's: within a slot a bucket collects its
+// wakes in arrival order, and when the cursor reaches it the whole bucket
+// is gathered and handed out as one batch in no particular order
+// (NextSlot) — the engine's per-node steps do not read it, and the slots
+// where node order can reach a result sort their own transmitters
+// (runEvent). PopMin, for callers that want single events in (slot, node)
+// order, sorts the batch it draws. FuzzEventQueue pins both against a
+// sort-based model.
 type EventQueue struct {
 	// pool holds every chunk; index 0 is never used, so 0 means "none" in
 	// bucket heads and chunk links. free heads the list of released chunks.
@@ -53,8 +52,8 @@ type EventQueue struct {
 	last    int64     // the slot last drawn, -1 before the first
 	n       int       // scheduled wakes
 	near    int       // of those, the ones in buckets
-	// batch is the slot last drawn, in ascending node order; batch[next:]
-	// is still to be handed out.
+	// batch is the slot last drawn — ascending when PopMin drew it, as
+	// gathered when NextSlot did; batch[next:] is still to be handed out.
 	batch []int32
 	next  int
 }
@@ -175,9 +174,10 @@ func (q *EventQueue) push(slot int64, id int32) {
 }
 
 // NextSlot removes the earliest scheduled slot and returns it with every
-// node waking in it, in ascending node order. The slice is the queue's and
-// is valid until the next NextSlot or PopMin; Set does not disturb it. It
-// panics on an empty queue: callers gate on Len/MinSlot.
+// node waking in it, in no particular order (after PopMin took part of the
+// slot: the rest of it). The slice is the queue's and is valid until the
+// next NextSlot or PopMin; Set does not disturb it. It panics on an empty
+// queue: callers gate on Len/MinSlot.
 func (q *EventQueue) NextSlot() (slot int64, ids []int32) {
 	if q.next == len(q.batch) {
 		q.draw()
@@ -189,10 +189,13 @@ func (q *EventQueue) NextSlot() (slot int64, ids []int32) {
 }
 
 // PopMin removes and returns the earliest event; ties pop in ascending
-// node order. It panics on an empty queue: callers gate on Len/MinSlot.
+// node order, so a slot it starts on is sorted once, here (NextSlot always
+// takes the whole batch, so PopMin never continues one that is not). It
+// panics on an empty queue: callers gate on Len/MinSlot.
 func (q *EventQueue) PopMin() (id int32, slot int64) {
 	if q.next == len(q.batch) {
 		q.draw()
+		slices.Sort(q.batch)
 	}
 	id = q.batch[q.next]
 	q.next++
@@ -201,7 +204,7 @@ func (q *EventQueue) PopMin() (id int32, slot int64) {
 }
 
 // draw moves the cursor to the earliest scheduled slot, empties that
-// bucket into batch in ascending node order and releases its chunks.
+// bucket into batch and releases its chunks.
 func (q *EventQueue) draw() {
 	if q.n == 0 {
 		panic("engine: pop from an empty EventQueue")
@@ -224,7 +227,10 @@ func (q *EventQueue) draw() {
 		c = next
 	}
 	*b = slotHead{}
-	slices.Sort(ids)
+	// No sort: the batch stays as gathered, newest chunk first. Sorting it
+	// costs a sixth of a dense city's run (54 wakes a slot, in ~21 ascending
+	// runs of 2.6, which no merge beats pdqsort on) to order what nothing
+	// reads — runEvent carries the argument.
 	q.near -= len(ids)
 	q.batch, q.next, q.last = ids, 0, q.cur
 }

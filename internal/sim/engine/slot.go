@@ -74,7 +74,7 @@ func runSlot(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
 			// succeeds and it is among the first Capacity() successes of
 			// its (gateway, SF) group in ascending node order.
 			kept := false
-			if c.decodeDraw(i, s) < probs[g] && taken[g] < int32(c.capacity) {
+			if c.decodeDraw(i, s) < probs[g] && taken[g] < c.capacity {
 				taken[g]++
 				kept = true
 			}

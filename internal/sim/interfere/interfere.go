@@ -49,12 +49,25 @@ var DefaultSIR = [6][6]float64{
 // foreign traffic is bit-identical to the base receiver — the transparency
 // the equivalence tests pin. Construct with New; the zero value is not
 // usable.
+//
+// The model's two bases never change after construction and their
+// exponents are transmitter counts, so capPow and survPow hold the powers
+// below powTable as math.Pow returned them: PerTxProbForeign reads what it
+// would otherwise compute per group per slot, bit for bit, and calls
+// math.Pow only for a count beyond the table.
 type CaptureModel struct {
 	base     mac.SlotSuccess
 	marginDB float64
 	capQ     float64
 	surv     [6][6]float64
+	capPow   [powTable]float64       // capPow[n] = capQ^n
+	survPow  [6][6][powTable]float64 // survPow[i][j][n] = surv[i][j]^n
 }
+
+// powTable is how many powers of each base the model keeps. A city's
+// contention and foreign counts are single digits; 64 leaves the table at
+// 19 KB a model and math.Pow to the pathological slot.
+const powTable = 64
 
 // New builds a CaptureModel over base with the given capture margin, the
 // urban shadowing spread (sim.UrbanChannel().ShadowSigmaDB), and the
@@ -72,12 +85,26 @@ func NewWithSIR(base mac.SlotSuccess, marginDB, sigmaDB float64, sir *[6][6]floa
 	}
 	s := sigmaDB * math.Sqrt2
 	cm.capQ = qfunc(marginDB / s)
+	for n := range cm.capPow {
+		cm.capPow[n] = math.Pow(cm.capQ, float64(n))
+	}
 	for i := range cm.surv {
 		for j := range cm.surv[i] {
 			cm.surv[i][j] = qfunc(sir[i][j] / s)
+			for n := range cm.survPow[i][j] {
+				cm.survPow[i][j][n] = math.Pow(cm.surv[i][j], float64(n))
+			}
 		}
 	}
 	return cm
+}
+
+// powOf returns base^n: table[n] where the table reaches, math.Pow beyond.
+func powOf(table *[powTable]float64, base float64, n int) float64 {
+	if uint(n) < powTable {
+		return table[n]
+	}
+	return math.Pow(base, float64(n))
 }
 
 // qfunc is the Gaussian tail probability Q(x) = P(N(0,1) > x).
@@ -104,15 +131,14 @@ func (cm *CaptureModel) PerTxProbForeign(k, sfIdx int, foreign *[6]int32) float6
 	}
 	if kEff > 1 {
 		if p1 := cm.base.PerTxProb(1); p1 > p {
-			capW := math.Pow(cm.capQ, float64(kEff-1))
-			p += (p1 - p) * capW
+			p += (p1 - p) * powOf(&cm.capPow, cm.capQ, kEff-1)
 		}
 	}
 	for j, n := range foreign {
 		if j == sfIdx || n == 0 {
 			continue
 		}
-		p *= math.Pow(cm.surv[sfIdx][j], float64(n))
+		p *= powOf(&cm.survPow[sfIdx][j], cm.surv[sfIdx][j], int(n))
 	}
 	return p
 }

@@ -85,6 +85,61 @@ func TestCaptureModelShape(t *testing.T) {
 	}
 }
 
+// perTxProbForeignReference is PerTxProbForeign with every power computed
+// by math.Pow on the spot, as the model did before it kept tables.
+func perTxProbForeignReference(cm *CaptureModel, k, sfIdx int, foreign *[6]int32) float64 {
+	kEff := k + int(foreign[sfIdx])
+	p := cm.base.PerTxProb(kEff)
+	if cm.marginDB <= 0 {
+		return p
+	}
+	if kEff > 1 {
+		if p1 := cm.base.PerTxProb(1); p1 > p {
+			p += (p1 - p) * math.Pow(cm.capQ, float64(kEff-1))
+		}
+	}
+	for j, n := range foreign {
+		if j == sfIdx || n == 0 {
+			continue
+		}
+		p *= math.Pow(cm.surv[sfIdx][j], float64(n))
+	}
+	return p
+}
+
+// TestCaptureTablesMatchPow pins the power tables to what they replace:
+// for every home count 1…100, home SF and foreign count 0…100 — both
+// sides of the table's edge at 64, for the contention exponent and for
+// the cross-SF one — PerTxProbForeign returns the bit pattern the
+// math.Pow reference returns, with capture on and off.
+func TestCaptureTablesMatchPow(t *testing.T) {
+	base := mac.ModelReceiver{Success: sim.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 30}
+	for _, margin := range []float64{0, 6} {
+		cm := New(base, margin)
+		for sfIdx := 0; sfIdx < 6; sfIdx++ {
+			for n := int32(0); n <= 100; n++ {
+				vectors := map[string][6]int32{
+					"every SF": {n, n, n, n, n, n},
+					"mixed":    {n, (n + 13) % 101, (n + 26) % 101, (n + 39) % 101, (n + 52) % 101, (n + 65) % 101},
+				}
+				var same, cross [6]int32
+				same[sfIdx], cross[(sfIdx+1)%6] = n, n
+				vectors["same SF"], vectors["one cross SF"] = same, cross
+				for name, foreign := range vectors {
+					for k := 1; k <= 100; k++ {
+						got := cm.PerTxProbForeign(k, sfIdx, &foreign)
+						want := perTxProbForeignReference(cm, k, sfIdx, &foreign)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("margin %g, k %d, SF index %d, foreign %v (%s): %v (%#x), math.Pow gives %v (%#x)",
+								margin, k, sfIdx, foreign, name, got, math.Float64bits(got), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestEngineTransparencyWithCapture is the satellite equivalence test end
 // to end: a zero-node foreign network and a zero-margin capture model
 // through the real engine must reproduce today's single-network metrics
