@@ -88,8 +88,8 @@ var (
 // backend is the reference decoder; alternatives trade fidelity for reach
 // (see DESIGN.md §13).
 
-// BackendPool lends out per-goroutine instances of one backend, reseeded on
-// checkout so pooled reuse is deterministic.
+// BackendPool lends out per-goroutine instances of one backend. An instance
+// decodes from its samples alone, so pooled reuse is deterministic.
 type BackendPool = backend.Pool
 
 var (

@@ -49,8 +49,8 @@ func TestCompareFailsOnRemovedPinnedBenchmark(t *testing.T) {
 	}
 }
 
-// TestCommittedBaselineCoversSuite keeps BENCH_choir.json, the report CI
-// falls back to when the merge base predates the suite, in step with it:
+// TestCommittedBaselineCoversSuite keeps BENCH_choir.json, the committed
+// report a local -compare reads as its base, in step with the suite:
 // every pinned benchmark has a row carrying the same pins, every row is a
 // suite benchmark or a retired one, and no name is both, so -compare never
 // meets a gated name only one side knows.

@@ -222,7 +222,6 @@ func benchDecodeSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dec.Reseed(ichoir.DefaultConfig(p).Seed)
 		if _, err := dec.DecodeInto(res, sig, 8); err != nil {
 			b.Fatal(err)
 		}
@@ -231,7 +230,7 @@ func benchDecodeSteadyState(b *testing.B) {
 
 // benchBackendDispatch is benchDecodeSteadyState driven through the
 // collision-resolution Backend interface instead of the concrete decoder:
-// same signal, same seeds, plus the registry dispatch, interface call, and
+// same signal, plus the registry dispatch, interface call, and
 // context polling. Pinned at zero allocs/op — the pluggable-backend layer
 // must not put the steady-state decode path back on the heap.
 func benchBackendDispatch(b *testing.B) {
@@ -245,7 +244,6 @@ func benchBackendDispatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		be.Reseed(ichoir.DefaultConfig(p).Seed)
 		if err := be.DecodeCtxInto(ctx, res, sig, 8); err != nil {
 			b.Fatal(err)
 		}

@@ -213,7 +213,7 @@ func decodeTrace(ctx context.Context, name string, index uint64, team bool, inj 
 	if err != nil {
 		return "", err
 	}
-	b := pool.Get(choir.DeriveSeed(uint64(h.Params.SF), index))
+	b := pool.Get()
 	defer pool.Put(b)
 
 	if team {

@@ -106,7 +106,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	backoff := fs.Duration("backoff", 10*time.Millisecond, "base retry delay (exponential with jitter, capped at 1s)")
 	breakerThreshold := fs.Int("breaker-threshold", 8, "consecutive failures that trip a stage's circuit breaker (<= 0 disables)")
 	breakerCooldown := fs.Int("breaker-cooldown", 16, "skipped attempts before a tripped breaker half-opens")
-	seed := fs.Uint64("seed", 1, "gateway seed; outcomes are a pure function of (seed, frame ID, stage)")
+	seed := fs.Uint64("seed", 1, "seed for retry backoff jitter; decode outcomes do not depend on it")
 	backendName := fs.String("backend", "", "decode with a single collision-resolution backend (one of "+strings.Join(backend.Names(), ", ")+") instead of the recovery ladder")
 	ladder := fs.String("ladder", "", "comma-separated backend names forming the recovery ladder (default "+strings.Join(gateway.DefaultLadder(), ",")+")")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown before queued frames are shed")

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -227,6 +228,47 @@ func TestGatewayDecodesOneWay(t *testing.T) {
 	})
 	if !sawGateway {
 		t.Fatal("found no sources under internal/gateway")
+	}
+}
+
+// TestDecodeHasNoSeed keeps the decode seed deleted (DESIGN.md §7): a decode
+// is a function of (config, samples), so nothing outside benchmark/ calls
+// Reseed, every Reseed still declared (for frozen benchmark/, ROADMAP item
+// 8(ii)) has an empty body, choir.Config has no Seed to thread, and a pool
+// checkout takes no seed.
+func TestDecodeHasNoSeed(t *testing.T) {
+	shims := 0
+	parseSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Reseed" {
+					t.Errorf("%s calls .Reseed(: it is accepted and ignored, there is no state to reset", dir)
+				}
+			case *ast.FuncDecl:
+				if n.Name.Name == "Reseed" {
+					shims++
+					if n.Body == nil || len(n.Body.List) != 0 {
+						t.Errorf("%s declares a Reseed that does something: a backend keeps no random state between decodes", dir)
+					}
+				}
+			}
+			return true
+		})
+	})
+	if shims == 0 {
+		t.Error("found no Reseed declaration: drop this check once benchmark/ stops calling the shims")
+	}
+	cfg := reflect.TypeOf(choir.DefaultDecoderConfig(choir.DefaultPHY()))
+	if _, ok := cfg.FieldByName("Seed"); ok {
+		t.Errorf("%s declares a Seed field: the decoder draws nothing a caller could seed", cfg)
+	}
+	get, ok := reflect.TypeOf(&choir.BackendPool{}).MethodByName("Get")
+	if !ok {
+		t.Fatal("BackendPool has no Get method")
+	}
+	if extra := get.Type.NumIn() - 1; extra != 0 {
+		t.Errorf("BackendPool.Get takes %d parameter(s), want 0: a checkout has nothing to reseed", extra)
 	}
 }
 

@@ -10,8 +10,9 @@
 // The contract carries the engine's two standing invariants:
 //
 //   - Determinism: a Backend's results depend only on its construction
-//     parameters, the last Reseed, and the decode inputs — never on which
-//     goroutine runs it or what it decoded before. Pools reseed on checkout.
+//     parameters and the decode inputs — never on which goroutine runs it
+//     or what it decoded before. A pooled instance therefore decodes
+//     exactly like a fresh one (TestPooledInstanceMatchesFreshForEveryBackend).
 //   - Scratch ownership: a Backend owns internal scratch and is NOT safe for
 //     concurrent use; DecodeCtxInto recycles the caller's Result storage so
 //     steady-state decodes stay allocation-free where the algorithm allows.
@@ -32,9 +33,10 @@ type Backend interface {
 	Name() string
 	// Params returns the PHY configuration the backend was built for.
 	Params() lora.Params
-	// Reseed resets the backend's internal randomness (if any) to the
-	// deterministic state construction would produce for seed. Pools call it
-	// on checkout; stateless algorithms treat it as a no-op.
+	// Reseed is accepted and ignored: no backend keeps random state
+	// between decodes. It stays declared, with an empty body in every
+	// implementation, only because the frozen benchmark/ package calls it
+	// (ROADMAP item 8(ii)).
 	Reseed(seed uint64)
 	// DecodeCtxInto decodes samples into res, recycling res's storage (the
 	// contract of choir.Decoder.DecodeCtxInto): res must be non-nil, is

@@ -75,7 +75,7 @@ func newDecoderBackend(name string, cfg choir.Config) (*decoderBackend, error) {
 
 func (b *decoderBackend) Name() string        { return b.name }
 func (b *decoderBackend) Params() lora.Params { return b.dec.Config().LoRa }
-func (b *decoderBackend) Reseed(seed uint64)  { b.dec.Reseed(seed) }
+func (b *decoderBackend) Reseed(seed uint64)  {}
 
 func (b *decoderBackend) DecodeCtxInto(ctx context.Context, res *choir.Result, samples []complex128, payloadLen int) error {
 	return b.dec.DecodeCtxInto(ctx, res, samples, payloadLen)

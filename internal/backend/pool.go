@@ -17,10 +17,9 @@ var (
 // Pool amortizes backend construction (FFT plans, chirp tables, scratch)
 // across the trials of a parallel sweep: a Backend is not safe for
 // concurrent use, so the pool hands each goroutine exclusive ownership of
-// one instance between Get and Put, and Get reseeds so results depend only
-// on the caller's derived seed — never on which goroutine previously used
-// the instance. That is the decoder-ownership half of the trial engine's
-// determinism contract (the seed half is exec.DeriveSeed).
+// one instance between Get and Put. Which instance a caller receives cannot
+// change a result: a Backend is a pure function of its construction
+// parameters and its decode inputs.
 type Pool struct {
 	name string
 	p    lora.Params
@@ -44,9 +43,8 @@ func (pl *Pool) Name() string { return pl.name }
 // Params returns the PHY configuration shared by the pool's backends.
 func (pl *Pool) Params() lora.Params { return pl.p }
 
-// Get checks a backend out of the pool, reseeded to the deterministic state
-// construction would produce for seed. The caller owns it until Put.
-func (pl *Pool) Get(seed uint64) Backend {
+// Get checks a backend out of the pool. The caller owns it until Put.
+func (pl *Pool) Get() Backend {
 	pl.mu.Lock()
 	var b Backend
 	if n := len(pl.free); n > 0 {
@@ -61,7 +59,6 @@ func (pl *Pool) Get(seed uint64) Backend {
 	} else {
 		mPoolHits.Inc()
 	}
-	b.Reseed(seed)
 	return b
 }
 

@@ -59,7 +59,7 @@ func sameErr(t *testing.T, label string, got, want error) {
 // replayed frame decodes on a cold instance in a new process and must match
 // what the dead process's warm one would have produced. For every registered
 // backend, a good frame, a malformed one and a good one again through one
-// pooled instance equal each frame on a fresh instance reseeded alike —
+// pooled instance equal each frame on a fresh instance —
 // errors by text, offsets by bit pattern — with metrics recording off and on.
 func TestPooledInstanceMatchesFreshForEveryBackend(t *testing.T) {
 	if obs.Enabled() {
@@ -78,8 +78,7 @@ func TestPooledInstanceMatchesFreshForEveryBackend(t *testing.T) {
 				var first backend.Backend
 				for i, frame := range frames {
 					label := fmt.Sprintf("%s frame %d", metrics, i)
-					seed := uint64(101 + i)
-					warm := pool.Get(seed)
+					warm := pool.Get()
 					if first == nil {
 						first = warm
 					} else if warm != first {
@@ -90,7 +89,6 @@ func TestPooledInstanceMatchesFreshForEveryBackend(t *testing.T) {
 					pool.Put(warm)
 
 					cold := backend.MustNew(name, h.Params)
-					cold.Reseed(seed)
 					want := &choir.Result{}
 					wantErr := cold.DecodeCtxInto(ctx, want, frame, h.PayloadLen)
 

@@ -71,7 +71,6 @@ func TestBackendsRoundTripCleanCollision(t *testing.T) {
 			if got := b.Params(); got != h.Params {
 				t.Errorf("Params() = %+v, want %+v", got, h.Params)
 			}
-			b.Reseed(1)
 			res, err := backend.Decode(context.Background(), b, samples, h.PayloadLen)
 			if err != nil {
 				t.Fatalf("decode: %v", err)

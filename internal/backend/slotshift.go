@@ -43,7 +43,7 @@ func newSlotshift(p lora.Params) (*slotshiftBackend, error) {
 
 func (b *slotshiftBackend) Name() string        { return "slotshift" }
 func (b *slotshiftBackend) Params() lora.Params { return b.dec.Config().LoRa }
-func (b *slotshiftBackend) Reseed(seed uint64)  { b.dec.Reseed(seed) }
+func (b *slotshiftBackend) Reseed(seed uint64)  {}
 
 func (b *slotshiftBackend) DecodeCtxInto(ctx context.Context, res *choir.Result, samples []complex128, payloadLen int) error {
 	p := b.dec.Config().LoRa

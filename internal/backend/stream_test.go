@@ -46,7 +46,6 @@ func TestChoirBackendImplementsCapabilities(t *testing.T) {
 		}
 		return nil
 	}
-	b.Reseed(choir.DefaultConfig(h.Params).Seed)
 	got := &choir.Result{}
 	if err := sd.DecodeStreamCtxInto(context.Background(), got, buf, h.PayloadLen, avail); err != nil {
 		t.Fatalf("stream: %v", err)

@@ -65,14 +65,12 @@ func (s *slab[T]) take(n int) []T {
 type arena struct {
 	c128 slab[complex128]
 	f64  slab[float64]
-	ints slab[int]
 	pk   slab[peakObs]
 }
 
 func (a *arena) reset() {
 	a.c128.reset()
 	a.f64.reset()
-	a.ints.reset()
 	a.pk.reset()
 }
 

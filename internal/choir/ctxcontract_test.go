@@ -41,7 +41,6 @@ func TestNeverFiringContextsBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d.Reseed(cfg.Seed)
 			got, err := d.Decode(tc.ctx, sig, plen)
 			if err != nil {
 				t.Fatalf("Decode(%s): %v", tc.name, err)

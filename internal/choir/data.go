@@ -3,6 +3,7 @@ package choir
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
 
 	"choir/internal/cluster"
@@ -710,7 +711,9 @@ func (d *Decoder) assignGreedy(allPeaks [][]peakObs, users []*User) {
 // the resulting clusters are mapped to users by fractional-offset proximity
 // of their centroids to the preamble estimates. This path is off by default
 // (Config.UseClustering) and allocates freely; only the greedy path is held
-// to the zero-alloc steady state.
+// to the zero-alloc steady state. The k-means++ restarts are the decode
+// path's only random draws; their generator is built here from a constant,
+// so this path too is a function of (config, samples) alone.
 func (d *Decoder) assignByClustering(allPeaks [][]peakObs, users []*User) {
 	var pts []cluster.Point
 	var refs []*peakObs
@@ -734,7 +737,8 @@ func (d *Decoder) assignByClustering(allPeaks [][]peakObs, users []*User) {
 		d.assignGreedy(allPeaks, users)
 		return
 	}
-	res, err := cluster.Cluster(pts, k, cons, cluster.Config{Restarts: 4}, d.rng)
+	rng := rand.New(rand.NewPCG(1, 1^0xC0FFEE))
+	res, err := cluster.Cluster(pts, k, cons, cluster.Config{Restarts: 4}, rng)
 	if err != nil {
 		d.assignGreedy(allPeaks, users)
 		return

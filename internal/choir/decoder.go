@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"choir/internal/ctxutil"
 	"choir/internal/dsp"
@@ -87,10 +86,6 @@ type Config struct {
 	// fingerprints collide — the binding constraint on how many concurrent
 	// users scale (Sec. 5.2 note 3).
 	MatchTolerance float64
-	// Seed seeds the decoder's internal randomness (clustering restarts,
-	// fine-search starting points). The decoder is deterministic for a
-	// fixed seed.
-	Seed uint64
 }
 
 // DefaultConfig returns the decoder configuration used in the evaluation.
@@ -107,7 +102,6 @@ func DefaultConfig(p lora.Params) Config {
 		TotalDynamicRangeDB: 35,
 		UseClustering:       false,
 		MatchTolerance:      0.07,
-		Seed:                1,
 	}
 }
 
@@ -115,8 +109,9 @@ func DefaultConfig(p lora.Params) Config {
 // plans and chirp tables and may be reused across packets. A Decoder is not
 // safe for concurrent use (it owns scratch buffers); create one per
 // goroutine, or borrow per-goroutine instances from a backend.Pool (package
-// internal/backend), which reseeds on checkout via Reseed so pooled reuse
-// never changes results.
+// internal/backend). A decode reads its configuration and its samples and
+// nothing an earlier decode left behind, so pooled reuse never changes
+// results.
 type Decoder struct {
 	cfg    Config
 	modem  *lora.Modem
@@ -125,8 +120,6 @@ type Decoder struct {
 	pad    int      // effective padding factor padN/n
 	fft    *dsp.FFT // padded-size plan
 	symFFT *dsp.FFT // symbol-size plan
-	pcg    *rand.PCG
-	rng    *rand.Rand
 
 	scratchDech []complex128
 	scratchSpec []complex128
@@ -174,8 +167,6 @@ type Decoder struct {
 	origMagBuf  []float64
 	accBuf      []float64 // DetectTeam accumulated power spectrum
 	hsBuf       []complex128
-	i0sBuf      []int
-	intTmp      []int
 	boundsBuf   []int
 	missingBuf  []int
 	segModels   []segModel
@@ -252,7 +243,6 @@ func New(cfg Config) (*Decoder, error) {
 	n := cfg.LoRa.N()
 	padN := dsp.NextPow2(cfg.Pad * n)
 	fft := dsp.NewFFT(padN)
-	pcg := rand.NewPCG(cfg.Seed, cfg.Seed^0xC0FFEE)
 	cusum := make([][2]float64, n+1)
 	for i := range cusum {
 		cusum[i][0] = float64(i) / float64(n)
@@ -269,8 +259,6 @@ func New(cfg Config) (*Decoder, error) {
 		fft:         fft,
 		symFFT:      dsp.NewFFT(n),
 		grid:        dsp.NewBatchSpectrum(fft),
-		pcg:         pcg,
-		rng:         rand.New(pcg),
 		scratchDech: make([]complex128, n),
 		scratchSpec: make([]complex128, padN),
 		scratchMags: make([]float64, padN),
@@ -291,17 +279,10 @@ func MustNew(cfg Config) *Decoder {
 // Config returns the decoder's configuration.
 func (d *Decoder) Config() Config { return d.cfg }
 
-// Reseed resets the decoder's internal randomness (clustering restarts,
-// fine-search starting points) to the deterministic state New would produce
-// for seed. Decoder pools reseed on checkout so a pooled decoder's results
-// depend only on the trial's derived seed, never on which trials the
-// instance served before. Reseeding is allocation-free: the PCG source is
-// reset in place (rand/v2's Rand holds no state of its own), producing the
-// identical stream a freshly built decoder would.
-func (d *Decoder) Reseed(seed uint64) {
-	d.cfg.Seed = seed
-	d.pcg.Seed(seed, seed^0xC0FFEE)
-}
+// Reseed is accepted and ignored: the decoder keeps no random state, so
+// there is nothing to reset. It stays declared only because the frozen
+// benchmark/ package calls it (ROADMAP item 8(ii)).
+func (d *Decoder) Reseed(seed uint64) {}
 
 // User is one transmitter recovered from a collision.
 type User struct {

@@ -316,6 +316,13 @@ func TestDecodeWithClusteringMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	matchPayloads(t, res, spec.payloads)
+	// The k-means++ restarts are the only draws in the decode path; a second
+	// decode on the same instance must not see where the first left them.
+	again, err := d.Decode(context.Background(), sig, len(spec.payloads[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, again, res)
 }
 
 func TestDecoderIsDeterministic(t *testing.T) {

@@ -118,9 +118,8 @@ func TestSaturationBoundaryExactlyHalf(t *testing.T) {
 // TestCancelMidDecodeLeavesDecoderReusable pins two halves of the
 // cancellation contract: a context that fires mid-pipeline (between SIC
 // stage boundaries) surfaces as ErrCanceled with no partial result, and the
-// same decoder instance — reseeded exactly as an exec.DecoderPool checkout
-// does — then reproduces the uncanceled decode bit for bit, so a canceled
-// decode cannot poison pooled state.
+// same decoder instance then reproduces the uncanceled decode bit for bit,
+// so a canceled decode cannot poison pooled state.
 func TestCancelMidDecodeLeavesDecoderReusable(t *testing.T) {
 	spec := defaultSpec(2, 3)
 	sig := synthesize(t, spec)
@@ -146,7 +145,6 @@ func TestCancelMidDecodeLeavesDecoderReusable(t *testing.T) {
 	}
 
 	// Fire halfway through those boundaries: typed error, no result.
-	d.Reseed(cfg.Seed)
 	res, err := d.Decode(newCountdown(pc.polls/2), sig, n)
 	if res != nil {
 		t.Fatalf("canceled decode returned a partial result: %+v", res)
@@ -156,7 +154,6 @@ func TestCancelMidDecodeLeavesDecoderReusable(t *testing.T) {
 	}
 
 	// Reuse after the cancellation.
-	d.Reseed(cfg.Seed)
 	got2, err := d.Decode(context.Background(), sig, n)
 	if err != nil {
 		t.Fatalf("decoder unusable after canceled decode: %v", err)

@@ -10,13 +10,11 @@ import (
 // userEstimate is one transmitter's preamble-derived state. Its slice fields
 // are arena-backed: valid for the rest of the current decode only.
 type userEstimate struct {
-	offset   float64      // aggregate offset in bins (mod n), sub-bin precision
-	gain     complex128   // channel averaged coherently over preamble windows
-	power    float64      // mean |h|²
-	perWin   []float64    // raw per-window offset estimates (Fig. 7 stability)
-	gainWin  []complex128 // per-window channel estimates
-	i0Win    []int        // per-window symbol-boundary estimates
-	boundary int          // median boundary: where the user's symbol edge falls inside windows
+	offset  float64      // aggregate offset in bins (mod n), sub-bin precision
+	gain    complex128   // channel averaged coherently over preamble windows
+	power   float64      // mean |h|²
+	perWin  []float64    // raw per-window offset estimates (Fig. 7 stability)
+	gainWin []complex128 // per-window channel estimates
 }
 
 // estimatePreamble recovers every discernible user's aggregate offset and
@@ -235,7 +233,6 @@ func (d *Decoder) findPreambleUsers(wins [][]complex128, known []userEstimate) [
 		ests[i] = userEstimate{
 			perWin:  d.ar.f64.takeCap(len(wins)),
 			gainWin: d.ar.c128.takeCap(len(wins)),
-			i0Win:   d.ar.ints.takeCap(len(wins)),
 		}
 	}
 	for _, dech := range wins {
@@ -244,27 +241,20 @@ func (d *Decoder) findPreambleUsers(wins [][]complex128, known []userEstimate) [
 		}
 		var offs []float64
 		var hs []complex128
-		var i0s []int
 		if d.cfg.FineSearch {
-			offs, hs, i0s = d.refineOffsets(dech, coarse)
+			offs, hs = d.refineOffsets(dech, coarse)
 		} else {
 			offs = coarse
 			hs = d.FitChannels(dech, offs)
-			i0s = intBuf(&d.i0sBuf, len(offs))
-			for i := range i0s {
-				i0s[i] = 0
-			}
 		}
 		for i := range ests {
 			ests[i].perWin = append(ests[i].perWin, offs[i])
 			ests[i].gainWin = append(ests[i].gainWin, hs[i])
-			ests[i].i0Win = append(ests[i].i0Win, i0s[i])
 		}
 	}
 	for i := range ests {
 		ests[i].offset = circularMean(ests[i].perWin, period)
 		ests[i].gain = coherentGain(ests[i].gainWin)
-		ests[i].boundary = d.medianIntScratch(ests[i].i0Win)
 		var pw float64
 		for _, h := range ests[i].gainWin {
 			pw += real(h)*real(h) + imag(h)*imag(h)
@@ -272,18 +262,6 @@ func (d *Decoder) findPreambleUsers(wins [][]complex128, known []userEstimate) [
 		ests[i].power = pw / float64(len(ests[i].gainWin))
 	}
 	return ests
-}
-
-// medianIntScratch returns the median of xs (0 for empty input), sorting a
-// reusable scratch copy.
-func (d *Decoder) medianIntScratch(xs []int) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	tmp := intBuf(&d.intTmp, len(xs))
-	copy(tmp, xs)
-	slices.Sort(tmp)
-	return tmp[len(tmp)/2]
 }
 
 // coherentGain averages per-window channel estimates coherently. The
@@ -639,11 +617,10 @@ func toneGram(df float64, lo, hi, n int) complex128 {
 // users subtracted (the leakage modelling of Sec. 5.1, extended with the
 // segment split a fractional timing offset imposes), golden-searching each
 // user's frequency within ±0.5 bin of its coarse estimate. It returns the
-// refined offsets, each user's dominant-segment channel, and each user's
-// estimated segment boundary (the sample index within the window where its
-// symbol edge falls). All three returned slices are decoder-owned scratch,
-// valid until the next refineOffsets call; coarse is not modified.
-func (d *Decoder) refineOffsets(dech []complex128, coarse []float64) ([]float64, []complex128, []int) {
+// refined offsets and each user's dominant-segment channel. Both returned
+// slices are decoder-owned scratch, valid until the next refineOffsets
+// call; coarse is not modified.
+func (d *Decoder) refineOffsets(dech []complex128, coarse []float64) ([]float64, []complex128) {
 	k := len(coarse)
 	offs := f64Buf(&d.offsBuf, k)
 	copy(offs, coarse)
@@ -668,7 +645,6 @@ func (d *Decoder) refineOffsets(dech []complex128, coarse []float64) ([]float64,
 		}
 	}
 	hs := c128Buf(&d.hsBuf, k)
-	i0s := intBuf(&d.i0sBuf, k)
 	for i := 0; i < k; i++ {
 		// Report the longer segment's channel: it carries the symbol
 		// aligned with this window.
@@ -677,9 +653,8 @@ func (d *Decoder) refineOffsets(dech []complex128, coarse []float64) ([]float64,
 		} else {
 			hs[i] = models[i].h2
 		}
-		i0s[i] = models[i].i0
 	}
-	return offs, hs, i0s
+	return offs, hs
 }
 
 // circularMean averages angles expressed as bin positions on a circle of the

@@ -58,7 +58,6 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 
 	fresh := MustNew(DefaultConfig(specA.params))
 	wantA, errA := fresh.Decode(context.Background(), sigA, len(specA.payloads[0]))
-	fresh.Reseed(DefaultConfig(specA.params).Seed)
 	wantB, errB := fresh.Decode(context.Background(), sigB, len(specB.payloads[0]))
 	if errA != nil || errB != nil {
 		t.Fatalf("reference decodes failed: %v / %v", errA, errB)
@@ -77,7 +76,6 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 
 	// Reuse the 3-user Result for a 2-user collision: shrinking must not
 	// leak stale users or storage into the output.
-	d.Reseed(DefaultConfig(specA.params).Seed)
 	got, err = d.DecodeInto(res, sigB, len(specB.payloads[0]))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +83,6 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	equalResults(t, got, wantB)
 
 	// nil Result allocates a fresh one.
-	d.Reseed(DefaultConfig(specA.params).Seed)
 	got, err = d.DecodeInto(nil, sigA, len(specA.payloads[0]))
 	if err != nil {
 		t.Fatal(err)
@@ -104,10 +101,8 @@ func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
 	sig := synthesize(t, spec)
 	d := MustNew(DefaultConfig(spec.params))
 	res := &Result{}
-	seed := DefaultConfig(spec.params).Seed
 
 	decodeOnce := func() {
-		d.Reseed(seed)
 		if _, err := d.DecodeInto(res, sig, len(spec.payloads[0])); err != nil {
 			t.Fatal(err)
 		}
@@ -180,8 +175,6 @@ func BenchmarkDecodeSteadyState(b *testing.B) {
 	sig := synthesize(b, spec)
 	d := MustNew(DefaultConfig(spec.params))
 	res := &Result{}
-	seed := DefaultConfig(spec.params).Seed
-	d.Reseed(seed)
 	if _, err := d.DecodeInto(res, sig, len(spec.payloads[0])); err != nil {
 		b.Fatal(err)
 	}
@@ -189,7 +182,6 @@ func BenchmarkDecodeSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Reseed(seed)
 		if _, err := d.DecodeInto(res, sig, len(spec.payloads[0])); err != nil {
 			b.Fatal(err)
 		}

@@ -144,20 +144,6 @@ func TestEstimateBoundariesFindsTimingOffset(t *testing.T) {
 	}
 }
 
-func TestMedianInt(t *testing.T) {
-	var d Decoder
-	if d.medianIntScratch(nil) != 0 {
-		t.Error("empty median")
-	}
-	if d.medianIntScratch([]int{5}) != 5 {
-		t.Error("single median")
-	}
-	xs := []int{9, 1, 5}
-	if m := d.medianIntScratch(xs); m != 5 || xs[0] != 9 {
-		t.Errorf("median = %d, input now %v", m, xs)
-	}
-}
-
 func TestICSymbolPassFixesInjectedError(t *testing.T) {
 	// Decode a clean 2-user collision, corrupt one symbol decision, and
 	// verify one IC sweep repairs it.

@@ -104,7 +104,6 @@ func TestIncrementalBitIdenticalToSerial(t *testing.T) {
 		t.Fatalf("serial decode: %v", err)
 	}
 	for _, chunk := range []int{257, 4096, len(sig)} {
-		d.Reseed(cfg.Seed)
 		got, err := decodeStreaming(t, d, sig, plen, chunk)
 		if err != nil {
 			t.Fatalf("chunk %d: %v", chunk, err)
@@ -112,7 +111,6 @@ func TestIncrementalBitIdenticalToSerial(t *testing.T) {
 		assertSameResult(t, got, want)
 	}
 	// nil avail (everything already present) forwards to the serial path.
-	d.Reseed(cfg.Seed)
 	res := &Result{}
 	if err := d.DecodeIncrementalCtxInto(context.Background(), res, sig, plen, nil); err != nil {
 		t.Fatalf("nil avail: %v", err)
@@ -139,18 +137,15 @@ func TestIncrementalTailErrorMatchesSerial(t *testing.T) {
 	if !errors.Is(serialErr, ErrBadIQ) {
 		t.Fatalf("serial error = %v, want ErrBadIQ", serialErr)
 	}
-	d.Reseed(cfg.Seed)
 	_, incErr := decodeStreaming(t, d, bad, plen, 301)
 	if incErr == nil || incErr.Error() != serialErr.Error() {
 		t.Fatalf("incremental error %q, want serial %q", incErr, serialErr)
 	}
 	// The decoder stays reusable: a clean decode afterwards matches serial.
-	d.Reseed(cfg.Seed)
 	want, err := d.Decode(context.Background(), sig, plen)
 	if err != nil {
 		t.Fatalf("clean decode after error: %v", err)
 	}
-	d.Reseed(cfg.Seed)
 	got, err := decodeStreaming(t, d, sig, plen, 301)
 	if err != nil {
 		t.Fatalf("streaming decode after error: %v", err)

@@ -3,10 +3,11 @@
 // gives every Monte-Carlo trial its own independent random stream.
 //
 // The engine's contract is that the worker count never changes results:
-// every trial derives its randomness from its logical coordinates
-// (DeriveSeed), writes into its own result slot (Pool.ForEach), and borrows
-// a decoder that is reseeded on checkout (backend.Pool.Get), so a sweep run
-// with Workers=8 is byte-identical to the same sweep run with Workers=1.
+// every trial derives its scenario's randomness from its logical
+// coordinates (DeriveSeed), writes into its own result slot (Pool.ForEach),
+// and decodes on a borrowed backend whose output depends on the samples
+// alone (backend.Pool), so a sweep run with Workers=8 is byte-identical to
+// the same sweep run with Workers=1.
 // Callers reduce the indexed results in trial order, which keeps even
 // floating-point accumulation order fixed.
 package exec

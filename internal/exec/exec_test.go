@@ -138,24 +138,24 @@ func TestDecoderPoolRejectsBadConfig(t *testing.T) {
 
 func TestDecoderPoolReusesInstances(t *testing.T) {
 	p := mustDecoderPool(t, lora.DefaultParams())
-	d1 := p.Get(1)
+	d1 := p.Get()
 	p.Put(d1)
-	if d2 := p.Get(2); d2 != d1 {
+	if d2 := p.Get(); d2 != d1 {
 		t.Error("pooled instance not reused")
 	}
 }
 
-// TestDecoderPoolReseedDeterminism checks the ownership half of the
+// TestPooledDecoderMatchesFresh checks the ownership side of the
 // determinism contract: a pooled decoder that already served other trials
-// must decode exactly like a freshly built one, because Get reseeds it.
-func TestDecoderPoolReseedDeterminism(t *testing.T) {
+// must decode exactly like a freshly built one, because a decode reads
+// nothing an earlier decode left behind.
+func TestPooledDecoderMatchesFresh(t *testing.T) {
 	ctx := context.Background()
 	params := lora.DefaultParams()
 	sc := sim.Scenario{Params: params, PayloadLen: 8, SNRsDB: []float64{20, 16}, Seed: 9}
 	sig, _ := sc.Synthesize()
 
 	fresh := backend.MustNew("choir", params)
-	fresh.Reseed(42)
 	want, err := backend.Decode(ctx, fresh, sig, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestDecoderPoolReseedDeterminism(t *testing.T) {
 
 	p := mustDecoderPool(t, params)
 	// Burn state on an unrelated trial, then return the instance.
-	d := p.Get(7)
+	d := p.Get()
 	other := sim.Scenario{Params: params, PayloadLen: 8, SNRsDB: []float64{18}, Seed: 3}
 	osig, _ := other.Synthesize()
 	if _, err := backend.Decode(ctx, d, osig, 8); err != nil {
@@ -171,10 +171,7 @@ func TestDecoderPoolReseedDeterminism(t *testing.T) {
 	}
 	p.Put(d)
 
-	d = p.Get(42) // reseeded to the fresh decoder's state
-	if seed := backend.Decoder(d).Config().Seed; seed != 42 {
-		t.Fatalf("checkout left seed %d, want 42", seed)
-	}
+	d = p.Get()
 	got, err := backend.Decode(ctx, d, sig, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +201,7 @@ func TestDecoderPoolConcurrent(t *testing.T) {
 	err := exec.NewPool(8).ForEach(context.Background(), 16, func(i int) {
 		seed := exec.DeriveSeed(77, uint64(i))
 		sc := sim.Scenario{Params: params, PayloadLen: 8, SNRsDB: []float64{22, 18}, Seed: seed}
-		b := p.Get(seed)
+		b := p.Get()
 		defer p.Put(b)
 		if r, n := sc.DecodeWith(backend.Decoder(b)); n != 2 || r == 0 {
 			failures.Add(1)

@@ -23,7 +23,7 @@ func splitmix64(x uint64) uint64 {
 //     across dimensions and fed consecutive integers to the PRNG.
 //
 // Every Monte-Carlo loop in the repository seeds its per-trial randomness
-// (scenario synthesis, SNR draws, decoder jitter) through this function;
+// (scenario synthesis, SNR draws) through this function;
 // that contract is what makes parallel and serial runs identical.
 func DeriveSeed(base uint64, dims ...uint64) uint64 {
 	h := splitmix64(base)

@@ -10,8 +10,8 @@
 // produces exactly one terminal outcome — decoded, failed with a
 // taxonomy-typed error, or shed — and the process never panics and never
 // leaks goroutines, whatever mix of corrupt IQ, queue overflow and mid-run
-// shutdown it is fed. Results are deterministic for any worker count: each
-// frame's decode seeds depend only on (gateway seed, frame ID, stage).
+// shutdown it is fed. Results are deterministic for any worker count: a
+// decode at a rung reads only the frame's samples.
 package gateway
 
 import (
@@ -63,9 +63,9 @@ type Config struct {
 	// internal/backend and unique within the ladder; each rung gets its own
 	// circuit breaker and name-keyed metrics.
 	Ladder []string
-	// Seed drives decoder reseeding and backoff jitter. Decode outcomes
-	// depend only on (Seed, frame ID, rung index) — never on timing or
-	// worker count.
+	// Seed drives backoff jitter only, mixed with the frame ID. Decode
+	// outcomes depend on the frame's samples and the rung — never on Seed,
+	// timing or worker count.
 	Seed uint64
 	// Batch is accepted and ignored: every frame walks the ladder alone. It
 	// stays declared only because benchmark/ still sets it (ROADMAP items 7
@@ -83,7 +83,8 @@ type Config struct {
 	// every admitted frame is journaled before a worker may decode it, every
 	// terminal outcome appends a completion record, and New replays any
 	// admitted-but-incomplete frames a dead process left behind (ahead of new
-	// ingest, under their original IDs, so decode seeds are unchanged).
+	// ingest, under their original IDs; a replayed frame decodes as it would
+	// have, because a decode reads only its samples).
 	// Empty — the default — is bit-identical to the pre-journal gateway.
 	JournalDir string
 	// Fsync syncs the journal after every record (see journal.Options.Fsync):
@@ -150,7 +151,7 @@ type Frame struct {
 	// of it is complete.
 	Samples []complex128
 	// Replayed marks a frame recovered from the journal of a previous
-	// process life rather than freshly submitted. Its ID, seeds and ladder
+	// process life rather than freshly submitted. Its ID, samples and ladder
 	// walk are exactly the dead process's; only this flag (and the Outcome's)
 	// distinguishes it.
 	Replayed bool
@@ -358,9 +359,9 @@ func build(cfg Config) (*Gateway, error) {
 	}
 	// Restart ID allocation above everything the journal ever saw, then
 	// re-enqueue the replayed frames: they are accepted (again) by this
-	// process, ahead of any new ingest, under their original IDs — decode
-	// seeds are functions of (Seed, ID, rung), so replays walk the exact
-	// ladder the dead process would have.
+	// process, ahead of any new ingest, under their original IDs — a decode
+	// reads only the frame's samples, so replays walk the exact ladder the
+	// dead process would have.
 	g.nextID.Store(rec.MaxID)
 	for _, e := range rec.Incomplete {
 		f := &Frame{

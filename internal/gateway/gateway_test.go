@@ -159,8 +159,7 @@ func TestSubmitAfterDrainStopped(t *testing.T) {
 // cannot decode (its fingerprint matching loses every user) is recovered by
 // the relaxed stage, with the ladder path visible in stats and metrics.
 // The scenario constants were found by exhaustive offline search and are
-// deterministic: gateway seed 42, frame ID 1, scenario seed 1, DriftStep
-// at intensity 0.30.
+// deterministic: scenario seed 1, DriftStep at intensity 0.30.
 func TestLadderRecoversDriftedFrame(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -233,8 +232,8 @@ func TestLadderRecoversDriftedFrame(t *testing.T) {
 
 // TestOutcomesDeterministicAcrossWorkers pins the gateway's half of the
 // repository determinism contract: the same capture stream produces
-// bit-identical outcomes for any worker count, because decode seeds depend
-// only on (gateway seed, frame ID, stage).
+// bit-identical outcomes for any worker count, because a decode reads only
+// the frame's samples.
 func TestOutcomesDeterministicAcrossWorkers(t *testing.T) {
 	runWith := func(workers int) map[uint64]Outcome {
 		g, err := New(Config{Queue: 8, Workers: workers, Seed: 7, BackoffBase: time.Microsecond})

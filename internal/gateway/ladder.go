@@ -10,17 +10,14 @@ import (
 
 	"choir/internal/backend"
 	"choir/internal/choir"
-	"choir/internal/exec"
 	"choir/internal/obs"
 )
 
 // Stage is a rung INDEX into the gateway's decode-recovery ladder. The
 // ladder itself is an ordered list of registered backend names
-// (Config.Ladder); Stage survives as the positional coordinate because the
-// decode-seed contract is keyed by rung position — seeds depend only on
-// (gateway seed, frame ID, rung index), so reordering a ladder reassigns
-// seeds with it, while renaming a backend does not. Everything
-// human-facing (metrics, logs, Outcome.Backend) is keyed by backend name.
+// (Config.Ladder); Outcome.Stage reports how far down it a frame went.
+// Everything human-facing (metrics, logs, Outcome.Backend) is keyed by
+// backend name.
 type Stage int
 
 // Rung indices of the default ladder (see DefaultLadder). Kept as named
@@ -204,7 +201,7 @@ func (g *Gateway) decodeLadder(f *Frame) Outcome {
 			}
 		}
 		r.attempts.Inc()
-		payloads, users, err := g.attempt(f, stage, r)
+		payloads, users, err := g.attempt(f, r)
 		if err == nil {
 			r.breaker.record(true)
 			r.success.Inc()
@@ -287,7 +284,7 @@ func (g *Gateway) backoff(rng *rand.Rand, attempt int) bool {
 // typed per-frame error. Each attempt gets its own deadline (DecodeTimeout)
 // derived from the gateway context, enforced cooperatively by the backend's
 // cancellation points.
-func (g *Gateway) attempt(f *Frame, stage Stage, r *rung) (payloads [][]byte, users int, err error) {
+func (g *Gateway) attempt(f *Frame, r *rung) (payloads [][]byte, users int, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			mPanics.Inc()
@@ -305,10 +302,7 @@ func (g *Gateway) attempt(f *Frame, stage Stage, r *rung) (payloads [][]byte, us
 	if err != nil {
 		return nil, 0, err
 	}
-	// The decoder seed depends only on (gateway seed, frame ID, rung
-	// index): replaying a capture stream through any worker count
-	// reproduces every outcome bit for bit.
-	b := pool.Get(exec.DeriveSeed(g.cfg.Seed, f.ID, uint64(stage)))
+	b := pool.Get()
 	defer pool.Put(b)
 	sp := tDecode.Start()
 	res, err := g.decodeFrame(ctx, b, f)

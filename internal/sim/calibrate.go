@@ -76,10 +76,10 @@ func SuccessTable(ctx context.Context, cfg CalibrationConfig) ([]float64, error)
 // benchmarking the calibration engine itself and for determinism tests
 // that must recompute. The (collision size × trial) grid is fanned out
 // across cfg.Workers goroutines; each trial owns a derived seed, a pooled
-// decoder reseeded on checkout, and a private result slot, and the
-// reduction runs in trial order, so the table is byte-identical for any
-// worker count. Once ctx fires no further trials start and the context's
-// error is returned instead of a partial table.
+// decoder and a private result slot, and the reduction runs in trial
+// order, so the table is byte-identical for any worker count. Once ctx
+// fires no further trials start and the context's error is returned
+// instead of a partial table.
 func SuccessTableUncached(ctx context.Context, cfg CalibrationConfig) ([]float64, error) {
 	table := make([]float64, cfg.MaxUsers)
 	if cfg.MaxUsers <= 0 || cfg.Trials <= 0 {
@@ -105,7 +105,7 @@ func SuccessTableUncached(ctx context.Context, cfg CalibrationConfig) ([]float64
 			SNRsDB:     snrs,
 			Seed:       seed,
 		}
-		b := dpool.Get(exec.DeriveSeed(seed, 0xDEC0DE))
+		b := dpool.Get()
 		defer dpool.Put(b)
 		r, n := sc.DecodeWith(backend.Decoder(b))
 		return cell{recovered: r, total: n}

@@ -40,7 +40,7 @@ type CompareFixture struct {
 // LoadCompareFixtures reads every trace capture matching glob (e.g.
 // "internal/choir/testdata/golden/*.iq") into comparison fixtures, taking
 // ground-truth payloads from the trace headers. Files are loaded in sorted
-// order so fixture indices — and the seeds derived from them — are stable.
+// order so fixture indices are stable.
 func LoadCompareFixtures(glob string) ([]CompareFixture, error) {
 	names, err := filepath.Glob(glob)
 	if err != nil {
@@ -291,10 +291,7 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 		switch {
 		case capIdx < len(cfg.Fixtures):
 			fx := cfg.Fixtures[capIdx]
-			// Fixture decode seeds depend only on the fixture index: every
-			// backend decodes the same capture from the same seed.
-			seed := exec.DeriveSeed(cfg.Seed, 0xF1C70, uint64(capIdx))
-			return decodeCapture(ctx, pools[name][fx.Params], seed, fx.Samples, fx.PayloadLen, fx.Truth)
+			return decodeCapture(ctx, pools[name][fx.Params], fx.Samples, fx.PayloadLen, fx.Truth)
 		case capIdx < len(cfg.Fixtures)+cfg.Trials:
 			trial := capIdx - len(cfg.Fixtures)
 			// The scenario seed depends ONLY on the trial index — identical
@@ -308,8 +305,7 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 				Seed:       scSeed,
 			}
 			sig, truth := sc.Synthesize()
-			return decodeCapture(ctx, pools[name][cfg.Params], exec.DeriveSeed(scSeed, 0xDEC0DE),
-				sig, cfg.PayloadLen, truth)
+			return decodeCapture(ctx, pools[name][cfg.Params], sig, cfg.PayloadLen, truth)
 		default:
 			j := capIdx - len(cfg.Fixtures) - cfg.Trials
 			ci, trial := j/cfg.FaultTrials, j%cfg.FaultTrials
@@ -323,8 +319,7 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 			sig, truth := sc.Synthesize()
 			faultSeed := exec.DeriveSeed(cfg.Seed, 0xFA017, uint64(ci), uint64(trial))
 			sig = injs[ci].Apply(sig, faultSeed)
-			return decodeCapture(ctx, pools[name][cfg.Params], exec.DeriveSeed(scSeed, 0xDEC0DE),
-				sig, cfg.PayloadLen, truth)
+			return decodeCapture(ctx, pools[name][cfg.Params], sig, cfg.PayloadLen, truth)
 		}
 	})
 	if err != nil {
@@ -352,8 +347,8 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 // decodeCapture runs one capture through one backend instance checked out
 // of pl, counting recovered ground-truth payloads and classifying both
 // whole-capture and per-user failures.
-func decodeCapture(ctx context.Context, pl *backend.Pool, seed uint64, samples []complex128, payloadLen int, truth [][]byte) compareCell {
-	b := pl.Get(seed)
+func decodeCapture(ctx context.Context, pl *backend.Pool, samples []complex128, payloadLen int, truth [][]byte) compareCell {
+	b := pl.Get()
 	defer pl.Put(b)
 	cell := compareCell{expected: len(truth)}
 	t0 := time.Now()

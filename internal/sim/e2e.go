@@ -179,7 +179,7 @@ func EndToEnd(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 		}
 		seed := exec.DeriveSeed(cfg.Seed, 1, uint64(bi))
 		sc := Scenario{Params: p, PayloadLen: cfg.PayloadLen, SNRsDB: snrs, Seed: seed}
-		b := dpool.Get(exec.DeriveSeed(seed, 0xDEC0DE))
+		b := dpool.Get()
 		defer dpool.Put(b)
 		recovered, total := sc.DecodeWith(backend.Decoder(b))
 		return roundResult{recovered: recovered, total: total}
@@ -215,7 +215,7 @@ func EndToEnd(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 		seed := exec.DeriveSeed(cfg.Seed, 2, uint64(e.Team[0]))
 		sc := Scenario{Params: p, PayloadLen: cfg.PayloadLen, SNRsDB: snrs, Identical: true, Seed: seed}
 		sig, payloads := sc.Synthesize()
-		b := dpool.Get(exec.DeriveSeed(seed, 0xDEC0DE))
+		b := dpool.Get()
 		defer dpool.Put(b)
 		res, err := backend.Decoder(b).DecodeTeam(trialCtx, sig, cfg.PayloadLen)
 		return err == nil && res.Err == nil && string(res.Payload) == string(payloads[0])

@@ -95,8 +95,8 @@ func FaultSweep(ctx context.Context, cfg FaultSweepConfig) (*Figure, error) {
 		ci, trial := k/cfg.Trials, k%cfg.Trials
 		// The scenario seed depends ONLY on the trial index: every grid
 		// point corrupts the same collision set, and zero intensity
-		// reproduces the unfaulted decode exactly (same scenario, same
-		// decoder seed, untouched samples).
+		// reproduces the unfaulted decode exactly (same scenario,
+		// untouched samples).
 		scSeed := exec.DeriveSeed(cfg.Seed, uint64(trial))
 		sc := Scenario{
 			Params:     cfg.Params,
@@ -104,7 +104,7 @@ func FaultSweep(ctx context.Context, cfg FaultSweepConfig) (*Figure, error) {
 			SNRsDB:     repeat(cfg.SNRDB, cfg.Users),
 			Seed:       scSeed,
 		}
-		b := dpool.Get(exec.DeriveSeed(scSeed, 0xDEC0DE))
+		b := dpool.Get()
 		defer dpool.Put(b)
 		faultSeed := exec.DeriveSeed(cfg.Seed, 0xFA017, uint64(ci), uint64(trial))
 		rec, tot := sc.DecodeFaultedWith(backend.Decoder(b), injs[ci], faultSeed)

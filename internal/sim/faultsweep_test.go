@@ -42,8 +42,7 @@ func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
 
 // TestFaultSweepZeroIntensityMatchesUnfaulted is the other acceptance
 // criterion: at intensity 0 every fault class must reproduce the unfaulted
-// decode results exactly — same scenarios, same decoder seeds, untouched
-// samples.
+// decode results exactly — same scenarios, untouched samples.
 func TestFaultSweepZeroIntensityMatchesUnfaulted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("IQ-level fault sweep skipped in -short mode")
@@ -66,7 +65,6 @@ func TestFaultSweepZeroIntensityMatchesUnfaulted(t *testing.T) {
 			SNRsDB:     repeat(cfg.SNRDB, cfg.Users),
 			Seed:       scSeed,
 		}
-		dec.Reseed(exec.DeriveSeed(scSeed, 0xDEC0DE))
 		r, n := sc.DecodeWith(dec)
 		rec, tot = rec+r, tot+n
 	}

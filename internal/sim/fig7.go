@@ -99,7 +99,7 @@ func Fig7Stability(ctx context.Context, pairsPerRegime int, seed uint64, workers
 			Seed:       s,
 		}
 		sig, _ := sc.Synthesize()
-		b := dpool.Get(exec.DeriveSeed(s, 0xDEC0DE))
+		b := dpool.Get()
 		defer dpool.Put(b)
 		res, err := backend.Decode(trialCtx, b, sig, 8)
 		if err != nil {
