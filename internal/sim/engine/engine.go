@@ -10,9 +10,10 @@
 // costs O(events), not O(nodes × slots). What a run keeps is three flat,
 // pointer-free arrays — 48 bytes of state per node, the calendar's chunks
 // of scheduled IDs, one pool of backlogged packets — so an event costs
-// about one cache miss and no allocation. One run is one goroutine; cores
-// are spent across runs (figures.go's cells, the trial loops in
-// internal/sim).
+// about one cache miss and no allocation, an arrival the horizon prunes a
+// hash and a compare, and calendar reads and writes both go a slot at a
+// time. One run is one goroutine; cores are spent across runs (figures.go's
+// cells, the trial loops in internal/sim).
 //
 // The load-bearing property is determinism by construction: every random
 // decision — arrival times, placement, shadowing, per-transmission decode
@@ -333,7 +334,8 @@ func unitOf(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 // plus O(scheduled events) plus one run-wide pool of backlog cells — no
 // per-node metrics, maps or slices.
 type nodeState struct {
-	// nextArrival is the slot of the node's next traffic arrival, -1 none.
+	// nextArrival is the slot of the node's next traffic arrival, -1 when
+	// none falls inside the horizon.
 	nextArrival int64
 	// nextTx is the slot of the node's next transmission attempt, -1 idle.
 	nextTx int64
@@ -378,6 +380,14 @@ type core struct {
 	capacity  int32
 	unslotted bool
 	logq      float64 // ln(1 - ArrivalPerSlot), for geometric gaps
+	// arrivalAfter's fast routes, which choose how a draw is evaluated and
+	// never what it returns: invLogq is 1/logq, gapGuard how far (per unit of
+	// 1+|ln(1-u)|) a table-made quotient must stay from an integer to be
+	// trusted, and pastHorizon[left>>phShift] the largest 1-u whose gap
+	// cannot fit in left slots, whatever left in that block of 1<<phShift.
+	invLogq, gapGuard float64
+	pastHorizon       []float64
+	phShift           uint
 
 	// Topology: nodes on a jittered grid×grid layout over a sideM square,
 	// gateways on their own gwX×gwY grid at cell centers.
@@ -510,6 +520,18 @@ func newCore(cfg Config) *core {
 	}
 	if p := cfg.ArrivalPerSlot; p > 0 && p < 1 {
 		c.logq = math.Log1p(-p)
+		c.invLogq, c.gapGuard = 1/c.logq, -1e-11/c.logq
+		for c.slots>>c.phShift >= 1024 {
+			c.phShift++
+		}
+		c.pastHorizon = make([]float64, c.slots>>c.phShift+1)
+		for j := range c.pastHorizon {
+			// ln(1-u) at or under this exponent puts ln(1-u)/logq above the
+			// block's largest left by 1e-9 of it and 1e-12/|logq|: 10^7
+			// times what Exp, Log1p and the division can round away.
+			left := float64((int64(j)+1)<<c.phShift - 1)
+			c.pastHorizon[j] = math.Exp(left*c.logq*(1+1e-9) - 1e-12)
+		}
 	}
 	c.cellM = c.sideM / float64(c.grid)
 	for g := 0; g < cfg.Gateways; g++ {
@@ -604,28 +626,77 @@ func (c *core) newMetrics() *Metrics {
 	}
 }
 
-// arrivalGap draws the geometric number of empty slots before node i's
-// arrival number idx. Saturated traffic (p >= 1) is gap 0 with no draw.
-func (c *core) arrivalGap(i int32, idx uint64) int64 {
-	if c.cfg.ArrivalPerSlot >= 1 {
-		return 0
+// arrivalAfter returns the slot of node i's arrival number idx — base plus
+// a geometric number of empty slots — or -1 when that is at or past the
+// horizon. Saturated traffic (p >= 1) arrives at base with no draw.
+func (c *core) arrivalAfter(i int32, idx uint64, base int64) int64 {
+	left := c.slots - base
+	switch {
+	case left <= 0 || c.cfg.ArrivalPerSlot <= 0:
+		return -1
+	case c.cfg.ArrivalPerSlot >= 1:
+		return base
 	}
-	u := unitOf(exec.Mix(exec.Mix(c.hArrival, uint64(i)), idx))
-	// floor(ln(1-u)/ln(1-p)): the standard geometric inverse-CDF. Both
-	// logs are <= 0, so the ratio is a finite non-negative count.
-	return int64(math.Log1p(-u) / c.logq)
+	g := c.gapOf(unitOf(exec.Mix(exec.Mix(c.hArrival, uint64(i)), idx)), left)
+	if g < 0 {
+		return -1
+	}
+	return base + g
+}
+
+// gapOf maps a uniform draw to its geometric gap, or to -1 when the gap is
+// left slots or more. One expression defines the result — the inverse CDF
+// floor(ln(1-u)/ln(1-p)) from math.Log1p, both logs <= 0 — and the two
+// routes ahead of it only return what it would: a draw pastHorizon rules
+// out takes no logarithm, and lnUnit's quotient is believed only where its
+// error (under 1e-11 of 1+|ln|; 2e-13 in fact) cannot reach an integer.
+// 1-u is exact: u is a multiple of 2^-53.
+func (c *core) gapOf(u float64, left int64) int64 {
+	if 1-u <= c.pastHorizon[left>>c.phShift] {
+		return -1
+	}
+	l := lnUnit(1 - u)
+	if q := l * c.invLogq; q >= 0 && q < float64(left) {
+		g := int64(q)
+		if d, guard := q-float64(g), c.gapGuard*(1-l); d > guard && d < 1-guard {
+			return g
+		}
+	}
+	// A quotient of 2^63 or more (p below ~4e-18) has no int64, and no
+	// horizon holds it.
+	if q := math.Log1p(-u) / c.logq; q < 1<<63 {
+		if g := int64(q); g < left {
+			return g
+		}
+	}
+	return -1
+}
+
+// lnTab[k] is (1/m, ln m) at the middle m of the k-th of 128 equal steps
+// of [1, 2).
+var lnTab = func() (t [128][2]float64) {
+	for k := range t {
+		inv := 1 / (1 + (float64(k)+0.5)/128)
+		t[k] = [2]float64{inv, -math.Log(inv)}
+	}
+	return t
+}()
+
+// lnUnit approximates ln v for a normal v in (0, 1] to 2e-13: exponent,
+// table step, and four terms of ln(1+r) for the |r| <= 2^-8 that is left.
+func lnUnit(v float64) float64 {
+	b := math.Float64bits(v)
+	t := &lnTab[b>>45&127]
+	r := math.Float64frombits(b&(1<<52-1)|1023<<52)*t[0] - 1
+	return float64(int(b>>52)-1023)*math.Ln2 + t[1] + r*(1-r*(0.5-r*(1.0/3-r*0.25)))
 }
 
 // initArrivals seeds every node's first arrival. With no traffic the whole
-// city stays asleep (nextArrival, nextTx both -1 via zero→-1 init).
+// city stays asleep (nextArrival, nextTx both -1).
 func (c *core) initArrivals(i int32) {
 	ns := &c.nodes[i]
 	ns.nextTx = -1
-	if c.cfg.ArrivalPerSlot <= 0 {
-		ns.nextArrival = -1
-		return
-	}
-	ns.nextArrival = c.arrivalGap(i, 0)
+	ns.nextArrival = c.arrivalAfter(i, 0, 0)
 }
 
 // resolveChannel lazily evaluates node i's channel state on first wake:
@@ -704,11 +775,11 @@ func (c *core) adrSelect(policy ADRPolicy, d, z float64) (sf int8, pwr uint8, ok
 		// real, shadowed SNR then has to clear the chosen SF's threshold or
 		// the node overshot and cannot be served.
 		medSNR := sim.ClientPowerDBm - medLoss - c.noiseFloor
-		p, okm := sim.RateForSNR(medSNR)
+		msf, okm := sim.SFForSNR(medSNR)
 		if !okm {
 			return -1, defaultPwrIdx, false
 		}
-		thr := sim.DemodThresholdDB(p.SF) + 1
+		thr := sim.DemodThresholdDB(msf) + 1
 		pwr = defaultPwrIdx
 		if policy == ADRTxPower {
 			// Lowest rung whose median SNR still clears the threshold; the
@@ -723,13 +794,13 @@ func (c *core) adrSelect(policy ADRPolicy, d, z float64) (sf int8, pwr uint8, ok
 		if TxPowersDBm[pwr]-loss-c.noiseFloor < thr {
 			return -1, defaultPwrIdx, false
 		}
-		return int8(p.SF), pwr, true
+		return int8(msf), pwr, true
 	default: // ADRFastestSNR
-		p, okf := sim.RateForSNR(snr)
+		fsf, okf := sim.SFForSNR(snr)
 		if !okf {
 			return -1, defaultPwrIdx, false
 		}
-		return int8(p.SF), defaultPwrIdx, true
+		return int8(fsf), defaultPwrIdx, true
 	}
 }
 
@@ -762,7 +833,7 @@ func (c *core) wakeNode(ns *nodeState, i int32, s int64, m *Metrics) bool {
 			m.Dropped++
 		}
 		ns.arrivalIdx++
-		ns.nextArrival = s + 1 + c.arrivalGap(i, ns.arrivalIdx)
+		ns.nextArrival = c.arrivalAfter(i, ns.arrivalIdx, s+1)
 	}
 	return ns.nextTx == s && ns.qLen > 0
 }
@@ -878,17 +949,9 @@ func latencyBucket(lat int64) int {
 }
 
 // sfParams returns the PHY configuration for spreading-factor index
-// 0..5 (SF7..SF12), with the code rates LoRaWAN rate adaptation picks
-// (mirroring sim.RateForSNR).
+// 0..5 (SF7..SF12) at the code rate LoRaWAN rate adaptation picks.
 func sfParams(sfIdx int) lora.Params {
-	p := lora.DefaultParams()
-	p.SF = lora.SF7 + lora.SpreadingFactor(sfIdx)
-	if p.SF <= lora.SF8 {
-		p.CR = lora.CR46
-	} else {
-		p.CR = lora.CR48
-	}
-	return p
+	return sim.ParamsForSF(lora.SF7 + lora.SpreadingFactor(sfIdx))
 }
 
 // Run simulates the configured city on the calling goroutine and returns

@@ -159,6 +159,25 @@ func TestEventSlotEquivalence(t *testing.T) {
 	if m.Delivered == 0 || m.Events*20 > int64(m.Nodes)*int64(m.Slots) {
 		t.Fatalf("city_sparse/50 is not a sparse city (delivered=%d events=%d): it pins nothing", m.Delivered, m.Events)
 	}
+
+	// The horizon's edges: fewer slots than nodes (the horizon, not the node
+	// count, sizes the calendar), a single slot, and saturated traffic — an
+	// arrival every slot with no draw, up to the last one.
+	rx := mac.ModelReceiver{Success: []float64{1, 0.9, 0.7, 0.5}, MaxConcurrent: 2}
+	for _, cfg := range []Config{
+		{Scheme: mac.SchemeChoir, Nodes: 600, Gateways: 3, Slots: 40, ArrivalPerSlot: 0.05},
+		{Scheme: mac.SchemeAloha, Nodes: 600, Gateways: 1, Slots: 40, ArrivalPerSlot: 0.01, Unslotted: true},
+		{Scheme: mac.SchemeChoir, Nodes: 50, Gateways: 1, Slots: 1, ArrivalPerSlot: 0.5},
+		{Scheme: mac.SchemeOracle, Nodes: 50, Gateways: 1, Slots: 1, ArrivalPerSlot: 1},
+		{Scheme: mac.SchemeChoir, Nodes: 30, Gateways: 2, Slots: 120, ArrivalPerSlot: 1},
+		{Scheme: mac.SchemeAloha, Nodes: 30, Gateways: 1, Slots: 120, ArrivalPerSlot: 1, MaxBackoffExp: 3},
+	} {
+		cfg.Receiver, cfg.Seed = rx, 21
+		name := fmt.Sprintf("%v nodes=%d slots=%d p=%g", cfg.Scheme, cfg.Nodes, cfg.Slots, cfg.ArrivalPerSlot)
+		if m := eventMatchesSlot(t, name, cfg); m.Arrivals == 0 || m.Transmissions == 0 {
+			t.Fatalf("%s: degenerate run (arrivals=%d transmissions=%d) pins nothing", name, m.Arrivals, m.Transmissions)
+		}
+	}
 }
 
 // TestDriverInvariance pins event ≡ slot at a size where the capacity cap

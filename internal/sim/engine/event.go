@@ -19,19 +19,31 @@ import (
 // (DESIGN.md §15 has the measurement), so cores are spent across runs.
 func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
 	m := c.newMetrics()
-	q := NewEventQueue(len(c.nodes))
-	// reschedule queues node i's next wake. It is only ever called for a
-	// node whose wake has just popped — at init, after wakeNode, for the
-	// genie's deferrals and after finishTx — which is the queue's contract;
-	// wakes beyond the horizon are pruned.
+	// No wake is ever scheduled at or past Slots, so a window the horizon
+	// already fits in never turns: the smaller of the two sizes it.
+	q := NewEventQueue(min(len(c.nodes), c.cfg.Slots))
+	// Calendar writes are batched the way the reads are (the gather pass
+	// below): a push misses on the bucket head, then on the chunk it names,
+	// and between two wakes' draws those misses go out one at a time; in a
+	// loop of nothing but pushes some ten overlap. So init draws every first
+	// arrival before it schedules any, and reschedule — called for a node
+	// whose wake has just popped: after wakeNode, for the genie's deferrals,
+	// after finishTx — only lists the node's next wake, pruned of anything
+	// past the horizon, for the loop that ends the slot. Every listed wake
+	// is for a later slot, so the queue's contract holds as before.
+	var pending []farWake
 	reschedule := func(i int32) {
 		if w := c.nodes[i].wakeOf(); w >= 0 && w < c.slots {
-			q.Set(i, w)
+			pending = append(pending, farWake{w, i})
 		}
 	}
 	for i := range c.nodes {
 		c.initArrivals(int32(i))
-		reschedule(int32(i))
+	}
+	for i := range c.nodes {
+		if w := c.nodes[i].nextArrival; w >= 0 {
+			q.Set(int32(i), w)
+		}
 	}
 	// The per-slot tables runSlot keeps in maps are slices indexed by
 	// groupOf here, and only the groups a slot touches are cleared and
@@ -146,6 +158,10 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 			c.finishTx(ns, i, s, kept && !c.vetoed(i, s, prevK), m)
 			reschedule(i)
 		}
+		for _, w := range pending {
+			q.Set(w.id, w.slot)
+		}
+		pending = pending[:0]
 		lastSlot = s
 		lastCounts, counts = counts, lastCounts
 	}

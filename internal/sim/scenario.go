@@ -45,26 +45,36 @@ func DemodThresholdDB(sf lora.SpreadingFactor) float64 {
 	return -7.5 - 2.5*float64(int(sf)-7)
 }
 
-// RateForSNR returns the fastest PHY configuration whose demodulation
-// threshold the given per-sample SNR clears, mirroring LoRaWAN rate
-// adaptation (Sec. 3). ok is false when even SF12 is out of reach.
-func RateForSNR(snrDB float64) (lora.Params, bool) {
+// SFForSNR returns the fastest spreading factor whose demodulation
+// threshold the given per-sample SNR clears with a 1 dB margin, mirroring
+// LoRaWAN rate adaptation (Sec. 3). ok is false when even SF12 is out of
+// reach.
+func SFForSNR(snrDB float64) (lora.SpreadingFactor, bool) {
 	for sf := lora.SF7; sf <= lora.SF12; sf++ {
-		if snrDB >= DemodThresholdDB(sf)+1 { // 1 dB margin
-			p := lora.DefaultParams()
-			p.SF = sf
-			if sf <= lora.SF8 {
-				p.CR = lora.CR46
-			} else {
-				p.CR = lora.CR48
-			}
-			return p, true
+		if snrDB >= DemodThresholdDB(sf)+1 {
+			return sf, true
 		}
 	}
+	return lora.SF12, false
+}
+
+// ParamsForSF returns the PHY configuration rate adaptation uses at sf:
+// the default parameters with code rate 4/6 up to SF8 and 4/8 above.
+func ParamsForSF(sf lora.SpreadingFactor) lora.Params {
 	p := lora.DefaultParams()
-	p.SF = lora.SF12
+	p.SF = sf
 	p.CR = lora.CR48
-	return p, false
+	if sf <= lora.SF8 {
+		p.CR = lora.CR46
+	}
+	return p
+}
+
+// RateForSNR is ParamsForSF of SFForSNR: the fastest PHY configuration the
+// SNR supports (SF12's when ok is false).
+func RateForSNR(snrDB float64) (lora.Params, bool) {
+	sf, ok := SFForSNR(snrDB)
+	return ParamsForSF(sf), ok
 }
 
 // SNRRegime is the paper's three-way SNR split (Fig. 8a-c). The paper bins

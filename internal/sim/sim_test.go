@@ -38,6 +38,59 @@ func TestRateForSNRMonotone(t *testing.T) {
 	}
 }
 
+// TestSFForSNRMatchesRate pins the rate ladder's three faces to one
+// another and to the thresholds: at each threshold and up to 4 ulps either
+// side, and on a 0.01 dB sweep, SFForSNR is the SF RateForSNR reports and
+// the fastest one whose threshold (plus the 1 dB margin) the SNR clears,
+// and RateForSNR's parameters are ParamsForSF's — the defaults but for the
+// SF and the code rate, 4/6 up to SF8 and 4/8 above.
+func TestSFForSNRMatchesRate(t *testing.T) {
+	check := func(snr float64) {
+		t.Helper()
+		sf, ok := SFForSNR(snr)
+		p, okp := RateForSNR(snr)
+		if p.SF != sf || okp != ok || p != ParamsForSF(sf) {
+			t.Fatalf("snr %v: SFForSNR = %v, %v but RateForSNR = %+v, %v", snr, sf, ok, p, okp)
+		}
+		want, wantOK := lora.SF12, false
+		for s := lora.SF12; s >= lora.SF7; s-- {
+			if snr >= DemodThresholdDB(s)+1 {
+				want, wantOK = s, true
+			}
+		}
+		if sf != want || ok != wantOK {
+			t.Fatalf("snr %v: SFForSNR = %v, %v, want %v, %v", snr, sf, ok, want, wantOK)
+		}
+	}
+	for sf := lora.SF7; sf <= lora.SF12; sf++ {
+		thr := DemodThresholdDB(sf) + 1
+		lo, hi := thr, thr
+		check(thr)
+		for k := 0; k < 4; k++ {
+			lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+			check(lo)
+			check(hi)
+		}
+		if got, ok := SFForSNR(thr); got != sf || !ok {
+			t.Errorf("at its own threshold %v dB: %v, %v, want %v", thr, got, ok, sf)
+		}
+		if got, ok := SFForSNR(lo); got == sf && ok {
+			t.Errorf("4 ulps under %v's threshold still picks it", sf)
+		}
+		want := lora.DefaultParams()
+		want.SF, want.CR = sf, lora.CR48
+		if sf <= lora.SF8 {
+			want.CR = lora.CR46
+		}
+		if got := ParamsForSF(sf); got != want {
+			t.Errorf("ParamsForSF(%v) = %+v, want %+v", sf, got, want)
+		}
+	}
+	for k := 0; k <= 4000; k++ {
+		check(-30 + float64(k)*0.01)
+	}
+}
+
 func TestDemodThresholdMatchesSpreadGain(t *testing.T) {
 	// Each SF step buys 2.5 dB.
 	for sf := lora.SF7; sf < lora.SF12; sf++ {
