@@ -181,7 +181,7 @@ func TestCrashRestartExactlyOnce(t *testing.T) {
 		writeTrace(t, traces, fmt.Sprintf("t%02d.iq", i), uint64(i+1))
 	}
 
-	life1 := runLife(t, true, "-journal-dir", jdir, "-workers", "1", "-backoff", "1us", traces)
+	life1 := runLife(t, true, "-journal-dir", jdir, "-workers", "1", traces)
 	if !life1.killed && life1.exitCode != exitOK {
 		t.Fatalf("life 1 ended unexpectedly: killed=%v exit=%d\nstderr: %s",
 			life1.killed, life1.exitCode, life1.stderr)
@@ -190,7 +190,7 @@ func TestCrashRestartExactlyOnce(t *testing.T) {
 
 	// Life 2 is a journal-dir-only invocation: replay the backlog, drain,
 	// exit clean.
-	life2 := runLife(t, false, "-journal-dir", jdir, "-workers", "1", "-backoff", "1us")
+	life2 := runLife(t, false, "-journal-dir", jdir, "-workers", "1")
 	if life2.exitCode != exitOK {
 		t.Fatalf("life 2 exit = %d, want 0\nstderr: %s", life2.exitCode, life2.stderr)
 	}
@@ -218,17 +218,17 @@ func TestCrashRestartSoak(t *testing.T) {
 		writeTrace(t, traces, fmt.Sprintf("t%02d.iq", i), uint64(i+100))
 	}
 
-	lives := []*lifeResult{runLife(t, true, "-journal-dir", jdir, "-workers", "1", "-backoff", "1us", traces)}
+	lives := []*lifeResult{runLife(t, true, "-journal-dir", jdir, "-workers", "1", traces)}
 	const maxKills = 6
 	for k := 1; k < maxKills; k++ {
 		last := lives[len(lives)-1]
 		if !last.killed {
 			break // the backlog drained before the kill could land
 		}
-		lives = append(lives, runLife(t, true, "-journal-dir", jdir, "-workers", "1", "-backoff", "1us"))
+		lives = append(lives, runLife(t, true, "-journal-dir", jdir, "-workers", "1"))
 	}
 	// Final life: no kill, must settle whatever is left.
-	final := runLife(t, false, "-journal-dir", jdir, "-workers", "1", "-backoff", "1us")
+	final := runLife(t, false, "-journal-dir", jdir, "-workers", "1")
 	if final.exitCode != exitOK {
 		t.Fatalf("final life exit = %d, want 0\nstderr: %s", final.exitCode, final.stderr)
 	}

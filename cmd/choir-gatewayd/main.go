@@ -3,9 +3,10 @@
 // directories, or a TCP ingest socket, queues them behind an explicit
 // backpressure policy, and decodes each one through the recovery ladder —
 // an ordered list of collision-resolution backends, by default
-// choir -> relaxed -> strongest — with per-rung circuit breakers and
-// seeded retry backoff. -ladder reorders or replaces the rungs; -backend
-// pins a single backend with no fallback. Every accepted frame gets
+// choir -> relaxed -> strongest, each tried once. -ladder reorders or
+// replaces the rungs; -backend pins a single backend with no fallback. A
+// frame's outcome depends only on its samples, never on the frames before
+// it (TestRunJunkBurstCostsNothingLater). Every accepted frame gets
 // exactly one terminal outcome line on stdout: decoded (naming the
 // backend that succeeded), failed with a typed error, or shed.
 //
@@ -34,8 +35,8 @@
 // shrinks (or additively regrows) how many frames may be in flight, so
 // sustained overload sheds early at the controller instead of deep in the
 // queue. /healthz and /readyz on -debug-addr report liveness and
-// readiness (ready = accepting, queue and admission window below capacity,
-// no breaker hard-tripped).
+// readiness (ready = accepting, queue and admission window below
+// capacity).
 //
 // Usage:
 //
@@ -43,7 +44,8 @@
 //	choir-gatewayd -listen :7373
 //	choir-gatewayd -listen :7373 -conn-timeout 10s
 //	choir-gatewayd -listen :7373 -queue 128 -shed-policy drop-oldest
-//	choir-gatewayd -decode-timeout 2s -max-retries 2 captures/
+//	choir-gatewayd -decode-timeout 2s captures/
+//	choir-gatewayd -ladder choir captures/          # first rung only
 //	choir-gatewayd -ladder superposed,strongest night/*.iq
 //	choir-gatewayd -backend slotshift night/*.iq
 //	choir-gatewayd -metrics -debug-addr localhost:6060 -listen :7373
@@ -102,13 +104,8 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	shedPolicy := fs.String("shed-policy", "block", "full-queue policy: block, drop-oldest, or reject")
 	workers := fs.Int("workers", 0, "decode workers (0 = all CPUs)")
 	decodeTimeout := fs.Duration("decode-timeout", 0, "per-attempt decode deadline (0 = none)")
-	maxRetries := fs.Int("max-retries", 2, "additional decode attempts after the first, walking down the recovery ladder")
-	backoff := fs.Duration("backoff", 10*time.Millisecond, "base retry delay (exponential with jitter, capped at 1s)")
-	breakerThreshold := fs.Int("breaker-threshold", 8, "consecutive failures that trip a stage's circuit breaker (<= 0 disables)")
-	breakerCooldown := fs.Int("breaker-cooldown", 16, "skipped attempts before a tripped breaker half-opens")
-	seed := fs.Uint64("seed", 1, "seed for retry backoff jitter; decode outcomes do not depend on it")
 	backendName := fs.String("backend", "", "decode with a single collision-resolution backend (one of "+strings.Join(backend.Names(), ", ")+") instead of the recovery ladder")
-	ladder := fs.String("ladder", "", "comma-separated backend names forming the recovery ladder (default "+strings.Join(gateway.DefaultLadder(), ",")+")")
+	ladder := fs.String("ladder", "", "comma-separated backend names forming the recovery ladder, each tried once (default "+strings.Join(gateway.DefaultLadder(), ",")+")")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown before queued frames are shed")
 	metrics := fs.Bool("metrics", false, "record gateway metrics and dump a JSON snapshot at exit")
 	metricsOut := fs.String("metrics-out", "", "metrics snapshot destination (default or \"-\": stderr)")
@@ -130,10 +127,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "choir-gatewayd:", err)
 		return exitUsage
 	}
-	if *maxRetries < 0 {
-		fmt.Fprintln(stderr, "choir-gatewayd: -max-retries must be >= 0")
-		return exitUsage
-	}
 	if *backendName != "" && *ladder != "" {
 		fmt.Fprintln(stderr, "choir-gatewayd: -backend and -ladder are mutually exclusive")
 		return exitUsage
@@ -144,11 +137,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		rungs = []string{*backendName}
 	case *ladder != "":
 		rungs = strings.Split(*ladder, ",")
-	}
-	if *breakerThreshold <= 0 {
-		// The library's zero value means "default 8"; only a negative
-		// threshold disables breakers.
-		*breakerThreshold = -1
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -167,21 +155,16 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	}()
 
 	g, err := gateway.New(gateway.Config{
-		Queue:            *queue,
-		Policy:           policy,
-		Workers:          *workers,
-		DecodeTimeout:    *decodeTimeout,
-		MaxAttempts:      *maxRetries + 1,
-		BackoffBase:      *backoff,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		Seed:             *seed,
-		Ladder:           rungs,
-		MaxConns:         *maxConns,
-		ConnTimeout:      *connTimeout,
-		JournalDir:       *journalDir,
-		Fsync:            *fsync,
-		AdmissionTarget:  *admissionTarget,
+		Queue:           *queue,
+		Policy:          policy,
+		Workers:         *workers,
+		DecodeTimeout:   *decodeTimeout,
+		Ladder:          rungs,
+		MaxConns:        *maxConns,
+		ConnTimeout:     *connTimeout,
+		JournalDir:      *journalDir,
+		Fsync:           *fsync,
+		AdmissionTarget: *admissionTarget,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "choir-gatewayd:", err)
@@ -198,7 +181,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	})
 	obs.RegisterReadyCheck("gateway", func() error {
 		if !g.Ready() {
-			return errors.New("draining, queue or admission window full, or breaker tripped")
+			return errors.New("draining, or queue or admission window full")
 		}
 		return nil
 	})

@@ -73,7 +73,7 @@ func TestRunFileMode(t *testing.T) {
 	writeTrace(t, dir, "a.iq", 1)
 	writeTrace(t, dir, "b.iq", 2)
 	var stdout, stderr bytes.Buffer
-	code := run(context.Background(), []string{"-backoff", "1us", dir}, &stdout, &stderr)
+	code := run(context.Background(), []string{dir}, &stdout, &stderr)
 	if code != exitOK {
 		t.Fatalf("exit = %d, want 0\nstderr: %s", code, stderr.String())
 	}
@@ -85,38 +85,50 @@ func TestRunFileMode(t *testing.T) {
 	}
 }
 
-// TestRunBreakerThresholdZeroDisables pins the flag's help text ("<= 0
-// disables"): a dozen undecodable frames through a one-rung ladder would
-// trip a threshold-8 breaker at the ninth, after which frames fail with "all
-// rungs circuit-broken" instead of the decoder's own error.
-func TestRunBreakerThresholdZeroDisables(t *testing.T) {
+// TestRunJunkBurstCostsNothingLater pins that a frame's outcome does not
+// depend on the frames before it. At default flags, a dozen captures too
+// short for one preamble symbol each fail after trying every rung once, and
+// the two good captures behind them still decode.
+func TestRunJunkBurstCostsNothingLater(t *testing.T) {
 	dir := t.TempDir()
 	const n = 12
 	for i := 0; i < n; i++ {
-		writeSamples(t, dir, fmt.Sprintf("short%02d.iq", i), make([]complex128, 8))
+		writeSamples(t, dir, fmt.Sprintf("a-short%02d.iq", i), make([]complex128, 8))
 	}
+	writeTrace(t, dir, "b-good1.iq", 1)
+	writeTrace(t, dir, "b-good2.iq", 2)
 	var stdout, stderr bytes.Buffer
-	argv := []string{"-backend", "strongest", "-max-retries", "0", "-workers", "1", "-breaker-threshold", "0", dir}
-	if code := run(context.Background(), argv, &stdout, &stderr); code != exitOK {
+	if code := run(context.Background(), []string{"-workers", "1", dir}, &stdout, &stderr); code != exitOK {
 		t.Fatalf("exit = %d, want 0\nstderr: %s", code, stderr.String())
 	}
 	out := stdout.String()
-	if got := strings.Count(out, "failed after 1 attempt(s)"); got != n {
-		t.Errorf("%d frames failed on their own attempt, want %d\nstdout: %s", got, n, out)
+	if got := strings.Count(out, "failed after 3 attempt(s)"); got != n {
+		t.Errorf("%d short frames failed after every rung, want %d\nstdout: %s", got, n, out)
 	}
-	if strings.Contains(out, "circuit-broken") {
-		t.Errorf("-breaker-threshold 0 ran with breakers on\nstdout: %s", out)
+	if got := strings.Count(out, ": decoded "); got != 2 {
+		t.Errorf("%d good frames decoded after the burst, want 2\nstdout: %s", got, out)
 	}
 }
 
-// TestRunUsage pins the usage exit code.
+// TestRunUsage pins the usage exit code, including for the retry, backoff,
+// breaker and seed flags that no longer exist: a script still passing them
+// fails loudly instead of running with a knob that does nothing.
 func TestRunUsage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(context.Background(), nil, &stdout, &stderr); code != exitUsage {
 		t.Fatalf("exit = %d, want %d", code, exitUsage)
 	}
-	if code := run(context.Background(), []string{"-shed-policy", "bogus", "x.iq"}, &stdout, &stderr); code != exitUsage {
-		t.Fatalf("bogus policy exit = %d, want %d", code, exitUsage)
+	for _, argv := range [][]string{
+		{"-shed-policy", "bogus"},
+		{"-max-retries", "2"},
+		{"-backoff", "1ms"},
+		{"-breaker-threshold", "0"},
+		{"-breaker-cooldown", "4"},
+		{"-seed", "3"},
+	} {
+		if code := run(context.Background(), append(argv, "x.iq"), &stdout, &stderr); code != exitUsage {
+			t.Errorf("%v exit = %d, want %d", argv, code, exitUsage)
+		}
 	}
 }
 
@@ -147,7 +159,7 @@ func TestRunTCPMode(t *testing.T) {
 	var stdout, stderr syncBuffer
 	exit := make(chan int, 1)
 	go func() {
-		exit <- run(ctx, []string{"-listen", "127.0.0.1:0", "-backoff", "1us"}, &stdout, &stderr)
+		exit <- run(ctx, []string{"-listen", "127.0.0.1:0"}, &stdout, &stderr)
 	}()
 
 	// The bound address is announced on stderr.
@@ -209,7 +221,7 @@ func TestRunTCPStreamMode(t *testing.T) {
 	var stdout, stderr syncBuffer
 	exit := make(chan int, 1)
 	go func() {
-		exit <- run(ctx, []string{"-listen", "127.0.0.1:0", "-conn-timeout", "5s", "-backoff", "1us"}, &stdout, &stderr)
+		exit <- run(ctx, []string{"-listen", "127.0.0.1:0", "-conn-timeout", "5s"}, &stdout, &stderr)
 	}()
 
 	var addr string

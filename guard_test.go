@@ -196,31 +196,56 @@ func TestEngineRunIsOneGoroutine(t *testing.T) {
 }
 
 // TestGatewayDecodesOneWay enforces DESIGN.md §14: a frame has one route
-// through the gateway — dequeue, ladder, outcome. The batched first rung and
-// its backend entry point stay deleted, and gateway.Config.Batch (declared
-// only for benchmark/) is neither read nor set by the gateway or the CLIs.
-// dsp's BatchSpectrum, NewBatchSpectrum and TransformPrunedBatch are the
-// decoder's window grids, a different thing, and none of the exact names
-// below.
+// through the gateway — dequeue, ladder, outcome — and its outcome is a
+// function of its samples. The batched first rung and its backend entry point
+// stay deleted. So do the retry budget, backoff and circuit breakers: non-test
+// code in internal/gateway and cmd/choir-gatewayd names none of them, and
+// internal/gateway imports no math/rand. gateway.Config.Batch and
+// gateway.Config.Seed (declared only for benchmark/) are neither read nor set
+// by the gateway or the CLIs. dsp's BatchSpectrum, NewBatchSpectrum and
+// TransformPrunedBatch are the decoder's window grids, a different thing, and
+// none of the exact names below.
 func TestGatewayDecodesOneWay(t *testing.T) {
 	banned := map[string]bool{"DecodeBatch": true, "BatchItem": true, "processBatch": true, "runBatch": true}
 	sawGateway := false
 	parseSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
 		sawGateway = sawGateway || dir == "internal/gateway"
-		fieldScope := dir == "internal/gateway" || strings.HasPrefix(dir, "cmd/")
+		gatewayd := dir == "internal/gateway" || dir == "cmd/choir-gatewayd"
+		// ignored reports whether dir may not touch the accepted-and-ignored
+		// gateway.Config field name (other commands have their own Seed).
+		ignored := func(name string) bool {
+			switch name {
+			case "Batch":
+				return dir == "internal/gateway" || strings.HasPrefix(dir, "cmd/")
+			case "Seed":
+				return gatewayd
+			}
+			return false
+		}
+		if dir == "internal/gateway" {
+			for _, im := range f.Imports {
+				if p, _ := strconv.Unquote(im.Path.Value); strings.HasPrefix(p, "math/rand") {
+					t.Errorf("%s imports %s: nothing in the gateway draws at random", dir, p)
+				}
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:
-				if banned[n.Name] {
+				lower := strings.ToLower(n.Name)
+				switch {
+				case banned[n.Name]:
 					t.Errorf("%s names %s: the batched decode path is deleted", dir, n.Name)
+				case gatewayd && (n.Name == "MaxAttempts" || strings.Contains(lower, "breaker") || strings.Contains(lower, "backoff")):
+					t.Errorf("%s names %s: the ladder tries each rung once; retries, backoff and breakers are deleted", dir, n.Name)
 				}
 			case *ast.SelectorExpr:
-				if fieldScope && n.Sel.Name == "Batch" {
-					t.Errorf("%s reads .Batch: gateway.Config.Batch is accepted and ignored", dir)
+				if ignored(n.Sel.Name) {
+					t.Errorf("%s reads .%s: gateway.Config.%s is accepted and ignored", dir, n.Sel.Name, n.Sel.Name)
 				}
 			case *ast.KeyValueExpr:
-				if key, ok := n.Key.(*ast.Ident); ok && fieldScope && key.Name == "Batch" {
-					t.Errorf("%s sets Batch: in a composite literal: gateway.Config.Batch is accepted and ignored", dir)
+				if key, ok := n.Key.(*ast.Ident); ok && ignored(key.Name) {
+					t.Errorf("%s sets %s: in a composite literal: gateway.Config.%s is accepted and ignored", dir, key.Name, key.Name)
 				}
 			}
 			return true
@@ -303,7 +328,6 @@ func TestNoTestOnlyFunctions(t *testing.T) {
 		"FaultPoint":           "probe/fixture: TestJournalFaultShortWrite",
 		"Recover":              "probe/fixture: internal/gateway/recovery_test.go, TestCrashRestartExactlyOnce",
 		"AdmissionLimit":       "probe/fixture: TestAdmissionShedsUnderOverload, TestReadyShrunkAdmissionWindowNotReady",
-		"breakerTripped":       "probe/fixture: TestBreakerSkippedFrameFailsInsideTaxonomy",
 		"MinSlot":              "probe/fixture: FuzzEventQueue, TestEventQueueOrdering",
 		"Fingerprint":          "probe/fixture: TestCompareDeterministicAcrossWorkers",
 		"SubtractDecodedUsers": "ROADMAP item 5 (Sec. 7.2, teams under collision)",

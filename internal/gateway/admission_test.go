@@ -72,7 +72,7 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 	defer obs.Disable()
 	obs.Reset()
 	g, err := New(Config{
-		Queue: 32, Workers: 2, Policy: ShedReject, Seed: 42,
+		Queue: 32, Workers: 2, Policy: ShedReject,
 		AdmissionTarget: time.Nanosecond, AdmissionEvery: 4,
 	})
 	if err != nil {
@@ -124,7 +124,7 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 // sequential feed always completes.
 func TestAdmissionBlockPolicyNoDeadlock(t *testing.T) {
 	g, err := New(Config{
-		Queue: 4, Workers: 1, Policy: ShedBlock, Seed: 42,
+		Queue: 4, Workers: 1, Policy: ShedBlock,
 		AdmissionTarget: time.Nanosecond, AdmissionEvery: 2,
 	})
 	if err != nil {
@@ -155,7 +155,7 @@ func TestAdmissionBlockPolicyNoDeadlock(t *testing.T) {
 func TestAdmissionDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []string {
 		g, err := New(Config{
-			Queue: 4, Workers: workers, Policy: ShedBlock, Seed: 99,
+			Queue: 4, Workers: workers, Policy: ShedBlock,
 			AdmissionTarget: time.Nanosecond, AdmissionEvery: 2,
 		})
 		if err != nil {
@@ -196,7 +196,7 @@ func TestAdmissionDeterministicAcrossWorkers(t *testing.T) {
 // TestReadyReflectsState pins the readiness signal: ready while accepting
 // with queue headroom, not ready once draining.
 func TestReadyReflectsState(t *testing.T) {
-	g, err := New(Config{Queue: 4, Workers: 1, Seed: 42})
+	g, err := New(Config{Queue: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

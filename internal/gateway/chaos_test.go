@@ -90,16 +90,11 @@ func runChaosSmoke(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	g, err := New(Config{
-		Queue:            2,
-		Policy:           ShedDropOldest,
-		Workers:          2,
-		Seed:             99,
-		MaxAttempts:      3,
-		BackoffBase:      time.Microsecond,
-		DecodeTimeout:    5 * time.Second,
-		BreakerThreshold: 4,
-		BreakerCooldown:  3,
-		Ladder:           chaosLadder(t),
+		Queue:         2,
+		Policy:        ShedDropOldest,
+		Workers:       2,
+		DecodeTimeout: 5 * time.Second,
+		Ladder:        chaosLadder(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +199,6 @@ func typedCause(err error) bool {
 		ErrNoPayloads,
 		ErrDecodePanic,
 		ErrStreamAborted,
-		ErrBreakersOpen,
 	} {
 		if errors.Is(err, sentinel) {
 			return true
@@ -228,17 +222,12 @@ func TestChaosStreamingIngest(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	g, err := New(Config{
-		Queue:            2,
-		Policy:           ShedDropOldest,
-		Workers:          2,
-		Seed:             1234,
-		MaxAttempts:      2,
-		BackoffBase:      time.Microsecond,
-		DecodeTimeout:    5 * time.Second,
-		ConnTimeout:      2 * time.Second,
-		BreakerThreshold: 4,
-		BreakerCooldown:  3,
-		Ladder:           chaosLadder(t),
+		Queue:         2,
+		Policy:        ShedDropOldest,
+		Workers:       2,
+		DecodeTimeout: 5 * time.Second,
+		ConnTimeout:   2 * time.Second,
+		Ladder:        chaosLadder(t),
 	})
 	if err != nil {
 		t.Fatal(err)

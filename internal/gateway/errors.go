@@ -23,7 +23,8 @@ var (
 
 	// ErrNoPayloads reports a decode attempt that completed without error
 	// but recovered no payload — every detected user failed CRC or tracking.
-	// The ladder treats it as a retryable failure.
+	// The ladder treats it like any other rung failure and moves to the next
+	// rung.
 	ErrNoPayloads = errors.New("gateway: no payloads recovered")
 
 	// ErrShed marks a frame that was accepted but never decoded: evicted by
@@ -31,20 +32,14 @@ var (
 	// ErrShed with the specific reason.
 	ErrShed = errors.New("gateway: frame shed")
 
-	// ErrLadderExhausted reports that every recovery stage was attempted
-	// (or breaker-skipped) without recovering a payload. It wraps the last
-	// attempt's error.
+	// ErrLadderExhausted reports that a frame's ladder walk ended without
+	// recovering a payload: every rung was tried, or the walk stopped early
+	// on shutdown or an aborted stream. It wraps the last attempt's error.
 	ErrLadderExhausted = errors.New("gateway: recovery ladder exhausted")
 
-	// ErrBreakersOpen is the cause wrapped by ErrLadderExhausted when every
-	// rung's circuit breaker skipped the frame: no decode attempt ran, so
-	// there is no decoder error to report.
-	ErrBreakersOpen = errors.New("gateway: all rungs circuit-broken")
-
 	// ErrStreamAborted reports a streaming frame whose connection died
-	// before the full capture arrived. The ladder stops immediately — the
-	// samples will never complete — and the failure does not count against
-	// any rung's circuit breaker.
+	// before the full capture arrived. The ladder stops immediately: the
+	// samples will never complete, so no later rung could see more of them.
 	ErrStreamAborted = errors.New("gateway: stream aborted before frame completed")
 
 	// ErrNoTraces reports an ingest directory that exists but holds no

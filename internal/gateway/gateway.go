@@ -3,15 +3,18 @@
 // backpressure and load-shedding policies, a pool of decode workers with
 // panic isolation, a decode-recovery ladder of pluggable collision-
 // resolution backends (default: full SIC → relaxed tunables →
-// single-strongest-user) with seeded backoff and per-rung circuit
-// breakers, and a graceful drain-then-stop shutdown.
+// single-strongest-user) that tries each rung once, and a graceful
+// drain-then-stop shutdown.
 //
 // The contract the chaos tests pin: every frame the gateway accepts
 // produces exactly one terminal outcome — decoded, failed with a
 // taxonomy-typed error, or shed — and the process never panics and never
 // leaks goroutines, whatever mix of corrupt IQ, queue overflow and mid-run
-// shutdown it is fed. Results are deterministic for any worker count: a
-// decode at a rung reads only the frame's samples.
+// shutdown it is fed. A frame's outcome is a function of its samples: a
+// decode at a rung reads only them, and no state crosses from one frame to
+// the next, so the outcome does not depend on worker count, on the frames
+// before it, or on which process life decodes it
+// (TestOutcomeIndependentOfHistory, TestJournalReplayMatchesFreshDecode).
 package gateway
 
 import (
@@ -43,29 +46,16 @@ type Config struct {
 	// deadline is enforced cooperatively at the decoder's stage boundaries
 	// (choir.ErrDeadline), so enforcement granularity is one pipeline stage.
 	DecodeTimeout time.Duration
-	// MaxAttempts caps decode attempts per frame across the recovery
-	// ladder (default 3: one per rung). Breaker-skipped rungs don't count.
-	MaxAttempts int
-	// BackoffBase is the first retry's base delay; retry k waits
-	// BackoffBase << (k-2) with ±50% seeded jitter, capped at 1s. The
-	// default, 0, disables backoff sleeps (negative values mean 0);
-	// choir-gatewayd's -backoff flag defaults to 10ms.
-	BackoffBase time.Duration
-	// BreakerThreshold is the consecutive-failure count that trips a
-	// stage's circuit breaker (default 8; negative disables breakers).
-	BreakerThreshold int
-	// BreakerCooldown is how many skipped attempts a tripped breaker waits
-	// before letting a half-open probe through (default 16).
-	BreakerCooldown int
 	// Ladder is the ordered list of registered backend names the recovery
 	// ladder walks, highest fidelity first (default DefaultLadder():
-	// choir, relaxed, strongest). Names must be registered in
-	// internal/backend and unique within the ladder; each rung gets its own
-	// circuit breaker and name-keyed metrics.
+	// choir, relaxed, strongest). Each rung is tried at most once per frame,
+	// so the ladder is also how far down a frame may go. Names must be
+	// registered in internal/backend and unique within the ladder; each rung
+	// gets name-keyed metrics.
 	Ladder []string
-	// Seed drives backoff jitter only, mixed with the frame ID. Decode
-	// outcomes depend on the frame's samples and the rung — never on Seed,
-	// timing or worker count.
+	// Seed is accepted and ignored: nothing in the gateway draws at random.
+	// It stays declared only because benchmark/ still sets it (ROADMAP item
+	// 8).
 	Seed uint64
 	// Batch is accepted and ignored: every frame walks the ladder alone. It
 	// stays declared only because benchmark/ still sets it (ROADMAP items 7
@@ -112,18 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.BackoffBase < 0 {
-		c.BackoffBase = 0
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 8
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 16
 	}
 	if len(c.Ladder) == 0 {
 		c.Ladder = DefaultLadder()
@@ -182,8 +160,8 @@ type OutcomeKind int
 const (
 	// OutcomeDecoded: at least one payload was recovered.
 	OutcomeDecoded OutcomeKind = iota
-	// OutcomeFailed: every ladder attempt failed; Err carries the typed
-	// error chain.
+	// OutcomeFailed: every rung tried failed; Err carries the typed error
+	// chain.
 	OutcomeFailed
 	// OutcomeShed: the frame was accepted but evicted (drop-oldest) or
 	// flushed during shutdown without being decoded.
@@ -215,7 +193,7 @@ type Outcome struct {
 	// Backend is the name of the collision-resolution backend that produced
 	// the decode (valid when Kind is OutcomeDecoded).
 	Backend string
-	// Attempts is how many decode attempts ran (0 for shed frames).
+	// Attempts is how many ladder rungs were tried (0 for shed frames).
 	Attempts int
 	// Users is the number of transmitters the successful decode separated.
 	Users int
@@ -355,7 +333,7 @@ func build(cfg Config) (*Gateway, error) {
 		g.admission = newAdmissionController(cfg.AdmissionTarget, cfg.AdmissionEvery, queueCap)
 	}
 	for _, name := range cfg.Ladder {
-		g.rungs = append(g.rungs, newRung(name, cfg.BreakerThreshold, cfg.BreakerCooldown))
+		g.rungs = append(g.rungs, newRung(name))
 	}
 	// Restart ID allocation above everything the journal ever saw, then
 	// re-enqueue the replayed frames: they are accepted (again) by this
@@ -722,36 +700,20 @@ func (g *Gateway) Ladder() []string {
 	return names
 }
 
-// breakerTripped reports whether the given rung's circuit breaker is
-// currently open — for tests and the daemon's status logging.
-func (g *Gateway) breakerTripped(stage Stage) bool { return g.rungs[stage].breaker.isTripped() }
-
 // Healthy reports liveness: the worker pool is running and the gateway has
 // not begun draining. Wire it to a /healthz check (obs.RegisterHealthCheck).
 func (g *Gateway) Healthy() bool { return g.ctx.Err() == nil }
 
 // Ready reports whether the gateway should receive traffic: it is accepting
-// (recovery, if any, completed inside New before this gateway existed), the
-// queue and the admission window are below the shed threshold (the test
-// submitFrame applies to an offered frame), and no ladder rung's circuit
-// breaker is hard-tripped. Wire it to a /readyz check
-// (obs.RegisterReadyCheck).
+// (recovery, if any, completed inside New before this gateway existed) and
+// the queue and the admission window are below the shed threshold (the test
+// submitFrame applies to an offered frame). What earlier frames decoded to
+// does not enter it. Wire it to a /readyz check (obs.RegisterReadyCheck).
 func (g *Gateway) Ready() bool {
 	g.mu.Lock()
 	accepting := g.accepting
 	g.mu.Unlock()
-	if !accepting {
-		return false
-	}
-	if len(g.queue) >= cap(g.queue) || !g.windowOpen() {
-		return false
-	}
-	for _, r := range g.rungs {
-		if r.breaker.isTripped() {
-			return false
-		}
-	}
-	return true
+	return accepting && len(g.queue) < cap(g.queue) && g.windowOpen()
 }
 
 // Recover inspects a journal directory without modifying it, reporting what

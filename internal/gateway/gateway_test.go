@@ -168,7 +168,7 @@ func TestLadderRecoversDriftedFrame(t *testing.T) {
 	inj := fault.MustNew(fault.DriftStep, 0.30)
 	faulted := inj.Apply(append([]complex128(nil), sig...), 1^0xFA017)
 
-	g, err := New(Config{Queue: 4, Workers: 1, Seed: 42, MaxAttempts: 3, BackoffBase: time.Microsecond})
+	g, err := New(Config{Queue: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestLadderRecoversDriftedFrame(t *testing.T) {
 // the frame's samples.
 func TestOutcomesDeterministicAcrossWorkers(t *testing.T) {
 	runWith := func(workers int) map[uint64]Outcome {
-		g, err := New(Config{Queue: 8, Workers: workers, Seed: 7, BackoffBase: time.Microsecond})
+		g, err := New(Config{Queue: 8, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestOutcomesDeterministicAcrossWorkers(t *testing.T) {
 // through a hard stop: frames caught mid-decode finish as canceled typed
 // failures, queued frames flush as shed, nothing is lost or duplicated.
 func TestDrainHardStopTerminalOutcomes(t *testing.T) {
-	g, err := New(Config{Queue: 8, Workers: 1, Seed: 3, BackoffBase: time.Microsecond})
+	g, err := New(Config{Queue: 8, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,5 +316,68 @@ func TestDrainHardStopTerminalOutcomes(t *testing.T) {
 	st := g.Stats()
 	if st.Accepted != n || st.Decoded+st.Failed+st.Shed != n {
 		t.Errorf("stats do not balance: %+v", st)
+	}
+}
+
+// TestOutcomeIndependentOfHistory pins that no state crosses from one frame
+// to the next. With the library's default Config, a burst of captures too
+// short for one preamble symbol ahead of 20 good frames changes none of the
+// good frames' outcomes from what a fresh gateway gives them, for one worker
+// or four, and leaves the gateway ready once the burst's outcomes are out.
+func TestOutcomeIndependentOfHistory(t *testing.T) {
+	const junk, good = 12, 20
+	// decodeGood submits the good frames, drains g, and keys each outcome's
+	// (Kind, Stage, Backend, Attempts, Payloads) by its source.
+	decodeGood := func(g *Gateway) map[string]string {
+		done := collectOutcomes(g)
+		for s := uint64(1); s <= good; s++ {
+			h, sig, _ := synthFrame(s)
+			if _, err := g.Submit(nil, fmt.Sprintf("good-%d", s), h, sig); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := g.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for _, o := range <-done {
+			got[o.Source] = fmt.Sprintf("%v at %v by %q after %d attempt(s): %x", o.Kind, o.Stage, o.Backend, o.Attempts, o.Payloads)
+		}
+		return got
+	}
+	for _, workers := range []int{1, 4} {
+		fresh, err := New(Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := decodeGood(fresh)
+
+		g, err := New(Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, _, _ := synthFrame(1)
+		for i := 0; i < junk; i++ {
+			if _, err := g.Submit(nil, "junk", h, make([]complex128, 8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < junk; i++ {
+			if o := <-g.Outcomes(); o.Kind != OutcomeFailed || o.Attempts != len(DefaultLadder()) {
+				t.Errorf("workers %d: junk frame %d: %v after %d attempt(s), want failed after every rung", workers, o.FrameID, o.Kind, o.Attempts)
+			}
+		}
+		if !g.Ready() {
+			t.Errorf("workers %d: not ready after a burst of %d undecodable captures", workers, junk)
+		}
+		got := decodeGood(g)
+		if len(got) != good {
+			t.Fatalf("workers %d: %d good outcomes, want %d", workers, len(got), good)
+		}
+		for src, w := range want {
+			if got[src] != w {
+				t.Errorf("workers %d: %s after the burst: %s\n\tfresh gateway: %s", workers, src, got[src], w)
+			}
+		}
 	}
 }

@@ -2,8 +2,9 @@ package journal
 
 import (
 	"errors"
-	"math/rand/v2"
 	"os"
+
+	"choir/internal/exec"
 )
 
 // FaultMode selects which operation a FaultFile sabotages once its byte
@@ -29,15 +30,14 @@ const (
 // test for with errors.Is).
 var ErrInjected = errors.New("journal: injected fault")
 
-// FaultPoint derives a deterministic trip offset in [1, max] from a seed, so
-// fault-injection sweeps are reproducible: the same seed always faults at the
-// same byte.
+// FaultPoint derives a deterministic trip offset in [1, max] from a seed
+// (exec.DeriveSeed), so fault-injection sweeps are reproducible: the same
+// seed always faults at the same byte.
 func FaultPoint(seed uint64, max int64) int64 {
 	if max < 1 {
 		return 1
 	}
-	rng := rand.New(rand.NewPCG(seed, 0xFA117))
-	return 1 + rng.Int64N(max)
+	return 1 + int64(exec.DeriveSeed(seed, 0xFA117)%uint64(max))
 }
 
 // FaultFile wraps a File and injects one fault after tripAfter bytes have

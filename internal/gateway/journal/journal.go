@@ -107,8 +107,8 @@ func (o Options) withDefaults() Options {
 // Entry is one admitted-but-incomplete frame surfaced by recovery.
 type Entry struct {
 	// ID is the frame's original gateway-assigned identity; replaying under
-	// it keeps outcomes, completion records and backoff jitter keyed as the
-	// dead process had them.
+	// it keeps outcomes and completion records keyed as the dead process had
+	// them.
 	ID      uint64
 	Header  trace.Header
 	Samples []complex128

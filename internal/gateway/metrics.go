@@ -3,9 +3,9 @@ package gateway
 import "choir/internal/obs"
 
 // Gateway metrics. Counters follow the repository's observe-only contract
-// (DESIGN.md §10): the gateway's behavior — shedding, ladder walking,
-// breaker state — is driven by its own internal state, never by reading a
-// metric back. The separate Stats() accessor exists because shedding
+// (DESIGN.md §10): the gateway's behavior — shedding, admission, ladder
+// walking — is driven by its own internal state, never by reading a metric
+// back. The separate Stats() accessor exists because shedding
 // decisions must be visible even when obs recording is disabled.
 var (
 	mAccepted = obs.NewCounter("gateway.accepted")
@@ -21,9 +21,8 @@ var (
 	mShedRejected = obs.NewCounter("gateway.shed.rejected")
 	mShedDrained  = obs.NewCounter("gateway.shed.drained")
 
-	// Resilience machinery.
-	mPanics  = obs.NewCounter("gateway.decode_panics")
-	mRetries = obs.NewCounter("gateway.retries")
+	// Decode attempts that panicked and were isolated into ErrDecodePanic.
+	mPanics = obs.NewCounter("gateway.decode_panics")
 
 	// Durability: frames re-enqueued from the write-ahead journal at
 	// startup, and journal write failures (admission denials or completion
@@ -39,10 +38,9 @@ var (
 	mAdmissionDeferred = obs.NewCounter("gateway.admission.deferred")
 	mAdmissionLimit    = obs.NewCounter("gateway.admission.limit")
 
-	// Per-rung ladder visibility — attempts, successes, breaker trips and
-	// breaker-skipped attempts — lives on each rung, keyed by BACKEND NAME
-	// (gateway.stage.<backend>.attempts, gateway.breaker.<backend>.trips,
-	// ...), not by ladder position: two ladders that share a backend
+	// Per-rung ladder visibility — attempts and successes — lives on each
+	// rung, keyed by BACKEND NAME (gateway.stage.<backend>.attempts,
+	// gateway.stage.<backend>.success), not by ladder position: two ladders that share a backend
 	// aggregate into the same series, and reordering a ladder does not
 	// silently re-label its history. See newRung in ladder.go.
 

@@ -10,7 +10,7 @@ import (
 // journaledConfig is the base config the recovery tests share: journaling
 // on, decode fast and deterministic.
 func journaledConfig(dir string) Config {
-	return Config{Queue: 8, Workers: 2, JournalDir: dir, Seed: 42}
+	return Config{Queue: 8, Workers: 2, JournalDir: dir}
 }
 
 // TestJournalCleanLifecycleLeavesNothing pins that a journaled gateway that
@@ -119,16 +119,15 @@ func TestJournalReplayAfterSimulatedCrash(t *testing.T) {
 	}
 }
 
-// TestJournalReplaySeedsMatchFreshDecode pins the determinism contract
-// across process death: a replayed frame's decode outcome is byte-identical
-// to what the frame would have produced had the first process lived,
-// because it keeps its original ID and the seeds derive from (Seed, ID,
-// rung) only.
-func TestJournalReplaySeedsMatchFreshDecode(t *testing.T) {
+// TestJournalReplayMatchesFreshDecode pins the determinism contract across
+// process death: a replayed frame's outcome is byte-identical to what the
+// frame would have produced had the first process lived, because each rung
+// it tries reads only its samples and no state crosses process lives.
+func TestJournalReplayMatchesFreshDecode(t *testing.T) {
 	h, sig, _ := synthFrame(9)
 
 	// Reference: a journal-free gateway decodes the frame directly.
-	ref, err := New(Config{Queue: 4, Workers: 1, Seed: 42})
+	ref, err := New(Config{Queue: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +140,7 @@ func TestJournalReplaySeedsMatchFreshDecode(t *testing.T) {
 	}
 	refOuts := <-refDone
 
-	// Crash-and-replay: same seed, same frame, but decoded by a second life.
+	// Crash-and-replay: same frame, but decoded by a second life.
 	dir := t.TempDir()
 	g1, err := build(journaledConfig(dir))
 	if err != nil {
@@ -268,7 +267,7 @@ func TestJournalRejectedSubmitNotReplayed(t *testing.T) {
 // JournalDir empty the gateway touches no disk and behaves exactly as
 // before (no Replayed flags, no journal state).
 func TestJournalDisabledUnchanged(t *testing.T) {
-	g, err := New(Config{Queue: 4, Workers: 1, Seed: 42})
+	g, err := New(Config{Queue: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

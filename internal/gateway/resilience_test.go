@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"choir/internal/choir"
-	"choir/internal/lora"
 	"choir/internal/obs"
 )
 
@@ -185,10 +184,7 @@ func TestIngestFilesEmptyDirErrNoTraces(t *testing.T) {
 // walks all three rungs and every attempt dies on its own deadline — no
 // frame inherits a neighbour's expired budget as a cancellation.
 func TestDecodeTimeoutBoundsEachAttempt(t *testing.T) {
-	g, err := build(Config{
-		Queue: 8, Workers: 1, Seed: 77,
-		DecodeTimeout: time.Nanosecond, BreakerThreshold: -1,
-	})
+	g, err := build(Config{Queue: 8, Workers: 1, DecodeTimeout: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,48 +212,40 @@ func TestDecodeTimeoutBoundsEachAttempt(t *testing.T) {
 	}
 }
 
-// TestBreakerSkippedFrameFailsInsideTaxonomy pins the one OutcomeFailed that
-// no decode attempt stands behind. With a threshold of one failure and a
-// cooldown longer than the test, an undecodable first frame trips every
-// rung's breaker on its way down the ladder, and the next frame — decodable,
-// but never tried — is skipped by all three: it must fail after zero
-// attempts with a cause errors.Is can name.
-func TestBreakerSkippedFrameFailsInsideTaxonomy(t *testing.T) {
-	g, err := build(Config{
-		Queue: 4, Workers: 1, Seed: 78,
-		BreakerThreshold: 1, BreakerCooldown: 1 << 20,
-	})
+// TestShutdownMidDecodeNoLeak pins the hard drain of a worker caught inside
+// the ladder: a streamed frame whose samples stop arriving halfway parks the
+// worker in a decode that only the gateway context can end. A hard drain must
+// cut through it promptly, the frame must get its one terminal outcome
+// (failed, canceled, after its one attempt), and no goroutine may outlive the
+// drain.
+func TestShutdownMidDecodeNoLeak(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	g, err := build(Config{Queue: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h, sig, _ := synthFrame(1)
-	if _, err := g.Submit(nil, "undecodable", h, make([]complex128, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Submit(nil, "skipped", h, sig); err != nil {
+	sb := newStreamBuffer(len(sig))
+	sb.extend(copy(sb.buf, sig[:len(sig)/2]))
+	if _, err := g.submitFrame(nil, &Frame{Source: "parked", Header: h, Samples: sb.buf, stream: sb}); err != nil {
 		t.Fatal(err)
 	}
 	done := collectOutcomes(g)
 	g.start()
-	if err := g.Drain(context.Background()); err != nil {
-		t.Fatal(err)
+	<-g.space // the worker's post-dequeue pulse: the frame is in the ladder
+
+	start := time.Now()
+	_ = g.Drain(canceledCtx())
+	if waited := time.Since(start); waited > 10*time.Second {
+		t.Errorf("hard drain took %v with a worker parked mid-decode", waited)
 	}
 	outs := <-done
-	if len(outs) != 2 {
-		t.Fatalf("%d outcomes, want 2", len(outs))
+	if len(outs) != 1 {
+		t.Fatalf("%d outcomes for 1 accepted frame", len(outs))
 	}
-	if o := outs[0]; o.Kind != OutcomeFailed || o.Attempts != 3 || !errors.Is(o.Err, lora.ErrShortSignal) {
-		t.Errorf("first frame: kind %v after %d attempt(s), err %v; want failed after 3 on lora.ErrShortSignal",
+	if o := outs[0]; o.Kind != OutcomeFailed || o.Attempts != 1 || !errors.Is(o.Err, choir.ErrCanceled) {
+		t.Errorf("parked frame: kind %v after %d attempt(s), err %v; want failed+canceled after 1",
 			o.Kind, o.Attempts, o.Err)
 	}
-	for stage := range g.Ladder() {
-		if !g.breakerTripped(Stage(stage)) {
-			t.Errorf("rung %d's breaker did not trip", stage)
-		}
-	}
-	if o := outs[1]; o.Kind != OutcomeFailed || o.Attempts != 0 ||
-		!errors.Is(o.Err, ErrLadderExhausted) || !errors.Is(o.Err, ErrBreakersOpen) {
-		t.Errorf("second frame: kind %v after %d attempt(s), err %v; want failed after 0 on ErrLadderExhausted and ErrBreakersOpen",
-			o.Kind, o.Attempts, o.Err)
-	}
+	waitNoLeaks(t, baseline)
 }

@@ -28,7 +28,7 @@ import (
 // makes buf[:have] stable for the reader — while the regions beyond have
 // stay exclusively the writer's. The pulse channel supports the single
 // waiter the gateway has per frame (one worker decodes a frame at a time;
-// ladder retries run sequentially in that same goroutine).
+// its ladder rungs run one after another in that same goroutine).
 type streamBuffer struct {
 	buf []complex128
 

@@ -59,7 +59,7 @@ func waitServer(t *testing.T, cancel context.CancelFunc, served <-chan error) {
 func TestStreamIngestMatchesSubmitOutcome(t *testing.T) {
 	h, sig, _ := synthFrame(1)
 
-	ref, err := New(Config{Queue: 4, Workers: 1, Seed: 42})
+	ref, err := New(Config{Queue: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestStreamIngestMatchesSubmitOutcome(t *testing.T) {
 		t.Fatalf("reference outcome = %+v, want one decode", refOuts)
 	}
 
-	g, err := New(Config{Queue: 4, Workers: 1, Seed: 42, ConnTimeout: 5 * time.Second})
+	g, err := New(Config{Queue: 4, Workers: 1, ConnTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestStreamIngestMatchesSubmitOutcome(t *testing.T) {
 // with the 16-byte sample boundary.
 func TestStreamIngestTinyChunks(t *testing.T) {
 	h, sig, _ := synthFrame(2)
-	g, err := New(Config{Queue: 4, Workers: 1, Seed: 9, ConnTimeout: 5 * time.Second})
+	g, err := New(Config{Queue: 4, Workers: 1, ConnTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +173,10 @@ func TestStreamIngestTinyChunks(t *testing.T) {
 
 // TestStreamIngestMidStreamAbort: a peer that dies mid-frame still costs
 // exactly one terminal outcome — failed, typed ErrStreamAborted — and the
-// ladder does not burn retries on a frame that can never complete.
+// ladder does not walk on to later rungs for a frame that can never complete.
 func TestStreamIngestMidStreamAbort(t *testing.T) {
 	h, sig, _ := synthFrame(3)
-	g, err := New(Config{Queue: 4, Workers: 1, Seed: 5, MaxAttempts: 3})
+	g, err := New(Config{Queue: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestStreamIngestMidStreamAbort(t *testing.T) {
 		t.Fatalf("outcome = %+v, want failed with ErrStreamAborted", o)
 	}
 	if o.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1 (no retries on an aborted stream)", o.Attempts)
+		t.Errorf("attempts = %d, want 1 (no later rung on an aborted stream)", o.Attempts)
 	}
 }
 
@@ -280,7 +280,7 @@ func TestStreamIngestMalformedPreface(t *testing.T) {
 // with the decoder's typed cancellation, preserving exactly-one-outcome.
 func TestStreamIngestDrainCutsInFlightWait(t *testing.T) {
 	h, sig, _ := synthFrame(4)
-	g, err := New(Config{Queue: 4, Workers: 1, Seed: 8})
+	g, err := New(Config{Queue: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
