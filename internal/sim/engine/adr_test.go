@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"choir/internal/mac"
+	"choir/internal/sim"
 )
 
 // testCore builds a minimal defaulted core for exercising adrSelect
@@ -84,21 +85,69 @@ func TestADRSelectKnownGrid(t *testing.T) {
 	}
 }
 
+// legacySNR is the pre-ADR engine's link SNR, float op for float op: the
+// median loss plus the shadowing term, from the client power over the
+// noise floor.
+func legacySNR(d, z float64) float64 {
+	pl := sim.UrbanChannel()
+	loss := pl.LossDB(d, nil) + pl.ShadowSigmaDB*z
+	return sim.ClientPowerDBm - loss - sim.ReceiverConfig().NoiseFloorDBm
+}
+
+// legacySF is the pre-ADR engine's SF for legacySNR: the ladder alone.
+func legacySF(d, z float64) (int8, bool) {
+	sf, ok := sim.SFForSNR(legacySNR(d, z))
+	if !ok {
+		return -1, false
+	}
+	return int8(sf), true
+}
+
 // TestADRFastestSNRMatchesLegacy pins the bit-identity contract of the zero
 // value: a config that never mentions ADR must run exactly the pre-ADR
 // engine, which adrSelect's default arm reproduces float-op for float-op.
 // (The equivalence suite covers whole-run identity; this covers the
-// per-link decision at the SF boundaries where a single ULP would flip it.)
+// per-link decision at the SF boundaries where a single ULP would flip it:
+// on a grid, at (d, z) whose SNR lands exactly on each threshold, and a few
+// ulps of d either side of where each threshold flips the answer.)
 func TestADRFastestSNRMatchesLegacy(t *testing.T) {
 	c := testCore(t)
+	check := func(d, z float64) {
+		t.Helper()
+		sf, pwr, ok := c.adrSelect(ADRFastestSNR, d, z)
+		wsf, wok := legacySF(d, z)
+		if ok != wok || sf != wsf || pwr != defaultPwrIdx {
+			t.Fatalf("d=%b z=%b: adrSelect = (SF%d, pwr %d, %v), legacy (SF%d, full power, %v)", d, z, sf, pwr, ok, wsf, wok)
+		}
+	}
 	for _, d := range []float64{1, 50, 123.456, 385, 385.5, 500, 876, 877, 1500} {
 		for _, z := range []float64{-3, -0.7, 0, 0.7, 3} {
-			sf, pwr, ok := c.adrSelect(ADRFastestSNR, d, z)
-			if ok && (sf < 7 || sf > 12) {
-				t.Fatalf("d=%g z=%g: SF%d out of range", d, z, sf)
+			check(d, z)
+		}
+	}
+	for _, thr := range thresholds() {
+		landed := 0
+		for _, d := range []float64{1, 2, 100, 385, 500, 700, 876} {
+			// z near where d's SNR is thr, then every z within 64 ulps: those
+			// whose SNR is thr exactly are the points a ULP would flip.
+			z0 := (sim.ClientPowerDBm - sim.ReceiverConfig().NoiseFloorDBm - c.pl.LossDB(d, nil) - thr) / c.shadowSig
+			for k := int64(-64); k <= 64; k++ {
+				z := ulps(z0, k)
+				if legacySNR(d, z) == thr {
+					landed++
+				}
+				check(d, z)
 			}
-			if ok && pwr != defaultPwrIdx {
-				t.Fatalf("d=%g z=%g: fastest-SNR picked pwr %d, want full power", d, z, pwr)
+		}
+		if landed == 0 {
+			t.Fatalf("threshold %g: no point landed exactly on it", thr)
+		}
+		t.Logf("threshold %g: %d points land exactly on it", thr, landed)
+		for _, z := range []float64{-2, 0, 1.5} {
+			above := func(d float64) bool { return legacySNR(d, z) >= thr }
+			d := flipAt(1, 1e6, above)
+			for k := int64(-6); k <= 6; k++ {
+				check(ulps(d, k), z)
 			}
 		}
 	}

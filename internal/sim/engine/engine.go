@@ -590,9 +590,7 @@ func (c *core) initForeign(hFP, hFS uint64) {
 			hpj := exec.Mix(hp, uint64(j))
 			x := unitOf(exec.Mix(hpj, 0)) * c.sideM
 			y := unitOf(exec.Mix(hpj, 1)) * c.sideM
-			gw, d := c.nearestGW(x, y)
-			z := shadowZ(exec.Mix(hs, uint64(j)))
-			sf, _, ok := c.adrSelect(fn.ADR, d, z)
+			gw, sf, _, ok := c.channelOf(fn.ADR, x, y, exec.Mix(hs, uint64(j)))
 			if !ok {
 				continue
 			}
@@ -682,8 +680,11 @@ var lnTab = func() (t [128][2]float64) {
 	return t
 }()
 
-// lnUnit approximates ln v for a normal v in (0, 1] to 2e-13: exponent,
-// table step, and four terms of ln(1+r) for the |r| <= 2^-8 that is left.
+// lnUnit approximates ln v for a positive normal v to 2e-13 of 1+|ln v|, and
+// on [1-2^-8, 1) to 6e-15 absolute: exponent, table step, and four terms of
+// ln(1+r) for the |r| <= 2^-8 that is left (<= 2^-9 in the top step). It
+// reads +1.8e-13 at v = 1. TestLnUnitAccuracy holds the bounds the gapOf
+// and fastestSF guards assume.
 func lnUnit(v float64) float64 {
 	b := math.Float64bits(v)
 	t := &lnTab[b>>45&127]
@@ -700,19 +701,16 @@ func (c *core) initArrivals(i int32) {
 }
 
 // resolveChannel lazily evaluates node i's channel state on first wake:
-// position from the jittered grid, nearest gateway, median path loss plus
-// deterministic log-normal shadowing, then the configured ADR policy's
-// SF/TX-power choice. It returns false — and parks the node forever — when
-// the policy's choice cannot reach the gateway. The evaluation is pure in
-// (Seed, i), so it never matters which driver performs it, or when.
+// position from the jittered grid, then channelOf under the configured ADR
+// policy. It returns false — and parks the node forever — when the policy's
+// choice cannot reach the gateway. The evaluation is pure in (Seed, i), so
+// it never matters which driver performs it, or when.
 func (c *core) resolveChannel(ns *nodeState, i int32) bool {
 	hp := exec.Mix(c.hPos, uint64(i))
 	col, row := int(i)%c.grid, int(i)/c.grid
 	x := (float64(col) + unitOf(exec.Mix(hp, 0))) * c.cellM
 	y := (float64(row) + unitOf(exec.Mix(hp, 1))) * c.cellM
-	gw, d := c.nearestGW(x, y)
-	z := shadowZ(exec.Mix(c.hShadow, uint64(i)))
-	sf, pwr, ok := c.adrSelect(c.cfg.ADR, d, z)
+	gw, sf, pwr, ok := c.channelOf(c.cfg.ADR, x, y, exec.Mix(c.hShadow, uint64(i)))
 	if !ok {
 		ns.sf = -1
 		return false
@@ -723,9 +721,28 @@ func (c *core) resolveChannel(ns *nodeState, i int32) bool {
 	return true
 }
 
-// nearestGW maps a position to its nearest gateway (by grid cell) and the
-// distance to it, shared by home and foreign channel resolution.
-func (c *core) nearestGW(x, y float64) (int32, float64) {
+// channelOf resolves the link of a node at (x, y) whose shadowing chain head
+// is hs — its nearest gateway, then the policy's SF and TX-power rung, ok
+// false when that choice cannot reach the gateway — for home first wakes
+// and foreign nodes alike. One expression defines the result: the distance
+// from math.Hypot clamped at 1 m, shadowZ, adrSelect. fastestSF, ahead of it
+// for ADRFastestSNR, only answers where it returns the same.
+func (c *core) channelOf(policy ADRPolicy, x, y float64, hs uint64) (gw int32, sf int8, pwr uint8, ok bool) {
+	gw, dx, dy := c.gatewayOf(x, y)
+	u1 := unitOf(exec.Mix(hs, 0))
+	u2 := unitOf(exec.Mix(hs, 1))
+	if policy == ADRFastestSNR {
+		if sf, ok, sure := c.fastestSF(dx*dx+dy*dy, u1, u2); sure {
+			return gw, sf, defaultPwrIdx, ok
+		}
+	}
+	sf, pwr, ok = c.adrSelect(policy, max(math.Hypot(dx, dy), 1), shadowZ(u1, u2))
+	return gw, sf, pwr, ok
+}
+
+// gatewayOf maps a position to its nearest gateway, by grid cell, and the
+// position's offset from that gateway.
+func (c *core) gatewayOf(x, y float64) (int32, float64, float64) {
 	gcol := int(x / c.sideM * float64(c.gwCols))
 	if gcol >= c.gwCols {
 		gcol = c.gwCols - 1
@@ -738,18 +755,59 @@ func (c *core) nearestGW(x, y float64) (int32, float64) {
 	if gw >= len(c.gwPosX) {
 		gw = len(c.gwPosX) - 1
 	}
-	d := math.Hypot(x-c.gwPosX[gw], y-c.gwPosY[gw])
-	if d < 1 {
-		d = 1
-	}
-	return int32(gw), d
+	return int32(gw), x - c.gwPosX[gw], y - c.gwPosY[gw]
 }
 
-// shadowZ draws a standard normal from the node's shadowing chain head via
-// Box-Muller on (1-u1, u2): log1p(-u1) keeps the argument nonzero.
-func shadowZ(hs uint64) float64 {
-	u1 := unitOf(exec.Mix(hs, 0))
-	u2 := unitOf(exec.Mix(hs, 1))
+// snrGuard is how far, in dB, fastestSF's SNR must stay from every rung of
+// the SF ladder to be believed: 100 times its error budget.
+const snrGuard = 1e-4
+
+// fastestSF is the ADRFastestSNR choice for a link of square distance d2
+// and shadowing units (u1, u2) with no Hypot, Log10 or Log1p: the median
+// loss is RefLossDB + (5·Exponent/ln 10)·lnUnit(d²/ref²), d² clamped as the
+// distance is, and the shadowing draw sqrt(−2·lnUnit(1−u1))·cos(2π·u2), 1−u1
+// exact. sure reports that (sf, ok) is adrSelect's answer for the same link;
+// it is false when the SNR lies within snrGuard of a threshold
+// DemodThresholdDB(sf)+1 or is NaN, or d²/ref² is no normal.
+//
+// Error budget, against adrSelect's SNR: lnUnit's error, 2e-13 of 1+|ln|,
+// moves the median loss by under 3e-9 dB even at d² = MaxFloat64. In z,
+// sqrt turns lnUnit's error near 1 (6e-15 on [1-2^-8, 1)) into at most
+// sqrt(2·6e-15) = 1.1e-7 and its error below that into under 3e-12; times
+// σ = 6 dB, 6.6e-7 dB. The rest is roundings of sums under 10^3 dB. The two
+// SNRs differ by under 1e-6 dB, a hundredth of snrGuard. At u1 = 0 lnUnit
+// reads +1.8e-13, the root is NaN, and the link takes the exact path.
+func (c *core) fastestSF(d2, u1, u2 float64) (sf int8, ok, sure bool) {
+	ref2 := c.pl.RefDistance * c.pl.RefDistance
+	v := max(d2, 1, ref2) / ref2
+	if !(v <= math.MaxFloat64) {
+		return 0, false, false
+	}
+	z := math.Sqrt(-2*lnUnit(1-u1)) * math.Cos(2*math.Pi*u2)
+	loss := c.pl.RefLossDB + 5*c.pl.Exponent/math.Ln10*lnUnit(v) + c.shadowSig*z
+	snr := sim.ClientPowerDBm - loss - c.noiseFloor
+	// DemodThresholdDB is linear in the SF, so SF7+j clears at top - j·step:
+	// f is where snr sits on the ladder in rungs, g the guard in rungs. No
+	// branch on which rung, and a NaN fails every comparison.
+	top := sim.DemodThresholdDB(lora.SF7) + 1
+	step := top - sim.DemodThresholdDB(lora.SF8) - 1
+	g := snrGuard / step
+	f := (top - snr) / step
+	switch {
+	case f <= -g:
+		return int8(lora.SF7), true, true
+	case f >= float64(lora.SF12-lora.SF7)+g:
+		return -1, false, true
+	}
+	if j := math.Ceil(f); j-f > g && f-(j-1) > g {
+		return int8(lora.SF7) + int8(j), true, true
+	}
+	return 0, false, false
+}
+
+// shadowZ is the standard normal Box-Muller makes of a node's two shadowing
+// units, on (1-u1, u2): log1p(-u1) keeps the argument nonzero.
+func shadowZ(u1, u2 float64) float64 {
 	return math.Sqrt(-2*math.Log1p(-u1)) * math.Cos(2*math.Pi*u2)
 }
 
