@@ -317,7 +317,6 @@ func TestDecodeHasNoSeed(t *testing.T) {
 func TestNoTestOnlyFunctions(t *testing.T) {
 	carried := map[string]string{
 		"LeastSquares":         "reference: TestFitsMatchExplicitLeastSquares, TestSolveJitteredBitIdentical (linalg.Solve and the Matrix algebra under it)",
-		"Median":               "reference: TestMedianInPlaceMatchesMedian",
 		"ApplyMultipath":       "probe/fixture: TestDecodeRobustToResolvableEcho, TestDecodeUnderStrongResolvableEcho",
 		"AmplitudeFromDBm":     "probe/fixture: internal/choir/decoder_test.go synthesize",
 		"PaddedSpectrum":       "probe/fixture: TestCFOShiftsDemodulatedPeakFractionally, TestSpreadingFactorQuasiOrthogonality",
@@ -330,7 +329,7 @@ func TestNoTestOnlyFunctions(t *testing.T) {
 		"AdmissionLimit":       "probe/fixture: TestAdmissionShedsUnderOverload, TestReadyShrunkAdmissionWindowNotReady",
 		"MinSlot":              "probe/fixture: FuzzEventQueue, TestEventQueueOrdering",
 		"Fingerprint":          "probe/fixture: TestCompareDeterministicAcrossWorkers",
-		"SubtractDecodedUsers": "ROADMAP item 5 (Sec. 7.2, teams under collision)",
+		"SubtractDecodedUsers": "ROADMAP item 7 (Sec. 7.2, teams under collision)",
 		"ServeHTTP":            "interface: http.Handler (obs check sets on the debug mux)",
 	}
 	for name, reason := range carried {

@@ -136,8 +136,9 @@ type Decoder struct {
 	// where they mutate) instead of dechirping the same samples again.
 	dataWins [][]complex128
 
-	toneBuf []complex128 // the one tone scratch, filled by tone (n)
-	cusum   [][2]float64 // cusum[i] = {i/n, n/(i(n−i))}, the second 0 at both ends (n+1): segmentScan's boundary weights
+	toneBuf  []complex128 // the one tone scratch, filled by tone (n)
+	cusum    [][2]float64 // cusum[i] = {i/n, n/(i(n−i))}, the second 0 at both ends (n+1): segmentScan's boundary weights
+	cusumMax []float64    // cusumMax[b]: the largest cusum[i][1] of boundary block b (n/scanBlock)
 
 	// Per-decode scratch arena plus dedicated reusable buffers for the
 	// pipeline's per-window temporaries. Together they make steady-state
@@ -155,6 +156,7 @@ type Decoder struct {
 	workBuf   []complex128   // cleaned-window workspace
 	maskedBuf []complex128   // masked / re-added tone workspace
 	prefixBuf []complex128   // SegmentFit prefix sums (n+1)
+	blockBuf  []float64      // segmentFitRefined's per-block sums of |re|+|im| (n/scanBlock)
 	prefPrev  []complex128   // accumulateBoundaryScan prefix sums (n+1)
 	prefCur   []complex128
 	prefNext  []complex128
@@ -244,10 +246,12 @@ func New(cfg Config) (*Decoder, error) {
 	padN := dsp.NextPow2(cfg.Pad * n)
 	fft := dsp.NewFFT(padN)
 	cusum := make([][2]float64, n+1)
+	cusumMax := make([]float64, n/scanBlock)
 	for i := range cusum {
 		cusum[i][0] = float64(i) / float64(n)
 		if i > 0 && i < n {
 			cusum[i][1] = float64(n) / (float64(i) * float64(n-i))
+			cusumMax[i/scanBlock] = max(cusumMax[i/scanBlock], cusum[i][1])
 		}
 	}
 	return &Decoder{
@@ -264,6 +268,7 @@ func New(cfg Config) (*Decoder, error) {
 		scratchMags: make([]float64, padN),
 		toneBuf:     make([]complex128, n),
 		cusum:       cusum,
+		cusumMax:    cusumMax,
 	}, nil
 }
 

@@ -221,7 +221,8 @@ func TestSegmentScanIsExplainedEnergy(t *testing.T) {
 		p1 := real(w1)*real(w1) + imag(w1)*imag(w1)
 		p2 := real(w2)*real(w2) + imag(w2)*imag(w2)
 		want := p1*float64(wi) + p2*float64(n-wi)
-		prefix, i0, energy := d.segmentScan(c.x, d.tone(c.f))
+		prefix := tonePrefix(make([]complex128, n+1), c.x, d.tone(c.f))
+		i0, energy, _ := d.segmentScan(prefix, nil, -1)
 		// The reference's own Sincos argument rounding (see
 		// TestSegmentFitMatchesDividingReference) is inside this bound too.
 		if math.Abs(energy-want) > 1e-12*max(want, 1) {

@@ -28,6 +28,9 @@ var (
 
 	mSICPhases = obs.NewCounter("choir.sic.phases")
 
+	mScanBlocks  = obs.NewCounter("choir.scan.blocks")
+	mScanSkipped = obs.NewCounter("choir.scan.blocks_skipped")
+
 	mDecodes          = obs.NewCounter("choir.decode.calls")
 	mDecodeOK         = obs.NewCounter("choir.decode.ok")
 	mErrBadIQ         = obs.NewCounter("choir.decode.err.bad_iq")

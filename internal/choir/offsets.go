@@ -416,35 +416,51 @@ func (d *Decoder) subtractUsers(wins [][]complex128, users []userEstimate) {
 // fit at the refined frequency and the tone at that frequency (the decoder's
 // tone scratch, valid until the next tone call) for the caller to subtract
 // the fit with.
+//
+// Each of its FineIters+3 fits is one dsp.ToneAndPrefix walk and one
+// segmentScan bounded by the block sums of x, which x shares across all of
+// them, and by the gain at the previous fit's boundary.
 func (d *Decoder) segmentFitRefined(x []complex128, fBins float64) (segModel, []complex128) {
 	sp := mStageResidual.Start()
 	defer sp.Stop()
-	// A candidate frequency is judged by the scan's explained energy alone;
-	// only the refined frequency's fit forms the gains.
-	explained := func(f float64) float64 {
-		_, _, energy := d.segmentScan(x, d.tone(f))
+	n := d.n
+	x = x[:n]
+	blk := blockSums(f64Buf(&d.blockBuf, n/scanBlock), x)
+	prefix := c128Buf(&d.prefixBuf, n+1)
+	i0, skipped := -1, 0
+	// fit scans the tone at f and leaves its boundary in i0. A candidate
+	// frequency is judged by the explained energy alone; only the refined
+	// frequency's fit forms the gains.
+	fit := func(f float64) float64 {
+		dsp.ToneAndPrefix(d.toneBuf, prefix, x, f/float64(n))
+		var energy float64
+		var sk int
+		i0, energy, sk = d.segmentScan(prefix, blk, i0)
+		skipped += sk
 		return energy
 	}
 	const phi = 0.6180339887498949
 	a, b := fBins-0.5, fBins+0.5
 	x1 := b - phi*(b-a)
 	x2 := a + phi*(b-a)
-	f1, f2 := explained(x1), explained(x2)
+	f1, f2 := fit(x1), fit(x2)
 	for i := 0; i < d.cfg.FineIters; i++ {
 		if f1 > f2 {
 			b, x2, f2 = x2, x1, f1
 			x1 = b - phi*(b-a)
-			f1 = explained(x1)
+			f1 = fit(x1)
 		} else {
 			a, x1, f1 = x1, x2, f2
 			x2 = a + phi*(b-a)
-			f2 = explained(x2)
+			f2 = fit(x2)
 		}
 	}
 	best := (a + b) / 2
-	tone := d.tone(best)
-	h1, h2, i0 := d.SegmentFit(x, tone)
-	return segModel{f: best, h1: h1, h2: h2, i0: i0}, tone
+	fit(best)
+	mScanBlocks.Add(int64((d.cfg.FineIters + 3) * len(blk)))
+	mScanSkipped.Add(int64(skipped))
+	h1, h2 := segmentGains(prefix, i0)
+	return segModel{f: best, h1: h1, h2: h2, i0: i0}, d.toneBuf
 }
 
 // SegmentFit fits the two-segment tone model h₁·tone[k] (k < i0) plus
@@ -454,63 +470,167 @@ func (d *Decoder) segmentFitRefined(x []complex128, fBins float64) (segModel, []
 // the single hottest routine of a decode, exported so cmd/choir-bench can pin
 // it on its own.
 func (d *Decoder) SegmentFit(x, tone []complex128) (h1, h2 complex128, i0 int) {
-	n := d.n
-	prefix, i0, _ := d.segmentScan(x, tone)
+	prefix := tonePrefix(c128Buf(&d.prefixBuf, d.n+1), x[:d.n], tone)
+	i0, _, _ = d.segmentScan(prefix, nil, -1)
+	h1, h2 = segmentGains(prefix, i0)
+	return h1, h2, i0
+}
+
+// segmentGains forms the two-segment model's least-squares gains at boundary
+// i0 from the prefix sums P (N+1): h₁ = P_i0/i0 and h₂ = (P_N − P_i0)/(N−i0),
+// each zero when its segment is empty.
+func segmentGains(prefix []complex128, i0 int) (h1, h2 complex128) {
+	n := len(prefix) - 1
 	if i0 > 0 {
 		h1 = prefix[i0] / complex(float64(i0), 0)
 	}
 	if i0 < n {
 		h2 = (prefix[n] - prefix[i0]) / complex(float64(n-i0), 0)
 	}
-	return h1, h2, i0
+	return h1, h2
 }
 
-// segmentScan correlates x with tone into prefix sums P_i (decoder scratch,
-// valid until the next scan) and searches every boundary of the two-segment
-// model in O(N). It returns the sums, the boundary i0 that explains the most
-// energy, and that energy — |h₁|²·i0 + |h₂|²·(N−i0) for the least-squares
-// gains h₁ = P_i0/i0, h₂ = (T−P_i0)/(N−i0), T = P_N — without forming them.
+// blockSums fills dst (len(x)/scanBlock) with Σ |re x_k| + |im x_k| over
+// each block of scanBlock samples of x, segmentScan's per-block bound on how
+// far the prefix sums can move, and returns it.
+func blockSums(dst []float64, x []complex128) []float64 {
+	for b := range dst {
+		var s float64
+		for _, v := range (*[scanBlock]complex128)(x[b*scanBlock:]) {
+			s += math.Abs(real(v)) + math.Abs(imag(v))
+		}
+		dst[b] = s
+	}
+	return dst
+}
+
+// segmentScan's block bound (see segmentScan): boundaries are bounded
+// scanBlock at a time, a block is skipped only when its bound times
+// scanMargin is below the lower bound, and a lower bound at or under
+// scanFloor skips nothing.
+const (
+	scanBlock  = 8
+	scanMargin = 1 + 0x1p-20
+	scanFloor  = 0x1p-1000
+)
+
+// segmentScan searches every boundary of the two-segment model over the
+// prefix sums P_i of x against a tone (N+1) in O(N). It returns the boundary
+// i0 that explains the most energy (the first, where several tie), that
+// energy — |h₁|²·i0 + |h₂|²·(N−i0) for the least-squares gains h₁ = P_i0/i0,
+// h₂ = (T−P_i0)/(N−i0), T = P_N — without forming them, and how many blocks
+// of boundaries it skipped.
 //
 // The scan is a CUSUM statistic. With D_i = P_i − (i/N)·T,
 //
 //	|P_i|²/i + |T−P_i|²/(N−i) = |T|²/N + |D_i|²·N/(i(N−i)):
 //
 // the energy one tone over the whole window explains, plus what splitting it
-// at i adds. Only the second term depends on i, it needs no T − P_i, and its
-// two weights come from the decoder's table, read in place (a copy of the
-// row would round-trip through the stack, 16 bytes on an 8-byte-aligned
-// frame). At both ends D is zero and so is the table's second entry.
-func (d *Decoder) segmentScan(x, tone []complex128) (prefix []complex128, i0 int, energy float64) {
+// at i adds. Only the second term, the gain g_i, depends on i, it needs no
+// T − P_i, and its two weights come from the decoder's table, read in place
+// (a copy of the row would round-trip through the stack, 16 bytes on an
+// 8-byte-aligned frame). At both ends D is zero and so is the table's second
+// entry.
+//
+// With blk and a boundary hint, a first pass over the blocks skips those the
+// maximum cannot be in, and scanRange scans the runs of blocks between them.
+// Write S[u,v) for Σ_{u≤k<v} |re x_k| + |im x_k|; blk[b] is S over block b's
+// B = scanBlock samples. For a boundary i of the block from a, D_i − D_a adds
+// the terms x_k·conj(tone_k), a ≤ k < i, each no larger than
+// |re x_k| + |im x_k|, and moves (i−a)/N·T; D_{a+B} − D_i adds and moves the
+// rest. So |D_i| ≤ |D_a| + S[a,i) + (i−a)/N·|T| and
+// |D_i| ≤ |D_{a+B}| + S[i,a+B) + (a+B−i)/N·|T|, and their mean is
+//
+//	|D_i| ≤ r = (|D_a|₁ + |D_{a+B}|₁ + blk[a/B] + B/N·|T|₁)/2,  so  g_i ≤ cusumMax[a/B]·r².
+//
+// The gain at the hint, lower, is one of the gains the maximum is taken
+// over; a block whose bound·scanMargin is below it scores strictly below the
+// maximum throughout, so none of its boundaries is the first strict maximum,
+// and i0 and the energy are the bits the full scan returns
+// (TestPrunedScanMatchesFullScan). The hint is the previous fit's boundary,
+// and that is the maximum again for most golden-search candidates.
+//
+// The bound must hold for the computed gains, not only the exact ones (ε =
+// 2⁻⁵² below). Relative to r, a computed |D_i| can exceed it by the tone's
+// magnitude error, 4⌈log₂N⌉ε (dsp.Tone), and the product's rounding; and by
+// the roundings of the block's B running sums and of the D's, each at most
+// ε·(|D| + |T|), where |T| ≤ 2N/B·r because r holds B/(2N)·|T|₁. The gain
+// adds its own three roundings and the bound seven. On the gain, all of it
+// stays below budget = (4N + 8⌈log₂N⌉ + 64)·ε: 3.7·10⁻¹² at N = 4096 (SF12),
+// and scanMargin − 1 = 2⁻²⁰ ≈ 9.5·10⁻⁷ is over 10⁵ times that. Underflow adds
+// an absolute error under 2⁻¹⁰⁶⁰ instead, which scanFloor keeps negligible
+// against lower. A NaN or infinite bound, or a NaN lower, never skips; with
+// lower = +Inf a skipped block's gains are finite. SegmentFit has no block
+// sums and scans every boundary in one run.
+func (d *Decoder) segmentScan(prefix []complex128, blk []float64, hint int) (i0 int, energy float64, skipped int) {
 	n := d.n
-	prefix = tonePrefix(c128Buf(&d.prefixBuf, n+1), x[:n], tone)
+	prefix = prefix[:n+1]
 	tr, ti := real(prefix[n]), imag(prefix[n])
-	cusum := d.cusum[:len(prefix)]
-	gain := func(p complex128, w *[2]float64) float64 {
-		dr, di := real(p)-w[0]*tr, imag(p)-w[0]*ti
-		return (dr*dr + di*di) * w[1]
+	cusum := d.cusum[:n+1]
+	lower := math.NaN()
+	if blk != nil && hint >= 0 {
+		lower = cusumGain(prefix[hint], &cusum[hint], tr, ti)
 	}
-	// Four boundaries a step: the running maximum rises a handful of times a
-	// scan, so one test clears a whole step and the first-strict-maximum
-	// bookkeeping runs only for the steps that raise it.
 	best, bestGain := 0, math.Inf(-1)
+	from := 0 // the boundaries before from are scanned or skipped
+	if lower > scanFloor {
+		// dev is |D_i|₁.
+		dev := func(i int) float64 {
+			return math.Abs(real(prefix[i])-cusum[i][0]*tr) + math.Abs(imag(prefix[i])-cusum[i][0]*ti)
+		}
+		tail := float64(scanBlock) / float64(n) * (math.Abs(tr) + math.Abs(ti))
+		devA := dev(0) // |D_a|₁ of the block at hand
+		for b, wmax := range d.cusumMax {
+			a := b * scanBlock
+			devB := dev(a + scanBlock)
+			r := 0.5 * (devA + devB + blk[b] + tail)
+			devA = devB
+			if wmax*(r*r)*scanMargin < lower {
+				if from < a {
+					best, bestGain = scanRange(prefix[from:a], cusum[from:a], tr, ti, from, best, bestGain)
+				}
+				from = a + scanBlock
+				skipped++
+			}
+		}
+	}
+	best, bestGain = scanRange(prefix[from:], cusum[from:], tr, ti, from, best, bestGain)
+	return best, (tr*tr+ti*ti)/float64(n) + bestGain, skipped
+}
+
+// cusumGain is one boundary's gain |P − w[0]·T|²·w[1], T = tr + j·ti, with
+// w the boundary's row of the decoder's table.
+func cusumGain(p complex128, w *[2]float64, tr, ti float64) float64 {
+	dr, di := real(p)-w[0]*tr, imag(p)-w[0]*ti
+	return (dr*dr + di*di) * w[1]
+}
+
+// scanRange carries the first strict maximum best, bestGain of segmentScan
+// through the boundaries base, base+1, … whose prefix sums and table rows
+// prefix and cusum hold, and returns it. Four boundaries a step: the running
+// maximum rises a handful of times a scan, so one test clears a whole step
+// and the first-strict-maximum bookkeeping runs only for the steps that
+// raise it.
+func scanRange(prefix []complex128, cusum [][2]float64, tr, ti float64, base, best int, bestGain float64) (int, float64) {
+	cusum = cusum[:len(prefix)]
 	i := 0
 	for ; i+4 <= len(cusum); i += 4 {
 		p, w := prefix[i:i+4], cusum[i:i+4]
-		g := [4]float64{gain(p[0], &w[0]), gain(p[1], &w[1]), gain(p[2], &w[2]), gain(p[3], &w[3])}
+		g := [4]float64{cusumGain(p[0], &w[0], tr, ti), cusumGain(p[1], &w[1], tr, ti), cusumGain(p[2], &w[2], tr, ti), cusumGain(p[3], &w[3], tr, ti)}
 		if g[0] > bestGain || g[1] > bestGain || g[2] > bestGain || g[3] > bestGain {
 			for j, gj := range g {
 				if gj > bestGain {
-					best, bestGain = i+j, gj
+					best, bestGain = base+i+j, gj
 				}
 			}
 		}
 	}
 	for ; i < len(cusum); i++ {
-		if g := gain(prefix[i], &cusum[i]); g > bestGain {
-			best, bestGain = i, g
+		if g := cusumGain(prefix[i], &cusum[i], tr, ti); g > bestGain {
+			best, bestGain = base+i, g
 		}
 	}
-	return prefix, best, (tr*tr+ti*ti)/float64(n) + bestGain
+	return best, bestGain
 }
 
 // tonePrefix fills dst (len(x)+1) with the running correlation of x against

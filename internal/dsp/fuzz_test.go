@@ -57,26 +57,68 @@ func FuzzFindPeaks(f *testing.F) {
 	})
 }
 
-// FuzzNoiseFloor asserts the floor estimate is always a finite value inside
-// the spectrum's range and never mutates its input.
-func FuzzNoiseFloor(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 || len(data) > 4096 {
-			return
+// floorValues expands a byte pattern into n (at most 4096) spectrum values:
+// value i is data[i mod len(data)]/2 plus ramp·i/16, and byte 255 is NaN. A
+// pattern as long as the spectrum spells out any spectrum of byte values; a
+// short one repeats, with the ramp making a layout ascend or descend.
+func floorValues(data []byte, n uint16, ramp int8) []float64 {
+	if len(data) == 0 {
+		return nil
+	}
+	spec := make([]float64, min(int(n), 4096))
+	for i := range spec {
+		b := data[i%len(data)]
+		spec[i] = float64(b)*0.5 + float64(ramp)*float64(i)/16
+		if b == 255 {
+			spec[i] = math.NaN()
 		}
-		spec := fuzzSpectrum(data)
+	}
+	return spec
+}
+
+// FuzzNoiseFloor pins the floor estimate's value: bit for bit the
+// sort-based median on NaN-free spectra of up to 4096 values (past the
+// bracket's cut-over), and exactly what MedianInPlace over a copy returns on
+// spectra holding NaN. The spectrum is never mutated.
+func FuzzNoiseFloor(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5}, uint16(5), int8(0))
+	f.Add([]byte{0}, uint16(4096), int8(1))    // ascending
+	f.Add([]byte{0}, uint16(4096), int8(-3))   // descending
+	f.Add([]byte{7}, uint16(4096), int8(0))    // all equal
+	f.Add([]byte{0, 1}, uint16(4095), int8(0)) // two-valued
+	// Periodic layouts: every sampled bin above the median, and stride 16.
+	for _, period := range []int{bracketStride, 16} {
+		pattern := []byte{200}
+		for len(pattern) < period {
+			pattern = append(pattern, byte(len(pattern)))
+		}
+		f.Add(pattern, uint16(4096), int8(0))
+	}
+	noise := make([]byte, 97)
+	for i := range noise {
+		noise[i] = byte(i * 7919 % 251)
+	}
+	f.Add(noise, uint16(3001), int8(0))
+	f.Add(append([]byte{255}, noise[1:]...), uint16(4096), int8(0))                            // NaN on a sampled bin
+	f.Add(append(noise[:40:40], append([]byte{255}, noise[41:]...)...), uint16(2048), int8(2)) // NaN between them
+	f.Add([]byte("\xff0000000"), uint16(4096), int8(91))                                       // NaNs leave the sample's two ranks unordered
+	f.Fuzz(func(t *testing.T, data []byte, n uint16, ramp int8) {
+		spec := floorValues(data, n, ramp)
 		orig := append([]float64(nil), spec...)
 		floor := NoiseFloor(spec)
-		lo, hi := spec[0], spec[0]
+		hasNaN := false
 		for i, v := range spec {
-			lo, hi = math.Min(lo, v), math.Max(hi, v)
-			if v != orig[i] {
+			hasNaN = hasNaN || math.IsNaN(v)
+			if math.Float64bits(v) != math.Float64bits(orig[i]) {
 				t.Fatal("NoiseFloor mutated its input")
 			}
 		}
-		if floor < lo || floor > hi {
-			t.Fatalf("floor %g outside [%g, %g]", floor, lo, hi)
+		want := sortMedian(spec)
+		if hasNaN {
+			want = MedianInPlace(orig)
+		}
+		if math.Float64bits(floor) != math.Float64bits(want) {
+			t.Fatalf("n=%d NaN=%v: floor %g, want %g", len(spec), hasNaN, floor, want)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
+	"sort"
 	"testing"
 )
 
@@ -149,19 +150,34 @@ func TestSpectrumIntoMatchesPaddedSpectrum(t *testing.T) {
 	}
 }
 
+// sortMedian is the median by definition: the middle value of a sorted copy,
+// or the mean of the two middle values for an even length (0 when empty).
+func sortMedian(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	mid := len(s) / 2
+	if len(s)%2 == 1 {
+		return s[mid]
+	}
+	return 0.5 * (s[mid-1] + s[mid])
+}
+
 // TestMedianInPlaceMatchesMedian cross-checks quickselect against the
 // sort-based median on random and adversarial inputs.
 func TestMedianInPlaceMatchesMedian(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 0xAAAA))
 	check := func(xs []float64) {
 		t.Helper()
-		want := Median(xs)
-		tmp := append([]float64(nil), xs...)
-		got := MedianInPlace(tmp)
-		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Fatalf("MedianInPlace=%g, Median=%g for %v", got, want, xs)
+		want := sortMedian(xs)
+		got := MedianInPlace(append([]float64(nil), xs...))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MedianInPlace=%g, sorted median=%g for %v", got, want, xs)
 		}
 	}
+	check(nil)
 	check([]float64{1})
 	check([]float64{2, 1})
 	check([]float64{3, 3, 3, 3})
@@ -184,24 +200,117 @@ func TestMedianInPlaceMatchesMedian(t *testing.T) {
 	}
 }
 
-// TestNoiseFloorScratchMatches pins that the scratch variant returns exactly
-// NoiseFloor's value and leaves the spectrum untouched.
+// TestNoiseFloorScratchMatches pins that the noise floor is the sort-based
+// median, bit for bit, on both sides of the bracket's cut-over and on
+// layouts the bracket misses, and that the spectrum is left untouched.
 func TestNoiseFloorScratchMatches(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 0xBBBB))
-	spec := make([]float64, 1023)
-	for i := range spec {
-		spec[i] = rng.ExpFloat64()
+	layouts := []struct {
+		name string
+		at   func(i int) float64
+	}{
+		{"exponential", func(int) float64 { return rng.ExpFloat64() }},
+		{"peaky", func(i int) float64 {
+			if i%97 == 3 {
+				return 1e6 * rng.Float64()
+			}
+			return rng.ExpFloat64()
+		}},
+		// Every sampled bin is the spectrum's largest: the bracket misses.
+		{"sampled-bin spikes", func(i int) float64 {
+			if i%bracketStride == 0 {
+				return 1e9 + float64(i)
+			}
+			return rng.Float64()
+		}},
+		{"stride-16 spikes", func(i int) float64 {
+			if i%16 == 0 {
+				return 1e9 + float64(i)
+			}
+			return rng.Float64()
+		}},
+		{"ascending", func(i int) float64 { return float64(i) }},
+		{"two-valued", func(int) float64 { return float64(rng.IntN(2)) }},
+		{"all equal", func(int) float64 { return 3.5 }},
+		{"heavy ties", func(int) float64 { return float64(rng.IntN(6)) }},
+		{"ramp mod 17", func(i int) float64 { return float64(i % 17) }},
 	}
-	orig := append([]float64(nil), spec...)
-	scratch := make([]float64, len(spec))
-	want := NoiseFloor(spec)
-	got := NoiseFloorScratch(spec, scratch)
-	if got != want {
-		t.Fatalf("NoiseFloorScratch=%g, NoiseFloor=%g", got, want)
+	for _, l := range layouts {
+		name, at := l.name, l.at
+		for _, n := range []int{1, 2, 1023, bracketMin - 1, bracketMin, bracketMin + 1, 2048, 16384, 16385} {
+			spec := make([]float64, n)
+			for i := range spec {
+				spec[i] = at(i)
+			}
+			orig := append([]float64(nil), spec...)
+			want := sortMedian(spec)
+			got := NoiseFloorScratch(spec, make([]float64, n))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s n=%d: NoiseFloorScratch=%g, sorted median=%g", name, n, got, want)
+			}
+			if g := NoiseFloor(spec); math.Float64bits(g) != math.Float64bits(want) {
+				t.Fatalf("%s n=%d: NoiseFloor=%g, sorted median=%g", name, n, g, want)
+			}
+			for i := range spec {
+				if spec[i] != orig[i] {
+					t.Fatalf("%s n=%d: NoiseFloorScratch mutated its input", name, n)
+				}
+			}
+		}
 	}
-	for i := range spec {
-		if spec[i] != orig[i] {
-			t.Fatal("NoiseFloorScratch mutated its input")
+}
+
+// TestBracketMedianRoute pins which spectra the bracket answers: a noise-like
+// one, whether or not the rank lands near the sample's middle, and not one
+// whose sampled bins all sit above the median or one holding a NaN.
+func TestBracketMedianRoute(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 0xDDDD))
+	for _, n := range []int{bracketMin, 2048, 16384} {
+		spec := make([]float64, n)
+		for i := range spec {
+			spec[i] = rng.ExpFloat64()
+		}
+		if m, ok := bracketMedian(spec, make([]float64, n)); !ok || m != sortMedian(spec) {
+			t.Errorf("n=%d noise: bracket (%g, %v), sorted median %g", n, m, ok, sortMedian(spec))
+		}
+		spiked := append([]float64(nil), spec...)
+		for i := 0; i < n; i += bracketStride {
+			spiked[i] = 1e9
+		}
+		if _, ok := bracketMedian(spiked, make([]float64, n)); ok {
+			t.Errorf("n=%d: a sample above the median still claimed the bracket", n)
+		}
+		for _, at := range []int{0, 5, n - 1} {
+			nan := append([]float64(nil), spec...)
+			nan[at] = math.NaN()
+			if _, ok := bracketMedian(nan, make([]float64, n)); ok {
+				t.Errorf("n=%d: a NaN at %d still claimed the bracket", n, at)
+			}
+		}
+	}
+	// Middle ranks one off the bracket's edges: every sampled bin is M, so
+	// the bracket is exactly [M, M], and the unsampled bins put the lower
+	// middle just below it, or the upper middle just above it.
+	const n, M = 2048, 1000.0
+	sampled := (n + bracketStride - 1) / bracketStride
+	for _, below := range []int{n / 2, n/2 - sampled} {
+		spec, j := make([]float64, n), 0
+		for i := range spec {
+			switch {
+			case i%bracketStride == 0:
+				spec[i] = M
+			case j < below:
+				spec[i] = float64(1 + j%999)
+				j++
+			default:
+				spec[i] = 2000 + float64(i)
+			}
+		}
+		if m, ok := bracketMedian(spec, make([]float64, n)); ok {
+			t.Errorf("%d below the bracket: it claimed median %g, sorted median %g", below, m, sortMedian(spec))
+		}
+		if got, want := NoiseFloorScratch(spec, nil), sortMedian(spec); got != want {
+			t.Errorf("%d below the bracket: NoiseFloorScratch=%g, sorted median=%g", below, got, want)
 		}
 	}
 }

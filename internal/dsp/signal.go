@@ -36,19 +36,72 @@ func Tone(dst []complex128, n int, freq, phase float64) []complex128 {
 	dst[0] = complex(c, s)
 	var w complex128
 	for m, square := 1, false; m < n; m, square = m<<1, !square {
-		if square {
-			w *= w
-		} else {
-			cyc := freq * float64(m)
-			s, c := math.Sincos(2 * math.Pi * (cyc - math.RoundToEven(cyc)))
-			w = complex(c, s)
-		}
+		w = tonePhasor(w, freq, m, square)
 		out := dst[m:min(2*m, n)]
 		for k, v := range dst[:len(out)] {
 			out[k] = v * w
 		}
 	}
 	return dst
+}
+
+// tonePhasor returns Tone's doubling phasor w_m = e^{j2π·freq·m}: the square
+// of the level below's phasor prev when square is set, else math.Sincos of
+// the angle reduced in cycles.
+func tonePhasor(prev complex128, freq float64, m int, square bool) complex128 {
+	if square {
+		return prev * prev
+	}
+	cyc := freq * float64(m)
+	s, c := math.Sincos(2 * math.Pi * (cyc - math.RoundToEven(cyc)))
+	return complex(c, s)
+}
+
+// ToneAndPrefix writes Tone(tone, len(x), freq, 0) into tone and the running
+// correlation of x against it, prefix[i] = Σ_{k<i} x[k]·conj(tone[k]), into
+// prefix (len(x)+1). It is one in-order walk doing what those two passes do:
+// each tone element is the same product of the same phasors, and each sum
+// adds the same terms in the same order, so both outputs are bit-for-bit
+// those of Tone followed by the separate correlation pass — with no second
+// pass reloading the tone. tone must hold len(x) elements.
+func ToneAndPrefix(tone, prefix, x []complex128, freq float64) {
+	n := len(x)
+	tone, prefix = tone[:n], prefix[:n+1]
+	prefix[0] = 0
+	if n == 0 {
+		return
+	}
+	sums := prefix[1:][:n]
+	tone[0] = 1 // math.Sincos(0) is exactly (0, 1)
+	var sr, si float64
+	tr, ti := real(tone[0]), imag(tone[0])
+	sr += real(x[0])*tr + imag(x[0])*ti
+	si += imag(x[0])*tr - real(x[0])*ti
+	sums[0] = complex(sr, si)
+	var w complex128
+	for m, square := 1, false; m < n; m, square = m<<1, !square {
+		w = tonePhasor(w, freq, m, square)
+		hi := min(2*m, n)
+		sr, si = toneLevel(tone[m:hi], tone[:hi-m], x[m:hi], sums[m:hi], w, sr, si)
+	}
+}
+
+// toneLevel is one doubling level of ToneAndPrefix: out[k] = src[k]·w,
+// folded in order into the running sums sr, si of x against it, each stored
+// into sums. It returns the sums. It is a function of its own so that its
+// loop counter stays in a register: written inline in ToneAndPrefix's level
+// loop, the counter goes through the stack on every element.
+func toneLevel(out, src, x, sums []complex128, w complex128, sr, si float64) (float64, float64) {
+	out, x, sums = out[:len(src)], x[:len(src)], sums[:len(src)]
+	for k, v := range src {
+		t := v * w
+		out[k] = t
+		tr, ti := real(t), imag(t)
+		sr += real(x[k])*tr + imag(x[k])*ti
+		si += imag(x[k])*tr - real(x[k])*ti
+		sums[k] = complex(sr, si)
+	}
+	return sr, si
 }
 
 // FreqShift multiplies x by exp(j2π f n) sample-wise, shifting its spectrum

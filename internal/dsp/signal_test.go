@@ -97,10 +97,10 @@ func TestStatsHelpers(t *testing.T) {
 	if m := Mean(xs); m != 2.5 {
 		t.Errorf("Mean = %g", m)
 	}
-	if m := Median(xs); m != 2.5 {
+	if m := MedianInPlace([]float64{4, 1, 3, 2}); m != 2.5 {
 		t.Errorf("Median = %g", m)
 	}
-	if m := Median([]float64{3, 1, 2}); m != 2 {
+	if m := MedianInPlace([]float64{3, 1, 2}); m != 2 {
 		t.Errorf("Median odd = %g", m)
 	}
 	if r := RMS([]float64{3, 4}); math.Abs(r-math.Sqrt(12.5)) > 1e-12 {

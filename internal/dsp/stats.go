@@ -29,33 +29,28 @@ func RMS(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// Median returns the median of xs (0 for an empty slice). xs is not modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	tmp := append([]float64(nil), xs...)
-	return MedianInPlace(tmp)
-}
-
-// MedianInPlace returns the median of xs, reordering xs in the process. The
-// value is identical to Median's — the same order statistics, found by
-// quickselect instead of a full sort — but costs O(n) instead of O(n log n)
-// and allocates nothing. The decoder's noise-floor estimate runs this on a
-// scratch copy of every magnitude spectrum it inspects.
+// MedianInPlace returns the median of xs (0 for an empty slice), reordering
+// xs in the process: the middle order statistic, or the mean of the two
+// middle ones for an even length — for NaN-free xs the value a sorted copy
+// gives — in O(n) and without allocating.
 func MedianInPlace(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	mid := len(xs) / 2
-	m := quickselect(xs, mid)
-	if len(xs)%2 == 1 {
+	return middle(xs, len(xs)/2, len(xs)%2 == 0)
+}
+
+// middle reorders xs and returns its k-th order statistic, or with even set
+// the mean of the (k−1)-th and the k-th (k >= 1 then).
+func middle(xs []float64, k int, even bool) float64 {
+	m := quickselect(xs, k)
+	if !even {
 		return m
 	}
-	// Even length: the lower middle element is the maximum of the left
-	// partition quickselect leaves behind.
+	// The (k−1)-th order statistic is the maximum of the left partition
+	// quickselect leaves behind.
 	lo := xs[0]
-	for _, x := range xs[:mid] {
+	for _, x := range xs[:k] {
 		if x > lo {
 			lo = x
 		}
