@@ -259,7 +259,7 @@ func TestGatewayDecodesOneWay(t *testing.T) {
 // TestDecodeHasNoSeed keeps the decode seed deleted (DESIGN.md §7): a decode
 // is a function of (config, samples), so nothing outside benchmark/ calls
 // Reseed, every Reseed still declared (for frozen benchmark/, ROADMAP item
-// 8(ii)) has an empty body, choir.Config has no Seed to thread, and a pool
+// 9) has an empty body, choir.Config has no Seed to thread, and a pool
 // checkout takes no seed.
 func TestDecodeHasNoSeed(t *testing.T) {
 	shims := 0

@@ -36,7 +36,7 @@ type Backend interface {
 	// Reseed is accepted and ignored: no backend keeps random state
 	// between decodes. It stays declared, with an empty body in every
 	// implementation, only because the frozen benchmark/ package calls it
-	// (ROADMAP item 8(ii)).
+	// (ROADMAP item 9).
 	Reseed(seed uint64)
 	// DecodeCtxInto decodes samples into res, recycling res's storage (the
 	// contract of choir.Decoder.DecodeCtxInto): res must be non-nil, is

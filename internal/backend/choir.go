@@ -57,7 +57,7 @@ func StrongestConfig(p lora.Params) choir.Config {
 // decoderBackend adapts a choir.Decoder to the Backend interface — the
 // shared implementation behind every Choir-pipeline backend. Dispatch adds
 // nothing on top of the decoder call (no allocation, no copying), which
-// BenchmarkBackendDispatch pins.
+// TestBackendDispatchZeroAllocs pins.
 type decoderBackend struct {
 	name string
 	dec  *choir.Decoder

@@ -54,6 +54,31 @@ func sameErr(t *testing.T, label string, got, want error) {
 	}
 }
 
+// TestBackendDispatchZeroAllocs is TestDecodeSteadyStateZeroAllocs driven
+// through the Backend interface: registry construction, the interface call
+// and context polling must not put the steady-state decode back on the heap.
+func TestBackendDispatchZeroAllocs(t *testing.T) {
+	h, samples := loadFixture(t, "collide2_sf7")
+	be := backend.MustNew("choir", h.Params)
+	res := &choir.Result{}
+	ctx := context.Background()
+	decodeOnce := func() {
+		if err := be.DecodeCtxInto(ctx, res, samples, h.PayloadLen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decodeOnce()
+	decodeOnce()
+	for _, u := range res.Users {
+		if !u.Decoded() {
+			t.Fatalf("warm-up decode failed: %v", u.Err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, decodeOnce); allocs != 0 {
+		t.Fatalf("steady-state DecodeCtxInto through Backend allocates %.1f times/op, want 0", allocs)
+	}
+}
+
 // TestPooledInstanceMatchesFreshForEveryBackend pins the determinism contract
 // the gateway's pooled decode path and journal replay both rest on: a
 // replayed frame decodes on a cold instance in a new process and must match

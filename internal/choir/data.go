@@ -174,7 +174,7 @@ func (d *Decoder) mlSymbolPass(win []complex128, w int, peaks []peakObs, users [
 	for i, pk := range peaks {
 		offs[i] = pk.bin
 	}
-	joint := d.FitChannels(win, offs)
+	joint := d.fitChannels(win, offs)
 	// Remove only the tones attributed to SOME user: an unassigned peak is
 	// either noise (harmless to leave — the matched filter integrates past
 	// it) or a misattributed fragment of a real user's signal (catastrophic
@@ -267,7 +267,7 @@ func (d *Decoder) mainSeg(b int) (lo, hi int) {
 // the closed-form Gram matrix of toneGram — two masked tones overlap on the
 // intersection of their ranges — so a fit costs O(N·k + k³) and no N×k design
 // matrix exists. The returned slice aliases decoder-owned workspace storage,
-// valid until the next fitSegments / FitChannels call.
+// valid until the next fitSegments / fitChannels call.
 func (d *Decoder) fitSegments(dech []complex128, regs []segReg) []complex128 {
 	k := len(regs)
 	if k == 0 {
@@ -339,7 +339,7 @@ func (d *Decoder) estimateBoundaries(wins [][]complex128, nsym int, users []*Use
 				}
 				offs = append(offs, math.Mod(float64(s)+v.Offset+period, period))
 			}
-			hs := d.FitChannels(work, offs)
+			hs := d.fitChannels(work, offs)
 			for j, f := range offs {
 				subtractTone(work, d.tone(f), hs[j])
 			}
@@ -524,7 +524,7 @@ func (d *Decoder) extractWindowPeaks(w int, ests []userEstimate, win, spec0 []co
 		sicSp := mStageSIC.Start()
 		for _, pk := range out {
 			tone := d.tone(pk.bin)
-			h1, h2, i0 := d.SegmentFit(dech, tone)
+			h1, h2, i0 := d.segmentFit(dech, tone)
 			subtractSegments(dech, tone, h1, h2, i0)
 		}
 		sicSp.Stop()
@@ -555,7 +555,7 @@ func (d *Decoder) refinePeakPositions(dech []complex128, out []peakObs) []peakOb
 	for i, pk := range out {
 		offs[i] = pk.bin
 	}
-	joint := d.FitChannels(dech, offs)
+	joint := d.fitChannels(dech, offs)
 	if cap(d.segModels) < len(out) {
 		d.segModels = make([]segModel, len(out))
 	}

@@ -155,7 +155,7 @@ type Decoder struct {
 	residBuf  []complex128   // residual workspace for segment-model sweeps
 	workBuf   []complex128   // cleaned-window workspace
 	maskedBuf []complex128   // masked / re-added tone workspace
-	prefixBuf []complex128   // SegmentFit prefix sums (n+1)
+	prefixBuf []complex128   // segmentFit prefix sums (n+1)
 	blockBuf  []float64      // segmentFitRefined's per-block sums of |re|+|im| (n/scanBlock)
 	prefPrev  []complex128   // accumulateBoundaryScan prefix sums (n+1)
 	prefCur   []complex128
@@ -173,7 +173,7 @@ type Decoder struct {
 	missingBuf  []int
 	segModels   []segModel
 	regsBuf     []segReg
-	chanRegs    []segReg // FitChannels' whole-window regressors
+	chanRegs    []segReg // fitChannels' whole-window regressors
 	ownerBuf    []int
 	candBuf     []matchCand
 	usedPeakBuf []bool
@@ -286,7 +286,7 @@ func (d *Decoder) Config() Config { return d.cfg }
 
 // Reseed is accepted and ignored: the decoder keeps no random state, so
 // there is nothing to reset. It stays declared only because the frozen
-// benchmark/ package calls it (ROADMAP item 8(ii)).
+// benchmark/ package calls it (ROADMAP item 9).
 func (d *Decoder) Reseed(seed uint64) {}
 
 // User is one transmitter recovered from a collision.

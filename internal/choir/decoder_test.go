@@ -450,7 +450,7 @@ func TestSpreadingFactorQuasiOrthogonality(t *testing.T) {
 	dech := lora.Dechirp(nil, sig[:n8], m8.Down())
 	spec := dsp.PaddedSpectrum(dech, 8)
 	peakiness := 0.0
-	floor := dsp.NoiseFloor(spec)
+	floor := dsp.NoiseFloorScratch(spec, nil)
 	for _, v := range spec {
 		if v/floor > peakiness {
 			peakiness = v / floor

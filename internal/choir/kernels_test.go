@@ -101,7 +101,7 @@ func TestCombDecideMatchesPaddedScan(t *testing.T) {
 	}
 }
 
-// segmentFitDividing is the body SegmentFit replaced: per-sample
+// segmentFitDividing is the body segmentFit replaced: per-sample
 // math.Sincos tones and two divisions per candidate boundary.
 func segmentFitDividing(x []complex128, f float64) (h1, h2 complex128, i0 int) {
 	n := len(x)
@@ -148,7 +148,7 @@ func TestSegmentFitMatchesDividingReference(t *testing.T) {
 			x := testWindow(d.n, 0, uint64(trial))
 			fBins := rng.Float64() * float64(d.n)
 			w1, w2, wi := segmentFitDividing(x, fBins/float64(d.n))
-			h1, h2, i0 := d.SegmentFit(x, d.tone(fBins))
+			h1, h2, i0 := d.segmentFit(x, d.tone(fBins))
 			if i0 != wi {
 				t.Fatalf("%v trial %d f=%g: boundary %d, reference %d", sf, trial, fBins, i0, wi)
 			}
@@ -162,7 +162,7 @@ func TestSegmentFitMatchesDividingReference(t *testing.T) {
 	// every non-empty segment must come back with unit gain.
 	d := decoderForSF(lora.SF7)
 	tone := append([]complex128(nil), d.tone(20.25)...)
-	h1, h2, i0 := d.SegmentFit(tone, tone)
+	h1, h2, i0 := d.segmentFit(tone, tone)
 	if (i0 > 0 && cmplx.Abs(h1-1) > 1e-12) || (i0 < d.n && cmplx.Abs(h2-1) > 1e-12) {
 		t.Errorf("pure tone: i0=%d gains (%v, %v), want unit gain", i0, h1, h2)
 	}
@@ -346,8 +346,8 @@ func TestFitsMatchExplicitLeastSquares(t *testing.T) {
 				regs[j] = segReg{f: f, lo: 0, hi: d.n}
 			}
 			want := explicitFit(t, d, x, regs)
-			got := append([]complex128(nil), d.FitChannels(x, offs)...)
-			checkFit(t, "FitChannels", got, want, 1e-9)
+			got := append([]complex128(nil), d.fitChannels(x, offs)...)
+			checkFit(t, "fitChannels", got, want, 1e-9)
 
 			// Two masked regressors per user, split at a random boundary.
 			regs = regs[:0]
@@ -365,10 +365,10 @@ func TestFitsMatchExplicitLeastSquares(t *testing.T) {
 		x := testWindow(d.n, 0, 99)
 		offs := []float64{37.2, 37.201, 90.5}
 		regs := []segReg{{37.2, 0, d.n}, {37.201, 0, d.n}, {90.5, 0, d.n}}
-		checkFit(t, "FitChannels, 1e-3-bin pair", d.FitChannels(x, offs), explicitFit(t, d, x, regs), 1e-9)
+		checkFit(t, "fitChannels, 1e-3-bin pair", d.fitChannels(x, offs), explicitFit(t, d, x, regs), 1e-9)
 	}
 	d := decoderForSF(lora.SF7)
-	if hs := d.FitChannels(testWindow(d.n, 0, 1), nil); hs != nil {
+	if hs := d.fitChannels(testWindow(d.n, 0, 1), nil); hs != nil {
 		t.Errorf("no offsets: gains %v, want none", hs)
 	}
 }
@@ -387,8 +387,8 @@ func TestFitChannelsDuplicateOffsets(t *testing.T) {
 			for i := 0; i < dup; i++ {
 				offs = append(offs, 37.3)
 			}
-			single := append([]complex128(nil), d.FitChannels(x, []float64{200.5, 37.3})...)
-			hs := d.FitChannels(x, offs)
+			single := append([]complex128(nil), d.fitChannels(x, []float64{200.5, 37.3})...)
+			hs := d.fitChannels(x, offs)
 			var sum complex128
 			for _, h := range hs[1:] {
 				if cmplx.IsNaN(h) || cmplx.IsInf(h) {
@@ -460,15 +460,55 @@ func FuzzFitsMatchExplicitLeastSquares(f *testing.F) {
 	})
 }
 
-// BenchmarkSegmentFit is the kernel on its own, SF8 window (the cmd twin
-// lives in cmd/choir-bench).
+// fitChannelsOffsets are six tones at least 0.9 bin apart in an SF8 window:
+// the highest collision order of the benchmark's heavy workload.
+var fitChannelsOffsets = []float64{12.2, 13.15, 37.3, 90.75, 91.9, 201.4}
+
+// TestFitKernelsZeroAllocs pins segmentFit and fitChannels at zero heap
+// allocations once the decoder's prefix buffer and fit workspace have grown:
+// one warm-up call each, then testing.AllocsPerRun must read 0.
+func TestFitKernelsZeroAllocs(t *testing.T) {
+	d := decoderForSF(lora.SF8)
+	x := testWindow(d.n, 0, 1)
+	tone := append([]complex128(nil), d.tone(37.3)...)
+	kernels := []struct {
+		name string
+		run  func()
+	}{
+		{"segmentFit", func() { d.segmentFit(x, tone) }},
+		{"fitChannels, six tones", func() { d.fitChannels(x, fitChannelsOffsets) }},
+	}
+	for _, k := range kernels {
+		k.run()
+		if allocs := testing.AllocsPerRun(10, k.run); allocs != 0 {
+			t.Errorf("%s allocates %.1f times/op, want 0", k.name, allocs)
+		}
+	}
+}
+
+// BenchmarkSegmentFit is the kernel on its own, SF8 window.
 func BenchmarkSegmentFit(b *testing.B) {
 	d := decoderForSF(lora.SF8)
 	x := testWindow(d.n, 0, 1)
 	tone := append([]complex128(nil), d.tone(37.3)...)
+	d.segmentFit(x, tone)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.SegmentFit(x, tone)
+		d.segmentFit(x, tone)
+	}
+}
+
+// BenchmarkFitChannels is the joint channel fit of Eqn. 2 at six tones
+// against one SF8 window: six tones and correlations plus a 6×6 closed-form
+// system.
+func BenchmarkFitChannels(b *testing.B) {
+	d := decoderForSF(lora.SF8)
+	x := testWindow(d.n, 0, 1)
+	d.fitChannels(x, fitChannelsOffsets)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.fitChannels(x, fitChannelsOffsets)
 	}
 }

@@ -245,7 +245,7 @@ func (d *Decoder) findPreambleUsers(wins [][]complex128, known []userEstimate) [
 			offs, hs = d.refineOffsets(dech, coarse)
 		} else {
 			offs = coarse
-			hs = d.FitChannels(dech, offs)
+			hs = d.fitChannels(dech, offs)
 		}
 		for i := range ests {
 			ests[i].perWin = append(ests[i].perWin, offs[i])
@@ -386,7 +386,7 @@ func (d *Decoder) subtractUsers(wins [][]complex128, users []userEstimate) {
 		for i, u := range users {
 			offs[i] = u.offset
 		}
-		hs := d.FitChannels(dech, offs)
+		hs := d.fitChannels(dech, offs)
 		for i := range models {
 			models[i] = segModel{f: offs[i], h1: hs[i], h2: hs[i], i0: 0}
 		}
@@ -402,7 +402,7 @@ func (d *Decoder) subtractUsers(wins [][]complex128, users []userEstimate) {
 			for i := range models {
 				tone := d.tone(models[i].f)
 				addSegments(residual, tone, models[i].h1, models[i].h2, models[i].i0)
-				h1, h2, i0 := d.SegmentFit(residual, tone)
+				h1, h2, i0 := d.segmentFit(residual, tone)
 				models[i].h1, models[i].h2, models[i].i0 = h1, h2, i0
 				subtractSegments(residual, tone, h1, h2, i0)
 			}
@@ -463,13 +463,12 @@ func (d *Decoder) segmentFitRefined(x []complex128, fBins float64) (segModel, []
 	return segModel{f: best, h1: h1, h2: h2, i0: i0}, d.toneBuf
 }
 
-// SegmentFit fits the two-segment tone model h₁·tone[k] (k < i0) plus
+// segmentFit fits the two-segment tone model h₁·tone[k] (k < i0) plus
 // h₂·tone[k] (k >= i0) to x, choosing the boundary i0 that maximizes the
 // explained energy (segmentScan) and forming the two least-squares gains
-// there. x and tone are both N = 2^SF samples (it panics otherwise). This is
-// the single hottest routine of a decode, exported so cmd/choir-bench can pin
-// it on its own.
-func (d *Decoder) SegmentFit(x, tone []complex128) (h1, h2 complex128, i0 int) {
+// there. x and tone are both N = 2^SF samples (it panics otherwise). It scans
+// every boundary; segmentFitRefined is the golden search's pruned form.
+func (d *Decoder) segmentFit(x, tone []complex128) (h1, h2 complex128, i0 int) {
 	prefix := tonePrefix(c128Buf(&d.prefixBuf, d.n+1), x[:d.n], tone)
 	i0, _, _ = d.segmentScan(prefix, nil, -1)
 	h1, h2 = segmentGains(prefix, i0)
@@ -560,7 +559,7 @@ const (
 // and scanMargin − 1 = 2⁻²⁰ ≈ 9.5·10⁻⁷ is over 10⁵ times that. Underflow adds
 // an absolute error under 2⁻¹⁰⁶⁰ instead, which scanFloor keeps negligible
 // against lower. A NaN or infinite bound, or a NaN lower, never skips; with
-// lower = +Inf a skipped block's gains are finite. SegmentFit has no block
+// lower = +Inf a skipped block's gains are finite. segmentFit has no block
 // sums and scans every boundary in one run.
 func (d *Decoder) segmentScan(prefix []complex128, blk []float64, hint int) (i0 int, energy float64, skipped int) {
 	n := d.n
@@ -671,14 +670,14 @@ func addSegments(x, tone []complex128, h1, h2 complex128, i0 int) {
 	subtractSegments(x, tone, -h1, -h2, i0)
 }
 
-// FitChannels solves the least-squares channel fit of Eqn. 2 for the given
+// fitChannels solves the least-squares channel fit of Eqn. 2 for the given
 // offsets (in bins) against one dechirped window: fitSegments with every
 // regressor spanning the whole window. The returned slice aliases
-// decoder-owned workspace storage and is valid until the next FitChannels /
+// decoder-owned workspace storage and is valid until the next fitChannels /
 // fitSegments call; every call site consumes or copies the gains before then.
-// It is the part of a decode that grows with the square of the collision
-// order, exported so cmd/choir-bench can pin it on its own.
-func (d *Decoder) FitChannels(dech []complex128, offsets []float64) []complex128 {
+// Its k×k system is the part of a decode that grows with the square of the
+// collision order.
+func (d *Decoder) fitChannels(dech []complex128, offsets []float64) []complex128 {
 	regs := d.chanRegs[:0]
 	for _, f := range offsets {
 		regs = append(regs, segReg{f: f, lo: 0, hi: d.n})
@@ -748,7 +747,7 @@ func (d *Decoder) refineOffsets(dech []complex128, coarse []float64) ([]float64,
 		d.segModels = make([]segModel, k)
 	}
 	models := d.segModels[:k]
-	joint := d.FitChannels(dech, offs)
+	joint := d.fitChannels(dech, offs)
 	residual := c128Buf(&d.residBuf, len(dech))
 	copy(residual, dech)
 	for i := 0; i < k; i++ {

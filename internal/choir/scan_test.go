@@ -124,7 +124,7 @@ func segmentFitRefinedTwoPass(d *Decoder, x []complex128, fBins float64) (segMod
 	}
 	best := (a + b) / 2
 	tone := d.tone(best)
-	h1, h2, i0 := d.SegmentFit(x, tone)
+	h1, h2, i0 := d.segmentFit(x, tone)
 	return segModel{f: best, h1: h1, h2: h2, i0: i0}, tone
 }
 

@@ -105,12 +105,12 @@ func FuzzNoiseFloor(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, n uint16, ramp int8) {
 		spec := floorValues(data, n, ramp)
 		orig := append([]float64(nil), spec...)
-		floor := NoiseFloor(spec)
+		floor := NoiseFloorScratch(spec, nil)
 		hasNaN := false
 		for i, v := range spec {
 			hasNaN = hasNaN || math.IsNaN(v)
 			if math.Float64bits(v) != math.Float64bits(orig[i]) {
-				t.Fatal("NoiseFloor mutated its input")
+				t.Fatal("NoiseFloorScratch mutated its input")
 			}
 		}
 		want := sortMedian(spec)

@@ -33,7 +33,7 @@ type PeakConfig struct {
 	MinSeparation float64
 	// Threshold is the minimum magnitude for a reported peak, in absolute
 	// spectrum units. Callers usually set it to a multiple of the estimated
-	// noise floor (see NoiseFloor).
+	// noise floor (see NoiseFloorScratch).
 	Threshold float64
 	// Max limits the number of reported peaks (0 means unlimited).
 	Max int
@@ -153,22 +153,17 @@ func circularDist(a, b, period float64) float64 {
 // a transform with period natural bins. Exported for decoder use.
 func CircularBinDist(a, b, period float64) float64 { return circularDist(a, b, period) }
 
-// NoiseFloor estimates the noise floor of a magnitude spectrum as the median
-// magnitude. The median is robust to a handful of strong peaks: even with
-// tens of colliding users the peak bins are a vanishing fraction of a padded
-// spectrum.
-func NoiseFloor(spectrum []float64) float64 {
-	return NoiseFloorScratch(spectrum, nil)
-}
-
-// NoiseFloorScratch is NoiseFloor with a caller-supplied scratch buffer (of
-// capacity >= len(spectrum); allocated when too small), so hot paths allocate
-// nothing. spectrum is not modified. A spectrum of at least bracketMin bins
-// is not copied whole: bracketMedian finds the median from the few values
-// near it. Short spectra, spectra holding NaN and a missed bracket take
-// MedianInPlace over a full copy. Both routes return the same order
-// statistics (a zero median can differ in sign only, where the spectrum
-// holds both −0 and +0; a magnitude spectrum holds no −0).
+// NoiseFloorScratch estimates the noise floor of a magnitude spectrum as the
+// median magnitude. The median is robust to a handful of strong peaks: even
+// with tens of colliding users the peak bins are a vanishing fraction of a
+// padded spectrum. scratch (capacity >= len(spectrum); allocated when too
+// small) lets hot paths allocate nothing. spectrum is not modified. A
+// spectrum of at least bracketMin bins is not copied whole: bracketMedian
+// finds the median from the few values near it. Short spectra, spectra
+// holding NaN and a missed bracket take MedianInPlace over a full copy. Both
+// routes return the same order statistics (a zero median can differ in sign
+// only, where the spectrum holds both −0 and +0; a magnitude spectrum holds
+// no −0).
 func NoiseFloorScratch(spectrum, scratch []float64) float64 {
 	if len(spectrum) == 0 {
 		return 0

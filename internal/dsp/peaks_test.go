@@ -15,7 +15,7 @@ func TestFindPeaksTwoTones(t *testing.T) {
 	Scale(y, 0.5)
 	Add(x, y)
 	spec := PaddedSpectrum(x, pad)
-	peaks := FindPeaks(spec, PeakConfig{Pad: pad, MinSeparation: 0.9, Threshold: NoiseFloor(spec) * 4, Max: 4})
+	peaks := FindPeaks(spec, PeakConfig{Pad: pad, MinSeparation: 0.9, Threshold: NoiseFloorScratch(spec, nil) * 4, Max: 4})
 	if len(peaks) < 2 {
 		t.Fatalf("found %d peaks, want >= 2: %v", len(peaks), peaks)
 	}
@@ -116,12 +116,12 @@ func TestNoiseFloorRobustToPeaks(t *testing.T) {
 	for i := range spec {
 		spec[i] = math.Abs(rng.NormFloat64())
 	}
-	base := NoiseFloor(spec)
+	base := NoiseFloorScratch(spec, nil)
 	// Inject 10 huge peaks; the median should barely move.
 	for i := 0; i < 10; i++ {
 		spec[i*400] = 1e6
 	}
-	after := NoiseFloor(spec)
+	after := NoiseFloorScratch(spec, nil)
 	if math.Abs(after-base) > 0.05*base+1e-9 {
 		t.Errorf("noise floor moved from %g to %g after injecting peaks", base, after)
 	}

@@ -55,11 +55,10 @@ type Config struct {
 	Ladder []string
 	// Seed is accepted and ignored: nothing in the gateway draws at random.
 	// It stays declared only because benchmark/ still sets it (ROADMAP item
-	// 8).
+	// 9).
 	Seed uint64
 	// Batch is accepted and ignored: every frame walks the ladder alone. It
-	// stays declared only because benchmark/ still sets it (ROADMAP items 7
-	// and 8).
+	// stays declared only because benchmark/ still sets it (ROADMAP item 9).
 	Batch int
 	// MaxConns caps concurrent TCP ingest connections (default 64). Accepts
 	// beyond the cap are shed: counted on gateway.conn.shed, told

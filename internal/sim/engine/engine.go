@@ -248,7 +248,7 @@ type Config struct {
 	// Shards and Workers are accepted and ignored: a run is one goroutine.
 	// Nothing reads them; they stay declared only because benchmark/
 	// (frozen outside benchmark PRs) still assigns them, and go once it
-	// stops (ROADMAP items 7 and 8).
+	// stops (ROADMAP item 9).
 	Shards  int
 	Workers int
 }
