@@ -318,26 +318,6 @@ func BenchmarkAblationZeroPad(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationUserMapping(b *testing.B) {
-	// Greedy fingerprint matching vs HMRF-style constrained clustering
-	// (Sec. 6.2) for mapping data peaks to users.
-	for _, clusterOn := range []bool{false, true} {
-		name := "mapping=greedy"
-		if clusterOn {
-			name = "mapping=clustering"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := ichoir.DefaultConfig(lora.DefaultParams())
-			cfg.UseClustering = clusterOn
-			var rate float64
-			for i := 0; i < b.N; i++ {
-				rate = decodeRate(cfg, 3, 4, 15, 400)
-			}
-			b.ReportMetric(rate, "recovery-rate")
-		})
-	}
-}
-
 func BenchmarkAblationPreambleAccum(b *testing.B) {
 	// Coherent preamble accumulation window for below-noise detection
 	// (Sec. 7.2): longer preambles detect deeper.

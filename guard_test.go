@@ -259,11 +259,20 @@ func TestGatewayDecodesOneWay(t *testing.T) {
 // TestDecodeHasNoSeed keeps the decode seed deleted (DESIGN.md §7): a decode
 // is a function of (config, samples), so nothing outside benchmark/ calls
 // Reseed, every Reseed still declared (for frozen benchmark/, ROADMAP item
-// 9) has an empty body, choir.Config has no Seed to thread, and a pool
+// 9) has an empty body, choir.Config has no Seed to thread and no clustering
+// switch to reach a second peak-to-user mapping, non-test code in
+// internal/choir and internal/backend imports no math/rand, and a pool
 // checkout takes no seed.
 func TestDecodeHasNoSeed(t *testing.T) {
 	shims := 0
 	parseSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
+		if dir == "internal/choir" || dir == "internal/backend" {
+			for _, im := range f.Imports {
+				if p, _ := strconv.Unquote(im.Path.Value); strings.HasPrefix(p, "math/rand") {
+					t.Errorf("%s imports %s: the decoder draws nothing at random", dir, p)
+				}
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -287,6 +296,11 @@ func TestDecodeHasNoSeed(t *testing.T) {
 	cfg := reflect.TypeOf(choir.DefaultDecoderConfig(choir.DefaultPHY()))
 	if _, ok := cfg.FieldByName("Seed"); ok {
 		t.Errorf("%s declares a Seed field: the decoder draws nothing a caller could seed", cfg)
+	}
+	for i := range cfg.NumField() {
+		if name := cfg.Field(i).Name; strings.Contains(name, "Clustering") {
+			t.Errorf("%s declares %s: greedy fingerprint matching is the one peak-to-user mapping", cfg, name)
+		}
 	}
 	get, ok := reflect.TypeOf(&choir.BackendPool{}).MethodByName("Get")
 	if !ok {

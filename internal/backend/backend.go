@@ -1,5 +1,5 @@
 // Package backend turns the repository's collision decoder into a pluggable
-// platform: every collision-resolution algorithm — Choir's offset-clustering
+// platform: every collision-resolution algorithm — Choir's offset-fingerprint
 // SIC, the gateway's relaxed and strongest-user fallbacks, SS5G-style
 // slot-shift recovery, and direct superposed-frame decoding — implements one
 // Backend interface and registers itself by name. Consumers (the gateway

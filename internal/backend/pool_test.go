@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"choir/internal/backend"
@@ -28,6 +29,8 @@ func loadFixture(t *testing.T, name string) (trace.Header, []complex128) {
 	return h, samples
 }
 
+// sameResult compares two decode results bit for bit, every User field
+// included.
 func sameResult(t *testing.T, label string, got, want *choir.Result) {
 	t.Helper()
 	if len(got.Users) != len(want.Users) {
@@ -37,6 +40,23 @@ func sameResult(t *testing.T, label string, got, want *choir.Result) {
 		g, w := got.Users[i], want.Users[i]
 		if math.Float64bits(g.Offset) != math.Float64bits(w.Offset) {
 			t.Errorf("%s user %d: offset %v != %v", label, i, g.Offset, w.Offset)
+		}
+		if math.Float64bits(real(g.Gain)) != math.Float64bits(real(w.Gain)) ||
+			math.Float64bits(imag(g.Gain)) != math.Float64bits(imag(w.Gain)) {
+			t.Errorf("%s user %d: gain %v != %v", label, i, g.Gain, w.Gain)
+		}
+		if !slices.Equal(g.Symbols, w.Symbols) {
+			t.Errorf("%s user %d: symbols %v != %v", label, i, g.Symbols, w.Symbols)
+		}
+		if len(g.WindowOffsets) != len(w.WindowOffsets) {
+			t.Errorf("%s user %d: %d window offsets, want %d", label, i, len(g.WindowOffsets), len(w.WindowOffsets))
+		} else {
+			for k := range w.WindowOffsets {
+				if math.Float64bits(g.WindowOffsets[k]) != math.Float64bits(w.WindowOffsets[k]) {
+					t.Errorf("%s user %d: window offset %d: %v != %v", label, i, k, g.WindowOffsets[k], w.WindowOffsets[k])
+					break
+				}
+			}
 		}
 		if string(g.Payload) != string(w.Payload) {
 			t.Errorf("%s user %d: payload %x != %x", label, i, g.Payload, w.Payload)

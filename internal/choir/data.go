@@ -3,17 +3,14 @@ package choir
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"slices"
 
-	"choir/internal/cluster"
 	"choir/internal/dsp"
 	"choir/internal/lora"
 )
 
 // peakObs is a spectrum peak observed in one data window.
 type peakObs struct {
-	win  int        // data-window index
 	bin  float64    // interpolated position in natural bins
 	mag  float64    // magnitude
 	gain complex128 // complex spectrum value at the peak
@@ -94,16 +91,12 @@ func (d *Decoder) decodeData(res *Result, samples []complex128, ests []userEstim
 			if d.canceled() {
 				return users
 			}
-			allPeaks[w] = d.extractWindowPeaks(w, ests,
-				wins[w], d.grid.Spec(w-base), d.grid.Mags(w-base))
+			allPeaks[w] = d.extractWindowPeaks(ests, wins[w],
+				d.grid.Spec(w-base), d.grid.Mags(w-base))
 		}
 	}
 
-	if d.cfg.UseClustering && len(ests) > 1 {
-		d.assignByClustering(allPeaks, users)
-	} else {
-		d.assignGreedy(allPeaks, users)
-	}
+	d.assignGreedy(allPeaks, users)
 
 	// Final symbol decisions: maximum-likelihood matched filtering at each
 	// user's own offset with every other attributed tone subtracted. The
@@ -481,7 +474,7 @@ func (d *Decoder) icSymbolPass(dech []complex128, w int, users []*User, bounds [
 // serially, because the residual depends on this window's own round-0
 // peaks. The returned peak list is arena-backed: valid until the end of the
 // current decode.
-func (d *Decoder) extractWindowPeaks(w int, ests []userEstimate, win, spec0 []complex128, mags0 []float64) []peakObs {
+func (d *Decoder) extractWindowPeaks(ests []userEstimate, win, spec0 []complex128, mags0 []float64) []peakObs {
 	dech := c128Buf(&d.dechCopy, d.n)
 	copy(dech, win)
 
@@ -508,7 +501,6 @@ func (d *Decoder) extractWindowPeaks(w int, ests []userEstimate, win, spec0 []co
 		pkSp.Stop()
 		for _, pk := range peaks {
 			out = append(out, peakObs{
-				win:  w,
 				bin:  pk.Bin,
 				mag:  pk.Mag,
 				gain: specAt(spec, pk.Bin, d.pad, d.n),
@@ -702,79 +694,6 @@ func (d *Decoder) assignGreedy(allPeaks [][]peakObs, users []*User) {
 			peaks[c.pi].user = c.ui
 			d.recordSymbol(users[c.ui], w, peaks[c.pi], period)
 		}
-	}
-}
-
-// assignByClustering implements the Sec. 6.2 HMRF approach: all data peaks
-// become feature points (fractional offset on the unit circle plus log
-// channel magnitude), peaks within a window are pairwise cannot-linked, and
-// the resulting clusters are mapped to users by fractional-offset proximity
-// of their centroids to the preamble estimates. This path is off by default
-// (Config.UseClustering) and allocates freely; only the greedy path is held
-// to the zero-alloc steady state. The k-means++ restarts are the decode
-// path's only random draws; their generator is built here from a constant,
-// so this path too is a function of (config, samples) alone.
-func (d *Decoder) assignByClustering(allPeaks [][]peakObs, users []*User) {
-	var pts []cluster.Point
-	var refs []*peakObs
-	var cons cluster.Constraints
-	for w := range allPeaks {
-		base := len(pts)
-		for pi := range allPeaks[w] {
-			pk := &allPeaks[w][pi]
-			frac := pk.bin - math.Floor(pk.bin)
-			x, y := cluster.CircleFeatures(frac, 1)
-			logMag := math.Log(pk.mag + 1e-30)
-			pts = append(pts, cluster.Point{Features: []float64{x, y, 0.1 * logMag}})
-			refs = append(refs, pk)
-			for prev := base; prev < len(pts)-1; prev++ {
-				cons.CannotLink = append(cons.CannotLink, [2]int{prev, len(pts) - 1})
-			}
-		}
-	}
-	k := len(users)
-	if len(pts) < k || k == 0 {
-		d.assignGreedy(allPeaks, users)
-		return
-	}
-	rng := rand.New(rand.NewPCG(1, 1^0xC0FFEE))
-	res, err := cluster.Cluster(pts, k, cons, cluster.Config{Restarts: 4}, rng)
-	if err != nil {
-		d.assignGreedy(allPeaks, users)
-		return
-	}
-	// Map cluster -> user via centroid fractional offset.
-	clusterToUser := make([]int, k)
-	for c := 0; c < k; c++ {
-		cx, cy := res.Centroids[c][0], res.Centroids[c][1]
-		frac := math.Atan2(cy, cx) / (2 * math.Pi)
-		if frac < 0 {
-			frac += 1
-		}
-		best, bestD := -1, math.Inf(1)
-		for ui, u := range users {
-			if fd := math.Abs(dsp.FracDiff(frac, u.FracOffset())); fd < bestD {
-				best, bestD = ui, fd
-			}
-		}
-		clusterToUser[c] = best
-	}
-	// One peak per user per window: keep the strongest.
-	type key struct{ w, u int }
-	bestPeak := map[key]*peakObs{}
-	for i, pk := range refs {
-		u := clusterToUser[res.Assign[i]]
-		if u < 0 {
-			continue
-		}
-		kk := key{pk.win, u}
-		if cur, ok := bestPeak[kk]; !ok || pk.mag > cur.mag {
-			bestPeak[kk] = pk
-		}
-	}
-	for kk, pk := range bestPeak {
-		pk.user = kk.u
-		d.recordSymbol(users[kk.u], kk.w, *pk, float64(d.n))
 	}
 }
 

@@ -20,10 +20,10 @@
 //     estimated jointly and subtracted together before searching for
 //     weaker peaks (Sec. 5.2).
 //  4. Data windows are matched to users by the fractional part of peak
-//     positions (plus channel features), either greedily against the
-//     preamble estimates or with constrained clustering (Sec. 6.2);
-//     inter-symbol interference from timing offsets is de-duplicated
-//     (Sec. 6.1).
+//     positions (plus channel magnitude), greedily against the preamble
+//     estimates — this repository's stand-in for the constrained clustering
+//     of Sec. 6.2; inter-symbol interference from timing offsets is
+//     de-duplicated (Sec. 6.1).
 //  5. Teams of below-noise transmitters sending identical data are detected
 //     by coherently accumulating preamble spectra across windows and decoded
 //     with a maximum-likelihood search over candidate symbols (Sec. 7.2).
@@ -76,10 +76,6 @@ type Config struct {
 	// is indistinguishable from SIC reconstruction residue; transmitters
 	// that far down need the team decoding of Sec. 7 instead.
 	TotalDynamicRangeDB float64
-	// UseClustering maps data peaks to users with constrained clustering on
-	// (fractional offset, channel magnitude) features, as in Sec. 6.2,
-	// instead of greedy matching against preamble offsets.
-	UseClustering bool
 	// MatchTolerance is the maximum fractional-bin distance for greedy
 	// peak-to-user matching (default 0.07). Wider tolerances survive noisier
 	// offset estimates but raise the probability that two users' fractional
@@ -100,7 +96,6 @@ func DefaultConfig(p lora.Params) Config {
 		SICPhases:           2,
 		DynamicRangeDB:      10,
 		TotalDynamicRangeDB: 35,
-		UseClustering:       false,
 		MatchTolerance:      0.07,
 	}
 }
@@ -350,8 +345,8 @@ var ErrNoUsers = errors.New("choir: no users detected")
 // typed ErrCanceled or ErrDeadline — wrapping ctx.Err() — within one stage
 // boundary of the context firing. A context that cannot fire does not
 // perturb the decode. The decoder remains valid for reuse after a canceled
-// decode (scratch state is rebuilt per call and the RNG is untouched by the
-// polls), so pooled decoders need no special handling.
+// decode (scratch state is rebuilt per call), so pooled decoders need no
+// special handling.
 func (d *Decoder) Decode(ctx context.Context, samples []complex128, payloadLen int) (*Result, error) {
 	res := &Result{}
 	if err := d.decode(ctx, res, samples, payloadLen, nil); err != nil {

@@ -302,29 +302,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestDecodeWithClusteringMapping(t *testing.T) {
-	// Seed chosen so the three users have well-separated fractional
-	// offsets (circularly); near-coincident fractions are the paper's
-	// acknowledged scaling limit regardless of the mapping method.
-	spec := defaultSpec(3, 3)
-	sig := synthesize(t, spec)
-	cfg := DefaultConfig(spec.params)
-	cfg.UseClustering = true
-	d := MustNew(cfg)
-	res, err := d.Decode(context.Background(), sig, len(spec.payloads[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	matchPayloads(t, res, spec.payloads)
-	// The k-means++ restarts are the only draws in the decode path; a second
-	// decode on the same instance must not see where the first left them.
-	again, err := d.Decode(context.Background(), sig, len(spec.payloads[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, again, res)
-}
-
 func TestDecoderIsDeterministic(t *testing.T) {
 	spec := defaultSpec(3, 33)
 	sig := synthesize(t, spec)

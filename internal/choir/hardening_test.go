@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -64,7 +65,8 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// assertSameResult compares two decode results bit for bit.
+// assertSameResult compares two decode results bit for bit, every User
+// field included.
 func assertSameResult(t *testing.T, got, want *Result) {
 	t.Helper()
 	if len(got.Users) != len(want.Users) {
@@ -74,6 +76,23 @@ func assertSameResult(t *testing.T, got, want *Result) {
 		g, w := got.Users[i], want.Users[i]
 		if math.Float64bits(g.Offset) != math.Float64bits(w.Offset) {
 			t.Errorf("user %d offset %v != %v", i, g.Offset, w.Offset)
+		}
+		if math.Float64bits(real(g.Gain)) != math.Float64bits(real(w.Gain)) ||
+			math.Float64bits(imag(g.Gain)) != math.Float64bits(imag(w.Gain)) {
+			t.Errorf("user %d gain %v != %v", i, g.Gain, w.Gain)
+		}
+		if !slices.Equal(g.Symbols, w.Symbols) {
+			t.Errorf("user %d symbols %v != %v", i, g.Symbols, w.Symbols)
+		}
+		if len(g.WindowOffsets) != len(w.WindowOffsets) {
+			t.Errorf("user %d: %d window offsets, want %d", i, len(g.WindowOffsets), len(w.WindowOffsets))
+		} else {
+			for k := range w.WindowOffsets {
+				if math.Float64bits(g.WindowOffsets[k]) != math.Float64bits(w.WindowOffsets[k]) {
+					t.Errorf("user %d window offset %d: %v != %v", i, k, g.WindowOffsets[k], w.WindowOffsets[k])
+					break
+				}
+			}
 		}
 		if !bytes.Equal(g.Payload, w.Payload) {
 			t.Errorf("user %d payload %x != %x", i, g.Payload, w.Payload)
