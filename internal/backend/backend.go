@@ -27,7 +27,12 @@ import (
 
 // Backend decodes one frame's IQ window into per-user payloads and
 // diagnostics. Implementations wrap their algorithm's scratch state; create
-// one per goroutine or borrow from a Pool.
+// one per goroutine or borrow from a Pool. One call may still use several
+// cores: a choir.Decoder shares four of its window loops with helper lanes
+// it owns, joined before the call returns, so a caller sees one goroutine's
+// contract — the same result at any GOMAXPROCS
+// (TestPooledInstanceMatchesFreshForEveryBackend runs at 1, 2 and 4), context
+// polls on the calling goroutine, and a panic raised there.
 type Backend interface {
 	// Name returns the backend's registered name ("choir", "slotshift", ...).
 	Name() string

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -106,33 +107,39 @@ func TestBackendDispatchZeroAllocs(t *testing.T) {
 // backend, a good frame, a malformed one and a good one again through one
 // pooled instance equal each frame on a fresh instance —
 // errors by text, offsets by bit pattern — with metrics recording off and on.
+// The pooled instance decodes at GOMAXPROCS 1, 2 and 4 (a Choir-pipeline
+// decode fans its window loops out over min(GOMAXPROCS, windows) − 1 helper
+// lanes), the fresh one at 1.
 func TestPooledInstanceMatchesFreshForEveryBackend(t *testing.T) {
 	if obs.Enabled() {
 		t.Fatal("metrics unexpectedly enabled at test start")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	h, samples := loadFixture(t, "collide2_sf7")
 	frames := [][]complex128{samples, samples[:10], samples}
 	ctx := context.Background()
 	for _, name := range backend.Names() {
 		t.Run(name, func(t *testing.T) {
-			check := func(metrics string) {
+			check := func(metrics string, procs int) {
 				pool, err := backend.NewPool(name, h.Params)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var first backend.Backend
 				for i, frame := range frames {
-					label := fmt.Sprintf("%s frame %d", metrics, i)
+					label := fmt.Sprintf("%s GOMAXPROCS %d frame %d", metrics, procs, i)
 					warm := pool.Get()
 					if first == nil {
 						first = warm
 					} else if warm != first {
 						t.Fatalf("%s: pool handed out a second instance", label)
 					}
+					runtime.GOMAXPROCS(procs)
 					got := &choir.Result{}
 					gotErr := warm.DecodeCtxInto(ctx, got, frame, h.PayloadLen)
 					pool.Put(warm)
 
+					runtime.GOMAXPROCS(1)
 					cold := backend.MustNew(name, h.Params)
 					want := &choir.Result{}
 					wantErr := cold.DecodeCtxInto(ctx, want, frame, h.PayloadLen)
@@ -146,10 +153,14 @@ func TestPooledInstanceMatchesFreshForEveryBackend(t *testing.T) {
 					}
 				}
 			}
-			check("metrics-off")
+			for _, procs := range []int{1, 2, 4} {
+				check("metrics-off", procs)
+			}
 			obs.Enable()
 			defer obs.Disable()
-			check("metrics-on")
+			for _, procs := range []int{1, 2, 4} {
+				check("metrics-on", procs)
+			}
 		})
 	}
 }

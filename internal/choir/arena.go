@@ -9,11 +9,16 @@ package choir
 //
 // Ownership rules (documented in DESIGN.md §12):
 //
-//   - One arena per Decoder, and a Decoder is single-goroutine by contract,
-//     so slab access needs no synchronization. Pooled decoders
-//     (internal/backend.Pool) carry their warmed arenas across checkouts
-//     — reuse never changes results because every slab allocation is zeroed
-//     or fully overwritten before use.
+//   - One arena per Decoder, drawn from only by the goroutine that called
+//     the decode, so slab access needs no synchronization. A fan-out's
+//     helper lanes (fan.go) draw from no arena: the decoding goroutine takes
+//     each window's slices before it fans the windows out, in window order,
+//     so a slab's high-water mark never depends on which lane ran which
+//     window, and a lane writes only inside the slices of the windows it
+//     runs (TestLaneCountEquivalence, TestFanOutSteadyStateZeroAllocs).
+//     Pooled decoders (internal/backend.Pool) carry their warmed arenas
+//     across checkouts — reuse never changes results because every slab
+//     allocation is zeroed or fully overwritten before use.
 //   - Arena-backed slices live at most until the END of the current decode
 //     (estimates produced by the preamble stage are consumed by the data
 //     stage of the same decode). Anything that escapes into a Result is

@@ -84,15 +84,17 @@ func (d *Decoder) decodeData(res *Result, samples []complex128, ests []userEstim
 		wins[w] = c128Buf(&wins[w], d.n)
 		copy(wins[w], dech)
 	}
+	// A window's peak list comes from the arena here, in window order, not
+	// from whichever lane extracts it: extractWindowPeaks appends at most its
+	// budget of len(ests)+2 peaks per round, over two rounds.
 	for base := 0; base < nWins; base += specTile {
 		end := min(base+specTile, nWins)
 		d.gridCompute(wins[base:end])
 		for w := base; w < end; w++ {
-			if d.canceled() {
-				return users
-			}
-			allPeaks[w] = d.extractWindowPeaks(ests, wins[w],
-				d.grid.Spec(w-base), d.grid.Mags(w-base))
+			allPeaks[w] = d.ar.pk.takeCap(2 * (len(ests) + 2))
+		}
+		if d.forEachWindow(windowJob{task: peaksTask, wins: wins[base:end], ests: ests, peaks: allPeaks[base:end]}) {
+			return users
 		}
 	}
 
@@ -110,11 +112,8 @@ func (d *Decoder) decodeData(res *Result, samples []complex128, ests []userEstim
 	for i := range missing {
 		missing[i] = 0
 	}
-	for w, win := range wins {
-		if d.canceled() {
-			return users
-		}
-		d.mlSymbolPass(win, w, allPeaks[w], users)
+	if d.forEachWindow(windowJob{task: symbolsTask, wins: wins, peaks: allPeaks[:nWins], users: users}) {
+		return users
 	}
 	// Iterative interference cancellation: with full tentative symbol
 	// streams in hand, each user's contribution to every window can be
@@ -156,9 +155,10 @@ func (d *Decoder) decodeData(res *Result, samples []complex128, ests []userEstim
 	return users
 }
 
-// mlSymbolPass re-decides every user's symbol for one window by matched
+// mlSymbolPass re-decides every user's symbol for window w by matched
 // filtering at (candidate + user offset) on the window with all other
 // attributed peaks removed. win is the window's dechirped lane, left intact.
+// It writes only index w of each user's Symbols.
 func (d *Decoder) mlSymbolPass(win []complex128, w int, peaks []peakObs, users []*User) {
 	if len(peaks) == 0 {
 		return
@@ -472,14 +472,14 @@ func (d *Decoder) icSymbolPass(dech []complex128, w int, users []*User, bounds [
 // spec0/mags0 its batched round-0 spectrum (grid lanes, valid for this call
 // only); the round-1 spectrum of the SIC residual is still computed here,
 // serially, because the residual depends on this window's own round-0
-// peaks. The returned peak list is arena-backed: valid until the end of the
+// peaks. The peaks are appended to out, an empty arena-backed list with room
+// for two rounds of len(ests)+2, and returned: valid until the end of the
 // current decode.
-func (d *Decoder) extractWindowPeaks(ests []userEstimate, win, spec0 []complex128, mags0 []float64) []peakObs {
+func (d *Decoder) extractWindowPeaks(out []peakObs, ests []userEstimate, win, spec0 []complex128, mags0 []float64) []peakObs {
 	dech := c128Buf(&d.dechCopy, d.n)
 	copy(dech, win)
 
 	budget := len(ests) + 2
-	out := d.ar.pk.takeCap(2 * budget) // ≤ budget appends per round × 2 rounds
 	for round := 0; round < 2; round++ {
 		spec, mags := spec0, mags0
 		if round > 0 {

@@ -66,8 +66,9 @@ func errorClass(u *choir.User) string {
 	}
 }
 
-// decisionReport decodes one rendering of a cell and prints every decision.
-func decisionReport(sf, users, variant int) string {
+// decisionFrame synthesises one rendering of a cell: user k at 14+2.5·k dB,
+// 8-byte payloads.
+func decisionFrame(sf, users, variant int) (sim.Scenario, []complex128, [][]byte) {
 	p := lora.DefaultParams()
 	p.SF = lora.SpreadingFactor(sf)
 	snrs := make([]float64, users)
@@ -78,6 +79,13 @@ func decisionReport(sf, users, variant int) string {
 	sc := sim.Scenario{Params: p, PayloadLen: payloadLen, SNRsDB: snrs,
 		Seed: uint64(1000*sf + 10*users + variant)}
 	samples, payloads := sc.Synthesize()
+	return sc, samples, payloads
+}
+
+// decisionReport decodes one rendering of a cell and prints every decision.
+func decisionReport(sf, users, variant int) string {
+	sc, samples, payloads := decisionFrame(sf, users, variant)
+	p, payloadLen := sc.Params, sc.PayloadLen
 	truth := map[string]bool{}
 	for _, pl := range payloads {
 		truth[fmt.Sprintf("%x", pl)] = true

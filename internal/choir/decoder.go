@@ -107,14 +107,17 @@ func DefaultConfig(p lora.Params) Config {
 // internal/backend). A decode reads its configuration and its samples and
 // nothing an earlier decode left behind, so pooled reuse never changes
 // results.
+//
+// One decode may still use every core: four of its per-window loops share
+// their windows with helper goroutines, each running on a lane — a helper
+// Decoder that reads its owner's plans and owns only scratch (fan.go). The
+// caller sees one goroutine's contract: results are bit-identical for any
+// GOMAXPROCS (TestLaneCountEquivalence), only the calling goroutine polls the
+// context, a panic in any window reaches the caller
+// (TestFanOutPanicReachesCaller), and no helper outlives the decode
+// (TestCancelMidFanOut).
 type Decoder struct {
-	cfg    Config
-	modem  *lora.Modem
-	n      int      // symbol size
-	padN   int      // padded FFT size (power of two >= Pad*n)
-	pad    int      // effective padding factor padN/n
-	fft    *dsp.FFT // padded-size plan
-	symFFT *dsp.FFT // symbol-size plan
+	plans
 
 	scratchDech []complex128
 	scratchSpec []complex128
@@ -131,9 +134,7 @@ type Decoder struct {
 	// where they mutate) instead of dechirping the same samples again.
 	dataWins [][]complex128
 
-	toneBuf  []complex128 // the one tone scratch, filled by tone (n)
-	cusum    [][2]float64 // cusum[i] = {i/n, n/(i(n−i))}, the second 0 at both ends (n+1): segmentScan's boundary weights
-	cusumMax []float64    // cusumMax[b]: the largest cusum[i][1] of boundary block b (n/scanBlock)
+	toneBuf []complex128 // the one tone scratch, filled by tone (n)
 
 	// Per-decode scratch arena plus dedicated reusable buffers for the
 	// pipeline's per-window temporaries. Together they make steady-state
@@ -180,6 +181,11 @@ type Decoder struct {
 	estAccum    []userEstimate
 	allPeaksBuf [][]peakObs
 
+	// lanes are the helper decoders a fan-out runs windows on, built the
+	// first time a fan-out wants them and kept; fan is the fan-out in flight.
+	lanes []*Decoder
+	fan   fanout
+
 	// ctx/ctxErr hold the active context during a decode. ctxErr
 	// latches the first observed cancellation (mapped to ErrCanceled /
 	// ErrDeadline) so every later stage-boundary poll short-circuits. Both
@@ -187,6 +193,33 @@ type Decoder struct {
 	// cancellation state between checkouts.
 	ctx    context.Context
 	ctxErr error
+}
+
+// plans is what New computes once and a decode only reads, so a decoder's
+// lanes share it.
+type plans struct {
+	cfg      Config
+	modem    *lora.Modem
+	n        int          // symbol size
+	padN     int          // padded FFT size (power of two >= Pad*n)
+	pad      int          // effective padding factor padN/n
+	fft      *dsp.FFT     // padded-size plan
+	symFFT   *dsp.FFT     // symbol-size plan
+	cusum    [][2]float64 // cusum[i] = {i/n, n/(i(n−i))}, the second 0 at both ends (n+1): segmentScan's boundary weights
+	cusumMax []float64    // cusumMax[b]: the largest cusum[i][1] of boundary block b (n/scanBlock)
+}
+
+// newDecoder builds a decoder over p with its fixed-size scratch; every
+// other buffer grows on first use. It has no spectral grid: New adds the
+// owner's, and a lane never computes one.
+func newDecoder(p plans) *Decoder {
+	return &Decoder{
+		plans:       p,
+		scratchDech: make([]complex128, p.n),
+		scratchSpec: make([]complex128, p.padN),
+		scratchMags: make([]float64, p.padN),
+		toneBuf:     make([]complex128, p.n),
+	}
 }
 
 // New validates cfg and builds a decoder.
@@ -249,22 +282,19 @@ func New(cfg Config) (*Decoder, error) {
 			cusumMax[i/scanBlock] = max(cusumMax[i/scanBlock], cusum[i][1])
 		}
 	}
-	return &Decoder{
-		cfg:         cfg,
-		modem:       modem,
-		n:           n,
-		padN:        padN,
-		pad:         padN / n,
-		fft:         fft,
-		symFFT:      dsp.NewFFT(n),
-		grid:        dsp.NewBatchSpectrum(fft),
-		scratchDech: make([]complex128, n),
-		scratchSpec: make([]complex128, padN),
-		scratchMags: make([]float64, padN),
-		toneBuf:     make([]complex128, n),
-		cusum:       cusum,
-		cusumMax:    cusumMax,
-	}, nil
+	d := newDecoder(plans{
+		cfg:      cfg,
+		modem:    modem,
+		n:        n,
+		padN:     padN,
+		pad:      padN / n,
+		fft:      fft,
+		symFFT:   dsp.NewFFT(n),
+		cusum:    cusum,
+		cusumMax: cusumMax,
+	})
+	d.grid = dsp.NewBatchSpectrum(fft)
+	return d, nil
 }
 
 // MustNew is New that panics on error, for tests and examples.

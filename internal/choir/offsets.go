@@ -57,10 +57,11 @@ func (d *Decoder) estimatePreamble(samples []complex128) []userEstimate {
 			break
 		}
 		// Subtract every user found so far (jointly re-fit per window) so
-		// the next phase can see weaker peaks.
+		// the next phase can see weaker peaks. A cancellation here is seen
+		// by the next phase's poll.
 		mSICPhases.Inc()
 		sicSp := mStageSIC.Start()
-		d.subtractUsers(wins, users)
+		d.forEachWindow(windowJob{task: subtractTask, wins: wins, ests: users})
 		sicSp.Stop()
 	}
 	d.estAccum = users
@@ -231,26 +232,12 @@ func (d *Decoder) findPreambleUsers(wins [][]complex128, known []userEstimate) [
 	ests := d.estFound[:len(coarse)]
 	for i := range ests {
 		ests[i] = userEstimate{
-			perWin:  d.ar.f64.takeCap(len(wins)),
-			gainWin: d.ar.c128.takeCap(len(wins)),
+			perWin:  d.ar.f64.take(len(wins)),
+			gainWin: d.ar.c128.take(len(wins)),
 		}
 	}
-	for _, dech := range wins {
-		if d.canceled() {
-			return nil
-		}
-		var offs []float64
-		var hs []complex128
-		if d.cfg.FineSearch {
-			offs, hs = d.refineOffsets(dech, coarse)
-		} else {
-			offs = coarse
-			hs = d.fitChannels(dech, offs)
-		}
-		for i := range ests {
-			ests[i].perWin = append(ests[i].perWin, offs[i])
-			ests[i].gainWin = append(ests[i].gainWin, hs[i])
-		}
+	if d.forEachWindow(windowJob{task: refineTask, wins: wins, coarse: coarse, ests: ests}) {
+		return nil
 	}
 	for i := range ests {
 		ests[i].offset = circularMean(ests[i].perWin, period)
@@ -262,6 +249,22 @@ func (d *Decoder) findPreambleUsers(wins [][]complex128, known []userEstimate) [
 		ests[i].power = pw / float64(len(ests[i].gainWin))
 	}
 	return ests
+}
+
+// refineWindow fits the coarse offsets to preamble window w, dech, and
+// stores each user's offset and channel for it in slot w of the user's
+// perWin and gainWin.
+func (d *Decoder) refineWindow(w int, dech []complex128, coarse []float64, ests []userEstimate) {
+	offs, hs := coarse, []complex128(nil)
+	if d.cfg.FineSearch {
+		offs, hs = d.refineOffsets(dech, coarse)
+	} else {
+		hs = d.fitChannels(dech, offs)
+	}
+	for i := range ests {
+		ests[i].perWin[w] = offs[i]
+		ests[i].gainWin[w] = hs[i]
+	}
 }
 
 // coherentGain averages per-window channel estimates coherently. The
@@ -365,50 +368,48 @@ func (d *Decoder) validateCandidates(wins [][]complex128, coarse []float64) []fl
 	return out
 }
 
-// subtractUsers removes every estimated user's reconstruction from each
-// dechirped preamble window. A fractionally-delayed chirp is not a pure tone
-// after dechirping: the transmitter's symbol boundary falls inside the
-// receiver window and introduces a constant phase jump of 2π·frac(δ) there,
-// splitting the window into two tone segments at the same frequency. A
-// single-tone subtraction would leave ~|1−e^{j2πfrac(δ)}|²·L/N of the user's
-// energy behind — enough for its broad sinc to masquerade as ghost users in
-// the next SIC phase. We therefore fit a two-segment model per user (two
-// complex gains around an estimated boundary) and subtract that, iterating
-// users so each fit sees the others removed.
-func (d *Decoder) subtractUsers(wins [][]complex128, users []userEstimate) {
-	for _, dech := range wins {
-		if cap(d.segModels) < len(users) {
-			d.segModels = make([]segModel, len(users))
-		}
-		models := d.segModels[:len(users)]
-		// Initialize from a joint single-tone fit.
-		offs := f64Buf(&d.offsBuf, len(users))
-		for i, u := range users {
-			offs[i] = u.offset
-		}
-		hs := d.fitChannels(dech, offs)
-		for i := range models {
-			models[i] = segModel{f: offs[i], h1: hs[i], h2: hs[i], i0: 0}
-		}
-		residual := c128Buf(&d.residBuf, len(dech))
-		copy(residual, dech)
-		for i := range models {
-			subtractSegments(residual, d.tone(models[i].f), models[i].h1, models[i].h2, models[i].i0)
-		}
-		// Two refinement sweeps: re-fit each user against the signal with
-		// all other users removed. The user's frequency is fixed here, so
-		// one tone serves the add, the fit and the subtract.
-		for sweep := 0; sweep < 2; sweep++ {
-			for i := range models {
-				tone := d.tone(models[i].f)
-				addSegments(residual, tone, models[i].h1, models[i].h2, models[i].i0)
-				h1, h2, i0 := d.segmentFit(residual, tone)
-				models[i].h1, models[i].h2, models[i].i0 = h1, h2, i0
-				subtractSegments(residual, tone, h1, h2, i0)
-			}
-		}
-		copy(dech, residual)
+// subtractUsers removes every estimated user's reconstruction from one
+// dechirped preamble window, in place. A fractionally-delayed chirp is not a
+// pure tone after dechirping: the transmitter's symbol boundary falls inside
+// the receiver window and introduces a constant phase jump of 2π·frac(δ)
+// there, splitting the window into two tone segments at the same frequency.
+// A single-tone subtraction would leave ~|1−e^{j2πfrac(δ)}|²·L/N of the
+// user's energy behind — enough for its broad sinc to masquerade as ghost
+// users in the next SIC phase. We therefore fit a two-segment model per user
+// (two complex gains around an estimated boundary) and subtract that,
+// iterating users so each fit sees the others removed.
+func (d *Decoder) subtractUsers(dech []complex128, users []userEstimate) {
+	if cap(d.segModels) < len(users) {
+		d.segModels = make([]segModel, len(users))
 	}
+	models := d.segModels[:len(users)]
+	// Initialize from a joint single-tone fit.
+	offs := f64Buf(&d.offsBuf, len(users))
+	for i, u := range users {
+		offs[i] = u.offset
+	}
+	hs := d.fitChannels(dech, offs)
+	for i := range models {
+		models[i] = segModel{f: offs[i], h1: hs[i], h2: hs[i], i0: 0}
+	}
+	residual := c128Buf(&d.residBuf, len(dech))
+	copy(residual, dech)
+	for i := range models {
+		subtractSegments(residual, d.tone(models[i].f), models[i].h1, models[i].h2, models[i].i0)
+	}
+	// Two refinement sweeps: re-fit each user against the signal with all
+	// other users removed. The user's frequency is fixed here, so one tone
+	// serves the add, the fit and the subtract.
+	for sweep := 0; sweep < 2; sweep++ {
+		for i := range models {
+			tone := d.tone(models[i].f)
+			addSegments(residual, tone, models[i].h1, models[i].h2, models[i].i0)
+			h1, h2, i0 := d.segmentFit(residual, tone)
+			models[i].h1, models[i].h2, models[i].i0 = h1, h2, i0
+			subtractSegments(residual, tone, h1, h2, i0)
+		}
+	}
+	copy(dech, residual)
 }
 
 // segmentFitRefined golden-searches the tone frequency within ±0.5 bin of

@@ -2,50 +2,9 @@ package choir
 
 import (
 	"context"
-	"errors"
 	"math"
 	"testing"
 )
-
-// equalResults fails the test unless a and b are bit-identical decode
-// results.
-func equalResults(t *testing.T, a, b *Result) {
-	t.Helper()
-	if len(a.Users) != len(b.Users) {
-		t.Fatalf("user counts differ: %d vs %d", len(a.Users), len(b.Users))
-	}
-	for i := range a.Users {
-		ua, ub := a.Users[i], b.Users[i]
-		if ua.Offset != ub.Offset || ua.Gain != ub.Gain {
-			t.Fatalf("user %d: offset/gain differ: (%v,%v) vs (%v,%v)", i, ua.Offset, ua.Gain, ub.Offset, ub.Gain)
-		}
-		if len(ua.Symbols) != len(ub.Symbols) {
-			t.Fatalf("user %d: symbol counts differ", i)
-		}
-		for s := range ua.Symbols {
-			if ua.Symbols[s] != ub.Symbols[s] {
-				t.Fatalf("user %d symbol %d: %d vs %d", i, s, ua.Symbols[s], ub.Symbols[s])
-			}
-		}
-		if string(ua.Payload) != string(ub.Payload) {
-			t.Fatalf("user %d: payloads differ: %x vs %x", i, ua.Payload, ub.Payload)
-		}
-		if (ua.Err == nil) != (ub.Err == nil) {
-			t.Fatalf("user %d: errors differ: %v vs %v", i, ua.Err, ub.Err)
-		}
-		if ua.Err != nil && !errors.Is(ua.Err, errors.Unwrap(ua.Err)) && ua.Err.Error() != ub.Err.Error() {
-			t.Fatalf("user %d: errors differ: %v vs %v", i, ua.Err, ub.Err)
-		}
-		if len(ua.WindowOffsets) != len(ub.WindowOffsets) {
-			t.Fatalf("user %d: window-offset counts differ", i)
-		}
-		for w := range ua.WindowOffsets {
-			if ua.WindowOffsets[w] != ub.WindowOffsets[w] {
-				t.Fatalf("user %d window %d: offsets %v vs %v", i, w, ua.WindowOffsets[w], ub.WindowOffsets[w])
-			}
-		}
-	}
-}
 
 // TestDecodeIntoMatchesDecode pins DecodeInto (recycled Result storage)
 // against Decode (fresh Result) bit-for-bit, including when the recycled
@@ -72,7 +31,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	if got != res {
 		t.Fatal("DecodeInto did not return the caller's Result")
 	}
-	equalResults(t, got, wantA)
+	assertSameResult(t, got, wantA)
 
 	// Reuse the 3-user Result for a 2-user collision: shrinking must not
 	// leak stale users or storage into the output.
@@ -80,14 +39,14 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalResults(t, got, wantB)
+	assertSameResult(t, got, wantB)
 
 	// nil Result allocates a fresh one.
 	got, err = d.DecodeInto(nil, sigA, len(specA.payloads[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalResults(t, got, wantA)
+	assertSameResult(t, got, wantA)
 }
 
 // TestDecodeSteadyStateZeroAllocs guards the tentpole property of the decode
