@@ -52,7 +52,7 @@ func BenchmarkFig7OffsetStability(b *testing.B) {
 	var fig *choir.Figure
 	var err error
 	for i := 0; i < b.N; i++ {
-		if fig, err = choir.Fig7Stability(context.Background(), 2, 5, 0); err != nil {
+		if fig, err = choir.Fig7Stability(context.Background(), 2, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -126,7 +126,7 @@ func BenchmarkFig10Resolution(b *testing.B) {
 	var fig *choir.Figure
 	var err error
 	for i := 0; i < b.N; i++ {
-		if fig, err = choir.Fig10Resolution(context.Background(), dists, 3, 1, 0); err != nil {
+		if fig, err = choir.Fig10Resolution(context.Background(), dists, 3, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func BenchmarkFig11Grouping(b *testing.B) {
 	var fig *choir.Figure
 	var err error
 	for i := 0; i < b.N; i++ {
-		if fig, err = choir.Fig11Grouping(context.Background(), 6, 10, 2, 0); err != nil {
+		if fig, err = choir.Fig11Grouping(context.Background(), 6, 10, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -480,16 +480,14 @@ func BenchmarkTeamDecode(b *testing.B) {
 
 // --- Parallel trial-execution engine ---
 
-// benchSuccessTable Monte-Carlos the IQ-level calibration grid uncached at
-// a fixed worker count. The serial/parallel twins share one configuration,
-// so their ratio is the engine's wall-clock speedup on this machine; the
-// sim package's determinism tests assert the tables themselves are
-// identical.
-func benchSuccessTable(b *testing.B, workers int) {
+// BenchmarkSuccessTable Monte-Carlos the IQ-level calibration grid uncached.
+// Read it at `go test -cpu 1,2`: the ratio of the two rows is the fan-out's
+// wall-clock speedup on this machine; the sim package's determinism tests
+// assert the tables themselves are identical.
+func BenchmarkSuccessTable(b *testing.B) {
 	cfg := sim.DefaultCalibration()
 	cfg.MaxUsers = 4
 	cfg.Trials = 2
-	cfg.Workers = workers
 	b.ResetTimer()
 	var table []float64
 	var err error
@@ -500,9 +498,6 @@ func benchSuccessTable(b *testing.B, workers int) {
 	}
 	b.ReportMetric(table[0], "success@1user")
 }
-
-func BenchmarkSuccessTableSerial(b *testing.B)   { benchSuccessTable(b, 1) }
-func BenchmarkSuccessTableParallel(b *testing.B) { benchSuccessTable(b, 0) }
 
 func BenchmarkStandardLoRaDemodulate(b *testing.B) {
 	m := lora.MustModem(lora.DefaultParams())

@@ -129,16 +129,9 @@ const (
 	SchemeChoir  = mac.SchemeChoir
 )
 
-// Parallel trial execution (package internal/exec): the engine behind every
-// experiment's Workers knob.
-var (
-	// NewWorkerPool builds a pool of the given width (<= 0 = all CPUs,
-	// 1 = inline serial execution).
-	NewWorkerPool = exec.NewPool
-	// DeriveSeed deterministically mixes a base seed with trial
-	// coordinates, giving every parallel trial an independent stream.
-	DeriveSeed = exec.DeriveSeed
-)
+// DeriveSeed (package internal/exec) deterministically mixes a base seed with
+// trial coordinates, giving every parallel trial an independent stream.
+var DeriveSeed = exec.DeriveSeed
 
 // City-scale engine (package internal/sim/engine): an event-driven MAC/sim
 // driver that skips idle node-slots entirely and resolves each node's
@@ -257,7 +250,7 @@ var (
 	EndToEnd   = sim.EndToEnd
 	DefaultE2E = sim.DefaultE2E
 	// FaultSweep measures decode success versus fault intensity per class,
-	// deterministically for any worker count.
+	// deterministically at any GOMAXPROCS.
 	FaultSweep        = sim.FaultSweep
 	DefaultFaultSweep = sim.DefaultFaultSweep
 	// CompareBackends decodes one capture grid — fixtures, synthesized

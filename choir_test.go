@@ -71,8 +71,8 @@ func TestPublicAPIExperiments(t *testing.T) {
 		choir.Fig9Range(10),
 	}
 	for _, mk := range []func() (*choir.Figure, error){
-		func() (*choir.Figure, error) { return choir.Fig10Resolution(ctx, []float64{500, 2000}, 2, 1, 0) },
-		func() (*choir.Figure, error) { return choir.Fig11Grouping(ctx, 6, 3, 1, 0) },
+		func() (*choir.Figure, error) { return choir.Fig10Resolution(ctx, []float64{500, 2000}, 2, 1) },
+		func() (*choir.Figure, error) { return choir.Fig11Grouping(ctx, 6, 3, 1) },
 		func() (*choir.Figure, error) { return choir.Fig8Users(ctx, cfg, choir.MetricThroughput) },
 		func() (*choir.Figure, error) { return choir.Fig11Throughput(ctx, cfg, 6, 2, 4) },
 	} {

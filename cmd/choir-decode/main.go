@@ -4,11 +4,12 @@
 // the strategy (default "choir", the reference decoder; see choir-decode
 // -help for the registered alternatives). With -team it runs the
 // below-noise team decoder of Sec. 7 instead. Multiple traces are decoded
-// concurrently across -workers goroutines — decoders are borrowed from a
-// per-PHY pool — and both reports and per-trace errors are emitted in
-// argument order regardless of which decode finishes first. An unreadable
-// trace does not abort the batch; it is reported in place and the command
-// exits nonzero after every input has been processed.
+// concurrently on every CPU (GOMAXPROCS=1 decodes them one at a time) —
+// decoders are borrowed from a per-PHY pool — and both reports and
+// per-trace errors are emitted in argument order regardless of which decode
+// finishes first. An unreadable trace does not abort the batch; it is
+// reported in place and the command exits nonzero after every input has
+// been processed.
 //
 // With -fault/-fault-rate the trace's IQ is corrupted before decoding —
 // deterministic per input index — to exercise the decoder's graceful
@@ -19,7 +20,7 @@
 //	choir-decode collision.iq
 //	choir-decode -backend superposed collision.iq
 //	choir-decode -team team.iq
-//	choir-decode -workers 4 night/*.iq
+//	choir-decode night/*.iq
 //	choir-decode -fault interferer -fault-rate 0.3 collision.iq
 //	choir-decode -metrics -debug-addr localhost:6060 collision.iq
 //
@@ -41,6 +42,7 @@ import (
 	"syscall"
 
 	"choir"
+	"choir/internal/exec"
 	"choir/internal/obs"
 	"choir/internal/trace"
 )
@@ -68,7 +70,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	team := fs.Bool("team", false, "decode as a coordinated team transmission")
 	backendName := fs.String("backend", "choir", "collision-resolution backend: "+strings.Join(choir.BackendNames(), ", "))
-	workers := fs.Int("workers", 0, "concurrent trace decodes (0 = all CPUs, 1 = serial)")
 	faultClass := fs.String("fault", "", "inject a fault before decoding: clip, drop, interferer, drift, or truncate")
 	faultRate := fs.Float64("fault-rate", 0.3, "fault intensity in [0,1] for -fault")
 	metrics := fs.Bool("metrics", false, "record decode metrics and dump a JSON snapshot at exit")
@@ -78,7 +79,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 	if fs.NArg() < 1 {
-		fmt.Fprintln(stderr, "usage: choir-decode [-team] [-workers n] [-fault class -fault-rate r] <trace.iq> [more.iq ...]")
+		fmt.Fprintln(stderr, "usage: choir-decode [-team] [-fault class -fault-rate r] <trace.iq> [more.iq ...]")
 		return exitUsage
 	}
 	files := fs.Args()
@@ -141,7 +142,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		return pool, nil
 	}
 
-	// Workers write only into their own indexed slots; all printing happens
+	// Decodes write only into their own indexed slots; all printing happens
 	// afterwards on this goroutine, so report and error lines come out in
 	// argument order no matter how the decodes were scheduled. A canceled
 	// context stops new decodes but the in-flight ones finish, so every slot
@@ -149,7 +150,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	reports := make([]string, len(files))
 	errs := make([]error, len(files))
 	done := make([]bool, len(files))
-	fanErr := choir.NewWorkerPool(*workers).ForEach(ctx, len(files), func(i int) {
+	fanErr := exec.ForEach(ctx, len(files), func(i int) {
 		reports[i], errs[i] = decodeTrace(ctx, files[i], uint64(i), *team, inj, poolFor)
 		done[i] = true
 	})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -36,10 +37,11 @@ func writeTestTrace(t *testing.T, path string, seed uint64) {
 }
 
 // TestRunOrdersOutputAcrossWorkers pins the batch-output contract: report
-// sections and error lines appear in argument order and are identical for
-// any worker count, and a broken trace in the middle of the batch is
+// sections and error lines appear in argument order and are identical at
+// GOMAXPROCS 1 and 4, and a broken trace in the middle of the batch is
 // reported in place without aborting the traces after it.
 func TestRunOrdersOutputAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	dir := t.TempDir()
 	good1 := filepath.Join(dir, "a.iq")
 	bad := filepath.Join(dir, "broken.iq")
@@ -53,10 +55,10 @@ func TestRunOrdersOutputAcrossWorkers(t *testing.T) {
 	}
 	files := []string{good1, bad, good2, good3}
 
-	runOnce := func(workers int) (string, string, int) {
+	runOnce := func(procs int) (string, string, int) {
+		runtime.GOMAXPROCS(procs)
 		var stdout, stderr bytes.Buffer
-		args := append([]string{"-workers", fmt.Sprint(workers)}, files...)
-		code := run(context.Background(), args, &stdout, &stderr)
+		code := run(context.Background(), files, &stdout, &stderr)
 		return stdout.String(), stderr.String(), code
 	}
 
@@ -90,13 +92,13 @@ func TestRunOrdersOutputAcrossWorkers(t *testing.T) {
 
 	out4, errOut4, code4 := runOnce(4)
 	if out1 != out4 {
-		t.Errorf("stdout differs between -workers 1 and -workers 4\n--- w1 ---\n%s--- w4 ---\n%s", out1, out4)
+		t.Errorf("stdout differs between GOMAXPROCS 1 and 4\n--- 1 ---\n%s--- 4 ---\n%s", out1, out4)
 	}
 	if errOut1 != errOut4 {
-		t.Errorf("stderr differs between -workers 1 and -workers 4\n--- w1 ---\n%s--- w4 ---\n%s", errOut1, errOut4)
+		t.Errorf("stderr differs between GOMAXPROCS 1 and 4\n--- 1 ---\n%s--- 4 ---\n%s", errOut1, errOut4)
 	}
 	if code1 != code4 {
-		t.Errorf("exit codes differ across worker counts: %d vs %d", code1, code4)
+		t.Errorf("exit codes differ across widths: %d vs %d", code1, code4)
 	}
 }
 

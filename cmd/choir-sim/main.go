@@ -17,6 +17,9 @@
 // Experiments: fig7ab fig7cd fig8abc fig8d fig8e fig8f fig9a fig9b fig10
 // fig11a fig11b fig12 e2e faultsweep headline city interfere all
 //
+// Trial sweeps use every CPU and print the same tables at any width;
+// GOMAXPROCS=1 runs them serially.
+//
 // -exp city runs the event-driven city-scale engine (DESIGN.md §15) as a
 // density sweep over -nodes, with -engine selecting the event driver or the
 // slot-walk reference (bit-identical metrics, different wall clock), and
@@ -75,7 +78,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	calibrate := fs.Bool("calibrate", false, "calibrate the Choir MAC model with the IQ-level decoder")
 	slots := fs.Int("slots", 4000, "MAC simulation length in slots")
 	seed := fs.Uint64("seed", 7, "simulation seed")
-	workers := fs.Int("workers", 0, "trial-execution workers (0 = all CPUs, 1 = serial); results are identical for any value")
 	engineName := fs.String("engine", "event", "city driver for -exp city: event (event queue) or slot (serial reference)")
 	nodesList := fs.String("nodes", "1000,10000,100000", "comma-separated node counts for the -exp city density sweep")
 	gateways := fs.Int("gateways", 1, "gateway count for -exp city")
@@ -117,7 +119,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	if *compare {
 		ccfg := choir.DefaultCompare()
 		ccfg.Seed = *seed
-		ccfg.Workers = *workers
 		if *backends != "" {
 			ccfg.Backends = strings.Split(*backends, ",")
 		}
@@ -148,7 +149,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	cfg := choir.DefaultFig8()
 	cfg.Slots = *slots
 	cfg.Seed = *seed
-	cfg.Workers = *workers
 	if !*calibrate {
 		cfg.Calibration.Trials = 0
 	}
@@ -156,7 +156,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	runners := map[string]func(context.Context) error{
 		"fig7ab": func(context.Context) error { choir.Fig7Offsets(30, *seed).Fprint(stdout); return nil },
 		"fig7cd": func(ctx context.Context) error {
-			fig, err := choir.Fig7Stability(ctx, 4, *seed, *workers)
+			fig, err := choir.Fig7Stability(ctx, 4, *seed)
 			if err != nil {
 				return err
 			}
@@ -180,7 +180,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		"fig9a": func(context.Context) error { choir.Fig9Throughput(-22, 30).Fprint(stdout); return nil },
 		"fig9b": func(context.Context) error { choir.Fig9Range(30).Fprint(stdout); return nil },
 		"fig10": func(ctx context.Context) error {
-			fig, err := choir.Fig10Resolution(ctx, []float64{200, 600, 1000, 1400, 1800, 2200, 2600, 3000}, 5, *seed, *workers)
+			fig, err := choir.Fig10Resolution(ctx, []float64{200, 600, 1000, 1400, 1800, 2200, 2600, 3000}, 5, *seed)
 			if err != nil {
 				return err
 			}
@@ -188,7 +188,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			return nil
 		},
 		"fig11a": func(ctx context.Context) error {
-			fig, err := choir.Fig11Grouping(ctx, 6, 20, *seed, *workers)
+			fig, err := choir.Fig11Grouping(ctx, 6, 20, *seed)
 			if err != nil {
 				return err
 			}
@@ -214,9 +214,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			return nil
 		},
 		"e2e": func(ctx context.Context) error {
-			e2eCfg := choir.DefaultE2E()
-			e2eCfg.Workers = *workers
-			rep, err := choir.EndToEnd(ctx, e2eCfg)
+			rep, err := choir.EndToEnd(ctx, choir.DefaultE2E())
 			if err != nil {
 				return err
 			}
@@ -226,7 +224,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		"faultsweep": func(ctx context.Context) error {
 			fsw := choir.DefaultFaultSweep()
 			fsw.Seed = *seed
-			fsw.Workers = *workers
 			if *faultClass != "all" {
 				c, err := choir.ParseFaultClass(*faultClass)
 				if err != nil {

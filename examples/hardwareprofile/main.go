@@ -59,7 +59,7 @@ func main() {
 	}
 
 	// Fig. 7(c,d): stability of the tracked offsets across SNR regimes.
-	stability, err := choir.Fig7Stability(context.Background(), 3, 7, 0)
+	stability, err := choir.Fig7Stability(context.Background(), 3, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -47,13 +47,13 @@ func main() {
 	}
 
 	ctx := context.Background()
-	grouping, err := choir.Fig11Grouping(ctx, 6, 20, 11, 0)
+	grouping, err := choir.Fig11Grouping(ctx, 6, 20, 11)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println()
 	grouping.Fprint(os.Stdout)
-	resolution, err := choir.Fig10Resolution(ctx, []float64{200, 600, 1000, 1400, 1800, 2200, 2600, 3000}, 5, 11, 0)
+	resolution, err := choir.Fig10Resolution(ctx, []float64{200, 600, 1000, 1400, 1800, 2200, 2600, 3000}, 5, 11)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -155,10 +155,10 @@ func TestOneMACModel(t *testing.T) {
 
 // TestEngineRunIsOneGoroutine enforces DESIGN.md §15: one city run is one
 // goroutine. Non-test internal/sim/engine code starts no goroutine and uses
-// no pool, fan-out or wait group, and nothing reads Config.Shards or
-// Config.Workers (declared only for benchmark/). The one exemption is the
-// methods of Fig8Config, whose own Workers knob fans whole runs out across
-// figure cells — parallelism across runs, never inside one.
+// no fan-out (exec.ForEach, exec.Map, exec.Fan) or wait group, and nothing
+// reads Config.Shards or Config.Workers (declared only for benchmark/). The
+// one exemption is the methods of Fig8Config, which fan whole runs out
+// across figure cells — parallelism across runs, never inside one.
 func TestEngineRunIsOneGoroutine(t *testing.T) {
 	sawEngine := false
 	parseSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
@@ -180,7 +180,7 @@ func TestEngineRunIsOneGoroutine(t *testing.T) {
 				x, _ := n.X.(*ast.Ident)
 				switch sel := n.Sel.Name; {
 				case sel == "ForEach",
-					x != nil && x.Name == "exec" && (sel == "NewPool" || sel == "Map"),
+					x != nil && x.Name == "exec" && (sel == "Map" || sel == "Fan"),
 					x != nil && x.Name == "sync" && sel == "WaitGroup":
 					t.Errorf("internal/sim/engine uses %s: a run stays on the calling goroutine", sel)
 				case sel == "Shards" || sel == "Workers":
@@ -193,6 +193,32 @@ func TestEngineRunIsOneGoroutine(t *testing.T) {
 	if !sawEngine {
 		t.Fatal("found no sources under internal/sim/engine")
 	}
+}
+
+// TestOneFanOutWidth enforces DESIGN.md §7: every fan-out is as wide as
+// exec.Fan makes it, min(GOMAXPROCS, n), so non-test code outside
+// internal/exec never reads or sets GOMAXPROCS. The one exemption is the
+// gateway's default decode-worker count, a deployment setting assigned to a
+// Workers field; benchmark/ pins its own and is not parsed.
+func TestOneFanOutWidth(t *testing.T) {
+	parseSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
+		if dir == "internal/exec" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if sel, ok := n.Lhs[0].(*ast.SelectorExpr); ok && sel.Sel.Name == "Workers" && dir == "internal/gateway" {
+					return false
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "runtime" && n.Sel.Name == "GOMAXPROCS" {
+					t.Errorf("%s calls runtime.GOMAXPROCS: a fan-out's width is exec.Fan's to pick", dir)
+				}
+			}
+			return true
+		})
+	})
 }
 
 // TestGatewayDecodesOneWay enforces DESIGN.md §14: a frame has one route

@@ -37,6 +37,7 @@ import (
 
 	"choir/internal/ctxutil"
 	"choir/internal/dsp"
+	"choir/internal/exec"
 	"choir/internal/linalg"
 	"choir/internal/lora"
 )
@@ -109,12 +110,12 @@ func DefaultConfig(p lora.Params) Config {
 // results.
 //
 // One decode may still use every core: four of its per-window loops share
-// their windows with helper goroutines, each running on a lane — a helper
-// Decoder that reads its owner's plans and owns only scratch (fan.go). The
-// caller sees one goroutine's contract: results are bit-identical for any
-// GOMAXPROCS (TestLaneCountEquivalence), only the calling goroutine polls the
-// context, a panic in any window reaches the caller
-// (TestFanOutPanicReachesCaller), and no helper outlives the decode
+// their windows with exec.Fan's helper goroutines, each running on a lane —
+// a helper Decoder that reads its owner's plans and owns only scratch
+// (fan.go). The caller sees one goroutine's contract: results are
+// bit-identical for any GOMAXPROCS (TestLaneCountEquivalence), only the
+// calling goroutine polls the context, a panic in any window reaches the
+// caller (TestFanOutPanicReachesCaller), and no helper outlives the decode
 // (TestCancelMidFanOut).
 type Decoder struct {
 	plans
@@ -182,9 +183,11 @@ type Decoder struct {
 	allPeaksBuf [][]peakObs
 
 	// lanes are the helper decoders a fan-out runs windows on, built the
-	// first time a fan-out wants them and kept; fan is the fan-out in flight.
+	// first time a fan-out wants them and kept; fan runs the fan-out and job
+	// is the one in flight.
 	lanes []*Decoder
-	fan   fanout
+	fan   exec.Fan
+	job   windowJob
 
 	// ctx/ctxErr hold the active context during a decode. ctxErr
 	// latches the first observed cancellation (mapped to ErrCanceled /

@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,15 +14,17 @@ import (
 )
 
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 8, 100} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		const n = 57
 		counts := make([]atomic.Int32, n)
-		if err := exec.NewPool(workers).ForEach(context.Background(), n, func(i int) { counts[i].Add(1) }); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		if err := exec.ForEach(context.Background(), n, func(i int) { counts[i].Add(1) }); err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 		}
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
-				t.Errorf("workers=%d: index %d ran %d times", workers, i, c)
+				t.Errorf("GOMAXPROCS %d: index %d ran %d times", procs, i, c)
 			}
 		}
 	}
@@ -29,15 +32,15 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 
 func TestForEachEmptyAndNegative(t *testing.T) {
 	ran := false
-	p := exec.NewPool(4)
-	err0 := p.ForEach(context.Background(), 0, func(int) { ran = true })
-	errNeg := p.ForEach(context.Background(), -3, func(int) { ran = true })
+	err0 := exec.ForEach(context.Background(), 0, func(int) { ran = true })
+	errNeg := exec.ForEach(context.Background(), -3, func(int) { ran = true })
 	if ran || err0 != nil || errNeg != nil {
 		t.Error("task ran for empty fan-out")
 	}
 }
 
 func TestForEachPanicPropagates(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -47,7 +50,7 @@ func TestForEachPanicPropagates(t *testing.T) {
 			t.Errorf("panic payload %v lost the cause", r)
 		}
 	}()
-	_ = exec.NewPool(4).ForEach(context.Background(), 16, func(i int) { // panics before returning
+	_ = exec.ForEach(context.Background(), 16, func(i int) { // panics before returning
 		if i == 7 {
 			panic("boom")
 		}
@@ -55,7 +58,7 @@ func TestForEachPanicPropagates(t *testing.T) {
 }
 
 func TestMapCollectsInOrder(t *testing.T) {
-	out, err := exec.Map(context.Background(), exec.NewPool(8), 64, func(i int) int { return i * i })
+	out, err := exec.Map(context.Background(), 64, func(i int) int { return i * i })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +116,8 @@ func TestSeedChainEquivalence(t *testing.T) {
 
 // The TestDecoderPool* tests pin the decoder-ownership half of the trial
 // engine's determinism contract (the seed half is DeriveSeed, above). The
-// pool itself is backend.Pool — the one decoder pool, which this package's
-// fan-out is always paired with.
+// pool itself is backend.Pool — the one decoder pool, which every trial
+// fan-out is paired with.
 
 func mustDecoderPool(t *testing.T, p lora.Params) *backend.Pool {
 	t.Helper()
@@ -195,10 +198,11 @@ func TestPooledDecoderMatchesFresh(t *testing.T) {
 // race detector can see checkout/checkin; every trial must decode its own
 // scenario correctly regardless of interleaving.
 func TestDecoderPoolConcurrent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	params := lora.DefaultParams()
 	p := mustDecoderPool(t, params)
 	var failures atomic.Int32
-	err := exec.NewPool(8).ForEach(context.Background(), 16, func(i int) {
+	err := exec.ForEach(context.Background(), 16, func(i int) {
 		seed := exec.DeriveSeed(77, uint64(i))
 		sc := sim.Scenario{Params: params, PayloadLen: 8, SNRsDB: []float64{22, 18}, Seed: seed}
 		b := p.Get()

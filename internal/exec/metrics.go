@@ -2,10 +2,11 @@ package exec
 
 import "choir/internal/obs"
 
-// Worker-pool observability: how many tasks were fanned out, how long each
-// task ran, how long tasks sat queued before a worker picked them up, and
-// the pool's utilization expressed as two raw counters — busy_ns (summed
-// task runtime) over capacity_ns (wall-clock elapsed × workers). Deriving
+// Trial fan-out observability (ForEach and Map): how many tasks were fanned
+// out, how long each task ran, how long tasks sat queued before a
+// participant picked them up, and the fan-out's utilization expressed as two
+// raw counters — busy_ns (summed task runtime) over capacity_ns (wall-clock
+// elapsed × participants). Deriving
 // utilization as busy/capacity is left to the consumer so the snapshot
 // stays a plain counter dump. All recording is gated on obs.Enable; the
 // disabled path is branch-only and allocation-free.

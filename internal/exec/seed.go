@@ -15,7 +15,7 @@ func splitmix64(x uint64) uint64 {
 // index, ...). The derivation is:
 //
 //   - deterministic — the same (base, dims...) always yields the same seed,
-//     independent of worker count, scheduling, or call order;
+//     independent of fan-out width, scheduling, or call order;
 //   - order-sensitive — DeriveSeed(s, 1, 2) != DeriveSeed(s, 2, 1), so
 //     sweep dimensions never alias;
 //   - well-mixed — adjacent coordinates produce uncorrelated seeds, unlike

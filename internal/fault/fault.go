@@ -7,8 +7,8 @@
 //
 // Every Injector is driven by an explicit seed: Apply builds its private
 // random stream from the seed it is handed (callers derive one per trial via
-// exec.DeriveSeed), so a fault sweep fanned out across any number of workers
-// is byte-identical to a serial run. An injector at zero intensity is an
+// exec.DeriveSeed), so a fault sweep fanned out at any GOMAXPROCS is
+// byte-identical to a serial run. An injector at zero intensity is an
 // exact no-op — it returns the input unmodified without consuming
 // randomness — which anchors every sweep's zero-intensity column to the
 // unfaulted decode results.

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"math/rand/v2"
 	"sync"
 
@@ -23,21 +22,6 @@ type CalibrationConfig struct {
 	// Regime draws each user's SNR.
 	Regime SNRRegime
 	Seed   uint64
-	// Workers bounds the number of concurrent decode workers (<= 0 uses
-	// every CPU, 1 runs serially). Every trial derives its own seed and
-	// decoder, so the table is identical for any worker count; Workers is
-	// therefore excluded from the memo-cache key.
-	Workers int
-}
-
-// digest returns the cache key for a configuration: a comparable string
-// over every result-affecting field. Keying the sync.Map on a string
-// rather than the struct itself guards against a future non-comparable
-// field (a slice of SNR points, say) panicking the cache, and makes the
-// Workers exclusion explicit.
-func (c CalibrationConfig) digest() string {
-	return fmt.Sprintf("%#v|payload=%d|maxusers=%d|trials=%d|regime=%d|seed=%d",
-		c.Params, c.PayloadLen, c.MaxUsers, c.Trials, int(c.Regime), c.Seed)
 }
 
 // DefaultCalibration returns the calibration used by the figure-8 sweeps.
@@ -55,31 +39,30 @@ func DefaultCalibration() CalibrationConfig {
 // SuccessTable Monte-Carlos the real IQ-level Choir decoder across
 // collision sizes 1..MaxUsers and returns per-size per-user decode rates:
 // table[k-1] is the probability that one specific packet out of k
-// concurrent ones is recovered. Results are memoized per configuration
-// (ignoring Workers, which cannot affect them). A canceled calibration
-// returns the context's error and stores nothing in the memo cache — a
-// partial table must never masquerade as the real one.
+// concurrent ones is recovered. Results are memoized per configuration:
+// every field affects the table and every field is comparable, so the cache
+// keys on the struct itself. A canceled calibration returns the context's
+// error and stores nothing in the memo cache — a partial table must never
+// masquerade as the real one.
 func SuccessTable(ctx context.Context, cfg CalibrationConfig) ([]float64, error) {
-	key := cfg.digest()
-	if v, ok := calibCache.Load(key); ok {
+	if v, ok := calibCache.Load(cfg); ok {
 		return v.([]float64), nil
 	}
 	table, err := SuccessTableUncached(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	calibCache.Store(key, table)
+	calibCache.Store(cfg, table)
 	return table, nil
 }
 
 // SuccessTableUncached is SuccessTable without the memo cache, for
 // benchmarking the calibration engine itself and for determinism tests
 // that must recompute. The (collision size × trial) grid is fanned out
-// across cfg.Workers goroutines; each trial owns a derived seed, a pooled
-// decoder and a private result slot, and the reduction runs in trial
-// order, so the table is byte-identical for any worker count. Once ctx
-// fires no further trials start and the context's error is returned
-// instead of a partial table.
+// with exec.Map; each trial owns a derived seed, a pooled decoder and a
+// private result slot, and the reduction runs in trial order, so the table
+// is byte-identical at any GOMAXPROCS. Once ctx fires no further trials
+// start and the context's error is returned instead of a partial table.
 func SuccessTableUncached(ctx context.Context, cfg CalibrationConfig) ([]float64, error) {
 	table := make([]float64, cfg.MaxUsers)
 	if cfg.MaxUsers <= 0 || cfg.Trials <= 0 {
@@ -90,7 +73,7 @@ func SuccessTableUncached(ctx context.Context, cfg CalibrationConfig) ([]float64
 		return nil, err
 	}
 	type cell struct{ recovered, total int }
-	cells, err := exec.Map(ctx, exec.NewPool(cfg.Workers), cfg.MaxUsers*cfg.Trials, func(i int) cell {
+	cells, err := exec.Map(ctx, cfg.MaxUsers*cfg.Trials, func(i int) cell {
 		k := i/cfg.Trials + 1
 		trial := i % cfg.Trials
 		seed := exec.DeriveSeed(cfg.Seed, uint64(k), uint64(trial))
@@ -127,7 +110,7 @@ func SuccessTableUncached(ctx context.Context, cfg CalibrationConfig) ([]float64
 	return table, nil
 }
 
-// calibCache memoizes SuccessTable results by CalibrationConfig digest.
+// calibCache memoizes SuccessTable results by CalibrationConfig.
 // A pointer so tests can swap in a fresh map without copying lock state.
 var calibCache = new(sync.Map)
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -23,13 +24,6 @@ func TestCalibCacheHitsOnIdenticalConfigs(t *testing.T) {
 	if &again[0] != &first[0] {
 		t.Error("identical configs did not share the cached table")
 	}
-	// Workers must not affect the key: the parallel request reuses the
-	// serial run's cache entry.
-	par := cfg
-	par.Workers = 8
-	if cached := must(SuccessTable(context.Background(), par)); &cached[0] != &first[0] {
-		t.Error("Workers leaked into the cache key")
-	}
 }
 
 func TestCalibCacheMissesOnDifferingSeeds(t *testing.T) {
@@ -42,41 +36,17 @@ func TestCalibCacheMissesOnDifferingSeeds(t *testing.T) {
 	}
 }
 
-func TestCalibDigestCoversResultFields(t *testing.T) {
-	base := fastCal(1)
-	mutants := []CalibrationConfig{base, base, base, base, base}
-	mutants[0].PayloadLen++
-	mutants[1].MaxUsers++
-	mutants[2].Trials++
-	mutants[3].Regime = HighSNR
-	mutants[4].Seed++
-	seen := map[string]bool{base.digest(): true}
-	for i, m := range mutants {
-		d := m.digest()
-		if seen[d] {
-			t.Errorf("mutant %d digest collides: %s", i, d)
-		}
-		seen[d] = true
-	}
-	// Workers is explicitly excluded — it cannot change results.
-	w := base
-	w.Workers = 8
-	if w.digest() != base.digest() {
-		t.Error("Workers changed the digest")
-	}
-}
-
 // TestSuccessTableDeterministicAcrossWorkers is the calibration half of
 // the engine's determinism regression: the same seed must yield a
-// byte-identical table whether the trials run serially or on 8 workers.
+// byte-identical table whether the trials run serially or four wide.
 func TestSuccessTableDeterministicAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := fastCal(104)
-	cfg.Workers = 1
 	serial := must(SuccessTableUncached(context.Background(), cfg))
-	cfg.Workers = 8
+	runtime.GOMAXPROCS(4)
 	parallel := must(SuccessTableUncached(context.Background(), cfg))
 	if s, p := fmt.Sprintf("%v", serial), fmt.Sprintf("%v", parallel); s != p {
-		t.Errorf("Workers=1 table %s != Workers=8 table %s", s, p)
+		t.Errorf("GOMAXPROCS 1 table %s != GOMAXPROCS 4 table %s", s, p)
 	}
 }
 

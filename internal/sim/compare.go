@@ -111,9 +111,6 @@ type CompareConfig struct {
 	// byte-identical captures and the comparison measures the algorithm,
 	// not scenario luck.
 	Seed uint64
-	// Workers bounds the fan-out (<= 0 selects all CPUs). Results are
-	// identical for any worker count.
-	Workers int
 }
 
 // DefaultCompare returns the comparison cmd/choir-sim runs: every
@@ -171,7 +168,7 @@ type CompareResult struct {
 // the result — backend order, trial counts, goodput numerators and
 // denominators, and the full error taxonomy — excluding decode latency.
 // Two runs of the same configuration must produce equal fingerprints
-// whatever the worker count.
+// at any GOMAXPROCS.
 func (c *CompareResult) Fingerprint() string {
 	var b strings.Builder
 	for _, r := range c.Reports {
@@ -284,8 +281,7 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 		pools[name] = byPHY
 	}
 
-	pool := exec.NewPool(cfg.Workers)
-	cells, err := exec.Map(ctx, pool, len(backends)*nCaptures, func(k int) compareCell {
+	cells, err := exec.Map(ctx, len(backends)*nCaptures, func(k int) compareCell {
 		bi, capIdx := k/nCaptures, k%nCaptures
 		name := backends[bi]
 		switch {

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -16,8 +17,9 @@ const goldenGlob = "../choir/testdata/golden/*.iq"
 // TestCompareDeterministicAcrossWorkers pins the harness's determinism
 // contract over alternative backends: the same configuration — golden
 // fixtures, synthesized collisions, and a fault sweep — produces
-// byte-identical fingerprints whether decoded by one worker or eight.
+// byte-identical fingerprints at GOMAXPROCS 1 and 4.
 func TestCompareDeterministicAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fixtures, err := LoadCompareFixtures(goldenGlob)
 	if err != nil {
 		t.Fatal(err)
@@ -38,18 +40,17 @@ func TestCompareDeterministicAcrossWorkers(t *testing.T) {
 		Seed:        7,
 	}
 
-	cfg.Workers = 1
 	serial, err := Compare(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 8
+	runtime.GOMAXPROCS(4)
 	parallel, err := Compare(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sf, pf := serial.Fingerprint(), parallel.Fingerprint(); sf != pf {
-		t.Fatalf("comparison depends on worker count\nW=1:\n%s\nW=8:\n%s", sf, pf)
+		t.Fatalf("comparison depends on the width\nGOMAXPROCS 1:\n%s\nGOMAXPROCS 4:\n%s", sf, pf)
 	}
 
 	// The run must have exercised real work for the fingerprint to mean

@@ -6,7 +6,8 @@ import (
 	"math"
 	"math/rand/v2"
 
-	"choir/internal/backend"
+	"choir/internal/choir"
+	"choir/internal/ctxutil"
 	"choir/internal/exec"
 	"choir/internal/geo"
 	"choir/internal/lora"
@@ -34,11 +35,6 @@ type E2EConfig struct {
 	ConcurrentIndividuals int
 	// Seed drives placement, shadowing, hardware offsets and noise.
 	Seed uint64
-	// Workers bounds the concurrency of the IQ-level beacon rounds (<= 0
-	// uses every CPU, 1 runs serially). Every round derives its own seed
-	// and borrows a pooled decoder, so the report is identical for any
-	// worker count.
-	Workers int
 }
 
 // DefaultE2E returns a 30-sensor deployment, the paper's scale.
@@ -74,13 +70,15 @@ func (r *E2EReport) String() string {
 		r.TeamsDelivered, r.TeamsExpected, r.BeaconSlots, r.MaxServedDistance)
 }
 
-// EndToEnd runs the deployment experiment. Cancellation stops the IQ-level
-// beacon rounds between fan-out tasks and returns the context's error
-// instead of a partial report.
+// EndToEnd runs the deployment experiment. The IQ-level beacon rounds run
+// serially on one decoder, each from its own derived seed; a round's decode
+// already uses every core. Cancellation stops the rounds between two of them
+// and returns the context's error instead of a partial report.
 func EndToEnd(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 	if cfg.Sensors < 1 || cfg.PayloadLen < 1 || cfg.ConcurrentIndividuals < 1 {
 		return nil, fmt.Errorf("sim: invalid e2e config %+v", cfg)
 	}
+	ctx = ctxutil.Background(ctx)
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xE2E))
 	p := lora.DefaultParams()
 	pl := UrbanChannel()
@@ -131,11 +129,10 @@ func EndToEnd(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 	}
 
 	rep := &E2EReport{Sensors: cfg.Sensors, Unreachable: len(unreachable)}
-	dpool, err := backend.NewPool("choir", p)
+	dec, err := choir.New(choir.DefaultConfig(p))
 	if err != nil {
 		return nil, err
 	}
-	pool := exec.NewPool(cfg.Workers)
 
 	// Partition schedule entries; individual slots are merged into
 	// concurrent beacon rounds of up to ConcurrentIndividuals sensors.
@@ -157,57 +154,44 @@ func EndToEnd(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 		}
 	}
 
-	// Concurrent individual rounds, decoded at IQ level across the worker
-	// pool. Batching sensors of similar strength together keeps the
-	// near-far spread within each collision moderate, as the base
-	// station's scheduler would.
+	// Concurrent individual rounds, decoded at IQ level. Batching sensors of
+	// similar strength together keeps the near-far spread within each
+	// collision moderate, as the base station's scheduler would.
 	sortBySNRDesc(individuals, nodes)
-	var batches [][]int
-	for start := 0; start < len(individuals); start += cfg.ConcurrentIndividuals {
-		end := start + cfg.ConcurrentIndividuals
-		if end > len(individuals) {
-			end = len(individuals)
+	for bi := 0; bi*cfg.ConcurrentIndividuals < len(individuals); bi++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		batches = append(batches, individuals[start:end])
-	}
-	type roundResult struct{ recovered, total int }
-	indResults, err := exec.Map(ctx, pool, len(batches), func(bi int) roundResult {
-		batch := batches[bi]
+		start := bi * cfg.ConcurrentIndividuals
+		batch := individuals[start:min(start+cfg.ConcurrentIndividuals, len(individuals))]
 		snrs := make([]float64, len(batch))
 		for i, id := range batch {
 			snrs[i] = nodes[id].snr
 		}
 		seed := exec.DeriveSeed(cfg.Seed, 1, uint64(bi))
 		sc := Scenario{Params: p, PayloadLen: cfg.PayloadLen, SNRsDB: snrs, Seed: seed}
-		b := dpool.Get()
-		defer dpool.Put(b)
-		recovered, total := sc.DecodeWith(backend.Decoder(b))
-		return roundResult{recovered: recovered, total: total}
-	})
-	if err != nil {
-		return nil, err
-	}
-	for bi, r := range indResults {
+		recovered, total := sc.DecodeWith(dec)
 		rep.BeaconSlots++
-		rep.IndividualDelivered += r.recovered
-		rep.IndividualExpected += r.total
-		if r.recovered > 0 {
+		rep.IndividualDelivered += recovered
+		rep.IndividualExpected += total
+		if recovered > 0 {
 			// Attribute served distance optimistically to the batch's
 			// farthest recovered... we lack per-payload identity here, so
 			// credit up to `recovered` farthest members conservatively by
 			// crediting the nearest ones first.
-			ids := append([]int(nil), batches[bi]...)
+			ids := append([]int(nil), batch...)
 			sortByDist(ids, nodes)
-			for i := 0; i < r.recovered && i < len(ids); i++ {
+			for i := 0; i < recovered && i < len(ids); i++ {
 				served(ids[i])
 			}
 		}
 	}
 
-	// Team rounds: identical payloads, below-noise joint decoding, fanned
-	// out the same way.
-	delivered, err := exec.Map(ctx, pool, len(teams), func(ti int) bool {
-		e := teams[ti]
+	// Team rounds: identical payloads, below-noise joint decoding.
+	for _, e := range teams {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		snrs := make([]float64, len(e.Team))
 		for i, id := range e.Team {
 			snrs[i] = nodes[id].snr
@@ -215,22 +199,15 @@ func EndToEnd(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 		seed := exec.DeriveSeed(cfg.Seed, 2, uint64(e.Team[0]))
 		sc := Scenario{Params: p, PayloadLen: cfg.PayloadLen, SNRsDB: snrs, Identical: true, Seed: seed}
 		sig, payloads := sc.Synthesize()
-		b := dpool.Get()
-		defer dpool.Put(b)
-		res, err := backend.Decoder(b).DecodeTeam(trialCtx, sig, cfg.PayloadLen)
-		return err == nil && res.Err == nil && string(res.Payload) == string(payloads[0])
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ti, ok := range delivered {
+		res, err := dec.DecodeTeam(trialCtx, sig, cfg.PayloadLen)
+		ok := err == nil && res.Err == nil && string(res.Payload) == string(payloads[0])
 		rep.BeaconSlots++
 		rep.TeamsExpected++
 		mTeamTrials.Inc()
 		if ok {
 			rep.TeamsDelivered++
 			mTeamDelivered.Inc()
-			for _, id := range teams[ti].Team {
+			for _, id := range e.Team {
 				served(id)
 			}
 		}

@@ -29,10 +29,6 @@ type Fig8Config struct {
 	// replaces IQ-level calibration with the analytic model (fast sweeps).
 	Calibration sim.CalibrationConfig
 	Seed        uint64
-	// Workers bounds the concurrency of the sweep's cells and of the
-	// IQ-level calibration behind them (<= 0 uses every CPU, 1 runs
-	// serially). Results are identical for any worker count.
-	Workers int
 }
 
 // DefaultFig8 returns the configuration used by the benchmarks.
@@ -47,7 +43,6 @@ func (c Fig8Config) choirTable(ctx context.Context, regime sim.SNRRegime) ([]flo
 	}
 	cal := c.Calibration
 	cal.Regime = regime
-	cal.Workers = c.Workers
 	return sim.SuccessTable(ctx, cal)
 }
 
@@ -81,8 +76,8 @@ func baselineCells(nodes int, table []float64, p lora.Params) []cell {
 // meters of the gateway, as in the paper's single-building testbed.
 const cellSideM = 10
 
-// runCells simulates the cells across c.Workers goroutines and returns
-// their metrics in order; it fails if any node of a cell is out of range.
+// runCells simulates the cells with exec.Map and returns their metrics in
+// order; it fails if any node of a cell is out of range.
 func (c Fig8Config) runCells(ctx context.Context, cells []cell) ([]*Metrics, error) {
 	arrival := c.ArrivalPerSlot
 	if arrival <= 0 {
@@ -90,7 +85,7 @@ func (c Fig8Config) runCells(ctx context.Context, cells []cell) ([]*Metrics, err
 	}
 	payloadLen := c.Calibration.PayloadLen
 	errs := make([]error, len(cells))
-	out, err := exec.Map(ctx, exec.NewPool(c.Workers), len(cells), func(i int) *Metrics {
+	out, err := exec.Map(ctx, len(cells), func(i int) *Metrics {
 		cl := cells[i]
 		m, err := Run(ctx, Config{
 			Scheme:         cl.scheme,

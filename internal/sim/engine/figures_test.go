@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -144,16 +145,17 @@ func TestComputeHeadline(t *testing.T) {
 // TestFig8DeterministicAcrossWorkers is the sweep half of the determinism
 // regression (sim's TestSuccessTableDeterministicAcrossWorkers is the
 // calibration half): a Fig. 8 users sweep with an IQ-calibrated Choir
-// receiver must be byte-identical at Workers=1 and Workers=8.
+// receiver must be byte-identical at GOMAXPROCS 1 and 4.
 func TestFig8DeterministicAcrossWorkers(t *testing.T) {
-	mk := func(workers int) string {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mk := func(procs int) string {
+		runtime.GOMAXPROCS(procs)
 		cfg := DefaultFig8()
 		cfg.Slots = 300
 		// Two collision sizes, two trials each keeps the calibration cheap.
 		cfg.Calibration.MaxUsers = 2
 		cfg.Calibration.Trials = 2
 		cfg.Calibration.Seed = 105
-		cfg.Workers = workers
 		fig, err := Fig8Users(context.Background(), cfg, Throughput)
 		if err != nil {
 			t.Fatal(err)
@@ -161,8 +163,8 @@ func TestFig8DeterministicAcrossWorkers(t *testing.T) {
 		return fmt.Sprintf("%+v", fig)
 	}
 	serial := mk(1)
-	parallel := mk(8)
+	parallel := mk(4)
 	if serial != parallel {
-		t.Errorf("Fig8Users diverged across worker counts:\nserial:   %s\nparallel: %s", serial, parallel)
+		t.Errorf("Fig8Users diverged across widths:\nserial:   %s\nparallel: %s", serial, parallel)
 	}
 }

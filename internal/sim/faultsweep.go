@@ -33,8 +33,6 @@ type FaultSweepConfig struct {
 	// so every curve degrades the SAME collisions and differences between
 	// points measure the fault, not scenario luck.
 	Seed uint64
-	// Workers bounds the fan-out (<= 0 selects all CPUs).
-	Workers int
 }
 
 // DefaultFaultSweep returns the sweep used by cmd/choir-sim: two-user
@@ -52,9 +50,9 @@ func DefaultFaultSweep() FaultSweepConfig {
 }
 
 // FaultSweep measures decode success versus fault intensity, one series per
-// fault class. Trials fan out across the worker pool; results are identical
-// for any worker count, and the zero-intensity points of every class decode
-// the literal unfaulted trials. Once ctx fires no new trial starts and the
+// fault class. Trials fan out with exec.Map; results are identical at any
+// GOMAXPROCS, and the zero-intensity points of every class decode the
+// literal unfaulted trials. Once ctx fires no new trial starts and the
 // context's error is returned instead of a partial figure.
 func FaultSweep(ctx context.Context, cfg FaultSweepConfig) (*Figure, error) {
 	if cfg.Params.SF == 0 {
@@ -86,12 +84,11 @@ func FaultSweep(ctx context.Context, cfg FaultSweepConfig) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := exec.NewPool(cfg.Workers)
 
-	// Flatten (grid cell × trial) so narrow sweeps still saturate workers.
+	// Flatten (grid cell × trial) so narrow sweeps still use every core.
 	type cell struct{ recovered, total int }
 	nCells := len(injs)
-	results, err := exec.Map(ctx, pool, nCells*cfg.Trials, func(k int) cell {
+	results, err := exec.Map(ctx, nCells*cfg.Trials, func(k int) cell {
 		ci, trial := k/cfg.Trials, k%cfg.Trials
 		// The scenario seed depends ONLY on the trial index: every grid
 		// point corrupts the same collision set, and zero intensity

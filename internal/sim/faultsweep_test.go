@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"choir/internal/choir"
@@ -19,24 +20,25 @@ func faultSweepTestConfig() FaultSweepConfig {
 }
 
 // TestFaultSweepDeterministicAcrossWorkers is the acceptance criterion:
-// fanning the sweep across 8 workers must reproduce the serial run exactly.
+// fanning the sweep out at GOMAXPROCS 4 must reproduce the serial run
+// exactly.
 func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-worker IQ-level sweep comparison skipped in -short mode")
+		t.Skip("two-width IQ-level sweep comparison skipped in -short mode")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := faultSweepTestConfig()
-	cfg.Workers = 1
 	serial, err := FaultSweep(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 8
+	runtime.GOMAXPROCS(4)
 	parallel, err := FaultSweep(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("workers=1 vs workers=8 diverged:\n%+v\n%+v", serial, parallel)
+		t.Fatalf("GOMAXPROCS 1 vs 4 diverged:\n%+v\n%+v", serial, parallel)
 	}
 }
 

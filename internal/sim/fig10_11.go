@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"choir/internal/ctxutil"
 	"choir/internal/exec"
 	"choir/internal/geo"
 	"choir/internal/lora"
@@ -33,13 +34,13 @@ func RequiredTeamSize(d float64, maxTeam int) int {
 // error per user versus the team's distance from the base station, for
 // temperature and humidity. Farther teams need more members to be heard at
 // all; more members span more of the field and share fewer most-significant
-// bits, so resolution degrades gracefully with distance. The (distance ×
-// trial) grid fans out across workers goroutines (<= 0 uses every CPU);
-// both sensor kinds reuse each trial's random stream so the comparison
-// stays paired, and results are identical for any worker count. Once ctx
-// fires no new trial starts and the context's error is returned instead of
-// a partial figure.
-func Fig10Resolution(ctx context.Context, distances []float64, trials int, seed uint64, workers int) (*Figure, error) {
+// bits, so resolution degrades gracefully with distance. Each (distance,
+// trial) draws from its own derived seed, and both sensor kinds reuse that
+// stream so the comparison stays paired. The grid runs serially: a whole
+// figure takes milliseconds. Once ctx fires no new trial starts and the
+// context's error is returned instead of a partial figure.
+func Fig10Resolution(ctx context.Context, distances []float64, trials int, seed uint64) (*Figure, error) {
+	ctx = ctxutil.Background(ctx)
 	fig := &Figure{
 		ID:     "Fig 10",
 		Title:  "sensor-data resolution vs distance",
@@ -49,57 +50,47 @@ func Fig10Resolution(ctx context.Context, distances []float64, trials int, seed 
 	b := geo.NewBuilding(geo.DefaultBuilding(geo.Point{}), rand.New(rand.NewPCG(seed, 0xB11D)))
 	kinds := []sensor.Kind{sensor.Humidity, sensor.Temperature}
 	fields := []sensor.Field{sensor.HumidityField(), sensor.TemperatureField()}
-	// One task per (distance, trial); each returns the per-team errors of
-	// every kind, drawn from identical per-kind random streams.
-	perTrial, err := exec.Map(ctx, exec.NewPool(workers), len(distances)*trials, func(i int) [][]float64 {
-		di := i / trials
-		trial := i % trials
-		team := RequiredTeamSize(distances[di], 30)
-		out := make([][]float64, len(kinds))
-		for ki, f := range fields {
-			rng := rand.New(rand.NewPCG(exec.DeriveSeed(seed, uint64(di), uint64(trial)), 0xF16_10))
-			for _, g := range sensor.Group(b, sensor.GroupByCenterDistance, team, rng) {
-				if len(g) < team {
-					continue
-				}
-				e, _ := sensor.TeamError(f, b, g, rng)
-				out[ki] = append(out[ki], e)
-			}
-		}
-		return out
-	})
-	if err != nil {
-		return nil, err
-	}
+	fig.Series = make([]Series, len(kinds))
 	for ki, kind := range kinds {
-		var s Series
-		s.Name = kind.String()
-		for di, d := range distances {
-			var mean float64
-			cnt := 0
-			for trial := 0; trial < trials; trial++ {
-				for _, e := range perTrial[di*trials+trial][ki] {
-					mean += e
-					cnt++
+		fig.Series[ki].Name = kind.String()
+	}
+	for di, d := range distances {
+		team := RequiredTeamSize(d, 30)
+		sum := make([]float64, len(kinds))
+		cnt := make([]int, len(kinds))
+		for trial := 0; trial < trials; trial++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			for ki, f := range fields {
+				rng := rand.New(rand.NewPCG(exec.DeriveSeed(seed, uint64(di), uint64(trial)), 0xF16_10))
+				for _, g := range sensor.Group(b, sensor.GroupByCenterDistance, team, rng) {
+					if len(g) < team {
+						continue
+					}
+					e, _ := sensor.TeamError(f, b, g, rng)
+					sum[ki] += e
+					cnt[ki]++
 				}
 			}
-			if cnt > 0 {
-				mean /= float64(cnt)
-			}
-			s.X = append(s.X, d)
-			s.Y = append(s.Y, mean)
 		}
-		fig.Series = append(fig.Series, s)
+		for ki := range kinds {
+			if cnt[ki] > 0 {
+				sum[ki] /= float64(cnt[ki])
+			}
+			fig.Series[ki].X = append(fig.Series[ki].X, d)
+			fig.Series[ki].Y = append(fig.Series[ki].Y, sum[ki])
+		}
 	}
 	return fig, nil
 }
 
 // Fig11Grouping reproduces Fig. 11(a): the reconstruction error of team
 // transmissions under the three grouping strategies, for temperature and
-// humidity. The (strategy × trial) grid fans out across workers
-// goroutines (<= 0 uses every CPU) with the same paired-stream and
-// order-fixed reduction and cancellation contract as Fig10Resolution.
-func Fig11Grouping(ctx context.Context, teamSize, trials int, seed uint64, workers int) (*Figure, error) {
+// humidity, with the same paired streams, serial grid and cancellation
+// contract as Fig10Resolution.
+func Fig11Grouping(ctx context.Context, teamSize, trials int, seed uint64) (*Figure, error) {
+	ctx = ctxutil.Background(ctx)
 	fig := &Figure{
 		ID:     "Fig 11(a)",
 		Title:  "sensor-data error by grouping strategy",
@@ -110,38 +101,30 @@ func Fig11Grouping(ctx context.Context, teamSize, trials int, seed uint64, worke
 	kinds := []sensor.Kind{sensor.Humidity, sensor.Temperature}
 	fields := []sensor.Field{sensor.HumidityField(), sensor.TemperatureField()}
 	strategies := []sensor.GroupStrategy{sensor.GroupRandom, sensor.GroupByFloor, sensor.GroupByCenterDistance}
-	perTrial, err := exec.Map(ctx, exec.NewPool(workers), len(strategies)*trials, func(i int) [][]float64 {
-		si := i / trials
-		trial := i % trials
-		out := make([][]float64, len(kinds))
-		for ki, f := range fields {
-			rng := rand.New(rand.NewPCG(exec.DeriveSeed(seed, uint64(si), uint64(trial)), 0xF16_11))
-			for _, g := range sensor.Group(b, strategies[si], teamSize, rng) {
-				e, _ := sensor.TeamError(f, b, g, rng)
-				out[ki] = append(out[ki], e)
-			}
-		}
-		return out
-	})
-	if err != nil {
-		return nil, err
-	}
+	fig.Series = make([]Series, len(kinds))
 	for ki, kind := range kinds {
-		var s Series
-		s.Name = kind.String()
-		for si := range strategies {
-			var sum float64
-			cnt := 0
-			for trial := 0; trial < trials; trial++ {
-				for _, e := range perTrial[si*trials+trial][ki] {
-					sum += e
-					cnt++
+		fig.Series[ki].Name = kind.String()
+	}
+	for si, strategy := range strategies {
+		sum := make([]float64, len(kinds))
+		cnt := make([]int, len(kinds))
+		for trial := 0; trial < trials; trial++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			for ki, f := range fields {
+				rng := rand.New(rand.NewPCG(exec.DeriveSeed(seed, uint64(si), uint64(trial)), 0xF16_11))
+				for _, g := range sensor.Group(b, strategy, teamSize, rng) {
+					e, _ := sensor.TeamError(f, b, g, rng)
+					sum[ki] += e
+					cnt[ki]++
 				}
 			}
-			s.X = append(s.X, float64(si))
-			s.Y = append(s.Y, sum/float64(cnt))
 		}
-		fig.Series = append(fig.Series, s)
+		for ki := range kinds {
+			fig.Series[ki].X = append(fig.Series[ki].X, float64(si))
+			fig.Series[ki].Y = append(fig.Series[ki].Y, sum[ki]/float64(cnt[ki]))
+		}
 	}
 	return fig, nil
 }

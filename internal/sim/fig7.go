@@ -67,11 +67,10 @@ func fracPart(v float64) float64 {
 // estimates the decoder tracks, across the three SNR regimes. Pairs of
 // radios collide; the decoder's WindowOffsets give the per-symbol offset
 // track whose RMS deviation (relative to the packet-level estimate) is the
-// reported instability. The (regime × pair) trials fan out across workers
-// goroutines (<= 0 uses every CPU); results are identical for any count.
-// Once ctx fires no new pair starts and the context's error is returned
-// instead of a partial figure.
-func Fig7Stability(ctx context.Context, pairsPerRegime int, seed uint64, workers int) (*Figure, error) {
+// reported instability. The (regime × pair) trials fan out with exec.Map;
+// results are identical at any GOMAXPROCS. Once ctx fires no new pair starts
+// and the context's error is returned instead of a partial figure.
+func Fig7Stability(ctx context.Context, pairsPerRegime int, seed uint64) (*Figure, error) {
 	p := lora.DefaultParams()
 	binHz := p.Bandwidth / float64(p.N())
 	fig := &Figure{
@@ -87,7 +86,7 @@ func Fig7Stability(ctx context.Context, pairsPerRegime int, seed uint64, workers
 	}
 	// One trial per (regime, pair); each returns the per-user RMS offset
 	// deviations of one decoded collision.
-	perTrial, err := exec.Map(ctx, exec.NewPool(workers), len(regimes)*pairsPerRegime, func(i int) []float64 {
+	perTrial, err := exec.Map(ctx, len(regimes)*pairsPerRegime, func(i int) []float64 {
 		ri := i / pairsPerRegime
 		trial := i % pairsPerRegime
 		s := exec.DeriveSeed(seed, uint64(ri), uint64(trial))

@@ -188,10 +188,12 @@ func (s Scenario) Synthesize() ([]complex128, [][]byte) {
 }
 
 // trialCtx is the context of every decode inside a Monte-Carlo trial body.
-// The fan-out's contract (exec.Pool.ForEach) is that a started trial runs to
-// completion — a result slot is fully written or never touched — so a sweep's
-// cancellation stops new trials but must not cut a running decode short and
-// leave a failed cell in a sweep that then reports success.
+// A sweep polls its own context only between trials — exec.ForEach's caller
+// after each index it takes, a serial loop before each trial — and a started
+// trial runs to completion, so a result slot is fully written or never
+// touched. A sweep's cancellation therefore stops new trials but must not
+// cut a running decode short and leave a failed cell in a sweep that then
+// reports success.
 var trialCtx = context.Background()
 
 // DecodeWith runs the supplied Choir decoder — typically checked out of a

@@ -195,7 +195,7 @@ func TestFig7OffsetsCDF(t *testing.T) {
 }
 
 func TestFig7StabilityImprovesWithSNR(t *testing.T) {
-	fig := must(Fig7Stability(context.Background(), 2, 5, 0))
+	fig := must(Fig7Stability(context.Background(), 2, 5))
 	fs := fig.SeriesAt("stdev CFO+TO (Hz)")
 	if fs == nil || len(fs.Y) != 3 {
 		t.Fatalf("bad stability series: %+v", fig)
@@ -263,7 +263,7 @@ func TestValidateTeamDecodeAtOperatingPoint(t *testing.T) {
 }
 
 func TestFig10ResolutionDegradesWithDistance(t *testing.T) {
-	fig := must(Fig10Resolution(context.Background(), []float64{200, 800, 1600, 2400}, 3, 1, 0))
+	fig := must(Fig10Resolution(context.Background(), []float64{200, 800, 1600, 2400}, 3, 1))
 	for _, s := range fig.Series {
 		if s.Y[len(s.Y)-1] <= s.Y[0] {
 			t.Errorf("%s: error at 2.4 km (%.4f) not above error at 200 m (%.4f)", s.Name, s.Y[len(s.Y)-1], s.Y[0])
@@ -277,7 +277,7 @@ func TestFig10ResolutionDegradesWithDistance(t *testing.T) {
 }
 
 func TestFig11GroupingOrder(t *testing.T) {
-	fig := must(Fig11Grouping(context.Background(), 6, 10, 2, 0))
+	fig := must(Fig11Grouping(context.Background(), 6, 10, 2))
 	for _, s := range fig.Series {
 		random, center := s.Y[0], s.Y[2]
 		if center >= random {
