@@ -249,13 +249,11 @@ var (
 	// IQ-level collision and team decoding) in one experiment.
 	EndToEnd   = sim.EndToEnd
 	DefaultE2E = sim.DefaultE2E
-	// FaultSweep measures decode success versus fault intensity per class,
-	// deterministically at any GOMAXPROCS.
-	FaultSweep        = sim.FaultSweep
-	DefaultFaultSweep = sim.DefaultFaultSweep
 	// CompareBackends decodes one capture grid — fixtures, synthesized
 	// collisions, and a fault sweep — with every configured backend and
-	// reports per-backend goodput, error taxonomy, and latency.
+	// reports goodput, error taxonomy, and latency per backend and capture
+	// group; its FaultFigure is the decode-success-versus-fault-intensity
+	// figure.
 	CompareBackends     = sim.Compare
 	DefaultCompare      = sim.DefaultCompare
 	LoadCompareFixtures = sim.LoadCompareFixtures

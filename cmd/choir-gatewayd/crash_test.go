@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"choir/internal/gateway"
+	"choir/internal/gateway/journal"
 )
 
 // TestMain doubles as the crash-harness child: when CHOIR_GATEWAYD_CHILD
@@ -157,13 +157,13 @@ func checkLives(t *testing.T, jdir string, lives []*lifeResult) {
 	// outcome or notice); an admitted-but-unobserved frame would still be
 	// sitting in the journal as incomplete or completed, so an empty
 	// journal after the final clean life closes the set.
-	rec, err := gateway.Recover(jdir)
+	incomplete, completed, _, err := journal.Scan(jdir)
 	if err != nil {
-		t.Fatalf("final Recover: %v", err)
+		t.Fatalf("final journal scan: %v", err)
 	}
-	if len(rec.Incomplete) != 0 || len(rec.Completed) != 0 {
+	if len(incomplete) != 0 || len(completed) != 0 {
 		t.Errorf("journal not empty after final clean life: %d incomplete, %d completed",
-			len(rec.Incomplete), len(rec.Completed))
+			len(incomplete), len(completed))
 	}
 }
 

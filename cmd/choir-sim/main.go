@@ -222,7 +222,16 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			return nil
 		},
 		"faultsweep": func(ctx context.Context) error {
-			fsw := choir.DefaultFaultSweep()
+			// The reference backend's fault cells of a comparison grid:
+			// two-user collisions at comfortable SNR, every fault class,
+			// intensities 0-0.8, and no clean trials (intensity 0 decodes
+			// the same collisions untouched).
+			fsw := choir.DefaultCompare()
+			fsw.Backends = []string{"choir"}
+			fsw.PayloadLen, fsw.Users, fsw.SNRDB = 8, 2, 25
+			fsw.Trials = 0
+			fsw.Intensities = []float64{0, 0.1, 0.2, 0.4, 0.6, 0.8}
+			fsw.FaultTrials = 10
 			fsw.Seed = *seed
 			if *faultClass != "all" {
 				c, err := choir.ParseFaultClass(*faultClass)
@@ -236,11 +245,11 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 				// anchor so the unfaulted baseline prints alongside it.
 				fsw.Intensities = []float64{0, *faultRate}
 			}
-			fig, err := choir.FaultSweep(ctx, fsw)
+			res, err := choir.CompareBackends(ctx, fsw)
 			if err != nil {
 				return err
 			}
-			fig.Fprint(stdout)
+			res.FaultFigure("choir").Fprint(stdout)
 			return nil
 		},
 		"city": func(ctx context.Context) error {

@@ -365,10 +365,8 @@ func TestNoTestOnlyFunctions(t *testing.T) {
 		"Percentile":           "probe/fixture: TestPopulationDiversity",
 		"OpenFaultFile":        "probe/fixture: TestJournalFaultWriteError, TestJournalFaultShortWrite, TestJournalFaultSyncError",
 		"FaultPoint":           "probe/fixture: TestJournalFaultShortWrite",
-		"Recover":              "probe/fixture: internal/gateway/recovery_test.go, TestCrashRestartExactlyOnce",
 		"AdmissionLimit":       "probe/fixture: TestAdmissionShedsUnderOverload, TestReadyShrunkAdmissionWindowNotReady",
 		"MinSlot":              "probe/fixture: FuzzEventQueue, TestEventQueueOrdering",
-		"Fingerprint":          "probe/fixture: TestCompareDeterministicAcrossWorkers",
 		"SubtractDecodedUsers": "ROADMAP item 7 (Sec. 7.2, teams under collision)",
 		"ServeHTTP":            "interface: http.Handler (obs check sets on the debug mux)",
 	}

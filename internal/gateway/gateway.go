@@ -714,16 +714,3 @@ func (g *Gateway) Ready() bool {
 	g.mu.Unlock()
 	return accepting && len(g.queue) < cap(g.queue) && g.windowOpen()
 }
-
-// Recover inspects a journal directory without modifying it, reporting what
-// a gateway configured with JournalDir=dir would replay at startup: the
-// admitted-but-incomplete frames (in admission order) and the IDs whose
-// terminal outcome is already durable. The actual replay happens inside New;
-// this is the read-only preview for tooling and tests.
-func Recover(dir string) (journal.Recovery, error) {
-	incomplete, completed, maxID, err := journal.Scan(dir)
-	if err != nil {
-		return journal.Recovery{}, err
-	}
-	return journal.Recovery{Incomplete: incomplete, Completed: completed, MaxID: maxID}, nil
-}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"choir/internal/gateway/journal"
 )
 
 // journaledConfig is the base config the recovery tests share: journaling
@@ -36,15 +38,15 @@ func TestJournalCleanLifecycleLeavesNothing(t *testing.T) {
 	if len(outs) != 3 {
 		t.Fatalf("%d outcomes, want 3", len(outs))
 	}
-	rec, err := Recover(dir)
+	incomplete, completed, _, err := journal.Scan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Incomplete) != 0 {
-		t.Errorf("clean shutdown left %d incomplete frames", len(rec.Incomplete))
+	if len(incomplete) != 0 {
+		t.Errorf("clean shutdown left %d incomplete frames", len(incomplete))
 	}
-	if len(rec.Completed) != 0 {
-		t.Errorf("clean shutdown left %d settled pairs on disk", len(rec.Completed))
+	if len(completed) != 0 {
+		t.Errorf("clean shutdown left %d settled pairs on disk", len(completed))
 	}
 }
 
@@ -110,12 +112,12 @@ func TestJournalReplayAfterSimulatedCrash(t *testing.T) {
 		}
 	}
 	// Life 3: everything was completed; nothing replays.
-	rec, err := Recover(dir)
+	incomplete, _, _, err := journal.Scan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Incomplete) != 0 {
-		t.Errorf("life 3 would replay %d frames after life 2 completed all", len(rec.Incomplete))
+	if len(incomplete) != 0 {
+		t.Errorf("life 3 would replay %d frames after life 2 completed all", len(incomplete))
 	}
 }
 
@@ -251,15 +253,15 @@ func TestJournalRejectedSubmitNotReplayed(t *testing.T) {
 		t.Fatalf("overflow submit: %v, want ErrQueueFull", err)
 	}
 	g.journal.Close()
-	rec, err := Recover(dir)
+	incomplete, _, _, err := journal.Scan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Incomplete) != 1 {
-		t.Fatalf("recovery would replay %d frames, want 1 (only the accepted one)", len(rec.Incomplete))
+	if len(incomplete) != 1 {
+		t.Fatalf("recovery would replay %d frames, want 1 (only the accepted one)", len(incomplete))
 	}
-	if rec.Incomplete[0].ID != 1 {
-		t.Errorf("recovered frame %d, want 1", rec.Incomplete[0].ID)
+	if incomplete[0].ID != 1 {
+		t.Errorf("recovered frame %d, want 1", incomplete[0].ID)
 	}
 }
 
@@ -288,15 +290,15 @@ func TestJournalDisabledUnchanged(t *testing.T) {
 	}
 }
 
-// TestRecoverMissingDir pins Recover on a never-created directory: empty,
-// not an error (a first boot has no journal yet).
+// TestRecoverMissingDir pins the journal scan on a never-created directory:
+// empty, not an error (a first boot has no journal yet).
 func TestRecoverMissingDir(t *testing.T) {
-	rec, err := Recover(t.TempDir() + "/never")
+	incomplete, completed, maxID, err := journal.Scan(t.TempDir() + "/never")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Incomplete) != 0 || len(rec.Completed) != 0 || rec.MaxID != 0 {
-		t.Errorf("missing dir recovered %+v", rec)
+	if len(incomplete) != 0 || len(completed) != 0 || maxID != 0 {
+		t.Errorf("missing dir recovered %d incomplete, %d completed, max ID %d", len(incomplete), len(completed), maxID)
 	}
 }
 
@@ -328,11 +330,11 @@ func TestJournalStreamingAbortNoReplay(t *testing.T) {
 	if len(outs) != 1 || outs[0].Kind != OutcomeFailed || !errors.Is(outs[0].Err, ErrStreamAborted) {
 		t.Fatalf("aborted stream outcomes = %+v", outs)
 	}
-	rec, err := Recover(dir)
+	incomplete, _, _, err := journal.Scan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Incomplete) != 0 {
-		t.Errorf("aborted stream left %d frames to replay", len(rec.Incomplete))
+	if len(incomplete) != 0 {
+		t.Errorf("aborted stream left %d frames to replay", len(incomplete))
 	}
 }

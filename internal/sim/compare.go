@@ -129,11 +129,18 @@ func DefaultCompare() CompareConfig {
 	}
 }
 
-// BackendReport aggregates one backend's results over the whole capture
-// grid.
-type BackendReport struct {
+// CompareRow is one backend's outcome over one capture group: a fixture,
+// the clean synthesized trials, or one (fault class, intensity) cell. The
+// rows are the comparison's cells; the backend table Fprint prints and the
+// fault figure are folds of them.
+type CompareRow struct {
 	// Backend is the registered backend name.
 	Backend string
+	// Fixture is a fixture row's fixture name; empty for synthesized
+	// captures.
+	Fixture string
+	// Fault is a fault cell's injector; nil for fixtures and clean trials.
+	Fault fault.Injector
 	// Trials is the number of captures decoded.
 	Trials int
 	// PayloadsExpected and PayloadsRecovered count ground-truth payloads
@@ -144,53 +151,51 @@ type BackendReport struct {
 	// against the choir/lora sentinels), counting both whole-capture
 	// failures and per-user failures inside otherwise successful decodes.
 	Errors map[string]int
-	// DecodeNs is the total wall-clock decode time. It is reported for
-	// operators and EXCLUDED from Fingerprint: latency is the one
-	// non-deterministic column.
+	// DecodeNs is the total wall-clock decode time: reported for
+	// operators, and the one column that is not a function of the
+	// configuration.
 	DecodeNs int64
 }
 
 // Goodput returns the fraction of ground-truth payloads recovered.
-func (r *BackendReport) Goodput() float64 {
+func (r *CompareRow) Goodput() float64 {
 	if r.PayloadsExpected == 0 {
 		return 0
 	}
 	return float64(r.PayloadsRecovered) / float64(r.PayloadsExpected)
 }
 
-// CompareResult is the harness output: one report per backend, in
-// configuration order.
-type CompareResult struct {
-	Reports []BackendReport
+// add folds o's captures into r.
+func (r *CompareRow) add(o CompareRow) {
+	r.Trials += o.Trials
+	r.PayloadsExpected += o.PayloadsExpected
+	r.PayloadsRecovered += o.PayloadsRecovered
+	r.DecodeNs += o.DecodeNs
+	for class, n := range o.Errors {
+		r.Errors[class] += n
+	}
 }
 
-// Fingerprint returns a canonical digest of everything deterministic in
-// the result — backend order, trial counts, goodput numerators and
-// denominators, and the full error taxonomy — excluding decode latency.
-// Two runs of the same configuration must produce equal fingerprints
-// at any GOMAXPROCS.
-func (c *CompareResult) Fingerprint() string {
-	var b strings.Builder
-	for _, r := range c.Reports {
-		fmt.Fprintf(&b, "%s:%d:%d/%d{", r.Backend, r.Trials, r.PayloadsRecovered, r.PayloadsExpected)
-		classes := make([]string, 0, len(r.Errors))
-		for class := range r.Errors {
-			classes = append(classes, class)
-		}
-		sort.Strings(classes)
-		for _, class := range classes {
-			fmt.Fprintf(&b, "%s=%d,", class, r.Errors[class])
-		}
-		b.WriteString("}\n")
-	}
-	return b.String()
+// CompareResult is the harness output: one row per backend and capture
+// group, backend by backend in configuration order, and within a backend
+// the fixtures, the clean trials, then the fault cells class by class.
+type CompareResult struct {
+	Rows []CompareRow
 }
 
 // Fprint renders the comparison as an aligned text table: goodput, mean
-// decode latency, and the error taxonomy per backend.
+// decode latency, and the error taxonomy per backend, each the fold of
+// that backend's rows.
 func (c *CompareResult) Fprint(w io.Writer) {
+	var totals []CompareRow
+	for _, r := range c.Rows {
+		if n := len(totals); n == 0 || totals[n-1].Backend != r.Backend {
+			totals = append(totals, CompareRow{Backend: r.Backend, Errors: map[string]int{}})
+		}
+		totals[len(totals)-1].add(r)
+	}
 	fmt.Fprintln(w, "backend\trecovered/expected\tgoodput\tmean decode\terrors")
-	for _, r := range c.Reports {
+	for _, r := range totals {
 		mean := time.Duration(0)
 		if r.Trials > 0 {
 			mean = time.Duration(r.DecodeNs / int64(r.Trials))
@@ -213,15 +218,34 @@ func (c *CompareResult) Fprint(w io.Writer) {
 	}
 }
 
-// compareCell is one (backend, capture) decode outcome.
-type compareCell struct {
-	recovered, expected int
-	errClasses          []string
-	ns                  int64
+// FaultFigure returns the named backend's fault cells as decode success
+// versus fault intensity: one series per fault class, one point per
+// intensity, in grid order.
+func (c *CompareResult) FaultFigure(name string) *Figure {
+	fig := &Figure{
+		ID:     "fault",
+		Title:  "Decode success vs. fault intensity",
+		XLabel: "fault intensity",
+		YLabel: "fraction of payloads recovered",
+	}
+	for _, r := range c.Rows {
+		if r.Backend != name || r.Fault == nil {
+			continue
+		}
+		class := r.Fault.Class().String()
+		if n := len(fig.Series); n == 0 || fig.Series[n-1].Name != class {
+			fig.Series = append(fig.Series, Series{Name: class})
+		}
+		s := &fig.Series[len(fig.Series)-1]
+		s.X = append(s.X, r.Fault.Intensity())
+		s.Y = append(s.Y, r.Goodput())
+	}
+	return fig
 }
 
 // Compare runs the head-to-head comparison. Once ctx fires no new decode
-// starts and the context's error is returned instead of a partial result.
+// starts and the context's error is returned instead of a partial result;
+// a decode already started runs to completion (trialCtx).
 func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 	if cfg.Params.SF == 0 {
 		cfg.Params = lora.DefaultParams()
@@ -229,10 +253,6 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 	backends := cfg.Backends
 	if len(backends) == 0 {
 		backends = backend.Names()
-	}
-	if cfg.Trials > 0 && (cfg.PayloadLen <= 0 || cfg.Users <= 0) {
-		return nil, fmt.Errorf("sim: compare needs positive PayloadLen/Users for synthesized trials, got %d/%d",
-			cfg.PayloadLen, cfg.Users)
 	}
 	classes := cfg.Classes
 	if len(classes) == 0 {
@@ -250,9 +270,37 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 			}
 		}
 	}
-	// Captures per backend: fixtures, clean trials, then the fault grid.
-	nCaptures := len(cfg.Fixtures) + cfg.Trials + len(injs)*cfg.FaultTrials
-	if nCaptures == 0 {
+	if (cfg.Trials > 0 || len(injs) > 0) && (cfg.PayloadLen <= 0 || cfg.Users <= 0) {
+		return nil, fmt.Errorf("sim: compare needs positive PayloadLen/Users for synthesized captures, got %d/%d",
+			cfg.PayloadLen, cfg.Users)
+	}
+
+	// The capture groups every backend decodes: each fixture, the clean
+	// trials, then the fault cells.
+	type group struct {
+		fx     *CompareFixture
+		inj    fault.Injector
+		ci     int // inj's index in the fault grid, which seeds its corruption
+		trials int
+	}
+	var groups []group
+	for i := range cfg.Fixtures {
+		groups = append(groups, group{fx: &cfg.Fixtures[i], trials: 1})
+	}
+	if cfg.Trials > 0 {
+		groups = append(groups, group{trials: cfg.Trials})
+	}
+	for ci, inj := range injs {
+		groups = append(groups, group{inj: inj, ci: ci, trials: cfg.FaultTrials})
+	}
+	type capture struct{ group, trial int }
+	var captures []capture
+	for gi, g := range groups {
+		for trial := 0; trial < g.trials; trial++ {
+			captures = append(captures, capture{gi, trial})
+		}
+	}
+	if len(captures) == 0 {
 		return nil, fmt.Errorf("sim: compare with no fixtures, trials, or fault cells")
 	}
 
@@ -281,83 +329,67 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 		pools[name] = byPHY
 	}
 
-	cells, err := exec.Map(ctx, len(backends)*nCaptures, func(k int) compareCell {
-		bi, capIdx := k/nCaptures, k%nCaptures
-		name := backends[bi]
-		switch {
-		case capIdx < len(cfg.Fixtures):
-			fx := cfg.Fixtures[capIdx]
-			return decodeCapture(ctx, pools[name][fx.Params], fx.Samples, fx.PayloadLen, fx.Truth)
-		case capIdx < len(cfg.Fixtures)+cfg.Trials:
-			trial := capIdx - len(cfg.Fixtures)
-			// The scenario seed depends ONLY on the trial index — identical
-			// captures for every backend (and shared with the fault grid's
-			// zero-intensity anchors, like the fault sweep).
-			scSeed := exec.DeriveSeed(cfg.Seed, uint64(trial))
-			sc := Scenario{
-				Params:     cfg.Params,
-				PayloadLen: cfg.PayloadLen,
-				SNRsDB:     repeat(cfg.SNRDB, cfg.Users),
-				Seed:       scSeed,
-			}
-			sig, truth := sc.Synthesize()
-			return decodeCapture(ctx, pools[name][cfg.Params], sig, cfg.PayloadLen, truth)
-		default:
-			j := capIdx - len(cfg.Fixtures) - cfg.Trials
-			ci, trial := j/cfg.FaultTrials, j%cfg.FaultTrials
-			scSeed := exec.DeriveSeed(cfg.Seed, uint64(trial))
-			sc := Scenario{
-				Params:     cfg.Params,
-				PayloadLen: cfg.PayloadLen,
-				SNRsDB:     repeat(cfg.SNRDB, cfg.Users),
-				Seed:       scSeed,
-			}
-			sig, truth := sc.Synthesize()
-			faultSeed := exec.DeriveSeed(cfg.Seed, 0xFA017, uint64(ci), uint64(trial))
-			sig = injs[ci].Apply(sig, faultSeed)
-			return decodeCapture(ctx, pools[name][cfg.Params], sig, cfg.PayloadLen, truth)
+	cells, err := exec.Map(ctx, len(backends)*len(captures), func(k int) CompareRow {
+		name, c := backends[k/len(captures)], captures[k%len(captures)]
+		g := groups[c.group]
+		if g.fx != nil {
+			return decodeCapture(pools[name][g.fx.Params], g.fx.Samples, g.fx.PayloadLen, g.fx.Truth)
 		}
+		// The scenario seed depends ONLY on the trial index: every backend
+		// and every fault cell decodes the same collisions, and a
+		// zero-intensity cell reproduces the clean trials exactly (same
+		// scenario, untouched samples).
+		sc := Scenario{
+			Params:     cfg.Params,
+			PayloadLen: cfg.PayloadLen,
+			SNRsDB:     repeat(cfg.SNRDB, cfg.Users),
+			Seed:       exec.DeriveSeed(cfg.Seed, uint64(c.trial)),
+		}
+		sig, truth := sc.Synthesize()
+		if g.inj != nil {
+			sig = g.inj.Apply(sig, exec.DeriveSeed(cfg.Seed, 0xFA017, uint64(g.ci), uint64(c.trial)))
+		}
+		return decodeCapture(pools[name][cfg.Params], sig, cfg.PayloadLen, truth)
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	result := &CompareResult{}
-	for bi, name := range backends {
-		r := BackendReport{Backend: name, Errors: map[string]int{}}
-		for capIdx := 0; capIdx < nCaptures; capIdx++ {
-			c := cells[bi*nCaptures+capIdx]
-			r.Trials++
-			r.PayloadsExpected += c.expected
-			r.PayloadsRecovered += c.recovered
-			r.DecodeNs += c.ns
-			for _, class := range c.errClasses {
-				r.Errors[class]++
+	for _, name := range backends {
+		for _, g := range groups {
+			row := CompareRow{Backend: name, Fault: g.inj, Errors: map[string]int{}}
+			if g.fx != nil {
+				row.Fixture = g.fx.Name
 			}
+			for range g.trials {
+				row.add(cells[0])
+				cells = cells[1:]
+			}
+			result.Rows = append(result.Rows, row)
 		}
-		result.Reports = append(result.Reports, r)
 	}
 	return result, nil
 }
 
 // decodeCapture runs one capture through one backend instance checked out
 // of pl, counting recovered ground-truth payloads and classifying both
-// whole-capture and per-user failures.
-func decodeCapture(ctx context.Context, pl *backend.Pool, samples []complex128, payloadLen int, truth [][]byte) compareCell {
+// whole-capture and per-user failures, and returns it as a one-trial row.
+func decodeCapture(pl *backend.Pool, samples []complex128, payloadLen int, truth [][]byte) CompareRow {
 	b := pl.Get()
 	defer pl.Put(b)
-	cell := compareCell{expected: len(truth)}
+	cell := CompareRow{Trials: 1, PayloadsExpected: len(truth), Errors: map[string]int{}}
 	t0 := time.Now()
-	res, err := backend.Decode(ctx, b, samples, payloadLen)
-	cell.ns = time.Since(t0).Nanoseconds()
+	res, err := backend.Decode(trialCtx, b, samples, payloadLen)
+	cell.DecodeNs = time.Since(t0).Nanoseconds()
+	cell.PayloadsRecovered = scoreTrial(res, err, truth)
 	if err != nil {
-		cell.errClasses = append(cell.errClasses, taxonomyClass(err))
+		cell.Errors[taxonomyClass(err)]++
 		return cell
 	}
-	cell.recovered = countRecovered(res.DecodedPayloads(), truth)
 	for _, u := range res.Users {
 		if !u.Decoded() && u.Err != nil {
-			cell.errClasses = append(cell.errClasses, taxonomyClass(u.Err))
+			cell.Errors[taxonomyClass(u.Err)]++
 		}
 	}
 	return cell
@@ -388,4 +420,13 @@ func taxonomyClass(err error) string {
 	default:
 		return "other"
 	}
+}
+
+// repeat returns a slice of n copies of v.
+func repeat(v float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
 }

@@ -3,11 +3,11 @@ package sim
 import "choir/internal/obs"
 
 // Experiment-harness observability: per-trial outcome counters shared by
-// every sweep that funnels through Scenario.DecodeFaultedWith, plus team
-// delivery counters for the end-to-end experiment. These summarize what a
-// whole run did (trials attempted, payloads offered vs. recovered) without
-// touching any per-figure accounting, and record nothing unless obs.Enable
-// has been called.
+// every sweep that scores its decodes with scoreTrial (Scenario.DecodeWith
+// and Compare's captures), plus team delivery counters for the end-to-end
+// experiment. These summarize what a whole run did (trials attempted,
+// payloads offered vs. recovered) without touching any per-figure
+// accounting, and record nothing unless obs.Enable has been called.
 var (
 	mTrials            = obs.NewCounter("sim.trials")
 	mTrialDecodeErrs   = obs.NewCounter("sim.trials.decode_err")

@@ -14,7 +14,6 @@ import (
 
 	"choir/internal/channel"
 	"choir/internal/choir"
-	"choir/internal/fault"
 	"choir/internal/lora"
 	"choir/internal/radio"
 )
@@ -196,34 +195,28 @@ func (s Scenario) Synthesize() ([]complex128, [][]byte) {
 // reports success.
 var trialCtx = context.Background()
 
-// DecodeWith runs the supplied Choir decoder — typically checked out of a
-// backend.Pool for the trial — on the scenario and reports how many of the
-// transmitted payloads were recovered. The decoder must be built for
-// s.Params.
+// DecodeWith renders the scenario and runs the supplied Choir decoder —
+// typically checked out of a backend.Pool for the trial — on it, reporting
+// how many of the transmitted payloads were recovered. The decoder must be
+// built for s.Params.
 func (s Scenario) DecodeWith(dec *choir.Decoder) (recovered int, total int) {
-	return s.DecodeFaultedWith(dec, nil, 0)
+	sig, payloads := s.Synthesize()
+	res, err := dec.Decode(trialCtx, sig, s.PayloadLen)
+	return scoreTrial(res, err, payloads), len(payloads)
 }
 
-// DecodeFaultedWith renders the scenario, corrupts the IQ at the channel
-// boundary with inj (driven by faultSeed; nil injects nothing), and decodes.
-// Because the scenario's own randomness comes from s.Seed alone, the same
-// scenario decoded with a zero-intensity injector reproduces the unfaulted
-// result exactly.
-func (s Scenario) DecodeFaultedWith(dec *choir.Decoder, inj fault.Injector, faultSeed uint64) (recovered int, total int) {
-	sig, payloads := s.Synthesize()
-	if inj != nil {
-		sig = inj.Apply(sig, faultSeed)
-	}
+// scoreTrial counts one decoded capture in the sim.* metrics and returns
+// how many of the truth payloads res recovered (none when err is set).
+func scoreTrial(res *choir.Result, err error, truth [][]byte) int {
 	mTrials.Inc()
-	mPayloadsExpected.Add(int64(len(payloads)))
-	res, err := dec.Decode(trialCtx, sig, s.PayloadLen)
+	mPayloadsExpected.Add(int64(len(truth)))
 	if err != nil {
 		mTrialDecodeErrs.Inc()
-		return 0, len(payloads)
+		return 0
 	}
-	recovered = countRecovered(res.DecodedPayloads(), payloads)
+	recovered := countRecovered(res.DecodedPayloads(), truth)
 	mPayloadsRecovered.Add(int64(recovered))
-	return recovered, len(payloads)
+	return recovered
 }
 
 // countRecovered matches decoded payloads against the transmitted ones
