@@ -228,9 +228,9 @@ func TestOneFanOutWidth(t *testing.T) {
 // code in internal/gateway and cmd/choir-gatewayd names none of them, and
 // internal/gateway imports no math/rand. gateway.Config.Batch and
 // gateway.Config.Seed (declared only for benchmark/) are neither read nor set
-// by the gateway or the CLIs. dsp's BatchSpectrum, NewBatchSpectrum and
-// TransformPrunedBatch are the decoder's window grids, a different thing, and
-// none of the exact names below.
+// by the gateway or the CLIs. dsp's BatchSpectrum and NewBatchSpectrum are a
+// shim the frozen benchmark/ times, a different thing, and none of the exact
+// names below.
 func TestGatewayDecodesOneWay(t *testing.T) {
 	banned := map[string]bool{"DecodeBatch": true, "BatchItem": true, "processBatch": true, "runBatch": true}
 	sawGateway := false

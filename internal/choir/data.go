@@ -60,11 +60,8 @@ func (d *Decoder) decodeData(res *Result, samples []complex128, ests []userEstim
 	for w := range allPeaks {
 		allPeaks[w] = nil
 	}
-	// Dechirp every data window up front into its own lane, then extract
-	// peaks tile by tile with the round-0 spectra computed as one batched
-	// grid. Each lane is the window's private copy: extractWindowPeaks
-	// mutates its working window during within-window SIC, so the grid must
-	// be fed from copies, not from the shared dechirp scratch.
+	// Dechirp every data window up front into its own buffer, which the
+	// peak, ML and IC passes all read; extractWindowPeaks works on a copy.
 	nWins := nsym
 	if maxW := (len(samples) - start) / d.n; maxW < nWins {
 		nWins = maxW
@@ -87,15 +84,11 @@ func (d *Decoder) decodeData(res *Result, samples []complex128, ests []userEstim
 	// A window's peak list comes from the arena here, in window order, not
 	// from whichever lane extracts it: extractWindowPeaks appends at most its
 	// budget of len(ests)+2 peaks per round, over two rounds.
-	for base := 0; base < nWins; base += specTile {
-		end := min(base+specTile, nWins)
-		d.gridCompute(wins[base:end])
-		for w := base; w < end; w++ {
-			allPeaks[w] = d.ar.pk.takeCap(2 * (len(ests) + 2))
-		}
-		if d.forEachWindow(windowJob{task: peaksTask, wins: wins[base:end], ests: ests, peaks: allPeaks[base:end]}) {
-			return users
-		}
+	for w := range wins {
+		allPeaks[w] = d.ar.pk.takeCap(2 * (len(ests) + 2))
+	}
+	if d.forEachWindow(windowJob{task: peaksTask, wins: wins, ests: ests, peaks: allPeaks[:nWins]}) {
+		return users
 	}
 
 	d.assignGreedy(allPeaks, users)
@@ -157,7 +150,7 @@ func (d *Decoder) decodeData(res *Result, samples []complex128, ests []userEstim
 
 // mlSymbolPass re-decides every user's symbol for window w by matched
 // filtering at (candidate + user offset) on the window with all other
-// attributed peaks removed. win is the window's dechirped lane, left intact.
+// attributed peaks removed. win is the window's dechirped buffer, left intact.
 // It writes only index w of each user's Symbols.
 func (d *Decoder) mlSymbolPass(win []complex128, w int, peaks []peakObs, users []*User) {
 	if len(peaks) == 0 {
@@ -407,7 +400,7 @@ func (d *Decoder) accumulateBoundaryScan(work []complex128, offset float64, symP
 // current symbol stream and boundary, the joint channels are least-squares
 // fitted, and each user's symbol is re-decided by matched filtering over
 // its main segment with everything else subtracted. dech is the window's
-// dechirped lane, left intact. It returns how many symbol decisions changed.
+// dechirped buffer, left intact. It returns how many symbol decisions changed.
 func (d *Decoder) icSymbolPass(dech []complex128, w int, users []*User, bounds []int) int {
 	nsym := 0
 	for _, u := range users {
@@ -468,24 +461,19 @@ func (d *Decoder) icSymbolPass(dech []complex128, w int, users []*User, bounds [
 // fractional position matches its offset fingerprint (typically a weak user
 // under a strong one's side lobes), every peak found so far is modelled and
 // subtracted and the residual is searched again at a lower threshold
-// (Sec. 5.2 applied per window). win is the pre-dechirped window and
-// spec0/mags0 its batched round-0 spectrum (grid lanes, valid for this call
-// only); the round-1 spectrum of the SIC residual is still computed here,
-// serially, because the residual depends on this window's own round-0
-// peaks. The peaks are appended to out, an empty arena-backed list with room
-// for two rounds of len(ests)+2, and returned: valid until the end of the
-// current decode.
-func (d *Decoder) extractWindowPeaks(out []peakObs, ests []userEstimate, win, spec0 []complex128, mags0 []float64) []peakObs {
+// (Sec. 5.2 applied per window). win is the pre-dechirped window, left
+// intact: each round's spectrum is taken of a working copy, which round 0's
+// SIC turns into the residual round 1 searches. The peaks are appended to
+// out, an empty arena-backed list with room for two rounds of len(ests)+2,
+// and returned: valid until the end of the current decode.
+func (d *Decoder) extractWindowPeaks(out []peakObs, ests []userEstimate, win []complex128) []peakObs {
 	dech := c128Buf(&d.dechCopy, d.n)
 	copy(dech, win)
 
 	budget := len(ests) + 2
 	for round := 0; round < 2; round++ {
-		spec, mags := spec0, mags0
-		if round > 0 {
-			spec = d.paddedSpectrum(dech)
-			mags = d.magnitudes(spec)
-		}
+		spec := d.paddedSpectrum(dech)
+		mags := d.magnitudes(spec)
 		pkSp := mStagePeaks.Start()
 		floor := dsp.NoiseFloorScratch(mags, f64Buf(&d.noiseScratch, len(mags)))
 		thresh := floor * d.cfg.PeakThreshold
@@ -535,7 +523,7 @@ func (d *Decoder) extractWindowPeaks(out []peakObs, ests []userEstimate, win, sp
 // It returns the surviving peaks: entries whose magnitude collapses once the
 // other peaks are removed were never users — they were side lobes or
 // reconstruction residue — and are dropped, as are near-duplicates. dech is
-// the window's dechirped lane, left intact.
+// the window's dechirped buffer, left intact.
 func (d *Decoder) refinePeakPositions(dech []complex128, out []peakObs) []peakObs {
 	// Joint least-squares fit over all peak frequencies (Eqn. 2) seeds an
 	// alternating two-segment refinement (the same scheme subtractUsers

@@ -109,7 +109,7 @@ func DefaultConfig(p lora.Params) Config {
 // nothing an earlier decode left behind, so pooled reuse never changes
 // results.
 //
-// One decode may still use every core: four of its per-window loops share
+// One decode may still use every core: five of its per-window loops share
 // their windows with exec.Fan's helper goroutines, each running on a lane —
 // a helper Decoder that reads its owner's plans and owns only scratch
 // (fan.go). The caller sees one goroutine's contract: results are
@@ -124,14 +124,8 @@ type Decoder struct {
 	scratchSpec []complex128
 	scratchMags []float64
 
-	// grid batches same-plan padded spectra across a tile of windows into
-	// contiguous slabs — the hot loops compute whole grids per call instead
-	// of one spectrum at a time. Like every other scratch field it grows to a
-	// high-water mark on the first decode of a shape and is allocation-free
-	// afterwards.
-	grid *dsp.BatchSpectrum
 	// dataWins keeps every dechirped data window of the current decode,
-	// pristine: the peak, ML and IC passes all read these lanes (into copies
+	// pristine: the peak, ML and IC passes all read these buffers (into copies
 	// where they mutate) instead of dechirping the same samples again.
 	dataWins [][]complex128
 
@@ -176,6 +170,7 @@ type Decoder struct {
 	usedPeakBuf []bool
 	usedUserBuf []bool
 	obsBuf      []binObs
+	scanObs     [][]binObs // findPreambleUsers' per-window observations, one slot per preamble window
 	groupBuf    []obsGroup
 	coarseBuf   []float64
 	estFound    []userEstimate
@@ -213,8 +208,7 @@ type plans struct {
 }
 
 // newDecoder builds a decoder over p with its fixed-size scratch; every
-// other buffer grows on first use. It has no spectral grid: New adds the
-// owner's, and a lane never computes one.
+// other buffer grows on first use.
 func newDecoder(p plans) *Decoder {
 	return &Decoder{
 		plans:       p,
@@ -275,7 +269,6 @@ func New(cfg Config) (*Decoder, error) {
 	}
 	n := cfg.LoRa.N()
 	padN := dsp.NextPow2(cfg.Pad * n)
-	fft := dsp.NewFFT(padN)
 	cusum := make([][2]float64, n+1)
 	cusumMax := make([]float64, n/scanBlock)
 	for i := range cusum {
@@ -285,19 +278,17 @@ func New(cfg Config) (*Decoder, error) {
 			cusumMax[i/scanBlock] = max(cusumMax[i/scanBlock], cusum[i][1])
 		}
 	}
-	d := newDecoder(plans{
+	return newDecoder(plans{
 		cfg:      cfg,
 		modem:    modem,
 		n:        n,
 		padN:     padN,
 		pad:      padN / n,
-		fft:      fft,
+		fft:      dsp.NewFFT(padN),
 		symFFT:   dsp.NewFFT(n),
 		cusum:    cusum,
 		cusumMax: cusumMax,
-	})
-	d.grid = dsp.NewBatchSpectrum(fft)
-	return d, nil
+	}), nil
 }
 
 // MustNew is New that panics on error, for tests and examples.
@@ -577,24 +568,6 @@ func (d *Decoder) combSpectrum(x []complex128, r int) []complex128 {
 		x[k] *= t
 	}
 	return d.symFFT.Transform(x, x)
-}
-
-// specTile bounds how many windows one spectral grid holds at a time: tiles
-// keep the slab (padN complex + padN float64 per lane) within cache-friendly
-// bounds at high spreading factors while still amortizing the per-call
-// bookkeeping over a whole tile.
-const specTile = 16
-
-// gridCompute fills the decoder's shared spectral grid with the padded
-// spectra (and magnitude rows) of up to specTile windows, under one FFT
-// metric span. Lane i is bit-identical to paddedSpectrum(srcs[i]) followed
-// by magnitudes — the pruned kernel runs unchanged per lane — so call sites
-// that switch from the serial helpers to the grid preserve golden results.
-// The grid is scratch: lanes are valid until the next gridCompute.
-func (d *Decoder) gridCompute(srcs [][]complex128) {
-	sp := mStageFFT.Start()
-	d.grid.Compute(srcs)
-	sp.Stop()
 }
 
 // magnitudes converts a complex spectrum to magnitudes in the decoder's

@@ -16,12 +16,13 @@ func AssertSameResult(t *testing.T, got, want *Result) {
 // WindowTask names a fanned-out window loop for a window hook.
 type WindowTask = windowTask
 
-// The four fanned-out window loops.
+// The five fanned-out window loops.
 const (
 	WindowRefine   = refineTask
 	WindowSubtract = subtractTask
 	WindowPeaks    = peaksTask
 	WindowSymbols  = symbolsTask
+	WindowScan     = scanTask
 )
 
 // SetWindowHook makes fn run before every window a fan-out hands out — with

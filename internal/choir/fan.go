@@ -1,14 +1,16 @@
 package choir
 
-// This file shares a decode's per-window loops across cores. Four loops read
+// This file shares a decode's per-window loops across cores. Five loops read
 // nothing another window of the same loop writes: the preamble's per-window
-// offset refinement and its SIC subtraction, and the data windows' peak
-// extraction and ML symbol pass. forEachWindow runs their windows on the
-// decoder's exec.Fan: the decoding goroutine is participant 0 and runs on the
-// decoder itself, and helper p runs on lane p − 1 — a *Decoder built by
-// newDecoder over its owner's plans, owning only scratch. Everything else in
-// a decode stays serial: the spectral grids, the IC sweeps (each window reads
-// its neighbours' symbols), the boundary estimate and the candidate vote.
+// peak scan, its offset refinement and its SIC subtraction, and the data
+// windows' peak extraction and ML symbol pass. forEachWindow runs their
+// windows on the decoder's exec.Fan: the decoding goroutine is participant 0
+// and runs on the decoder itself, and helper p runs on lane p − 1 — a
+// *Decoder built by newDecoder over its owner's plans, owning only scratch.
+// A window's padded spectrum is computed on the lane that reads it. Everything
+// else in a decode stays serial: the dechirp, the candidate vote and its
+// grouping, the IC sweeps (each window reads its neighbours' symbols) and the
+// boundary estimate.
 //
 // Each window writes only its own result slot, so a decode is bit-identical
 // for any number of lanes (TestLaneCountEquivalence). exec.Fan keeps the
@@ -25,20 +27,21 @@ const (
 	subtractTask                   // subtractUsers: one preamble window's SIC subtraction
 	peaksTask                      // extractWindowPeaks: one data window's peaks
 	symbolsTask                    // mlSymbolPass: one data window's ML symbols
+	scanTask                       // scanWindow: one preamble window's new-user peaks
 )
 
 // windowJob is one fan-out's task and inputs, and the exec.Job the decoder's
-// Fan runs. Window i of the job is wins[i], and its slots are peaks[i] (the
-// peaks task's output, the symbols task's input) and index i of each
-// estimate's perWin and gainWin (the refine task's output). The peaks task
-// reads window i's round-0 spectrum from the owner's grid, which holds
-// exactly the job's windows.
+// Fan runs. Window i of the job is wins[i], and its slots are obs[i] (the scan
+// task's output), peaks[i] (the peaks task's output, the symbols task's
+// input) and index i of each estimate's perWin and gainWin (the refine task's
+// output).
 type windowJob struct {
 	d      *Decoder // the owner
 	task   windowTask
 	wins   [][]complex128
 	coarse []float64
 	ests   []userEstimate
+	obs    [][]binObs
 	peaks  [][]peakObs
 	users  []*User
 }
@@ -86,8 +89,10 @@ func (j *windowJob) Run(p, i int) {
 	case subtractTask:
 		lane.subtractUsers(j.wins[i], j.ests)
 	case peaksTask:
-		j.peaks[i] = lane.extractWindowPeaks(j.peaks[i], j.ests, j.wins[i], j.d.grid.Spec(i), j.d.grid.Mags(i))
+		j.peaks[i] = lane.extractWindowPeaks(j.peaks[i], j.ests, j.wins[i])
 	case symbolsTask:
 		lane.mlSymbolPass(j.wins[i], i, j.peaks[i], j.users)
+	case scanTask:
+		j.obs[i] = lane.scanWindow(j.obs[i][:0], j.wins[i], j.ests)
 	}
 }

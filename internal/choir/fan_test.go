@@ -29,7 +29,7 @@ func waitGoroutines(t *testing.T, baseline int) {
 }
 
 // TestFanOutPanicReachesCaller injects a panic into a window a helper lane
-// runs, in each of the four fanned-out loops: the panic value must reach the
+// runs, in each of the five fanned-out loops: the panic value must reach the
 // caller of Decode, no helper may outlive the decode, and the same decoder
 // must then decode like a fresh one.
 func TestFanOutPanicReachesCaller(t *testing.T) {
@@ -43,7 +43,7 @@ func TestFanOutPanicReachesCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := MustNew(cfg)
-	for _, task := range []windowTask{refineTask, subtractTask, peaksTask, symbolsTask} {
+	for _, task := range []windowTask{refineTask, subtractTask, peaksTask, symbolsTask, scanTask} {
 		t.Run(fmt.Sprint(task), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			remove := SetWindowHook(PanicOnHelper(task))
@@ -107,7 +107,7 @@ func TestCancelMidFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := MustNew(cfg)
-	for _, task := range []windowTask{refineTask, subtractTask, peaksTask, symbolsTask} {
+	for _, task := range []windowTask{refineTask, subtractTask, peaksTask, symbolsTask, scanTask} {
 		for _, tc := range []struct {
 			cause, typed error
 		}{

@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"choir/internal/choir"
 	"choir/internal/gateway"
 	"choir/internal/lora"
+	"choir/internal/obs"
 	"choir/internal/trace"
 )
 
@@ -78,6 +80,53 @@ func TestLaneCountEquivalence(t *testing.T) {
 				}
 				if err == nil {
 					choir.AssertSameResult(t, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestStageCountsIndependentOfLanes decodes every golden fixture with
+// metrics on at GOMAXPROCS 1, 2 and 4: helper lanes record stage spans and
+// counters of their own, so each choir.* counter and the count of each
+// choir.* timer (choir.stage.*_ns among them) must come out the same at every
+// width. Timer sums are timings and are not compared.
+func TestStageCountsIndependentOfLanes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	obs.Enable()
+	defer obs.Disable()
+	counts := func(h trace.Header, samples []complex128, team bool) map[string]int64 {
+		obs.Reset()
+		decodeReport(h, samples, team)
+		snap := obs.TakeSnapshot()
+		out := map[string]int64{}
+		for name, v := range snap.Counters {
+			if strings.HasPrefix(name, "choir.") {
+				out[name] = v
+			}
+		}
+		for name, hs := range snap.Histograms {
+			if strings.HasPrefix(name, "choir.") {
+				out[name+" count"] = hs.Count
+			}
+		}
+		return out
+	}
+	for _, c := range goldenCases {
+		t.Run(c.name, func(t *testing.T) {
+			h, samples := readTrace(t, filepath.Join("testdata", "golden", c.name+".iq"))
+			runtime.GOMAXPROCS(1)
+			want := counts(h, samples, c.team)
+			if want["choir.stage.fft_ns count"] == 0 {
+				t.Fatal("no FFT span recorded at GOMAXPROCS 1")
+			}
+			for _, procs := range []int{2, 4} {
+				runtime.GOMAXPROCS(procs)
+				got := counts(h, samples, c.team)
+				for name, v := range want {
+					if got[name] != v {
+						t.Errorf("GOMAXPROCS %d: %s = %d, want %d as at GOMAXPROCS 1", procs, name, got[name], v)
+					}
 				}
 			}
 		})

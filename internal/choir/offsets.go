@@ -103,66 +103,19 @@ func (d *Decoder) findPreambleUsers(wins [][]complex128, known []userEstimate) [
 	if budget <= 0 {
 		return nil
 	}
-	// Two rules reject a known user's subtraction residue while still
-	// letting a genuine second user hiding under its skirt surface from the
-	// residual: (1) anything within 0.35 bins of a known user is its own
-	// leftover; (2) anything within 1.5 bins must carry at least -12 dB of
-	// that user's power — reconstruction residue sits 20-25 dB down,
-	// whereas a real neighbour close enough to have been masked is by
-	// construction within the per-phase dynamic range.
-	nearKnown := func(bin, mag float64) bool {
-		for _, u := range known {
-			dist := dsp.CircularBinDist(bin, u.offset, float64(d.n))
-			if dist < 0.35 {
-				return true
-			}
-			if dist < 1.5 {
-				parentMag := math.Sqrt(u.power) * float64(d.n)
-				if mag < parentMag*math.Pow(10, -12.0/20) {
-					return true
-				}
-			}
-		}
-		return false
+	// Each window's observations land in its own slot; concatenated in
+	// window order they are the one flat list the grouping pass below
+	// reads, whichever lanes scanned the windows.
+	if cap(d.scanObs) < len(wins) {
+		d.scanObs = append(d.scanObs[:cap(d.scanObs)], make([][]binObs, len(wins)-cap(d.scanObs))...)
 	}
-
-	// Collect peaks per window. Peaks more than DynamicRangeDB below the
-	// window's strongest are deferred to a later SIC phase: at that depth
-	// they cannot be told apart from the strong peaks' sinc side lobes, so
-	// they must wait until the strong users are modelled and subtracted.
-	// Observations are gathered in window order into one flat reusable
-	// buffer; the grouping pass below only needs that order, not the
-	// per-window structure.
-	// The whole scan tile's spectra are computed as one batched grid; the
-	// per-window peak hunt then walks the grid's magnitude lanes. Lane
-	// values are bit-identical to the serial paddedSpectrum/magnitudes pair,
-	// so the peaks — and everything downstream — are unchanged.
-	relCut := math.Pow(10, -d.cfg.DynamicRangeDB/20)
+	slots := d.scanObs[:len(wins)]
+	if d.forEachWindow(windowJob{task: scanTask, wins: wins, ests: known, obs: slots}) {
+		return nil
+	}
 	obsAll := d.obsBuf[:0]
-	for base := 0; base < len(wins); base += specTile {
-		tile := wins[base:min(base+specTile, len(wins))]
-		d.gridCompute(tile)
-		for wi := range tile {
-			mags := d.grid.Mags(wi)
-			pkSp := mStagePeaks.Start()
-			floor := dsp.NoiseFloorScratch(mags, f64Buf(&d.noiseScratch, len(mags)))
-			peaks := dsp.FindPeaksScratch(&d.peakScratch, mags, dsp.PeakConfig{
-				Pad:           d.pad,
-				MinSeparation: 0.9,
-				Threshold:     floor * d.cfg.PeakThreshold,
-				Max:           budget + 4,
-			})
-			pkSp.Stop()
-			for _, pk := range peaks {
-				if nearKnown(pk.Bin, pk.Mag) {
-					continue
-				}
-				if len(peaks) > 0 && pk.Mag < peaks[0].Mag*relCut {
-					continue
-				}
-				obsAll = append(obsAll, binObs{bin: pk.Bin, mag: pk.Mag})
-			}
-		}
+	for _, s := range slots {
+		obsAll = append(obsAll, s...)
 	}
 	d.obsBuf = obsAll
 
@@ -249,6 +202,60 @@ func (d *Decoder) findPreambleUsers(wins [][]complex128, known []userEstimate) [
 		ests[i].power = pw / float64(len(ests[i].gainWin))
 	}
 	return ests
+}
+
+// scanWindow appends to obs, and returns, the peaks of one preamble window
+// dech that may be a user not yet in known: the peaks of its padded spectrum
+// above PeakThreshold times its noise floor, at most MaxUsers − len(known) + 4
+// of them. Peaks more than DynamicRangeDB below the window's strongest are
+// deferred to a later SIC phase: at that depth they cannot be told apart
+// from the strong peaks' sinc side lobes, so they must wait until the strong
+// users are modelled and subtracted.
+//
+// Two rules reject a known user's subtraction residue while still letting a
+// genuine second user hiding under its skirt surface from the residual:
+// (1) anything within 0.35 bins of a known user is its own leftover;
+// (2) anything within 1.5 bins must carry at least -12 dB of that user's
+// power — reconstruction residue sits 20-25 dB down, whereas a real
+// neighbour close enough to have been masked is by construction within the
+// per-phase dynamic range.
+func (d *Decoder) scanWindow(obs []binObs, dech []complex128, known []userEstimate) []binObs {
+	nearKnown := func(bin, mag float64) bool {
+		for _, u := range known {
+			dist := dsp.CircularBinDist(bin, u.offset, float64(d.n))
+			if dist < 0.35 {
+				return true
+			}
+			if dist < 1.5 {
+				parentMag := math.Sqrt(u.power) * float64(d.n)
+				if mag < parentMag*math.Pow(10, -12.0/20) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	relCut := math.Pow(10, -d.cfg.DynamicRangeDB/20)
+	mags := d.magnitudes(d.paddedSpectrum(dech))
+	pkSp := mStagePeaks.Start()
+	floor := dsp.NoiseFloorScratch(mags, f64Buf(&d.noiseScratch, len(mags)))
+	peaks := dsp.FindPeaksScratch(&d.peakScratch, mags, dsp.PeakConfig{
+		Pad:           d.pad,
+		MinSeparation: 0.9,
+		Threshold:     floor * d.cfg.PeakThreshold,
+		Max:           d.cfg.MaxUsers - len(known) + 4,
+	})
+	pkSp.Stop()
+	for _, pk := range peaks {
+		if nearKnown(pk.Bin, pk.Mag) {
+			continue
+		}
+		if pk.Mag < peaks[0].Mag*relCut {
+			continue
+		}
+		obs = append(obs, binObs{bin: pk.Bin, mag: pk.Mag})
+	}
+	return obs
 }
 
 // refineWindow fits the coarse offsets to preamble window w, dech, and

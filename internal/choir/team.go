@@ -49,31 +49,14 @@ func (d *Decoder) DetectTeam(samples []complex128) ([]float64, error) {
 	for i := range acc {
 		acc[i] = 0
 	}
-	// Dechirp the preamble windows into lanes, then accumulate their power
-	// spectra from one batched grid per tile. Accumulation still walks the
-	// windows in order with the same real²+imag² expression per bin, so the
-	// summation order — and therefore every rounded bit of acc — matches the
-	// former one-window-at-a-time loop.
-	nWin := p.PreambleLen
-	if cap(d.winsBuf) < nWin {
-		d.winsBuf = append(d.winsBuf[:cap(d.winsBuf)], make([][]complex128, nWin-cap(d.winsBuf))...)
-	}
-	wins := d.winsBuf[:nWin]
-	for w := 0; w < nWin; w++ {
+	// Accumulate the windows' power spectra in window order, so every rounded
+	// bit of acc is a function of the samples alone.
+	for w := 0; w < p.PreambleLen; w++ {
 		if d.canceled() {
 			return nil, d.ctxErr
 		}
-		dech := d.dechirpWindow(samples, w*d.n)
-		wins[w] = c128Buf(&wins[w], d.n)
-		copy(wins[w], dech)
-	}
-	for base := 0; base < nWin; base += specTile {
-		tile := wins[base:min(base+specTile, nWin)]
-		d.gridCompute(tile)
-		for wi := range tile {
-			for i, v := range d.grid.Spec(wi) {
-				acc[i] += real(v)*real(v) + imag(v)*imag(v)
-			}
+		for i, v := range d.paddedSpectrum(d.dechirpWindow(samples, w*d.n)) {
+			acc[i] += real(v)*real(v) + imag(v)*imag(v)
 		}
 	}
 	floor := dsp.NoiseFloorScratch(acc, f64Buf(&d.noiseScratch, len(acc)))
