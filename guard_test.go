@@ -366,7 +366,6 @@ func TestNoTestOnlyFunctions(t *testing.T) {
 		"OpenFaultFile":        "probe/fixture: TestJournalFaultWriteError, TestJournalFaultShortWrite, TestJournalFaultSyncError",
 		"FaultPoint":           "probe/fixture: TestJournalFaultShortWrite",
 		"AdmissionLimit":       "probe/fixture: TestAdmissionShedsUnderOverload, TestReadyShrunkAdmissionWindowNotReady",
-		"MinSlot":              "probe/fixture: FuzzEventQueue, TestEventQueueOrdering",
 		"SubtractDecodedUsers": "ROADMAP item 7 (Sec. 7.2, teams under collision)",
 		"ServeHTTP":            "interface: http.Handler (obs check sets on the debug mux)",
 	}

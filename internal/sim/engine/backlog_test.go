@@ -2,17 +2,23 @@ package engine
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
+
+	"choir/internal/mac"
+	"choir/internal/sim"
 )
 
 // backlogProgram runs a push/pop program over a few nodes that share one
 // cell pool against a plain slice-per-node FIFO. One operation is two
 // bytes: the low bit of the first picks push or pop and the rest of it the
 // node, the second is mixed into the arrival slot so equal slots and
-// out-of-order slots both occur. After every operation each node's list is
+// out-of-order slots both occur; slots stay below 2^31, as Validate's Slots
+// limit keeps every real arrival. After every operation each node's list is
 // walked: it must hold the model's arrivals in order, end at qTail, and
 // share no cell with another list or the free list; and the pool may only
 // have grown when no freed cell was waiting.
@@ -28,7 +34,7 @@ func backlogProgram(t *testing.T, program []byte) {
 		n := int(program[i]>>1) % nodes
 		freeBefore, poolBefore := c.freeCell, len(c.cells)
 		if program[i]&1 == 0 {
-			s := int64(i)<<8 | int64(program[i+1])
+			s := (int64(i)<<8 | int64(program[i+1])) & math.MaxInt32
 			c.pushPacket(&ns[n], s)
 			model[n] = append(model[n], s)
 			if grew := len(c.cells) != poolBefore; grew != (freeBefore == 0) {
@@ -68,7 +74,7 @@ func backlogProgram(t *testing.T, program []byte) {
 			cell := ns[n].qHead
 			for k, want := range model[n] {
 				claim(cell, n+1)
-				if got := c.cells[cell].arrival; got != want {
+				if got := int64(c.cells[cell].arrival); got != want {
 					t.Fatalf("op %d: node %d packet %d arrived at %d, want %d", i/2, n, k, got, want)
 				}
 				if k == len(model[n])-1 && cell != ns[n].qTail {
@@ -121,19 +127,23 @@ func FuzzBacklog(f *testing.F) {
 }
 
 // TestNodeStateLayout pins what the million-node runs were bought with:
-// the record is at most 48 bytes and holds no pointer, so the node array
+// the record is at most 28 bytes and holds no pointer, so the node array
 // is a noscan allocation the collector never walks, and nextArrival and sf
 // are its first and last words, which is what runEvent's gather pass
-// relies on to pull in both cache lines of a record that straddles two.
+// relies on to pull in both cache lines of a record that straddles two
+// (at 28 bytes, 6 of every 16 records do). A backlog cell is 8 bytes.
 func TestNodeStateLayout(t *testing.T) {
 	var ns nodeState
-	if size := unsafe.Sizeof(ns); size > 48 {
-		t.Errorf("nodeState is %d bytes, want <= 48", size)
+	if size := unsafe.Sizeof(ns); size > 28 {
+		t.Errorf("nodeState is %d bytes, want <= 28", size)
+	}
+	if size := unsafe.Sizeof(packetCell{}); size > 8 {
+		t.Errorf("packetCell is %d bytes, want <= 8", size)
 	}
 	rt := reflect.TypeOf(ns)
 	for i := 0; i < rt.NumField(); i++ {
 		switch f := rt.Field(i); f.Type.Kind() {
-		case reflect.Int8, reflect.Int32, reflect.Int64, reflect.Uint8, reflect.Uint64:
+		case reflect.Int8, reflect.Int32, reflect.Int64, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		default:
 			t.Errorf("nodeState.%s is a %v: the record must stay pointer-free plain integers", f.Name, f.Type)
 		}
@@ -160,4 +170,40 @@ func TestRunAllocsDoNotScaleWithNodes(t *testing.T) {
 		t.Errorf("a run allocates %.0f times at 20 000 nodes and %.0f at 40 000", small, large)
 	}
 	t.Logf("allocations per run: %.0f at 20 000 nodes, %.0f at 40 000", small, large)
+}
+
+// TestRunBytesPerNode pins a run's footprint: the bytes a second Run of the
+// same config allocates (the first warms the heap), per node. The sparse
+// city's budget is its 28-byte record, its calendar pool allocated once at
+// the size the first arrivals fill, and a little: it read 56.1 B with a
+// 48-byte record and a pool grown by append, 30.4 B after. The dense city,
+// whose pool grows during the run, must not exceed the 98.7 B it read then
+// (47.0 B after).
+func TestRunBytesPerNode(t *testing.T) {
+	rx := mac.ModelReceiver{Success: sim.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 30}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		limit float64
+	}{
+		{"sparse 200k nodes, 5k slots", Config{
+			Scheme: mac.SchemeChoir, Nodes: 200_000, Gateways: 16, Slots: 5_000,
+			ArrivalPerSlot: 2e-5, Receiver: rx, Seed: 1,
+		}, 40},
+		{"dense 50k nodes, 40k slots", Config{
+			Scheme: mac.SchemeChoir, Nodes: 50_000, Gateways: 4, Slots: 40_000, ArrivalPerSlot: 1e-3,
+			Foreign: []ForeignConfig{{Nodes: 20_000, ArrivalPerSlot: 1e-3}}, Receiver: rx, Seed: 1,
+		}, 98.7},
+	} {
+		mustRun(t, tc.cfg)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mustRun(t, tc.cfg)
+		runtime.ReadMemStats(&after)
+		perNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(tc.cfg.Nodes)
+		if perNode > tc.limit {
+			t.Errorf("%s: a run allocates %.1f B per node, want <= %g", tc.name, perNode, tc.limit)
+		}
+		t.Logf("%s: %.1f B per node", tc.name, perNode)
+	}
 }

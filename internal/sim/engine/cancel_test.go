@@ -5,25 +5,36 @@ import (
 	"errors"
 	"runtime"
 	"testing"
-	"time"
 
 	"choir/internal/mac"
 	"choir/internal/obs"
 	"choir/internal/sim"
 )
 
-// waitNoLeaks waits for the goroutine count to fall back to baseline
-// (the gateway resilience tests' leak-check helper).
-func waitNoLeaks(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+// cutCtx is a context that never fires by itself: its Err reports
+// context.Canceled from the first poll cut accepts onward, so a test can
+// cut a Run it calls synchronously at a chosen point of the drain, with no
+// goroutine and no sleep. cut sees the poll's number, counted from 1, and
+// is not called again once it has accepted one.
+type cutCtx struct {
+	context.Context
+	cut   func(poll int) bool
+	polls int
+	cutAt int // the accepted poll, 0 before it
+}
+
+func newCutCtx(cut func(poll int) bool) *cutCtx {
+	return &cutCtx{Context: context.Background(), cut: cut}
+}
+
+func (c *cutCtx) Err() error {
+	if c.cutAt == 0 {
+		if c.polls++; !c.cut(c.polls) {
+			return nil
+		}
+		c.cutAt = c.polls
 	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		buf := make([]byte, 1<<16)
-		t.Errorf("goroutine leak: %d > baseline %d\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
-	}
+	return context.Canceled
 }
 
 // busyCity is a run big enough that cancellation always lands mid-drain.
@@ -49,31 +60,30 @@ func busyCity(driver Driver) Config {
 func TestRunCancelMidDrain(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
-	for _, driver := range []Driver{DriverEvent, DriverSlot} {
+	// The event driver polls every active slot and the reference driver
+	// every ctxCheckInterval slots; both stream every liveFlushInterval of
+	// them, so each cut lands after a flush and has something to retract.
+	for driver, cutAt := range map[Driver]int{DriverEvent: 300, DriverSlot: 3} {
 		baseline := runtime.NumGoroutine()
 		runs0, events0, delivered0 := cRuns.Value(), cEvents.Value(), cDelivered.Value()
-
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() {
-			m, err := Run(ctx, busyCity(driver))
-			if m != nil {
-				err = errors.New("canceled run returned partial metrics")
-			}
-			done <- err
-		}()
-		// Let the drain get going, then cut it mid-flight.
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-		select {
-		case err := <-done:
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%v: canceled run returned %v, want context.Canceled", driver, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%v: canceled run did not return", driver)
+		var streamed int64
+		ctx := newCutCtx(func(poll int) bool {
+			streamed = cEvents.Value() - events0
+			return poll == cutAt
+		})
+		m, err := Run(ctx, busyCity(driver))
+		if !errors.Is(err, context.Canceled) || m != nil {
+			t.Fatalf("%v: canceled run returned (%v, %v), want nil metrics and context.Canceled", driver, m, err)
 		}
-		waitNoLeaks(t, baseline)
+		if ctx.cutAt != cutAt || ctx.polls != cutAt {
+			t.Fatalf("%v: cut at poll %d of %d, want the run to stop at poll %d", driver, ctx.cutAt, ctx.polls, cutAt)
+		}
+		if streamed == 0 {
+			t.Fatalf("%v: nothing streamed before the cut: it did not land mid-drain", driver)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Errorf("%v: %d goroutines after the run, %d before", driver, n, baseline)
+		}
 		if cRuns.Value() != runs0 || cEvents.Value() != events0 || cDelivered.Value() != delivered0 {
 			t.Fatalf("%v: canceled run leaked accounting: runs %d->%d events %d->%d delivered %d->%d",
 				driver, runs0, cRuns.Value(), events0, cEvents.Value(), delivered0, cDelivered.Value())

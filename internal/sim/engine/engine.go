@@ -8,8 +8,8 @@
 // keeps one calendar of node wake events, takes it a slot at a time and
 // only touches nodes with work, so a sparse-traffic million-node city
 // costs O(events), not O(nodes × slots). What a run keeps is three flat,
-// pointer-free arrays — 48 bytes of state per node, the calendar's chunks
-// of scheduled IDs, one pool of backlogged packets — so an event costs
+// pointer-free arrays — 28 bytes of state per node, the calendar's chunks
+// of scheduled IDs, one pool of 8-byte backlogged packets — so an event costs
 // about one cache miss and no allocation, an arrival the horizon prunes a
 // hash and a compare, and calendar reads and writes both go a slot at a
 // time. One run is one goroutine; cores are spent across runs (figures.go's
@@ -202,15 +202,19 @@ type Config struct {
 	// over the city square.
 	Nodes int
 	// Gateways is the number of base stations, on their own centered grid.
-	// Each node attaches to the nearest gateway. Default 1.
+	// Each node attaches to the nearest gateway. Default 1, at most 65535:
+	// a node's gateway is a uint16 in its record.
 	Gateways int
-	// Slots is the simulated horizon in slots.
+	// Slots is the simulated horizon in slots, at most math.MaxInt32 (over
+	// 80 years of SF12 slots): a node's wake slots and arrival count are
+	// 32-bit in its record.
 	Slots int
 	// ArrivalPerSlot is each node's per-slot packet generation probability
 	// (geometric inter-arrival). 0 disables traffic; 1 saturates.
 	ArrivalPerSlot float64
 	// QueueCap bounds each node's backlog; arrivals beyond it are dropped
-	// (counted). 0 means 64.
+	// (counted). 0 means 64; at most 65535, since a node's backlog length is
+	// a uint16 in its record.
 	QueueCap int
 	// MaxBackoffExp caps ALOHA binary exponential backoff at
 	// 2^MaxBackoffExp slots (default 8).
@@ -267,15 +271,20 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: Nodes %d exceeds the int32 node ID limit %d", c.Nodes, math.MaxInt32)
 	case c.Gateways < 0:
 		return fmt.Errorf("engine: Gateways %d < 0", c.Gateways)
+	case c.Gateways > math.MaxUint16:
+		return fmt.Errorf("engine: Gateways %d exceeds the uint16 gateway limit %d", c.Gateways, math.MaxUint16)
 	case c.Slots <= 0:
 		return fmt.Errorf("engine: Slots %d <= 0", c.Slots)
+	case c.Slots > math.MaxInt32:
+		// Wake slots are int32 in a node's record and its backlog cells.
+		return fmt.Errorf("engine: Slots %d exceeds the int32 slot limit %d", c.Slots, math.MaxInt32)
 	case c.ArrivalPerSlot < 0 || c.ArrivalPerSlot > 1 || math.IsNaN(c.ArrivalPerSlot):
 		return fmt.Errorf("engine: ArrivalPerSlot %g outside [0,1]", c.ArrivalPerSlot)
 	case c.QueueCap < 0:
 		return fmt.Errorf("engine: QueueCap %d < 0", c.QueueCap)
-	case c.QueueCap > math.MaxInt32:
-		// A node's backlog length is an int32 in its 48-byte record.
-		return fmt.Errorf("engine: QueueCap %d exceeds the int32 backlog length limit %d", c.QueueCap, math.MaxInt32)
+	case c.QueueCap > math.MaxUint16:
+		// A node's backlog length is a uint16 in its 28-byte record.
+		return fmt.Errorf("engine: QueueCap %d exceeds the uint16 backlog length limit %d", c.QueueCap, math.MaxUint16)
 	case c.MaxBackoffExp < 0 || c.MaxBackoffExp > 30:
 		return fmt.Errorf("engine: MaxBackoffExp %d outside [0,30]", c.MaxBackoffExp)
 	case c.SideM < 0 || math.IsNaN(c.SideM):
@@ -328,24 +337,30 @@ const (
 // 53-bit construction math/rand/v2 uses.
 func unitOf(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
-// nodeState is one client's compact MAC state: 48 bytes and no pointers,
+// nodeState is one client's compact MAC state: 28 bytes and no pointers,
 // so the node array is one allocation the garbage collector never scans
 // (TestNodeStateLayout pins both). The engine's memory is this flat array
 // plus O(scheduled events) plus one run-wide pool of backlog cells — no
-// per-node metrics, maps or slices.
+// per-node metrics, maps or slices. The field widths are what Validate's
+// limits buy: Slots <= MaxInt32 for the wake slots and the arrival count (a
+// node has at most one arrival a slot), QueueCap <= 65535 for qLen and
+// Gateways <= 65535 for gw.
 type nodeState struct {
 	// nextArrival is the slot of the node's next traffic arrival, -1 when
 	// none falls inside the horizon.
-	nextArrival int64
+	nextArrival int32
 	// nextTx is the slot of the node's next transmission attempt, -1 idle.
-	nextTx int64
+	// A backoff that lands at or past the horizon stores Slots (finishTx):
+	// no driver fires a wake there, so the clamp changes no result.
+	nextTx int32
 	// arrivalIdx counts arrivals drawn so far (the geometric draw index).
-	arrivalIdx uint64
+	arrivalIdx uint32
 	// The backlog is a FIFO list through core.cells: qHead is the oldest
 	// packet's cell, qTail the newest's, both meaningless while qLen is 0.
-	qHead, qTail, qLen int32
+	qHead, qTail int32
+	qLen         uint16
 	// gw is the attached gateway, valid once sf != 0.
-	gw int32
+	gw uint16
 	// sf is the node's rate-adapted spreading factor: 0 = channel state
 	// not yet evaluated (lazy), -1 = out of range of every gateway,
 	// otherwise 7..12.
@@ -362,7 +377,7 @@ func (ns *nodeState) wakeOf() int64 {
 	if ns.nextTx >= 0 && (w < 0 || ns.nextTx < w) {
 		w = ns.nextTx
 	}
-	return w
+	return int64(w)
 }
 
 // core is the shared model both drivers execute: configuration after
@@ -437,9 +452,10 @@ type core struct {
 }
 
 // packetCell is one queued packet, identified by the slot it arrived in so
-// delivery latency needs nothing else.
+// delivery latency needs nothing else: 8 bytes, since every slot fits an
+// int32.
 type packetCell struct {
-	arrival int64
+	arrival int32
 	next    int32
 }
 
@@ -455,7 +471,7 @@ func (c *core) pushPacket(ns *nodeState, s int64) {
 		i = int32(len(c.cells))
 		c.cells = append(c.cells, packetCell{})
 	}
-	c.cells[i] = packetCell{arrival: s}
+	c.cells[i] = packetCell{arrival: int32(s)}
 	if ns.qLen == 0 {
 		ns.qHead = i
 	} else {
@@ -473,7 +489,7 @@ func (c *core) popPacket(ns *nodeState) int64 {
 	ns.qHead = cell.next
 	ns.qLen--
 	cell.next, c.freeCell = c.freeCell, i
-	return cell.arrival
+	return int64(cell.arrival)
 }
 
 // newCore applies defaults, precomputes the topology, and allocates the
@@ -697,7 +713,7 @@ func lnUnit(v float64) float64 {
 func (c *core) initArrivals(i int32) {
 	ns := &c.nodes[i]
 	ns.nextTx = -1
-	ns.nextArrival = c.arrivalAfter(i, 0, 0)
+	ns.nextArrival = int32(c.arrivalAfter(i, 0, 0))
 }
 
 // resolveChannel lazily evaluates node i's channel state on first wake:
@@ -716,7 +732,7 @@ func (c *core) resolveChannel(ns *nodeState, i int32) bool {
 		return false
 	}
 	ns.sf = sf
-	ns.gw = gw
+	ns.gw = uint16(gw)
 	ns.pwr = pwr
 	return true
 }
@@ -879,21 +895,21 @@ func (c *core) wakeNode(ns *nodeState, i int32, s int64, m *Metrics) bool {
 		ns.nextTx = -1
 		return false
 	}
-	if ns.nextArrival == s {
+	if int64(ns.nextArrival) == s {
 		m.Arrivals++
 		if int(ns.qLen) < c.queueCap {
 			c.pushPacket(ns, s)
 			if ns.nextTx < 0 {
 				// An idle node answers a fresh arrival in the same slot.
-				ns.nextTx = s
+				ns.nextTx = int32(s)
 			}
 		} else {
 			m.Dropped++
 		}
 		ns.arrivalIdx++
-		ns.nextArrival = c.arrivalAfter(i, ns.arrivalIdx, s+1)
+		ns.nextArrival = int32(c.arrivalAfter(i, uint64(ns.arrivalIdx), s+1))
 	}
-	return ns.nextTx == s && ns.qLen > 0
+	return int64(ns.nextTx) == s && ns.qLen > 0
 }
 
 // grantOracle is the genie TDMA scheduler (mac.SchemeOracle): the step
@@ -920,13 +936,13 @@ func (c *core) grantOracle(s int64, tx *[]int32, granted map[uint32]int32, defer
 			if g := c.groupOf(ns); granted[g] < c.capacity {
 				granted[g]++
 			} else {
-				ns.nextTx = s + 1
+				ns.nextTx = int32(s + 1)
 			}
 		}
 	}
 	kept := (*tx)[:0]
 	for _, i := range *tx {
-		if c.nodes[i].nextTx == s {
+		if int64(c.nodes[i].nextTx) == s {
 			kept = append(kept, i)
 		} else if deferred != nil {
 			deferred(i)
@@ -974,7 +990,7 @@ func (c *core) finishTx(ns *nodeState, i int32, s int64, delivered bool, m *Metr
 		m.LatencyHist[latencyBucket(lat)]++
 		ns.backoffExp = 0
 		if ns.qLen > 0 {
-			ns.nextTx = s + 1
+			ns.nextTx = int32(s + 1)
 		} else {
 			ns.nextTx = -1
 		}
@@ -989,10 +1005,12 @@ func (c *core) finishTx(ns *nodeState, i int32, s int64, delivered bool, m *Metr
 		}
 		w := uint64(1) << ns.backoffExp
 		off := exec.Mix(exec.Mix(c.hBackoff, uint64(i)), uint64(s)) & (w - 1)
-		ns.nextTx = s + 1 + int64(off)
+		// A wake at or past the horizon never fires, so it is stored as the
+		// horizon itself, which the int32 always holds.
+		ns.nextTx = int32(min(s+1+int64(off), c.slots))
 	} else {
 		// Choir answers the next beacon; Oracle asks the genie again.
-		ns.nextTx = s + 1
+		ns.nextTx = int32(s + 1)
 	}
 }
 

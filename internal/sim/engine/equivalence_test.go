@@ -249,6 +249,18 @@ func TestRunConservation(t *testing.T) {
 		Receiver:       mac.AlohaReceiver{},
 		Seed:           5,
 	})
+	checkConservation(t, m)
+	if m.Events > int64(m.Nodes)*int64(m.Slots) {
+		t.Errorf("events %d exceed nodes×slots", m.Events)
+	}
+}
+
+// checkConservation fails unless m's bookkeeping adds up: deliveries and
+// drops within arrivals, deliveries and failures equal to transmissions,
+// per-SF splits and the latency histogram summing to their totals, and
+// something delivered.
+func checkConservation(t *testing.T, m *Metrics) {
+	t.Helper()
 	if m.Delivered+m.Dropped > m.Arrivals {
 		t.Errorf("delivered %d + dropped %d > arrivals %d", m.Delivered, m.Dropped, m.Arrivals)
 	}
@@ -269,9 +281,6 @@ func TestRunConservation(t *testing.T) {
 	}
 	if m.Delivered == 0 || m.Arrivals == 0 {
 		t.Errorf("degenerate run: %+v", m)
-	}
-	if m.Events > int64(m.Nodes)*int64(m.Slots) {
-		t.Errorf("events %d exceed nodes×slots", m.Events)
 	}
 }
 
@@ -341,6 +350,39 @@ func TestOracleNeverCollides(t *testing.T) {
 	}
 }
 
+// TestEventRunAtSlotLimit runs the event driver at the longest horizon
+// Validate admits. A few ALOHA nodes whose transmissions rarely decode back
+// off up to 2^30 slots, so wakes land past the horizon and are stored
+// clamped to Slots: at least one node must end the run holding one, and the
+// metrics must add up (checkConservation).
+func TestEventRunAtSlotLimit(t *testing.T) {
+	cfg := Config{
+		Scheme: mac.SchemeAloha, Nodes: 6, Gateways: 1, Slots: math.MaxInt32,
+		ArrivalPerSlot: 1e-8, MaxBackoffExp: 30, SideM: 10,
+		Receiver: mac.ModelReceiver{Success: []float64{0.05}, MaxConcurrent: 1}, Seed: 3,
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c := newCore(cfg)
+	var lp liveProgress
+	m, err := runEvent(context.Background(), c, &lp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clamped := 0
+	for i := range c.nodes {
+		if c.nodes[i].nextTx == math.MaxInt32 {
+			clamped++
+		}
+	}
+	if clamped == 0 {
+		t.Errorf("no node ended holding a wake clamped to the horizon: the test misses the clamp")
+	}
+	checkConservation(t, m)
+	t.Logf("%d arrivals, %d transmissions, %d delivered, %d of %d nodes clamped at the end", m.Arrivals, m.Transmissions, m.Delivered, clamped, cfg.Nodes)
+}
+
 // TestValidateRejects pins the config gate.
 func TestValidateRejects(t *testing.T) {
 	good := Config{
@@ -361,8 +403,10 @@ func TestValidateRejects(t *testing.T) {
 		{"scheme", func(c *Config) { c.Scheme = mac.Scheme(7) }, "scheme"},
 		{"nodes", func(c *Config) { c.Nodes = 0 }, "Nodes"},
 		{"nodes-beyond-int32", func(c *Config) { c.Nodes = math.MaxInt32; c.Nodes++ }, "int32 node ID limit"},
+		{"gateways-beyond-uint16", func(c *Config) { c.Gateways = math.MaxUint16 + 1 }, "uint16 gateway limit"},
 		{"slots", func(c *Config) { c.Slots = -1 }, "Slots"},
-		{"queuecap-beyond-int32", func(c *Config) { c.QueueCap = math.MaxInt32; c.QueueCap++ }, "int32 backlog length limit"},
+		{"slots-beyond-int32", func(c *Config) { c.Slots = math.MaxInt32; c.Slots++ }, "int32 slot limit"},
+		{"queuecap-beyond-uint16", func(c *Config) { c.QueueCap = math.MaxUint16 + 1 }, "uint16 backlog length limit"},
 		{"arrival", func(c *Config) { c.ArrivalPerSlot = 1.5 }, "ArrivalPerSlot"},
 		{"receiver", func(c *Config) { c.Receiver = nil }, "Receiver"},
 		{"driver", func(c *Config) { c.Driver = Driver(7) }, "driver"},

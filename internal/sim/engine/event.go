@@ -30,7 +30,9 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 	// whose wake has just popped: after wakeNode, for the genie's deferrals,
 	// after finishTx — only lists the node's next wake, pruned of anything
 	// past the horizon, for the loop that ends the slot. Every listed wake
-	// is for a later slot, so the queue's contract holds as before.
+	// is for a later slot, so the queue's contract holds as before. The
+	// first arrivals are counted as they are drawn, so the calendar's pool
+	// is allocated once at the size they fill (EventQueue.reserve).
 	var pending []farWake
 	reschedule := func(i int32) {
 		if w := c.nodes[i].wakeOf(); w >= 0 && w < c.slots {
@@ -39,10 +41,14 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 	}
 	for i := range c.nodes {
 		c.initArrivals(int32(i))
+		if w := c.nodes[i].nextArrival; w >= 0 {
+			q.count(int64(w))
+		}
 	}
+	q.reserve()
 	for i := range c.nodes {
 		if w := c.nodes[i].nextArrival; w >= 0 {
-			q.Set(int32(i), w)
+			q.Set(int32(i), int64(w))
 		}
 	}
 	// The per-slot tables runSlot keeps in maps are slices indexed by
@@ -91,7 +97,7 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 		var touched int64
 		for _, i := range ids {
 			ns := &c.nodes[i]
-			touched += ns.nextArrival + int64(ns.sf)
+			touched += int64(ns.nextArrival) + int64(ns.sf)
 		}
 		c.touched = touched
 		for _, i := range ids {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"choir/internal/obs"
 )
@@ -84,48 +83,39 @@ func TestLiveProgressDisabled(t *testing.T) {
 	}
 }
 
-// TestRunStreamsLiveCounters is the end-to-end pin for the satellite: a
+// TestRunStreamsLiveCounters is the end-to-end pin for the live stream: a
 // long event-driver run publishes partial city.* totals while still in
 // flight (what a -debug-addr scrape would see), city.runs stays put until
-// completion, and cancellation retracts everything streamed.
+// completion, and cancellation retracts everything streamed. The run is cut
+// at its first poll after city.events moves, and the counters are read at
+// that poll.
 func TestRunStreamsLiveCounters(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	runs0, ev0, arr0 := cRuns.Value(), cEvents.Value(), cArrivals.Value()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		// busyCity saturates every slot, so the first live flush (256
-		// active slots) lands in well under a second; its 100M-slot horizon
-		// means the run cannot complete before we cancel it.
-		_, err := Run(ctx, busyCity(DriverEvent))
-		done <- err
-	}()
-	deadline := time.Now().Add(20 * time.Second)
-	for cEvents.Value() == ev0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	var arrAtCut, runsAtCut int64
+	ctx := newCutCtx(func(int) bool {
+		if cEvents.Value() == ev0 {
+			return false
+		}
+		arrAtCut, runsAtCut = cArrivals.Value(), cRuns.Value()
+		return true
+	})
+	// busyCity saturates every slot, so the first live flush comes after
+	// liveFlushInterval active slots; its 100M-slot horizon is far away.
+	_, err := Run(ctx, busyCity(DriverEvent))
+	if ctx.cutAt == 0 {
+		t.Fatalf("no live counter movement while the run was in flight (run returned %v)", err)
 	}
-	if cEvents.Value() == ev0 {
-		cancel()
-		<-done
-		t.Fatal("no live counter movement while the run was in flight")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run returned %v", err)
 	}
-	if cArrivals.Value() == arr0 {
+	if arrAtCut == arr0 {
 		t.Error("city.arrivals never streamed mid-run")
 	}
-	if cRuns.Value() != runs0 {
+	if runsAtCut != runs0 {
 		t.Error("city.runs moved before completion")
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("canceled run returned %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("canceled run did not return")
 	}
 	if got := cEvents.Value(); got != ev0 {
 		t.Errorf("cancellation left %+d streamed events behind", got-ev0)

@@ -26,7 +26,9 @@ import (
 // Wakes beyond the window wait in one overflow slice; when the window runs
 // dry it is re-based on the earliest of them and the ones it now covers
 // are bucketed (turn). Memory is therefore the window plus the live wakes,
-// whatever the slot values.
+// whatever the slot values. A new queue whose first wakes are known before
+// any is scheduled can count them first (count, reserve), so its pool is
+// allocated once at the size they fill rather than grown by append.
 //
 // Only the slot order is the queue's: within a slot a bucket collects its
 // wakes in arrival order, and when the cursor reaches it the whole bucket
@@ -48,7 +50,7 @@ type EventQueue struct {
 	over    []farWake // wakes at base+len(bucket) and later
 	overMin int64     // the earliest of them, math.MaxInt64 when none
 	base    int64     // first slot of the window, a multiple of len(bucket)
-	cur     int64     // no bucketed wake is earlier
+	cur     int64     // no bucketed wake is earlier; never past last+1
 	last    int64     // the slot last drawn, -1 before the first
 	n       int       // scheduled wakes
 	near    int       // of those, the ones in buckets
@@ -117,20 +119,35 @@ func newEventQueue(window int) *EventQueue {
 // Len returns the number of scheduled events.
 func (q *EventQueue) Len() int { return q.n }
 
-// MinSlot returns the earliest scheduled slot, -1 when empty.
-func (q *EventQueue) MinSlot() int64 {
-	switch {
-	case q.next < len(q.batch):
-		return q.last
-	case q.n == 0:
-		return -1
-	case q.near == 0:
-		return q.overMin
+// count notes one wake at slot that a Set after reserve will schedule, on a
+// queue nothing has been scheduled on yet. Until reserve the bucket counts
+// are tallies with no chunks behind them, so the queue must not be used in
+// between.
+func (q *EventQueue) count(slot int64) {
+	if q.n != 0 {
+		panic("engine: EventQueue.count after Set")
 	}
-	for q.bucket[q.cur&q.mask].n == 0 {
-		q.cur++
+	if slot >= 0 && slot-q.base <= q.mask {
+		q.bucket[slot&q.mask].n++
 	}
-	return q.cur
+}
+
+// reserve ends the counting: it allocates the pool at exactly the chunks
+// the counted wakes fill, 1 + Σ ⌈n_b/chunkIDs⌉ over the buckets, and clears
+// the tallies. Growing the pool by append instead copies its way through
+// about five times its final size, which is most of what a sparse city
+// allocates beside its nodes. Wakes beyond the window, bucketed when it
+// turns, and later Sets grow the pool with append as before.
+func (q *EventQueue) reserve() {
+	if q.n != 0 || len(q.pool) != 1 {
+		panic("engine: EventQueue.reserve on a used queue")
+	}
+	need := 1
+	for b := range q.bucket {
+		need += int(q.bucket[b].n+chunkIDs-1) / chunkIDs
+		q.bucket[b].n = 0
+	}
+	q.pool = make([]chunk, 1, need)
 }
 
 // Set schedules node id's wake at slot. The node must have no pending
@@ -145,10 +162,6 @@ func (q *EventQueue) Set(id int32, slot int64) {
 		q.over = append(q.over, farWake{slot, id})
 		q.overMin = min(q.overMin, slot)
 		return
-	}
-	if slot < q.cur {
-		// MinSlot walked the cursor to a later bucket.
-		q.cur = slot
 	}
 	q.push(slot, id)
 }
@@ -177,7 +190,7 @@ func (q *EventQueue) push(slot int64, id int32) {
 // node waking in it, in no particular order (after PopMin took part of the
 // slot: the rest of it). The slice is the queue's and is valid until the
 // next NextSlot or PopMin; Set does not disturb it. It panics on an empty
-// queue: callers gate on Len/MinSlot.
+// queue: callers gate on Len.
 func (q *EventQueue) NextSlot() (slot int64, ids []int32) {
 	if q.next == len(q.batch) {
 		q.draw()
@@ -191,7 +204,7 @@ func (q *EventQueue) NextSlot() (slot int64, ids []int32) {
 // PopMin removes and returns the earliest event; ties pop in ascending
 // node order, so a slot it starts on is sorted once, here (NextSlot always
 // takes the whole batch, so PopMin never continues one that is not). It
-// panics on an empty queue: callers gate on Len/MinSlot.
+// panics on an empty queue: callers gate on Len.
 func (q *EventQueue) PopMin() (id int32, slot int64) {
 	if q.next == len(q.batch) {
 		q.draw()

@@ -7,6 +7,25 @@ import (
 	"testing"
 )
 
+// MinSlot returns the earliest scheduled slot, -1 when empty. It is a probe
+// for the tests: it reads the queue and moves nothing, so checking it after
+// every operation cannot steer what it checks.
+func (q *EventQueue) MinSlot() int64 {
+	switch {
+	case q.next < len(q.batch):
+		return q.last
+	case q.n == 0:
+		return -1
+	case q.near == 0:
+		return q.overMin
+	}
+	s := q.cur
+	for q.bucket[s&q.mask].n == 0 {
+		s++
+	}
+	return s
+}
+
 // modelQueue is the sort-based reference the queue is checked against: a
 // plain map of scheduled wakes, popped by scanning for the (slot, id)
 // minimum.
@@ -232,13 +251,13 @@ func checkInvariants(t *testing.T, q *EventQueue, model modelQueue) {
 	if live+free != len(q.pool)-1 {
 		t.Fatalf("%d live + %d free chunks, pool holds %d", live, free, len(q.pool)-1)
 	}
-	if q.base&q.mask != 0 || q.cur < q.base || q.cur-q.base > q.mask || q.last > q.cur {
+	if q.base&q.mask != 0 || q.cur < q.base || q.cur-q.base > q.mask || q.last > q.cur || q.cur-1 > q.last {
 		t.Fatalf("window base %d, cursor %d, last %d, mask %#x", q.base, q.cur, q.last, q.mask)
 	}
 }
 
 // TestEventQueuePopEmptyPanics pins the documented contract: callers gate
-// pops on Len/MinSlot, and a pop that does not is a bug reported at once,
+// pops on Len, and a pop that does not is a bug reported at once,
 // not a corrupted queue.
 func TestEventQueuePopEmptyPanics(t *testing.T) {
 	q := NewEventQueue(4)
@@ -442,18 +461,22 @@ func fuzzSlot(lo, hi byte, last int64) int64 {
 // any order, from NextSlot — also for a slot taken part one way and the
 // rest the other; pushes inside, at the edge of and far beyond the window;
 // the chunk and free-list structure; and Len/MinSlot consistency after
-// every operation.
+// every operation. When the first op byte has bit 2 set, the pushes before
+// the first pop go through the counted init instead (count each, reserve,
+// then Set each), which must leave the same queue with a pool that is
+// exactly full.
 func FuzzEventQueue(f *testing.F) {
 	// One operation is four bytes: op (0, 1 push; 2 pop one; 3 pop a
-	// slot), node, slot operand (fuzzSlot).
+	// slot; bit 2 of the first op: counted init), node, slot operand
+	// (fuzzSlot).
 	f.Add([]byte{0, 1, 5, 0, 0, 2, 5, 0, 2, 0, 0, 0, 2, 0, 0, 0})
 	f.Add([]byte{0, 7, 200, 0, 1, 3, 3, 0, 3, 0, 0, 0, 3, 0, 0, 0})
 	// Window edge: slots 63 and 64, then a pop on either side of the turn.
 	f.Add([]byte{0, 3, 63, 0, 0, 4, 64, 0, 2, 0, 0, 0, 2, 0, 0, 0})
 	// Overflow only: 1<<40 twice and the int64 ceiling, popped in order.
 	f.Add([]byte{0, 1, 0, 0xa0, 0, 2, 0, 0xc0, 0, 3, 0, 0xa0, 3, 0, 0, 0, 3, 0, 0, 0})
-	// A near wake scheduled while only far ones wait: MinSlot must not
-	// have moved the window under it.
+	// A near wake scheduled while only far ones wait, after MinSlot has
+	// looked past the empty window: it still lands in the window.
 	f.Add([]byte{0, 1, 0, 0xa0, 0, 2, 1, 0xa0, 0, 5, 7, 0, 2, 0, 0, 0, 2, 0, 0, 0})
 	// Turn to a far window, then schedule just past the popped slot and at
 	// the ceiling.
@@ -469,13 +492,55 @@ func FuzzEventQueue(f *testing.F) {
 		0, 15, 9, 0, 0, 14, 9, 0, 0, 13, 9, 0, 0, 12, 9, 0, 0, 11, 9, 0, 0, 10, 9, 0, 0, 9, 9, 0, 0, 8, 9, 0,
 		2, 0, 0, 0, 3, 0, 0, 0,
 	})
+	// Counted init: 17 wakes in one slot (two chunks), one at the window's
+	// last slot, one beyond it and one at 1<<40, then pops and a Set that
+	// grows the exactly-full pool.
+	f.Add([]byte{
+		4, 23, 9, 0, 0, 22, 9, 0, 0, 21, 9, 0, 0, 20, 9, 0, 0, 19, 9, 0, 0, 18, 9, 0, 0, 17, 9, 0, 0, 16, 9, 0,
+		0, 15, 9, 0, 0, 14, 9, 0, 0, 13, 9, 0, 0, 12, 9, 0, 0, 11, 9, 0, 0, 10, 9, 0, 0, 9, 9, 0, 0, 8, 9, 0,
+		0, 1, 63, 0, 0, 2, 64, 0, 0, 3, 0, 0xa0, 2, 0, 0, 0, 0, 4, 12, 0, 3, 0, 0, 0, 3, 0, 0, 0,
+	})
+	// Counted init of far wakes only, and of a single wake.
+	f.Add([]byte{4, 1, 0, 0xa0, 0, 2, 0, 0xc0, 3, 0, 0, 0, 0, 3, 5, 0x40, 3, 0, 0, 0})
+	f.Add([]byte{5, 7, 0, 0, 3, 0, 0, 0, 0, 7, 1, 0, 2, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		const n = 24
 		q := newEventQueue(fuzzWindow)
 		model := modelQueue{}
 		last := int64(-1)
+		// counted holds the leading pushes of a counted-init program until
+		// its first pop, or its end, schedules them.
+		counted := len(program) > 0 && program[0]&4 != 0
+		var first []int32
+		scheduleFirst := func() {
+			if !counted {
+				return
+			}
+			counted = false
+			need := 1
+			perBucket := map[int64]int{}
+			for _, id := range first {
+				q.count(model[id])
+				if model[id] < fuzzWindow {
+					perBucket[model[id]]++
+				}
+			}
+			for _, k := range perBucket {
+				need += (k + chunkIDs - 1) / chunkIDs
+			}
+			q.reserve()
+			for _, id := range first {
+				q.Set(id, model[id])
+			}
+			if len(q.pool) != need || cap(q.pool) != need {
+				t.Fatalf("counted init of %d wakes: pool %d of capacity %d, want exactly %d", len(first), len(q.pool), cap(q.pool), need)
+			}
+		}
 		for i := 0; i+3 < len(program); i += 4 {
 			op, id := program[i]%4, int32(program[i+1]%n)
+			if op > 1 {
+				scheduleFirst()
+			}
 			switch {
 			case op <= 1:
 				// The next node the model says has no wake, at a slot
@@ -490,8 +555,12 @@ func FuzzEventQueue(f *testing.F) {
 					continue
 				}
 				slot := max(fuzzSlot(program[i+2], program[i+3], last), last+1)
-				q.Set(id, slot)
 				model[id] = slot
+				if counted {
+					first = append(first, id)
+					continue
+				}
+				q.Set(id, slot)
 			case len(model) == 0:
 				if q.Len() != 0 {
 					t.Fatalf("model empty, queue has %d", q.Len())
@@ -519,10 +588,10 @@ func FuzzEventQueue(f *testing.F) {
 			if got := q.MinSlot(); got != wantMin {
 				t.Fatalf("MinSlot = %d, want %d", got, wantMin)
 			}
-			// MinSlot walks the cursor: the structure must hold after it too.
-			checkInvariants(t, q, model)
 		}
+		scheduleFirst()
 		// Drain: the survivors must come out in exact (slot, id) order.
+		checkInvariants(t, q, model)
 		checkAgainstModel(t, q, model)
 	})
 }

@@ -39,7 +39,7 @@ func runSlot(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
 		active := false
 		for i := range c.nodes {
 			ns := &c.nodes[i]
-			if ns.nextArrival != s && ns.nextTx != s {
+			if int64(ns.nextArrival) != s && int64(ns.nextTx) != s {
 				continue
 			}
 			active = true
