@@ -34,8 +34,9 @@ const (
 
 // ErrFramedTooLarge reports a framed-trace length prefix beyond the
 // MaxFramedHeader / MaxFramedSamples sanity bounds (or a zero length, which
-// no writer emits). The reader returns it instead of attempting the
-// allocation the hostile header asks for.
+// no writer emits), or a Read header line longer than MaxFramedHeader. The
+// reader returns it instead of attempting the allocation the hostile header
+// asks for.
 var ErrFramedTooLarge = errors.New("trace: framed length prefix out of range")
 
 // Header is the trace metadata.
@@ -186,12 +187,14 @@ func ReadFramed(r io.Reader) (Header, []complex128, error) {
 	return h, samples, nil
 }
 
-// Read parses a trace.
+// Read parses a trace. Its header line is held to ReadFramed's
+// MaxFramedHeader: a longer line fails with ErrFramedTooLarge before more of
+// it is buffered.
 func Read(r io.Reader) (Header, []complex128, error) {
 	br := bufio.NewReader(r)
-	line, err := br.ReadBytes('\n')
+	line, err := readHeaderLine(br)
 	if err != nil {
-		return Header{}, nil, fmt.Errorf("trace: reading header: %w", err)
+		return Header{}, nil, err
 	}
 	var h Header
 	if err := json.Unmarshal(line, &h); err != nil {
@@ -218,4 +221,24 @@ func Read(r io.Reader) (Header, []complex128, error) {
 		samples = append(samples, complex(re, im))
 	}
 	return h, samples, nil
+}
+
+// readHeaderLine reads Read's header line, newline included, refusing one
+// whose JSON exceeds MaxFramedHeader bytes.
+func readHeaderLine(br *bufio.Reader) ([]byte, error) {
+	var line []byte
+	for {
+		chunk, err := br.ReadSlice('\n')
+		if len(line)+len(chunk) > MaxFramedHeader+1 {
+			return nil, fmt.Errorf("%w: header line longer than %d bytes", ErrFramedTooLarge, MaxFramedHeader)
+		}
+		line = append(line, chunk...)
+		switch err {
+		case nil:
+			return line, nil
+		case bufio.ErrBufferFull:
+		default:
+			return nil, fmt.Errorf("trace: reading header: %w", err)
+		}
+	}
 }

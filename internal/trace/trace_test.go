@@ -120,6 +120,31 @@ func TestReadFramedRejectsHostileLengths(t *testing.T) {
 	}
 }
 
+// countingReader counts the bytes it hands out.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestReadBoundsHeaderLine: a header line with no newline in sight fails
+// with ErrFramedTooLarge once it passes MaxFramedHeader, well before the
+// 2 MiB on offer has been read.
+func TestReadBoundsHeaderLine(t *testing.T) {
+	src := &countingReader{r: bytes.NewReader(bytes.Repeat([]byte{'x'}, 2<<20))}
+	if _, _, err := Read(src); !errors.Is(err, ErrFramedTooLarge) {
+		t.Errorf("2 MiB header line: err = %v, want ErrFramedTooLarge", err)
+	}
+	if src.n >= 2<<20 {
+		t.Errorf("read %d bytes of the header line before refusing it, want < %d", src.n, 2<<20)
+	}
+}
+
 func TestReadFramedTornTail(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFramed(&buf, Header{Params: lora.DefaultParams(), PayloadLen: 1}, []complex128{1, 2, 3}); err != nil {
