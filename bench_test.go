@@ -202,6 +202,15 @@ func BenchmarkHeadline(b *testing.B) {
 
 // decodeRate Monte-Carlos the decoder on k-user collisions and returns the
 // per-payload recovery rate.
+// mustDecoder is ichoir.New for the benchmarks' valid configs.
+func mustDecoder(cfg ichoir.Config) *ichoir.Decoder {
+	d, err := ichoir.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 func decodeRate(cfg ichoir.Config, users, trials int, snr float64, seed uint64) float64 {
 	recovered, total := 0, 0
 	for t := 0; t < trials; t++ {
@@ -213,7 +222,7 @@ func decodeRate(cfg ichoir.Config, users, trials int, snr float64, seed uint64) 
 		}
 		sc := sim.Scenario{Params: cfg.LoRa, PayloadLen: 8, SNRsDB: snrs, Seed: s}
 		sig, payloads := sc.Synthesize()
-		dec := ichoir.MustNew(cfg)
+		dec := mustDecoder(cfg)
 		res, err := dec.Decode(context.Background(), sig, 8)
 		total += len(payloads)
 		if err != nil {
@@ -283,7 +292,7 @@ func BenchmarkAblationPhasedSIC(b *testing.B) {
 
 func decodeScenario(cfg ichoir.Config, sc sim.Scenario) (int, int) {
 	sig, payloads := sc.Synthesize()
-	dec := ichoir.MustNew(cfg)
+	dec := mustDecoder(cfg)
 	res, err := dec.Decode(context.Background(), sig, sc.PayloadLen)
 	if err != nil {
 		return 0, len(payloads)
@@ -331,7 +340,7 @@ func BenchmarkAblationPreambleAccum(b *testing.B) {
 				for t := uint64(0); t < uint64(total); t++ {
 					sc := sim.Scenario{Params: p, PayloadLen: 8, SNRsDB: teamSNRs(6, -16), Identical: true, Seed: 500 + t}
 					sig, _ := sc.Synthesize()
-					dec := ichoir.MustNew(ichoir.DefaultConfig(p))
+					dec := mustDecoder(ichoir.DefaultConfig(p))
 					if _, err := dec.DetectTeam(sig); err == nil {
 						hits++
 					}
@@ -389,7 +398,7 @@ func adcNearFarTrial(bits int, seed uint64) (recovered, total int) {
 		}
 	}
 	channel.Quantize(scaled, bits, 1)
-	dec := ichoir.MustNew(ichoir.DefaultConfig(p))
+	dec := mustDecoder(ichoir.DefaultConfig(p))
 	res, err := dec.Decode(context.Background(), scaled, 8)
 	if err != nil {
 		return 0, len(payloads)
@@ -454,7 +463,7 @@ func BenchmarkDecodeMetricsOnVsOff(b *testing.B) {
 				choir.DisableMetrics()
 			}
 			defer choir.DisableMetrics()
-			dec := ichoir.MustNew(ichoir.DefaultConfig(sc.Params))
+			dec := mustDecoder(ichoir.DefaultConfig(sc.Params))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -469,7 +478,7 @@ func BenchmarkDecodeMetricsOnVsOff(b *testing.B) {
 func BenchmarkTeamDecode(b *testing.B) {
 	sc := sim.Scenario{Params: lora.DefaultParams(), PayloadLen: 8, SNRsDB: teamSNRs(10, -12), Identical: true, Seed: 11}
 	sig, _ := sc.Synthesize()
-	dec := ichoir.MustNew(ichoir.DefaultConfig(sc.Params))
+	dec := mustDecoder(ichoir.DefaultConfig(sc.Params))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := dec.DecodeTeam(context.Background(), sig, 8); err != nil {

@@ -7,6 +7,8 @@ import (
 	"io/fs"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,18 +18,9 @@ import (
 
 // parseSources parses every non-test Go file of the module outside
 // benchmark/ (which measures the repository from outside and is frozen
-// between benchmark PRs) and hands each to visit with its directory.
+// between benchmark PRs) and testdata/ and hands each to visit with its
+// directory.
 func parseSources(t *testing.T, mode parser.Mode, visit func(dir string, f *ast.File)) {
-	t.Helper()
-	walkSources(t, mode, func(dir string, f *ast.File) {
-		if dir != "benchmark" {
-			visit(dir, f)
-		}
-	})
-}
-
-// walkSources is parseSources with benchmark/ included.
-func walkSources(t *testing.T, mode parser.Mode, visit func(dir string, f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -35,7 +28,7 @@ func walkSources(t *testing.T, mode parser.Mode, visit func(dir string, f *ast.F
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && strings.HasPrefix(d.Name(), ".") {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "benchmark") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -338,81 +331,91 @@ func TestDecodeHasNoSeed(t *testing.T) {
 }
 
 // TestNoTestOnlyFunctions enforces the deletion rule of PR 21: a function
-// outside benchmark/ stays only while something that runs mentions it. Every
-// top-level func or method declared in a non-test file must be named by some
-// non-test file (commands, examples and benchmark/ count as callers) outside
-// its own declaration, or appear in carried with the reason it stays:
+// or method outside benchmark/ stays only while something that runs can reach
+// it, and a field of an exported Config stays only while something that runs
+// reads it — an option nothing reads is accepted and silently ignored.
+// Reachability is scanReach's: type-checked, from every main and init
+// (cmd/, examples/, and frozen benchmark/, whose callers keep its shims
+// live), following each function a reached body names, and through an
+// interface to every module type implementing it. Anything else must appear
+// in carried, keyed by qualified name, with the reason it stays:
 //
 //	reference: <test>      a test compares live code against it
-//	probe/fixture: <test>  a test of other, live code measures or builds with it
+//	probe/fixture: <test>  another package's test measures or builds with it
 //	ROADMAP item N         an open item names it as its input
-//	interface: <which>     called through an interface the name cannot show
+//	interface: <which>     called through an interface the scan cannot see
 //
-// A carried entry that is no longer declared, or that has gained a non-test
-// mention, fails too, so the map cannot rot. Matching is by bare name, which
-// makes this a floor and not a proof: a dead method named Decode hides
-// behind every live Decode, and a name a struct field shares counts as
-// mentioned. A go/types reachability scan finds those; this keeps the
-// obvious ones from coming back.
+// A carried function is a root too, so the helpers under it need no entry
+// of their own. A carried entry that is no longer declared, or that the
+// roots reach without it, fails, so the map cannot rot. A probe or fixture
+// only its own package's tests use belongs in a _test.go file, not here.
+//
+// staticcheck's unused check does not cover this ground: it treats every
+// exported declaration and every method that satisfies an interface as
+// used, which is where the dead code of a module made of internal packages
+// hides.
 func TestNoTestOnlyFunctions(t *testing.T) {
-	carried := map[string]string{
-		"LeastSquares":         "reference: TestFitsMatchExplicitLeastSquares, TestSolveJitteredBitIdentical (linalg.Solve and the Matrix algebra under it)",
-		"ApplyMultipath":       "probe/fixture: TestDecodeRobustToResolvableEcho, TestDecodeUnderStrongResolvableEcho",
-		"AmplitudeFromDBm":     "probe/fixture: internal/choir/decoder_test.go synthesize",
-		"PaddedSpectrum":       "probe/fixture: TestCFOShiftsDemodulatedPeakFractionally, TestSpreadingFactorQuasiOrthogonality",
-		"FindPeaks":            "probe/fixture: TestCFOShiftsDemodulatedPeakFractionally",
-		"Power":                "probe/fixture: TestCombineAddsCalibratedNoise",
-		"Percentile":           "probe/fixture: TestPopulationDiversity",
-		"OpenFaultFile":        "probe/fixture: TestJournalFaultWriteError, TestJournalFaultShortWrite, TestJournalFaultSyncError",
-		"FaultPoint":           "probe/fixture: TestJournalFaultShortWrite",
-		"AdmissionLimit":       "probe/fixture: TestAdmissionShedsUnderOverload, TestReadyShrunkAdmissionWindowNotReady",
-		"SubtractDecodedUsers": "ROADMAP item 7 (Sec. 7.2, teams under collision)",
-		"ServeHTTP":            "interface: http.Handler (obs check sets on the debug mux)",
+	if raceEnabled() && testing.Short() {
+		t.Skip("-race -short: the scan type-checks the standard library from source; the plain run keeps it")
 	}
-	for name, reason := range carried {
+	carried := map[string]string{
+		"internal/linalg.LeastSquares":                "reference: TestFitsMatchExplicitLeastSquares, TestSolveJitteredBitIdentical (linalg.Solve and the Matrix algebra under it)",
+		"internal/channel.ApplyMultipath":             "probe/fixture: TestDecodeRobustToResolvableEcho, TestDecodeUnderStrongResolvableEcho",
+		"internal/radio.AmplitudeFromDBm":             "probe/fixture: internal/choir/decoder_test.go synthesize",
+		"internal/dsp.PaddedSpectrum":                 "probe/fixture: TestCFOShiftsDemodulatedPeakFractionally, TestSpreadingFactorQuasiOrthogonality",
+		"internal/dsp.FindPeaks":                      "probe/fixture: TestCFOShiftsDemodulatedPeakFractionally",
+		"internal/dsp.Percentile":                     "probe/fixture: TestPopulationDiversity",
+		"internal/choir.Decoder.SubtractDecodedUsers": "ROADMAP item 7 (Sec. 7.2, teams under collision; splitTwoToneFit and splitScore under it)",
+		"internal/sim/engine.Config.Shards":           "ROADMAP item 9",
+		"internal/sim/engine.Config.Workers":          "ROADMAP item 9",
+		"internal/gateway.Config.Batch":               "ROADMAP item 9",
+		"internal/gateway.Config.Seed":                "ROADMAP item 9",
+	}
+	for key, reason := range carried {
 		ok := false
 		for _, kind := range []string{"reference: ", "probe/fixture: ", "ROADMAP item ", "interface: "} {
 			ok = ok || strings.HasPrefix(reason, kind)
 		}
 		if !ok {
-			t.Errorf("carried[%q] = %q: not one of the four kinds of reason", name, reason)
+			t.Errorf("carried[%q] = %q: not one of the four kinds of reason", key, reason)
 		}
 	}
 
-	declared := map[string]string{} // name -> a directory declaring it, outside benchmark/
-	mentions := map[string]int{}    // name -> identifiers outside a declaration of that name
-	walkSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
-		for _, d := range f.Decls {
-			self := ""
-			if fn, ok := d.(*ast.FuncDecl); ok {
-				self = fn.Name.Name
-				if dir != "benchmark" && self != "main" && self != "init" {
-					declared[self] = dir
-				}
-			}
-			ast.Inspect(d, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && id.Name != self {
-					mentions[id.Name]++
-				}
-				return true
-			})
-		}
-	})
-	if len(declared) == 0 {
-		t.Fatal("found no function declarations")
+	r := scanReach(t, ".", "choir", "benchmark", carried)
+	if len(r.declared) == 0 {
+		t.Fatal("found no declarations")
 	}
-	for name, dir := range declared {
-		_, kept := carried[name]
+	keys := make([]string, 0, len(r.declared))
+	for key := range r.declared {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		_, isCarried := carried[key]
 		switch {
-		case mentions[name] == 0 && !kept:
-			t.Errorf("%s: %s is mentioned by no non-test file outside its declaration: delete it with its tests, or carry it with a reason", dir, name)
-		case mentions[name] > 0 && kept:
-			t.Errorf("%s: %s is carried but now has a non-test mention: drop it from carried", dir, name)
+		case !r.kept[key] && !isCarried:
+			t.Errorf("%s: nothing that runs reaches or reads it: delete it with its tests, move it into a test file, or carry it with a reason", key)
+		case r.live[key] && isCarried:
+			t.Errorf("%s is carried but is now reached or read: drop it from carried", key)
 		}
 	}
-	for name := range carried {
-		if _, ok := declared[name]; !ok {
-			t.Errorf("carried[%q] names a function that is no longer declared", name)
+	for key := range carried {
+		if !r.declared[key] {
+			t.Errorf("carried[%q] names nothing that is declared", key)
 		}
 	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

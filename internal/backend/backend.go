@@ -22,7 +22,6 @@ import (
 	"context"
 
 	"choir/internal/choir"
-	"choir/internal/lora"
 )
 
 // Backend decodes one frame's IQ window into per-user payloads and
@@ -36,8 +35,6 @@ import (
 type Backend interface {
 	// Name returns the backend's registered name ("choir", "slotshift", ...).
 	Name() string
-	// Params returns the PHY configuration the backend was built for.
-	Params() lora.Params
 	// Reseed is accepted and ignored: no backend keeps random state
 	// between decodes. It stays declared, with an empty body in every
 	// implementation, only because the frozen benchmark/ package calls it

@@ -37,12 +37,6 @@ func NewPool(name string, p lora.Params) (*Pool, error) {
 	return &Pool{name: name, p: p, free: []Backend{b}}, nil
 }
 
-// Name returns the pool's backend name.
-func (pl *Pool) Name() string { return pl.name }
-
-// Params returns the PHY configuration shared by the pool's backends.
-func (pl *Pool) Params() lora.Params { return pl.p }
-
 // Get checks a backend out of the pool. The caller owns it until Put.
 func (pl *Pool) Get() Backend {
 	pl.mu.Lock()

@@ -68,9 +68,6 @@ func TestBackendsRoundTripCleanCollision(t *testing.T) {
 			if got := b.Name(); got != name {
 				t.Errorf("Name() = %q, want %q", got, name)
 			}
-			if got := b.Params(); got != h.Params {
-				t.Errorf("Params() = %+v, want %+v", got, h.Params)
-			}
 			res, err := backend.Decode(context.Background(), b, samples, h.PayloadLen)
 			if err != nil {
 				t.Fatalf("decode: %v", err)

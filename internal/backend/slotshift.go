@@ -41,9 +41,8 @@ func newSlotshift(p lora.Params) (*slotshiftBackend, error) {
 	return &slotshiftBackend{dec: dec}, nil
 }
 
-func (b *slotshiftBackend) Name() string        { return "slotshift" }
-func (b *slotshiftBackend) Params() lora.Params { return b.dec.Config().LoRa }
-func (b *slotshiftBackend) Reseed(seed uint64)  {}
+func (b *slotshiftBackend) Name() string       { return "slotshift" }
+func (b *slotshiftBackend) Reseed(seed uint64) {}
 
 func (b *slotshiftBackend) DecodeCtxInto(ctx context.Context, res *choir.Result, samples []complex128, payloadLen int) error {
 	p := b.dec.Config().LoRa

@@ -113,9 +113,8 @@ func newSuperposed(p lora.Params) (*superposedBackend, error) {
 	}, nil
 }
 
-func (s *superposedBackend) Name() string        { return "superposed" }
-func (s *superposedBackend) Params() lora.Params { return s.p }
-func (s *superposedBackend) Reseed(seed uint64)  {}
+func (s *superposedBackend) Name() string       { return "superposed" }
+func (s *superposedBackend) Reseed(seed uint64) {}
 
 // superposed tunables. The preamble threshold sits below Choir's default 5×
 // floor — with no SIC to surface buried users, the initial search is the

@@ -291,15 +291,6 @@ func New(cfg Config) (*Decoder, error) {
 	}), nil
 }
 
-// MustNew is New that panics on error, for tests and examples.
-func MustNew(cfg Config) *Decoder {
-	d, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Config returns the decoder's configuration.
 func (d *Decoder) Config() Config { return d.cfg }
 

@@ -7,6 +7,15 @@ import (
 	"time"
 )
 
+// MustNew is New that panics on error, for the tests' valid configs.
+func MustNew(cfg Config) *Decoder {
+	d, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 // AssertSameResult is assertSameResult for the external test package.
 func AssertSameResult(t *testing.T, got, want *Result) {
 	t.Helper()

@@ -89,7 +89,10 @@ func (c goldenCase) synthesize() (trace.Header, []complex128) {
 	}
 	samples, payloads := sc.Synthesize()
 	if c.faultRate > 0 {
-		inj := fault.MustNew(c.faultClass, c.faultRate)
+		inj, err := fault.New(c.faultClass, c.faultRate)
+		if err != nil {
+			panic(err) // the case table's fault settings are fixed and valid
+		}
 		samples = inj.Apply(samples, c.seed^0xFA017)
 	}
 	h := trace.Header{Params: sc.Params, PayloadLen: c.payloadLen}

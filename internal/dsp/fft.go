@@ -67,9 +67,6 @@ func NewFFT(n int) *FFT {
 	return f
 }
 
-// Len returns the transform length.
-func (f *FFT) Len() int { return f.n }
-
 // Transform computes the DFT of src into dst (allocated if nil or wrong
 // length) and returns dst. src is not modified. The transform is unscaled.
 func (f *FFT) Transform(dst, src []complex128) []complex128 {
@@ -144,10 +141,10 @@ func (f *FFT) stages(dst, tw []complex128, fromSize int) {
 }
 
 // TransformPruned computes the forward DFT of src zero-padded to the plan
-// size f.Len(), skipping every butterfly whose inputs are structurally zero.
+// size n, skipping every butterfly whose inputs are structurally zero.
 // It is exactly Transform applied to src ++ zeros, but prunes the first
 // log2(pad) stages: after the bit-reversal permutation, each aligned block of
-// pad = f.Len()/NextPow2(len(src)) outputs is the DFT of a stride-decimated
+// pad = n/NextPow2(len(src)) outputs is the DFT of a stride-decimated
 // subsequence of the padded input that contains at most one nonzero sample,
 // and the DFT of (x, 0, …, 0) is the constant x — so those stages collapse
 // to a broadcast fill. For the decoder's 7/8-zero inputs (pad 16) this
@@ -157,7 +154,7 @@ func (f *FFT) stages(dst, tw []complex128, fromSize int) {
 // Results match Transform on the padded input bit-for-bit up to the sign of
 // zero (the full transform can produce −0 where the pruned one writes +0;
 // the values compare equal and are indistinguishable through any arithmetic
-// other than math.Signbit). len(src) may be any length <= f.Len(); it is
+// other than math.Signbit). len(src) may be any length <= n; it is
 // virtually padded to the next power of two for the pruning. src and dst
 // must not alias.
 func (f *FFT) TransformPruned(dst, src []complex128) []complex128 {
@@ -225,21 +222,4 @@ func PaddedSpectrum(x []complex128, pad int) []float64 {
 	}
 	n := NextPow2(pad * len(x))
 	return NewFFT(n).SpectrumInto(nil, nil, x)
-}
-
-// Energy returns the total energy (sum of |x|²) of the signal.
-func Energy(x []complex128) float64 {
-	var e float64
-	for _, v := range x {
-		e += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return e
-}
-
-// Power returns the mean power (energy per sample) of the signal.
-func Power(x []complex128) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Energy(x) / float64(len(x))
 }

@@ -8,6 +8,23 @@ import (
 	"testing/quick"
 )
 
+// Energy returns the total energy (sum of |x|²) of the signal.
+func Energy(x []complex128) float64 {
+	var e float64
+	for _, v := range x {
+		e += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return e
+}
+
+// Power returns the mean power (energy per sample) of the signal.
+func Power(x []complex128) float64 {
+	if len(x) == 0 {
+		return 0
+	}
+	return Energy(x) / float64(len(x))
+}
+
 func randSignal(rng *rand.Rand, n int) []complex128 {
 	x := make([]complex128, n)
 	for i := range x {

@@ -114,15 +114,6 @@ func New(class Class, intensity float64) (Injector, error) {
 	return injector{class: class, intensity: intensity}, nil
 }
 
-// MustNew is New that panics on error, for call sites with validated inputs.
-func MustNew(class Class, intensity float64) Injector {
-	inj, err := New(class, intensity)
-	if err != nil {
-		panic(err)
-	}
-	return inj
-}
-
 // Chain composes injectors; Apply runs them in order, deriving a distinct
 // sub-seed per element so reordering the chain changes the corruption but a
 // fixed chain is fully reproducible.

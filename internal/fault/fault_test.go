@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// mustNew is New that panics on error, for the tests' fixed, valid inputs.
+func mustNew(class Class, intensity float64) Injector {
+	inj, err := New(class, intensity)
+	if err != nil {
+		panic(err)
+	}
+	return inj
+}
+
 // testSignal renders a deterministic constant-envelope multitone — close in
 // character to the chirp waveforms injectors see in production.
 func testSignal(n int) []complex128 {
@@ -55,7 +64,7 @@ func TestZeroIntensityNoOp(t *testing.T) {
 	for _, c := range Classes() {
 		x := testSignal(512)
 		want := append([]complex128(nil), x...)
-		got := MustNew(c, 0).Apply(x, 12345)
+		got := mustNew(c, 0).Apply(x, 12345)
 		if len(got) != len(want) {
 			t.Fatalf("%v@0: length %d != %d", c, len(got), len(want))
 		}
@@ -74,7 +83,7 @@ func TestZeroIntensityNoOp(t *testing.T) {
 // corruption (for the randomized classes).
 func TestDeterminism(t *testing.T) {
 	for _, c := range Classes() {
-		inj := MustNew(c, 0.6)
+		inj := mustNew(c, 0.6)
 		a := inj.Apply(testSignal(2048), 7)
 		b := inj.Apply(testSignal(2048), 7)
 		if len(a) != len(b) {
@@ -88,7 +97,7 @@ func TestDeterminism(t *testing.T) {
 	}
 	// Seed sensitivity for the stochastic classes.
 	for _, c := range []Class{DropBurst, Interferer, DriftStep} {
-		inj := MustNew(c, 0.6)
+		inj := mustNew(c, 0.6)
 		a := inj.Apply(testSignal(2048), 7)
 		b := inj.Apply(testSignal(2048), 8)
 		same := true
@@ -110,7 +119,7 @@ func TestClipLimitsComponents(t *testing.T) {
 	for _, v := range x {
 		peak = math.Max(peak, math.Max(math.Abs(real(v)), math.Abs(imag(v))))
 	}
-	out := MustNew(Clip, 0.5).Apply(x, 1)
+	out := mustNew(Clip, 0.5).Apply(x, 1)
 	rail := 0.5 * peak
 	clipped := 0
 	for _, v := range out {
@@ -128,7 +137,7 @@ func TestClipLimitsComponents(t *testing.T) {
 
 func TestDropBurstZeroesFraction(t *testing.T) {
 	x := testSignal(8192)
-	out := MustNew(DropBurst, 0.8).Apply(x, 3)
+	out := mustNew(DropBurst, 0.8).Apply(x, 3)
 	zeros := 0
 	for _, v := range out {
 		if v == 0 {
@@ -145,7 +154,7 @@ func TestDropBurstZeroesFraction(t *testing.T) {
 func TestInterfererRaisesPower(t *testing.T) {
 	x := testSignal(4096)
 	before := power(x)
-	out := MustNew(Interferer, 0.7).Apply(x, 5)
+	out := mustNew(Interferer, 0.7).Apply(x, 5)
 	if after := power(out); after < before*1.5 {
 		t.Errorf("interferer power ratio %.2f, want > 1.5", after/before)
 	}
@@ -153,7 +162,7 @@ func TestInterfererRaisesPower(t *testing.T) {
 
 func TestDriftStepPreservesEnvelope(t *testing.T) {
 	x := testSignal(4096)
-	out := MustNew(DriftStep, 1).Apply(x, 9)
+	out := mustNew(DriftStep, 1).Apply(x, 9)
 	changed := false
 	for i, v := range out {
 		if math.Abs(cmplx.Abs(v)-1) > 1e-9 {
@@ -170,18 +179,18 @@ func TestDriftStepPreservesEnvelope(t *testing.T) {
 
 func TestTruncateCutsTail(t *testing.T) {
 	x := testSignal(1000)
-	out := MustNew(Truncate, 1).Apply(x, 0)
+	out := mustNew(Truncate, 1).Apply(x, 0)
 	if len(out) != 100 {
 		t.Errorf("truncate@1 kept %d of 1000 samples, want 100", len(out))
 	}
-	out = MustNew(Truncate, 0.5).Apply(testSignal(1000), 0)
+	out = mustNew(Truncate, 0.5).Apply(testSignal(1000), 0)
 	if len(out) != 550 {
 		t.Errorf("truncate@0.5 kept %d of 1000 samples, want 550", len(out))
 	}
 }
 
 func TestChain(t *testing.T) {
-	ch := Chain{MustNew(Clip, 0.3), MustNew(Truncate, 0.5)}
+	ch := Chain{mustNew(Clip, 0.3), mustNew(Truncate, 0.5)}
 	if ch.Class() != Clip {
 		t.Errorf("chain class %v, want clip", ch.Class())
 	}
@@ -208,7 +217,7 @@ func TestChain(t *testing.T) {
 
 func TestEmptyInput(t *testing.T) {
 	for _, c := range Classes() {
-		if got := MustNew(c, 1).Apply(nil, 1); len(got) != 0 {
+		if got := mustNew(c, 1).Apply(nil, 1); len(got) != 0 {
 			t.Errorf("%v on empty input returned %d samples", c, len(got))
 		}
 	}
@@ -224,7 +233,7 @@ func TestEmptyInput(t *testing.T) {
 // reproduce the serial pass byte for byte, per seed (run under -race in CI).
 func TestInterfererFanOutDeterminism(t *testing.T) {
 	const trials = 64
-	inj := MustNew(Interferer, 0.7)
+	inj := mustNew(Interferer, 0.7)
 	serial := make([][]complex128, trials)
 	for s := range serial {
 		serial[s] = inj.Apply(testSignal(512), uint64(s))
@@ -253,7 +262,7 @@ func TestInterfererFanOutDeterminism(t *testing.T) {
 // TestApplyConcurrentSafe exercises the stateless contract: one injector
 // shared across goroutines must behave as if used serially (run with -race).
 func TestApplyConcurrentSafe(t *testing.T) {
-	inj := MustNew(Interferer, 0.5)
+	inj := mustNew(Interferer, 0.5)
 	want := inj.Apply(testSignal(1024), 42)
 	done := make(chan []complex128, 8)
 	for g := 0; g < 8; g++ {

@@ -96,13 +96,3 @@ func (a *admissionController) observe(latNs int64) {
 		mAdmissionLimit.Add(next - old)
 	}
 }
-
-// AdmissionLimit reports the AIMD controller's current admission window, or
-// the queue capacity when admission control is disabled — either way, the
-// most accepted frames the gateway allows in flight right now.
-func (g *Gateway) AdmissionLimit() int {
-	if g.admission == nil {
-		return cap(g.queue)
-	}
-	return int(g.admission.Limit())
-}

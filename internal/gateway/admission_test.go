@@ -10,6 +10,16 @@ import (
 	"choir/internal/obs"
 )
 
+// AdmissionLimit reports the AIMD controller's current admission window, or
+// the queue capacity when admission control is disabled — either way, the
+// most accepted frames the gateway allows in flight right now.
+func (g *Gateway) AdmissionLimit() int {
+	if g.admission == nil {
+		return cap(g.queue)
+	}
+	return int(g.admission.Limit())
+}
+
 // TestAdmissionControllerTrajectory pins the AIMD arithmetic with a fixed
 // latency feed: p99 over target halves the window (floored at admissionMin), under
 // target grows it by one (capped at max). Same feed, same trajectory —

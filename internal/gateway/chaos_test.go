@@ -79,12 +79,21 @@ func TestChaosGatewaySmoke(t *testing.T) {
 	t.Run("serial", runChaosSmoke)
 }
 
+// mustInject is fault.New for the tests' fixed, valid injector settings.
+func mustInject(class fault.Class, intensity float64) fault.Injector {
+	inj, err := fault.New(class, intensity)
+	if err != nil {
+		panic(err)
+	}
+	return inj
+}
+
 func runChaosSmoke(t *testing.T) {
 	fixtures := loadChaosFixtures(t)
 	chain := fault.Chain{
-		fault.MustNew(fault.Clip, 0.6),
-		fault.MustNew(fault.DriftStep, 0.5),
-		fault.MustNew(fault.DropBurst, 0.4),
+		mustInject(fault.Clip, 0.6),
+		mustInject(fault.DriftStep, 0.5),
+		mustInject(fault.DropBurst, 0.4),
 	}
 
 	baseline := runtime.NumGoroutine()
@@ -215,9 +224,9 @@ func typedCause(err error) bool {
 func TestChaosStreamingIngest(t *testing.T) {
 	fixtures := loadChaosFixtures(t)
 	chain := fault.Chain{
-		fault.MustNew(fault.Clip, 0.6),
-		fault.MustNew(fault.DriftStep, 0.5),
-		fault.MustNew(fault.DropBurst, 0.4),
+		mustInject(fault.Clip, 0.6),
+		mustInject(fault.DriftStep, 0.5),
+		mustInject(fault.DropBurst, 0.4),
 	}
 	baseline := runtime.NumGoroutine()
 

@@ -689,16 +689,6 @@ func (g *Gateway) poolFor(p lora.Params, name string) (*backend.Pool, error) {
 	return pool, nil
 }
 
-// Ladder returns the gateway's configured ladder as backend names in rung
-// order.
-func (g *Gateway) Ladder() []string {
-	names := make([]string, len(g.rungs))
-	for i, r := range g.rungs {
-		names[i] = r.name
-	}
-	return names
-}
-
 // Healthy reports liveness: the worker pool is running and the gateway has
 // not begun draining. Wire it to a /healthz check (obs.RegisterHealthCheck).
 func (g *Gateway) Healthy() bool { return g.ctx.Err() == nil }

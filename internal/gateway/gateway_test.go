@@ -165,14 +165,18 @@ func TestLadderRecoversDriftedFrame(t *testing.T) {
 	defer obs.Disable()
 
 	h, sig, truth := synthFrame(1)
-	inj := fault.MustNew(fault.DriftStep, 0.30)
+	inj := mustInject(fault.DriftStep, 0.30)
 	faulted := inj.Apply(append([]complex128(nil), sig...), 1^0xFA017)
 
 	g, err := New(Config{Queue: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(g.Ladder()); got != fmt.Sprint(DefaultLadder()) {
+	var ladder []string
+	for _, r := range g.rungs {
+		ladder = append(ladder, r.name)
+	}
+	if got := fmt.Sprint(ladder); got != fmt.Sprint(DefaultLadder()) {
 		t.Fatalf("default ladder = %s, want %s", got, fmt.Sprint(DefaultLadder()))
 	}
 	// Rung metrics are keyed by backend name and shared process-wide, so

@@ -72,8 +72,8 @@ const DefaultSegmentBytes = 64 << 20
 var ErrClosed = errors.New("journal: writer closed")
 
 // File is the slice of *os.File the writer needs. Tests substitute a
-// fault-injecting implementation (NewFaultFile) to prove write and fsync
-// failures surface as errors without corrupting recovery.
+// fault-injecting implementation (FaultFile, in fault_test.go) to prove
+// write and fsync failures surface as errors without corrupting recovery.
 type File interface {
 	io.Writer
 	Sync() error
@@ -513,17 +513,6 @@ func (w *Writer) Complete(id uint64) error {
 		os.Remove(seg.path)
 	}
 	return nil
-}
-
-// Sync flushes the active segment to stable storage (a no-op per-record
-// when Options.Fsync already syncs every append).
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	return w.f.Sync()
 }
 
 // Close closes the active segment. It does not delete anything: whatever

@@ -222,9 +222,6 @@ func TestJournalAppendAfterClose(t *testing.T) {
 	if err := w.Complete(1); !errors.Is(err, ErrClosed) {
 		t.Errorf("Complete after close: %v, want ErrClosed", err)
 	}
-	if err := w.Sync(); !errors.Is(err, ErrClosed) {
-		t.Errorf("Sync after close: %v, want ErrClosed", err)
-	}
 }
 
 // TestJournalTornWriteEveryOffset is the torn-write recovery property test:

@@ -120,9 +120,18 @@ func TestScenarioSynthesizeShape(t *testing.T) {
 	}
 }
 
+// mustDecoder is choir.New for the tests' valid configs.
+func mustDecoder(cfg choir.Config) *choir.Decoder {
+	d, err := choir.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 func TestDecodeWithChoirRecoversHighSNRPair(t *testing.T) {
 	sc := Scenario{Params: lora.DefaultParams(), PayloadLen: 8, SNRsDB: []float64{25, 22}, Seed: 3}
-	r, n := sc.DecodeWith(choir.MustNew(choir.DefaultConfig(sc.Params)))
+	r, n := sc.DecodeWith(mustDecoder(choir.DefaultConfig(sc.Params)))
 	if n != 2 || r != 2 {
 		t.Errorf("recovered %d/%d", r, n)
 	}
@@ -253,7 +262,7 @@ func TestValidateTeamDecodeAtOperatingPoint(t *testing.T) {
 	}
 	sc := Scenario{Params: p, PayloadLen: 8, SNRsDB: snrs, Identical: true, Seed: seed}
 	sig, payloads := sc.Synthesize()
-	res, err := choir.MustNew(choir.DefaultConfig(p)).DecodeTeam(context.Background(), sig, 8)
+	res, err := mustDecoder(choir.DefaultConfig(p)).DecodeTeam(context.Background(), sig, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
