@@ -148,10 +148,11 @@ func TestOneMACModel(t *testing.T) {
 
 // TestEngineRunIsOneGoroutine enforces DESIGN.md §15: one city run is one
 // goroutine. Non-test internal/sim/engine code starts no goroutine and uses
-// no fan-out (exec.ForEach, exec.Map, exec.Fan) or wait group, and nothing
-// reads Config.Shards or Config.Workers (declared only for benchmark/). The
-// one exemption is the methods of Fig8Config, which fan whole runs out
-// across figure cells — parallelism across runs, never inside one.
+// no fan-out (exec.ForEach, exec.Map, exec.Fan) or wait group. The one
+// exemption is the methods of Fig8Config, which fan whole runs out across
+// figure cells — parallelism across runs, never inside one. That nothing
+// reads Config.Shards or Config.Workers (declared only for benchmark/) is
+// TestNoTestOnlyFunctions' to check.
 func TestEngineRunIsOneGoroutine(t *testing.T) {
 	sawEngine := false
 	parseSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
@@ -176,8 +177,6 @@ func TestEngineRunIsOneGoroutine(t *testing.T) {
 					x != nil && x.Name == "exec" && (sel == "Map" || sel == "Fan"),
 					x != nil && x.Name == "sync" && sel == "WaitGroup":
 					t.Errorf("internal/sim/engine uses %s: a run stays on the calling goroutine", sel)
-				case sel == "Shards" || sel == "Workers":
-					t.Errorf("internal/sim/engine reads .%s: Config.Shards and Config.Workers are accepted and ignored", sel)
 				}
 			}
 			return true

@@ -44,12 +44,8 @@ type reach struct {
 // declaration is a further root; its reach goes into kept and not live.
 func scanReach(t *testing.T, root, modulePath, frozen string, extra map[string]string) reach {
 	t.Helper()
-	l := &loader{
-		fset:   token.NewFileSet(),
-		module: modulePath,
-		pkgs:   map[string]*loadedPkg{},
-	}
-	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
+	l := &loader{fset: token.NewFileSet(), pkgs: map[string]*loadedPkg{}}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -98,8 +94,6 @@ func scanReach(t *testing.T, root, modulePath, frozen string, extra map[string]s
 		ifaces: map[*types.Func]bool{},
 		byKey:  map[string]*types.Func{},
 	}
-	var named []*types.Named // module types a call through an interface may reach
-	var inits []*loadedPkg   // packages whose variable initializers run
 	for _, pkg := range l.pkgs {
 		declare := pkg.dir != frozen
 		for _, f := range pkg.files {
@@ -119,7 +113,6 @@ func scanReach(t *testing.T, root, modulePath, frozen string, extra map[string]s
 				}
 			}
 		}
-		inits = append(inits, pkg)
 		for _, name := range pkg.types.Scope().Names() {
 			tn, ok := pkg.types.Scope().Lookup(name).(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -129,9 +122,7 @@ func scanReach(t *testing.T, root, modulePath, frozen string, extra map[string]s
 			if !ok || n.TypeParams().Len() > 0 {
 				continue
 			}
-			if _, isIface := n.Underlying().(*types.Interface); !isIface {
-				named = append(named, n)
-			}
+			s.named = append(s.named, n)
 			if st, ok := n.Underlying().(*types.Struct); ok && declare && name == "Config" {
 				for i := range st.NumFields() {
 					key := pkgKey(pkg.types) + ".Config." + st.Field(i).Name()
@@ -140,11 +131,9 @@ func scanReach(t *testing.T, root, modulePath, frozen string, extra map[string]s
 			}
 		}
 	}
-	s.named = named
-
 	// Methods named for a standard-library interface their type implements.
 	std := stdInterfaces(l)
-	for _, n := range named {
+	for _, n := range s.named {
 		for i := range n.NumMethods() {
 			m := n.Method(i)
 			for _, iface := range std[m.Name()] {
@@ -156,7 +145,7 @@ func scanReach(t *testing.T, root, modulePath, frozen string, extra map[string]s
 		}
 	}
 	s.into = s.r.live
-	for _, pkg := range inits {
+	for _, pkg := range l.pkgs {
 		for _, f := range pkg.files {
 			for _, d := range f.Decls {
 				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
@@ -194,30 +183,23 @@ func qualified(fn *types.Func) string {
 	return pkgKey(fn.Pkg()) + "." + name
 }
 
-// pkgKey is a package's directory under the module root, or the module's
-// own path for the root package.
+// pkgKey is a module package's directory under the module root, or the
+// module path for the root package. Both modules scanned here have
+// one-element paths ("choir", "reach").
 func pkgKey(p *types.Package) string {
-	if dir, ok := strings.CutPrefix(p.Path(), moduleOf(p)+"/"); ok {
+	if _, dir, ok := strings.Cut(p.Path(), "/"); ok {
 		return dir
 	}
 	return p.Path()
-}
-
-// moduleOf is the first element of a package's import path, which for every
-// package this scan declares is its module path.
-func moduleOf(p *types.Package) string {
-	first, _, _ := strings.Cut(p.Path(), "/")
-	return first
 }
 
 // loader type-checks the module's packages itself, so that one object stands
 // for each declaration however many packages import it, and leaves the
 // standard library to the source importer.
 type loader struct {
-	fset   *token.FileSet
-	module string
-	pkgs   map[string]*loadedPkg // import path -> package
-	std    types.ImporterFrom
+	fset *token.FileSet
+	pkgs map[string]*loadedPkg // import path -> package
+	std  types.Importer
 }
 
 type loadedPkg struct {
@@ -228,13 +210,9 @@ type loadedPkg struct {
 }
 
 func (l *loader) Import(importPath string) (*types.Package, error) {
-	return l.ImportFrom(importPath, "", 0)
-}
-
-func (l *loader) ImportFrom(importPath, dir string, mode types.ImportMode) (*types.Package, error) {
 	pkg, ok := l.pkgs[importPath]
 	if !ok {
-		return l.std.ImportFrom(importPath, dir, mode)
+		return l.std.Import(importPath)
 	}
 	if pkg.types == nil {
 		pkg.info = &types.Info{
@@ -268,7 +246,7 @@ func stdInterfaces(l *loader) map[string][]*types.Interface {
 			return
 		}
 		seen[p] = true
-		if moduleOf(p) != l.module {
+		if l.pkgs[p.Path()] == nil {
 			for _, name := range p.Scope().Names() {
 				tn, ok := p.Scope().Lookup(name).(*types.TypeName)
 				if !ok || !tn.Exported() {
