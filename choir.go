@@ -135,8 +135,9 @@ var DeriveSeed = exec.DeriveSeed
 
 // City-scale engine (package internal/sim/engine): an event-driven MAC/sim
 // driver that skips idle node-slots entirely and resolves each node's
-// channel lazily at first wake, on one goroutine per run — while staying
-// bit-identical to a serial slot-walk reference. See DESIGN.md §15.
+// channel lazily at first wake, in bands of gateway rows on every core —
+// while staying bit-identical to a serial slot-walk reference. See
+// DESIGN.md §15.
 type (
 	// CityConfig parameterizes one city run (scheme, nodes, gateways,
 	// traffic, receiver model, driver).

@@ -146,15 +146,15 @@ func TestOneMACModel(t *testing.T) {
 	}
 }
 
-// TestEngineRunIsOneGoroutine enforces DESIGN.md §15: one city run is one
-// goroutine. Non-test internal/sim/engine code starts no goroutine and uses
-// no fan-out (exec.ForEach, exec.Map, exec.Fan) or wait group. The one
-// exemption is the methods of Fig8Config, which fan whole runs out across
-// figure cells — parallelism across runs, never inside one. That nothing
-// reads Config.Shards or Config.Workers (declared only for benchmark/) is
-// TestNoTestOnlyFunctions' to check.
-func TestEngineRunIsOneGoroutine(t *testing.T) {
-	sawEngine := false
+// TestEngineConcurrencyIsFan enforces DESIGN.md §15: the city engine's one
+// source of concurrency is exec.Fan — an event run's bands of gateway rows
+// and the figure cells — whose participants, polling and joins have one
+// set of rules (internal/exec). Non-test internal/sim/engine code has no go
+// statement and no sync.WaitGroup, and calls neither exec.ForEach nor
+// exec.Map. That nothing reads Config.Shards or Config.Workers (declared
+// only for benchmark/) is TestNoTestOnlyFunctions' to check.
+func TestEngineConcurrencyIsFan(t *testing.T) {
+	sawEngine, sawFan := false, false
 	parseSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
 		if dir != "internal/sim/engine" {
 			return
@@ -162,21 +162,17 @@ func TestEngineRunIsOneGoroutine(t *testing.T) {
 		sawEngine = true
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Recv != nil {
-					if id, ok := n.Recv.List[0].Type.(*ast.Ident); ok && id.Name == "Fig8Config" {
-						return false
-					}
-				}
 			case *ast.GoStmt:
-				t.Error("internal/sim/engine has a go statement: a run stays on the calling goroutine")
+				t.Error("internal/sim/engine has a go statement: its fan-outs are exec.Fan's")
 			case *ast.SelectorExpr:
 				x, _ := n.X.(*ast.Ident)
 				switch sel := n.Sel.Name; {
+				case x != nil && x.Name == "exec" && sel == "Fan":
+					sawFan = true
 				case sel == "ForEach",
-					x != nil && x.Name == "exec" && (sel == "Map" || sel == "Fan"),
+					x != nil && x.Name == "exec" && sel == "Map",
 					x != nil && x.Name == "sync" && sel == "WaitGroup":
-					t.Errorf("internal/sim/engine uses %s: a run stays on the calling goroutine", sel)
+					t.Errorf("internal/sim/engine uses %s: its fan-outs are exec.Fan's", sel)
 				}
 			}
 			return true
@@ -184,6 +180,9 @@ func TestEngineRunIsOneGoroutine(t *testing.T) {
 	})
 	if !sawEngine {
 		t.Fatal("found no sources under internal/sim/engine")
+	}
+	if !sawFan {
+		t.Error("internal/sim/engine names no exec.Fan: the guard no longer sees its fan-outs")
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 func backlogProgram(t *testing.T, program []byte) {
 	t.Helper()
 	const nodes = 5
-	c := &core{cells: make([]packetCell, 1)}
+	c := &band{cells: make([]packetCell, 1)}
 	var (
 		ns    [nodes]nodeState
 		model [nodes][]int64

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 
 	"choir/internal/mac"
 	"choir/internal/obs"
@@ -37,6 +38,21 @@ func (c *cutCtx) Err() error {
 	return context.Canceled
 }
 
+// waitGoroutines fails t unless the goroutine count falls back to baseline
+// within 5 s: a Fan helper whose band returned, or a timer's goroutine, has
+// still to exit.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("goroutine leak: %d > baseline %d\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
+	}
+}
+
 // busyCity is a run big enough that cancellation always lands mid-drain.
 func busyCity(driver Driver) Config {
 	return Config{
@@ -54,7 +70,8 @@ func busyCity(driver Driver) Config {
 
 // TestRunCancelMidDrain pins the cancellation contract for both drivers:
 // a canceled run returns the context's error with nil metrics, leaves no
-// goroutines behind, and records NOTHING in obs — terminal
+// goroutines behind once the event driver's helpers have exited, and
+// records NOTHING in obs — terminal
 // accounting happens exactly once, at successful completion, so a retry
 // after cancellation can never double-count.
 func TestRunCancelMidDrain(t *testing.T) {
@@ -81,9 +98,7 @@ func TestRunCancelMidDrain(t *testing.T) {
 		if streamed == 0 {
 			t.Fatalf("%v: nothing streamed before the cut: it did not land mid-drain", driver)
 		}
-		if n := runtime.NumGoroutine(); n > baseline {
-			t.Errorf("%v: %d goroutines after the run, %d before", driver, n, baseline)
-		}
+		waitGoroutines(t, baseline)
 		if cRuns.Value() != runs0 || cEvents.Value() != events0 || cDelivered.Value() != delivered0 {
 			t.Fatalf("%v: canceled run leaked accounting: runs %d->%d events %d->%d delivered %d->%d",
 				driver, runs0, cRuns.Value(), events0, cEvents.Value(), delivered0, cDelivered.Value())
@@ -122,4 +137,58 @@ func TestRunAlreadyCanceled(t *testing.T) {
 	if cRuns.Value() != runs0 {
 		t.Fatalf("pre-canceled runs recorded accounting")
 	}
+}
+
+// TestCallerWatchesDoneAfterItsBand pins the caller's watch: once its own
+// band is done (here it takes an index past the bands, so it has none) it
+// waits for the helpers' bands on ctx's Done channel, so a cancel that lands
+// then still stops them, and the run records ctx's error.
+func TestCallerWatchesDoneAfterItsBand(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	j := &bandJob{ctx: ctx, c: newCore(busyCity(DriverEvent)), wake: make(chan struct{}, 1)}
+	j.Start(2)
+	helper := make(chan struct{})
+	go func() {
+		defer close(helper)
+		j.Run(1, 1)
+	}()
+	time.AfterFunc(20*time.Millisecond, cancel)
+	j.Run(0, len(j.bands))
+	<-helper
+	if !errors.Is(j.cause, context.Canceled) {
+		t.Fatalf("the caller recorded %v, want context.Canceled", j.cause)
+	}
+	if slots := j.bands[1].m.ActiveSlots; slots == 0 || slots >= int64(j.c.slots) {
+		t.Fatalf("the helper's band ran %d active slots: the cancel did not land mid-drain", slots)
+	}
+}
+
+// TestRunCancelNetsZero cancels a run from outside at a wall-clock moment,
+// wherever the caller is — inside its band polling ctx or waiting on the
+// helpers' — and requires context.Canceled, every city.* counter back at
+// its value before the run, and no goroutine left behind.
+func TestRunCancelNetsZero(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	counters := []*obs.Counter{cRuns, cEvents, cActiveSlots, cArrivals, cDelivered, cDropped,
+		cTransmissions, cCollidedTx, cUnreachable, cTxEnergyNJ, cForeignTx}
+	before := make([]int64, len(counters))
+	for i, c := range counters {
+		before[i] = c.Value()
+	}
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	cfg := busyCity(DriverEvent)
+	cfg.Foreign = []ForeignConfig{{Nodes: 2000, ArrivalPerSlot: 0.01}}
+	if m, err := Run(ctx, cfg); !errors.Is(err, context.DeadlineExceeded) || m != nil {
+		t.Fatalf("canceled run returned (%v, %v), want nil metrics and context.DeadlineExceeded", m, err)
+	}
+	for i, c := range counters {
+		if c.Value() != before[i] {
+			t.Errorf("counter %d moved by %+d across a canceled run", i, c.Value()-before[i])
+		}
+	}
+	waitGoroutines(t, baseline)
 }

@@ -12,8 +12,10 @@
 // of scheduled IDs, one pool of 8-byte backlogged packets — so an event costs
 // about one cache miss and no allocation, an arrival the horizon prunes a
 // hash and a compare, and calendar reads and writes both go a slot at a
-// time. One run is one goroutine; cores are spent across runs (figures.go's
-// cells, the trial loops in internal/sim).
+// time. Each gateway's cell is its own collision domain, so a run splits the
+// city into bands of gateway rows and runs them side by side on one
+// exec.Fan fan-out, joining their Metrics when the horizon ends
+// (runEvent).
 //
 // The load-bearing property is determinism by construction: every random
 // decision — arrival times, placement, shadowing, per-transmission decode
@@ -32,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 
 	"choir/internal/channel"
 	"choir/internal/ctxutil"
@@ -239,7 +242,8 @@ type Config struct {
 	// probability Receiver.PerTxProb(k), and at most Receiver.Capacity()
 	// decode per group per slot. A Receiver that also implements
 	// ForeignSlotSuccess is consulted with the slot's foreign transmitter
-	// counts when foreign networks are configured.
+	// counts when foreign networks are configured. The event driver's bands
+	// call it concurrently, so it must be safe for concurrent use.
 	Receiver mac.SlotSuccess
 	// ADR selects the home network's rate-adaptation policy (default
 	// ADRFastestSNR, the engine's original behavior).
@@ -249,10 +253,10 @@ type Config struct {
 	Foreign []ForeignConfig
 	// Seed drives all randomness through exec.DeriveSeed.
 	Seed uint64
-	// Shards and Workers are accepted and ignored: a run is one goroutine.
-	// Nothing reads them; they stay declared only because benchmark/
-	// (frozen outside benchmark PRs) still assigns them, and go once it
-	// stops (ROADMAP item 9).
+	// Shards and Workers are accepted and ignored: a run's width is
+	// exec.Fan's (runEvent). Nothing reads them; they stay declared only
+	// because benchmark/ (frozen outside benchmark PRs) still assigns them,
+	// and go once it stops (ROADMAP item 9).
 	Shards  int
 	Workers int
 }
@@ -287,12 +291,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: QueueCap %d exceeds the uint16 backlog length limit %d", c.QueueCap, math.MaxUint16)
 	case c.MaxBackoffExp < 0 || c.MaxBackoffExp > 30:
 		return fmt.Errorf("engine: MaxBackoffExp %d outside [0,30]", c.MaxBackoffExp)
-	case c.SideM < 0 || math.IsNaN(c.SideM):
-		return fmt.Errorf("engine: SideM %g < 0", c.SideM)
+	case c.SideM < 0 || math.IsNaN(c.SideM) || math.IsInf(c.SideM, 0):
+		return fmt.Errorf("engine: SideM %g is not a finite length >= 0", c.SideM)
 	case c.PayloadLen < 0:
 		return fmt.Errorf("engine: PayloadLen %d < 0", c.PayloadLen)
-	case c.SlotSeconds < 0 || math.IsNaN(c.SlotSeconds):
-		return fmt.Errorf("engine: SlotSeconds %g < 0", c.SlotSeconds)
+	case c.SlotSeconds < 0 || math.IsNaN(c.SlotSeconds) || math.IsInf(c.SlotSeconds, 0):
+		return fmt.Errorf("engine: SlotSeconds %g is not a finite duration >= 0", c.SlotSeconds)
 	case c.Receiver == nil:
 		return fmt.Errorf("engine: nil Receiver")
 	case c.ADR < ADRFastestSNR || c.ADR >= numADRPolicies:
@@ -355,7 +359,7 @@ type nodeState struct {
 	nextTx int32
 	// arrivalIdx counts arrivals drawn so far (the geometric draw index).
 	arrivalIdx uint32
-	// The backlog is a FIFO list through core.cells: qHead is the oldest
+	// The backlog is a FIFO list through band.cells: qHead is the oldest
 	// packet's cell, qTail the newest's, both meaningless while qLen is 0.
 	qHead, qTail int32
 	qLen         uint16
@@ -382,7 +386,8 @@ func (ns *nodeState) wakeOf() int64 {
 
 // core is the shared model both drivers execute: configuration after
 // defaulting, the precomputed topology, the per-dimension hash-chain heads,
-// and the flat node-state array.
+// and the flat node-state array. Nothing in it changes during a run but the
+// node records, and each band writes only its own (band).
 type core struct {
 	cfg      Config
 	slots    int64
@@ -440,15 +445,68 @@ type core struct {
 	frx          ForeignSlotSuccess
 
 	nodes []nodeState
-	// touched is where runEvent's gather pass leaves what it read.
-	touched int64
+}
 
-	// cells is every node's backlog: one pool of packet cells, each node's
+// band is one share of a run: the nodes attached to the gateway rows
+// [rowLo, rowHi), and everything a driver changes while it runs them beside
+// their records — the backlog pool, the Metrics and the live stream. Node
+// IDs run row by row over the grid, so a band's nodes are the IDs [lo, hi),
+// less the nodes of a grid row that straddles a band edge and attaches to
+// the other side; IDs in [sureLo, sureHi) lie in rows wholly inside the
+// band and need no test (owns).
+type band struct {
+	*core
+	rowLo, rowHi   int
+	lo, hi         int32
+	sureLo, sureHi int32
+
+	m  *Metrics
+	lp *liveProgress
+	// active is the slots the band had work in, as ascending, disjoint
+	// [lo, hi) runs: the join counts a run's ActiveSlots as their union.
+	active []slotRun
+
+	// cells is the band's backlogs: one pool of packet cells, each node's
 	// queue a list through it (nodeState.qHead) and freeCell the list of
 	// released ones, so a backlog costs no allocation of its own. Index 0
 	// is never used: 0 ends a list.
 	cells    []packetCell
 	freeCell int32
+	// touched is where runEvent's gather pass leaves what it read.
+	touched int64
+}
+
+// slotRun is the slots [lo, hi).
+type slotRun struct{ lo, hi int32 }
+
+// maxUnit is the largest value unitOf returns.
+const maxUnit = float64(1<<53-1) / (1 << 53)
+
+// newBand returns the band of gateway rows [rowLo, rowHi), streaming into
+// lp. A node of grid row r lies between gridPos(r, 0) and gridPos(r, maxUnit),
+// and gwRowOf is monotone, so the rows where the two ends fall in the band
+// are wholly inside it and the rows where both fall outside are out of it.
+func (c *core) newBand(rowLo, rowHi int, lp *liveProgress) *band {
+	b := &band{core: c, rowLo: rowLo, rowHi: rowHi, m: c.newMetrics(), lp: lp, cells: make([]packetCell, 1)}
+	rows := (len(c.nodes) + c.grid - 1) / c.grid
+	firstID := func(u float64, gwRow int) int32 {
+		r := sort.Search(rows, func(r int) bool { return c.gwRowOf(c.gridPos(r, u)) >= gwRow })
+		return int32(min(r*c.grid, len(c.nodes)))
+	}
+	b.lo, b.hi = firstID(maxUnit, rowLo), firstID(0, rowHi)
+	b.sureLo, b.sureHi = firstID(0, rowLo), firstID(maxUnit, rowHi)
+	return b
+}
+
+// owns reports whether node i attaches to one of the band's gateway rows;
+// i must lie in [b.lo, b.hi).
+func (b *band) owns(i int32) bool {
+	if i >= b.sureLo && i < b.sureHi {
+		return true
+	}
+	_, y := b.posOf(i)
+	r := b.gwRowOf(y)
+	return r >= b.rowLo && r < b.rowHi
 }
 
 // packetCell is one queued packet, identified by the slot it arrived in so
@@ -460,22 +518,22 @@ type packetCell struct {
 }
 
 // pushPacket appends a packet that arrived at slot s to the node's backlog.
-func (c *core) pushPacket(ns *nodeState, s int64) {
-	i := c.freeCell
+func (b *band) pushPacket(ns *nodeState, s int64) {
+	i := b.freeCell
 	if i != 0 {
-		c.freeCell = c.cells[i].next
+		b.freeCell = b.cells[i].next
 	} else {
-		if len(c.cells) > math.MaxInt32 {
+		if len(b.cells) > math.MaxInt32 {
 			panic("engine: backlog pool exceeds the int32 cell index")
 		}
-		i = int32(len(c.cells))
-		c.cells = append(c.cells, packetCell{})
+		i = int32(len(b.cells))
+		b.cells = append(b.cells, packetCell{})
 	}
-	c.cells[i] = packetCell{arrival: int32(s)}
+	b.cells[i] = packetCell{arrival: int32(s)}
 	if ns.qLen == 0 {
 		ns.qHead = i
 	} else {
-		c.cells[ns.qTail].next = i
+		b.cells[ns.qTail].next = i
 	}
 	ns.qTail = i
 	ns.qLen++
@@ -483,12 +541,12 @@ func (c *core) pushPacket(ns *nodeState, s int64) {
 
 // popPacket removes the node's oldest packet and returns its arrival slot.
 // The backlog must not be empty.
-func (c *core) popPacket(ns *nodeState) int64 {
+func (b *band) popPacket(ns *nodeState) int64 {
 	i := ns.qHead
-	cell := &c.cells[i]
+	cell := &b.cells[i]
 	ns.qHead = cell.next
 	ns.qLen--
-	cell.next, c.freeCell = c.freeCell, i
+	cell.next, b.freeCell = b.freeCell, i
 	return int64(cell.arrival)
 }
 
@@ -532,7 +590,6 @@ func newCore(cfg Config) *core {
 		gwCols:    gwCols,
 		gwRows:    gwRows,
 		nodes:     make([]nodeState, cfg.Nodes),
-		cells:     make([]packetCell, 1),
 	}
 	if p := cfg.ArrivalPerSlot; p > 0 && p < 1 {
 		c.logq = math.Log1p(-p)
@@ -722,10 +779,7 @@ func (c *core) initArrivals(i int32) {
 // choice cannot reach the gateway. The evaluation is pure in (Seed, i), so
 // it never matters which driver performs it, or when.
 func (c *core) resolveChannel(ns *nodeState, i int32) bool {
-	hp := exec.Mix(c.hPos, uint64(i))
-	col, row := int(i)%c.grid, int(i)/c.grid
-	x := (float64(col) + unitOf(exec.Mix(hp, 0))) * c.cellM
-	y := (float64(row) + unitOf(exec.Mix(hp, 1))) * c.cellM
+	x, y := c.posOf(i)
 	gw, sf, pwr, ok := c.channelOf(c.cfg.ADR, x, y, exec.Mix(c.hShadow, uint64(i)))
 	if !ok {
 		ns.sf = -1
@@ -756,6 +810,25 @@ func (c *core) channelOf(policy ADRPolicy, x, y float64, hs uint64) (gw int32, s
 	return gw, sf, pwr, ok
 }
 
+// posOf is node i's position: its cell of the jittered grid, row by row
+// from the origin, and a uniform offset within the cell.
+func (c *core) posOf(i int32) (x, y float64) {
+	hp := exec.Mix(c.hPos, uint64(i))
+	return c.gridPos(int(i)%c.grid, unitOf(exec.Mix(hp, 0))), c.gridPos(int(i)/c.grid, unitOf(exec.Mix(hp, 1)))
+}
+
+// gridPos is the coordinate, along either axis, of a node in row or column
+// k of the node grid whose jitter unit on that axis is u.
+func (c *core) gridPos(k int, u float64) float64 {
+	return (float64(k) + u) * c.cellM
+}
+
+// gwRowOf maps a y coordinate to its gateway row: gatewayOf's row, and the
+// row that decides a node's band.
+func (c *core) gwRowOf(y float64) int {
+	return min(int(y/c.sideM*float64(c.gwRows)), c.gwRows-1)
+}
+
 // gatewayOf maps a position to its nearest gateway, by grid cell, and the
 // position's offset from that gateway.
 func (c *core) gatewayOf(x, y float64) (int32, float64, float64) {
@@ -763,11 +836,7 @@ func (c *core) gatewayOf(x, y float64) (int32, float64, float64) {
 	if gcol >= c.gwCols {
 		gcol = c.gwCols - 1
 	}
-	grow := int(y / c.sideM * float64(c.gwRows))
-	if grow >= c.gwRows {
-		grow = c.gwRows - 1
-	}
-	gw := grow*c.gwCols + gcol
+	gw := c.gwRowOf(y)*c.gwCols + gcol
 	if gw >= len(c.gwPosX) {
 		gw = len(c.gwPosX) - 1
 	}
@@ -888,8 +957,8 @@ func (c *core) groupOf(ns *nodeState) uint32 {
 // wakeNode processes node i's wake at slot s — the lazy channel
 // evaluation, a due arrival if any, and the tx-due decision — and reports
 // whether the node transmits this slot. Both drivers call exactly this.
-func (c *core) wakeNode(ns *nodeState, i int32, s int64, m *Metrics) bool {
-	if ns.sf == 0 && !c.resolveChannel(ns, i) {
+func (b *band) wakeNode(ns *nodeState, i int32, s int64, m *Metrics) bool {
+	if ns.sf == 0 && !b.resolveChannel(ns, i) {
 		m.Unreachable++
 		ns.nextArrival = -1
 		ns.nextTx = -1
@@ -897,8 +966,8 @@ func (c *core) wakeNode(ns *nodeState, i int32, s int64, m *Metrics) bool {
 	}
 	if int64(ns.nextArrival) == s {
 		m.Arrivals++
-		if int(ns.qLen) < c.queueCap {
-			c.pushPacket(ns, s)
+		if int(ns.qLen) < b.queueCap {
+			b.pushPacket(ns, s)
 			if ns.nextTx < 0 {
 				// An idle node answers a fresh arrival in the same slot.
 				ns.nextTx = int32(s)
@@ -907,7 +976,7 @@ func (c *core) wakeNode(ns *nodeState, i int32, s int64, m *Metrics) bool {
 			m.Dropped++
 		}
 		ns.arrivalIdx++
-		ns.nextArrival = int32(c.arrivalAfter(i, uint64(ns.arrivalIdx), s+1))
+		ns.nextArrival = int32(b.arrivalAfter(i, uint64(ns.arrivalIdx), s+1))
 	}
 	return int64(ns.nextTx) == s && ns.qLen > 0
 }
@@ -977,13 +1046,13 @@ func (c *core) vetoed(i int32, s int64, prevK int32) bool {
 
 // finishTx settles node i's transmission at slot s — delivery accounting
 // or the scheme's retry policy — and schedules the node's next attempt.
-func (c *core) finishTx(ns *nodeState, i int32, s int64, delivered bool, m *Metrics) {
+func (b *band) finishTx(ns *nodeState, i int32, s int64, delivered bool, m *Metrics) {
 	sfIdx := int(ns.sf) - 7
 	m.Transmissions++
 	m.PerSFTx[sfIdx]++
-	m.TxEnergyNJ += c.energyNJ[sfIdx][ns.pwr]
+	m.TxEnergyNJ += b.energyNJ[sfIdx][ns.pwr]
 	if delivered {
-		lat := s - c.popPacket(ns) + 1
+		lat := s - b.popPacket(ns) + 1
 		m.Delivered++
 		m.PerSFDelivered[sfIdx]++
 		m.TotalLatencySlots += lat
@@ -997,17 +1066,17 @@ func (c *core) finishTx(ns *nodeState, i int32, s int64, delivered bool, m *Metr
 		return
 	}
 	m.CollidedTx++
-	if c.cfg.Scheme == mac.SchemeAloha {
+	if b.cfg.Scheme == mac.SchemeAloha {
 		// Binary exponential backoff; the window is a power of two, so
 		// masking the derived hash is exactly uniform.
-		if ns.backoffExp < c.maxBoExp {
+		if ns.backoffExp < b.maxBoExp {
 			ns.backoffExp++
 		}
 		w := uint64(1) << ns.backoffExp
-		off := exec.Mix(exec.Mix(c.hBackoff, uint64(i)), uint64(s)) & (w - 1)
+		off := exec.Mix(exec.Mix(b.hBackoff, uint64(i)), uint64(s)) & (w - 1)
 		// A wake at or past the horizon never fires, so it is stored as the
 		// horizon itself, which the int32 always holds.
-		ns.nextTx = int32(min(s+1+int64(off), c.slots))
+		ns.nextTx = int32(min(s+1+int64(off), b.slots))
 	} else {
 		// Choir answers the next beacon; Oracle asks the genie again.
 		ns.nextTx = int32(s + 1)
@@ -1030,9 +1099,11 @@ func sfParams(sfIdx int) lora.Params {
 	return sim.ParamsForSF(lora.SF7 + lora.SpreadingFactor(sfIdx))
 }
 
-// Run simulates the configured city on the calling goroutine and returns
-// its metrics. Results are a pure function of Config minus Driver: the
-// equivalence tests pin that both drivers return bit-identical Metrics.
+// Run simulates the configured city and returns its metrics: the slot
+// driver on the calling goroutine, the event driver in bands of gateway
+// rows on it and exec.Fan's helpers (runEvent). Results are a pure function
+// of Config minus Driver, whatever GOMAXPROCS is: the equivalence tests pin
+// that both drivers, at every width, return bit-identical Metrics.
 func Run(ctx context.Context, cfg Config) (*Metrics, error) {
 	if cfg.Gateways == 0 {
 		cfg.Gateways = 1

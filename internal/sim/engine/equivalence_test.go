@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"choir/internal/exec"
@@ -93,14 +94,16 @@ func eventMatchesSlot(t *testing.T, name string, cfg Config) *Metrics {
 
 // maxKReceiver records the largest contention count the engine asked a
 // trial's receiver about. With foreign traffic on that count includes the
-// same-SF foreign frames, so it bounds the home count from above only.
+// same-SF foreign frames, so it bounds the home count from above only. The
+// event driver's bands ask it concurrently.
 type maxKReceiver struct {
 	mac.SlotSuccess
-	maxK *int
+	maxK *atomic.Int64
 }
 
 func (r maxKReceiver) PerTxProb(k int) float64 {
-	*r.maxK = max(*r.maxK, k)
+	for m := r.maxK.Load(); int64(k) > m && !r.maxK.CompareAndSwap(m, int64(k)); m = r.maxK.Load() {
+	}
 	return r.SlotSuccess.PerTxProb(k)
 }
 
@@ -125,10 +128,10 @@ func TestEventSlotEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xC17E, 0x5CA1E))
 	for trial := 0; trial < trials; trial++ {
 		cfg := randomConfig(rng)
-		var maxK int
-		cfg.Receiver = maxKReceiver{cfg.Receiver, &maxK}
+		var maxKs atomic.Int64
+		cfg.Receiver = maxKReceiver{cfg.Receiver, &maxKs}
 		m := eventMatchesSlot(t, fmt.Sprintf("trial %d", trial), cfg)
-		capacity := cfg.Receiver.Capacity()
+		capacity, maxK := cfg.Receiver.Capacity(), int(maxKs.Load())
 		switch {
 		case cfg.Scheme == mac.SchemeOracle:
 			oracleForeign = oracleForeign || m.ForeignTx > 0
@@ -408,6 +411,10 @@ func TestValidateRejects(t *testing.T) {
 		{"slots-beyond-int32", func(c *Config) { c.Slots = math.MaxInt32; c.Slots++ }, "int32 slot limit"},
 		{"queuecap-beyond-uint16", func(c *Config) { c.QueueCap = math.MaxUint16 + 1 }, "uint16 backlog length limit"},
 		{"arrival", func(c *Config) { c.ArrivalPerSlot = 1.5 }, "ArrivalPerSlot"},
+		{"side-inf", func(c *Config) { c.SideM = math.Inf(1) }, "SideM"},
+		{"side-nan", func(c *Config) { c.SideM = math.NaN() }, "SideM"},
+		{"slot-seconds-inf", func(c *Config) { c.SlotSeconds = math.Inf(1) }, "SlotSeconds"},
+		{"slot-seconds-nan", func(c *Config) { c.SlotSeconds = math.NaN() }, "SlotSeconds"},
 		{"receiver", func(c *Config) { c.Receiver = nil }, "Receiver"},
 		{"driver", func(c *Config) { c.Driver = Driver(7) }, "driver"},
 		{"adr", func(c *Config) { c.ADR = ADRPolicy(9) }, "ADR"},

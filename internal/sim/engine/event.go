@@ -4,23 +4,171 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
+	"choir/internal/exec"
 	"choir/internal/mac"
 )
 
-// runEvent is the production driver: one event queue over every node
-// jumps straight to the next slot with a scheduled wake, and that slot
-// then runs as runSlot runs it, except that the queue hands over the
-// slot's wakes as one batch in no particular order where runSlot scans
-// nodes ascending. Only a rationed slot can tell the difference, and there
-// the transmitters are sorted first (below), so the two drivers return
-// bit-identical Metrics. The whole run stays on the calling goroutine: a
-// slot holds tens of wakes, far too few to repay a fan-out and a barrier
-// (DESIGN.md §15 has the measurement), so cores are spent across runs.
+// runEvent is the production driver: one event queue per band jumps
+// straight to the band's next slot with a scheduled wake, and that slot then
+// runs as runSlot runs it, except that the queue hands over the slot's wakes
+// as one batch in no particular order where runSlot scans nodes ascending.
+// Only a rationed slot can tell the difference, and there the transmitters
+// are sorted first (band.runEvent), so the two drivers return bit-identical
+// Metrics.
+//
+// A band is the nodes of a range of gateway rows. Transmissions contend
+// only within a (gateway, SF) group, a foreign draw is keyed on (gateway,
+// slot, SF), every other draw hashes (node, slot), and every Metrics field
+// is an integer sum, so bands share nothing until the horizon ends: each
+// runs with its own calendar, backlog pool, foreign memo, group tables and
+// Metrics, and the join adds them up. The one figure that is no sum is
+// ActiveSlots, which counts a slot active in two bands once: it is the
+// union of the bands' runs of active slots. A slot holds tens of wakes, far
+// too few to repay a fan-out and a barrier each (DESIGN.md §15 has the
+// measurement); a band needs neither until it ends. The fan-out is one
+// exec.Fan over the gateway rows, min(GOMAXPROCS, rows) bands wide — one
+// band, on the caller alone, for a single row or a single core.
 func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
+	j := &bandJob{ctx: ctx, c: c, wake: make(chan struct{}, 1)}
+	new(exec.Fan).Run(j, c.gwRows)
 	m := c.newMetrics()
+	for _, b := range j.bands {
+		m.add(b.m)
+		lp.streamed.add(&b.lp.streamed)
+	}
+	if j.cause != nil {
+		return nil, fmt.Errorf("engine: run canceled mid-drain after %d active slots: %w", m.ActiveSlots, j.cause)
+	}
+	m.ActiveSlots = activeUnion(j.bands)
+	return m, nil
+}
+
+// bandJob is an event run as an exec.Job: Start splits the gateway rows
+// into one band per participant, index k < len(bands) runs band k and the
+// other indices nothing. The caller polls ctx at each of its band's active
+// slots, as the run always has, and waits for the helpers' bands watching
+// ctx's Done channel after its own; only the caller touches ctx, since a
+// context need not be safe for concurrent polls (exec.Job). Helper bands
+// read stop.
+type bandJob struct {
+	ctx   context.Context
+	c     *core
+	bands []*band
+	// stop ends every band before its next active slot. The caller sets it
+	// when ctx fires and records ctx's error in cause; a band that panics
+	// sets it too, and the Fan raises the panic once every band is back.
+	stop  atomic.Bool
+	cause error
+	// left counts the bands still running; each that returns signals wake.
+	left atomic.Int32
+	wake chan struct{}
+}
+
+func (j *bandJob) Start(w int) {
+	rows := j.c.gwRows
+	j.bands = make([]*band, w)
+	for k := range j.bands {
+		j.bands[k] = j.c.newBand(k*rows/w, (k+1)*rows/w, new(liveProgress))
+	}
+	j.left.Store(int32(w))
+}
+
+func (j *bandJob) Stop() bool { return j.stop.Load() }
+
+func (j *bandJob) Run(p, k int) {
+	if k < len(j.bands) {
+		j.runBand(p, j.bands[k])
+	}
+	if p == 0 {
+		j.await()
+	}
+}
+
+// runBand runs band b on participant p.
+func (j *bandJob) runBand(p int, b *band) {
+	returned := false
+	defer func() {
+		if !returned {
+			j.stop.Store(true)
+		}
+		j.left.Add(-1)
+		select {
+		case j.wake <- struct{}{}:
+		default: // a signal is pending, and await re-reads left after it
+		}
+	}()
+	halt := j.stop.Load
+	if p == 0 {
+		halt = j.poll
+	}
+	if !j.stop.Load() {
+		b.runEvent(halt)
+	}
+	returned = true
+}
+
+// poll is the caller's halt: the stop flag, then ctx.
+func (j *bandJob) poll() bool {
+	if j.stop.Load() {
+		return true
+	}
+	if err := j.ctx.Err(); err != nil {
+		j.cause = err
+		j.stop.Store(true)
+		return true
+	}
+	return false
+}
+
+// await keeps the caller on watch until every band has returned or the run
+// stops: a context that can fire is watched through its Done channel.
+func (j *bandJob) await() {
+	done := j.ctx.Done()
+	for j.left.Load() > 0 && !j.stop.Load() {
+		select {
+		case <-j.wake:
+		case <-done:
+			j.cause = j.ctx.Err()
+			j.stop.Store(true)
+		}
+	}
+}
+
+// activeUnion counts the slots in at least one band's active runs, by
+// walking every band's ascending runs in order of their first slot.
+func activeUnion(bands []*band) int64 {
+	next := make([]int, len(bands))
+	var n, end int64 // end: every slot before it is counted or in no run
+	for {
+		k := -1
+		for i, b := range bands {
+			if next[i] < len(b.active) && (k < 0 || b.active[next[i]].lo < bands[k].active[next[k]].lo) {
+				k = i
+			}
+		}
+		if k < 0 {
+			return n
+		}
+		r := bands[k].active[next[k]]
+		next[k]++
+		if lo := max(int64(r.lo), end); int64(r.hi) > lo {
+			n += int64(r.hi) - lo
+			end = int64(r.hi)
+		}
+	}
+}
+
+// runEvent drains the band's calendar until the horizon or until halt,
+// polled before each active slot, reports true.
+func (b *band) runEvent(halt func() bool) {
+	c, m := b.core, b.m
 	// No wake is ever scheduled at or past Slots, so a window the horizon
-	// already fits in never turns: the smaller of the two sizes it.
+	// already fits in never turns: the smaller of the two sizes it. The
+	// city's node count, not the band's: a narrower window would turn, and
+	// hold the wakes past it in its overflow slice, on horizons the whole
+	// city's calendar covers.
 	q := NewEventQueue(min(len(c.nodes), c.cfg.Slots))
 	// Calendar writes are batched the way the reads are (the gather pass
 	// below): a push misses on the bucket head, then on the chunk it names,
@@ -39,16 +187,22 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 			pending = append(pending, farWake{w, i})
 		}
 	}
-	for i := range c.nodes {
-		c.initArrivals(int32(i))
+	for i := b.lo; i < b.hi; i++ {
+		if !b.owns(i) {
+			continue
+		}
+		c.initArrivals(i)
 		if w := c.nodes[i].nextArrival; w >= 0 {
 			q.count(int64(w))
 		}
 	}
 	q.reserve()
-	for i := range c.nodes {
+	for i := b.lo; i < b.hi; i++ {
+		if !b.owns(i) {
+			continue
+		}
 		if w := c.nodes[i].nextArrival; w >= 0 {
-			q.Set(int32(i), int64(w))
+			q.Set(i, int64(w))
 		}
 	}
 	// The per-slot tables runSlot keeps in maps are slices indexed by
@@ -72,13 +226,18 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 		granted = map[uint32]int32{}
 	}
 	for q.Len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("engine: run canceled mid-drain after %d active slots: %w", m.ActiveSlots, err)
+		if halt() {
+			return
 		}
 		if m.ActiveSlots > 0 && m.ActiveSlots%liveFlushInterval == 0 {
-			lp.flush(m)
+			b.lp.flush(m)
 		}
 		s, ids := q.NextSlot()
+		if n := len(b.active); n > 0 && int64(b.active[n-1].hi) == s {
+			b.active[n-1].hi++
+		} else {
+			b.active = append(b.active, slotRun{int32(s), int32(s + 1)})
+		}
 		m.ActiveSlots++
 		m.Events += int64(len(ids))
 		txNodes = txNodes[:0]
@@ -99,10 +258,10 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 			ns := &c.nodes[i]
 			touched += int64(ns.nextArrival) + int64(ns.sf)
 		}
-		c.touched = touched
+		b.touched = touched
 		for _, i := range ids {
 			ns := &c.nodes[i]
-			if c.wakeNode(ns, i, s, m) {
+			if b.wakeNode(ns, i, s, m) {
 				txNodes = append(txNodes, i)
 				counts.add(c.groupOf(ns))
 			} else {
@@ -161,7 +320,7 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 			if prevContig {
 				prevK = lastCounts.k[g]
 			}
-			c.finishTx(ns, i, s, kept && !c.vetoed(i, s, prevK), m)
+			b.finishTx(ns, i, s, kept && !c.vetoed(i, s, prevK), m)
 			reschedule(i)
 		}
 		for _, w := range pending {
@@ -171,7 +330,6 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 		lastSlot = s
 		lastCounts, counts = counts, lastCounts
 	}
-	return m, nil
 }
 
 // groupCounts is one slot's transmitter count per collision group, with

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"choir/internal/ctxutil"
 	"choir/internal/exec"
 	"choir/internal/lora"
 	"choir/internal/mac"
@@ -76,16 +77,19 @@ func baselineCells(nodes int, table []float64, p lora.Params) []cell {
 // meters of the gateway, as in the paper's single-building testbed.
 const cellSideM = 10
 
-// runCells simulates the cells with exec.Map and returns their metrics in
-// order; it fails if any node of a cell is out of range.
+// runCells simulates the cells on one exec.Fan, a cell an index, and
+// returns their metrics in order; it fails if any node of a cell is out of
+// range.
 func (c Fig8Config) runCells(ctx context.Context, cells []cell) ([]*Metrics, error) {
 	arrival := c.ArrivalPerSlot
 	if arrival <= 0 {
 		arrival = 0.3
 	}
 	payloadLen := c.Calibration.PayloadLen
+	ctx = ctxutil.Background(ctx)
+	out := make([]*Metrics, len(cells))
 	errs := make([]error, len(cells))
-	out, err := exec.Map(ctx, len(cells), func(i int) *Metrics {
+	if new(exec.Fan).Run(cellJob{ctx, func(i int) {
 		cl := cells[i]
 		m, err := Run(ctx, Config{
 			Scheme:         cl.scheme,
@@ -105,23 +109,33 @@ func (c Fig8Config) runCells(ctx context.Context, cells []cell) ([]*Metrics, err
 			Seed:          c.Seed,
 			// A handful of nodes, nearly all busy every slot, is the slot
 			// walk's best case: same Metrics as the event driver (the
-			// equivalence tests), without a queue and three fan-outs per slot.
+			// equivalence tests) without a calendar, and a cell's one
+			// gateway row is one band anyway.
 			Driver: DriverSlot,
 		})
 		if err == nil && m.Unreachable != 0 {
 			err = fmt.Errorf("engine: figure cell %d: %d of %d nodes out of range in a %d m cell", i, m.Unreachable, cl.nodes, cellSideM)
 		}
-		errs[i] = err
-		return m
-	})
-	if err == nil {
-		err = errors.Join(errs...)
+		out[i], errs[i] = m, err
+	}}, len(cells)) {
+		return nil, fmt.Errorf("engine: figure cells canceled: %w", ctx.Err())
 	}
-	if err != nil {
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
+
+// cellJob is runCells' exec.Job: run on every index, ctx polled on the
+// calling goroutine between cells.
+type cellJob struct {
+	ctx context.Context
+	run func(i int)
+}
+
+func (cellJob) Start(int)      {}
+func (j cellJob) Run(_, i int) { j.run(i) }
+func (j cellJob) Stop() bool   { return j.ctx.Err() != nil }
 
 // Metric selects which of the three Fig. 8 panels to produce.
 type Metric int

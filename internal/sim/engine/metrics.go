@@ -54,6 +54,29 @@ type Metrics struct {
 	ActiveSlots int64
 }
 
+// add adds o's totals to m: every field but the configuration echoes.
+// TestMetricsAddCoversEveryTotal holds it to the struct.
+func (m *Metrics) add(o *Metrics) {
+	m.Arrivals += o.Arrivals
+	m.Delivered += o.Delivered
+	m.Dropped += o.Dropped
+	m.Unreachable += o.Unreachable
+	m.Transmissions += o.Transmissions
+	m.CollidedTx += o.CollidedTx
+	for i := range m.PerSFTx {
+		m.PerSFTx[i] += o.PerSFTx[i]
+		m.PerSFDelivered[i] += o.PerSFDelivered[i]
+	}
+	m.TxEnergyNJ += o.TxEnergyNJ
+	m.ForeignTx += o.ForeignTx
+	m.TotalLatencySlots += o.TotalLatencySlots
+	for i := range m.LatencyHist {
+		m.LatencyHist[i] += o.LatencyHist[i]
+	}
+	m.Events += o.Events
+	m.ActiveSlots += o.ActiveSlots
+}
+
 // GoodputBps returns delivered payload bits per second across the city.
 func (m *Metrics) GoodputBps() float64 {
 	return float64(m.Delivered*int64(m.PayloadLen)*8) / (float64(m.Slots) * m.SlotSeconds)
@@ -127,7 +150,11 @@ var (
 // flushes.
 const liveFlushInterval = 256
 
-// liveProgress streams one run's partial totals into the city.* counters.
+// liveProgress streams one run's, or one band's, partial totals into the
+// city.* counters. An event run's bands stream their own, and runEvent sums
+// what they streamed into the run's liveProgress before it finishes or
+// rolls back; mid-run, city.active_slots counts a slot once per band that
+// had work in it, and finish settles it to the union.
 // It remembers what it has streamed so far: flush adds only the delta
 // since the last call, rollback subtracts everything streamed. Because a
 // flush is skipped entirely while recording is disabled, streamed only
@@ -138,8 +165,8 @@ type liveProgress struct {
 }
 
 // flush streams the delta between the run's current totals and what has
-// already been streamed. The drivers call it between slots, on the run's
-// own goroutine.
+// already been streamed. The drivers call it between slots, on the
+// goroutine that runs the band.
 func (lp *liveProgress) flush(cur *Metrics) {
 	if !obs.Enabled() {
 		return

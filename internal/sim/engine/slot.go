@@ -12,9 +12,11 @@ import (
 // execution of the model in engine.go — no event queue — so the
 // equivalence property tests can hold the event driver to it bit for bit.
 // O(Nodes × Slots): use it for figure cells, small cities and validation,
-// not for the million-node sweeps.
+// not for the million-node sweeps. The whole city is one band, on the
+// calling goroutine.
 func runSlot(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
-	m := c.newMetrics()
+	b := c.newBand(0, c.gwRows, lp)
+	m := b.m
 	for i := range c.nodes {
 		c.initArrivals(int32(i))
 	}
@@ -44,7 +46,7 @@ func runSlot(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
 			}
 			active = true
 			m.Events++
-			if c.wakeNode(ns, int32(i), s, m) {
+			if b.wakeNode(ns, int32(i), s, m) {
 				txNodes = append(txNodes, int32(i))
 				counts[c.groupOf(ns)]++
 			}
@@ -82,7 +84,7 @@ func runSlot(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
 			if prevContig {
 				prevK = lastCounts[g]
 			}
-			c.finishTx(ns, i, s, kept && !c.vetoed(i, s, prevK), m)
+			b.finishTx(ns, i, s, kept && !c.vetoed(i, s, prevK), m)
 		}
 		lastSlot = s
 		lastCounts, counts = counts, lastCounts

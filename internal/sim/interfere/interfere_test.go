@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"choir/internal/mac"
@@ -176,14 +177,15 @@ func TestEngineTransparencyWithCapture(t *testing.T) {
 }
 
 // maxKReceiver records the largest home contention count the engine asked
-// the capture model about.
+// the capture model about. The event driver's bands ask it concurrently.
 type maxKReceiver struct {
 	*CaptureModel
-	maxK *int
+	maxK *atomic.Int64
 }
 
 func (r maxKReceiver) PerTxProbForeign(k, sfIdx int, foreign *[6]int32) float64 {
-	*r.maxK = max(*r.maxK, k)
+	for m := r.maxK.Load(); int64(k) > m && !r.maxK.CompareAndSwap(m, int64(k)); m = r.maxK.Load() {
+	}
 	return r.CaptureModel.PerTxProbForeign(k, sfIdx, foreign)
 }
 
@@ -193,7 +195,7 @@ func (r maxKReceiver) PerTxProbForeign(k, sfIdx int, foreign *[6]int32) float64 
 // arrival rate raised so that groups exceed it: the event driver must keep
 // the same first-Capacity() successes in node order as the slot reference.
 func TestCaptureEventSlotEquivalence(t *testing.T) {
-	var maxK int
+	var maxK atomic.Int64
 	rx := maxKReceiver{
 		CaptureModel: New(mac.ModelReceiver{Success: sim.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 2}, 6),
 		maxK:         &maxK,
@@ -221,9 +223,9 @@ func TestCaptureEventSlotEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("event driver diverged from slot reference:\nslot:  %+v\nevent: %+v", want, got)
 	}
-	if want.ForeignTx == 0 || want.Delivered == 0 || maxK <= rx.Capacity() {
+	if want.ForeignTx == 0 || want.Delivered == 0 || int(maxK.Load()) <= rx.Capacity() {
 		t.Fatalf("scenario pins nothing: foreign_tx=%d delivered=%d max group %d vs capacity %d",
-			want.ForeignTx, want.Delivered, maxK, rx.Capacity())
+			want.ForeignTx, want.Delivered, maxK.Load(), rx.Capacity())
 	}
 }
 
