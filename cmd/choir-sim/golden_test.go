@@ -10,12 +10,14 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/paper.golden from this tree's output")
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden files from this tree's output")
 
 // TestPaperGolden pins the paper's numbers: every figure, table and headline
 // `choir-sim -exp all -seed 7` prints must match testdata/paper.golden byte
-// for byte, at any GOMAXPROCS. An intended change regenerates the file in
-// its own commit, with the diff explained:
+// for byte, at any GOMAXPROCS. The second case is a four-gateway city, the
+// one pinned output whose bands split node rows (`-exp all`'s city block has
+// a single gateway). An intended change regenerates the files in its own
+// commit, with the diff explained:
 //
 //	go test ./cmd/choir-sim -run TestPaperGolden -update
 //
@@ -26,11 +28,27 @@ func TestPaperGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("-short: the full -exp all run is tier-1's")
 	}
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"paper.golden", []string{"-exp", "all", "-seed", "7"}},
+		{"city-gw4.golden", []string{"-exp", "city", "-nodes", "1000,10000", "-slots", "2000", "-gateways", "4", "-arrival", "0.002", "-seed", "7"}},
+	} {
+		t.Run(strings.TrimSuffix(tc.golden, ".golden"), func(t *testing.T) {
+			checkGolden(t, filepath.Join("testdata", tc.golden), tc.args)
+		})
+	}
+}
+
+// checkGolden runs choir-sim with args and compares its stdout with the
+// file at path, or rewrites the file under -update.
+func checkGolden(t *testing.T, path string, args []string) {
+	t.Helper()
 	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-exp", "all", "-seed", "7"}, &stdout, &stderr); code != exitOK {
+	if code := run(context.Background(), args, &stdout, &stderr); code != exitOK {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
-	path := filepath.Join("testdata", "paper.golden")
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -43,7 +61,7 @@ func TestPaperGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing paper golden (run with -update to generate): %v", err)
+		t.Fatalf("missing golden %s (run with -update to generate): %v", path, err)
 	}
 	if bytes.Equal(stdout.Bytes(), want) {
 		return
