@@ -333,3 +333,50 @@ func TestSweepVariantsAndFigure(t *testing.T) {
 		t.Error("empty sweep accepted")
 	}
 }
+
+// TestSweepMarginEdges pins what RunSweep makes of a margin that is no
+// finite number: NaN is rejected (it would pass the margin <= 0 test and
+// turn every decode probability NaN), -Inf means off, as 0 does, and +Inf
+// means a frame never captures a contended channel: finite probabilities,
+// a lone frame decoding as it would without the model.
+func TestSweepMarginEdges(t *testing.T) {
+	cfg := goldenSweepConfig()
+	cfg.Densities = []int{150}
+	cfg.MarginDB = math.NaN()
+	if _, err := RunSweep(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("RunSweep with a NaN margin: err = %v, want a NaN error", err)
+	}
+	render := func(margin float64) string {
+		c := cfg
+		c.MarginDB = margin
+		s, err := RunSweep(context.Background(), c)
+		if err != nil {
+			t.Fatalf("margin %g: %v", margin, err)
+		}
+		for i, m := range s.Points[0].Metrics {
+			if m.Delivered == 0 {
+				t.Errorf("margin %g: variant %s delivered nothing", margin, s.Variants[i].Name)
+			}
+		}
+		var buf strings.Builder
+		Fprint(&buf, s)
+		return buf.String()
+	}
+	if off, negInf := render(0), render(math.Inf(-1)); off != negInf {
+		t.Errorf("margin -Inf is not margin 0 (off):\n%s\nvs\n%s", negInf, off)
+	}
+	render(math.Inf(1))
+	base := mac.AlohaReceiver{}
+	never := New(base, math.Inf(1))
+	if never.capQ != 0 {
+		t.Errorf("margin +Inf: capture probability %g, want 0", never.capQ)
+	}
+	if got, want := never.PerTxProb(1), base.PerTxProb(1); got != want {
+		t.Errorf("margin +Inf: a lone frame decodes with %g, want the base receiver's %g", got, want)
+	}
+	for k := 2; k <= 4; k++ {
+		if p := never.PerTxProb(k); !(p >= 0 && p <= 1) {
+			t.Errorf("margin +Inf: PerTxProb(%d) = %g", k, p)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"choir/internal/exec"
 	"choir/internal/mac"
@@ -63,7 +64,8 @@ type SweepConfig struct {
 	// Densities is the home-network node counts to sweep.
 	Densities []int
 	// MarginDB is the capture margin handed to every variant's
-	// CaptureModel (<= 0 disables capture and cross-SF leakage).
+	// CaptureModel: <= 0 (-Inf too) disables capture and cross-SF leakage,
+	// +Inf keeps leakage and never captures, and NaN is rejected.
 	MarginDB float64
 }
 
@@ -90,6 +92,11 @@ type Sweep struct {
 func RunSweep(ctx context.Context, cfg SweepConfig) (*Sweep, error) {
 	if len(cfg.Densities) == 0 {
 		return nil, fmt.Errorf("interfere: sweep with no densities")
+	}
+	if math.IsNaN(cfg.MarginDB) {
+		// A NaN margin passes the <= 0 test that turns capture off, and
+		// makes every decode probability NaN, so every draw fails.
+		return nil, fmt.Errorf("interfere: capture margin is NaN")
 	}
 	vs := Variants()
 	s := &Sweep{Variants: vs}
