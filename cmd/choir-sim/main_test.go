@@ -38,3 +38,16 @@ func TestRunUnknownExperimentExits2(t *testing.T) {
 		t.Errorf("stderr does not name the experiment:\n%s", stderr.String())
 	}
 }
+
+// TestRunSharedBadSettingOneError: a setting every figure cell shares, bad
+// in all of them, is reported once, as one line naming the first cell.
+func TestRunSharedBadSettingOneError(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-exp", "fig8d", "-slots", "-5"}, &stdout, &stderr); code != exitFailed {
+		t.Fatalf("exit %d, want %d (failed)", code, exitFailed)
+	}
+	msg := strings.TrimSuffix(stderr.String(), "\n")
+	if strings.Contains(msg, "\n") || strings.Count(msg, "Slots -5") != 1 || !strings.Contains(msg, "figure cell 0 of ") {
+		t.Errorf("stderr is not one line naming the setting and the first cell:\n%s", stderr.String())
+	}
+}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"choir/internal/ctxutil"
@@ -79,7 +78,8 @@ const cellSideM = 10
 
 // runCells simulates the cells on one exec.Fan, a cell an index, and
 // returns their metrics in order; it fails if any node of a cell is out of
-// range.
+// range. A failure reports the first failed cell alone: a bad setting the
+// cells share fails every one of them the same way.
 func (c Fig8Config) runCells(ctx context.Context, cells []cell) ([]*Metrics, error) {
 	arrival := c.ArrivalPerSlot
 	if arrival <= 0 {
@@ -114,14 +114,16 @@ func (c Fig8Config) runCells(ctx context.Context, cells []cell) ([]*Metrics, err
 			Driver: DriverSlot,
 		})
 		if err == nil && m.Unreachable != 0 {
-			err = fmt.Errorf("engine: figure cell %d: %d of %d nodes out of range in a %d m cell", i, m.Unreachable, cl.nodes, cellSideM)
+			err = fmt.Errorf("engine: %d of %d nodes out of range in a %d m cell", m.Unreachable, cl.nodes, cellSideM)
 		}
 		out[i], errs[i] = m, err
 	}}, len(cells)) {
 		return nil, fmt.Errorf("engine: figure cells canceled: %w", ctx.Err())
 	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("%w (figure cell %d of %d)", err, i, len(cells))
+		}
 	}
 	return out, nil
 }
