@@ -165,9 +165,10 @@ func TestTinyArrivalRate(t *testing.T) {
 			t.Errorf("p=%g: %d arrivals, %d events in %d active slots; want none", p, m.Arrivals, m.Events, m.ActiveSlots)
 		}
 		c := newCore(cfg)
+		b := c.newBand(0, c.gwRows, nil)
 		for i := range c.nodes {
 			c.initArrivals(int32(i))
-			if w := c.nodes[i].wakeOf(); w != -1 {
+			if w := b.wakeOf(&c.nodes[i]); w != -1 {
 				t.Fatalf("p=%g: node %d wakes at %d", p, i, w)
 			}
 		}

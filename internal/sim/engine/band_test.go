@@ -31,6 +31,19 @@ func ownersOf(bands []*band, i int32) []int {
 	return owners
 }
 
+// TestBandPadSeparatesBands pins the pad at the end of band: every field
+// ends at least 128 bytes before the struct does, so whatever two bands'
+// allocations place side by side, no field of one shares a cache line, or a
+// prefetched pair of lines, with a field of the other.
+func TestBandPadSeparatesBands(t *testing.T) {
+	rt := reflect.TypeOf(band{})
+	for i := 0; i < rt.NumField(); i++ {
+		if f := rt.Field(i); f.Name != "_" && f.Offset+f.Type.Size()+128 > rt.Size() {
+			t.Errorf("band.%s ends at byte %d of %d: within 128 bytes of the next band", f.Name, f.Offset+f.Type.Size(), rt.Size())
+		}
+	}
+}
+
 // TestBandsPartitionNodes holds newBand and owns to the geometry: at every
 // width from one band to one per gateway row, each node lies in exactly one
 // band's node range and is owned there, and that band's rows hold the row

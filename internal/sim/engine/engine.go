@@ -7,14 +7,15 @@
 // and a multi-gateway urban grid of millions of nodes: the event driver
 // keeps one calendar of node wake events, takes it a slot at a time and
 // only touches nodes with work, so a sparse-traffic million-node city
-// costs O(events), not O(nodes × slots). What a run keeps is three flat,
-// pointer-free arrays — 28 bytes of state per node, the calendar's chunks
-// of scheduled IDs, one pool of 8-byte backlogged packets — so an event costs
-// about one cache miss and no allocation, an arrival the horizon prunes a
-// hash and a compare, and calendar reads and writes both go a slot at a
-// time. Each gateway's cell is its own collision domain, so a run splits the
-// city into bands of gateway rows and runs them side by side on one
-// exec.Fan fan-out, joining their Metrics when the horizon ends
+// costs O(events), not O(nodes × slots). What a run keeps is flat,
+// pointer-free arrays — 16 bytes of state per node, the calendar's chunks
+// of scheduled IDs, and per band a pool of 16-byte backlog records for the
+// nodes that hold packets and one of 8-byte queued packets — so an event
+// costs about one cache miss and no allocation, an arrival the horizon
+// prunes a hash and a compare, and calendar reads and writes both go a slot
+// at a time. Each gateway's cell is its own collision domain, so a run
+// splits the city into bands of gateway rows and runs them side by side on
+// one exec.Fan fan-out, joining their Metrics when the horizon ends
 // (runEvent).
 //
 // The load-bearing property is determinism by construction: every random
@@ -287,7 +288,7 @@ func (c Config) Validate() error {
 	case c.QueueCap < 0:
 		return fmt.Errorf("engine: QueueCap %d < 0", c.QueueCap)
 	case c.QueueCap > math.MaxUint16:
-		// A node's backlog length is a uint16 in its 28-byte record.
+		// A node's backlog length is a uint16 in its backlog record.
 		return fmt.Errorf("engine: QueueCap %d exceeds the uint16 backlog length limit %d", c.QueueCap, math.MaxUint16)
 	case c.MaxBackoffExp < 0 || c.MaxBackoffExp > 30:
 		return fmt.Errorf("engine: MaxBackoffExp %d outside [0,30]", c.MaxBackoffExp)
@@ -341,45 +342,73 @@ const (
 // 53-bit construction math/rand/v2 uses.
 func unitOf(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
-// nodeState is one client's compact MAC state: 28 bytes and no pointers,
-// so the node array is one allocation the garbage collector never scans
-// (TestNodeStateLayout pins both). The engine's memory is this flat array
-// plus O(scheduled events) plus one run-wide pool of backlog cells — no
-// per-node metrics, maps or slices. The field widths are what Validate's
-// limits buy: Slots <= MaxInt32 for the wake slots and the arrival count (a
-// node has at most one arrival a slot), QueueCap <= 65535 for qLen and
-// Gateways <= 65535 for gw.
+// nodeState is the record every client keeps: 16 bytes and no pointers,
+// so the node array is one allocation the garbage collector never scans and
+// no record straddles two cache lines (TestNodeStateLayout pins all three).
+// The MAC state of a node that holds packets — its queue, next attempt and
+// backoff — lives in its band's pool of backlog records (backlogState), so
+// the many idle nodes of a sparse city pay for none of it. The engine's
+// memory is this flat array plus O(scheduled events) plus the bands' pools —
+// no per-node metrics, maps or slices. The field widths are what Validate's
+// limits buy: Slots <= MaxInt32 for the arrival slot and count (a node has
+// at most one arrival a slot) and Gateways <= 65535 for gw.
 type nodeState struct {
 	// nextArrival is the slot of the node's next traffic arrival, -1 when
 	// none falls inside the horizon.
 	nextArrival int32
-	// nextTx is the slot of the node's next transmission attempt, -1 idle.
-	// A backoff that lands at or past the horizon stores Slots (finishTx):
-	// no driver fires a wake there, so the clamp changes no result.
-	nextTx int32
 	// arrivalIdx counts arrivals drawn so far (the geometric draw index).
 	arrivalIdx uint32
-	// The backlog is a FIFO list through band.cells: qHead is the oldest
-	// packet's cell, qTail the newest's, both meaningless while qLen is 0.
-	qHead, qTail int32
-	qLen         uint16
+	// backlog is the node's record in its band's backlogs pool, 0 while its
+	// queue is empty: it takes one with its first queued packet and gives
+	// it back when the queue drains (band.takeBacklog, releaseBacklog).
+	backlog int32
 	// gw is the attached gateway, valid once sf != 0.
 	gw uint16
 	// sf is the node's rate-adapted spreading factor: 0 = channel state
 	// not yet evaluated (lazy), -1 = out of range of every gateway,
 	// otherwise 7..12.
-	sf         int8
-	backoffExp uint8
+	sf int8
 	// pwr indexes TxPowersDBm: the node's ADR-chosen transmit-power rung.
 	pwr uint8
 }
 
+// backlogState is the MAC state of a node with packets queued: 16 bytes
+// and no pointers, in its band's pool. A node without one is idle in every
+// field it holds: no packet, no attempt scheduled (nextTx -1) and no
+// backoff (backoffExp 0). That is exact because an empty queue implies both:
+// a node starts with nextTx -1 (an unreachable one keeps it), a queue
+// drains only through finishTx's delivered branch, which resets both, and a
+// drop needs a full, so non-empty, queue.
+type backlogState struct {
+	// nextTx is the slot of the node's next transmission attempt. A backoff
+	// that lands at or past the horizon stores Slots (finishTx): no driver
+	// fires a wake there, so the clamp changes no result.
+	nextTx int32
+	// The queue is a FIFO list through band.cells: qHead is the oldest
+	// packet's cell, qTail the newest's. A free record's qHead links the
+	// band's free list instead.
+	qHead, qTail int32
+	// qLen is at least 1 while a node holds the record; QueueCap <= 65535
+	// bounds it.
+	qLen       uint16
+	backoffExp uint8
+}
+
+// nextTxOf returns the slot of node ns's next transmission attempt, -1 if
+// it holds no packet.
+func (b *band) nextTxOf(ns *nodeState) int32 {
+	if ns.backlog == 0 {
+		return -1
+	}
+	return b.backlogs[ns.backlog].nextTx
+}
+
 // wakeOf returns the node's next wake slot: the earlier of its next
 // arrival and next transmission, -1 if neither is scheduled.
-func (ns *nodeState) wakeOf() int64 {
+func (b *band) wakeOf(ns *nodeState) int64 {
 	w := ns.nextArrival
-	if ns.nextTx >= 0 && (w < 0 || ns.nextTx < w) {
-		w = ns.nextTx
+	if tx := b.nextTxOf(ns); tx >= 0 && (w < 0 || tx < w) {
+		w = tx
 	}
 	return int64(w)
 }
@@ -449,7 +478,7 @@ type core struct {
 
 // band is one share of a run: the nodes attached to the gateway rows
 // [rowLo, rowHi), and everything a driver changes while it runs them beside
-// their records — the backlog pool, the Metrics and the live stream. Node
+// their records — the backlog pools, the Metrics and the live stream. Node
 // IDs run row by row over the grid, so a band's nodes are the IDs [lo, hi),
 // less the nodes of a grid row that straddles a band edge and attaches to
 // the other side; IDs in [sureLo, sureHi) lie in rows wholly inside the
@@ -466,14 +495,26 @@ type band struct {
 	// [lo, hi) runs: the join counts a run's ActiveSlots as their union.
 	active []slotRun
 
-	// cells is the band's backlogs: one pool of packet cells, each node's
-	// queue a list through it (nodeState.qHead) and freeCell the list of
-	// released ones, so a backlog costs no allocation of its own. Index 0
-	// is never used: 0 ends a list.
-	cells    []packetCell
-	freeCell int32
+	// backlogs is the records of the band's nodes that hold packets
+	// (nodeState.backlog) and freeBacklog the list of released ones; cells
+	// is the packets, each node's queue a list through it
+	// (backlogState.qHead) and freeCell the list of released ones. So a
+	// backlog costs no allocation of its own. Index 0 of either pool is
+	// never used: 0 ends a list.
+	backlogs    []backlogState
+	freeBacklog int32
+	cells       []packetCell
+	freeCell    int32
 	// touched is where runEvent's gather pass leaves what it read.
 	touched int64
+	// Bands are allocated side by side and run on different cores, and
+	// each writes its fields above on every packet. The pad keeps them off
+	// the cache lines, and the 128-byte line pairs the prefetcher fetches
+	// together, that the next band reads (TestBandPadSeparatesBands): a
+	// 160-byte band without it shares a line with its neighbour at every
+	// other boundary of its size class, and city_dense's cpu_us_per_op read
+	// 0.11 or 0.145 µs a run on 2 vCPU (docs/experiments/PR-38.md).
+	_ [128]byte
 }
 
 // slotRun is the slots [lo, hi).
@@ -487,7 +528,8 @@ const maxUnit = float64(1<<53-1) / (1 << 53)
 // and gwRowOf is monotone, so the rows where the two ends fall in the band
 // are wholly inside it and the rows where both fall outside are out of it.
 func (c *core) newBand(rowLo, rowHi int, lp *liveProgress) *band {
-	b := &band{core: c, rowLo: rowLo, rowHi: rowHi, m: c.newMetrics(), lp: lp, cells: make([]packetCell, 1)}
+	b := &band{core: c, rowLo: rowLo, rowHi: rowHi, m: c.newMetrics(), lp: lp,
+		backlogs: make([]backlogState, 1), cells: make([]packetCell, 1)}
 	rows := (len(c.nodes) + c.grid - 1) / c.grid
 	firstID := func(u float64, gwRow int) int32 {
 		r := sort.Search(rows, func(r int) bool { return c.gwRowOf(c.gridPos(r, u)) >= gwRow })
@@ -517,8 +559,32 @@ type packetCell struct {
 	next    int32
 }
 
-// pushPacket appends a packet that arrived at slot s to the node's backlog.
-func (b *band) pushPacket(ns *nodeState, s int64) {
+// takeBacklog gives node ns a backlog record for a first packet arriving
+// at slot s: an empty queue, no backoff, and an attempt in the same slot,
+// since an idle node answers a fresh arrival at once. A node holds at most
+// one record, so the pool never outgrows the int32 node IDs.
+func (b *band) takeBacklog(ns *nodeState, s int64) *backlogState {
+	i := b.freeBacklog
+	if i != 0 {
+		b.freeBacklog = b.backlogs[i].qHead
+	} else {
+		i = int32(len(b.backlogs))
+		b.backlogs = append(b.backlogs, backlogState{})
+	}
+	ns.backlog = i
+	bl := &b.backlogs[i]
+	*bl = backlogState{nextTx: int32(s)}
+	return bl
+}
+
+// releaseBacklog returns node ns's drained backlog record to the free list.
+func (b *band) releaseBacklog(ns *nodeState) {
+	b.backlogs[ns.backlog].qHead, b.freeBacklog = b.freeBacklog, ns.backlog
+	ns.backlog = 0
+}
+
+// pushPacket appends a packet that arrived at slot s to a backlog.
+func (b *band) pushPacket(bl *backlogState, s int64) {
 	i := b.freeCell
 	if i != 0 {
 		b.freeCell = b.cells[i].next
@@ -530,22 +596,22 @@ func (b *band) pushPacket(ns *nodeState, s int64) {
 		b.cells = append(b.cells, packetCell{})
 	}
 	b.cells[i] = packetCell{arrival: int32(s)}
-	if ns.qLen == 0 {
-		ns.qHead = i
+	if bl.qLen == 0 {
+		bl.qHead = i
 	} else {
-		b.cells[ns.qTail].next = i
+		b.cells[bl.qTail].next = i
 	}
-	ns.qTail = i
-	ns.qLen++
+	bl.qTail = i
+	bl.qLen++
 }
 
-// popPacket removes the node's oldest packet and returns its arrival slot.
+// popPacket removes a backlog's oldest packet and returns its arrival slot.
 // The backlog must not be empty.
-func (b *band) popPacket(ns *nodeState) int64 {
-	i := ns.qHead
+func (b *band) popPacket(bl *backlogState) int64 {
+	i := bl.qHead
 	cell := &b.cells[i]
-	ns.qHead = cell.next
-	ns.qLen--
+	bl.qHead = cell.next
+	bl.qLen--
 	cell.next, b.freeCell = b.freeCell, i
 	return int64(cell.arrival)
 }
@@ -765,12 +831,10 @@ func lnUnit(v float64) float64 {
 	return float64(int(b>>52)-1023)*math.Ln2 + t[1] + r*(1-r*(0.5-r*(1.0/3-r*0.25)))
 }
 
-// initArrivals seeds every node's first arrival. With no traffic the whole
-// city stays asleep (nextArrival, nextTx both -1).
+// initArrivals seeds every node's first arrival; the node holds no backlog
+// yet. With no traffic the whole city stays asleep (nextArrival -1).
 func (c *core) initArrivals(i int32) {
-	ns := &c.nodes[i]
-	ns.nextTx = -1
-	ns.nextArrival = int32(c.arrivalAfter(i, 0, 0))
+	c.nodes[i].nextArrival = int32(c.arrivalAfter(i, 0, 0))
 }
 
 // resolveChannel lazily evaluates node i's channel state on first wake:
@@ -959,26 +1023,26 @@ func (c *core) groupOf(ns *nodeState) uint32 {
 // whether the node transmits this slot. Both drivers call exactly this.
 func (b *band) wakeNode(ns *nodeState, i int32, s int64, m *Metrics) bool {
 	if ns.sf == 0 && !b.resolveChannel(ns, i) {
+		// A first wake, so the node has queued nothing: parking it is
+		// clearing its arrival.
 		m.Unreachable++
 		ns.nextArrival = -1
-		ns.nextTx = -1
 		return false
 	}
 	if int64(ns.nextArrival) == s {
 		m.Arrivals++
-		if int(ns.qLen) < b.queueCap {
-			b.pushPacket(ns, s)
-			if ns.nextTx < 0 {
-				// An idle node answers a fresh arrival in the same slot.
-				ns.nextTx = int32(s)
-			}
-		} else {
+		switch {
+		case ns.backlog == 0:
+			b.pushPacket(b.takeBacklog(ns, s), s)
+		case int(b.backlogs[ns.backlog].qLen) < b.queueCap:
+			b.pushPacket(&b.backlogs[ns.backlog], s)
+		default:
 			m.Dropped++
 		}
 		ns.arrivalIdx++
 		ns.nextArrival = int32(b.arrivalAfter(i, uint64(ns.arrivalIdx), s+1))
 	}
-	return int64(ns.nextTx) == s && ns.qLen > 0
+	return int64(b.nextTxOf(ns)) == s
 }
 
 // grantOracle is the genie TDMA scheduler (mac.SchemeOracle): the step
@@ -991,7 +1055,8 @@ func (b *band) wakeNode(ns *nodeState, i int32, s int64, m *Metrics) bool {
 // in place to the granted nodes; granted is reset to the per-group grant
 // counts, which are the slot's contention counts; deferred, when non-nil,
 // is told each deferred node so the event driver can re-queue it.
-func (c *core) grantOracle(s int64, tx *[]int32, granted map[uint32]int32, deferred func(i int32)) {
+func (b *band) grantOracle(s int64, tx *[]int32, granted map[uint32]int32, deferred func(i int32)) {
+	c := b.core
 	clear(granted)
 	start := int32(s % int64(c.cfg.Nodes))
 	// Round-robin order over an ascending list is the IDs from start up,
@@ -1005,13 +1070,13 @@ func (c *core) grantOracle(s int64, tx *[]int32, granted map[uint32]int32, defer
 			if g := c.groupOf(ns); granted[g] < c.capacity {
 				granted[g]++
 			} else {
-				ns.nextTx = int32(s + 1)
+				b.backlogs[ns.backlog].nextTx = int32(s + 1)
 			}
 		}
 	}
 	kept := (*tx)[:0]
 	for _, i := range *tx {
-		if int64(c.nodes[i].nextTx) == s {
+		if int64(b.nextTxOf(&c.nodes[i])) == s {
 			kept = append(kept, i)
 		} else if deferred != nil {
 			deferred(i)
@@ -1045,23 +1110,25 @@ func (c *core) vetoed(i int32, s int64, prevK int32) bool {
 }
 
 // finishTx settles node i's transmission at slot s — delivery accounting
-// or the scheme's retry policy — and schedules the node's next attempt.
+// or the scheme's retry policy — and schedules the node's next attempt. A
+// delivery that drains the queue gives the node's backlog record back.
 func (b *band) finishTx(ns *nodeState, i int32, s int64, delivered bool, m *Metrics) {
 	sfIdx := int(ns.sf) - 7
 	m.Transmissions++
 	m.PerSFTx[sfIdx]++
 	m.TxEnergyNJ += b.energyNJ[sfIdx][ns.pwr]
+	bl := &b.backlogs[ns.backlog]
 	if delivered {
-		lat := s - b.popPacket(ns) + 1
+		lat := s - b.popPacket(bl) + 1
 		m.Delivered++
 		m.PerSFDelivered[sfIdx]++
 		m.TotalLatencySlots += lat
 		m.LatencyHist[latencyBucket(lat)]++
-		ns.backoffExp = 0
-		if ns.qLen > 0 {
-			ns.nextTx = int32(s + 1)
+		if bl.qLen > 0 {
+			bl.backoffExp = 0
+			bl.nextTx = int32(s + 1)
 		} else {
-			ns.nextTx = -1
+			b.releaseBacklog(ns)
 		}
 		return
 	}
@@ -1069,17 +1136,17 @@ func (b *band) finishTx(ns *nodeState, i int32, s int64, delivered bool, m *Metr
 	if b.cfg.Scheme == mac.SchemeAloha {
 		// Binary exponential backoff; the window is a power of two, so
 		// masking the derived hash is exactly uniform.
-		if ns.backoffExp < b.maxBoExp {
-			ns.backoffExp++
+		if bl.backoffExp < b.maxBoExp {
+			bl.backoffExp++
 		}
-		w := uint64(1) << ns.backoffExp
+		w := uint64(1) << bl.backoffExp
 		off := exec.Mix(exec.Mix(b.hBackoff, uint64(i)), uint64(s)) & (w - 1)
 		// A wake at or past the horizon never fires, so it is stored as the
 		// horizon itself, which the int32 always holds.
-		ns.nextTx = int32(min(s+1+int64(off), b.slots))
+		bl.nextTx = int32(min(s+1+int64(off), b.slots))
 	} else {
 		// Choir answers the next beacon; Oracle asks the genie again.
-		ns.nextTx = int32(s + 1)
+		bl.nextTx = int32(s + 1)
 	}
 }
 

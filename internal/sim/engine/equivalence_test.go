@@ -367,15 +367,11 @@ func TestEventRunAtSlotLimit(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	c := newCore(cfg)
-	var lp liveProgress
-	m, err := runEvent(context.Background(), c, &lp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, bands, m := runEventBands(t, cfg)
+	checkBacklogPools(t, "slot limit", c, bands, m)
 	clamped := 0
 	for i := range c.nodes {
-		if c.nodes[i].nextTx == math.MaxInt32 {
+		if bands[0].nextTxOf(&c.nodes[i]) == math.MaxInt32 {
 			clamped++
 		}
 	}

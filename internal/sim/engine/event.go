@@ -22,7 +22,7 @@ import (
 // only within a (gateway, SF) group, a foreign draw is keyed on (gateway,
 // slot, SF), every other draw hashes (node, slot), and every Metrics field
 // is an integer sum, so bands share nothing until the horizon ends: each
-// runs with its own calendar, backlog pool, foreign memo, group tables and
+// runs with its own calendar, backlog pools, foreign memo, group tables and
 // Metrics, and the join adds them up. The one figure that is no sum is
 // ActiveSlots, which counts a slot active in two bands once: it is the
 // union of the bands' runs of active slots. A slot holds tens of wakes, far
@@ -31,18 +31,25 @@ import (
 // exec.Fan over the gateway rows, min(GOMAXPROCS, rows) bands wide — one
 // band, on the caller alone, for a single row or a single core.
 func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
-	j := &bandJob{ctx: ctx, c: c, wake: make(chan struct{}, 1)}
-	new(exec.Fan).Run(j, c.gwRows)
+	bands, cause := runBands(ctx, c)
 	m := c.newMetrics()
-	for _, b := range j.bands {
+	for _, b := range bands {
 		m.add(b.m)
 		lp.streamed.add(&b.lp.streamed)
 	}
-	if j.cause != nil {
-		return nil, fmt.Errorf("engine: run canceled mid-drain after %d active slots: %w", m.ActiveSlots, j.cause)
+	if cause != nil {
+		return nil, fmt.Errorf("engine: run canceled mid-drain after %d active slots: %w", m.ActiveSlots, cause)
 	}
-	m.ActiveSlots = activeUnion(j.bands)
+	m.ActiveSlots = activeUnion(bands)
 	return m, nil
+}
+
+// runBands runs c's bands on one exec.Fan and returns them as they ended,
+// with the context error that stopped them early, if one did.
+func runBands(ctx context.Context, c *core) ([]*band, error) {
+	j := &bandJob{ctx: ctx, c: c, wake: make(chan struct{}, 1)}
+	new(exec.Fan).Run(j, c.gwRows)
+	return j.bands, j.cause
 }
 
 // bandJob is an event run as an exec.Job: Start splits the gateway rows
@@ -183,7 +190,7 @@ func (b *band) runEvent(halt func() bool) {
 	// is allocated once at the size they fill (EventQueue.reserve).
 	var pending []farWake
 	reschedule := func(i int32) {
-		if w := c.nodes[i].wakeOf(); w >= 0 && w < c.slots {
+		if w := b.wakeOf(&c.nodes[i]); w >= 0 && w < c.slots {
 			pending = append(pending, farWake{w, i})
 		}
 	}
@@ -245,18 +252,19 @@ func (b *band) runEvent(halt func() bool) {
 		// Gather, then process: touch every woken record first, in a loop
 		// of independent loads, so the slot's cache misses overlap instead
 		// of each waiting behind the previous node's resolveChannel and
-		// log1p. nextArrival and sf are the record's first and last words
-		// (TestNodeStateLayout), which covers the records that straddle two
-		// cache lines; the sum is stored so the loads are not dead code.
-		// The pass stays only while its own A/B says so: five interleaved
+		// log1p. A 16-byte record never straddles two cache lines
+		// (TestNodeStateLayout), so one word of it, nextArrival, pulls in
+		// the whole; the sum is stored so the loads are not dead code. The
+		// backlog records are not gathered: their pool holds only the
+		// nodes with packets, a small share of the city's records. The
+		// pass stays only while its own A/B says so: five interleaved
 		// pairs with and without it read cpu_us_per_op 0.394 → 0.309 µs on
 		// city_sparse (−21.5 %, ahead in 5 of 5) and 0.218 → 0.207 on
 		// city_dense (ahead in 4 of 5, no loss) — EXPERIMENTS.md, "Engine
 		// ledger, round two".
 		var touched int64
 		for _, i := range ids {
-			ns := &c.nodes[i]
-			touched += int64(ns.nextArrival) + int64(ns.sf)
+			touched += int64(c.nodes[i].nextArrival)
 		}
 		b.touched = touched
 		for _, i := range ids {
@@ -271,10 +279,10 @@ func (b *band) runEvent(halt func() bool) {
 		// Order only what is rationed. The wakes came in no particular
 		// order, and nothing above or below reads it: wakeNode, decodeDraw,
 		// vetoed and finishTx draw from hashes of (node, slot) and touch one
-		// node's record; every Metrics field is an integer sum; groupProb is
-		// pure in (group, k, slot), whatever order groups are first seen in;
-		// and which cell of the backlog pool or the calendar a packet or a
-		// wake takes is never observable. Node order reaches a result in
+		// node's records; every Metrics field is an integer sum; groupProb
+		// is pure in (group, k, slot), whatever order groups are first seen
+		// in; and which entry of the backlog pools or the calendar a
+		// backlog, a packet or a wake takes is never observable. Node order reaches a result in
 		// exactly two places, both rations: the genie grants round-robin
 		// over an ascending list, and a group with more transmitters than
 		// the receiver's capacity keeps its first Capacity() successes in
@@ -288,7 +296,7 @@ func (b *band) runEvent(halt func() bool) {
 			slices.Sort(txNodes)
 		}
 		if granted != nil {
-			c.grantOracle(s, &txNodes, granted, reschedule)
+			b.grantOracle(s, &txNodes, granted, reschedule)
 			counts.reset()
 			for _, i := range txNodes {
 				counts.add(c.groupOf(&c.nodes[i]))

@@ -41,7 +41,7 @@ func runSlot(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
 		active := false
 		for i := range c.nodes {
 			ns := &c.nodes[i]
-			if int64(ns.nextArrival) != s && int64(ns.nextTx) != s {
+			if int64(ns.nextArrival) != s && int64(b.nextTxOf(ns)) != s {
 				continue
 			}
 			active = true
@@ -56,7 +56,7 @@ func runSlot(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
 		}
 		m.ActiveSlots++
 		if c.cfg.Scheme == mac.SchemeOracle {
-			c.grantOracle(s, &txNodes, counts, nil)
+			b.grantOracle(s, &txNodes, counts, nil)
 		}
 
 		clear(probs)
