@@ -335,8 +335,8 @@ func TestSweepVariantsAndFigure(t *testing.T) {
 }
 
 // TestSweepMarginEdges pins what RunSweep makes of a margin that is no
-// finite number: NaN is rejected (it would pass the margin <= 0 test and
-// turn every decode probability NaN), -Inf means off, as 0 does, and +Inf
+// finite number: NaN is rejected (it fails the margin <= 0 test and turns
+// every decode probability NaN), -Inf means off, as 0 does, and +Inf
 // means a frame never captures a contended channel: finite probabilities,
 // a lone frame decoding as it would without the model.
 func TestSweepMarginEdges(t *testing.T) {

@@ -94,8 +94,9 @@ func RunSweep(ctx context.Context, cfg SweepConfig) (*Sweep, error) {
 		return nil, fmt.Errorf("interfere: sweep with no densities")
 	}
 	if math.IsNaN(cfg.MarginDB) {
-		// A NaN margin passes the <= 0 test that turns capture off, and
-		// makes every decode probability NaN, so every draw fails.
+		// A NaN margin fails the margin <= 0 test that turns capture off,
+		// so capture is modelled with a NaN probability: every decode
+		// probability is NaN and every draw fails.
 		return nil, fmt.Errorf("interfere: capture margin is NaN")
 	}
 	vs := Variants()
