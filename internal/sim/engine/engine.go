@@ -513,7 +513,7 @@ type band struct {
 	// together, that the next band reads (TestBandPadSeparatesBands): a
 	// 160-byte band without it shares a line with its neighbour at every
 	// other boundary of its size class, and city_dense's cpu_us_per_op read
-	// 0.11 or 0.145 µs a run on 2 vCPU (docs/experiments/PR-38.md).
+	// 0.11 or 0.145 µs a run on 2 vCPU (DESIGN.md §15).
 	_ [128]byte
 }
 
