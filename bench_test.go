@@ -19,7 +19,9 @@ import (
 	"choir/internal/channel"
 	ichoir "choir/internal/choir"
 	"choir/internal/lora"
+	"choir/internal/obs"
 	"choir/internal/sim"
+	"choir/internal/sim/engine"
 )
 
 // fastCfg keeps MAC sweeps cheap inside benchmarks; the cmd/choir-sim tool
@@ -31,7 +33,7 @@ func fastCfg() choir.ExperimentConfig {
 	return cfg
 }
 
-func logFigure(b *testing.B, fig *choir.Figure) {
+func logFigure(b *testing.B, fig *sim.Figure) {
 	b.Helper()
 	var sb strings.Builder
 	fig.Fprint(&sb)
@@ -39,7 +41,7 @@ func logFigure(b *testing.B, fig *choir.Figure) {
 }
 
 func BenchmarkFig7OffsetCDF(b *testing.B) {
-	var fig *choir.Figure
+	var fig *sim.Figure
 	for i := 0; i < b.N; i++ {
 		fig = choir.Fig7Offsets(30, 1)
 	}
@@ -49,7 +51,7 @@ func BenchmarkFig7OffsetCDF(b *testing.B) {
 }
 
 func BenchmarkFig7OffsetStability(b *testing.B) {
-	var fig *choir.Figure
+	var fig *sim.Figure
 	var err error
 	for i := 0; i < b.N; i++ {
 		if fig, err = choir.Fig7Stability(context.Background(), 2, 5); err != nil {
@@ -63,7 +65,7 @@ func BenchmarkFig7OffsetStability(b *testing.B) {
 
 func BenchmarkFig8SNR(b *testing.B) {
 	cfg := fastCfg()
-	var fig *choir.Figure
+	var fig *sim.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
 		fig, err = choir.Fig8SNR(context.Background(), cfg, choir.MetricThroughput)
@@ -79,7 +81,7 @@ func BenchmarkFig8Users(b *testing.B) {
 	cfg := fastCfg()
 	for _, metric := range []choir.ExperimentMetric{choir.MetricThroughput, choir.MetricLatency, choir.MetricTxCount} {
 		b.Run(metric.String(), func(b *testing.B) {
-			var fig *choir.Figure
+			var fig *sim.Figure
 			for i := 0; i < b.N; i++ {
 				var err error
 				fig, err = choir.Fig8Users(context.Background(), cfg, metric)
@@ -101,7 +103,7 @@ func BenchmarkFig8Users(b *testing.B) {
 }
 
 func BenchmarkFig9Throughput(b *testing.B) {
-	var fig *choir.Figure
+	var fig *sim.Figure
 	for i := 0; i < b.N; i++ {
 		fig = choir.Fig9Throughput(-22, 30)
 	}
@@ -111,7 +113,7 @@ func BenchmarkFig9Throughput(b *testing.B) {
 }
 
 func BenchmarkFig9Range(b *testing.B) {
-	var fig *choir.Figure
+	var fig *sim.Figure
 	for i := 0; i < b.N; i++ {
 		fig = choir.Fig9Range(30)
 	}
@@ -123,7 +125,7 @@ func BenchmarkFig9Range(b *testing.B) {
 
 func BenchmarkFig10Resolution(b *testing.B) {
 	dists := []float64{200, 600, 1000, 1400, 1800, 2200, 2600, 3000}
-	var fig *choir.Figure
+	var fig *sim.Figure
 	var err error
 	for i := 0; i < b.N; i++ {
 		if fig, err = choir.Fig10Resolution(context.Background(), dists, 3, 1); err != nil {
@@ -136,7 +138,7 @@ func BenchmarkFig10Resolution(b *testing.B) {
 }
 
 func BenchmarkFig11Grouping(b *testing.B) {
-	var fig *choir.Figure
+	var fig *sim.Figure
 	var err error
 	for i := 0; i < b.N; i++ {
 		if fig, err = choir.Fig11Grouping(context.Background(), 6, 10, 2); err != nil {
@@ -150,7 +152,7 @@ func BenchmarkFig11Grouping(b *testing.B) {
 
 func BenchmarkFig11Throughput(b *testing.B) {
 	cfg := fastCfg()
-	var fig *choir.Figure
+	var fig *sim.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
 		fig, err = choir.Fig11Throughput(context.Background(), cfg, 10, 4, 5)
@@ -167,7 +169,7 @@ func BenchmarkFig11Throughput(b *testing.B) {
 func BenchmarkFig12MUMIMO(b *testing.B) {
 	cfg := choir.DefaultFig12()
 	cfg.Fig8 = fastCfg()
-	var fig *choir.Figure
+	var fig *sim.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
 		fig, err = choir.Fig12MUMIMO(context.Background(), cfg)
@@ -183,7 +185,7 @@ func BenchmarkFig12MUMIMO(b *testing.B) {
 
 func BenchmarkHeadline(b *testing.B) {
 	cfg := fastCfg()
-	var h *choir.HeadlineResult
+	var h *engine.Headline
 	for i := 0; i < b.N; i++ {
 		var err error
 		h, err = choir.ComputeHeadline(context.Background(), cfg)
@@ -428,7 +430,7 @@ func teamSNRs(n int, snr float64) []float64 {
 func BenchmarkEndToEndDeployment(b *testing.B) {
 	// The whole pipeline — geometry, link-aware scheduling, IQ-level
 	// collision and team decoding — in one run.
-	var rep *choir.E2EReport
+	var rep *sim.E2EReport
 	for i := 0; i < b.N; i++ {
 		var err error
 		rep, err = choir.EndToEnd(context.Background(), choir.DefaultE2E())
@@ -458,11 +460,11 @@ func BenchmarkDecodeMetricsOnVsOff(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			if on {
-				choir.EnableMetrics()
+				obs.Enable()
 			} else {
-				choir.DisableMetrics()
+				obs.Disable()
 			}
-			defer choir.DisableMetrics()
+			defer obs.Disable()
 			dec := mustDecoder(ichoir.DefaultConfig(sc.Params))
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -7,7 +7,8 @@
 // co-located sensors transmitting correlated data.
 //
 // The package re-exports the part of the internal packages that the
-// commands under cmd/, the programs under examples/ and the root tests use:
+// commands under cmd/ and the programs under examples/ use (the root tests
+// import the internal packages for anything else):
 //
 //   - the collision decoder (NewDecoder, Decode, DecodeTeam), the backend
 //     registry behind it, and their configuration;
@@ -43,7 +44,6 @@ import (
 	"choir/internal/fault"
 	"choir/internal/lora"
 	"choir/internal/mac"
-	"choir/internal/obs"
 	"choir/internal/radio"
 	"choir/internal/sim"
 	"choir/internal/sim/engine"
@@ -64,9 +64,6 @@ var (
 	// configuration.
 	NewModem = lora.NewModem
 )
-
-// SF7 is the fastest LoRa spreading factor.
-const SF7 = lora.SF7
 
 // Collision decoding (package internal/choir — the paper's contribution).
 // The Err* sentinels classify outcomes with errors.Is.
@@ -123,11 +120,9 @@ var (
 	Combine = channel.Combine
 )
 
-// MAC schemes (package internal/mac), run by the city engine below.
-const (
-	SchemeOracle = mac.SchemeOracle
-	SchemeChoir  = mac.SchemeChoir
-)
+// SchemeChoir (package internal/mac) is the MAC scheme the city engine
+// below runs for Choir.
+const SchemeChoir = mac.SchemeChoir
 
 // DeriveSeed (package internal/exec) deterministically mixes a base seed with
 // trial coordinates, giving every parallel trial an independent stream.
@@ -140,7 +135,7 @@ var DeriveSeed = exec.DeriveSeed
 // DESIGN.md §15.
 type (
 	// CityConfig parameterizes one city run (scheme, nodes, gateways,
-	// traffic, receiver model, driver).
+	// traffic, receiver model).
 	CityConfig = engine.Config
 	// CityModelReceiver is a receiver model backed by a success-probability
 	// table with an optional per-slot capacity cap.
@@ -151,28 +146,19 @@ type (
 )
 
 var (
-	// RunCity executes one city under ctx and returns its metrics (nil
-	// metrics and the context's error if canceled mid-drain).
-	RunCity = engine.Run
 	// CityDensitySweep reruns the city across node counts; each point's
 	// seed derives from its index, so points are independent.
 	CityDensitySweep = engine.DensitySweep
 	// FprintCitySweep writes a sweep as an aligned text table.
 	FprintCitySweep = engine.FprintSweep
-	// ParseCityDriver maps "event"/"slot" to a city driver.
-	ParseCityDriver = engine.ParseDriver
 	// AnalyticChoirTable builds the calibrated Choir success table used
 	// as the default city receiver model.
 	AnalyticChoirTable = sim.AnalyticChoirTable
 )
 
-const (
-	// CityDriverEvent is the production event engine.
-	CityDriverEvent = engine.DriverEvent
-	// CityADRFastestSNR is the engine's original rate adaptation: the
-	// fastest rate the measured SNR supports.
-	CityADRFastestSNR = engine.ADRFastestSNR
-)
+// CityADRFastestSNR is the engine's original rate adaptation: the fastest
+// rate the measured SNR supports.
+const CityADRFastestSNR = engine.ADRFastestSNR
 
 // Multi-network interference (package internal/sim/interfere): a
 // capture-effect receiver with per-SF imperfect orthogonality and the paired
@@ -184,9 +170,6 @@ const (
 type InterfereSweepConfig = interfere.SweepConfig
 
 var (
-	// NewCaptureModel wraps a receiver with the capture effect at a margin
-	// (dB) under the urban shadowing spread and default SIR matrix.
-	NewCaptureModel = interfere.New
 	// RunInterfereSweep runs the paired Choir-vs-ADR density sweep.
 	RunInterfereSweep = interfere.RunSweep
 	// FprintInterfereSweep writes the sweep as an aligned text table.
@@ -215,18 +198,12 @@ var (
 // Experiments (packages internal/sim and, for the MAC cell figures,
 // internal/sim/engine): every figure of Sec. 9.
 type (
-	// Figure is a reproduced paper figure (series over an x axis).
-	Figure = sim.Figure
 	// Scenario renders synthetic collisions at IQ level.
 	Scenario = sim.Scenario
 	// ExperimentConfig parameterizes the density experiments.
 	ExperimentConfig = engine.Fig8Config
 	// ExperimentMetric selects throughput, latency, or transmission count.
 	ExperimentMetric = engine.Metric
-	// HeadlineResult aggregates the paper's headline gains.
-	HeadlineResult = engine.Headline
-	// E2EReport summarizes an end-to-end deployment run.
-	E2EReport = sim.E2EReport
 )
 
 // Experiment entry points, one per paper figure. Those that run Monte-Carlo
@@ -265,16 +242,4 @@ const (
 	MetricThroughput = engine.Throughput
 	MetricLatency    = engine.Latency
 	MetricTxCount    = engine.TxCount
-)
-
-// Observability (package internal/obs): process-wide counters and latency
-// histograms. Recording is off by default and allocation-free when disabled;
-// enabling it never changes decode results or seed derivation (DESIGN.md
-// §10).
-var (
-	// EnableMetrics turns on metric recording process-wide.
-	EnableMetrics = obs.Enable
-	// DisableMetrics turns recording back off (already-recorded values
-	// remain readable).
-	DisableMetrics = obs.Disable
 )

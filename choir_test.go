@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"choir"
+	"choir/internal/mac"
+	"choir/internal/sim"
+	"choir/internal/sim/engine"
 )
 
 // TestPublicAPICollisionRoundTrip exercises the exported surface end to
@@ -65,16 +68,16 @@ func TestPublicAPIExperiments(t *testing.T) {
 	cfg.Calibration.Trials = 0
 
 	ctx := context.Background()
-	figs := []*choir.Figure{
+	figs := []*sim.Figure{
 		choir.Fig7Offsets(10, 1),
 		choir.Fig9Throughput(-22, 10),
 		choir.Fig9Range(10),
 	}
-	for _, mk := range []func() (*choir.Figure, error){
-		func() (*choir.Figure, error) { return choir.Fig10Resolution(ctx, []float64{500, 2000}, 2, 1) },
-		func() (*choir.Figure, error) { return choir.Fig11Grouping(ctx, 6, 3, 1) },
-		func() (*choir.Figure, error) { return choir.Fig8Users(ctx, cfg, choir.MetricThroughput) },
-		func() (*choir.Figure, error) { return choir.Fig11Throughput(ctx, cfg, 6, 2, 4) },
+	for _, mk := range []func() (*sim.Figure, error){
+		func() (*sim.Figure, error) { return choir.Fig10Resolution(ctx, []float64{500, 2000}, 2, 1) },
+		func() (*sim.Figure, error) { return choir.Fig11Grouping(ctx, 6, 3, 1) },
+		func() (*sim.Figure, error) { return choir.Fig8Users(ctx, cfg, choir.MetricThroughput) },
+		func() (*sim.Figure, error) { return choir.Fig11Throughput(ctx, cfg, 6, 2, 4) },
 	} {
 		fig, err := mk()
 		if err != nil {
@@ -94,10 +97,11 @@ func TestPublicAPIExperiments(t *testing.T) {
 	}
 }
 
-// TestPublicAPIMAC drives the exported MAC simulation directly: a
-// single-gateway city under the oracle TDMA scheduler.
+// TestPublicAPIMAC drives the MAC simulation behind the exported city
+// configuration directly: a single-gateway city under the oracle TDMA
+// scheduler.
 func TestPublicAPIMAC(t *testing.T) {
-	m, err := choir.RunCity(context.Background(), oracleCell(500, 2))
+	m, err := engine.Run(context.Background(), oracleCell(500, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +114,7 @@ func TestPublicAPIMAC(t *testing.T) {
 // scheduler and the standard one-packet-per-slot receiver.
 func oracleCell(slots int, seed uint64) choir.CityConfig {
 	return choir.CityConfig{
-		Scheme:         choir.SchemeOracle,
+		Scheme:         mac.SchemeOracle,
 		Nodes:          4,
 		Gateways:       1,
 		Slots:          slots,

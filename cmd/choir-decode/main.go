@@ -108,7 +108,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	var inj choir.FaultInjector
+	var inj *choir.FaultInjector
 	if *faultClass != "" {
 		class, err := choir.ParseFaultClass(*faultClass)
 		if err != nil {
@@ -185,7 +185,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 // the full report as a string so batch output stays ordered. A canceled
 // context surfaces as an error (the trace was not decoded), unlike an
 // ordinary failed decode which is a report.
-func decodeTrace(ctx context.Context, name string, index uint64, team bool, inj choir.FaultInjector, poolFor func(choir.PHYParams) (*choir.BackendPool, error)) (string, error) {
+func decodeTrace(ctx context.Context, name string, index uint64, team bool, inj *choir.FaultInjector, poolFor func(choir.PHYParams) (*choir.BackendPool, error)) (string, error) {
 	f, err := os.Open(name)
 	if err != nil {
 		return "", err

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"choir"
+	"choir/internal/lora"
 	"choir/internal/sim"
 	"choir/internal/trace"
 )
@@ -19,7 +20,7 @@ import (
 func writeTestTrace(t *testing.T, path string, seed uint64) {
 	t.Helper()
 	p := choir.DefaultPHY()
-	p.SF = choir.SF7
+	p.SF = lora.SF7
 	sc := sim.Scenario{Params: p, PayloadLen: 4, SNRsDB: []float64{15}, Seed: seed}
 	samples, payloads := sc.Synthesize()
 	h := trace.Header{Params: p, PayloadLen: 4}

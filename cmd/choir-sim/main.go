@@ -8,7 +8,6 @@
 //	choir-sim -exp fig8d -calibrate   # drive Choir with IQ-level Monte-Carlo
 //	choir-sim -exp faultsweep -fault drop -fault-rate 0.4
 //	choir-sim -exp city -nodes 100000,1000000   # city-scale density sweep
-//	choir-sim -exp city -engine slot -nodes 5000  # serial reference driver
 //	choir-sim -exp interfere -nodes 200,500 -foreign-nodes 200  # vs ADR under interference
 //	choir-sim -compare-backends       # head-to-head backend comparison
 //	choir-sim -compare-backends -backends choir,superposed \
@@ -21,15 +20,14 @@
 // GOMAXPROCS=1 runs them serially.
 //
 // -exp city runs the event-driven city-scale engine (DESIGN.md §15) as a
-// density sweep over -nodes, with -engine selecting the event driver or the
-// slot-walk reference (bit-identical metrics, different wall clock), and
-// -gateways/-arrival shaping the deployment.
+// density sweep over -nodes, with -gateways/-arrival shaping the
+// deployment.
 //
 // -exp interfere runs the multi-network interference suite (DESIGN.md §17):
 // a paired goodput-vs-density sweep comparing Choir's collision decoding
 // against the four ADR policies, under -foreign-networks co-channel foreign
 // networks of -foreign-nodes nodes each and a -capture-margin dB capture
-// model. The table is bit-identical on either -engine.
+// model.
 //
 // SIGINT/SIGTERM cancel the in-flight experiment cooperatively: no new
 // trial starts, the metrics snapshot still flushes, and the process exits
@@ -78,7 +76,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	calibrate := fs.Bool("calibrate", false, "calibrate the Choir MAC model with the IQ-level decoder")
 	slots := fs.Int("slots", 4000, "MAC simulation length in slots")
 	seed := fs.Uint64("seed", 7, "simulation seed")
-	engineName := fs.String("engine", "event", "city driver for -exp city: event (event queue) or slot (serial reference)")
 	nodesList := fs.String("nodes", "1000,10000,100000", "comma-separated node counts for the -exp city density sweep")
 	gateways := fs.Int("gateways", 1, "gateway count for -exp city")
 	arrival := fs.Float64("arrival", 2e-5, "per-node per-slot arrival probability for -exp city")
@@ -97,6 +94,17 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	debugAddr := fs.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060); implies metrics recording")
 	if err := fs.Parse(argv); err != nil {
 		return exitUsage
+	}
+	// A negative count would otherwise read as zero: no foreign network, or
+	// the default comparison grid.
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"foreign-networks", *foreignNets}, {"trials", *compareTrials}} {
+		if f.n < 0 {
+			fmt.Fprintf(stderr, "choir-sim: -%s %d < 0\n", f.name, f.n)
+			return exitFailed
+		}
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -253,17 +261,12 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			return nil
 		},
 		"city": func(ctx context.Context) error {
-			driver, err := choir.ParseCityDriver(*engineName)
-			if err != nil {
-				return err
-			}
 			densities, err := parseNodeList(*nodesList)
 			if err != nil {
 				return err
 			}
 			base := choir.CityConfig{
 				Scheme:         choir.SchemeChoir,
-				Driver:         driver,
 				Gateways:       *gateways,
 				Slots:          *slots,
 				ArrivalPerSlot: *arrival,
@@ -278,10 +281,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			return nil
 		},
 		"interfere": func(ctx context.Context) error {
-			driver, err := choir.ParseCityDriver(*engineName)
-			if err != nil {
-				return err
-			}
 			densities, err := parseNodeList(*nodesList)
 			if err != nil {
 				return err
@@ -292,7 +291,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			}
 			scfg := choir.InterfereSweepConfig{
 				Base: choir.CityConfig{
-					Driver:         driver,
 					Gateways:       *gateways,
 					Slots:          *slots,
 					ArrivalPerSlot: *arrival,

@@ -51,3 +51,34 @@ func TestRunSharedBadSettingOneError(t *testing.T) {
 		t.Errorf("stderr is not one line naming the setting and the first cell:\n%s", stderr.String())
 	}
 }
+
+// TestRunRejectsBadCounts: a count no run can use fails with one line, as
+// -nodes 0 does, instead of running as if a default had been asked for. The
+// deleted driver switch is an unknown flag, a usage error.
+func TestRunRejectsBadCounts(t *testing.T) {
+	for _, tc := range []struct {
+		argv []string
+		code int
+		want string
+	}{
+		{[]string{"-exp", "city", "-nodes", "0"}, exitFailed, "bad -nodes entry"},
+		{[]string{"-exp", "interfere", "-foreign-networks", "-1"}, exitFailed, "-foreign-networks -1 < 0"},
+		{[]string{"-compare-backends", "-trials", "-1"}, exitFailed, "-trials -1 < 0"},
+		{[]string{"-exp", "city", "-engine", "slot"}, exitUsage, "flag provided but not defined"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), tc.argv, &stdout, &stderr); code != tc.code {
+			t.Errorf("%q: exit %d, want %d; stderr:\n%s", tc.argv, code, tc.code, stderr.String())
+			continue
+		}
+		if msg := strings.TrimSuffix(stderr.String(), "\n"); tc.code == exitFailed && (strings.Contains(msg, "\n") || !strings.Contains(msg, tc.want)) {
+			t.Errorf("%q: stderr is not one line naming %q:\n%s", tc.argv, tc.want, stderr.String())
+		}
+		if tc.code == exitUsage && !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%q: stderr does not say %q:\n%s", tc.argv, tc.want, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: printed %q", tc.argv, stdout.String())
+		}
+	}
+}

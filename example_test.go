@@ -53,15 +53,21 @@ func ExampleModem_Demodulate() {
 	// Output: hello <nil>
 }
 
-// ExampleRunCity simulates a small cell under the oracle TDMA scheduler.
-func ExampleRunCity() {
-	metrics, err := choir.RunCity(context.Background(), oracleCell(100, 1))
+// ExampleCityDensitySweep simulates a small cell under the oracle TDMA
+// scheduler at two densities: the genie delivers one packet a slot however
+// many saturated clients share the cell.
+func ExampleCityDensitySweep() {
+	points, err := choir.CityDensitySweep(context.Background(), oracleCell(100, 1), []int{2, 4})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println(metrics.Delivered, "packets,", metrics.TxPerDelivered(), "tx/packet")
-	// Output: 100 packets, 1 tx/packet
+	for _, p := range points {
+		fmt.Println(p.Nodes, "nodes:", p.Metrics.Delivered, "packets,", p.Metrics.TxPerDelivered(), "tx/packet")
+	}
+	// Output:
+	// 2 nodes: 100 packets, 1 tx/packet
+	// 4 nodes: 100 packets, 1 tx/packet
 }
 
 // ExampleFig9Range regenerates the paper's range-versus-team-size result.

@@ -5,15 +5,19 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"choir"
+	"choir/internal/mac"
 )
 
 // parseSources parses every non-test Go file of the module outside
@@ -140,7 +144,7 @@ func TestOneMACModel(t *testing.T) {
 	if !sawMAC {
 		t.Fatal("found no sources under internal/mac")
 	}
-	oracle := choir.CityConfig{Scheme: choir.SchemeOracle, Nodes: 4, Slots: 10, Receiver: choir.CityModelReceiver{Success: []float64{1}}}
+	oracle := choir.CityConfig{Scheme: mac.SchemeOracle, Nodes: 4, Slots: 10, Receiver: choir.CityModelReceiver{Success: []float64{1}}}
 	if err := oracle.Validate(); err != nil {
 		t.Errorf("engine rejects SchemeOracle: %v", err)
 	}
@@ -328,22 +332,24 @@ func TestDecodeHasNoSeed(t *testing.T) {
 	}
 }
 
-// TestNoTestOnlyFunctions enforces the deletion rule of PR 21: a function
-// or method outside benchmark/ stays only while something that runs can reach
-// it, and a field of an exported Config stays only while something that runs
-// reads it — an option nothing reads is accepted and silently ignored.
-// Reachability is scanReach's: type-checked, from every main and init
-// (cmd/, examples/, and frozen benchmark/, whose callers keep its shims
-// live), following each function a reached body names, and through an
-// interface to every module type implementing it. Anything else must appear
-// in carried, keyed by qualified name, with the reason it stays:
+// TestNoTestOnlyFunctions enforces the deletion rule of PR 21: a function,
+// method, type, constant or exported variable outside benchmark/ stays only
+// while something that runs can reach it, and a field of an exported Config
+// stays only while something that runs reads it — an option nothing reads
+// is accepted and silently ignored. Reachability is scanReach's:
+// type-checked, from every main and init (cmd/, examples/, and frozen
+// benchmark/, whose callers keep its shims live), following each
+// declaration a reached body names, and through an interface to every live
+// module type implementing it. A facade name only the root tests use is
+// dead: they import the internal package instead. Anything else must
+// appear in carried, keyed by qualified name, with the reason it stays:
 //
 //	reference: <test>      a test compares live code against it
 //	probe/fixture: <test>  another package's test measures or builds with it
 //	ROADMAP item N         an open item names it as its input
 //	interface: <which>     called through an interface the scan cannot see
 //
-// A carried function is a root too, so the helpers under it need no entry
+// A carried declaration is a root too, so the helpers under it need no entry
 // of their own. A carried entry that is no longer declared, or that the
 // roots reach without it, fails, so the map cannot rot. A probe or fixture
 // only its own package's tests use belongs in a _test.go file, not here.
@@ -416,4 +422,138 @@ func raceEnabled() bool {
 		}
 	}
 	return false
+}
+
+// TestCINamesOnlyTestsThatExist keeps ci.yml's test selections alive: go
+// test -run with a pattern that matches nothing exits 0 with "no tests to
+// run", so a step whose tests were deleted or renamed would pass while
+// running nothing. Every top-level alternative of every -run pattern must
+// match a Test function declared in the step's packages ('^$', which runs
+// none on purpose, is exempt); every -fuzz target must be a Fuzz function
+// declared there; and every Fuzz function of the module must be a -fuzz
+// target, which only the fuzz smoke step has.
+func TestCINamesOnlyTestsThatExist(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string][]string{} // package dir -> Test and Fuzz functions
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && (strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz")) {
+				declared[dir] = append(declared[dir], fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fuzzed := map[string]bool{} // "dir.FuzzName"
+	for _, line := range strings.Split(string(ci), "\n") {
+		_, cmd, ok := strings.Cut(line, "go test ")
+		if !ok || strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		var runs, fuzzes, dirs []string
+		args := strings.Fields(strings.NewReplacer("'", "", `"`, "").Replace(cmd))
+		for i, a := range args {
+			switch {
+			case a == "-run" && i+1 < len(args):
+				runs = append(runs, args[i+1])
+			case strings.HasPrefix(a, "-run="):
+				runs = append(runs, strings.TrimPrefix(a, "-run="))
+			case strings.HasPrefix(a, "-fuzz="):
+				fuzzes = append(fuzzes, strings.TrimPrefix(a, "-fuzz="))
+			case a == "./...":
+				for dir := range declared {
+					dirs = append(dirs, dir)
+				}
+			case a == "." || strings.HasPrefix(a, "./"):
+				dirs = append(dirs, strings.TrimPrefix(a, "./"))
+			}
+		}
+		has := func(match func(name string) bool) bool {
+			for _, dir := range dirs {
+				if slices.ContainsFunc(declared[dir], match) {
+					return true
+				}
+			}
+			return false
+		}
+		for _, pattern := range runs {
+			if pattern == "^$" {
+				continue
+			}
+			for _, alt := range topLevelAlternatives(pattern) {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("ci.yml: -run %q: %v", pattern, err)
+					continue
+				}
+				if !has(func(name string) bool { return strings.HasPrefix(name, "Test") && re.MatchString(name) }) {
+					t.Errorf("ci.yml: -run %q: %q matches no Test function in %v", pattern, alt, dirs)
+				}
+			}
+		}
+		for _, target := range fuzzes {
+			if !has(func(name string) bool { return name == target && strings.HasPrefix(name, "Fuzz") }) {
+				t.Errorf("ci.yml: -fuzz=%s is no Fuzz function in %v", target, dirs)
+			}
+			for _, dir := range dirs {
+				fuzzed[dir+"."+target] = true
+			}
+		}
+	}
+	for dir, names := range declared {
+		for _, name := range names {
+			if strings.HasPrefix(name, "Fuzz") && !fuzzed[dir+"."+name] {
+				t.Errorf("%s.%s is in no -fuzz= step of ci.yml: add it to the fuzz smoke step", dir, name)
+			}
+		}
+	}
+}
+
+// topLevelAlternatives splits a regular expression at the | that no
+// parenthesis or character class encloses.
+func topLevelAlternatives(pattern string) []string {
+	var alts []string
+	depth, class, start := 0, false, 0
+	for i := 0; i < len(pattern); i++ {
+		switch c := pattern[i]; {
+		case c == '\\':
+			i++
+		case class:
+			class = c != ']'
+		case c == '[':
+			class = true
+		case c == '(':
+			depth++
+		case c == ')':
+			depth--
+		case c == '|' && depth == 0:
+			alts = append(alts, pattern[start:i])
+			start = i + 1
+		}
+	}
+	return append(alts, pattern[start:])
 }

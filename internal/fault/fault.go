@@ -89,80 +89,40 @@ func ParseClass(s string) (Class, error) {
 }
 
 // Injector corrupts IQ sample streams with one fault class at a fixed
-// intensity. Implementations are stateless and safe for concurrent use:
-// all per-application randomness comes from the seed passed to Apply.
-type Injector interface {
-	// Class reports the injector's fault family.
-	Class() Class
-	// Intensity reports the configured intensity in [0, 1].
-	Intensity() float64
-	// Apply corrupts samples in place and returns the surviving slice (a
-	// prefix of the input for truncating faults, the input itself
-	// otherwise). The seed fully determines the corruption; intensity zero
-	// returns samples untouched.
-	Apply(samples []complex128, seed uint64) []complex128
+// intensity. It is stateless and safe for concurrent use: all
+// per-application randomness comes from the seed passed to Apply. Class
+// dispatch keeps the per-class corruption routines next to each other and
+// the constructor trivially exhaustive.
+type Injector struct {
+	class     Class
+	intensity float64
 }
 
 // New builds an injector for the class at the given intensity in [0, 1].
-func New(class Class, intensity float64) (Injector, error) {
+func New(class Class, intensity float64) (*Injector, error) {
 	if math.IsNaN(intensity) || intensity < 0 || intensity > 1 {
 		return nil, fmt.Errorf("fault: intensity %g outside [0,1]", intensity)
 	}
 	if class < 0 || class >= numClasses {
 		return nil, fmt.Errorf("fault: unknown class %d", int(class))
 	}
-	return injector{class: class, intensity: intensity}, nil
+	return &Injector{class: class, intensity: intensity}, nil
 }
 
-// Chain composes injectors; Apply runs them in order, deriving a distinct
-// sub-seed per element so reordering the chain changes the corruption but a
-// fixed chain is fully reproducible.
-type Chain []Injector
+// Class reports the injector's fault family.
+func (in *Injector) Class() Class { return in.class }
 
-// Class implements Injector; a chain reports the class of its first element
-// (or Clip when empty — a zero-intensity chain is a no-op either way).
-func (ch Chain) Class() Class {
-	if len(ch) == 0 {
-		return Clip
-	}
-	return ch[0].Class()
-}
+// Intensity reports the configured intensity in [0, 1].
+func (in *Injector) Intensity() float64 { return in.intensity }
 
-// Intensity implements Injector with the maximum element intensity.
-func (ch Chain) Intensity() float64 {
-	max := 0.0
-	for _, inj := range ch {
-		if inj.Intensity() > max {
-			max = inj.Intensity()
-		}
-	}
-	return max
-}
+// String names the class and the intensity, as in "drop@0.4".
+func (in *Injector) String() string { return fmt.Sprintf("%s@%g", in.class, in.intensity) }
 
-// Apply implements Injector.
-func (ch Chain) Apply(samples []complex128, seed uint64) []complex128 {
-	for i, inj := range ch {
-		// Golden-ratio stride keeps element sub-seeds distinct; each
-		// injector's PCG construction mixes further.
-		samples = inj.Apply(samples, seed+uint64(i+1)*0x9E3779B97F4A7C15)
-	}
-	return samples
-}
-
-// injector is the single concrete implementation: class dispatch keeps the
-// per-class corruption routines next to each other and the constructor
-// trivially exhaustive.
-type injector struct {
-	class     Class
-	intensity float64
-}
-
-func (in injector) Class() Class       { return in.class }
-func (in injector) Intensity() float64 { return in.intensity }
-func (in injector) String() string     { return fmt.Sprintf("%s@%g", in.class, in.intensity) }
-
-// Apply implements Injector.
-func (in injector) Apply(samples []complex128, seed uint64) []complex128 {
+// Apply corrupts samples in place and returns the surviving slice (a prefix
+// of the input for truncating faults, the input itself otherwise). The seed
+// fully determines the corruption; intensity zero returns samples
+// untouched.
+func (in *Injector) Apply(samples []complex128, seed uint64) []complex128 {
 	if in.intensity == 0 || len(samples) == 0 {
 		return samples
 	}

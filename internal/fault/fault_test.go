@@ -8,7 +8,7 @@ import (
 )
 
 // mustNew is New that panics on error, for the tests' fixed, valid inputs.
-func mustNew(class Class, intensity float64) Injector {
+func mustNew(class Class, intensity float64) *Injector {
 	inj, err := New(class, intensity)
 	if err != nil {
 		panic(err)
@@ -186,32 +186,6 @@ func TestTruncateCutsTail(t *testing.T) {
 	out = mustNew(Truncate, 0.5).Apply(testSignal(1000), 0)
 	if len(out) != 550 {
 		t.Errorf("truncate@0.5 kept %d of 1000 samples, want 550", len(out))
-	}
-}
-
-func TestChain(t *testing.T) {
-	ch := Chain{mustNew(Clip, 0.3), mustNew(Truncate, 0.5)}
-	if ch.Class() != Clip {
-		t.Errorf("chain class %v, want clip", ch.Class())
-	}
-	if ch.Intensity() != 0.5 {
-		t.Errorf("chain intensity %g, want 0.5", ch.Intensity())
-	}
-	out := ch.Apply(testSignal(1000), 11)
-	if len(out) != 550 {
-		t.Errorf("chain did not truncate: %d samples", len(out))
-	}
-	// Deterministic as a unit.
-	again := ch.Apply(testSignal(1000), 11)
-	for i := range out {
-		if out[i] != again[i] {
-			t.Fatal("chain not deterministic")
-		}
-	}
-	// Empty chain is a no-op.
-	x := testSignal(64)
-	if got := (Chain{}).Apply(x, 1); len(got) != 64 || &got[0] != &x[0] {
-		t.Error("empty chain modified its input")
 	}
 }
 

@@ -80,7 +80,7 @@ func TestChaosGatewaySmoke(t *testing.T) {
 }
 
 // mustInject is fault.New for the tests' fixed, valid injector settings.
-func mustInject(class fault.Class, intensity float64) fault.Injector {
+func mustInject(class fault.Class, intensity float64) *fault.Injector {
 	inj, err := fault.New(class, intensity)
 	if err != nil {
 		panic(err)
@@ -88,13 +88,22 @@ func mustInject(class fault.Class, intensity float64) fault.Injector {
 	return inj
 }
 
-func runChaosSmoke(t *testing.T) {
-	fixtures := loadChaosFixtures(t)
-	chain := fault.Chain{
+// chaosFaults corrupts a frame with saturation, a drift step and dropped
+// bursts, in that order, each on its own sub-seed of seed (the golden-ratio
+// stride keeps them distinct).
+func chaosFaults(samples []complex128, seed uint64) []complex128 {
+	for i, inj := range []*fault.Injector{
 		mustInject(fault.Clip, 0.6),
 		mustInject(fault.DriftStep, 0.5),
 		mustInject(fault.DropBurst, 0.4),
+	} {
+		samples = inj.Apply(samples, seed+uint64(i+1)*0x9E3779B97F4A7C15)
 	}
+	return samples
+}
+
+func runChaosSmoke(t *testing.T) {
+	fixtures := loadChaosFixtures(t)
 
 	baseline := runtime.NumGoroutine()
 
@@ -114,7 +123,7 @@ func runChaosSmoke(t *testing.T) {
 	accepted := 0
 	for i := 0; i < frames; i++ {
 		fx := fixtures[i%len(fixtures)]
-		samples := chain.Apply(append([]complex128(nil), fx.samples...), uint64(i)*0x9E37+1)
+		samples := chaosFaults(append([]complex128(nil), fx.samples...), uint64(i)*0x9E37+1)
 		h := fx.h
 		switch i % 10 {
 		case 7:
@@ -223,11 +232,6 @@ func typedCause(err error) bool {
 // terminal outcome and nothing may leak.
 func TestChaosStreamingIngest(t *testing.T) {
 	fixtures := loadChaosFixtures(t)
-	chain := fault.Chain{
-		mustInject(fault.Clip, 0.6),
-		mustInject(fault.DriftStep, 0.5),
-		mustInject(fault.DropBurst, 0.4),
-	}
 	baseline := runtime.NumGoroutine()
 
 	g, err := New(Config{
@@ -268,7 +272,7 @@ func TestChaosStreamingIngest(t *testing.T) {
 			continue
 		}
 		fx := fixtures[i%len(fixtures)]
-		samples := chain.Apply(append([]complex128(nil), fx.samples...), uint64(i)*0x9E37+1)
+		samples := chaosFaults(append([]complex128(nil), fx.samples...), uint64(i)*0x9E37+1)
 		var fb bytes.Buffer
 		if err := trace.WriteFramed(&fb, fx.h, samples); err != nil {
 			t.Fatal(err)

@@ -5,13 +5,6 @@ import (
 	"fmt"
 )
 
-// Frame is one LoRa transmission: a payload plus the PHY configuration it is
-// sent with.
-type Frame struct {
-	Params  Params
-	Payload []byte
-}
-
 // EncodeSymbols converts a payload into the frame's data-symbol sequence
 // (excluding preamble and sync): payload ‖ CRC-16, whitened, Hamming-coded
 // and interleaved per the coding chain in coding.go.

@@ -140,7 +140,7 @@ type CompareRow struct {
 	// captures.
 	Fixture string
 	// Fault is a fault cell's injector; nil for fixtures and clean trials.
-	Fault fault.Injector
+	Fault *fault.Injector
 	// Trials is the number of captures decoded.
 	Trials int
 	// PayloadsExpected and PayloadsRecovered count ground-truth payloads
@@ -258,7 +258,7 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 	if len(classes) == 0 {
 		classes = fault.Classes()
 	}
-	var injs []fault.Injector
+	var injs []*fault.Injector
 	if cfg.FaultTrials > 0 {
 		for _, c := range classes {
 			for _, r := range cfg.Intensities {
@@ -279,7 +279,7 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 	// trials, then the fault cells.
 	type group struct {
 		fx     *CompareFixture
-		inj    fault.Injector
+		inj    *fault.Injector
 		ci     int // inj's index in the fault grid, which seeds its corruption
 		trials int
 	}

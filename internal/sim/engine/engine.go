@@ -50,40 +50,17 @@ type Driver int
 
 const (
 	// DriverEvent is the event-queue driver: one priority queue of node
-	// wakes, so only slots and nodes with work are touched. The production
-	// driver.
+	// wakes, so only slots and nodes with work are touched. The zero value,
+	// and the only driver the program runs.
 	DriverEvent Driver = iota
 	// DriverSlot is the serial reference driver: it walks every slot and
-	// scans every node. It exists so the event driver has an
+	// scans every node. It exists only so the event driver has an
 	// independently-simple implementation of the same model to be
-	// equivalence-tested against, and it is the cheaper driver for the
-	// figure cells, where every node is busy nearly every slot.
+	// equivalence-tested against. Nothing in the program selects it; it
+	// stays outside the test files only because benchmark/ runs the same
+	// check through Run (ROADMAP item 9).
 	DriverSlot
 )
-
-// String implements fmt.Stringer.
-func (d Driver) String() string {
-	switch d {
-	case DriverEvent:
-		return "event"
-	case DriverSlot:
-		return "slot"
-	default:
-		return fmt.Sprintf("Driver(%d)", int(d))
-	}
-}
-
-// ParseDriver maps the -engine flag values to a Driver.
-func ParseDriver(s string) (Driver, error) {
-	switch s {
-	case "event":
-		return DriverEvent, nil
-	case "slot":
-		return DriverSlot, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown driver %q (want event or slot)", s)
-	}
-}
 
 // ADRPolicy selects how a node picks its spreading factor and transmit
 // power, mirroring LoRaSim's experiment matrix (experiments 0–5): real
@@ -200,7 +177,8 @@ type Config struct {
 	// Receiver.Capacity() backlogged nodes of every (gateway, SF) group, in
 	// round-robin order, transmit and the rest wait (grantOracle).
 	Scheme mac.Scheme
-	// Driver selects the time-advance strategy (default DriverEvent).
+	// Driver selects the time-advance strategy: DriverEvent, the zero
+	// value, or the DriverSlot reference that the equivalence checks set.
 	Driver Driver
 	// Nodes is the number of clients, laid out on a jittered √N×√N grid
 	// over the city square.

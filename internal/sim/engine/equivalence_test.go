@@ -204,6 +204,39 @@ func TestDriverInvariance(t *testing.T) {
 	}
 }
 
+// TestCitySweepDriverInvariance runs the density sweep of sweep.yml's city
+// row (choir-sim -exp city -nodes 1000,10000 -slots 2000 -gateways 4
+// -arrival 0.002 -seed 7, with choir-sim's 30-user analytic receiver) on
+// both drivers: every point must be bit-identical. It is the one pinned
+// output whose bands split node rows; TestPaperGolden/city-gw4 pins its
+// table on the event driver.
+func TestCitySweepDriverInvariance(t *testing.T) {
+	sweep := func(driver Driver) []SweepPoint {
+		points, err := DensitySweep(context.Background(), Config{
+			Scheme:         mac.SchemeChoir,
+			Driver:         driver,
+			Gateways:       4,
+			Slots:          2000,
+			ArrivalPerSlot: 0.002,
+			Receiver:       mac.ModelReceiver{Success: sim.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 30},
+			Seed:           7,
+		}, []int{1000, 10000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return points
+	}
+	event, slot := sweep(DriverEvent), sweep(DriverSlot)
+	if !reflect.DeepEqual(event, slot) {
+		for i := range event {
+			t.Errorf("%d nodes:\nslot:  %+v\nevent: %+v", event[i].Nodes, *slot[i].Metrics, *event[i].Metrics)
+		}
+	}
+	if m := event[1].Metrics; m.Delivered == 0 || m.CollidedTx == 0 {
+		t.Errorf("degenerate row (delivered=%d collided=%d) pins nothing", m.Delivered, m.CollidedTx)
+	}
+}
+
 // TestHugeCapacityIsNoCap pins that a receiver with no cap — a Capacity()
 // beyond what the engine's int32 tallies hold, math.MaxInt being the
 // natural spelling — behaves as one whose cap can never bind, on both
@@ -428,14 +461,5 @@ func TestValidateRejects(t *testing.T) {
 		if _, err := Run(context.Background(), cfg); err == nil {
 			t.Errorf("%s: Run accepted invalid config", tc.name)
 		}
-	}
-	if DriverEvent.String() != "event" || DriverSlot.String() != "slot" {
-		t.Errorf("driver strings: %v %v", DriverEvent, DriverSlot)
-	}
-	if d, err := ParseDriver("slot"); err != nil || d != DriverSlot {
-		t.Errorf("ParseDriver(slot) = %v, %v", d, err)
-	}
-	if _, err := ParseDriver("warp"); err == nil {
-		t.Error("ParseDriver accepted garbage")
 	}
 }

@@ -107,11 +107,6 @@ func (c Fig8Config) runCells(ctx context.Context, cells []cell) ([]*Metrics, err
 			SlotSeconds:   cl.p.AirTime(payloadLen) * 1.1, // 10 % guard
 			Receiver:      cl.rx,
 			Seed:          c.Seed,
-			// A handful of nodes, nearly all busy every slot, is the slot
-			// walk's best case: same Metrics as the event driver (the
-			// equivalence tests) without a calendar, and a cell's one
-			// gateway row is one band anyway.
-			Driver: DriverSlot,
 		})
 		if err == nil && m.Unreachable != 0 {
 			err = fmt.Errorf("engine: %d of %d nodes out of range in a %d m cell", m.Unreachable, cl.nodes, cellSideM)

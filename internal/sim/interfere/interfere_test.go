@@ -277,10 +277,10 @@ func TestSweepGolden(t *testing.T) {
 }
 
 // TestSweepDriverInvariance pins the acceptance criterion directly: the
-// interfere sweep table is identical on the event and slot drivers.
+// interfere sweep table is identical on the event and slot drivers, at the
+// full golden configuration (sweep.yml's interfere row).
 func TestSweepDriverInvariance(t *testing.T) {
 	cfg := goldenSweepConfig()
-	cfg.Densities = []int{150}
 	render := func(driver engine.Driver) string {
 		c := cfg
 		c.Base.Driver = driver

@@ -17,23 +17,33 @@ import (
 
 // reach is a type-checked reachability scan of one module's non-test code.
 //
-//   - Roots: every main and init, every package-level variable's initializer,
-//     and every method that makes its type implement a standard-library
-//     interface (String, Error, ServeHTTP, ...), which the standard library
-//     may call without the module naming it.
-//   - Edges: every function or method a reached body names. Naming an
-//     interface method reaches that method on every module type that
-//     implements the interface.
+//   - Roots: every main and init, the initializer of every package-level
+//     variable that is not declared (below), which runs whether or not
+//     anything names the variable, and every method that makes its type
+//     implement a standard-library interface (String, Error, ServeHTTP,
+//     ...), which the standard library may call without the module naming
+//     it.
+//   - Edges: every function, method, type, constant or variable a reached
+//     function's signature or body names (a method's own receiver does not
+//     count), and every one a live type, constant or variable's declaration
+//     names. An exported variable's initializer is visited only once the
+//     variable is live. A constant whose type is declared in its own package
+//     is live with that type, so an enum stays whole.
+//   - Naming an interface method reaches that method on every live module
+//     type that implements the interface: a type nothing that runs names is
+//     never built, so no call through an interface lands on it.
 //
 // Declarations are keyed by qualified name: the package's directory under
 // the module root ("choir" for the root itself), then the receiver type if
-// any, then the name, as in "internal/backend.Pool.Get". Fields of every
-// exported struct type named Config are keyed the same way
-// ("internal/sim/engine.Config.Shards"); one is read when a reached body
-// selects it anywhere but on the left of a plain assignment, so setting it
-// in a composite literal or by "=" does not count.
+// any, then the name, as in "internal/backend.Pool.Get" or
+// "internal/lora.SF9". Declared are every function and method, every
+// package-level type and constant, and every exported package-level
+// variable. Fields of every exported struct type named Config are keyed the
+// same way ("internal/sim/engine.Config.Shards"); one is read when a reached
+// body selects it anywhere but on the left of a plain assignment, so setting
+// it in a composite literal or by "=" does not count.
 type reach struct {
-	declared map[string]bool // functions, methods and Config fields outside the frozen directory
+	declared map[string]bool // declarations and Config fields outside the frozen directory
 	live     map[string]bool // reached from the roots, or read by what is
 	kept     map[string]bool // live, plus what the extra roots reach or read
 }
@@ -92,48 +102,89 @@ func scanReach(t *testing.T, root, modulePath, frozen string, extra map[string]s
 		decls:  map[*types.Func]*ast.FuncDecl{},
 		done:   map[*types.Func]bool{},
 		ifaces: map[*types.Func]bool{},
-		byKey:  map[string]*types.Func{},
+		specs:  map[types.Object]spec{},
+		seen:   map[types.Object]bool{},
+		enums:  map[*types.TypeName][]*types.Const{},
+		byKey:  map[string]types.Object{},
 	}
+	var roots []spec // initializers of the variables that are not declared
 	for _, pkg := range l.pkgs {
 		declare := pkg.dir != frozen
 		for _, f := range pkg.files {
 			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				obj := pkg.info.Defs[fn.Name].(*types.Func)
-				s.bodies[obj], s.decls[obj] = pkg, fn
-				isRoot := fn.Recv == nil && (fn.Name.Name == "init" || fn.Name.Name == "main" && pkg.types.Name() == "main")
-				if isRoot {
-					s.queue = append(s.queue, obj)
-				} else if declare {
-					s.r.declared[qualified(obj)] = true
-					s.byKey[qualified(obj)] = obj
-				}
-			}
-		}
-		for _, name := range pkg.types.Scope().Names() {
-			tn, ok := pkg.types.Scope().Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			n, ok := tn.Type().(*types.Named)
-			if !ok || n.TypeParams().Len() > 0 {
-				continue
-			}
-			s.named = append(s.named, n)
-			if st, ok := n.Underlying().(*types.Struct); ok && declare && name == "Config" {
-				for i := range st.NumFields() {
-					key := pkgKey(pkg.types) + ".Config." + st.Field(i).Name()
-					s.r.declared[key], s.fields[st.Field(i)] = true, key
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					obj := pkg.info.Defs[d.Name].(*types.Func)
+					s.bodies[obj], s.decls[obj] = pkg, d
+					isRoot := d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && pkg.types.Name() == "main")
+					if isRoot {
+						s.queue = append(s.queue, obj)
+					} else if declare {
+						s.declare(obj)
+					}
+				case *ast.GenDecl:
+					var last *ast.ValueSpec // an implicit constant repeats the last explicit one
+					for _, sp := range d.Specs {
+						switch sp := sp.(type) {
+						case *ast.TypeSpec:
+							obj := pkg.info.Defs[sp.Name]
+							s.specs[obj] = spec{pkg, sp}
+							if !declare {
+								continue
+							}
+							s.declare(obj)
+							if st, ok := obj.Type().Underlying().(*types.Struct); ok && sp.Name.Name == "Config" && !sp.Assign.IsValid() {
+								for i := range st.NumFields() {
+									key := pkgKey(pkg.types) + ".Config." + st.Field(i).Name()
+									s.r.declared[key], s.fields[st.Field(i)] = true, key
+								}
+							}
+						case *ast.ValueSpec:
+							node := sp
+							if d.Tok == token.CONST {
+								if sp.Values != nil {
+									last = sp
+								}
+								node = last
+							}
+							root := false
+							for _, name := range sp.Names {
+								obj := pkg.info.Defs[name] // nil for _
+								declared := obj != nil && declare && (d.Tok == token.CONST || name.IsExported())
+								root = root || d.Tok == token.VAR && !declared
+								if obj == nil {
+									continue
+								}
+								s.specs[obj] = spec{pkg, node}
+								if declared {
+									s.declare(obj)
+								}
+								if c, ok := obj.(*types.Const); ok {
+									if n, ok := c.Type().(*types.Named); ok && n.Obj().Pkg() == c.Pkg() {
+										s.enums[n.Obj()] = append(s.enums[n.Obj()], c)
+									}
+								}
+							}
+							if root {
+								roots = append(roots, spec{pkg, sp})
+							}
+						}
+					}
 				}
 			}
 		}
 	}
 	// Methods named for a standard-library interface their type implements.
 	std := stdInterfaces(l)
-	for _, n := range s.named {
+	for obj := range s.specs {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		n, ok := tn.Type().(*types.Named)
+		if !ok || n.TypeParams().Len() > 0 {
+			continue
+		}
 		for i := range n.NumMethods() {
 			m := n.Method(i)
 			for _, iface := range std[m.Name()] {
@@ -145,14 +196,8 @@ func scanReach(t *testing.T, root, modulePath, frozen string, extra map[string]s
 		}
 	}
 	s.into = s.r.live
-	for _, pkg := range l.pkgs {
-		for _, f := range pkg.files {
-			for _, d := range f.Decls {
-				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
-					s.visit(pkg, gd)
-				}
-			}
-		}
+	for _, sp := range roots {
+		s.visit(sp.pkg, sp.node)
 	}
 	s.drain()
 	for key := range s.r.live {
@@ -160,12 +205,35 @@ func scanReach(t *testing.T, root, modulePath, frozen string, extra map[string]s
 	}
 	s.into = s.r.kept
 	for key := range extra {
-		if fn := s.byKey[key]; fn != nil {
-			s.queue = append(s.queue, fn)
+		if obj := s.byKey[key]; obj != nil {
+			s.reachObj(obj)
 		}
 	}
 	s.drain()
 	return s.r
+}
+
+// spec is where a package-level type, constant or variable is declared:
+// what visiting it reaches.
+type spec struct {
+	pkg  *loadedPkg
+	node ast.Node
+}
+
+// declare keys a declaration outside the frozen directory.
+func (s *scan) declare(obj types.Object) {
+	key := objKey(obj)
+	s.r.declared[key] = true
+	s.byKey[key] = obj
+}
+
+// objKey is a declaration's key: qualified for a function or method,
+// "dir.Name" for a type, constant or variable.
+func objKey(obj types.Object) string {
+	if fn, ok := obj.(*types.Func); ok {
+		return qualified(fn)
+	}
+	return pkgKey(obj.Pkg()) + "." + obj.Name()
 }
 
 // qualified is a function's or method's key: "dir.Name" or "dir.Recv.Name".
@@ -272,13 +340,17 @@ func stdInterfaces(l *loader) map[string][]*types.Interface {
 // scan is the breadth-first walk over the call graph.
 type scan struct {
 	r      reach
-	named  []*types.Named
 	fields map[*types.Var]string // Config fields -> key
 	bodies map[*types.Func]*loadedPkg
 	decls  map[*types.Func]*ast.FuncDecl
 	done   map[*types.Func]bool
 	ifaces map[*types.Func]bool // interface methods already fanned out
-	byKey  map[string]*types.Func
+	called []*types.Func        // the same, in the order they were
+	specs  map[types.Object]spec
+	seen   map[types.Object]bool              // types, constants and variables already reached
+	named  []*types.Named                     // the reached named types, for fan-out
+	enums  map[*types.TypeName][]*types.Const // a type's constants in its own package
+	byKey  map[string]types.Object
 	queue  []*types.Func
 	into   map[string]bool // where reached keys go: live, then kept
 }
@@ -293,11 +365,17 @@ func (s *scan) drain() {
 		}
 		s.done[fn] = true
 		s.into[qualified(fn)] = true
-		s.visit(s.bodies[fn], s.decls[fn])
+		// The signature and the body; the receiver names the method's own
+		// type, which calling the method does not build.
+		pkg, decl := s.bodies[fn], s.decls[fn]
+		s.visit(pkg, decl.Type)
+		if decl.Body != nil {
+			s.visit(pkg, decl.Body)
+		}
 	}
 }
 
-// visit reaches every function n names and records every Config field it
+// visit reaches every declaration n names and records every Config field it
 // reads.
 func (s *scan) visit(pkg *loadedPkg, n ast.Node) {
 	written := map[*ast.SelectorExpr]bool{}
@@ -318,16 +396,50 @@ func (s *scan) visit(pkg *loadedPkg, n ast.Node) {
 				}
 			}
 		case *ast.Ident:
-			if fn, ok := pkg.info.Uses[n].(*types.Func); ok {
-				s.reachFunc(fn.Origin())
+			if obj := pkg.info.Uses[n]; obj != nil {
+				s.reachObj(obj)
 			}
 		}
 		return true
 	})
 }
 
+// reachObj reaches a module declaration: a function or method through
+// reachFunc, a package-level type, constant or variable by visiting its
+// declaration. Anything else (a local, a field, the standard library) is
+// not the scan's.
+func (s *scan) reachObj(obj types.Object) {
+	if fn, ok := obj.(*types.Func); ok {
+		s.reachFunc(fn.Origin())
+		return
+	}
+	sp, ok := s.specs[obj]
+	if !ok || s.seen[obj] {
+		return
+	}
+	s.seen[obj] = true
+	s.into[objKey(obj)] = true
+	s.visit(sp.pkg, sp.node)
+	tn, ok := obj.(*types.TypeName)
+	if !ok {
+		return
+	}
+	for _, c := range s.enums[tn] {
+		s.reachObj(c)
+	}
+	n, ok := tn.Type().(*types.Named)
+	if !ok || tn.IsAlias() || n.TypeParams().Len() > 0 {
+		return
+	}
+	s.named = append(s.named, n)
+	for _, fn := range s.called {
+		s.fanOut(fn, n)
+	}
+}
+
 // reachFunc queues a module function or method. An interface method instead
-// queues that method on every module type implementing the interface.
+// reaches that method on every live module type implementing the
+// interface, now and as more types go live.
 func (s *scan) reachFunc(fn *types.Func) {
 	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil || !types.IsInterface(recv.Type()) {
@@ -340,25 +452,35 @@ func (s *scan) reachFunc(fn *types.Func) {
 		return
 	}
 	s.ifaces[fn] = true
-	iface := recv.Type().Underlying().(*types.Interface)
+	s.called = append(s.called, fn)
 	for _, n := range s.named {
-		ptr := types.NewPointer(n)
-		if !types.Implements(ptr, iface) {
-			continue
-		}
-		if m, _, _ := types.LookupFieldOrMethod(ptr, true, fn.Pkg(), fn.Name()); m != nil {
-			s.reachFunc(m.(*types.Func))
-		}
+		s.fanOut(fn, n)
+	}
+}
+
+// fanOut reaches n's implementation of the interface method fn, if n
+// implements fn's interface.
+func (s *scan) fanOut(fn *types.Func, n *types.Named) {
+	ptr := types.NewPointer(n)
+	if !types.Implements(ptr, fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)) {
+		return
+	}
+	if m, _, _ := types.LookupFieldOrMethod(ptr, true, fn.Pkg(), fn.Name()); m != nil {
+		s.reachFunc(m.(*types.Func))
 	}
 }
 
 // TestReachSeesPastNames scans testdata/reach, whose lib package declares
-// three dead things that a bare-name match passes: a method sharing its name
-// with a live one, an interface method's implementation that nothing calls
-// through the interface, and a Config field that is set but never read. The
-// scan must report exactly those, and none of the live code around them: a
-// method fmt calls through fmt.Stringer, a package-level initializer, an
-// init, and a method reached only through an interface.
+// dead things that a bare-name match passes: a method sharing its name with
+// a live one and a type only that method's receiver names, an interface
+// method's implementation that nothing calls through the interface, a type
+// that implements a called interface method but that nothing builds, a
+// Config field that is set but never read, an exported type and constant
+// nothing names, and a facade-style variable with the function only it
+// names. The scan must report exactly those, and none of the live code
+// around them: a method fmt calls through fmt.Stringer, a package-level
+// initializer, an init, a method reached only through an interface, and an
+// enum constant kept only by its type.
 func TestReachSeesPastNames(t *testing.T) {
 	if raceEnabled() && testing.Short() {
 		t.Skip("-race -short: the scan type-checks the standard library from source; the plain run keeps it")
@@ -371,7 +493,11 @@ func TestReachSeesPastNames(t *testing.T) {
 		}
 	}
 	sort.Strings(dead)
-	want := []string{"lib.Config.Ignored", "lib.Gauge.Add", "lib.Square.Name"}
+	want := []string{
+		"lib.Circle", "lib.Circle.Area", "lib.Circle.Name", "lib.Config.Ignored",
+		"lib.Gauge", "lib.Gauge.Add", "lib.MaxSides", "lib.Spare", "lib.Square.Name",
+		"lib.Twice", "lib.twice",
+	}
 	if !slices.Equal(dead, want) {
 		t.Errorf("dead = %q, want %q", dead, want)
 	}

@@ -1,5 +1,5 @@
 // Command reach is the fixture TestReachSeesPastNames scans: a small module
-// whose three dead declarations a bare-name match passes.
+// whose dead declarations a bare-name match passes.
 package main
 
 import (
