@@ -71,11 +71,9 @@ func TestRunRejectsBadCounts(t *testing.T) {
 			t.Errorf("%q: exit %d, want %d; stderr:\n%s", tc.argv, code, tc.code, stderr.String())
 			continue
 		}
-		if msg := strings.TrimSuffix(stderr.String(), "\n"); tc.code == exitFailed && (strings.Contains(msg, "\n") || !strings.Contains(msg, tc.want)) {
-			t.Errorf("%q: stderr is not one line naming %q:\n%s", tc.argv, tc.want, stderr.String())
-		}
-		if tc.code == exitUsage && !strings.Contains(stderr.String(), tc.want) {
-			t.Errorf("%q: stderr does not say %q:\n%s", tc.argv, tc.want, stderr.String())
+		msg := strings.TrimSuffix(stderr.String(), "\n")
+		if !strings.Contains(msg, tc.want) || tc.code == exitFailed && strings.Contains(msg, "\n") {
+			t.Errorf("%q: stderr does not say %q (on one line, for a failure):\n%s", tc.argv, tc.want, stderr.String())
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%q: printed %q", tc.argv, stdout.String())

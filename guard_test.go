@@ -332,17 +332,17 @@ func TestDecodeHasNoSeed(t *testing.T) {
 	}
 }
 
-// TestNoTestOnlyFunctions enforces the deletion rule of PR 21: a function,
-// method, type, constant or exported variable outside benchmark/ stays only
-// while something that runs can reach it, and a field of an exported Config
-// stays only while something that runs reads it — an option nothing reads
-// is accepted and silently ignored. Reachability is scanReach's:
-// type-checked, from every main and init (cmd/, examples/, and frozen
-// benchmark/, whose callers keep its shims live), following each
-// declaration a reached body names, and through an interface to every live
-// module type implementing it. A facade name only the root tests use is
-// dead: they import the internal package instead. Anything else must
-// appear in carried, keyed by qualified name, with the reason it stays:
+// TestNoTestOnlyFunctions enforces the deletion rule: a function, method,
+// type, constant or exported variable outside benchmark/ stays only while
+// something that runs can reach it, and a field of an exported Config stays
+// only while something that runs reads it — an option nothing reads is
+// accepted and silently ignored. Reachability is scanReach's: type-checked,
+// from every main and init (cmd/, examples/, and frozen benchmark/, whose
+// callers keep its shims live), following each declaration a reached body
+// names, and through an interface to every live module type implementing it.
+// A facade name only the root tests use is dead: they import the internal
+// package instead. Anything else must appear in carried, keyed by qualified
+// name, with the reason it stays:
 //
 //	reference: <test>      a test compares live code against it
 //	probe/fixture: <test>  another package's test measures or builds with it

@@ -345,7 +345,6 @@ type scan struct {
 	decls  map[*types.Func]*ast.FuncDecl
 	done   map[*types.Func]bool
 	ifaces map[*types.Func]bool // interface methods already fanned out
-	called []*types.Func        // the same, in the order they were
 	specs  map[types.Object]spec
 	seen   map[types.Object]bool              // types, constants and variables already reached
 	named  []*types.Named                     // the reached named types, for fan-out
@@ -432,7 +431,7 @@ func (s *scan) reachObj(obj types.Object) {
 		return
 	}
 	s.named = append(s.named, n)
-	for _, fn := range s.called {
+	for fn := range s.ifaces {
 		s.fanOut(fn, n)
 	}
 }
@@ -452,7 +451,6 @@ func (s *scan) reachFunc(fn *types.Func) {
 		return
 	}
 	s.ifaces[fn] = true
-	s.called = append(s.called, fn)
 	for _, n := range s.named {
 		s.fanOut(fn, n)
 	}
