@@ -489,27 +489,6 @@ func BenchmarkTeamDecode(b *testing.B) {
 	}
 }
 
-// --- Parallel trial-execution engine ---
-
-// BenchmarkSuccessTable Monte-Carlos the IQ-level calibration grid uncached.
-// Read it at `go test -cpu 1,2`: the ratio of the two rows is the fan-out's
-// wall-clock speedup on this machine; the sim package's determinism tests
-// assert the tables themselves are identical.
-func BenchmarkSuccessTable(b *testing.B) {
-	cfg := sim.DefaultCalibration()
-	cfg.MaxUsers = 4
-	cfg.Trials = 2
-	b.ResetTimer()
-	var table []float64
-	var err error
-	for i := 0; i < b.N; i++ {
-		if table, err = sim.SuccessTableUncached(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(table[0], "success@1user")
-}
-
 func BenchmarkStandardLoRaDemodulate(b *testing.B) {
 	m := lora.MustModem(lora.DefaultParams())
 	payload := []byte("benchmark")

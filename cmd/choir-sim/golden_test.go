@@ -38,7 +38,7 @@ func TestPaperGolden(t *testing.T) {
 		{"paper.golden", []string{"-exp", "all", "-seed", "7"}},
 		{"city-gw4.golden", []string{"-exp", "city", "-nodes", "1000,10000", "-slots", "2000", "-gateways", "4", "-arrival", "0.002", "-seed", "7"}},
 		{"calibrated.golden", []string{"-exp", "fig8abc", "-calibrate", "-slots", "500", "-seed", "7"}},
-		{"compare.golden", []string{"-compare-backends", "-seed", "7", "-fixtures", "../../internal/choir/testdata/golden/*.iq"}},
+		{"compare.golden", []string{"-exp", "compare", "-seed", "7", "-fixtures", "../../internal/choir/testdata/golden/*.iq"}},
 	} {
 		t.Run(strings.TrimSuffix(tc.golden, ".golden"), func(t *testing.T) {
 			checkGolden(t, filepath.Join("testdata", tc.golden), tc.args)

@@ -9,12 +9,16 @@
 //	choir-sim -exp faultsweep -fault drop -fault-rate 0.4
 //	choir-sim -exp city -nodes 100000,1000000   # city-scale density sweep
 //	choir-sim -exp interfere -nodes 200,500 -foreign-nodes 200  # vs ADR under interference
-//	choir-sim -compare-backends       # head-to-head backend comparison
-//	choir-sim -compare-backends -backends choir,superposed \
+//	choir-sim -exp compare            # head-to-head backend comparison
+//	choir-sim -exp compare -backends choir,superposed \
 //	    -fixtures 'internal/choir/testdata/golden/*.iq'
 //
 // Experiments: fig7ab fig7cd fig8abc fig8d fig8e fig8f fig9a fig9b fig10
-// fig11a fig11b fig12 e2e faultsweep headline city interfere all
+// fig11a fig11b fig12 e2e faultsweep headline city interfere all compare
+//
+// -exp compare runs every backend (or -backends) over -trials synthesized
+// collisions, a compact fault sweep and any -fixtures. It is not part of
+// all: its mean-decode column is wall-clock time.
 //
 // Trial sweeps use every CPU and print the same tables at any width;
 // GOMAXPROCS=1 runs them serially.
@@ -72,7 +76,7 @@ func main() {
 func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("choir-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "headline", "experiment id (fig7ab..fig12, headline, all)")
+	exp := fs.String("exp", "headline", "experiment id (fig7ab..fig12, headline, all, compare)")
 	calibrate := fs.Bool("calibrate", false, "calibrate the Choir MAC model with the IQ-level decoder")
 	slots := fs.Int("slots", 4000, "MAC simulation length in slots")
 	seed := fs.Uint64("seed", 7, "simulation seed")
@@ -85,10 +89,9 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	captureMargin := fs.Float64("capture-margin", 6, "capture-effect power margin in dB for -exp interfere (0 disables capture and cross-SF leakage)")
 	faultClass := fs.String("fault", "all", "fault class for -exp faultsweep: clip, drop, interferer, drift, truncate, or all")
 	faultRate := fs.Float64("fault-rate", 0, "single fault intensity in (0,1] for -exp faultsweep; 0 sweeps the default intensity grid")
-	compare := fs.Bool("compare-backends", false, "run the head-to-head backend comparison instead of -exp")
-	backends := fs.String("backends", "", "comma-separated backend names for -compare-backends (default: every registered backend)")
-	fixtureGlob := fs.String("fixtures", "", "trace glob fed to every backend in -compare-backends (e.g. 'internal/choir/testdata/golden/*.iq')")
-	compareTrials := fs.Int("trials", 0, "synthesized clean collisions per backend for -compare-backends (0 = the default comparison grid)")
+	backends := fs.String("backends", "", "comma-separated backend names for -exp compare (default: every registered backend)")
+	fixtureGlob := fs.String("fixtures", "", "trace glob fed to every backend in -exp compare (e.g. 'internal/choir/testdata/golden/*.iq')")
+	compareTrials := fs.Int("trials", 0, "synthesized clean collisions per backend for -exp compare (0 = the default comparison grid)")
 	metrics := fs.Bool("metrics", false, "record decode/MAC metrics and dump a JSON snapshot at exit")
 	metricsOut := fs.String("metrics-out", "", "metrics snapshot destination (default or \"-\": stderr)")
 	debugAddr := fs.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060); implies metrics recording")
@@ -123,36 +126,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "choir-sim: metrics dump:", err)
 		}
 	}()
-
-	if *compare {
-		ccfg := choir.DefaultCompare()
-		ccfg.Seed = *seed
-		if *backends != "" {
-			ccfg.Backends = strings.Split(*backends, ",")
-		}
-		if *compareTrials > 0 {
-			ccfg.Trials = *compareTrials
-		}
-		if *fixtureGlob != "" {
-			fixtures, err := choir.LoadCompareFixtures(*fixtureGlob)
-			if err != nil {
-				fmt.Fprintln(stderr, "choir-sim:", err)
-				return exitFailed
-			}
-			ccfg.Fixtures = fixtures
-		}
-		res, err := choir.CompareBackends(ctx, ccfg)
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				fmt.Fprintf(stderr, "choir-sim: comparison interrupted: %v\n", err)
-				return exitInterrupted
-			}
-			fmt.Fprintln(stderr, "choir-sim:", err)
-			return exitFailed
-		}
-		res.Fprint(stdout)
-		return exitOK
-	}
 
 	cfg := choir.DefaultFig8()
 	cfg.Slots = *slots
@@ -260,6 +233,29 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			res.FaultFigure("choir").Fprint(stdout)
 			return nil
 		},
+		"compare": func(ctx context.Context) error {
+			ccfg := choir.DefaultCompare()
+			ccfg.Seed = *seed
+			if *backends != "" {
+				ccfg.Backends = strings.Split(*backends, ",")
+			}
+			if *compareTrials > 0 {
+				ccfg.Trials = *compareTrials
+			}
+			if *fixtureGlob != "" {
+				fixtures, err := choir.LoadCompareFixtures(*fixtureGlob)
+				if err != nil {
+					return err
+				}
+				ccfg.Fixtures = fixtures
+			}
+			res, err := choir.CompareBackends(ctx, ccfg)
+			if err != nil {
+				return err
+			}
+			res.Fprint(stdout)
+			return nil
+		},
 		"city": func(ctx context.Context) error {
 			densities, err := parseNodeList(*nodesList)
 			if err != nil {
@@ -353,7 +349,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	}
 	runner, ok := runners[*exp]
 	if !ok {
-		fmt.Fprintf(stderr, "choir-sim: unknown experiment %q; one of %v or all\n", *exp, order)
+		fmt.Fprintf(stderr, "choir-sim: unknown experiment %q; one of %v, all or compare\n", *exp, order)
 		return exitUsage
 	}
 	if err := runner(ctx); err != nil {

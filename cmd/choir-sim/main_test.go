@@ -54,7 +54,8 @@ func TestRunSharedBadSettingOneError(t *testing.T) {
 
 // TestRunRejectsBadCounts: a count no run can use fails with one line, as
 // -nodes 0 does, instead of running as if a default had been asked for. The
-// deleted driver switch is an unknown flag, a usage error.
+// deleted driver switch and the old comparison switch (now -exp compare) are
+// unknown flags, usage errors.
 func TestRunRejectsBadCounts(t *testing.T) {
 	for _, tc := range []struct {
 		argv []string
@@ -63,8 +64,9 @@ func TestRunRejectsBadCounts(t *testing.T) {
 	}{
 		{[]string{"-exp", "city", "-nodes", "0"}, exitFailed, "bad -nodes entry"},
 		{[]string{"-exp", "interfere", "-foreign-networks", "-1"}, exitFailed, "-foreign-networks -1 < 0"},
-		{[]string{"-compare-backends", "-trials", "-1"}, exitFailed, "-trials -1 < 0"},
+		{[]string{"-exp", "compare", "-trials", "-1"}, exitFailed, "-trials -1 < 0"},
 		{[]string{"-exp", "city", "-engine", "slot"}, exitUsage, "flag provided but not defined"},
+		{[]string{"-compare-backends"}, exitUsage, "flag provided but not defined"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(context.Background(), tc.argv, &stdout, &stderr); code != tc.code {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"sync"
 
@@ -39,16 +40,17 @@ func DefaultCalibration() CalibrationConfig {
 // SuccessTable Monte-Carlos the real IQ-level Choir decoder across
 // collision sizes 1..MaxUsers and returns per-size per-user decode rates:
 // table[k-1] is the probability that one specific packet out of k
-// concurrent ones is recovered. Results are memoized per configuration:
-// every field affects the table and every field is comparable, so the cache
-// keys on the struct itself. A canceled calibration returns the context's
-// error and stores nothing in the memo cache — a partial table must never
-// masquerade as the real one.
+// concurrent ones is recovered, and every rate is 0 when Trials is 0. A
+// negative MaxUsers or Trials is an error. Results are memoized per
+// configuration: every field affects the table and every field is
+// comparable, so the cache keys on the struct itself. A canceled calibration
+// returns the context's error and stores nothing in the memo cache — a
+// partial table must never masquerade as the real one.
 func SuccessTable(ctx context.Context, cfg CalibrationConfig) ([]float64, error) {
 	if v, ok := calibCache.Load(cfg); ok {
 		return v.([]float64), nil
 	}
-	table, err := SuccessTableUncached(ctx, cfg)
+	table, err := successTable(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -56,56 +58,37 @@ func SuccessTable(ctx context.Context, cfg CalibrationConfig) ([]float64, error)
 	return table, nil
 }
 
-// SuccessTableUncached is SuccessTable without the memo cache, for
-// benchmarking the calibration engine itself and for determinism tests
-// that must recompute. The (collision size × trial) grid is fanned out
-// with exec.Map; each trial owns a derived seed, a pooled decoder and a
-// private result slot, and the reduction runs in trial order, so the table
-// is byte-identical at any GOMAXPROCS. Once ctx fires no further trials
-// start and the context's error is returned instead of a partial table.
-func SuccessTableUncached(ctx context.Context, cfg CalibrationConfig) ([]float64, error) {
-	table := make([]float64, cfg.MaxUsers)
-	if cfg.MaxUsers <= 0 || cfg.Trials <= 0 {
-		return table, nil
+// successTable is SuccessTable without the memo cache, for the tests and the
+// benchmark that must recompute. Each collision size is one grid cell: a
+// trial draws its users' SNRs from its derived seed and is decoded and
+// scored by decodeCapture on a pooled "choir" backend, and a size's rate is
+// the goodput of its trials' fold.
+func successTable(ctx context.Context, cfg CalibrationConfig) ([]float64, error) {
+	if cfg.MaxUsers < 0 || cfg.Trials < 0 {
+		return nil, fmt.Errorf("sim: calibration needs MaxUsers and Trials >= 0, got %d and %d", cfg.MaxUsers, cfg.Trials)
 	}
-	dpool, err := backend.NewPool("choir", cfg.Params)
+	pool, err := backend.NewPool("choir", cfg.Params)
 	if err != nil {
 		return nil, err
 	}
-	type cell struct{ recovered, total int }
-	cells, err := exec.Map(ctx, cfg.MaxUsers*cfg.Trials, func(i int) cell {
-		k := i/cfg.Trials + 1
-		trial := i % cfg.Trials
+	cells, err := grid(ctx, repeat(cfg.Trials, cfg.MaxUsers), func(cell, trial int) CompareRow {
+		k := cell + 1
 		seed := exec.DeriveSeed(cfg.Seed, uint64(k), uint64(trial))
 		rng := rand.New(rand.NewPCG(seed, 0xCA11B))
 		snrs := make([]float64, k)
 		for j := range snrs {
 			snrs[j] = cfg.Regime.Sample(rng)
 		}
-		sc := Scenario{
-			Params:     cfg.Params,
-			PayloadLen: cfg.PayloadLen,
-			SNRsDB:     snrs,
-			Seed:       seed,
-		}
-		b := dpool.Get()
-		defer dpool.Put(b)
-		r, n := sc.DecodeWith(backend.Decoder(b))
-		return cell{recovered: r, total: n}
+		sc := Scenario{Params: cfg.Params, PayloadLen: cfg.PayloadLen, SNRsDB: snrs, Seed: seed}
+		sig, truth := sc.Synthesize()
+		return decodeCapture(pool, sig, cfg.PayloadLen, truth)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for k := 1; k <= cfg.MaxUsers; k++ {
-		recovered, total := 0, 0
-		for trial := 0; trial < cfg.Trials; trial++ {
-			c := cells[(k-1)*cfg.Trials+trial]
-			recovered += c.recovered
-			total += c.total
-		}
-		if total > 0 {
-			table[k-1] = float64(recovered) / float64(total)
-		}
+	table := make([]float64, len(cells))
+	for i, rows := range cells {
+		table[i] = fold(CompareRow{}, rows).Goodput()
 	}
 	return table, nil
 }

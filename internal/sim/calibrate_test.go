@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -42,23 +43,55 @@ func TestCalibCacheMissesOnDifferingSeeds(t *testing.T) {
 func TestSuccessTableDeterministicAcrossWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := fastCal(104)
-	serial := must(SuccessTableUncached(context.Background(), cfg))
+	serial := must(successTable(context.Background(), cfg))
 	runtime.GOMAXPROCS(4)
-	parallel := must(SuccessTableUncached(context.Background(), cfg))
+	parallel := must(successTable(context.Background(), cfg))
 	if s, p := fmt.Sprintf("%v", serial), fmt.Sprintf("%v", parallel); s != p {
 		t.Errorf("GOMAXPROCS 1 table %s != GOMAXPROCS 4 table %s", s, p)
 	}
 }
 
+// TestSuccessTableEmptyConfigs: zero trials give an all-zero table of
+// MaxUsers rates, zero users an empty one, and a negative count an error
+// rather than a panic.
 func TestSuccessTableEmptyConfigs(t *testing.T) {
-	cfg := fastCal(106)
-	cfg.Trials = 0
-	if table := must(SuccessTableUncached(context.Background(), cfg)); len(table) != cfg.MaxUsers {
-		t.Errorf("zero-trial table length %d", len(table))
+	for _, tc := range []struct {
+		name            string
+		maxUsers, trial int
+		want            []float64 // nil: an error
+	}{
+		{"zero trials", 2, 0, []float64{0, 0}},
+		{"zero users", 0, 2, []float64{}},
+		{"negative users", -1, 2, nil},
+		{"negative trials", 2, -1, nil},
+	} {
+		cfg := fastCal(106)
+		cfg.MaxUsers, cfg.Trials = tc.maxUsers, tc.trial
+		table, err := SuccessTable(context.Background(), cfg)
+		switch {
+		case tc.want == nil && err == nil:
+			t.Errorf("%s: table %v, want an error", tc.name, table)
+		case tc.want != nil && (err != nil || !reflect.DeepEqual(table, tc.want)):
+			t.Errorf("%s: table %v, error %v; want %v", tc.name, table, err, tc.want)
+		}
 	}
-	cfg = fastCal(107)
-	cfg.MaxUsers = 0
-	if table := must(SuccessTableUncached(context.Background(), cfg)); len(table) != 0 {
-		t.Errorf("zero-user table length %d", len(table))
+}
+
+// BenchmarkSuccessTable Monte-Carlos the IQ-level calibration grid uncached.
+// Read it at `go test -cpu 1,2`: the ratio of the two rows is the fan-out's
+// wall-clock speedup on this machine; the determinism tests above assert the
+// tables themselves are identical.
+func BenchmarkSuccessTable(b *testing.B) {
+	cfg := DefaultCalibration()
+	cfg.MaxUsers = 4
+	cfg.Trials = 2
+	b.ResetTimer()
+	var table []float64
+	var err error
+	for i := 0; i < b.N; i++ {
+		if table, err = successTable(context.Background(), cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(table[0], "success@1user")
 }

@@ -158,22 +158,29 @@ type CompareRow struct {
 }
 
 // Goodput returns the fraction of ground-truth payloads recovered.
-func (r *CompareRow) Goodput() float64 {
+func (r CompareRow) Goodput() float64 {
 	if r.PayloadsExpected == 0 {
 		return 0
 	}
 	return float64(r.PayloadsRecovered) / float64(r.PayloadsExpected)
 }
 
-// add folds o's captures into r.
-func (r *CompareRow) add(o CompareRow) {
-	r.Trials += o.Trials
-	r.PayloadsExpected += o.PayloadsExpected
-	r.PayloadsRecovered += o.PayloadsRecovered
-	r.DecodeNs += o.DecodeNs
-	for class, n := range o.Errors {
-		r.Errors[class] += n
+// fold returns labels — a row's Backend, Fixture and Fault — with rows'
+// captures added in order: trials, payload counts, decode time and error
+// classes. It is the one reduction of a comparison cell, a backend's table
+// line and a calibration size.
+func fold(labels CompareRow, rows []CompareRow) CompareRow {
+	labels.Errors = map[string]int{}
+	for _, r := range rows {
+		labels.Trials += r.Trials
+		labels.PayloadsExpected += r.PayloadsExpected
+		labels.PayloadsRecovered += r.PayloadsRecovered
+		labels.DecodeNs += r.DecodeNs
+		for class, n := range r.Errors {
+			labels.Errors[class] += n
+		}
 	}
+	return labels
 }
 
 // CompareResult is the harness output: one row per backend and capture
@@ -187,15 +194,14 @@ type CompareResult struct {
 // decode latency, and the error taxonomy per backend, each the fold of
 // that backend's rows.
 func (c *CompareResult) Fprint(w io.Writer) {
-	var totals []CompareRow
-	for _, r := range c.Rows {
-		if n := len(totals); n == 0 || totals[n-1].Backend != r.Backend {
-			totals = append(totals, CompareRow{Backend: r.Backend, Errors: map[string]int{}})
-		}
-		totals[len(totals)-1].add(r)
-	}
 	fmt.Fprintln(w, "backend\trecovered/expected\tgoodput\tmean decode\terrors")
-	for _, r := range totals {
+	for rows := c.Rows; len(rows) > 0; {
+		n := 1
+		for n < len(rows) && rows[n].Backend == rows[0].Backend {
+			n++
+		}
+		r := fold(CompareRow{Backend: rows[0].Backend}, rows[:n])
+		rows = rows[n:]
 		mean := time.Duration(0)
 		if r.Trials > 0 {
 			mean = time.Duration(r.DecodeNs / int64(r.Trials))
@@ -275,32 +281,7 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 			cfg.PayloadLen, cfg.Users)
 	}
 
-	// The capture groups every backend decodes: each fixture, the clean
-	// trials, then the fault cells.
-	type group struct {
-		fx     *CompareFixture
-		inj    *fault.Injector
-		ci     int // inj's index in the fault grid, which seeds its corruption
-		trials int
-	}
-	var groups []group
-	for i := range cfg.Fixtures {
-		groups = append(groups, group{fx: &cfg.Fixtures[i], trials: 1})
-	}
-	if cfg.Trials > 0 {
-		groups = append(groups, group{trials: cfg.Trials})
-	}
-	for ci, inj := range injs {
-		groups = append(groups, group{inj: inj, ci: ci, trials: cfg.FaultTrials})
-	}
-	type capture struct{ group, trial int }
-	var captures []capture
-	for gi, g := range groups {
-		for trial := 0; trial < g.trials; trial++ {
-			captures = append(captures, capture{gi, trial})
-		}
-	}
-	if len(captures) == 0 {
+	if len(cfg.Fixtures) == 0 && cfg.Trials <= 0 && len(injs) == 0 {
 		return nil, fmt.Errorf("sim: compare with no fixtures, trials, or fault cells")
 	}
 
@@ -329,11 +310,36 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 		pools[name] = byPHY
 	}
 
-	cells, err := exec.Map(ctx, len(backends)*len(captures), func(k int) CompareRow {
-		name, c := backends[k/len(captures)], captures[k%len(captures)]
-		g := groups[c.group]
-		if g.fx != nil {
-			return decodeCapture(pools[name][g.fx.Params], g.fx.Samples, g.fx.PayloadLen, g.fx.Truth)
+	// The grid's cells, one per row: backend by backend, each fixture, the
+	// clean trials, then the fault cells.
+	type cell struct {
+		row  CompareRow      // the row's labels
+		pool *backend.Pool   // row.Backend on the capture's PHY
+		fx   *CompareFixture // nil for synthesized captures
+		fi   int             // row.Fault's index in the fault grid, which seeds its corruption
+	}
+	var cells []cell
+	var trials []int
+	for _, name := range backends {
+		for i := range cfg.Fixtures {
+			fx := &cfg.Fixtures[i]
+			cells = append(cells, cell{row: CompareRow{Backend: name, Fixture: fx.Name}, pool: pools[name][fx.Params], fx: fx})
+			trials = append(trials, 1)
+		}
+		if cfg.Trials > 0 {
+			cells = append(cells, cell{row: CompareRow{Backend: name}, pool: pools[name][cfg.Params]})
+			trials = append(trials, cfg.Trials)
+		}
+		for fi, inj := range injs {
+			cells = append(cells, cell{row: CompareRow{Backend: name, Fault: inj}, pool: pools[name][cfg.Params], fi: fi})
+			trials = append(trials, cfg.FaultTrials)
+		}
+	}
+
+	results, err := grid(ctx, trials, func(ci, trial int) CompareRow {
+		c := cells[ci]
+		if c.fx != nil {
+			return decodeCapture(c.pool, c.fx.Samples, c.fx.PayloadLen, c.fx.Truth)
 		}
 		// The scenario seed depends ONLY on the trial index: every backend
 		// and every fault cell decodes the same collisions, and a
@@ -343,31 +349,20 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 			Params:     cfg.Params,
 			PayloadLen: cfg.PayloadLen,
 			SNRsDB:     repeat(cfg.SNRDB, cfg.Users),
-			Seed:       exec.DeriveSeed(cfg.Seed, uint64(c.trial)),
+			Seed:       exec.DeriveSeed(cfg.Seed, uint64(trial)),
 		}
 		sig, truth := sc.Synthesize()
-		if g.inj != nil {
-			sig = g.inj.Apply(sig, exec.DeriveSeed(cfg.Seed, 0xFA017, uint64(g.ci), uint64(c.trial)))
+		if c.row.Fault != nil {
+			sig = c.row.Fault.Apply(sig, exec.DeriveSeed(cfg.Seed, 0xFA017, uint64(c.fi), uint64(trial)))
 		}
-		return decodeCapture(pools[name][cfg.Params], sig, cfg.PayloadLen, truth)
+		return decodeCapture(c.pool, sig, cfg.PayloadLen, truth)
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	result := &CompareResult{}
-	for _, name := range backends {
-		for _, g := range groups {
-			row := CompareRow{Backend: name, Fault: g.inj, Errors: map[string]int{}}
-			if g.fx != nil {
-				row.Fixture = g.fx.Name
-			}
-			for range g.trials {
-				row.add(cells[0])
-				cells = cells[1:]
-			}
-			result.Rows = append(result.Rows, row)
-		}
+	result := &CompareResult{Rows: make([]CompareRow, len(cells))}
+	for i, c := range cells {
+		result.Rows[i] = fold(c.row, results[i])
 	}
 	return result, nil
 }
@@ -423,8 +418,8 @@ func taxonomyClass(err error) string {
 }
 
 // repeat returns a slice of n copies of v.
-func repeat(v float64, n int) []float64 {
-	out := make([]float64, n)
+func repeat[T any](v T, n int) []T {
+	out := make([]T, n)
 	for i := range out {
 		out[i] = v
 	}

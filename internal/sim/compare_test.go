@@ -296,7 +296,7 @@ func TestSweepsFinishStartedDecodes(t *testing.T) {
 	}{
 		// SuccessTable's engine, without the memo cache, so both runs decode.
 		{"SuccessTable", func(ctx context.Context) (any, error) {
-			table, err := SuccessTableUncached(ctx, cal)
+			table, err := successTable(ctx, cal)
 			return table, err
 		}},
 		{"Fig7Stability", func(ctx context.Context) (any, error) {
@@ -329,7 +329,7 @@ func TestSweepsFinishStartedDecodes(t *testing.T) {
 }
 
 // TestCompareGoldenFixtures runs every registered backend over the full
-// golden-fixture set — the -compare-backends smoke. The reference choir
+// golden-fixture set — the -exp compare smoke. The reference choir
 // backend must recover every ground-truth payload from the clean fixtures;
 // alternative backends must at least hold the two-user clean collision
 // (the registry round-trip gate, re-checked here through the harness).

@@ -36,9 +36,11 @@ func DefaultFig8() Fig8Config {
 	return Fig8Config{Slots: 4000, ArrivalPerSlot: 0.8, Calibration: sim.DefaultCalibration(), Seed: 7}
 }
 
-// choirTable returns the Choir per-user success table for the experiment.
+// choirTable returns the Choir per-user success table for the experiment:
+// the analytic one at zero calibration trials, and an error from
+// sim.SuccessTable at a negative count.
 func (c Fig8Config) choirTable(ctx context.Context, regime sim.SNRRegime) ([]float64, error) {
-	if c.Calibration.Trials <= 0 {
+	if c.Calibration.Trials == 0 {
 		return sim.AnalyticChoirTable(10, 0.95, 14), nil
 	}
 	cal := c.Calibration

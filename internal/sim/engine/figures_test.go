@@ -168,3 +168,20 @@ func TestFig8DeterministicAcrossWorkers(t *testing.T) {
 		t.Errorf("Fig8Users diverged across widths:\nserial:   %s\nparallel: %s", serial, parallel)
 	}
 }
+
+// TestFig8RejectsNegativeCalibration: a negative calibration size fails
+// through sim.SuccessTable, where it used to panic or silently select the
+// analytic table; zero trials still select the analytic table.
+func TestFig8RejectsNegativeCalibration(t *testing.T) {
+	for _, tc := range []struct {
+		maxUsers, trials int
+		fails            bool
+	}{{-1, 2, true}, {2, -1, true}, {-1, 0, false}} {
+		cfg := DefaultFig8()
+		cfg.Slots = 50
+		cfg.Calibration.MaxUsers, cfg.Calibration.Trials = tc.maxUsers, tc.trials
+		if _, err := Fig8Users(context.Background(), cfg, Throughput); (err != nil) != tc.fails {
+			t.Errorf("MaxUsers %d, Trials %d: error %v, want failure %v", tc.maxUsers, tc.trials, err, tc.fails)
+		}
+	}
+}

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
-	"choir/internal/ctxutil"
+	"choir/internal/dsp"
 	"choir/internal/exec"
 	"choir/internal/geo"
 	"choir/internal/lora"
@@ -34,13 +36,11 @@ func RequiredTeamSize(d float64, maxTeam int) int {
 // error per user versus the team's distance from the base station, for
 // temperature and humidity. Farther teams need more members to be heard at
 // all; more members span more of the field and share fewer most-significant
-// bits, so resolution degrades gracefully with distance. Each (distance,
-// trial) draws from its own derived seed, and both sensor kinds reuse that
-// stream so the comparison stays paired. The grid runs serially: a whole
-// figure takes milliseconds. Once ctx fires no new trial starts and the
-// context's error is returned instead of a partial figure.
+// bits, so resolution degrades gracefully with distance. Teams are formed
+// by distance from the building's center, and a team smaller than the
+// distance needs is not heard. teamErrors runs the trials; its doc gives
+// their streams and the cancellation contract.
 func Fig10Resolution(ctx context.Context, distances []float64, trials int, seed uint64) (*Figure, error) {
-	ctx = ctxutil.Background(ctx)
 	fig := &Figure{
 		ID:     "Fig 10",
 		Title:  "sensor-data resolution vs distance",
@@ -48,49 +48,21 @@ func Fig10Resolution(ctx context.Context, distances []float64, trials int, seed 
 		YLabel: "avg normalized error per user",
 	}
 	b := geo.NewBuilding(geo.DefaultBuilding(geo.Point{}), rand.New(rand.NewPCG(seed, 0xB11D)))
-	kinds := []sensor.Kind{sensor.Humidity, sensor.Temperature}
-	fields := []sensor.Field{sensor.HumidityField(), sensor.TemperatureField()}
-	fig.Series = make([]Series, len(kinds))
-	for ki, kind := range kinds {
-		fig.Series[ki].Name = kind.String()
-	}
-	for di, d := range distances {
-		team := RequiredTeamSize(d, 30)
-		sum := make([]float64, len(kinds))
-		cnt := make([]int, len(kinds))
-		for trial := 0; trial < trials; trial++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			for ki, f := range fields {
-				rng := rand.New(rand.NewPCG(exec.DeriveSeed(seed, uint64(di), uint64(trial)), 0xF16_10))
-				for _, g := range sensor.Group(b, sensor.GroupByCenterDistance, team, rng) {
-					if len(g) < team {
-						continue
-					}
-					e, _ := sensor.TeamError(f, b, g, rng)
-					sum[ki] += e
-					cnt[ki]++
-				}
-			}
-		}
-		for ki := range kinds {
-			if cnt[ki] > 0 {
-				sum[ki] /= float64(cnt[ki])
-			}
-			fig.Series[ki].X = append(fig.Series[ki].X, d)
-			fig.Series[ki].Y = append(fig.Series[ki].Y, sum[ki])
-		}
-	}
-	return fig, nil
+	return teamErrors(ctx, fig, b, distances, trials, seed, 0xF16_10, func(di int, rng *rand.Rand) [][]int {
+		team := RequiredTeamSize(distances[di], 30)
+		teams := sensor.Group(b, sensor.GroupByCenterDistance, team, rng)
+		return slices.DeleteFunc(teams, func(g []int) bool { return len(g) < team })
+	})
 }
 
 // Fig11Grouping reproduces Fig. 11(a): the reconstruction error of team
-// transmissions under the three grouping strategies, for temperature and
-// humidity, with the same paired streams, serial grid and cancellation
-// contract as Fig10Resolution.
+// transmissions of teamSize ≥ 1 members under the three grouping
+// strategies, for temperature and humidity. teamErrors runs the trials, as
+// for Fig10Resolution.
 func Fig11Grouping(ctx context.Context, teamSize, trials int, seed uint64) (*Figure, error) {
-	ctx = ctxutil.Background(ctx)
+	if teamSize < 1 {
+		return nil, fmt.Errorf("sim: Fig 11(a) needs teamSize >= 1, got %d", teamSize)
+	}
 	fig := &Figure{
 		ID:     "Fig 11(a)",
 		Title:  "sensor-data error by grouping strategy",
@@ -98,33 +70,43 @@ func Fig11Grouping(ctx context.Context, teamSize, trials int, seed uint64) (*Fig
 		YLabel: "normalized error",
 	}
 	b := geo.NewBuilding(geo.DefaultBuilding(geo.Point{}), rand.New(rand.NewPCG(seed, 0xB11A)))
-	kinds := []sensor.Kind{sensor.Humidity, sensor.Temperature}
-	fields := []sensor.Field{sensor.HumidityField(), sensor.TemperatureField()}
 	strategies := []sensor.GroupStrategy{sensor.GroupRandom, sensor.GroupByFloor, sensor.GroupByCenterDistance}
-	fig.Series = make([]Series, len(kinds))
-	for ki, kind := range kinds {
-		fig.Series[ki].Name = kind.String()
+	return teamErrors(ctx, fig, b, []float64{0, 1, 2}, trials, seed, 0xF16_11, func(si int, rng *rand.Rand) [][]int {
+		return sensor.Group(b, strategies[si], teamSize, rng)
+	})
+}
+
+// teamErrors is the sweep Figs 10 and 11(a) share. Each x is a grid cell of
+// trials ≥ 1 trials, and a trial forms teams of b's sensors with
+// teams(cell, rng) and scores each team's transmission. A point is a sensor
+// kind's mean normalized error over every team of the cell's trials, or 0
+// when none was formed. A trial draws from exec.DeriveSeed(seed, cell,
+// trial) under the figure's stream tag, and both kinds reuse that stream so
+// the comparison stays paired. Once ctx fires no new trial starts and the
+// context's error is returned instead of a partial figure.
+func teamErrors(ctx context.Context, fig *Figure, b *geo.Building, xs []float64, trials int, seed, tag uint64, teams func(cell int, rng *rand.Rand) [][]int) (*Figure, error) {
+	if trials < 1 {
+		return nil, fmt.Errorf("sim: %s needs trials >= 1, got %d", fig.ID, trials)
 	}
-	for si, strategy := range strategies {
-		sum := make([]float64, len(kinds))
-		cnt := make([]int, len(kinds))
-		for trial := 0; trial < trials; trial++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	kinds := []sensor.Kind{sensor.Humidity, sensor.Temperature}
+	for ki, f := range []sensor.Field{sensor.HumidityField(), sensor.TemperatureField()} {
+		cells, err := grid(ctx, repeat(trials, len(xs)), func(cell, trial int) []float64 {
+			rng := rand.New(rand.NewPCG(exec.DeriveSeed(seed, uint64(cell), uint64(trial)), tag))
+			var errs []float64
+			for _, g := range teams(cell, rng) {
+				e, _ := sensor.TeamError(f, b, g, rng)
+				errs = append(errs, e)
 			}
-			for ki, f := range fields {
-				rng := rand.New(rand.NewPCG(exec.DeriveSeed(seed, uint64(si), uint64(trial)), 0xF16_11))
-				for _, g := range sensor.Group(b, strategy, teamSize, rng) {
-					e, _ := sensor.TeamError(f, b, g, rng)
-					sum[ki] += e
-					cnt[ki]++
-				}
-			}
+			return errs
+		})
+		if err != nil {
+			return nil, err
 		}
-		for ki := range kinds {
-			fig.Series[ki].X = append(fig.Series[ki].X, float64(si))
-			fig.Series[ki].Y = append(fig.Series[ki].Y, sum[ki]/float64(cnt[ki]))
+		s := Series{Name: kinds[ki].String(), X: slices.Clone(xs)}
+		for _, errs := range cells {
+			s.Y = append(s.Y, dsp.Mean(slices.Concat(errs...)))
 		}
+		fig.Series = append(fig.Series, s)
 	}
 	return fig, nil
 }

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"choir/internal/backend"
 	"choir/internal/dsp"
@@ -67,10 +69,14 @@ func fracPart(v float64) float64 {
 // estimates the decoder tracks, across the three SNR regimes. Pairs of
 // radios collide; the decoder's WindowOffsets give the per-symbol offset
 // track whose RMS deviation (relative to the packet-level estimate) is the
-// reported instability. The (regime × pair) trials fan out with exec.Map;
-// results are identical at any GOMAXPROCS. Once ctx fires no new pair starts
-// and the context's error is returned instead of a partial figure.
+// reported instability. Each regime is a grid cell of pairsPerRegime ≥ 1
+// trials; results are identical at any GOMAXPROCS. Once ctx fires no new
+// pair starts and the context's error is returned instead of a partial
+// figure.
 func Fig7Stability(ctx context.Context, pairsPerRegime int, seed uint64) (*Figure, error) {
+	if pairsPerRegime < 1 {
+		return nil, fmt.Errorf("sim: Fig 7(c,d) needs pairsPerRegime >= 1, got %d", pairsPerRegime)
+	}
 	p := lora.DefaultParams()
 	binHz := p.Bandwidth / float64(p.N())
 	fig := &Figure{
@@ -84,11 +90,9 @@ func Fig7Stability(ctx context.Context, pairsPerRegime int, seed uint64) (*Figur
 	if err != nil {
 		return nil, err
 	}
-	// One trial per (regime, pair); each returns the per-user RMS offset
-	// deviations of one decoded collision.
-	perTrial, err := exec.Map(ctx, len(regimes)*pairsPerRegime, func(i int) []float64 {
-		ri := i / pairsPerRegime
-		trial := i % pairsPerRegime
+	// Each trial returns the per-user RMS offset deviations of one decoded
+	// collision.
+	cells, err := grid(ctx, repeat(pairsPerRegime, len(regimes)), func(ri, trial int) []float64 {
 		s := exec.DeriveSeed(seed, uint64(ri), uint64(trial))
 		rng := rand.New(rand.NewPCG(s, 0x57AB))
 		sc := Scenario{
@@ -123,13 +127,8 @@ func Fig7Stability(ctx context.Context, pairsPerRegime int, seed uint64) (*Figur
 	var freqS, timeS Series
 	freqS.Name = "stdev CFO+TO (Hz)"
 	timeS.Name = "stdev relative TO (us)"
-	for ri := range regimes {
-		// Reduce in trial order so the mean's accumulation order is fixed.
-		var devs []float64
-		for trial := 0; trial < pairsPerRegime; trial++ {
-			devs = append(devs, perTrial[ri*pairsPerRegime+trial]...)
-		}
-		stdevBins := dsp.Mean(devs)
+	for ri, devs := range cells {
+		stdevBins := dsp.Mean(slices.Concat(devs...))
 		freqS.X = append(freqS.X, float64(ri))
 		freqS.Y = append(freqS.Y, stdevBins*binHz)
 		// Via chirp duality, one bin of offset equals one sample of timing.

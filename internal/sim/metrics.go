@@ -4,7 +4,7 @@ import "choir/internal/obs"
 
 // Experiment-harness observability: per-trial outcome counters shared by
 // every sweep that scores its decodes with scoreTrial (Scenario.DecodeWith
-// and Compare's captures), plus team delivery counters for the end-to-end
+// and decodeCapture), plus team delivery counters for the end-to-end
 // experiment. These summarize what a whole run did (trials attempted,
 // payloads offered vs. recovered) without touching any per-figure
 // accounting, and record nothing unless obs.Enable has been called.

@@ -14,6 +14,7 @@ import (
 
 	"choir/internal/channel"
 	"choir/internal/choir"
+	"choir/internal/exec"
 	"choir/internal/lora"
 	"choir/internal/radio"
 )
@@ -187,13 +188,40 @@ func (s Scenario) Synthesize() ([]complex128, [][]byte) {
 }
 
 // trialCtx is the context of every decode inside a Monte-Carlo trial body.
-// A sweep polls its own context only between trials — exec.ForEach's caller
-// after each index it takes, a serial loop before each trial — and a started
+// A sweep polls its own context only between trials — grid's caller after
+// each index it takes, EndToEnd's serial loop before each trial — and a started
 // trial runs to completion, so a result slot is fully written or never
 // touched. A sweep's cancellation therefore stops new trials but must not
 // cut a running decode short and leave a failed cell in a sweep that then
 // reports success.
 var trialCtx = context.Background()
+
+// grid runs fn(cell, trial) for trials[cell] ≥ 0 trials of every cell, all
+// on one fan-out, and returns each cell's results in trial order. Every
+// Monte-Carlo sweep but EndToEnd runs on it and keeps its rules:
+// fn derives its scenario's streams from its coordinates with
+// exec.DeriveSeed, decodes under trialCtx and returns its own result, and the
+// caller folds a cell's results in the order grid returns them, so a sweep
+// is byte-identical at any GOMAXPROCS. Once ctx fires no new trial starts and
+// the context's error is returned instead of partial results.
+func grid[T any](ctx context.Context, trials []int, fn func(cell, trial int) T) ([][]T, error) {
+	type index struct{ cell, trial int }
+	var flat []index
+	for cell, n := range trials {
+		for trial := range n {
+			flat = append(flat, index{cell, trial})
+		}
+	}
+	out, err := exec.Map(ctx, len(flat), func(i int) T { return fn(flat[i].cell, flat[i].trial) })
+	if err != nil {
+		return nil, err
+	}
+	cells := make([][]T, len(trials))
+	for cell, n := range trials {
+		cells[cell], out = out[:n:n], out[n:]
+	}
+	return cells, nil
+}
 
 // DecodeWith renders the scenario and runs the supplied Choir decoder —
 // typically checked out of a backend.Pool for the trial — on it, reporting

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -281,6 +283,51 @@ func TestFig10ResolutionDegradesWithDistance(t *testing.T) {
 			if y < 0 || y > 0.5 {
 				t.Errorf("%s: error %.3f implausible", s.Name, y)
 			}
+		}
+	}
+}
+
+// TestSweepsDeterministicAcrossWorkers: the figure sweeps on the trial grid
+// return equal figures at GOMAXPROCS 1 and 4 (SuccessTable's and Compare's
+// width checks are their own tests).
+func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		run  func() (*Figure, error)
+	}{
+		{"Fig7Stability", func() (*Figure, error) { return Fig7Stability(ctx, 2, 5) }},
+		{"Fig10Resolution", func() (*Figure, error) { return Fig10Resolution(ctx, []float64{200, 1600}, 3, 1) }},
+		{"Fig11Grouping", func() (*Figure, error) { return Fig11Grouping(ctx, 6, 4, 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			serial := must(tc.run())
+			runtime.GOMAXPROCS(4)
+			if parallel := must(tc.run()); !reflect.DeepEqual(serial, parallel) {
+				t.Errorf("GOMAXPROCS 1 figure %+v != GOMAXPROCS 4 figure %+v", serial, parallel)
+			}
+		})
+	}
+}
+
+// TestSweepsRejectCountsBelowOne: a trial, pair or team count below one
+// fails instead of printing a figure of zeros or NaNs, or panicking.
+func TestSweepsRejectCountsBelowOne(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		run  func() (*Figure, error)
+		want string
+	}{
+		{"Fig7Stability pairs 0", func() (*Figure, error) { return Fig7Stability(ctx, 0, 7) }, "pairsPerRegime >= 1, got 0"},
+		{"Fig10Resolution trials 0", func() (*Figure, error) { return Fig10Resolution(ctx, []float64{200}, 0, 7) }, "trials >= 1, got 0"},
+		{"Fig11Grouping trials 0", func() (*Figure, error) { return Fig11Grouping(ctx, 6, 0, 7) }, "trials >= 1, got 0"},
+		{"Fig11Grouping team 0", func() (*Figure, error) { return Fig11Grouping(ctx, 0, 20, 7) }, "teamSize >= 1, got 0"},
+	} {
+		fig, err := tc.run()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: figure %+v, error %v; want an error saying %q", tc.name, fig, err, tc.want)
 		}
 	}
 }
