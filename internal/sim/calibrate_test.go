@@ -56,9 +56,9 @@ func TestSuccessTableDeterministicAcrossWorkers(t *testing.T) {
 // rather than a panic.
 func TestSuccessTableEmptyConfigs(t *testing.T) {
 	for _, tc := range []struct {
-		name            string
-		maxUsers, trial int
-		want            []float64 // nil: an error
+		name             string
+		maxUsers, trials int
+		want             []float64 // nil: an error
 	}{
 		{"zero trials", 2, 0, []float64{0, 0}},
 		{"zero users", 0, 2, []float64{}},
@@ -66,7 +66,7 @@ func TestSuccessTableEmptyConfigs(t *testing.T) {
 		{"negative trials", 2, -1, nil},
 	} {
 		cfg := fastCal(106)
-		cfg.MaxUsers, cfg.Trials = tc.maxUsers, tc.trial
+		cfg.MaxUsers, cfg.Trials = tc.maxUsers, tc.trials
 		table, err := SuccessTable(context.Background(), cfg)
 		switch {
 		case tc.want == nil && err == nil:

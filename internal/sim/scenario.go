@@ -189,21 +189,21 @@ func (s Scenario) Synthesize() ([]complex128, [][]byte) {
 
 // trialCtx is the context of every decode inside a Monte-Carlo trial body.
 // A sweep polls its own context only between trials — grid's caller after
-// each index it takes, EndToEnd's serial loop before each trial — and a started
-// trial runs to completion, so a result slot is fully written or never
-// touched. A sweep's cancellation therefore stops new trials but must not
-// cut a running decode short and leave a failed cell in a sweep that then
-// reports success.
+// each index it takes, EndToEnd's serial loop before each trial — and a
+// started trial runs to completion, so a result slot is fully written or
+// never touched. A sweep's cancellation therefore stops new trials but must
+// not cut a running decode short and leave a failed cell in a sweep that
+// then reports success.
 var trialCtx = context.Background()
 
 // grid runs fn(cell, trial) for trials[cell] ≥ 0 trials of every cell, all
 // on one fan-out, and returns each cell's results in trial order. Every
-// Monte-Carlo sweep but EndToEnd runs on it and keeps its rules:
-// fn derives its scenario's streams from its coordinates with
-// exec.DeriveSeed, decodes under trialCtx and returns its own result, and the
-// caller folds a cell's results in the order grid returns them, so a sweep
-// is byte-identical at any GOMAXPROCS. Once ctx fires no new trial starts and
-// the context's error is returned instead of partial results.
+// Monte-Carlo sweep but EndToEnd runs on it and keeps its rules: fn derives
+// its scenario's streams from its coordinates with exec.DeriveSeed, decodes
+// under trialCtx and returns its own result, and the caller folds a cell's
+// results in the order grid returns them, so a sweep is byte-identical at
+// any GOMAXPROCS. Once ctx fires no new trial starts and the context's error
+// is returned instead of partial results.
 func grid[T any](ctx context.Context, trials []int, fn func(cell, trial int) T) ([][]T, error) {
 	type index struct{ cell, trial int }
 	var flat []index
