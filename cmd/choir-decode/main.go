@@ -186,12 +186,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 // context surfaces as an error (the trace was not decoded), unlike an
 // ordinary failed decode which is a report.
 func decodeTrace(ctx context.Context, name string, index uint64, team bool, inj *choir.FaultInjector, poolFor func(choir.PHYParams) (*choir.BackendPool, error)) (string, error) {
-	f, err := os.Open(name)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	h, samples, err := trace.Read(f)
+	h, samples, err := trace.ReadFile(name)
 	if err != nil {
 		return "", err
 	}

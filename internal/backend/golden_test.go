@@ -28,12 +28,7 @@ func TestChoirBackendMatchesGoldenReports(t *testing.T) {
 		"fault_interferer_sf7", "fault_drift_sf8",
 	} {
 		t.Run(name, func(t *testing.T) {
-			f, err := os.Open(filepath.Join(dir, name+".iq"))
-			if err != nil {
-				t.Fatalf("missing fixture: %v", err)
-			}
-			defer f.Close()
-			h, samples, err := trace.Read(f)
+			h, samples, err := trace.ReadFile(filepath.Join(dir, name+".iq"))
 			if err != nil {
 				t.Fatalf("reading fixture: %v", err)
 			}

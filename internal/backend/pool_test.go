@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -18,12 +17,7 @@ import (
 
 func loadFixture(t *testing.T, name string) (trace.Header, []complex128) {
 	t.Helper()
-	f, err := os.Open(filepath.Join("..", "choir", "testdata", "golden", name+".iq"))
-	if err != nil {
-		t.Fatalf("missing fixture: %v", err)
-	}
-	defer f.Close()
-	h, samples, err := trace.Read(f)
+	h, samples, err := trace.ReadFile(filepath.Join("..", "choir", "testdata", "golden", name+".iq"))
 	if err != nil {
 		t.Fatalf("reading fixture: %v", err)
 	}

@@ -3,7 +3,6 @@ package backend_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -16,14 +15,9 @@ import (
 // fixture directory.
 func loadGolden(t *testing.T, name string) (trace.Header, []complex128) {
 	t.Helper()
-	f, err := os.Open(filepath.Join("..", "choir", "testdata", "golden", name+".iq"))
+	h, samples, err := trace.ReadFile(filepath.Join("..", "choir", "testdata", "golden", name+".iq"))
 	if err != nil {
-		t.Fatalf("missing fixture (run go test ./internal/choir -run TestGoldenTraces -update): %v", err)
-	}
-	defer f.Close()
-	h, samples, err := trace.Read(f)
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reading fixture (run go test ./internal/choir -run TestGoldenTraces -update to regenerate): %v", err)
 	}
 	return h, samples
 }

@@ -185,14 +185,9 @@ func TestGoldenTraces(t *testing.T) {
 				return
 			}
 
-			f, err := os.Open(iqPath)
+			h, samples, err := trace.ReadFile(iqPath)
 			if err != nil {
-				t.Fatalf("missing fixture (run with -update to generate): %v", err)
-			}
-			defer f.Close()
-			h, samples, err := trace.Read(f)
-			if err != nil {
-				t.Fatalf("reading fixture: %v", err)
+				t.Fatalf("reading fixture (run with -update to generate): %v", err)
 			}
 			want, err := os.ReadFile(wantPath)
 			if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -47,12 +46,7 @@ func laneFrames(t *testing.T) []laneFrame {
 
 func readTrace(t *testing.T, path string) (trace.Header, []complex128) {
 	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	h, samples, err := trace.Read(f)
+	h, samples, err := trace.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}

@@ -6,7 +6,6 @@ package choir_test
 // team frames and faulted captures.
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -20,14 +19,9 @@ func TestMetricsDoNotChangeDecodeResults(t *testing.T) {
 	}
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
-			f, err := os.Open(filepath.Join(goldenDir(t), c.name+".iq"))
+			h, samples, err := trace.ReadFile(filepath.Join(goldenDir(t), c.name+".iq"))
 			if err != nil {
-				t.Fatalf("missing fixture (run TestGoldenTraces with -update): %v", err)
-			}
-			defer f.Close()
-			h, samples, err := trace.Read(f)
-			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("reading fixture (run TestGoldenTraces with -update to regenerate): %v", err)
 			}
 
 			off := decodeReport(h, samples, c.team)

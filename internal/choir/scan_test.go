@@ -11,7 +11,6 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -256,12 +255,7 @@ func logGoldenSkipRates(t *testing.T) {
 		t.Fatalf("golden fixtures: %v (%d found)", err, len(paths))
 	}
 	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, samples, err := trace.Read(f)
-		f.Close()
+		h, samples, err := trace.ReadFile(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}

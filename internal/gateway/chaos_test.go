@@ -53,12 +53,7 @@ func loadChaosFixtures(t *testing.T) []chaosFixture {
 	}
 	var fixtures []chaosFixture
 	for _, name := range names {
-		f, err := os.Open(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, samples, err := trace.Read(f)
-		f.Close()
+		h, samples, err := trace.ReadFile(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

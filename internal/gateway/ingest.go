@@ -31,7 +31,7 @@ func IngestFiles(ctx context.Context, g *Gateway, paths []string) (int, []error)
 			errs = append(errs, fmt.Errorf("gateway: ingest canceled: %w", ctx.Err()))
 			break
 		}
-		h, samples, err := readTrace(path)
+		h, samples, err := trace.ReadFile(path)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", path, err))
 			continue
@@ -80,16 +80,6 @@ func expandDirs(paths []string, errs *[]error) []string {
 		out = append(out, found...)
 	}
 	return out
-}
-
-// readTrace loads one trace file.
-func readTrace(path string) (trace.Header, []complex128, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return trace.Header{}, nil, err
-	}
-	defer f.Close()
-	return trace.Read(f)
 }
 
 // serveConns is the TCP server's accept loop: listener shutdown via ctx, a

@@ -3,11 +3,9 @@ package gateway
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -181,60 +179,24 @@ func (g *Gateway) readStreamPreface(conn net.Conn, br *bufio.Reader) (trace.Head
 }
 
 // streamSamples copies the connection's sample bytes into the stream
-// buffer, publishing progress chunk by chunk so the decode can run ahead of
-// delivery. The ConnTimeout deadline is refreshed per chunk — it bounds
+// buffer, publishing progress read by read so the decode can run ahead of
+// delivery. The ConnTimeout deadline is refreshed per read — it bounds
 // peer silence, not total frame time.
 func (g *Gateway) streamSamples(conn net.Conn, br *bufio.Reader, sb *streamBuffer) error {
-	var (
-		chunk  [8192]byte
-		carry  [16]byte
-		carryN int
-		filled int
-	)
-	count := len(sb.buf)
-	for filled < count {
+	refresh := func() {
 		if g.cfg.ConnTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(g.cfg.ConnTimeout))
 		}
-		n, err := br.Read(chunk[:])
+	}
+	refresh()
+	_, err := trace.ReadSamples(br, sb.buf, func(n int) {
 		if n > 0 {
-			data := chunk[:n]
-			start := filled
-			if carryN > 0 {
-				k := copy(carry[carryN:], data)
-				carryN += k
-				data = data[k:]
-				if carryN == 16 {
-					sb.buf[filled] = decodeSample(carry[:])
-					filled++
-					carryN = 0
-				}
-			}
-			for len(data) >= 16 && filled < count {
-				sb.buf[filled] = decodeSample(data)
-				filled++
-				data = data[16:]
-			}
-			if filled < count {
-				carryN += copy(carry[carryN:], data)
-			}
-			if filled > start {
-				sb.extend(filled - start)
-			}
+			sb.extend(n)
 		}
-		if err != nil {
-			if filled == count {
-				return nil
-			}
-			return fmt.Errorf("gateway: reading samples: %w", err)
-		}
+		refresh()
+	})
+	if err != nil {
+		return fmt.Errorf("gateway: reading samples: %w", err)
 	}
 	return nil
-}
-
-// decodeSample parses one little-endian float64 I/Q pair.
-func decodeSample(b []byte) complex128 {
-	re := math.Float64frombits(binary.LittleEndian.Uint64(b))
-	im := math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-	return complex(re, im)
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -52,12 +51,7 @@ func LoadCompareFixtures(glob string) ([]CompareFixture, error) {
 	sort.Strings(names)
 	var fixtures []CompareFixture
 	for _, name := range names {
-		f, err := os.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		h, samples, err := trace.Read(f)
-		f.Close()
+		h, samples, err := trace.ReadFile(name)
 		if err != nil {
 			return nil, fmt.Errorf("sim: fixture %s: %w", name, err)
 		}

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"slices"
 
 	"choir/internal/lora"
 )
@@ -156,35 +158,78 @@ const framedAllocChunk = 1 << 16
 // chunk as sample bytes actually arrive, so a hostile count prefix cannot
 // force a huge up-front make() (it fails with io.ErrUnexpectedEOF as soon
 // as the input runs dry). Counts beyond MaxFramedSamples are rejected with
-// ErrFramedTooLarge.
+// ErrFramedTooLarge. Nothing past the frame's last byte is read.
 func ReadFramed(r io.Reader) (Header, []complex128, error) {
 	h, count, err := ReadFramedPreface(r)
 	if err != nil {
 		return Header{}, nil, err
 	}
 	var samples []complex128
-	buf := make([]byte, 16)
 	for len(samples) < count {
-		if len(samples) == cap(samples) {
-			grow := count - len(samples)
-			if grow > framedAllocChunk {
-				grow = framedAllocChunk
-			}
-			next := make([]complex128, len(samples), len(samples)+grow)
-			copy(next, samples)
-			samples = next
+		filled := len(samples)
+		grow := min(count-filled, framedAllocChunk)
+		samples = slices.Grow(samples, grow)[:filled+grow]
+		n, err := ReadSamples(r, samples[filled:], nil)
+		if err != nil {
+			return Header{}, nil, fmt.Errorf("trace: reading sample %d/%d: %w", filled+n, count, err)
 		}
-		if _, err := io.ReadFull(r, buf); err != nil {
+	}
+	return h, samples, nil
+}
+
+// ReadSamples fills dst with little-endian float64 I/Q pairs from r,
+// consuming exactly 16*len(dst) bytes and never more, so a frame's reader
+// stops at the frame's last byte. A read may end mid-sample; the partial
+// sample is completed by the next one. After each read, progress (when
+// non-nil) gets the number of samples that read completed, possibly 0. It
+// returns how many samples were filled; an input that ends before dst is
+// full fails with io.ErrUnexpectedEOF.
+func ReadSamples(r io.Reader, dst []complex128, progress func(n int)) (int, error) {
+	var (
+		chunk  [8192]byte // a multiple of the 16-byte sample
+		carry  int        // bytes of a split sample at the front of chunk
+		filled int
+	)
+	for filled < len(dst) {
+		end := min(len(chunk), 16*(len(dst)-filled))
+		n, err := r.Read(chunk[carry:end])
+		data := chunk[:carry+n]
+		done := 0
+		for ; len(data) >= 16; done++ {
+			re := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			im := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
+			dst[filled+done] = complex(re, im)
+			data = data[16:]
+		}
+		carry = copy(chunk[:], data)
+		filled += done
+		if progress != nil {
+			progress(done)
+		}
+		if err != nil && filled < len(dst) {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return Header{}, nil, fmt.Errorf("trace: reading sample %d/%d: %w", len(samples), count, err)
+			return filled, err
 		}
-		re := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		im := math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))
-		samples = append(samples, complex(re, im))
 	}
-	return h, samples, nil
+	return filled, nil
+}
+
+// ReadFile reads the trace in the capture file at path.
+func ReadFile(path string) (Header, []complex128, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Header{}, nil, err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	// Transitional: until the committed fixtures are re-encoded, a file
+	// whose first byte opens the JSON header is in Write's layout.
+	if b, err := br.Peek(1); err == nil && b[0] == '{' {
+		return Read(br)
+	}
+	return ReadFramed(br)
 }
 
 // Read parses a trace. Its header line is held to ReadFramed's
