@@ -32,7 +32,7 @@ func writeTestTrace(t *testing.T, path string, seed uint64) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := trace.Write(f, h, samples); err != nil {
+	if err := trace.WriteFramed(f, h, samples); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -60,7 +60,7 @@ func writeSamples(t *testing.T, dir, name string, sig []complex128) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := trace.Write(f, trace.Header{Params: sf7(), PayloadLen: 4}, sig); err != nil {
+	if err := trace.WriteFramed(f, trace.Header{Params: sf7(), PayloadLen: 4}, sig); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -1,11 +1,13 @@
 // Command choir-gen synthesizes a LoRa collision and writes it as an IQ
-// trace file (see internal/trace) that choir-decode can process — the
-// simulated equivalent of capturing a collision with a USRP.
+// trace file (see internal/trace) — the simulated equivalent of capturing a
+// collision with a USRP. choir-decode and choir-gatewayd read the file, and
+// its bytes are also one frame of choir-gatewayd's TCP ingest.
 //
 // Usage:
 //
 //	choir-gen -users 3 -snr 15 -out collision.iq
 //	choir-gen -users 10 -team -snr -12 -out team.iq   # identical payloads
+//	nc localhost 7373 < collision.iq                  # to choir-gatewayd -listen :7373
 package main
 
 import (
@@ -68,7 +70,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	if err := trace.Write(f, h, samples); err != nil {
+	if err := trace.WriteFramed(f, h, samples); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s: %d users at %.1f dB, %d IQ samples, %s\n",

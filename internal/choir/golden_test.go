@@ -171,7 +171,7 @@ func TestGoldenTraces(t *testing.T) {
 			if *update {
 				h, samples := c.synthesize()
 				var buf bytes.Buffer
-				if err := trace.Write(&buf, h, samples); err != nil {
+				if err := trace.WriteFramed(&buf, h, samples); err != nil {
 					t.Fatal(err)
 				}
 				if err := os.WriteFile(iqPath, buf.Bytes(), 0o644); err != nil {
@@ -220,7 +220,7 @@ func TestGoldenFixturesMatchSpecs(t *testing.T) {
 			}
 			h, samples := c.synthesize()
 			var buf bytes.Buffer
-			if err := trace.Write(&buf, h, samples); err != nil {
+			if err := trace.WriteFramed(&buf, h, samples); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(stored, buf.Bytes()) {

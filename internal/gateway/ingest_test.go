@@ -23,7 +23,7 @@ func writeTraceFile(t *testing.T, dir, name string, scSeed uint64) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := trace.Write(f, h, sig); err != nil {
+	if err := trace.WriteFramed(f, h, sig); err != nil {
 		t.Fatal(err)
 	}
 	return path

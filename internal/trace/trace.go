@@ -1,8 +1,10 @@
-// Package trace defines the IQ trace-file format shared by cmd/choir-gen
-// and cmd/choir-decode: a one-line JSON header describing the PHY
-// configuration and payload length, followed by little-endian float64 I/Q
-// sample pairs. It stands in for the UHD/GNU Radio capture files of the
-// paper's USRP deployment.
+// Package trace defines the IQ trace format: a JSON header describing the
+// PHY configuration and payload length, then the capture's samples as
+// little-endian float64 I/Q pairs, each section behind a little-endian
+// uint32 length. It is the one encoding of cmd/choir-gen's capture files
+// (the stand-in for the UHD/GNU Radio captures of the paper's USRP
+// deployment), of the gateway's TCP ingest and of its journal records, so
+// a capture file is also a wire frame.
 package trace
 
 import (
@@ -19,7 +21,7 @@ import (
 	"choir/internal/lora"
 )
 
-// Magic identifies trace files.
+// Magic identifies traces.
 const Magic = "CHOIR-IQ-1"
 
 // Framed-format sanity bounds. A peer (or a corrupt journal record)
@@ -36,9 +38,8 @@ const (
 
 // ErrFramedTooLarge reports a framed-trace length prefix beyond the
 // MaxFramedHeader / MaxFramedSamples sanity bounds (or a zero length, which
-// no writer emits), or a Read header line longer than MaxFramedHeader. The
-// reader returns it instead of attempting the allocation the hostile header
-// asks for.
+// no writer emits). The reader returns it instead of attempting the
+// allocation the hostile prefix asks for.
 var ErrFramedTooLarge = errors.New("trace: framed length prefix out of range")
 
 // Header is the trace metadata.
@@ -51,34 +52,11 @@ type Header struct {
 	Users []string `json:"users,omitempty"`
 }
 
-// Write serializes a trace.
-func Write(w io.Writer, h Header, samples []complex128) error {
-	h.Magic = Magic
-	bw := bufio.NewWriter(w)
-	meta, err := json.Marshal(h)
-	if err != nil {
-		return fmt.Errorf("trace: encoding header: %w", err)
-	}
-	if _, err := bw.Write(append(meta, '\n')); err != nil {
-		return err
-	}
-	buf := make([]byte, 16)
-	for _, v := range samples {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(real(v)))
-		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(imag(v)))
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteFramed serializes a trace in the length-prefixed streaming framing
-// the gateway's ServeTCPStream accepts: a little-endian uint32 header
-// length, the JSON header, a little-endian uint32 sample count, then the
-// samples as little-endian float64 I/Q pairs. Unlike Write's EOF-delimited
-// layout, the receiver knows the frame's size up front and can start
-// decoding before the last sample arrives.
+// WriteFramed serializes a trace: a little-endian uint32 header length, the
+// JSON header, a little-endian uint32 sample count, then the samples as
+// little-endian float64 I/Q pairs. The reader knows the frame's size from
+// its preface, so the gateway's ServeTCPStream can start decoding before
+// the last sample arrives.
 func WriteFramed(w io.Writer, h Header, samples []complex128) error {
 	h.Magic = Magic
 	meta, err := json.Marshal(h)
@@ -112,9 +90,9 @@ func WriteFramed(w io.Writer, h Header, samples []complex128) error {
 // ReadFramedPreface parses the framed format's preface — the length-prefixed
 // JSON header and the sample count — leaving r positioned at the first
 // sample byte. Both length prefixes are validated against the framed sanity
-// bounds before anything is allocated (ErrFramedTooLarge), and the header's
-// magic and PHY parameters are validated like Read's. The gateway's
-// streaming ingest uses it to admit a frame before the samples arrive.
+// bounds before anything is allocated (ErrFramedTooLarge), and so are the
+// header's magic and PHY parameters. The gateway's streaming ingest uses it
+// to admit a frame before the samples arrive.
 func ReadFramedPreface(r io.Reader) (Header, int, error) {
 	var n4 [4]byte
 	if _, err := io.ReadFull(r, n4[:]); err != nil {
@@ -223,67 +201,5 @@ func ReadFile(path string) (Header, []complex128, error) {
 		return Header{}, nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	// Transitional: until the committed fixtures are re-encoded, a file
-	// whose first byte opens the JSON header is in Write's layout.
-	if b, err := br.Peek(1); err == nil && b[0] == '{' {
-		return Read(br)
-	}
-	return ReadFramed(br)
-}
-
-// Read parses a trace. Its header line is held to ReadFramed's
-// MaxFramedHeader: a longer line fails with ErrFramedTooLarge before more of
-// it is buffered.
-func Read(r io.Reader) (Header, []complex128, error) {
-	br := bufio.NewReader(r)
-	line, err := readHeaderLine(br)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	var h Header
-	if err := json.Unmarshal(line, &h); err != nil {
-		return Header{}, nil, fmt.Errorf("trace: decoding header: %w", err)
-	}
-	if h.Magic != Magic {
-		return Header{}, nil, fmt.Errorf("trace: bad magic %q", h.Magic)
-	}
-	if err := h.Params.Validate(); err != nil {
-		return Header{}, nil, err
-	}
-	var samples []complex128
-	buf := make([]byte, 16)
-	for {
-		_, err := io.ReadFull(br, buf)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Header{}, nil, fmt.Errorf("trace: reading samples: %w", err)
-		}
-		re := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		im := math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))
-		samples = append(samples, complex(re, im))
-	}
-	return h, samples, nil
-}
-
-// readHeaderLine reads Read's header line, newline included, refusing one
-// whose JSON exceeds MaxFramedHeader bytes.
-func readHeaderLine(br *bufio.Reader) ([]byte, error) {
-	var line []byte
-	for {
-		chunk, err := br.ReadSlice('\n')
-		if len(line)+len(chunk) > MaxFramedHeader+1 {
-			return nil, fmt.Errorf("%w: header line longer than %d bytes", ErrFramedTooLarge, MaxFramedHeader)
-		}
-		line = append(line, chunk...)
-		switch err {
-		case nil:
-			return line, nil
-		case bufio.ErrBufferFull:
-		default:
-			return nil, fmt.Errorf("trace: reading header: %w", err)
-		}
-	}
+	return ReadFramed(bufio.NewReader(f))
 }

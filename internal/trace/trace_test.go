@@ -2,15 +2,30 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"choir/internal/lora"
 )
 
+// framed renders a trace's preface by hand — header length, the header
+// bytes as given, sample count — followed by raw sample bytes.
+func framed(meta string, count uint32, samples []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(meta)))
+	b = append(b, meta...)
+	b = binary.LittleEndian.AppendUint32(b, count)
+	return append(b, samples...)
+}
+
+// TestWriteReadRoundTrip: a capture file written with WriteFramed reads
+// back through ReadFile with its header and every sample intact.
 func TestWriteReadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	samples := make([]complex128, 1000)
@@ -19,10 +34,14 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	h := Header{Params: lora.DefaultParams(), PayloadLen: 8, Users: []string{"aa", "bb"}}
 	var buf bytes.Buffer
-	if err := Write(&buf, h, samples); err != nil {
+	if err := WriteFramed(&buf, h, samples); err != nil {
 		t.Fatal(err)
 	}
-	got, gotSamples, err := Read(&buf)
+	path := filepath.Join(t.TempDir(), "a.iq")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, gotSamples, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,27 +59,27 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsBadMagic(t *testing.T) {
-	if _, _, err := Read(strings.NewReader("{\"magic\":\"nope\"}\n")); err == nil {
-		t.Error("bad magic accepted")
+	data := framed(`{"magic":"nope"}`, 1, make([]byte, 16))
+	if _, _, err := ReadFramed(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("bad magic: err = %v", err)
 	}
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, _, err := Read(strings.NewReader("not json\n")); err == nil {
+	if _, _, err := ReadFramed(bytes.NewReader(framed("not json", 1, make([]byte, 16)))); err == nil {
 		t.Error("garbage header accepted")
 	}
-	if _, _, err := Read(strings.NewReader("")); err == nil {
-		t.Error("empty stream accepted")
+	if _, _, err := ReadFramed(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
+		t.Errorf("empty stream: err = %v, want io.EOF", err)
 	}
 }
 
 func TestReadRejectsInvalidParams(t *testing.T) {
-	h := Header{Params: lora.Params{SF: 3}, PayloadLen: 1}
 	var buf bytes.Buffer
-	if err := Write(&buf, h, nil); err != nil {
+	if err := WriteFramed(&buf, Header{Params: lora.Params{SF: 3}, PayloadLen: 1}, []complex128{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Read(&buf); err == nil {
+	if _, _, err := ReadFramed(&buf); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
@@ -120,28 +139,59 @@ func TestReadFramedRejectsHostileLengths(t *testing.T) {
 	}
 }
 
-// countingReader counts the bytes it hands out.
-type countingReader struct {
-	r io.Reader
-	n int
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += n
-	return n, err
-}
-
-// TestReadBoundsHeaderLine: a header line with no newline in sight fails
-// with ErrFramedTooLarge once it passes MaxFramedHeader, well before the
-// 2 MiB on offer has been read.
-func TestReadBoundsHeaderLine(t *testing.T) {
-	src := &countingReader{r: bytes.NewReader(bytes.Repeat([]byte{'x'}, 2<<20))}
-	if _, _, err := Read(src); !errors.Is(err, ErrFramedTooLarge) {
-		t.Errorf("2 MiB header line: err = %v, want ErrFramedTooLarge", err)
+// TestReadFramedStopsAtFrameEnd: two frames back to back on one reader
+// read as two traces, so nothing of the second is consumed by the first.
+func TestReadFramedStopsAtFrameEnd(t *testing.T) {
+	var buf bytes.Buffer
+	for _, n := range []int{3, 5} {
+		if err := WriteFramed(&buf, Header{Params: lora.DefaultParams(), PayloadLen: n}, make([]complex128, n)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if src.n >= 2<<20 {
-		t.Errorf("read %d bytes of the header line before refusing it, want < %d", src.n, 2<<20)
+	for _, n := range []int{3, 5} {
+		h, samples, err := ReadFramed(&buf)
+		if err != nil || h.PayloadLen != n || len(samples) != n {
+			t.Fatalf("frame of %d: payload %d, %d samples, err %v", n, h.PayloadLen, len(samples), err)
+		}
+	}
+	if buf.Len() != 0 {
+		t.Errorf("%d bytes left after both frames", buf.Len())
+	}
+}
+
+// TestReadSamplesShortReads: reads that split samples anywhere, down to
+// one byte at a time, give the same samples, and progress accounts for
+// each one exactly once.
+func TestReadSamplesShortReads(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 3))
+	want := make([]complex128, 600) // more than one 8 KiB read
+	for i := range want {
+		want[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	var buf bytes.Buffer
+	if err := WriteFramed(&buf, Header{Params: lora.DefaultParams(), PayloadLen: 1}, want); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()[buf.Len()-16*len(want):]
+	for name, r := range map[string]io.Reader{
+		"whole":    bytes.NewReader(raw),
+		"one byte": iotest.OneByteReader(bytes.NewReader(raw)),
+		"half":     iotest.HalfReader(bytes.NewReader(raw)),
+		"data+EOF": iotest.DataErrReader(bytes.NewReader(raw)),
+	} {
+		got := make([]complex128, len(want))
+		reported := 0
+		n, err := ReadSamples(r, got, func(k int) { reported += k })
+		if err != nil || n != len(want) || reported != len(want) {
+			t.Errorf("%s: filled %d, reported %d, err %v; want %d", name, n, reported, err, len(want))
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: sample %d differs", name, i)
+				break
+			}
+		}
 	}
 }
 
@@ -158,11 +208,11 @@ func TestReadFramedTornTail(t *testing.T) {
 
 func TestReadTruncatedSamples(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, Header{Params: lora.DefaultParams(), PayloadLen: 1}, []complex128{1, 2}); err != nil {
+	if err := WriteFramed(&buf, Header{Params: lora.DefaultParams(), PayloadLen: 1}, []complex128{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()[:buf.Len()-7] // cut mid-sample
-	if _, _, err := Read(bytes.NewReader(data)); err == nil {
-		t.Error("truncated sample stream accepted")
+	data := buf.Bytes()[:buf.Len()-16] // a whole sample missing
+	if _, _, err := ReadFramed(bytes.NewReader(data)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated sample stream: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
