@@ -103,6 +103,39 @@ func TestRunOrdersOutputAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRunNegativePayloadLenFailsOneTrace: a header declaring a negative
+// payload length is refused when the file is read, so that trace gets its
+// own error line, the rest of the batch still prints, and the exit code
+// is 1 — the decoder never sees the length.
+func TestRunNegativePayloadLenFailsOneTrace(t *testing.T) {
+	dir := t.TempDir()
+	good1, bad, good2 := filepath.Join(dir, "a.iq"), filepath.Join(dir, "b.iq"), filepath.Join(dir, "c.iq")
+	writeTestTrace(t, good1, 1)
+	writeTestTrace(t, good2, 2)
+	h, samples, err := trace.ReadFile(good1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.PayloadLen = -1
+	var buf bytes.Buffer
+	if err := trace.WriteFramed(&buf, h, samples); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{good1, bad, good2}, &stdout, &stderr); code != exitFailed {
+		t.Errorf("exit code = %d, want %d", code, exitFailed)
+	}
+	if !strings.Contains(stderr.String(), bad+": trace: negative payload length -1") {
+		t.Errorf("stderr has no error line for %s:\n%s", bad, stderr.String())
+	}
+	if got := strings.Count(stdout.String(), "recovered 1/1 ground-truth payloads"); got != 2 {
+		t.Errorf("decoded %d of the 2 good traces:\n%s", got, stdout.String())
+	}
+}
+
 // TestRunInterruptedExitsBetween exercises the signal path: a context that
 // is already canceled when the batch starts decodes nothing and exits 130,
 // the shell's interrupted code, not 1.

@@ -215,8 +215,8 @@ func TestStreamIngestMidStreamAbort(t *testing.T) {
 }
 
 // TestStreamIngestMalformedPreface: connections with out-of-range length
-// prefixes, garbage headers, or absurd sample counts get error replies and
-// never reach the queue.
+// prefixes, garbage headers, absurd sample counts or a negative payload
+// length get error replies and never reach the queue.
 func TestStreamIngestMalformedPreface(t *testing.T) {
 	g, err := build(Config{Queue: 4})
 	if err != nil {
@@ -260,6 +260,14 @@ func TestStreamIngestMalformedPreface(t *testing.T) {
 	}
 	if r := send(fb.Bytes()); !strings.HasPrefix(r, "error: ") || !strings.Contains(r, "sample count") {
 		t.Errorf("zero-count reply = %q", r)
+	}
+	// Negative payload length: refused at the preface, not a decoder panic.
+	// Only the preface is sent, so the server reads every byte.
+	neg := h
+	neg.PayloadLen = -1
+	preface := framedBytes(t, neg, []complex128{0})
+	if r := send(preface[:len(preface)-16]); !strings.HasPrefix(r, "error: ") || !strings.Contains(r, "negative payload length") {
+		t.Errorf("negative payload reply = %q", r)
 	}
 	// Truncated length prefix.
 	if r := send([]byte{1}); !strings.HasPrefix(r, "error: ") {

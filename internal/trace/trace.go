@@ -91,8 +91,8 @@ func WriteFramed(w io.Writer, h Header, samples []complex128) error {
 // JSON header and the sample count — leaving r positioned at the first
 // sample byte. Both length prefixes are validated against the framed sanity
 // bounds before anything is allocated (ErrFramedTooLarge), and so are the
-// header's magic and PHY parameters. The gateway's streaming ingest uses it
-// to admit a frame before the samples arrive.
+// header's magic, PHY parameters and payload length. The gateway's
+// streaming ingest uses it to admit a frame before the samples arrive.
 func ReadFramedPreface(r io.Reader) (Header, int, error) {
 	var n4 [4]byte
 	if _, err := io.ReadFull(r, n4[:]); err != nil {
@@ -115,6 +115,9 @@ func ReadFramedPreface(r io.Reader) (Header, int, error) {
 	}
 	if err := h.Params.Validate(); err != nil {
 		return Header{}, 0, err
+	}
+	if h.PayloadLen < 0 {
+		return Header{}, 0, fmt.Errorf("trace: negative payload length %d", h.PayloadLen)
 	}
 	if _, err := io.ReadFull(r, n4[:]); err != nil {
 		return Header{}, 0, fmt.Errorf("trace: reading sample count: %w", err)

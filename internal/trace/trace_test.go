@@ -84,6 +84,18 @@ func TestReadRejectsInvalidParams(t *testing.T) {
 	}
 }
 
+// TestReadRejectsNegativePayloadLen: the preface refuses a header whose
+// payload length is negative, so no decoder is handed one.
+func TestReadRejectsNegativePayloadLen(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFramed(&buf, Header{Params: lora.DefaultParams(), PayloadLen: -1}, []complex128{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadFramedPreface(&buf); err == nil || !strings.Contains(err.Error(), "negative payload length") {
+		t.Errorf("payload_len -1: err = %v", err)
+	}
+}
+
 func TestReadFramedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	samples := make([]complex128, framedAllocChunk+37) // force a chunked grow
