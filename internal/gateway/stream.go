@@ -17,7 +17,8 @@ import (
 // The streaming protocol's sanity bounds live in internal/trace
 // (MaxFramedHeader / MaxFramedSamples): a peer declaring a larger header or
 // frame than those is rejected by trace.ReadFramedPreface before any
-// allocation happens.
+// allocation happens. readStreamPreface also holds the sample count to the
+// header's own frame.
 
 // streamBuffer coordinates one streaming frame between the connection
 // handler filling the backing array front to back and the decode worker
@@ -168,14 +169,30 @@ func (g *Gateway) handleStreamConn(ctx context.Context, conn net.Conn) {
 	sb.complete(err)
 }
 
+// streamSlackSymbols is how many whole symbols a streamed capture may run
+// past its header's frame (a synthesized capture carries one symbol of
+// tail). The stream buffer is allocated at the declared count before any
+// sample arrives, so a count beyond the frame and this slack is refused at
+// the preface instead.
+const streamSlackSymbols = 2
+
 // readStreamPreface parses the framed protocol's header section through
 // trace.ReadFramedPreface, which applies the malformed-length guards before
-// anything is allocated.
+// anything is allocated, and refuses a sample count the header's frame
+// cannot account for. A shorter count is admitted and fails its decode.
 func (g *Gateway) readStreamPreface(conn net.Conn, br *bufio.Reader) (trace.Header, int, error) {
 	if g.cfg.ConnTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(g.cfg.ConnTimeout))
 	}
-	return trace.ReadFramedPreface(br)
+	h, count, err := trace.ReadFramedPreface(br)
+	if err != nil {
+		return trace.Header{}, 0, err
+	}
+	if limit := h.Params.FrameSamples(h.PayloadLen) + streamSlackSymbols*h.Params.N(); count > limit {
+		return trace.Header{}, 0, fmt.Errorf("%w: sample count %d exceeds the header's frame plus %d symbols (%d samples)",
+			trace.ErrFramedTooLarge, count, streamSlackSymbols, limit)
+	}
+	return h, count, nil
 }
 
 // streamSamples copies the connection's sample bytes into the stream

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -329,4 +331,49 @@ func TestStreamIngestDrainCutsInFlightWait(t *testing.T) {
 	// stalled conn; close it so the server can unwind its WaitGroup.
 	conn.Close()
 	waitServer(t, cancel, served)
+}
+
+// TestStreamIngestRefusesCountBeyondFrame: the stream buffer is allocated
+// at the declared sample count before any sample arrives, so a preface
+// declaring far more samples than its header's frame is refused with an
+// error reply, is not admitted, and costs no allocation of that size.
+func TestStreamIngestRefusesCountBeyondFrame(t *testing.T) {
+	g, err := build(Config{Queue: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, cancel, served := startStreamServer(t, g)
+	h, _, _ := synthFrame(1)
+	preface := framedBytes(t, h, []complex128{0})
+	preface = preface[:len(preface)-16-4]
+	preface = binary.LittleEndian.AppendUint32(preface, trace.MaxFramedSamples)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(preface); err != nil {
+		t.Fatal(err)
+	}
+	conn.(*net.TCPConn).CloseWrite()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := bufio.NewReader(conn).ReadString('\n')
+	conn.Close()
+	runtime.ReadMemStats(&after)
+	if err != nil || !strings.HasPrefix(reply, "error: ") || !strings.Contains(reply, "sample count") {
+		t.Errorf("reply = %q (%v), want an error naming the sample count", reply, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("the preface cost %d bytes of allocation, want < 1 MiB", grew)
+	}
+
+	waitServer(t, cancel, served)
+	if st := g.Stats(); st.Accepted != 0 {
+		t.Errorf("accepted = %d, want 0", st.Accepted)
+	}
+	done := collectOutcomes(g)
+	_ = g.Drain(canceledCtx())
+	<-done
 }
