@@ -3,9 +3,11 @@ package gateway
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -56,6 +58,80 @@ func TestIngestFilesDirectory(t *testing.T) {
 	done := collectOutcomes(g)
 	_ = g.Drain(canceledCtx())
 	<-done
+}
+
+// TestCaptureFileStreamsAsFrame: a capture file's bytes, sent unchanged
+// over the streaming protocol, are one frame whose outcome is the one
+// IngestFiles gives the same file — a capture file is a wire frame.
+func TestCaptureFileStreamsAsFrame(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "choir", "testdata", "golden", "*.iq"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("golden fixtures: %v (%d found)", err, len(paths))
+	}
+
+	ref, err := New(Config{Queue: len(paths), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDone := collectOutcomes(ref)
+	if n, errs := IngestFiles(context.Background(), ref, paths); n != len(paths) || len(errs) != 0 {
+		t.Fatalf("IngestFiles accepted %d of %d: %v", n, len(paths), errs)
+	}
+	if err := ref.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := <-refDone
+
+	g, err := New(Config{Queue: len(paths), Workers: 1, ConnTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := collectOutcomes(g)
+	addr, cancel, served := startStreamServer(t, g)
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := bufio.NewReader(conn).ReadString('\n')
+		conn.Close()
+		if err != nil || !strings.HasPrefix(reply, "accepted ") {
+			t.Fatalf("%s: reply = %q (%v), want accepted <id>", path, reply, err)
+		}
+	}
+	if err := g.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	waitServer(t, cancel, served)
+	got := <-done
+
+	if len(got) != len(want) {
+		t.Fatalf("%d streamed outcomes, %d ingested", len(got), len(want))
+	}
+	for _, outs := range [][]Outcome{got, want} {
+		sort.Slice(outs, func(i, j int) bool { return outs[i].FrameID < outs[j].FrameID })
+	}
+	decoded := 0
+	for i, w := range want {
+		o := got[i]
+		if o.Kind == OutcomeDecoded {
+			decoded++
+		}
+		if o.Kind != w.Kind || o.Stage != w.Stage || o.Backend != w.Backend || o.Attempts != w.Attempts ||
+			o.Users != w.Users || fmt.Sprint(o.Payloads) != fmt.Sprint(w.Payloads) || fmt.Sprint(o.Err) != fmt.Sprint(w.Err) {
+			t.Errorf("%s: streamed outcome %+v, ingested %+v", paths[i], o, w)
+		}
+	}
+	if decoded == 0 {
+		t.Error("no fixture decoded, so no payload was compared")
+	}
 }
 
 // TestServeTCPAcceptsTrace pins the wire protocol: one framed trace per
