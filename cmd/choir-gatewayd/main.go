@@ -4,14 +4,15 @@
 // backpressure policy, and decodes each one through the recovery ladder —
 // an ordered list of collision-resolution backends, by default
 // choir -> relaxed -> strongest, each tried once. -ladder reorders or
-// replaces the rungs; -backend pins a single backend with no fallback. A
+// replaces the rungs; a single name pins one backend with no fallback. A
 // frame's outcome depends only on its samples, never on the frames before
 // it (TestRunJunkBurstCostsNothingLater). Every accepted frame gets
 // exactly one terminal outcome line on stdout: decoded (naming the
 // backend that succeeded), failed with a typed error, or shed.
 //
-// TCP ingest (-listen) speaks the length-prefixed streaming framing
-// (trace.WriteFramed), one frame per connection: the frame is admitted as
+// TCP ingest (-listen) speaks the trace encoding of choir-gen's capture
+// files (trace.WriteFramed), one frame per connection, so a capture file
+// sent as it is (nc host 7373 < a.iq) is a frame: the frame is admitted as
 // soon as its header arrives, a one-line status reply ("accepted <id>" or
 // "error: <reason>") comes back immediately, and decoding overlaps the
 // remaining samples still being delivered. Connections are capped at
@@ -47,7 +48,7 @@
 //	choir-gatewayd -decode-timeout 2s captures/
 //	choir-gatewayd -ladder choir captures/          # first rung only
 //	choir-gatewayd -ladder superposed,strongest night/*.iq
-//	choir-gatewayd -backend slotshift night/*.iq
+//	choir-gatewayd -ladder slotshift night/*.iq
 //	choir-gatewayd -metrics -debug-addr localhost:6060 -listen :7373
 //	choir-gatewayd -journal-dir /var/lib/choir/journal -listen :7373
 //	choir-gatewayd -journal-dir /var/lib/choir/journal        # replay and exit
@@ -104,8 +105,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	shedPolicy := fs.String("shed-policy", "block", "full-queue policy: block, drop-oldest, or reject")
 	workers := fs.Int("workers", 0, "decode workers (0 = all CPUs)")
 	decodeTimeout := fs.Duration("decode-timeout", 0, "per-attempt decode deadline (0 = none)")
-	backendName := fs.String("backend", "", "decode with a single collision-resolution backend (one of "+strings.Join(backend.Names(), ", ")+") instead of the recovery ladder")
-	ladder := fs.String("ladder", "", "comma-separated backend names forming the recovery ladder, each tried once (default "+strings.Join(gateway.DefaultLadder(), ",")+")")
+	ladder := fs.String("ladder", "", "comma-separated backend names (of "+strings.Join(backend.Names(), ", ")+") forming the recovery ladder, each tried once; one name runs that backend alone (default "+strings.Join(gateway.DefaultLadder(), ",")+")")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown before queued frames are shed")
 	metrics := fs.Bool("metrics", false, "record gateway metrics and dump a JSON snapshot at exit")
 	metricsOut := fs.String("metrics-out", "", "metrics snapshot destination (default or \"-\": stderr)")
@@ -127,15 +127,8 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "choir-gatewayd:", err)
 		return exitUsage
 	}
-	if *backendName != "" && *ladder != "" {
-		fmt.Fprintln(stderr, "choir-gatewayd: -backend and -ladder are mutually exclusive")
-		return exitUsage
-	}
 	var rungs []string
-	switch {
-	case *backendName != "":
-		rungs = []string{*backendName}
-	case *ladder != "":
+	if *ladder != "" {
 		rungs = strings.Split(*ladder, ",")
 	}
 	if ctx == nil {

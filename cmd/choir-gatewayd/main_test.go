@@ -111,8 +111,9 @@ func TestRunJunkBurstCostsNothingLater(t *testing.T) {
 }
 
 // TestRunUsage pins the usage exit code, including for the retry, backoff,
-// breaker and seed flags that no longer exist: a script still passing them
-// fails loudly instead of running with a knob that does nothing.
+// breaker, seed and backend flags that no longer exist: a script still
+// passing them fails loudly instead of running with a knob that does
+// nothing (-ladder NAME is the old -backend NAME).
 func TestRunUsage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(context.Background(), nil, &stdout, &stderr); code != exitUsage {
@@ -125,6 +126,7 @@ func TestRunUsage(t *testing.T) {
 		{"-breaker-threshold", "0"},
 		{"-breaker-cooldown", "4"},
 		{"-seed", "3"},
+		{"-backend", "slotshift"},
 	} {
 		if code := run(context.Background(), append(argv, "x.iq"), &stdout, &stderr); code != exitUsage {
 			t.Errorf("%v exit = %d, want %d", argv, code, exitUsage)
