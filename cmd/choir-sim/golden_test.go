@@ -19,7 +19,8 @@ var update = flag.Bool("update", false, "rewrite the testdata/*.golden files fro
 // a single gateway); the Fig. 8(a–c) tables on the IQ-calibrated Choir
 // table, which pins SuccessTable in all three SNR regimes; and the backend
 // comparison over the golden fixtures, with its mean-decode column masked
-// because it is the one wall-clock figure choir-sim prints. An intended
+// because it is the one wall-clock figure choir-sim prints; and sweep.yml's
+// interfere table, compared with internal/sim/interfere's golden. An intended
 // change regenerates the files in its own commit, with the diff explained:
 //
 //	go test ./cmd/choir-sim -run TestPaperGolden -update
@@ -32,16 +33,19 @@ func TestPaperGolden(t *testing.T) {
 		t.Skip("-short: the full -exp all run is tier-1's")
 	}
 	for _, tc := range []struct {
-		golden string
-		args   []string
+		name, path string
+		args       []string
 	}{
-		{"paper.golden", []string{"-exp", "all", "-seed", "7"}},
-		{"city-gw4.golden", []string{"-exp", "city", "-nodes", "1000,10000", "-slots", "2000", "-gateways", "4", "-arrival", "0.002", "-seed", "7"}},
-		{"calibrated.golden", []string{"-exp", "fig8abc", "-calibrate", "-slots", "500", "-seed", "7"}},
-		{"compare.golden", []string{"-exp", "compare", "-seed", "7", "-fixtures", "../../internal/choir/testdata/golden/*.iq"}},
+		{"paper", "testdata/paper.golden", []string{"-exp", "all", "-seed", "7"}},
+		{"city-gw4", "testdata/city-gw4.golden", []string{"-exp", "city", "-nodes", "1000,10000", "-slots", "2000", "-gateways", "4", "-arrival", "0.002", "-seed", "7"}},
+		{"calibrated", "testdata/calibrated.golden", []string{"-exp", "fig8abc", "-calibrate", "-slots", "500", "-seed", "7"}},
+		{"compare", "testdata/compare.golden", []string{"-exp", "compare", "-seed", "7", "-fixtures", "../../internal/choir/testdata/golden/*.iq"}},
+		// sweep.yml's interfere row, against the table interfere's own
+		// TestSweepGolden holds, so the table is committed once.
+		{"interfere", "../../internal/sim/interfere/testdata/golden_sweep.txt", []string{"-exp", "interfere", "-nodes", "200,500", "-slots", "300", "-arrival", "0.01", "-foreign-networks", "1", "-foreign-nodes", "200", "-foreign-arrival", "0.01", "-capture-margin", "6", "-seed", "7"}},
 	} {
-		t.Run(strings.TrimSuffix(tc.golden, ".golden"), func(t *testing.T) {
-			checkGolden(t, filepath.Join("testdata", tc.golden), tc.args)
+		t.Run(tc.name, func(t *testing.T) {
+			checkGolden(t, filepath.FromSlash(tc.path), tc.args)
 		})
 	}
 }

@@ -250,7 +250,8 @@ func goldenSweepConfig() SweepConfig {
 // TestSweepGolden renders the CI sweep configuration and diffs it against
 // the committed golden table (refresh with -update). Anything that shifts
 // the sweep — receiver math, ADR choices, foreign draws, table formatting —
-// shows up as a diff here before it shows up as a red CI sweep job.
+// shows up as a diff here. cmd/choir-sim's TestPaperGolden/interfere holds
+// the command's output at sweep.yml's arguments to the same file.
 func TestSweepGolden(t *testing.T) {
 	s, err := RunSweep(context.Background(), goldenSweepConfig())
 	if err != nil {
