@@ -48,7 +48,6 @@
 //	choir-gatewayd -decode-timeout 2s captures/
 //	choir-gatewayd -ladder choir captures/          # first rung only
 //	choir-gatewayd -ladder superposed,strongest night/*.iq
-//	choir-gatewayd -ladder slotshift night/*.iq
 //	choir-gatewayd -metrics -debug-addr localhost:6060 -listen :7373
 //	choir-gatewayd -journal-dir /var/lib/choir/journal -listen :7373
 //	choir-gatewayd -journal-dir /var/lib/choir/journal        # replay and exit

@@ -69,8 +69,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
 	if err := trace.WriteFramed(f, h, samples); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s: %d users at %.1f dB, %d IQ samples, %s\n",
