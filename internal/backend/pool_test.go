@@ -98,9 +98,10 @@ func TestBackendDispatchZeroAllocs(t *testing.T) {
 // the gateway's pooled decode path and journal replay both rest on: a
 // replayed frame decodes on a cold instance in a new process and must match
 // what the dead process's warm one would have produced. For every registered
-// backend, a good frame, a malformed one and a good one again through one
-// pooled instance equal each frame on a fresh instance —
-// errors by text, offsets by bit pattern — with metrics recording off and on.
+// backend, frames whose user count (1, 2) and data-window count (16, 8) rise
+// and fall, a malformed one and the first one again, through one pooled
+// instance, equal each frame on a fresh instance — errors by text, offsets by
+// bit pattern — with metrics recording off and on.
 // The pooled instance decodes at GOMAXPROCS 1, 2 and 4 (a Choir-pipeline
 // decode fans its window loops out over min(GOMAXPROCS, windows) − 1 helper
 // lanes), the fresh one at 1.
@@ -109,8 +110,20 @@ func TestPooledInstanceMatchesFreshForEveryBackend(t *testing.T) {
 		t.Fatal("metrics unexpectedly enabled at test start")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	h, samples := loadFixture(t, "collide2_sf7")
-	frames := [][]complex128{samples, samples[:10], samples}
+	h, single := loadFixture(t, "single_sf7")
+	_, collide2 := loadFixture(t, "collide2_sf7")
+	_, interferer := loadFixture(t, "fault_interferer_sf7")
+	frames := []struct {
+		samples    []complex128
+		payloadLen int // 1 byte is 8 data windows, 4 bytes 16
+		malformed  bool
+	}{
+		{single, h.PayloadLen, false},
+		{collide2, h.PayloadLen, false},
+		{interferer, 1, false},
+		{collide2[:10], h.PayloadLen, true},
+		{single, h.PayloadLen, false},
+	}
 	ctx := context.Background()
 	for _, name := range backend.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -130,17 +143,17 @@ func TestPooledInstanceMatchesFreshForEveryBackend(t *testing.T) {
 					}
 					runtime.GOMAXPROCS(procs)
 					got := &choir.Result{}
-					gotErr := warm.DecodeCtxInto(ctx, got, frame, h.PayloadLen)
+					gotErr := warm.DecodeCtxInto(ctx, got, frame.samples, frame.payloadLen)
 					pool.Put(warm)
 
 					runtime.GOMAXPROCS(1)
 					cold := backend.MustNew(name, h.Params)
 					want := &choir.Result{}
-					wantErr := cold.DecodeCtxInto(ctx, want, frame, h.PayloadLen)
+					wantErr := cold.DecodeCtxInto(ctx, want, frame.samples, frame.payloadLen)
 
 					sameErr(t, label, gotErr, wantErr)
-					if malformed := i == 1; malformed != (wantErr != nil) {
-						t.Errorf("%s: err %v on a frame with malformed=%v", label, wantErr, malformed)
+					if frame.malformed != (wantErr != nil) {
+						t.Errorf("%s: err %v on a frame with malformed=%v", label, wantErr, frame.malformed)
 					}
 					if wantErr == nil {
 						sameResult(t, label, got, want)

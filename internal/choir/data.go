@@ -42,23 +42,18 @@ func (d *Decoder) decodeData(res *Result, samples []complex128, ests []userEstim
 		u := users[i]
 		u.Offset = e.offset
 		u.Gain = e.gain
-		u.Symbols = intBuf(&u.Symbols, nsym)
+		u.Symbols = grow(&u.Symbols, nsym)
 		for s := range u.Symbols {
 			u.Symbols[s] = -1
 		}
 		u.WindowOffsets = append(u.WindowOffsets[:0], e.perWin...)
 	}
 
-	// Per-window peak lists live on the arena (per-decode lifetime). The
-	// outer slice is cleared first: a decode that breaks out of the window
-	// loop early must not leave stale slices pointing into recycled arena
-	// storage.
-	if cap(d.allPeaksBuf) < nsym {
-		d.allPeaksBuf = make([][]peakObs, nsym)
-	}
-	allPeaks := d.allPeaksBuf[:nsym]
+	// Window w's peak list is slot w, emptied here and grown only by the lane
+	// that extracts it. A slot past the windows the samples hold stays empty.
+	allPeaks := grow(&d.allPeaksBuf, nsym)
 	for w := range allPeaks {
-		allPeaks[w] = nil
+		allPeaks[w] = allPeaks[w][:0]
 	}
 	// Dechirp every data window up front into its own buffer, which the
 	// peak, ML and IC passes all read; extractWindowPeaks works on a copy.
@@ -69,23 +64,13 @@ func (d *Decoder) decodeData(res *Result, samples []complex128, ests []userEstim
 	if nWins < 0 {
 		nWins = 0
 	}
-	if cap(d.dataWins) < nWins {
-		d.dataWins = append(d.dataWins[:cap(d.dataWins)], make([][]complex128, nWins-cap(d.dataWins))...)
-	}
-	wins := d.dataWins[:nWins]
+	wins := grow(&d.dataWins, nWins)
 	for w := 0; w < nWins; w++ {
 		if d.canceled() {
 			return users
 		}
 		dech := d.dechirpWindow(samples, start+w*d.n)
-		wins[w] = c128Buf(&wins[w], d.n)
-		copy(wins[w], dech)
-	}
-	// A window's peak list comes from the arena here, in window order, not
-	// from whichever lane extracts it: extractWindowPeaks appends at most its
-	// budget of len(ests)+2 peaks per round, over two rounds.
-	for w := range wins {
-		allPeaks[w] = d.ar.pk.takeCap(2 * (len(ests) + 2))
+		copy(grow(&wins[w], d.n), dech)
 	}
 	if d.forEachWindow(windowJob{task: peaksTask, wins: wins, ests: ests, peaks: allPeaks[:nWins]}) {
 		return users
@@ -101,10 +86,8 @@ func (d *Decoder) decodeData(res *Result, samples []complex128, ests []userEstim
 	// between the preamble and data windows — under multipath both the
 	// offset and the peaks shift by the ray centroid, so the difference
 	// stays on the symbol grid.
-	missing := intBuf(&d.missingBuf, len(users))
-	for i := range missing {
-		missing[i] = 0
-	}
+	missing := grow(&d.missingBuf, len(users))
+	clear(missing)
 	if d.forEachWindow(windowJob{task: symbolsTask, wins: wins, peaks: allPeaks[:nWins], users: users}) {
 		return users
 	}
@@ -156,7 +139,7 @@ func (d *Decoder) mlSymbolPass(win []complex128, w int, peaks []peakObs, users [
 	if len(peaks) == 0 {
 		return
 	}
-	offs := f64Buf(&d.offsBuf, len(peaks))
+	offs := grow(&d.offsBuf, len(peaks))
 	for i, pk := range peaks {
 		offs[i] = pk.bin
 	}
@@ -165,7 +148,7 @@ func (d *Decoder) mlSymbolPass(win []complex128, w int, peaks []peakObs, users [
 	// either noise (harmless to leave — the matched filter integrates past
 	// it) or a misattributed fragment of a real user's signal (catastrophic
 	// to subtract).
-	resid := c128Buf(&d.dechCopy, d.n)
+	resid := grow(&d.dechCopy, d.n)
 	copy(resid, win)
 	for i, pk := range peaks {
 		if pk.user >= 0 {
@@ -175,7 +158,7 @@ func (d *Decoder) mlSymbolPass(win []complex128, w int, peaks []peakObs, users [
 	// Each user's matched-filter input is the shared residual plus that
 	// user's re-added peak; the residual is fixed during the user loop, so
 	// the decisions are independent of the order users are visited in.
-	own := c128Buf(&d.workBuf, d.n)
+	own := grow(&d.workBuf, d.n)
 	for ui, u := range users {
 		copy(own, resid)
 		for i, pk := range peaks {
@@ -295,26 +278,22 @@ func (d *Decoder) subtractSeg(x []complex128, r segReg, h complex128) {
 func (d *Decoder) estimateBoundaries(wins [][]complex128, nsym int, users []*User) []int {
 	period := float64(d.n)
 	sync := d.cfg.LoRa.SyncSymbols()
-	bounds := intBuf(&d.boundsBuf, len(users))
-	for i := range bounds {
-		bounds[i] = 0
-	}
+	bounds := grow(&d.boundsBuf, len(users))
+	clear(bounds)
 	const maxProbe = 6
 	step := 2
-	work := c128Buf(&d.workBuf, d.n)
-	scores := f64Buf(&d.scoresBuf, d.n/step+1)
+	work := grow(&d.workBuf, d.n)
+	scores := grow(&d.scoresBuf, d.n/step+1)
 	for ui, u := range users {
 		if d.canceled() {
 			return bounds
 		}
-		for i := range scores {
-			scores[i] = 0
-		}
+		clear(scores)
 		probes := 0
 		for w := 1; w < nsym-1 && w < len(wins) && probes < maxProbe; w += 3 {
 			copy(work, wins[w])
 			// Crude cleanup: subtract other users' window tones.
-			offs := f64Buf(&d.offsBuf, len(users))[:0]
+			offs := grow(&d.offsBuf, len(users))[:0]
 			for uj, v := range users {
 				if uj == ui {
 					continue
@@ -368,7 +347,7 @@ func (d *Decoder) accumulateBoundaryScan(work []complex128, offset float64, symP
 	period := float64(d.n)
 	prefInto := func(buf *[]complex128, sym int) []complex128 {
 		tone := d.tone(math.Mod(float64(sym)+offset+period, period))
-		return tonePrefix(c128Buf(buf, d.n+1), work, tone)
+		return tonePrefix(grow(buf, d.n+1), work, tone)
 	}
 	pPrev := prefInto(&d.prefPrev, symPrev)
 	pCur := prefInto(&d.prefCur, symCur)
@@ -427,8 +406,8 @@ func (d *Decoder) icSymbolPass(dech []complex128, w int, users []*User, bounds [
 	hs := d.fitSegments(dech, regs)
 
 	changed := 0
-	work := c128Buf(&d.workBuf, d.n)
-	masked := c128Buf(&d.maskedBuf, d.n)
+	work := grow(&d.workBuf, d.n)
+	masked := grow(&d.maskedBuf, d.n)
 	for ui, u := range users {
 		copy(work, dech)
 		for j, r := range regs {
@@ -464,10 +443,9 @@ func (d *Decoder) icSymbolPass(dech []complex128, w int, users []*User, bounds [
 // (Sec. 5.2 applied per window). win is the pre-dechirped window, left
 // intact: each round's spectrum is taken of a working copy, which round 0's
 // SIC turns into the residual round 1 searches. The peaks are appended to
-// out, an empty arena-backed list with room for two rounds of len(ests)+2,
-// and returned: valid until the end of the current decode.
+// out, the window's emptied slot, and returned.
 func (d *Decoder) extractWindowPeaks(out []peakObs, ests []userEstimate, win []complex128) []peakObs {
-	dech := c128Buf(&d.dechCopy, d.n)
+	dech := grow(&d.dechCopy, d.n)
 	copy(dech, win)
 
 	budget := len(ests) + 2
@@ -475,7 +453,7 @@ func (d *Decoder) extractWindowPeaks(out []peakObs, ests []userEstimate, win []c
 		spec := d.paddedSpectrum(dech)
 		mags := d.magnitudes(spec)
 		pkSp := mStagePeaks.Start()
-		floor := dsp.NoiseFloorScratch(mags, f64Buf(&d.noiseScratch, len(mags)))
+		floor := dsp.NoiseFloorScratch(mags, grow(&d.noiseScratch, len(mags)))
 		thresh := floor * d.cfg.PeakThreshold
 		if round > 0 {
 			thresh = floor * (1 + (d.cfg.PeakThreshold-1)/3)
@@ -531,22 +509,19 @@ func (d *Decoder) refinePeakPositions(dech []complex128, out []peakObs) []peakOb
 	// energy correctly even when peaks are close, and the per-peak
 	// two-segment models capture the constant-phase jump a fractional
 	// timing offset puts inside each window.
-	offs := f64Buf(&d.offsBuf, len(out))
+	offs := grow(&d.offsBuf, len(out))
 	for i, pk := range out {
 		offs[i] = pk.bin
 	}
 	joint := d.fitChannels(dech, offs)
-	if cap(d.segModels) < len(out) {
-		d.segModels = make([]segModel, len(out))
-	}
-	models := d.segModels[:len(out)]
-	residual := c128Buf(&d.residBuf, len(dech))
+	models := grow(&d.segModels, len(out))
+	residual := grow(&d.residBuf, len(dech))
 	copy(residual, dech)
 	for i := range out {
 		models[i] = segModel{h1: joint[i], h2: joint[i], i0: 0}
 		subtractTone(residual, d.tone(offs[i]), joint[i])
 	}
-	origMag := f64Buf(&d.origMagBuf, len(out))
+	origMag := grow(&d.origMagBuf, len(out))
 	for i, pk := range out {
 		origMag[i] = pk.mag
 	}
@@ -620,8 +595,10 @@ func (d *Decoder) usersMatched(peaks []peakObs, ests []userEstimate) int {
 		}
 		return 0
 	})
-	usedPeak := boolBuf(&d.usedPeakBuf, len(peaks))
-	usedUser := boolBuf(&d.usedUserBuf, len(ests))
+	usedPeak := grow(&d.usedPeakBuf, len(peaks))
+	usedUser := grow(&d.usedUserBuf, len(ests))
+	clear(usedPeak)
+	clear(usedUser)
 	count := 0
 	for _, c := range cands {
 		if usedPeak[c.pi] || usedUser[c.ui] {
@@ -671,8 +648,10 @@ func (d *Decoder) assignGreedy(allPeaks [][]peakObs, users []*User) {
 			}
 			return 0
 		})
-		usedPeak := boolBuf(&d.usedPeakBuf, len(peaks))
-		usedUser := boolBuf(&d.usedUserBuf, len(users))
+		usedPeak := grow(&d.usedPeakBuf, len(peaks))
+		usedUser := grow(&d.usedUserBuf, len(users))
+		clear(usedPeak)
+		clear(usedUser)
 		for _, c := range cands {
 			if usedPeak[c.pi] || usedUser[c.ui] {
 				continue
@@ -697,6 +676,12 @@ func (d *Decoder) recordSymbol(u *User, w int, pk peakObs, period float64) {
 	obs := pk.bin - float64(sym)
 	obs = math.Mod(obs+period, period)
 	u.WindowOffsets = append(u.WindowOffsets, obs)
+}
+
+// matchCand is a candidate (peak, user) pairing for greedy assignment.
+type matchCand struct {
+	pi, ui int
+	cost   float64
 }
 
 func cmplxAbs(v complex128) float64 { return math.Hypot(real(v), imag(v)) }

@@ -131,10 +131,9 @@ type Decoder struct {
 
 	toneBuf []complex128 // the one tone scratch, filled by tone (n)
 
-	// Per-decode scratch arena plus dedicated reusable buffers for the
-	// pipeline's per-window temporaries. Together they make steady-state
-	// decodes allocation-free (see arena.go for the ownership rules).
-	ar    arena
+	// Every reusable buffer of the pipeline is a named field grown by grow,
+	// so a warmed-up decoder decodes without a heap allocation (DESIGN.md
+	// §12 has the ownership rules).
 	lsWS  linalg.Workspace
 	codec lora.CodecScratch
 
@@ -175,7 +174,9 @@ type Decoder struct {
 	coarseBuf   []float64
 	estFound    []userEstimate
 	estAccum    []userEstimate
-	allPeaksBuf [][]peakObs
+	perWinBuf   []float64    // estimate j's perWin is row j (MaxUsers rows of one value per preamble window)
+	gainWinBuf  []complex128 // estimate j's gainWin, rowed like perWinBuf
+	allPeaksBuf [][]peakObs  // one peak list per data window, grown by the lane that extracts it
 
 	// lanes are the helper decoders a fan-out runs windows on, built the
 	// first time a fan-out wants them and kept; fan runs the fan-out and job
@@ -406,14 +407,13 @@ func (d *Decoder) DecodeCtxInto(ctx context.Context, res *Result, samples []comp
 //   - IQ validation (ErrBadIQ, ErrSaturated) is a whole-frame property, so
 //     it runs once the full buffer is present and before the scan's
 //     estimates are consumed. It mutates nothing, so the stages after it
-//     see the scratch and arena state the scan left.
+//     see the scratch state the scan left.
 func (d *Decoder) decode(ctx context.Context, res *Result, buf []complex128, payloadLen int, avail AvailFunc) (err error) {
 	if res == nil {
 		return fmt.Errorf("choir: decode into nil Result")
 	}
 	d.armCtx(ctx)
 	defer d.disarmCtx()
-	d.ar.reset()
 	sp := mDecodeTimer.Start()
 	defer sp.Stop()
 	mDecodes.Inc()
@@ -564,53 +564,22 @@ func (d *Decoder) combSpectrum(x []complex128, r int) []complex128 {
 // magnitudes converts a complex spectrum to magnitudes in the decoder's
 // scratch slice (valid until the next call).
 func (d *Decoder) magnitudes(spec []complex128) []float64 {
-	if cap(d.scratchMags) < len(spec) {
-		d.scratchMags = make([]float64, len(spec))
-	}
-	out := d.scratchMags[:len(spec)]
+	out := grow(&d.scratchMags, len(spec))
 	for i, v := range spec {
 		out[i] = math.Hypot(real(v), imag(v))
 	}
 	return out
 }
 
-// c128Buf resizes *buf to length n, reusing its capacity, and returns it.
-// Contents are unspecified; callers overwrite.
-func c128Buf(buf *[]complex128, n int) []complex128 {
-	if cap(*buf) < n {
-		*buf = make([]complex128, n)
+// grow resizes *buf to length n and returns it. Elements within the old
+// capacity keep their values, so a slice of slot slices keeps each slot's
+// storage; it reallocates only to grow. Callers that read before they write
+// clear what they read.
+func grow[T any](buf *[]T, n int) []T {
+	if n > cap(*buf) {
+		*buf = append((*buf)[:cap(*buf)], make([]T, n-cap(*buf))...)
 	}
 	*buf = (*buf)[:n]
-	return *buf
-}
-
-// f64Buf is c128Buf for float64 slices.
-func f64Buf(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// intBuf is c128Buf for int slices.
-func intBuf(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// boolBuf is c128Buf for bool slices, returned zeroed.
-func boolBuf(buf *[]bool, n int) []bool {
-	if cap(*buf) < n {
-		*buf = make([]bool, n)
-	}
-	*buf = (*buf)[:n]
-	for i := range *buf {
-		(*buf)[i] = false
-	}
 	return *buf
 }
 

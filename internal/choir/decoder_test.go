@@ -180,6 +180,15 @@ func TestDecodeNearFarCollision(t *testing.T) {
 		if len(res.Users) >= 2 && cmplxAbs(res.Users[0].Gain) < cmplxAbs(res.Users[1].Gain) {
 			t.Errorf("seed %d: users not ordered strongest-first", seed)
 		}
+		// The weak user is found in a later SIC phase than the strong one,
+		// and must not overwrite the strong user's preamble window offsets.
+		for i, u := range res.Users {
+			for w, o := range u.WindowOffsets[:spec.params.PreambleLen] {
+				if dist := dsp.CircularBinDist(o, u.Offset, float64(spec.params.N())); dist > 0.5 {
+					t.Errorf("seed %d user %d: preamble window %d offset %.3f is %.3f bins from the user's %.3f", seed, i, w, o, dist, u.Offset)
+				}
+			}
+		}
 	}
 }
 

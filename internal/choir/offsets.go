@@ -8,13 +8,31 @@ import (
 )
 
 // userEstimate is one transmitter's preamble-derived state. Its slice fields
-// are arena-backed: valid for the rest of the current decode only.
+// are rows of the decoder's perWinBuf and gainWinBuf: valid for the rest of
+// the current decode only.
 type userEstimate struct {
 	offset  float64      // aggregate offset in bins (mod n), sub-bin precision
 	gain    complex128   // channel averaged coherently over preamble windows
 	power   float64      // mean |h|²
 	perWin  []float64    // raw per-window offset estimates (Fig. 7 stability)
 	gainWin []complex128 // per-window channel estimates
+}
+
+// binObs is one spectral-peak observation during preamble user discovery.
+type binObs struct {
+	bin float64
+	mag float64
+}
+
+// obsGroup accumulates a cluster of cross-window observations. Instead of
+// retaining every member bin/magnitude it carries the running sums the
+// original slice-based code derived from them — the circular-mean components
+// (Σcos, Σsin in insertion order) and the magnitude sum — which reproduce
+// circularMean and dsp.Mean bit-for-bit while allocating nothing.
+type obsGroup struct {
+	sx, sy float64 // Σ cos/sin(2π·bin/period), insertion order
+	magSum float64
+	hits   int
 }
 
 // estimatePreamble recovers every discernible user's aggregate offset and
@@ -29,17 +47,13 @@ func (d *Decoder) estimatePreamble(samples []complex128) []userEstimate {
 	// Working copies of each dechirped preamble window: SIC subtracts
 	// reconstructed strong users from these. The window buffers persist on
 	// the decoder and are overwritten every decode.
-	if cap(d.winsBuf) < nWin {
-		d.winsBuf = append(d.winsBuf[:cap(d.winsBuf)], make([][]complex128, nWin-cap(d.winsBuf))...)
-	}
-	wins := d.winsBuf[:nWin]
+	wins := grow(&d.winsBuf, nWin)
 	for w := 0; w < nWin; w++ {
 		if d.canceled() {
 			return nil
 		}
 		dech := d.dechirpWindow(samples, w*d.n)
-		wins[w] = c128Buf(&wins[w], d.n)
-		copy(wins[w], dech)
+		copy(grow(&wins[w], d.n), dech)
 	}
 
 	users := d.estAccum[:0]
@@ -106,10 +120,7 @@ func (d *Decoder) findPreambleUsers(wins [][]complex128, known []userEstimate) [
 	// Each window's observations land in its own slot; concatenated in
 	// window order they are the one flat list the grouping pass below
 	// reads, whichever lanes scanned the windows.
-	if cap(d.scanObs) < len(wins) {
-		d.scanObs = append(d.scanObs[:cap(d.scanObs)], make([][]binObs, len(wins)-cap(d.scanObs))...)
-	}
-	slots := d.scanObs[:len(wins)]
+	slots := grow(&d.scanObs, len(wins))
 	if d.forEachWindow(windowJob{task: scanTask, wins: wins, ests: known, obs: slots}) {
 		return nil
 	}
@@ -179,15 +190,16 @@ func (d *Decoder) findPreambleUsers(wins [][]complex128, known []userEstimate) [
 
 	// Joint per-window refinement: least-squares channels (+ optional
 	// residual-minimization of offsets), then aggregate across windows.
-	if cap(d.estFound) < len(coarse) {
-		d.estFound = make([]userEstimate, len(coarse))
-	}
-	ests := d.estFound[:len(coarse)]
+	// Estimate j of the decode, known ones first, owns row j of perWinBuf and
+	// gainWinBuf, so no phase overwrites an earlier phase's rows; the budget
+	// keeps j below MaxUsers.
+	nw := len(wins)
+	perWin := grow(&d.perWinBuf, d.cfg.MaxUsers*nw)
+	gainWin := grow(&d.gainWinBuf, d.cfg.MaxUsers*nw)
+	ests := grow(&d.estFound, len(coarse))
 	for i := range ests {
-		ests[i] = userEstimate{
-			perWin:  d.ar.f64.take(len(wins)),
-			gainWin: d.ar.c128.take(len(wins)),
-		}
+		j := (len(known) + i) * nw
+		ests[i] = userEstimate{perWin: perWin[j : j+nw], gainWin: gainWin[j : j+nw]}
 	}
 	if d.forEachWindow(windowJob{task: refineTask, wins: wins, coarse: coarse, ests: ests}) {
 		return nil
@@ -238,7 +250,7 @@ func (d *Decoder) scanWindow(obs []binObs, dech []complex128, known []userEstima
 	relCut := math.Pow(10, -d.cfg.DynamicRangeDB/20)
 	mags := d.magnitudes(d.paddedSpectrum(dech))
 	pkSp := mStagePeaks.Start()
-	floor := dsp.NoiseFloorScratch(mags, f64Buf(&d.noiseScratch, len(mags)))
+	floor := dsp.NoiseFloorScratch(mags, grow(&d.noiseScratch, len(mags)))
 	peaks := dsp.FindPeaksScratch(&d.peakScratch, mags, dsp.PeakConfig{
 		Pad:           d.pad,
 		MinSeparation: 0.9,
@@ -343,12 +355,10 @@ func (d *Decoder) validateCandidates(wins [][]complex128, coarse []float64) []fl
 	}
 	// Use up to three windows spread across the preamble for the vote.
 	probe := []int{0, len(wins) / 2, len(wins) - 1}
-	power := f64Buf(&d.powerBuf, len(coarse))
-	for i := range power {
-		power[i] = 0
-	}
+	power := grow(&d.powerBuf, len(coarse))
+	clear(power)
 	for _, w := range probe {
-		resid := c128Buf(&d.residBuf, d.n)
+		resid := grow(&d.residBuf, d.n)
 		copy(resid, wins[w])
 		for i, f := range coarse {
 			// The coarse peak position is biased by the candidate's own
@@ -386,12 +396,9 @@ func (d *Decoder) validateCandidates(wins [][]complex128, coarse []float64) []fl
 // (two complex gains around an estimated boundary) and subtract that,
 // iterating users so each fit sees the others removed.
 func (d *Decoder) subtractUsers(dech []complex128, users []userEstimate) {
-	if cap(d.segModels) < len(users) {
-		d.segModels = make([]segModel, len(users))
-	}
-	models := d.segModels[:len(users)]
+	models := grow(&d.segModels, len(users))
 	// Initialize from a joint single-tone fit.
-	offs := f64Buf(&d.offsBuf, len(users))
+	offs := grow(&d.offsBuf, len(users))
 	for i, u := range users {
 		offs[i] = u.offset
 	}
@@ -399,7 +406,7 @@ func (d *Decoder) subtractUsers(dech []complex128, users []userEstimate) {
 	for i := range models {
 		models[i] = segModel{f: offs[i], h1: hs[i], h2: hs[i], i0: 0}
 	}
-	residual := c128Buf(&d.residBuf, len(dech))
+	residual := grow(&d.residBuf, len(dech))
 	copy(residual, dech)
 	for i := range models {
 		subtractSegments(residual, d.tone(models[i].f), models[i].h1, models[i].h2, models[i].i0)
@@ -419,6 +426,14 @@ func (d *Decoder) subtractUsers(dech []complex128, users []userEstimate) {
 	copy(dech, residual)
 }
 
+// segModel is a two-segment tone model (gains either side of a boundary),
+// shared by the preamble refinement and data-path peak refinement.
+type segModel struct {
+	f      float64
+	h1, h2 complex128
+	i0     int
+}
+
 // segmentFitRefined golden-searches the tone frequency within ±0.5 bin of
 // fBins for the two-segment fit that explains the most energy, returning the
 // fit at the refined frequency and the tone at that frequency (the decoder's
@@ -433,8 +448,8 @@ func (d *Decoder) segmentFitRefined(x []complex128, fBins float64) (segModel, []
 	defer sp.Stop()
 	n := d.n
 	x = x[:n]
-	blk := blockSums(f64Buf(&d.blockBuf, n/scanBlock), x)
-	prefix := c128Buf(&d.prefixBuf, n+1)
+	blk := blockSums(grow(&d.blockBuf, n/scanBlock), x)
+	prefix := grow(&d.prefixBuf, n+1)
 	i0, skipped := -1, 0
 	// fit scans the tone at f and leaves its boundary in i0. A candidate
 	// frequency is judged by the explained energy alone; only the refined
@@ -477,7 +492,7 @@ func (d *Decoder) segmentFitRefined(x []complex128, fBins float64) (segModel, []
 // there. x and tone are both N = 2^SF samples (it panics otherwise). It scans
 // every boundary; segmentFitRefined is the golden search's pruned form.
 func (d *Decoder) segmentFit(x, tone []complex128) (h1, h2 complex128, i0 int) {
-	prefix := tonePrefix(c128Buf(&d.prefixBuf, d.n+1), x[:d.n], tone)
+	prefix := tonePrefix(grow(&d.prefixBuf, d.n+1), x[:d.n], tone)
 	i0, _, _ = d.segmentScan(prefix, nil, -1)
 	h1, h2 = segmentGains(prefix, i0)
 	return h1, h2, i0
@@ -749,14 +764,11 @@ func toneGram(df float64, lo, hi, n int) complex128 {
 // call; coarse is not modified.
 func (d *Decoder) refineOffsets(dech []complex128, coarse []float64) ([]float64, []complex128) {
 	k := len(coarse)
-	offs := f64Buf(&d.offsBuf, k)
+	offs := grow(&d.offsBuf, k)
 	copy(offs, coarse)
-	if cap(d.segModels) < k {
-		d.segModels = make([]segModel, k)
-	}
-	models := d.segModels[:k]
+	models := grow(&d.segModels, k)
 	joint := d.fitChannels(dech, offs)
-	residual := c128Buf(&d.residBuf, len(dech))
+	residual := grow(&d.residBuf, len(dech))
 	copy(residual, dech)
 	for i := 0; i < k; i++ {
 		models[i] = segModel{h1: joint[i], h2: joint[i], i0: 0}
@@ -771,7 +783,7 @@ func (d *Decoder) refineOffsets(dech []complex128, coarse []float64) ([]float64,
 			subtractSegments(residual, tone, m.h1, m.h2, m.i0)
 		}
 	}
-	hs := c128Buf(&d.hsBuf, k)
+	hs := grow(&d.hsBuf, k)
 	for i := 0; i < k; i++ {
 		// Report the longer segment's channel: it carries the symbol
 		// aligned with this window.

@@ -50,7 +50,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 }
 
 // TestDecodeSteadyStateZeroAllocs guards the tentpole property of the decode
-// hot path: once the decoder's arena and scratch buffers have warmed up,
+// hot path: once the decoder's scratch buffers have warmed up,
 // DecodeInto performs zero heap allocations per packet. Runs in the regular
 // (and race/short) CI test job, so an allocation regression fails the build.
 func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
@@ -77,49 +77,6 @@ func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, decodeOnce)
 	if allocs != 0 {
 		t.Fatalf("steady-state DecodeInto allocates %.1f times/op, want 0", allocs)
-	}
-}
-
-// TestArenaSlabSpill pins the slab overflow contract: an undersized slab
-// serves requests from the heap without corrupting earlier allocations, and
-// the next reset grows the backing store so the spill never recurs.
-func TestArenaSlabSpill(t *testing.T) {
-	var s slab[int]
-	s.reset()
-	a := s.take(4) // spills: empty slab
-	for i := range a {
-		a[i] = i + 1
-	}
-	b := s.take(4) // spills again
-	for i := range b {
-		b[i] = -(i + 1)
-	}
-	for i := range a {
-		if a[i] != i+1 {
-			t.Fatalf("first allocation corrupted: %v", a)
-		}
-	}
-	if s.spill == 0 {
-		t.Fatal("spill not recorded")
-	}
-	s.reset()
-	if len(s.buf) < 8 {
-		t.Fatalf("reset did not grow to high-water mark: len=%d", len(s.buf))
-	}
-	c := s.takeCap(8)
-	if cap(c) != 8 || len(c) != 0 {
-		t.Fatalf("takeCap(8) = len %d cap %d", len(c), cap(c))
-	}
-	// Appending past an allocation's cap must not clobber a later one.
-	x := s.takeCap(2)
-	y := s.take(2)
-	y[0], y[1] = 7, 8
-	x = append(x, 1, 2, 3)
-	if y[0] != 7 || y[1] != 8 {
-		t.Fatalf("append overflow clobbered neighbour: %v", y)
-	}
-	if x[2] != 3 {
-		t.Fatalf("overflow append lost data: %v", x)
 	}
 }
 

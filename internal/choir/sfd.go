@@ -73,6 +73,8 @@ func (d *Decoder) SplitOffsets(samples []complex128, maxCFOBins float64) ([]Offs
 		}
 		sfdWins[w] = dech
 	}
+	// The SFD search writes the estimate rows the preamble's estimates use;
+	// only their offsets are read from here on.
 	downEsts := d.findPreambleUsers(sfdWins, nil)
 	if len(downEsts) == 0 {
 		return nil, fmt.Errorf("choir: no SFD peaks found for %d users", len(ests))

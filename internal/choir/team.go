@@ -45,10 +45,8 @@ func (d *Decoder) DetectTeam(samples []complex128) ([]float64, error) {
 	if err := validateIQ(samples); err != nil {
 		return nil, err
 	}
-	acc := f64Buf(&d.accBuf, d.padN)
-	for i := range acc {
-		acc[i] = 0
-	}
+	acc := grow(&d.accBuf, d.padN)
+	clear(acc)
 	// Accumulate the windows' power spectra in window order, so every rounded
 	// bit of acc is a function of the samples alone.
 	for w := 0; w < p.PreambleLen; w++ {
@@ -59,7 +57,7 @@ func (d *Decoder) DetectTeam(samples []complex128) ([]float64, error) {
 			acc[i] += real(v)*real(v) + imag(v)*imag(v)
 		}
 	}
-	floor := dsp.NoiseFloorScratch(acc, f64Buf(&d.noiseScratch, len(acc)))
+	floor := dsp.NoiseFloorScratch(acc, grow(&d.noiseScratch, len(acc)))
 	// Accumulated power spectra have a χ² noise distribution; a lower
 	// multiple of the median suffices compared with single-shot detection.
 	thresh := floor * (1 + (d.cfg.PeakThreshold-1)/2)
@@ -174,11 +172,11 @@ func (d *Decoder) DecodeTeam(ctx context.Context, samples []complex128, payloadL
 // below the true symbol, while the floor keeps deeply-faded bins from
 // vetoing an otherwise unanimous decision.
 func (d *Decoder) mlSymbol(spec []complex128, offs []float64) int {
-	mags := f64Buf(&d.scratchMags, len(spec))
+	mags := grow(&d.scratchMags, len(spec))
 	for i, v := range spec {
 		mags[i] = real(v)*real(v) + imag(v)*imag(v)
 	}
-	floor := dsp.NoiseFloorScratch(mags, f64Buf(&d.noiseScratch, len(mags)))
+	floor := dsp.NoiseFloorScratch(mags, grow(&d.noiseScratch, len(mags)))
 	if floor <= 0 {
 		floor = 1e-30
 	}
@@ -299,8 +297,8 @@ func (d *Decoder) splitTwoToneFit(dech []complex128, prevTone, curTone, nextTone
 // decoder scratch.
 func (d *Decoder) splitScore(x []complex128, fa, fb float64) (score float64, ha, hb complex128, i0 int) {
 	n := len(x)
-	prefA := tonePrefix(c128Buf(&d.prefA, n+1), x, d.tone(fa))
-	prefB := tonePrefix(c128Buf(&d.prefB, n+1), x, d.tone(fb))
+	prefA := tonePrefix(grow(&d.prefA, n+1), x, d.tone(fa))
+	prefB := tonePrefix(grow(&d.prefB, n+1), x, d.tone(fb))
 	score = math.Inf(-1)
 	for i := 0; i <= n; i++ {
 		var s float64
