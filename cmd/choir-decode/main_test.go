@@ -104,10 +104,29 @@ func TestRunOrdersOutputAcrossWorkers(t *testing.T) {
 }
 
 // TestRunNegativePayloadLenFailsOneTrace: a header declaring a negative
-// payload length is refused when the file is read, so that trace gets its
-// own error line, the rest of the batch still prints, and the exit code
-// is 1 — the decoder never sees the length.
+// payload length is refused when the file is read — the decoder never sees
+// the length.
 func TestRunNegativePayloadLenFailsOneTrace(t *testing.T) {
+	checkOneTraceFails(t, func(h *trace.Header) { h.PayloadLen = -1 }, "trace: negative payload length -1")
+}
+
+// TestRunOverflowingLengthFailsOneTrace: a header whose payload or preamble
+// length would overflow the frame's sample count is refused when the file is
+// read, instead of panicking in the decoder.
+func TestRunOverflowingLengthFailsOneTrace(t *testing.T) {
+	t.Run("payload_len", func(t *testing.T) {
+		checkOneTraceFails(t, func(h *trace.Header) { h.PayloadLen = 47_000_000_000_000_000 }, "trace: payload length 47000000000000000 > 255")
+	})
+	t.Run("preamble_len", func(t *testing.T) {
+		checkOneTraceFails(t, func(h *trace.Header) { h.Params.PreambleLen = 1 << 56 }, "lora: preamble length 72057594037927936 > 65535")
+	})
+}
+
+// checkOneTraceFails decodes a batch of two good traces around a copy of the
+// first whose header edit rewrites: the bad trace gets its own error line
+// containing want, the rest of the batch still prints, and the exit code is 1.
+func checkOneTraceFails(t *testing.T, edit func(*trace.Header), want string) {
+	t.Helper()
 	dir := t.TempDir()
 	good1, bad, good2 := filepath.Join(dir, "a.iq"), filepath.Join(dir, "b.iq"), filepath.Join(dir, "c.iq")
 	writeTestTrace(t, good1, 1)
@@ -116,7 +135,7 @@ func TestRunNegativePayloadLenFailsOneTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.PayloadLen = -1
+	edit(&h)
 	var buf bytes.Buffer
 	if err := trace.WriteFramed(&buf, h, samples); err != nil {
 		t.Fatal(err)
@@ -128,7 +147,7 @@ func TestRunNegativePayloadLenFailsOneTrace(t *testing.T) {
 	if code := run(context.Background(), []string{good1, bad, good2}, &stdout, &stderr); code != exitFailed {
 		t.Errorf("exit code = %d, want %d", code, exitFailed)
 	}
-	if !strings.Contains(stderr.String(), bad+": trace: negative payload length -1") {
+	if !strings.Contains(stderr.String(), bad+": "+want) {
 		t.Errorf("stderr has no error line for %s:\n%s", bad, stderr.String())
 	}
 	if got := strings.Count(stdout.String(), "recovered 1/1 ground-truth payloads"); got != 2 {

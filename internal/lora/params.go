@@ -86,6 +86,13 @@ type Params struct {
 	SFDLen int
 }
 
+// The SX127x's frame limits: a one-byte payload length and a 16-bit preamble
+// length register. They also keep a frame's sample count far from int's range.
+const (
+	MaxPayloadLen  = 255
+	MaxPreambleLen = 65535
+)
+
 // DefaultParams returns the configuration used throughout the paper's
 // evaluation: SF8 over 125 kHz with 4/8 coding and an 8-symbol preamble.
 func DefaultParams() Params {
@@ -103,6 +110,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("lora: invalid code rate %d", int(p.CR))
 	case p.PreambleLen < 2:
 		return fmt.Errorf("lora: preamble length %d < 2", p.PreambleLen)
+	case p.PreambleLen > MaxPreambleLen:
+		return fmt.Errorf("lora: preamble length %d > %d", p.PreambleLen, MaxPreambleLen)
 	case p.SFDLen < 0 || p.SFDLen > 4:
 		return fmt.Errorf("lora: SFD length %d outside [0,4]", p.SFDLen)
 	}

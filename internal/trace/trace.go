@@ -119,6 +119,9 @@ func ReadFramedPreface(r io.Reader) (Header, int, error) {
 	if h.PayloadLen < 0 {
 		return Header{}, 0, fmt.Errorf("trace: negative payload length %d", h.PayloadLen)
 	}
+	if h.PayloadLen > lora.MaxPayloadLen {
+		return Header{}, 0, fmt.Errorf("trace: payload length %d > %d", h.PayloadLen, lora.MaxPayloadLen)
+	}
 	if _, err := io.ReadFull(r, n4[:]); err != nil {
 		return Header{}, 0, fmt.Errorf("trace: reading sample count: %w", err)
 	}

@@ -96,6 +96,38 @@ func TestReadRejectsNegativePayloadLen(t *testing.T) {
 	}
 }
 
+// TestReadRejectsLengthsPastTheRadio: the preface refuses a payload or a
+// preamble longer than an SX127x can send, whose frame would overflow int.
+func TestReadRejectsLengthsPastTheRadio(t *testing.T) {
+	long := lora.DefaultParams()
+	long.PreambleLen = 1 << 56
+	for _, tc := range []struct {
+		h    Header
+		want string
+	}{
+		{Header{Params: lora.DefaultParams(), PayloadLen: lora.MaxPayloadLen + 1}, "payload length 256 > 255"},
+		{Header{Params: lora.DefaultParams(), PayloadLen: 47_000_000_000_000_000}, "payload length 47000000000000000 > 255"},
+		{Header{Params: long, PayloadLen: 4}, "preamble length 72057594037927936 > 65535"},
+	} {
+		var buf bytes.Buffer
+		if err := WriteFramed(&buf, tc.h, []complex128{1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadFramedPreface(&buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v", tc.want, err)
+		}
+	}
+	ok := lora.DefaultParams()
+	ok.PreambleLen = lora.MaxPreambleLen
+	var buf bytes.Buffer
+	if err := WriteFramed(&buf, Header{Params: ok, PayloadLen: lora.MaxPayloadLen}, []complex128{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadFramedPreface(&buf); err != nil {
+		t.Errorf("the largest lengths: %v", err)
+	}
+}
+
 func TestReadFramedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	samples := make([]complex128, framedAllocChunk+37) // force a chunked grow
