@@ -593,7 +593,7 @@ func (g *Gateway) emit(f *Frame, o Outcome) {
 	case OutcomeDecoded:
 		g.decoded.Add(1)
 		mDecoded.Inc()
-		if o.Stage > StageFull {
+		if o.Stage > 0 {
 			g.recovered.Add(1)
 		}
 	case OutcomeFailed:

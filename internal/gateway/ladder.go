@@ -10,46 +10,12 @@ import (
 	"choir/internal/obs"
 )
 
-// Stage is a rung INDEX into the gateway's decode-recovery ladder. The
-// ladder itself is an ordered list of registered backend names
-// (Config.Ladder); Outcome.Stage reports how far down it a frame went.
-// Everything human-facing (metrics, logs, Outcome.Backend) is keyed by
-// backend name.
+// Stage is a rung index into the gateway's decode-recovery ladder: 0 is the
+// ladder's first rung. The ladder itself is an ordered list of registered
+// backend names (Config.Ladder); Outcome.Stage reports how far down it a
+// frame went. Everything human-facing (metrics, logs, Outcome.Backend) is
+// keyed by backend name.
 type Stage int
-
-// Rung indices of the default ladder (see DefaultLadder). Kept as named
-// constants because tests and operators reason about the default ladder's
-// shape; custom ladders index past them freely.
-const (
-	// StageFull is the paper's full Choir pipeline: phased SIC, fine
-	// offset refinement, the default peak and matching tunables.
-	StageFull Stage = iota
-	// StageRelaxed decodes with loosened tunables — lower peak threshold,
-	// wider fingerprint-matching tolerance, wider per-phase dynamic range —
-	// recovering frames whose offsets drifted or whose peaks sank below the
-	// default gates (clipping, interferers, oscillator steps).
-	StageRelaxed
-	// StageStrongest is the cheap last resort: track only the single
-	// strongest user with SIC disabled. It abandons the collision's weak
-	// users to salvage at least one payload per capture.
-	StageStrongest
-)
-
-// String implements fmt.Stringer with the historical rung names for the
-// default ladder's indices. Outcome.Backend carries the authoritative
-// backend name.
-func (s Stage) String() string {
-	switch s {
-	case StageFull:
-		return "full"
-	case StageRelaxed:
-		return "relaxed"
-	case StageStrongest:
-		return "strongest"
-	default:
-		return fmt.Sprintf("rung%d", int(s))
-	}
-}
 
 // DefaultLadder is the ladder Config.Ladder defaults to: the paper's full
 // Choir pipeline, the relaxed-tunables rung, and the
