@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"choir/internal/choir"
 	"choir/internal/ctxutil"
@@ -111,7 +113,7 @@ func EndToEnd(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 				bestSNR, bestD = snr, d
 			}
 		}
-		nodes[i] = e2eNode{id: i, snr: bestSNR, dist: bestD}
+		nodes[i] = e2eNode{snr: bestSNR, dist: bestD}
 		// Correlate by distance ring (sensors in the same ring measure
 		// similar environments).
 		links[i] = mac.SensorLink{ID: i, SNRdB: bestSNR, Correlate: int(bestD / 500)}
@@ -157,7 +159,7 @@ func EndToEnd(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 	// Concurrent individual rounds, decoded at IQ level. Batching sensors of
 	// similar strength together keeps the near-far spread within each
 	// collision moderate, as the base station's scheduler would.
-	sortBySNRDesc(individuals, nodes)
+	slices.SortStableFunc(individuals, func(a, b int) int { return cmp.Compare(nodes[b].snr, nodes[a].snr) })
 	for bi := 0; bi*cfg.ConcurrentIndividuals < len(individuals); bi++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -180,7 +182,7 @@ func EndToEnd(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 			// credit up to `recovered` farthest members conservatively by
 			// crediting the nearest ones first.
 			ids := append([]int(nil), batch...)
-			sortByDist(ids, nodes)
+			slices.SortStableFunc(ids, func(a, b int) int { return cmp.Compare(nodes[a].dist, nodes[b].dist) })
 			for i := 0; i < recovered && i < len(ids); i++ {
 				served(ids[i])
 			}
@@ -217,23 +219,6 @@ func EndToEnd(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 
 // e2eNode is one deployed sensor's link state.
 type e2eNode struct {
-	id   int
 	snr  float64
 	dist float64
-}
-
-func sortBySNRDesc(ids []int, nodes []e2eNode) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && nodes[ids[j]].snr > nodes[ids[j-1]].snr; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
-func sortByDist(ids []int, nodes []e2eNode) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && nodes[ids[j]].dist < nodes[ids[j-1]].dist; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
