@@ -1,11 +1,11 @@
-// Package backend turns the repository's collision decoder into a pluggable
-// platform: every collision-resolution algorithm — Choir's offset-fingerprint
-// SIC, the gateway's relaxed and strongest-user fallbacks, SS5G-style
-// slot-shift recovery, and direct superposed-frame decoding — implements one
-// Backend interface and registers itself by name. Consumers (the gateway
-// recovery ladder, the sim comparison harness, the CLIs) select algorithms
-// by name and drive them through the same contract, so alternatives are
-// compared on identical IQ under identical impairments.
+// Package backend puts every collision-resolution algorithm — Choir's
+// offset-fingerprint SIC, the gateway's relaxed and strongest-user
+// fallbacks, SS5G-style slot-shift recovery, and direct superposed-frame
+// decoding — behind one Backend interface, in a fixed table of names
+// (registry.go). Consumers (the gateway recovery ladder, the sim comparison
+// harness, the CLIs) select algorithms by name and drive them through the
+// same contract, so alternatives are compared on identical IQ under
+// identical impairments.
 //
 // The contract carries the engine's two standing invariants:
 //
@@ -33,7 +33,7 @@ import (
 // (TestPooledInstanceMatchesFreshForEveryBackend runs at 1, 2 and 4), context
 // polls on the calling goroutine, and a panic raised there.
 type Backend interface {
-	// Name returns the backend's registered name ("choir", "slotshift", ...).
+	// Name returns the backend's name in the table ("choir", "slotshift", ...).
 	Name() string
 	// Reseed is accepted and ignored: no backend keeps random state
 	// between decodes. It stays declared, with an empty body in every

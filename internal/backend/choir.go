@@ -7,23 +7,6 @@ import (
 	"choir/internal/lora"
 )
 
-// The three Choir-pipeline backends. "choir" is the paper's full pipeline
-// and stays bit-identical to the golden-trace fixtures; "relaxed" and
-// "strongest" are the gateway recovery ladder's fallback rungs, now
-// first-class algorithms selectable everywhere. The configurations are
-// authoritative here — the gateway references the rungs by name.
-func init() {
-	Register("choir", func(p lora.Params) (Backend, error) {
-		return newDecoderBackend("choir", choir.DefaultConfig(p))
-	})
-	Register("relaxed", func(p lora.Params) (Backend, error) {
-		return newDecoderBackend("relaxed", RelaxedConfig(p))
-	})
-	Register("strongest", func(p lora.Params) (Backend, error) {
-		return newDecoderBackend("strongest", StrongestConfig(p))
-	})
-}
-
 // RelaxedConfig returns the "relaxed" backend's decoder configuration:
 // loosened tunables — lower peak threshold, wider fingerprint-matching
 // tolerance, wider per-phase dynamic range — recovering frames whose offsets

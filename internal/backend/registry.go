@@ -3,41 +3,26 @@ package backend
 import (
 	"fmt"
 	"sort"
-	"sync"
 
+	"choir/internal/choir"
 	"choir/internal/lora"
 )
 
-// Factory builds one backend instance for one PHY configuration. Factories
-// must be cheap enough to call per worker (construction cost is amortized by
-// Pool, not by the factory).
-type Factory func(p lora.Params) (Backend, error)
-
-var (
-	regMu     sync.RWMutex
-	factories = map[string]Factory{}
-)
-
-// Register adds a named backend factory. It panics on a duplicate or empty
-// name — registration happens in init functions, where a collision is a
-// programming error, not a runtime condition.
-func Register(name string, f Factory) {
-	if name == "" || f == nil {
-		panic("backend: Register with empty name or nil factory")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := factories[name]; dup {
-		panic(fmt.Sprintf("backend: duplicate registration of %q", name))
-	}
-	factories[name] = f
+// factories is the fixed table of backends, one line each. A factory must be
+// cheap enough to call per worker (construction cost is amortized by Pool,
+// not by the factory). The Choir-pipeline configurations are authoritative
+// here — the gateway references the rungs by name.
+var factories = map[string]func(lora.Params) (Backend, error){
+	"choir":      func(p lora.Params) (Backend, error) { return newDecoderBackend("choir", choir.DefaultConfig(p)) },
+	"relaxed":    func(p lora.Params) (Backend, error) { return newDecoderBackend("relaxed", RelaxedConfig(p)) },
+	"strongest":  func(p lora.Params) (Backend, error) { return newDecoderBackend("strongest", StrongestConfig(p)) },
+	"slotshift":  func(p lora.Params) (Backend, error) { return newSlotshift(p) },
+	"superposed": func(p lora.Params) (Backend, error) { return newSuperposed(p) },
 }
 
 // New builds the named backend for the given PHY configuration.
 func New(name string, p lora.Params) (Backend, error) {
-	regMu.RLock()
 	f, ok := factories[name]
-	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("backend: unknown backend %q (registered: %v)", name, Names())
 	}
@@ -60,22 +45,18 @@ func MustNew(name string, p lora.Params) Backend {
 
 // Registered reports whether name is a known backend.
 func Registered(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	_, ok := factories[name]
 	return ok
 }
 
-// Names returns every registered backend name in sorted order — the
-// stable iteration order used by the comparison harness, the CLI help
-// strings, and the per-backend CI matrix.
+// Names returns every backend name in sorted order — the stable iteration
+// order used by the comparison harness, the CLI help strings, and the
+// gateway's per-backend chaos subtests.
 func Names() []string {
-	regMu.RLock()
 	out := make([]string, 0, len(factories))
 	for name := range factories {
 		out = append(out, name)
 	}
-	regMu.RUnlock()
 	sort.Strings(out)
 	return out
 }

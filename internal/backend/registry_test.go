@@ -2,11 +2,14 @@ package backend_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"choir/internal/backend"
+	"choir/internal/choir"
 	"choir/internal/lora"
 	"choir/internal/trace"
 )
@@ -78,5 +81,31 @@ func TestBackendsRoundTripCleanCollision(t *testing.T) {
 			}
 			t.Logf("%s: %d/%d ground-truth payloads", name, recovered, len(truth))
 		})
+	}
+}
+
+// TestEveryBackendTypesFiredContext: whatever algorithm decodes, a context
+// that has already fired fails the decode inside the taxonomy — ErrCanceled
+// or ErrDeadline, still wrapping the context's own error.
+func TestEveryBackendTypesFiredContext(t *testing.T) {
+	h, samples := loadGolden(t, "collide2_sf7")
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel2()
+	for _, name := range backend.Names() {
+		b := backend.MustNew(name, h.Params)
+		for _, tc := range []struct {
+			ctx          context.Context
+			typed, cause error
+		}{
+			{canceled, choir.ErrCanceled, context.Canceled},
+			{expired, choir.ErrDeadline, context.DeadlineExceeded},
+		} {
+			_, err := backend.Decode(tc.ctx, b, samples, h.PayloadLen)
+			if !errors.Is(err, tc.typed) || !errors.Is(err, tc.cause) {
+				t.Errorf("%s: err = %v, want %v wrapping %v", name, err, tc.typed, tc.cause)
+			}
+		}
 	}
 }

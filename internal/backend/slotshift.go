@@ -10,12 +10,6 @@ import (
 	"choir/internal/lora"
 )
 
-func init() {
-	Register("slotshift", func(p lora.Params) (Backend, error) {
-		return newSlotshift(p)
-	})
-}
-
 // slotshiftBackend implements SS5G-style slot-shift recovery (El Rachkidy et
 // al., PAPERS.md): when transmitters miss the nominal slot boundary by large
 // fractions of a symbol, a decode aligned to the slot sees their frames

@@ -9,16 +9,13 @@ import (
 	"choir/internal/choir"
 )
 
-// TestChoirBackendImplementsCapabilities: the Choir-pipeline backends
-// advertise the streaming capability, and it is bit-identical to the serial
-// decode of the completed frame.
-func TestChoirBackendImplementsCapabilities(t *testing.T) {
+// TestChoirBackendStreamsLikeSerial: a Choir-pipeline backend's decoder
+// (backend.Decoder) decodes a frame whose samples are still arriving
+// bit-identically to the serial decode of the completed frame.
+func TestChoirBackendStreamsLikeSerial(t *testing.T) {
 	h, samples := loadFixture(t, "collide2_sf7")
 	b := backend.MustNew("choir", h.Params)
-	sd, ok := b.(backend.StreamDecoder)
-	if !ok {
-		t.Fatal("choir backend does not implement StreamDecoder")
-	}
+	dec := backend.Decoder(b)
 
 	want := &choir.Result{}
 	if err := b.DecodeCtxInto(context.Background(), want, samples, h.PayloadLen); err != nil {
@@ -35,7 +32,7 @@ func TestChoirBackendImplementsCapabilities(t *testing.T) {
 		have = n
 		mu.Unlock()
 	}
-	prefix := backend.Decoder(b).PreambleSamples()
+	prefix := dec.PreambleSamples()
 	fill(prefix)
 	avail := func(ctx context.Context, need int) error {
 		mu.Lock()
@@ -47,7 +44,7 @@ func TestChoirBackendImplementsCapabilities(t *testing.T) {
 		return nil
 	}
 	got := &choir.Result{}
-	if err := sd.DecodeStreamCtxInto(context.Background(), got, buf, h.PayloadLen, avail); err != nil {
+	if err := dec.DecodeIncrementalCtxInto(context.Background(), got, buf, h.PayloadLen, avail); err != nil {
 		t.Fatalf("stream: %v", err)
 	}
 	sameResult(t, "stream", got, want)

@@ -2,7 +2,6 @@ package backend
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -10,16 +9,9 @@ import (
 	"sort"
 
 	"choir/internal/choir"
-	"choir/internal/ctxutil"
 	"choir/internal/dsp"
 	"choir/internal/lora"
 )
-
-func init() {
-	Register("superposed", func(p lora.Params) (Backend, error) {
-		return newSuperposed(p)
-	})
-}
 
 // superposedBackend decodes colliding LoRa frames directly, in the spirit of
 // Abboud et al.'s "Efficient Decoding of Synchronized Colliding LoRa
@@ -40,7 +32,7 @@ func init() {
 // grid captures, decodes the symbol stream at each alignment in score
 // order, and lets the payload CRC arbitrate. No interference cancellation,
 // no iterative refinement: FFTs and grid reads only, the cheapest
-// multi-user rung in the registry.
+// multi-user rung in the table.
 type superposedBackend struct {
 	p    lora.Params
 	n    int
@@ -162,7 +154,7 @@ func (s *superposedBackend) DecodeCtxInto(ctx context.Context, res *choir.Result
 	nWin := s.p.PreambleLen
 	s.clusters = s.clusters[:0]
 	for w := 0; w < nWin; w++ {
-		if err := pollCtx(ctx); err != nil {
+		if err := choir.ContextErr(ctx); err != nil {
 			return err
 		}
 		peaks := s.windowPeaks(samples, w*s.n, spPreambleThresh, spMaxUsers)
@@ -265,7 +257,7 @@ func (s *superposedBackend) decodeUser(ctx context.Context, u *choir.User, sampl
 		if start+shift < 0 || start+shift+nsym*s.n > len(samples) {
 			continue
 		}
-		if err := pollCtx(ctx); err != nil {
+		if err := choir.ContextErr(ctx); err != nil {
 			return err
 		}
 		score, weak := 0.0, 0
@@ -408,25 +400,6 @@ func (s *superposedBackend) clusterPeak(pk dsp.Peak, w int) {
 	c.sumMag += pk.Mag
 	c.wins++
 	c.lastWin = w
-}
-
-// pollCtx is the cooperative cancellation point shared by the non-Choir
-// backends, mapping a fired context to the choir error taxonomy exactly as
-// choir.Decoder does.
-func pollCtx(ctx context.Context) error {
-	if !ctxutil.CanFire(ctx) {
-		return nil
-	}
-	select {
-	case <-ctx.Done():
-		cause := ctx.Err()
-		if errors.Is(cause, context.DeadlineExceeded) {
-			return fmt.Errorf("%w: %w", choir.ErrDeadline, cause)
-		}
-		return fmt.Errorf("%w: %w", choir.ErrCanceled, cause)
-	default:
-		return nil
-	}
 }
 
 // intBuf and f64Buf grow-and-reuse scratch slices (zeroed by the caller as

@@ -482,18 +482,8 @@ func (d *Decoder) canceled() bool {
 	if d.ctx == nil {
 		return false
 	}
-	select {
-	case <-d.ctx.Done():
-		cause := d.ctx.Err()
-		if errors.Is(cause, context.DeadlineExceeded) {
-			d.ctxErr = fmt.Errorf("%w: %w", ErrDeadline, cause)
-		} else {
-			d.ctxErr = fmt.Errorf("%w: %w", ErrCanceled, cause)
-		}
-		return true
-	default:
-		return false
-	}
+	d.ctxErr = ContextErr(d.ctx)
+	return d.ctxErr != nil
 }
 
 // dechirpWindow dechirps the n-sample window starting at off into the

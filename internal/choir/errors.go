@@ -1,9 +1,12 @@
 package choir
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+
+	"choir/internal/ctxutil"
 )
 
 // The decoder's error taxonomy. Frame-level failures (returned by Decode,
@@ -37,6 +40,27 @@ var (
 	// to a deadline-free decode.
 	ErrDeadline = errors.New("choir: decode deadline exceeded")
 )
+
+// ContextErr is the one mapping from a fired context to the taxonomy: nil
+// while ctx cannot fire (ctxutil.CanFire) or has not fired, otherwise
+// ErrDeadline or ErrCanceled wrapping ctx.Err(). Every cooperative
+// cancellation point — the decoder's stage polls, the non-Choir backends, the
+// gateway's stream wait — reports through it.
+func ContextErr(ctx context.Context) error {
+	if !ctxutil.CanFire(ctx) {
+		return nil
+	}
+	select {
+	case <-ctx.Done():
+		cause := ctx.Err()
+		if errors.Is(cause, context.DeadlineExceeded) {
+			return fmt.Errorf("%w: %w", ErrDeadline, cause)
+		}
+		return fmt.Errorf("%w: %w", ErrCanceled, cause)
+	default:
+		return nil
+	}
+}
 
 // validateIQ rejects inputs that would poison the pipeline: any non-finite
 // sample (ErrBadIQ), or severe ADC saturation (ErrSaturated). The saturation

@@ -123,19 +123,19 @@ func collectPayloads(res *choir.Result) ([][]byte, int) {
 	return payloads, len(res.Users)
 }
 
-// decodeFrame runs one backend over one frame's samples, routing streaming
-// frames through the backend's StreamDecoder capability so preamble
-// detection overlaps the network still delivering data symbols. Backends
-// without the capability (and later rungs, once the stream completed — the
-// wait then returns immediately) decode the full buffer; either way the result
-// is bit-identical to decoding the completed capture.
+// decodeFrame runs one backend over one frame's samples. A streaming frame
+// on a Choir-pipeline rung goes through the decoder's incremental entry
+// point (backend.Decoder), so preamble detection overlaps the network still
+// delivering data symbols. Other backends (and later rungs, once the stream
+// completed — the wait then returns immediately) decode the full buffer;
+// either way the result is bit-identical to decoding the completed capture.
 func (g *Gateway) decodeFrame(ctx context.Context, b backend.Backend, f *Frame) (*choir.Result, error) {
 	if f.stream == nil {
 		return backend.Decode(ctx, b, f.Samples, f.Header.PayloadLen)
 	}
-	if sd, ok := b.(backend.StreamDecoder); ok {
+	if dec := backend.Decoder(b); dec != nil {
 		res := &choir.Result{}
-		if err := sd.DecodeStreamCtxInto(ctx, res, f.Samples, f.Header.PayloadLen, f.stream.Avail); err != nil {
+		if err := dec.DecodeIncrementalCtxInto(ctx, res, f.Samples, f.Header.PayloadLen, f.stream.Avail); err != nil {
 			return nil, err
 		}
 		return res, nil

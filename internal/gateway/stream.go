@@ -3,7 +3,6 @@ package gateway
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -99,11 +98,7 @@ func (s *streamBuffer) Avail(ctx context.Context, need int) error {
 			// Type the wait's cancellation like the decoder's own stage
 			// polls would, so streamed frames fail inside the same taxonomy
 			// as everything else.
-			typed := choir.ErrCanceled
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				typed = choir.ErrDeadline
-			}
-			return fmt.Errorf("%w: %w", typed, ctx.Err())
+			return choir.ContextErr(ctx)
 		case <-s.notify:
 		}
 	}
