@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"choir/internal/ctxutil"
@@ -80,53 +79,6 @@ func expandDirs(paths []string, errs *[]error) []string {
 		out = append(out, found...)
 	}
 	return out
-}
-
-// serveConns is the TCP server's accept loop: listener shutdown via ctx, a
-// MaxConns semaphore with shed accounting (overflow gets an error reply and
-// counts on gateway.conn.shed), and a WaitGroup so no handler outlives the
-// server.
-func (g *Gateway) serveConns(ctx context.Context, ln net.Listener, handle func(ctx context.Context, conn net.Conn)) error {
-	ctx = ctxutil.Background(ctx)
-	// Closing the listener is the only portable way to unblock Accept.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-stop:
-		}
-		ln.Close()
-	}()
-	sem := make(chan struct{}, g.cfg.MaxConns)
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return fmt.Errorf("gateway: accept: %w", err)
-		}
-		select {
-		case sem <- struct{}{}:
-		default:
-			// At the connection cap: shed immediately instead of spawning
-			// an unbounded goroutine per peer during a flood.
-			mConnShed.Inc()
-			g.reply(conn, "error: too many connections\n")
-			conn.Close()
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer conn.Close()
-			handle(ctx, conn)
-		}()
-	}
 }
 
 // reply writes a one-line status reply, bounded by ConnTimeout. A peer that

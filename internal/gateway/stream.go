@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"choir/internal/choir"
+	"choir/internal/ctxutil"
 	"choir/internal/trace"
 )
 
@@ -114,15 +115,56 @@ func (s *streamBuffer) Avail(ctx context.Context, need int) error {
 // connection that dies or stalls past Config.ConnTimeout mid-frame aborts
 // the in-flight decode with ErrStreamAborted, which still yields the
 // frame's single terminal outcome. Concurrent connections are capped at
-// Config.MaxConns and every read and reply is bounded by Config.ConnTimeout,
-// so a stalled or half-open peer cannot pin a handler goroutine forever.
-// Returns nil on ctx-triggered shutdown.
+// Config.MaxConns (overflow gets an error reply and counts on
+// gateway.conn.shed) and every read and reply is bounded by
+// Config.ConnTimeout, so a stalled or half-open peer cannot pin a handler
+// goroutine forever. Returns nil on ctx-triggered shutdown, once every
+// handler has returned.
 //
 // Streaming deployments should set ConnTimeout (and/or DecodeTimeout):
 // without either, a graceful Drain waits on a peer that goes silent
 // mid-frame for as long as the peer stays connected.
 func ServeTCPStream(ctx context.Context, g *Gateway, ln net.Listener) error {
-	return g.serveConns(ctx, ln, g.handleStreamConn)
+	ctx = ctxutil.Background(ctx)
+	// Closing the listener is the only portable way to unblock Accept.
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		select {
+		case <-ctx.Done():
+		case <-stop:
+		}
+		ln.Close()
+	}()
+	sem := make(chan struct{}, g.cfg.MaxConns)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil
+			}
+			return fmt.Errorf("gateway: accept: %w", err)
+		}
+		select {
+		case sem <- struct{}{}:
+		default:
+			// At the connection cap: shed immediately instead of spawning
+			// an unbounded goroutine per peer during a flood.
+			mConnShed.Inc()
+			g.reply(conn, "error: too many connections\n")
+			conn.Close()
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			defer conn.Close()
+			g.handleStreamConn(ctx, conn)
+		}()
+	}
 }
 
 // handleStreamConn services one framed streaming connection.
