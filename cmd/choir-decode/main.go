@@ -200,9 +200,11 @@ func decodeTrace(ctx context.Context, name string, index uint64, team bool, inj 
 			inj.Class(), inj.Intensity(), len(samples))
 	}
 
-	truth := map[string]bool{}
+	// truth counts each ground-truth payload: users sending identical
+	// payloads are each recovered once, never one decoded user twice.
+	truth := map[string]int{}
 	for _, u := range h.Users {
-		truth[u] = true
+		truth[u]++
 	}
 
 	pool, err := poolFor(h.Params)
@@ -227,7 +229,7 @@ func decodeTrace(ctx context.Context, name string, index uint64, team bool, inj 
 		status := "FAILED"
 		if res.Err == nil {
 			status = "ok"
-			if len(truth) > 0 && !truth[fmt.Sprintf("%x", res.Payload)] {
+			if len(truth) > 0 && truth[fmt.Sprintf("%x", res.Payload)] == 0 {
 				status = "WRONG PAYLOAD"
 			}
 		}
@@ -252,17 +254,19 @@ func decodeTrace(ctx context.Context, name string, index uint64, team bool, inj 
 		if u.Decoded() {
 			status = "ok"
 			if len(truth) > 0 {
-				if truth[fmt.Sprintf("%x", u.Payload)] {
-					correct++
-				} else {
+				key := fmt.Sprintf("%x", u.Payload)
+				if left, known := truth[key]; !known {
 					status = "WRONG PAYLOAD"
+				} else if left > 0 {
+					truth[key]--
+					correct++
 				}
 			}
 		}
 		fmt.Fprintf(&out, "user %d: offset %8.3f bins, payload %x (%s)\n", i, u.Offset, u.Payload, status)
 	}
 	if len(truth) > 0 {
-		fmt.Fprintf(&out, "recovered %d/%d ground-truth payloads\n", correct, len(truth))
+		fmt.Fprintf(&out, "recovered %d/%d ground-truth payloads\n", correct, len(h.Users))
 	}
 	return out.String(), nil
 }

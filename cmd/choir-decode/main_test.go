@@ -19,9 +19,16 @@ import (
 // writeTestTrace synthesizes a small single-user trace to path.
 func writeTestTrace(t *testing.T, path string, seed uint64) {
 	t.Helper()
+	writeScenarioTrace(t, path, sim.Scenario{SNRsDB: []float64{15}, Seed: seed})
+}
+
+// writeScenarioTrace synthesizes sc at SF7 with 4-byte payloads to path,
+// listing every user's payload in the header.
+func writeScenarioTrace(t *testing.T, path string, sc sim.Scenario) {
+	t.Helper()
 	p := choir.DefaultPHY()
 	p.SF = lora.SF7
-	sc := sim.Scenario{Params: p, PayloadLen: 4, SNRsDB: []float64{15}, Seed: seed}
+	sc.Params, sc.PayloadLen = p, 4
 	samples, payloads := sc.Synthesize()
 	h := trace.Header{Params: p, PayloadLen: 4}
 	for _, pl := range payloads {
@@ -100,6 +107,20 @@ func TestRunOrdersOutputAcrossWorkers(t *testing.T) {
 	}
 	if code1 != code4 {
 		t.Errorf("exit codes differ across widths: %d vs %d", code1, code4)
+	}
+}
+
+// TestRunCountsIdenticalPayloadsOnce: two users sending the same payload
+// are two ground-truth payloads, each recovered at most once.
+func TestRunCountsIdenticalPayloadsOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "team.iq")
+	writeScenarioTrace(t, path, sim.Scenario{Identical: true, SNRsDB: []float64{20, 20}, Seed: 1})
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "recovered 2/2 ground-truth payloads") {
+		t.Errorf("want recovered 2/2:\n%s", stdout.String())
 	}
 }
 
