@@ -9,31 +9,28 @@ import (
 	"math"
 	"math/cmplx"
 	"net"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"choir/internal/backend"
 	"choir/internal/choir"
 	"choir/internal/fault"
 	"choir/internal/lora"
 	"choir/internal/trace"
 )
 
-// chaosLadder returns the decode ladder for the chaos soak. CI soaks every
-// registered backend individually by setting CHOIR_CHAOS_LADDER to a
-// comma-separated rung list (e.g. "superposed" or "slotshift,strongest");
-// unset, the soak runs the default ladder.
-func chaosLadder(t *testing.T) []string {
-	v := os.Getenv("CHOIR_CHAOS_LADDER")
-	if v == "" {
-		return nil // Config default
+// forEachChaosLadder runs a chaos soak on the default ladder (subtest
+// "serial") and then on every backend as a one-rung ladder (subtest named
+// after it), so the resilience guarantees hold whatever algorithm is
+// decoding.
+func forEachChaosLadder(t *testing.T, soak func(t *testing.T, ladder []string)) {
+	t.Run("serial", func(t *testing.T) { soak(t, nil) })
+	for _, name := range backend.Names() {
+		t.Run(name, func(t *testing.T) { soak(t, []string{name}) })
 	}
-	ladder := strings.Split(v, ",")
-	t.Logf("chaos ladder from CHOIR_CHAOS_LADDER: %v", ladder)
-	return ladder
 }
 
 // chaosFixture is one pre-loaded golden capture.
@@ -67,11 +64,11 @@ func loadChaosFixtures(t *testing.T) []chaosFixture {
 // drop-oldest shedding, and a mid-run hard stop. The gateway must survive
 // with zero panics, account for every accepted frame with exactly one
 // terminal outcome, surface only taxonomy-typed errors, and leak no
-// goroutines — whatever backend ladder it runs (see chaosLadder). Its one
-// leg keeps the name "serial": that is the name the CHANGES.md coverage
-// notes of the removed batch tests point at.
+// goroutines — whatever backend ladder it runs (see forEachChaosLadder).
+// Its default-ladder leg keeps the name "serial": that is the name the
+// CHANGES.md coverage notes of the removed batch tests point at.
 func TestChaosGatewaySmoke(t *testing.T) {
-	t.Run("serial", runChaosSmoke)
+	forEachChaosLadder(t, runChaosSmoke)
 }
 
 // mustInject is fault.New for the tests' fixed, valid injector settings.
@@ -97,7 +94,7 @@ func chaosFaults(samples []complex128, seed uint64) []complex128 {
 	return samples
 }
 
-func runChaosSmoke(t *testing.T) {
+func runChaosSmoke(t *testing.T, ladder []string) {
 	fixtures := loadChaosFixtures(t)
 
 	baseline := runtime.NumGoroutine()
@@ -107,7 +104,7 @@ func runChaosSmoke(t *testing.T) {
 		Policy:        ShedDropOldest,
 		Workers:       2,
 		DecodeTimeout: 5 * time.Second,
-		Ladder:        chaosLadder(t),
+		Ladder:        ladder,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,10 +219,14 @@ func typedCause(err error) bool {
 
 // TestChaosStreamingIngest soaks the framed streaming path with the same
 // adversarial mix: corrupted fixtures, peers that die mid-frame, malformed
-// length prefixes, a tiny drop-oldest queue, and the chaosLadder backend
-// loop. Every accepted frame must still get exactly one taxonomy-typed
-// terminal outcome and nothing may leak.
+// length prefixes, a tiny drop-oldest queue, and every ladder of
+// forEachChaosLadder. Every accepted frame must still get exactly one
+// taxonomy-typed terminal outcome and nothing may leak.
 func TestChaosStreamingIngest(t *testing.T) {
+	forEachChaosLadder(t, runChaosStreaming)
+}
+
+func runChaosStreaming(t *testing.T, ladder []string) {
 	fixtures := loadChaosFixtures(t)
 	baseline := runtime.NumGoroutine()
 
@@ -235,7 +236,7 @@ func TestChaosStreamingIngest(t *testing.T) {
 		Workers:       2,
 		DecodeTimeout: 5 * time.Second,
 		ConnTimeout:   2 * time.Second,
-		Ladder:        chaosLadder(t),
+		Ladder:        ladder,
 	})
 	if err != nil {
 		t.Fatal(err)
