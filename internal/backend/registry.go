@@ -8,10 +8,10 @@ import (
 	"choir/internal/lora"
 )
 
-// factories is the fixed table of backends, one line each. A factory must be
-// cheap enough to call per worker (construction cost is amortized by Pool,
-// not by the factory). The Choir-pipeline configurations are authoritative
-// here — the gateway references the rungs by name.
+// factories is the fixed table of backends, one line each; the gateway
+// ladder and the CLIs name rungs by these keys. A factory must be cheap
+// enough to call per worker (construction cost is amortized by Pool, not by
+// the factory).
 var factories = map[string]func(lora.Params) (Backend, error){
 	"choir":      func(p lora.Params) (Backend, error) { return newDecoderBackend("choir", choir.DefaultConfig(p)) },
 	"relaxed":    func(p lora.Params) (Backend, error) { return newDecoderBackend("relaxed", RelaxedConfig(p)) },

@@ -476,13 +476,9 @@ func (d *Decoder) disarmCtx() { d.ctx, d.ctxErr = nil, nil }
 // cancellation point the pipeline stages call at their boundaries — and
 // latches the first failure as a typed error in d.ctxErr.
 func (d *Decoder) canceled() bool {
-	if d.ctxErr != nil {
-		return true
+	if d.ctxErr == nil && d.ctx != nil {
+		d.ctxErr = ContextErr(d.ctx)
 	}
-	if d.ctx == nil {
-		return false
-	}
-	d.ctxErr = ContextErr(d.ctx)
 	return d.ctxErr != nil
 }
 
