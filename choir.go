@@ -11,7 +11,7 @@
 // import the internal packages for anything else):
 //
 //   - the collision decoder (NewDecoder, Decode, DecodeTeam), the backend
-//     registry behind it, and their configuration;
+//     table behind it, and their configuration;
 //   - the LoRa PHY substrate (PHYParams, NewModem) used to build
 //     transmitters and baseline receivers;
 //   - the client hardware and channel models used to simulate deployments;
