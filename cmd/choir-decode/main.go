@@ -32,94 +32,61 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"strings"
 	"sync"
-	"syscall"
 
 	"choir"
+	"choir/internal/cli"
 	"choir/internal/exec"
-	"choir/internal/obs"
 	"choir/internal/trace"
 )
 
-// Exit codes: 0 success, 1 failure, 2 usage, 130 interrupted by signal.
-const (
-	exitOK          = 0
-	exitFailed      = 1
-	exitUsage       = 2
-	exitInterrupted = 130
-)
+func main() { cli.Main(run) }
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is main with its environment made explicit so tests can drive the
-// whole command: ctx carries the signal-triggered cancellation, argv
-// excludes the program name, and the exit code is returned instead of
-// passed to os.Exit.
+// run is the command with its environment made explicit (see internal/cli).
 func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("choir-decode", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	team := fs.Bool("team", false, "decode as a coordinated team transmission")
-	backendName := fs.String("backend", "choir", "collision-resolution backend: "+strings.Join(choir.BackendNames(), ", "))
-	faultClass := fs.String("fault", "", "inject a fault before decoding: clip, drop, interferer, drift, or truncate")
-	faultRate := fs.Float64("fault-rate", 0.3, "fault intensity in [0,1] for -fault")
-	metrics := fs.Bool("metrics", false, "record decode metrics and dump a JSON snapshot at exit")
-	metricsOut := fs.String("metrics-out", "", "metrics snapshot destination (default or \"-\": stderr)")
-	debugAddr := fs.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060); implies metrics recording")
-	if err := fs.Parse(argv); err != nil {
-		return exitUsage
+	cmd := cli.New("choir-decode", stderr)
+	team := cmd.Bool("team", false, "decode as a coordinated team transmission")
+	backendName := cmd.String("backend", "choir", "collision-resolution backend: "+strings.Join(choir.BackendNames(), ", "))
+	faultClass := cmd.String("fault", "", "inject a fault before decoding: clip, drop, interferer, drift, or truncate")
+	faultRate := cmd.Float64("fault-rate", 0.3, "fault intensity in [0,1] for -fault")
+	if err := cmd.Parse(argv); err != nil {
+		return cli.ExitUsage
 	}
-	if fs.NArg() < 1 {
+	if cmd.NArg() < 1 {
 		fmt.Fprintln(stderr, "usage: choir-decode [-team] [-fault class -fault-rate r] <trace.iq> [more.iq ...]")
-		return exitUsage
+		return cli.ExitUsage
 	}
-	files := fs.Args()
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	files := cmd.Args()
 	if !choir.BackendRegistered(*backendName) {
 		fmt.Fprintf(stderr, "choir-decode: unknown backend %q; one of %s\n",
 			*backendName, strings.Join(choir.BackendNames(), ", "))
-		return exitUsage
+		return cli.ExitUsage
 	}
 	if *team && *backendName != "choir" {
 		fmt.Fprintln(stderr, "choir-decode: -team requires the choir backend (team decoding is not a collision backend)")
-		return exitUsage
+		return cli.ExitUsage
 	}
-
-	dumpMetrics, stopDebug, err := obs.StartCLI(*metrics, *metricsOut, *debugAddr)
-	if err != nil {
-		fmt.Fprintln(stderr, "choir-decode:", err)
-		return exitFailed
-	}
-	defer stopDebug()
-	defer func() {
-		if err := dumpMetrics(); err != nil {
-			fmt.Fprintln(stderr, "choir-decode: metrics dump:", err)
-		}
-	}()
-
 	var inj *choir.FaultInjector
 	if *faultClass != "" {
 		class, err := choir.ParseFaultClass(*faultClass)
+		if err == nil {
+			inj, err = choir.NewFault(class, *faultRate)
+		}
 		if err != nil {
 			fmt.Fprintln(stderr, "choir-decode:", err)
-			return exitFailed
-		}
-		if inj, err = choir.NewFault(class, *faultRate); err != nil {
-			fmt.Fprintln(stderr, "choir-decode:", err)
-			return exitFailed
+			return cli.ExitFailed
 		}
 	}
+
+	stop, err := cmd.Start()
+	if err != nil {
+		fmt.Fprintln(stderr, "choir-decode:", err)
+		return cli.ExitFailed
+	}
+	defer stop()
 
 	// One pool per PHY configuration seen in the batch; traces recorded at
 	// different spreading factors each get their own. Collision decodes go
@@ -146,15 +113,16 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	// afterwards on this goroutine, so report and error lines come out in
 	// argument order no matter how the decodes were scheduled. A canceled
 	// context stops new decodes but the in-flight ones finish, so every slot
-	// is either complete or untouched.
+	// is either complete or untouched. ForEach fails only when ctx fired,
+	// which cmd.Exit turns into 130 after the finished reports print.
 	reports := make([]string, len(files))
 	errs := make([]error, len(files))
 	done := make([]bool, len(files))
-	fanErr := exec.ForEach(ctx, len(files), func(i int) {
+	_ = exec.ForEach(ctx, len(files), func(i int) {
 		reports[i], errs[i] = decodeTrace(ctx, files[i], uint64(i), *team, inj, poolFor)
 		done[i] = true
 	})
-	exit := exitOK
+	code := cli.ExitOK
 	for i, name := range files {
 		if !done[i] {
 			continue // never started: the batch was interrupted
@@ -163,21 +131,13 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "== %s ==\n", name)
 		}
 		if errs[i] != nil {
-			if errors.Is(errs[i], choir.ErrDecodeCanceled) || errors.Is(errs[i], choir.ErrDecodeDeadline) {
-				fmt.Fprintf(stderr, "choir-decode: %s: interrupted: %v\n", name, errs[i])
-				continue // counted below via fanErr / ctx
-			}
 			fmt.Fprintf(stderr, "choir-decode: %s: %v\n", name, errs[i])
-			exit = exitFailed
+			code = cli.ExitFailed
 			continue
 		}
 		fmt.Fprint(stdout, reports[i])
 	}
-	if fanErr != nil || ctx.Err() != nil {
-		fmt.Fprintln(stderr, "choir-decode: interrupted; partial results above")
-		return exitInterrupted
-	}
-	return exit
+	return cmd.Exit(ctx, code)
 }
 
 // decodeTrace reads one trace, optionally corrupts it with inj, decodes it

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"choir"
+	"choir/internal/cli"
 	"choir/internal/lora"
 	"choir/internal/sim"
 	"choir/internal/trace"
@@ -165,8 +166,8 @@ func checkOneTraceFails(t *testing.T, edit func(*trace.Header), want string) {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), []string{good1, bad, good2}, &stdout, &stderr); code != exitFailed {
-		t.Errorf("exit code = %d, want %d", code, exitFailed)
+	if code := run(context.Background(), []string{good1, bad, good2}, &stdout, &stderr); code != cli.ExitFailed {
+		t.Errorf("exit code = %d, want %d", code, cli.ExitFailed)
 	}
 	if !strings.Contains(stderr.String(), bad+": "+want) {
 		t.Errorf("stderr has no error line for %s:\n%s", bad, stderr.String())

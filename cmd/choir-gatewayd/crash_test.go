@@ -2,11 +2,9 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"os"
 	"os/exec"
-	"os/signal"
 	"regexp"
 	"strconv"
 	"sync"
@@ -14,19 +12,18 @@ import (
 	"testing"
 	"time"
 
+	"choir/internal/cli"
 	"choir/internal/gateway/journal"
 )
 
 // TestMain doubles as the crash-harness child: when CHOIR_GATEWAYD_CHILD
 // is set, the test binary stops being a test binary and becomes
-// choir-gatewayd itself — same signal context, same run() — so the crash
-// tests can SIGKILL a real process mid-decode instead of simulating death
-// in-process.
+// choir-gatewayd itself — the same shell (cli.Main) around the same run —
+// so the crash tests can SIGKILL a real process mid-decode instead of
+// simulating death in-process.
 func TestMain(m *testing.M) {
 	if os.Getenv("CHOIR_GATEWAYD_CHILD") == "1" {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+		cli.Main(run)
 	}
 	os.Exit(m.Run())
 }
@@ -182,7 +179,7 @@ func TestCrashRestartExactlyOnce(t *testing.T) {
 	}
 
 	life1 := runLife(t, true, "-journal-dir", jdir, "-workers", "1", traces)
-	if !life1.killed && life1.exitCode != exitOK {
+	if !life1.killed && life1.exitCode != cli.ExitOK {
 		t.Fatalf("life 1 ended unexpectedly: killed=%v exit=%d\nstderr: %s",
 			life1.killed, life1.exitCode, life1.stderr)
 	}
@@ -191,7 +188,7 @@ func TestCrashRestartExactlyOnce(t *testing.T) {
 	// Life 2 is a journal-dir-only invocation: replay the backlog, drain,
 	// exit clean.
 	life2 := runLife(t, false, "-journal-dir", jdir, "-workers", "1")
-	if life2.exitCode != exitOK {
+	if life2.exitCode != cli.ExitOK {
 		t.Fatalf("life 2 exit = %d, want 0\nstderr: %s", life2.exitCode, life2.stderr)
 	}
 	t.Logf("life 2: %d replayed outcomes, %d notices", len(life2.outcomes), len(life2.notices))
@@ -229,7 +226,7 @@ func TestCrashRestartSoak(t *testing.T) {
 	}
 	// Final life: no kill, must settle whatever is left.
 	final := runLife(t, false, "-journal-dir", jdir, "-workers", "1")
-	if final.exitCode != exitOK {
+	if final.exitCode != cli.ExitOK {
 		t.Fatalf("final life exit = %d, want 0\nstderr: %s", final.exitCode, final.stderr)
 	}
 	lives = append(lives, final)

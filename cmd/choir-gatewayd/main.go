@@ -61,90 +61,61 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"choir/internal/backend"
+	"choir/internal/cli"
 	"choir/internal/gateway"
 	"choir/internal/obs"
 )
 
-// Exit codes: 0 success, 1 failure, 2 usage, 130 interrupted by signal.
-const (
-	exitOK          = 0
-	exitFailed      = 1
-	exitUsage       = 2
-	exitInterrupted = 130
-)
+func main() { cli.Main(run) }
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is main with its environment made explicit so tests can drive the
-// whole daemon: ctx carries the signal-triggered shutdown, argv excludes
-// the program name, and the exit code is returned instead of passed to
-// os.Exit.
+// run is the daemon with its environment made explicit (see internal/cli):
+// ctx carries the signal-triggered shutdown.
 func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("choir-gatewayd", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	listen := fs.String("listen", "", "framed streaming TCP ingest address (e.g. :7373); decode starts before the last sample arrives")
-	connTimeout := fs.Duration("conn-timeout", 30*time.Second, "per-connection I/O deadline on the TCP ingest socket (0 = none)")
-	maxConns := fs.Int("max-conns", 64, "concurrent TCP ingest connections before new ones are shed")
-	queue := fs.Int("queue", 64, "bounded ingest queue depth")
-	shedPolicy := fs.String("shed-policy", "block", "full-queue policy: block, drop-oldest, or reject")
-	workers := fs.Int("workers", 0, "decode workers (0 = all CPUs)")
-	decodeTimeout := fs.Duration("decode-timeout", 0, "per-attempt decode deadline (0 = none)")
-	ladder := fs.String("ladder", "", "comma-separated backend names (of "+strings.Join(backend.Names(), ", ")+") forming the recovery ladder, each tried once; one name runs that backend alone (default "+strings.Join(gateway.DefaultLadder(), ",")+")")
-	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown before queued frames are shed")
-	metrics := fs.Bool("metrics", false, "record gateway metrics and dump a JSON snapshot at exit")
-	metricsOut := fs.String("metrics-out", "", "metrics snapshot destination (default or \"-\": stderr)")
-	debugAddr := fs.String("debug-addr", "", "serve expvar, pprof, and health probes on this address (e.g. localhost:6060); implies metrics recording")
-	journalDir := fs.String("journal-dir", "", "write-ahead journal directory: admitted frames survive process death and replay on restart")
-	fsync := fs.Bool("fsync", false, "fsync each journal append (durability across power loss, not just process death)")
-	admissionTarget := fs.Duration("admission-target", 0, "AIMD admission control: p99 frame-latency target (0 = off)")
-	if err := fs.Parse(argv); err != nil {
-		return exitUsage
+	cmd := cli.New("choir-gatewayd", stderr)
+	listen := cmd.String("listen", "", "framed streaming TCP ingest address (e.g. :7373); decode starts before the last sample arrives")
+	connTimeout := cmd.Duration("conn-timeout", 30*time.Second, "per-connection I/O deadline on the TCP ingest socket (0 = none)")
+	maxConns := cmd.Int("max-conns", 64, "concurrent TCP ingest connections before new ones are shed")
+	queue := cmd.Int("queue", 64, "bounded ingest queue depth")
+	shedPolicy := cmd.String("shed-policy", "block", "full-queue policy: block, drop-oldest, or reject")
+	workers := cmd.Int("workers", 0, "decode workers (0 = all CPUs)")
+	decodeTimeout := cmd.Duration("decode-timeout", 0, "per-attempt decode deadline (0 = none)")
+	ladder := cmd.String("ladder", "", "comma-separated backend names (of "+strings.Join(backend.Names(), ", ")+") forming the recovery ladder, each tried once; one name runs that backend alone (default "+strings.Join(gateway.DefaultLadder(), ",")+")")
+	drainTimeout := cmd.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown before queued frames are shed")
+	journalDir := cmd.String("journal-dir", "", "write-ahead journal directory: admitted frames survive process death and replay on restart")
+	fsync := cmd.Bool("fsync", false, "fsync each journal append (durability across power loss, not just process death)")
+	admissionTarget := cmd.Duration("admission-target", 0, "AIMD admission control: p99 frame-latency target (0 = off)")
+	if err := cmd.Parse(argv); err != nil {
+		return cli.ExitUsage
 	}
 	// A journal-dir-only invocation is valid: it replays whatever backlog
 	// the previous life left behind, drains it, and exits.
-	if *listen == "" && fs.NArg() == 0 && *journalDir == "" {
+	if *listen == "" && cmd.NArg() == 0 && *journalDir == "" {
 		fmt.Fprintln(stderr, "usage: choir-gatewayd [-listen addr] [-journal-dir dir] [-queue n -shed-policy p] [trace.iq | dir ...]")
-		return exitUsage
+		return cli.ExitUsage
 	}
 	policy, err := gateway.ParseShedPolicy(*shedPolicy)
 	if err != nil {
 		fmt.Fprintln(stderr, "choir-gatewayd:", err)
-		return exitUsage
+		return cli.ExitUsage
 	}
 	var rungs []string
 	if *ladder != "" {
 		rungs = strings.Split(*ladder, ",")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 
-	dumpMetrics, stopDebug, err := obs.StartCLI(*metrics, *metricsOut, *debugAddr)
+	stop, err := cmd.Start()
 	if err != nil {
 		fmt.Fprintln(stderr, "choir-gatewayd:", err)
-		return exitFailed
+		return cli.ExitFailed
 	}
-	defer stopDebug()
-	defer func() {
-		if err := dumpMetrics(); err != nil {
-			fmt.Fprintln(stderr, "choir-gatewayd: metrics dump:", err)
-		}
-	}()
+	defer stop()
 
 	g, err := gateway.New(gateway.Config{
 		Queue:           *queue,
@@ -160,7 +131,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "choir-gatewayd:", err)
-		return exitFailed
+		return cmd.Exit(ctx, cli.ExitFailed)
 	}
 
 	// Liveness and readiness probes on the -debug-addr mux track this
@@ -202,33 +173,27 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	ingestOK := true
-	if fs.NArg() > 0 {
-		accepted, errs := gateway.IngestFiles(ctx, g, fs.Args())
+	code := cli.ExitOK
+	if cmd.NArg() > 0 {
+		accepted, errs := gateway.IngestFiles(ctx, g, cmd.Args())
 		for _, e := range errs {
 			fmt.Fprintln(stderr, "choir-gatewayd:", e)
-			ingestOK = false
+			code = cli.ExitFailed
 		}
 		fmt.Fprintf(stderr, "choir-gatewayd: accepted %d trace(s)\n", accepted)
 	}
-
-	serveOK := true
 	if *listen != "" {
 		ln, err := net.Listen("tcp", *listen)
+		if err == nil {
+			fmt.Fprintf(stderr, "choir-gatewayd: listening on %s\n", ln.Addr())
+			err = gateway.ServeTCPStream(ctx, g, ln)
+		}
 		if err != nil {
 			fmt.Fprintln(stderr, "choir-gatewayd:", err)
-			drain(g, *drainTimeout, stderr)
-			<-printerDone
-			return exitFailed
-		}
-		fmt.Fprintf(stderr, "choir-gatewayd: listening on %s\n", ln.Addr())
-		if err := gateway.ServeTCPStream(ctx, g, ln); err != nil {
-			fmt.Fprintln(stderr, "choir-gatewayd:", err)
-			serveOK = false
+			code = cli.ExitFailed
 		}
 	}
 
-	interrupted := ctx.Err() != nil
 	drain(g, *drainTimeout, stderr)
 	<-printerDone
 
@@ -238,14 +203,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	if st.Replayed > 0 {
 		fmt.Fprintf(stderr, "choir-gatewayd: %d of those were replayed from the journal\n", st.Replayed)
 	}
-	if interrupted {
-		fmt.Fprintln(stderr, "choir-gatewayd: interrupted")
-		return exitInterrupted
-	}
-	if !ingestOK || !serveOK {
-		return exitFailed
-	}
-	return exitOK
+	return cmd.Exit(ctx, code)
 }
 
 // drain gives the gateway a bounded graceful drain. The budget uses a

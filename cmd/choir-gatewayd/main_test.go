@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"choir/internal/cli"
 	"choir/internal/lora"
 	"choir/internal/sim"
 	"choir/internal/trace"
@@ -74,7 +75,7 @@ func TestRunFileMode(t *testing.T) {
 	writeTrace(t, dir, "b.iq", 2)
 	var stdout, stderr bytes.Buffer
 	code := run(context.Background(), []string{dir}, &stdout, &stderr)
-	if code != exitOK {
+	if code != cli.ExitOK {
 		t.Fatalf("exit = %d, want 0\nstderr: %s", code, stderr.String())
 	}
 	if n := strings.Count(stdout.String(), "frame "); n != 2 {
@@ -98,7 +99,7 @@ func TestRunJunkBurstCostsNothingLater(t *testing.T) {
 	writeTrace(t, dir, "b-good1.iq", 1)
 	writeTrace(t, dir, "b-good2.iq", 2)
 	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-workers", "1", dir}, &stdout, &stderr); code != exitOK {
+	if code := run(context.Background(), []string{"-workers", "1", dir}, &stdout, &stderr); code != cli.ExitOK {
 		t.Fatalf("exit = %d, want 0\nstderr: %s", code, stderr.String())
 	}
 	out := stdout.String()
@@ -116,8 +117,8 @@ func TestRunJunkBurstCostsNothingLater(t *testing.T) {
 // nothing (-ladder NAME is the old -backend NAME).
 func TestRunUsage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), nil, &stdout, &stderr); code != exitUsage {
-		t.Fatalf("exit = %d, want %d", code, exitUsage)
+	if code := run(context.Background(), nil, &stdout, &stderr); code != cli.ExitUsage {
+		t.Fatalf("exit = %d, want %d", code, cli.ExitUsage)
 	}
 	for _, argv := range [][]string{
 		{"-shed-policy", "bogus"},
@@ -128,8 +129,8 @@ func TestRunUsage(t *testing.T) {
 		{"-seed", "3"},
 		{"-backend", "slotshift"},
 	} {
-		if code := run(context.Background(), append(argv, "x.iq"), &stdout, &stderr); code != exitUsage {
-			t.Errorf("%v exit = %d, want %d", argv, code, exitUsage)
+		if code := run(context.Background(), append(argv, "x.iq"), &stdout, &stderr); code != cli.ExitUsage {
+			t.Errorf("%v exit = %d, want %d", argv, code, cli.ExitUsage)
 		}
 	}
 }
@@ -143,8 +144,8 @@ func TestRunInterruptedExits130(t *testing.T) {
 	cancel()
 	var stdout, stderr bytes.Buffer
 	code := run(ctx, []string{dir}, &stdout, &stderr)
-	if code != exitInterrupted {
-		t.Fatalf("exit = %d, want %d\nstderr: %s", code, exitInterrupted, stderr.String())
+	if code != cli.ExitInterrupted {
+		t.Fatalf("exit = %d, want %d\nstderr: %s", code, cli.ExitInterrupted, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "interrupted") {
 		t.Errorf("stderr missing interrupted notice: %s", stderr.String())
@@ -199,8 +200,8 @@ func TestRunTCPMode(t *testing.T) {
 	cancel()
 	select {
 	case code := <-exit:
-		if code != exitInterrupted {
-			t.Fatalf("exit = %d, want %d\nstderr: %s", code, exitInterrupted, stderr.String())
+		if code != cli.ExitInterrupted {
+			t.Fatalf("exit = %d, want %d\nstderr: %s", code, cli.ExitInterrupted, stderr.String())
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not exit after shutdown signal")
@@ -276,8 +277,8 @@ func TestRunTCPStreamMode(t *testing.T) {
 	cancel()
 	select {
 	case code := <-exit:
-		if code != exitInterrupted {
-			t.Fatalf("exit = %d, want %d\nstderr: %s", code, exitInterrupted, stderr.String())
+		if code != cli.ExitInterrupted {
+			t.Fatalf("exit = %d, want %d\nstderr: %s", code, cli.ExitInterrupted, stderr.String())
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not exit after shutdown signal")

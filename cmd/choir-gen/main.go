@@ -8,73 +8,96 @@
 //	choir-gen -users 3 -snr 15 -out collision.iq
 //	choir-gen -users 10 -team -snr -12 -out team.iq   # identical payloads
 //	nc localhost 7373 < collision.iq                  # to choir-gatewayd -listen :7373
+//
+// It exits 1 without writing a trace when -users is below 1 or -payload is
+// outside [0, 255] (the trace format's payload bound), 2 on a bad flag, and
+// 130 when SIGINT/SIGTERM arrive before the trace is written; the metrics
+// snapshot flushes in every case.
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"choir"
-	"choir/internal/obs"
+	"choir/internal/cli"
+	"choir/internal/lora"
 	"choir/internal/sim"
 	"choir/internal/trace"
 )
 
-func main() {
-	users := flag.Int("users", 2, "number of colliding transmitters")
-	snr := flag.Float64("snr", 15, "per-user receive SNR in dB")
-	team := flag.Bool("team", false, "all users transmit the same payload (Sec. 7 team mode)")
-	payloadLen := flag.Int("payload", 8, "payload length in bytes")
-	seed := flag.Uint64("seed", 1, "synthesis seed")
-	out := flag.String("out", "collision.iq", "output trace path")
-	metrics := flag.Bool("metrics", false, "record metrics and dump a JSON snapshot at exit")
-	metricsOut := flag.String("metrics-out", "", "metrics snapshot destination (default or \"-\": stderr)")
-	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060); implies metrics recording")
-	flag.Parse()
+func main() { cli.Main(run) }
 
-	dumpMetrics, stopDebug, err := obs.StartCLI(*metrics, *metricsOut, *debugAddr)
+// run is the command with its environment made explicit (see internal/cli).
+func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
+	cmd := cli.New("choir-gen", stderr)
+	users := cmd.Int("users", 2, "number of colliding transmitters")
+	snr := cmd.Float64("snr", 15, "per-user receive SNR in dB")
+	team := cmd.Bool("team", false, "all users transmit the same payload (Sec. 7 team mode)")
+	payloadLen := cmd.Int("payload", 8, "payload length in bytes")
+	seed := cmd.Uint64("seed", 1, "synthesis seed")
+	out := cmd.String("out", "collision.iq", "output trace path")
+	if err := cmd.Parse(argv); err != nil {
+		return cli.ExitUsage
+	}
+	stop, err := cmd.Start()
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(stderr, "choir-gen:", err)
+		return cli.ExitFailed
 	}
-	defer stopDebug()
-	defer func() {
-		if err := dumpMetrics(); err != nil {
-			log.Printf("metrics dump: %v", err)
-		}
-	}()
+	defer stop()
 
-	if *users < 1 {
-		log.Fatal("need at least one user")
+	code := cli.ExitOK
+	if err := generate(ctx, stdout, *users, *snr, *team, *payloadLen, *seed, *out); err != nil {
+		fmt.Fprintln(stderr, "choir-gen:", err)
+		code = cli.ExitFailed
 	}
-	snrs := make([]float64, *users)
+	return cmd.Exit(ctx, code)
+}
+
+// generate synthesizes the collision and writes its trace to out. It writes
+// nothing for a setting no reader accepts, or once ctx has fired.
+func generate(ctx context.Context, stdout io.Writer, users int, snr float64, team bool, payloadLen int, seed uint64, out string) error {
+	if users < 1 {
+		return fmt.Errorf("-users %d < 1", users)
+	}
+	if payloadLen < 0 || payloadLen > lora.MaxPayloadLen {
+		return fmt.Errorf("-payload %d outside [0, %d]", payloadLen, lora.MaxPayloadLen)
+	}
+	snrs := make([]float64, users)
 	for i := range snrs {
-		snrs[i] = *snr
+		snrs[i] = snr
 	}
 	sc := sim.Scenario{
 		Params:     choir.DefaultPHY(),
-		PayloadLen: *payloadLen,
+		PayloadLen: payloadLen,
 		SNRsDB:     snrs,
-		Identical:  *team,
-		Seed:       *seed,
+		Identical:  team,
+		Seed:       seed,
 	}
 	samples, payloads := sc.Synthesize()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 
-	h := trace.Header{Params: sc.Params, PayloadLen: *payloadLen}
+	h := trace.Header{Params: sc.Params, PayloadLen: payloadLen}
 	for _, p := range payloads {
 		h.Users = append(h.Users, fmt.Sprintf("%x", p))
 	}
-	f, err := os.Create(*out)
+	f, err := os.Create(out)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := trace.WriteFramed(f, h, samples); err != nil {
-		log.Fatal(err)
+		f.Close()
+		return err
 	}
 	if err := f.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %s: %d users at %.1f dB, %d IQ samples, %s\n",
-		*out, *users, *snr, len(samples), sc.Params.SF)
+	fmt.Fprintf(stdout, "wrote %s: %d users at %.1f dB, %d IQ samples, %s\n",
+		out, users, snr, len(samples), sc.Params.SF)
+	return nil
 }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"choir/internal/cli"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata/*.golden files from this tree's output")
@@ -72,7 +74,7 @@ func untimed(out string) string {
 func checkGolden(t *testing.T, path string, args []string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), args, &stdout, &stderr); code != exitOK {
+	if code := run(context.Background(), args, &stdout, &stderr); code != cli.ExitOK {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
 	out := untimed(stdout.String())

@@ -40,63 +40,38 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"choir"
-	"choir/internal/obs"
+	"choir/internal/cli"
 )
 
-// Exit codes: 0 success, 1 failure, 2 usage, 130 interrupted by signal
-// (128+SIGINT, the shell convention).
-const (
-	exitOK          = 0
-	exitFailed      = 1
-	exitUsage       = 2
-	exitInterrupted = 130
-)
+func main() { cli.Main(run) }
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is main with its environment made explicit so tests can drive the
-// whole command: ctx carries the signal-triggered cancellation, argv
-// excludes the program name, and the exit code is returned instead of
-// passed to os.Exit.
+// run is the command with its environment made explicit (see internal/cli).
 func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("choir-sim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	exp := fs.String("exp", "headline", "experiment id (fig7ab..fig12, headline, all, compare)")
-	calibrate := fs.Bool("calibrate", false, "calibrate the Choir MAC model with the IQ-level decoder")
-	slots := fs.Int("slots", 4000, "MAC simulation length in slots")
-	seed := fs.Uint64("seed", 7, "simulation seed")
-	nodesList := fs.String("nodes", "1000,10000,100000", "comma-separated node counts for the -exp city density sweep")
-	gateways := fs.Int("gateways", 1, "gateway count for -exp city")
-	arrival := fs.Float64("arrival", 2e-5, "per-node per-slot arrival probability for -exp city")
-	foreignNets := fs.Int("foreign-networks", 1, "co-channel foreign network count for -exp interfere")
-	foreignNodes := fs.Int("foreign-nodes", 1000, "nodes per foreign network for -exp interfere")
-	foreignArrival := fs.Float64("foreign-arrival", 0, "per-foreign-node per-slot offered load for -exp interfere (0 = same as -arrival)")
-	captureMargin := fs.Float64("capture-margin", 6, "capture-effect power margin in dB for -exp interfere (0 disables capture and cross-SF leakage)")
-	faultClass := fs.String("fault", "all", "fault class for -exp faultsweep: clip, drop, interferer, drift, truncate, or all")
-	faultRate := fs.Float64("fault-rate", 0, "single fault intensity in (0,1] for -exp faultsweep; 0 sweeps the default intensity grid")
-	backends := fs.String("backends", "", "comma-separated backend names for -exp compare (default: every registered backend)")
-	fixtureGlob := fs.String("fixtures", "", "trace glob fed to every backend in -exp compare (e.g. 'internal/choir/testdata/golden/*.iq')")
-	compareTrials := fs.Int("trials", 0, "synthesized clean collisions per backend for -exp compare (0 = the default comparison grid)")
-	metrics := fs.Bool("metrics", false, "record decode/MAC metrics and dump a JSON snapshot at exit")
-	metricsOut := fs.String("metrics-out", "", "metrics snapshot destination (default or \"-\": stderr)")
-	debugAddr := fs.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060); implies metrics recording")
-	if err := fs.Parse(argv); err != nil {
-		return exitUsage
+	cmd := cli.New("choir-sim", stderr)
+	exp := cmd.String("exp", "headline", "experiment id (fig7ab..fig12, headline, all, compare)")
+	calibrate := cmd.Bool("calibrate", false, "calibrate the Choir MAC model with the IQ-level decoder")
+	slots := cmd.Int("slots", 4000, "MAC simulation length in slots")
+	seed := cmd.Uint64("seed", 7, "simulation seed")
+	nodesList := cmd.String("nodes", "1000,10000,100000", "comma-separated node counts for the -exp city density sweep")
+	gateways := cmd.Int("gateways", 1, "gateway count for -exp city")
+	arrival := cmd.Float64("arrival", 2e-5, "per-node per-slot arrival probability for -exp city")
+	foreignNets := cmd.Int("foreign-networks", 1, "co-channel foreign network count for -exp interfere")
+	foreignNodes := cmd.Int("foreign-nodes", 1000, "nodes per foreign network for -exp interfere")
+	foreignArrival := cmd.Float64("foreign-arrival", 0, "per-foreign-node per-slot offered load for -exp interfere (0 = same as -arrival)")
+	captureMargin := cmd.Float64("capture-margin", 6, "capture-effect power margin in dB for -exp interfere (0 disables capture and cross-SF leakage)")
+	faultClass := cmd.String("fault", "all", "fault class for -exp faultsweep: clip, drop, interferer, drift, truncate, or all")
+	faultRate := cmd.Float64("fault-rate", 0, "single fault intensity in (0,1] for -exp faultsweep; 0 sweeps the default intensity grid")
+	backends := cmd.String("backends", "", "comma-separated backend names for -exp compare (default: every registered backend)")
+	fixtureGlob := cmd.String("fixtures", "", "trace glob fed to every backend in -exp compare (e.g. 'internal/choir/testdata/golden/*.iq')")
+	compareTrials := cmd.Int("trials", 0, "synthesized clean collisions per backend for -exp compare (0 = the default comparison grid)")
+	if err := cmd.Parse(argv); err != nil {
+		return cli.ExitUsage
 	}
 	// A negative count would otherwise read as zero: no foreign network, or
 	// the default comparison grid.
@@ -106,26 +81,18 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	}{{"foreign-networks", *foreignNets}, {"trials", *compareTrials}} {
 		if f.n < 0 {
 			fmt.Fprintf(stderr, "choir-sim: -%s %d < 0\n", f.name, f.n)
-			return exitFailed
+			return cli.ExitFailed
 		}
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 
-	dumpMetrics, stopDebug, err := obs.StartCLI(*metrics, *metricsOut, *debugAddr)
-	if err != nil {
-		fmt.Fprintln(stderr, "choir-sim:", err)
-		return exitFailed
-	}
-	defer stopDebug()
 	// The snapshot flushes even on interrupt: partial sweeps still leave
 	// their counters behind for post-mortem.
-	defer func() {
-		if err := dumpMetrics(); err != nil {
-			fmt.Fprintln(stderr, "choir-sim: metrics dump:", err)
-		}
-	}()
+	stop, err := cmd.Start()
+	if err != nil {
+		fmt.Fprintln(stderr, "choir-sim:", err)
+		return cli.ExitFailed
+	}
+	defer stop()
 
 	cfg := choir.DefaultFig8()
 	cfg.Slots = *slots
@@ -326,36 +293,26 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	order := []string{"fig7ab", "fig7cd", "fig8abc", "fig8d", "fig8e", "fig8f",
 		"fig9a", "fig9b", "fig10", "fig11a", "fig11b", "fig12", "e2e", "faultsweep", "headline", "city", "interfere"}
 
-	report := func(id string, err error) int {
-		// Interrupted and failed are different outcomes: a canceled context
-		// means the user asked to stop, not that the experiment is wrong.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			fmt.Fprintf(stderr, "choir-sim: %s interrupted: %v\n", id, err)
-			return exitInterrupted
-		}
-		fmt.Fprintf(stderr, "choir-sim: %s: %v\n", id, err)
-		return exitFailed
+	ids, all := []string{*exp}, *exp == "all"
+	if all {
+		ids = order
+	} else if runners[*exp] == nil {
+		fmt.Fprintf(stderr, "choir-sim: unknown experiment %q; one of %v, all or compare\n", *exp, order)
+		return cli.ExitUsage
 	}
-
-	if *exp == "all" {
-		for _, id := range order {
+	for _, id := range ids {
+		if all {
 			fmt.Fprintf(stdout, "==== %s ====\n", id)
-			if err := runners[id](ctx); err != nil {
-				return report(id, err)
-			}
+		}
+		if err := runners[id](ctx); err != nil {
+			fmt.Fprintf(stderr, "choir-sim: %s: %v\n", id, err)
+			return cmd.Exit(ctx, cli.ExitFailed)
+		}
+		if all {
 			fmt.Fprintln(stdout)
 		}
-		return exitOK
 	}
-	runner, ok := runners[*exp]
-	if !ok {
-		fmt.Fprintf(stderr, "choir-sim: unknown experiment %q; one of %v, all or compare\n", *exp, order)
-		return exitUsage
-	}
-	if err := runner(ctx); err != nil {
-		return report(*exp, err)
-	}
-	return exitOK
+	return cmd.Exit(ctx, cli.ExitOK)
 }
 
 // parseNodeList parses the -nodes flag: comma-separated positive node

@@ -3,8 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"choir/internal/cli"
 )
 
 // TestRunFaultSweepTruncate drives the fault sweep end to end through one
@@ -13,7 +18,7 @@ import (
 func TestRunFaultSweepTruncate(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run(context.Background(), []string{"-exp", "faultsweep", "-fault", "truncate", "-fault-rate", "1"}, &stdout, &stderr)
-	if code != exitOK {
+	if code != cli.ExitOK {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
@@ -31,8 +36,8 @@ func TestRunFaultSweepTruncate(t *testing.T) {
 // TestRunUnknownExperimentExits2: an unknown -exp is a usage error.
 func TestRunUnknownExperimentExits2(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-exp", "nope"}, &stdout, &stderr); code != exitUsage {
-		t.Fatalf("exit %d, want %d (usage)", code, exitUsage)
+	if code := run(context.Background(), []string{"-exp", "nope"}, &stdout, &stderr); code != cli.ExitUsage {
+		t.Fatalf("exit %d, want %d (usage)", code, cli.ExitUsage)
 	}
 	if !strings.Contains(stderr.String(), `unknown experiment "nope"`) {
 		t.Errorf("stderr does not name the experiment:\n%s", stderr.String())
@@ -43,8 +48,8 @@ func TestRunUnknownExperimentExits2(t *testing.T) {
 // in all of them, is reported once, as one line naming the first cell.
 func TestRunSharedBadSettingOneError(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-exp", "fig8d", "-slots", "-5"}, &stdout, &stderr); code != exitFailed {
-		t.Fatalf("exit %d, want %d (failed)", code, exitFailed)
+	if code := run(context.Background(), []string{"-exp", "fig8d", "-slots", "-5"}, &stdout, &stderr); code != cli.ExitFailed {
+		t.Fatalf("exit %d, want %d (failed)", code, cli.ExitFailed)
 	}
 	msg := strings.TrimSuffix(stderr.String(), "\n")
 	if strings.Contains(msg, "\n") || strings.Count(msg, "Slots -5") != 1 || !strings.Contains(msg, "figure cell 0 of ") {
@@ -62,11 +67,11 @@ func TestRunRejectsBadCounts(t *testing.T) {
 		code int
 		want string
 	}{
-		{[]string{"-exp", "city", "-nodes", "0"}, exitFailed, "bad -nodes entry"},
-		{[]string{"-exp", "interfere", "-foreign-networks", "-1"}, exitFailed, "-foreign-networks -1 < 0"},
-		{[]string{"-exp", "compare", "-trials", "-1"}, exitFailed, "-trials -1 < 0"},
-		{[]string{"-exp", "city", "-engine", "slot"}, exitUsage, "flag provided but not defined"},
-		{[]string{"-compare-backends"}, exitUsage, "flag provided but not defined"},
+		{[]string{"-exp", "city", "-nodes", "0"}, cli.ExitFailed, "bad -nodes entry"},
+		{[]string{"-exp", "interfere", "-foreign-networks", "-1"}, cli.ExitFailed, "-foreign-networks -1 < 0"},
+		{[]string{"-exp", "compare", "-trials", "-1"}, cli.ExitFailed, "-trials -1 < 0"},
+		{[]string{"-exp", "city", "-engine", "slot"}, cli.ExitUsage, "flag provided but not defined"},
+		{[]string{"-compare-backends"}, cli.ExitUsage, "flag provided but not defined"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(context.Background(), tc.argv, &stdout, &stderr); code != tc.code {
@@ -74,11 +79,43 @@ func TestRunRejectsBadCounts(t *testing.T) {
 			continue
 		}
 		msg := strings.TrimSuffix(stderr.String(), "\n")
-		if !strings.Contains(msg, tc.want) || tc.code == exitFailed && strings.Contains(msg, "\n") {
+		if !strings.Contains(msg, tc.want) || tc.code == cli.ExitFailed && strings.Contains(msg, "\n") {
 			t.Errorf("%q: stderr does not say %q (on one line, for a failure):\n%s", tc.argv, tc.want, stderr.String())
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%q: printed %q", tc.argv, stdout.String())
 		}
+	}
+}
+
+// TestRunInterruptedExits130: a context that fired before the experiment
+// ran exits 130, the shell's interrupted code, not 1.
+func TestRunInterruptedExits130(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var stdout, stderr bytes.Buffer
+	if code := run(ctx, []string{"-exp", "fig8d", "-slots", "100"}, &stdout, &stderr); code != cli.ExitInterrupted {
+		t.Fatalf("exit %d with a canceled context, want %d; stderr:\n%s", code, cli.ExitInterrupted, stderr.String())
+	}
+	if !strings.HasSuffix(stderr.String(), "choir-sim: interrupted\n") {
+		t.Errorf("stderr does not end with the interrupted notice:\n%s", stderr.String())
+	}
+}
+
+// TestRunMetricsOutImpliesMetrics: -metrics-out alone writes the snapshot,
+// as -debug-addr alone turns recording on; the parent wrote nothing
+// without -metrics.
+func TestRunMetricsOutImpliesMetrics(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "metrics.json")
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-exp", "fig9a", "-metrics-out", out}, &stdout, &stderr); code != cli.ExitOK {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatalf("-metrics-out without -metrics wrote no snapshot: %v", err)
+	}
+	if !json.Valid(data) {
+		t.Errorf("snapshot is not JSON:\n%s", data)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -152,11 +153,11 @@ func TestOneMACModel(t *testing.T) {
 
 // TestEngineConcurrencyIsFan enforces DESIGN.md §15: the city engine's one
 // source of concurrency is exec.Fan — an event run's bands of gateway rows
-// and the figure cells — whose participants, polling and joins have one
-// set of rules (internal/exec). Non-test internal/sim/engine code has no go
-// statement and no sync.WaitGroup, and calls neither exec.ForEach nor
-// exec.Map. That nothing reads Config.Shards or Config.Workers (declared
-// only for benchmark/) is TestNoTestOnlyFunctions' to check.
+// directly, and the figure cells through exec.ForEach — whose participants,
+// polling and joins have one set of rules (internal/exec). Non-test
+// internal/sim/engine code has no go statement and no sync.WaitGroup, and
+// does not call exec.Map. That nothing reads Config.Shards or Config.Workers
+// (declared only for benchmark/) is TestNoTestOnlyFunctions' to check.
 func TestEngineConcurrencyIsFan(t *testing.T) {
 	sawEngine, sawFan := false, false
 	parseSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
@@ -173,8 +174,7 @@ func TestEngineConcurrencyIsFan(t *testing.T) {
 				switch sel := n.Sel.Name; {
 				case x != nil && x.Name == "exec" && sel == "Fan":
 					sawFan = true
-				case sel == "ForEach",
-					x != nil && x.Name == "exec" && sel == "Map",
+				case x != nil && x.Name == "exec" && sel == "Map",
 					x != nil && x.Name == "sync" && sel == "WaitGroup":
 					t.Errorf("internal/sim/engine uses %s: its fan-outs are exec.Fan's", sel)
 				}
@@ -329,6 +329,62 @@ func TestDecodeHasNoSeed(t *testing.T) {
 	}
 	if extra := get.Type.NumIn() - 1; extra != 0 {
 		t.Errorf("BackendPool.Get takes %d parameter(s), want 0: a checkout has nothing to reseed", extra)
+	}
+}
+
+// TestCommandsShareOneShell enforces DESIGN.md §11: every command runs in
+// the one shell of internal/cli. Each main under cmd/ is cli.Main(run);
+// non-test code outside internal/cli neither calls signal.NotifyContext or
+// os.Exit nor declares an exit-code constant; and nothing under cmd/ calls
+// log.Fatal*, which exits past the deferred metrics snapshot.
+func TestCommandsShareOneShell(t *testing.T) {
+	mains := map[string]bool{} // cmd/ package dir -> its main is cli.Main(run)
+	parseSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
+		if dir == "internal/cli" {
+			return
+		}
+		command := strings.HasPrefix(dir, "cmd/")
+		if command && !mains[dir] {
+			mains[dir] = false
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if command && n.Recv == nil && n.Name.Name == "main" && len(n.Body.List) == 1 {
+					call, _ := n.Body.List[0].(*ast.ExprStmt)
+					mains[dir] = call != nil && types.ExprString(call.X) == "cli.Main(run)"
+				}
+			case *ast.GenDecl:
+				if n.Tok != token.CONST {
+					return true
+				}
+				for _, spec := range n.Specs {
+					for _, name := range spec.(*ast.ValueSpec).Names {
+						if strings.HasPrefix(strings.ToLower(name.Name), "exit") {
+							t.Errorf("%s declares the constant %s: the exit codes are internal/cli's", dir, name.Name)
+						}
+					}
+				}
+			case *ast.SelectorExpr:
+				x, _ := n.X.(*ast.Ident)
+				switch call := types.ExprString(n); {
+				case x == nil:
+				case call == "signal.NotifyContext", call == "os.Exit":
+					t.Errorf("%s calls %s: the signal context and the exit are cli.Main's", dir, call)
+				case command && x.Name == "log" && strings.HasPrefix(n.Sel.Name, "Fatal"):
+					t.Errorf("%s calls %s: a command returns its exit code to cli.Main", dir, call)
+				}
+			}
+			return true
+		})
+	})
+	if len(mains) == 0 {
+		t.Fatal("found no sources under cmd/")
+	}
+	for dir, ok := range mains {
+		if !ok {
+			t.Errorf("%s: main is not the one statement cli.Main(run)", dir)
+		}
 	}
 }
 

@@ -105,22 +105,11 @@ func (g *Gateway) attempt(f *Frame, r *rung) (payloads [][]byte, users int, err 
 	if err != nil {
 		return nil, 0, err
 	}
-	payloads, users = collectPayloads(res)
+	payloads, users = res.DecodedPayloads(), len(res.Users)
 	if len(payloads) == 0 {
 		return nil, users, ErrNoPayloads
 	}
 	return payloads, users, nil
-}
-
-// collectPayloads pulls the recovered payloads out of a decode result.
-func collectPayloads(res *choir.Result) ([][]byte, int) {
-	var payloads [][]byte
-	for _, u := range res.Users {
-		if u.Decoded() {
-			payloads = append(payloads, u.Payload)
-		}
-	}
-	return payloads, len(res.Users)
 }
 
 // decodeFrame runs one backend over one frame's samples. A streaming frame

@@ -4,11 +4,9 @@ import (
 	"context"
 	"expvar"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"sync"
 	"time"
 )
@@ -88,46 +86,4 @@ func ServeDebug(addr string) (string, func(context.Context) error, error) {
 		return err
 	}
 	return ln.Addr().String(), shutdown, nil
-}
-
-// StartCLI wires the shared command-line observability surface: when
-// metrics is true (or a debug server is requested) recording is enabled;
-// when debugAddr is non-empty the expvar/pprof server starts there. The
-// returned dump function writes the final JSON snapshot — to the file named
-// by out, or to stderr when out is empty or "-" — and is intended to run at
-// process exit; it is a no-op when metrics is false. The returned stop
-// function shuts the debug server down (bounded by a short internal grace
-// period); it is non-nil and idempotent even when no server was started.
-func StartCLI(metrics bool, out, debugAddr string) (dump func() error, stop func(), err error) {
-	if metrics || debugAddr != "" {
-		Enable()
-	}
-	stop = func() {}
-	if debugAddr != "" {
-		bound, shutdown, err := ServeDebug(debugAddr)
-		if err != nil {
-			return nil, nil, err
-		}
-		fmt.Fprintf(os.Stderr, "debug server listening on http://%s/debug/pprof/\n", bound)
-		stop = func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = shutdown(ctx)
-		}
-	}
-	if !metrics {
-		return func() error { return nil }, stop, nil
-	}
-	return func() error {
-		var w io.Writer = os.Stderr
-		if out != "" && out != "-" {
-			f, err := os.Create(out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		return WriteJSON(w)
-	}, stop, nil
 }

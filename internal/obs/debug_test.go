@@ -6,8 +6,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -80,64 +78,5 @@ func TestServeDebugShutdown(t *testing.T) {
 	}
 	if err := shutdown(ctx); err != nil {
 		t.Errorf("second shutdown call returned %v, want nil no-op", err)
-	}
-}
-
-func TestStartCLIStopsDebugServer(t *testing.T) {
-	defer Disable()
-	dump, stop, err := StartCLI(false, "", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Enabled() {
-		t.Error("StartCLI with a debug address did not enable recording")
-	}
-	if err := dump(); err != nil {
-		t.Errorf("dump without metrics returned %v", err)
-	}
-	stop()
-	stop() // idempotent
-}
-
-func TestStartCLIDumpsToFile(t *testing.T) {
-	defer Disable()
-	out := filepath.Join(t.TempDir(), "metrics.json")
-	dump, stop, err := StartCLI(true, out, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	if !Enabled() {
-		t.Fatal("StartCLI(true, ...) did not enable recording")
-	}
-	NewCounter("clitest.count").Inc()
-	if err := dump(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("dump is not valid JSON: %v", err)
-	}
-	if snap.Counters["clitest.count"] != 1 {
-		t.Errorf("dumped counter = %d, want 1", snap.Counters["clitest.count"])
-	}
-}
-
-func TestStartCLIDisabledIsNoOp(t *testing.T) {
-	Disable()
-	dump, stop, err := StartCLI(false, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop()
-	if Enabled() {
-		t.Error("StartCLI(false, ...) enabled recording")
-	}
-	if err := dump(); err != nil {
-		t.Errorf("no-op dump returned %v", err)
 	}
 }

@@ -78,7 +78,7 @@ func baselineCells(nodes int, table []float64, p lora.Params) []cell {
 // meters of the gateway, as in the paper's single-building testbed.
 const cellSideM = 10
 
-// runCells simulates the cells on one exec.Fan, a cell an index, and
+// runCells simulates the cells on one exec.ForEach, a cell an index, and
 // returns their metrics in order; it fails if any node of a cell is out of
 // range. A failure reports the first failed cell alone: a bad setting the
 // cells share fails every one of them the same way.
@@ -91,7 +91,7 @@ func (c Fig8Config) runCells(ctx context.Context, cells []cell) ([]*Metrics, err
 	ctx = ctxutil.Background(ctx)
 	out := make([]*Metrics, len(cells))
 	errs := make([]error, len(cells))
-	if new(exec.Fan).Run(cellJob{ctx, func(i int) {
+	if err := exec.ForEach(ctx, len(cells), func(i int) {
 		cl := cells[i]
 		m, err := Run(ctx, Config{
 			Scheme:         cl.scheme,
@@ -114,7 +114,7 @@ func (c Fig8Config) runCells(ctx context.Context, cells []cell) ([]*Metrics, err
 			err = fmt.Errorf("engine: %d of %d nodes out of range in a %d m cell", m.Unreachable, cl.nodes, cellSideM)
 		}
 		out[i], errs[i] = m, err
-	}}, len(cells)) {
+	}); err != nil {
 		return nil, fmt.Errorf("engine: figure cells canceled: %w", ctx.Err())
 	}
 	for i, err := range errs {
@@ -124,17 +124,6 @@ func (c Fig8Config) runCells(ctx context.Context, cells []cell) ([]*Metrics, err
 	}
 	return out, nil
 }
-
-// cellJob is runCells' exec.Job: run on every index, ctx polled on the
-// calling goroutine between cells.
-type cellJob struct {
-	ctx context.Context
-	run func(i int)
-}
-
-func (cellJob) Start(int)      {}
-func (j cellJob) Run(_, i int) { j.run(i) }
-func (j cellJob) Stop() bool   { return j.ctx.Err() != nil }
 
 // Metric selects which of the three Fig. 8 panels to produce.
 type Metric int
