@@ -26,7 +26,7 @@ import (
 
 // fastCfg keeps MAC sweeps cheap inside benchmarks; the cmd/choir-sim tool
 // runs the full-size versions.
-func fastCfg() choir.ExperimentConfig {
+func fastCfg() engine.Fig8Config {
 	cfg := choir.DefaultFig8()
 	cfg.Slots = 1500
 	cfg.Calibration.Trials = 0

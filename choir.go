@@ -12,7 +12,7 @@
 //
 //   - the collision decoder (NewDecoder, Decode, DecodeTeam), the backend
 //     table behind it, and their configuration;
-//   - the LoRa PHY substrate (PHYParams, NewModem) used to build
+//   - the LoRa PHY substrate (DefaultPHY, NewModem) used to build
 //     transmitters and baseline receivers;
 //   - the client hardware and channel models used to simulate deployments;
 //   - the experiment harness that regenerates every figure of the paper's
@@ -52,10 +52,6 @@ import (
 
 // PHY layer (package internal/lora).
 
-// PHYParams is one LoRa PHY configuration (spreading factor, bandwidth,
-// code rate, preamble).
-type PHYParams = lora.Params
-
 var (
 	// DefaultPHY returns the evaluation's PHY configuration (SF8, 125 kHz,
 	// 4/8 coding, 8-symbol preamble).
@@ -85,17 +81,16 @@ var (
 // backend is the reference decoder; alternatives trade fidelity for reach
 // (see DESIGN.md §13).
 
-// BackendPool lends out per-goroutine instances of one backend. An instance
-// decodes from its samples alone, so pooled reuse is deterministic.
+// BackendPool lends out per-goroutine instances of one backend for any PHY:
+// Get(p) returns an instance built for p, Put(p, b) takes it back. An
+// instance decodes from its samples alone, so pooled reuse is deterministic.
 type BackendPool = backend.Pool
 
 var (
-	// NewBackendPool validates the (name, PHY) pair and builds a pool.
+	// NewBackendPool checks a backend name and returns an empty pool of it.
 	NewBackendPool = backend.NewPool
 	// BackendNames returns every registered backend name, sorted.
 	BackendNames = backend.Names
-	// BackendRegistered reports whether a backend name is registered.
-	BackendRegistered = backend.Registered
 	// BackendDecode runs one backend over a capture with a fresh result.
 	BackendDecode = backend.Decode
 	// BackendDecoder exposes the reference decoder behind a Choir-pipeline
@@ -200,8 +195,6 @@ var (
 type (
 	// Scenario renders synthetic collisions at IQ level.
 	Scenario = sim.Scenario
-	// ExperimentConfig parameterizes the density experiments.
-	ExperimentConfig = engine.Fig8Config
 	// ExperimentMetric selects throughput, latency, or transmission count.
 	ExperimentMetric = engine.Metric
 )

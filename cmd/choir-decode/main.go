@@ -5,11 +5,11 @@
 // -help for the registered alternatives). With -team it runs the
 // below-noise team decoder of Sec. 7 instead. Multiple traces are decoded
 // concurrently on every CPU (GOMAXPROCS=1 decodes them one at a time) —
-// decoders are borrowed from a per-PHY pool — and both reports and
-// per-trace errors are emitted in argument order regardless of which decode
-// finishes first. An unreadable trace does not abort the batch; it is
-// reported in place and the command exits nonzero after every input has
-// been processed.
+// each on an instance, built for its trace's PHY, borrowed from one pool —
+// and both reports and per-trace errors are emitted in argument order
+// regardless of which decode finishes first. An unreadable trace does not
+// abort the batch; it is reported in place and the command exits nonzero
+// after every input has been processed.
 //
 // With -fault/-fault-rate the trace's IQ is corrupted before decoding —
 // deterministic per input index — to exercise the decoder's graceful
@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"choir"
 	"choir/internal/cli"
@@ -60,9 +59,13 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		return cli.ExitUsage
 	}
 	files := cmd.Args()
-	if !choir.BackendRegistered(*backendName) {
-		fmt.Fprintf(stderr, "choir-decode: unknown backend %q; one of %s\n",
-			*backendName, strings.Join(choir.BackendNames(), ", "))
+	// Collision decodes go through the selected backend; team decodes reach
+	// the reference decoder behind the "choir" backend (team decoding is not
+	// part of the backend interface). The pool lends an instance for each
+	// trace's PHY.
+	pool, err := choir.NewBackendPool(*backendName)
+	if err != nil {
+		fmt.Fprintln(stderr, "choir-decode:", err)
 		return cli.ExitUsage
 	}
 	if *team && *backendName != "choir" {
@@ -88,27 +91,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	}
 	defer stop()
 
-	// One pool per PHY configuration seen in the batch; traces recorded at
-	// different spreading factors each get their own. Collision decodes go
-	// through the selected backend; team decodes reach the reference decoder
-	// behind the "choir" backend (team decoding is not part of the backend
-	// interface).
-	var mu sync.Mutex
-	pools := map[choir.PHYParams]*choir.BackendPool{}
-	poolFor := func(p choir.PHYParams) (*choir.BackendPool, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if pool, ok := pools[p]; ok {
-			return pool, nil
-		}
-		pool, err := choir.NewBackendPool(*backendName, p)
-		if err != nil {
-			return nil, err
-		}
-		pools[p] = pool
-		return pool, nil
-	}
-
 	// Decodes write only into their own indexed slots; all printing happens
 	// afterwards on this goroutine, so report and error lines come out in
 	// argument order no matter how the decodes were scheduled. A canceled
@@ -119,7 +101,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	errs := make([]error, len(files))
 	done := make([]bool, len(files))
 	_ = exec.ForEach(ctx, len(files), func(i int) {
-		reports[i], errs[i] = decodeTrace(ctx, files[i], uint64(i), *team, inj, poolFor)
+		reports[i], errs[i] = decodeTrace(ctx, files[i], uint64(i), *team, inj, pool)
 		done[i] = true
 	})
 	code := cli.ExitOK
@@ -145,7 +127,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 // the full report as a string so batch output stays ordered. A canceled
 // context surfaces as an error (the trace was not decoded), unlike an
 // ordinary failed decode which is a report.
-func decodeTrace(ctx context.Context, name string, index uint64, team bool, inj *choir.FaultInjector, poolFor func(choir.PHYParams) (*choir.BackendPool, error)) (string, error) {
+func decodeTrace(ctx context.Context, name string, index uint64, team bool, inj *choir.FaultInjector, pool *choir.BackendPool) (string, error) {
 	h, samples, err := trace.ReadFile(name)
 	if err != nil {
 		return "", err
@@ -167,12 +149,11 @@ func decodeTrace(ctx context.Context, name string, index uint64, team bool, inj 
 		truth[u]++
 	}
 
-	pool, err := poolFor(h.Params)
+	b, err := pool.Get(h.Params)
 	if err != nil {
 		return "", err
 	}
-	b := pool.Get()
-	defer pool.Put(b)
+	defer pool.Put(h.Params, b)
 
 	if team {
 		res, err := choir.BackendDecoder(b).DecodeTeam(ctx, samples, h.PayloadLen)

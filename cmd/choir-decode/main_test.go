@@ -195,6 +195,18 @@ func TestRunInterruptedExits130(t *testing.T) {
 	}
 }
 
+// TestRunUnknownBackendExits2: a -backend not in the table is a usage
+// error, refused before any trace is read.
+func TestRunUnknownBackendExits2(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-backend", "nope", "missing.iq"}, &stdout, &stderr); code != cli.ExitUsage {
+		t.Errorf("exit code = %d, want %d", code, cli.ExitUsage)
+	}
+	if msg := stderr.String(); !strings.Contains(msg, `unknown backend "nope"`) || strings.Contains(msg, "missing.iq") {
+		t.Errorf("stderr %q, want the unknown-backend line and no trace read", msg)
+	}
+}
+
 func TestRunUsageOnNoArgs(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(context.Background(), nil, &stdout, &stderr); code != 2 {

@@ -9,16 +9,20 @@
 //	choir-gen -users 10 -team -snr -12 -out team.iq   # identical payloads
 //	nc localhost 7373 < collision.iq                  # to choir-gatewayd -listen :7373
 //
-// It exits 1 without writing a trace when -users is below 1 or -payload is
-// outside [0, 255] (the trace format's payload bound), 2 on a bad flag, and
-// 130 when SIGINT/SIGTERM arrive before the trace is written; the metrics
-// snapshot flushes in every case.
+// It exits 1 without writing a trace when -users is below 1, -payload is
+// outside [0, 255] (the trace format's payload bound) or the collision
+// synthesizes to a non-finite sample (an -snr too large for float64), 2 on
+// a bad flag or a non-finite -snr, and 130 when SIGINT/SIGTERM arrive
+// before the trace is written; the metrics snapshot flushes in every case
+// but a usage error.
 package main
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"math"
+	"math/cmplx"
 	"os"
 
 	"choir"
@@ -40,6 +44,10 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	seed := cmd.Uint64("seed", 1, "synthesis seed")
 	out := cmd.String("out", "collision.iq", "output trace path")
 	if err := cmd.Parse(argv); err != nil {
+		return cli.ExitUsage
+	}
+	if math.IsNaN(*snr) || math.IsInf(*snr, 0) {
+		fmt.Fprintf(stderr, "choir-gen: -snr %g is not a finite dB value\n", *snr)
 		return cli.ExitUsage
 	}
 	stop, err := cmd.Start()
@@ -80,6 +88,11 @@ func generate(ctx context.Context, stdout io.Writer, users int, snr float64, tea
 	samples, payloads := sc.Synthesize()
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	for i, v := range samples {
+		if cmplx.IsNaN(v) || cmplx.IsInf(v) {
+			return fmt.Errorf("-snr %g synthesizes non-finite sample %d = %v", snr, i, v)
+		}
 	}
 
 	h := trace.Header{Params: sc.Params, PayloadLen: payloadLen}

@@ -39,33 +39,42 @@ func TestRunWritesReadableTrace(t *testing.T) {
 	}
 }
 
-// TestRunRefusesBadSettings: a user count or payload length no reader
-// accepts fails with one line and exit 1 before anything is synthesized or
-// written, and the metrics snapshot still flushes. The parent panicked on
-// -payload -1, wrote a trace every reader refuses on -payload 300, and lost
-// the snapshot on -users 0.
+// TestRunRefusesBadSettings: a setting no reader accepts fails with one line
+// before anything is written. A bad count, a payload length the trace format
+// cannot carry, or an -snr that synthesizes non-finite samples exits 1 and
+// still flushes the metrics snapshot; a non-finite -snr is a usage error,
+// refused before the command starts. The parent panicked on -payload -1,
+// wrote a trace every reader refuses on -payload 300, -snr NaN and
+// -snr 1e300, and lost the snapshot on -users 0.
 func TestRunRefusesBadSettings(t *testing.T) {
 	for _, tc := range []struct {
 		argv []string
+		code int
 		want string
 	}{
-		{[]string{"-users", "0"}, "-users 0 < 1"},
-		{[]string{"-users", "-2"}, "-users -2 < 1"},
-		{[]string{"-payload", "-1"}, "-payload -1 outside [0, 255]"},
-		{[]string{"-payload", "300"}, "-payload 300 outside [0, 255]"},
+		{[]string{"-users", "0"}, cli.ExitFailed, "-users 0 < 1"},
+		{[]string{"-users", "-2"}, cli.ExitFailed, "-users -2 < 1"},
+		{[]string{"-payload", "-1"}, cli.ExitFailed, "-payload -1 outside [0, 255]"},
+		{[]string{"-payload", "300"}, cli.ExitFailed, "-payload 300 outside [0, 255]"},
+		{[]string{"-snr", "1e300"}, cli.ExitFailed, "-snr 1e+300 synthesizes non-finite sample 0 = (+Inf+Infi)"},
+		{[]string{"-snr", "NaN"}, cli.ExitUsage, "-snr NaN is not a finite dB value"},
+		{[]string{"-snr", "-Inf"}, cli.ExitUsage, "-snr -Inf is not a finite dB value"},
 	} {
 		dir := t.TempDir()
 		out, snap := filepath.Join(dir, "a.iq"), filepath.Join(dir, "metrics.json")
 		var stdout, stderr bytes.Buffer
 		argv := append(tc.argv, "-out", out, "-metrics", "-metrics-out", snap)
-		if code := run(context.Background(), argv, &stdout, &stderr); code != cli.ExitFailed {
-			t.Errorf("%q: exit %d, want %d", tc.argv, code, cli.ExitFailed)
+		if code := run(context.Background(), argv, &stdout, &stderr); code != tc.code {
+			t.Errorf("%q: exit %d, want %d", tc.argv, code, tc.code)
 		}
 		if msg := stderr.String(); msg != "choir-gen: "+tc.want+"\n" {
 			t.Errorf("%q: stderr %q, want the one line %q", tc.argv, msg, tc.want)
 		}
 		if _, err := os.Stat(out); !os.IsNotExist(err) {
 			t.Errorf("%q: wrote a trace (stat: %v)", tc.argv, err)
+		}
+		if tc.code == cli.ExitUsage {
+			continue
 		}
 		data, err := os.ReadFile(snap)
 		if err != nil || !json.Valid(data) {

@@ -101,65 +101,40 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		cfg.Calibration.Trials = 0
 	}
 
+	// show prints the table a runner computed, or passes its error on.
+	show := func(table interface{ Fprint(io.Writer) }, err error) error {
+		if err != nil {
+			return err
+		}
+		table.Fprint(stdout)
+		return nil
+	}
 	runners := map[string]func(context.Context) error{
 		"fig7ab": func(context.Context) error { choir.Fig7Offsets(30, *seed).Fprint(stdout); return nil },
-		"fig7cd": func(ctx context.Context) error {
-			fig, err := choir.Fig7Stability(ctx, 4, *seed)
-			if err != nil {
-				return err
-			}
-			fig.Fprint(stdout)
-			return nil
-		},
+		"fig7cd": func(ctx context.Context) error { return show(choir.Fig7Stability(ctx, 4, *seed)) },
 		"fig8abc": func(ctx context.Context) error {
 			for _, m := range []choir.ExperimentMetric{choir.MetricThroughput, choir.MetricLatency, choir.MetricTxCount} {
-				fig, err := choir.Fig8SNR(ctx, cfg, m)
-				if err != nil {
+				if err := show(choir.Fig8SNR(ctx, cfg, m)); err != nil {
 					return err
 				}
-				fig.Fprint(stdout)
 				fmt.Fprintln(stdout)
 			}
 			return nil
 		},
-		"fig8d": figUsers(cfg, choir.MetricThroughput, stdout),
-		"fig8e": figUsers(cfg, choir.MetricLatency, stdout),
-		"fig8f": figUsers(cfg, choir.MetricTxCount, stdout),
+		"fig8d": func(ctx context.Context) error { return show(choir.Fig8Users(ctx, cfg, choir.MetricThroughput)) },
+		"fig8e": func(ctx context.Context) error { return show(choir.Fig8Users(ctx, cfg, choir.MetricLatency)) },
+		"fig8f": func(ctx context.Context) error { return show(choir.Fig8Users(ctx, cfg, choir.MetricTxCount)) },
 		"fig9a": func(context.Context) error { choir.Fig9Throughput(-22, 30).Fprint(stdout); return nil },
 		"fig9b": func(context.Context) error { choir.Fig9Range(30).Fprint(stdout); return nil },
 		"fig10": func(ctx context.Context) error {
-			fig, err := choir.Fig10Resolution(ctx, []float64{200, 600, 1000, 1400, 1800, 2200, 2600, 3000}, 5, *seed)
-			if err != nil {
-				return err
-			}
-			fig.Fprint(stdout)
-			return nil
+			return show(choir.Fig10Resolution(ctx, []float64{200, 600, 1000, 1400, 1800, 2200, 2600, 3000}, 5, *seed))
 		},
-		"fig11a": func(ctx context.Context) error {
-			fig, err := choir.Fig11Grouping(ctx, 6, 20, *seed)
-			if err != nil {
-				return err
-			}
-			fig.Fprint(stdout)
-			return nil
-		},
-		"fig11b": func(ctx context.Context) error {
-			fig, err := choir.Fig11Throughput(ctx, cfg, 10, 4, 5)
-			if err != nil {
-				return err
-			}
-			fig.Fprint(stdout)
-			return nil
-		},
+		"fig11a": func(ctx context.Context) error { return show(choir.Fig11Grouping(ctx, 6, 20, *seed)) },
+		"fig11b": func(ctx context.Context) error { return show(choir.Fig11Throughput(ctx, cfg, 10, 4, 5)) },
 		"fig12": func(ctx context.Context) error {
 			f12 := choir.DefaultFig12()
 			f12.Fig8 = cfg
-			fig, err := choir.Fig12MUMIMO(ctx, f12)
-			if err != nil {
-				return err
-			}
-			fig.Fprint(stdout)
-			return nil
+			return show(choir.Fig12MUMIMO(ctx, f12))
 		},
 		"e2e": func(ctx context.Context) error {
 			rep, err := choir.EndToEnd(ctx, choir.DefaultE2E())
@@ -216,12 +191,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 				}
 				ccfg.Fixtures = fixtures
 			}
-			res, err := choir.CompareBackends(ctx, ccfg)
-			if err != nil {
-				return err
-			}
-			res.Fprint(stdout)
-			return nil
+			return show(choir.CompareBackends(ctx, ccfg))
 		},
 		"city": func(ctx context.Context) error {
 			densities, err := parseNodeList(*nodesList)
@@ -328,15 +298,4 @@ func parseNodeList(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func figUsers(cfg choir.ExperimentConfig, m choir.ExperimentMetric, stdout io.Writer) func(context.Context) error {
-	return func(ctx context.Context) error {
-		fig, err := choir.Fig8Users(ctx, cfg, m)
-		if err != nil {
-			return err
-		}
-		fig.Fprint(stdout)
-		return nil
-	}
 }

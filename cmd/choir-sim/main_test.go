@@ -119,3 +119,20 @@ func TestRunMetricsOutImpliesMetrics(t *testing.T) {
 		t.Errorf("snapshot is not JSON:\n%s", data)
 	}
 }
+
+// TestRunUnwritableMetricsOutFailsFirst: a -metrics-out path that cannot be
+// created exits 1 before the experiment runs. The parent ran the whole
+// experiment, reported the failed dump and exited 0.
+func TestRunUnwritableMetricsOutFailsFirst(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "missing", "metrics.json")
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-exp", "fig9a", "-metrics-out", out}, &stdout, &stderr); code != cli.ExitFailed {
+		t.Errorf("exit %d, want %d", code, cli.ExitFailed)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("the experiment ran:\n%s", stdout.String())
+	}
+	if msg := stderr.String(); !strings.HasPrefix(msg, "choir-sim: open ") || strings.Count(msg, "\n") != 1 {
+		t.Errorf("stderr %q, want the one line naming the failed open", msg)
+	}
+}

@@ -283,7 +283,7 @@ func TestGatewayDecodesOneWay(t *testing.T) {
 // 9) has an empty body, choir.Config has no Seed to thread and no clustering
 // switch to reach a second peak-to-user mapping, non-test code in
 // internal/choir and internal/backend imports no math/rand, and a pool
-// checkout takes no seed.
+// checkout takes the PHY and no seed.
 func TestDecodeHasNoSeed(t *testing.T) {
 	shims := 0
 	parseSources(t, parser.SkipObjectResolution, func(dir string, f *ast.File) {
@@ -327,8 +327,8 @@ func TestDecodeHasNoSeed(t *testing.T) {
 	if !ok {
 		t.Fatal("BackendPool has no Get method")
 	}
-	if extra := get.Type.NumIn() - 1; extra != 0 {
-		t.Errorf("BackendPool.Get takes %d parameter(s), want 0: a checkout has nothing to reseed", extra)
+	if phy := reflect.TypeOf(choir.DefaultPHY()); get.Type.NumIn() != 2 || get.Type.In(1) != phy {
+		t.Errorf("BackendPool.Get is %v, want one %v parameter: a checkout names its PHY and has nothing to reseed", get.Type, phy)
 	}
 }
 

@@ -7,10 +7,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"choir/internal/backend"
 	"choir/internal/choir"
+	"choir/internal/lora"
 	"choir/internal/obs"
 	"choir/internal/trace"
 )
@@ -128,14 +130,17 @@ func TestPooledInstanceMatchesFreshForEveryBackend(t *testing.T) {
 	for _, name := range backend.Names() {
 		t.Run(name, func(t *testing.T) {
 			check := func(metrics string, procs int) {
-				pool, err := backend.NewPool(name, h.Params)
+				pool, err := backend.NewPool(name)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var first backend.Backend
 				for i, frame := range frames {
 					label := fmt.Sprintf("%s GOMAXPROCS %d frame %d", metrics, procs, i)
-					warm := pool.Get()
+					warm, err := pool.Get(h.Params)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if first == nil {
 						first = warm
 					} else if warm != first {
@@ -144,7 +149,7 @@ func TestPooledInstanceMatchesFreshForEveryBackend(t *testing.T) {
 					runtime.GOMAXPROCS(procs)
 					got := &choir.Result{}
 					gotErr := warm.DecodeCtxInto(ctx, got, frame.samples, frame.payloadLen)
-					pool.Put(warm)
+					pool.Put(h.Params, warm)
 
 					runtime.GOMAXPROCS(1)
 					cold := backend.MustNew(name, h.Params)
@@ -169,5 +174,137 @@ func TestPooledInstanceMatchesFreshForEveryBackend(t *testing.T) {
 				check("metrics-on", procs)
 			}
 		})
+	}
+}
+
+func mustPool(t *testing.T, name string) *backend.Pool {
+	t.Helper()
+	pool, err := backend.NewPool(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool
+}
+
+func mustGet(t *testing.T, pool *backend.Pool, p lora.Params) backend.Backend {
+	t.Helper()
+	b, err := pool.Get(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDecoderPoolRejectsBadConfig: an unknown name fails at NewPool, an
+// invalid PHY at the Get that would build for it.
+func TestDecoderPoolRejectsBadConfig(t *testing.T) {
+	if _, err := backend.NewPool("no-such-backend"); err == nil {
+		t.Error("unregistered backend accepted")
+	}
+	p := lora.DefaultParams()
+	p.SF = 3
+	if _, err := mustPool(t, "choir").Get(p); err == nil {
+		t.Error("invalid PHY accepted")
+	}
+}
+
+func TestDecoderPoolReusesInstances(t *testing.T) {
+	pool, p := mustPool(t, "choir"), lora.DefaultParams()
+	d1 := mustGet(t, pool, p)
+	pool.Put(p, d1)
+	if d2 := mustGet(t, pool, p); d2 != d1 {
+		t.Error("pooled instance not reused")
+	}
+}
+
+// TestPoolLendsByPHY: an instance is bound to the PHY it was built for. One
+// Put for SF7 is never lent to Get(SF8), and the SF8 instance, after an
+// unrelated SF8 capture, decodes an SF8 capture exactly as a fresh one does.
+func TestPoolLendsByPHY(t *testing.T) {
+	ctx := context.Background()
+	h7, single := loadFixture(t, "single_sf7")
+	h8, collide3 := loadFixture(t, "collide3_sf8")
+	hDrift, drift := loadFixture(t, "fault_drift_sf8")
+	if h7.Params == h8.Params || hDrift.Params != h8.Params {
+		t.Fatalf("fixtures at %v, %v, %v: want two SF7-vs-SF8 PHYs", h7.Params.SF, h8.Params.SF, hDrift.Params.SF)
+	}
+	pool := mustPool(t, "choir")
+
+	b7 := mustGet(t, pool, h7.Params)
+	if _, err := backend.Decode(ctx, b7, single, h7.PayloadLen); err != nil {
+		t.Fatal(err)
+	}
+	pool.Put(h7.Params, b7)
+
+	b8 := mustGet(t, pool, h8.Params)
+	if b8 == b7 {
+		t.Fatal("Get(SF8) lent the instance Put for SF7")
+	}
+	if _, err := backend.Decode(ctx, b8, drift, hDrift.PayloadLen); err != nil {
+		t.Fatal(err)
+	}
+	got, err := backend.Decode(ctx, b8, collide3, h8.PayloadLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := backend.Decode(ctx, backend.MustNew("choir", h8.Params), collide3, h8.PayloadLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "pooled SF8", got, want)
+	pool.Put(h8.Params, b8)
+
+	if b := mustGet(t, pool, h8.Params); b != b8 {
+		t.Error("Get(SF8) did not reuse the SF8 instance")
+	}
+	if b := mustGet(t, pool, h7.Params); b != b7 {
+		t.Error("Get(SF7) did not reuse the SF7 instance")
+	}
+}
+
+// TestDecoderPoolConcurrent hammers one pool from many goroutines, over
+// captures at two PHYs, so the race detector sees checkout and checkin at
+// every width; every decode must equal a fresh instance's, whichever
+// instance it borrowed.
+func TestDecoderPoolConcurrent(t *testing.T) {
+	type capture struct {
+		h       trace.Header
+		samples []complex128
+		want    *choir.Result
+	}
+	var captures []capture
+	for _, name := range []string{"single_sf7", "collide2_sf7", "collide3_sf8", "fault_drift_sf8"} {
+		h, samples := loadFixture(t, name)
+		want, err := backend.Decode(context.Background(), backend.MustNew("choir", h.Params), samples, h.PayloadLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		captures = append(captures, capture{h, samples, want})
+	}
+	pool := mustPool(t, "choir")
+	const n = 16
+	got := make([]*choir.Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := captures[i%len(captures)]
+			b, err := pool.Get(c.h.Params)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer pool.Put(c.h.Params, b)
+			got[i], errs[i] = backend.Decode(context.Background(), b, c.samples, c.h.PayloadLen)
+		}()
+	}
+	wg.Wait()
+	for i := range n {
+		if errs[i] != nil {
+			t.Fatalf("decode %d: %v", i, errs[i])
+		}
+		sameResult(t, fmt.Sprintf("decode %d", i), got[i], captures[i%len(captures)].want)
 	}
 }

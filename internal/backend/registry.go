@@ -24,7 +24,7 @@ var factories = map[string]func(lora.Params) (Backend, error){
 func New(name string, p lora.Params) (Backend, error) {
 	f, ok := factories[name]
 	if !ok {
-		return nil, fmt.Errorf("backend: unknown backend %q (registered: %v)", name, Names())
+		return nil, errUnknown(name)
 	}
 	b, err := f(p)
 	if err != nil {
@@ -33,20 +33,8 @@ func New(name string, p lora.Params) (Backend, error) {
 	return b, nil
 }
 
-// MustNew is New that panics on error, for call sites whose name and
-// parameters are known valid.
-func MustNew(name string, p lora.Params) Backend {
-	b, err := New(name, p)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// Registered reports whether name is a known backend.
-func Registered(name string) bool {
-	_, ok := factories[name]
-	return ok
+func errUnknown(name string) error {
+	return fmt.Errorf("backend: unknown backend %q (registered: %v)", name, Names())
 }
 
 // Names returns every backend name in sorted order — the stable iteration

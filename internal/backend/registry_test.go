@@ -32,15 +32,16 @@ func TestRegistryNames(t *testing.T) {
 		t.Fatalf("registered backends = %v, want %v", names, want)
 	}
 	for _, name := range want {
-		if !backend.Registered(name) {
-			t.Errorf("Registered(%q) = false", name)
+		if _, err := backend.NewPool(name); err != nil {
+			t.Errorf("NewPool(%q): %v", name, err)
 		}
 	}
-	if backend.Registered("nope") {
-		t.Error(`Registered("nope") = true`)
+	_, newErr := backend.New("nope", lora.DefaultParams())
+	if newErr == nil {
+		t.Fatal(`New("nope") succeeded`)
 	}
-	if _, err := backend.New("nope", lora.DefaultParams()); err == nil {
-		t.Error(`New("nope") succeeded`)
+	if _, err := backend.NewPool("nope"); err == nil || err.Error() != newErr.Error() {
+		t.Errorf(`NewPool("nope") = %v, want New's error %v`, err, newErr)
 	}
 }
 

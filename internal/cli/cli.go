@@ -65,13 +65,20 @@ func New(name string, stderr io.Writer) *Command {
 
 // Start turns metrics recording on when -metrics, -metrics-out or
 // -debug-addr asks for it, and serves the debug surface (obs.ServeDebug) on
-// -debug-addr. The returned stop, which the command defers, writes the
-// snapshot when -metrics or -metrics-out asked for one — to the -metrics-out
-// file, or to stderr — and then shuts the debug server down within a short
-// grace period. A failed dump is reported on stderr and leaves the exit
-// code alone.
+// -debug-addr. It creates the -metrics-out file first, so a path that cannot
+// be written fails the command before it does any work. The returned stop,
+// which the command defers, writes the snapshot when -metrics or
+// -metrics-out asked for one — into that file, or to stderr — and then
+// shuts the debug server down within a short grace period. A failed dump is
+// reported on stderr and leaves the exit code alone.
 func (c *Command) Start() (stop func(), err error) {
 	dump := *c.metrics || *c.metricsOut != ""
+	var file *os.File
+	if out := *c.metricsOut; out != "" && out != "-" {
+		if file, err = os.Create(out); err != nil {
+			return nil, err
+		}
+	}
 	if dump || *c.debugAddr != "" {
 		obs.Enable()
 	}
@@ -79,6 +86,10 @@ func (c *Command) Start() (stop func(), err error) {
 	if *c.debugAddr != "" {
 		bound, sd, err := obs.ServeDebug(*c.debugAddr)
 		if err != nil {
+			if file != nil {
+				file.Close()
+				os.Remove(file.Name())
+			}
 			return nil, err
 		}
 		fmt.Fprintf(c.Output(), "debug server listening on http://%s/debug/pprof/\n", bound)
@@ -86,7 +97,7 @@ func (c *Command) Start() (stop func(), err error) {
 	}
 	return func() {
 		if dump {
-			if err := c.dump(); err != nil {
+			if err := c.dump(file); err != nil {
 				fmt.Fprintf(c.Output(), "%s: metrics dump: %v\n", c.Name(), err)
 			}
 		}
@@ -96,22 +107,17 @@ func (c *Command) Start() (stop func(), err error) {
 	}, nil
 }
 
-// dump writes the metrics snapshot to -metrics-out, or to stderr when it is
-// empty or "-".
-func (c *Command) dump() error {
-	out := *c.metricsOut
-	if out == "" || out == "-" {
+// dump writes the metrics snapshot into file and closes it, or to stderr
+// when there is no file (-metrics-out empty or "-").
+func (c *Command) dump(file *os.File) error {
+	if file == nil {
 		return obs.WriteJSON(c.Output())
 	}
-	f, err := os.Create(out)
-	if err != nil {
+	if err := obs.WriteJSON(file); err != nil {
+		file.Close()
 		return err
 	}
-	if err := obs.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return file.Close()
 }
 
 // Exit is the one interrupt rule: a command whose context fired exits

@@ -106,6 +106,22 @@ func TestStartMetricsOutImpliesMetrics(t *testing.T) {
 	}
 }
 
+// TestStartRefusesUnwritableMetricsOut: Start creates the -metrics-out
+// file, so a path that cannot be written fails the command before it does
+// any work. The parent created the file in stop, after the work, and the
+// command exited 0 without its snapshot.
+func TestStartRefusesUnwritableMetricsOut(t *testing.T) {
+	defer obs.Disable()
+	c := New("cli-test", new(bytes.Buffer))
+	if err := c.Parse([]string{"-metrics-out", filepath.Join(t.TempDir(), "missing", "metrics.json")}); err != nil {
+		t.Fatal(err)
+	}
+	if stop, err := c.Start(); err == nil {
+		stop()
+		t.Fatal("Start accepted a -metrics-out path that cannot be created")
+	}
+}
+
 func TestStartDisabledIsNoOp(t *testing.T) {
 	obs.Disable()
 	stop, stderr := start(t)

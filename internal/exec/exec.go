@@ -6,9 +6,10 @@
 //
 // The contract is that the width never changes results: every trial derives
 // its scenario's randomness from its logical coordinates (DeriveSeed), writes
-// into its own result slot, and decodes on a backend whose output depends on
-// the samples alone (backend.Pool), so a sweep run at GOMAXPROCS=8 is
-// byte-identical to the same sweep run at GOMAXPROCS=1. Callers reduce the
+// into its own result slot, and decodes on an instance its backend's pool
+// lends for the capture's PHY (backend.Pool), whose output depends on the
+// samples alone, so a sweep run at GOMAXPROCS=8 is byte-identical to the
+// same sweep run at GOMAXPROCS=1. Callers reduce the
 // indexed results in trial order, which keeps even floating-point
 // accumulation order fixed. The decoder's window loops (internal/choir) and
 // the trial sweeps (ForEach, Map) run on the same Fan.

@@ -22,15 +22,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"choir/internal/backend"
 	"choir/internal/ctxutil"
 	"choir/internal/gateway/journal"
-	"choir/internal/lora"
 	"choir/internal/trace"
 )
 
@@ -239,9 +236,6 @@ type Gateway struct {
 	idle    chan struct{} // pulsed when pending drains to zero
 	nextID  atomic.Uint64
 
-	poolMu sync.Mutex
-	pools  map[poolKey]*backend.Pool
-
 	rungs []*rung
 
 	// journal is the write-ahead frame log (nil when Config.JournalDir is
@@ -258,13 +252,6 @@ type Gateway struct {
 
 	drainOnce sync.Once
 	drainErr  error
-}
-
-// poolKey identifies a backend pool: one per (PHY, backend name) pair seen
-// in the traffic.
-type poolKey struct {
-	params  lora.Params
-	backend string
 }
 
 // New validates cfg, starts the worker pool, and returns a running
@@ -285,16 +272,18 @@ func build(cfg Config) (*Gateway, error) {
 	if _, err := ParseShedPolicy(cfg.Policy.String()); err != nil {
 		return nil, fmt.Errorf("gateway: invalid shed policy %d", int(cfg.Policy))
 	}
+	var rungs []*rung
 	seen := map[string]bool{}
 	for _, name := range cfg.Ladder {
-		if !backend.Registered(name) {
-			return nil, fmt.Errorf("gateway: unknown backend %q in ladder (registered: %s)",
-				name, strings.Join(backend.Names(), ", "))
-		}
 		if seen[name] {
 			return nil, fmt.Errorf("gateway: backend %q appears twice in ladder", name)
 		}
 		seen[name] = true
+		r, err := newRung(name)
+		if err != nil {
+			return nil, fmt.Errorf("gateway: ladder: %w", err)
+		}
+		rungs = append(rungs, r)
 	}
 	// Recover the journal, if configured, before anything is sized: the
 	// replay backlog may exceed the configured queue, and every replayed
@@ -324,15 +313,12 @@ func build(cfg Config) (*Gateway, error) {
 		cancel:         cancel,
 		accepting:      true,
 		idle:           make(chan struct{}, 1),
-		pools:          map[poolKey]*backend.Pool{},
+		rungs:          rungs,
 		journal:        jw,
 		priorCompleted: rec.Completed,
 	}
 	if cfg.AdmissionTarget > 0 {
 		g.admission = newAdmissionController(cfg.AdmissionTarget, cfg.AdmissionEvery, queueCap)
-	}
-	for _, name := range cfg.Ladder {
-		g.rungs = append(g.rungs, newRung(name))
 	}
 	// Restart ID allocation above everything the journal ever saw, then
 	// re-enqueue the replayed frames: they are accepted (again) by this
@@ -670,23 +656,6 @@ func (g *Gateway) Drain(ctx context.Context) error {
 		close(g.outcomes)
 	})
 	return g.drainErr
-}
-
-// poolFor returns the backend pool for one (PHY, backend name) pair,
-// building it on first use.
-func (g *Gateway) poolFor(p lora.Params, name string) (*backend.Pool, error) {
-	key := poolKey{params: p, backend: name}
-	g.poolMu.Lock()
-	defer g.poolMu.Unlock()
-	if pool, ok := g.pools[key]; ok {
-		return pool, nil
-	}
-	pool, err := backend.NewPool(name, p)
-	if err != nil {
-		return nil, fmt.Errorf("gateway: building %s backend for %v: %w", name, p.SF, err)
-	}
-	g.pools[key] = pool
-	return pool, nil
 }
 
 // Healthy reports liveness: the worker pool is running and the gateway has

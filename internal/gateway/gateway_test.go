@@ -385,3 +385,14 @@ func TestOutcomeIndependentOfHistory(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRefusesBadLadder: a rung whose name is not in the backend table,
+// or a name the ladder repeats, fails New before any frame is accepted.
+func TestNewRefusesBadLadder(t *testing.T) {
+	for _, ladder := range [][]string{{"choir", "nope"}, {"choir", "relaxed", "choir"}} {
+		if g, err := New(Config{Ladder: ladder}); err == nil {
+			g.Drain(canceledCtx())
+			t.Errorf("ladder %q accepted", ladder)
+		}
+	}
+}

@@ -23,23 +23,32 @@ type Stage int
 // ran before the rungs became pluggable backends.
 func DefaultLadder() []string { return []string{"choir", "relaxed", "strongest"} }
 
-// rung is one configured ladder position: a registered backend name plus
-// its name-keyed metrics. Two gateways with a shared backend name share the
+// rung is one configured ladder position: a registered backend name, the
+// pool its decodes borrow instances from at the frame's PHY, and its
+// name-keyed metrics. Two gateways with a shared backend name share the
 // process-wide metric instances (obs registration is idempotent by name) and
-// nothing else: a rung keeps no state between frames.
+// nothing else. The pool's idle instances are all a rung keeps between
+// frames, and no result depends on them.
 type rung struct {
 	name string
+	pool *backend.Pool
 
 	attempts *obs.Counter
 	success  *obs.Counter
 }
 
-func newRung(name string) *rung {
+// newRung fails, with backend.New's error, on a name not in the table.
+func newRung(name string) (*rung, error) {
+	pool, err := backend.NewPool(name)
+	if err != nil {
+		return nil, err
+	}
 	return &rung{
 		name:     name,
+		pool:     pool,
 		attempts: obs.NewCounter("gateway.stage." + name + ".attempts"),
 		success:  obs.NewCounter("gateway.stage." + name + ".success"),
-	}
+	}, nil
 }
 
 // decodeLadder runs one frame down the recovery ladder and returns its
@@ -93,12 +102,12 @@ func (g *Gateway) attempt(f *Frame, r *rung) (payloads [][]byte, users int, err 
 		ctx, cancel = context.WithTimeout(ctx, g.cfg.DecodeTimeout)
 		defer cancel()
 	}
-	pool, err := g.poolFor(f.Header.Params, r.name)
+	p := f.Header.Params
+	b, err := r.pool.Get(p)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("gateway: building %s backend for %v: %w", r.name, p.SF, err)
 	}
-	b := pool.Get()
-	defer pool.Put(b)
+	defer r.pool.Put(p, b)
 	sp := tDecode.Start()
 	res, err := g.decodeFrame(ctx, b, f)
 	sp.Stop()

@@ -67,7 +67,10 @@ func successTable(ctx context.Context, cfg CalibrationConfig) ([]float64, error)
 	if cfg.MaxUsers < 0 || cfg.Trials < 0 {
 		return nil, fmt.Errorf("sim: calibration needs MaxUsers and Trials >= 0, got %d and %d", cfg.MaxUsers, cfg.Trials)
 	}
-	pool, err := backend.NewPool("choir", cfg.Params)
+	if err := cfg.Params.Validate(); err != nil {
+		return nil, err
+	}
+	pool, err := backend.NewPool("choir")
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +84,7 @@ func successTable(ctx context.Context, cfg CalibrationConfig) ([]float64, error)
 		}
 		sc := Scenario{Params: cfg.Params, PayloadLen: cfg.PayloadLen, SNRsDB: snrs, Seed: seed}
 		sig, truth := sc.Synthesize()
-		return decodeCapture(pool, sig, cfg.PayloadLen, truth)
+		return decodeCapture(pool, cfg.Params, sig, cfg.PayloadLen, truth)
 	})
 	if err != nil {
 		return nil, err

@@ -279,61 +279,54 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 		return nil, fmt.Errorf("sim: compare with no fixtures, trials, or fault cells")
 	}
 
-	// One pool per (backend, PHY): built up front so an unknown backend
-	// name fails fast instead of inside the fan-out.
-	pools := map[string]map[lora.Params]*backend.Pool{}
+	// One pool per backend, and the synthesized captures' PHY checked, up
+	// front: a bad name or PHY fails fast instead of inside the fan-out.
+	// A fixture's PHY was checked when its trace was read.
+	if err := cfg.Params.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: compare: %w", err)
+	}
+	pools := map[string]*backend.Pool{}
 	for _, name := range backends {
 		if pools[name] != nil {
 			return nil, fmt.Errorf("sim: backend %q appears twice in comparison", name)
 		}
-		byPHY := map[lora.Params]*backend.Pool{}
-		params := []lora.Params{cfg.Params}
-		for _, fx := range cfg.Fixtures {
-			params = append(params, fx.Params)
+		pool, err := backend.NewPool(name)
+		if err != nil {
+			return nil, fmt.Errorf("sim: compare: %w", err)
 		}
-		for _, p := range params {
-			if byPHY[p] != nil {
-				continue
-			}
-			pool, err := backend.NewPool(name, p)
-			if err != nil {
-				return nil, fmt.Errorf("sim: compare backend %q: %w", name, err)
-			}
-			byPHY[p] = pool
-		}
-		pools[name] = byPHY
+		pools[name] = pool
 	}
 
 	// The grid's cells, one per row: backend by backend, each fixture, the
 	// clean trials, then the fault cells.
 	type cell struct {
-		row  CompareRow      // the row's labels
-		pool *backend.Pool   // row.Backend on the capture's PHY
-		fx   *CompareFixture // nil for synthesized captures
-		fi   int             // row.Fault's index in the fault grid, which seeds its corruption
+		row CompareRow      // the row's labels
+		fx  *CompareFixture // nil for synthesized captures
+		fi  int             // row.Fault's index in the fault grid, which seeds its corruption
 	}
 	var cells []cell
 	var trials []int
 	for _, name := range backends {
 		for i := range cfg.Fixtures {
 			fx := &cfg.Fixtures[i]
-			cells = append(cells, cell{row: CompareRow{Backend: name, Fixture: fx.Name}, pool: pools[name][fx.Params], fx: fx})
+			cells = append(cells, cell{row: CompareRow{Backend: name, Fixture: fx.Name}, fx: fx})
 			trials = append(trials, 1)
 		}
 		if cfg.Trials > 0 {
-			cells = append(cells, cell{row: CompareRow{Backend: name}, pool: pools[name][cfg.Params]})
+			cells = append(cells, cell{row: CompareRow{Backend: name}})
 			trials = append(trials, cfg.Trials)
 		}
 		for fi, inj := range injs {
-			cells = append(cells, cell{row: CompareRow{Backend: name, Fault: inj}, pool: pools[name][cfg.Params], fi: fi})
+			cells = append(cells, cell{row: CompareRow{Backend: name, Fault: inj}, fi: fi})
 			trials = append(trials, cfg.FaultTrials)
 		}
 	}
 
 	results, err := grid(ctx, trials, func(ci, trial int) CompareRow {
 		c := cells[ci]
+		pool := pools[c.row.Backend]
 		if c.fx != nil {
-			return decodeCapture(c.pool, c.fx.Samples, c.fx.PayloadLen, c.fx.Truth)
+			return decodeCapture(pool, c.fx.Params, c.fx.Samples, c.fx.PayloadLen, c.fx.Truth)
 		}
 		// The scenario seed depends ONLY on the trial index: every backend
 		// and every fault cell decodes the same collisions, and a
@@ -349,7 +342,7 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 		if c.row.Fault != nil {
 			sig = c.row.Fault.Apply(sig, exec.DeriveSeed(cfg.Seed, 0xFA017, uint64(c.fi), uint64(trial)))
 		}
-		return decodeCapture(c.pool, sig, cfg.PayloadLen, truth)
+		return decodeCapture(pool, cfg.Params, sig, cfg.PayloadLen, truth)
 	})
 	if err != nil {
 		return nil, err
@@ -361,13 +354,18 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 	return result, nil
 }
 
-// decodeCapture runs one capture through one backend instance checked out
-// of pl, counting recovered ground-truth payloads and classifying both
-// whole-capture and per-user failures, and returns it as a one-trial row.
-func decodeCapture(pl *backend.Pool, samples []complex128, payloadLen int, truth [][]byte) CompareRow {
-	b := pl.Get()
-	defer pl.Put(b)
+// decodeCapture runs one capture at PHY p through one backend instance
+// checked out of pl, counting recovered ground-truth payloads and
+// classifying both whole-capture and per-user failures, and returns it as a
+// one-trial row. A PHY no instance can be built for fails the capture.
+func decodeCapture(pl *backend.Pool, p lora.Params, samples []complex128, payloadLen int, truth [][]byte) CompareRow {
 	cell := CompareRow{Trials: 1, PayloadsExpected: len(truth), Errors: map[string]int{}}
+	b, err := pl.Get(p)
+	if err != nil {
+		cell.Errors[taxonomyClass(err)]++
+		return cell
+	}
+	defer pl.Put(p, b)
 	t0 := time.Now()
 	res, err := backend.Decode(trialCtx, b, samples, payloadLen)
 	cell.DecodeNs = time.Since(t0).Nanoseconds()

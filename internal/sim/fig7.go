@@ -86,7 +86,7 @@ func Fig7Stability(ctx context.Context, pairsPerRegime int, seed uint64) (*Figur
 		YLabel: "stdev of offset (Hz) / timing (us)",
 	}
 	regimes := []SNRRegime{LowSNR, MediumSNR, HighSNR}
-	dpool, err := backend.NewPool("choir", p)
+	dpool, err := backend.NewPool("choir")
 	if err != nil {
 		return nil, err
 	}
@@ -102,8 +102,11 @@ func Fig7Stability(ctx context.Context, pairsPerRegime int, seed uint64) (*Figur
 			Seed:       s,
 		}
 		sig, _ := sc.Synthesize()
-		b := dpool.Get()
-		defer dpool.Put(b)
+		b, err := dpool.Get(p)
+		if err != nil {
+			return nil
+		}
+		defer dpool.Put(p, b)
 		res, err := backend.Decode(trialCtx, b, sig, 8)
 		if err != nil {
 			return nil
