@@ -105,6 +105,10 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "choir-gatewayd:", err)
 		return cli.ExitUsage
 	}
+	if *drainTimeout < 0 {
+		fmt.Fprintf(stderr, "choir-gatewayd: negative -drain-timeout %v\n", *drainTimeout)
+		return cli.ExitUsage
+	}
 	var rungs []string
 	if *ladder != "" {
 		rungs = strings.Split(*ladder, ",")

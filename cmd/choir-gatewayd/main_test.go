@@ -135,6 +135,32 @@ func TestRunUsage(t *testing.T) {
 	}
 }
 
+// TestRunRefusesNegativeSettings: a negative count or duration is refused
+// before any frame is read, not taken for zero (a default or "off") or, for
+// -drain-timeout, for an immediate hard stop.
+func TestRunRefusesNegativeSettings(t *testing.T) {
+	dir := t.TempDir()
+	path := writeTrace(t, dir, "a.iq", 1)
+	for _, tc := range []struct {
+		argv []string
+		code int
+	}{
+		{[]string{"-drain-timeout", "-1s"}, cli.ExitUsage},
+		{[]string{"-queue", "-1"}, cli.ExitFailed},
+		{[]string{"-workers", "-1"}, cli.ExitFailed},
+		{[]string{"-max-conns", "-1"}, cli.ExitFailed},
+		{[]string{"-decode-timeout", "-1s"}, cli.ExitFailed},
+		{[]string{"-conn-timeout", "-1s"}, cli.ExitFailed},
+		{[]string{"-admission-target", "-1ms"}, cli.ExitFailed},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(context.Background(), append(tc.argv, path), &stdout, &stderr)
+		if code != tc.code || !strings.Contains(stderr.String(), "negative") || stdout.Len() != 0 {
+			t.Errorf("%v: exit %d, want %d; stdout %q; stderr %q", tc.argv, code, tc.code, stdout.String(), stderr.String())
+		}
+	}
+}
+
 // TestRunInterruptedExits130 pins the signal path: a dead context stops
 // ingest, the queue still drains, and the daemon exits 130.
 func TestRunInterruptedExits130(t *testing.T) {

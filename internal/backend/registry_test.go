@@ -11,6 +11,7 @@ import (
 	"choir/internal/backend"
 	"choir/internal/choir"
 	"choir/internal/lora"
+	"choir/internal/sim"
 	"choir/internal/trace"
 )
 
@@ -81,6 +82,28 @@ func TestBackendsRoundTripCleanCollision(t *testing.T) {
 					len(res.Users), len(res.DecodedPayloads()))
 			}
 			t.Logf("%s: %d/%d ground-truth payloads", name, recovered, len(truth))
+		})
+	}
+}
+
+// TestEveryBackendDecodesZeroLengthFrame: a frame may carry 0 payload bytes,
+// and a clean single-user capture of one decodes on every backend to one
+// user whose empty payload counts as decoded.
+func TestEveryBackendDecodesZeroLengthFrame(t *testing.T) {
+	sc := sim.Scenario{Params: lora.DefaultParams(), PayloadLen: 0, SNRsDB: []float64{20}, Seed: 1}
+	samples, _ := sc.Synthesize()
+	for _, name := range backend.Names() {
+		t.Run(name, func(t *testing.T) {
+			res, err := backend.Decode(context.Background(), backend.MustNew(name, sc.Params), samples, 0)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if len(res.Users) != 1 || !res.Users[0].Decoded() || len(res.Users[0].Payload) != 0 {
+				for _, u := range res.Users {
+					t.Logf("user at %.2f: payload %#v, err %v", u.Offset, u.Payload, u.Err)
+				}
+				t.Fatalf("%d users, want 1 decoded with an empty payload", len(res.Users))
+			}
 		})
 	}
 }

@@ -112,7 +112,7 @@ func mergeNewPayloads(res, retry *choir.Result) {
 			Offset:        u.Offset,
 			Gain:          u.Gain,
 			Symbols:       append([]int(nil), u.Symbols...),
-			Payload:       append([]byte(nil), u.Payload...),
+			Payload:       append([]byte{}, u.Payload...), // non-nil even when empty: nil means not decoded
 			WindowOffsets: append([]float64(nil), u.WindowOffsets...),
 		}
 		res.Users = append(res.Users, cp)

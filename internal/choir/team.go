@@ -147,7 +147,7 @@ func (d *Decoder) DecodeTeam(ctx context.Context, samples []complex128, payloadL
 		spec := d.paddedSpectrum(dech)
 		res.Symbols[w] = d.mlSymbol(spec, offs)
 	}
-	payload, _, derr := lora.DecodeSymbols(res.Symbols, payloadLen, p)
+	payload, _, derr := lora.DecodeSymbolsInto(&d.codec, nil, res.Symbols, payloadLen, p)
 	res.Payload = payload
 	res.Err = derr
 	if derr != nil {

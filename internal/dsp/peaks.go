@@ -122,7 +122,7 @@ func FindPeaksScratch(s *PeakScratch, spectrum []float64, cfg PeakConfig) []Peak
 	for _, c := range cands {
 		ok := true
 		for _, kept := range out {
-			if circularDist(c.Bin, kept.Bin, period) < cfg.MinSeparation {
+			if CircularBinDist(c.Bin, kept.Bin, period) < cfg.MinSeparation {
 				ok = false
 				break
 			}
@@ -139,19 +139,15 @@ func FindPeaksScratch(s *PeakScratch, spectrum []float64, cfg PeakConfig) []Peak
 	return out
 }
 
-// circularDist returns the distance between bins a and b on a circle of the
-// given period.
-func circularDist(a, b, period float64) float64 {
+// CircularBinDist returns the distance between bin positions a and b on a
+// circle of the given period (a transform's natural bins).
+func CircularBinDist(a, b, period float64) float64 {
 	d := math.Mod(math.Abs(a-b), period)
 	if d > period/2 {
 		d = period - d
 	}
 	return d
 }
-
-// CircularBinDist returns the circular distance between two bin positions for
-// a transform with period natural bins. Exported for decoder use.
-func CircularBinDist(a, b, period float64) float64 { return circularDist(a, b, period) }
 
 // NoiseFloorScratch estimates the noise floor of a magnitude spectrum as the
 // median magnitude. The median is robust to a handful of strong peaks: even

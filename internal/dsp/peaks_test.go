@@ -171,7 +171,7 @@ func findPeaksModulo(spectrum []float64, cfg PeakConfig) []Peak {
 	for _, c := range cands {
 		ok := true
 		for _, kept := range out {
-			if circularDist(c.Bin, kept.Bin, period) < cfg.MinSeparation {
+			if CircularBinDist(c.Bin, kept.Bin, period) < cfg.MinSeparation {
 				ok = false
 				break
 			}

@@ -31,7 +31,8 @@ import (
 	"choir/internal/trace"
 )
 
-// Config parameterizes a Gateway.
+// Config parameterizes a Gateway. A zero count or duration selects the
+// documented default; New refuses a negative one.
 type Config struct {
 	// Queue is the bounded ingest-queue capacity (default 64).
 	Queue int
@@ -91,21 +92,44 @@ type Config struct {
 	AdmissionEvery int
 }
 
+// checkSigns refuses a negative count or duration: zero selects a field's
+// default (or "off"), and a negative one is a mistake rather than a second
+// spelling of zero.
+func (c Config) checkSigns() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"Queue", int64(c.Queue)},
+		{"Workers", int64(c.Workers)},
+		{"MaxConns", int64(c.MaxConns)},
+		{"AdmissionEvery", int64(c.AdmissionEvery)},
+		{"DecodeTimeout", int64(c.DecodeTimeout)},
+		{"ConnTimeout", int64(c.ConnTimeout)},
+		{"AdmissionTarget", int64(c.AdmissionTarget)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("gateway: negative %s", f.name)
+		}
+	}
+	return nil
+}
+
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.Queue <= 0 {
+	if c.Queue == 0 {
 		c.Queue = 64
 	}
-	if c.Workers <= 0 {
+	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if len(c.Ladder) == 0 {
 		c.Ladder = DefaultLadder()
 	}
-	if c.MaxConns <= 0 {
+	if c.MaxConns == 0 {
 		c.MaxConns = 64
 	}
-	if c.AdmissionEvery <= 0 {
+	if c.AdmissionEvery == 0 {
 		c.AdmissionEvery = 32
 	}
 	return c
@@ -268,6 +292,9 @@ func New(cfg Config) (*Gateway, error) {
 // build assembles a gateway without starting its workers. Tests use it
 // directly to exercise queue and shedding behavior with no decode racing.
 func build(cfg Config) (*Gateway, error) {
+	if err := cfg.checkSigns(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	if _, err := ParseShedPolicy(cfg.Policy.String()); err != nil {
 		return nil, fmt.Errorf("gateway: invalid shed policy %d", int(cfg.Policy))

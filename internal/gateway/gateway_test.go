@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -395,4 +396,31 @@ func TestNewRefusesBadLadder(t *testing.T) {
 			t.Errorf("ladder %q accepted", ladder)
 		}
 	}
+}
+
+// TestNewRefusesNegativeSettings: zero selects a count's default or turns a
+// duration off, and a negative count or duration fails New instead of
+// passing for zero.
+func TestNewRefusesNegativeSettings(t *testing.T) {
+	for _, cfg := range []Config{
+		{Queue: -1},
+		{Workers: -1},
+		{MaxConns: -1},
+		{AdmissionEvery: -1},
+		{DecodeTimeout: -time.Second},
+		{ConnTimeout: -time.Second},
+		{AdmissionTarget: -time.Millisecond},
+	} {
+		if g, err := New(cfg); err == nil {
+			g.Drain(canceledCtx())
+			t.Errorf("%+v accepted", cfg)
+		} else if !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%+v: error %q does not name the negative setting", cfg, err)
+		}
+	}
+	g, err := New(Config{})
+	if err != nil {
+		t.Fatalf("zero Config refused: %v", err)
+	}
+	g.Drain(canceledCtx())
 }

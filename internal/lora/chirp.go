@@ -55,9 +55,12 @@ const DownChirpSymbol = -1
 
 // symbolPhase returns the transmitted phase of the continuous-time chirp for
 // symbol value sym at local time tau in [0, n) samples. The model is the
-// aliased baseband form x(t) = up(t)·e^{j2πs·t/n}, which matches
-// ModulateSymbol exactly at integer sample instants and defines the signal a
-// receiver with a shifted sampling clock observes between them. The
+// aliased baseband form x(t) = up(t)·e^{j2πs·t/n}. At integer sample
+// instants it is ModulateSymbol's signal up to rounding — it sums the two
+// phases before one Sincos, where ModulateSymbol multiplies two unit
+// phasors, so samples differ by up to ~1e-13 at SF7 and ~2e-12 at SF12
+// (TestShiftedFrameMatchesModulate) — and between them it defines the
+// signal a receiver with a shifted sampling clock observes. The
 // DownChirpSymbol sentinel selects the conjugate (down) chirp.
 func symbolPhase(n int, sym int, tau float64) float64 {
 	if sym == DownChirpSymbol {
@@ -90,23 +93,6 @@ func ModulateFrameShifted(base []complex128, syms []int, shift float64) []comple
 		out[g] = complex(c, s)
 	}
 	return out
-}
-
-// FrameSymbols returns the full symbol sequence of a frame (preamble, sync,
-// SFD down-chirps, coded payload) for use with ModulateFrameShifted. SFD
-// positions carry the DownChirpSymbol sentinel.
-func (m *Modem) FrameSymbols(payload []byte) []int {
-	p := m.Params
-	syms := make([]int, 0, p.HeaderSymbols())
-	for i := 0; i < p.PreambleLen; i++ {
-		syms = append(syms, 0)
-	}
-	sync := p.SyncSymbols()
-	syms = append(syms, sync[0], sync[1])
-	for i := 0; i < p.SFDLen; i++ {
-		syms = append(syms, DownChirpSymbol)
-	}
-	return append(syms, EncodeSymbols(payload, p)...)
 }
 
 // Dechirp multiplies one received symbol by the down-chirp, concentrating
@@ -181,9 +167,6 @@ func (m *Modem) Up() []complex128 { return m.up }
 
 // Down returns the base down-chirp (shared; callers must not modify it).
 func (m *Modem) Down() []complex128 { return m.down }
-
-// Symbol modulates one symbol value into a fresh sample slice.
-func (m *Modem) Symbol(sym int) []complex128 { return ModulateSymbol(m.up, sym) }
 
 // DemodulateChirp recovers the symbol value of one received chirp.
 func (m *Modem) DemodulateChirp(sym []complex128) (int, complex128) {

@@ -51,7 +51,7 @@ func TestModulateDemodulateAllSymbols(t *testing.T) {
 		m := MustModem(Params{SF: sf, Bandwidth: 125e3, CR: CR48, PreambleLen: 8, SyncWord: 0x34})
 		n := sf.SymbolSize()
 		for sym := 0; sym < n; sym++ {
-			got, peak := m.DemodulateChirp(m.Symbol(sym))
+			got, peak := m.DemodulateChirp(ModulateSymbol(m.up, sym))
 			if got != sym {
 				t.Fatalf("%v: modulated %d, demodulated %d", sf, sym, got)
 			}
@@ -73,8 +73,8 @@ func TestSymbolsAreOrthogonal(t *testing.T) {
 		if s1 == s2 {
 			continue
 		}
-		sum := m.Symbol(s1)
-		dsp.Add(sum, m.Symbol(s2))
+		sum := ModulateSymbol(m.up, s1)
+		dsp.Add(sum, ModulateSymbol(m.up, s2))
 		d := Dechirp(nil, sum, m.Down())
 		spec := m.fft.Transform(nil, d)
 		for _, s := range []int{s1, s2} {
@@ -92,7 +92,7 @@ func TestCFOShiftsDemodulatedPeakFractionally(t *testing.T) {
 	n := m.Params.N()
 	const sym = 37
 	cfoBins := 5.4
-	sig := dsp.FreqShift(m.Symbol(sym), cfoBins/float64(n))
+	sig := dsp.FreqShift(ModulateSymbol(m.up, sym), cfoBins/float64(n))
 	d := Dechirp(nil, sig, m.Down())
 	spec := dsp.PaddedSpectrum(d, 16)
 	peaks := dsp.FindPeaks(spec, dsp.PeakConfig{Pad: 16, MinSeparation: 0.9, Threshold: float64(n) / 2, Max: 1})
@@ -113,7 +113,7 @@ func TestTimingOffsetActsAsFrequencyOffset(t *testing.T) {
 	const sym = 100
 	// Build a two-symbol stream of the same chirp and window the middle so
 	// the delayed window still contains a full chirp period.
-	one := m.Symbol(sym)
+	one := ModulateSymbol(m.up, sym)
 	stream := append(append([]complex128{}, one...), one...)
 	for _, d := range []int{1, 5, 37} {
 		win := stream[d : d+n]
@@ -154,7 +154,7 @@ func TestModulateSymbolPanicsOutOfRange(t *testing.T) {
 					t.Errorf("symbol %d did not panic", sym)
 				}
 			}()
-			m.Symbol(sym)
+			ModulateSymbol(m.up, sym)
 		}()
 	}
 }
@@ -193,7 +193,7 @@ func TestDemodulationRobustToNoiseProperty(t *testing.T) {
 		m := MustModem(DefaultParams())
 		n := m.Params.N()
 		sym := rng.IntN(n)
-		sig := m.Symbol(sym)
+		sig := ModulateSymbol(m.up, sym)
 		for i := range sig {
 			sig[i] += complex(rng.NormFloat64(), rng.NormFloat64()) * 0.05
 		}

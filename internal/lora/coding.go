@@ -173,33 +173,30 @@ func EncodeBlock(nibbles []byte, sf SpreadingFactor, cr CodeRate) []int {
 	return syms
 }
 
-// DecodeBlock inverts EncodeBlock: it consumes (4+cr) symbol values and
-// returns sf nibbles plus the number of codewords with detected
-// (uncorrectable) errors.
-func DecodeBlock(syms []int, sf SpreadingFactor, cr CodeRate) (nibbles []byte, badCodewords int) {
-	rows := int(sf)
-	cols := cr.CodewordBits()
-	if len(syms) != cols {
+// decodeBlock inverts EncodeBlock: it deinterleaves one block of (4+cr)
+// symbol values into cws (one codeword per row, so len(cws) is the block's
+// SF) and appends the Hamming-decoded nibbles to nibbles. bad counts the
+// codewords with detected (uncorrectable) errors.
+func decodeBlock(nibbles []byte, cws []uint16, syms []int, cr CodeRate) (_ []byte, bad int) {
+	rows := len(cws)
+	if cols := cr.CodewordBits(); len(syms) != cols {
 		panic(fmt.Sprintf("lora: block has %d symbols, want %d", len(syms), cols))
 	}
-	cws := make([]uint16, rows)
-	for b := 0; b < cols; b++ {
-		col := GrayDecode(syms[b])
-		for w := 0; w < rows; w++ {
-			row := (w + b) % rows
-			bit := uint16(col>>row) & 1
-			cws[w] |= bit << b
+	clear(cws)
+	for b, sym := range syms {
+		col := GrayDecode(sym)
+		for w := range cws {
+			cws[w] |= uint16(col>>((w+b)%rows)) & 1 << b
 		}
 	}
-	nibbles = make([]byte, rows)
-	for w := 0; w < rows; w++ {
-		nib, ok := hammingDecodeNibble(cws[w], cr)
-		nibbles[w] = nib
+	for _, cw := range cws {
+		nib, ok := hammingDecodeNibble(cw, cr)
+		nibbles = append(nibbles, nib)
 		if !ok {
-			badCodewords++
+			bad++
 		}
 	}
-	return nibbles, badCodewords
+	return nibbles, bad
 }
 
 // SymbolsPerPayload returns how many data symbols a payload of the given

@@ -148,7 +148,7 @@ func TestEncodeDecodeBlockRoundTrip(t *testing.T) {
 					t.Fatalf("symbol %d out of range for %v", s, sf)
 				}
 			}
-			got, bad := DecodeBlock(syms, sf, cr)
+			got, bad := decodeBlock(nil, make([]uint16, sf), syms, cr)
 			if bad != 0 {
 				t.Errorf("sf=%v cr=%v: %d bad codewords on clean block", sf, cr, bad)
 			}
@@ -177,7 +177,7 @@ func TestBlockSurvivesOneSymbolOffByOne(t *testing.T) {
 			delta = -1
 		}
 		syms[idx] = (syms[idx] + delta + sf.SymbolSize()) % sf.SymbolSize()
-		got, _ := DecodeBlock(syms, sf, cr)
+		got, _ := decodeBlock(nil, make([]uint16, sf), syms, cr)
 		if !bytes.Equal(got, nibbles) {
 			t.Fatalf("trial %d: off-by-one symbol error not corrected (%x != %x)", trial, got, nibbles)
 		}
@@ -187,10 +187,10 @@ func TestBlockSurvivesOneSymbolOffByOne(t *testing.T) {
 func TestDecodeBlockPanicsOnWrongLength(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("DecodeBlock with wrong length did not panic")
+			t.Fatal("decodeBlock with wrong length did not panic")
 		}
 	}()
-	DecodeBlock(make([]int, 3), SF7, CR48)
+	decodeBlock(nil, make([]uint16, SF7), make([]int, 3), CR48)
 }
 
 func TestEncodeBlockPanicsOnTooManyNibbles(t *testing.T) {

@@ -30,54 +30,100 @@ func EncodeSymbols(payload []byte, p Params) []int {
 	return syms
 }
 
+// CodecScratch holds the working buffers of DecodeSymbolsInto so repeated
+// payload decodes allocate nothing once the buffers have grown. One scratch
+// belongs to one goroutine; the decoder keeps one per pooled Decoder.
+type CodecScratch struct {
+	cws     []uint16
+	nibbles []byte
+	buf     []byte
+}
+
 // DecodeSymbols inverts EncodeSymbols given the expected payload length.
 // It returns the recovered payload and an error if the CRC fails or the
 // symbol stream is too short. badCodewords counts FEC codewords with
 // detected errors, a useful soft quality metric even when the CRC passes.
 func DecodeSymbols(syms []int, payloadLen int, p Params) (payload []byte, badCodewords int, err error) {
+	var s CodecScratch
+	return DecodeSymbolsInto(&s, nil, syms, payloadLen, p)
+}
+
+// DecodeSymbolsInto is the payload decoder: it deinterleaves and
+// Hamming-corrects each block, dewhitens, and checks the CRC, writing the
+// payload into dst (grown when too small or nil) and drawing all temporaries
+// from s. The returned payload aliases dst's storage; it is never nil unless
+// the symbol stream is too short, so a frame of 0 payload bytes decodes to
+// an empty, non-nil payload.
+func DecodeSymbolsInto(s *CodecScratch, dst []byte, syms []int, payloadLen int, p Params) (payload []byte, badCodewords int, err error) {
 	need := SymbolsPerPayload(payloadLen, p.SF, p.CR)
 	if len(syms) < need {
 		return nil, 0, fmt.Errorf("%w: have %d data symbols, need %d", ErrShortSignal, len(syms), need)
 	}
-	cols := p.CR.CodewordBits()
-	var nibbles []byte
-	for start := 0; start+cols <= need; start += cols {
-		nibs, bad := DecodeBlock(syms[start:start+cols], p.SF, p.CR)
-		badCodewords += bad
-		nibbles = append(nibbles, nibs...)
+	rows := int(p.SF)
+	if cap(s.cws) < rows {
+		s.cws = make([]uint16, rows)
 	}
+	cols := p.CR.CodewordBits()
+	nibbles := s.nibbles[:0]
+	for start := 0; start < need; start += cols {
+		var bad int
+		nibbles, bad = decodeBlock(nibbles, s.cws[:rows], syms[start:start+cols], p.CR)
+		badCodewords += bad
+	}
+	s.nibbles = nibbles
+
 	total := payloadLen + crcLen
-	buf := make([]byte, total)
-	for i := 0; i < total; i++ {
+	if cap(s.buf) < total {
+		s.buf = make([]byte, total)
+	}
+	buf := s.buf[:total]
+	for i := range buf {
 		buf[i] = nibbles[2*i] | nibbles[2*i+1]<<4
 	}
 	Whiten(buf)
-	payload = buf[:payloadLen]
-	wantCRC := binary.BigEndian.Uint16(buf[payloadLen:])
-	if CRC16(payload) != wantCRC {
+	if dst == nil || cap(dst) < payloadLen {
+		dst = make([]byte, payloadLen)
+	}
+	payload = dst[:payloadLen]
+	copy(payload, buf)
+	if CRC16(payload) != binary.BigEndian.Uint16(buf[payloadLen:]) {
 		return payload, badCodewords, ErrCRC
 	}
 	return payload, badCodewords, nil
 }
 
-// Modulate renders the complete frame — preamble up-chirps, two sync
-// symbols, and the coded payload — into baseband IQ samples.
-func (m *Modem) Modulate(payload []byte) []complex128 {
+// FrameSymbols returns the full symbol sequence of a frame: preamble
+// up-chirps, the two sync symbols, SFD down-chirps (the DownChirpSymbol
+// sentinel) and the coded payload. It is the one frame layout: Modulate and
+// ModulateFrameShifted both render it.
+func (m *Modem) FrameSymbols(payload []byte) []int {
 	p := m.Params
-	syms := EncodeSymbols(payload, p)
-	sync := p.SyncSymbols()
-	n := p.N()
-	out := make([]complex128, 0, (p.HeaderSymbols()+len(syms))*n)
+	syms := make([]int, 0, p.HeaderSymbols())
 	for i := 0; i < p.PreambleLen; i++ {
-		out = append(out, m.up...)
+		syms = append(syms, 0)
 	}
-	out = append(out, m.Symbol(sync[0])...)
-	out = append(out, m.Symbol(sync[1])...)
+	sync := p.SyncSymbols()
+	syms = append(syms, sync[0], sync[1])
 	for i := 0; i < p.SFDLen; i++ {
-		out = append(out, m.down...)
+		syms = append(syms, DownChirpSymbol)
 	}
+	return append(syms, EncodeSymbols(payload, p)...)
+}
+
+// Modulate renders the complete frame (FrameSymbols) into baseband IQ
+// samples on the receiver's sample grid.
+func (m *Modem) Modulate(payload []byte) []complex128 {
+	syms := m.FrameSymbols(payload)
+	out := make([]complex128, 0, len(syms)*m.Params.N())
 	for _, s := range syms {
-		out = append(out, m.Symbol(s)...)
+		switch s {
+		case 0: // ModulateSymbol(m.up, 0) bit for bit, without its Sincos
+			out = append(out, m.up...)
+		case DownChirpSymbol:
+			out = append(out, m.down...)
+		default:
+			out = append(out, ModulateSymbol(m.up, s)...)
+		}
 	}
 	return out
 }

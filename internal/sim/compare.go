@@ -369,7 +369,7 @@ func decodeCapture(pl *backend.Pool, p lora.Params, samples []complex128, payloa
 	t0 := time.Now()
 	res, err := backend.Decode(trialCtx, b, samples, payloadLen)
 	cell.DecodeNs = time.Since(t0).Nanoseconds()
-	cell.PayloadsRecovered = scoreTrial(res, err, truth)
+	cell.PayloadsRecovered = len(scoreTrial(res, err, truth))
 	if err != nil {
 		cell.Errors[taxonomyClass(err)]++
 		return cell

@@ -174,18 +174,10 @@ func EndToEnd(ctx context.Context, cfg E2EConfig) (*E2EReport, error) {
 		sc := Scenario{Params: p, PayloadLen: cfg.PayloadLen, SNRsDB: snrs, Seed: seed}
 		recovered, total := sc.DecodeWith(dec)
 		rep.BeaconSlots++
-		rep.IndividualDelivered += recovered
+		rep.IndividualDelivered += len(recovered)
 		rep.IndividualExpected += total
-		if recovered > 0 {
-			// Attribute served distance optimistically to the batch's
-			// farthest recovered... we lack per-payload identity here, so
-			// credit up to `recovered` farthest members conservatively by
-			// crediting the nearest ones first.
-			ids := append([]int(nil), batch...)
-			slices.SortStableFunc(ids, func(a, b int) int { return cmp.Compare(nodes[a].dist, nodes[b].dist) })
-			for i := 0; i < recovered && i < len(ids); i++ {
-				served(ids[i])
-			}
+		for _, i := range recovered {
+			served(batch[i])
 		}
 	}
 

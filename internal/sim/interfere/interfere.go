@@ -73,24 +73,18 @@ const powTable = 64
 // urban shadowing spread (sim.UrbanChannel().ShadowSigmaDB), and the
 // DefaultSIR rejection matrix.
 func New(base mac.SlotSuccess, marginDB float64) *CaptureModel {
-	return NewWithSIR(base, marginDB, sim.UrbanChannel().ShadowSigmaDB, &DefaultSIR)
-}
-
-// NewWithSIR is New with an explicit shadowing spread σ (dB) and SIR
-// threshold matrix, for experiments off the urban defaults.
-func NewWithSIR(base mac.SlotSuccess, marginDB, sigmaDB float64, sir *[6][6]float64) *CaptureModel {
 	cm := &CaptureModel{base: base, marginDB: marginDB}
 	if marginDB <= 0 {
 		return cm
 	}
-	s := sigmaDB * math.Sqrt2
+	s := sim.UrbanChannel().ShadowSigmaDB * math.Sqrt2
 	cm.capQ = qfunc(marginDB / s)
 	for n := range cm.capPow {
 		cm.capPow[n] = math.Pow(cm.capQ, float64(n))
 	}
 	for i := range cm.surv {
 		for j := range cm.surv[i] {
-			cm.surv[i][j] = qfunc(sir[i][j] / s)
+			cm.surv[i][j] = qfunc(DefaultSIR[i][j] / s)
 			for n := range cm.survPow[i][j] {
 				cm.survPow[i][j][n] = math.Pow(cm.surv[i][j], float64(n))
 			}

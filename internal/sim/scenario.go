@@ -225,38 +225,39 @@ func grid[T any](ctx context.Context, trials []int, fn func(cell, trial int) T) 
 
 // DecodeWith renders the scenario and runs the supplied Choir decoder —
 // typically checked out of a backend.Pool for the trial — on it, reporting
-// how many of the transmitted payloads were recovered. The decoder must be
-// built for s.Params.
-func (s Scenario) DecodeWith(dec *choir.Decoder) (recovered int, total int) {
+// which of the transmitted payloads were recovered, as indices into SNRsDB,
+// and how many were sent. The decoder must be built for s.Params.
+func (s Scenario) DecodeWith(dec *choir.Decoder) (recovered []int, total int) {
 	sig, payloads := s.Synthesize()
 	res, err := dec.Decode(trialCtx, sig, s.PayloadLen)
 	return scoreTrial(res, err, payloads), len(payloads)
 }
 
 // scoreTrial counts one decoded capture in the sim.* metrics and returns
-// how many of the truth payloads res recovered (none when err is set).
-func scoreTrial(res *choir.Result, err error, truth [][]byte) int {
+// which of the truth payloads res recovered (none when err is set).
+func scoreTrial(res *choir.Result, err error, truth [][]byte) []int {
 	mTrials.Inc()
 	mPayloadsExpected.Add(int64(len(truth)))
 	if err != nil {
 		mTrialDecodeErrs.Inc()
-		return 0
+		return nil
 	}
-	recovered := countRecovered(res.DecodedPayloads(), truth)
-	mPayloadsRecovered.Add(int64(recovered))
+	recovered := recoveredOf(res.DecodedPayloads(), truth)
+	mPayloadsRecovered.Add(int64(len(recovered)))
 	return recovered
 }
 
-// countRecovered matches decoded payloads against the transmitted ones
-// one-to-one by content and returns how many were recovered.
-func countRecovered(decoded, want [][]byte) int {
+// recoveredOf matches decoded payloads against the transmitted ones one to
+// one by content and returns the indices into want of those recovered, in
+// increasing order.
+func recoveredOf(decoded, want [][]byte) []int {
 	used := make([]bool, len(decoded))
-	recovered := 0
-	for _, w := range want {
+	var recovered []int
+	for wi, w := range want {
 		for i, got := range decoded {
 			if !used[i] && string(got) == string(w) {
 				used[i] = true
-				recovered++
+				recovered = append(recovered, wi)
 				break
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,8 +135,30 @@ func mustDecoder(cfg choir.Config) *choir.Decoder {
 func TestDecodeWithChoirRecoversHighSNRPair(t *testing.T) {
 	sc := Scenario{Params: lora.DefaultParams(), PayloadLen: 8, SNRsDB: []float64{25, 22}, Seed: 3}
 	r, n := sc.DecodeWith(mustDecoder(choir.DefaultConfig(sc.Params)))
-	if n != 2 || r != 2 {
-		t.Errorf("recovered %d/%d", r, n)
+	if n != 2 || len(r) != 2 {
+		t.Errorf("recovered %v of %d", r, n)
+	}
+}
+
+// TestDecodeWithNamesTheRecoveredUsers: DecodeWith reports which
+// transmitters' payloads came back, by position in SNRsDB, so EndToEnd
+// credits the served distance of exactly those sensors. A user far below
+// the noise floor is never named, wherever it sits in the batch.
+func TestDecodeWithNamesTheRecoveredUsers(t *testing.T) {
+	dec := mustDecoder(choir.DefaultConfig(lora.DefaultParams()))
+	for _, tc := range []struct {
+		snrs []float64
+		want []int
+	}{
+		{[]float64{25, -40}, []int{0}},
+		{[]float64{-40, 25}, []int{1}},
+		{[]float64{-40, 25, 22}, []int{1, 2}},
+	} {
+		sc := Scenario{Params: lora.DefaultParams(), PayloadLen: 8, SNRsDB: tc.snrs, Seed: 3}
+		r, n := sc.DecodeWith(dec)
+		if n != len(tc.snrs) || !slices.Equal(r, tc.want) {
+			t.Errorf("SNRs %v: recovered %v of %d, want %v", tc.snrs, r, n, tc.want)
+		}
 	}
 }
 
