@@ -129,7 +129,7 @@ func TestRunCountsIdenticalPayloadsOnce(t *testing.T) {
 // payload length is refused when the file is read — the decoder never sees
 // the length.
 func TestRunNegativePayloadLenFailsOneTrace(t *testing.T) {
-	checkOneTraceFails(t, func(h *trace.Header) { h.PayloadLen = -1 }, "trace: negative payload length -1")
+	checkOneTraceFails(t, func(h *trace.Header) { h.PayloadLen = -1 }, "lora: payload length out of range: -1 not in [0, 255]")
 }
 
 // TestRunOverflowingLengthFailsOneTrace: a header whose payload or preamble
@@ -137,7 +137,7 @@ func TestRunNegativePayloadLenFailsOneTrace(t *testing.T) {
 // read, instead of panicking in the decoder.
 func TestRunOverflowingLengthFailsOneTrace(t *testing.T) {
 	t.Run("payload_len", func(t *testing.T) {
-		checkOneTraceFails(t, func(h *trace.Header) { h.PayloadLen = 47_000_000_000_000_000 }, "trace: payload length 47000000000000000 > 255")
+		checkOneTraceFails(t, func(h *trace.Header) { h.PayloadLen = 47_000_000_000_000_000 }, "lora: payload length out of range: 47000000000000000 not in [0, 255]")
 	})
 	t.Run("preamble_len", func(t *testing.T) {
 		checkOneTraceFails(t, func(h *trace.Header) { h.Params.PreambleLen = 1 << 56 }, "lora: preamble length 72057594037927936 > 65535")

@@ -71,8 +71,8 @@ func generate(ctx context.Context, stdout io.Writer, users int, snr float64, tea
 	if users < 1 {
 		return fmt.Errorf("-users %d < 1", users)
 	}
-	if payloadLen < 0 || payloadLen > lora.MaxPayloadLen {
-		return fmt.Errorf("-payload %d outside [0, %d]", payloadLen, lora.MaxPayloadLen)
+	if err := lora.CheckPayloadLen(payloadLen); err != nil {
+		return fmt.Errorf("-payload: %w", err)
 	}
 	snrs := make([]float64, users)
 	for i := range snrs {

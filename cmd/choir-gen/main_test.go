@@ -54,8 +54,8 @@ func TestRunRefusesBadSettings(t *testing.T) {
 	}{
 		{[]string{"-users", "0"}, cli.ExitFailed, "-users 0 < 1"},
 		{[]string{"-users", "-2"}, cli.ExitFailed, "-users -2 < 1"},
-		{[]string{"-payload", "-1"}, cli.ExitFailed, "-payload -1 outside [0, 255]"},
-		{[]string{"-payload", "300"}, cli.ExitFailed, "-payload 300 outside [0, 255]"},
+		{[]string{"-payload", "-1"}, cli.ExitFailed, "-payload: lora: payload length out of range: -1 not in [0, 255]"},
+		{[]string{"-payload", "300"}, cli.ExitFailed, "-payload: lora: payload length out of range: 300 not in [0, 255]"},
 		{[]string{"-snr", "1e300"}, cli.ExitFailed, "-snr 1e+300 synthesizes non-finite sample 0 = (+Inf+Infi)"},
 		{[]string{"-snr", "NaN"}, cli.ExitUsage, "-snr NaN is not a finite dB value"},
 		{[]string{"-snr", "-Inf"}, cli.ExitUsage, "-snr -Inf is not a finite dB value"},

@@ -17,7 +17,7 @@ import (
 	"choir/internal/trace"
 )
 
-func loadFixture(t *testing.T, name string) (trace.Header, []complex128) {
+func loadFixture(t testing.TB, name string) (trace.Header, []complex128) {
 	t.Helper()
 	h, samples, err := trace.ReadFile(filepath.Join("..", "choir", "testdata", "golden", name+".iq"))
 	if err != nil {

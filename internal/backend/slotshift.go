@@ -57,29 +57,23 @@ func (b *slotshiftBackend) DecodeCtxInto(ctx context.Context, res *choir.Result,
 		if len(samples)-shift < need {
 			break
 		}
-		if !ok {
-			// Nothing recovered yet: decode straight into the caller's
-			// Result so a successful shift IS the result.
-			e := b.dec.DecodeCtxInto(ctx, res, samples[shift:], payloadLen)
-			switch {
-			case e == nil:
-				ok = true
-			case errors.Is(e, choir.ErrNoUsers):
-				continue
-			default:
-				return e
-			}
-		} else {
-			e := b.dec.DecodeCtxInto(ctx, &b.retry, samples[shift:], payloadLen)
-			switch {
-			case e == nil:
-				mergeNewPayloads(res, &b.retry)
-			case errors.Is(e, choir.ErrNoUsers):
-				continue
-			default:
-				return e
-			}
+		// Nothing recovered yet: decode straight into the caller's Result
+		// so a successful shift IS the result. Otherwise merge.
+		dst := res
+		if ok {
+			dst = &b.retry
 		}
+		e := b.dec.DecodeCtxInto(ctx, dst, samples[shift:], payloadLen)
+		if errors.Is(e, choir.ErrNoUsers) {
+			continue
+		}
+		if e != nil {
+			return e
+		}
+		if ok {
+			mergeNewPayloads(res, &b.retry)
+		}
+		ok = true
 		if allDecoded(res) {
 			break
 		}

@@ -139,15 +139,11 @@ func (s *superposedBackend) DecodeCtxInto(ctx context.Context, res *choir.Result
 	if res == nil {
 		return fmt.Errorf("superposed: DecodeCtxInto with nil Result")
 	}
-	need := s.p.FrameSamples(payloadLen)
-	if len(samples) < need {
-		return fmt.Errorf("%w: have %d samples, need %d", lora.ErrShortSignal, len(samples), need)
+	if err := s.p.CheckFrame(len(samples), payloadLen); err != nil {
+		return err
 	}
-	for i, v := range samples {
-		re, im := real(v), imag(v)
-		if math.IsNaN(re) || math.IsInf(re, 0) || math.IsNaN(im) || math.IsInf(im, 0) {
-			return fmt.Errorf("%w: sample %d = (%g,%g)", choir.ErrBadIQ, i, re, im)
-		}
+	if err := choir.ValidateIQ(samples); err != nil {
+		return err
 	}
 
 	// Preamble: cluster peaks across windows into transmitter candidates.
@@ -249,9 +245,9 @@ func (s *superposedBackend) DecodeCtxInto(ctx context.Context, res *choir.Result
 // in u.Err, as in the Choir pipeline.
 func (s *superposedBackend) decodeUser(ctx context.Context, u *choir.User, samples []complex128, start, nsym, payloadLen int) error {
 	nShift := len(s.shifts)
-	s.shiftSyms = intBuf(s.shiftSyms, nShift*nsym)
-	s.shiftScore = f64Buf(s.shiftScore, nShift)
-	s.shiftWeak = intBuf(s.shiftWeak, nShift)
+	grow(&s.shiftSyms, nShift*nsym)
+	grow(&s.shiftScore, nShift)
+	grow(&s.shiftWeak, nShift)
 	for si, shift := range s.shifts {
 		s.shiftScore[si] = -1 // out of bounds → never tried
 		if start+shift < 0 || start+shift+nsym*s.n > len(samples) {
@@ -280,8 +276,7 @@ func (s *superposedBackend) decodeUser(ctx context.Context, u *choir.User, sampl
 
 	// Alignments in descending score order; the stable sort keeps the
 	// smaller |shift| first on ties (s.shifts is ordered that way).
-	s.order = intBuf(s.order, nShift)
-	for i := range s.order {
+	for i := range grow(&s.order, nShift) {
 		s.order[i] = i
 	}
 	sort.SliceStable(s.order, func(a, b int) bool {
@@ -331,8 +326,7 @@ func (s *superposedBackend) windowSpectrum(samples []complex128, off int) float6
 	for i, v := range spec {
 		s.mags[i] = cmplx.Abs(v)
 	}
-	s.noise = f64Buf(s.noise, len(s.mags))
-	return dsp.NoiseFloorScratch(s.mags, s.noise)
+	return dsp.NoiseFloorScratch(s.mags, grow(&s.noise, len(s.mags)))
 }
 
 // gridArgmax reads the current window's magnitudes on the user's
@@ -402,18 +396,9 @@ func (s *superposedBackend) clusterPeak(pk dsp.Peak, w int) {
 	c.lastWin = w
 }
 
-// intBuf and f64Buf grow-and-reuse scratch slices (zeroed by the caller as
-// needed).
-func intBuf(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-func f64Buf(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
+// grow resizes *buf to length n, reallocating only to grow, and returns it.
+// Callers write every element they later read.
+func grow[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
 }

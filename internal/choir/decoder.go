@@ -397,14 +397,16 @@ func (d *Decoder) DecodeCtxInto(ctx context.Context, res *Result, samples []comp
 // when present). A nil avail means every sample of buf is present;
 // otherwise buf is a streaming frame's full backing array that avail
 // certifies prefix by prefix (DecodeIncrementalCtxInto). Either way the
-// stages run in one order — preamble scan, whole-frame IQ validation, data
-// symbols — so a result, error cases included, never depends on how the
-// samples arrived:
+// stages run in one order — request check, preamble scan, whole-frame IQ
+// validation, data symbols — so a result, error cases included, never
+// depends on how the samples arrived:
 //
+//   - The request check (lora's CheckFrame: payload length, then frame size)
+//     reads only len(buf), and refuses before anything is dechirped.
 //   - The preamble scan reads only buf[:PreambleLen·N], and is skipped when
 //     that prefix contains non-finite samples (the decode is doomed to
 //     ErrBadIQ, and the scan's arithmetic is only defined on finite input).
-//   - IQ validation (ErrBadIQ, ErrSaturated) is a whole-frame property, so
+//   - IQ validation (ValidateIQ) is a whole-frame property, so
 //     it runs once the full buffer is present and before the scan's
 //     estimates are consumed. It mutates nothing, so the stages after it
 //     see the scratch state the scan left.
@@ -418,10 +420,8 @@ func (d *Decoder) decode(ctx context.Context, res *Result, buf []complex128, pay
 	defer sp.Stop()
 	mDecodes.Inc()
 	defer func() { countDecodeErr(err) }()
-	p := d.cfg.LoRa
-	need := p.FrameSamples(payloadLen)
-	if len(buf) < need {
-		return fmt.Errorf("%w: have %d samples, need %d", lora.ErrShortSignal, len(buf), need)
+	if err := d.cfg.LoRa.CheckFrame(len(buf), payloadLen); err != nil {
+		return err
 	}
 	if avail == nil {
 		avail = func(context.Context, int) error { return nil }
@@ -431,7 +431,7 @@ func (d *Decoder) decode(ctx context.Context, res *Result, buf []complex128, pay
 		return err
 	}
 	var ests []userEstimate
-	if finiteIQ(buf[:prefix]) {
+	if nonFinite(buf[:prefix]) < 0 {
 		ests = d.estimatePreamble(buf)
 		if d.canceled() {
 			return d.ctxErr
@@ -440,7 +440,7 @@ func (d *Decoder) decode(ctx context.Context, res *Result, buf []complex128, pay
 	if err := avail(ctx, len(buf)); err != nil {
 		return err
 	}
-	if err := validateIQ(buf); err != nil {
+	if err := ValidateIQ(buf); err != nil {
 		return err
 	}
 	if len(ests) == 0 {

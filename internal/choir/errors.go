@@ -7,13 +7,14 @@ import (
 	"math"
 
 	"choir/internal/ctxutil"
+	"choir/internal/lora"
 )
 
 // The decoder's error taxonomy. Frame-level failures (returned by Decode,
 // DetectTeam, DecodeTeam) and per-user failures (recorded in User.Err) are
-// all wrapped around one of these sentinels — or around lora.ErrShortSignal
-// / lora.ErrCRC from the PHY layer — so callers can classify outcomes with
-// errors.Is instead of string matching.
+// all wrapped around one of these sentinels — or around lora.ErrPayloadLen,
+// lora.ErrShortSignal or lora.ErrCRC from the PHY layer — so callers can
+// classify outcomes with errors.Is instead of string matching (ErrClass).
 var (
 	// ErrBadIQ reports that the input contains non-finite (NaN or ±Inf)
 	// samples. A single such value propagates through every FFT in the
@@ -62,30 +63,58 @@ func ContextErr(ctx context.Context) error {
 	}
 }
 
-// validateIQ rejects inputs that would poison the pipeline: any non-finite
-// sample (ErrBadIQ), or severe ADC saturation (ErrSaturated). The saturation
-// test counts samples where BOTH quadratures sit exactly on the global
-// component peak — for a clean constant-envelope chirp the two components
-// only rarely peak together, but hard clipping writes the identical rail
-// value into both, so the pinned fraction jumps toward 1 as the rail drops
-// below the envelope. Exact float comparison is intentional: clipping (ours
-// and channel.Quantize's) assigns the rail, it doesn't approximate it.
-func validateIQ(samples []complex128) error {
-	if len(samples) == 0 {
-		return nil
+// errClasses is the one decode-error taxonomy: an error's class is the name
+// of the first sentinel here that it wraps (errors.Is), "other" when none.
+// The order settles a chain that wraps two sentinels: a fired context first,
+// then the capture, the separation, and the request. The comparison harness
+// histograms failures by these names, and each class has a
+// choir.decode.err.<class> counter (metrics.go).
+var errClasses = [...]struct {
+	err  error
+	name string
+}{
+	{ErrDeadline, "deadline"},
+	{ErrCanceled, "canceled"},
+	{ErrBadIQ, "bad_iq"},
+	{ErrSaturated, "saturated"},
+	{ErrTrackingLost, "tracking_lost"},
+	{ErrNoUsers, "no_users"},
+	{ErrNotDetected, "not_detected"},
+	{lora.ErrPayloadLen, "payload_len"},
+	{lora.ErrShortSignal, "short_signal"},
+	{lora.ErrCRC, "crc"},
+	{nil, "other"},
+}
+
+// errClass returns the row of err's class in errClasses.
+func errClass(err error) int {
+	i := 0
+	for errClasses[i].err != nil && !errors.Is(err, errClasses[i].err) {
+		i++
+	}
+	return i
+}
+
+// ErrClass names err's class in the decode-error taxonomy: "bad_iq",
+// "payload_len", ..., or "other" for an error wrapping no sentinel.
+func ErrClass(err error) string { return errClasses[errClass(err)].name }
+
+// ValidateIQ is the one rule for a decodable capture: it rejects any
+// non-finite sample (ErrBadIQ), then severe ADC saturation (ErrSaturated).
+// The saturation test counts samples where BOTH quadratures sit exactly on
+// the global component peak — for a clean constant-envelope chirp the two
+// components only rarely peak together, but hard clipping writes the
+// identical rail value into both, so the pinned fraction jumps toward 1 as
+// the rail drops below the envelope. Exact float comparison is intentional:
+// clipping (ours and channel.Quantize's) assigns the rail, it doesn't
+// approximate it. Every backend runs it on the whole capture.
+func ValidateIQ(samples []complex128) error {
+	if i := nonFinite(samples); i >= 0 {
+		return fmt.Errorf("%w: sample %d = (%g,%g)", ErrBadIQ, i, real(samples[i]), imag(samples[i]))
 	}
 	peak := 0.0
-	for i, v := range samples {
-		re, im := real(v), imag(v)
-		if math.IsNaN(re) || math.IsInf(re, 0) || math.IsNaN(im) || math.IsInf(im, 0) {
-			return fmt.Errorf("%w: sample %d = (%g,%g)", ErrBadIQ, i, re, im)
-		}
-		if a := math.Abs(re); a > peak {
-			peak = a
-		}
-		if a := math.Abs(im); a > peak {
-			peak = a
-		}
+	for _, v := range samples {
+		peak = max(peak, math.Abs(real(v)), math.Abs(imag(v)))
 	}
 	if peak == 0 {
 		return nil
@@ -100,4 +129,16 @@ func validateIQ(samples []complex128) error {
 		return fmt.Errorf("%w: %.0f%% of samples pinned at the rail", ErrSaturated, 100*frac)
 	}
 	return nil
+}
+
+// nonFinite returns the index of the first sample with a NaN or infinite
+// quadrature, or -1 when every sample is finite.
+func nonFinite(samples []complex128) int {
+	for i, v := range samples {
+		re, im := real(v), imag(v)
+		if math.IsNaN(re) || math.IsInf(re, 0) || math.IsNaN(im) || math.IsInf(im, 0) {
+			return i
+		}
+	}
+	return -1
 }

@@ -118,11 +118,11 @@ func TestTrackingLostIsTyped(t *testing.T) {
 }
 
 func TestValidateIQEdgeCases(t *testing.T) {
-	if err := validateIQ(nil); err != nil {
-		t.Errorf("validateIQ(nil) = %v", err)
+	if err := ValidateIQ(nil); err != nil {
+		t.Errorf("ValidateIQ(nil) = %v", err)
 	}
-	if err := validateIQ(make([]complex128, 64)); err != nil {
-		t.Errorf("validateIQ(all-zero) = %v; zero signal is not saturation", err)
+	if err := ValidateIQ(make([]complex128, 64)); err != nil {
+		t.Errorf("ValidateIQ(all-zero) = %v; zero signal is not saturation", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package choir
 import (
 	"errors"
 
-	"choir/internal/lora"
 	"choir/internal/obs"
 )
 
@@ -33,40 +32,28 @@ var (
 
 	mDecodes          = obs.NewCounter("choir.decode.calls")
 	mDecodeOK         = obs.NewCounter("choir.decode.ok")
-	mErrBadIQ         = obs.NewCounter("choir.decode.err.bad_iq")
-	mErrSaturated     = obs.NewCounter("choir.decode.err.saturated")
-	mErrShortSignal   = obs.NewCounter("choir.decode.err.short_signal")
-	mErrNoUsers       = obs.NewCounter("choir.decode.err.no_users")
-	mErrCanceled      = obs.NewCounter("choir.decode.err.canceled")
-	mErrDeadline      = obs.NewCounter("choir.decode.err.deadline")
-	mErrOther         = obs.NewCounter("choir.decode.err.other")
 	mUsersDetected    = obs.NewCounter("choir.users.detected")
 	mUserDecoded      = obs.NewCounter("choir.users.decoded")
 	mUserCRCFailed    = obs.NewCounter("choir.users.crc_failed")
 	mUserTrackingLost = obs.NewCounter("choir.users.tracking_lost")
 )
 
-// countDecodeErr classifies a frame-level decode error into the taxonomy
-// counters. A nil error counts as a successful decode.
-func countDecodeErr(err error) {
-	switch {
-	case err == nil:
-		mDecodeOK.Inc()
-	case errors.Is(err, ErrBadIQ):
-		mErrBadIQ.Inc()
-	case errors.Is(err, ErrSaturated):
-		mErrSaturated.Inc()
-	case errors.Is(err, lora.ErrShortSignal):
-		mErrShortSignal.Inc()
-	case errors.Is(err, ErrNoUsers), errors.Is(err, ErrNotDetected):
-		mErrNoUsers.Inc()
-	case errors.Is(err, ErrDeadline):
-		mErrDeadline.Inc()
-	case errors.Is(err, ErrCanceled):
-		mErrCanceled.Inc()
-	default:
-		mErrOther.Inc()
+// mDecodeErr holds one choir.decode.err.<class> counter per errClasses row.
+var mDecodeErr = func() (c [len(errClasses)]*obs.Counter) {
+	for i, e := range errClasses {
+		c[i] = obs.NewCounter("choir.decode.err." + e.name)
 	}
+	return c
+}()
+
+// countDecodeErr counts a frame-level decode outcome: ok for nil, otherwise
+// the error's class.
+func countDecodeErr(err error) {
+	if err == nil {
+		mDecodeOK.Inc()
+		return
+	}
+	mDecodeErr[errClass(err)].Inc()
 }
 
 // countUserOutcome classifies one separated user's payload outcome.

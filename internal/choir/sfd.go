@@ -53,6 +53,9 @@ func (d *Decoder) SplitOffsets(samples []complex128, maxCFOBins float64) ([]Offs
 	if len(samples) < need {
 		return nil, fmt.Errorf("%w: have %d samples, need %d", lora.ErrShortSignal, len(samples), need)
 	}
+	if err := ValidateIQ(samples); err != nil {
+		return nil, err
+	}
 
 	// Up-chirp observations from the preamble (the normal estimator).
 	ests := d.estimatePreamble(samples)

@@ -170,3 +170,15 @@ func TestSignedMod(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitOffsetsRefusesBadIQ: the offset split applies the one capture
+// rule, so a capture with non-finite samples fails as ErrBadIQ rather than
+// as a capture with no users in it.
+func TestSplitOffsetsRefusesBadIQ(t *testing.T) {
+	sig, _ := renderSFD(t, []float64{3}, []float64{0.3}, 1)
+	sig[5] = complex(math.NaN(), 0)
+	d := MustNew(DefaultConfig(sfdParams()))
+	if _, err := d.SplitOffsets(sig, 40); !errors.Is(err, ErrBadIQ) {
+		t.Fatalf("SplitOffsets(NaN capture) err = %v, want ErrBadIQ", err)
+	}
+}

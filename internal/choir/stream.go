@@ -1,9 +1,6 @@
 package choir
 
-import (
-	"context"
-	"math"
-)
+import "context"
 
 // AvailFunc blocks until at least need samples of a streaming frame are
 // present in the buffer handed to DecodeIncrementalCtxInto. It returns nil
@@ -34,17 +31,4 @@ func (d *Decoder) DecodeIncrementalCtxInto(ctx context.Context, res *Result, buf
 // prefix the early scan reads).
 func (d *Decoder) PreambleSamples() int {
 	return d.cfg.LoRa.PreambleLen * d.n
-}
-
-// finiteIQ reports whether every sample is finite in both quadratures. It is
-// the cheap gate for the preamble scan — full validation (including the
-// whole-frame saturation test) stays with validateIQ.
-func finiteIQ(samples []complex128) bool {
-	for _, v := range samples {
-		re, im := real(v), imag(v)
-		if math.IsNaN(re) || math.IsInf(re, 0) || math.IsNaN(im) || math.IsInf(im, 0) {
-			return false
-		}
-	}
-	return true
 }

@@ -42,7 +42,7 @@ func (d *Decoder) DetectTeam(samples []complex128) ([]float64, error) {
 	if len(samples) < p.PreambleLen*d.n {
 		return nil, fmt.Errorf("%w: have %d samples, need %d", lora.ErrShortSignal, len(samples), p.PreambleLen*d.n)
 	}
-	if err := validateIQ(samples); err != nil {
+	if err := ValidateIQ(samples); err != nil {
 		return nil, err
 	}
 	acc := grow(&d.accBuf, d.padN)
@@ -92,22 +92,19 @@ func (d *Decoder) DetectTeam(samples []complex128) ([]float64, error) {
 // energy over all members, decoding succeeds even when every individual
 // member is below the noise floor. ctx bounds the decode under the same
 // cooperative stage-boundary cancellation contract as Decode.
-func (d *Decoder) DecodeTeam(ctx context.Context, samples []complex128, payloadLen int) (*TeamResult, error) {
+func (d *Decoder) DecodeTeam(ctx context.Context, samples []complex128, payloadLen int) (_ *TeamResult, err error) {
 	d.armCtx(ctx)
 	defer d.disarmCtx()
 	sp := mTeamDecodeTimer.Start()
 	defer sp.Stop()
 	mDecodes.Inc()
+	defer func() { countDecodeErr(err) }()
 	p := d.cfg.LoRa
-	need := p.FrameSamples(payloadLen)
-	if len(samples) < need {
-		err := fmt.Errorf("%w: have %d samples, need %d", lora.ErrShortSignal, len(samples), need)
-		countDecodeErr(err)
+	if err := p.CheckFrame(len(samples), payloadLen); err != nil {
 		return nil, err
 	}
 	offs, err := d.DetectTeam(samples)
 	if err != nil {
-		countDecodeErr(err)
 		return nil, err
 	}
 	mUsersDetected.Add(int64(len(offs)))
@@ -118,7 +115,6 @@ func (d *Decoder) DecodeTeam(ctx context.Context, samples []complex128, payloadL
 	gains := make([]complex128, len(offs))
 	for i, f := range offs {
 		if d.canceled() {
-			countDecodeErr(d.ctxErr)
 			return nil, d.ctxErr
 		}
 		frac := f - math.Floor(f)
@@ -140,7 +136,6 @@ func (d *Decoder) DecodeTeam(ctx context.Context, samples []complex128, payloadL
 	res.Symbols = make([]int, nsym)
 	for w := 0; w < nsym; w++ {
 		if d.canceled() {
-			countDecodeErr(d.ctxErr)
 			return nil, d.ctxErr
 		}
 		dech := d.dechirpWindow(samples, start+w*d.n)
@@ -156,7 +151,6 @@ func (d *Decoder) DecodeTeam(ctx context.Context, samples []complex128, payloadL
 	} else {
 		mUserDecoded.Inc()
 	}
-	countDecodeErr(nil)
 	return res, nil
 }
 

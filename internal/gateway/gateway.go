@@ -411,8 +411,12 @@ func (g *Gateway) CompletedBeforeRestart() []uint64 {
 // assigned frame ID; the frame's terminal outcome arrives on Outcomes. A
 // rejected frame (ErrQueueFull under ShedReject, ErrStopped after Drain
 // began, or ctx firing while blocked under ShedBlock) was never accepted
-// and produces no outcome. ctx bounds only the submission itself.
+// and produces no outcome; so was a header trace.Header.Validate refuses,
+// which is not journaled either. ctx bounds only the submission itself.
 func (g *Gateway) Submit(ctx context.Context, source string, h trace.Header, samples []complex128) (uint64, error) {
+	if err := h.Validate(); err != nil {
+		return 0, fmt.Errorf("gateway: refusing frame from %s: %w", source, err)
+	}
 	return g.submitFrame(ctx, &Frame{Source: source, Header: h, Samples: samples})
 }
 

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"choir/internal/gateway/journal"
+	"choir/internal/lora"
+	"choir/internal/trace"
 )
 
 // journaledConfig is the base config the recovery tests share: journaling
@@ -336,5 +338,59 @@ func TestJournalStreamingAbortNoReplay(t *testing.T) {
 	}
 	if len(incomplete) != 0 {
 		t.Errorf("aborted stream left %d frames to replay", len(incomplete))
+	}
+}
+
+// TestSubmitRefusesWhatTheReaderRefuses: an in-process header the trace
+// reader would refuse — a payload length out of range or invalid PHY
+// parameters — fails Submit before the frame is journaled or admitted, so it
+// gets no journal record and no outcome (the parent admitted it and every
+// rung panicked).
+func TestSubmitRefusesWhatTheReaderRefuses(t *testing.T) {
+	h, sig, _ := synthFrame(1)
+	badSF := h
+	badSF.Params.SF = 0
+	bad := []trace.Header{badSF}
+	for _, n := range []int{-1, lora.MaxPayloadLen + 1} {
+		b := h
+		b.PayloadLen = n
+		bad = append(bad, b)
+	}
+	submitAll := func(g *Gateway) {
+		t.Helper()
+		for _, b := range bad {
+			_, err := g.Submit(nil, "t", b, sig)
+			if err == nil || (b.PayloadLen != h.PayloadLen) != errors.Is(err, lora.ErrPayloadLen) {
+				t.Errorf("Submit(payload %d, %v) err = %v", b.PayloadLen, b.Params.SF, err)
+			}
+		}
+		if st := g.Stats(); st.Accepted != 0 {
+			t.Errorf("accepted %d refused frames", st.Accepted)
+		}
+	}
+
+	// No workers: a journaled frame would stay on disk as incomplete.
+	dir := t.TempDir()
+	g, err := build(journaledConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAll(g)
+	g.journal.Close()
+	if incomplete, _, _, err := journal.Scan(dir); err != nil || len(incomplete) != 0 {
+		t.Errorf("journal holds %d refused frames (%v)", len(incomplete), err)
+	}
+
+	g, err = New(journaledConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := collectOutcomes(g)
+	submitAll(g)
+	if err := g.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if outs := <-done; len(outs) != 0 {
+		t.Errorf("%d outcomes for refused frames, want 0: %+v", len(outs), outs)
 	}
 }

@@ -268,7 +268,7 @@ func TestStreamIngestMalformedPreface(t *testing.T) {
 	neg := h
 	neg.PayloadLen = -1
 	preface := framedBytes(t, neg, []complex128{0})
-	if r := send(preface[:len(preface)-16]); !strings.HasPrefix(r, "error: ") || !strings.Contains(r, "negative payload length") {
+	if r := send(preface[:len(preface)-16]); !strings.HasPrefix(r, "error: ") || !strings.Contains(r, "payload length out of range: -1 not in [0, 255]") {
 		t.Errorf("negative payload reply = %q", r)
 	}
 	// Truncated length prefix.

@@ -52,9 +52,12 @@ func DecodeSymbols(syms []int, payloadLen int, p Params) (payload []byte, badCod
 // Hamming-corrects each block, dewhitens, and checks the CRC, writing the
 // payload into dst (grown when too small or nil) and drawing all temporaries
 // from s. The returned payload aliases dst's storage; it is never nil unless
-// the symbol stream is too short, so a frame of 0 payload bytes decodes to
-// an empty, non-nil payload.
+// the length is out of range (ErrPayloadLen) or the symbol stream is too
+// short, so a frame of 0 payload bytes decodes to an empty, non-nil payload.
 func DecodeSymbolsInto(s *CodecScratch, dst []byte, syms []int, payloadLen int, p Params) (payload []byte, badCodewords int, err error) {
+	if err := CheckPayloadLen(payloadLen); err != nil {
+		return nil, 0, err
+	}
 	need := SymbolsPerPayload(payloadLen, p.SF, p.CR)
 	if len(syms) < need {
 		return nil, 0, fmt.Errorf("%w: have %d data symbols, need %d", ErrShortSignal, len(syms), need)
@@ -134,6 +137,20 @@ func (p Params) FrameSamples(payloadLen int) int {
 	return (p.HeaderSymbols() + SymbolsPerPayload(payloadLen, p.SF, p.CR)) * p.N()
 }
 
+// CheckFrame is the one check of a decode request: it refuses a payload
+// length CheckPayloadLen refuses, then a capture of nSamples too short for
+// the frame (ErrShortSignal). Every decoder entry point calls it before it
+// dechirps anything.
+func (p Params) CheckFrame(nSamples, payloadLen int) error {
+	if err := CheckPayloadLen(payloadLen); err != nil {
+		return err
+	}
+	if need := p.FrameSamples(payloadLen); nSamples < need {
+		return fmt.Errorf("%w: have %d samples, need %d", ErrShortSignal, nSamples, need)
+	}
+	return nil
+}
+
 // AirTime returns the on-air duration in seconds of a frame carrying
 // payloadLen bytes.
 func (p Params) AirTime(payloadLen int) float64 {
@@ -147,9 +164,8 @@ func (p Params) AirTime(payloadLen int) float64 {
 func (m *Modem) Demodulate(samples []complex128, payloadLen int) ([]byte, error) {
 	p := m.Params
 	n := p.N()
-	need := p.FrameSamples(payloadLen)
-	if len(samples) < need {
-		return nil, fmt.Errorf("%w: have %d samples, need %d", ErrShortSignal, len(samples), need)
+	if err := p.CheckFrame(len(samples), payloadLen); err != nil {
+		return nil, err
 	}
 	// Verify sync symbols to reject frames from other networks.
 	sync := p.SyncSymbols()

@@ -2,6 +2,8 @@ package lora
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"testing"
 )
 
@@ -60,23 +62,23 @@ func FuzzFrameCodecRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeSymbolsGarbage asserts that arbitrary symbol streams never
-// panic and essentially never pass the CRC.
+// FuzzDecodeSymbolsGarbage asserts that arbitrary symbol streams at any
+// requested payload length never panic, and that a length outside
+// [0, MaxPayloadLen] fails with ErrPayloadLen.
 func FuzzDecodeSymbolsGarbage(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0))
-	f.Fuzz(func(t *testing.T, raw []byte, plenRaw uint8) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 1)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, -1)
+	f.Add([]byte{9}, math.MaxInt)
+	f.Fuzz(func(t *testing.T, raw []byte, plen int) {
 		p := DefaultParams()
-		plen := 1 + int(plenRaw)%32
-		need := SymbolsPerPayload(plen, p.SF, p.CR)
-		if len(raw) < need {
-			return
-		}
-		syms := make([]int, need)
+		syms := make([]int, len(raw))
 		for i := range syms {
 			syms[i] = int(raw[i]) % p.N()
 		}
-		// Must not panic; errors are expected.
-		_, _, _ = DecodeSymbols(syms, plen, p)
+		_, _, err := DecodeSymbols(syms, plen, p)
+		if CheckPayloadLen(plen) != nil && !errors.Is(err, ErrPayloadLen) {
+			t.Fatalf("payload length %d: err = %v, want ErrPayloadLen", plen, err)
+		}
 	})
 }
 

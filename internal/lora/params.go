@@ -148,5 +148,18 @@ func (p Params) HeaderSymbols() int { return p.PreambleLen + 2 + p.SFDLen }
 // structure being decoded.
 var ErrShortSignal = errors.New("lora: signal too short")
 
+// ErrPayloadLen is returned for a payload length no SX127x frame carries.
+var ErrPayloadLen = errors.New("lora: payload length out of range")
+
+// CheckPayloadLen refuses a payload length outside [0, MaxPayloadLen] with
+// ErrPayloadLen. It is the one range check on a length arriving from
+// outside the program: trace headers, command flags and decode requests.
+func CheckPayloadLen(n int) error {
+	if n < 0 || n > MaxPayloadLen {
+		return fmt.Errorf("%w: %d not in [0, %d]", ErrPayloadLen, n, MaxPayloadLen)
+	}
+	return nil
+}
+
 // ErrCRC is returned when a decoded payload fails its CRC-16 check.
 var ErrCRC = errors.New("lora: payload CRC mismatch")

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -141,8 +140,8 @@ type CompareRow struct {
 	// offered and recovered by content; their ratio is the goodput.
 	PayloadsExpected  int
 	PayloadsRecovered int
-	// Errors histograms decode failures by taxonomy class (errors.Is
-	// against the choir/lora sentinels), counting both whole-capture
+	// Errors histograms decode failures by taxonomy class
+	// (choir.ErrClass), counting both whole-capture
 	// failures and per-user failures inside otherwise successful decodes.
 	Errors map[string]int
 	// DecodeNs is the total wall-clock decode time: reported for
@@ -362,7 +361,7 @@ func decodeCapture(pl *backend.Pool, p lora.Params, samples []complex128, payloa
 	cell := CompareRow{Trials: 1, PayloadsExpected: len(truth), Errors: map[string]int{}}
 	b, err := pl.Get(p)
 	if err != nil {
-		cell.Errors[taxonomyClass(err)]++
+		cell.Errors[choir.ErrClass(err)]++
 		return cell
 	}
 	defer pl.Put(p, b)
@@ -371,42 +370,15 @@ func decodeCapture(pl *backend.Pool, p lora.Params, samples []complex128, payloa
 	cell.DecodeNs = time.Since(t0).Nanoseconds()
 	cell.PayloadsRecovered = len(scoreTrial(res, err, truth))
 	if err != nil {
-		cell.Errors[taxonomyClass(err)]++
+		cell.Errors[choir.ErrClass(err)]++
 		return cell
 	}
 	for _, u := range res.Users {
 		if !u.Decoded() && u.Err != nil {
-			cell.Errors[taxonomyClass(u.Err)]++
+			cell.Errors[choir.ErrClass(u.Err)]++
 		}
 	}
 	return cell
-}
-
-// taxonomyClass maps an error to its decode-taxonomy class via errors.Is,
-// so wrapped chains classify by their sentinel rather than their message.
-func taxonomyClass(err error) string {
-	switch {
-	case errors.Is(err, choir.ErrDeadline):
-		return "deadline"
-	case errors.Is(err, choir.ErrCanceled):
-		return "canceled"
-	case errors.Is(err, choir.ErrBadIQ):
-		return "bad_iq"
-	case errors.Is(err, choir.ErrSaturated):
-		return "saturated"
-	case errors.Is(err, choir.ErrTrackingLost):
-		return "tracking_lost"
-	case errors.Is(err, choir.ErrNoUsers):
-		return "no_users"
-	case errors.Is(err, choir.ErrNotDetected):
-		return "not_detected"
-	case errors.Is(err, lora.ErrShortSignal):
-		return "short_signal"
-	case errors.Is(err, lora.ErrCRC):
-		return "crc"
-	default:
-		return "other"
-	}
 }
 
 // repeat returns a slice of n copies of v.

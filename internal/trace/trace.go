@@ -52,6 +52,16 @@ type Header struct {
 	Users []string `json:"users,omitempty"`
 }
 
+// Validate refuses a header no decoder accepts: invalid PHY parameters, or a
+// payload length lora.CheckPayloadLen refuses. It is what the framed reader
+// and the gateway's in-process Submit both check.
+func (h Header) Validate() error {
+	if err := h.Params.Validate(); err != nil {
+		return err
+	}
+	return lora.CheckPayloadLen(h.PayloadLen)
+}
+
 // WriteFramed serializes a trace: a little-endian uint32 header length, the
 // JSON header, a little-endian uint32 sample count, then the samples as
 // little-endian float64 I/Q pairs. The reader knows the frame's size from
@@ -113,14 +123,8 @@ func ReadFramedPreface(r io.Reader) (Header, int, error) {
 	if h.Magic != Magic {
 		return Header{}, 0, fmt.Errorf("trace: bad magic %q", h.Magic)
 	}
-	if err := h.Params.Validate(); err != nil {
+	if err := h.Validate(); err != nil {
 		return Header{}, 0, err
-	}
-	if h.PayloadLen < 0 {
-		return Header{}, 0, fmt.Errorf("trace: negative payload length %d", h.PayloadLen)
-	}
-	if h.PayloadLen > lora.MaxPayloadLen {
-		return Header{}, 0, fmt.Errorf("trace: payload length %d > %d", h.PayloadLen, lora.MaxPayloadLen)
 	}
 	if _, err := io.ReadFull(r, n4[:]); err != nil {
 		return Header{}, 0, fmt.Errorf("trace: reading sample count: %w", err)

@@ -91,7 +91,7 @@ func TestReadRejectsNegativePayloadLen(t *testing.T) {
 	if err := WriteFramed(&buf, Header{Params: lora.DefaultParams(), PayloadLen: -1}, []complex128{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadFramedPreface(&buf); err == nil || !strings.Contains(err.Error(), "negative payload length") {
+	if _, _, err := ReadFramedPreface(&buf); !errors.Is(err, lora.ErrPayloadLen) || !strings.Contains(err.Error(), "-1 not in [0, 255]") {
 		t.Errorf("payload_len -1: err = %v", err)
 	}
 }
@@ -105,8 +105,8 @@ func TestReadRejectsLengthsPastTheRadio(t *testing.T) {
 		h    Header
 		want string
 	}{
-		{Header{Params: lora.DefaultParams(), PayloadLen: lora.MaxPayloadLen + 1}, "payload length 256 > 255"},
-		{Header{Params: lora.DefaultParams(), PayloadLen: 47_000_000_000_000_000}, "payload length 47000000000000000 > 255"},
+		{Header{Params: lora.DefaultParams(), PayloadLen: lora.MaxPayloadLen + 1}, "payload length out of range: 256 not in [0, 255]"},
+		{Header{Params: lora.DefaultParams(), PayloadLen: 47_000_000_000_000_000}, "payload length out of range: 47000000000000000 not in [0, 255]"},
 		{Header{Params: long, PayloadLen: 4}, "preamble length 72057594037927936 > 65535"},
 	} {
 		var buf bytes.Buffer
