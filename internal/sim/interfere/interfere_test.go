@@ -142,9 +142,11 @@ func TestCaptureTablesMatchPow(t *testing.T) {
 }
 
 // TestEngineTransparencyWithCapture is the satellite equivalence test end
-// to end: a zero-node foreign network and a zero-margin capture model
-// through the real engine must reproduce today's single-network metrics
-// bit-identically, on both drivers.
+// to end: a zero-margin capture model through the real engine must give
+// the plain base receiver's metrics bit-identically, on both drivers —
+// beside a zero-node foreign network, where the run is today's
+// single-network one, and beside a loaded foreign network, where the
+// same-SF foreign count joins every group's contention count.
 func TestEngineTransparencyWithCapture(t *testing.T) {
 	base := mac.ModelReceiver{Success: sim.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 30}
 	cfg := engine.Config{
@@ -172,6 +174,24 @@ func TestEngineTransparencyWithCapture(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("driver %v: zero-margin capture + zero-node foreign not transparent:\nwant %+v\ngot  %+v", driver, want, got)
+		}
+
+		loaded := cfg
+		loaded.Foreign = []engine.ForeignConfig{{Nodes: 200, ArrivalPerSlot: 0.05}}
+		want, err = engine.Run(context.Background(), loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded.Receiver = New(base, 0)
+		got, err = engine.Run(context.Background(), loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.ForeignTx == 0 {
+			t.Fatalf("driver %v: the loaded foreign network transmitted nothing", driver)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("driver %v: zero-margin capture beside a loaded foreign network differs from the plain receiver:\nwant %+v\ngot  %+v", driver, want, got)
 		}
 	}
 }
