@@ -135,6 +135,10 @@ type (
 	// CityModelReceiver is a receiver model backed by a success-probability
 	// table with an optional per-slot capacity cap.
 	CityModelReceiver = mac.ModelReceiver
+	// CityGroup is the contention group a CityConfig.Receiver is asked
+	// about: its SF index, its transmitter count and the gateway's foreign
+	// counts.
+	CityGroup = mac.Group
 	// CityForeignConfig describes one co-channel foreign network: node
 	// population, per-node offered load, and its ADR policy.
 	CityForeignConfig = engine.ForeignConfig

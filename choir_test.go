@@ -131,8 +131,8 @@ func oracleCell(slots int, seed uint64) choir.CityConfig {
 // implementable from outside the internal packages.
 type alohaRx struct{}
 
-func (alohaRx) PerTxProb(k int) float64 {
-	if k == 1 {
+func (alohaRx) Prob(g choir.CityGroup) float64 {
+	if g.K == 1 {
 		return 1
 	}
 	return 0

@@ -12,47 +12,46 @@ package mac
 
 import "fmt"
 
+// Group is one contention group as a receiver sees it: the transmissions
+// one gateway hears on one spreading factor in one slot.
+type Group struct {
+	// SFIdx is the group's spreading factor index (0 = SF7).
+	SFIdx int
+	// K counts every transmission on the group's (gateway, SF) channel:
+	// the home ones plus the same-SF foreign ones, which the receiver
+	// cannot tell apart from home contention. K >= 1.
+	K int
+	// Foreign is the gateway's foreign transmitter count by SF index in
+	// this slot (Foreign[SFIdx] is already in K), or nil when no foreign
+	// network is configured. It must not be written to.
+	Foreign *[6]int32
+}
+
 // SlotSuccess is the order-free slot-level PHY abstraction the engine
-// drives: the probability that any one of k concurrent same-channel
-// transmissions decodes. The engine draws one Bernoulli(PerTxProb(k)) per
-// transmitter from a hash of (seed, node, slot), so the outcome does not
-// depend on which driver evaluates it.
+// drives: the probability that any one transmission of a contention group
+// decodes. The engine draws one Bernoulli(Prob(g)) per home transmitter
+// from a hash of (seed, node, slot), so the outcome does not depend on
+// which driver evaluates it.
 type SlotSuccess interface {
-	// PerTxProb returns the probability that an individual transmission
-	// among k concurrent ones decodes. k >= 1.
-	PerTxProb(k int) float64
+	// Prob returns the probability that an individual transmission of
+	// group g decodes.
+	Prob(g Group) float64
 	// Capacity is the maximum number of concurrent packets the receiver can
 	// ever decode in one slot (also what the oracle scheduler grants per
 	// slot); 0 means one.
 	Capacity() int
 }
 
-// Compile-time proof that both built-in receivers are slot-success models.
-var (
-	_ SlotSuccess = AlohaReceiver{}
-	_ SlotSuccess = ModelReceiver{}
-)
-
 // AlohaReceiver is the standard LoRaWAN base station: a slot delivers a
 // packet only when exactly one node transmits (collisions destroy all
 // packets on the same spreading factor).
-type AlohaReceiver struct{}
-
-// PerTxProb implements SlotSuccess: a lone transmission always decodes, any
-// collision destroys all packets.
-func (AlohaReceiver) PerTxProb(k int) float64 {
-	if k == 1 {
-		return 1
-	}
-	return 0
+func AlohaReceiver() ModelReceiver {
+	return ModelReceiver{Success: []float64{1, 0}, MaxConcurrent: 1}
 }
-
-// Capacity implements SlotSuccess.
-func (AlohaReceiver) Capacity() int { return 1 }
 
 // ModelReceiver decodes concurrent packets according to a per-count success
 // probability table — typically calibrated against the real Choir decoder
-// (see package sim). Success[k] is the probability that any given one of k
+// (see package sim). Success[k-1] is the probability that any given one of k
 // concurrent packets decodes; indexes beyond the table use the last entry.
 type ModelReceiver struct {
 	// Success[k-1] is the per-packet decode probability with k concurrent
@@ -62,9 +61,11 @@ type ModelReceiver struct {
 	MaxConcurrent int
 }
 
-// PerTxProb implements SlotSuccess: the calibrated per-packet decode
-// probability with k concurrent transmitters; indexes beyond the table use
-// the last entry.
+// Prob implements SlotSuccess: the table entry at the group's count.
+func (m ModelReceiver) Prob(g Group) float64 { return m.PerTxProb(g.K) }
+
+// PerTxProb is the calibrated per-packet decode probability with k
+// concurrent transmitters; indexes beyond the table use the last entry.
 func (m ModelReceiver) PerTxProb(k int) float64 {
 	if len(m.Success) == 0 {
 		panic("mac: ModelReceiver with empty success table")

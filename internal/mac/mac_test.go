@@ -3,12 +3,12 @@ package mac
 import "testing"
 
 func TestAlohaReceiverSemantics(t *testing.T) {
-	rx := AlohaReceiver{}
-	if p := rx.PerTxProb(1); p != 1 {
+	rx := AlohaReceiver()
+	if p := rx.Prob(Group{K: 1}); p != 1 {
 		t.Errorf("single TX decodes with p=%g, want 1", p)
 	}
 	for _, k := range []int{2, 3, 10} {
-		if p := rx.PerTxProb(k); p != 0 {
+		if p := rx.Prob(Group{K: k}); p != 0 {
 			t.Errorf("%d-way collision decodes with p=%g, want 0", k, p)
 		}
 	}
@@ -22,6 +22,9 @@ func TestModelReceiverProbability(t *testing.T) {
 	for k, want := range map[int]float64{1: 1, 2: 0.8, 3: 0} {
 		if got := rx.PerTxProb(k); got != want {
 			t.Errorf("PerTxProb(%d) = %g, want %g", k, got, want)
+		}
+		if got := rx.Prob(Group{SFIdx: 3, K: k}); got != want {
+			t.Errorf("Prob at K %d = %g, want %g", k, got, want)
 		}
 	}
 	// Beyond the table: uses last entry (0).

@@ -57,7 +57,7 @@ func TestModelReceiverCapacityCap(t *testing.T) {
 }
 
 func TestOracleSaturatedDeliversEverySlot(t *testing.T) {
-	cfg := baseConfig(mac.SchemeOracle, 10, mac.AlohaReceiver{})
+	cfg := baseConfig(mac.SchemeOracle, 10, mac.AlohaReceiver())
 	m := run(t, cfg)
 	// Oracle with capacity-1 PHY delivers exactly one packet per slot.
 	if m.Delivered != int64(cfg.Slots) {
@@ -69,7 +69,7 @@ func TestOracleSaturatedDeliversEverySlot(t *testing.T) {
 }
 
 func TestAlohaSaturatedIsLossy(t *testing.T) {
-	cfg := baseConfig(mac.SchemeAloha, 10, mac.AlohaReceiver{})
+	cfg := baseConfig(mac.SchemeAloha, 10, mac.AlohaReceiver())
 	m := run(t, cfg)
 	if m.Delivered == 0 {
 		t.Fatal("ALOHA delivered nothing")
@@ -104,7 +104,7 @@ func TestChoirBeatsAlohaUnderRealisticModel(t *testing.T) {
 	// behaves: still far better than ALOHA.
 	success := []float64{0.99, 0.97, 0.95, 0.9, 0.85, 0.8, 0.7, 0.6, 0.5, 0.4}
 	choir := run(t, baseConfig(mac.SchemeChoir, 10, mac.ModelReceiver{Success: success}))
-	aloha := run(t, baseConfig(mac.SchemeAloha, 10, mac.AlohaReceiver{}))
+	aloha := run(t, baseConfig(mac.SchemeAloha, 10, mac.AlohaReceiver()))
 	gain := choir.GoodputBps() / aloha.GoodputBps()
 	if gain < 3 {
 		t.Errorf("Choir/ALOHA throughput gain = %.2f, want > 3", gain)
@@ -129,7 +129,7 @@ func TestLightLoadAllSchemesDeliver(t *testing.T) {
 }
 
 func TestRunIsDeterministic(t *testing.T) {
-	cfg := baseConfig(mac.SchemeAloha, 7, mac.AlohaReceiver{})
+	cfg := baseConfig(mac.SchemeAloha, 7, mac.AlohaReceiver())
 	if a, b := run(t, cfg), run(t, cfg); !reflect.DeepEqual(a, b) {
 		t.Errorf("nondeterministic: %+v vs %+v", a, b)
 	}

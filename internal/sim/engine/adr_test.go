@@ -13,7 +13,7 @@ import (
 // center, but adrSelect itself only sees (policy, distance, shadowing).
 func testCore(t *testing.T) *core {
 	t.Helper()
-	cfg := Config{Scheme: mac.SchemeChoir, Nodes: 1, Slots: 1, Receiver: mac.AlohaReceiver{}}
+	cfg := Config{Scheme: mac.SchemeChoir, Nodes: 1, Slots: 1, Receiver: mac.AlohaReceiver()}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 func arrivalCore(p float64, slots int, seed uint64) *core {
 	return newCore(Config{
 		Scheme: mac.SchemeChoir, Nodes: 4, Slots: slots, ArrivalPerSlot: p,
-		Receiver: mac.AlohaReceiver{}, Seed: seed,
+		Receiver: mac.AlohaReceiver(), Seed: seed,
 	})
 }
 
@@ -158,7 +158,7 @@ func TestTinyArrivalRate(t *testing.T) {
 	for _, p := range []float64{1e-19, math.SmallestNonzeroFloat64} {
 		cfg := Config{
 			Scheme: mac.SchemeChoir, Nodes: 3000, Gateways: 2, Slots: 5000,
-			ArrivalPerSlot: p, Receiver: mac.AlohaReceiver{}, Seed: 11,
+			ArrivalPerSlot: p, Receiver: mac.AlohaReceiver(), Seed: 11,
 		}
 		m := eventMatchesSlot(t, "tiny rate", cfg)
 		if m.Arrivals != 0 || m.Events != 0 || m.ActiveSlots != 0 {

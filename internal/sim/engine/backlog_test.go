@@ -287,7 +287,7 @@ func TestNodeStateLayout(t *testing.T) {
 	// size classes give the node array 16, which is what keeps a record on
 	// one cache line.
 	for _, n := range []int{1, 3, 1000, 200_000} {
-		c := newCore(Config{Scheme: mac.SchemeChoir, Nodes: n, Slots: 10, Receiver: mac.AlohaReceiver{}})
+		c := newCore(Config{Scheme: mac.SchemeChoir, Nodes: n, Slots: 10, Receiver: mac.AlohaReceiver()})
 		if p := uintptr(unsafe.Pointer(&c.nodes[0])); p%16 != 0 {
 			t.Errorf("a %d-node city's record array starts at %#x, off a 16-byte boundary", n, p)
 		}

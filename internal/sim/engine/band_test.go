@@ -61,7 +61,7 @@ func TestBandsPartitionNodes(t *testing.T) {
 	} {
 		c := newCore(Config{
 			Scheme: mac.SchemeChoir, Nodes: tc.nodes, Gateways: tc.gateways, Slots: 1,
-			SideM: tc.sideM, Receiver: mac.AlohaReceiver{}, Seed: 5,
+			SideM: tc.sideM, Receiver: mac.AlohaReceiver(), Seed: 5,
 		})
 		split := 0
 		for w := 1; w <= c.gwRows; w++ {
@@ -137,9 +137,9 @@ func TestMetricsAddCoversEveryTotal(t *testing.T) {
 }
 
 // panicReceiver panics on its first call, from whichever band makes it.
-type panicReceiver struct{ mac.AlohaReceiver }
+type panicReceiver struct{ mac.ModelReceiver }
 
-func (panicReceiver) PerTxProb(int) float64 { panic("receiver fault") }
+func (panicReceiver) Prob(mac.Group) float64 { panic("receiver fault") }
 
 // TestBandPanicReachesCaller pins a band's panic: it stops the other bands
 // and is raised again on the goroutine that called Run once every band is
@@ -147,7 +147,7 @@ func (panicReceiver) PerTxProb(int) float64 { panic("receiver fault") }
 func TestBandPanicReachesCaller(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	cfg := busyCity(DriverEvent)
-	cfg.Receiver = panicReceiver{}
+	cfg.Receiver = panicReceiver{mac.AlohaReceiver()}
 	func() {
 		defer func() {
 			if r := recover(); r != "receiver fault" {

@@ -152,23 +152,6 @@ type ForeignConfig struct {
 	ADR ADRPolicy
 }
 
-// ForeignSlotSuccess extends mac.SlotSuccess for interfered slots: the
-// per-transmission decode probability may depend not only on the home
-// same-group contention k but on the foreign transmitter counts heard at
-// the same gateway across every SF (same-SF foreign frames contend,
-// cross-SF frames leak through imperfect orthogonality). The capture-effect
-// model in internal/sim/interfere implements it; a plain mac.SlotSuccess
-// still works with foreign networks — the engine then adds the same-SF
-// foreign count to k and ignores cross-SF leakage.
-type ForeignSlotSuccess interface {
-	mac.SlotSuccess
-	// PerTxProbForeign returns the probability that one of k concurrent
-	// same-(gateway, SF) home transmissions decodes, given foreign[j]
-	// concurrent foreign transmissions at spreading factor SF7+j heard by
-	// the same gateway. sfIdx is the home group's SF index (0 = SF7).
-	PerTxProbForeign(k int, sfIdx int, foreign *[6]int32) float64
-}
-
 // Config parameterizes a city simulation.
 type Config struct {
 	// Scheme is the MAC under test. SchemeAloha backs off after a failed
@@ -210,19 +193,20 @@ type Config struct {
 	// gives every gateway a ~1.6 km cell (the paper's urban single-client
 	// range is ~1 km).
 	SideM float64
-	// PayloadLen is the payload size in bytes (default 12), used for
-	// per-SF airtime accounting.
+	// PayloadLen is the payload size in bytes, at most lora.MaxPayloadLen
+	// (default 12), used for per-SF airtime accounting.
 	PayloadLen int
 	// SlotSeconds is the wall-clock slot length (default: SF12 airtime at
 	// PayloadLen plus 10% guard, so every rate fits in a slot).
 	SlotSeconds float64
-	// Receiver is the per-(gateway, SF) slot-level PHY: with k concurrent
-	// same-gateway same-SF transmissions, each decodes independently with
-	// probability Receiver.PerTxProb(k), and at most Receiver.Capacity()
-	// decode per group per slot. A Receiver that also implements
-	// ForeignSlotSuccess is consulted with the slot's foreign transmitter
-	// counts when foreign networks are configured. The event driver's bands
-	// call it concurrently, so it must be safe for concurrent use.
+	// Receiver is the per-(gateway, SF) slot-level PHY: each home
+	// transmission of a contention group decodes independently with
+	// probability Receiver.Prob(group), and at most Receiver.Capacity()
+	// decode per group per slot. The group's count includes the same-SF
+	// foreign transmissions, and its Foreign field carries the gateway's
+	// per-SF foreign counts when foreign networks are configured (see
+	// groupProb). The event driver's bands call it concurrently, so it
+	// must be safe for concurrent use.
 	Receiver mac.SlotSuccess
 	// ADR selects the home network's rate-adaptation policy (default
 	// ADRFastestSNR, the engine's original behavior).
@@ -272,14 +256,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: MaxBackoffExp %d outside [0,30]", c.MaxBackoffExp)
 	case c.SideM < 0 || math.IsNaN(c.SideM) || math.IsInf(c.SideM, 0):
 		return fmt.Errorf("engine: SideM %g is not a finite length >= 0", c.SideM)
-	case c.PayloadLen < 0:
-		return fmt.Errorf("engine: PayloadLen %d < 0", c.PayloadLen)
 	case c.SlotSeconds < 0 || math.IsNaN(c.SlotSeconds) || math.IsInf(c.SlotSeconds, 0):
 		return fmt.Errorf("engine: SlotSeconds %g is not a finite duration >= 0", c.SlotSeconds)
 	case c.Receiver == nil:
 		return fmt.Errorf("engine: nil Receiver")
 	case c.ADR < ADRFastestSNR || c.ADR >= numADRPolicies:
 		return fmt.Errorf("engine: unknown ADR policy %d", int(c.ADR))
+	}
+	if err := lora.CheckPayloadLen(c.PayloadLen); err != nil {
+		return fmt.Errorf("engine: PayloadLen: %w", err)
 	}
 	for fi, fn := range c.Foreign {
 		switch {
@@ -443,13 +428,11 @@ type core struct {
 	// foreign node attached to gw, by SF index, and foreignFloor[gw] the
 	// exp(-λ) a Poisson draw at that rate stops at, which does not change
 	// during a run. foreignOn gates the whole interference path so
-	// zero-foreign configs skip it entirely; frx is the Receiver's
-	// ForeignSlotSuccess view, nil when it only implements mac.SlotSuccess.
+	// zero-foreign configs skip it entirely.
 	hForeignTx   uint64
 	foreignRate  [][6]float64
 	foreignFloor [][6]float64
 	foreignOn    bool
-	frx          ForeignSlotSuccess
 
 	nodes []nodeState
 }
@@ -695,7 +678,6 @@ func (c *core) initForeign(hFP, hFS uint64) {
 	if !c.foreignOn {
 		return
 	}
-	c.frx, _ = c.cfg.Receiver.(ForeignSlotSuccess)
 	c.foreignRate = make([][6]float64, len(c.gwPosX))
 	for ni, fn := range c.cfg.Foreign {
 		if fn.Nodes <= 0 || fn.ArrivalPerSlot <= 0 {
@@ -1063,8 +1045,8 @@ func (b *band) grantOracle(s int64, tx *[]int32, granted map[uint32]int32, defer
 	*tx = kept
 }
 
-// decodeDraw is the per-transmission Bernoulli draw: with k concurrent
-// same-group transmissions each decodes with probability PerTxProb(k).
+// decodeDraw is the per-transmission Bernoulli draw: a transmission
+// decodes when its draw falls below its group's groupProb.
 func (c *core) decodeDraw(i int32, s int64) float64 {
 	return unitOf(exec.Mix(exec.Mix(c.hDecode, uint64(i)), uint64(s)))
 }

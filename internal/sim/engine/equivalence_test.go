@@ -42,7 +42,7 @@ func randomConfig(rng *rand.Rand) Config {
 	}
 	switch rng.IntN(3) {
 	case 0:
-		cfg.Receiver = mac.AlohaReceiver{}
+		cfg.Receiver = mac.AlohaReceiver()
 	case 1:
 		// Generous table: the capacity cap never binds.
 		cfg.Receiver = mac.ModelReceiver{Success: sim.AnalyticChoirTable(64, 0.95, 14)}
@@ -51,9 +51,9 @@ func randomConfig(rng *rand.Rand) Config {
 		// binds hard, exercising the ascending-node-order prefix rule.
 		cfg.Receiver = mac.ModelReceiver{Success: []float64{1, 0.9, 0.7, 0.5}, MaxConcurrent: 2}
 	}
-	// Every ADR policy and the foreign-network interference path (via the
-	// plain-SlotSuccess fallback: same-SF foreign counts join contention)
-	// are part of the equivalence property's search space too.
+	// Every ADR policy and the foreign-network interference path (same-SF
+	// foreign counts join each group's count) are part of the equivalence
+	// property's search space too.
 	cfg.ADR = ADRPolicy(rng.IntN(int(numADRPolicies)))
 	if rng.IntN(2) == 0 {
 		cfg.Foreign = []ForeignConfig{{
@@ -101,10 +101,10 @@ type maxKReceiver struct {
 	maxK *atomic.Int64
 }
 
-func (r maxKReceiver) PerTxProb(k int) float64 {
-	for m := r.maxK.Load(); int64(k) > m && !r.maxK.CompareAndSwap(m, int64(k)); m = r.maxK.Load() {
+func (r maxKReceiver) Prob(g mac.Group) float64 {
+	for m := r.maxK.Load(); int64(g.K) > m && !r.maxK.CompareAndSwap(m, int64(g.K)); m = r.maxK.Load() {
 	}
-	return r.SlotSuccess.PerTxProb(k)
+	return r.SlotSuccess.Prob(g)
 }
 
 // TestEventSlotEquivalence is the load-bearing property of the engine:
@@ -282,7 +282,7 @@ func TestRunConservation(t *testing.T) {
 		ArrivalPerSlot: 0.02,
 		Unslotted:      true,
 		PayloadLen:     12,
-		Receiver:       mac.AlohaReceiver{},
+		Receiver:       mac.AlohaReceiver(),
 		Seed:           5,
 	})
 	checkConservation(t, m)
@@ -361,7 +361,7 @@ func TestSweepSeedDerivation(t *testing.T) {
 // capacity-c cell delivers c packets every slot.
 func TestOracleNeverCollides(t *testing.T) {
 	receivers := []mac.SlotSuccess{
-		mac.AlohaReceiver{},
+		mac.AlohaReceiver(),
 		mac.ModelReceiver{Success: []float64{1, 1, 1, 0, 0}, MaxConcurrent: 3},
 	}
 	for _, rx := range receivers {
@@ -422,7 +422,7 @@ func TestValidateRejects(t *testing.T) {
 		Nodes:    4,
 		Gateways: 1,
 		Slots:    10,
-		Receiver: mac.AlohaReceiver{},
+		Receiver: mac.AlohaReceiver(),
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -442,6 +442,9 @@ func TestValidateRejects(t *testing.T) {
 		{"arrival", func(c *Config) { c.ArrivalPerSlot = 1.5 }, "ArrivalPerSlot"},
 		{"side-inf", func(c *Config) { c.SideM = math.Inf(1) }, "SideM"},
 		{"side-nan", func(c *Config) { c.SideM = math.NaN() }, "SideM"},
+		{"payload-negative", func(c *Config) { c.PayloadLen = -1 }, "PayloadLen"},
+		{"payload-256", func(c *Config) { c.PayloadLen = 256 }, "PayloadLen"},
+		{"payload-maxint", func(c *Config) { c.PayloadLen = math.MaxInt }, "PayloadLen"},
 		{"slot-seconds-inf", func(c *Config) { c.SlotSeconds = math.Inf(1) }, "SlotSeconds"},
 		{"slot-seconds-nan", func(c *Config) { c.SlotSeconds = math.NaN() }, "SlotSeconds"},
 		{"receiver", func(c *Config) { c.Receiver = nil }, "Receiver"},

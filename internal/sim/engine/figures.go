@@ -66,7 +66,7 @@ var baselines = []mac.Scheme{mac.SchemeAloha, mac.SchemeOracle, mac.SchemeChoir}
 func baselineCells(nodes int, table []float64, p lora.Params) []cell {
 	cells := make([]cell, len(baselines))
 	for i, scheme := range baselines {
-		cells[i] = cell{scheme: scheme, nodes: nodes, rx: mac.AlohaReceiver{}, p: p}
+		cells[i] = cell{scheme: scheme, nodes: nodes, rx: mac.AlohaReceiver(), p: p}
 		if scheme == mac.SchemeChoir {
 			cells[i].rx = mac.ModelReceiver{Success: table}
 		}
@@ -345,8 +345,8 @@ func Fig12MUMIMO(ctx context.Context, cfg Fig12Config) (*sim.Figure, error) {
 
 	p := f8.Calibration.Params
 	cells := []cell{
-		{mac.SchemeAloha, cfg.Users, mac.AlohaReceiver{}, p},
-		{mac.SchemeOracle, cfg.Users, mac.AlohaReceiver{}, p},
+		{mac.SchemeAloha, cfg.Users, mac.AlohaReceiver(), p},
+		{mac.SchemeOracle, cfg.Users, mac.AlohaReceiver(), p},
 		// MU-MIMO: zero-forcing decodes every stream while concurrency <= A,
 		// nothing beyond; the oracle scheduler feeds it A at a time.
 		{mac.SchemeOracle, cfg.Users, mac.ModelReceiver{

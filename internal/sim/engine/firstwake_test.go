@@ -75,7 +75,7 @@ func checkChannel(t testing.TB, c *core, x, y float64, hs uint64) {
 func linkCore(side float64, gateways int, seed uint64) *core {
 	return newCore(Config{
 		Scheme: mac.SchemeChoir, Nodes: 1, Gateways: gateways, Slots: 1, SideM: side,
-		Receiver: mac.AlohaReceiver{}, Seed: seed,
+		Receiver: mac.AlohaReceiver(), Seed: seed,
 	})
 }
 
@@ -243,7 +243,7 @@ func FuzzFirstWake(f *testing.F) {
 func TestFirstWakeFallbackRate(t *testing.T) {
 	cfg := Config{
 		Scheme: mac.SchemeChoir, Nodes: 1_000_000, Gateways: 16, Slots: 50_000,
-		ArrivalPerSlot: 2e-5, Receiver: mac.AlohaReceiver{}, Seed: 7,
+		ArrivalPerSlot: 2e-5, Receiver: mac.AlohaReceiver(), Seed: 7,
 	}
 	c := newCore(cfg)
 	fell := 0

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"choir/internal/exec"
+	"choir/internal/mac"
 )
 
 // maxForeignDraw caps one (gateway, SF, slot) foreign transmitter draw.
@@ -102,20 +103,16 @@ func (c *core) foreignFor(fs *foreignSlot, gw int32, s int64) *[6]int32 {
 
 // groupProb is the per-transmission decode probability for home group g
 // with k concurrent home transmissions at slot s, foreign interference
-// included. With no foreign traffic it is exactly Receiver.PerTxProb(k) —
-// the zero-foreign transparency the equivalence tests pin. A Receiver that
-// implements ForeignSlotSuccess sees the full per-SF foreign counts;
-// otherwise same-SF foreign frames simply join the contention count and
-// cross-SF leakage is ignored.
+// included. It builds the group once and makes the one receiver call:
+// with foreign networks configured, the same-SF foreign transmitters join
+// the count and the gateway's per-SF foreign counts ride along; without,
+// the group is the k home transmissions alone — the zero-foreign
+// transparency the equivalence tests pin.
 func (c *core) groupProb(fs *foreignSlot, g uint32, k int32, s int64) float64 {
-	if !c.foreignOn {
-		return c.cfg.Receiver.PerTxProb(int(k))
+	grp := mac.Group{SFIdx: int(g & 7), K: int(k)}
+	if c.foreignOn {
+		grp.Foreign = c.foreignFor(fs, int32(g>>3), s)
+		grp.K += int(grp.Foreign[grp.SFIdx])
 	}
-	gw := int32(g >> 3)
-	sfIdx := int(g & 7)
-	nf := c.foreignFor(fs, gw, s)
-	if c.frx != nil {
-		return c.frx.PerTxProbForeign(int(k), sfIdx, nf)
-	}
-	return c.cfg.Receiver.PerTxProb(int(k) + int(nf[sfIdx]))
+	return c.cfg.Receiver.Prob(grp)
 }

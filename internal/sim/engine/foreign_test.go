@@ -160,7 +160,7 @@ func TestPoissonDraw(t *testing.T) {
 func TestForeignForMatchesReference(t *testing.T) {
 	c := newCore(Config{
 		Scheme: mac.SchemeChoir, Nodes: 10, Gateways: 4, Slots: 10,
-		Receiver: mac.AlohaReceiver{},
+		Receiver: mac.AlohaReceiver(),
 		Foreign: []ForeignConfig{
 			{Nodes: 400, ArrivalPerSlot: 1e-3},
 			{Nodes: 9000, ArrivalPerSlot: 0.3, ADR: ADRFixedSF12},
@@ -213,7 +213,7 @@ func TestForeignDegradesDelivery(t *testing.T) {
 		Slots:          300,
 		ArrivalPerSlot: 0.05,
 		PayloadLen:     12,
-		Receiver:       mac.AlohaReceiver{},
+		Receiver:       mac.AlohaReceiver(),
 		Seed:           13,
 	}
 	clean := mustRun(t, base)

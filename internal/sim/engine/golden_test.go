@@ -71,7 +71,7 @@ func TestMetricsGolden(t *testing.T) {
 		m := record(fmt.Sprintf("aloha_cell/cap%d", queueCap), Config{
 			Scheme: mac.SchemeAloha, Nodes: 8, Gateways: 1, Slots: 6000,
 			ArrivalPerSlot: 0.2, QueueCap: queueCap, MaxBackoffExp: 5,
-			SideM: 10, PayloadLen: 12, Receiver: mac.AlohaReceiver{}, Seed: 77,
+			SideM: 10, PayloadLen: 12, Receiver: mac.AlohaReceiver(), Seed: 77,
 		})
 		buckets := 0
 		for _, c := range m.LatencyHist {

@@ -43,7 +43,7 @@ func TestMetricsIndependentOfWidth(t *testing.T) {
 		}},
 		{"unslotted-aloha/16gw", engine.Config{
 			Scheme: mac.SchemeAloha, Nodes: 3000, Gateways: 16, Slots: 300,
-			ArrivalPerSlot: 0.01, Unslotted: true, MaxBackoffExp: 4, Receiver: mac.AlohaReceiver{}, Seed: 13,
+			ArrivalPerSlot: 0.01, Unslotted: true, MaxBackoffExp: 4, Receiver: mac.AlohaReceiver(), Seed: 13,
 		}},
 		{"capture-foreign/16gw", engine.Config{
 			Scheme: mac.SchemeChoir, Nodes: 4000, Gateways: 16, Slots: 300, ArrivalPerSlot: 0.01,

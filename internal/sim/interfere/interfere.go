@@ -3,8 +3,8 @@
 // compares Choir's collision decoding against classic ADR policies when the
 // city is shared with co-channel foreign LP-WANs. It composes the pieces
 // the engine already exposes — engine.ForeignConfig populations,
-// engine.ADRPolicy rate adaptation, and the ForeignSlotSuccess receiver
-// hook — into LoRaSim's experiment 0–5 matrix (SNIPPETS.md §3) under
+// engine.ADRPolicy rate adaptation, and the mac.Group every receiver call
+// carries — into LoRaSim's experiment 0–5 matrix (SNIPPETS.md §3) under
 // interference.
 package interfere
 
@@ -30,12 +30,11 @@ var DefaultSIR = [6][6]float64{
 	{-36, -36, -36, -36, -36, 6},
 }
 
-// CaptureModel wraps a base mac.SlotSuccess with the capture effect and
-// per-SF imperfect orthogonality. Per transmission:
+// CaptureModel wraps a base mac.ModelReceiver table with the capture
+// effect and per-SF imperfect orthogonality. Per transmission of a group
+// of K (home plus same-SF foreign, which the receiver cannot tell apart):
 //
-//   - Same-SF foreign frames join the home contention count (they are
-//     indistinguishable interference at the receiver).
-//   - With probability capQ^(kEff-1) the frame is stronger than every
+//   - With probability capQ^(K-1) the frame is stronger than every
 //     contender by MarginDB and captures the channel, decoding as if alone;
 //     otherwise it faces the full collision. Power differences between two
 //     independently-shadowed links are N(0, 2σ²) in dB, so the pairwise
@@ -45,18 +44,16 @@ var DefaultSIR = [6][6]float64{
 //     Q(SIR[i][j] / (σ√2)) per interferer.
 //
 // MarginDB <= 0 turns capture and cross-SF leakage off entirely: the model
-// degenerates to adding the same-SF foreign count to k, which with zero
-// foreign traffic is bit-identical to the base receiver — the transparency
-// the equivalence tests pin. Construct with New; the zero value is not
-// usable.
+// is then bit-identical to its base receiver — the transparency the
+// equivalence tests pin. Construct with New; the zero value is not usable.
 //
 // The model's two bases never change after construction and their
 // exponents are transmitter counts, so capPow and survPow hold the powers
-// below powTable as math.Pow returned them: PerTxProbForeign reads what it
+// below powTable as math.Pow returned them: Prob reads what it
 // would otherwise compute per group per slot, bit for bit, and calls
 // math.Pow only for a count beyond the table.
 type CaptureModel struct {
-	base     mac.SlotSuccess
+	base     mac.ModelReceiver
 	marginDB float64
 	capQ     float64
 	surv     [6][6]float64
@@ -72,7 +69,7 @@ const powTable = 64
 // New builds a CaptureModel over base with the given capture margin, the
 // urban shadowing spread (sim.UrbanChannel().ShadowSigmaDB), and the
 // DefaultSIR rejection matrix.
-func New(base mac.SlotSuccess, marginDB float64) *CaptureModel {
+func New(base mac.ModelReceiver, marginDB float64) *CaptureModel {
 	cm := &CaptureModel{base: base, marginDB: marginDB}
 	if marginDB <= 0 {
 		return cm
@@ -104,35 +101,36 @@ func powOf(table *[powTable]float64, base float64, n int) float64 {
 // qfunc is the Gaussian tail probability Q(x) = P(N(0,1) > x).
 func qfunc(x float64) float64 { return 0.5 * math.Erfc(x/math.Sqrt2) }
 
-// PerTxProb implements mac.SlotSuccess: with no foreign information the
-// capture effect still applies among the k home contenders.
-func (cm *CaptureModel) PerTxProb(k int) float64 {
-	var none [6]int32
-	return cm.PerTxProbForeign(k, 0, &none)
-}
-
 // Capacity implements mac.SlotSuccess. Foreign frames are never decoded
 // for us, so they do not consume the base receiver's per-slot decode
 // capacity — they only degrade the per-transmission probability.
 func (cm *CaptureModel) Capacity() int { return cm.base.Capacity() }
 
-// PerTxProbForeign implements engine.ForeignSlotSuccess.
-func (cm *CaptureModel) PerTxProbForeign(k, sfIdx int, foreign *[6]int32) float64 {
-	kEff := k + int(foreign[sfIdx])
-	p := cm.base.PerTxProb(kEff)
+// Prob implements mac.SlotSuccess.
+func (cm *CaptureModel) Prob(g mac.Group) float64 {
+	p := cm.base.PerTxProb(g.K)
 	if cm.marginDB <= 0 {
 		return p
 	}
-	if kEff > 1 {
+	if g.K > 1 {
 		if p1 := cm.base.PerTxProb(1); p1 > p {
-			p += (p1 - p) * powOf(&cm.capPow, cm.capQ, kEff-1)
+			p += (p1 - p) * powOf(&cm.capPow, cm.capQ, g.K-1)
 		}
 	}
-	for j, n := range foreign {
-		if j == sfIdx || n == 0 {
+	if g.Foreign == nil {
+		return p
+	}
+	for j, n := range g.Foreign {
+		if j == g.SFIdx || n == 0 {
 			continue
 		}
-		p *= powOf(&cm.survPow[sfIdx][j], cm.surv[sfIdx][j], int(n))
+		p *= powOf(&cm.survPow[g.SFIdx][j], cm.surv[g.SFIdx][j], int(n))
 	}
 	return p
+}
+
+// PerTxProbForeign is Prob for k home transmissions at SF index sfIdx
+// beside the given foreign counts.
+func (cm *CaptureModel) PerTxProbForeign(k, sfIdx int, foreign *[6]int32) float64 {
+	return cm.Prob(mac.Group{SFIdx: sfIdx, K: k + int(foreign[sfIdx]), Foreign: foreign})
 }

@@ -19,27 +19,22 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden sweep table")
 
 // TestCaptureZeroMarginTransparent pins the sentinel: MarginDB <= 0 makes
-// the CaptureModel bit-transparent to its base receiver — identical
-// PerTxProb for every k, and PerTxProbForeign degenerating to the plain
-// add-same-SF-count fallback.
+// the CaptureModel bit-transparent to its base receiver — the base table's
+// entry at the group's count, whatever the foreign counts beside it.
 func TestCaptureZeroMarginTransparent(t *testing.T) {
 	base := mac.ModelReceiver{Success: sim.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 30}
 	cm := New(base, 0)
 	if cm.Capacity() != base.Capacity() {
 		t.Fatalf("capacity changed: %d vs %d", cm.Capacity(), base.Capacity())
 	}
-	for k := 1; k <= 40; k++ {
-		if got, want := cm.PerTxProb(k), base.PerTxProb(k); got != want {
-			t.Fatalf("PerTxProb(%d) = %v, want %v (bit-identical)", k, got, want)
-		}
-	}
 	foreign := [6]int32{0, 3, 0, 0, 7, 0}
-	for k := 1; k <= 10; k++ {
+	for k := 1; k <= 40; k++ {
 		for sfIdx := 0; sfIdx < 6; sfIdx++ {
-			got := cm.PerTxProbForeign(k, sfIdx, &foreign)
-			want := base.PerTxProb(k + int(foreign[sfIdx]))
-			if got != want {
-				t.Fatalf("PerTxProbForeign(%d, %d) = %v, want %v", k, sfIdx, got, want)
+			for _, f := range []*[6]int32{nil, &foreign} {
+				g := mac.Group{SFIdx: sfIdx, K: k, Foreign: f}
+				if got, want := cm.Prob(g), base.PerTxProb(k); got != want {
+					t.Fatalf("Prob(%+v) = %v, want %v (bit-identical)", g, got, want)
+				}
 			}
 		}
 	}
@@ -50,20 +45,19 @@ func TestCaptureZeroMarginTransparent(t *testing.T) {
 // more same-SF contention or cross-SF interference only hurts, and every
 // probability stays in [0,1].
 func TestCaptureModelShape(t *testing.T) {
-	cm := New(mac.AlohaReceiver{}, 6)
-	var none [6]int32
-	if p := cm.PerTxProbForeign(1, 0, &none); p != 1 {
+	cm := New(mac.AlohaReceiver(), 6)
+	if p := cm.Prob(mac.Group{K: 1}); p != 1 {
 		t.Fatalf("lone transmission: %v, want 1", p)
 	}
 	// ALOHA says two transmitters always collide; capture gives the
 	// stronger one a real chance.
-	p2 := cm.PerTxProbForeign(2, 0, &none)
+	p2 := cm.Prob(mac.Group{K: 2})
 	if p2 <= 0 || p2 >= 1 {
 		t.Fatalf("two-transmitter capture probability %v outside (0,1)", p2)
 	}
 	prev := p2
 	for k := 3; k <= 8; k++ {
-		p := cm.PerTxProbForeign(k, 0, &none)
+		p := cm.Prob(mac.Group{K: k})
 		if p > prev {
 			t.Fatalf("capture probability rose with contention: k=%d %v > %v", k, p, prev)
 		}
@@ -71,23 +65,29 @@ func TestCaptureModelShape(t *testing.T) {
 	}
 	// Cross-SF interference multiplies in survival < 1 per interferer.
 	one := [6]int32{0, 0, 0, 0, 0, 4}
-	pClean := cm.PerTxProbForeign(1, 0, &none)
-	pNoisy := cm.PerTxProbForeign(1, 0, &one)
+	pClean := cm.Prob(mac.Group{K: 1})
+	pNoisy := cm.Prob(mac.Group{K: 1, Foreign: &one})
 	if !(pNoisy < pClean) || pNoisy < 0 {
 		t.Fatalf("cross-SF interference did not degrade: clean %v noisy %v", pClean, pNoisy)
 	}
-	// The home SF index's own foreign count joins contention instead.
+	// The home SF index's own foreign count is already in K: the model
+	// does not count it a second time, and PerTxProbForeign, which takes
+	// the home count alone, folds it in.
 	same := [6]int32{2, 0, 0, 0, 0, 0}
-	if got, want := cm.PerTxProbForeign(1, 0, &same), cm.PerTxProbForeign(3, 0, &none); got != want {
-		t.Fatalf("same-SF foreign frames should join contention: %v vs %v", got, want)
+	if got, want := cm.Prob(mac.Group{K: 3, Foreign: &same}), cm.Prob(mac.Group{K: 3}); got != want {
+		t.Fatalf("same-SF foreign frames counted twice: %v vs %v", got, want)
+	}
+	if got, want := cm.PerTxProbForeign(1, 0, &same), cm.Prob(mac.Group{K: 3, Foreign: &same}); got != want {
+		t.Fatalf("PerTxProbForeign does not fold the same-SF count into K: %v vs %v", got, want)
 	}
 	if q := qfunc(0); math.Abs(q-0.5) > 1e-12 {
 		t.Fatalf("Q(0) = %v, want 0.5", q)
 	}
 }
 
-// perTxProbForeignReference is PerTxProbForeign with every power computed
-// by math.Pow on the spot, as the model did before it kept tables.
+// perTxProbForeignReference is Prob, for k home transmissions beside the
+// given foreign counts, with every power computed by math.Pow on the spot,
+// as the model did before it kept tables.
 func perTxProbForeignReference(cm *CaptureModel, k, sfIdx int, foreign *[6]int32) float64 {
 	kEff := k + int(foreign[sfIdx])
 	p := cm.base.PerTxProb(kEff)
@@ -111,7 +111,7 @@ func perTxProbForeignReference(cm *CaptureModel, k, sfIdx int, foreign *[6]int32
 // TestCaptureTablesMatchPow pins the power tables to what they replace:
 // for every home count 1…100, home SF and foreign count 0…100 — both
 // sides of the table's edge at 64, for the contention exponent and for
-// the cross-SF one — PerTxProbForeign returns the bit pattern the
+// the cross-SF one — Prob returns the bit pattern the
 // math.Pow reference returns, with capture on and off.
 func TestCaptureTablesMatchPow(t *testing.T) {
 	base := mac.ModelReceiver{Success: sim.AnalyticChoirTable(30, 0.95, 14), MaxConcurrent: 30}
@@ -128,7 +128,7 @@ func TestCaptureTablesMatchPow(t *testing.T) {
 				vectors["same SF"], vectors["one cross SF"] = same, cross
 				for name, foreign := range vectors {
 					for k := 1; k <= 100; k++ {
-						got := cm.PerTxProbForeign(k, sfIdx, &foreign)
+						got := cm.Prob(mac.Group{SFIdx: sfIdx, K: k + int(foreign[sfIdx]), Foreign: &foreign})
 						want := perTxProbForeignReference(cm, k, sfIdx, &foreign)
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("margin %g, k %d, SF index %d, foreign %v (%s): %v (%#x), math.Pow gives %v (%#x)",
@@ -197,16 +197,21 @@ func TestEngineTransparencyWithCapture(t *testing.T) {
 }
 
 // maxKReceiver records the largest home contention count the engine asked
-// the capture model about. The event driver's bands ask it concurrently.
+// the capture model about: the group's count without its same-SF foreign
+// frames. The event driver's bands ask it concurrently.
 type maxKReceiver struct {
 	*CaptureModel
 	maxK *atomic.Int64
 }
 
-func (r maxKReceiver) PerTxProbForeign(k, sfIdx int, foreign *[6]int32) float64 {
-	for m := r.maxK.Load(); int64(k) > m && !r.maxK.CompareAndSwap(m, int64(k)); m = r.maxK.Load() {
+func (r maxKReceiver) Prob(g mac.Group) float64 {
+	k := int64(g.K)
+	if g.Foreign != nil {
+		k -= int64(g.Foreign[g.SFIdx])
 	}
-	return r.CaptureModel.PerTxProbForeign(k, sfIdx, foreign)
+	for m := r.maxK.Load(); k > m && !r.maxK.CompareAndSwap(m, k); m = r.maxK.Load() {
+	}
+	return r.CaptureModel.Prob(g)
 }
 
 // TestCaptureEventSlotEquivalence is engine.TestEventSlotEquivalence on
@@ -387,17 +392,17 @@ func TestSweepMarginEdges(t *testing.T) {
 		t.Errorf("margin -Inf is not margin 0 (off):\n%s\nvs\n%s", negInf, off)
 	}
 	render(math.Inf(1))
-	base := mac.AlohaReceiver{}
+	base := mac.AlohaReceiver()
 	never := New(base, math.Inf(1))
 	if never.capQ != 0 {
 		t.Errorf("margin +Inf: capture probability %g, want 0", never.capQ)
 	}
-	if got, want := never.PerTxProb(1), base.PerTxProb(1); got != want {
+	if got, want := never.Prob(mac.Group{K: 1}), base.PerTxProb(1); got != want {
 		t.Errorf("margin +Inf: a lone frame decodes with %g, want the base receiver's %g", got, want)
 	}
 	for k := 2; k <= 4; k++ {
-		if p := never.PerTxProb(k); !(p >= 0 && p <= 1) {
-			t.Errorf("margin +Inf: PerTxProb(%d) = %g", k, p)
+		if p := never.Prob(mac.Group{K: k}); !(p >= 0 && p <= 1) {
+			t.Errorf("margin +Inf: Prob at K %d = %g", k, p)
 		}
 	}
 }

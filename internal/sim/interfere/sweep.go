@@ -51,7 +51,7 @@ func receiverFor(v Variant, marginDB float64) mac.SlotSuccess {
 			MaxConcurrent: choirMaxConcurrent,
 		}, marginDB)
 	}
-	return New(mac.AlohaReceiver{}, marginDB)
+	return New(mac.AlohaReceiver(), marginDB)
 }
 
 // SweepConfig parameterizes the goodput-vs-density comparison.
