@@ -77,17 +77,22 @@ func mustRun(t *testing.T, cfg Config) *Metrics {
 	return m
 }
 
-// eventMatchesSlot runs cfg on both drivers, fails the test unless the
-// event driver's Metrics are bit-identical to the slot reference's, and
-// returns them. A single differing field means the fast driver is a
-// different model, so the full structs are printed on failure.
+// eventMatchesSlot runs cfg on both drivers and on the plain model, fails
+// the test unless all three Metrics are bit-identical, and returns them.
+// The slot driver differs from the event driver only in how it finds a
+// slot's wakes, so event ≡ slot checks the calendar; the model shares none
+// of the engine's code, so slot ≡ model checks the rule. A single differing
+// field means a different city, so the full structs are printed on failure.
 func eventMatchesSlot(t *testing.T, name string, cfg Config) *Metrics {
 	t.Helper()
+	want := modelRun(cfg)
 	cfg.Driver = DriverSlot
-	want := mustRun(t, cfg)
+	if got := mustRun(t, cfg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: slot driver diverged from the model\ncfg:   %+v\nmodel: %+v\nslot:  %+v", name, cfg, want, got)
+	}
 	cfg.Driver = DriverEvent
 	if got := mustRun(t, cfg); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: event driver diverged from slot reference\ncfg:   %+v\nslot:  %+v\nevent: %+v", name, cfg, want, got)
+		t.Fatalf("%s: event driver diverged from the model\ncfg:   %+v\nmodel: %+v\nevent: %+v", name, cfg, want, got)
 	}
 	return want
 }
