@@ -10,7 +10,10 @@
 // internal/sim/engine, from a two-client cell to a million-node city.
 package mac
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Group is one contention group as a receiver sees it: the transmissions
 // one gateway hears on one spreading factor in one slot.
@@ -75,6 +78,20 @@ func (m ModelReceiver) PerTxProb(k int) float64 {
 		idx = len(m.Success) - 1
 	}
 	return m.Success[idx]
+}
+
+// Check reports whether the table is one a receiver can run on: not
+// empty, and every entry a probability in [0, 1].
+func (m ModelReceiver) Check() error {
+	if len(m.Success) == 0 {
+		return errors.New("mac: ModelReceiver with empty success table")
+	}
+	for k, p := range m.Success {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("mac: ModelReceiver Success[%d] = %g is not a probability in [0, 1]", k, p)
+		}
+	}
+	return nil
 }
 
 // Capacity implements SlotSuccess.

@@ -77,10 +77,11 @@ func busyCity(driver Driver) Config {
 func TestRunCancelMidDrain(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
-	// The event driver polls every active slot and the reference driver
-	// every ctxCheckInterval slots; both stream every liveFlushInterval of
-	// them, so each cut lands after a flush and has something to retract.
-	for driver, cutAt := range map[Driver]int{DriverEvent: 300, DriverSlot: 3} {
+	// Both drivers poll at every active slot and stream every
+	// liveFlushInterval of them, so a cut at the 300th poll lands after a
+	// flush and has something to retract.
+	const cutAt = 300
+	for _, driver := range []Driver{DriverEvent, DriverSlot} {
 		baseline := runtime.NumGoroutine()
 		runs0, events0, delivered0 := cRuns.Value(), cEvents.Value(), cDelivered.Value()
 		var streamed int64

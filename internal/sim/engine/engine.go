@@ -16,7 +16,7 @@
 // at a time. Each gateway's cell is its own collision domain, so a run
 // splits the city into bands of gateway rows and runs them side by side on
 // one exec.Fan fan-out, joining their Metrics when the horizon ends
-// (runEvent).
+// (run).
 //
 // The load-bearing property is determinism by construction: every random
 // decision — arrival times, placement, shadowing, per-transmission decode
@@ -24,10 +24,14 @@
 // seed and the decision's logical coordinates (node ID, slot, draw index)
 // via exec.DeriveSeed. No decision reads a shared RNG stream, so the
 // driver (slot walk vs event queue) and the order runs are fanned out in
-// cannot reorder draws. DriverSlot and DriverEvent therefore produce
-// bit-identical Metrics; the equivalence property tests pin that, which is
-// what lets the fast driver claim to be the same model rather than a
-// lookalike.
+// cannot reorder draws. Both drivers run one slot rule, band.step, and
+// differ only in how they find a slot's wakes: the calendar, or a scan of
+// every node. Two references hold that to the model: the slot driver is
+// the reference for the calendar's wake order, and modelRun, a plain
+// per-slot loop in the tests that shares none of this package's code, is
+// the reference for the rule. The equivalence tests require all three to
+// return bit-identical Metrics, which is what lets the fast driver claim to
+// be the same model rather than a lookalike.
 package engine
 
 import (
@@ -53,12 +57,11 @@ const (
 	// wakes, so only slots and nodes with work are touched. The zero value,
 	// and the only driver the program runs.
 	DriverEvent Driver = iota
-	// DriverSlot is the serial reference driver: it walks every slot and
-	// scans every node. It exists only so the event driver has an
-	// independently-simple implementation of the same model to be
-	// equivalence-tested against. Nothing in the program selects it; it
-	// stays outside the test files only because benchmark/ runs the same
-	// check through Run (ROADMAP item 9).
+	// DriverSlot is the serial reference for the calendar: it walks every
+	// slot, scans every node for a wake due in it and runs the same slot
+	// rule as the event driver. Nothing in the program selects it; it stays
+	// outside the test files only because benchmark/ runs the same check
+	// through Run (ROADMAP item 9).
 	DriverSlot
 )
 
@@ -217,7 +220,7 @@ type Config struct {
 	// Seed drives all randomness through exec.DeriveSeed.
 	Seed uint64
 	// Shards and Workers are accepted and ignored: a run's width is
-	// exec.Fan's (runEvent). Nothing reads them; they stay declared only
+	// exec.Fan's (run). Nothing reads them; they stay declared only
 	// because benchmark/ (frozen outside benchmark PRs) still assigns them,
 	// and go once it stops (ROADMAP item 9).
 	Shards  int
@@ -265,6 +268,14 @@ func (c Config) Validate() error {
 	}
 	if err := lora.CheckPayloadLen(c.PayloadLen); err != nil {
 		return fmt.Errorf("engine: PayloadLen: %w", err)
+	}
+	// A receiver whose model is a table (mac.ModelReceiver, and the capture
+	// model over one) says whether the table is usable: an empty one would
+	// panic inside a band, a NaN one would run.
+	if rx, ok := c.Receiver.(interface{ Check() error }); ok {
+		if err := rx.Check(); err != nil {
+			return fmt.Errorf("engine: Receiver: %w", err)
+		}
 	}
 	for fi, fn := range c.Foreign {
 		switch {
@@ -466,8 +477,20 @@ type band struct {
 	freeBacklog int32
 	cells       []packetCell
 	freeCell    int32
-	// touched is where runEvent's gather pass leaves what it read.
+	// touched is where step's gather pass leaves what it read.
 	touched int64
+	// step's tables, kept across slots: the slot's transmitters, its
+	// per-group counts and the previous active slot's (lastSlot), each
+	// group's decode probability and kept successes (indexed by groupOf;
+	// only the groups a slot touches are cleared and visited), the foreign
+	// memo, and the woken nodes' next wakes for the driver to schedule.
+	tx                 []int32
+	counts, lastCounts *groupCounts
+	probs              []float64
+	taken              []int32
+	lastSlot           int64
+	fsl                foreignSlot
+	pending            []farWake
 	// Bands are allocated side by side and run on different cores, and
 	// each writes its fields above on every packet. The pad keeps them off
 	// the cache lines, and the 128-byte line pairs the prefetcher fetches
@@ -489,8 +512,11 @@ const maxUnit = float64(1<<53-1) / (1 << 53)
 // and gwRowOf is monotone, so the rows where the two ends fall in the band
 // are wholly inside it and the rows where both fall outside are out of it.
 func (c *core) newBand(rowLo, rowHi int, lp *liveProgress) *band {
+	groups := c.cfg.Gateways << 3
 	b := &band{core: c, rowLo: rowLo, rowHi: rowHi, m: c.newMetrics(), lp: lp,
-		backlogs: make([]backlogState, 1), cells: make([]packetCell, 1)}
+		backlogs: make([]backlogState, 1), cells: make([]packetCell, 1),
+		counts: newGroupCounts(groups), lastCounts: newGroupCounts(groups),
+		probs: make([]float64, groups), taken: make([]int32, groups), lastSlot: -2}
 	rows := (len(c.nodes) + c.grid - 1) / c.grid
 	firstID := func(u float64, gwRow int) int32 {
 		r := sort.Search(rows, func(r int) bool { return c.gwRowOf(c.gridPos(r, u)) >= gwRow })
@@ -703,13 +729,6 @@ func (c *core) initForeign(hFP, hFS uint64) {
 		}
 	}
 }
-
-// ctxCheckInterval is how many slots the reference driver advances between
-// context polls — frequent enough that cancellation lands within
-// milliseconds, rare enough that the poll never shows up in profiles. (The
-// event driver polls at every active slot, which costs it nothing beside
-// the slot's wakes.)
-const ctxCheckInterval = 256
 
 // newMetrics returns a Metrics with the configuration echoes filled in
 // from the defaulted config; drivers accumulate the totals into it.
@@ -1005,44 +1024,44 @@ func (b *band) wakeNode(ns *nodeState, i int32, s int64, m *Metrics) bool {
 	return int64(b.nextTxOf(ns)) == s
 }
 
-// grantOracle is the genie TDMA scheduler (mac.SchemeOracle): the step
-// both drivers run between collecting a slot's would-be transmitters and
-// resolving its contention. Per (gateway, SF) group the first Capacity()
+// grantOracle is the genie TDMA scheduler (mac.SchemeOracle), the step a
+// slot takes between collecting its would-be transmitters and resolving
+// their contention. Per (gateway, SF) group the first Capacity()
 // backlogged nodes in round-robin order from node s mod Nodes keep the
 // slot; the rest move their attempt to s+1 without spending a
 // transmission, so a group never offers the receiver more than it can
-// resolve. tx holds the candidates in ascending node order and is trimmed
-// in place to the granted nodes; granted is reset to the per-group grant
-// counts, which are the slot's contention counts; deferred, when non-nil,
-// is told each deferred node so the event driver can re-queue it.
-func (b *band) grantOracle(s int64, tx *[]int32, granted map[uint32]int32, deferred func(i int32)) {
+// resolve. tx holds the candidates in ascending node order; grantOracle
+// returns the granted ones, in place and in that order, leaves the grant
+// counts — the slot's contention counts — in counts, and reschedules every
+// deferred node.
+func (b *band) grantOracle(s int64, tx []int32, counts *groupCounts) []int32 {
 	c := b.core
-	clear(granted)
+	counts.reset()
 	start := int32(s % int64(c.cfg.Nodes))
 	// Round-robin order over an ascending list is the IDs from start up,
 	// then the wrap-around below it.
 	for pass := 0; pass < 2; pass++ {
-		for _, i := range *tx {
+		for _, i := range tx {
 			if (i < start) != (pass == 1) {
 				continue
 			}
 			ns := &c.nodes[i]
-			if g := c.groupOf(ns); granted[g] < c.capacity {
-				granted[g]++
+			if g := c.groupOf(ns); counts.k[g] < c.capacity {
+				counts.add(g)
 			} else {
 				b.backlogs[ns.backlog].nextTx = int32(s + 1)
 			}
 		}
 	}
-	kept := (*tx)[:0]
-	for _, i := range *tx {
+	kept := tx[:0]
+	for _, i := range tx {
 		if int64(b.nextTxOf(&c.nodes[i])) == s {
 			kept = append(kept, i)
-		} else if deferred != nil {
-			deferred(i)
+		} else {
+			b.reschedule(i)
 		}
 	}
-	*tx = kept
+	return kept
 }
 
 // decodeDraw is the per-transmission Bernoulli draw: a transmission
@@ -1128,9 +1147,10 @@ func sfParams(sfIdx int) lora.Params {
 
 // Run simulates the configured city and returns its metrics: the slot
 // driver on the calling goroutine, the event driver in bands of gateway
-// rows on it and exec.Fan's helpers (runEvent). Results are a pure function
-// of Config minus Driver, whatever GOMAXPROCS is: the equivalence tests pin
-// that both drivers, at every width, return bit-identical Metrics.
+// rows on it and exec.Fan's helpers (run). Results are a pure function of
+// Config minus Driver, whatever GOMAXPROCS is: the equivalence tests pin
+// that both drivers, at every width, return Metrics bit-identical to the
+// plain model's.
 func Run(ctx context.Context, cfg Config) (*Metrics, error) {
 	if cfg.Gateways == 0 {
 		cfg.Gateways = 1
@@ -1138,19 +1158,8 @@ func Run(ctx context.Context, cfg Config) (*Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ctx = ctxutil.Background(ctx)
-	c := newCore(cfg)
-	var (
-		m   *Metrics
-		err error
-		lp  liveProgress
-	)
-	switch cfg.Driver {
-	case DriverSlot:
-		m, err = runSlot(ctx, c, &lp)
-	default:
-		m, err = runEvent(ctx, c, &lp)
-	}
+	var lp liveProgress
+	m, err := run(ctxutil.Background(ctx), newCore(cfg), &lp)
 	if err != nil {
 		// Retract whatever the live stream published: a canceled run's net
 		// accounting is zero, so a retry cannot double-count.

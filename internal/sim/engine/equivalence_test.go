@@ -453,6 +453,9 @@ func TestValidateRejects(t *testing.T) {
 		{"slot-seconds-inf", func(c *Config) { c.SlotSeconds = math.Inf(1) }, "SlotSeconds"},
 		{"slot-seconds-nan", func(c *Config) { c.SlotSeconds = math.NaN() }, "SlotSeconds"},
 		{"receiver", func(c *Config) { c.Receiver = nil }, "Receiver"},
+		{"receiver-empty", func(c *Config) { c.Receiver = mac.ModelReceiver{} }, "empty success table"},
+		{"receiver-nan", func(c *Config) { c.Receiver = mac.ModelReceiver{Success: []float64{math.NaN(), 2}} }, "Success[0] = NaN"},
+		{"receiver-above-one", func(c *Config) { c.Receiver = mac.ModelReceiver{Success: []float64{1, 1.5}} }, "Success[1] = 1.5"},
 		{"driver", func(c *Config) { c.Driver = Driver(7) }, "driver"},
 		{"adr", func(c *Config) { c.ADR = ADRPolicy(9) }, "ADR"},
 		{"foreign-nodes", func(c *Config) { c.Foreign = []ForeignConfig{{Nodes: -1}} }, "Foreign[0]"},

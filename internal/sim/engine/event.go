@@ -10,13 +10,11 @@ import (
 	"choir/internal/mac"
 )
 
-// runEvent is the production driver: one event queue per band jumps
-// straight to the band's next slot with a scheduled wake, and that slot then
-// runs as runSlot runs it, except that the queue hands over the slot's wakes
-// as one batch in no particular order where runSlot scans nodes ascending.
-// Only a rationed slot can tell the difference, and there the transmitters
-// are sorted first (band.runEvent), so the two drivers return bit-identical
-// Metrics.
+// run runs c's bands to the horizon and joins them: the event driver's
+// bands of gateway rows side by side, or the slot driver's one band of the
+// whole city on the caller. A band runs one slot at a time through step,
+// whichever driver finds the slot's wakes — its calendar (runEvent) or a
+// scan of every node (runSlot).
 //
 // A band is the nodes of a range of gateway rows. Transmissions contend
 // only within a (gateway, SF) group, a foreign draw is keyed on (gateway,
@@ -30,7 +28,7 @@ import (
 // measurement); a band needs neither until it ends. The fan-out is one
 // exec.Fan over the gateway rows, min(GOMAXPROCS, rows) bands wide — one
 // band, on the caller alone, for a single row or a single core.
-func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
+func run(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) {
 	bands, cause := runBands(ctx, c)
 	m := c.newMetrics()
 	for _, b := range bands {
@@ -45,10 +43,15 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 }
 
 // runBands runs c's bands on one exec.Fan and returns them as they ended,
-// with the context error that stopped them early, if one did.
+// with the context error that stopped them early, if one did. The slot
+// driver's fan-out has one index, so one band.
 func runBands(ctx context.Context, c *core) ([]*band, error) {
 	j := &bandJob{ctx: ctx, c: c, wake: make(chan struct{}, 1)}
-	new(exec.Fan).Run(j, c.gwRows)
+	n := c.gwRows
+	if c.cfg.Driver == DriverSlot {
+		n = 1
+	}
+	new(exec.Fan).Run(j, n)
 	return j.bands, j.cause
 }
 
@@ -110,7 +113,11 @@ func (j *bandJob) runBand(p int, b *band) {
 	if p == 0 {
 		halt = j.poll
 	}
-	if !j.stop.Load() {
+	switch {
+	case j.stop.Load():
+	case j.c.cfg.Driver == DriverSlot:
+		b.runSlot(halt)
+	default:
 		b.runEvent(halt)
 	}
 	returned = true
@@ -170,30 +177,22 @@ func activeUnion(bands []*band) int64 {
 // runEvent drains the band's calendar until the horizon or until halt,
 // polled before each active slot, reports true.
 func (b *band) runEvent(halt func() bool) {
-	c, m := b.core, b.m
+	c := b.core
 	// No wake is ever scheduled at or past Slots, so a window the horizon
 	// already fits in never turns: the smaller of the two sizes it. The
 	// city's node count, not the band's: a narrower window would turn, and
 	// hold the wakes past it in its overflow slice, on horizons the whole
 	// city's calendar covers.
 	q := NewEventQueue(min(len(c.nodes), c.cfg.Slots))
-	// Calendar writes are batched the way the reads are (the gather pass
-	// below): a push misses on the bucket head, then on the chunk it names,
+	// Calendar writes are batched the way the reads are (step's gather
+	// pass): a push misses on the bucket head, then on the chunk it names,
 	// and between two wakes' draws those misses go out one at a time; in a
 	// loop of nothing but pushes some ten overlap. So init draws every first
-	// arrival before it schedules any, and reschedule — called for a node
-	// whose wake has just popped: after wakeNode, for the genie's deferrals,
-	// after finishTx — only lists the node's next wake, pruned of anything
-	// past the horizon, for the loop that ends the slot. Every listed wake
-	// is for a later slot, so the queue's contract holds as before. The
-	// first arrivals are counted as they are drawn, so the calendar's pool
-	// is allocated once at the size they fill (EventQueue.reserve).
-	var pending []farWake
-	reschedule := func(i int32) {
-		if w := b.wakeOf(&c.nodes[i]); w >= 0 && w < c.slots {
-			pending = append(pending, farWake{w, i})
-		}
-	}
+	// arrival before it schedules any, and step only lists each woken node's
+	// next wake (reschedule) for the loop that ends the slot. Every listed
+	// wake is for a later slot, so the queue's contract holds. The first
+	// arrivals are counted as they are drawn, so the calendar's pool is
+	// allocated once at the size they fill (EventQueue.reserve).
 	for i := b.lo; i < b.hi; i++ {
 		if !b.owns(i) {
 			continue
@@ -212,131 +211,135 @@ func (b *band) runEvent(halt func() bool) {
 			q.Set(i, int64(w))
 		}
 	}
-	// The per-slot tables runSlot keeps in maps are slices indexed by
-	// groupOf here, and only the groups a slot touches are cleared and
-	// visited. The visit order differs from a map's, which is random to
-	// begin with: groupProb is a pure function of (group, k, slot) — the
-	// foreign draws are keyed on (gateway, slot, SF) and their total is an
-	// integer sum — so no result depends on it.
-	groups := c.cfg.Gateways << 3
-	var (
-		txNodes    []int32
-		counts     = newGroupCounts(groups)
-		lastCounts = newGroupCounts(groups)
-		probs      = make([]float64, groups)
-		taken      = make([]int32, groups)
-		granted    map[uint32]int32 // grantOracle's tally, SchemeOracle only
-		lastSlot   = int64(-2)
-		fsl        foreignSlot
-	)
-	if c.cfg.Scheme == mac.SchemeOracle {
-		granted = map[uint32]int32{}
-	}
 	for q.Len() > 0 {
-		if halt() {
+		if b.pause(halt) {
 			return
 		}
-		if m.ActiveSlots > 0 && m.ActiveSlots%liveFlushInterval == 0 {
-			b.lp.flush(m)
-		}
-		s, ids := q.NextSlot()
-		if n := len(b.active); n > 0 && int64(b.active[n-1].hi) == s {
-			b.active[n-1].hi++
-		} else {
-			b.active = append(b.active, slotRun{int32(s), int32(s + 1)})
-		}
-		m.ActiveSlots++
-		m.Events += int64(len(ids))
-		txNodes = txNodes[:0]
-		counts.reset()
-		// Gather, then process: touch every woken record first, in a loop
-		// of independent loads, so the slot's cache misses overlap instead
-		// of each waiting behind the previous node's resolveChannel and
-		// log1p. A 16-byte record never straddles two cache lines
-		// (TestNodeStateLayout), so one word of it, nextArrival, pulls in
-		// the whole; the sum is stored so the loads are not dead code. The
-		// backlog records are not gathered: their pool holds only the
-		// nodes with packets, a small share of the city's records. The
-		// pass stays only while its own A/B says so: five interleaved
-		// pairs with and without it read cpu_us_per_op 0.394 → 0.309 µs on
-		// city_sparse (−21.5 %, ahead in 5 of 5) and 0.218 → 0.207 on
-		// city_dense (ahead in 4 of 5, no loss) — EXPERIMENTS.md, "Engine
-		// ledger, round two".
-		var touched int64
-		for _, i := range ids {
-			touched += int64(c.nodes[i].nextArrival)
-		}
-		b.touched = touched
-		for _, i := range ids {
-			ns := &c.nodes[i]
-			if b.wakeNode(ns, i, s, m) {
-				txNodes = append(txNodes, i)
-				counts.add(c.groupOf(ns))
-			} else {
-				reschedule(i)
-			}
-		}
-		// Order only what is rationed. The wakes came in no particular
-		// order, and nothing above or below reads it: wakeNode, decodeDraw,
-		// vetoed and finishTx draw from hashes of (node, slot) and touch one
-		// node's records; every Metrics field is an integer sum; groupProb
-		// is pure in (group, k, slot), whatever order groups are first seen
-		// in; and which entry of the backlog pools or the calendar a
-		// backlog, a packet or a wake takes is never observable. Node order reaches a result in
-		// exactly two places, both rations: the genie grants round-robin
-		// over an ascending list, and a group with more transmitters than
-		// the receiver's capacity keeps its first Capacity() successes in
-		// ascending node order — a group within capacity never finds
-		// taken[g] at the cap. So an Oracle slot and a slot with a group
-		// above capacity sort their transmitters (not their wakes), and the
-		// rest — every slot of a city that stays under MaxConcurrent — sort
-		// nothing. runSlot scans ascending throughout;
-		// TestEventSlotEquivalence holds this to it on both arms.
-		if granted != nil || counts.anyAbove(c.capacity) {
-			slices.Sort(txNodes)
-		}
-		if granted != nil {
-			b.grantOracle(s, &txNodes, granted, reschedule)
-			counts.reset()
-			for _, i := range txNodes {
-				counts.add(c.groupOf(&c.nodes[i]))
-			}
-		}
-
-		if c.foreignOn {
-			fsl.beginSlot()
-		}
-		for _, g := range counts.groups {
-			probs[g] = c.groupProb(&fsl, g, counts.k[g], s)
-			taken[g] = 0
-		}
-		m.ForeignTx = fsl.total
-		prevContig := lastSlot == s-1
-		for _, i := range txNodes {
-			ns := &c.nodes[i]
-			g := c.groupOf(ns)
-			// Same rule as runSlot: the decode draw succeeds and the
-			// transmission is among the group's first Capacity() successes
-			// in ascending node order — txNodes is sorted whenever a group
-			// has more than Capacity() to choose from.
-			kept := false
-			if c.decodeDraw(i, s) < probs[g] && taken[g] < c.capacity {
-				taken[g]++
-				kept = true
-			}
-			var prevK int32
-			if prevContig {
-				prevK = lastCounts.k[g]
-			}
-			b.finishTx(ns, i, s, kept && !c.vetoed(i, s, prevK), m)
-			reschedule(i)
-		}
-		for _, w := range pending {
+		b.step(q.NextSlot())
+		for _, w := range b.pending {
 			q.Set(w.id, w.slot)
 		}
-		pending = pending[:0]
-		lastSlot = s
-		lastCounts, counts = counts, lastCounts
+		b.pending = b.pending[:0]
+	}
+}
+
+// pause is what both drivers do before each active slot: poll halt, and
+// stream the band's totals every liveFlushInterval active slots.
+func (b *band) pause(halt func() bool) bool {
+	if halt() {
+		return true
+	}
+	if m := b.m; m.ActiveSlots > 0 && m.ActiveSlots%liveFlushInterval == 0 {
+		b.lp.flush(m)
+	}
+	return false
+}
+
+// step runs slot s, whose wakes are ids: the one slot rule, which both
+// drivers run. It wakes the nodes, lets the genie grant the slot under
+// SchemeOracle, fixes each (gateway, SF) group's decode probability from
+// its count and the slot's foreign draws, and settles every transmission:
+// it survives when its decode draw succeeds, fewer than Capacity() of its
+// group's earlier transmitters already have, and the unslotted veto spares
+// it. Every woken node's next wake is listed in b.pending.
+func (b *band) step(s int64, ids []int32) {
+	c, m := b.core, b.m
+	if n := len(b.active); n > 0 && int64(b.active[n-1].hi) == s {
+		b.active[n-1].hi++
+	} else {
+		b.active = append(b.active, slotRun{int32(s), int32(s + 1)})
+	}
+	m.ActiveSlots++
+	m.Events += int64(len(ids))
+	tx, counts := b.tx[:0], b.counts
+	counts.reset()
+	// Gather, then process: touch every woken record first, in a loop
+	// of independent loads, so the slot's cache misses overlap instead
+	// of each waiting behind the previous node's resolveChannel and
+	// log1p. A 16-byte record never straddles two cache lines
+	// (TestNodeStateLayout), so one word of it, nextArrival, pulls in
+	// the whole; the sum is stored so the loads are not dead code. The
+	// backlog records are not gathered: their pool holds only the
+	// nodes with packets, a small share of the city's records. The
+	// pass stays only while its own A/B says so: five interleaved
+	// pairs with and without it read cpu_us_per_op 0.394 → 0.309 µs on
+	// city_sparse (−21.5 %, ahead in 5 of 5) and 0.218 → 0.207 on
+	// city_dense (ahead in 4 of 5, no loss) — EXPERIMENTS.md, "Engine
+	// ledger, round two".
+	var touched int64
+	for _, i := range ids {
+		touched += int64(c.nodes[i].nextArrival)
+	}
+	b.touched = touched
+	for _, i := range ids {
+		ns := &c.nodes[i]
+		if b.wakeNode(ns, i, s, m) {
+			tx = append(tx, i)
+			counts.add(c.groupOf(ns))
+		} else {
+			b.reschedule(i)
+		}
+	}
+	// Order only what is rationed. The calendar hands over wakes in no
+	// particular order, and nothing above or below reads it: wakeNode,
+	// decodeDraw, vetoed and finishTx draw from hashes of (node, slot) and
+	// touch one node's records; every Metrics field is an integer sum;
+	// groupProb is pure in (group, k, slot), whatever order groups are first
+	// seen in; and which entry of the backlog pools or the calendar a
+	// backlog, a packet or a wake takes is never observable. Node order
+	// reaches a result in exactly two places, both rations: the genie grants
+	// round-robin over an ascending list, and a group with more transmitters
+	// than the receiver's capacity keeps its first Capacity() successes in
+	// ascending node order — a group within capacity never finds taken[g] at
+	// the cap. So an Oracle slot and a slot with a group above capacity sort
+	// their transmitters (not their wakes), and the rest — every slot of a
+	// city that stays under MaxConcurrent — sort nothing. The slot driver's
+	// scan hands over ascending wakes; TestEventSlotEquivalence holds the
+	// two to each other on both arms.
+	oracle := c.cfg.Scheme == mac.SchemeOracle
+	if oracle || counts.anyAbove(c.capacity) {
+		slices.Sort(tx)
+	}
+	if oracle {
+		tx = b.grantOracle(s, tx, counts)
+	}
+
+	probs, taken, last := b.probs, b.taken, b.lastCounts
+	if c.foreignOn {
+		b.fsl.beginSlot()
+	}
+	for _, g := range counts.groups {
+		probs[g] = c.groupProb(&b.fsl, g, counts.k[g], s)
+		taken[g] = 0
+	}
+	m.ForeignTx = b.fsl.total
+	prevContig := b.lastSlot == s-1
+	for _, i := range tx {
+		ns := &c.nodes[i]
+		g := c.groupOf(ns)
+		kept := false
+		if c.decodeDraw(i, s) < probs[g] && taken[g] < c.capacity {
+			taken[g]++
+			kept = true
+		}
+		var prevK int32
+		if prevContig {
+			prevK = last.k[g]
+		}
+		b.finishTx(ns, i, s, kept && !c.vetoed(i, s, prevK), m)
+		b.reschedule(i)
+	}
+	b.tx = tx
+	b.lastSlot = s
+	b.lastCounts, b.counts = counts, last
+}
+
+// reschedule lists node i's next wake in b.pending, pruned of anything
+// past the horizon. A driver calls it only for a node whose wake has just
+// come due, so the wake is for a later slot.
+func (b *band) reschedule(i int32) {
+	if w := b.wakeOf(&b.nodes[i]); w >= 0 && w < b.slots {
+		b.pending = append(b.pending, farWake{w, i})
 	}
 }
 

@@ -25,9 +25,9 @@ func SplitRows(cfg Config, w int) int {
 	return split
 }
 
-// ModelRun is the plain reference model (model_test.go), for the external
-// tests that run it beside receivers from other packages.
-var ModelRun = modelRun
+// EventMatchesSlot holds both drivers to the plain model (model_test.go),
+// for the external tests that run it beside receivers from other packages.
+var EventMatchesSlot = eventMatchesSlot
 
 // DimSweep is the density sweep's seed tag: point pi of a sweep seeded s
 // runs at exec.DeriveSeed(s, DimSweep, pi).

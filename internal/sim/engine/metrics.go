@@ -145,13 +145,12 @@ var (
 	cForeignTx     = obs.NewCounter("city.foreign_tx")
 )
 
-// liveFlushInterval is how many work units (slots for the reference
-// driver, active slots for the event driver) pass between streaming
-// flushes.
+// liveFlushInterval is how many active slots pass between streaming
+// flushes, on either driver.
 const liveFlushInterval = 256
 
 // liveProgress streams one run's, or one band's, partial totals into the
-// city.* counters. An event run's bands stream their own, and runEvent sums
+// city.* counters. An event run's bands stream their own, and run sums
 // what they streamed into the run's liveProgress before it finishes or
 // rolls back; mid-run, city.active_slots counts a slot once per band that
 // had work in it, and finish settles it to the union.
@@ -168,36 +167,30 @@ type liveProgress struct {
 // already been streamed. The drivers call it between slots, on the
 // goroutine that runs the band.
 func (lp *liveProgress) flush(cur *Metrics) {
-	if !obs.Enabled() {
-		return
+	if obs.Enabled() {
+		lp.moveTo(cur)
 	}
-	cEvents.Add(cur.Events - lp.streamed.Events)
-	cActiveSlots.Add(cur.ActiveSlots - lp.streamed.ActiveSlots)
-	cArrivals.Add(cur.Arrivals - lp.streamed.Arrivals)
-	cDelivered.Add(cur.Delivered - lp.streamed.Delivered)
-	cDropped.Add(cur.Dropped - lp.streamed.Dropped)
-	cTransmissions.Add(cur.Transmissions - lp.streamed.Transmissions)
-	cCollidedTx.Add(cur.CollidedTx - lp.streamed.CollidedTx)
-	cUnreachable.Add(cur.Unreachable - lp.streamed.Unreachable)
-	cTxEnergyNJ.Add(cur.TxEnergyNJ - lp.streamed.TxEnergyNJ)
-	cForeignTx.Add(cur.ForeignTx - lp.streamed.ForeignTx)
-	lp.streamed = *cur
 }
 
 // rollback retracts everything this run streamed, returning the counters
 // to their pre-run values. Called when a run is canceled mid-drain.
-func (lp *liveProgress) rollback() {
-	cEvents.Add(-lp.streamed.Events)
-	cActiveSlots.Add(-lp.streamed.ActiveSlots)
-	cArrivals.Add(-lp.streamed.Arrivals)
-	cDelivered.Add(-lp.streamed.Delivered)
-	cDropped.Add(-lp.streamed.Dropped)
-	cTransmissions.Add(-lp.streamed.Transmissions)
-	cCollidedTx.Add(-lp.streamed.CollidedTx)
-	cUnreachable.Add(-lp.streamed.Unreachable)
-	cTxEnergyNJ.Add(-lp.streamed.TxEnergyNJ)
-	cForeignTx.Add(-lp.streamed.ForeignTx)
-	lp.streamed = Metrics{}
+func (lp *liveProgress) rollback() { lp.moveTo(&Metrics{}) }
+
+// moveTo moves every streamed counter from what lp has streamed to to's
+// total, and remembers to as streamed.
+func (lp *liveProgress) moveTo(to *Metrics) {
+	from := &lp.streamed
+	cEvents.Add(to.Events - from.Events)
+	cActiveSlots.Add(to.ActiveSlots - from.ActiveSlots)
+	cArrivals.Add(to.Arrivals - from.Arrivals)
+	cDelivered.Add(to.Delivered - from.Delivered)
+	cDropped.Add(to.Dropped - from.Dropped)
+	cTransmissions.Add(to.Transmissions - from.Transmissions)
+	cCollidedTx.Add(to.CollidedTx - from.CollidedTx)
+	cUnreachable.Add(to.Unreachable - from.Unreachable)
+	cTxEnergyNJ.Add(to.TxEnergyNJ - from.TxEnergyNJ)
+	cForeignTx.Add(to.ForeignTx - from.ForeignTx)
+	lp.streamed = *to
 }
 
 // finish streams the completed run's remaining totals and counts the run

@@ -1,13 +1,11 @@
 package engine_test
 
 import (
-	"context"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,24 +16,6 @@ import (
 	"choir/internal/sim/engine"
 	"choir/internal/sim/interfere"
 )
-
-// matchesModel fails t unless cfg's Metrics on both drivers are
-// reflect.DeepEqual to the plain model's, and returns the model's.
-func matchesModel(t *testing.T, name string, cfg engine.Config) *engine.Metrics {
-	t.Helper()
-	want := engine.ModelRun(cfg)
-	for _, driver := range []engine.Driver{engine.DriverSlot, engine.DriverEvent} {
-		cfg.Driver = driver
-		got, err := engine.Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: driver %v diverged from the model\nmodel: %+v\nrun:   %+v", name, driver, want, got)
-		}
-	}
-	return want
-}
 
 // groupSizes records the largest home contention count the engine asked a
 // capture model about: the group's count without its same-SF foreign
@@ -72,7 +52,7 @@ func TestModelDenseCapture(t *testing.T) {
 	} {
 		var maxK atomic.Int64
 		rx := groupSizes{interfere.New(mac.ModelReceiver{Success: table, MaxConcurrent: tc.capacity}, 6), &maxK}
-		m := matchesModel(t, tc.name, engine.Config{
+		m := engine.EventMatchesSlot(t, tc.name, engine.Config{
 			Scheme:         mac.SchemeChoir,
 			Nodes:          1000,
 			Gateways:       4,
@@ -97,7 +77,7 @@ func TestModelDenseCapture(t *testing.T) {
 // at its derived seed.
 func TestModelCitySweep(t *testing.T) {
 	for pi, nodes := range []int{1000, 10000} {
-		m := matchesModel(t, "city-gw4", engine.Config{
+		m := engine.EventMatchesSlot(t, "city-gw4", engine.Config{
 			Scheme:         mac.SchemeChoir,
 			Nodes:          nodes,
 			Gateways:       4,

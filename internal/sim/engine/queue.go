@@ -35,7 +35,7 @@ import (
 // is gathered and handed out as one batch in no particular order
 // (NextSlot) — the engine's per-node steps do not read it, and the slots
 // where node order can reach a result sort their own transmitters
-// (runEvent). PopMin, for callers that want single events in (slot, node)
+// (band.step). PopMin, for callers that want single events in (slot, node)
 // order, sorts the batch it draws. FuzzEventQueue pins both against a
 // sort-based model.
 type EventQueue struct {
@@ -243,7 +243,7 @@ func (q *EventQueue) draw() {
 	// No sort: the batch stays as gathered, newest chunk first. Sorting it
 	// costs a sixth of a dense city's run (54 wakes a slot, in ~21 ascending
 	// runs of 2.6, which no merge beats pdqsort on) to order what nothing
-	// reads — runEvent carries the argument.
+	// reads — band.step carries the argument.
 	q.near -= len(ids)
 	q.batch, q.next, q.last = ids, 0, q.cur
 }

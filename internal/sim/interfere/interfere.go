@@ -106,6 +106,10 @@ func qfunc(x float64) float64 { return 0.5 * math.Erfc(x/math.Sqrt2) }
 // capacity — they only degrade the per-transmission probability.
 func (cm *CaptureModel) Capacity() int { return cm.base.Capacity() }
 
+// Check reports whether the base table is one the model can run on
+// (mac.ModelReceiver.Check).
+func (cm *CaptureModel) Check() error { return cm.base.Check() }
+
 // Prob implements mac.SlotSuccess.
 func (cm *CaptureModel) Prob(g mac.Group) float64 {
 	p := cm.base.PerTxProb(g.K)

@@ -18,6 +18,18 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden sweep table")
 
+// TestCaptureBaseTableChecked pins that the engine's config gate sees the
+// capture model's base table: an empty one, which would panic inside a
+// band, and one holding NaN are refused before a run starts.
+func TestCaptureBaseTableChecked(t *testing.T) {
+	for _, base := range []mac.ModelReceiver{{}, {Success: []float64{math.NaN(), 2}}} {
+		cfg := engine.Config{Scheme: mac.SchemeChoir, Nodes: 4, Slots: 10, Receiver: New(base, 6)}
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Receiver") {
+			t.Errorf("base %v: Validate() = %v, want a Receiver error", base.Success, err)
+		}
+	}
+}
+
 // TestCaptureZeroMarginTransparent pins the sentinel: MarginDB <= 0 makes
 // the CaptureModel bit-transparent to its base receiver — the base table's
 // entry at the group's count, whatever the foreign counts beside it.
