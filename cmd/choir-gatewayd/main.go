@@ -33,11 +33,12 @@
 //
 // -admission-target layers an AIMD admission controller over the shed
 // policy: the gateway watches the p99 frame latency and multiplicatively
-// shrinks (or additively regrows) how many frames may be in flight, so
-// sustained overload sheds early at the controller instead of deep in the
-// queue. /healthz and /readyz on -debug-addr report liveness and
-// readiness (ready = accepting, queue and admission window below
-// capacity).
+// shrinks (or additively regrows) how many frames may queue, within
+// [1, -queue], so sustained overload sheds early at a shorter queue
+// instead of deep in a long one. The window bounds queued frames, like
+// -queue; frames being decoded do not count. /healthz and /readyz on
+// -debug-addr report liveness and readiness (ready = accepting and the
+// queue below its limit).
 //
 // Usage:
 //
@@ -90,7 +91,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	drainTimeout := cmd.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown before queued frames are shed")
 	journalDir := cmd.String("journal-dir", "", "write-ahead journal directory: admitted frames survive process death and replay on restart")
 	fsync := cmd.Bool("fsync", false, "fsync each journal append (durability across power loss, not just process death)")
-	admissionTarget := cmd.Duration("admission-target", 0, "AIMD admission control: p99 frame-latency target (0 = off)")
+	admissionTarget := cmd.Duration("admission-target", 0, "AIMD admission control: p99 frame-latency target that shrinks or regrows the window of queued frames within [1, -queue] (0 = off)")
 	if err := cmd.Parse(argv); err != nil {
 		return cli.ExitUsage
 	}
@@ -148,7 +149,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	})
 	obs.RegisterReadyCheck("gateway", func() error {
 		if !g.Ready() {
-			return errors.New("draining, or queue or admission window full")
+			return errors.New("draining, or queue at its limit")
 		}
 		return nil
 	})

@@ -11,50 +11,47 @@ import (
 // never chokes admissions off entirely.
 const admissionMin = 1
 
-// admissionController is the gateway's AIMD overload governor. It layers on
-// top of the existing shed policies rather than replacing them: the
-// controller maintains an effective admission window — the most accepted
-// frames allowed in flight — and submitFrame treats a frame beyond the
-// window exactly like a full queue (reject, drop-oldest, or block per
-// Config.Policy). Feedback is the gateway's own end-to-end frame latency:
-// every Config.AdmissionEvery terminal outcomes form one window, and the
-// window's p99 against Config.AdmissionTarget decides the move —
-// multiplicative decrease (halve) when over target, additive increase
-// (plus one) when under. The classic AIMD shape converges onto the largest
-// in-flight load the decode pool sustains within the latency target and
-// probes gently upward as load recedes.
+// admissionEvery is how many terminal outcomes form one latency window
+// between AIMD adjustments.
+const admissionEvery = 32
+
+// admissionController is the gateway's AIMD overload governor. It moves the
+// gateway's one queue limit (Gateway.limit) within [admissionMin, queue
+// capacity], and submitFrame sheds a frame offered at that limit by the
+// configured Policy exactly as at a full queue. Feedback is the gateway's own end-to-end frame latency: every
+// admissionEvery terminal outcomes form one window, and the window's p99
+// against Config.AdmissionTarget decides the move — multiplicative decrease
+// (halve) when over target, additive increase (plus one) when under. The
+// classic AIMD shape converges onto the deepest queue the decode pool
+// drains within the latency target and probes gently upward as load
+// recedes.
 //
 // The controller tracks latencies itself rather than reading the
 // gateway.frame_latency_ns histogram back: the obs layer's contract is that
 // metrics only observe (disabling them must never change behavior), so a
 // control loop may share a data source with a metric but never the metric.
 type admissionController struct {
-	target int64 // p99 target, nanoseconds
-	every  int   // outcomes per evaluation window
-	max    int64 // window ceiling (the queue capacity)
-
-	limit atomic.Int64 // current admission window
+	target int64         // p99 target, nanoseconds
+	every  int           // outcomes per evaluation window
+	max    int64         // window ceiling (the queue capacity)
+	limit  *atomic.Int64 // the gateway's queue limit, which this controller moves
 
 	mu  sync.Mutex
 	lat []int64 // latencies accumulated toward the next evaluation
 }
 
-// newAdmissionController starts with the window wide open (max): the
-// controller only narrows on evidence of overload.
-func newAdmissionController(target time.Duration, every, max int) *admissionController {
+// newAdmissionController takes over limit, which starts wide open at the
+// queue capacity: the controller only narrows on evidence of overload.
+func newAdmissionController(target time.Duration, limit *atomic.Int64) *admissionController {
 	a := &admissionController{
 		target: target.Nanoseconds(),
-		every:  every,
-		max:    int64(max),
-		lat:    make([]int64, 0, every),
+		every:  admissionEvery,
+		max:    limit.Load(),
+		limit:  limit,
 	}
-	a.limit.Store(a.max)
-	mAdmissionLimit.Add(a.max) // gauge-by-delta: value tracks the window
+	mAdmissionLimit.Set(a.max)
 	return a
 }
-
-// Limit returns the current admission window.
-func (a *admissionController) Limit() int64 { return a.limit.Load() }
 
 // observe feeds one frame's end-to-end latency and, at each window
 // boundary, applies the AIMD step.
@@ -93,6 +90,6 @@ func (a *admissionController) observe(latNs int64) {
 	}
 	if next != old {
 		a.limit.Store(next)
-		mAdmissionLimit.Add(next - old)
+		mAdmissionLimit.Set(next)
 	}
 }

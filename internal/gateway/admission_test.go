@@ -4,20 +4,30 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"choir/internal/obs"
 )
 
-// AdmissionLimit reports the AIMD controller's current admission window, or
-// the queue capacity when admission control is disabled — either way, the
-// most accepted frames the gateway allows in flight right now.
-func (g *Gateway) AdmissionLimit() int {
-	if g.admission == nil {
-		return cap(g.queue)
+// AdmissionLimit reports the queue's current limit: the AIMD window when
+// admission control is on, the queue capacity otherwise — either way, the
+// most frames the gateway lets queue right now.
+func (g *Gateway) AdmissionLimit() int { return int(g.limit.Load()) }
+
+// startAdmission starts a gateway whose AIMD controller evaluates every
+// `every` terminal outcomes instead of admissionEvery, so a test reaches a
+// shrunk window within a few frames.
+func startAdmission(t *testing.T, cfg Config, every int) *Gateway {
+	t.Helper()
+	g, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return int(g.admission.Limit())
+	g.admission.every = every
+	g.start()
+	return g
 }
 
 // TestAdmissionControllerTrajectory pins the AIMD arithmetic with a fixed
@@ -25,8 +35,11 @@ func (g *Gateway) AdmissionLimit() int {
 // target grows it by one (capped at max). Same feed, same trajectory —
 // the controller is deterministic given its inputs.
 func TestAdmissionControllerTrajectory(t *testing.T) {
-	a := newAdmissionController(time.Millisecond, 4, 8)
-	if got := a.Limit(); got != 8 {
+	var limit atomic.Int64
+	limit.Store(8)
+	a := newAdmissionController(time.Millisecond, &limit)
+	a.every = 4
+	if got := limit.Load(); got != 8 {
 		t.Fatalf("initial limit %d, want 8 (wide open)", got)
 	}
 	over := int64(2 * time.Millisecond)  // above target
@@ -40,19 +53,19 @@ func TestAdmissionControllerTrajectory(t *testing.T) {
 	// Three overloaded windows: 8 -> 4 -> 2 -> 1.
 	for _, want := range []int64{4, 2, 1} {
 		feed(over, 4)
-		if got := a.Limit(); got != want {
+		if got := limit.Load(); got != want {
 			t.Fatalf("after overloaded window: limit %d, want %d", got, want)
 		}
 	}
 	// The floor holds.
 	feed(over, 4)
-	if got := a.Limit(); got != 1 {
+	if got := limit.Load(); got != 1 {
 		t.Fatalf("window fell through the floor: %d", got)
 	}
 	// Recovery: one step per calm window, 1 -> 2 -> 3.
 	for _, want := range []int64{2, 3} {
 		feed(under, 4)
-		if got := a.Limit(); got != want {
+		if got := limit.Load(); got != want {
 			t.Fatalf("after calm window: limit %d, want %d", got, want)
 		}
 	}
@@ -60,34 +73,30 @@ func TestAdmissionControllerTrajectory(t *testing.T) {
 	// the p99 at the slow frame (rank 3 of 4), shrinking again.
 	feed(under, 3)
 	feed(over, 1)
-	if got := a.Limit(); got != 1 {
+	if got := limit.Load(); got != 1 {
 		t.Fatalf("mixed window: limit %d, want 1 (p99 rides the tail)", got)
 	}
 	// The ceiling holds: calm windows never push past max.
 	for i := 0; i < 20; i++ {
 		feed(under, 4)
 	}
-	if got := a.Limit(); got != 8 {
+	if got := limit.Load(); got != 8 {
 		t.Fatalf("window overshot the ceiling: %d", got)
 	}
 }
 
 // TestAdmissionShedsUnderOverload drives a journaling-free gateway with an
 // unreachable latency target (1ns): every evaluation window shrinks the
-// admission limit toward the floor, the gateway.admission.* counters move,
-// and submissions start shedding at the window even though the queue itself
-// has room.
+// queue's limit toward the floor, the gateway.admission.* counters move,
+// and submissions start shedding at the window even though the queue's
+// capacity has room.
 func TestAdmissionShedsUnderOverload(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	obs.Reset()
-	g, err := New(Config{
-		Queue: 32, Workers: 2, Policy: ShedReject,
-		AdmissionTarget: time.Nanosecond, AdmissionEvery: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := startAdmission(t, Config{
+		Queue: 32, Workers: 2, Policy: ShedReject, AdmissionTarget: time.Nanosecond,
+	}, 4)
 	done := collectOutcomes(g)
 	h, sig, _ := synthFrame(1)
 	accepted, rejected := 0, 0
@@ -129,17 +138,13 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 }
 
 // TestAdmissionBlockPolicyNoDeadlock pins the ShedBlock interaction: with
-// the window at its floor, a blocked submitter must be woken by outcomes
-// (capacity frees at emit under admission control, not at dequeue), so a
-// sequential feed always completes.
+// the window at its floor, a blocked submitter must be woken by the
+// dequeue pulse (the window bounds queued frames, so a dequeue is what
+// frees room), so a sequential feed always completes.
 func TestAdmissionBlockPolicyNoDeadlock(t *testing.T) {
-	g, err := New(Config{
-		Queue: 4, Workers: 1, Policy: ShedBlock,
-		AdmissionTarget: time.Nanosecond, AdmissionEvery: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := startAdmission(t, Config{
+		Queue: 4, Workers: 1, Policy: ShedBlock, AdmissionTarget: time.Nanosecond,
+	}, 2)
 	done := collectOutcomes(g)
 	h, sig, _ := synthFrame(2)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -164,13 +169,9 @@ func TestAdmissionBlockPolicyNoDeadlock(t *testing.T) {
 // is identical for W=1 and W=8.
 func TestAdmissionDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []string {
-		g, err := New(Config{
-			Queue: 4, Workers: workers, Policy: ShedBlock,
-			AdmissionTarget: time.Nanosecond, AdmissionEvery: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := startAdmission(t, Config{
+			Queue: 4, Workers: workers, Policy: ShedBlock, AdmissionTarget: time.Nanosecond,
+		}, 2)
 		done := collectOutcomes(g)
 		for i := 0; i < 8; i++ {
 			h, sig, _ := synthFrame(uint64(i + 1))
@@ -251,12 +252,11 @@ func TestReadyFullQueueNotReady(t *testing.T) {
 
 // TestReadyShrunkAdmissionWindowNotReady pins that Ready applies the test
 // submitFrame does: with the AIMD window shrunk to one frame and that frame
-// pending, the queue has room but the next submit sheds, so the gateway is
-// not ready.
+// queued, the queue's capacity has room but the next submit sheds, so the
+// gateway is not ready.
 func TestReadyShrunkAdmissionWindowNotReady(t *testing.T) {
 	g, err := build(Config{ // no workers
-		Queue: 8, Policy: ShedReject,
-		AdmissionTarget: time.Millisecond, AdmissionEvery: 4,
+		Queue: 8, Policy: ShedReject, AdmissionTarget: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,4 +283,84 @@ func TestReadyShrunkAdmissionWindowNotReady(t *testing.T) {
 	done := collectOutcomes(g)
 	_ = g.Drain(canceledCtx())
 	<-done
+}
+
+// TestAdmissionDropOldestAtFloorAdmits pins the one bound under drop-oldest:
+// with the window at its floor of one and the one accepted frame in a
+// worker's hands, the queue is empty, so the next Submit is admitted at
+// once rather than looking for a queued frame to evict until the decode
+// ends.
+func TestAdmissionDropOldestAtFloorAdmits(t *testing.T) {
+	g, err := build(Config{ // no workers: the test plays the one worker
+		Queue: 4, Policy: ShedDropOldest, AdmissionTarget: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g.AdmissionLimit() > 1 {
+		g.admission.observe(int64(2 * time.Millisecond))
+	}
+	h, sig, _ := synthFrame(4)
+	if _, err := g.Submit(nil, "first", h, sig); err != nil {
+		t.Fatal(err)
+	}
+	taken := <-g.queue // dequeued, as a worker starting its decode would
+	second := make(chan error, 1)
+	go func() {
+		_, err := g.Submit(nil, "second", h, sig)
+		second <- err
+	}()
+	timedOut := false
+	select {
+	case err := <-second:
+		if err != nil {
+			t.Errorf("second submit: %v", err)
+		}
+	case <-time.After(time.Second):
+		timedOut = true
+		t.Error("second submit still running after 1 s with the window at its floor and the queue empty")
+	}
+	g.finish(taken, g.decodeLadder(taken))
+	if timedOut {
+		<-second
+	}
+	done := collectOutcomes(g)
+	_ = g.Drain(canceledCtx())
+	outs := <-done
+	if st := g.Stats(); st.Accepted != 2 || len(outs) != 2 {
+		t.Errorf("%d accepted, %d outcomes; want 2 and 2", st.Accepted, len(outs))
+	}
+}
+
+// TestAdmissionLimitGaugeReadsLiveWindow pins gateway.admission.limit as a
+// gauge of the live window rather than a counter moved by deltas: two
+// gateways with window 8 read 8, not 16, and after obs.Reset a shrink to 4
+// reads 4, not -4.
+func TestAdmissionLimitGaugeReadsLiveWindow(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	obs.Reset()
+	var gs []*Gateway
+	for i := 0; i < 2; i++ {
+		g, err := build(Config{Queue: 8, AdmissionTarget: time.Millisecond}) // no workers
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs = append(gs, g)
+	}
+	if got := mAdmissionLimit.Value(); got != 8 {
+		t.Errorf("two gateways with window 8: gateway.admission.limit = %d, want 8", got)
+	}
+	obs.Reset()
+	for i := 0; i < gs[0].admission.every; i++ {
+		gs[0].admission.observe(int64(2 * time.Millisecond))
+	}
+	if got := mAdmissionLimit.Value(); got != 4 {
+		t.Errorf("after Reset and a shrink to 4: gateway.admission.limit = %d, want 4", got)
+	}
+	for _, g := range gs {
+		done := collectOutcomes(g)
+		_ = g.Drain(canceledCtx())
+		<-done
+	}
 }

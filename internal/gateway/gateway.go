@@ -79,17 +79,13 @@ type Config struct {
 	// it the journal still survives process death. Ignored when JournalDir
 	// is empty.
 	Fsync bool
-	// AdmissionTarget, when positive, enables AIMD admission control: the
-	// gateway watches its own end-to-end frame latency (the distribution
-	// behind gateway.frame_latency_ns) and shrinks the effective admission
-	// window multiplicatively whenever a window's p99 exceeds the target,
-	// growing it back additively while latency holds under. Frames beyond
-	// the window are shed by the configured Policy exactly as a full queue
-	// would be. Zero — the default — disables the controller.
+	// AdmissionTarget, when positive, enables AIMD admission control: every
+	// 32 terminal outcomes the gateway halves the queue's limit if their
+	// end-to-end latency p99 exceeds the target, or raises it by one, within
+	// [1, queue capacity]. Like Queue, the limit bounds queued frames, not
+	// those being decoded; a frame offered at it is shed by Policy exactly
+	// as at a full queue. Zero — the default — keeps the queue capacity.
 	AdmissionTarget time.Duration
-	// AdmissionEvery is how many terminal outcomes form one latency window
-	// between AIMD adjustments (default 32).
-	AdmissionEvery int
 }
 
 // checkSigns refuses a negative count or duration: zero selects a field's
@@ -103,7 +99,6 @@ func (c Config) checkSigns() error {
 		{"Queue", int64(c.Queue)},
 		{"Workers", int64(c.Workers)},
 		{"MaxConns", int64(c.MaxConns)},
-		{"AdmissionEvery", int64(c.AdmissionEvery)},
 		{"DecodeTimeout", int64(c.DecodeTimeout)},
 		{"ConnTimeout", int64(c.ConnTimeout)},
 		{"AdmissionTarget", int64(c.AdmissionTarget)},
@@ -128,9 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxConns == 0 {
 		c.MaxConns = 64
-	}
-	if c.AdmissionEvery == 0 {
-		c.AdmissionEvery = 32
 	}
 	return c
 }
@@ -161,9 +153,8 @@ type Frame struct {
 	stream *streamBuffer
 	// journalState tracks the frame's write-ahead journal lifecycle:
 	// journalNone (no admit record yet), journalAdmitted (admit journaled —
-	// the terminal outcome must journal a completion), or journalSettled
-	// (terminal before any admit was journaled — a streaming frame that
-	// finished or aborted mid-delivery; no admit may be written after this).
+	// settling must journal a completion), or journalSettled (terminal; no
+	// record may be written after this). See journalAdmit and journalSettle.
 	journalState atomic.Uint32
 }
 
@@ -246,6 +237,7 @@ type Stats struct {
 type Gateway struct {
 	cfg      Config
 	queue    chan *Frame
+	limit    atomic.Int64  // most frames queue may hold: cap(queue), or the AIMD window
 	space    chan struct{} // pulsed after each dequeue; wakes ShedBlock waiters
 	outcomes chan Outcome
 
@@ -253,12 +245,10 @@ type Gateway struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu        sync.Mutex // guards accepting and drop-oldest eviction
+	mu        sync.Mutex // guards accepting, every send on queue, eviction and its close
 	accepting bool
 
-	pending atomic.Int64  // accepted frames without a terminal outcome yet
-	idle    chan struct{} // pulsed when pending drains to zero
-	nextID  atomic.Uint64
+	nextID atomic.Uint64
 
 	rungs []*rung
 
@@ -268,7 +258,7 @@ type Gateway struct {
 	journal        *journal.Writer
 	priorCompleted []uint64
 
-	// admission is the AIMD overload controller (nil when
+	// admission is the AIMD overload controller that moves limit (nil when
 	// Config.AdmissionTarget is zero).
 	admission *admissionController
 
@@ -339,13 +329,13 @@ func build(cfg Config) (*Gateway, error) {
 		ctx:            ctx,
 		cancel:         cancel,
 		accepting:      true,
-		idle:           make(chan struct{}, 1),
 		rungs:          rungs,
 		journal:        jw,
 		priorCompleted: rec.Completed,
 	}
+	g.limit.Store(int64(queueCap))
 	if cfg.AdmissionTarget > 0 {
-		g.admission = newAdmissionController(cfg.AdmissionTarget, cfg.AdmissionEvery, queueCap)
+		g.admission = newAdmissionController(cfg.AdmissionTarget, &g.limit)
 	}
 	// Restart ID allocation above everything the journal ever saw, then
 	// re-enqueue the replayed frames: they are accepted (again) by this
@@ -360,7 +350,6 @@ func build(cfg Config) (*Gateway, error) {
 		}
 		f.journalState.Store(journalAdmitted) // Open re-journaled the admit
 		g.queue <- f
-		g.pending.Add(1)
 		g.accepted.Add(1)
 		g.replayed.Add(1)
 		mAccepted.Inc()
@@ -424,28 +413,24 @@ func (g *Gateway) Submit(ctx context.Context, source string, h trace.Header, sam
 // attaches a streamBuffer to the frame before submission).
 func (g *Gateway) submitFrame(ctx context.Context, f *Frame) (uint64, error) {
 	ctx = ctxutil.Background(ctx)
-	if g.journal != nil && f.ID == 0 {
-		// Journaled admission: assign the ID up front and make the frame
-		// durable before any worker can see it. A frame that then fails
-		// admission gets its journal pair settled by journalAbandon, so a
-		// rejected frame is never replayed after a restart. Streaming frames
-		// are journaled when their delivery completes instead (their backing
-		// array is still filling here); until then durability is pending —
-		// the documented streaming gap.
+	if g.journal != nil {
+		// Journaled admission: the admit record carries the ID, so it is
+		// assigned up front, and the frame is durable before any worker can
+		// see it. A streamed frame's samples are still arriving here; it is
+		// journaled at delivery instead (handleStreamConn) — until then
+		// durability is pending, the documented streaming gap.
 		f.ID = g.nextID.Add(1)
 		if f.stream == nil {
-			if err := g.journal.Append(f.ID, f.Header, f.Samples); err != nil {
-				mJournalErrors.Inc()
-				return 0, fmt.Errorf("%w: admitting frame %d: %v", ErrJournal, f.ID, err)
+			if err := g.journalAdmit(f); err != nil {
+				return 0, err
 			}
-			f.journalState.Store(journalAdmitted)
 		}
 	}
 	for {
 		g.mu.Lock()
 		if !g.accepting {
 			g.mu.Unlock()
-			g.journalAbandon(f)
+			g.journalSettle(f)
 			return 0, ErrStopped
 		}
 		// Assign the ID at acceptance time so IDs are dense in acceptance
@@ -454,33 +439,30 @@ func (g *Gateway) submitFrame(ctx context.Context, f *Frame) (uint64, error) {
 			f.ID = g.nextID.Add(1)
 		}
 		f.enqueued = time.Now()
-		// The AIMD admission window gates ahead of the queue: a frame beyond
-		// the current window sheds exactly as a full queue would. The check
-		// is advisory under racing submitters (the window can overshoot by
-		// the race width); the controller's feedback loop absorbs that.
-		if g.windowOpen() {
-			select {
-			case g.queue <- f:
-				g.pending.Add(1)
-				g.accepted.Add(1)
-				mAccepted.Inc()
-				g.mu.Unlock()
-				return f.ID, nil
-			default:
-			}
-		} else {
+		if g.room() {
+			// Every send happens under g.mu and workers only take, so a
+			// queue below its limit (at most its capacity) has room.
+			g.queue <- f
+			g.accepted.Add(1)
+			mAccepted.Inc()
+			g.mu.Unlock()
+			return f.ID, nil
+		}
+		if g.admission != nil {
 			mAdmissionDeferred.Inc()
 		}
-		// Queue (or admission window) full: shed.
+		// Queue at its limit: shed.
 		switch g.cfg.Policy {
 		case ShedReject:
 			g.mu.Unlock()
 			mShedRejected.Inc()
-			g.journalAbandon(f)
-			return 0, fmt.Errorf("%w: %d frames queued", ErrQueueFull, cap(g.queue))
+			g.journalSettle(f)
+			return 0, fmt.Errorf("%w: %d frames queued", ErrQueueFull, g.limit.Load())
 		case ShedDropOldest:
 			// Evict under the lock so two submitters can't each evict for
-			// the same single slot and lose a frame without an outcome.
+			// the same single slot and lose a frame without an outcome. The
+			// queue is at a limit of at least one, so it holds a frame
+			// unless a worker just took it, which makes room as well.
 			select {
 			case old := <-g.queue:
 				mShedDropped.Inc()
@@ -489,8 +471,6 @@ func (g *Gateway) submitFrame(ctx context.Context, f *Frame) (uint64, error) {
 					Err: fmt.Errorf("%w: evicted by newer frame %d (drop-oldest)", ErrShed, f.ID),
 				})
 			default:
-				// A worker beat us to the oldest frame; the queue has space
-				// now, retry the send.
 			}
 			g.mu.Unlock()
 			continue
@@ -501,37 +481,58 @@ func (g *Gateway) submitFrame(ctx context.Context, f *Frame) (uint64, error) {
 				continue
 			case <-ctx.Done():
 				mShedRejected.Inc()
-				g.journalAbandon(f)
+				g.journalSettle(f)
 				return 0, fmt.Errorf("%w: canceled while blocked: %w", ErrQueueFull, ctx.Err())
 			case <-g.ctx.Done():
-				g.journalAbandon(f)
+				g.journalSettle(f)
 				return 0, ErrStopped
 			}
 		}
 	}
 }
 
-// windowOpen reports whether the AIMD admission window, when enabled, has
-// room for one more in-flight frame.
-func (g *Gateway) windowOpen() bool {
-	return g.admission == nil || g.pending.Load() < g.admission.Limit()
+// room reports whether the queue is below its limit: the one admission
+// test, shared by submitFrame and Ready.
+func (g *Gateway) room() bool { return int64(len(g.queue)) < g.limit.Load() }
+
+// journalAdmit writes f's admit record once its samples are complete: a
+// Submit frame's before it is queued, a streamed frame's at delivery. The
+// record is appended before the state turns admitted, so a completion is
+// always written after its admit. A frame already settled (a stream whose
+// decode ended first) gets no admit; one settled during the append is
+// paired here.
+func (g *Gateway) journalAdmit(f *Frame) error {
+	if g.journal == nil || f.journalState.Load() == journalSettled {
+		return nil
+	}
+	if err := g.journal.Append(f.ID, f.Header, f.Samples); err != nil {
+		mJournalErrors.Inc()
+		return fmt.Errorf("%w: admitting frame %d: %v", ErrJournal, f.ID, err)
+	}
+	if !f.journalState.CompareAndSwap(journalNone, journalAdmitted) {
+		// Settled during the append, with nothing to pair then: pair now.
+		f.journalState.Store(journalAdmitted)
+		g.journalSettle(f)
+	}
+	return nil
 }
 
-// journalAbandon settles the journal pair of a frame whose admission failed
-// after its admit record was written: the completion marks it terminal so a
-// restart never replays a frame the caller was told was rejected.
-func (g *Gateway) journalAbandon(f *Frame) {
-	if g.journal != nil && f.journalState.Load() == journalAdmitted {
-		if err := g.journal.Complete(f.ID); err != nil {
-			mJournalErrors.Inc()
-		}
+// journalSettle marks f terminal in the journal, from emit or from a
+// refused admission, and writes its completion if its admit was written:
+// a frame refused after its admit landed is never replayed.
+func (g *Gateway) journalSettle(f *Frame) {
+	if g.journal == nil || f.journalState.Swap(journalSettled) != journalAdmitted {
+		return
+	}
+	if err := g.journal.Complete(f.ID); err != nil && !errors.Is(err, journal.ErrClosed) {
+		mJournalErrors.Inc()
 	}
 }
 
 // worker is one decode goroutine: dequeue, run the recovery ladder, emit
-// the terminal outcome. On shutdown it first helps flush still-queued
-// frames as shed outcomes so the exactly-one-outcome invariant holds
-// through a hard stop.
+// the terminal outcome. It leaves once Drain has closed the queue and the
+// queue is empty; on a hard stop it first helps flush still-queued frames
+// as shed outcomes so the exactly-one-outcome invariant holds.
 func (g *Gateway) worker() {
 	defer g.wg.Done()
 	for {
@@ -539,7 +540,10 @@ func (g *Gateway) worker() {
 		case <-g.ctx.Done():
 			g.flushQueue()
 			return
-		case f := <-g.queue:
+		case f, ok := <-g.queue:
+			if !ok {
+				return
+			}
 			g.signalSpace()
 			tQueueWait.Hist().Observe(time.Since(f.enqueued).Nanoseconds())
 			g.finish(f, g.decodeLadder(f))
@@ -569,21 +573,16 @@ func (g *Gateway) signalSpace() {
 	}
 }
 
-// flushQueue drains still-queued frames as shed outcomes (shutdown path).
-// Multiple workers may flush concurrently; each dequeued frame is owned by
-// exactly one of them.
+// flushQueue drains still-queued frames as shed outcomes. It runs only
+// after Drain closed the queue. Multiple workers may flush concurrently;
+// each dequeued frame is owned by exactly one of them.
 func (g *Gateway) flushQueue() {
-	for {
-		select {
-		case f := <-g.queue:
-			mShedDrained.Inc()
-			g.emit(f, Outcome{
-				FrameID: f.ID, Source: f.Source, Kind: OutcomeShed,
-				Err: fmt.Errorf("%w: gateway stopped before decode", ErrShed),
-			})
-		default:
-			return
-		}
+	for f := range g.queue {
+		mShedDrained.Inc()
+		g.emit(f, Outcome{
+			FrameID: f.ID, Source: f.Source, Kind: OutcomeShed,
+			Err: fmt.Errorf("%w: gateway stopped before decode", ErrShed),
+		})
 	}
 }
 
@@ -595,17 +594,7 @@ func (g *Gateway) flushQueue() {
 // outcome exists across lives.
 func (g *Gateway) emit(f *Frame, o Outcome) {
 	o.Replayed = f.Replayed
-	if g.journal != nil {
-		if f.stream != nil && f.journalState.CompareAndSwap(journalNone, journalSettled) {
-			// Terminal before the streamed delivery was journaled: there is
-			// no admit record to pair, and the settled state stops the
-			// delivery path from writing one afterward.
-		} else if f.journalState.Load() == journalAdmitted {
-			if err := g.journal.Complete(o.FrameID); err != nil && !errors.Is(err, journal.ErrClosed) {
-				mJournalErrors.Inc()
-			}
-		}
-	}
+	g.journalSettle(f)
 	switch o.Kind {
 	case OutcomeDecoded:
 		g.decoded.Add(1)
@@ -620,26 +609,11 @@ func (g *Gateway) emit(f *Frame, o Outcome) {
 		g.shed.Add(1)
 	}
 	g.outcomes <- o
-	// Decrement before pulsing: a ShedBlock submitter woken by the pulse
-	// re-checks pending against the admission limit, and one that reads the
-	// old count parks again with nobody left to wake it.
-	left := g.pending.Add(-1)
-	if g.admission != nil {
-		// Under admission control, capacity frees at the terminal outcome
-		// (pending), not at dequeue — wake a ShedBlock waiter here too.
-		g.signalSpace()
-	}
-	if left == 0 {
-		select {
-		case g.idle <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // Drain stops the gateway: no new frames are accepted, queued and
 // in-flight frames are processed to completion, then the workers exit and
-// the Outcomes channel closes. If ctx fires before the queue empties, the
+// the Outcomes channel closes. If ctx fires before the workers finish, the
 // drain hardens into a stop — in-flight decodes are canceled cooperatively
 // (their outcomes report choir.ErrCanceled) and still-queued frames are
 // flushed as shed outcomes. Either way every accepted frame has exactly
@@ -648,33 +622,35 @@ func (g *Gateway) emit(f *Frame, o Outcome) {
 func (g *Gateway) Drain(ctx context.Context) error {
 	g.drainOnce.Do(func() {
 		ctx = ctxutil.Background(ctx)
+		// Close under g.mu: no submitter is mid-send, and every later one
+		// sees accepting false, so nothing is sent on the closed queue.
 		g.mu.Lock()
 		g.accepting = false
+		close(g.queue)
 		g.mu.Unlock()
-		// Wake any ShedBlock waiters parked before accepting flipped: the
-		// pulse makes them re-check and observe ErrStopped.
+		// Wake a ShedBlock waiter parked before accepting flipped: it
+		// re-checks and observes ErrStopped.
 		g.signalSpace()
 
-		graceful := true
-		for g.pending.Load() > 0 {
-			select {
-			case <-g.idle:
-				// Re-check pending; spurious pulses are fine.
-			case <-ctx.Done():
-				graceful = false
-				g.drainErr = fmt.Errorf("gateway: drain cut short: %w", ctx.Err())
-			}
-			if !graceful {
-				break
-			}
+		workers := make(chan struct{})
+		go func() {
+			g.wg.Wait()
+			close(workers)
+		}()
+		select {
+		case <-workers:
+		case <-ctx.Done():
 		}
-		// Stop the workers. In the graceful case the queue is already
-		// empty; in the hard case cancellation both unblocks in-flight
-		// decodes (through their context) and routes workers into flushQueue.
+		if ctx.Err() != nil {
+			g.drainErr = fmt.Errorf("gateway: drain cut short: %w", ctx.Err())
+		}
+		// Stop the workers. After a graceful drain they are gone already; in
+		// the hard case cancellation both unblocks in-flight decodes
+		// (through their context) and routes workers into flushQueue. It
+		// also releases submitters still blocked under ShedBlock.
 		g.cancel()
-		g.wg.Wait()
-		// Workers are gone; anything still queued (frames that raced in
-		// between the last flush check and worker exit) is flushed here.
+		<-workers
+		// A gateway built without workers still holds its queue.
 		g.flushQueue()
 		// All completions are journaled; close the log. Frames the hard-stop
 		// path shed have completion records too (flushQueue emits through
@@ -695,12 +671,11 @@ func (g *Gateway) Healthy() bool { return g.ctx.Err() == nil }
 
 // Ready reports whether the gateway should receive traffic: it is accepting
 // (recovery, if any, completed inside New before this gateway existed) and
-// the queue and the admission window are below the shed threshold (the test
-// submitFrame applies to an offered frame). What earlier frames decoded to
-// does not enter it. Wire it to a /readyz check (obs.RegisterReadyCheck).
+// the queue is below its limit — room(), the test submitFrame applies to an
+// offered frame. What earlier frames decoded to does not enter it. Wire it
+// to a /readyz check (obs.RegisterReadyCheck).
 func (g *Gateway) Ready() bool {
 	g.mu.Lock()
-	accepting := g.accepting
-	g.mu.Unlock()
-	return accepting && len(g.queue) < cap(g.queue) && g.windowOpen()
+	defer g.mu.Unlock()
+	return g.accepting && g.room()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -131,6 +132,75 @@ func TestShedBlockPolicyCancel(t *testing.T) {
 	done := collectOutcomes(g)
 	_ = g.Drain(canceledCtx())
 	<-done
+}
+
+// TestDrainRacesSubmitters pins Drain's close of the queue against live
+// submitters: under every policy, eight goroutines submitting in a loop
+// while Drain runs see only nil, ErrQueueFull or ErrStopped (a send on the
+// closed queue would panic the test binary), and every accepted frame gets
+// exactly one outcome.
+func TestDrainRacesSubmitters(t *testing.T) {
+	h, sig, _ := synthFrame(6)
+	for _, policy := range []ShedPolicy{ShedBlock, ShedDropOldest, ShedReject} {
+		t.Run(policy.String(), func(t *testing.T) {
+			g, err := New(Config{Queue: 2, Workers: 2, Policy: policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := collectOutcomes(g)
+			const submitters = 8
+			var (
+				mu            sync.Mutex
+				accepted      = map[uint64]bool{}
+				wg, returning sync.WaitGroup
+			)
+			wg.Add(submitters)
+			returning.Add(submitters)
+			for i := 0; i < submitters; i++ {
+				go func() {
+					defer wg.Done()
+					for calls := 0; ; calls++ {
+						id, err := g.Submit(nil, "racer", h, sig)
+						if calls == 0 {
+							returning.Done()
+						}
+						switch {
+						case err == nil:
+							mu.Lock()
+							accepted[id] = true
+							mu.Unlock()
+						case errors.Is(err, ErrStopped):
+							return
+						case !errors.Is(err, ErrQueueFull):
+							t.Errorf("submit: %v, want nil, ErrQueueFull or ErrStopped", err)
+							return
+						}
+					}
+				}()
+			}
+			returning.Wait() // every submitter is in its loop
+			if err := g.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			wg.Wait()
+			per := map[uint64]int{}
+			for _, o := range <-done {
+				per[o.FrameID]++
+			}
+			for id := range accepted {
+				if per[id] != 1 {
+					t.Errorf("frame %d: %d outcomes, want 1", id, per[id])
+				}
+			}
+			if len(per) != len(accepted) {
+				t.Errorf("outcomes for %d frames, %d accepted", len(per), len(accepted))
+			}
+			st := g.Stats()
+			if st.Accepted != int64(len(accepted)) || st.Accepted != st.Decoded+st.Failed+st.Shed {
+				t.Errorf("stats %+v for %d accepted frames: want accepted = decoded + failed + shed", st, len(accepted))
+			}
+		})
+	}
 }
 
 // TestSubmitAfterDrainStopped pins ErrStopped and Drain idempotency.
@@ -406,7 +476,6 @@ func TestNewRefusesNegativeSettings(t *testing.T) {
 		{Queue: -1},
 		{Workers: -1},
 		{MaxConns: -1},
-		{AdmissionEvery: -1},
 		{DecodeTimeout: -time.Second},
 		{ConnTimeout: -time.Second},
 		{AdmissionTarget: -time.Millisecond},

@@ -28,7 +28,8 @@
 // frame has completed is deleted on the spot, so steady-state disk usage is
 // bounded by the in-flight window plus one segment. Completion records may
 // land in a newer segment than their admit record; recovery matches the two
-// by frame ID across all segments, in either order.
+// by frame ID across all segments, in either order (a journal an older
+// binary wrote may hold a completion before its admit).
 package journal
 
 import (
@@ -139,12 +140,8 @@ type Writer struct {
 	nextSeg   int
 	segments  map[string]*segment // rotated segments still holding outstanding admits
 	owner     map[uint64]*segment // frame ID -> segment holding its admit record
-	// completedEarly holds IDs whose completion record arrived before their
-	// admit record (the streaming-ingest race); the late admit is then not
-	// counted outstanding.
-	completedEarly map[uint64]bool
-	buf            bytes.Buffer
-	closed         bool
+	buf       bytes.Buffer
+	closed    bool
 }
 
 // segName formats a segment file name; the fixed-width index keeps
@@ -357,12 +354,11 @@ func Open(dir string, opts Options) (*Writer, Recovery, error) {
 		}
 	}
 	w := &Writer{
-		dir:            dir,
-		opts:           opts,
-		nextSeg:        next,
-		segments:       map[string]*segment{},
-		owner:          map[uint64]*segment{},
-		completedEarly: map[uint64]bool{},
+		dir:      dir,
+		opts:     opts,
+		nextSeg:  next,
+		segments: map[string]*segment{},
+		owner:    map[uint64]*segment{},
 	}
 	if err := w.rotateLocked(); err != nil {
 		return nil, Recovery{}, err
@@ -467,21 +463,16 @@ func (w *Writer) Append(id uint64, h trace.Header, samples []complex128) error {
 	if err := w.appendLocked(); err != nil {
 		return fmt.Errorf("journal: appending frame %d: %w", id, err)
 	}
-	if w.completedEarly[id] {
-		// The completion raced ahead (a streaming frame that finished decode
-		// before its delivery was journaled); the pair is already settled.
-		delete(w.completedEarly, id)
-		return nil
-	}
 	w.active.outstanding++
 	w.owner[id] = w.active
 	return nil
 }
 
 // Complete journals one frame's terminal outcome and reclaims any rotated
-// segment the completion drains. Completing an ID with no journaled admit
-// is legal (the record becomes an ignored orphan at recovery); the pairing
-// is remembered so a late admit does not leak outstanding accounting.
+// segment the completion drains. The writer expects a frame's completion
+// after its admit (the gateway writes them in that order). Completing an
+// ID with no journaled admit is legal: the record becomes an ignored
+// orphan at recovery.
 func (w *Writer) Complete(id uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -503,7 +494,6 @@ func (w *Writer) Complete(id uint64) error {
 	}
 	seg, ok := w.owner[id]
 	if !ok {
-		w.completedEarly[id] = true
 		return nil
 	}
 	delete(w.owner, id)

@@ -176,8 +176,9 @@ func TestJournalSegmentRotationAndReclaim(t *testing.T) {
 func TestJournalCompletionBeforeAdmit(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _ := mustOpen(t, dir, Options{})
-	// The streaming-ingest race: a frame's decode finishes (completion
-	// journaled) before its delivery completes (admit journaled).
+	// The gateway writes an admit before its completion, but a journal an
+	// older binary left may hold them the other way round (its streaming
+	// race); Scan still pairs them.
 	if err := w.Complete(7); err != nil {
 		t.Fatal(err)
 	}

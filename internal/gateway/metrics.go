@@ -31,12 +31,12 @@ var (
 	mJournalErrors = obs.NewCounter("gateway.journal.errors")
 
 	// AIMD admission control: window shrinks (p99 over target), grows
-	// (under target), submissions deferred at the window, and the current
-	// window as a gauge-by-delta (its value is the live admission limit).
+	// (under target), submissions deferred at the window, and the live
+	// window (the queue's limit) as a gauge.
 	mAdmissionShrinks  = obs.NewCounter("gateway.admission.shrinks")
 	mAdmissionGrows    = obs.NewCounter("gateway.admission.grows")
 	mAdmissionDeferred = obs.NewCounter("gateway.admission.deferred")
-	mAdmissionLimit    = obs.NewCounter("gateway.admission.limit")
+	mAdmissionLimit    = obs.NewGauge("gateway.admission.limit")
 
 	// Per-rung ladder visibility — attempts and successes — lives on each
 	// rung, keyed by BACKEND NAME (gateway.stage.<backend>.attempts,

@@ -191,17 +191,11 @@ func (g *Gateway) handleStreamConn(ctx context.Context, conn net.Conn) {
 	// already eligible to start on the preamble prefix.
 	g.reply(conn, "accepted %d\n", id)
 	err = g.streamSamples(conn, br, sb)
-	if err == nil && g.journal != nil && f.journalState.CompareAndSwap(journalNone, journalAdmitted) {
-		// Journal the admit now that the frame is fully delivered (a
-		// streamed frame becomes durable at delivery, not at admission —
-		// the documented streaming gap). The CAS loses only to emit having
-		// already settled the frame terminally, in which case no admit may
-		// be written. The symmetric race — decode completing between our
-		// CAS and this Append — journals the completion first; the journal's
-		// out-of-order pairing absorbs it.
-		if jerr := g.journal.Append(f.ID, f.Header, f.Samples); jerr != nil {
-			mJournalErrors.Inc()
-		}
+	if err == nil {
+		// A streamed frame becomes durable at delivery, not at admission
+		// (the documented streaming gap). A failed append is counted on
+		// gateway.journal.errors; the decode goes on.
+		_ = g.journalAdmit(f)
 	}
 	sb.complete(err)
 }

@@ -1,6 +1,6 @@
 // Package obs is the repository's zero-dependency observability layer:
-// atomic counters, power-of-two latency/value histograms, and named stage
-// timers, snapshottable to deterministic JSON. The hot paths of the decode
+// atomic counters and gauges, power-of-two latency/value histograms, and
+// named stage timers, snapshottable to deterministic JSON. The hot paths of the decode
 // pipeline (package internal/choir), the trial-execution engine (package
 // internal/exec), the experiment harness (package internal/sim), the MAC
 // simulator and the fault injectors all record into it.
@@ -76,6 +76,23 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // reset zeroes the counter.
 func (c *Counter) reset() { c.v.Store(0) }
+
+// Gauge holds a level — the last value set, such as a live limit — where a
+// Counter holds a running total. NewGauge returns a registered one.
+type Gauge struct {
+	v atomic.Int64
+}
+
+// Set makes v the gauge's value.
+func (g *Gauge) Set(v int64) {
+	if !enabled.Load() {
+		return
+	}
+	g.v.Store(v)
+}
+
+// Value returns the last value set.
+func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histBuckets is the number of histogram buckets: bucket 0 holds values
 // <= 0, bucket i (1..64) holds values in [2^(i-1), 2^i - 1].
@@ -262,6 +279,7 @@ func (s Span) Stop() {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
+	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -269,6 +287,7 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
+		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -279,26 +298,30 @@ var std = NewRegistry()
 // Counter returns the named counter, creating and registering it on first
 // use. Repeated calls with one name return the same counter.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	r.counters[name] = c
-	return c
+	return lookup(r, r.counters, name, func() *Counter { return &Counter{} })
+}
+
+// Gauge returns the named gauge, creating it on first use.
+func (r *Registry) Gauge(name string) *Gauge {
+	return lookup(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
+	return lookup(r, r.hists, name, newHistogram)
+}
+
+// lookup returns m's metric under name, registering a fresh one on first
+// use.
+func lookup[M any](r *Registry, m map[string]*M, name string, fresh func() *M) *M {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
+	if v, ok := m[name]; ok {
+		return v
 	}
-	h := newHistogram()
-	r.hists[name] = h
-	return h
+	v := fresh()
+	m[name] = v
+	return v
 }
 
 // Timer returns a timer over the named histogram.
@@ -308,6 +331,9 @@ func (r *Registry) Timer(name string) *Timer {
 
 // NewCounter registers a counter in the process-wide registry.
 func NewCounter(name string) *Counter { return std.Counter(name) }
+
+// NewGauge registers a gauge in the process-wide registry.
+func NewGauge(name string) *Gauge { return std.Gauge(name) }
 
 // NewHistogram registers a histogram in the process-wide registry.
 func NewHistogram(name string) *Histogram { return std.Histogram(name) }
@@ -326,6 +352,9 @@ func (r *Registry) Reset() {
 	defer r.mu.Unlock()
 	for _, c := range r.counters {
 		c.reset()
+	}
+	for _, g := range r.gauges {
+		g.v.Store(0)
 	}
 	for _, h := range r.hists {
 		h.reset()
@@ -348,6 +377,7 @@ type HistSnapshot struct {
 // deterministic (sorted) key order.
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters"`
+	Gauges     map[string]int64        `json:"gauges"`
 	Histograms map[string]HistSnapshot `json:"histograms"`
 }
 
@@ -357,10 +387,14 @@ func (r *Registry) TakeSnapshot() Snapshot {
 	defer r.mu.Unlock()
 	snap := Snapshot{
 		Counters:   make(map[string]int64, len(r.counters)),
+		Gauges:     make(map[string]int64, len(r.gauges)),
 		Histograms: make(map[string]HistSnapshot, len(r.hists)),
 	}
 	for name, c := range r.counters {
 		snap.Counters[name] = c.Value()
+	}
+	for name, g := range r.gauges {
+		snap.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
 		hs := HistSnapshot{

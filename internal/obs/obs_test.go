@@ -161,12 +161,14 @@ func TestTimerSpan(t *testing.T) {
 func TestDisabledPathAllocationFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test.allocs.counter")
+	gg := r.Gauge("test.allocs.gauge")
 	h := r.Histogram("test.allocs.hist")
 	tm := r.Timer("test.allocs.timer_ns")
 	Disable()
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		c.Add(3)
+		gg.Set(5)
 		h.Observe(42)
 		sp := tm.Start()
 		sp.Stop()
@@ -198,6 +200,33 @@ func TestSnapshotAndReset(t *testing.T) {
 	}
 	if snap.Histograms["a.hist"].Min != 0 {
 		t.Error("empty histogram snapshot should report min 0")
+	}
+}
+
+// TestGaugeReadsLastSet pins the gauge contract: it reads the last value
+// set (not a sum of moves), a set while disabled records nothing, and
+// snapshots and Reset cover gauges.
+func TestGaugeReadsLastSet(t *testing.T) {
+	r := NewRegistry()
+	g := r.Gauge("a.level")
+	if r.Gauge("a.level") != g {
+		t.Fatal("second lookup returned a different gauge")
+	}
+	withEnabled(t, func() {
+		g.Set(8)
+		g.Set(4)
+	})
+	Disable()
+	g.Set(99) // ignored while disabled
+	if got := g.Value(); got != 4 {
+		t.Errorf("gauge = %d, want 4 (last value set while enabled)", got)
+	}
+	if got := r.TakeSnapshot().Gauges["a.level"]; got != 4 {
+		t.Errorf("snapshot gauge = %d, want 4", got)
+	}
+	r.Reset()
+	if got := r.TakeSnapshot().Gauges["a.level"]; got != 0 {
+		t.Errorf("gauge after Reset = %d, want 0", got)
 	}
 }
 
