@@ -151,19 +151,13 @@ type Frame struct {
 	// arriving (ServeTCPStream); decode attempts wait on it via the
 	// choir.AvailFunc contract.
 	stream *streamBuffer
-	// journalState tracks the frame's write-ahead journal lifecycle:
-	// journalNone (no admit record yet), journalAdmitted (admit journaled —
-	// settling must journal a completion), or journalSettled (terminal; no
-	// record may be written after this). See journalAdmit and journalSettle.
-	journalState atomic.Uint32
+	// admitted and settled track the frame's write-ahead journal records:
+	// its admit is written, and it is terminal (no admit may follow). Both
+	// are guarded by journalMu, which is held across each record's write, so
+	// a settle arriving during the admit's append waits for it.
+	journalMu         sync.Mutex
+	admitted, settled bool
 }
-
-// Frame journal lifecycle states (Frame.journalState).
-const (
-	journalNone uint32 = iota
-	journalAdmitted
-	journalSettled
-)
 
 // OutcomeKind classifies a frame's terminal outcome.
 type OutcomeKind int
@@ -257,6 +251,10 @@ type Gateway struct {
 	// completed — their outcome is durable but may never have been reported.
 	journal        *journal.Writer
 	priorCompleted []uint64
+	// admitting is held shared by a journaled Submit until it is queued or
+	// refused, and by Drain, after cancel has released blocked submitters,
+	// to close the journal: no refused frame's completion follows the close.
+	admitting sync.RWMutex
 
 	// admission is the AIMD overload controller that moves limit (nil when
 	// Config.AdmissionTarget is zero).
@@ -348,7 +346,7 @@ func build(cfg Config) (*Gateway, error) {
 			ID: e.ID, Source: "journal", Header: e.Header, Samples: e.Samples,
 			Replayed: true, enqueued: time.Now(),
 		}
-		f.journalState.Store(journalAdmitted) // Open re-journaled the admit
+		f.admitted = true // Open re-journaled the admit
 		g.queue <- f
 		g.accepted.Add(1)
 		g.replayed.Add(1)
@@ -421,6 +419,8 @@ func (g *Gateway) submitFrame(ctx context.Context, f *Frame) (uint64, error) {
 		// durability is pending, the documented streaming gap.
 		f.ID = g.nextID.Add(1)
 		if f.stream == nil {
+			g.admitting.RLock()
+			defer g.admitting.RUnlock()
 			if err := g.journalAdmit(f); err != nil {
 				return 0, err
 			}
@@ -496,24 +496,24 @@ func (g *Gateway) submitFrame(ctx context.Context, f *Frame) (uint64, error) {
 func (g *Gateway) room() bool { return int64(len(g.queue)) < g.limit.Load() }
 
 // journalAdmit writes f's admit record once its samples are complete: a
-// Submit frame's before it is queued, a streamed frame's at delivery. The
-// record is appended before the state turns admitted, so a completion is
-// always written after its admit. A frame already settled (a stream whose
-// decode ended first) gets no admit; one settled during the append is
-// paired here.
+// Submit frame's before it is queued, a streamed frame's at delivery. A
+// frame already settled (a stream whose decode ended first) gets no admit.
+// A settle arriving during the append waits on journalMu and then writes
+// the completion itself, before its outcome is published.
 func (g *Gateway) journalAdmit(f *Frame) error {
-	if g.journal == nil || f.journalState.Load() == journalSettled {
+	f.journalMu.Lock()
+	defer f.journalMu.Unlock()
+	if g.journal == nil || f.settled {
 		return nil
 	}
 	if err := g.journal.Append(f.ID, f.Header, f.Samples); err != nil {
+		if errors.Is(err, journal.ErrClosed) {
+			return ErrStopped // only Drain closes the journal
+		}
 		mJournalErrors.Inc()
 		return fmt.Errorf("%w: admitting frame %d: %v", ErrJournal, f.ID, err)
 	}
-	if !f.journalState.CompareAndSwap(journalNone, journalAdmitted) {
-		// Settled during the append, with nothing to pair then: pair now.
-		f.journalState.Store(journalAdmitted)
-		g.journalSettle(f)
-	}
+	f.admitted = true
 	return nil
 }
 
@@ -521,12 +521,14 @@ func (g *Gateway) journalAdmit(f *Frame) error {
 // refused admission, and writes its completion if its admit was written:
 // a frame refused after its admit landed is never replayed.
 func (g *Gateway) journalSettle(f *Frame) {
-	if g.journal == nil || f.journalState.Swap(journalSettled) != journalAdmitted {
-		return
+	f.journalMu.Lock()
+	defer f.journalMu.Unlock()
+	if f.admitted && !f.settled {
+		if err := g.journal.Complete(f.ID); err != nil {
+			mJournalErrors.Inc()
+		}
 	}
-	if err := g.journal.Complete(f.ID); err != nil && !errors.Is(err, journal.ErrClosed) {
-		mJournalErrors.Inc()
-	}
+	f.settled = true
 }
 
 // worker is one decode goroutine: dequeue, run the recovery ladder, emit
@@ -617,7 +619,8 @@ func (g *Gateway) emit(f *Frame, o Outcome) {
 // drain hardens into a stop — in-flight decodes are canceled cooperatively
 // (their outcomes report choir.ErrCanceled) and still-queued frames are
 // flushed as shed outcomes. Either way every accepted frame has exactly
-// one terminal outcome by the time Drain returns. Drain is idempotent;
+// one terminal outcome by the time Drain returns, and Drain reports the cut
+// only if ctx fired while one still lacked it. Drain is idempotent;
 // concurrent calls share the first call's result.
 func (g *Gateway) Drain(ctx context.Context) error {
 	g.drainOnce.Do(func() {
@@ -640,9 +643,11 @@ func (g *Gateway) Drain(ctx context.Context) error {
 		select {
 		case <-workers:
 		case <-ctx.Done():
-		}
-		if ctx.Err() != nil {
-			g.drainErr = fmt.Errorf("gateway: drain cut short: %w", ctx.Err())
+			// Cut short only if an accepted frame still lacks its outcome;
+			// Accepted is frozen now that accepting is false.
+			if st := g.Stats(); st.Accepted > st.Decoded+st.Failed+st.Shed {
+				g.drainErr = fmt.Errorf("gateway: drain cut short: %w", ctx.Err())
+			}
 		}
 		// Stop the workers. After a graceful drain they are gone already; in
 		// the hard case cancellation both unblocks in-flight decodes
@@ -656,6 +661,8 @@ func (g *Gateway) Drain(ctx context.Context) error {
 		// path shed have completion records too (flushQueue emits through
 		// the journal), so a clean drain leaves an empty journal to recover.
 		if g.journal != nil {
+			g.admitting.Lock()
+			defer g.admitting.Unlock()
 			if err := g.journal.CloseReclaim(); err != nil && g.drainErr == nil {
 				g.drainErr = fmt.Errorf("gateway: closing journal: %w", err)
 			}

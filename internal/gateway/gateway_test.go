@@ -11,6 +11,7 @@ import (
 
 	"choir/internal/choir"
 	"choir/internal/fault"
+	"choir/internal/gateway/journal"
 	"choir/internal/lora"
 	"choir/internal/obs"
 	"choir/internal/sim"
@@ -135,71 +136,87 @@ func TestShedBlockPolicyCancel(t *testing.T) {
 }
 
 // TestDrainRacesSubmitters pins Drain's close of the queue against live
-// submitters: under every policy, eight goroutines submitting in a loop
-// while Drain runs see only nil, ErrQueueFull or ErrStopped (a send on the
-// closed queue would panic the test binary), and every accepted frame gets
-// exactly one outcome.
+// submitters: under every policy, with and without a journal, eight
+// goroutines submitting in a loop while Drain runs see only nil,
+// ErrQueueFull or ErrStopped (a send on the closed queue would panic the
+// test binary), every accepted frame gets exactly one outcome, and the
+// journal is left with nothing to replay.
 func TestDrainRacesSubmitters(t *testing.T) {
 	h, sig, _ := synthFrame(6)
-	for _, policy := range []ShedPolicy{ShedBlock, ShedDropOldest, ShedReject} {
-		t.Run(policy.String(), func(t *testing.T) {
-			g, err := New(Config{Queue: 2, Workers: 2, Policy: policy})
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := collectOutcomes(g)
-			const submitters = 8
-			var (
-				mu            sync.Mutex
-				accepted      = map[uint64]bool{}
-				wg, returning sync.WaitGroup
-			)
-			wg.Add(submitters)
-			returning.Add(submitters)
-			for i := 0; i < submitters; i++ {
-				go func() {
-					defer wg.Done()
-					for calls := 0; ; calls++ {
-						id, err := g.Submit(nil, "racer", h, sig)
-						if calls == 0 {
-							returning.Done()
-						}
-						switch {
-						case err == nil:
-							mu.Lock()
-							accepted[id] = true
-							mu.Unlock()
-						case errors.Is(err, ErrStopped):
-							return
-						case !errors.Is(err, ErrQueueFull):
-							t.Errorf("submit: %v, want nil, ErrQueueFull or ErrStopped", err)
-							return
-						}
-					}
-				}()
-			}
-			returning.Wait() // every submitter is in its loop
-			if err := g.Drain(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			wg.Wait()
-			per := map[uint64]int{}
-			for _, o := range <-done {
-				per[o.FrameID]++
-			}
-			for id := range accepted {
-				if per[id] != 1 {
-					t.Errorf("frame %d: %d outcomes, want 1", id, per[id])
+	for _, journaled := range []bool{false, true} {
+		for _, policy := range []ShedPolicy{ShedBlock, ShedDropOldest, ShedReject} {
+			t.Run(fmt.Sprintf("%s/journaled=%v", policy, journaled), func(t *testing.T) {
+				testDrainRacesSubmitters(t, policy, journaled, h, sig)
+			})
+		}
+	}
+}
+
+func testDrainRacesSubmitters(t *testing.T, policy ShedPolicy, journaled bool, h trace.Header, sig []complex128) {
+	cfg := Config{Queue: 2, Workers: 2, Policy: policy}
+	if journaled {
+		cfg.JournalDir = t.TempDir()
+	}
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := collectOutcomes(g)
+	const submitters = 8
+	var (
+		mu            sync.Mutex
+		accepted      = map[uint64]bool{}
+		wg, returning sync.WaitGroup
+	)
+	wg.Add(submitters)
+	returning.Add(submitters)
+	for i := 0; i < submitters; i++ {
+		go func() {
+			defer wg.Done()
+			for calls := 0; ; calls++ {
+				id, err := g.Submit(nil, "racer", h, sig)
+				if calls == 0 {
+					returning.Done()
+				}
+				switch {
+				case err == nil:
+					mu.Lock()
+					accepted[id] = true
+					mu.Unlock()
+				case errors.Is(err, ErrStopped):
+					return
+				case !errors.Is(err, ErrQueueFull):
+					t.Errorf("submit: %v, want nil, ErrQueueFull or ErrStopped", err)
+					return
 				}
 			}
-			if len(per) != len(accepted) {
-				t.Errorf("outcomes for %d frames, %d accepted", len(per), len(accepted))
-			}
-			st := g.Stats()
-			if st.Accepted != int64(len(accepted)) || st.Accepted != st.Decoded+st.Failed+st.Shed {
-				t.Errorf("stats %+v for %d accepted frames: want accepted = decoded + failed + shed", st, len(accepted))
-			}
-		})
+		}()
+	}
+	returning.Wait() // every submitter is in its loop
+	if err := g.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	per := map[uint64]int{}
+	for _, o := range <-done {
+		per[o.FrameID]++
+	}
+	for id := range accepted {
+		if per[id] != 1 {
+			t.Errorf("frame %d: %d outcomes, want 1", id, per[id])
+		}
+	}
+	if len(per) != len(accepted) {
+		t.Errorf("outcomes for %d frames, %d accepted", len(per), len(accepted))
+	}
+	st := g.Stats()
+	if st.Accepted != int64(len(accepted)) || st.Accepted != st.Decoded+st.Failed+st.Shed {
+		t.Errorf("stats %+v for %d accepted frames: want accepted = decoded + failed + shed", st, len(accepted))
+	}
+	if journaled {
+		if incomplete, _, _, err := journal.Scan(cfg.JournalDir); err != nil || len(incomplete) != 0 {
+			t.Errorf("journal after drain: %d frames to replay, err %v", len(incomplete), err)
+		}
 	}
 }
 
@@ -222,6 +239,34 @@ func TestSubmitAfterDrainStopped(t *testing.T) {
 	}
 	if outs := <-done; len(outs) != 0 {
 		t.Errorf("outcomes from empty gateway: %+v", outs)
+	}
+}
+
+// TestDrainCanceledAfterEveryOutcomeIsGraceful pins Drain's report: a
+// drain whose ctx has already fired is cut short only if an accepted frame
+// still lacks its outcome. An idle gateway, and one whose every frame has
+// its outcome, drain with nil.
+func TestDrainCanceledAfterEveryOutcomeIsGraceful(t *testing.T) {
+	h, sig, _ := synthFrame(1)
+	for _, frames := range []int{0, 2} {
+		g, err := New(Config{Queue: 4, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < frames; i++ {
+			if _, err := g.Submit(nil, "t", h, sig); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < frames; i++ {
+			<-g.Outcomes()
+		}
+		if err := g.Drain(canceledCtx()); err != nil {
+			t.Errorf("%d frames, every outcome out: drain = %v, want nil", frames, err)
+		}
+		if _, open := <-g.Outcomes(); open {
+			t.Errorf("%d frames: an extra outcome", frames)
+		}
 	}
 }
 

@@ -3,6 +3,9 @@ package gateway
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -338,6 +341,110 @@ func TestJournalStreamingAbortNoReplay(t *testing.T) {
 	}
 	if len(incomplete) != 0 {
 		t.Errorf("aborted stream left %d frames to replay", len(incomplete))
+	}
+}
+
+// heldFile is a journal segment whose first Sync after armed is set
+// signals entered and waits for release: it holds one record's append open
+// with its bytes already written.
+type heldFile struct {
+	*os.File
+	armed            *atomic.Bool
+	entered, release chan struct{}
+}
+
+func (f heldFile) Sync() error {
+	if f.armed.CompareAndSwap(true, false) {
+		close(f.entered)
+		<-f.release
+	}
+	return f.File.Sync()
+}
+
+// TestJournalStreamSettleWaitsForAdmit pins the journal order for a
+// streamed frame whose decode ends while its connection handler is still
+// appending the frame's admit record (an fsync in progress): the outcome is
+// not reported, and Drain does not return, until the admit is done and the
+// completion written after it; a restart then replays nothing. It runs with
+// Drain started after the outcome and while the admit is held.
+func TestJournalStreamSettleWaitsForAdmit(t *testing.T) {
+	for _, drainEarly := range []bool{false, true} {
+		t.Run(fmt.Sprintf("drainEarly=%v", drainEarly), func(t *testing.T) {
+			dir := t.TempDir()
+			var armed atomic.Bool
+			entered, release := make(chan struct{}), make(chan struct{})
+			jw, _, err := journal.Open(dir, journal.Options{Fsync: true, OpenFile: func(path string) (journal.File, error) {
+				f, err := os.Create(path)
+				return heldFile{f, &armed, entered, release}, err
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := build(Config{Queue: 4, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.journal = jw
+			h, sig, _ := synthFrame(13)
+			sb := newStreamBuffer(len(sig))
+			f := &Frame{Source: "stream", Header: h, Samples: sb.buf, stream: sb}
+			if _, err := g.submitFrame(context.Background(), f); err != nil {
+				t.Fatal(err)
+			}
+			copy(sb.buf, sig)
+			sb.extend(len(sig)) // every sample delivered: the decode can finish
+			armed.Store(true)
+			delivered := make(chan struct{})
+			go func() { // handleStreamConn at delivery
+				if err := g.journalAdmit(f); err != nil {
+					t.Error(err)
+				}
+				sb.complete(nil)
+				close(delivered)
+			}()
+			<-entered
+			g.start()
+			drained := make(chan error, 1)
+			if drainEarly {
+				go func() { drained <- g.Drain(context.Background()) }()
+			}
+			var outs []Outcome
+			select {
+			case o := <-g.outcomes:
+				outs = append(outs, o)
+				t.Error("outcome reported while the frame's admit was still being appended")
+			case err := <-drained:
+				drained <- err
+				t.Error("drain returned while the frame's admit was still being appended")
+			case <-time.After(200 * time.Millisecond):
+			}
+			close(release)
+			<-delivered
+			if len(outs) == 0 {
+				outs = append(outs, <-g.outcomes)
+				if !drainEarly {
+					incomplete, completed, _, err := journal.Scan(dir)
+					if err != nil || len(incomplete) != 0 || len(completed) != 1 || completed[0] != f.ID {
+						t.Errorf("journal at the outcome: %d incomplete, completed %v, err %v; want the pair settled", len(incomplete), completed, err)
+					}
+				}
+			}
+			if !drainEarly {
+				go func() { drained <- g.Drain(context.Background()) }()
+			}
+			if err := <-drained; err != nil {
+				t.Errorf("drain: %v", err)
+			}
+			for o := range g.outcomes {
+				outs = append(outs, o)
+			}
+			if len(outs) != 1 || outs[0].Kind != OutcomeDecoded {
+				t.Errorf("outcomes %+v, want one decoded", outs)
+			}
+			if incomplete, _, _, err := journal.Scan(dir); err != nil || len(incomplete) != 0 {
+				t.Errorf("journal after drain: %d frames to replay, err %v", len(incomplete), err)
+			}
+		})
 	}
 }
 
