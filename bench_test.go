@@ -10,6 +10,8 @@ package choir_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"strings"
@@ -497,6 +499,75 @@ func BenchmarkStandardLoRaDemodulate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Demodulate(sig, len(payload)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// decodeStages are the choir.stage timers that nest no other stage timer:
+// every other span of a decode (the preamble and data stages, the decode
+// itself) contains some of them. A leaf's exclusive time is its inclusive
+// time; the rest of a decode is the decode timer less all the leaves.
+var decodeStages = []string{"dechirp", "fft", "peak_search", "residual_min", "sic"}
+
+// BenchmarkDecodeBySF is the decoder's cost table across SF7–12: k-user
+// collisions of 8-byte payloads, every user at MediumSNR's midpoint, up to
+// four seeded renderings per cell decoded in turn by one warm decoder. It
+// reports µs per frame, decode time over the frame's airtime (a core keeps
+// up with a channel below 1), and each stage's exclusive share of the
+// decode timer, from differences of the inclusive choir.stage.* timers.
+// Under -cpu 2 and up the leaves that helper lanes run overlap the decoding
+// goroutine's span, so the shares there sum past 1 and "other" reads low;
+// the -cpu 1 row is the CPU split. -short keeps SF7–9 and k ≤ 4.
+func BenchmarkDecodeBySF(b *testing.B) {
+	sfs, ks := []lora.SpreadingFactor{lora.SF7, lora.SF8, lora.SF9, lora.SF10, lora.SF11, lora.SF12}, []int{1, 4, 10}
+	if testing.Short() {
+		sfs, ks = sfs[:3], ks[:2]
+	}
+	const payloadLen, renderings = 8, 4
+	for _, sf := range sfs {
+		for _, k := range ks {
+			b.Run(fmt.Sprintf("%v/k=%d", sf, k), func(b *testing.B) {
+				p := lora.DefaultParams()
+				p.SF = sf
+				snrs := teamSNRs(k, sim.MediumSNR.Mid())
+				frames := make([][]complex128, min(b.N, renderings))
+				for i := range frames {
+					sc := sim.Scenario{Params: p, PayloadLen: payloadLen, SNRsDB: snrs, Seed: uint64(sf)<<16 | uint64(k)<<8 | uint64(i)}
+					frames[i], _ = sc.Synthesize()
+				}
+				dec := mustDecoder(ichoir.DefaultConfig(p))
+				res := &ichoir.Result{}
+				// A frame no user of which is found is a valid row too.
+				if _, err := dec.DecodeInto(res, frames[0], payloadLen); err != nil && !errors.Is(err, ichoir.ErrNoUsers) {
+					b.Fatal(err)
+				}
+				obs.Enable()
+				defer obs.Disable()
+				obs.Reset()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := dec.DecodeInto(res, frames[i%len(frames)], payloadLen); err != nil && !errors.Is(err, ichoir.ErrNoUsers) {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				snap := obs.TakeSnapshot()
+				perFrame := float64(b.Elapsed().Microseconds()) / float64(b.N)
+				airtime := float64(p.FrameSamples(payloadLen)) / p.Bandwidth * 1e6
+				b.ReportMetric(perFrame, "µs/frame")
+				b.ReportMetric(perFrame/airtime, "decode/airtime")
+				total := float64(snap.Histograms["choir.decode_ns"].Sum)
+				if total == 0 {
+					return
+				}
+				other := total
+				for _, st := range decodeStages {
+					ns := float64(snap.Histograms["choir.stage."+st+"_ns"].Sum)
+					other -= ns
+					b.ReportMetric(ns/total, st+"-share")
+				}
+				b.ReportMetric(other/total, "other-share")
+			})
 		}
 	}
 }
