@@ -152,7 +152,7 @@ func (d *Decoder) mlSymbolPass(win []complex128, w int, peaks []peakObs, users [
 	copy(resid, win)
 	for i, pk := range peaks {
 		if pk.user >= 0 {
-			subtractTone(resid, d.tone(offs[i]), joint[i])
+			subtractTone(resid, d.slotTone(i, offs[i]), joint[i])
 		}
 	}
 	// Each user's matched-filter input is the shared residual plus that
@@ -163,7 +163,7 @@ func (d *Decoder) mlSymbolPass(win []complex128, w int, peaks []peakObs, users [
 		copy(own, resid)
 		for i, pk := range peaks {
 			if pk.user == ui {
-				subtractTone(own, d.tone(offs[i]), -joint[i])
+				subtractTone(own, d.slotTone(i, offs[i]), -joint[i])
 			}
 		}
 		// The matched-filter decision is authoritative over the
@@ -236,7 +236,9 @@ func (d *Decoder) mainSeg(b int) (lo, hi int) {
 // the closed-form Gram matrix of toneGram — two masked tones overlap on the
 // intersection of their ranges — so a fit costs O(N·k + k³) and no N×k design
 // matrix exists. The returned slice aliases decoder-owned workspace storage,
-// valid until the next fitSegments / fitChannels call.
+// valid until the next fitSegments / fitChannels call. Regressor j's tone is
+// left in tone slot j, whole (slotTone), for the caller to subtract the fit
+// with.
 func (d *Decoder) fitSegments(dech []complex128, regs []segReg) []complex128 {
 	k := len(regs)
 	if k == 0 {
@@ -244,7 +246,7 @@ func (d *Decoder) fitSegments(dech []complex128, regs []segReg) []complex128 {
 	}
 	ata, atb := d.lsWS.NormalSystem(k)
 	for a, ra := range regs {
-		atb[a] = toneCorrelate(dech[ra.lo:ra.hi], d.tone(ra.f)[ra.lo:])
+		atb[a] = toneCorrelate(dech[ra.lo:ra.hi], d.slotTone(a, ra.f)[ra.lo:])
 		ata.Data[a*k+a] = complex(float64(ra.hi-ra.lo), 0)
 		for b := a + 1; b < k; b++ {
 			rb := regs[b]
@@ -264,9 +266,10 @@ func (d *Decoder) fitSegments(dech []complex128, regs []segReg) []complex128 {
 	return hs
 }
 
-// subtractSeg removes h times the masked regressor r from x.
-func (d *Decoder) subtractSeg(x []complex128, r segReg, h complex128) {
-	subtractTone(x[r.lo:r.hi], d.tone(r.f)[r.lo:], h)
+// subtractSeg removes h times the masked regressor r, whose tone is tone,
+// from x.
+func subtractSeg(x, tone []complex128, r segReg, h complex128) {
+	subtractTone(x[r.lo:r.hi], tone[r.lo:], h)
 }
 
 // estimateBoundaries locates each user's symbol edge within the windows by
@@ -306,7 +309,7 @@ func (d *Decoder) estimateBoundaries(wins [][]complex128, nsym int, users []*Use
 			}
 			hs := d.fitChannels(work, offs)
 			for j, f := range offs {
-				subtractTone(work, d.tone(f), hs[j])
+				subtractTone(work, d.slotTone(j, f), hs[j])
 			}
 			symPrev, symCur, symNext := 0, u.Symbols[w], 0
 			if w > 0 {
@@ -412,7 +415,7 @@ func (d *Decoder) icSymbolPass(dech []complex128, w int, users []*User, bounds [
 		copy(work, dech)
 		for j, r := range regs {
 			if owner[j] != ui {
-				d.subtractSeg(work, r, hs[j])
+				subtractSeg(work, d.slotTone(j, r.f), r, hs[j])
 			}
 		}
 		// Decide over the user's main segment only.
@@ -519,7 +522,7 @@ func (d *Decoder) refinePeakPositions(dech []complex128, out []peakObs) []peakOb
 	copy(residual, dech)
 	for i := range out {
 		models[i] = segModel{h1: joint[i], h2: joint[i], i0: 0}
-		subtractTone(residual, d.tone(offs[i]), joint[i])
+		subtractTone(residual, d.slotTone(i, offs[i]), joint[i])
 	}
 	origMag := grow(&d.origMagBuf, len(out))
 	for i, pk := range out {
@@ -527,12 +530,12 @@ func (d *Decoder) refinePeakPositions(dech []complex128, out []peakObs) []peakOb
 	}
 	for sweep := 0; sweep < 2; sweep++ {
 		for i := range out {
-			addSegments(residual, d.tone(offs[i]), models[i].h1, models[i].h2, models[i].i0)
+			addSegments(residual, d.slotTone(i, offs[i]), models[i].h1, models[i].h2, models[i].i0)
 			// Golden-refine this peak's frequency on its cleaned signal:
 			// the two-segment fit gates out the adjacent symbol's segment,
 			// so the refined position is free of both other-user leakage
 			// and the peak's own timing-offset bias.
-			m, tone := d.segmentFitRefined(residual, offs[i])
+			m, tone := d.segmentFitRefined(residual, offs[i], i)
 			offs[i], models[i] = m.f, m
 			subtractSegments(residual, tone, m.h1, m.h2, m.i0)
 		}

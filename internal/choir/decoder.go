@@ -49,9 +49,9 @@ type Config struct {
 	// Pad is the zero-padding factor for peak-resolution FFTs. The paper
 	// uses 10×; the decoder rounds the FFT length up to the next power of
 	// two (so 10 behaves as 16). Must be >= 4 for usable fractional
-	// resolution.
+	// resolution, and at most 64.
 	Pad int
-	// MaxUsers caps how many colliding transmitters are tracked.
+	// MaxUsers caps how many colliding transmitters are tracked: 1 to 64.
 	MaxUsers int
 	// PeakThreshold is the multiple of the spectrum's median magnitude a
 	// peak must exceed to count as a user (default 5).
@@ -84,6 +84,15 @@ type Config struct {
 	// users scale (Sec. 5.2 note 3).
 	MatchTolerance float64
 }
+
+// The largest Pad and MaxUsers New accepts. A padded spectrum of maxPad·N
+// bins is 4 MiB at SF12, and the decoder saturates near ten users (ROADMAP
+// item 3), so neither limit binds a useful decoder; past them the padded
+// size and the per-user scratch overflow an int.
+const (
+	maxPad   = 64
+	maxUsers = 64
+)
 
 // DefaultConfig returns the decoder configuration used in the evaluation.
 func DefaultConfig(p lora.Params) Config {
@@ -129,7 +138,11 @@ type Decoder struct {
 	// where they mutate) instead of dechirping the same samples again.
 	dataWins [][]complex128
 
-	toneBuf []complex128 // the one tone scratch, filled by tone (n)
+	toneBuf []complex128 // the tone scratch, filled by tone and by the golden search's candidate walks (n)
+
+	// toneSlots are the tones a pass reuses, slot j for regressor or user j
+	// of the pass (slotTone).
+	toneSlots []toneSlot
 
 	// Every reusable buffer of the pipeline is a named field grown by grow,
 	// so a warmed-up decoder decodes without a heap allocation (DESIGN.md
@@ -225,11 +238,11 @@ func New(cfg Config) (*Decoder, error) {
 	if err := cfg.LoRa.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Pad < 4 {
-		return nil, fmt.Errorf("choir: padding factor %d < 4", cfg.Pad)
+	if cfg.Pad < 4 || cfg.Pad > maxPad {
+		return nil, fmt.Errorf("choir: padding factor %d outside [4, %d]", cfg.Pad, maxPad)
 	}
-	if cfg.MaxUsers < 1 {
-		return nil, fmt.Errorf("choir: MaxUsers %d < 1", cfg.MaxUsers)
+	if cfg.MaxUsers < 1 || cfg.MaxUsers > maxUsers {
+		return nil, fmt.Errorf("choir: MaxUsers %d outside [1, %d]", cfg.MaxUsers, maxUsers)
 	}
 	if cfg.PeakThreshold <= 1 {
 		return nil, fmt.Errorf("choir: PeakThreshold %g must exceed 1", cfg.PeakThreshold)
@@ -511,6 +524,38 @@ func (d *Decoder) tone(fBins float64) []complex128 {
 	return dsp.Tone(d.toneBuf, d.n, fBins/float64(d.n), 0)
 }
 
+// toneSlot is one tone a decoder keeps: tone is e^{j2πk·f/N}, k < N, once
+// set. A tone depends on f and N alone, so a slot holding f's bits serves a
+// later request for f exactly, whichever pass, window or lane built it.
+type toneSlot struct {
+	f    float64
+	set  bool
+	tone []complex128
+}
+
+// slotTone returns slot j's tone at fBins, bit for bit d.tone(fBins), and
+// builds it only when the slot holds another frequency. The tone is valid
+// until slot j is asked for another frequency or handed to
+// segmentFitRefined.
+func (d *Decoder) slotTone(j int, fBins float64) []complex128 {
+	s := d.slot(j)
+	if !s.set || math.Float64bits(s.f) != math.Float64bits(fBins) {
+		dsp.Tone(s.tone, d.n, fBins/float64(d.n), 0)
+		s.f, s.set = fBins, true
+	}
+	return s.tone
+}
+
+// slot returns tone slot j with its storage grown to N.
+func (d *Decoder) slot(j int) *toneSlot {
+	if j >= len(d.toneSlots) {
+		grow(&d.toneSlots, j+1)
+	}
+	s := &d.toneSlots[j]
+	grow(&s.tone, d.n)
+	return s
+}
+
 // combDecide returns the symbol s whose matched filter at s+offset bins is
 // strongest over the dechirped window x, or -1 when x is all zero. x is
 // consumed (overwritten with the comb spectrum).
@@ -548,11 +593,22 @@ func (d *Decoder) combSpectrum(x []complex128, r int) []complex128 {
 }
 
 // magnitudes converts a complex spectrum to magnitudes in the decoder's
-// scratch slice (valid until the next call).
+// scratch slice (valid until the next call). A magnitude is the square root
+// of re² + im² wherever that sum is finite and at least 2⁻¹⁰²⁰: the larger
+// square is then normal and the smaller one's underflow is under 2⁻⁵⁵ of the
+// sum, so the root is within 1.5 ulps of |v|, where math.Hypot's own error
+// reaches about 2. Elsewhere — zeros, subnormal and overflowing sums,
+// infinities and NaN — it is math.Hypot. The two stay within 2 ulps of each
+// other (TestMagnitudesMatchHypot).
 func (d *Decoder) magnitudes(spec []complex128) []float64 {
 	out := grow(&d.scratchMags, len(spec))
 	for i, v := range spec {
-		out[i] = math.Hypot(real(v), imag(v))
+		re, im := real(v), imag(v)
+		if s := re*re + im*im; s >= 0x1p-1020 && s <= math.MaxFloat64 {
+			out[i] = math.Sqrt(s)
+		} else {
+			out[i] = math.Hypot(re, im)
+		}
 	}
 	return out
 }

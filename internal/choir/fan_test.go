@@ -144,7 +144,8 @@ func TestCancelMidFanOut(t *testing.T) {
 // TestFanOutSteadyStateZeroAllocs is TestDecodeSteadyStateZeroAllocs with
 // helper lanes. testing.AllocsPerRun runs at GOMAXPROCS 1, where a decode
 // has no helpers, so this counts the heap allocations of warmed-up decodes
-// at fanProcs itself: once warm, a run of decodes must allocate nothing.
+// of a three-user collision itself, at GOMAXPROCS 1, 2 and fanProcs: once
+// warm, a run of decodes must allocate nothing.
 //
 // Two things warm up besides the owner's buffers. A lane's buffers grow to
 // the largest window it has run, and which windows a lane runs varies from
@@ -158,16 +159,6 @@ func TestCancelMidFanOut(t *testing.T) {
 // if none of the first ten does — as it would if a fan-out allocated.
 func TestFanOutSteadyStateZeroAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(fanProcs))
-	spec := defaultSpec(2, 9)
-	spec.gainsDBm = []float64{20, 15}
-	sig := synthesize(t, spec)
-	d := MustNew(DefaultConfig(spec.params))
-	res := &Result{}
-	decode := func() {
-		if _, err := d.DecodeInto(res, sig, len(spec.payloads[0])); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var wg sync.WaitGroup
 	release := make(chan struct{})
 	for range 128 * fanProcs {
@@ -179,21 +170,36 @@ func TestFanOutSteadyStateZeroAllocs(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
-	const runs, rounds = 20, 10
-	var before, after runtime.MemStats
-	for round := 1; ; round++ {
-		runtime.ReadMemStats(&before)
-		for range runs {
-			decode()
+	spec := defaultSpec(3, 9)
+	spec.gainsDBm = []float64{20, 17, 15}
+	sig := synthesize(t, spec)
+	// Every width from one lane up: each lane's tone slots grow with the
+	// largest pass it has run, one slot per regressor.
+	for _, procs := range []int{1, 2, fanProcs} {
+		runtime.GOMAXPROCS(procs)
+		d := MustNew(DefaultConfig(spec.params))
+		res := &Result{}
+		decode := func() {
+			if _, err := d.DecodeInto(res, sig, len(spec.payloads[0])); err != nil {
+				t.Fatal(err)
+			}
 		}
-		runtime.ReadMemStats(&after)
-		mallocs := after.Mallocs - before.Mallocs
-		if mallocs == 0 {
-			t.Logf("run %d of %d decodes allocated nothing", round, runs)
-			return
-		}
-		if round == rounds {
-			t.Fatalf("run %d of %d decodes with helper lanes still allocated %d times, want 0", round, runs, mallocs)
+		const runs, rounds = 20, 10
+		var before, after runtime.MemStats
+		for round := 1; ; round++ {
+			runtime.ReadMemStats(&before)
+			for range runs {
+				decode()
+			}
+			runtime.ReadMemStats(&after)
+			mallocs := after.Mallocs - before.Mallocs
+			if mallocs == 0 {
+				t.Logf("GOMAXPROCS %d: run %d of %d decodes allocated nothing", procs, round, runs)
+				break
+			}
+			if round == rounds {
+				t.Fatalf("GOMAXPROCS %d: run %d of %d decodes still allocated %d times, want 0", procs, round, runs, mallocs)
+			}
 		}
 	}
 }

@@ -101,6 +101,46 @@ func TestCombDecideMatchesPaddedScan(t *testing.T) {
 	}
 }
 
+// TestMagnitudesMatchHypot holds magnitudes to within 2 ulps of the
+// math.Hypot it replaced, over every pairing of zeros, subnormals, ±1e±300,
+// the edges of its square-root route, overflow, ±Inf and NaN, and over
+// random values across the exponent range; NaN and ±Inf must come out as
+// Hypot gives them.
+func TestMagnitudesMatchHypot(t *testing.T) {
+	d := decoderForSF(lora.SF7)
+	parts := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-320, 0x1p-1022, 0x1p-511, 0x1p-510, 1e-300, -1e-300, 1e-160,
+		1, -0.75, 1e150, 0x1p511, 1e154, 1e300, -1e300, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	var spec []complex128
+	for _, re := range parts {
+		for _, im := range parts {
+			spec = append(spec, complex(re, im))
+		}
+	}
+	rng := rand.New(rand.NewPCG(17, 0x4A6))
+	for i := 0; i < 100000; i++ {
+		scale := math.Pow(2, float64(rng.IntN(2100)-1075))
+		spec = append(spec, complex(rng.NormFloat64()*scale, rng.NormFloat64()*scale*math.Pow(2, float64(rng.IntN(120)-60))))
+	}
+	got := d.magnitudes(spec)
+	var worst uint64
+	for i, v := range spec {
+		want := math.Hypot(real(v), imag(v))
+		g := got[i]
+		if math.IsNaN(want) || math.IsInf(want, 0) {
+			if math.Float64bits(g) != math.Float64bits(want) {
+				t.Fatalf("|%v| = %v, Hypot gives %v", v, g, want)
+			}
+			continue
+		}
+		ulps := max(math.Float64bits(g), math.Float64bits(want)) - min(math.Float64bits(g), math.Float64bits(want))
+		if g < 0 || math.IsNaN(g) || ulps > 2 {
+			t.Fatalf("|%v| = %v, Hypot gives %v: more than 2 ulps apart", v, g, want)
+		}
+		worst = max(worst, ulps)
+	}
+	t.Logf("%d magnitudes, at most %d ulp(s) from Hypot", len(spec), worst)
+}
+
 // segmentFitDividing is the body segmentFit replaced: per-sample
 // math.Sincos tones and two divisions per candidate boundary.
 func segmentFitDividing(x []complex128, f float64) (h1, h2 complex128, i0 int) {
@@ -464,19 +504,31 @@ func FuzzFitsMatchExplicitLeastSquares(f *testing.F) {
 // the highest collision order of the benchmark's heavy workload.
 var fitChannelsOffsets = []float64{12.2, 13.15, 37.3, 90.75, 91.9, 201.4}
 
-// TestFitKernelsZeroAllocs pins segmentFit and fitChannels at zero heap
-// allocations once the decoder's prefix buffer and fit workspace have grown:
-// one warm-up call each, then testing.AllocsPerRun must read 0.
+// TestFitKernelsZeroAllocs pins segmentFit, fitChannels, the golden search
+// and the tone slots at zero heap allocations once the decoder's prefix
+// buffer, fit workspace and slots have grown: one warm-up call each, then
+// testing.AllocsPerRun must read 0. The slot rows alternate two frequency
+// sets, so every call rebuilds its slots' tones.
 func TestFitKernelsZeroAllocs(t *testing.T) {
 	d := decoderForSF(lora.SF8)
 	x := testWindow(d.n, 0, 1)
 	tone := append([]complex128(nil), d.tone(37.3)...)
+	var regs [2][]segReg
+	for i, f := range fitChannelsOffsets {
+		b := 40 * (i + 1)
+		regs[0] = append(regs[0], segReg{f: f, lo: 0, hi: b}, segReg{f: f + 1, lo: b, hi: d.n})
+		regs[1] = append(regs[1], segReg{f: f + 0.5, lo: 0, hi: b}, segReg{f: f - 1, lo: b, hi: d.n})
+	}
+	call := 0
 	kernels := []struct {
 		name string
 		run  func()
 	}{
 		{"segmentFit", func() { d.segmentFit(x, tone) }},
 		{"fitChannels, six tones", func() { d.fitChannels(x, fitChannelsOffsets) }},
+		{"fitSegments, twelve masked tones into slots", func() { call++; d.fitSegments(x, regs[call%2]) }},
+		{"segmentFitRefined into slot 13", func() { call++; d.segmentFitRefined(x, 37.3+float64(call%2), 13) }},
+		{"slotTone", func() { call++; d.slotTone(14, 37.3+float64(call%2)) }},
 	}
 	for _, k := range kernels {
 		k.run()

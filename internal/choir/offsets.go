@@ -364,7 +364,7 @@ func (d *Decoder) validateCandidates(wins [][]complex128, coarse []float64) []fl
 			// The coarse peak position is biased by the candidate's own
 			// segment structure; refine it so the subtraction is complete
 			// enough (< -25 dB residue) for ghosts to collapse.
-			m, tone := d.segmentFitRefined(resid, f)
+			m, tone := d.segmentFitRefined(resid, f, i)
 			p1 := real(m.h1)*real(m.h1) + imag(m.h1)*imag(m.h1)
 			p2 := real(m.h2)*real(m.h2) + imag(m.h2)*imag(m.h2)
 			power[i] += (p1*float64(m.i0) + p2*float64(d.n-m.i0)) / float64(d.n)
@@ -409,14 +409,15 @@ func (d *Decoder) subtractUsers(dech []complex128, users []userEstimate) {
 	residual := grow(&d.residBuf, len(dech))
 	copy(residual, dech)
 	for i := range models {
-		subtractSegments(residual, d.tone(models[i].f), models[i].h1, models[i].h2, models[i].i0)
+		subtractSegments(residual, d.slotTone(i, models[i].f), models[i].h1, models[i].h2, models[i].i0)
 	}
 	// Two refinement sweeps: re-fit each user against the signal with all
-	// other users removed. The user's frequency is fixed here, so one tone
-	// serves the add, the fit and the subtract.
+	// other users removed. The user's frequency is fixed here, so the tone
+	// the joint fit built in the user's slot serves every add, fit and
+	// subtract.
 	for sweep := 0; sweep < 2; sweep++ {
 		for i := range models {
-			tone := d.tone(models[i].f)
+			tone := d.slotTone(i, models[i].f)
 			addSegments(residual, tone, models[i].h1, models[i].h2, models[i].i0)
 			h1, h2, i0 := d.segmentFit(residual, tone)
 			models[i].h1, models[i].h2, models[i].i0 = h1, h2, i0
@@ -436,14 +437,26 @@ type segModel struct {
 
 // segmentFitRefined golden-searches the tone frequency within ±0.5 bin of
 // fBins for the two-segment fit that explains the most energy, returning the
-// fit at the refined frequency and the tone at that frequency (the decoder's
-// tone scratch, valid until the next tone call) for the caller to subtract
-// the fit with.
+// fit at the refined frequency and the tone at that frequency, built in tone
+// slot j (slotTone), for the caller to subtract the fit with.
 //
-// Each of its FineIters+3 fits is one dsp.ToneAndPrefix walk and one
-// segmentScan bounded by the block sums of x, which x shares across all of
-// them, and by the gain at the previous fit's boundary.
-func (d *Decoder) segmentFitRefined(x []complex128, fBins float64) (segModel, []complex128) {
+// Its FineIters+2 candidates are judged by explained energy alone: each is
+// one dsp.PrefixBySquaring walk, which builds its tone's phasors from one
+// math.Sincos by squaring and stores only the prefix sums the scan reads, and
+// one segmentScan bounded by the block sums of x, which x shares across all
+// of them, and by the gain at the previous candidate's boundary. The refined
+// frequency's fit is one dsp.ToneAndPrefix walk, the tone every other pass
+// builds, and the same scan; it alone forms the gains.
+//
+// A candidate's energy is within 32·N·ε·Σ|x_k|² (ε = 2⁻⁵²) of what that
+// ToneAndPrefix walk and scan give at its frequency: the squaring tone is
+// within (6N + 2⌈log₂N⌉)·ε of the exact one, and ToneAndPrefix's within
+// 4⌈log₂N⌉·ε (package dsp); the derivation is at candidateBound in the tests,
+// which hold it (TestCandidateEnergyBound, FuzzCandidateEnergy). So the
+// search takes the same branches, and returns the same bits, as one judging
+// candidates by ToneAndPrefix unless two candidates' energies lie within
+// twice that bound of each other (TestPrunedScanMatchesFullScan).
+func (d *Decoder) segmentFitRefined(x []complex128, fBins float64, j int) (segModel, []complex128) {
 	sp := mStageResidual.Start()
 	defer sp.Stop()
 	n := d.n
@@ -451,11 +464,9 @@ func (d *Decoder) segmentFitRefined(x []complex128, fBins float64) (segModel, []
 	blk := blockSums(grow(&d.blockBuf, n/scanBlock), x)
 	prefix := grow(&d.prefixBuf, n+1)
 	i0, skipped := -1, 0
-	// fit scans the tone at f and leaves its boundary in i0. A candidate
-	// frequency is judged by the explained energy alone; only the refined
-	// frequency's fit forms the gains.
+	// fit scans the candidate at f and leaves its boundary in i0.
 	fit := func(f float64) float64 {
-		dsp.ToneAndPrefix(d.toneBuf, prefix, x, f/float64(n))
+		dsp.PrefixBySquaring(d.toneBuf, prefix, x, f/float64(n))
 		var energy float64
 		var sk int
 		i0, energy, sk = d.segmentScan(prefix, blk, i0)
@@ -479,11 +490,14 @@ func (d *Decoder) segmentFitRefined(x []complex128, fBins float64) (segModel, []
 		}
 	}
 	best := (a + b) / 2
-	fit(best)
+	s := d.slot(j)
+	dsp.ToneAndPrefix(s.tone, prefix, x, best/float64(n))
+	s.f, s.set = best, true
+	i0, _, sk := d.segmentScan(prefix, blk, i0)
 	mScanBlocks.Add(int64((d.cfg.FineIters + 3) * len(blk)))
-	mScanSkipped.Add(int64(skipped))
+	mScanSkipped.Add(int64(skipped + sk))
 	h1, h2 := segmentGains(prefix, i0)
-	return segModel{f: best, h1: h1, h2: h2, i0: i0}, d.toneBuf
+	return segModel{f: best, h1: h1, h2: h2, i0: i0}, s.tone
 }
 
 // segmentFit fits the two-segment tone model h₁·tone[k] (k < i0) plus
@@ -698,6 +712,7 @@ func addSegments(x, tone []complex128, h1, h2 complex128, i0 int) {
 // regressor spanning the whole window. The returned slice aliases
 // decoder-owned workspace storage and is valid until the next fitChannels /
 // fitSegments call; every call site consumes or copies the gains before then.
+// Offset j's tone is left in tone slot j.
 // Its k×k system is the part of a decode that grows with the square of the
 // collision order.
 func (d *Decoder) fitChannels(dech []complex128, offsets []float64) []complex128 {
@@ -772,13 +787,13 @@ func (d *Decoder) refineOffsets(dech []complex128, coarse []float64) ([]float64,
 	copy(residual, dech)
 	for i := 0; i < k; i++ {
 		models[i] = segModel{h1: joint[i], h2: joint[i], i0: 0}
-		subtractTone(residual, d.tone(offs[i]), joint[i])
+		subtractTone(residual, d.slotTone(i, offs[i]), joint[i])
 	}
 	const sweeps = 2
 	for s := 0; s < sweeps; s++ {
 		for i := 0; i < k; i++ {
-			addSegments(residual, d.tone(offs[i]), models[i].h1, models[i].h2, models[i].i0)
-			m, tone := d.segmentFitRefined(residual, offs[i])
+			addSegments(residual, d.slotTone(i, offs[i]), models[i].h1, models[i].h2, models[i].i0)
+			m, tone := d.segmentFitRefined(residual, offs[i], i)
 			offs[i], models[i] = m.f, m
 			subtractSegments(residual, tone, m.h1, m.h2, m.i0)
 		}

@@ -75,6 +75,111 @@ func FuzzToneAndPrefix(f *testing.F) {
 	})
 }
 
+// candidateBound is segmentFitRefined's stated bound on how far a
+// golden-search candidate's energy, a dsp.PrefixBySquaring walk and
+// segmentScan over x (N samples), lies from the energy dsp.ToneAndPrefix and
+// the same scan give at its frequency: 32·N·ε·Σ|x_k|², ε = 2⁻⁵².
+//
+// The two tones are within (6N + 2⌈log₂N⌉)·ε and 4⌈log₂N⌉·ε of the exact one
+// (package dsp), and each walk's running sums round by at most √2·ε/2 of
+// Σ_{k<i}|x_k| per term. So a prefix sum P_i of the two walks differs by at
+// most δ·Σ_{k<i}|x_k|, δ ≈ (7.5N + 6⌈log₂N⌉)·ε, and a tail T − P_i by
+// δ·Σ_{k≥i}|x_k| plus √2·N·ε·Σ|x_k|. The energy at boundary i is
+// |P_i|²/i + |T−P_i|²/(N−i), and |P_i|² ≤ i·Σ_{k<i}|x_k|² (Cauchy–Schwarz),
+// so it moves by at most about 2δ·Σ|x_k|² + 2.9·N·ε·Σ|x_k|²: under
+// (18N + 12⌈log₂N⌉)·ε·Σ|x_k|², which is under 20·N·ε·Σ|x_k|² for N ≥ 128.
+// The scan's own roundings add under 8·√N·ε of Σ|x_k|², and the maximum over
+// boundaries moves no further than the worst boundary does. 32·N·ε leaves
+// half again for the second-order terms.
+func candidateBound(x []complex128) float64 {
+	var e float64
+	for _, v := range x {
+		e += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return 32 * float64(len(x)) * 0x1p-52 * e
+}
+
+// checkCandidateEnergy holds one candidate walk's energy to candidateBound
+// of ToneAndPrefix's and returns their distance in units of N·ε·Σ|x_k|².
+func checkCandidateEnergy(t testing.TB, d *Decoder, x []complex128, fBins float64) float64 {
+	t.Helper()
+	n := d.n
+	tone, prefix := make([]complex128, n), make([]complex128, n+1)
+	dsp.ToneAndPrefix(tone, prefix, x, fBins/float64(n))
+	_, want, _ := d.segmentScan(prefix, nil, -1)
+	dsp.PrefixBySquaring(tone, prefix, x, fBins/float64(n))
+	_, got, _ := d.segmentScan(prefix, nil, -1)
+	bound := candidateBound(x)
+	if e := math.Abs(got - want); !(e <= bound) {
+		t.Fatalf("N=%d f=%g: candidate energy %.17g, ToneAndPrefix's %.17g: %.3g apart, bound %.3g", n, fBins, got, want, e, bound)
+	}
+	if bound == 0 {
+		return 0
+	}
+	return math.Abs(got-want) / bound * 32
+}
+
+// TestCandidateEnergyBound holds the golden search's candidate walk to its
+// stated bound against the ToneAndPrefix walk and scan it stands in for, at
+// N = 128…4096, for negative, integral, half-bin and |f| ≥ N frequencies, on
+// refinement inputs, tone mixtures, a pure tone and windows scaled far up
+// and down. It logs the worst distance it saw, in N·ε·Σ|x_k|² (the bound is
+// 32).
+func TestCandidateEnergyBound(t *testing.T) {
+	for sf := lora.SF7; sf <= lora.SF12; sf++ {
+		d := decoderForSF(sf)
+		n := d.n
+		N := float64(n)
+		rng := rand.New(rand.NewPCG(uint64(sf), 0xCA4D))
+		var windows [][]complex128
+		var starts []float64
+		for seed := uint64(1); seed <= 3; seed++ {
+			x, f := refineWindow(d, seed)
+			windows, starts = append(windows, x), append(starts, f)
+			windows, starts = append(windows, testWindow(n, int(seed%2)*n/3, seed)), append(starts, rng.Float64()*N)
+		}
+		x, f := refineWindow(d, 9)
+		for _, scale := range []complex128{1e-150, complex(0, 1e150)} {
+			y := append([]complex128(nil), x...)
+			for k := range y {
+				y[k] *= scale
+			}
+			windows, starts = append(windows, y), append(starts, f)
+		}
+		windows, starts = append(windows, append([]complex128(nil), d.tone(20.25)...)), append(starts, 20.25)
+		worst := 0.0
+		for i, x := range windows {
+			for _, fBins := range []float64{starts[i], -starts[i], 0, 1, 37, -37, 0.5, -12.5, 41.37, N - 0.5, N, N + 3.7, -N - 0.5, 2.5 * N, -7.25 * N} {
+				for _, off := range []float64{0, 0.3 * (rng.Float64() - 0.5)} {
+					worst = max(worst, checkCandidateEnergy(t, d, x, fBins+off))
+				}
+			}
+		}
+		t.Logf("%v: worst candidate energy error %.3g·N·ε·Σ|x_k|² (bound 32)", sf, worst)
+	}
+}
+
+// FuzzCandidateEnergy holds the candidate walk to its bound for any SF from
+// 7 to 12, frequency and window.
+func FuzzCandidateEnergy(f *testing.F) {
+	f.Add(uint8(0), 37.25, uint64(1))
+	f.Add(uint8(5), -4100.5, uint64(2))
+	f.Add(uint8(2), 0.0, uint64(3))
+	f.Add(uint8(3), 1023.999, uint64(4))
+	var decs [6]*Decoder
+	f.Fuzz(func(t *testing.T, sfRaw uint8, fBins float64, seed uint64) {
+		if math.IsNaN(fBins) || math.Abs(fBins) > 1e12 {
+			return
+		}
+		i := int(sfRaw) % len(decs)
+		if decs[i] == nil {
+			decs[i] = decoderForSF(lora.SF7 + lora.SpreadingFactor(i))
+		}
+		d := decs[i]
+		checkCandidateEnergy(t, d, testWindow(d.n, int(seed%uint64(d.n)), seed), fBins)
+	})
+}
+
 // refineWindow is what the golden search refines: one user's two-segment
 // tone, put back onto a residual of noise, and a coarse estimate of its
 // frequency 0.3 bin off.
@@ -96,10 +201,11 @@ func refineWindow(d *Decoder, seed uint64) ([]complex128, float64) {
 	return x, f + 0.3
 }
 
-// segmentFitRefinedTwoPass is segmentFitRefined before the fused walk and
-// the pruned scan: per candidate a tone, a separate correlation pass and a
-// scan of every boundary.
-func segmentFitRefinedTwoPass(d *Decoder, x []complex128, fBins float64) (segModel, []complex128) {
+// segmentFitRefinedTwoPass is segmentFitRefined before the fused walk, the
+// pruned scan and the candidate walk: per candidate a tone, a separate
+// correlation pass and a scan of every boundary. It also returns the closest
+// the search's compared energies came to each other.
+func segmentFitRefinedTwoPass(d *Decoder, x []complex128, fBins float64) (segModel, []complex128, float64) {
 	explained := func(f float64) float64 {
 		prefix := tonePrefix(make([]complex128, d.n+1), x[:d.n], d.tone(f))
 		_, energy, _ := d.segmentScan(prefix, nil, -1)
@@ -110,7 +216,9 @@ func segmentFitRefinedTwoPass(d *Decoder, x []complex128, fBins float64) (segMod
 	x1 := b - phi*(b-a)
 	x2 := a + phi*(b-a)
 	f1, f2 := explained(x1), explained(x2)
+	gap := math.Inf(1)
 	for i := 0; i < d.cfg.FineIters; i++ {
+		gap = min(gap, math.Abs(f1-f2))
 		if f1 > f2 {
 			b, x2, f2 = x2, x1, f1
 			x1 = b - phi*(b-a)
@@ -124,13 +232,16 @@ func segmentFitRefinedTwoPass(d *Decoder, x []complex128, fBins float64) (segMod
 	best := (a + b) / 2
 	tone := d.tone(best)
 	h1, h2, i0 := d.segmentFit(x, tone)
-	return segModel{f: best, h1: h1, h2: h2, i0: i0}, tone
+	return segModel{f: best, h1: h1, h2: h2, i0: i0}, tone, gap
 }
 
 // TestPrunedScanMatchesFullScan requires the bounded scan to return the full
 // scan's boundary and energy bit for bit whatever boundary seeds its lower
 // bound, and the whole golden search to return the two-pass form's model
-// and tone. It logs how many blocks the bound skips, on these windows and on
+// and tone — unless two energies that form compared lie within twice
+// candidateBound of each other, where the candidate walk may branch the
+// other way (a pure tone searched from its own frequency compares mirror
+// images). It logs how many blocks the bound skips, on these windows and on
 // whole decodes of the golden fixtures per SF.
 func TestPrunedScanMatchesFullScan(t *testing.T) {
 	for sf := lora.SF7; sf <= lora.SF12; sf++ {
@@ -208,11 +319,15 @@ func TestPrunedScanMatchesFullScan(t *testing.T) {
 					skipped, blocks = skipped+sk, blocks+n/scanBlock
 				}
 			}
-			m, tone := d.segmentFitRefined(w.x, w.f)
+			m, tone := d.segmentFitRefined(w.x, w.f, 0)
 			tone = append([]complex128(nil), tone...)
-			wm, wantTone := segmentFitRefinedTwoPass(d, w.x, w.f)
+			wm, wantTone, gap := segmentFitRefinedTwoPass(d, w.x, w.f)
 			if math.Float64bits(m.f) != math.Float64bits(wm.f) || m.i0 != wm.i0 || !sameBits(m.h1, wm.h1) || !sameBits(m.h2, wm.h2) {
-				t.Fatalf("%v %s: refined fit %+v, two-pass form %+v", sf, w.name, m, wm)
+				if bound := candidateBound(w.x); gap > 2*bound {
+					t.Fatalf("%v %s: refined fit %+v, two-pass form %+v, whose closest comparison was %.3g apart (twice the bound: %.3g)", sf, w.name, m, wm, gap, 2*bound)
+				}
+				t.Logf("%v %s: a tie %.3g apart (twice the bound: %.3g) branched the other way", sf, w.name, gap, 2*candidateBound(w.x))
+				continue
 			}
 			for k := range tone {
 				if !sameBits(tone[k], wantTone[k]) {
@@ -285,7 +400,7 @@ func BenchmarkSegmentFitRefined(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d.segmentFitRefined(x, f)
+				d.segmentFitRefined(x, f, 0)
 			}
 		})
 	}

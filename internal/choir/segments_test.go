@@ -87,7 +87,7 @@ func TestFitSegmentsRecoversTwoSegmentSignal(t *testing.T) {
 	}
 	// Subtracting both reconstructions must zero the signal.
 	for j, r := range regs {
-		d.subtractSeg(x, r, hs[j])
+		subtractSeg(x, d.slotTone(j, r.f), r, hs[j])
 	}
 	var e float64
 	for _, v := range x {

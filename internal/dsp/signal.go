@@ -86,6 +86,61 @@ func ToneAndPrefix(tone, prefix, x []complex128, freq float64) {
 	}
 }
 
+// PrefixBySquaring writes the running correlation of x against the tone at
+// freq into prefix (len(x)+1), as ToneAndPrefix does, for a caller that
+// wants the sums and not the tone. It walks the same doubling levels in the
+// same order, with two differences: every phasor after w_1 is the square of
+// the one below, so a walk makes one math.Sincos call instead of one per
+// other level, and the last level's tone elements are never stored. scratch
+// (len(x)) holds the tone below the last level afterwards.
+//
+// Squaring trades accuracy for the calls, and the error bound says how much
+// (ε = 2⁻⁵²). w_1 is within πε (its reduced argument's rounding) plus ε
+// (math.Sincos) of e^{j2π·freq}, and a squaring doubles the error below it
+// and adds about ε of its own, so w_m is within about 5.4·m·ε of
+// e^{j2π·freq·m}. Tone element k is one phasor per set bit of k, so it is
+// within (6k + 2⌈log₂n⌉)·ε of e^{j2π·freq·k} — under 6n·ε, where
+// ToneAndPrefix's is 4⌈log₂n⌉·ε (TestPrefixBySquaringTone holds it). The sums
+// add the same terms in ToneAndPrefix's order, over that tone.
+func PrefixBySquaring(scratch, prefix, x []complex128, freq float64) {
+	n := len(x)
+	prefix = prefix[:n+1]
+	prefix[0] = 0
+	if n == 0 {
+		return
+	}
+	sums := prefix[1:][:n]
+	tone := scratch[:n]
+	tone[0] = 1
+	var sr, si float64
+	tr, ti := real(tone[0]), imag(tone[0])
+	sr += real(x[0])*tr + imag(x[0])*ti
+	si += imag(x[0])*tr - real(x[0])*ti
+	sums[0] = complex(sr, si)
+	w := tonePhasor(0, freq, 1, false)
+	m := 1
+	for ; 2*m < n; m <<= 1 {
+		sr, si = toneLevel(tone[m:2*m], tone[:m], x[m:2*m], sums[m:2*m], w, sr, si)
+		w *= w
+	}
+	if m < n {
+		prefixLevel(tone[:n-m], x[m:], sums[m:], w, sr, si)
+	}
+}
+
+// prefixLevel is PrefixBySquaring's last doubling level: toneLevel without
+// storing the tone.
+func prefixLevel(src, x, sums []complex128, w complex128, sr, si float64) {
+	x, sums = x[:len(src)], sums[:len(src)]
+	for k, v := range src {
+		t := v * w
+		tr, ti := real(t), imag(t)
+		sr += real(x[k])*tr + imag(x[k])*ti
+		si += imag(x[k])*tr - real(x[k])*ti
+		sums[k] = complex(sr, si)
+	}
+}
+
 // toneLevel is one doubling level of ToneAndPrefix: out[k] = src[k]·w,
 // folded in order into the running sums sr, si of x against it, each stored
 // into sums. It returns the sums. It is a function of its own so that its

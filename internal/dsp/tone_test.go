@@ -104,6 +104,84 @@ func FuzzToneMatchesSincos(f *testing.F) {
 	})
 }
 
+// squaringTone is the tone PrefixBySquaring walks, built in the plainest
+// order: w_1 from the reduced argument, each later phasor the square of the
+// one before, element m+k the product of element k and w_m.
+func squaringTone(n int, freq float64) []complex128 {
+	tone := make([]complex128, n)
+	if n == 0 {
+		return tone
+	}
+	tone[0] = 1
+	s, c := math.Sincos(2 * math.Pi * (freq - math.RoundToEven(freq)))
+	w := complex(c, s)
+	for m := 1; m < n; m, w = 2*m, w*w {
+		for k := 0; k < m && m+k < n; k++ {
+			tone[m+k] = tone[k] * w
+		}
+	}
+	return tone
+}
+
+// TestPrefixBySquaringMatchesParts holds the walk to its two passes, bit for
+// bit: the squaring tone above, then the running correlation against it in
+// ToneAndPrefix's arithmetic.
+func TestPrefixBySquaringMatchesParts(t *testing.T) {
+	same := func(a, b complex128) bool {
+		return math.Float64bits(real(a)) == math.Float64bits(real(b)) && math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+	}
+	for _, n := range []int{1, 2, 3, 5, 127, 128, 129, 1000, 4096} {
+		x := make([]complex128, n)
+		for k := range x {
+			x[k] = complex(math.Sin(float64(3*k+1)), math.Cos(float64(7*k)))
+		}
+		N := float64(n)
+		for _, fBins := range []float64{0, 1, 37, -37, 0.5, -12.5, 41.37, N - 0.001, N + 3.7, -7.25 * N} {
+			freq := fBins / N
+			tone := squaringTone(n, freq)
+			want := make([]complex128, n+1)
+			var sr, si float64
+			for k, v := range x {
+				tr, ti := real(tone[k]), imag(tone[k])
+				sr += real(v)*tr + imag(v)*ti
+				si += imag(v)*tr - real(v)*ti
+				want[k+1] = complex(sr, si)
+			}
+			scratch, prefix := make([]complex128, n), make([]complex128, n+1)
+			for i := range prefix {
+				prefix[i] = cmplx.NaN()
+			}
+			PrefixBySquaring(scratch, prefix, x, freq)
+			for i := range want {
+				if !same(prefix[i], want[i]) {
+					t.Fatalf("n=%d f=%g bins: prefix[%d] = %v, the two passes give %v", n, fBins, i, prefix[i], want[i])
+				}
+			}
+		}
+	}
+	PrefixBySquaring(nil, make([]complex128, 1), nil, 0.25)
+}
+
+// TestPrefixBySquaringTone holds the walk's tone to its stated bound,
+// (6k + 2⌈log₂n⌉)·ε at element k, against the exact-phase per-sample form.
+func TestPrefixBySquaringTone(t *testing.T) {
+	const eps = 1.0 / (1 << 52)
+	worst := 0.0
+	for _, n := range []int{128, 1024, 4096} {
+		levels := float64(bits.Len(uint(n - 1)))
+		for _, f := range []float64{0.1337, -0.73, 0.5, 1.0 / 3, 100.25 / 128, -1023.999 / 1024, 1e-9, 3.25, -2.5} {
+			for k, v := range squaringTone(n, f) {
+				e := cmplx.Abs(v - toneRef(f, k))
+				if tol := (6*float64(k) + 2*levels) * eps; e > tol {
+					t.Fatalf("n=%d f=%g: element %d off by %.3g, bound %.3g", n, f, k, e, tol)
+				}
+				worst = max(worst, e/(float64(n)*eps))
+			}
+		}
+	}
+	t.Logf("worst element error %.3g·n·ε (bound 6·n·ε + 2⌈log₂n⌉·ε)", worst)
+}
+
 func BenchmarkToneKernel(b *testing.B) {
 	dst := make([]complex128, 1024)
 	b.ReportAllocs()
