@@ -483,8 +483,9 @@ func (d *Decoder) extractWindowPeaks(out []peakObs, ests []userEstimate, win []c
 		// a peak's fitted tone removes its entire sinc, side lobes included)
 		// and look underneath.
 		sicSp := mStageSIC.Start()
-		for _, pk := range out {
-			tone := d.tone(pk.bin)
+		for i, pk := range out {
+			// Slot i: refinePeakPositions fits peak i's tone again.
+			tone := d.slotTone(i, pk.bin)
 			h1, h2, i0 := d.segmentFit(dech, tone)
 			subtractSegments(dech, tone, h1, h2, i0)
 		}

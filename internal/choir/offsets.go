@@ -588,16 +588,17 @@ const (
 //
 // The bound must hold for the computed gains, not only the exact ones (ε =
 // 2⁻⁵² below). Relative to r, a computed |D_i| can exceed it by the tone's
-// magnitude error, 4⌈log₂N⌉ε (dsp.Tone), and the product's rounding; and by
-// the roundings of the block's B running sums and of the D's, each at most
-// ε·(|D| + |T|), where |T| ≤ 2N/B·r because r holds B/(2N)·|T|₁. The gain
-// adds its own three roundings and the bound seven. On the gain, all of it
-// stays below budget = (4N + 8⌈log₂N⌉ + 64)·ε: 3.7·10⁻¹² at N = 4096 (SF12),
-// and scanMargin − 1 = 2⁻²⁰ ≈ 9.5·10⁻⁷ is over 10⁵ times that. Underflow adds
-// an absolute error under 2⁻¹⁰⁶⁰ instead, which scanFloor keeps negligible
-// against lower. A NaN or infinite bound, or a NaN lower, never skips; with
-// lower = +Inf a skipped block's gains are finite. segmentFit has no block
-// sums and scans every boundary in one run.
+// magnitude error — 4⌈log₂N⌉ε for a dsp.Tone, under (6N + 2⌈log₂N⌉)ε for a
+// golden-search candidate's dsp.PrefixBySquaring walk — and the product's
+// rounding; and by the roundings of the block's B running sums and of the
+// D's, each at most ε·(|D| + |T|), where |T| ≤ 2N/B·r because r holds
+// B/(2N)·|T|₁. The gain adds its own three roundings and the bound seven. On
+// the gain, all of it stays below budget = (16N + 4⌈log₂N⌉ + 64)·ε:
+// 1.5·10⁻¹¹ at N = 4096 (SF12), and scanMargin − 1 = 2⁻²⁰ ≈ 9.5·10⁻⁷ is over
+// 6·10⁴ times that. Underflow adds an absolute error under 2⁻¹⁰⁶⁰ instead,
+// which scanFloor keeps negligible against lower. A NaN or infinite bound,
+// or a NaN lower, never skips; with lower = +Inf a skipped block's gains are
+// finite. segmentFit has no block sums and scans every boundary in one run.
 func (d *Decoder) segmentScan(prefix []complex128, blk []float64, hint int) (i0 int, energy float64, skipped int) {
 	n := d.n
 	prefix = prefix[:n+1]

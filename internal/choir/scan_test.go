@@ -246,7 +246,7 @@ func segmentFitRefinedTwoPass(d *Decoder, x []complex128, fBins float64) (segMod
 func TestPrunedScanMatchesFullScan(t *testing.T) {
 	for sf := lora.SF7; sf <= lora.SF12; sf++ {
 		n := float64(lora.Params{SF: sf}.N())
-		budget := (4*n + 8*math.Ceil(math.Log2(n)) + 64) * 0x1p-52
+		budget := (16*n + 4*math.Ceil(math.Log2(n)) + 64) * 0x1p-52
 		if scanMargin-1 < 100*budget {
 			t.Errorf("%v: scanMargin − 1 = %.3g is under 100× the error budget %.3g", sf, scanMargin-1, budget)
 		}
@@ -317,6 +317,15 @@ func TestPrunedScanMatchesFullScan(t *testing.T) {
 						t.Fatalf("%v %s f=%g hint %d: pruned scan (%d, %v), full scan (%d, %v)", sf, w.name, f, hint, i0, e, wi, we)
 					}
 					skipped, blocks = skipped+sk, blocks+n/scanBlock
+				}
+				// The same on a candidate walk's prefix sums, whose tone's
+				// magnitude error the bound's budget also covers.
+				dsp.PrefixBySquaring(tone, prefix, w.x, f/float64(n))
+				ci, ce, _ := d.segmentScan(prefix, nil, -1)
+				for _, hint := range []int{0, n, rng.IntN(n + 1), ci} {
+					if i0, e, _ := d.segmentScan(prefix, blk, hint); i0 != ci || math.Float64bits(e) != math.Float64bits(ce) {
+						t.Fatalf("%v %s f=%g hint %d: pruned scan of a candidate walk (%d, %v), full scan (%d, %v)", sf, w.name, f, hint, i0, e, ci, ce)
+					}
 				}
 			}
 			m, tone := d.segmentFitRefined(w.x, w.f, 0)
