@@ -440,13 +440,14 @@ type segModel struct {
 // fit at the refined frequency and the tone at that frequency, built in tone
 // slot j (slotTone), for the caller to subtract the fit with.
 //
-// Its FineIters+2 candidates are judged by explained energy alone: each is
-// one dsp.PrefixBySquaring walk, which builds its tone's phasors from one
-// math.Sincos by squaring and stores only the prefix sums the scan reads, and
-// one segmentScan bounded by the block sums of x, which x shares across all
-// of them, and by the gain at the previous candidate's boundary. The refined
-// frequency's fit is one dsp.ToneAndPrefix walk, the tone every other pass
-// builds, and the same scan; it alone forms the gains.
+// It scores FineIters+1 candidates, by explained energy alone (the point
+// the last step adds only narrows the bracket, so nothing reads its score).
+// Each is one dsp.PrefixBySquaring walk, which builds its tone's phasors from
+// one math.Sincos by squaring and stores only the prefix sums the scan
+// reads, and one segmentScan bounded by the block sums of x, which x shares
+// across all of them, and by the gain at the previous candidate's boundary.
+// The refined frequency's fit is one dsp.ToneAndPrefix walk, the tone every
+// other pass builds, and the same scan; it alone forms the gains.
 //
 // A candidate's energy is within 32·N·ε·Σ|x_k|² (ε = 2⁻⁵²) of what that
 // ToneAndPrefix walk and scan give at its frequency: the squaring tone is
@@ -478,15 +479,22 @@ func (d *Decoder) segmentFitRefined(x []complex128, fBins float64, j int) (segMo
 	x1 := b - phi*(b-a)
 	x2 := a + phi*(b-a)
 	f1, f2 := fit(x1), fit(x2)
-	for i := 0; i < d.cfg.FineIters; i++ {
+	for i := 1; i <= d.cfg.FineIters; i++ {
+		// The last step's new point only moves the bracket: no comparison
+		// reads its energy, so it is not scored.
+		last := i == d.cfg.FineIters
 		if f1 > f2 {
 			b, x2, f2 = x2, x1, f1
 			x1 = b - phi*(b-a)
-			f1 = fit(x1)
+			if !last {
+				f1 = fit(x1)
+			}
 		} else {
 			a, x1, f1 = x1, x2, f2
 			x2 = a + phi*(b-a)
-			f2 = fit(x2)
+			if !last {
+				f2 = fit(x2)
+			}
 		}
 	}
 	best := (a + b) / 2
@@ -494,7 +502,7 @@ func (d *Decoder) segmentFitRefined(x []complex128, fBins float64, j int) (segMo
 	dsp.ToneAndPrefix(s.tone, prefix, x, best/float64(n))
 	s.f, s.set = best, true
 	i0, _, sk := d.segmentScan(prefix, blk, i0)
-	mScanBlocks.Add(int64((d.cfg.FineIters + 3) * len(blk)))
+	mScanBlocks.Add(int64((d.cfg.FineIters + 2) * len(blk)))
 	mScanSkipped.Add(int64(skipped + sk))
 	h1, h2 := segmentGains(prefix, i0)
 	return segModel{f: best, h1: h1, h2: h2, i0: i0}, s.tone

@@ -400,7 +400,7 @@ func logGoldenSkipRates(t *testing.T) {
 }
 
 // BenchmarkSegmentFitRefined is one golden search of a peak's frequency:
-// FineIters+3 walks and scans.
+// FineIters+2 walks and scans.
 func BenchmarkSegmentFitRefined(b *testing.B) {
 	for _, sf := range []lora.SpreadingFactor{lora.SF7, lora.SF10} {
 		b.Run(sf.String(), func(b *testing.B) {
