@@ -22,8 +22,6 @@ type peakObs struct {
 // symbol stream into a payload. It recycles res's Users slice, User structs
 // and their per-user storage so steady-state decodes allocate nothing.
 func (d *Decoder) decodeData(res *Result, samples []complex128, ests []userEstimate, payloadLen int) []*User {
-	sp := mStageData.Start()
-	defer sp.Stop()
 	p := d.cfg.LoRa
 	nsym := lora.SymbolsPerPayload(payloadLen, p.SF, p.CR)
 	start := p.HeaderSymbols() * d.n
@@ -455,7 +453,7 @@ func (d *Decoder) extractWindowPeaks(out []peakObs, ests []userEstimate, win []c
 	for round := 0; round < 2; round++ {
 		spec := d.paddedSpectrum(dech)
 		mags := d.magnitudes(spec)
-		pkSp := mStagePeaks.Start()
+		st := d.clk.enter(stagePeaks)
 		floor := dsp.NoiseFloorScratch(mags, grow(&d.noiseScratch, len(mags)))
 		thresh := floor * d.cfg.PeakThreshold
 		if round > 0 {
@@ -467,7 +465,7 @@ func (d *Decoder) extractWindowPeaks(out []peakObs, ests []userEstimate, win []c
 			Threshold:     thresh,
 			Max:           budget,
 		})
-		pkSp.Stop()
+		d.clk.exit(st)
 		for _, pk := range peaks {
 			out = append(out, peakObs{
 				bin:  pk.Bin,
@@ -482,14 +480,14 @@ func (d *Decoder) extractWindowPeaks(out []peakObs, ests []userEstimate, win []c
 		// Some user is still buried: remove everything visible (subtracting
 		// a peak's fitted tone removes its entire sinc, side lobes included)
 		// and look underneath.
-		sicSp := mStageSIC.Start()
+		st = d.clk.enter(stageSIC)
 		for i, pk := range out {
 			// Slot i: refinePeakPositions fits peak i's tone again.
 			tone := d.slotTone(i, pk.bin)
 			h1, h2, i0 := d.segmentFit(dech, tone)
 			subtractSegments(dech, tone, h1, h2, i0)
 		}
-		sicSp.Stop()
+		d.clk.exit(st)
 	}
 	if d.cfg.FineSearch && len(out) > 1 {
 		out = d.refinePeakPositions(win, out)

@@ -198,6 +198,8 @@ type Decoder struct {
 	fan   exec.Fan
 	job   windowJob
 
+	clk stageClock // charges the lane's time to decode stages (metrics.go)
+
 	// ctx/ctxErr hold the active context during a decode. ctxErr
 	// latches the first observed cancellation (mapped to ErrCanceled /
 	// ErrDeadline) so every later stage-boundary poll short-circuits. Both
@@ -427,8 +429,8 @@ func (d *Decoder) decode(ctx context.Context, res *Result, buf []complex128, pay
 	if res == nil {
 		return fmt.Errorf("choir: decode into nil Result")
 	}
-	d.armCtx(ctx)
-	defer d.disarmCtx()
+	d.arm(ctx)
+	defer d.disarm()
 	sp := mDecodeTimer.Start()
 	defer sp.Stop()
 	mDecodes.Inc()
@@ -445,7 +447,9 @@ func (d *Decoder) decode(ctx context.Context, res *Result, buf []complex128, pay
 	}
 	var ests []userEstimate
 	if nonFinite(buf[:prefix]) < 0 {
+		st := d.clk.enter(stagePreamble)
 		ests = d.estimatePreamble(buf)
+		d.clk.exit(st)
 		if d.canceled() {
 			return d.ctxErr
 		}
@@ -460,7 +464,9 @@ func (d *Decoder) decode(ctx context.Context, res *Result, buf []complex128, pay
 		return ErrNoUsers
 	}
 	mUsersDetected.Add(int64(len(ests)))
+	st := d.clk.enter(stageData)
 	users := d.decodeData(res, buf, ests, payloadLen)
+	d.clk.exit(st)
 	if d.canceled() {
 		return d.ctxErr
 	}
@@ -471,19 +477,25 @@ func (d *Decoder) decode(ctx context.Context, res *Result, buf []complex128, pay
 	return nil
 }
 
-// armCtx installs ctx as the active decode context. Contexts that can never
-// fire — nil, Background, TODO, anything ctxutil.CanFire rejects — are not
-// installed, so plain Decode pays nothing for the cancellation machinery and
-// produces bit-identical results with or without such a context (the
-// contract package ctxutil documents for every optional-context layer).
-func (d *Decoder) armCtx(ctx context.Context) {
+// arm installs ctx as the active decode context and starts the stage clock.
+// Contexts that can never fire — nil, Background, TODO, anything
+// ctxutil.CanFire rejects — are not installed, so plain Decode pays nothing
+// for the cancellation machinery and produces bit-identical results with or
+// without such a context (the contract package ctxutil documents for every
+// optional-context layer).
+func (d *Decoder) arm(ctx context.Context) {
 	d.ctx, d.ctxErr = nil, nil
 	if ctxutil.CanFire(ctx) {
 		d.ctx = ctx
 	}
+	d.armClock()
 }
 
-func (d *Decoder) disarmCtx() { d.ctx, d.ctxErr = nil, nil }
+// disarm stops the stage clock and clears the decode context.
+func (d *Decoder) disarm() {
+	d.stopClock()
+	d.ctx, d.ctxErr = nil, nil
+}
 
 // canceled polls the active decode context once — this is the cooperative
 // cancellation point the pipeline stages call at their boundaries — and
@@ -498,9 +510,9 @@ func (d *Decoder) canceled() bool {
 // dechirpWindow dechirps the n-sample window starting at off into the
 // decoder's scratch buffer and returns it (valid until the next call).
 func (d *Decoder) dechirpWindow(samples []complex128, off int) []complex128 {
-	sp := mStageDechirp.Start()
+	st := d.clk.enter(stageDechirp)
 	out := lora.Dechirp(d.scratchDech, samples[off:off+d.n], d.modem.Down())
-	sp.Stop()
+	d.clk.exit(st)
 	return out
 }
 
@@ -510,9 +522,9 @@ func (d *Decoder) dechirpWindow(samples []complex128, off int) []complex128 {
 // zero-then-copy of a padded buffer; the spectrum matches the full transform
 // bit-for-bit (up to the sign of zero, invisible through any downstream use).
 func (d *Decoder) paddedSpectrum(dech []complex128) []complex128 {
-	sp := mStageFFT.Start()
+	st := d.clk.enter(stageFFT)
 	out := d.fft.TransformPruned(d.scratchSpec, dech)
-	sp.Stop()
+	d.clk.exit(st)
 	return out
 }
 
@@ -565,14 +577,15 @@ func (d *Decoder) slot(j int) *toneSlot {
 // are a comb: X[j·pad + r] = Σ_k x[k]·e^{−j2πrk/padN}·e^{−j2πjk/N}, the
 // N-point DFT of x detuned by r padded bins. One tone multiply and one
 // N-point transform therefore stand in for the padN-point transform, 15/16
-// of which the decision never reads. The transform runs under the FFT stage
-// timer, so fft_calls keeps counting transforms per frame.
+// of which the decision never reads. The tone multiply and the transform are
+// an FFT stage call, so the FFT stage counts one call per transform a frame
+// costs, whichever kind.
 func (d *Decoder) combDecide(x []complex128, offset float64) int {
 	R := specIndex(math.Mod(offset, float64(d.n)), d.pad, d.n)
 	q, r := R/d.pad, R%d.pad
-	sp := mStageFFT.Start()
+	st := d.clk.enter(stageFFT)
 	spec := d.combSpectrum(x, r)
-	sp.Stop()
+	d.clk.exit(st)
 	best, bestMag := -1, 0.0
 	for s := range spec {
 		v := spec[(s+q)&(d.n-1)]

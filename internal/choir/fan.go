@@ -18,6 +18,9 @@ package choir
 // helper outlives its fan-out (TestCancelMidFanOut), a warm fan-out allocates
 // nothing (TestFanOutSteadyStateZeroAllocs), and a panic in any window is
 // raised again on the decoding goroutine (TestFanOutPanicReachesCaller).
+// A helper lane's stage clock runs while it runs a window, and the owner
+// folds the lanes' time into its own stage when the fan-out ends
+// (metrics.go).
 
 // windowTask names the per-window body a fan-out runs.
 type windowTask uint8
@@ -59,6 +62,7 @@ func (d *Decoder) forEachWindow(job windowJob) (canceled bool) {
 	job.d = d
 	d.job = job
 	canceled = d.fan.Run(&d.job, len(job.wins))
+	d.fold()
 	d.job = windowJob{}
 	return canceled
 }
@@ -79,6 +83,10 @@ func (j *windowJob) Run(p, i int) {
 	lane := j.d
 	if p > 0 {
 		lane = j.d.lanes[p-1]
+		lane.clk.resume(j.d.clk.on)
+		if lane.clk.on {
+			defer lane.clk.charge()
+		}
 	}
 	if windowHook != nil {
 		windowHook(j.task, i, p > 0)

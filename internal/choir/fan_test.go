@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"choir/internal/obs"
 )
 
 // fanProcs is the GOMAXPROCS the fan-out tests run at, whatever -cpu says,
@@ -144,8 +146,10 @@ func TestCancelMidFanOut(t *testing.T) {
 // TestFanOutSteadyStateZeroAllocs is TestDecodeSteadyStateZeroAllocs with
 // helper lanes. testing.AllocsPerRun runs at GOMAXPROCS 1, where a decode
 // has no helpers, so this counts the heap allocations of warmed-up decodes
-// itself, at GOMAXPROCS 2 and fanProcs: once warm, a run of decodes must
-// allocate nothing. (GOMAXPROCS 1 is TestDecodeSteadyStateZeroAllocs.)
+// itself, at GOMAXPROCS 2 and fanProcs, with metrics off and on: once warm, a
+// run of decodes must allocate nothing, the stage clocks, their fold and
+// every stage record included. (GOMAXPROCS 1 is
+// TestDecodeSteadyStateZeroAllocs.)
 //
 // Two things warm up besides the owner's buffers. A lane's buffers grow to
 // the largest window it has run, and which windows a lane runs varies from
@@ -173,10 +177,17 @@ func TestFanOutSteadyStateZeroAllocs(t *testing.T) {
 	spec := defaultSpec(2, 9)
 	spec.gainsDBm = []float64{20, 15}
 	sig := synthesize(t, spec)
+	defer obs.Disable()
 	// One helper lane and several: each lane's tone slots grow with the
 	// largest pass it has run, one slot per regressor.
-	for _, procs := range []int{2, fanProcs} {
-		runtime.GOMAXPROCS(procs)
+	for _, c := range []struct {
+		procs   int
+		metrics bool
+	}{{2, false}, {fanProcs, false}, {2, true}, {fanProcs, true}} {
+		runtime.GOMAXPROCS(c.procs)
+		if c.metrics {
+			obs.Enable()
+		}
 		d := MustNew(DefaultConfig(spec.params))
 		res := &Result{}
 		decode := func() {
@@ -194,11 +205,11 @@ func TestFanOutSteadyStateZeroAllocs(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			mallocs := after.Mallocs - before.Mallocs
 			if mallocs == 0 {
-				t.Logf("GOMAXPROCS %d: run %d of %d decodes allocated nothing", procs, round, runs)
+				t.Logf("GOMAXPROCS %d, metrics %v: run %d of %d decodes allocated nothing", c.procs, c.metrics, round, runs)
 				break
 			}
 			if round == rounds {
-				t.Fatalf("GOMAXPROCS %d: run %d of %d decodes still allocated %d times, want 0", procs, round, runs, mallocs)
+				t.Fatalf("GOMAXPROCS %d, metrics %v: run %d of %d decodes still allocated %d times, want 0", c.procs, c.metrics, round, runs, mallocs)
 			}
 		}
 	}

@@ -127,6 +127,50 @@ func TestStageCountsIndependentOfLanes(t *testing.T) {
 	}
 }
 
+// TestStageTimesAddUp decodes every golden fixture with metrics on at
+// GOMAXPROCS 1, 2 and 4, on one decoder per fixture so that lanes are built
+// and then reused: every nanosecond a lane works is charged to exactly one
+// stage, so the choir.stage.*_ns sums, other included, must add up to the
+// decode's choir.decode_busy_ns exactly, and none may be negative.
+func TestStageTimesAddUp(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	obs.Enable()
+	defer obs.Disable()
+	for _, c := range goldenCases {
+		t.Run(c.name, func(t *testing.T) {
+			h, samples := readTrace(t, filepath.Join("testdata", "golden", c.name+".iq"))
+			d := choir.MustNew(choir.DefaultConfig(h.Params))
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				obs.Reset()
+				if c.team {
+					d.DecodeTeam(context.Background(), samples, h.PayloadLen)
+				} else {
+					d.Decode(context.Background(), samples, h.PayloadLen)
+				}
+				snap := obs.TakeSnapshot()
+				var stages int64
+				for name, hs := range snap.Histograms {
+					if !strings.HasPrefix(name, "choir.stage.") {
+						continue
+					}
+					if hs.Sum < 0 {
+						t.Errorf("GOMAXPROCS %d: %s sums to %d ns", procs, name, hs.Sum)
+					}
+					stages += hs.Sum
+				}
+				busy := snap.Histograms["choir.decode_busy_ns"]
+				if busy.Count != 1 || snap.Histograms["choir.stage.other_ns"].Count != 1 {
+					t.Fatalf("GOMAXPROCS %d: %d busy and %d other records, want one each", procs, busy.Count, snap.Histograms["choir.stage.other_ns"].Count)
+				}
+				if stages != busy.Sum {
+					t.Errorf("GOMAXPROCS %d: stage times sum to %d ns, busy time is %d ns", procs, stages, busy.Sum)
+				}
+			}
+		})
+	}
+}
+
 // TestFanOutPanicSurfacesAsErrDecodePanic panics inside a window a helper
 // lane runs while a gateway decodes the frame: the gateway must see the
 // panic on its decoding goroutine and report the frame as ErrDecodePanic.

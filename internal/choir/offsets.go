@@ -39,8 +39,6 @@ type obsGroup struct {
 // channel from the preamble windows, applying phased SIC to surface weak
 // users buried under strong ones.
 func (d *Decoder) estimatePreamble(samples []complex128) []userEstimate {
-	sp := mStagePreamble.Start()
-	defer sp.Stop()
 	p := d.cfg.LoRa
 	nWin := p.PreambleLen
 
@@ -74,9 +72,9 @@ func (d *Decoder) estimatePreamble(samples []complex128) []userEstimate {
 		// the next phase can see weaker peaks. A cancellation here is seen
 		// by the next phase's poll.
 		mSICPhases.Inc()
-		sicSp := mStageSIC.Start()
+		st := d.clk.enter(stageSIC)
 		d.forEachWindow(windowJob{task: subtractTask, wins: wins, ests: users})
-		sicSp.Stop()
+		d.clk.exit(st)
 	}
 	d.estAccum = users
 	slices.SortFunc(users, func(a, b userEstimate) int {
@@ -249,7 +247,7 @@ func (d *Decoder) scanWindow(obs []binObs, dech []complex128, known []userEstima
 	}
 	relCut := math.Pow(10, -d.cfg.DynamicRangeDB/20)
 	mags := d.magnitudes(d.paddedSpectrum(dech))
-	pkSp := mStagePeaks.Start()
+	st := d.clk.enter(stagePeaks)
 	floor := dsp.NoiseFloorScratch(mags, grow(&d.noiseScratch, len(mags)))
 	peaks := dsp.FindPeaksScratch(&d.peakScratch, mags, dsp.PeakConfig{
 		Pad:           d.pad,
@@ -257,7 +255,7 @@ func (d *Decoder) scanWindow(obs []binObs, dech []complex128, known []userEstima
 		Threshold:     floor * d.cfg.PeakThreshold,
 		Max:           d.cfg.MaxUsers - len(known) + 4,
 	})
-	pkSp.Stop()
+	d.clk.exit(st)
 	for _, pk := range peaks {
 		if nearKnown(pk.Bin, pk.Mag) {
 			continue
@@ -458,8 +456,7 @@ type segModel struct {
 // candidates by ToneAndPrefix unless two candidates' energies lie within
 // twice that bound of each other (TestPrunedScanMatchesFullScan).
 func (d *Decoder) segmentFitRefined(x []complex128, fBins float64, j int) (segModel, []complex128) {
-	sp := mStageResidual.Start()
-	defer sp.Stop()
+	st := d.clk.enter(stageResidual)
 	n := d.n
 	x = x[:n]
 	blk := blockSums(grow(&d.blockBuf, n/scanBlock), x)
@@ -505,6 +502,7 @@ func (d *Decoder) segmentFitRefined(x []complex128, fBins float64, j int) (segMo
 	mScanBlocks.Add(int64((d.cfg.FineIters + 2) * len(blk)))
 	mScanSkipped.Add(int64(skipped + sk))
 	h1, h2 := segmentGains(prefix, i0)
+	d.clk.exit(st)
 	return segModel{f: best, h1: h1, h2: h2, i0: i0}, s.tone
 }
 

@@ -93,8 +93,8 @@ func (d *Decoder) DetectTeam(samples []complex128) ([]float64, error) {
 // member is below the noise floor. ctx bounds the decode under the same
 // cooperative stage-boundary cancellation contract as Decode.
 func (d *Decoder) DecodeTeam(ctx context.Context, samples []complex128, payloadLen int) (_ *TeamResult, err error) {
-	d.armCtx(ctx)
-	defer d.disarmCtx()
+	d.arm(ctx)
+	defer d.disarm()
 	sp := mTeamDecodeTimer.Start()
 	defer sp.Stop()
 	mDecodes.Inc()
