@@ -353,26 +353,35 @@ func (d *Decoder) accumulateBoundaryScan(work []complex128, offset float64, symP
 	pPrev := prefInto(&d.prefPrev, symPrev)
 	pCur := prefInto(&d.prefCur, symCur)
 	pNext := prefInto(&d.prefNext, symNext)
-	energy := func(p []complex128, lo, hi int) float64 {
-		if hi <= lo {
-			return 0
-		}
-		v := p[hi] - p[lo]
-		return (real(v)*real(v) + imag(v)*imag(v)) / float64(hi-lo)
-	}
 	for bi := range scores {
 		b := bi * step
 		if b > d.n {
 			break
 		}
-		var sc float64
 		if b < d.n/2 {
-			sc = energy(pPrev, 0, b) + energy(pCur, b, d.n)
+			scores[bi] += splitEnergy(pPrev, pCur, b)
 		} else {
-			sc = energy(pCur, 0, b) + energy(pNext, b, d.n)
+			scores[bi] += splitEnergy(pCur, pNext, b)
 		}
-		scores[bi] += sc
 	}
+}
+
+// splitEnergy is the energy a head tone and a tail tone explain in a window
+// split at boundary b, from the window's prefix sums H against the head tone
+// and T against the tail tone (N+1 each): |H_b|²/b + |T_N − T_b|²/(N−b), a
+// term zero when its segment is empty.
+func splitEnergy(head, tail []complex128, b int) float64 {
+	n := len(head) - 1
+	var eh, et float64
+	if b > 0 {
+		v := head[b]
+		eh = (real(v)*real(v) + imag(v)*imag(v)) / float64(b)
+	}
+	if b < n {
+		v := tail[n] - tail[b]
+		et = (real(v)*real(v) + imag(v)*imag(v)) / float64(n-b)
+	}
+	return eh + et
 }
 
 // icSymbolPass performs one interference-cancellation sweep over a window:
@@ -482,7 +491,7 @@ func (d *Decoder) extractWindowPeaks(out []peakObs, ests []userEstimate, win []c
 		// and look underneath.
 		st = d.clk.enter(stageSIC)
 		for i, pk := range out {
-			// Slot i: refinePeakPositions fits peak i's tone again.
+			// Slot i: refinePeakPositions' sweepSegments fits peak i's tone again.
 			tone := d.slotTone(i, pk.bin)
 			h1, h2, i0 := d.segmentFit(dech, tone)
 			subtractSegments(dech, tone, h1, h2, i0)
@@ -497,66 +506,37 @@ func (d *Decoder) extractWindowPeaks(out []peakObs, ests []userEstimate, win []c
 
 // refinePeakPositions re-measures each peak's position with the leakage of
 // every other peak modelled and subtracted (the per-symbol application of
-// Algm. 1's leakage modelling). Without this, a weak user's data peak sitting
-// on a strong user's spectral skirt is biased by a sizeable fraction of a
-// bin, enough to break the fractional-offset fingerprint match.
+// Algm. 1's leakage modelling, sweepSegments with the frequency searched).
+// Without this, a weak user's data peak sitting on a strong user's spectral
+// skirt is biased by a sizeable fraction of a bin, enough to break the
+// fractional-offset fingerprint match. The joint fit that seeds the sweeps
+// apportions energy correctly even when peaks are close, and each peak's
+// two-segment model gates out the adjacent symbol's segment, so the refined
+// position is free of both other-user leakage and the peak's own
+// timing-offset bias.
 // It returns the surviving peaks: entries whose magnitude collapses once the
 // other peaks are removed were never users — they were side lobes or
 // reconstruction residue — and are dropped, as are near-duplicates. dech is
 // the window's dechirped buffer, left intact.
 func (d *Decoder) refinePeakPositions(dech []complex128, out []peakObs) []peakObs {
-	// Joint least-squares fit over all peak frequencies (Eqn. 2) seeds an
-	// alternating two-segment refinement (the same scheme subtractUsers
-	// applies to the preamble): fitting the tones together apportions
-	// energy correctly even when peaks are close, and the per-peak
-	// two-segment models capture the constant-phase jump a fractional
-	// timing offset puts inside each window.
 	offs := grow(&d.offsBuf, len(out))
 	for i, pk := range out {
 		offs[i] = pk.bin
 	}
-	joint := d.fitChannels(dech, offs)
-	models := grow(&d.segModels, len(out))
-	residual := grow(&d.residBuf, len(dech))
-	copy(residual, dech)
-	for i := range out {
-		models[i] = segModel{h1: joint[i], h2: joint[i], i0: 0}
-		subtractTone(residual, d.slotTone(i, offs[i]), joint[i])
-	}
-	origMag := grow(&d.origMagBuf, len(out))
-	for i, pk := range out {
-		origMag[i] = pk.mag
-	}
-	for sweep := 0; sweep < 2; sweep++ {
-		for i := range out {
-			addSegments(residual, d.slotTone(i, offs[i]), models[i].h1, models[i].h2, models[i].i0)
-			// Golden-refine this peak's frequency on its cleaned signal:
-			// the two-segment fit gates out the adjacent symbol's segment,
-			// so the refined position is free of both other-user leakage
-			// and the peak's own timing-offset bias.
-			m, tone := d.segmentFitRefined(residual, offs[i], i)
-			offs[i], models[i] = m.f, m
-			subtractSegments(residual, tone, m.h1, m.h2, m.i0)
-		}
-	}
-	for i := range out {
-		md := models[i]
-		out[i].bin = math.Mod(offs[i]+float64(d.n), float64(d.n))
-		// Dominant segment's channel and equivalent full-window magnitude.
-		h, seg := md.h2, d.n-md.i0
-		if md.i0 > d.n/2 {
-			h, seg = md.h1, md.i0
-		}
-		out[i].gain = h * complex(float64(d.n), 0)
-		out[i].mag = cmplxAbs(h) * float64(seg)
-	}
-	// Filter: drop entries that lost most of their magnitude (leakage
-	// artifacts) and near-duplicates of stronger survivors.
+	models, _ := d.sweepSegments(dech, offs, true)
+	// Each peak takes its dominant segment's channel and equivalent
+	// full-window magnitude. Drop entries that lost most of their magnitude
+	// (leakage artifacts) and near-duplicates of stronger survivors.
 	kept := out[:0]
 	for i, pk := range out {
-		if pk.mag < 0.4*origMag[i] {
+		h, seg := models[i].dominant(d.n)
+		mag := cmplxAbs(h) * float64(seg)
+		if mag < 0.4*pk.mag {
 			continue
 		}
+		pk.bin = math.Mod(models[i].f+float64(d.n), float64(d.n))
+		pk.gain = h * complex(float64(d.n), 0)
+		pk.mag = mag
 		dup := false
 		for _, s := range kept {
 			if dsp.CircularBinDist(pk.bin, s.bin, float64(d.n)) < 0.9 && pk.mag <= s.mag {
@@ -572,10 +552,10 @@ func (d *Decoder) refinePeakPositions(dech []complex128, out []peakObs) []peakOb
 }
 
 // usersMatched counts how many estimated users can be given a *distinct*
-// peak whose fractional position matches their fingerprint (greedy
-// one-to-one matching by fractional distance). A single strong peak must not
-// satisfy two users at once — that is precisely the situation where a weak
-// user is still buried and within-window SIC is required.
+// peak whose fractional position matches their fingerprint (matchGreedy by
+// fractional distance). A single strong peak must not satisfy two users at
+// once — that is precisely the situation where a weak user is still buried
+// and within-window SIC is required.
 func (d *Decoder) usersMatched(peaks []peakObs, ests []userEstimate) int {
 	cands := d.candBuf[:0]
 	for ui, e := range ests {
@@ -588,36 +568,15 @@ func (d *Decoder) usersMatched(peaks []peakObs, ests []userEstimate) int {
 		}
 	}
 	d.candBuf = cands
-	slices.SortFunc(cands, func(a, b matchCand) int {
-		if a.cost < b.cost {
-			return -1
-		}
-		if a.cost > b.cost {
-			return 1
-		}
-		return 0
-	})
-	usedPeak := grow(&d.usedPeakBuf, len(peaks))
-	usedUser := grow(&d.usedUserBuf, len(ests))
-	clear(usedPeak)
-	clear(usedUser)
-	count := 0
-	for _, c := range cands {
-		if usedPeak[c.pi] || usedUser[c.ui] {
-			continue
-		}
-		usedPeak[c.pi] = true
-		usedUser[c.ui] = true
-		count++
-	}
-	return count
+	return len(d.matchGreedy(cands, len(peaks), len(ests)))
 }
 
 // assignGreedy matches peaks to users window by window using the fractional
 // offset fingerprint, preferring low fractional distance and then channel
-// magnitude consistency. Each user takes at most one peak per window — when
-// inter-symbol interference splits a user across two peaks (Fig. 5), the
-// stronger one carries the aligned symbol for sub-half-symbol offsets.
+// magnitude consistency (matchGreedy). Each user takes at most one peak per
+// window — when inter-symbol interference splits a user across two peaks
+// (Fig. 5), the stronger one carries the aligned symbol for sub-half-symbol
+// offsets.
 func (d *Decoder) assignGreedy(allPeaks [][]peakObs, users []*User) {
 	period := float64(d.n)
 	for w := range allPeaks {
@@ -641,29 +600,41 @@ func (d *Decoder) assignGreedy(allPeaks [][]peakObs, users []*User) {
 			}
 		}
 		d.candBuf = cands
-		slices.SortFunc(cands, func(a, b matchCand) int {
-			if a.cost < b.cost {
-				return -1
-			}
-			if a.cost > b.cost {
-				return 1
-			}
-			return 0
-		})
-		usedPeak := grow(&d.usedPeakBuf, len(peaks))
-		usedUser := grow(&d.usedUserBuf, len(users))
-		clear(usedPeak)
-		clear(usedUser)
-		for _, c := range cands {
-			if usedPeak[c.pi] || usedUser[c.ui] {
-				continue
-			}
-			usedPeak[c.pi] = true
-			usedUser[c.ui] = true
+		for _, c := range d.matchGreedy(cands, len(peaks), len(users)) {
 			peaks[c.pi].user = c.ui
 			d.recordSymbol(users[c.ui], w, peaks[c.pi], period)
 		}
 	}
+}
+
+// matchGreedy is the one-to-one greedy matching of peaks to users: it sorts
+// cands by cost and takes each candidate whose peak (of npeaks) and user (of
+// nusers) are both still free. It returns the pairs it took, in the order it
+// took them, in cands' storage.
+func (d *Decoder) matchGreedy(cands []matchCand, npeaks, nusers int) []matchCand {
+	slices.SortFunc(cands, func(a, b matchCand) int {
+		if a.cost < b.cost {
+			return -1
+		}
+		if a.cost > b.cost {
+			return 1
+		}
+		return 0
+	})
+	usedPeak := grow(&d.usedPeakBuf, npeaks)
+	usedUser := grow(&d.usedUserBuf, nusers)
+	clear(usedPeak)
+	clear(usedUser)
+	taken := cands[:0]
+	for _, c := range cands {
+		if usedPeak[c.pi] || usedUser[c.ui] {
+			continue
+		}
+		usedPeak[c.pi] = true
+		usedUser[c.ui] = true
+		taken = append(taken, c)
+	}
+	return taken
 }
 
 // recordSymbol converts an assigned peak into the user's data symbol for

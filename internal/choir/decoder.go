@@ -160,18 +160,14 @@ type Decoder struct {
 	maskedBuf []complex128   // masked / re-added tone workspace
 	prefixBuf []complex128   // segmentFit prefix sums (n+1)
 	blockBuf  []float64      // segmentFitRefined's per-block sums of |re|+|im| (n/scanBlock)
-	prefPrev  []complex128   // accumulateBoundaryScan prefix sums (n+1)
+	prefPrev  []complex128   // accumulateBoundaryScan and splitScore prefix sums (n+1)
 	prefCur   []complex128
 	prefNext  []complex128
-	prefA     []complex128 // splitScore prefix sums (n+1)
-	prefB     []complex128
 
 	offsBuf     []float64
 	scoresBuf   []float64
 	powerBuf    []float64
-	origMagBuf  []float64
 	accBuf      []float64 // DetectTeam accumulated power spectrum
-	hsBuf       []complex128
 	boundsBuf   []int
 	missingBuf  []int
 	segModels   []segModel

@@ -504,20 +504,22 @@ func FuzzFitsMatchExplicitLeastSquares(f *testing.F) {
 // the highest collision order of the benchmark's heavy workload.
 var fitChannelsOffsets = []float64{12.2, 13.15, 37.3, 90.75, 91.9, 201.4}
 
-// TestFitKernelsZeroAllocs pins segmentFit, fitChannels, the golden search
-// and the tone slots at zero heap allocations once the decoder's prefix
-// buffer, fit workspace and slots have grown: one warm-up call each, then
-// testing.AllocsPerRun must read 0. The slot rows alternate two frequency
-// sets, so every call rebuilds its slots' tones.
+// TestFitKernelsZeroAllocs pins segmentFit, fitChannels, the golden search,
+// the two-segment sweeps and the tone slots at zero heap allocations once the
+// decoder's prefix buffer, fit workspace and slots have grown: one warm-up
+// call each, then testing.AllocsPerRun must read 0. The slot rows alternate
+// two frequency sets, so every call rebuilds its slots' tones.
 func TestFitKernelsZeroAllocs(t *testing.T) {
 	d := decoderForSF(lora.SF8)
 	x := testWindow(d.n, 0, 1)
 	tone := append([]complex128(nil), d.tone(37.3)...)
 	var regs [2][]segReg
+	var offs [2][]float64
 	for i, f := range fitChannelsOffsets {
 		b := 40 * (i + 1)
 		regs[0] = append(regs[0], segReg{f: f, lo: 0, hi: b}, segReg{f: f + 1, lo: b, hi: d.n})
 		regs[1] = append(regs[1], segReg{f: f + 0.5, lo: 0, hi: b}, segReg{f: f - 1, lo: b, hi: d.n})
+		offs[0], offs[1] = append(offs[0], f), append(offs[1], f+0.25)
 	}
 	call := 0
 	kernels := []struct {
@@ -529,6 +531,8 @@ func TestFitKernelsZeroAllocs(t *testing.T) {
 		{"fitSegments, twelve masked tones into slots", func() { call++; d.fitSegments(x, regs[call%2]) }},
 		{"segmentFitRefined into slot 13", func() { call++; d.segmentFitRefined(x, 37.3+float64(call%2), 13) }},
 		{"slotTone", func() { call++; d.slotTone(14, 37.3+float64(call%2)) }},
+		{"sweepSegments, six tones, frequency searched", func() { call++; d.sweepSegments(x, offs[call%2], true) }},
+		{"sweepSegments, six tones, frequency fixed", func() { call++; d.sweepSegments(x, offs[call%2], false) }},
 	}
 	for _, k := range kernels {
 		k.run()

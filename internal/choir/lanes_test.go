@@ -57,34 +57,44 @@ func readTrace(t *testing.T, path string) (trace.Header, []complex128) {
 // cell at GOMAXPROCS 1, 2 and 4 — a decode fans its window loops out over
 // min(GOMAXPROCS, windows) − 1 helper lanes — and holds each result to a
 // fresh decoder's at GOMAXPROCS 1, bit for bit. One decoder per frame serves
-// all three counts, so it also grows lanes between decodes.
+// all three counts, so it also grows lanes between decodes. It runs each
+// frame under the default config and, as subtests of FineSearchOff, with the
+// fine search off: the preamble's joint fit alone and no data-peak
+// refinement.
 func TestLaneCountEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, fr := range laneFrames(t) {
-		t.Run(fr.name, func(t *testing.T) {
-			cfg := choir.DefaultConfig(fr.p)
-			runtime.GOMAXPROCS(1)
-			want, wantErr := choir.MustNew(cfg).Decode(context.Background(), fr.samples, fr.payloadLen)
-			d := choir.MustNew(cfg)
-			for _, procs := range []int{1, 2, 4} {
-				runtime.GOMAXPROCS(procs)
-				got, err := d.Decode(context.Background(), fr.samples, fr.payloadLen)
-				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-					t.Fatalf("GOMAXPROCS %d: err %v, want %v", procs, err, wantErr)
+	frames := laneFrames(t)
+	check := func(t *testing.T, fineSearch bool) {
+		for _, fr := range frames {
+			t.Run(fr.name, func(t *testing.T) {
+				cfg := choir.DefaultConfig(fr.p)
+				cfg.FineSearch = fineSearch
+				runtime.GOMAXPROCS(1)
+				want, wantErr := choir.MustNew(cfg).Decode(context.Background(), fr.samples, fr.payloadLen)
+				d := choir.MustNew(cfg)
+				for _, procs := range []int{1, 2, 4} {
+					runtime.GOMAXPROCS(procs)
+					got, err := d.Decode(context.Background(), fr.samples, fr.payloadLen)
+					if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+						t.Fatalf("GOMAXPROCS %d: err %v, want %v", procs, err, wantErr)
+					}
+					if err == nil {
+						choir.AssertSameResult(t, got, want)
+					}
 				}
-				if err == nil {
-					choir.AssertSameResult(t, got, want)
-				}
-			}
-		})
+			})
+		}
 	}
+	check(t, true)
+	t.Run("FineSearchOff", func(t *testing.T) { check(t, false) })
 }
 
 // TestStageCountsIndependentOfLanes decodes every golden fixture with
-// metrics on at GOMAXPROCS 1, 2 and 4: helper lanes record stage spans and
+// metrics on at GOMAXPROCS 1, 2 and 4: helper lanes record stage calls and
 // counters of their own, so each choir.* counter and the count of each
-// choir.* timer (choir.stage.*_ns among them) must come out the same at every
-// width. Timer sums are timings and are not compared.
+// choir.* histogram (the stage clock's choir.stage.*_ns among them) must come
+// out the same at every width. Histogram sums are timings and are not
+// compared.
 func TestStageCountsIndependentOfLanes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	obs.Enable()
@@ -112,7 +122,7 @@ func TestStageCountsIndependentOfLanes(t *testing.T) {
 			runtime.GOMAXPROCS(1)
 			want := counts(h, samples, c.team)
 			if want["choir.stage.fft_ns count"] == 0 {
-				t.Fatal("no FFT span recorded at GOMAXPROCS 1")
+				t.Fatal("no choir.stage.fft_ns call recorded at GOMAXPROCS 1")
 			}
 			for _, procs := range []int{2, 4} {
 				runtime.GOMAXPROCS(procs)

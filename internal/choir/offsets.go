@@ -272,15 +272,17 @@ func (d *Decoder) scanWindow(obs []binObs, dech []complex128, known []userEstima
 // stores each user's offset and channel for it in slot w of the user's
 // perWin and gainWin.
 func (d *Decoder) refineWindow(w int, dech []complex128, coarse []float64, ests []userEstimate) {
-	offs, hs := coarse, []complex128(nil)
-	if d.cfg.FineSearch {
-		offs, hs = d.refineOffsets(dech, coarse)
-	} else {
-		hs = d.fitChannels(dech, offs)
+	if !d.cfg.FineSearch {
+		hs := d.fitChannels(dech, coarse)
+		for i := range ests {
+			ests[i].perWin[w], ests[i].gainWin[w] = coarse[i], hs[i]
+		}
+		return
 	}
-	for i := range ests {
-		ests[i].perWin[w] = offs[i]
-		ests[i].gainWin[w] = hs[i]
+	models, _ := d.sweepSegments(dech, coarse, true)
+	for i, m := range models {
+		ests[i].perWin[w] = m.f
+		ests[i].gainWin[w], _ = m.dominant(d.n)
 	}
 }
 
@@ -390,47 +392,70 @@ func (d *Decoder) validateCandidates(wins [][]complex128, coarse []float64) []fl
 // there, splitting the window into two tone segments at the same frequency.
 // A single-tone subtraction would leave ~|1−e^{j2πfrac(δ)}|²·L/N of the
 // user's energy behind — enough for its broad sinc to masquerade as ghost
-// users in the next SIC phase. We therefore fit a two-segment model per user
-// (two complex gains around an estimated boundary) and subtract that,
-// iterating users so each fit sees the others removed.
+// users in the next SIC phase. We therefore subtract each user's two-segment
+// model (two complex gains around an estimated boundary), fitted at its
+// estimated offset by sweepSegments.
 func (d *Decoder) subtractUsers(dech []complex128, users []userEstimate) {
-	models := grow(&d.segModels, len(users))
-	// Initialize from a joint single-tone fit.
 	offs := grow(&d.offsBuf, len(users))
 	for i, u := range users {
 		offs[i] = u.offset
 	}
-	hs := d.fitChannels(dech, offs)
-	for i := range models {
-		models[i] = segModel{f: offs[i], h1: hs[i], h2: hs[i], i0: 0}
-	}
-	residual := grow(&d.residBuf, len(dech))
-	copy(residual, dech)
-	for i := range models {
-		subtractSegments(residual, d.slotTone(i, models[i].f), models[i].h1, models[i].h2, models[i].i0)
-	}
-	// Two refinement sweeps: re-fit each user against the signal with all
-	// other users removed. The user's frequency is fixed here, so the tone
-	// the joint fit built in the user's slot serves every add, fit and
-	// subtract.
-	for sweep := 0; sweep < 2; sweep++ {
-		for i := range models {
-			tone := d.slotTone(i, models[i].f)
-			addSegments(residual, tone, models[i].h1, models[i].h2, models[i].i0)
-			h1, h2, i0 := d.segmentFit(residual, tone)
-			models[i].h1, models[i].h2, models[i].i0 = h1, h2, i0
-			subtractSegments(residual, tone, h1, h2, i0)
-		}
-	}
+	_, residual := d.sweepSegments(dech, offs, false)
 	copy(dech, residual)
 }
 
-// segModel is a two-segment tone model (gains either side of a boundary),
-// shared by the preamble refinement and data-path peak refinement.
+// sweepSegments is the leakage modelling of Sec. 5.1 (Algm. 1), extended
+// with the segment split a fractional timing offset imposes: it fits every
+// tone's channel at offs jointly (fitChannels), then re-fits each tone's
+// two-segment model against the residual with every other tone subtracted,
+// in two Gauss-Seidel sweeps through the tones. With refine, each re-fit
+// golden-searches the tone's frequency within ±0.5 bin of where it stands
+// (segmentFitRefined); without, the frequency stays at offs. It returns each
+// tone's model and the residual with every model subtracted, both decoder
+// scratch valid until the next sweepSegments call; offs is not modified.
+// Tone i stays in tone slot i throughout, at its model's frequency.
+func (d *Decoder) sweepSegments(dech []complex128, offs []float64, refine bool) ([]segModel, []complex128) {
+	joint := d.fitChannels(dech, offs)
+	models := grow(&d.segModels, len(offs))
+	residual := grow(&d.residBuf, len(dech))
+	copy(residual, dech)
+	for i, f := range offs {
+		models[i] = segModel{f: f, h1: joint[i], h2: joint[i]}
+		subtractTone(residual, d.slotTone(i, f), joint[i])
+	}
+	for sweep := 0; sweep < 2; sweep++ {
+		for i := range models {
+			m := &models[i]
+			tone := d.slotTone(i, m.f)
+			addSegments(residual, tone, m.h1, m.h2, m.i0)
+			if refine {
+				*m, tone = d.segmentFitRefined(residual, m.f, i)
+			} else {
+				m.h1, m.h2, m.i0 = d.segmentFit(residual, tone)
+			}
+			subtractSegments(residual, tone, m.h1, m.h2, m.i0)
+		}
+	}
+	return models, residual
+}
+
+// segModel is a two-segment tone model (gains either side of a boundary):
+// what sweepSegments fits for each preamble user and each data peak, and
+// what segmentFitRefined returns.
 type segModel struct {
 	f      float64
 	h1, h2 complex128
 	i0     int
+}
+
+// dominant returns the channel and length of the model's longer segment in
+// an n-sample window: the segment that carries the symbol aligned with the
+// window.
+func (m segModel) dominant(n int) (complex128, int) {
+	if m.i0 > n/2 {
+		return m.h1, m.i0
+	}
+	return m.h2, n - m.i0
 }
 
 // segmentFitRefined golden-searches the tone frequency within ±0.5 bin of
@@ -774,48 +799,6 @@ func toneGram(df float64, lo, hi, n int) complex128 {
 	mag := math.Sin(float64(m)*half) / den
 	s, c := math.Sincos(half * float64(lo+hi-1))
 	return complex(mag*c, mag*s)
-}
-
-// refineOffsets refines each user's offset to a small fraction of a bin by
-// alternating per-user two-segment fits against the residual with all other
-// users subtracted (the leakage modelling of Sec. 5.1, extended with the
-// segment split a fractional timing offset imposes), golden-searching each
-// user's frequency within ±0.5 bin of its coarse estimate. It returns the
-// refined offsets and each user's dominant-segment channel. Both returned
-// slices are decoder-owned scratch, valid until the next refineOffsets
-// call; coarse is not modified.
-func (d *Decoder) refineOffsets(dech []complex128, coarse []float64) ([]float64, []complex128) {
-	k := len(coarse)
-	offs := grow(&d.offsBuf, k)
-	copy(offs, coarse)
-	models := grow(&d.segModels, k)
-	joint := d.fitChannels(dech, offs)
-	residual := grow(&d.residBuf, len(dech))
-	copy(residual, dech)
-	for i := 0; i < k; i++ {
-		models[i] = segModel{h1: joint[i], h2: joint[i], i0: 0}
-		subtractTone(residual, d.slotTone(i, offs[i]), joint[i])
-	}
-	const sweeps = 2
-	for s := 0; s < sweeps; s++ {
-		for i := 0; i < k; i++ {
-			addSegments(residual, d.slotTone(i, offs[i]), models[i].h1, models[i].h2, models[i].i0)
-			m, tone := d.segmentFitRefined(residual, offs[i], i)
-			offs[i], models[i] = m.f, m
-			subtractSegments(residual, tone, m.h1, m.h2, m.i0)
-		}
-	}
-	hs := grow(&d.hsBuf, k)
-	for i := 0; i < k; i++ {
-		// Report the longer segment's channel: it carries the symbol
-		// aligned with this window.
-		if models[i].i0 > d.n/2 {
-			hs[i] = models[i].h1
-		} else {
-			hs[i] = models[i].h2
-		}
-	}
-	return offs, hs
 }
 
 // circularMean averages angles expressed as bin positions on a circle of the

@@ -287,32 +287,19 @@ func (d *Decoder) splitTwoToneFit(dech []complex128, prevTone, curTone, nextTone
 }
 
 // splitScore finds the boundary i0 maximizing the energy explained by a
-// head tone at fa and a tail tone at fb (bins) via prefix sums held in
-// decoder scratch.
+// head tone at fa and a tail tone at fb (bins), splitEnergy over prefix sums
+// held in decoder scratch. It runs outside any decode, so it borrows
+// accumulateBoundaryScan's prefix buffers.
 func (d *Decoder) splitScore(x []complex128, fa, fb float64) (score float64, ha, hb complex128, i0 int) {
-	n := len(x)
-	prefA := tonePrefix(grow(&d.prefA, n+1), x, d.tone(fa))
-	prefB := tonePrefix(grow(&d.prefB, n+1), x, d.tone(fb))
+	head := tonePrefix(grow(&d.prefPrev, len(x)+1), x, d.tone(fa))
+	tail := tonePrefix(grow(&d.prefCur, len(x)+1), x, d.tone(fb))
 	score = math.Inf(-1)
-	for i := 0; i <= n; i++ {
-		var s float64
-		if i > 0 {
-			p := prefA[i]
-			s += (real(p)*real(p) + imag(p)*imag(p)) / float64(i)
-		}
-		if i < n {
-			q := prefB[n] - prefB[i]
-			s += (real(q)*real(q) + imag(q)*imag(q)) / float64(n-i)
-		}
-		if s > score {
+	for i := range head {
+		if s := splitEnergy(head, tail, i); s > score {
 			score, i0 = s, i
 		}
 	}
-	if i0 > 0 {
-		ha = prefA[i0] / complex(float64(i0), 0)
-	}
-	if i0 < n {
-		hb = (prefB[n] - prefB[i0]) / complex(float64(n-i0), 0)
-	}
+	ha, _ = segmentGains(head, i0)
+	_, hb = segmentGains(tail, i0)
 	return score, ha, hb, i0
 }
