@@ -614,3 +614,72 @@ func topLevelAlternatives(pattern string) []string {
 	}
 	return append(alts, pattern[start:])
 }
+
+// TestAssemblyIsExactOrder holds the module's assembly kernels to DESIGN.md
+// §12's exact-order contract and ROADMAP item 11: no .s file may name a
+// fused multiply-add (VFMADD…, VFMSUB…, VFNMADD…, VFNMSUB…), whose single
+// rounding would change the generic Go kernels' bits, and every function
+// that touches a YMM register runs VZEROUPPER right before each RET, so no
+// SSE code after it pays the AVX-SSE transition.
+func TestAssemblyIsExactOrder(t *testing.T) {
+	fma := regexp.MustCompile(`(?i)\bVFN?M(ADD|SUB)`)
+	ymm := regexp.MustCompile(`\bY([0-9]|1[0-5])\b`)
+	var files int
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".s") {
+			return nil
+		}
+		files++
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var fn, prev string
+		var usesYMM bool
+		var rets []int
+		check := func() {
+			if fn != "" && usesYMM && len(rets) > 0 {
+				t.Errorf("%s: %s uses YMM registers and returns at line(s) %v without VZEROUPPER first", path, fn, rets)
+			}
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if c := strings.Index(line, "//"); c >= 0 {
+				line = line[:c]
+			}
+			line = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(line), `\`))
+			if line == "" {
+				continue
+			}
+			if fma.MatchString(line) {
+				t.Errorf("%s:%d names a fused multiply-add: %s", path, i+1, line)
+			}
+			fields := strings.Fields(line)
+			switch {
+			case fields[0] == "TEXT":
+				check()
+				fn, usesYMM, rets = strings.TrimSuffix(fields[1], ","), false, nil
+			case fields[0] == "RET" && prev != "VZEROUPPER":
+				rets = append(rets, i+1)
+			}
+			usesYMM = usesYMM || ymm.MatchString(line)
+			prev = fields[0]
+		}
+		check()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("found no .s files")
+	}
+}

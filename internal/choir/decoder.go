@@ -144,6 +144,10 @@ type Decoder struct {
 	// of the pass (slotTone).
 	toneSlots []toneSlot
 
+	// combTones[r] is combSpectrum's detuning tone for r < pad, built the
+	// first time a decode asks for r (combTone).
+	combTones [][]complex128
+
 	// Every reusable buffer of the pipeline is a named field grown by grow,
 	// so a warmed-up decoder decodes without a heap allocation (DESIGN.md
 	// §12 has the ownership rules).
@@ -160,7 +164,7 @@ type Decoder struct {
 	maskedBuf []complex128   // masked / re-added tone workspace
 	prefixBuf []complex128   // segmentFit prefix sums (n+1)
 	blockBuf  []float64      // segmentFitRefined's per-block sums of |re|+|im| (n/scanBlock)
-	prefPrev  []complex128   // accumulateBoundaryScan and splitScore prefix sums (n+1)
+	prefPrev  []complex128   // accumulateBoundaryScan and splitTwoToneFit prefix sums (n+1)
 	prefCur   []complex128
 	prefNext  []complex128
 
@@ -595,10 +599,21 @@ func (d *Decoder) combDecide(x []complex128, offset float64) int {
 // combSpectrum overwrites x (N samples) with {X[j·pad + r]}, j < N, of its
 // zero-padded spectrum X, and returns it.
 func (d *Decoder) combSpectrum(x []complex128, r int) []complex128 {
-	for k, t := range d.tone(-float64(r) / float64(d.pad)) {
+	for k, t := range d.combTone(r) {
 		x[k] *= t
 	}
 	return d.symFFT.Transform(x, x)
+}
+
+// combTone returns combSpectrum's tone for r, bit for bit d.tone(−r/pad):
+// r takes only pad values and stays fixed per user for a whole frame, so
+// the decoder builds each one once and keeps it.
+func (d *Decoder) combTone(r int) []complex128 {
+	tones := grow(&d.combTones, d.pad)
+	if tones[r] == nil {
+		tones[r] = dsp.Tone(nil, d.n, -float64(r)/float64(d.pad)/float64(d.n), 0)
+	}
+	return tones[r]
 }
 
 // magnitudes converts a complex spectrum to magnitudes in the decoder's

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"choir/internal/cpu"
 )
 
 // MustNew is New that panics on error, for the tests' valid configs.
@@ -63,4 +65,13 @@ func PanicOnHelper(task WindowTask) func(WindowTask, int, bool) {
 		case <-time.After(5 * time.Second):
 		}
 	}
+}
+
+// UseGenericKernels makes every dsp and choir kernel run its generic Go body,
+// as it does off amd64 or without AVX2, until the returned function restores
+// the CPU's choice. Call it between decodes, not during one.
+func UseGenericKernels() (restore func()) {
+	saved := cpu.AVX2
+	cpu.AVX2 = false
+	return func() { cpu.AVX2 = saved }
 }

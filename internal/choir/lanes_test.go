@@ -53,14 +53,26 @@ func readTrace(t *testing.T, path string) (trace.Header, []complex128) {
 	return h, samples
 }
 
+// kernelRuns are the kernel sets a decode test runs: the CPU's (the AVX2
+// kernels where the CPU has AVX2) and the generic Go kernels, forced.
+var kernelRuns = []struct {
+	name string
+	use  func() (restore func())
+}{
+	{"the CPU's kernels", func() func() { return func() {} }},
+	{"the generic kernels", choir.UseGenericKernels},
+}
+
 // TestLaneCountEquivalence decodes every golden fixture and every decision
 // cell at GOMAXPROCS 1, 2 and 4 — a decode fans its window loops out over
 // min(GOMAXPROCS, windows) − 1 helper lanes — and holds each result to a
 // fresh decoder's at GOMAXPROCS 1, bit for bit. One decoder per frame serves
-// all three counts, so it also grows lanes between decodes. It runs each
-// frame under the default config and, as subtests of FineSearchOff, with the
-// fine search off: the preamble's joint fit alone and no data-peak
-// refinement.
+// all three counts, so it also grows lanes between decodes. The three
+// decodes run a second time with the generic kernels forced, held to the
+// same reference from the CPU's kernels: the AVX2 kernels are exact-order
+// (DESIGN.md §12). It runs each frame under the default config and, as
+// subtests of FineSearchOff, with the fine search off: the preamble's joint
+// fit alone and no data-peak refinement.
 func TestLaneCountEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	frames := laneFrames(t)
@@ -72,15 +84,23 @@ func TestLaneCountEquivalence(t *testing.T) {
 				runtime.GOMAXPROCS(1)
 				want, wantErr := choir.MustNew(cfg).Decode(context.Background(), fr.samples, fr.payloadLen)
 				d := choir.MustNew(cfg)
-				for _, procs := range []int{1, 2, 4} {
-					runtime.GOMAXPROCS(procs)
-					got, err := d.Decode(context.Background(), fr.samples, fr.payloadLen)
-					if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-						t.Fatalf("GOMAXPROCS %d: err %v, want %v", procs, err, wantErr)
-					}
-					if err == nil {
-						choir.AssertSameResult(t, got, want)
-					}
+				for _, k := range kernelRuns {
+					func() {
+						defer k.use()()
+						for _, procs := range []int{1, 2, 4} {
+							runtime.GOMAXPROCS(procs)
+							got, err := d.Decode(context.Background(), fr.samples, fr.payloadLen)
+							if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+								t.Fatalf("%s, GOMAXPROCS %d: err %v, want %v", k.name, procs, err, wantErr)
+							}
+							if err == nil {
+								choir.AssertSameResult(t, got, want)
+							}
+							if t.Failed() {
+								t.Fatalf("with %s at GOMAXPROCS %d", k.name, procs)
+							}
+						}
+					}()
 				}
 			})
 		}

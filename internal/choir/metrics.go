@@ -14,6 +14,12 @@ import (
 // either state (TestFanOutSteadyStateZeroAllocs pins both), and none of it
 // feeds back into decoding — metrics can never change results or seed
 // derivation (DESIGN.md §10).
+//
+// Stage times and choir.decode_busy_ns are lane wall time, not CPU time: a
+// lane's clock keeps running while the scheduler has it off a core. Where a
+// decode's goroutines outnumber free cores, busy time over wall time — the
+// lanes figure of BenchmarkDecodeBySF — can exceed the core count (2.1–2.8
+// at -cpu 4 on 2 vCPUs).
 var (
 	mDecodeTimer     = obs.NewTimer("choir.decode_ns")
 	mTeamDecodeTimer = obs.NewTimer("choir.team_decode_ns")

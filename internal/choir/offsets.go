@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"choir/internal/cpu"
 	"choir/internal/dsp"
 )
 
@@ -675,11 +676,44 @@ func cusumGain(p complex128, w *[2]float64, tr, ti float64) float64 {
 
 // scanRange carries the first strict maximum best, bestGain of segmentScan
 // through the boundaries base, base+1, … whose prefix sums and table rows
-// prefix and cusum hold, and returns it. Four boundaries a step: the running
-// maximum rises a handful of times a scan, so one test clears a whole step
-// and the first-strict-maximum bookkeeping runs only for the steps that
-// raise it.
+// prefix and cusum hold, and returns it. With AVX2 it runs scanLanesAVX2 on
+// the whole steps of four boundaries and scanRangeGeneric on the rest.
+//
+// The lanes give scanRangeGeneric's result: lane l keeps the first strict
+// maximum of boundaries base+4s+l, each gain the same bits, and skips NaN as
+// the ordered compare does. The boundary the generic loop returns is the
+// first to reach the largest gain, so it is the lane result with the
+// largest gain and, among equal gains, the smallest boundary; a lane that
+// never rose still holds best, bestGain, and a NaN bestGain stays.
 func scanRange(prefix []complex128, cusum [][2]float64, tr, ti float64, base, best int, bestGain float64) (int, float64) {
+	if cpu.AVX2 && len(prefix) >= 4 {
+		cusum = cusum[:len(prefix)]
+		var lanes scanLanes
+		scanLanesAVX2(prefix, cusum, tr, ti, base, best, bestGain, &lanes)
+		for l, g := range lanes.gain {
+			if i := lanes.best[l]; g > bestGain || g == bestGain && i < best {
+				best, bestGain = i, g
+			}
+		}
+		done := len(prefix) &^ 3
+		prefix, cusum, base = prefix[done:], cusum[done:], base+done
+	}
+	return scanRangeGeneric(prefix, cusum, tr, ti, base, best, bestGain)
+}
+
+// scanLanes is scanLanesAVX2's result: each lane's maximum and the boundary
+// that first reached it.
+type scanLanes struct {
+	gain [4]float64
+	best [4]int
+}
+
+// scanRangeGeneric is scanRange's Go kernel: the only one off amd64 or
+// without AVX2, and the reference the AVX2 kernel is tested against. Four
+// boundaries a step: the running maximum rises a handful of times a scan,
+// so one test clears a whole step and the first-strict-maximum bookkeeping
+// runs only for the steps that raise it.
+func scanRangeGeneric(prefix []complex128, cusum [][2]float64, tr, ti float64, base, best int, bestGain float64) (int, float64) {
 	cusum = cusum[:len(prefix)]
 	i := 0
 	for ; i+4 <= len(cusum); i += 4 {

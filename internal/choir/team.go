@@ -233,7 +233,7 @@ func (d *Decoder) SubtractDecodedUsers(samples []complex128, res *Result, payloa
 				break
 			}
 			win := out[off : off+d.n]
-			dech := lora.Dechirp(nil, win, d.modem.Down())
+			dech := lora.Dechirp(d.scratchDech, win, d.modem.Down())
 			// The user's sub-symbol timing offset places a symbol boundary
 			// inside the window: one side carries this window's symbol, the
 			// other an adjacent one at a different dechirped frequency. Fit
@@ -270,10 +270,15 @@ func (d *Decoder) SubtractDecodedUsers(samples []complex128, res *Result, payloa
 // orientation A is (previous symbol | current symbol), orientation B is
 // (current symbol | next symbol). It returns the gains, boundary and tone
 // frequencies (in bins; negative means "no tone", e.g. outside the frame)
-// of the better-scoring orientation.
+// of the better-scoring orientation. Both orientations read the current
+// symbol's prefix sums, built once in prefCur; the previous symbol's and
+// then the next one's are built in prefPrev. It runs outside any decode, so
+// it borrows accumulateBoundaryScan's prefix buffers.
 func (d *Decoder) splitTwoToneFit(dech []complex128, prevTone, curTone, nextTone float64) (ha, hb complex128, i0 int, fHead, fTail float64) {
-	scoreA, haA, hbA, i0A := d.splitScore(dech, prevTone, curTone)
-	scoreB, haB, hbB, i0B := d.splitScore(dech, curTone, nextTone)
+	cur := tonePrefix(grow(&d.prefCur, len(dech)+1), dech, d.tone(curTone))
+	other := grow(&d.prefPrev, len(dech)+1)
+	scoreA, haA, hbA, i0A := splitScore(tonePrefix(other, dech, d.tone(prevTone)), cur)
+	scoreB, haB, hbB, i0B := splitScore(cur, tonePrefix(other, dech, d.tone(nextTone)))
 	if prevTone < 0 {
 		scoreA = math.Inf(-1)
 	}
@@ -287,12 +292,9 @@ func (d *Decoder) splitTwoToneFit(dech []complex128, prevTone, curTone, nextTone
 }
 
 // splitScore finds the boundary i0 maximizing the energy explained by a
-// head tone at fa and a tail tone at fb (bins), splitEnergy over prefix sums
-// held in decoder scratch. It runs outside any decode, so it borrows
-// accumulateBoundaryScan's prefix buffers.
-func (d *Decoder) splitScore(x []complex128, fa, fb float64) (score float64, ha, hb complex128, i0 int) {
-	head := tonePrefix(grow(&d.prefPrev, len(x)+1), x, d.tone(fa))
-	tail := tonePrefix(grow(&d.prefCur, len(x)+1), x, d.tone(fb))
+// head tone and a tail tone, splitEnergy over their prefix sums head and
+// tail, and forms the head's gain before i0 and the tail's after it.
+func splitScore(head, tail []complex128) (score float64, ha, hb complex128, i0 int) {
 	score = math.Inf(-1)
 	for i := range head {
 		if s := splitEnergy(head, tail, i); s > score {

@@ -185,3 +185,24 @@ func TestSubtractDecodedUsersUnmasksTeam(t *testing.T) {
 		t.Fatalf("team payload %x, want %x", teamRes.Payload, teamPart.payloads[0])
 	}
 }
+
+// TestSubtractDecodedUsersAllocatesOnlyItsOutput pins a warm
+// SubtractDecodedUsers call to one allocation, the cleaned copy it returns:
+// each window is dechirped into decoder scratch and both split orientations
+// share the current symbol's prefix sums.
+func TestSubtractDecodedUsersAllocatesOnlyItsOutput(t *testing.T) {
+	spec := defaultSpec(1, 7)
+	sig := synthesize(t, spec)
+	d := MustNew(DefaultConfig(spec.params))
+	res, err := d.Decode(context.Background(), sig, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.DecodedPayloads()) != 1 {
+		t.Fatalf("decoded %d users, want 1", len(res.DecodedPayloads()))
+	}
+	d.SubtractDecodedUsers(sig, res, 8)
+	if allocs := testing.AllocsPerRun(5, func() { d.SubtractDecodedUsers(sig, res, 8) }); allocs != 1 {
+		t.Fatalf("SubtractDecodedUsers allocates %v times a call, want 1", allocs)
+	}
+}

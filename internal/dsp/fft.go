@@ -13,6 +13,8 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+
+	"choir/internal/cpu"
 )
 
 // NextPow2 returns the smallest power of two >= n. It panics if n <= 0 or if
@@ -106,36 +108,62 @@ func (f *FFT) stages(dst, tw []complex128, fromSize int) {
 	twq := tw[f.n/4:] // twq[k] = tw[k+n/4]: the second stage's twiddles for its upper quarter
 	size := fromSize
 	for ; size<<1 <= f.n; size <<= 2 {
-		h := size >> 1
-		step := f.n / (size << 1) // twiddle stride of stage 2·size; stage size strides twice that
-		for start := 0; start < f.n; start += size << 1 {
-			q0 := dst[start:][:h]
-			q1 := dst[start+h:][:len(q0)]
-			q2 := dst[start+2*h:][:len(q0)]
-			q3 := dst[start+3*h:][:len(q0)]
-			k := 0
-			for j := range q0 {
-				w := tw[2*k]
-				b1, b3 := q1[j]*w, q3[j]*w
-				a0, a1 := q0[j]+b1, q0[j]-b1
-				a2, a3 := q2[j]+b3, q2[j]-b3
-				c2, c3 := a2*tw[k], a3*twq[k]
-				q0[j], q2[j] = a0+c2, a0-c2
-				q1[j], q3[j] = a1+c3, a1-c3
-				k += step
-			}
+		if cpu.AVX2 && size >= 4 {
+			radix22PassAVX2(dst, tw, twq, size>>1, f.n/(size<<1))
+		} else {
+			radix22Pass(dst, tw, twq, size)
 		}
 	}
 	if size <= f.n { // an odd stage count leaves the last stage on its own
-		h := size >> 1
-		step := f.n / size
-		for start := 0; start < f.n; start += size {
-			lo := dst[start:][:h]
-			hi := dst[start+h:][:len(lo)]
-			for j := range lo {
-				a, b := lo[j], hi[j]*tw[j*step]
-				lo[j], hi[j] = a+b, a-b
-			}
+		if cpu.AVX2 && size >= 4 {
+			radix2PassAVX2(dst, tw, size>>1, f.n/size)
+		} else {
+			radix2Pass(dst, tw, size)
+		}
+	}
+}
+
+// radix22Pass is one fused pass of stages: stage size and stage 2·size over
+// every block of 2·size elements of dst (len n), tw the plan's twiddles and
+// twq = tw[n/4:]. With AVX2 and size >= 4 stages runs radix22PassAVX2
+// instead, two butterflies a step with the same twiddles, which gives this
+// kernel's bits.
+func radix22Pass(dst, tw, twq []complex128, size int) {
+	n := len(dst)
+	h := size >> 1
+	step := n / (size << 1) // twiddle stride of stage 2·size; stage size strides twice that
+	for start := 0; start < n; start += size << 1 {
+		q0 := dst[start:][:h]
+		q1 := dst[start+h:][:len(q0)]
+		q2 := dst[start+2*h:][:len(q0)]
+		q3 := dst[start+3*h:][:len(q0)]
+		k := 0
+		for j := range q0 {
+			w := tw[2*k]
+			b1, b3 := q1[j]*w, q3[j]*w
+			a0, a1 := q0[j]+b1, q0[j]-b1
+			a2, a3 := q2[j]+b3, q2[j]-b3
+			c2, c3 := a2*tw[k], a3*twq[k]
+			q0[j], q2[j] = a0+c2, a0-c2
+			q1[j], q3[j] = a1+c3, a1-c3
+			k += step
+		}
+	}
+}
+
+// radix2Pass is stages' lone last stage, size, over dst (len n). With AVX2
+// and size >= 4 stages runs radix2PassAVX2 instead, which gives this
+// kernel's bits.
+func radix2Pass(dst, tw []complex128, size int) {
+	n := len(dst)
+	h := size >> 1
+	step := n / size
+	for start := 0; start < n; start += size {
+		lo := dst[start:][:h]
+		hi := dst[start+h:][:len(lo)]
+		for j := range lo {
+			a, b := lo[j], hi[j]*tw[j*step]
+			lo[j], hi[j] = a+b, a-b
 		}
 	}
 }

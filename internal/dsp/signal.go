@@ -3,6 +3,8 @@ package dsp
 import (
 	"fmt"
 	"math"
+
+	"choir/internal/cpu"
 )
 
 // Tone writes the complex exponential e^{j(2π·freq·k + phase)}, k < n, into
@@ -38,11 +40,28 @@ func Tone(dst []complex128, n int, freq, phase float64) []complex128 {
 	for m, square := 1, false; m < n; m, square = m<<1, !square {
 		w = tonePhasor(w, freq, m, square)
 		out := dst[m:min(2*m, n)]
-		for k, v := range dst[:len(out)] {
-			out[k] = v * w
-		}
+		scaleLevel(out, dst[:len(out)], w)
 	}
 	return dst
+}
+
+// scaleLevel is one doubling level of Tone: out[k] = src[k]·w. With AVX2 it
+// runs scaleLevelAVX2, which gives scaleLevelGeneric's bits.
+func scaleLevel(out, src []complex128, w complex128) {
+	if cpu.AVX2 {
+		scaleLevelAVX2(out[:len(src)], src, w)
+		return
+	}
+	scaleLevelGeneric(out, src, w)
+}
+
+// scaleLevelGeneric is scaleLevel's Go kernel: the only one off amd64 or
+// without AVX2, and the reference the AVX2 kernel is tested against.
+func scaleLevelGeneric(out, src []complex128, w complex128) {
+	out = out[:len(src)]
+	for k, v := range src {
+		out[k] = v * w
+	}
 }
 
 // tonePhasor returns Tone's doubling phasor w_m = e^{j2π·freq·m}: the square
@@ -129,8 +148,19 @@ func PrefixBySquaring(scratch, prefix, x []complex128, freq float64) {
 }
 
 // prefixLevel is PrefixBySquaring's last doubling level: toneLevel without
-// storing the tone.
+// storing the tone. With AVX2 it runs prefixLevelAVX2, which gives
+// prefixLevelGeneric's bits.
 func prefixLevel(src, x, sums []complex128, w complex128, sr, si float64) {
+	if cpu.AVX2 {
+		prefixLevelAVX2(src, x[:len(src)], sums[:len(src)], w, sr, si)
+		return
+	}
+	prefixLevelGeneric(src, x, sums, w, sr, si)
+}
+
+// prefixLevelGeneric is prefixLevel's Go kernel: the only one off amd64 or
+// without AVX2, and the reference the AVX2 kernel is tested against.
+func prefixLevelGeneric(src, x, sums []complex128, w complex128, sr, si float64) {
 	x, sums = x[:len(src)], sums[:len(src)]
 	for k, v := range src {
 		t := v * w
@@ -145,8 +175,19 @@ func prefixLevel(src, x, sums []complex128, w complex128, sr, si float64) {
 // folded in order into the running sums sr, si of x against it, each stored
 // into sums. It returns the sums. It is a function of its own so that its
 // loop counter stays in a register: written inline in ToneAndPrefix's level
-// loop, the counter goes through the stack on every element.
+// loop, the counter goes through the stack on every element. With AVX2 it
+// runs toneLevelAVX2, which gives toneLevelGeneric's bits.
 func toneLevel(out, src, x, sums []complex128, w complex128, sr, si float64) (float64, float64) {
+	if cpu.AVX2 {
+		n := len(src)
+		return toneLevelAVX2(out[:n], src, x[:n], sums[:n], w, sr, si)
+	}
+	return toneLevelGeneric(out, src, x, sums, w, sr, si)
+}
+
+// toneLevelGeneric is toneLevel's Go kernel: the only one off amd64 or
+// without AVX2, and the reference the AVX2 kernel is tested against.
+func toneLevelGeneric(out, src, x, sums []complex128, w complex128, sr, si float64) (float64, float64) {
 	out, x, sums = out[:len(src)], x[:len(src)], sums[:len(src)]
 	for k, v := range src {
 		t := v * w

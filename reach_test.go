@@ -2,6 +2,7 @@ package choir_test
 
 import (
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -68,6 +69,11 @@ func scanReach(t *testing.T, root, modulePath, frozen string, extra map[string]s
 		}
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
+		}
+		// Only the files this platform's build compiles: a kernel's
+		// per-architecture files declare the same names.
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), filepath.Base(p)); err != nil || !ok {
+			return err
 		}
 		f, err := parser.ParseFile(l.fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
