@@ -247,20 +247,19 @@ func (d *Decoder) SubtractDecodedUsers(samples []complex128, res *Result, payloa
 				}
 				return math.Mod(float64(sym)+u.Offset+float64(d.n), float64(d.n))
 			}
-			ha, hb, i0, fHead, fTail := d.splitTwoToneFit(dech,
+			ha, hb, i0, head, tail := d.splitTwoToneFit(dech,
 				toneOf(symbolAt(u, w-1)), toneOf(cur), toneOf(symbolAt(u, w+1)))
-			// Re-chirp each fitted segment (a negative tone means none).
-			subtractChirped := func(lo, hi int, f float64, h complex128) {
-				if f < 0 {
+			// Re-chirp each fitted segment (a nil tone means none).
+			subtractChirped := func(lo, hi int, tone []complex128, h complex128) {
+				if tone == nil {
 					return
 				}
-				tone := d.tone(f)
 				for i := lo; i < hi; i++ {
 					win[i] -= h * tone[i] * up[i]
 				}
 			}
-			subtractChirped(0, i0, fHead, ha)
-			subtractChirped(i0, d.n, fTail, hb)
+			subtractChirped(0, i0, head, ha)
+			subtractChirped(i0, d.n, tail, hb)
 		}
 	}
 	return out
@@ -268,27 +267,37 @@ func (d *Decoder) SubtractDecodedUsers(samples []complex128, res *Result, payloa
 
 // splitTwoToneFit fits a window as head tone + tail tone around a boundary:
 // orientation A is (previous symbol | current symbol), orientation B is
-// (current symbol | next symbol). It returns the gains, boundary and tone
-// frequencies (in bins; negative means "no tone", e.g. outside the frame)
-// of the better-scoring orientation. Both orientations read the current
-// symbol's prefix sums, built once in prefCur; the previous symbol's and
-// then the next one's are built in prefPrev. It runs outside any decode, so
-// it borrows accumulateBoundaryScan's prefix buffers.
-func (d *Decoder) splitTwoToneFit(dech []complex128, prevTone, curTone, nextTone float64) (ha, hb complex128, i0 int, fHead, fTail float64) {
-	cur := tonePrefix(grow(&d.prefCur, len(dech)+1), dech, d.tone(curTone))
+// (current symbol | next symbol), each tone given by its frequency in bins
+// (negative means "no tone", e.g. outside the frame). It returns the gains
+// and boundary of the better-scoring orientation and its head and tail
+// tones, nil for "no tone": the previous, current and next symbols' tones
+// are built in tone slots 0, 1 and 2, where they stay for the caller to
+// subtract the fit with. Both orientations read the current symbol's prefix
+// sums, built once in prefCur; the previous symbol's and then the next
+// one's are built in prefPrev. It runs outside any decode, so it borrows
+// the slots and accumulateBoundaryScan's prefix buffers.
+func (d *Decoder) splitTwoToneFit(dech []complex128, prevTone, curTone, nextTone float64) (ha, hb complex128, i0 int, head, tail []complex128) {
+	prev, cur, next := d.slotTone(0, prevTone), d.slotTone(1, curTone), d.slotTone(2, nextTone)
+	curPrefix := tonePrefix(grow(&d.prefCur, len(dech)+1), dech, cur)
 	other := grow(&d.prefPrev, len(dech)+1)
-	scoreA, haA, hbA, i0A := splitScore(tonePrefix(other, dech, d.tone(prevTone)), cur)
-	scoreB, haB, hbB, i0B := splitScore(cur, tonePrefix(other, dech, d.tone(nextTone)))
+	scoreA, haA, hbA, i0A := splitScore(tonePrefix(other, dech, prev), curPrefix)
+	scoreB, haB, hbB, i0B := splitScore(curPrefix, tonePrefix(other, dech, next))
 	if prevTone < 0 {
 		scoreA = math.Inf(-1)
 	}
 	if nextTone < 0 && prevTone >= 0 {
 		scoreB = math.Inf(-1)
 	}
-	if scoreA >= scoreB {
-		return haA, hbA, i0A, prevTone, curTone
+	orNil := func(f float64, tone []complex128) []complex128 {
+		if f < 0 {
+			return nil
+		}
+		return tone
 	}
-	return haB, hbB, i0B, curTone, nextTone
+	if scoreA >= scoreB {
+		return haA, hbA, i0A, orNil(prevTone, prev), orNil(curTone, cur)
+	}
+	return haB, hbB, i0B, orNil(curTone, cur), orNil(nextTone, next)
 }
 
 // splitScore finds the boundary i0 maximizing the energy explained by a
