@@ -11,10 +11,9 @@ import (
 
 // peakObs is a spectrum peak observed in one data window.
 type peakObs struct {
-	bin  float64    // interpolated position in natural bins
-	mag  float64    // magnitude
-	gain complex128 // complex spectrum value at the peak
-	user int        // assigned user index, -1 while unassigned
+	bin  float64 // interpolated position in natural bins
+	mag  float64 // magnitude
+	user int     // assigned user index, -1 while unassigned
 }
 
 // decodeData walks the data windows of a collision, extracts peaks,
@@ -346,13 +345,13 @@ func (d *Decoder) estimateBoundaries(wins [][]complex128, nsym int, users []*Use
 // b < N/2 and (cur|next) otherwise; prefix sums make the scan O(N).
 func (d *Decoder) accumulateBoundaryScan(work []complex128, offset float64, symPrev, symCur, symNext, step int, scores []float64) {
 	period := float64(d.n)
-	prefInto := func(buf *[]complex128, sym int) []complex128 {
-		tone := d.tone(math.Mod(float64(sym)+offset+period, period))
+	prefInto := func(buf *[]complex128, j, sym int) []complex128 {
+		tone := d.slotTone(j, math.Mod(float64(sym)+offset+period, period))
 		return tonePrefix(grow(buf, d.n+1), work, tone)
 	}
-	pPrev := prefInto(&d.prefPrev, symPrev)
-	pCur := prefInto(&d.prefCur, symCur)
-	pNext := prefInto(&d.prefNext, symNext)
+	pPrev := prefInto(&d.prefPrev, 0, symPrev)
+	pCur := prefInto(&d.prefCur, 1, symCur)
+	pNext := prefInto(&d.prefNext, 2, symNext)
 	for bi := range scores {
 		b := bi * step
 		if b > d.n {
@@ -460,28 +459,16 @@ func (d *Decoder) extractWindowPeaks(out []peakObs, ests []userEstimate, win []c
 
 	budget := len(ests) + 2
 	for round := 0; round < 2; round++ {
-		spec := d.paddedSpectrum(dech)
-		mags := d.magnitudes(spec)
-		st := d.clk.enter(stagePeaks)
-		floor := dsp.NoiseFloorScratch(mags, grow(&d.noiseScratch, len(mags)))
-		thresh := floor * d.cfg.PeakThreshold
+		mags := d.magnitudes(d.paddedSpectrum(dech))
+		mult := d.cfg.PeakThreshold
 		if round > 0 {
-			thresh = floor * (1 + (d.cfg.PeakThreshold-1)/3)
+			mult = 1 + (d.cfg.PeakThreshold-1)/3
 		}
-		peaks := dsp.FindPeaksScratch(&d.peakScratch, mags, dsp.PeakConfig{
-			Pad:           d.pad,
-			MinSeparation: 0.9,
-			Threshold:     thresh,
-			Max:           budget,
-		})
+		st := d.clk.enter(stagePeaks)
+		peaks := d.findPeaks(mags, mult, budget)
 		d.clk.exit(st)
 		for _, pk := range peaks {
-			out = append(out, peakObs{
-				bin:  pk.Bin,
-				mag:  pk.Mag,
-				gain: specAt(spec, pk.Bin, d.pad, d.n),
-				user: -1,
-			})
+			out = append(out, peakObs{bin: pk.Bin, mag: pk.Mag, user: -1})
 		}
 		if round > 0 || d.cfg.SICPhases == 0 || d.usersMatched(out, ests) >= len(ests) {
 			break
@@ -535,7 +522,6 @@ func (d *Decoder) refinePeakPositions(dech []complex128, out []peakObs) []peakOb
 			continue
 		}
 		pk.bin = math.Mod(models[i].f+float64(d.n), float64(d.n))
-		pk.gain = h * complex(float64(d.n), 0)
 		pk.mag = mag
 		dup := false
 		for _, s := range kept {

@@ -138,7 +138,7 @@ type Decoder struct {
 	// where they mutate) instead of dechirping the same samples again.
 	dataWins [][]complex128
 
-	toneBuf []complex128 // the tone scratch, filled by tone and by the golden search's candidate walks (n)
+	toneBuf []complex128 // the golden search's candidate walks' tone scratch (n)
 
 	// toneSlots are the tones a pass reuses, slot j for regressor or user j
 	// of the pass (slotTone).
@@ -163,7 +163,7 @@ type Decoder struct {
 	workBuf   []complex128   // cleaned-window workspace
 	maskedBuf []complex128   // masked / re-added tone workspace
 	prefixBuf []complex128   // segmentFit prefix sums (n+1)
-	blockBuf  []float64      // segmentFitRefined's per-block sums of |re|+|im| (n/scanBlock)
+	blockBuf  []float64      // searchOffset's per-block sums of |re|+|im| (n/scanBlock)
 	prefPrev  []complex128   // accumulateBoundaryScan and splitTwoToneFit prefix sums (n+1)
 	prefCur   []complex128
 	prefNext  []complex128
@@ -528,14 +528,6 @@ func (d *Decoder) paddedSpectrum(dech []complex128) []complex128 {
 	return out
 }
 
-// tone fills the decoder's tone scratch with e^{j2πk·fBins/N}, k < N — the
-// dechirped signature of a transmitter at fBins — and returns it, valid
-// until the next tone call. Every per-sample tone of the pipeline comes from
-// here: a handful of math.Sincos calls per tone instead of N (see dsp.Tone).
-func (d *Decoder) tone(fBins float64) []complex128 {
-	return dsp.Tone(d.toneBuf, d.n, fBins/float64(d.n), 0)
-}
-
 // toneSlot is one tone a decoder keeps: tone is e^{j2πk·f/N}, k < N, once
 // set. A tone depends on f and N alone, so a slot holding f's bits serves a
 // later request for f exactly, whichever pass, window or lane built it.
@@ -545,10 +537,10 @@ type toneSlot struct {
 	tone []complex128
 }
 
-// slotTone returns slot j's tone at fBins, bit for bit d.tone(fBins), and
-// builds it only when the slot holds another frequency. The tone is valid
-// until slot j is asked for another frequency or handed to
-// segmentFitRefined.
+// slotTone returns slot j's tone e^{j2πk·fBins/N}, k < N — the dechirped
+// signature of a transmitter at fBins, built by dsp.Tone — and builds it
+// only when the slot holds another frequency. The tone is valid until slot j
+// is asked for another frequency.
 func (d *Decoder) slotTone(j int, fBins float64) []complex128 {
 	s := d.slot(j)
 	if !s.set || math.Float64bits(s.f) != math.Float64bits(fBins) {
@@ -605,7 +597,7 @@ func (d *Decoder) combSpectrum(x []complex128, r int) []complex128 {
 	return d.symFFT.Transform(x, x)
 }
 
-// combTone returns combSpectrum's tone for r, bit for bit d.tone(−r/pad):
+// combTone returns combSpectrum's tone for r, e^{−j2πk·r/(pad·N)}:
 // r takes only pad values and stays fixed per user for a whole frame, so
 // the decoder builds each one once and keeps it.
 func (d *Decoder) combTone(r int) []complex128 {
@@ -635,6 +627,21 @@ func (d *Decoder) magnitudes(spec []complex128) []float64 {
 		}
 	}
 	return out
+}
+
+// findPeaks returns the peaks of mags (dsp.FindPeaksScratch) above mult
+// times its noise floor (dsp.NoiseFloorScratch), at most max of them and at
+// least 0.9 bin apart, in the decoder's peak scratch (valid until the next
+// call): the one peak detection of the preamble scan, the data windows and
+// team detection.
+func (d *Decoder) findPeaks(mags []float64, mult float64, max int) []dsp.Peak {
+	floor := dsp.NoiseFloorScratch(mags, grow(&d.noiseScratch, len(mags)))
+	return dsp.FindPeaksScratch(&d.peakScratch, mags, dsp.PeakConfig{
+		Pad:           d.pad,
+		MinSeparation: 0.9,
+		Threshold:     floor * mult,
+		Max:           max,
+	})
 }
 
 // grow resizes *buf to length n and returns it. Elements within the old

@@ -188,7 +188,7 @@ func TestSegmentFitMatchesDividingReference(t *testing.T) {
 			x := testWindow(d.n, 0, uint64(trial))
 			fBins := rng.Float64() * float64(d.n)
 			w1, w2, wi := segmentFitDividing(x, fBins/float64(d.n))
-			h1, h2, i0 := d.segmentFit(x, d.tone(fBins))
+			h1, h2, i0 := d.segmentFit(x, toneAt(d, fBins))
 			if i0 != wi {
 				t.Fatalf("%v trial %d f=%g: boundary %d, reference %d", sf, trial, fBins, i0, wi)
 			}
@@ -201,7 +201,7 @@ func TestSegmentFitMatchesDividingReference(t *testing.T) {
 	// empty side's zero table entry must leave the end scores finite, and
 	// every non-empty segment must come back with unit gain.
 	d := decoderForSF(lora.SF7)
-	tone := append([]complex128(nil), d.tone(20.25)...)
+	tone := toneAt(d, 20.25)
 	h1, h2, i0 := d.segmentFit(tone, tone)
 	if (i0 > 0 && cmplx.Abs(h1-1) > 1e-12) || (i0 < d.n && cmplx.Abs(h2-1) > 1e-12) {
 		t.Errorf("pure tone: i0=%d gains (%v, %v), want unit gain", i0, h1, h2)
@@ -222,14 +222,14 @@ func TestSegmentScanIsExplainedEnergy(t *testing.T) {
 		noise[k] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	twoSeg := make([]complex128, n)
-	for k, v := range d.tone(41.37) {
+	for k, v := range toneAt(d, 41.37) {
 		h := complex(0.9, -0.2)
 		if k >= 77 {
 			h = complex(-0.3, 0.8)
 		}
 		twoSeg[k] = h*v + 0.05*noise[k]
 	}
-	single := append([]complex128(nil), d.tone(41.37)...)
+	single := toneAt(d, 41.37)
 	cases := []struct {
 		name string
 		x    []complex128
@@ -261,7 +261,7 @@ func TestSegmentScanIsExplainedEnergy(t *testing.T) {
 		p1 := real(w1)*real(w1) + imag(w1)*imag(w1)
 		p2 := real(w2)*real(w2) + imag(w2)*imag(w2)
 		want := p1*float64(wi) + p2*float64(n-wi)
-		prefix := tonePrefix(make([]complex128, n+1), c.x, d.tone(c.f))
+		prefix := tonePrefix(make([]complex128, n+1), c.x, toneAt(d, c.f))
 		i0, energy, _ := d.segmentScan(prefix, nil, -1)
 		// The reference's own Sincos argument rounding (see
 		// TestSegmentFitMatchesDividingReference) is inside this bound too.
@@ -328,7 +328,7 @@ func TestToneGramMatchesSummedGram(t *testing.T) {
 func explicitFit(t testing.TB, d *Decoder, x []complex128, regs []segReg) []complex128 {
 	a := linalg.NewMatrix(d.n, len(regs))
 	for j, r := range regs {
-		tone := d.tone(r.f)
+		tone := toneAt(d, r.f)
 		for i := r.lo; i < r.hi; i++ {
 			a.Data[i*len(regs)+j] = tone[i]
 		}
@@ -512,7 +512,7 @@ var fitChannelsOffsets = []float64{12.2, 13.15, 37.3, 90.75, 91.9, 201.4}
 func TestFitKernelsZeroAllocs(t *testing.T) {
 	d := decoderForSF(lora.SF8)
 	x := testWindow(d.n, 0, 1)
-	tone := append([]complex128(nil), d.tone(37.3)...)
+	tone := toneAt(d, 37.3)
 	var regs [2][]segReg
 	var offs [2][]float64
 	for i, f := range fitChannelsOffsets {
@@ -529,7 +529,7 @@ func TestFitKernelsZeroAllocs(t *testing.T) {
 		{"segmentFit", func() { d.segmentFit(x, tone) }},
 		{"fitChannels, six tones", func() { d.fitChannels(x, fitChannelsOffsets) }},
 		{"fitSegments, twelve masked tones into slots", func() { call++; d.fitSegments(x, regs[call%2]) }},
-		{"segmentFitRefined into slot 13", func() { call++; d.segmentFitRefined(x, 37.3+float64(call%2), 13) }},
+		{"searchOffset and the fit into slot 13", func() { call++; d.segmentFit(x, d.slotTone(13, d.searchOffset(x, 37.3+float64(call%2)))) }},
 		{"slotTone", func() { call++; d.slotTone(14, 37.3+float64(call%2)) }},
 		{"sweepSegments, six tones, frequency searched", func() { call++; d.sweepSegments(x, offs[call%2], true) }},
 		{"sweepSegments, six tones, frequency fixed", func() { call++; d.sweepSegments(x, offs[call%2], false) }},
@@ -546,7 +546,7 @@ func TestFitKernelsZeroAllocs(t *testing.T) {
 func BenchmarkSegmentFit(b *testing.B) {
 	d := decoderForSF(lora.SF8)
 	x := testWindow(d.n, 0, 1)
-	tone := append([]complex128(nil), d.tone(37.3)...)
+	tone := toneAt(d, 37.3)
 	d.segmentFit(x, tone)
 	b.ReportAllocs()
 	b.ResetTimer()

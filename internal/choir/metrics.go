@@ -47,7 +47,7 @@ const (
 	stageDechirp               // dechirpWindow
 	stageFFT                   // paddedSpectrum, combDecide's transform
 	stagePeaks                 // a spectrum's noise floor and peak list
-	stageResidual              // segmentFitRefined: Algm. 1's golden search
+	stageResidual              // searchOffset: Algm. 1's golden search
 	stagePreamble              // estimatePreamble
 	stageSIC                   // a preamble SIC phase's subtraction, a data window's SIC round
 	stageData                  // decodeData

@@ -249,13 +249,7 @@ func (d *Decoder) scanWindow(obs []binObs, dech []complex128, known []userEstima
 	relCut := math.Pow(10, -d.cfg.DynamicRangeDB/20)
 	mags := d.magnitudes(d.paddedSpectrum(dech))
 	st := d.clk.enter(stagePeaks)
-	floor := dsp.NoiseFloorScratch(mags, grow(&d.noiseScratch, len(mags)))
-	peaks := dsp.FindPeaksScratch(&d.peakScratch, mags, dsp.PeakConfig{
-		Pad:           d.pad,
-		MinSeparation: 0.9,
-		Threshold:     floor * d.cfg.PeakThreshold,
-		Max:           d.cfg.MaxUsers - len(known) + 4,
-	})
+	peaks := d.findPeaks(mags, d.cfg.PeakThreshold, d.cfg.MaxUsers-len(known)+4)
 	d.clk.exit(st)
 	for _, pk := range peaks {
 		if nearKnown(pk.Bin, pk.Mag) {
@@ -365,11 +359,12 @@ func (d *Decoder) validateCandidates(wins [][]complex128, coarse []float64) []fl
 			// The coarse peak position is biased by the candidate's own
 			// segment structure; refine it so the subtraction is complete
 			// enough (< -25 dB residue) for ghosts to collapse.
-			m, tone := d.segmentFitRefined(resid, f, i)
-			p1 := real(m.h1)*real(m.h1) + imag(m.h1)*imag(m.h1)
-			p2 := real(m.h2)*real(m.h2) + imag(m.h2)*imag(m.h2)
-			power[i] += (p1*float64(m.i0) + p2*float64(d.n-m.i0)) / float64(d.n)
-			subtractSegments(resid, tone, m.h1, m.h2, m.i0)
+			tone := d.slotTone(i, d.searchOffset(resid, f))
+			h1, h2, i0 := d.segmentFit(resid, tone)
+			p1 := real(h1)*real(h1) + imag(h1)*imag(h1)
+			p2 := real(h2)*real(h2) + imag(h2)*imag(h2)
+			power[i] += (p1*float64(i0) + p2*float64(d.n-i0)) / float64(d.n)
+			subtractSegments(resid, tone, h1, h2, i0)
 		}
 	}
 	floor := power[0] * math.Pow(10, -d.cfg.TotalDynamicRangeDB/10)
@@ -410,11 +405,12 @@ func (d *Decoder) subtractUsers(dech []complex128, users []userEstimate) {
 // tone's channel at offs jointly (fitChannels), then re-fits each tone's
 // two-segment model against the residual with every other tone subtracted,
 // in two Gauss-Seidel sweeps through the tones. With refine, each re-fit
-// golden-searches the tone's frequency within ±0.5 bin of where it stands
-// (segmentFitRefined); without, the frequency stays at offs. It returns each
-// tone's model and the residual with every model subtracted, both decoder
-// scratch valid until the next sweepSegments call; offs is not modified.
-// Tone i stays in tone slot i throughout, at its model's frequency.
+// first golden-searches the tone's frequency within ±0.5 bin of where it
+// stands (searchOffset); without, the frequency stays at offs. Either way the
+// fit at that frequency is segmentFit's. It returns each tone's model and the
+// residual with every model subtracted, both decoder scratch valid until the
+// next sweepSegments call; offs is not modified. Tone i stays in tone slot i
+// throughout, at its model's frequency.
 func (d *Decoder) sweepSegments(dech []complex128, offs []float64, refine bool) ([]segModel, []complex128) {
 	joint := d.fitChannels(dech, offs)
 	models := grow(&d.segModels, len(offs))
@@ -427,13 +423,12 @@ func (d *Decoder) sweepSegments(dech []complex128, offs []float64, refine bool) 
 	for sweep := 0; sweep < 2; sweep++ {
 		for i := range models {
 			m := &models[i]
-			tone := d.slotTone(i, m.f)
-			addSegments(residual, tone, m.h1, m.h2, m.i0)
+			addSegments(residual, d.slotTone(i, m.f), m.h1, m.h2, m.i0)
 			if refine {
-				*m, tone = d.segmentFitRefined(residual, m.f, i)
-			} else {
-				m.h1, m.h2, m.i0 = d.segmentFit(residual, tone)
+				m.f = d.searchOffset(residual, m.f)
 			}
+			tone := d.slotTone(i, m.f)
+			m.h1, m.h2, m.i0 = d.segmentFit(residual, tone)
 			subtractSegments(residual, tone, m.h1, m.h2, m.i0)
 		}
 	}
@@ -441,8 +436,7 @@ func (d *Decoder) sweepSegments(dech []complex128, offs []float64, refine bool) 
 }
 
 // segModel is a two-segment tone model (gains either side of a boundary):
-// what sweepSegments fits for each preamble user and each data peak, and
-// what segmentFitRefined returns.
+// what sweepSegments fits for each preamble user and each data peak.
 type segModel struct {
 	f      float64
 	h1, h2 complex128
@@ -459,10 +453,10 @@ func (m segModel) dominant(n int) (complex128, int) {
 	return m.h2, n - m.i0
 }
 
-// segmentFitRefined golden-searches the tone frequency within ±0.5 bin of
-// fBins for the two-segment fit that explains the most energy, returning the
-// fit at the refined frequency and the tone at that frequency, built in tone
-// slot j (slotTone), for the caller to subtract the fit with.
+// searchOffset golden-searches the tone frequency within ±0.5 bin of fBins
+// for the two-segment fit that explains the most energy (Algm. 1's residual
+// minimization) and returns the refined frequency; the caller fits the
+// model there with segmentFit.
 //
 // It scores FineIters+1 candidates, by explained energy alone (the point
 // the last step adds only narrows the bracket, so nothing reads its score).
@@ -470,18 +464,16 @@ func (m segModel) dominant(n int) (complex128, int) {
 // one math.Sincos by squaring and stores only the prefix sums the scan
 // reads, and one segmentScan bounded by the block sums of x, which x shares
 // across all of them, and by the gain at the previous candidate's boundary.
-// The refined frequency's fit is one dsp.ToneAndPrefix walk, the tone every
-// other pass builds, and the same scan; it alone forms the gains.
 //
-// A candidate's energy is within 32·N·ε·Σ|x_k|² (ε = 2⁻⁵²) of what that
-// ToneAndPrefix walk and scan give at its frequency: the squaring tone is
-// within (6N + 2⌈log₂N⌉)·ε of the exact one, and ToneAndPrefix's within
-// 4⌈log₂N⌉·ε (package dsp); the derivation is at candidateBound in the tests,
-// which hold it (TestCandidateEnergyBound, FuzzCandidateEnergy). So the
-// search takes the same branches, and returns the same bits, as one judging
-// candidates by ToneAndPrefix unless two candidates' energies lie within
-// twice that bound of each other (TestPrunedScanMatchesFullScan).
-func (d *Decoder) segmentFitRefined(x []complex128, fBins float64, j int) (segModel, []complex128) {
+// A candidate's energy is within 32·N·ε·Σ|x_k|² (ε = 2⁻⁵²) of what dsp.Tone,
+// tonePrefix and the scan give at its frequency: the squaring tone is within
+// (6N + 2⌈log₂N⌉)·ε of the exact one, and Tone's within 4⌈log₂N⌉·ε (package
+// dsp); the derivation is at candidateBound in the tests, which hold it
+// (TestCandidateEnergyBound, FuzzCandidateEnergy). So the search takes the
+// same branches, and returns the same bits, as one judging candidates by
+// dsp.Tone unless two candidates' energies lie within twice that bound of
+// each other (TestPrunedScanMatchesFullScan).
+func (d *Decoder) searchOffset(x []complex128, fBins float64) float64 {
 	st := d.clk.enter(stageResidual)
 	n := d.n
 	x = x[:n]
@@ -520,23 +512,17 @@ func (d *Decoder) segmentFitRefined(x []complex128, fBins float64, j int) (segMo
 			}
 		}
 	}
-	best := (a + b) / 2
-	s := d.slot(j)
-	dsp.ToneAndPrefix(s.tone, prefix, x, best/float64(n))
-	s.f, s.set = best, true
-	i0, _, sk := d.segmentScan(prefix, blk, i0)
-	mScanBlocks.Add(int64((d.cfg.FineIters + 2) * len(blk)))
-	mScanSkipped.Add(int64(skipped + sk))
-	h1, h2 := segmentGains(prefix, i0)
+	mScanBlocks.Add(int64((d.cfg.FineIters + 1) * len(blk)))
+	mScanSkipped.Add(int64(skipped))
 	d.clk.exit(st)
-	return segModel{f: best, h1: h1, h2: h2, i0: i0}, s.tone
+	return (a + b) / 2
 }
 
 // segmentFit fits the two-segment tone model h₁·tone[k] (k < i0) plus
 // h₂·tone[k] (k >= i0) to x, choosing the boundary i0 that maximizes the
 // explained energy (segmentScan) and forming the two least-squares gains
 // there. x and tone are both N = 2^SF samples (it panics otherwise). It scans
-// every boundary; segmentFitRefined is the golden search's pruned form.
+// every boundary; searchOffset's candidates take the pruned scan.
 func (d *Decoder) segmentFit(x, tone []complex128) (h1, h2 complex128, i0 int) {
 	prefix := tonePrefix(grow(&d.prefixBuf, d.n+1), x[:d.n], tone)
 	i0, _, _ = d.segmentScan(prefix, nil, -1)
@@ -801,11 +787,6 @@ func toneCorrelate(x, tone []complex128) complex128 {
 		si += imag(v)*tr - real(v)*ti
 	}
 	return complex(sr, si)
-}
-
-// matchedFilter correlates x with a unit tone: the mean of x[k]·conj(tone[k]).
-func matchedFilter(x, tone []complex128) complex128 {
-	return toneCorrelate(x, tone) / complex(float64(len(x)), 0)
 }
 
 // toneGram returns Σ_{i∈[lo,hi)} e^{j2π·df·i/n}: the inner product of two

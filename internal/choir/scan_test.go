@@ -1,10 +1,10 @@
 package choir
 
-// The golden search's two exact kernels (DESIGN.md §12) against the forms
-// they replaced, which survive here as references: the fused tone-and-prefix
-// walk against dsp.Tone followed by tonePrefix, and the block-pruned
-// boundary scan against the scan of every boundary — bit for bit, not within
-// a bound.
+// The golden search's kernels (DESIGN.md §12) against the forms they
+// replaced, which survive here as references: the candidate walk against
+// dsp.Tone followed by tonePrefix, within a stated bound, and the
+// block-pruned boundary scan against the scan of every boundary, bit for
+// bit.
 
 import (
 	"context"
@@ -20,68 +20,18 @@ import (
 	"choir/internal/trace"
 )
 
-func sameBits(a, b complex128) bool {
-	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
-		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+// toneAt is the tone at fBins a tone slot holds (slotTone), in a fresh slice.
+func toneAt(d *Decoder, fBins float64) []complex128 {
+	return dsp.Tone(nil, d.n, fBins/float64(d.n), 0)
 }
 
-// checkToneAndPrefix holds one fused walk to its two passes.
-func checkToneAndPrefix(t testing.TB, x []complex128, freq float64) {
-	t.Helper()
-	n := len(x)
-	wantTone := dsp.Tone(nil, n, freq, 0)
-	wantPrefix := tonePrefix(make([]complex128, n+1), x, wantTone)
-	tone, prefix := make([]complex128, n), make([]complex128, n+1)
-	for i := range prefix {
-		prefix[i] = cmplx.NaN()
-	}
-	dsp.ToneAndPrefix(tone, prefix, x, freq)
-	for k := range wantTone {
-		if !sameBits(tone[k], wantTone[k]) {
-			t.Fatalf("n=%d freq=%g: tone[%d] = %v, Tone gives %v", n, freq, k, tone[k], wantTone[k])
-		}
-	}
-	for i := range wantPrefix {
-		if !sameBits(prefix[i], wantPrefix[i]) {
-			t.Fatalf("n=%d freq=%g: prefix[%d] = %v, tonePrefix gives %v", n, freq, i, prefix[i], wantPrefix[i])
-		}
-	}
-}
-
-func TestToneAndPrefixMatchesParts(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 127, 128, 256, 512, 1000, 1024, 2048, 4096} {
-		x := testWindow(n, n/5, uint64(n))
-		N := float64(n)
-		for _, fBins := range []float64{0, 1, 37, -37, 0.5, 12.5, -12.5, 41.37, -0.25, N - 0.001, N, N + 3.7, -N - 0.5, 2.5 * N, -7.25 * N} {
-			checkToneAndPrefix(t, x, fBins/N)
-		}
-	}
-	checkToneAndPrefix(t, nil, 0.25)
-}
-
-// FuzzToneAndPrefix holds the fused walk to its two passes for arbitrary
-// lengths, frequencies and windows.
-func FuzzToneAndPrefix(f *testing.F) {
-	f.Add(uint16(127), 0.1337, uint64(1))
-	f.Add(uint16(4095), -1.0, uint64(2))
-	f.Add(uint16(1023), 0.5, uint64(3))
-	f.Add(uint16(0), 3.75, uint64(4))
-	f.Fuzz(func(t *testing.T, nRaw uint16, freq float64, seed uint64) {
-		if math.IsNaN(freq) || math.IsInf(freq, 0) {
-			return
-		}
-		n := 1 + int(nRaw)%4096
-		checkToneAndPrefix(t, testWindow(n, int(seed%uint64(n)), seed), freq)
-	})
-}
-
-// candidateBound is segmentFitRefined's stated bound on how far a
-// golden-search candidate's energy, a dsp.PrefixBySquaring walk and
-// segmentScan over x (N samples), lies from the energy dsp.ToneAndPrefix and
-// the same scan give at its frequency: 32·N·ε·Σ|x_k|², ε = 2⁻⁵².
+// candidateBound is searchOffset's stated bound on how far a golden-search
+// candidate's energy, a dsp.PrefixBySquaring walk and segmentScan over x (N
+// samples), lies from the energy dsp.Tone, tonePrefix and the same scan give
+// at its frequency: 32·N·ε·Σ|x_k|², ε = 2⁻⁵².
 //
 // The two tones are within (6N + 2⌈log₂N⌉)·ε and 4⌈log₂N⌉·ε of the exact one
-// (package dsp), and each walk's running sums round by at most √2·ε/2 of
+// (package dsp), and each pass's running sums round by at most √2·ε/2 of
 // Σ_{k<i}|x_k| per term. So a prefix sum P_i of the two walks differs by at
 // most δ·Σ_{k<i}|x_k|, δ ≈ (7.5N + 6⌈log₂N⌉)·ε, and a tail T − P_i by
 // δ·Σ_{k≥i}|x_k| plus √2·N·ε·Σ|x_k|. The energy at boundary i is
@@ -100,18 +50,18 @@ func candidateBound(x []complex128) float64 {
 }
 
 // checkCandidateEnergy holds one candidate walk's energy to candidateBound
-// of ToneAndPrefix's and returns their distance in units of N·ε·Σ|x_k|².
+// of dsp.Tone and tonePrefix's and returns their distance in units of
+// N·ε·Σ|x_k|².
 func checkCandidateEnergy(t testing.TB, d *Decoder, x []complex128, fBins float64) float64 {
 	t.Helper()
 	n := d.n
-	tone, prefix := make([]complex128, n), make([]complex128, n+1)
-	dsp.ToneAndPrefix(tone, prefix, x, fBins/float64(n))
+	prefix := tonePrefix(make([]complex128, n+1), x, toneAt(d, fBins))
 	_, want, _ := d.segmentScan(prefix, nil, -1)
-	dsp.PrefixBySquaring(tone, prefix, x, fBins/float64(n))
+	dsp.PrefixBySquaring(make([]complex128, n), prefix, x, fBins/float64(n))
 	_, got, _ := d.segmentScan(prefix, nil, -1)
 	bound := candidateBound(x)
 	if e := math.Abs(got - want); !(e <= bound) {
-		t.Fatalf("N=%d f=%g: candidate energy %.17g, ToneAndPrefix's %.17g: %.3g apart, bound %.3g", n, fBins, got, want, e, bound)
+		t.Fatalf("N=%d f=%g: candidate energy %.17g, dsp.Tone's %.17g: %.3g apart, bound %.3g", n, fBins, got, want, e, bound)
 	}
 	if bound == 0 {
 		return 0
@@ -120,7 +70,7 @@ func checkCandidateEnergy(t testing.TB, d *Decoder, x []complex128, fBins float6
 }
 
 // TestCandidateEnergyBound holds the golden search's candidate walk to its
-// stated bound against the ToneAndPrefix walk and scan it stands in for, at
+// stated bound against the dsp.Tone, tonePrefix and scan it stands in for, at
 // N = 128…4096, for negative, integral, half-bin and |f| ≥ N frequencies, on
 // refinement inputs, tone mixtures, a pure tone and windows scaled far up
 // and down. It logs the worst distance it saw, in N·ε·Σ|x_k|² (the bound is
@@ -146,7 +96,7 @@ func TestCandidateEnergyBound(t *testing.T) {
 			}
 			windows, starts = append(windows, y), append(starts, f)
 		}
-		windows, starts = append(windows, append([]complex128(nil), d.tone(20.25)...)), append(starts, 20.25)
+		windows, starts = append(windows, toneAt(d, 20.25)), append(starts, 20.25)
 		worst := 0.0
 		for i, x := range windows {
 			for _, fBins := range []float64{starts[i], -starts[i], 0, 1, 37, -37, 0.5, -12.5, 41.37, N - 0.5, N, N + 3.7, -N - 0.5, 2.5 * N, -7.25 * N} {
@@ -191,7 +141,7 @@ func refineWindow(d *Decoder, seed uint64) ([]complex128, float64) {
 	h1 := cmplx.Rect(0.5+rng.Float64(), 2*math.Pi*rng.Float64())
 	h2 := cmplx.Rect(0.5+rng.Float64(), 2*math.Pi*rng.Float64())
 	x := make([]complex128, n)
-	for k, v := range d.tone(f) {
+	for k, v := range toneAt(d, f) {
 		h := h1
 		if k >= b {
 			h = h2
@@ -201,13 +151,14 @@ func refineWindow(d *Decoder, seed uint64) ([]complex128, float64) {
 	return x, f + 0.3
 }
 
-// segmentFitRefinedTwoPass is segmentFitRefined before the fused walk, the
-// pruned scan and the candidate walk: per candidate a tone, a separate
-// correlation pass and a scan of every boundary. It also returns the closest
-// the search's compared energies came to each other.
-func segmentFitRefinedTwoPass(d *Decoder, x []complex128, fBins float64) (segModel, []complex128, float64) {
+// searchOffsetTwoPass is searchOffset before the pruned scan and the
+// candidate walk: per candidate a dsp.Tone, a separate correlation pass and
+// a scan of every boundary, and a FineIters+2-th candidate. It returns the
+// refined frequency and the closest the search's compared energies came to
+// each other.
+func searchOffsetTwoPass(d *Decoder, x []complex128, fBins float64) (float64, float64) {
 	explained := func(f float64) float64 {
-		prefix := tonePrefix(make([]complex128, d.n+1), x[:d.n], d.tone(f))
+		prefix := tonePrefix(make([]complex128, d.n+1), x[:d.n], toneAt(d, f))
 		_, energy, _ := d.segmentScan(prefix, nil, -1)
 		return energy
 	}
@@ -229,20 +180,18 @@ func segmentFitRefinedTwoPass(d *Decoder, x []complex128, fBins float64) (segMod
 			f2 = explained(x2)
 		}
 	}
-	best := (a + b) / 2
-	tone := d.tone(best)
-	h1, h2, i0 := d.segmentFit(x, tone)
-	return segModel{f: best, h1: h1, h2: h2, i0: i0}, tone, gap
+	return (a + b) / 2, gap
 }
 
 // TestPrunedScanMatchesFullScan requires the bounded scan to return the full
 // scan's boundary and energy bit for bit whatever boundary seeds its lower
-// bound, and the whole golden search to return the two-pass form's model
-// and tone — unless two energies that form compared lie within twice
-// candidateBound of each other, where the candidate walk may branch the
-// other way (a pure tone searched from its own frequency compares mirror
-// images). It logs how many blocks the bound skips, on these windows and on
-// whole decodes of the golden fixtures per SF.
+// bound, and the whole golden search to return the two-pass form's
+// frequency, and so the same fit there — unless two energies that form
+// compared lie within twice candidateBound of each other, where the
+// candidate walk may branch the other way (a pure tone searched from its own
+// frequency compares mirror images). It logs how many blocks the bound
+// skips, on these windows and on whole decodes of the golden fixtures per
+// SF.
 func TestPrunedScanMatchesFullScan(t *testing.T) {
 	for sf := lora.SF7; sf <= lora.SF12; sf++ {
 		n := float64(lora.Params{SF: sf}.N())
@@ -287,7 +236,7 @@ func TestPrunedScanMatchesFullScan(t *testing.T) {
 		windows = append(windows,
 			window{"tight bound", tight, 0},
 			window{"subnormal gains", scale(append([]complex128(nil), x...), 1e-160), f},
-			window{"pure tone (a flat score)", append([]complex128(nil), d.tone(20.25)...), 20.25},
+			window{"pure tone (a flat score)", toneAt(d, 20.25), 20.25},
 			window{"all zero", make([]complex128, n), 12.5},
 			window{"huge", scale(append([]complex128(nil), x...), 1e150), f},
 			window{"overflowing", scale(append([]complex128(nil), x...), 1e154), f},
@@ -302,15 +251,8 @@ func TestPrunedScanMatchesFullScan(t *testing.T) {
 				if trial > 0 {
 					f += rng.Float64() - 0.5
 				}
-				tone, prefix := make([]complex128, n), make([]complex128, n+1)
-				dsp.ToneAndPrefix(tone, prefix, w.x, f/float64(n))
-				wantPrefix := tonePrefix(make([]complex128, n+1), w.x, d.tone(f))
-				for i := range prefix {
-					if !sameBits(prefix[i], wantPrefix[i]) {
-						t.Fatalf("%v %s f=%g: prefix[%d] = %v, two passes give %v", sf, w.name, f, i, prefix[i], wantPrefix[i])
-					}
-				}
-				wi, we, _ := d.segmentScan(wantPrefix, nil, -1)
+				prefix := tonePrefix(make([]complex128, n+1), w.x, toneAt(d, f))
+				wi, we, _ := d.segmentScan(prefix, nil, -1)
 				for _, hint := range []int{0, n, rng.IntN(n + 1), wi, max(wi-1, 0), min(wi+9, n)} {
 					i0, e, sk := d.segmentScan(prefix, blk, hint)
 					if i0 != wi || math.Float64bits(e) != math.Float64bits(we) {
@@ -320,7 +262,7 @@ func TestPrunedScanMatchesFullScan(t *testing.T) {
 				}
 				// The same on a candidate walk's prefix sums, whose tone's
 				// magnitude error the bound's budget also covers.
-				dsp.PrefixBySquaring(tone, prefix, w.x, f/float64(n))
+				dsp.PrefixBySquaring(make([]complex128, n), prefix, w.x, f/float64(n))
 				ci, ce, _ := d.segmentScan(prefix, nil, -1)
 				for _, hint := range []int{0, n, rng.IntN(n + 1), ci} {
 					if i0, e, _ := d.segmentScan(prefix, blk, hint); i0 != ci || math.Float64bits(e) != math.Float64bits(ce) {
@@ -328,20 +270,12 @@ func TestPrunedScanMatchesFullScan(t *testing.T) {
 					}
 				}
 			}
-			m, tone := d.segmentFitRefined(w.x, w.f, 0)
-			tone = append([]complex128(nil), tone...)
-			wm, wantTone, gap := segmentFitRefinedTwoPass(d, w.x, w.f)
-			if math.Float64bits(m.f) != math.Float64bits(wm.f) || m.i0 != wm.i0 || !sameBits(m.h1, wm.h1) || !sameBits(m.h2, wm.h2) {
+			f := d.searchOffset(w.x, w.f)
+			if want, gap := searchOffsetTwoPass(d, w.x, w.f); math.Float64bits(f) != math.Float64bits(want) {
 				if bound := candidateBound(w.x); gap > 2*bound {
-					t.Fatalf("%v %s: refined fit %+v, two-pass form %+v, whose closest comparison was %.3g apart (twice the bound: %.3g)", sf, w.name, m, wm, gap, 2*bound)
+					t.Fatalf("%v %s: refined frequency %v, two-pass form %v, whose closest comparison was %.3g apart (twice the bound: %.3g)", sf, w.name, f, want, gap, 2*bound)
 				}
 				t.Logf("%v %s: a tie %.3g apart (twice the bound: %.3g) branched the other way", sf, w.name, gap, 2*candidateBound(w.x))
-				continue
-			}
-			for k := range tone {
-				if !sameBits(tone[k], wantTone[k]) {
-					t.Fatalf("%v %s: refined tone[%d] = %v, two-pass form %v", sf, w.name, k, tone[k], wantTone[k])
-				}
 			}
 		}
 		if skipped == 0 {
@@ -399,8 +333,9 @@ func logGoldenSkipRates(t *testing.T) {
 	}
 }
 
-// BenchmarkSegmentFitRefined is one golden search of a peak's frequency:
-// FineIters+2 walks and scans.
+// BenchmarkSegmentFitRefined is one golden search of a peak's frequency
+// and the fit there: FineIters+1 candidate walks and pruned scans, then a
+// tone, a correlation pass and a full scan.
 func BenchmarkSegmentFitRefined(b *testing.B) {
 	for _, sf := range []lora.SpreadingFactor{lora.SF7, lora.SF10} {
 		b.Run(sf.String(), func(b *testing.B) {
@@ -409,7 +344,7 @@ func BenchmarkSegmentFitRefined(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d.segmentFitRefined(x, f, 0)
+				d.segmentFit(x, d.slotTone(0, d.searchOffset(x, f)))
 			}
 		})
 	}

@@ -18,9 +18,6 @@ type OffsetSplit struct {
 	// TimingSamples is the timing offset in samples (signed; positive means
 	// the transmitter is late relative to the receiver grid).
 	TimingSamples float64
-	// UpOffset and DownOffset are the raw aggregate peak positions observed
-	// in the up-chirp preamble and the down-chirp SFD (bins, mod N).
-	UpOffset, DownOffset float64
 }
 
 // ErrNoSFD is returned when the PHY configuration carries no SFD
@@ -113,8 +110,6 @@ func (d *Decoder) SplitOffsets(samples []complex128, maxCFOBins float64) ([]Offs
 					split: OffsetSplit{
 						CFOBins:       cfo,
 						TimingSamples: delta,
-						UpOffset:      ue.offset,
-						DownOffset:    de.offset,
 					},
 					cost: math.Abs(delta),
 				})

@@ -16,8 +16,6 @@ import (
 type TeamResult struct {
 	// Offsets are the detected per-member aggregate offsets in bins.
 	Offsets []float64
-	// Gains are the corresponding channel estimates.
-	Gains []complex128
 	// Symbols is the jointly decoded symbol stream.
 	Symbols []int
 	// Payload is the decoded payload (nil if the CRC failed).
@@ -57,16 +55,9 @@ func (d *Decoder) DetectTeam(samples []complex128) ([]float64, error) {
 			acc[i] += real(v)*real(v) + imag(v)*imag(v)
 		}
 	}
-	floor := dsp.NoiseFloorScratch(acc, grow(&d.noiseScratch, len(acc)))
 	// Accumulated power spectra have a χ² noise distribution; a lower
 	// multiple of the median suffices compared with single-shot detection.
-	thresh := floor * (1 + (d.cfg.PeakThreshold-1)/2)
-	peaks := dsp.FindPeaksScratch(&d.peakScratch, acc, dsp.PeakConfig{
-		Pad:           d.pad,
-		MinSeparation: 0.9,
-		Threshold:     thresh,
-		Max:           d.cfg.MaxUsers,
-	})
+	peaks := d.findPeaks(acc, 1+(d.cfg.PeakThreshold-1)/2, d.cfg.MaxUsers)
 	if len(peaks) == 0 {
 		return nil, ErrNotDetected
 	}
@@ -85,13 +76,13 @@ func (d *Decoder) DetectTeam(samples []complex128) ([]float64, error) {
 }
 
 // DecodeTeam decodes a team transmission of identical payloads. It detects
-// the team members via coherent preamble accumulation, estimates their
-// channels, and then decodes each data window with the maximum-likelihood
-// rule of Eqn. 6: the candidate symbol whose multi-tone reconstruction best
-// matches the received window wins. Because the decision statistic sums
-// energy over all members, decoding succeeds even when every individual
-// member is below the noise floor. ctx bounds the decode under the same
-// cooperative stage-boundary cancellation contract as Decode.
+// the team members via coherent preamble accumulation and then decodes each
+// data window with the maximum-likelihood rule of Eqn. 6 (mlSymbol): the
+// candidate symbol whose member bins carry the most energy together wins.
+// Because the decision statistic sums energy over all members, decoding
+// succeeds even when every individual member is below the noise floor. ctx
+// bounds the decode under the same cooperative stage-boundary cancellation
+// contract as Decode.
 func (d *Decoder) DecodeTeam(ctx context.Context, samples []complex128, payloadLen int) (_ *TeamResult, err error) {
 	d.arm(ctx)
 	defer d.disarm()
@@ -109,28 +100,7 @@ func (d *Decoder) DecodeTeam(ctx context.Context, samples []complex128, payloadL
 	}
 	mUsersDetected.Add(int64(len(offs)))
 
-	// Estimate each member's channel by averaging matched-filter outputs
-	// coherently across preamble windows (derotating the per-window phase
-	// progression of the fractional offset).
-	gains := make([]complex128, len(offs))
-	for i, f := range offs {
-		if d.canceled() {
-			return nil, d.ctxErr
-		}
-		frac := f - math.Floor(f)
-		tone := d.tone(f)
-		var sum complex128
-		for w := 0; w < p.PreambleLen; w++ {
-			dech := d.dechirpWindow(samples, w*d.n)
-			mf := matchedFilter(dech, tone)
-			theta := -2 * math.Pi * frac * float64(w)
-			s, c := math.Sincos(theta)
-			sum += mf * complex(c, s)
-		}
-		gains[i] = sum / complex(float64(p.PreambleLen), 0)
-	}
-
-	res := &TeamResult{Offsets: offs, Gains: gains}
+	res := &TeamResult{Offsets: offs}
 	nsym := lora.SymbolsPerPayload(payloadLen, p.SF, p.CR)
 	start := p.HeaderSymbols() * d.n
 	res.Symbols = make([]int, nsym)

@@ -76,40 +76,12 @@ func tonePhasor(prev complex128, freq float64, m int, square bool) complex128 {
 	return complex(c, s)
 }
 
-// ToneAndPrefix writes Tone(tone, len(x), freq, 0) into tone and the running
-// correlation of x against it, prefix[i] = Σ_{k<i} x[k]·conj(tone[k]), into
-// prefix (len(x)+1). It is one in-order walk doing what those two passes do:
-// each tone element is the same product of the same phasors, and each sum
-// adds the same terms in the same order, so both outputs are bit-for-bit
-// those of Tone followed by the separate correlation pass — with no second
-// pass reloading the tone. tone must hold len(x) elements.
-func ToneAndPrefix(tone, prefix, x []complex128, freq float64) {
-	n := len(x)
-	tone, prefix = tone[:n], prefix[:n+1]
-	prefix[0] = 0
-	if n == 0 {
-		return
-	}
-	sums := prefix[1:][:n]
-	tone[0] = 1 // math.Sincos(0) is exactly (0, 1)
-	var sr, si float64
-	tr, ti := real(tone[0]), imag(tone[0])
-	sr += real(x[0])*tr + imag(x[0])*ti
-	si += imag(x[0])*tr - real(x[0])*ti
-	sums[0] = complex(sr, si)
-	var w complex128
-	for m, square := 1, false; m < n; m, square = m<<1, !square {
-		w = tonePhasor(w, freq, m, square)
-		hi := min(2*m, n)
-		sr, si = toneLevel(tone[m:hi], tone[:hi-m], x[m:hi], sums[m:hi], w, sr, si)
-	}
-}
-
 // PrefixBySquaring writes the running correlation of x against the tone at
-// freq into prefix (len(x)+1), as ToneAndPrefix does, for a caller that
-// wants the sums and not the tone. It walks the same doubling levels in the
-// same order, with two differences: every phasor after w_1 is the square of
-// the one below, so a walk makes one math.Sincos call instead of one per
+// freq, prefix[i] = Σ_{k<i} x[k]·conj(tone[k]), into prefix (len(x)+1), for a
+// caller that wants the sums and not the tone. It walks Tone's doubling
+// levels in Tone's order, folding each level's elements in order into the
+// running sums, with two differences: every phasor after w_1 is the square
+// of the one below, so a walk makes one math.Sincos call instead of one per
 // other level, and the last level's tone elements are never stored. scratch
 // (len(x)) holds the tone below the last level afterwards.
 //
@@ -118,9 +90,9 @@ func ToneAndPrefix(tone, prefix, x []complex128, freq float64) {
 // (math.Sincos) of e^{j2π·freq}, and a squaring doubles the error below it
 // and adds about ε of its own, so w_m is within about 5.4·m·ε of
 // e^{j2π·freq·m}. Tone element k is one phasor per set bit of k, so it is
-// within (6k + 2⌈log₂n⌉)·ε of e^{j2π·freq·k} — under 6n·ε, where
-// ToneAndPrefix's is 4⌈log₂n⌉·ε (TestPrefixBySquaringTone holds it). The sums
-// add the same terms in ToneAndPrefix's order, over that tone.
+// within (6k + 2⌈log₂n⌉)·ε of e^{j2π·freq·k} — under 6n·ε, where Tone's is
+// 4⌈log₂n⌉·ε (TestPrefixBySquaringTone holds it). The sums add the terms in
+// index order, over that tone.
 func PrefixBySquaring(scratch, prefix, x []complex128, freq float64) {
 	n := len(x)
 	prefix = prefix[:n+1]
@@ -171,11 +143,11 @@ func prefixLevelGeneric(src, x, sums []complex128, w complex128, sr, si float64)
 	}
 }
 
-// toneLevel is one doubling level of ToneAndPrefix: out[k] = src[k]·w,
-// folded in order into the running sums sr, si of x against it, each stored
-// into sums. It returns the sums. It is a function of its own so that its
-// loop counter stays in a register: written inline in ToneAndPrefix's level
-// loop, the counter goes through the stack on every element. With AVX2 it
+// toneLevel is one doubling level of PrefixBySquaring below its last:
+// out[k] = src[k]·w, folded in order into the running sums sr, si of x
+// against it, each stored into sums. It returns the sums. It is a function
+// of its own so that its loop counter stays in a register: written inline in
+// the level loop, the counter goes through the stack on every element. With AVX2 it
 // runs toneLevelAVX2, which gives toneLevelGeneric's bits.
 func toneLevel(out, src, x, sums []complex128, w complex128, sr, si float64) (float64, float64) {
 	if cpu.AVX2 {

@@ -125,7 +125,7 @@ func squaringTone(n int, freq float64) []complex128 {
 
 // TestPrefixBySquaringMatchesParts holds the walk to its two passes, bit for
 // bit: the squaring tone above, then the running correlation against it in
-// ToneAndPrefix's arithmetic.
+// index order.
 func TestPrefixBySquaringMatchesParts(t *testing.T) {
 	same := func(a, b complex128) bool {
 		return math.Float64bits(real(a)) == math.Float64bits(real(b)) && math.Float64bits(imag(a)) == math.Float64bits(imag(b))

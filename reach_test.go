@@ -39,21 +39,25 @@ import (
 // any, then the name, as in "internal/backend.Pool.Get" or
 // "internal/lora.SF9". Declared are every function and method, every
 // package-level type and constant, and every exported package-level
-// variable. Fields of every exported struct type named Config are keyed the
-// same way ("internal/sim/engine.Config.Shards"); one is read when a reached
-// body selects it anywhere but on the left of a plain assignment, so setting
-// it in a composite literal or by "=" does not count.
+// variable. Fields of every struct type named Config, and of every struct
+// type in the directories the scan is given, are keyed the same way
+// ("internal/sim/engine.Config.Shards", "internal/choir.segModel.f"); one is
+// read when a reached body selects it anywhere but on the left of a plain
+// assignment, so setting it in a composite literal or by "=" does not
+// count. Selecting through an embedded field reads the embedded field too.
 type reach struct {
-	declared map[string]bool // declarations and Config fields outside the frozen directory
+	declared map[string]bool // declarations and declared fields outside the frozen directory
 	live     map[string]bool // reached from the roots, or read by what is
 	kept     map[string]bool // live, plus what the extra roots reach or read
 }
 
 // scanReach loads every non-test package under root (a module whose path is
 // modulePath) and runs the scan. Declarations in the frozen directory are
-// scanned as callers but are not declared. Each key of extra that names a
-// declaration is a further root; its reach goes into kept and not live.
-func scanReach(t *testing.T, root, modulePath, frozen string, extra map[string]string) reach {
+// scanned as callers but are not declared. The fields of every struct type
+// in the directories of fieldDirs are declared, besides those of every
+// Config. Each key of extra that names a declaration is a further root; its
+// reach goes into kept and not live.
+func scanReach(t *testing.T, root, modulePath, frozen string, fieldDirs []string, extra map[string]string) reach {
 	t.Helper()
 	l := &loader{fset: token.NewFileSet(), pkgs: map[string]*loadedPkg{}}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
@@ -139,9 +143,9 @@ func scanReach(t *testing.T, root, modulePath, frozen string, extra map[string]s
 								continue
 							}
 							s.declare(obj)
-							if st, ok := obj.Type().Underlying().(*types.Struct); ok && sp.Name.Name == "Config" && !sp.Assign.IsValid() {
+							if st, ok := obj.Type().Underlying().(*types.Struct); ok && !sp.Assign.IsValid() && (sp.Name.Name == "Config" || slices.Contains(fieldDirs, pkg.dir)) {
 								for i := range st.NumFields() {
-									key := pkgKey(pkg.types) + ".Config." + st.Field(i).Name()
+									key := objKey(obj) + "." + st.Field(i).Name()
 									s.r.declared[key], s.fields[st.Field(i)] = true, key
 								}
 							}
@@ -346,7 +350,7 @@ func stdInterfaces(l *loader) map[string][]*types.Interface {
 // scan is the breadth-first walk over the call graph.
 type scan struct {
 	r      reach
-	fields map[*types.Var]string // Config fields -> key
+	fields map[*types.Var]string // declared fields -> key
 	bodies map[*types.Func]*loadedPkg
 	decls  map[*types.Func]*ast.FuncDecl
 	done   map[*types.Func]bool
@@ -380,8 +384,8 @@ func (s *scan) drain() {
 	}
 }
 
-// visit reaches every declaration n names and records every Config field it
-// reads.
+// visit reaches every declaration n names and records every declared field
+// it reads.
 func (s *scan) visit(pkg *loadedPkg, n ast.Node) {
 	written := map[*ast.SelectorExpr]bool{}
 	ast.Inspect(n, func(n ast.Node) bool {
@@ -395,10 +399,22 @@ func (s *scan) visit(pkg *loadedPkg, n ast.Node) {
 				}
 			}
 		case *ast.SelectorExpr:
-			if sel := pkg.info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal && !written[n] {
-				if key, ok := s.fields[sel.Obj().(*types.Var)]; ok {
-					s.into[key] = true
+			sel := pkg.info.Selections[n]
+			if sel == nil {
+				break
+			}
+			// The embedded fields the selection passes through are read.
+			t := sel.Recv()
+			for _, i := range sel.Index()[:len(sel.Index())-1] {
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
 				}
+				f := t.Underlying().(*types.Struct).Field(i)
+				s.readField(f)
+				t = f.Type()
+			}
+			if sel.Kind() == types.FieldVal && !written[n] {
+				s.readField(sel.Obj().(*types.Var))
 			}
 		case *ast.Ident:
 			if obj := pkg.info.Uses[n]; obj != nil {
@@ -407,6 +423,13 @@ func (s *scan) visit(pkg *loadedPkg, n ast.Node) {
 		}
 		return true
 	})
+}
+
+// readField records a read of f if it is a declared field.
+func (s *scan) readField(f *types.Var) {
+	if key, ok := s.fields[f.Origin()]; ok {
+		s.into[key] = true
+	}
 }
 
 // reachObj reaches a module declaration: a function or method through
@@ -478,18 +501,20 @@ func (s *scan) fanOut(fn *types.Func, n *types.Named) {
 // dead things that a bare-name match passes: a method sharing its name with
 // a live one and a type only that method's receiver names, an interface
 // method's implementation that nothing calls through the interface, a type
-// that implements a called interface method but that nothing builds, a
-// Config field that is set but never read, an exported type and constant
-// nothing names, and a facade-style variable with the function only it
-// names. The scan must report exactly those, and none of the live code
-// around them: a method fmt calls through fmt.Stringer, a package-level
-// initializer, an init, a method reached only through an interface, and an
-// enum constant kept only by its type.
+// that implements a called interface method but that nothing builds and
+// its field only its dead methods read, a Config field and a result field
+// that are set but never read, an exported type and constant nothing names,
+// and a facade-style variable with the function only it names. The scan,
+// told to declare lib's struct fields, must report exactly those, and none
+// of the live code around them: a method fmt calls through fmt.Stringer, a
+// package-level initializer, an init, a method reached only through an
+// interface, an enum constant kept only by its type, and an embedded field
+// read only through the field it promotes.
 func TestReachSeesPastNames(t *testing.T) {
 	if raceEnabled() && testing.Short() {
 		t.Skip("-race -short: the scan type-checks the standard library from source; the plain run keeps it")
 	}
-	r := scanReach(t, filepath.Join("testdata", "reach"), "reach", "", nil)
+	r := scanReach(t, filepath.Join("testdata", "reach"), "reach", "", []string{"lib"}, nil)
 	var dead []string
 	for key := range r.declared {
 		if !r.live[key] {
@@ -498,9 +523,9 @@ func TestReachSeesPastNames(t *testing.T) {
 	}
 	sort.Strings(dead)
 	want := []string{
-		"lib.Circle", "lib.Circle.Area", "lib.Circle.Name", "lib.Config.Ignored",
-		"lib.Gauge", "lib.Gauge.Add", "lib.MaxSides", "lib.Spare", "lib.Square.Name",
-		"lib.Twice", "lib.twice",
+		"lib.Circle", "lib.Circle.Area", "lib.Circle.Name", "lib.Circle.R", "lib.Config.Ignored",
+		"lib.Gauge", "lib.Gauge.Add", "lib.MaxSides", "lib.Result.Shapes", "lib.Spare",
+		"lib.Square.Name", "lib.Twice", "lib.twice",
 	}
 	if !slices.Equal(dead, want) {
 		t.Errorf("dead = %q, want %q", dead, want)

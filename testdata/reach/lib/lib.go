@@ -6,12 +6,16 @@
 //   - Square.Name, which implements Shape.Name, a method nothing calls;
 //   - Circle, which implements the live Shape.Area but which nothing builds,
 //     so neither of its methods runs;
-//   - Config.Ignored, which main sets and nothing reads;
+//   - Config.Ignored, which main sets and nothing reads, and Result.Shapes,
+//     which Total sets and nothing reads;
+//   - Circle.R, which only Circle's dead methods read;
 //   - Spare and MaxSides, an exported type and constant nothing names;
 //   - Twice, a facade-style variable nothing names, and twice, which only
 //     its initializer names.
 //
-// Beside them, Fine is live though nothing names it: its type is.
+// Beside them, Fine is live though nothing names it: its type is, and
+// Result.Tally is live though nothing names it: main reads a field through
+// it.
 package lib
 
 import "strconv"
@@ -97,13 +101,22 @@ func init() { register() }
 
 func register() { registered = true }
 
+// Tally is a sum main reads.
+type Tally struct{ Sum float64 }
+
+// Result is what Total returns.
+type Result struct {
+	Tally
+	Shapes int
+}
+
 // Total is live: main calls it.
-func Total(cfg Config, shapes []Shape) float64 {
+func Total(cfg Config, shapes []Shape) Result {
 	sum := float64(cfg.Used) * scale * float64(1+cfg.Level)
 	for _, s := range shapes {
 		sum += s.Area()
 	}
-	return sum
+	return Result{Tally: Tally{Sum: sum}, Shapes: len(shapes)}
 }
 
 func format(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }

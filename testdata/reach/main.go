@@ -13,5 +13,5 @@ func main() {
 	c.Add()
 	cfg := lib.Config{Used: 1}
 	cfg.Ignored = 2
-	fmt.Println(lib.Total(cfg, []lib.Shape{lib.Square{Side: 2}}), lib.Square{Side: 1})
+	fmt.Println(lib.Total(cfg, []lib.Shape{lib.Square{Side: 2}}).Sum, lib.Square{Side: 1})
 }
