@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -204,8 +203,6 @@ func BenchmarkHeadline(b *testing.B) {
 
 // --- Ablations (DESIGN.md Sec. 5) ---
 
-// decodeRate Monte-Carlos the decoder on k-user collisions and returns the
-// per-payload recovery rate.
 // mustDecoder is ichoir.New for the benchmarks' valid configs.
 func mustDecoder(cfg ichoir.Config) *ichoir.Decoder {
 	d, err := ichoir.New(cfg)
@@ -213,57 +210,6 @@ func mustDecoder(cfg ichoir.Config) *ichoir.Decoder {
 		panic(err)
 	}
 	return d
-}
-
-func decodeRate(cfg ichoir.Config, users, trials int, snr float64, seed uint64) float64 {
-	recovered, total := 0, 0
-	for t := 0; t < trials; t++ {
-		s := seed + uint64(t)
-		rng := rand.New(rand.NewPCG(s, 0xAB1A))
-		snrs := make([]float64, users)
-		for i := range snrs {
-			snrs[i] = snr + rng.Float64()*5
-		}
-		sc := sim.Scenario{Params: cfg.LoRa, PayloadLen: 8, SNRsDB: snrs, Seed: s}
-		sig, payloads := sc.Synthesize()
-		dec := mustDecoder(cfg)
-		res, err := dec.Decode(context.Background(), sig, 8)
-		total += len(payloads)
-		if err != nil {
-			continue
-		}
-		decoded := res.DecodedPayloads()
-		used := make([]bool, len(decoded))
-		for _, want := range payloads {
-			for i, got := range decoded {
-				if !used[i] && string(got) == string(want) {
-					used[i] = true
-					recovered++
-					break
-				}
-			}
-		}
-	}
-	return float64(recovered) / float64(total)
-}
-
-func BenchmarkAblationFineCFO(b *testing.B) {
-	// Fine offset estimation (Sec. 5.1) on vs off, 4-user collisions.
-	for _, fine := range []bool{true, false} {
-		name := "fine=on"
-		if !fine {
-			name = "fine=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := ichoir.DefaultConfig(lora.DefaultParams())
-			cfg.FineSearch = fine
-			var rate float64
-			for i := 0; i < b.N; i++ {
-				rate = decodeRate(cfg, 4, 4, 10, 100)
-			}
-			b.ReportMetric(rate, "recovery-rate")
-		})
-	}
 }
 
 func BenchmarkAblationPhasedSIC(b *testing.B) {
@@ -314,21 +260,6 @@ func decodeScenario(cfg ichoir.Config, sc sim.Scenario) (int, int) {
 		}
 	}
 	return recovered, len(payloads)
-}
-
-func BenchmarkAblationZeroPad(b *testing.B) {
-	// Zero-padding factor of the peak FFT (paper uses 10x).
-	for _, pad := range []int{4, 8, 10, 16} {
-		b.Run(map[int]string{4: "pad=4", 8: "pad=8", 10: "pad=10", 16: "pad=16"}[pad], func(b *testing.B) {
-			cfg := ichoir.DefaultConfig(lora.DefaultParams())
-			cfg.Pad = pad
-			var rate float64
-			for i := 0; i < b.N; i++ {
-				rate = decodeRate(cfg, 3, 4, 12, 300)
-			}
-			b.ReportMetric(rate, "recovery-rate")
-		})
-	}
 }
 
 func BenchmarkAblationPreambleAccum(b *testing.B) {

@@ -24,10 +24,6 @@ func RelaxedConfig(p lora.Params) choir.Config {
 // StrongestConfig returns the "strongest" backend's decoder configuration:
 // track only the single strongest user with SIC disabled, abandoning the
 // collision's weak users to salvage at least one payload per capture.
-// FineSearch stays on (as in every Choir-pipeline rung): coarse offset
-// estimates corrupt the fingerprint matching that separates users, which
-// would turn the fallback into a wrong-payload generator rather than a
-// cheaper decoder.
 func StrongestConfig(p lora.Params) choir.Config {
 	cfg := choir.DefaultConfig(p)
 	cfg.MaxUsers = 1

@@ -119,11 +119,11 @@ const (
 	spClusterDist    = 0.7 // max circular distance (bins) to join a cluster
 	spMaxUsers       = 16
 	// spGridSlack widens each fingerprint-grid read to ± this many padded
-	// bins (±0.2 bins at pad 10): the preamble offset estimate carries a few
-	// tenths of a bin of segmentation bias, and the true tone must not slip
-	// between grid points. Kept below half the typical inter-user
-	// fingerprint distance so the grid does not capture a neighbour's tone
-	// at full strength.
+	// bins (±0.125 bins, since NextPow2(10·n) pads 16×): the preamble offset
+	// estimate carries a few tenths of a bin of segmentation bias, and the
+	// true tone must not slip between grid points. Kept below half the
+	// typical inter-user fingerprint distance so the grid does not capture a
+	// neighbour's tone at full strength.
 	spGridSlack = 2
 	// spDynamicRangeDB is the power span below the strongest cluster within
 	// which clusters count as transmitters. Without SIC a strong tone's sinc

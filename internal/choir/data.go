@@ -485,7 +485,7 @@ func (d *Decoder) extractWindowPeaks(out []peakObs, ests []userEstimate, win []c
 		}
 		d.clk.exit(st)
 	}
-	if d.cfg.FineSearch && len(out) > 1 {
+	if len(out) > 1 {
 		out = d.refinePeakPositions(win, out)
 	}
 	return out

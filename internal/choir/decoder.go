@@ -46,20 +46,11 @@ import (
 type Config struct {
 	// LoRa is the PHY configuration of the colliding transmissions.
 	LoRa lora.Params
-	// Pad is the zero-padding factor for peak-resolution FFTs. The paper
-	// uses 10×; the decoder rounds the FFT length up to the next power of
-	// two (so 10 behaves as 16). Must be >= 4 for usable fractional
-	// resolution, and at most 64.
-	Pad int
 	// MaxUsers caps how many colliding transmitters are tracked: 1 to 64.
 	MaxUsers int
 	// PeakThreshold is the multiple of the spectrum's median magnitude a
 	// peak must exceed to count as a user (default 5).
 	PeakThreshold float64
-	// FineSearch enables residual-minimization refinement of offsets
-	// (Sec. 5.1). Disabling it degrades user tracking — the FineCFO
-	// ablation bench quantifies how much.
-	FineSearch bool
 	// FineIters is the number of golden-section iterations per offset per
 	// coordinate-descent sweep (default 16).
 	FineIters int
@@ -85,23 +76,22 @@ type Config struct {
 	MatchTolerance float64
 }
 
-// The largest Pad and MaxUsers New accepts. A padded spectrum of maxPad·N
-// bins is 4 MiB at SF12, and the decoder saturates near ten users (ROADMAP
-// item 3), so neither limit binds a useful decoder; past them the padded
-// size and the per-user scratch overflow an int.
-const (
-	maxPad   = 64
-	maxUsers = 64
-)
+// maxUsers is the largest MaxUsers New accepts. The decoder saturates near
+// ten users (ROADMAP item 3), so the limit binds no useful decoder; past it
+// the per-user scratch overflows an int.
+const maxUsers = 64
+
+// pad is the zero-padding factor of every peak-resolution FFT: the paper's
+// 10× (Sec. 5) rounded up to a power of two, so the padded transform is
+// pad·N points at every spreading factor.
+const pad = 16
 
 // DefaultConfig returns the decoder configuration used in the evaluation.
 func DefaultConfig(p lora.Params) Config {
 	return Config{
 		LoRa:                p,
-		Pad:                 10,
 		MaxUsers:            16,
 		PeakThreshold:       5,
-		FineSearch:          true,
 		FineIters:           16,
 		SICPhases:           2,
 		DynamicRangeDB:      10,
@@ -215,9 +205,7 @@ type plans struct {
 	cfg      Config
 	modem    *lora.Modem
 	n        int          // symbol size
-	padN     int          // padded FFT size (power of two >= Pad*n)
-	pad      int          // effective padding factor padN/n
-	fft      *dsp.FFT     // padded-size plan
+	fft      *dsp.FFT     // padded-size plan, pad·n points
 	symFFT   *dsp.FFT     // symbol-size plan
 	cusum    [][2]float64 // cusum[i] = {i/n, n/(i(n−i))}, the second 0 at both ends (n+1): segmentScan's boundary weights
 	cusumMax []float64    // cusumMax[b]: the largest cusum[i][1] of boundary block b (n/scanBlock)
@@ -229,8 +217,8 @@ func newDecoder(p plans) *Decoder {
 	return &Decoder{
 		plans:       p,
 		scratchDech: make([]complex128, p.n),
-		scratchSpec: make([]complex128, p.padN),
-		scratchMags: make([]float64, p.padN),
+		scratchSpec: make([]complex128, pad*p.n),
+		scratchMags: make([]float64, pad*p.n),
 		toneBuf:     make([]complex128, p.n),
 	}
 }
@@ -240,23 +228,21 @@ func New(cfg Config) (*Decoder, error) {
 	if err := cfg.LoRa.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Pad < 4 || cfg.Pad > maxPad {
-		return nil, fmt.Errorf("choir: padding factor %d outside [4, %d]", cfg.Pad, maxPad)
-	}
 	if cfg.MaxUsers < 1 || cfg.MaxUsers > maxUsers {
 		return nil, fmt.Errorf("choir: MaxUsers %d outside [1, %d]", cfg.MaxUsers, maxUsers)
 	}
 	if cfg.PeakThreshold <= 1 {
 		return nil, fmt.Errorf("choir: PeakThreshold %g must exceed 1", cfg.PeakThreshold)
 	}
-	// Tunables default on zero but error on anything invalid: silently
-	// clamping a negative or NaN value would mask a caller bug as the
-	// default behavior.
+	// Tunables take DefaultConfig's value on zero but error on anything
+	// invalid: silently clamping a negative or NaN value would mask a
+	// caller bug as the default behavior.
+	def := DefaultConfig(cfg.LoRa)
 	if cfg.FineIters < 0 {
 		return nil, fmt.Errorf("choir: FineIters %d < 0", cfg.FineIters)
 	}
 	if cfg.FineIters == 0 {
-		cfg.FineIters = 16
+		cfg.FineIters = def.FineIters
 	}
 	if cfg.SICPhases < 0 {
 		return nil, fmt.Errorf("choir: SICPhases %d < 0", cfg.SICPhases)
@@ -265,26 +251,25 @@ func New(cfg Config) (*Decoder, error) {
 		return nil, fmt.Errorf("choir: MatchTolerance %g < 0", cfg.MatchTolerance)
 	}
 	if cfg.MatchTolerance == 0 {
-		cfg.MatchTolerance = 0.07
+		cfg.MatchTolerance = def.MatchTolerance
 	}
 	if cfg.DynamicRangeDB < 0 || math.IsNaN(cfg.DynamicRangeDB) {
 		return nil, fmt.Errorf("choir: DynamicRangeDB %g < 0", cfg.DynamicRangeDB)
 	}
 	if cfg.DynamicRangeDB == 0 {
-		cfg.DynamicRangeDB = 10
+		cfg.DynamicRangeDB = def.DynamicRangeDB
 	}
 	if cfg.TotalDynamicRangeDB < 0 || math.IsNaN(cfg.TotalDynamicRangeDB) {
 		return nil, fmt.Errorf("choir: TotalDynamicRangeDB %g < 0", cfg.TotalDynamicRangeDB)
 	}
 	if cfg.TotalDynamicRangeDB == 0 {
-		cfg.TotalDynamicRangeDB = 35
+		cfg.TotalDynamicRangeDB = def.TotalDynamicRangeDB
 	}
 	modem, err := lora.NewModem(cfg.LoRa)
 	if err != nil {
 		return nil, err
 	}
 	n := cfg.LoRa.N()
-	padN := dsp.NextPow2(cfg.Pad * n)
 	cusum := make([][2]float64, n+1)
 	cusumMax := make([]float64, n/scanBlock)
 	for i := range cusum {
@@ -298,9 +283,7 @@ func New(cfg Config) (*Decoder, error) {
 		cfg:      cfg,
 		modem:    modem,
 		n:        n,
-		padN:     padN,
-		pad:      padN / n,
-		fft:      dsp.NewFFT(padN),
+		fft:      dsp.NewFFT(pad * n),
 		symFFT:   dsp.NewFFT(n),
 		cusum:    cusum,
 		cusumMax: cusumMax,
@@ -573,8 +556,8 @@ func (d *Decoder) slot(j int) *toneSlot {
 // an FFT stage call, so the FFT stage counts one call per transform a frame
 // costs, whichever kind.
 func (d *Decoder) combDecide(x []complex128, offset float64) int {
-	R := specIndex(math.Mod(offset, float64(d.n)), d.pad, d.n)
-	q, r := R/d.pad, R%d.pad
+	R := specIndex(math.Mod(offset, float64(d.n)), d.n)
+	q, r := R/pad, R%pad
 	st := d.clk.enter(stageFFT)
 	spec := d.combSpectrum(x, r)
 	d.clk.exit(st)
@@ -601,9 +584,9 @@ func (d *Decoder) combSpectrum(x []complex128, r int) []complex128 {
 // r takes only pad values and stays fixed per user for a whole frame, so
 // the decoder builds each one once and keeps it.
 func (d *Decoder) combTone(r int) []complex128 {
-	tones := grow(&d.combTones, d.pad)
+	tones := grow(&d.combTones, pad)
 	if tones[r] == nil {
-		tones[r] = dsp.Tone(nil, d.n, -float64(r)/float64(d.pad)/float64(d.n), 0)
+		tones[r] = dsp.Tone(nil, d.n, -float64(r)/float64(pad)/float64(d.n), 0)
 	}
 	return tones[r]
 }
@@ -637,7 +620,7 @@ func (d *Decoder) magnitudes(spec []complex128) []float64 {
 func (d *Decoder) findPeaks(mags []float64, mult float64, max int) []dsp.Peak {
 	floor := dsp.NoiseFloorScratch(mags, grow(&d.noiseScratch, len(mags)))
 	return dsp.FindPeaksScratch(&d.peakScratch, mags, dsp.PeakConfig{
-		Pad:           d.pad,
+		Pad:           pad,
 		MinSeparation: 0.9,
 		Threshold:     floor * mult,
 		Max:           max,
@@ -658,13 +641,13 @@ func grow[T any](buf *[]T, n int) []T {
 
 // specAt samples a complex padded spectrum at a fractional natural-bin
 // position by nearest-padded-bin lookup.
-func specAt(spec []complex128, bin float64, pad, n int) complex128 {
-	return spec[specIndex(bin, pad, n)]
+func specAt(spec []complex128, bin float64, n int) complex128 {
+	return spec[specIndex(bin, n)]
 }
 
 // specIndex is the padded-spectrum index nearest to a fractional natural-bin
 // position.
-func specIndex(bin float64, pad, n int) int {
+func specIndex(bin float64, n int) int {
 	idx := int(math.Round(bin*float64(pad))) % (n * pad)
 	if idx < 0 {
 		idx += n * pad

@@ -299,34 +299,28 @@ func TestDecodeNoUsersInNoise(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	p := lora.DefaultParams()
 	bad := []Config{
-		{LoRa: p, Pad: 2, MaxUsers: 4, PeakThreshold: 5},
-		{LoRa: p, Pad: 10, MaxUsers: 0, PeakThreshold: 5},
-		{LoRa: p, Pad: 10, MaxUsers: 4, PeakThreshold: 0.5},
-		{LoRa: lora.Params{SF: 3}, Pad: 10, MaxUsers: 4, PeakThreshold: 5},
-		// Past the stated limits: a padded size that overflows an int used to
-		// panic inside New, and a MaxUsers whose per-user scratch overflows
+		{LoRa: p, MaxUsers: 0, PeakThreshold: 5},
+		{LoRa: p, MaxUsers: 4, PeakThreshold: 0.5},
+		{LoRa: lora.Params{SF: 3}, MaxUsers: 4, PeakThreshold: 5},
+		// Past the stated limit: a MaxUsers whose per-user scratch overflows
 		// used to pass New and panic in the first Decode.
-		{LoRa: p, Pad: maxPad + 1, MaxUsers: 4, PeakThreshold: 5},
-		{LoRa: p, Pad: 1 << 58, MaxUsers: 4, PeakThreshold: 5},
-		{LoRa: p, Pad: 10, MaxUsers: maxUsers + 1, PeakThreshold: 5},
-		{LoRa: p, Pad: 10, MaxUsers: 1 << 60, PeakThreshold: 5},
+		{LoRa: p, MaxUsers: maxUsers + 1, PeakThreshold: 5},
+		{LoRa: p, MaxUsers: 1 << 60, PeakThreshold: 5},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d accepted: %+v", i, cfg)
 		}
 	}
-	// The limits themselves decode.
+	// The limit itself decodes.
 	spec := defaultSpec(1, 3)
 	sig := synthesize(t, spec)
-	for _, cfg := range []Config{{LoRa: p, Pad: maxPad, MaxUsers: 4, PeakThreshold: 5}, {LoRa: p, Pad: 10, MaxUsers: maxUsers, PeakThreshold: 5}} {
-		d, err := New(cfg)
-		if err != nil {
-			t.Fatalf("Pad %d, MaxUsers %d refused: %v", cfg.Pad, cfg.MaxUsers, err)
-		}
-		if _, err := d.Decode(context.Background(), sig, len(spec.payloads[0])); err != nil {
-			t.Errorf("Pad %d, MaxUsers %d: %v", cfg.Pad, cfg.MaxUsers, err)
-		}
+	d, err := New(Config{LoRa: p, MaxUsers: maxUsers, PeakThreshold: 5})
+	if err != nil {
+		t.Fatalf("MaxUsers %d refused: %v", maxUsers, err)
+	}
+	if _, err := d.Decode(context.Background(), sig, len(spec.payloads[0])); err != nil {
+		t.Errorf("MaxUsers %d: %v", maxUsers, err)
 	}
 }
 

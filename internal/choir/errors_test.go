@@ -127,7 +127,8 @@ func TestValidateIQEdgeCases(t *testing.T) {
 }
 
 // TestNewValidationTunables covers every field of the former silent-clamp
-// bug: negative (and NaN, for floats) values must error; zero must default.
+// bug: negative (and NaN, for floats) values must error; zero must take
+// DefaultConfig's value and leave every other field as given.
 func TestNewValidationTunables(t *testing.T) {
 	p := lora.DefaultParams()
 	base := func() Config {
@@ -153,23 +154,25 @@ func TestNewValidationTunables(t *testing.T) {
 		}
 	}
 
-	// Zero values take documented defaults.
-	cfg := base()
-	cfg.FineIters = 0
-	cfg.MatchTolerance = 0
-	cfg.DynamicRangeDB = 0
-	cfg.TotalDynamicRangeDB = 0
+	// Zero values take DefaultConfig's, on a config whose other fields are
+	// not the defaults, so a fill from anywhere else shows.
+	cfg := Config{LoRa: p, MaxUsers: 3, PeakThreshold: 4, SICPhases: 1}
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatalf("zero-valued tunables rejected: %v", err)
 	}
-	got := d.Config()
-	if got.FineIters != 16 || got.MatchTolerance != 0.07 ||
-		got.DynamicRangeDB != 10 || got.TotalDynamicRangeDB != 35 {
-		t.Errorf("defaults not applied: %+v", got)
+	def := DefaultConfig(p)
+	want := cfg
+	want.FineIters = def.FineIters
+	want.MatchTolerance = def.MatchTolerance
+	want.DynamicRangeDB = def.DynamicRangeDB
+	want.TotalDynamicRangeDB = def.TotalDynamicRangeDB
+	if got := d.Config(); got != want {
+		t.Errorf("New filled %+v, want %+v", got, want)
 	}
 	// SICPhases 0 is a meaningful setting (SIC disabled), not a default.
-	if got.SICPhases != base().SICPhases {
-		t.Errorf("SICPhases changed by New: %d", got.SICPhases)
+	cfg.SICPhases = 0
+	if got := MustNew(cfg).Config().SICPhases; got != 0 {
+		t.Errorf("SICPhases 0 changed by New: %d", got)
 	}
 }

@@ -61,10 +61,10 @@ func TestCombSpectrumMatchesPaddedSpectrum(t *testing.T) {
 			for _, v := range padded {
 				peak = max(peak, cmplx.Abs(v))
 			}
-			for r := 0; r < d.pad; r++ {
+			for r := 0; r < pad; r++ {
 				comb := d.combSpectrum(append([]complex128(nil), x...), r)
 				for j, v := range comb {
-					if e := cmplx.Abs(v - padded[j*d.pad+r]); e > 1e-12*peak {
+					if e := cmplx.Abs(v - padded[j*pad+r]); e > 1e-12*peak {
 						t.Fatalf("%v zero=%d r=%d bin %d: comb off by %.3g (peak %.3g)", sf, zero, r, j, e, peak)
 					}
 				}
@@ -86,7 +86,7 @@ func TestCombDecideMatchesPaddedScan(t *testing.T) {
 		for _, off := range offsets {
 			want, wantMag := -1, 0.0
 			for s := 0; s < d.n; s++ {
-				v := specAt(spec, math.Mod(float64(s)+off, n), d.pad, d.n)
+				v := specAt(spec, math.Mod(float64(s)+off, n), d.n)
 				if m := real(v)*real(v) + imag(v)*imag(v); m > wantMag {
 					want, wantMag = s, m
 				}

@@ -70,43 +70,35 @@ var kernelRuns = []struct {
 // all three counts, so it also grows lanes between decodes. The three
 // decodes run a second time with the generic kernels forced, held to the
 // same reference from the CPU's kernels: the AVX2 kernels are exact-order
-// (DESIGN.md §12). It runs each frame under the default config and, as
-// subtests of FineSearchOff, with the fine search off: the preamble's joint
-// fit alone and no data-peak refinement.
+// (DESIGN.md §12).
 func TestLaneCountEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	frames := laneFrames(t)
-	check := func(t *testing.T, fineSearch bool) {
-		for _, fr := range frames {
-			t.Run(fr.name, func(t *testing.T) {
-				cfg := choir.DefaultConfig(fr.p)
-				cfg.FineSearch = fineSearch
-				runtime.GOMAXPROCS(1)
-				want, wantErr := choir.MustNew(cfg).Decode(context.Background(), fr.samples, fr.payloadLen)
-				d := choir.MustNew(cfg)
-				for _, k := range kernelRuns {
-					func() {
-						defer k.use()()
-						for _, procs := range []int{1, 2, 4} {
-							runtime.GOMAXPROCS(procs)
-							got, err := d.Decode(context.Background(), fr.samples, fr.payloadLen)
-							if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-								t.Fatalf("%s, GOMAXPROCS %d: err %v, want %v", k.name, procs, err, wantErr)
-							}
-							if err == nil {
-								choir.AssertSameResult(t, got, want)
-							}
-							if t.Failed() {
-								t.Fatalf("with %s at GOMAXPROCS %d", k.name, procs)
-							}
+	for _, fr := range laneFrames(t) {
+		t.Run(fr.name, func(t *testing.T) {
+			cfg := choir.DefaultConfig(fr.p)
+			runtime.GOMAXPROCS(1)
+			want, wantErr := choir.MustNew(cfg).Decode(context.Background(), fr.samples, fr.payloadLen)
+			d := choir.MustNew(cfg)
+			for _, k := range kernelRuns {
+				func() {
+					defer k.use()()
+					for _, procs := range []int{1, 2, 4} {
+						runtime.GOMAXPROCS(procs)
+						got, err := d.Decode(context.Background(), fr.samples, fr.payloadLen)
+						if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+							t.Fatalf("%s, GOMAXPROCS %d: err %v, want %v", k.name, procs, err, wantErr)
 						}
-					}()
-				}
-			})
-		}
+						if err == nil {
+							choir.AssertSameResult(t, got, want)
+						}
+						if t.Failed() {
+							t.Fatalf("with %s at GOMAXPROCS %d", k.name, procs)
+						}
+					}
+				}()
+			}
+		})
 	}
-	check(t, true)
-	t.Run("FineSearchOff", func(t *testing.T) { check(t, false) })
 }
 
 // TestStageCountsIndependentOfLanes decodes every golden fixture with

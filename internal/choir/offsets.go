@@ -267,13 +267,6 @@ func (d *Decoder) scanWindow(obs []binObs, dech []complex128, known []userEstima
 // stores each user's offset and channel for it in slot w of the user's
 // perWin and gainWin.
 func (d *Decoder) refineWindow(w int, dech []complex128, coarse []float64, ests []userEstimate) {
-	if !d.cfg.FineSearch {
-		hs := d.fitChannels(dech, coarse)
-		for i := range ests {
-			ests[i].perWin[w], ests[i].gainWin[w] = coarse[i], hs[i]
-		}
-		return
-	}
 	models, _ := d.sweepSegments(dech, coarse, true)
 	for i, m := range models {
 		ests[i].perWin[w] = m.f

@@ -43,7 +43,7 @@ func (d *Decoder) DetectTeam(samples []complex128) ([]float64, error) {
 	if err := ValidateIQ(samples); err != nil {
 		return nil, err
 	}
-	acc := grow(&d.accBuf, d.padN)
+	acc := grow(&d.accBuf, pad*d.n)
 	clear(acc)
 	// Accumulate the windows' power spectra in window order, so every rounded
 	// bit of acc is a function of the samples alone.
@@ -149,7 +149,7 @@ func (d *Decoder) mlSymbol(spec []complex128, offs []float64) int {
 		var score float64
 		for _, f := range offs {
 			bin := math.Mod(float64(s)+f, float64(d.n))
-			v := specAt(spec, bin, d.pad, d.n)
+			v := specAt(spec, bin, d.n)
 			p := real(v)*real(v) + imag(v)*imag(v)
 			score += math.Log(p + floor)
 		}

@@ -34,9 +34,6 @@ func (p Point) String() string { return fmt.Sprintf("(%.0f, %.0f, %.1f)", p.X, p
 
 // Testbed is the simulated deployment area.
 type Testbed struct {
-	// Width and Height are the area extent in metres (3400 × 3200 in Fig. 6,
-	// about 10 km²).
-	Width, Height float64
 	// BaseStations are the rooftop receiver sites.
 	BaseStations []Point
 	// ClientSites are candidate client locations.
@@ -45,7 +42,7 @@ type Testbed struct {
 
 // Config controls testbed generation.
 type Config struct {
-	Width, Height float64 // metres
+	Width, Height float64 // area extent, metres (3400 × 3200 in Fig. 6, about 10 km²)
 	NumBases      int
 	NumSites      int
 	BaseHeight    float64 // rooftop height, metres
@@ -55,7 +52,7 @@ type Config struct {
 // NewTestbed places base stations near the centre (the campus) and client
 // sites uniformly over the area, reproducibly from rng.
 func NewTestbed(cfg Config, rng *rand.Rand) *Testbed {
-	tb := &Testbed{Width: cfg.Width, Height: cfg.Height}
+	tb := &Testbed{}
 	for i := 0; i < cfg.NumBases; i++ {
 		// Base stations on campus rooftops: cluster within the central third.
 		tb.BaseStations = append(tb.BaseStations, Point{
@@ -81,7 +78,6 @@ type Building struct {
 	Width, Depth  float64 // metres (x and y extent)
 	Floors        int
 	FloorHeight   float64
-	SensorsPer    int // sensors per floor
 	sensorsByIdx  []Point
 	floorBySensor []int
 }
@@ -107,7 +103,7 @@ func DefaultBuilding(origin Point) BuildingConfig {
 func NewBuilding(cfg BuildingConfig, rng *rand.Rand) *Building {
 	b := &Building{
 		Origin: cfg.Origin, Width: cfg.Width, Depth: cfg.Depth,
-		Floors: cfg.Floors, FloorHeight: cfg.FloorHeight, SensorsPer: cfg.SensorsPer,
+		Floors: cfg.Floors, FloorHeight: cfg.FloorHeight,
 	}
 	cols := int(math.Ceil(math.Sqrt(float64(cfg.SensorsPer))))
 	rows := (cfg.SensorsPer + cols - 1) / cols

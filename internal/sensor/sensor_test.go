@@ -186,7 +186,7 @@ func TestGroupPartitionsAllSensors(t *testing.T) {
 func TestGroupByFloorIsPure(t *testing.T) {
 	b := testBuilding(5)
 	rng := rand.New(rand.NewPCG(5, 5))
-	teams := Group(b, GroupByFloor, b.SensorsPer, rng)
+	teams := Group(b, GroupByFloor, b.NumSensors()/b.Floors, rng)
 	for ti, team := range teams {
 		floor := b.Floor(team[0])
 		for _, s := range team {

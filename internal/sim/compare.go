@@ -22,8 +22,6 @@ import (
 // comparison — typically a golden-trace fixture with its ground-truth
 // payloads.
 type CompareFixture struct {
-	// Name labels the capture in reports.
-	Name string
 	// Params is the capture's PHY configuration.
 	Params lora.Params
 	// PayloadLen is the payload size in bytes.
@@ -55,7 +53,6 @@ func LoadCompareFixtures(glob string) ([]CompareFixture, error) {
 			return nil, fmt.Errorf("sim: fixture %s: %w", name, err)
 		}
 		fx := CompareFixture{
-			Name:       strings.TrimSuffix(filepath.Base(name), filepath.Ext(name)),
 			Params:     h.Params,
 			PayloadLen: h.PayloadLen,
 			Samples:    samples,
@@ -129,9 +126,6 @@ func DefaultCompare() CompareConfig {
 type CompareRow struct {
 	// Backend is the registered backend name.
 	Backend string
-	// Fixture is a fixture row's fixture name; empty for synthesized
-	// captures.
-	Fixture string
 	// Fault is a fault cell's injector; nil for fixtures and clean trials.
 	Fault *fault.Injector
 	// Trials is the number of captures decoded.
@@ -158,10 +152,10 @@ func (r CompareRow) Goodput() float64 {
 	return float64(r.PayloadsRecovered) / float64(r.PayloadsExpected)
 }
 
-// fold returns labels — a row's Backend, Fixture and Fault — with rows'
-// captures added in order: trials, payload counts, decode time and error
-// classes. It is the one reduction of a comparison cell, a backend's table
-// line and a calibration size.
+// fold returns labels — a row's Backend and Fault — with rows' captures
+// added in order: trials, payload counts, decode time and error classes. It
+// is the one reduction of a comparison cell, a backend's table line and a
+// calibration size.
 func fold(labels CompareRow, rows []CompareRow) CompareRow {
 	labels.Errors = map[string]int{}
 	for _, r := range rows {
@@ -308,7 +302,7 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 	for _, name := range backends {
 		for i := range cfg.Fixtures {
 			fx := &cfg.Fixtures[i]
-			cells = append(cells, cell{row: CompareRow{Backend: name, Fixture: fx.Name}, fx: fx})
+			cells = append(cells, cell{row: CompareRow{Backend: name}, fx: fx})
 			trials = append(trials, 1)
 		}
 		if cfg.Trials > 0 {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -75,13 +76,13 @@ func TestCompareDeterministicAcrossWorkers(t *testing.T) {
 	}
 	wantTrials := len(cfg.Fixtures) + cfg.Trials + len(cfg.Classes)*len(cfg.Intensities)*cfg.FaultTrials
 	trials := map[string]int{}
-	for _, r := range serial.Rows {
+	for i, r := range serial.Rows {
 		trials[r.Backend] += r.Trials
 		if r.PayloadsExpected == 0 {
-			t.Errorf("%s %s: row offered no ground-truth payloads", r.Backend, r.Fixture)
+			t.Errorf("%s row %d: offered no ground-truth payloads", r.Backend, i)
 		}
 		if r.DecodeNs <= 0 {
-			t.Errorf("%s %s: no decode time recorded", r.Backend, r.Fixture)
+			t.Errorf("%s row %d: no decode time recorded", r.Backend, i)
 		}
 	}
 	for _, name := range cfg.Backends {
@@ -334,7 +335,7 @@ func TestSweepsFinishStartedDecodes(t *testing.T) {
 // alternative backends must at least hold the two-user clean collision
 // (the registry round-trip gate, re-checked here through the harness).
 func TestCompareGoldenFixtures(t *testing.T) {
-	fixtures, err := LoadCompareFixtures(goldenGlob)
+	paths, err := filepath.Glob(goldenGlob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +344,18 @@ func TestCompareGoldenFixtures(t *testing.T) {
 	// beyond "no panic, typed errors" — which the deterministic test above
 	// already covers by running the full set.
 	var clean []CompareFixture
-	for _, fx := range fixtures {
-		if strings.HasPrefix(fx.Name, "fault_") || strings.HasPrefix(fx.Name, "team_") {
+	var names []string
+	for _, path := range paths {
+		name := filepath.Base(path)
+		if strings.HasPrefix(name, "fault_") || strings.HasPrefix(name, "team_") {
 			continue
 		}
-		clean = append(clean, fx)
+		fx, err := LoadCompareFixtures(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean = append(clean, fx...)
+		names = append(names, name)
 	}
 	if len(clean) < 3 {
 		t.Fatalf("expected at least 3 clean fixtures, got %d", len(clean))
@@ -363,11 +371,11 @@ func TestCompareGoldenFixtures(t *testing.T) {
 		t.Fatalf("got %d rows for %d registered backends x %d fixtures", len(res.Rows), len(backend.Names()), len(clean))
 	}
 	recovered := map[string]int{}
-	for _, r := range res.Rows {
+	for i, r := range res.Rows {
 		recovered[r.Backend] += r.PayloadsRecovered
 		if r.Backend == "choir" && r.PayloadsRecovered != r.PayloadsExpected {
 			t.Errorf("choir backend lost golden payloads of %s: %d/%d %v",
-				r.Fixture, r.PayloadsRecovered, r.PayloadsExpected, r.Errors)
+				names[i%len(clean)], r.PayloadsRecovered, r.PayloadsExpected, r.Errors)
 		}
 	}
 	for name, n := range recovered {
@@ -416,22 +424,27 @@ func TestCompareFixtureLoader(t *testing.T) {
 	if len(fixtures) != 6 {
 		t.Fatalf("got %d golden fixtures, want 6", len(fixtures))
 	}
-	for i := 1; i < len(fixtures); i++ {
-		if fixtures[i-1].Name >= fixtures[i].Name {
-			t.Errorf("fixtures out of order: %q before %q", fixtures[i-1].Name, fixtures[i].Name)
-		}
+	paths, err := filepath.Glob(goldenGlob)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, fx := range fixtures {
+	sort.Strings(paths)
+	for i, fx := range fixtures {
+		name := filepath.Base(paths[i])
+		// Fixture i is the i-th file in sorted order.
+		if one, err := LoadCompareFixtures(paths[i]); err != nil || len(one) != 1 || !reflect.DeepEqual(one[0], fx) {
+			t.Errorf("fixture %d is not %s (%v)", i, name, err)
+		}
 		if len(fx.Samples) == 0 || fx.PayloadLen <= 0 || fx.Params.SF == 0 {
 			t.Errorf("%s: incomplete fixture: %d samples, len %d, SF %d",
-				fx.Name, len(fx.Samples), fx.PayloadLen, fx.Params.SF)
+				name, len(fx.Samples), fx.PayloadLen, fx.Params.SF)
 		}
 		if len(fx.Truth) == 0 {
-			t.Errorf("%s: no ground-truth payloads in header", fx.Name)
+			t.Errorf("%s: no ground-truth payloads in header", name)
 		}
 		for _, p := range fx.Truth {
 			if len(p) != fx.PayloadLen {
-				t.Errorf("%s: truth payload length %d != header %d", fx.Name, len(p), fx.PayloadLen)
+				t.Errorf("%s: truth payload length %d != header %d", name, len(p), fx.PayloadLen)
 			}
 		}
 	}

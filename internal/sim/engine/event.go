@@ -264,8 +264,8 @@ func (b *band) step(s int64, ids []int32) {
 	// pass stays only while its own A/B says so: five interleaved
 	// pairs with and without it read cpu_us_per_op 0.394 → 0.309 µs on
 	// city_sparse (−21.5 %, ahead in 5 of 5) and 0.218 → 0.207 on
-	// city_dense (ahead in 4 of 5, no loss) — EXPERIMENTS.md, "Engine
-	// ledger, round two".
+	// city_dense (ahead in 4 of 5, no loss) — "Engine ledger, round
+	// two" under docs/experiments.
 	var touched int64
 	for _, i := range ids {
 		touched += int64(c.nodes[i].nextArrival)

@@ -39,11 +39,11 @@ import (
 // any, then the name, as in "internal/backend.Pool.Get" or
 // "internal/lora.SF9". Declared are every function and method, every
 // package-level type and constant, and every exported package-level
-// variable. Fields of every struct type named Config, and of every struct
-// type in the directories the scan is given, are keyed the same way
-// ("internal/sim/engine.Config.Shards", "internal/choir.segModel.f"); one is
-// read when a reached body selects it anywhere but on the left of a plain
-// assignment, so setting it in a composite literal or by "=" does not
+// variable. The fields of every package-level struct type, but blank ones,
+// which nothing can read, are keyed the same way
+// ("internal/sim/engine.Config.Shards", "internal/choir.segModel.f"); one
+// is read when a reached body selects it anywhere but on the left of a
+// plain assignment, so setting it in a composite literal or by "=" does not
 // count. Selecting through an embedded field reads the embedded field too.
 type reach struct {
 	declared map[string]bool // declarations and declared fields outside the frozen directory
@@ -53,11 +53,9 @@ type reach struct {
 
 // scanReach loads every non-test package under root (a module whose path is
 // modulePath) and runs the scan. Declarations in the frozen directory are
-// scanned as callers but are not declared. The fields of every struct type
-// in the directories of fieldDirs are declared, besides those of every
-// Config. Each key of extra that names a declaration is a further root; its
-// reach goes into kept and not live.
-func scanReach(t *testing.T, root, modulePath, frozen string, fieldDirs []string, extra map[string]string) reach {
+// scanned as callers but are not declared. Each key of extra that names a
+// declaration is a further root; its reach goes into kept and not live.
+func scanReach(t *testing.T, root, modulePath, frozen string, extra map[string]string) reach {
 	t.Helper()
 	l := &loader{fset: token.NewFileSet(), pkgs: map[string]*loadedPkg{}}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
@@ -143,10 +141,12 @@ func scanReach(t *testing.T, root, modulePath, frozen string, fieldDirs []string
 								continue
 							}
 							s.declare(obj)
-							if st, ok := obj.Type().Underlying().(*types.Struct); ok && !sp.Assign.IsValid() && (sp.Name.Name == "Config" || slices.Contains(fieldDirs, pkg.dir)) {
+							if st, ok := obj.Type().Underlying().(*types.Struct); ok && !sp.Assign.IsValid() {
 								for i := range st.NumFields() {
-									key := objKey(obj) + "." + st.Field(i).Name()
-									s.r.declared[key], s.fields[st.Field(i)] = true, key
+									if f := st.Field(i); f.Name() != "_" {
+										key := objKey(obj) + "." + f.Name()
+										s.r.declared[key], s.fields[f] = true, key
+									}
 								}
 							}
 						case *ast.ValueSpec:
@@ -504,17 +504,18 @@ func (s *scan) fanOut(fn *types.Func, n *types.Named) {
 // that implements a called interface method but that nothing builds and
 // its field only its dead methods read, a Config field and a result field
 // that are set but never read, an exported type and constant nothing names,
-// and a facade-style variable with the function only it names. The scan,
-// told to declare lib's struct fields, must report exactly those, and none
-// of the live code around them: a method fmt calls through fmt.Stringer, a
-// package-level initializer, an init, a method reached only through an
-// interface, an enum constant kept only by its type, and an embedded field
-// read only through the field it promotes.
+// and a facade-style variable with the function only it names; and main's
+// own struct, outside lib and named for no Config, declares a field main
+// sets and never reads. The scan must report exactly those, and none of the
+// live code around them: a blank field, which nothing can read, a method
+// fmt calls through fmt.Stringer, a package-level initializer, an init, a
+// method reached only through an interface, an enum constant kept only by
+// its type, and an embedded field read only through the field it promotes.
 func TestReachSeesPastNames(t *testing.T) {
 	if raceEnabled() && testing.Short() {
 		t.Skip("-race -short: the scan type-checks the standard library from source; the plain run keeps it")
 	}
-	r := scanReach(t, filepath.Join("testdata", "reach"), "reach", "", []string{"lib"}, nil)
+	r := scanReach(t, filepath.Join("testdata", "reach"), "reach", "", nil)
 	var dead []string
 	for key := range r.declared {
 		if !r.live[key] {
@@ -525,7 +526,7 @@ func TestReachSeesPastNames(t *testing.T) {
 	want := []string{
 		"lib.Circle", "lib.Circle.Area", "lib.Circle.Name", "lib.Circle.R", "lib.Config.Ignored",
 		"lib.Gauge", "lib.Gauge.Add", "lib.MaxSides", "lib.Result.Shapes", "lib.Spare",
-		"lib.Square.Name", "lib.Twice", "lib.twice",
+		"lib.Square.Name", "lib.Twice", "lib.twice", "reach.report.Note",
 	}
 	if !slices.Equal(dead, want) {
 		t.Errorf("dead = %q, want %q", dead, want)
