@@ -501,7 +501,8 @@ func raceEnabled() bool {
 // match a Test function declared in the step's packages ('^$', which runs
 // none on purpose, is exempt); every -fuzz target must be a Fuzz function
 // declared there; and every Fuzz function of the module must be a -fuzz
-// target, which only the fuzz smoke step has.
+// target, which only the fuzz smoke step has. sweep.yml's long kernel-fuzz
+// runs must name Fuzz functions too.
 func TestCINamesOnlyTestsThatExist(t *testing.T) {
 	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
 	if err != nil {
@@ -599,6 +600,23 @@ func TestCINamesOnlyTestsThatExist(t *testing.T) {
 			if strings.HasPrefix(name, "Fuzz") && !fuzzed[dir+"."+name] {
 				t.Errorf("%s.%s is in no -fuzz= step of ci.yml: add it to the fuzz smoke step", dir, name)
 			}
+		}
+	}
+
+	// sweep.yml's kernel-fuzz matrix names its targets as data, one
+	// "{ target: FuzzX, pkg: ./dir }" row each; every row must name a Fuzz
+	// function of its package.
+	sweep, err := os.ReadFile(filepath.Join(".github", "workflows", "sweep.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := regexp.MustCompile(`\{ target: (\w+), pkg: \./(\S+) \}`).FindAllStringSubmatch(string(sweep), -1)
+	if len(rows) == 0 {
+		t.Error("sweep.yml: no kernel-fuzz rows found")
+	}
+	for _, row := range rows {
+		if !strings.HasPrefix(row[1], "Fuzz") || !slices.Contains(declared[row[2]], row[1]) {
+			t.Errorf("sweep.yml: %s is no Fuzz function in %s", row[1], row[2])
 		}
 	}
 }

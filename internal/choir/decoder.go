@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math"
 
+	"choir/internal/cpu"
 	"choir/internal/ctxutil"
 	"choir/internal/dsp"
 	"choir/internal/exec"
@@ -154,6 +155,7 @@ type Decoder struct {
 	maskedBuf []complex128   // masked / re-added tone workspace
 	prefixBuf []complex128   // segmentFit prefix sums (n+1)
 	blockBuf  []float64      // searchOffset's per-block sums of |re|+|im| (n/scanBlock)
+	skipBuf   []uint64       // segmentScan's skip bit per block (n/scanBlock bits)
 	prefPrev  []complex128   // accumulateBoundaryScan and splitTwoToneFit prefix sums (n+1)
 	prefCur   []complex128
 	prefNext  []complex128
@@ -598,9 +600,27 @@ func (d *Decoder) combTone(r int) []complex128 {
 // sum, so the root is within 1.5 ulps of |v|, where math.Hypot's own error
 // reaches about 2. Elsewhere — zeros, subnormal and overflowing sums,
 // infinities and NaN — it is math.Hypot. The two stay within 2 ulps of each
-// other (TestMagnitudesMatchHypot).
+// other (TestMagnitudesMatchHypot). With AVX2 magnitudesAVX2 takes the
+// roots of whole steps of four values with VSQRTPD, correctly rounded as
+// math.Sqrt is, and magnitudesGeneric the rest, or the whole spectrum again
+// when some step holds a value that needs math.Hypot.
 func (d *Decoder) magnitudes(spec []complex128) []float64 {
 	out := grow(&d.scratchMags, len(spec))
+	done := 0
+	if cpu.AVX2 {
+		done = len(spec) &^ 3
+		if magnitudesAVX2(out[:done], spec[:done]) != 0 {
+			done = 0
+		}
+	}
+	magnitudesGeneric(out[done:], spec[done:])
+	return out
+}
+
+// magnitudesGeneric is magnitudes' Go kernel: the only one off amd64 or
+// without AVX2, and the reference the AVX2 kernel is tested against.
+func magnitudesGeneric(out []float64, spec []complex128) {
+	out = out[:len(spec)]
 	for i, v := range spec {
 		re, im := real(v), imag(v)
 		if s := re*re + im*im; s >= 0x1p-1020 && s <= math.MaxFloat64 {
@@ -609,7 +629,6 @@ func (d *Decoder) magnitudes(spec []complex128) []float64 {
 			out[i] = math.Hypot(re, im)
 		}
 	}
-	return out
 }
 
 // findPeaks returns the peaks of mags (dsp.FindPeaksScratch) above mult

@@ -109,12 +109,16 @@ func ErrClass(err error) string { return errClasses[errClass(err)].name }
 // clipping (ours and channel.Quantize's) assigns the rail, it doesn't
 // approximate it. Every backend runs it on the whole capture.
 func ValidateIQ(samples []complex128) error {
-	if i := nonFinite(samples); i >= 0 {
-		return fmt.Errorf("%w: sample %d = (%g,%g)", ErrBadIQ, i, real(samples[i]), imag(samples[i]))
-	}
+	// One pass finds the peak and finiteness together: max keeps a NaN and
+	// an infinity, so peak is finite exactly when every sample is, and only
+	// a refused capture is read again for its first bad sample.
 	peak := 0.0
 	for _, v := range samples {
 		peak = max(peak, math.Abs(real(v)), math.Abs(imag(v)))
+	}
+	if !(peak <= math.MaxFloat64) {
+		i := nonFinite(samples)
+		return fmt.Errorf("%w: sample %d = (%g,%g)", ErrBadIQ, i, real(samples[i]), imag(samples[i]))
 	}
 	if peak == 0 {
 		return nil

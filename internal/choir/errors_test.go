@@ -3,7 +3,9 @@ package choir
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"choir/internal/lora"
@@ -123,6 +125,61 @@ func TestValidateIQEdgeCases(t *testing.T) {
 	}
 	if err := ValidateIQ(make([]complex128, 64)); err != nil {
 		t.Errorf("ValidateIQ(all-zero) = %v; zero signal is not saturation", err)
+	}
+}
+
+// TestValidateIQNamesFirstNonFinite holds ValidateIQ's one pass to the rule
+// it folds: a non-finite sample anywhere, after the peak sample too, or in a
+// capture that is also saturated, is ErrBadIQ naming the first non-finite
+// sample, and a finite capture is judged on saturation alone.
+func TestValidateIQNamesFirstNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	clean := func() []complex128 {
+		x := make([]complex128, 64)
+		for i := range x {
+			x[i] = complex(math.Cos(float64(i)), math.Sin(float64(i)))
+		}
+		x[10] = complex(3, -3) // the peak
+		return x
+	}
+	cases := []struct {
+		name  string
+		edit  func(x []complex128)
+		first int
+	}{
+		{"NaN after the peak", func(x []complex128) { x[40] = complex(0.5, nan) }, 40},
+		{"NaN before the peak", func(x []complex128) { x[3] = complex(nan, 0) }, 3},
+		{"Inf then NaN", func(x []complex128) { x[20] = complex(-inf, 0); x[30] = complex(nan, nan) }, 20},
+		{"NaN then a larger peak", func(x []complex128) { x[5] = complex(nan, 1); x[50] = complex(1e300, 0) }, 5},
+		{"last sample", func(x []complex128) { x[63] = complex(0, -inf) }, 63},
+		{"saturated with a NaN", func(x []complex128) {
+			for i := range x {
+				x[i] = complex(3, -3)
+			}
+			x[61] = complex(nan, 3)
+		}, 61},
+	}
+	for _, c := range cases {
+		x := clean()
+		c.edit(x)
+		err := ValidateIQ(x)
+		if !errors.Is(err, ErrBadIQ) {
+			t.Fatalf("%s: ValidateIQ = %v, want ErrBadIQ", c.name, err)
+		}
+		want := fmt.Sprintf("sample %d = (%g,%g)", c.first, real(x[c.first]), imag(x[c.first]))
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: ValidateIQ = %q, want it to name %q", c.name, err, want)
+		}
+	}
+	if err := ValidateIQ(clean()); err != nil {
+		t.Errorf("clean capture: ValidateIQ = %v", err)
+	}
+	sat := clean()
+	for i := range sat[:40] {
+		sat[i] = complex(-3, 3)
+	}
+	if err := ValidateIQ(sat); !errors.Is(err, ErrSaturated) {
+		t.Errorf("saturated capture: ValidateIQ = %v, want ErrSaturated", err)
 	}
 }
 

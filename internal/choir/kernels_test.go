@@ -105,8 +105,16 @@ func TestCombDecideMatchesPaddedScan(t *testing.T) {
 // math.Hypot it replaced, over every pairing of zeros, subnormals, ±1e±300,
 // the edges of its square-root route, overflow, ±Inf and NaN, and over
 // random values across the exponent range; NaN and ±Inf must come out as
-// Hypot gives them.
+// Hypot gives them. It runs on the CPU's kernels and on the generic ones.
 func TestMagnitudesMatchHypot(t *testing.T) {
+	t.Run("cpu", checkMagnitudesMatchHypot)
+	t.Run("generic", func(t *testing.T) {
+		defer UseGenericKernels()()
+		checkMagnitudesMatchHypot(t)
+	})
+}
+
+func checkMagnitudesMatchHypot(t *testing.T) {
 	d := decoderForSF(lora.SF7)
 	parts := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-320, 0x1p-1022, 0x1p-511, 0x1p-510, 1e-300, -1e-300, 1e-160,
 		1, -0.75, 1e150, 0x1p511, 1e154, 1e300, -1e300, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}

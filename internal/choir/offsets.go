@@ -2,6 +2,7 @@ package choir
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"choir/internal/cpu"
@@ -539,8 +540,23 @@ func segmentGains(prefix []complex128, i0 int) (h1, h2 complex128) {
 
 // blockSums fills dst (len(x)/scanBlock) with Σ |re x_k| + |im x_k| over
 // each block of scanBlock samples of x, segmentScan's per-block bound on how
-// far the prefix sums can move, and returns it.
+// far the prefix sums can move, and returns it. With AVX2 blockSumsAVX2 sums
+// whole steps of four blocks, one a lane, and blockSumsGeneric the rest.
 func blockSums(dst []float64, x []complex128) []float64 {
+	done := 0
+	if cpu.AVX2 {
+		done = len(dst) &^ 3
+		if done > 0 {
+			blockSumsAVX2(dst[:done], x[:done*scanBlock])
+		}
+	}
+	blockSumsGeneric(dst[done:], x[done*scanBlock:])
+	return dst
+}
+
+// blockSumsGeneric is blockSums' Go kernel: the only one off amd64 or
+// without AVX2, and the reference the AVX2 kernel is tested against.
+func blockSumsGeneric(dst []float64, x []complex128) {
 	for b := range dst {
 		var s float64
 		for _, v := range (*[scanBlock]complex128)(x[b*scanBlock:]) {
@@ -548,7 +564,6 @@ func blockSums(dst []float64, x []complex128) []float64 {
 		}
 		dst[b] = s
 	}
-	return dst
 }
 
 // segmentScan's block bound (see segmentScan): boundaries are bounded
@@ -579,8 +594,9 @@ const (
 // 8-byte-aligned frame). At both ends D is zero and so is the table's second
 // entry.
 //
-// With blk and a boundary hint, a first pass over the blocks skips those the
-// maximum cannot be in, and scanRange scans the runs of blocks between them.
+// With blk and a boundary hint, a first pass over the blocks (blockBounds)
+// marks those the maximum cannot be in in a bitmask, and scanRange scans the
+// runs of blocks between its set bits.
 // Write S[u,v) for Σ_{u≤k<v} |re x_k| + |im x_k|; blk[b] is S over block b's
 // B = scanBlock samples. For a boundary i of the block from a, D_i − D_a adds
 // the terms x_k·conj(tone_k), a ≤ k < i, each no larger than
@@ -622,28 +638,70 @@ func (d *Decoder) segmentScan(prefix []complex128, blk []float64, hint int) (i0 
 	best, bestGain := 0, math.Inf(-1)
 	from := 0 // the boundaries before from are scanned or skipped
 	if lower > scanFloor {
-		// dev is |D_i|₁.
-		dev := func(i int) float64 {
-			return math.Abs(real(prefix[i])-cusum[i][0]*tr) + math.Abs(imag(prefix[i])-cusum[i][0]*ti)
-		}
 		tail := float64(scanBlock) / float64(n) * (math.Abs(tr) + math.Abs(ti))
-		devA := dev(0) // |D_a|₁ of the block at hand
-		for b, wmax := range d.cusumMax {
-			a := b * scanBlock
-			devB := dev(a + scanBlock)
-			r := 0.5 * (devA + devB + blk[b] + tail)
-			devA = devB
-			if wmax*(r*r)*scanMargin < lower {
+		skip := grow(&d.skipBuf, (len(d.cusumMax)+63)/64)
+		blockBounds(skip, prefix, cusum, d.cusumMax, blk, tr, ti, tail, lower)
+		// Walk the runs of set bits: a run of k skipped blocks from block b
+		// ends the scanned run before it at b·B and starts the next at
+		// (b+k)·B. A run that reaches bit 63 clears the whole word (a shift
+		// by 64 is 0) and goes on in the next word's bit 0.
+		for w, word := range skip {
+			for word != 0 {
+				t := bits.TrailingZeros64(word)
+				k := bits.TrailingZeros64(^(word >> t))
+				a := (w*64 + t) * scanBlock
 				if from < a {
 					best, bestGain = scanRange(prefix[from:a], cusum[from:a], tr, ti, from, best, bestGain)
 				}
-				from = a + scanBlock
-				skipped++
+				from = a + k*scanBlock
+				skipped += k
+				word &^= 1<<(t+k) - 1
 			}
 		}
 	}
 	best, bestGain = scanRange(prefix[from:], cusum[from:], tr, ti, from, best, bestGain)
 	return best, (tr*tr+ti*ti)/float64(n) + bestGain, skipped
+}
+
+// blockBounds sets bit b of skip, which it zeroes first, for each block b of
+// segmentScan's boundaries that the maximum cannot be in: wmax[b]·r²·
+// scanMargin < lower, where r = (|D_a|₁ + |D_{a+B}|₁ + blk[b] + tail)/2 is
+// the block's bound on |D_i| (segmentScan). With AVX2 blockBoundsAVX2 bounds
+// whole steps of four blocks, one a lane, and blockBoundsGeneric the rest.
+func blockBounds(skip []uint64, prefix []complex128, cusum [][2]float64, wmax, blk []float64, tr, ti, tail, lower float64) {
+	clear(skip)
+	done := 0
+	if cpu.AVX2 {
+		done = len(wmax) &^ 3
+		if done > 0 {
+			end := done*scanBlock + 1
+			blockBoundsAVX2(skip[:(done+63)/64], prefix[:end], cusum[:end], wmax[:done], blk[:done], tr, ti, tail, lower, cusumDev(prefix[0], &cusum[0], tr, ti))
+		}
+	}
+	blockBoundsGeneric(skip, prefix, cusum, wmax, blk, tr, ti, tail, lower, done)
+}
+
+// blockBoundsGeneric is blockBounds' Go kernel over blocks from onward: the
+// only one off amd64 or without AVX2, and the reference the AVX2 kernel is
+// tested against.
+func blockBoundsGeneric(skip []uint64, prefix []complex128, cusum [][2]float64, wmax, blk []float64, tr, ti, tail, lower float64, from int) {
+	a := from * scanBlock
+	devA := cusumDev(prefix[a], &cusum[a], tr, ti) // |D_a|₁ of the block at hand
+	for b := from; b < len(wmax); b++ {
+		a += scanBlock
+		devB := cusumDev(prefix[a], &cusum[a], tr, ti)
+		r := 0.5 * (devA + devB + blk[b] + tail)
+		devA = devB
+		if wmax[b]*(r*r)*scanMargin < lower {
+			skip[b/64] |= 1 << (b % 64)
+		}
+	}
+}
+
+// cusumDev is one boundary's |D|₁ = |re P − w[0]·tr| + |im P − w[0]·ti|,
+// T = tr + j·ti, with w the boundary's row of the decoder's table.
+func cusumDev(p complex128, w *[2]float64, tr, ti float64) float64 {
+	return math.Abs(real(p)-w[0]*tr) + math.Abs(imag(p)-w[0]*ti)
 }
 
 // cusumGain is one boundary's gain |P − w[0]·T|²·w[1], T = tr + j·ti, with
@@ -732,8 +790,20 @@ func tonePrefix(dst, x, tone []complex128) []complex128 {
 }
 
 // subtractTone removes h·tone[k] from x[k] in place; tone is at least as long
-// as x. Negating h adds the tone instead.
+// as x. Negating h adds the tone instead. With AVX2 subtractToneAVX2 runs it,
+// two samples a step.
 func subtractTone(x, tone []complex128, h complex128) {
+	tone = tone[:len(x)]
+	if cpu.AVX2 {
+		subtractToneAVX2(x, tone, h)
+		return
+	}
+	subtractToneGeneric(x, tone, h)
+}
+
+// subtractToneGeneric is subtractTone's Go kernel: the only one off amd64 or
+// without AVX2, and the reference the AVX2 kernel is tested against.
+func subtractToneGeneric(x, tone []complex128, h complex128) {
 	tone = tone[:len(x)]
 	for k := range x {
 		x[k] -= h * tone[k]

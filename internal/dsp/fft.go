@@ -200,12 +200,24 @@ func (f *FFT) TransformPruned(dst, src []complex128) []complex128 {
 		dst = make([]complex128, f.n)
 	}
 	pad := f.n / NextPow2(m)
-	// Broadcast fill: block b holds pad copies of the one (possibly virtual
-	// zero) nonzero sample of its decimated subsequence, whose source index
-	// is the bit reversal of b — i.e. f.rev at the block start.
-	for b := 0; b < f.n/pad; b++ {
+	if cpu.AVX2 && pad >= 2 {
+		prunedFillAVX2(dst, src, f.rev, pad)
+	} else {
+		prunedFill(dst, src, f.rev, pad)
+	}
+	f.stages(dst, f.forward, pad<<1)
+	return dst
+}
+
+// prunedFill is TransformPruned's broadcast fill: block b of dst holds pad
+// copies of the one (possibly virtual zero) nonzero sample of its decimated
+// subsequence, whose source index is the bit reversal of b — i.e. rev at the
+// block start. With AVX2 and pad >= 2 TransformPruned runs prunedFillAVX2
+// instead, one 32-byte store per two copies.
+func prunedFill(dst, src []complex128, rev []int, pad int) {
+	for b := 0; b < len(dst)/pad; b++ {
 		var v complex128
-		if j := f.rev[b*pad]; j < m {
+		if j := rev[b*pad]; j < len(src) {
 			v = src[j]
 		}
 		blk := dst[b*pad : b*pad+pad]
@@ -213,8 +225,6 @@ func (f *FFT) TransformPruned(dst, src []complex128) []complex128 {
 			blk[t] = v
 		}
 	}
-	f.stages(dst, f.forward, pad<<1)
-	return dst
 }
 
 // SpectrumInto computes the magnitude spectrum of src zero-padded to the

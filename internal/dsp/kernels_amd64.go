@@ -1,8 +1,8 @@
 package dsp
 
-// The AVX2 forms of scaleLevel, toneLevel, prefixLevel, radix22Pass and
-// radix2Pass
-// (kernels_amd64.s). Each gives its generic kernel's bits; the dispatchers
+// The AVX2 forms of scaleLevel, toneLevel, prefixLevel, radix22Pass,
+// radix2Pass, bracketMedian's pass, TransformPruned's fill and
+// FindPeaksScratch's threshold test (kernels_amd64.s). Each gives its generic kernel's bits; the dispatchers
 // call them only when cpu.AVX2 is set.
 
 //go:noescape
@@ -25,3 +25,22 @@ func radix22PassAVX2(dst, tw, twq []complex128, h, step int)
 //
 //go:noescape
 func radix2PassAVX2(dst, tw []complex128, h, step int)
+
+// bracketPassAVX2 is bracketMedian's pass over the first len(xs)&^3 values
+// of xs: it gathers those in [lo, hi] or NaN to buf in order and returns how
+// many it gathered and how many are below lo. buf must be at least as long
+// as xs.
+//
+//go:noescape
+func bracketPassAVX2(xs, buf []float64, lo, hi float64) (in, below int)
+
+// prunedFillAVX2 is TransformPruned's broadcast fill, for an even pad.
+//
+//go:noescape
+func prunedFillAVX2(dst, src []complex128, rev []int, pad int)
+
+// firstNotBelowAVX2 is firstNotBelow over the first len(xs)&^3 values: it
+// returns len(xs)&^3 when none of them is at or above thr or NaN.
+//
+//go:noescape
+func firstNotBelowAVX2(xs []float64, thr float64) int

@@ -24,3 +24,15 @@ func radix22PassAVX2(dst, tw, twq []complex128, h, step int) {
 func radix2PassAVX2(dst, tw []complex128, h, step int) {
 	panic("dsp: no AVX2 kernels off amd64")
 }
+
+func bracketPassAVX2(xs, buf []float64, lo, hi float64) (in, below int) {
+	panic("dsp: no AVX2 kernels off amd64")
+}
+
+func prunedFillAVX2(dst, src []complex128, rev []int, pad int) {
+	panic("dsp: no AVX2 kernels off amd64")
+}
+
+func firstNotBelowAVX2(xs []float64, thr float64) int {
+	panic("dsp: no AVX2 kernels off amd64")
+}

@@ -236,3 +236,171 @@ func FuzzFFTPassKernels(f *testing.F) {
 		checkPasses(t, x, NewFFT(n).forward)
 	})
 }
+
+// checkBracketPass runs bracketPass and bracketPassGeneric on xs with the
+// bracket [lo, hi] and fails when their counts or gathered values differ.
+func checkBracketPass(t testing.TB, xs []float64, lo, hi float64) {
+	t.Helper()
+	wantBuf, gotBuf := make([]float64, len(xs)), make([]float64, len(xs))
+	wantIn, wantBelow := bracketPassGeneric(xs, wantBuf, lo, hi, 0, 0)
+	gotIn, gotBelow := bracketPass(xs, gotBuf, lo, hi)
+	if gotIn != wantIn || gotBelow != wantBelow {
+		t.Fatalf("n=%d [%v, %v]: gathered %d with %d below, generic %d with %d", len(xs), lo, hi, gotIn, gotBelow, wantIn, wantBelow)
+	}
+	for i := range wantBuf[:wantIn] {
+		if !sameFloat(gotBuf[i], wantBuf[i]) {
+			t.Fatalf("n=%d [%v, %v]: gathered value %d = %v, generic %v", len(xs), lo, hi, i, gotBuf[i], wantBuf[i])
+		}
+	}
+}
+
+// TestBracketPassMatchesGeneric holds bracketPass's AVX2 path to
+// bracketPassGeneric at every length from 0 to 130 and at 1024 and 4096, on
+// random values, on values with ±0, subnormals, ±Inf, NaN and 1e±300 mixed
+// in, on small integers that sit on the bracket's ends, and for brackets that
+// gather none, some and all values, a one-point and an infinite one among
+// them.
+func TestBracketPassMatchesGeneric(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewPCG(63, 5))
+	brackets := [][2]float64{{-0.5, 0.5}, {0, 0}, {1, 1}, {-1, 2}, {5, 9}, {math.Inf(-1), math.Inf(1)}, {math.Inf(-1), -1}, {math.Copysign(0, -1), 0}}
+	lengths := []int{1024, 4096}
+	for n := 0; n <= 130; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for trial := 0; trial < 16; trial++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				switch trial % 4 {
+				case 0:
+					xs[i] = rng.NormFloat64()
+				case 1:
+					xs[i] = kernelValue(rng, 0.3)
+				case 2:
+					xs[i] = float64(rng.IntN(4) - 1)
+				default:
+					xs[i] = kernelValue(rng, 0.05)
+				}
+			}
+			b := brackets[trial%len(brackets)]
+			checkBracketPass(t, xs, b[0], b[1])
+		}
+	}
+}
+
+// FuzzBracketPass holds bracketPass's AVX2 path to bracketPassGeneric on
+// arbitrary bits: raw gives the values, 8 bytes apiece, and a and b the
+// bracket's ends in either order (a NaN end is not a bracket).
+func FuzzBracketPass(f *testing.F) {
+	f.Add(make([]byte, 72), 0.0, 1.0)
+	f.Add([]byte("0123456789abcdef0123456789abcdef0123456789abcdef"), math.Inf(-1), 1e300)
+	f.Fuzz(func(t *testing.T, raw []byte, a, b float64) {
+		if a != a || b != b {
+			return
+		}
+		xs := make([]float64, len(raw)/8)
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		checkBracketPass(t, xs, min(a, b), max(a, b))
+	})
+}
+
+// checkPrunedFill runs prunedFillAVX2 and prunedFill into dst (its length a
+// multiple of pad) from src and fails on the first value they disagree on.
+func checkPrunedFill(t testing.TB, n, pad int, src []complex128) {
+	t.Helper()
+	rev := NewFFT(n).rev
+	want, got := kernelSignal(rand.New(rand.NewPCG(1, 1)), n, 0), make([]complex128, n)
+	prunedFill(want, src, rev, pad)
+	prunedFillAVX2(got, src, rev, pad)
+	if k := firstDiff(got, want); k >= 0 {
+		t.Fatalf("n=%d pad=%d len(src)=%d: dst[%d] = %v, generic %v", n, pad, len(src), k, got[k], want[k])
+	}
+}
+
+// TestPrunedFillMatchesGeneric holds prunedFillAVX2 to prunedFill at every
+// plan size from 2 to 2^14 and every even pad, with src from one value to
+// the most the pad allows, edge values mixed in.
+func TestPrunedFillMatchesGeneric(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewPCG(63, 6))
+	for n := 2; n <= 1<<14; n <<= 1 {
+		for pad := 2; pad <= n; pad <<= 1 {
+			for _, m := range []int{1, max(1, n/pad/2+1), n / pad} {
+				checkPrunedFill(t, n, pad, kernelSignal(rng, m, 0.2))
+			}
+		}
+	}
+}
+
+// FuzzPrunedFill holds prunedFillAVX2 to prunedFill on arbitrary source
+// bits, for a plan of 2^(1 + logn%14) points and a pad of 2^(1 + logpad%logn).
+func FuzzPrunedFill(f *testing.F) {
+	f.Add([]byte("0123456789abcdef"), uint8(3), uint8(1))
+	f.Add(make([]byte, 64), uint8(10), uint8(4))
+	f.Fuzz(func(t *testing.T, raw []byte, logn, logpad uint8) {
+		src := fuzzComplex(raw)
+		ln := 1 + int(logn%14)
+		pad := 2 << (int(logpad) % ln)
+		n := 1 << ln
+		if len(src) == 0 || len(src) > n/pad {
+			return
+		}
+		checkPrunedFill(t, n, pad, src)
+	})
+}
+
+// checkFirstNotBelow runs firstNotBelow and firstNotBelowGeneric on xs and
+// fails when they return different indices.
+func checkFirstNotBelow(t testing.TB, xs []float64, thr float64) {
+	t.Helper()
+	if got, want := firstNotBelow(xs, thr), firstNotBelowGeneric(xs, thr); got != want {
+		t.Fatalf("n=%d thr=%v: first value not below at %d, generic %d", len(xs), thr, got, want)
+	}
+}
+
+// TestFirstNotBelowMatchesGeneric holds firstNotBelow's AVX2 path to
+// firstNotBelowGeneric at every length from 0 to 130, with the first value
+// not below the threshold at every position, NaN and a value equal to the
+// threshold among them, and with none.
+func TestFirstNotBelowMatchesGeneric(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewPCG(63, 7))
+	hits := []float64{1, 0.5, math.NaN(), math.Inf(1), 1e300}
+	for n := 0; n <= 130; n++ {
+		for at := 0; at <= n; at++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = 0.5 * rng.Float64()
+				if rng.IntN(4) == 0 {
+					xs[i] = kernelValue(rng, 0.5)
+				}
+				if i < at && !(xs[i] < 0.5) {
+					xs[i] = -1
+				}
+			}
+			if at < n {
+				xs[at] = hits[at%len(hits)]
+			}
+			checkFirstNotBelow(t, xs, 0.5)
+			checkFirstNotBelow(t, xs, math.Inf(-1))
+			checkFirstNotBelow(t, xs, math.NaN())
+		}
+	}
+}
+
+// FuzzFirstNotBelow holds firstNotBelow's AVX2 path to firstNotBelowGeneric
+// on arbitrary bits: raw gives the values, 8 bytes apiece.
+func FuzzFirstNotBelow(f *testing.F) {
+	f.Add(make([]byte, 72), 1.0)
+	f.Add([]byte("0123456789abcdef0123456789abcdef0123456789abcdef"), math.Inf(1))
+	f.Fuzz(func(t *testing.T, raw []byte, thr float64) {
+		xs := make([]float64, len(raw)/8)
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		checkFirstNotBelow(t, xs, thr)
+	})
+}

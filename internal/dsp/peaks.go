@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"choir/internal/cpu"
 )
 
 // Peak describes a local maximum in a (typically zero-padded) magnitude
@@ -71,12 +73,11 @@ func FindPeaksScratch(s *PeakScratch, spectrum []float64, cfg PeakConfig) []Peak
 	}
 	period := float64(n) / float64(cfg.Pad)
 	cands := s.cands[:0]
-	for i, v := range spectrum {
-		// Almost no bin clears the threshold, so it is tested before the
-		// neighbours are fetched; only the two end bins wrap.
-		if v < cfg.Threshold {
-			continue
-		}
+	// Almost no bin clears the threshold, so firstNotBelow finds the next
+	// one that does before its neighbours are fetched; only the two end
+	// bins wrap.
+	for i := firstNotBelow(spectrum, cfg.Threshold); i < n; i += 1 + firstNotBelow(spectrum[i+1:], cfg.Threshold) {
+		v := spectrum[i]
 		prev, next := spectrum[n-1], spectrum[0]
 		if i > 0 {
 			prev = spectrum[i-1]
@@ -137,6 +138,32 @@ func FindPeaksScratch(s *PeakScratch, spectrum []float64, cfg PeakConfig) []Peak
 	}
 	s.kept = out
 	return out
+}
+
+// firstNotBelow returns the index of the first value of xs that is not
+// below thr — at or above it, or NaN — or len(xs) when there is none. With
+// AVX2 firstNotBelowAVX2 tests whole steps of four values, and
+// firstNotBelowGeneric the rest.
+func firstNotBelow(xs []float64, thr float64) int {
+	done := 0
+	if cpu.AVX2 {
+		done = len(xs) &^ 3
+		if i := firstNotBelowAVX2(xs, thr); i < done {
+			return i
+		}
+	}
+	return done + firstNotBelowGeneric(xs[done:], thr)
+}
+
+// firstNotBelowGeneric is firstNotBelow's Go kernel: the only one off amd64
+// or without AVX2, and the reference the AVX2 kernel is tested against.
+func firstNotBelowGeneric(xs []float64, thr float64) int {
+	for i, v := range xs {
+		if !(v < thr) {
+			return i
+		}
+	}
+	return len(xs)
 }
 
 // CircularBinDist returns the distance between bin positions a and b on a
@@ -213,13 +240,7 @@ func bracketMedian(xs, buf []float64) (float64, bool) {
 		return 0, false
 	}
 
-	in, below := 0, 0
-	for _, v := range xs {
-		buf[in] = v
-		lt, gt := b2i(v < lo), b2i(v > hi)
-		in += 1 - lt - gt
-		below += lt
-	}
+	in, below := bracketPass(xs, buf, lo, hi)
 	k, even := n/2, n%2 == 0
 	if below > k-b2i(even) || below+in <= k {
 		return 0, false
@@ -230,6 +251,35 @@ func bracketMedian(xs, buf []float64) (float64, bool) {
 		}
 	}
 	return middle(buf[:in], k-below, even), true
+}
+
+// bracketPass gathers the values of xs that are neither below lo nor above
+// hi — NaN included — to buf (len(xs)) in order, and returns how many it
+// gathered and how many are below lo; lo <= hi. With AVX2 bracketPassAVX2 takes whole
+// steps of four values, two ordered compares and a compress store each, and
+// bracketPassGeneric the rest.
+func bracketPass(xs, buf []float64, lo, hi float64) (in, below int) {
+	buf = buf[:len(xs)]
+	done := 0
+	if cpu.AVX2 {
+		done = len(xs) &^ 3
+		in, below = bracketPassAVX2(xs[:done], buf, lo, hi)
+	}
+	return bracketPassGeneric(xs[done:], buf, lo, hi, in, below)
+}
+
+// bracketPassGeneric is bracketPass's Go kernel, gathering to buf[in:] and
+// counting on from in and below: the only one off amd64 or without AVX2, and
+// the reference the AVX2 kernel is tested against. It is branch-free: every
+// value is stored, and in moves past it only when it is kept.
+func bracketPassGeneric(xs, buf []float64, lo, hi float64, in, below int) (int, int) {
+	for _, v := range xs {
+		buf[in] = v
+		lt, gt := b2i(v < lo), b2i(v > hi)
+		in += 1 - lt - gt
+		below += lt
+	}
+	return in, below
 }
 
 // b2i is 1 for true and 0 for false.

@@ -202,8 +202,16 @@ func TestMedianInPlaceMatchesMedian(t *testing.T) {
 
 // TestNoiseFloorScratchMatches pins that the noise floor is the sort-based
 // median, bit for bit, on both sides of the bracket's cut-over and on
-// layouts the bracket misses, and that the spectrum is left untouched.
+// layouts the bracket misses, and that the spectrum is left untouched. It
+// runs on the CPU's kernels and on the generic ones.
 func TestNoiseFloorScratchMatches(t *testing.T) {
+	t.Run("cpu", checkNoiseFloorScratchMatches)
+	t.Run("generic", func(t *testing.T) {
+		withGenericKernels(func() { checkNoiseFloorScratchMatches(t) })
+	})
+}
+
+func checkNoiseFloorScratchMatches(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 0xBBBB))
 	layouts := []struct {
 		name string
